@@ -3,7 +3,10 @@
 Each benchmark runs one experiment from :mod:`repro.bench.experiments`
 exactly once under pytest-benchmark timing, asserts the paper's shape
 checks, and writes the rendered table to ``benchmarks/results/<id>.txt``
-so a full run leaves the regenerated figures on disk.
+so a full run leaves the regenerated figures on disk.  Those tables are
+simulated-clock numbers, byte-stable from run to run; an experiment that
+reports wall-clock numbers names its own ``results_dir`` (a ``tmp_path``)
+so the suite leaves ``git status`` clean.
 """
 
 from __future__ import annotations
@@ -18,16 +21,23 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 @pytest.fixture
-def regenerate(benchmark):
-    """Run an experiment once under the benchmark timer; verify shape."""
+def regenerate(benchmark, monkeypatch):
+    """Run an experiment once under the benchmark timer; verify shape.
 
-    def runner(exp_id: str):
+    ``results_dir`` sends everything the run writes — the rendered table
+    and the experiment's own ``BENCH_*.json`` — somewhere else than the
+    committed ``benchmarks/results/``.
+    """
+
+    def runner(exp_id: str, results_dir: pathlib.Path = RESULTS_DIR):
+        if results_dir != RESULTS_DIR:
+            monkeypatch.setattr("repro.bench.results.results_dir", lambda: results_dir)
         result = benchmark.pedantic(
             lambda: run_experiment(exp_id), rounds=1, iterations=1
         )
-        RESULTS_DIR.mkdir(exist_ok=True)
+        results_dir.mkdir(exist_ok=True)
         report = result.text + "\n" + result.check_report() + "\n"
-        (RESULTS_DIR / f"{exp_id}.txt").write_text(report)
+        (results_dir / f"{exp_id}.txt").write_text(report)
         failed = [desc for desc, ok in result.checks if not ok]
         assert result.ok, (
             f"{exp_id}: shape checks failed: {failed}\n{result.text}"

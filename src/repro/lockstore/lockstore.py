@@ -220,7 +220,9 @@ class LockStore:
         callers treat a stale answer as "retry later", which is safe.
         """
         with self.obs.tracer.span("lockstore.peek", node=self._writer, key=key):
-            rows = yield from self._read_queue(key, Consistency.LOCAL_ONE)
+            rows = yield from self.coordinator.get(
+                LOCK_TABLE, key, consistency=Consistency.LOCAL_ONE
+            )
         return self._first(rows)
 
     def peek_with_epoch(
@@ -238,18 +240,13 @@ class LockStore:
             rows = yield from self.coordinator.get(
                 LOCK_TABLE, key, consistency=Consistency.LOCAL_ONE
             )
-        queue = {
-            clustering: row
-            for clustering, row in rows.items()
-            if isinstance(clustering, int)
-        }
         epoch = None
         marker = rows.get(FORCED_ROW)
         if marker is not None:
             cell = marker.visible_cells().get("ref")
             if cell is not None:
                 epoch = cell.stamp
-        return self._first(queue), epoch
+        return self._first(rows), epoch
 
     def peek_with_lease(
         self, key: str
@@ -266,16 +263,11 @@ class LockStore:
             rows = yield from self.coordinator.get(
                 LOCK_TABLE, key, consistency=Consistency.LOCAL_ONE
             )
-        queue = {
-            clustering: row
-            for clustering, row in rows.items()
-            if isinstance(clustering, int)
-        }
         revoked = None
         marker = rows.get(LEASE_ROW)
         if marker is not None:
             revoked = marker.visible_values().get("revoked")
-        return self._first(queue), revoked
+        return self._first(rows), revoked
 
     def peek_quorum(self, key: str) -> Generator[Any, Any, Optional[LockEntry]]:
         """A quorum peek (used by failure detection to avoid acting on
@@ -283,21 +275,23 @@ class LockStore:
         with self.obs.tracer.span(
             "lockstore.peek", node=self._writer, key=key, quorum=True
         ):
-            rows = yield from self._read_queue(key, Consistency.QUORUM)
+            rows = yield from self.coordinator.get(
+                LOCK_TABLE, key, consistency=Consistency.QUORUM
+            )
         return self._first(rows)
 
     def queue(self, key: str) -> Generator[Any, Any, list]:
         """The whole local queue in lockRef order (diagnostics/tests)."""
-        rows = yield from self._read_queue(key, Consistency.LOCAL_ONE)
-        return [self._entry(ref, rows[ref]) for ref in sorted(rows)]
+        rows = yield from self.coordinator.get(
+            LOCK_TABLE, key, consistency=Consistency.LOCAL_ONE
+        )
+        return [self._entry(ref, rows[ref]) for ref in sorted(self._lock_refs(rows))]
 
-    def _read_queue(self, key: str, consistency: str) -> Generator[Any, Any, Dict]:
-        rows = yield from self.coordinator.get(LOCK_TABLE, key, consistency=consistency)
-        return {
-            clustering: row
-            for clustering, row in rows.items()
-            if isinstance(clustering, int)
-        }
+    @staticmethod
+    def _lock_refs(rows: Dict) -> List[int]:
+        """The queued lockRefs of a lock-partition read: its integer
+        clustering keys (the guard and the marker rows are strings)."""
+        return [clustering for clustering in rows if isinstance(clustering, int)]
 
     @staticmethod
     def _entry(lock_ref: int, row) -> LockEntry:
@@ -309,9 +303,11 @@ class LockStore:
         )
 
     def _first(self, rows: Dict) -> Optional[LockEntry]:
-        if not rows:
+        """The head of the queue in a lock-partition read, if any."""
+        refs = self._lock_refs(rows)
+        if not refs:
             return None
-        first_ref = min(rows)
+        first_ref = min(refs)
         return self._entry(first_ref, rows[first_ref])
 
     # -- lsDequeue ----------------------------------------------------------------

@@ -269,8 +269,10 @@ def _classify_leaf(chain: Sequence[SpanRecord]) -> str:
     if name == "store.cas":
         # Self time of the CAS span between Paxos rounds: with a retried
         # ballot that is the exponential backoff sleep; a single-attempt
-        # CAS only has scheduling epsilon here.
-        if owner.attrs.get("attempts", 1) and owner.attrs["attempts"] > 1:
+        # CAS only has scheduling epsilon here.  A CAS that ended by
+        # raising (QuorumUnavailable under a partition) never set
+        # ``attempts``; it counts as a single attempt.
+        if (owner.attrs.get("attempts") or 1) > 1:
             return f"{region}.ballot_backoff"
         return f"{region}.lwt"
     if name in ("replica.read", "replica.write", "cpu.use"):

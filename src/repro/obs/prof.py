@@ -211,17 +211,12 @@ class SimProfiler:
             if depth > self.heap_high_water:
                 self.heap_high_water = depth
             if ready:
-                if heap and heap[0].time <= sim.now:
-                    entry = heappop(heap)
-                    fn = entry.fn
-                    arg = entry.arg
+                if heap and heap[0][0] <= sim.now:
+                    _when, _seq, fn, arg = heappop(heap)
                 else:
                     fn, arg = ready.popleft()
             else:
-                entry = heappop(heap)
-                sim.now = entry.time
-                fn = entry.fn
-                arg = entry.arg
+                sim.now, _seq, fn, arg = heappop(heap)
             began = perf_counter()
             if arg is _NOARG:
                 fn()

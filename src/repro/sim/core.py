@@ -45,18 +45,19 @@ The scheduler keeps two structures:
   work: callback hops, process bootstraps, triggered-event wakeups.
   Roughly 80% of all scheduled actions are ``delay == 0`` continuations
   of the current instant, and they bypass the heap entirely.
-- ``_heap`` — a binary heap of slotted :class:`_Entry` records for work
-  at a *future* time (timeouts, message arrivals, timers), ordered by
-  ``(time, seq)`` where ``seq`` is a per-simulator push counter that
-  breaks same-time ties FIFO.
+- ``_heap`` — a binary heap of plain ``(time, seq, fn, arg)`` tuples for
+  work at a *future* time (timeouts, message arrivals, timers).  ``seq``
+  is a per-simulator push counter that breaks same-time ties FIFO; it
+  is unique, so ``heapq`` orders entries by ``(time, seq)`` in C and
+  never compares ``fn`` or ``arg``.
 
 Determinism contract: every entry in ``_ready`` was scheduled at the
 current ``now`` and therefore *after* (in program order) every heap
 entry whose time equals ``now`` — heap entries landing at ``now`` were
 pushed at an earlier instant with a positive delay.  ``step`` therefore
 drains same-time heap entries before the ready queue, which reproduces
-exactly the global ``(time, seq)`` order the previous tuple-heap
-scheduler produced.  Seed runs are bit-identical across the change.
+exactly the global ``(time, seq)`` order of a single heap holding every
+action.  Seed runs are bit-identical across the change.
 
 Scheduled actions are ``(fn, arg)`` pairs rather than zero-argument
 closures: the dispatcher calls ``fn(arg)`` (or ``fn()`` when ``arg`` is
@@ -99,29 +100,6 @@ class Interrupt(Exception):
     @property
     def cause(self) -> Any:
         return self.args[0] if self.args else None
-
-
-class _Entry:
-    """One future-time heap entry: ``(time, seq, fn, arg)`` with slots.
-
-    ``seq`` is the per-simulator heap-push counter; ``__lt__`` orders by
-    ``(time, seq)`` so same-time entries pop in push (FIFO) order — the
-    total order the old ``(time, seq, action)`` tuple heap had, without
-    a global ``itertools.count`` draw on every push.
-    """
-
-    __slots__ = ("time", "seq", "fn", "arg")
-
-    def __init__(self, time: float, seq: int, fn: Callable[..., None], arg: Any) -> None:
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.arg = arg
-
-    def __lt__(self, other: "_Entry") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
 
 def _fire_event(event: "Event") -> None:
@@ -466,7 +444,7 @@ class Simulator:
         # The process currently being stepped, if any (used to inherit
         # per-process context into spawned children).
         self.active_process: Optional[Process] = None
-        self._heap: list[_Entry] = []
+        self._heap: list[tuple] = []
         self._ready: deque = deque()
         # Heap pushes ever — doubles as the FIFO tie-break sequence for
         # same-time heap entries and as the profiler's heap-push counter.
@@ -509,7 +487,7 @@ class Simulator:
         else:
             seq = self._seq
             self._seq = seq + 1
-            heapq.heappush(self._heap, _Entry(self.now + delay, seq, action, _NOARG))
+            heapq.heappush(self._heap, (self.now + delay, seq, action, _NOARG))
 
     def _push_call(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
         """Schedule ``fn(arg)`` after ``delay`` ms (clamped like _push)."""
@@ -518,7 +496,7 @@ class Simulator:
         else:
             seq = self._seq
             self._seq = seq + 1
-            heapq.heappush(self._heap, _Entry(self.now + delay, seq, fn, arg))
+            heapq.heappush(self._heap, (self.now + delay, seq, fn, arg))
 
     def _schedule_callback(self, callback: Callable[[Event], None], event: Event) -> None:
         self._ready.append((callback, event))
@@ -560,17 +538,12 @@ class Simulator:
         ready = self._ready
         if ready:
             heap = self._heap
-            if heap and heap[0].time <= self.now:
-                entry = heapq.heappop(heap)
-                fn = entry.fn
-                arg = entry.arg
+            if heap and heap[0][0] <= self.now:
+                _when, _seq, fn, arg = heapq.heappop(heap)
             else:
                 fn, arg = ready.popleft()
         else:
-            entry = heapq.heappop(self._heap)
-            self.now = entry.time
-            fn = entry.fn
-            arg = entry.arg
+            self.now, _seq, fn, arg = heapq.heappop(self._heap)
         if arg is _NOARG:
             fn()
         else:
@@ -595,13 +568,10 @@ class Simulator:
                 heappop = heapq.heappop
                 pop_ready = ready.popleft
                 while ready or heap:
-                    if ready and not (heap and heap[0].time <= self.now):
+                    if ready and not (heap and heap[0][0] <= self.now):
                         fn, arg = pop_ready()
                     else:
-                        entry = heappop(heap)
-                        self.now = entry.time
-                        fn = entry.fn
-                        arg = entry.arg
+                        self.now, _seq, fn, arg = heappop(heap)
                     if arg is _NOARG:
                         fn()
                     else:
@@ -610,7 +580,7 @@ class Simulator:
                 step = self.step
                 while ready or heap:
                     if until is not None:
-                        at = self.now if ready else heap[0].time
+                        at = self.now if ready else heap[0][0]
                         if at > until:
                             break
                     step()
@@ -633,17 +603,12 @@ class Simulator:
             heappop = heapq.heappop
             pop_ready = ready.popleft
             while not process._triggered:
-                if ready and not (heap and heap[0].time <= self.now):
+                if ready and not (heap and heap[0][0] <= self.now):
                     fn, arg = pop_ready()
                 elif heap:
-                    entry = heappop(heap)
-                    when = entry.time
-                    if when > limit:
-                        heapq.heappush(heap, entry)
+                    if heap[0][0] > limit:
                         raise SimulationError(f"simulated time limit {limit} exceeded")
-                    self.now = when
-                    fn = entry.fn
-                    arg = entry.arg
+                    self.now, _seq, fn, arg = heappop(heap)
                 else:
                     raise SimulationError(
                         f"deadlock: no scheduled events but {process.name!r} is not done"
@@ -660,7 +625,7 @@ class Simulator:
                         raise SimulationError(
                             f"deadlock: no scheduled events but {process.name!r} is not done"
                         )
-                    if heap[0].time > limit:
+                    if heap[0][0] > limit:
                         raise SimulationError(f"simulated time limit {limit} exceeded")
                 step()
         if process._ok:

@@ -74,6 +74,19 @@ def _rows_size_bytes(rows: Dict[Any, Any]) -> int:
     return total
 
 
+def _row_count(tables: Dict[str, Dict[str, Dict[Any, Any]]]) -> int:
+    return sum(
+        len(rows) for partitions in tables.values() for rows in partitions.values()
+    )
+
+
+def _merge_into(target: Dict[Any, Any], rows: Dict[Any, Any]) -> None:
+    """Fold stored ``rows`` into ``target`` (both clustering -> frozen Row)."""
+    for clustering, row in rows.items():
+        known = target.get(clustering)
+        target[clustering] = row if known is None else known.merged(row).freeze()
+
+
 @dataclass
 class PaxosState:
     """Single-decree Paxos acceptor state for one (table, partition).
@@ -111,9 +124,17 @@ class StorageEngine:
         self.node_id = node_id
         self.obs = obs
         self.wal = CommitLog()
-        # memtable[table][partition_key][clustering] -> Row
+        # memtable[table][partition_key][clustering] -> Row.  Stored rows
+        # are frozen: a write puts a modified copy in the old row's place
+        # (see _store), so readers can be handed the rows themselves.
         self.memtable: Dict[str, Dict[str, Dict[Any, Any]]] = {}
         self.memtable_bytes = 0
+        # The live-row index: for each memtable partition, the rows for
+        # which ``row.live`` holds, in partition order.  Kept in step
+        # with the memtable by _store/_drop/flush/crash and read only
+        # through live_rows(); a lock partition is mostly tombstones of
+        # released lockRefs, and queue reads must not pay for them.
+        self._live: Dict[Tuple[str, str], Dict[Any, Any]] = {}
         self.segments: List[Segment] = []
         self.paxos: Dict[Tuple[str, str], PaxosState] = {}
         self.crashed = False
@@ -239,6 +260,7 @@ class StorageEngine:
         for table, partitions in self.memtable.items():
             if tables is None or table in tables:
                 partitions.pop(partition_key, None)
+                self._live.pop((table, partition_key), None)
         for segment in self.segments:
             for table, partitions in segment.tables.items():
                 if tables is None or table in tables:
@@ -252,25 +274,52 @@ class StorageEngine:
         return self.paxos.setdefault((table, partition_key), PaxosState())
 
     def _apply(self, update: Any) -> None:
-        partition = self.memtable.setdefault(update.table, {}).setdefault(
-            update.partition, {}
-        )
-        row = partition.setdefault(update.clustering, _row_cls()())
+        table, partition_key = update.table, update.partition
+        partition = self.memtable.setdefault(table, {}).setdefault(partition_key, {})
+        old = partition.get(update.clustering)
+        row = _row_cls()() if old is None else old.copy()
         if hasattr(update, "columns"):
             for column, value in update.columns.items():
                 row.apply_cell(column, value, update.stamp, update.op_id)
         else:
             row.delete(update.stamp)
+        self._store(table, partition_key, partition, update.clustering, old, row)
         self.memtable_bytes += update.size_bytes()
 
     def _merge(
         self, table: str, partition_key: str, rows: Dict[Any, Any], size: int
     ) -> None:
         partition = self.memtable.setdefault(table, {}).setdefault(partition_key, {})
-        for clustering, row in rows.items():
-            existing = partition.setdefault(clustering, _row_cls()())
-            existing.merge_from(row)
+        for clustering, theirs in rows.items():
+            old = partition.get(clustering)
+            row = theirs.copy() if old is None else old.merged(theirs)
+            if row is not old:
+                self._store(table, partition_key, partition, clustering, old, row)
         self.memtable_bytes += size
+
+    def _store(
+        self,
+        table: str,
+        partition_key: str,
+        partition: Dict[Any, Any],
+        clustering: Any,
+        old: Any,
+        row: Any,
+    ) -> None:
+        """Put ``row`` where ``old`` was (None: append) and index it."""
+        partition[clustering] = row.freeze()
+        live = self._live.get((table, partition_key))
+        if live is None:
+            live = self._live[(table, partition_key)] = {}
+        if not row.live:
+            live.pop(clustering, None)
+        elif old is None or clustering in live:
+            live[clustering] = row  # appended, or replaced where it stood
+        else:
+            # A deleted row was written again: it re-enters at its
+            # partition position, not at the end.
+            live.clear()
+            live.update((c, r) for c, r in partition.items() if r.live)
 
     # -- fsync ---------------------------------------------------------------
 
@@ -333,11 +382,6 @@ class StorageEngine:
         """
         if not self.memtable:
             return None
-        row_count = sum(
-            len(rows)
-            for partitions in self.memtable.values()
-            for rows in partitions.values()
-        )
         barrier = self.wal.last_lsn
         if self._pending_lsns:
             barrier = min(barrier, min(self._pending_lsns) - 1)
@@ -345,13 +389,14 @@ class StorageEngine:
             segment_id=self._next_segment_id,
             tables=self.memtable,
             size_bytes=max(self.memtable_bytes, 1),
-            row_count=row_count,
+            row_count=_row_count(self.memtable),
             created_at=self.sim.now,
             max_lsn=barrier,
         )
         self._next_segment_id += 1
         self.segments.append(segment)
         self.memtable = {}
+        self._live = {}
         self.memtable_bytes = 0
         self.wal.truncate_through(segment.max_lsn)
         self.stats["flushes"] += 1
@@ -401,25 +446,21 @@ class StorageEngine:
             self._compacting = False
 
     def _merge_segments(self, group: List[Segment]) -> None:
-        row_cls = _row_cls()
         merged_tables: Dict[str, Dict[str, Dict[Any, Any]]] = {}
-        row_count = 0
         for segment in group:
             for table, partitions in segment.tables.items():
                 for partition_key, rows in partitions.items():
-                    target = merged_tables.setdefault(table, {}).setdefault(
-                        partition_key, {}
+                    _merge_into(
+                        merged_tables.setdefault(table, {}).setdefault(
+                            partition_key, {}
+                        ),
+                        rows,
                     )
-                    for clustering, row in rows.items():
-                        if clustering not in target:
-                            target[clustering] = row_cls()
-                            row_count += 1
-                        target[clustering].merge_from(row)
         merged = Segment(
             segment_id=self._next_segment_id,
             tables=merged_tables,
             size_bytes=sum(s.size_bytes for s in group),
-            row_count=row_count,
+            row_count=_row_count(merged_tables),
             created_at=self.sim.now,
             max_lsn=max(s.max_lsn for s in group),
         )
@@ -440,24 +481,35 @@ class StorageEngine:
     def partition_view(self, table: str, partition_key: str) -> Dict[Any, Any]:
         """Merged rows of one partition (tombstones included).
 
-        With no segments this returns the live memtable partition by
-        reference (hot path — callers must copy, as StorageReplica
-        does); with segments it merges into fresh rows.
+        Read-only, and so are its rows: with no segments this is the
+        memtable partition itself; with segments it is a fresh dict
+        whose rows are stored ones wherever one source had the row.
         """
         mem = self.memtable.get(table, {}).get(partition_key)
         if not self.segments:
             return mem if mem is not None else {}
-        row_cls = _row_cls()
         merged: Dict[Any, Any] = {}
         for segment in self.segments:
             rows = segment.tables.get(table, {}).get(partition_key)
             if rows:
-                for clustering, row in rows.items():
-                    merged.setdefault(clustering, row_cls()).merge_from(row)
+                _merge_into(merged, rows)
         if mem:
-            for clustering, row in mem.items():
-                merged.setdefault(clustering, row_cls()).merge_from(row)
+            _merge_into(merged, mem)
         return merged
+
+    def live_rows(self, table: str, partition_key: str) -> Dict[Any, Any]:
+        """The rows of one partition for which ``row.live`` holds, in
+        ``partition_view`` order, without visiting the dead ones.
+
+        Read-only, like the rows in it.  Served from the index unless a
+        segment holds part of the partition, whose merged view then has
+        to be built and filtered.
+        """
+        for segment in self.segments:
+            if partition_key in segment.tables.get(table, ()):
+                view = self.partition_view(table, partition_key)
+                return {c: row for c, row in view.items() if row.live}
+        return self._live.get((table, partition_key)) or {}
 
     def partition_keys(self) -> List[Tuple[str, str]]:
         """All (table, partition) pairs, memtable insertion order first
@@ -491,6 +543,7 @@ class StorageEngine:
         self._pending_lsns.clear()
         lost = self.wal.drop_unsynced()
         self.memtable = {}
+        self._live = {}
         self.memtable_bytes = 0
         self.paxos = {}
         self.crashed = True

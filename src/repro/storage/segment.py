@@ -2,11 +2,12 @@
 
 A :class:`Segment` is a memtable frozen at flush time: the engine takes
 ownership of the whole ``tables`` dict, and nothing mutates its rows
-afterwards — reads merge segment rows into fresh ``Row`` objects, and
-compaction builds a brand-new merged segment before atomically swapping
-it in.  Segments are durable by construction (a real flush fsyncs the
-SSTable before the commit log is truncated), which is why data can
-survive a crash even under ``wal_sync="off"`` once it has been flushed.
+afterwards — they are frozen ``Row`` objects; reads and compaction fold
+them with the non-mutating ``Row.merged``, and compaction builds a
+brand-new merged segment before atomically swapping it in.  Segments
+are durable by construction (a real flush fsyncs the SSTable before the
+commit log is truncated), which is why data can survive a crash even
+under ``wal_sync="off"`` once it has been flushed.
 """
 
 from __future__ import annotations

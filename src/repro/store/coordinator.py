@@ -162,18 +162,17 @@ class StoreCoordinator:
 
     @staticmethod
     def _merge_replies(replies: List[Dict[str, Any]]) -> Dict[Any, Row]:
+        """Cell-wise LWW merge of read replies; read-only like them.
+
+        Reply rows are the replicas' stored (frozen) rows, so the merge
+        changes none of them: a row the replies agree on is passed
+        through, one they differ on is merged into a copy.
+        """
         merged: Dict[Any, Row] = {}
         for reply in replies:
             for clustering, row in reply["rows"].items():
-                existing = merged.get(clustering)
-                if existing is None:
-                    # Replica replies carry fresh row copies (see
-                    # StorageReplica.local_rows), so the first reply's
-                    # row can seed the merge directly instead of being
-                    # re-applied cell-by-cell onto an empty Row.
-                    merged[clustering] = row
-                else:
-                    existing.merge_from(row)
+                known = merged.get(clustering)
+                merged[clustering] = row if known is None else known.merged(row)
         return {c: r for c, r in merged.items() if r.live}
 
     def _issue_read_repair(

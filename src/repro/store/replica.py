@@ -3,7 +3,7 @@ Paxos, anti-entropy.
 
 Each replica is a :class:`~repro.net.node.Node` that serves:
 
-- ``store_read``   — return (copies of) the live rows of a partition;
+- ``store_read``   — return the live rows of a partition;
 - ``store_write``  — journal + apply a batch of LWW cell updates / row
   deletes;
 - ``paxos_prepare``, ``paxos_propose``, ``paxos_commit`` — the per-
@@ -123,25 +123,16 @@ class StorageReplica(Node):
         self.engine._apply(update)
 
     def local_rows(self, table: str, partition_key: str) -> Dict[Any, Row]:
-        """Copies of the live rows of a partition (empty dict if none)."""
-        view = self.engine.partition_view(table, partition_key)
-        out: Dict[Any, Row] = {}
-        for clustering, row in view.items():
-            if row.live:
-                # Prime the payload-size cache on the stored row so every
-                # copy handed to a read reply inherits it (the reply path
-                # sizes each row; sizing the copy would never hit).
-                row.payload_bytes()
-                out[clustering] = row.copy()
-        return out
+        """The live rows of a partition, in a fresh dict (empty if none).
+
+        The rows are the stored ones, not copies: they are frozen (see
+        :class:`Row`), so every reader may hold them and none can change
+        them; whoever needs to change one copies it first.
+        """
+        return dict(self.engine.live_rows(table, partition_key))
 
     def local_row(self, table: str, partition_key: str, clustering: Any) -> Optional[Row]:
-        view = self.engine.partition_view(table, partition_key)
-        row = view.get(clustering)
-        if row is None or not row.live:
-            return None
-        row.payload_bytes()
-        return row.copy()
+        return self.engine.live_rows(table, partition_key).get(clustering)
 
     def _count(self, name: str) -> None:
         self.counters[name] += 1
@@ -186,10 +177,7 @@ class StorageReplica(Node):
         keys = sorted(
             partition_key
             for partition_key in self.engine.table_partition_keys(body["table"])
-            if any(
-                row.live
-                for row in self.engine.partition_view(body["table"], partition_key).values()
-            )
+            if self.engine.live_rows(body["table"], partition_key)
         )
         self.reply(msg, {"keys": keys}, size_bytes=16 * len(keys) + 32)
 
@@ -334,14 +322,12 @@ class StorageReplica(Node):
         start = self._ae_cursor % len(everything)
         self._ae_cursor += limit
         window = [everything[(start + i) % len(everything)] for i in range(min(limit, len(everything)))]
-        batch = []
-        for table, partition_key in window:
-            rows = {
-                clustering: row.copy()
-                for clustering, row in self.engine.partition_view(table, partition_key).items()
-            }
-            batch.append((table, partition_key, rows))
-        return batch
+        # Snapshots for free: stored rows never change, so a fresh dict
+        # of them is a copy of the partition (tombstones included).
+        return [
+            (table, partition_key, dict(self.engine.partition_view(table, partition_key)))
+            for table, partition_key in window
+        ]
 
     def _handle_ae_exchange(self, msg: Message) -> Generator[Any, Any, None]:
         body = self.payload(msg)
@@ -350,10 +336,7 @@ class StorageReplica(Node):
         for table, partition_key, rows in body["entries"]:
             if not self._owns(self.node_id, partition_key):
                 continue
-            ours = {
-                clustering: row.copy()
-                for clustering, row in self.engine.partition_view(table, partition_key).items()
-            }
+            ours = dict(self.engine.partition_view(table, partition_key))
             yield from self._merge_rows(table, partition_key, rows)
             reply_entries.append((table, partition_key, ours))
         size = sum(

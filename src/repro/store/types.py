@@ -65,6 +65,13 @@ class Row:
     A cell is *visible* only if its stamp is newer than the tombstone;
     a newer write resurrects the row, matching Cassandra semantics (and
     making lock-queue deletes safe because lockRefs are never reused).
+
+    A row held by a storage engine is *frozen*: the engine replaces it
+    with a modified :meth:`copy` on every write and hands the stored
+    object itself to read replies, so whoever holds one — a reader, a
+    peer's anti-entropy batch, the commit log — holds a snapshot that
+    can never change.  The mutators raise on a frozen row; ``copy()``
+    is how a holder gets a row of its own.
     """
 
     cells: Dict[str, Cell] = field(default_factory=dict)
@@ -73,6 +80,12 @@ class Row:
     # read reply and streaming batch, but mutated only through apply_cell
     # and delete, which invalidate the cache.
     _pb: int = field(default=-1, init=False, repr=False, compare=False)
+    _frozen: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def freeze(self) -> "Row":
+        """Make the mutators raise from now on (there is no thaw)."""
+        self._frozen = True
+        return self
 
     def apply_cell(self, column: str, value: Any, stamp: Stamp, op_id: str = "") -> bool:
         """Last-write-wins merge of one cell; True if the write took effect.
@@ -81,17 +94,18 @@ class Row:
         equal-timestamp writes by comparing the serialized values), so
         the merge stays commutative for any pair of writes.
         """
+        if self._frozen:
+            raise TypeError("a stored row is immutable: copy() it first")
         existing = self.cells.get(column)
-        if existing is not None:
-            if existing.stamp > stamp:
-                return False
-            if existing.stamp == stamp and repr(existing.value) >= repr(value):
-                return False
+        if existing is not None and _survives(existing, stamp, value):
+            return False
         self.cells[column] = Cell(value, stamp, op_id)
         self._pb = -1
         return True
 
     def delete(self, stamp: Stamp) -> None:
+        if self._frozen:
+            raise TypeError("a stored row is immutable: copy() it first")
         if self.tombstone is None or stamp > self.tombstone:
             self.tombstone = stamp
             self._pb = -1
@@ -165,12 +179,41 @@ class Row:
         for column, cell in other.cells.items():
             self.apply_cell(column, cell.value, cell.stamp, cell.op_id)
 
+    def merged(self, other: "Row") -> "Row":
+        """The merge of two views of one row, changing neither.
+
+        Returns ``self`` when ``other`` adds nothing to it — replicas in
+        sync, the usual case — and an unfrozen merged copy otherwise.
+        """
+        tombstone = other.tombstone
+        if tombstone is None or (
+            self.tombstone is not None and self.tombstone >= tombstone
+        ):
+            cells = self.cells
+            for column, cell in other.cells.items():
+                mine = cells.get(column)
+                if mine is None or not _survives(mine, cell.stamp, cell.value):
+                    break
+            else:
+                return self
+        row = self.copy()
+        row.merge_from(other)
+        return row
+
     def copy(self) -> "Row":
+        """An unfrozen row with the same content."""
         # Shallow: Cell objects are replaced on write, never mutated in
         # place, so snapshots can share them; only the dict is copied.
         row = Row(cells=dict(self.cells), tombstone=self.tombstone)
         row._pb = self._pb
         return row
+
+
+def _survives(cell: Cell, stamp: Stamp, value: Any) -> bool:
+    """Last-write-wins: does the stored ``cell`` survive a write of
+    ``value`` at ``stamp``?"""
+    mine = cell.stamp
+    return mine > stamp or (mine == stamp and repr(cell.value) >= repr(value))
 
 
 # A partition: rows by clustering key.  Clustering keys must be mutually

@@ -13,6 +13,7 @@ sums within 5% of each CS's latency.
 import io
 
 from repro.core import build_music
+from repro.errors import ReproError
 from repro.obs import (
     MetricsRegistry,
     critpath_speedscope_samples,
@@ -178,3 +179,35 @@ def test_contention_acceptance_every_cs_explained():
             totals[phase] = totals.get(phase, 0.0) + total
     assert totals.get("acquire.queue_wait", 0.0) > 0.0
     assert totals.get("mint.lwt", 0.0) > 0.0
+
+
+def test_a_cas_that_raised_under_a_partition_is_still_attributed():
+    """Regression: a ``store.cas`` span that ends by raising
+    (QuorumUnavailable: no Paxos quorum across a partition) never sets
+    ``attempts``; classifying its self time used to raise KeyError."""
+    deployment = build_music(obs=True, seed=5)
+    sim, obs = deployment.sim, deployment.obs
+    deployment.store.config.rpc_timeout_ms = 300.0
+    client = deployment.client("Ohio")
+    deployment.network.isolate_site("Ohio")
+
+    def stranded():
+        with obs.tracer.span(
+            ROOT_SPAN, node=client.client_id, site=client.site, key="k"
+        ):
+            try:
+                yield from client.critical_section("k", timeout_ms=2_000.0)
+            except ReproError:
+                pass
+
+    sim.run_until_complete(sim.process(stranded()), limit=1e10)
+    failed = [
+        span for span in obs.tracer.spans
+        if span.name == "store.cas" and "attempts" not in span.attrs
+    ]
+    assert failed, "the partition should have failed a CAS mid-flight"
+    (path,) = extract_critpaths(obs.tracer.spans)
+    latency = path.end_ms - path.start_ms
+    assert latency > 0 and abs(path.attributed_ms - latency) < 1e-6
+    assert "mint.lwt" in path.phase_totals()
+    assert "mint.ballot_backoff" not in path.phase_totals()
