@@ -21,12 +21,16 @@ from ..errors import (
     RpcTimeout,
 )
 from ..sim import RandomStreams
+from ..store import Stamp
 from .config import MusicConfig
 from .replica import MusicReplica
 
 __all__ = ["MusicClient", "CriticalSection"]
 
 _RETRYABLE = (QuorumUnavailable, RpcTimeout, LockContention)
+
+# Multiplicative backoff between unsuccessful acquireLock polls.
+ACQUIRE_POLL_BACKOFF = 1.5
 
 
 class MusicClient:
@@ -56,7 +60,7 @@ class MusicClient:
         # on): per-key monotonic-prefix watermark for bounded reads, and
         # per-(key, lockRef) critical-write watermark gating lease hits.
         self._session_reads: Dict[str, Tuple[Any, Any]] = {}
-        self._critical_watermarks: Dict[Tuple[str, int], Tuple[float, str]] = {}
+        self._critical_watermarks: Dict[Tuple[str, int], Stamp] = {}
 
     @property
     def replica(self) -> MusicReplica:
@@ -105,16 +109,14 @@ class MusicClient:
     # -- MUSIC operations -------------------------------------------------------
 
     def create_lock_ref(self, key: str) -> Generator[Any, Any, int]:
-        ref = yield from self._with_failover(
+        return self._with_failover(
             "createLockRef", lambda replica: replica.create_lock_ref(key)
         )
-        return ref
 
     def acquire_lock(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
-        granted = yield from self._with_failover(
+        return self._with_failover(
             "acquireLock", lambda replica: replica.acquire_lock(key, lock_ref)
         )
-        return granted
 
     def acquire_lock_blocking(
         self, key: str, lock_ref: int, timeout_ms: Optional[float] = None
@@ -173,7 +175,7 @@ class MusicClient:
                     interval = min(self.config.acquire_poll_interval_ms, 3.0)
                 else:
                     interval = min(
-                        interval * self.config.acquire_poll_backoff,
+                        interval * ACQUIRE_POLL_BACKOFF,
                         self.config.acquire_poll_max_ms,
                     )
                 if deadline is not None and self.sim.now >= deadline:
@@ -182,79 +184,38 @@ class MusicClient:
             if waiter is not None:
                 waited_at.unsubscribe_release(key, waiter)
 
-    def critical_put(self, key: str, lock_ref: int, value: Any) -> Generator[Any, Any, None]:
-        """criticalPut, retried until acknowledged (the client obligation
-        behind the 'true value' definition of Section III-A)."""
+    def _put_attempt(self, key: str, lock_ref: int, value: Any):
+        """One criticalPut attempt at a replica, returning the
+        acknowledged write's stamp.  The replica records the stamp right
+        before acking (no yields in between), so reading it here yields
+        the stamp of *this* attempt even across failover."""
 
-        def attempt(replica) -> Generator[Any, Any, bool]:
+        def attempt(replica) -> Generator[Any, Any, Stamp]:
             done = yield from replica.critical_put(key, lock_ref, value)
             if not done:
                 # Guard said "not first yet": the local lock store lags;
                 # surface as retryable.
                 raise QuorumUnavailable("local lock store behind; retry")
+            stamp = replica.last_put_stamp
             if self.config.read_leases:
-                # The replica records the acknowledged stamp right
-                # before returning (no yields in between): remember it
-                # as this session's floor for lease-served reads, so a
+                # This session's floor for lease-served reads, so a
                 # failover to a stale-mirror replica cannot serve a
                 # value older than our own last write.
-                self._critical_watermarks[(key, lock_ref)] = replica.last_put_stamp
-            return True
+                self._critical_watermarks[(key, lock_ref)] = stamp
+            return stamp
 
-        yield from self._with_failover("criticalPut", attempt)
+        return attempt
 
-    def critical_get(self, key: str, lock_ref: int) -> Generator[Any, Any, Any]:
+    def _get_attempt(self, key: str, lock_ref: int):
+        """One criticalGet attempt at a replica, returning ``(value,
+        stamp)`` of what it served."""
         min_stamp = (
             self._critical_watermarks.get((key, lock_ref))
             if self.config.read_leases
             else None
         )
 
-        def attempt(replica) -> Generator[Any, Any, Any]:
-            ok, value = yield from replica.critical_get(
-                key, lock_ref, min_stamp=min_stamp
-            )
-            if not ok:
-                raise QuorumUnavailable("local lock store behind; retry")
-            return value
-
-        value = yield from self._with_failover("criticalGet", attempt)
-        return value
-
-    def critical_put_stamped(
-        self, key: str, lock_ref: int, value: Any
-    ) -> Generator[Any, Any, Tuple[float, str]]:
-        """criticalPut that also returns the acknowledged write's stamp.
-
-        The replica records the stamp right before acking (no yields in
-        between), so capturing it inside the attempt closure reads the
-        stamp of *this* attempt even across failover.
-        """
-
-        def attempt(replica) -> Generator[Any, Any, Tuple[float, str]]:
-            done = yield from replica.critical_put(key, lock_ref, value)
-            if not done:
-                raise QuorumUnavailable("local lock store behind; retry")
-            if self.config.read_leases:
-                self._critical_watermarks[(key, lock_ref)] = replica.last_put_stamp
-            return replica.last_put_stamp
-
-        stamp = yield from self._with_failover("criticalPut", attempt)
-        return stamp
-
-    def critical_get_stamped(
-        self, key: str, lock_ref: int
-    ) -> Generator[Any, Any, Tuple[Any, Optional[Tuple[float, str]]]]:
-        """criticalGet returning ``(value, stamp)`` — the version token
-        the transaction layer records in read sets (None = never
-        written)."""
-        min_stamp = (
-            self._critical_watermarks.get((key, lock_ref))
-            if self.config.read_leases
-            else None
-        )
-
-        def attempt(replica) -> Generator[Any, Any, Any]:
+        def attempt(replica) -> Generator[Any, Any, Tuple[Any, Optional[Stamp]]]:
             ok, value = yield from replica.critical_get(
                 key, lock_ref, min_stamp=min_stamp
             )
@@ -262,21 +223,48 @@ class MusicClient:
                 raise QuorumUnavailable("local lock store behind; retry")
             return (value, replica.last_get_stamp)
 
-        result = yield from self._with_failover("criticalGet", attempt)
-        return result
+        return attempt
+
+    def critical_put(self, key: str, lock_ref: int, value: Any) -> Generator[Any, Any, None]:
+        """criticalPut, retried until acknowledged (the client obligation
+        behind the 'true value' definition of Section III-A)."""
+        yield from self._with_failover(
+            "criticalPut", self._put_attempt(key, lock_ref, value)
+        )
+
+    def critical_get(self, key: str, lock_ref: int) -> Generator[Any, Any, Any]:
+        value, _ = yield from self._with_failover(
+            "criticalGet", self._get_attempt(key, lock_ref)
+        )
+        return value
+
+    def critical_put_stamped(
+        self, key: str, lock_ref: int, value: Any
+    ) -> Generator[Any, Any, Stamp]:
+        """criticalPut that also returns the acknowledged write's stamp."""
+        return self._with_failover(
+            "criticalPut", self._put_attempt(key, lock_ref, value)
+        )
+
+    def critical_get_stamped(
+        self, key: str, lock_ref: int
+    ) -> Generator[Any, Any, Tuple[Any, Optional[Stamp]]]:
+        """criticalGet returning ``(value, stamp)`` — the version token
+        the transaction layer records in read sets (None = never
+        written)."""
+        return self._with_failover("criticalGet", self._get_attempt(key, lock_ref))
 
     def txn_read(
         self, key: str
-    ) -> Generator[Any, Any, Tuple[Any, Optional[Tuple[float, str]]]]:
+    ) -> Generator[Any, Any, Tuple[Any, Optional[Stamp]]]:
         """Unguarded quorum read of ``(value, stamp)`` (optimistic-engine
         read path; see :meth:`MusicReplica.quorum_get`)."""
-        result = yield from self._with_failover(
+        return self._with_failover(
             "txnRead", lambda replica: replica.quorum_get(key)
         )
-        return result
 
     def txn_write(
-        self, key: str, value: Any, stamp: Tuple[float, str]
+        self, key: str, value: Any, stamp: Stamp
     ) -> Generator[Any, Any, None]:
         """Unguarded quorum write under an engine-minted stamp."""
         yield from self._with_failover(
@@ -284,8 +272,7 @@ class MusicClient:
         )
 
     def release_lock(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
-        if self.config.read_leases:
-            self._critical_watermarks.pop((key, lock_ref), None)
+        self._critical_watermarks.pop((key, lock_ref), None)
         try:
             done = yield from self._with_failover(
                 "releaseLock", lambda replica: replica.release_lock(key, lock_ref)
@@ -337,10 +324,9 @@ class MusicClient:
         return read.value
 
     def get_all_keys(self) -> Generator[Any, Any, list]:
-        keys = yield from self._with_failover(
+        return self._with_failover(
             "getAllKeys", lambda replica: replica.get_all_keys()
         )
-        return keys
 
     # -- Listing 1 as a helper -----------------------------------------------------
 
@@ -371,8 +357,7 @@ class CriticalSection:
         self.lock_ref = lock_ref
 
     def get(self) -> Generator[Any, Any, Any]:
-        value = yield from self.client.critical_get(self.key, self.lock_ref)
-        return value
+        return self.client.critical_get(self.key, self.lock_ref)
 
     def put(self, value: Any) -> Generator[Any, Any, None]:
         yield from self.client.critical_put(self.key, self.lock_ref, value)

@@ -30,7 +30,6 @@ class MusicConfig:
 
     # Client-side behaviour.
     acquire_poll_interval_ms: float = 10.0  # backoff between acquireLock polls
-    acquire_poll_backoff: float = 1.5  # multiplicative backoff factor
     acquire_poll_max_ms: float = 500.0
     op_retry_limit: int = 5  # retries of a nacked operation
     op_retry_delay_ms: float = 100.0
@@ -62,7 +61,6 @@ class MusicConfig:
     # window, share one Paxos round (one ballot, one atomic batch of
     # queue mutations under the guard counter).
     lwt_batch_enabled: bool = False
-    lwt_batch_window_ms: float = 2.0
     # Cap on ops per batch flush: a slow coordinator otherwise grows
     # ever-larger mint batches, minting long runs of consecutive lockRefs
     # that serialize the grant order onto one site (and its quorum
@@ -75,8 +73,6 @@ class MusicConfig:
     # Push grants: releaseLock/forcedRelease notify waiting clients so
     # acquire_lock_blocking wakes immediately instead of backing off.
     push_grants: bool = False
-    # Remote long-poll ceiling for push-mode RemoteMusicClient waits.
-    push_wait_ms: float = 2_000.0
 
     # Read scale-out leases (DESIGN.md §10).  Default off with
     # bit-identical timings; ``build_music(read_leases=True)`` flips
@@ -93,8 +89,3 @@ class MusicConfig:
     # dequeue, so every window anchored before the revocation became
     # quorum-visible has expired by the time the next holder can enter.
     read_lease_ms: float = 400.0
-    # Margin absorbing local-clock drift over one lease window (clock
-    # offsets cancel out of durations; drift does not).
-    lease_clock_skew_bound_ms: float = 5.0
-    # Per-replica bounded-staleness read cache: max cached keys.
-    read_cache_capacity: int = 1024

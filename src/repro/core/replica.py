@@ -31,14 +31,15 @@ false failure detection (Section IV-B).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Mapping, Optional, Tuple
 
 from ..errors import LeaseExpired, NotLockHolder
-from ..leases import CachedRead, LeaseManager, ReadCache
-from ..lockstore import LockStore
+from ..leases import NULL_LEASES, CachedRead, LeaseManager, ReadCache
+from ..lockstore import LockEntry, LockStore
 from ..net import Network, Node
 from ..sim import NodeClock, Simulator
-from ..store import Consistency, StoreCluster, StoreCoordinator
+from ..store import Consistency, Stamp, StoreCluster, StoreCoordinator
+from ..store.replica import ALL_ROWS
 from .config import MusicConfig
 from .timestamps import UNLOCKED_LOCK_REF, VectorTimestamp, check_overflow, v2s
 
@@ -60,6 +61,32 @@ SYNCH_ROW = "__synch__"
 _TICK = 1e-6
 
 
+def _queue_order(lock_ref: int, head: Optional[LockEntry]) -> int:
+    """Where ``lock_ref`` stands against a queue head — the one
+    comparison every ECF operation makes (pure: no I/O, no state).
+
+    ``0``: it is the head.  ``> 0``: not first yet, or the lock-store
+    replica that was read lags — retry.  ``< 0``: the queue has moved
+    past it, so it was released or forcibly released.
+    """
+    if head is None:
+        return 1
+    return lock_ref - head.lock_ref
+
+
+def _cell_of(
+    rows: Mapping, clustering: Any = VALUE_ROW, column: str = "value"
+) -> Tuple[Any, Optional[Stamp]]:
+    """``(value, stamp)`` of one cell of a data-partition read — by
+    default the key's value; ``(None, None)`` if never written or
+    deleted."""
+    row = rows.get(clustering)
+    cell = None if row is None else row.visible_cell(column)
+    if cell is None:
+        return None, None
+    return cell.value, cell.stamp
+
+
 class MusicReplica(Node):
     """One MUSIC replica, serving ECF operations for colocated clients."""
 
@@ -76,47 +103,53 @@ class MusicReplica(Node):
     ) -> None:
         super().__init__(sim, network, node_id, site, cores=cores, clock=clock)
         self.config = config or MusicConfig()
+        self.data_table = self.config.data_table
         self.store = store
         self.coordinator: StoreCoordinator = store.coordinator_for(self)
+        leases_on = self.config.read_leases
         self.lock_store = LockStore(
             self.coordinator,
             self.clock,
-            batch_window_ms=(
-                self.config.lwt_batch_window_ms
-                if self.config.lwt_batch_enabled
-                else None
-            ),
+            batched=self.config.lwt_batch_enabled,
             batch_max_ops=self.config.lwt_batch_max_ops,
-            lease_rows=self.config.read_leases,
+            lease_rows=leases_on,
+        )
+        # lsPeek consistency of acquire and the guards: local by
+        # default, quorum under the ablation knob.
+        self._peek_at = (
+            Consistency.QUORUM if self.config.peek_quorum else Consistency.LOCAL_ONE
         )
         # Lease starts cached per (key, lockRef) once granted here.
         self._leases: Dict[Tuple[str, int], float] = {}
-        # Read scale-out leases (DESIGN.md §10): both tiers are built
-        # only when the feature is on, so the default path never holds
-        # (or checks) lease state beyond a None test.
-        if self.config.read_leases:
-            self.lease_manager: Optional[LeaseManager] = LeaseManager(
-                read_lease_ms=self.config.read_lease_ms,
-                skew_bound_ms=self.config.lease_clock_skew_bound_ms,
-                period_ms=self.config.period_ms,
-                delta=self.config.delta,
-            )
-            self.read_cache: Optional[ReadCache] = ReadCache(
-                self.config.read_cache_capacity
-            )
-        else:
-            self.lease_manager = None
-            self.read_cache = None
-        # Stamp of the last acknowledged critical write through this
-        # replica (the client-side session watermark for lease serves).
-        self.last_put_stamp: Optional[Tuple[float, str]] = None
-        # Stamp of the value served by the last critical/quorum read
-        # through this replica (the version token the transaction layer
-        # records in its read sets; None = never-written key).
-        self.last_get_stamp: Optional[Tuple[float, str]] = None
         # Service-layer cache invalidation hooks, called with the key on
         # every observed release push (see PortalFrontend).
         self._release_listeners: list = []
+        # Read scale-out leases (DESIGN.md §10).  The one path below
+        # calls both tiers unconditionally; with the feature off they
+        # are the null object, which holds no state and reads no clock.
+        self.lease_manager: Any = NULL_LEASES
+        self.read_cache: Any = NULL_LEASES
+        # Rows a criticalGet's quorum read fetches: the value row — and,
+        # with leases on, the synchFlag row too (the revocation evidence
+        # that lets the same round re-anchor the lease).
+        self._get_rows: Any = VALUE_ROW
+        if leases_on:
+            self.lease_manager = LeaseManager(
+                read_lease_ms=self.config.read_lease_ms,
+                period_ms=self.config.period_ms,
+                delta=self.config.delta,
+            )
+            self.read_cache = ReadCache()
+            self._get_rows = ALL_ROWS
+            # Invalidation piggybacks on the release-push stream.
+            self._release_listeners.append(self._lease_invalidate)
+        # Stamp of the last acknowledged critical write through this
+        # replica (the client-side session watermark for lease serves).
+        self.last_put_stamp: Optional[Stamp] = None
+        # Stamp of the value served by the last critical/quorum read
+        # through this replica (the version token the transaction layer
+        # records in its read sets; None = never-written key).
+        self.last_get_stamp: Optional[Stamp] = None
         # synchFlag fast path (DESIGN.md §9): per-key forced-release
         # epoch under which this replica last established flag=False at
         # quorum.  Key absent = no fast-path evidence.
@@ -125,7 +158,7 @@ class MusicReplica(Node):
         # plus the sibling MUSIC replicas to notify (wired by deployment).
         self._release_waiters: Dict[str, list] = {}
         self.peer_ids: list = []
-        self.on("music.grantPush", self._on_grant_push)
+        self.on("music.grantPush", lambda msg: self._notify_release(msg.body["key"]))
         # Optional instrumentation: called as recorder(op_name, elapsed_ms).
         self.op_recorder: Optional[Callable[[str, float], None]] = None
         self.counters = {
@@ -152,23 +185,32 @@ class MusicReplica(Node):
                 )
             histogram.observe(self.sim.now - started)
 
-    def _stamp(self, lock_ref: float, offset: float) -> Tuple[float, str]:
+    def _span(self, name: str, key: str) -> Any:
+        return self.obs.tracer.span(name, node=self.node_id, site=self.site, key=key)
+
+    def _count(self, metric: str, counter: Optional[str] = None) -> None:
+        """Bump a ``music.*`` metric and, if named, its ``counters`` twin."""
+        if counter is not None:
+            self.counters[counter] += 1
+        self.obs.metrics.counter(metric, node=self.node_id).inc()
+
+    def _stamp(self, lock_ref: float, offset: float) -> Stamp:
         """A store stamp carrying v2s((lockRef, offset))."""
         scalar = lock_ref * self.config.period_ms + offset
         return (scalar, self.node_id)
 
-    @property
-    def data_table(self) -> str:
-        return self.config.data_table
+    def _not_holder(self, key: str, lock_ref: int) -> NotLockHolder:
+        """The paper's "youAreNoLongerLockHolder" for a lockRef the queue
+        has moved past; whoever learns that drops its bookkeeping."""
+        self._leases.pop((key, lock_ref), None)
+        return NotLockHolder(f"lockRef {lock_ref} on {key!r} was forcibly released")
 
     # -- createLockRef (cost: lockRef consensus write) -----------------------------
 
     def create_lock_ref(self, key: str) -> Generator[Any, Any, int]:
         """Mint and enqueue a lockRef, good for one critical section."""
         started = self.sim.now
-        with self.obs.tracer.span(
-            "music.createLockRef", node=self.node_id, site=self.site, key=key
-        ):
+        with self._span("music.createLockRef", key):
             lock_ref = yield from self.lock_store.generate_and_enqueue(key)
         check_overflow(lock_ref, self.config.period_ms)
         self._record("createLockRef", started)
@@ -180,35 +222,26 @@ class MusicReplica(Node):
         """True once ``lock_ref`` is first in the queue and the data store
         is synchronized; False to poll again; NotLockHolder if preempted."""
         started = self.sim.now
-        with self.obs.tracer.span(
-            "music.acquireLock", node=self.node_id, site=self.site, key=key
-        ) as span:
-            # The synchFlag fast path needs the forced-release epoch from
-            # the same local read the peek performs; the quorum-peek
-            # ablation bypasses it (its peek has no single local source).
-            fast_capable = self.config.synch_fast_path and not self.config.peek_quorum
-            if fast_capable:
-                entry, epoch = yield from self.lock_store.peek_with_epoch(key)
-            else:
-                entry = yield from self._peek(key)
-                epoch = None
-            if entry is None or lock_ref > entry.lock_ref:
-                # Not first yet, or the local lock-store replica lags: retry.
+        with self._span("music.acquireLock", key) as span:
+            head, epoch, _ = yield from self.lock_store.head(key, self._peek_at)
+            order = _queue_order(lock_ref, head)
+            if order:
+                self._record("acquireLock.peek", started)
+                if order < 0:
+                    raise self._not_holder(key, lock_ref)
                 span.set(granted=False)
-                self._record("acquireLock.peek", started)
                 return False
-            if lock_ref < entry.lock_ref:
-                self._record("acquireLock.peek", started)
-                raise NotLockHolder(f"lockRef {lock_ref} on {key!r} was forcibly released")
 
             grant_started = self.sim.now
+            # The synchFlag fast path trusts the forced-release epoch of
+            # the read that proved us queue head; the quorum-peek
+            # ablation bypasses it (its peek has no single local source).
+            fast_capable = self.config.synch_fast_path and not self.config.peek_quorum
             fast = fast_capable and self._fast_path_valid(key, epoch)
             flag = False
             anchor_clock = None
             flag_stamp = None
-            with self.obs.tracer.span(
-                "music.grant", node=self.node_id, site=self.site, key=key
-            ) as grant_span:
+            with self._span("music.grant", key) as grant_span:
                 if fast:
                     # The cached epoch matches the marker seen by the
                     # peek that proved us queue head: no forcedRelease
@@ -216,24 +249,17 @@ class MusicReplica(Node):
                     # quorum, so the flag cannot have been set (only
                     # forcedRelease sets it) and the store is defined.
                     grant_span.set(fast=True)
-                    self.obs.metrics.counter(
-                        "music.fastpath.hits", node=self.node_id
-                    ).inc()
+                    self._count("music.fastpath.hits")
                 else:
-                    if self.config.read_leases:
-                        # A read lease anchors at the local-clock time
-                        # this quorum flag read *started* (DESIGN.md §10).
-                        anchor_clock = self.clock.now()
+                    # A read lease anchors at the local-clock time this
+                    # quorum flag read *started* (DESIGN.md §10).
+                    anchor_clock = self.lease_manager.anchor_start(self.clock)
                     flag_rows = yield from self.coordinator.get(
                         self.data_table, key, clustering=SYNCH_ROW,
                         consistency=Consistency.QUORUM,
                     )
-                    if SYNCH_ROW in flag_rows:
-                        flag = bool(
-                            flag_rows[SYNCH_ROW].visible_values().get("flag", False)
-                        )
-                        if self.config.read_leases:
-                            flag_stamp = flag_rows[SYNCH_ROW].cell_stamp("flag")
+                    flag, flag_stamp = _cell_of(flag_rows, SYNCH_ROW, "flag")
+                    flag = bool(flag)
                     audit = self.obs.audit
                     if audit.enabled:
                         audit.emit(
@@ -247,17 +273,13 @@ class MusicReplica(Node):
                         # just re-established by the sync); remember the
                         # peek-time epoch as the evidence horizon.
                         self._flag_epoch[key] = epoch
-                        self.obs.metrics.counter(
-                            "music.fastpath.misses", node=self.node_id
-                        ).inc()
+                        self._count("music.fastpath.misses")
 
                 start_time = self.clock.now()
                 yield from self.lock_store.set_start_time(key, lock_ref, start_time)
             self._leases[(key, lock_ref)] = start_time
-            if (
-                self.config.read_leases
-                and anchor_clock is not None
-                and self.lease_manager.anchor_allowed(lock_ref, flag_stamp)
+            if anchor_clock is not None and self.lease_manager.anchor_allowed(
+                lock_ref, flag_stamp
             ):
                 self.lease_manager.anchor(key, lock_ref, anchor_clock)
             span.set(granted=True)
@@ -287,114 +309,83 @@ class MusicReplica(Node):
         of the true value (Section III-A) and overriding any still-
         propagating writes from the preempted lockholder.
         """
-        self.counters["syncs"] += 1
-        self.obs.metrics.counter("music.syncs", node=self.node_id).inc()
-        with self.obs.tracer.span(
-            "music.synchronize", node=self.node_id, site=self.site, key=key
-        ):
-            yield from self._synchronize_body(key, lock_ref)
-
-    def _synchronize_body(self, key: str, lock_ref: int) -> Generator[Any, Any, None]:
-        value_rows = yield from self.coordinator.get(
-            self.data_table, key, clustering=VALUE_ROW, consistency=Consistency.QUORUM
-        )
-        current = None
-        if VALUE_ROW in value_rows:
-            current = value_rows[VALUE_ROW].visible_values().get("value")
-        yield from self.coordinator.put(
-            self.data_table, key, VALUE_ROW, {"value": current},
-            self._stamp(lock_ref, 0.0), consistency=Consistency.QUORUM,
-        )
+        self._count("music.syncs", "syncs")
         audit = self.obs.audit
-        if audit.enabled:
-            audit.emit(
-                "sync", key=key, node=self.node_id, lock_ref=lock_ref,
-                stamp=self._stamp(lock_ref, 0.0), value=current,
+        with self._span("music.synchronize", key):
+            rows = yield from self.coordinator.get(
+                self.data_table, key, clustering=VALUE_ROW,
+                consistency=Consistency.QUORUM,
             )
-        yield from self.coordinator.put(
-            self.data_table, key, SYNCH_ROW, {"flag": False},
-            self._stamp(lock_ref, _TICK), consistency=Consistency.QUORUM,
-        )
-        if audit.enabled:
-            audit.emit(
-                "flag_write", key=key, node=self.node_id, lock_ref=lock_ref,
-                stamp=self._stamp(lock_ref, _TICK), flag=False, reason="sync",
+            current, _ = _cell_of(rows)
+            value_stamp = self._stamp(lock_ref, 0.0)
+            yield from self.coordinator.put(
+                self.data_table, key, VALUE_ROW, {"value": current},
+                value_stamp, consistency=Consistency.QUORUM,
             )
+            if audit.enabled:
+                audit.emit(
+                    "sync", key=key, node=self.node_id, lock_ref=lock_ref,
+                    stamp=value_stamp, value=current,
+                )
+            flag_stamp = self._stamp(lock_ref, _TICK)
+            yield from self.coordinator.put(
+                self.data_table, key, SYNCH_ROW, {"flag": False},
+                flag_stamp, consistency=Consistency.QUORUM,
+            )
+            if audit.enabled:
+                audit.emit(
+                    "flag_write", key=key, node=self.node_id, lock_ref=lock_ref,
+                    stamp=flag_stamp, flag=False, reason="sync",
+                )
 
     # -- criticalPut (cost: value quorum write) ----------------------------------
 
-    def critical_put(self, key: str, lock_ref: int, value: Any) -> Generator[Any, Any, bool]:
+    def critical_put(
+        self, key: str, lock_ref: int, value: Any, op: str = "criticalPut"
+    ) -> Generator[Any, Any, bool]:
         """Write the latest value of ``key`` as the current lockholder."""
         started = self.sim.now
-        with self.obs.tracer.span(
-            "music.criticalPut", node=self.node_id, site=self.site, key=key
-        ) as span:
+        with self._span("music." + op, key) as span:
             proceed = yield from self._guard(key, lock_ref)
             if not proceed:
                 span.set(guarded=True)
                 return False
             offset = yield from self._lease_offset(key, lock_ref)
+            stamp = self._stamp(lock_ref, offset)
             yield from self.coordinator.put(
                 self.data_table, key, VALUE_ROW, {"value": value},
-                self._stamp(lock_ref, offset), consistency=Consistency.QUORUM,
+                stamp, consistency=Consistency.QUORUM,
             )
-            self.last_put_stamp = self._stamp(lock_ref, offset)
+            # The acknowledged stamp is the client-side session
+            # watermark for lease serves.
+            self.last_put_stamp = stamp
             audit = self.obs.audit
             if audit.enabled:
                 audit.emit(
                     "critical_put", key=key, node=self.node_id,
-                    lock_ref=lock_ref, stamp=self._stamp(lock_ref, offset),
-                    value=value,
+                    lock_ref=lock_ref, stamp=stamp, value=value,
                 )
-            if self.config.read_leases:
-                self._write_through(key, lock_ref, value,
-                                    self._stamp(lock_ref, offset))
-        self._record("criticalPut", started)
+            # Write-through into the lease mirror and the
+            # bounded-staleness cache.
+            self.lease_manager.fill(key, lock_ref, value, stamp)
+            self.read_cache.fill(key, value, stamp, self.sim.now)
+        self._record(op, started)
         return True
 
     def critical_delete(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
-        """Delete the value of ``key`` as the lockholder (Section VI's
-        criticalPut-companion delete; same guards and stamping)."""
-        started = self.sim.now
-        with self.obs.tracer.span(
-            "music.criticalDelete", node=self.node_id, site=self.site, key=key
-        ) as span:
-            proceed = yield from self._guard(key, lock_ref)
-            if not proceed:
-                span.set(guarded=True)
-                return False
-            offset = yield from self._lease_offset(key, lock_ref)
-            yield from self.coordinator.put(
-                self.data_table, key, VALUE_ROW, {"value": None},
-                self._stamp(lock_ref, offset), consistency=Consistency.QUORUM,
-            )
-            audit = self.obs.audit
-            if audit.enabled:
-                audit.emit(
-                    "critical_put", key=key, node=self.node_id,
-                    lock_ref=lock_ref, stamp=self._stamp(lock_ref, offset),
-                    value=None,
-                )
-            if self.config.read_leases:
-                self._write_through(key, lock_ref, None,
-                                    self._stamp(lock_ref, offset))
-        self._record("criticalDelete", started)
-        return True
-
-    def _write_through(self, key: str, lock_ref: int, value: Any,
-                       stamp: Tuple[float, str]) -> None:
-        """Mirror an acknowledged critical write into the lease view and
-        the bounded-staleness cache, and expose its stamp as the
-        client-side session watermark."""
-        self.lease_manager.fill(key, lock_ref, value, stamp)
-        self.read_cache.fill(key, value, stamp, self.sim.now)
-        self.last_put_stamp = stamp
+        """Delete the value of ``key`` as the lockholder: Section VI's
+        companion of criticalPut is a criticalPut of ``None`` under its
+        own op name.  Bound to this class's quorum write, so a subclass
+        that overrides ``critical_put`` (MSCP's LWT put) keeps the plain
+        delete."""
+        return MusicReplica.critical_put(
+            self, key, lock_ref, None, op="criticalDelete"
+        )
 
     # -- criticalGet (cost: value quorum read) -----------------------------------
 
     def critical_get(
-        self, key: str, lock_ref: int,
-        min_stamp: Optional[Tuple[float, str]] = None,
+        self, key: str, lock_ref: int, min_stamp: Optional[Stamp] = None,
     ) -> Generator[Any, Any, Tuple[bool, Any]]:
         """Read the latest (true) value of ``key`` as the lockholder.
 
@@ -409,103 +400,48 @@ class MusicReplica(Node):
         replica with a stale mirror falls through to the quorum.
         """
         started = self.sim.now
-        with self.obs.tracer.span(
-            "music.criticalGet", node=self.node_id, site=self.site, key=key
-        ) as span:
-            if self.config.read_leases:
-                result = yield from self._leased_critical_get(
-                    key, lock_ref, min_stamp, span
-                )
-                self._record("criticalGet", started)
-                return result
+        leases = self.lease_manager
+        with self._span("music.criticalGet", key) as span:
             proceed = yield from self._guard(key, lock_ref)
             if not proceed:
                 span.set(guarded=True)
                 return (False, None)
-            rows = yield from self.coordinator.get(
-                self.data_table, key, clustering=VALUE_ROW, consistency=Consistency.QUORUM
-            )
-            value = None
-            stamp = None
-            if VALUE_ROW in rows:
-                value = rows[VALUE_ROW].visible_values().get("value")
-                stamp = rows[VALUE_ROW].cell_stamp("value")
-            self.last_get_stamp = stamp
             audit = self.obs.audit
-            if audit.enabled:
-                audit.emit(
-                    "critical_get", key=key, node=self.node_id,
-                    lock_ref=lock_ref, value=value,
+            view = leases.view(key, lock_ref)
+            if self._lease_serviceable(view, min_stamp):
+                value = view.value
+                self.last_get_stamp = view.value_stamp
+                self._count("music.lease.hits", "lease_hits")
+                if audit.enabled:
+                    audit.emit(
+                        "lease_read", key=key, node=self.node_id,
+                        lock_ref=lock_ref, stamp=view.value_stamp, value=value,
+                    )
+                span.set(lease=True)
+            else:
+                anchor_clock = leases.anchor_start(self.clock)
+                if anchor_clock is not None:
+                    self._count("music.lease.misses", "lease_misses")
+                rows = yield from self.coordinator.get(
+                    self.data_table, key, clustering=self._get_rows,
+                    consistency=Consistency.QUORUM,
                 )
+                value, stamp = _cell_of(rows)
+                self.last_get_stamp = stamp
+                if audit.enabled:
+                    audit.emit(
+                        "critical_get", key=key, node=self.node_id,
+                        lock_ref=lock_ref, value=value,
+                    )
+                if anchor_clock is not None:
+                    _, flag_stamp = _cell_of(rows, SYNCH_ROW, "flag")
+                    if leases.anchor_allowed(lock_ref, flag_stamp):
+                        leases.anchor(key, lock_ref, anchor_clock)
+                        leases.fill(key, lock_ref, value, stamp)
         self._record("criticalGet", started)
         return (True, value)
 
-    def _leased_critical_get(
-        self, key: str, lock_ref: int,
-        min_stamp: Optional[Tuple[float, str]], span: Any,
-    ) -> Generator[Any, Any, Tuple[bool, Any]]:
-        """criticalGet with the leaseholder local-read tier in front.
-
-        The guard peek doubles as the revocation check: it reads the
-        key's lock partition (same local RPC as ``_peek``) and also
-        returns the lease-revocation marker the forcedRelease LWT wrote,
-        so a revoked lease can never satisfy the serve below.
-        """
-        entry, revoked = yield from self.lock_store.peek_with_lease(key)
-        if revoked is not None:
-            self.lease_manager.revoke_up_to(key, revoked)
-        if entry is None or lock_ref > entry.lock_ref:
-            span.set(guarded=True)
-            return (False, None)
-        if lock_ref < entry.lock_ref:
-            raise NotLockHolder(
-                f"lockRef {lock_ref} on {key!r} was forcibly released"
-            )
-        view = self.lease_manager.view(key, lock_ref)
-        if self._lease_serviceable(view, min_stamp):
-            self.last_get_stamp = view.value_stamp
-            self.counters["lease_hits"] += 1
-            self.obs.metrics.counter("music.lease.hits", node=self.node_id).inc()
-            audit = self.obs.audit
-            if audit.enabled:
-                audit.emit(
-                    "lease_read", key=key, node=self.node_id,
-                    lock_ref=lock_ref, stamp=view.value_stamp, value=view.value,
-                )
-            span.set(lease=True)
-            return (True, view.value)
-        self.counters["lease_misses"] += 1
-        self.obs.metrics.counter("music.lease.misses", node=self.node_id).inc()
-        # Quorum read-through of the whole partition: the value row
-        # serves the read and the synchFlag row is the revocation
-        # evidence that lets the same round re-anchor the lease.
-        anchor_clock = self.clock.now()
-        rows = yield from self.coordinator.get(
-            self.data_table, key, consistency=Consistency.QUORUM
-        )
-        value = None
-        value_stamp = None
-        if VALUE_ROW in rows:
-            value = rows[VALUE_ROW].visible_values().get("value")
-            value_stamp = rows[VALUE_ROW].cell_stamp("value")
-        self.last_get_stamp = value_stamp
-        flag_stamp = None
-        if SYNCH_ROW in rows:
-            flag_stamp = rows[SYNCH_ROW].cell_stamp("flag")
-        audit = self.obs.audit
-        if audit.enabled:
-            audit.emit(
-                "critical_get", key=key, node=self.node_id,
-                lock_ref=lock_ref, value=value,
-            )
-        if self.lease_manager.anchor_allowed(lock_ref, flag_stamp):
-            self.lease_manager.anchor(key, lock_ref, anchor_clock)
-            self.lease_manager.fill(key, lock_ref, value, value_stamp)
-        return (True, value)
-
-    def _lease_serviceable(
-        self, view: Any, min_stamp: Optional[Tuple[float, str]]
-    ) -> bool:
+    def _lease_serviceable(self, view: Any, min_stamp: Optional[Stamp]) -> bool:
         """Whether a lease view may answer criticalGet locally: it must
         hold a mirrored value at least as fresh as the caller's session
         watermark, inside a window that outlasts now plus clock skew."""
@@ -517,22 +453,23 @@ class MusicReplica(Node):
             return False
         return self.lease_manager.window_open(view, self.clock.now())
 
-    def _peek(self, key: str) -> Generator[Any, Any, Any]:
-        """lsPeek — local by default; quorum under the ablation knob."""
-        if self.config.peek_quorum:
-            entry = yield from self.lock_store.peek_quorum(key)
-        else:
-            entry = yield from self.lock_store.peek(key)
-        return entry
-
     def _guard(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
-        """The shared lockRef-vs-queue-head guard of the critical ops."""
-        entry = yield from self._peek(key)
-        if entry is None or lock_ref > entry.lock_ref:
-            return False
-        if lock_ref < entry.lock_ref:
-            raise NotLockHolder(f"lockRef {lock_ref} on {key!r} was forcibly released")
-        return True
+        """The critical ops' guard: one lock-partition head read, then
+        the shared queue-head check.  Per the paper, a lockRef later
+        than the head returns False ("not first yet, or local store not
+        yet updated" — retry) and an earlier one raises NotLockHolder.
+
+        The same read carries the lease-revocation marker a forced
+        dequeue wrote (DESIGN.md §10), so a revoked lease can never
+        satisfy a serve that follows this guard.
+        """
+        head, _, revoked = yield from self.lock_store.head(key, self._peek_at)
+        if revoked is not None:
+            self.lease_manager.revoke_up_to(key, revoked)
+        order = _queue_order(lock_ref, head)
+        if order < 0:
+            raise self._not_holder(key, lock_ref)
+        return order == 0
 
     def _lease_offset(self, key: str, lock_ref: int) -> Generator[Any, Any, float]:
         """Time since this lockRef's grant; raises once the lease T expires."""
@@ -564,43 +501,54 @@ class MusicReplica(Node):
 
     # -- releaseLock (cost: lockRef consensus write) --------------------------------
 
+    def _decided_hook(
+        self, event: str, key: str, lock_ref: int, stamp: Optional[Stamp] = None
+    ) -> Callable[..., None]:
+        """The decided-hook of a release/forcedRelease dequeue.
+
+        With push grants on, waiters are notified the moment the dequeue
+        is *decided* (proposal accepted), overlapping the wake-up with
+        the commit round's WAN acks — the push is advisory, so a waiter
+        that polls too early just polls again.  The audit event must
+        fire at the same decide point: a push-woken successor can be
+        granted during the commit round, and the auditor linearizes by
+        event order.
+
+        The caller invokes the hook once more with ``late=True`` after
+        the dequeue returns: if the LWT never announced a decision (the
+        row was already gone, or a rival's recovery finished it) the
+        event is emitted then, without a push.
+        """
+        audit = self.obs.audit
+        fired = []
+
+        def decided(late: bool = False) -> None:
+            if late and fired:
+                return
+            fired.append(True)
+            if audit.enabled:
+                fields = {} if stamp is None else {"stamp": stamp}
+                audit.emit(
+                    event, key=key, node=self.node_id, lock_ref=lock_ref, **fields
+                )
+            if self.config.push_grants and not late:
+                self._push_release(key)
+
+        return decided
+
     def release_lock(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
         started = self.sim.now
-        with self.obs.tracer.span(
-            "music.releaseLock", node=self.node_id, site=self.site, key=key
-        ):
-            entry = yield from self.lock_store.peek(key)
-            if entry is not None and lock_ref < entry.lock_ref:
-                return True  # lock was already forcibly released
-            # With push grants on, waiters are notified the moment the
-            # dequeue is *decided* (proposal accepted), overlapping the
-            # wake-up with the commit round's WAN acks — the push is
-            # advisory, so a waiter that polls too early just polls again.
-            # The audit event must fire at the same decide point: a
-            # push-woken successor can be granted during the commit
-            # round, and the auditor linearizes by event order.
-            push = self._push_hook(key)
-            audit = self.obs.audit
-            decided_seen = []
-
-            def decided() -> None:
-                decided_seen.append(True)
-                if audit.enabled:
-                    audit.emit(
-                        "release", key=key, node=self.node_id, lock_ref=lock_ref
-                    )
-                if push is not None:
-                    push()
-
-            yield from self.lock_store.dequeue(
-                key, lock_ref, on_committing=decided
-            )
-            if not decided_seen and audit.enabled:
-                audit.emit(
-                    "release", key=key, node=self.node_id, lock_ref=lock_ref
+        with self._span("music.releaseLock", key):
+            head, _, _ = yield from self.lock_store.head(key)
+            # A lockRef the queue has moved past was already forcibly
+            # released: nothing to dequeue, only bookkeeping to drop.
+            if _queue_order(lock_ref, head) >= 0:
+                decided = self._decided_hook("release", key, lock_ref)
+                yield from self.lock_store.dequeue(
+                    key, lock_ref, on_committing=decided
                 )
-        if self.config.read_leases:
-            self.lease_manager.revoke(key)
+                decided(late=True)
+        self.lease_manager.revoke(key)
         self._leases.pop((key, lock_ref), None)
         self._record("releaseLock", started)
         return True
@@ -615,14 +563,11 @@ class MusicReplica(Node):
         lockholder's flag read is guaranteed to see it; δ < 1 ensures
         the next lockholder's own flag reset still wins (Section IV-B).
         """
-        entry = yield from self.lock_store.peek(key)
-        if entry is not None and lock_ref < entry.lock_ref:
+        head, _, _ = yield from self.lock_store.head(key)
+        if _queue_order(lock_ref, head) < 0:
             return True  # previously released
-        self.counters["forced_releases"] += 1
-        self.obs.metrics.counter("music.forced_releases", node=self.node_id).inc()
-        with self.obs.tracer.span(
-            "music.forcedRelease", node=self.node_id, site=self.site, key=key
-        ):
+        self._count("music.forced_releases", "forced_releases")
+        with self._span("music.forcedRelease", key):
             forced_stamp = self._stamp(lock_ref + self.config.delta, 0.0)
             yield from self.coordinator.put(
                 self.data_table, key, SYNCH_ROW, {"flag": True},
@@ -640,54 +585,22 @@ class MusicReplica(Node):
             # cached flag epochs elsewhere go stale.  Our own cache is
             # dropped regardless: this replica just wrote flag=True.
             self._flag_epoch.pop(key, None)
-            if self.config.read_leases:
-                # ECF-window wait-out (DESIGN.md §10): the flag write
-                # above has acknowledged at quorum, so from here on no
-                # read can anchor a fresh lease for the preempted era
-                # (quorum intersection shows it the revocation stamp).
-                # Sleeping the full window plus the drift margin before
-                # the dequeue guarantees every lease anchored *before*
-                # the ack has expired by the time a successor can be
-                # granted — local lease reads never outlive the ECF
-                # window even under false failure detection.
-                self.lease_manager.revoke(key)
-                yield self.sim.timeout(
-                    self.config.read_lease_ms
-                    + 2.0 * self.config.lease_clock_skew_bound_ms
-                )
-            push = self._push_hook(key)
-            decided_seen = []
-
-            def decided() -> None:
-                decided_seen.append(True)
-                if audit.enabled:
-                    audit.emit(
-                        "forced_release", key=key, node=self.node_id,
-                        lock_ref=lock_ref, stamp=forced_stamp,
-                    )
-                if push is not None:
-                    push()
-
+            # The flag write above has acknowledged at quorum: drop our
+            # own lease on the key and wait out every window anchored
+            # before the ack (see LeaseManager.wait_out_ms).
+            self.lease_manager.revoke(key)
+            if self.lease_manager.wait_out_ms:
+                yield self.sim.timeout(self.lease_manager.wait_out_ms)
+            decided = self._decided_hook("forced_release", key, lock_ref, forced_stamp)
             yield from self.lock_store.dequeue(
                 key, lock_ref,
                 forced=self.config.synch_fast_path or self.config.read_leases,
                 on_committing=decided,
             )
-            if not decided_seen and audit.enabled:
-                audit.emit(
-                    "forced_release", key=key, node=self.node_id,
-                    lock_ref=lock_ref, stamp=forced_stamp,
-                )
+            decided(late=True)
         return True
 
     # -- push-based grant notification (DESIGN.md §9) -----------------------------
-
-    def _push_hook(self, key: str):
-        """The dequeue's decided-hook when push grants are on, else None
-        (None keeps the default path free of even closure allocation)."""
-        if not self.config.push_grants:
-            return None
-        return lambda: self._push_release(key)
 
     def subscribe_release(self, key: str):
         """An Event succeeding at the key's next (observed) dequeue."""
@@ -718,19 +631,11 @@ class MusicReplica(Node):
             if not event.triggered:
                 event.succeed(True)
 
-    def _on_grant_push(self, msg) -> None:
-        key = msg.body["key"]
-        if self.config.read_leases:
-            self._lease_invalidate(key)
-        self._notify_release(key)
-
     def _push_release(self, key: str) -> None:
         """Wake local waiters and nudge sibling replicas (best-effort
         one-way sends: a lost push only means the waiter falls back to
         its poll timer)."""
-        self.obs.metrics.counter("music.push.notifies", node=self.node_id).inc()
-        if self.config.read_leases:
-            self._lease_invalidate(key)
+        self._count("music.push.notifies")
         self._notify_release(key)
         for peer in self.peer_ids:
             self.send(peer, "music.grantPush", {"key": key})
@@ -750,10 +655,7 @@ class MusicReplica(Node):
         # Kept separate from the audit receipt above so mutation tests
         # can no-op exactly the cache drop.
         if self.read_cache.invalidate(key):
-            self.counters["cache_invalidations"] += 1
-            self.obs.metrics.counter(
-                "music.cache.invalidations", node=self.node_id
-            ).inc()
+            self._count("music.cache.invalidations", "cache_invalidations")
 
     # -- unlocked convenience ops (Section VI, "Additional Functions") ---------------
 
@@ -776,13 +678,11 @@ class MusicReplica(Node):
         rows = yield from self.coordinator.get(
             self.data_table, key, clustering=VALUE_ROW, consistency=Consistency.ONE
         )
-        if VALUE_ROW not in rows:
-            return None
-        return rows[VALUE_ROW].visible_values().get("value")
+        return _cell_of(rows)[0]
 
     def quorum_get(
         self, key: str
-    ) -> Generator[Any, Any, Tuple[Any, Optional[Tuple[float, str]]]]:
+    ) -> Generator[Any, Any, Tuple[Any, Optional[Stamp]]]:
         """Quorum read of ``(value, stamp)`` with no lock guard.
 
         The optimistic transaction engines (``repro.txn``) use this for
@@ -793,16 +693,12 @@ class MusicReplica(Node):
         rows = yield from self.coordinator.get(
             self.data_table, key, clustering=VALUE_ROW, consistency=Consistency.QUORUM
         )
-        value = None
-        stamp = None
-        if VALUE_ROW in rows:
-            value = rows[VALUE_ROW].visible_values().get("value")
-            stamp = rows[VALUE_ROW].cell_stamp("value")
+        value, stamp = _cell_of(rows)
         self.last_get_stamp = stamp
         return (value, stamp)
 
     def quorum_put(
-        self, key: str, value: Any, stamp: Tuple[float, str]
+        self, key: str, value: Any, stamp: Stamp
     ) -> Generator[Any, Any, None]:
         """Quorum write under a caller-supplied stamp, no lock guard.
 
@@ -831,25 +727,18 @@ class MusicReplica(Node):
         """
         entry = self.read_cache.lookup(key, self.sim.now, staleness_ms)
         if entry is not None:
-            self.counters["cache_hits"] += 1
-            self.obs.metrics.counter("music.cache.hits", node=self.node_id).inc()
+            self._count("music.cache.hits", "cache_hits")
             return CachedRead(entry.value, entry.stamp, entry.fetched_ms,
                               hit=True, node=self.node_id)
-        self.counters["cache_misses"] += 1
-        self.obs.metrics.counter("music.cache.misses", node=self.node_id).inc()
+        self._count("music.cache.misses", "cache_misses")
         rows = yield from self.coordinator.get(
             self.data_table, key, clustering=VALUE_ROW, consistency=Consistency.ONE
         )
-        value = None
-        stamp = None
-        if VALUE_ROW in rows:
-            value = rows[VALUE_ROW].visible_values().get("value")
-            stamp = rows[VALUE_ROW].cell_stamp("value")
+        value, stamp = _cell_of(rows)
         fetched = self.sim.now
         self.read_cache.fill(key, value, stamp, fetched)
         return CachedRead(value, stamp, fetched, hit=False, node=self.node_id)
 
     def get_all_keys(self, table: Optional[str] = None) -> Generator[Any, Any, list]:
         """All keys of the data table (eventual; used by job schedulers)."""
-        keys = yield from self.coordinator.scan_keys(table or self.data_table)
-        return keys
+        return self.coordinator.scan_keys(table or self.data_table)

@@ -25,9 +25,13 @@ from ..net import Node
 from ..net.node import DEFAULT_RPC_TIMEOUT_MS
 from ..sim import RandomStreams
 from ..store.types import payload_size
+from .client import ACQUIRE_POLL_BACKOFF
 from .replica import MusicReplica
 
 __all__ = ["install_service", "RemoteMusicClient"]
+
+# Long-poll ceiling of a push-mode ``music.waitRelease`` wait.
+PUSH_WAIT_MS = 2_000.0
 
 _ERROR_KINDS = {
     "NotLockHolder": NotLockHolder,
@@ -165,14 +169,10 @@ class RemoteMusicClient:
     # -- the MUSIC operations ------------------------------------------------
 
     def create_lock_ref(self, key: str) -> Generator[Any, Any, int]:
-        ref = yield from self._invoke("music.createLockRef", {"key": key})
-        return ref
+        return self._invoke("music.createLockRef", {"key": key})
 
     def acquire_lock(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
-        granted = yield from self._invoke(
-            "music.acquireLock", {"key": key, "lock_ref": lock_ref}
-        )
-        return granted
+        return self._invoke("music.acquireLock", {"key": key, "lock_ref": lock_ref})
 
     def acquire_lock_blocking(
         self, key: str, lock_ref: int, timeout_ms: Optional[float] = None
@@ -189,7 +189,7 @@ class RemoteMusicClient:
                 # Long-poll a nearby replica: the reply arrives at the
                 # key's next dequeue (or after the wait bound), replacing
                 # the blind backoff sleep with a push wake-up.
-                wait_ms = self.config.push_wait_ms
+                wait_ms = PUSH_WAIT_MS
                 if deadline is not None:
                     wait_ms = min(wait_ms, deadline - self.sim.now)
                 yield from self._wait_release(key, wait_ms)
@@ -199,7 +199,7 @@ class RemoteMusicClient:
                     sleep = min(sleep, deadline - self.sim.now)
                 yield self.sim.timeout(sleep)
                 interval = min(
-                    interval * self.config.acquire_poll_backoff,
+                    interval * ACQUIRE_POLL_BACKOFF,
                     self.config.acquire_poll_max_ms,
                 )
             if deadline is not None and self.sim.now >= deadline:
@@ -250,9 +250,7 @@ class RemoteMusicClient:
         yield from self._invoke("music.put", {"key": key, "value": value})
 
     def get(self, key: str) -> Generator[Any, Any, Any]:
-        value = yield from self._invoke("music.get", {"key": key})
-        return value
+        return self._invoke("music.get", {"key": key})
 
     def get_all_keys(self) -> Generator[Any, Any, list]:
-        keys = yield from self._invoke("music.getAllKeys", {})
-        return keys
+        return self._invoke("music.getAllKeys", {})

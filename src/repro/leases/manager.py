@@ -24,9 +24,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-__all__ = ["LeaseManager", "LeaseView"]
+__all__ = ["NULL_LEASES", "LeaseManager", "LeaseView"]
 
 Stamp = Tuple[float, str]
+
+# Margin absorbing local-clock drift over one lease window (clock
+# offsets cancel out of durations; drift does not).
+CLOCK_SKEW_BOUND_MS = 5.0
 
 
 class LeaseView:
@@ -51,15 +55,28 @@ class LeaseManager:
     for); a new lockRef anchoring the key replaces the old lease whole.
     """
 
-    def __init__(self, read_lease_ms: float, skew_bound_ms: float,
-                 period_ms: float, delta: float) -> None:
+    def __init__(self, read_lease_ms: float, period_ms: float, delta: float) -> None:
         self.read_lease_ms = read_lease_ms
-        self.skew_bound_ms = skew_bound_ms
         self.period_ms = period_ms
         self.delta = delta
+        # The ECF-window wait-out (DESIGN.md §10): how long forcedRelease
+        # sleeps between its quorum flag write acking and the dequeue.
+        # From the ack on no read can anchor a fresh lease for the
+        # preempted era (quorum intersection shows it the revocation
+        # stamp), so sleeping the full window plus the drift margin
+        # guarantees every lease anchored *before* the ack has expired
+        # by the time a successor can be granted — local lease reads
+        # never outlive the ECF window even under false failure
+        # detection.
+        self.wait_out_ms = read_lease_ms + 2.0 * CLOCK_SKEW_BOUND_MS
         self._leases: Dict[str, LeaseView] = {}
 
     # -- anchoring --------------------------------------------------------
+
+    def anchor_start(self, clock: Any) -> float:
+        """The local-clock time an anchoring quorum read *starts*: a
+        lease window opens there, not when the read returns."""
+        return clock.now()
 
     def anchor_allowed(self, lock_ref: int, flag_stamp: Optional[Stamp]) -> bool:
         """True when a quorum read that observed ``flag_stamp`` on the
@@ -103,7 +120,7 @@ class LeaseManager:
     def window_open(self, view: LeaseView, now_clock_ms: float) -> bool:
         """Conservative expiry check: the window must outlast ``now``
         plus the drift margin for a local serve to be safe."""
-        return now_clock_ms + self.skew_bound_ms < view.expires_ms
+        return now_clock_ms + CLOCK_SKEW_BOUND_MS < view.expires_ms
 
     # -- revocation -------------------------------------------------------
 
@@ -120,3 +137,29 @@ class LeaseManager:
             del self._leases[key]
             return True
         return False
+
+
+class _LeasesOff:
+    """The read-lease tier switched off: stands in for the lease manager
+    *and* the read cache (the ``NULL_AUDIT`` pattern), so the replica's
+    one path calls both unconditionally.  It never anchors, serves or
+    holds anything — and ``anchor_start`` does not read the clock
+    (``NodeClock.now`` is stateful), which keeps the features-off clock
+    reads, hence stamps, bit-identical."""
+
+    wait_out_ms = 0.0
+
+    def anchor_start(self, clock: Any) -> None:
+        return None
+
+    def view(self, key: str, lock_ref: int) -> None:
+        return None
+
+    def fill(self, *args: Any) -> None:
+        return None
+
+    def revoke(self, key: str) -> bool:
+        return False
+
+
+NULL_LEASES = _LeasesOff()

@@ -3,7 +3,7 @@
 This is the live counterpart of :class:`repro.sim.Simulator`.  It
 implements the identical scheduler surface the DES kernel exposes —
 ``now``/``event``/``timeout``/``process``/``all_of``/``any_of`` plus the
-kernel-internal ``_push``/``_schedule_callback``/``_schedule_trigger``
+kernel-internal ``_push``/``_push_call``/``_schedule_callback``
 hooks — but backs it with an asyncio event loop instead of a heap of
 virtual timestamps.  The existing :class:`~repro.sim.core.Event`,
 :class:`~repro.sim.core.Process`, :class:`~repro.sim.primitives.Mailbox`
@@ -117,13 +117,6 @@ class LiveClock:
 
     def _schedule_callback(self, callback: Callable[[Event], None], event: Event) -> None:
         self._push(0.0, lambda: callback(event))
-
-    def _schedule_trigger(self, delay: float, event: Event, ok: bool, value: Any) -> None:
-        def fire() -> None:
-            if not event._triggered:
-                event._trigger(ok, value)
-
-        self._push(delay, fire)
 
     def call_at(self, when: float, action: Callable[[], None]) -> None:
         """Run ``action`` at absolute clock time ``when`` (ms)."""

@@ -13,8 +13,11 @@ Operations map to the paper's primitives:
 
 - ``generate_and_enqueue``  = lsGenerateAndEnqueue: one LWT batch that
   increments the guard and inserts the queue row atomically;
-- ``peek``                  = lsPeek: an eventual read of the *local*
-  replica (cheap; may briefly lag the consensus order);
+- ``head`` / ``peek``       = lsPeek: an eventual read of the *local*
+  replica (cheap; may briefly lag the consensus order) — ``head`` is
+  the one partition read every caller shares, returning the first
+  queued lockRef plus the two marker rows below; ``peek`` and
+  ``peek_quorum`` are its entry-only forms;
 - ``dequeue``               = lsDequeue: an LWT row delete (no-op if
   the lockRef is no longer queued);
 - ``set_start_time``        — records the lease start when a lock is
@@ -24,7 +27,7 @@ Operations map to the paper's primitives:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..errors import LockContention, ReproError
 from ..sim import NodeClock
@@ -50,6 +53,9 @@ LEASE_ROW = "__lease__"
 # clustering, so queue reads (which keep only int clusterings) never
 # see it.
 FORCED_ROW = "__forced__"
+# Group commit's extra accumulation window before a flush, so ops
+# landing just behind the queued ones share the round too.
+BATCH_WINDOW_MS = 2.0
 
 
 @dataclass
@@ -79,7 +85,7 @@ class LockStore:
         coordinator: StoreCoordinator,
         clock: NodeClock,
         max_enqueue_attempts: int = 20,
-        batch_window_ms: Optional[float] = None,
+        batched: bool = False,
         batch_max_ops: int = 4,
         lease_rows: bool = False,
     ) -> None:
@@ -91,13 +97,13 @@ class LockStore:
         # mutation would not change timings, but the schema stays
         # byte-identical to the seed unless the feature is on.
         self.lease_rows = lease_rows
-        # LWT group commit (DESIGN.md §9): None disables batching and
-        # keeps the one-round-per-op seed path bit-identical.  The
-        # commit is self-clocking: an op finding the key idle runs the
-        # plain one-op LWT immediately (holding the key's busy token);
-        # ops arriving while an LWT is in flight queue up and are
-        # flushed as one guarded batch when the token frees.
-        self.batch_window_ms = batch_window_ms
+        # LWT group commit (DESIGN.md §9): off keeps the one-round-per-op
+        # seed path bit-identical.  The commit is self-clocking: an op
+        # finding the key idle runs the plain one-op LWT immediately
+        # (holding the key's busy token); ops arriving while an LWT is
+        # in flight queue up and are flushed as one guarded batch when
+        # the token frees.
+        self.batched = batched
         self.batch_max_ops = batch_max_ops
         self.sim = coordinator.sim
         self._batches: Dict[str, List[_BatchOp]] = {}
@@ -108,12 +114,8 @@ class LockStore:
         # dequeues sit on the serial lock-handover chain, so they
         # re-contest a lost ballot quickly, while mint batches — whose
         # latency is hidden by queue wait — yield the partition.
-        if batch_window_ms is not None:
-            self._dequeue_backoff_scale = 0.25
-            self._mint_backoff_scale = 2.0
-        else:
-            self._dequeue_backoff_scale = 1.0
-            self._mint_backoff_scale = 1.0
+        self._dequeue_backoff_scale = 0.25 if batched else 1.0
+        self._mint_backoff_scale = 2.0 if batched else 1.0
 
     def _stamp(self) -> Tuple[float, str]:
         """A lock-table stamp in the same units as CAS ballot stamps
@@ -124,161 +126,174 @@ class LockStore:
     # -- lsGenerateAndEnqueue ---------------------------------------------------
 
     def generate_and_enqueue(self, key: str) -> Generator[Any, Any, int]:
-        """Atomically mint the next lockRef for ``key`` and enqueue it.
+        """Atomically mint the next lockRef for ``key`` and enqueue it:
+        the paper's guarded LWT batch (see :meth:`_mint`).
 
-        Implemented as the paper's guarded LWT batch: read the guard with
-        an eventual read, then conditionally increment it and insert the
-        queue row in one light-weight transaction, retrying the whole
-        sequence if another client won the race.
-
-        With LWT group commit enabled, concurrent mints on the same key
-        at this coordinator share one Paxos round instead.
+        With LWT group commit enabled, a mint that finds a same-key LWT
+        of this coordinator in flight rides its flush instead, sharing
+        one Paxos round with the other queued ops.
         """
-        if self.batch_window_ms is not None:
-            ref = yield from self._submit_enqueue(key)
-            return ref
-        ref = yield from self._enqueue_direct(key)
-        return ref
+        if self.batched:
+            if self._busy.get(key):
+                ref = yield from self._submit_op(key, _BatchOp("enqueue", None, None))
+                return ref
+            self._busy[key] = True
+        try:
+            with self.obs.tracer.span(
+                "lockstore.enqueue", node=self._writer, key=key
+            ) as span:
+                refs = yield from self._mint(key, span, 1)
+        finally:
+            if self.batched:
+                self._handoff(key)
+        return refs[0]
 
-    def _enqueue_direct(self, key: str) -> Generator[Any, Any, int]:
-        with self.obs.tracer.span(
-            "lockstore.enqueue", node=self._writer, key=key
-        ) as span:
-            for attempt in range(self.max_enqueue_attempts):
-                rows = yield from self.coordinator.get(
-                    LOCK_TABLE, key, clustering=GUARD_ROW, consistency=Consistency.ONE
+    @staticmethod
+    def _batch_guard_target(base: int, enqueues: int) -> int:
+        """The guard value after minting ``enqueues`` refs above ``base``.
+
+        Kept as a hook point so mutation tests can break batch atomicity
+        (advance the guard by less than the refs handed out) and prove
+        the runtime auditor flags the duplicate mint.
+        """
+        return base + enqueues
+
+    def _mint(
+        self, key: str, span: Any, count: int, dequeues: Sequence[_BatchOp] = ()
+    ) -> Generator[Any, Any, List[int]]:
+        """Mint ``count`` consecutive lockRefs (and apply ``dequeues``)
+        in one LWT: read the guard with an eventual read, then
+        conditionally advance it and insert the queue rows, retrying the
+        whole sequence if another client won the race.  A plain mint is
+        the ``count=1``, no-dequeue batch."""
+        for attempt in range(self.max_enqueue_attempts):
+            rows = yield from self.coordinator.get(
+                LOCK_TABLE, key, clustering=GUARD_ROW, consistency=Consistency.ONE
+            )
+            guard = None
+            if GUARD_ROW in rows:
+                guard = rows[GUARD_ROW].visible_values().get("value")
+            base = guard or 0
+            stamp = self._stamp()
+            refs = [base + 1 + i for i in range(count)]
+            enqueued_at = self.clock.now()
+            mutations: List[Any] = [
+                Update(
+                    LOCK_TABLE, key, GUARD_ROW,
+                    {"value": self._batch_guard_target(base, count)}, stamp,
                 )
-                guard = None
-                if GUARD_ROW in rows:
-                    guard = rows[GUARD_ROW].visible_values().get("value")
-                lock_ref = (guard or 0) + 1
-                stamp = self._stamp()
-                # The audit event fires at the CAS decide point, not
-                # after the commit acks: a rival mint can observe the
-                # new guard (and emit its own event) during our commit
-                # round, and the auditor linearizes by event order.
-                audit = self.obs.audit
-                emitted = []
+            ]
+            for ref in refs:
+                mutations.append(
+                    Update(
+                        LOCK_TABLE, key, ref,
+                        {"enqueued_at": enqueued_at, "startTime": None}, stamp,
+                    )
+                )
+            for op in dequeues:
+                mutations.append(DeleteRow(LOCK_TABLE, key, op.lock_ref, stamp))
+            # The whole batch linearizes at the guard CAS's decide
+            # point, not after the commit acks: a rival mint can observe
+            # the new guard (and emit its own event) during our commit
+            # round, and the auditor linearizes by event order.  So the
+            # enqueue audit events (ascending — the FIFO checker
+            # requires mint order == linearization order) and the
+            # dequeues' decided-hooks all fire there.
+            audit = self.obs.audit
+            emitted = []
 
-                def decided(
-                    lock_ref=lock_ref, attempt=attempt, recovered=False
-                ) -> None:
-                    emitted.append(True)
-                    if audit.enabled:
+            def committing(refs=refs, attempt=attempt, recovered=False) -> None:
+                emitted.append(True)
+                if audit.enabled:
+                    for ref in refs:
                         audit.emit(
                             "enqueue", key=key, node=self._writer,
-                            lock_ref=lock_ref, attempts=attempt + 1,
+                            lock_ref=ref, attempts=attempt + 1,
                             recovered=recovered,
                         )
+                for op in dequeues:
+                    if op.on_committing is not None:
+                        op.on_committing()
 
-                result = yield from self.coordinator.cas(
-                    LOCK_TABLE,
-                    key,
-                    Condition("col_eq", GUARD_ROW, column="value", expected=guard),
-                    [
-                        Update(LOCK_TABLE, key, GUARD_ROW, {"value": lock_ref}, stamp),
-                        Update(
-                            LOCK_TABLE,
-                            key,
-                            lock_ref,
-                            {"enqueued_at": self.clock.now(), "startTime": None},
-                            stamp,
-                        ),
-                    ],
-                    # Lock-table stamps must follow the CAS linearization
-                    # order, not coordinator clocks (which may disagree).
-                    stamp_with_ballot=True,
-                    on_committing=decided,
-                    backoff_scale=self._mint_backoff_scale,
-                )
-                if result.applied:
-                    span.set(attempts=attempt + 1)
-                    if not emitted:
-                        # A rival coordinator's recovery completed our
-                        # partially-accepted proposal: the mint took
-                        # effect earlier than now, so the event carries
-                        # recovered=True (its emission time is not its
-                        # linearization time).
-                        decided(recovered=True)
-                    return lock_ref
-                # Someone else advanced the guard first; re-read and retry.
-                # Guard contention is the LWT contention rate of the
-                # motivation: another client won this key's lockRef race.
-                self.obs.metrics.counter("lockstore.enqueue.conflicts", key=key).inc()
+            result = yield from self.coordinator.cas(
+                LOCK_TABLE,
+                key,
+                Condition("col_eq", GUARD_ROW, column="value", expected=guard),
+                mutations,
+                # Lock-table stamps must follow the CAS linearization
+                # order, not coordinator clocks (which may disagree).
+                stamp_with_ballot=True,
+                on_committing=committing,
+                backoff_scale=self._mint_backoff_scale,
+            )
+            if result.applied:
+                span.set(attempts=attempt + 1)
+                if not emitted:
+                    # A rival coordinator's recovery completed our
+                    # partially-accepted proposal: the mint took effect
+                    # earlier than now, so the events carry
+                    # recovered=True (their emission time is not their
+                    # linearization time).
+                    committing(recovered=True)
+                return refs
+            # Someone else advanced the guard first; re-read and retry.
+            # Guard contention is the LWT contention rate of the
+            # motivation: another client won this key's lockRef race.
+            self.obs.metrics.counter("lockstore.enqueue.conflicts", key=key).inc()
         raise LockContention(
-            f"could not enqueue a lockRef for {key!r} after "
+            f"could not mint {count} lockRef(s) for {key!r} after "
             f"{self.max_enqueue_attempts} attempts"
         )
 
     # -- lsPeek -----------------------------------------------------------------
 
-    def peek(self, key: str) -> Generator[Any, Any, Optional[LockEntry]]:
-        """The first lockRef in the *local* replica's queue, if any.
+    def head(
+        self, key: str, consistency: str = Consistency.LOCAL_ONE
+    ) -> Generator[Any, Any, Tuple[Optional[LockEntry], Any, Optional[int]]]:
+        """The one lock-partition head read: ``(entry, forced_epoch,
+        revoked_ref)``, all decoded from a single partition read.
 
-        This is the cheap polling primitive of acquireLock: it never
-        crosses the WAN, so it may lag behind the consensus order — the
-        callers treat a stale answer as "retry later", which is safe.
+        ``entry`` is the first queued lockRef (None on an empty queue).
+        At the default ``LOCAL_ONE`` this is the cheap polling primitive
+        of acquireLock: it never crosses the WAN, so it may lag behind
+        the consensus order — the callers treat a stale answer as
+        "retry later", which is safe.
+
+        ``forced_epoch`` is the LWW stamp of the ``FORCED_ROW`` marker
+        cell (None if no forcedRelease ever applied here).  CAS ballot
+        stamps grow strictly per partition, so every applied forced
+        dequeue changes it.  ``revoked_ref`` is the highest lockRef a
+        forced dequeue has revoked as written to ``LEASE_ROW`` (None if
+        none).  Both ride the read the peek performs anyway, so a guard
+        that consults them costs exactly what the plain guard costs.
         """
         with self.obs.tracer.span("lockstore.peek", node=self._writer, key=key):
             rows = yield from self.coordinator.get(
-                LOCK_TABLE, key, consistency=Consistency.LOCAL_ONE
+                LOCK_TABLE, key, consistency=consistency
             )
-        return self._first(rows)
-
-    def peek_with_epoch(
-        self, key: str
-    ) -> Generator[Any, Any, Tuple[Optional[LockEntry], Any]]:
-        """Local peek plus the key's forced-release epoch.
-
-        The epoch is the LWW stamp of the ``FORCED_ROW`` marker cell (or
-        None if no forcedRelease ever applied here) from the *same*
-        local partition read the peek already performs, so it costs
-        nothing extra.  CAS ballot stamps grow strictly per partition,
-        so every applied forced dequeue changes the marker stamp.
-        """
-        with self.obs.tracer.span("lockstore.peek", node=self._writer, key=key):
-            rows = yield from self.coordinator.get(
-                LOCK_TABLE, key, consistency=Consistency.LOCAL_ONE
-            )
-        epoch = None
+        epoch = revoked = None
         marker = rows.get(FORCED_ROW)
         if marker is not None:
-            cell = marker.visible_cells().get("ref")
-            if cell is not None:
-                epoch = cell.stamp
-        return self._first(rows), epoch
-
-    def peek_with_lease(
-        self, key: str
-    ) -> Generator[Any, Any, Tuple[Optional[LockEntry], Optional[int]]]:
-        """Local peek plus the key's lease-revocation marker.
-
-        Returns ``(head entry, revoked_ref)`` where ``revoked_ref`` is
-        the highest lockRef a forced dequeue has revoked as seen by the
-        *local* replica (None if none) — from the same local partition
-        read the peek already performs, so the leaseholder read path's
-        guard costs exactly what the plain guard costs.
-        """
-        with self.obs.tracer.span("lockstore.peek", node=self._writer, key=key):
-            rows = yield from self.coordinator.get(
-                LOCK_TABLE, key, consistency=Consistency.LOCAL_ONE
-            )
-        revoked = None
+            epoch = marker.cell_stamp("ref")
         marker = rows.get(LEASE_ROW)
         if marker is not None:
             revoked = marker.visible_values().get("revoked")
-        return self._first(rows), revoked
+        refs = self._lock_refs(rows)
+        if not refs:
+            return None, epoch, revoked
+        first_ref = min(refs)
+        return self._entry(first_ref, rows[first_ref]), epoch, revoked
+
+    def peek(self, key: str) -> Generator[Any, Any, Optional[LockEntry]]:
+        """lsPeek: the first lockRef in the *local* replica's queue."""
+        entry, _, _ = yield from self.head(key)
+        return entry
 
     def peek_quorum(self, key: str) -> Generator[Any, Any, Optional[LockEntry]]:
         """A quorum peek (used by failure detection to avoid acting on
         an arbitrarily stale local view)."""
-        with self.obs.tracer.span(
-            "lockstore.peek", node=self._writer, key=key, quorum=True
-        ):
-            rows = yield from self.coordinator.get(
-                LOCK_TABLE, key, consistency=Consistency.QUORUM
-            )
-        return self._first(rows)
+        entry, _, _ = yield from self.head(key, Consistency.QUORUM)
+        return entry
 
     def queue(self, key: str) -> Generator[Any, Any, list]:
         """The whole local queue in lockRef order (diagnostics/tests)."""
@@ -301,14 +316,6 @@ class LockStore:
             enqueued_at=values.get("enqueued_at"),
             start_time=values.get("startTime"),
         )
-
-    def _first(self, rows: Dict) -> Optional[LockEntry]:
-        """The head of the queue in a lock-partition read, if any."""
-        refs = self._lock_refs(rows)
-        if not refs:
-            return None
-        first_ref = min(refs)
-        return self._entry(first_ref, rows[first_ref])
 
     # -- lsDequeue ----------------------------------------------------------------
 
@@ -336,15 +343,45 @@ class LockStore:
         ``on_committing`` is forwarded to the LWT (advisory decided-hook;
         see :meth:`StoreCoordinator.cas`).
         """
-        if forced:
-            with self.obs.tracer.span(
-                "lockstore.dequeue", node=self._writer, key=key, forced=True
-            ):
-                stamp = self._stamp()
-                mutations = [
-                    DeleteRow(LOCK_TABLE, key, lock_ref, stamp),
-                    Update(LOCK_TABLE, key, FORCED_ROW, {"ref": lock_ref}, stamp),
-                ]
+        # Group commit covers clean releases only: take the busy token
+        # so concurrent mints queue behind this dequeue instead of
+        # racing its ballot (the dequeue itself runs the plain LWT —
+        # release latency is on the lock handover path).
+        token = self.batched and not forced
+        if token:
+            if self._busy.get(key):
+                # A same-key LWT from this coordinator is already in
+                # flight (or accumulating): ride the next flush rather
+                # than racing its ballot — two proposers from one node
+                # can only lose rounds to each other.
+                result = yield from self._submit_op(
+                    key, _BatchOp("dequeue", lock_ref, None, on_committing)
+                )
+                return result
+            self._busy[key] = True
+        try:
+            yield from self._dequeue_cas(key, lock_ref, forced, on_committing)
+        finally:
+            if token:
+                self._handoff(key)
+        return True
+
+    def _dequeue_cas(
+        self, key: str, lock_ref: int, forced: bool = False, on_committing=None
+    ) -> Generator[Any, Any, None]:
+        """The one exists-conditioned dequeue LWT; a forced dequeue is
+        the plain one plus the marker mutations.  An unapplied CAS means
+        the row was already gone: still a success."""
+        with self.obs.tracer.span(
+            "lockstore.dequeue", node=self._writer, key=key
+        ) as span:
+            stamp = self._stamp()
+            mutations: List[Any] = [DeleteRow(LOCK_TABLE, key, lock_ref, stamp)]
+            if forced:
+                span.set(forced=True)
+                mutations.append(
+                    Update(LOCK_TABLE, key, FORCED_ROW, {"ref": lock_ref}, stamp)
+                )
                 if self.lease_rows:
                     # Lease revocation fused into the preemption LWT: a
                     # replica whose local partition still shows the old
@@ -355,50 +392,11 @@ class LockStore:
                             {"revoked": lock_ref, "by": self._writer}, stamp,
                         )
                     )
-                yield from self.coordinator.cas(
-                    LOCK_TABLE,
-                    key,
-                    Condition("exists", clustering=lock_ref),
-                    mutations,
-                    stamp_with_ballot=True,
-                    on_committing=on_committing,
-                    backoff_scale=self._dequeue_backoff_scale,
-                )
-            return True
-        if self.batch_window_ms is not None:
-            if not self._busy.get(key):
-                # Take the busy token so concurrent mints queue behind
-                # this dequeue instead of racing its ballot; the dequeue
-                # itself runs the plain LWT (release latency is on the
-                # lock handover path).
-                self._busy[key] = True
-                try:
-                    result = yield from self._dequeue_direct(
-                        key, lock_ref, on_committing
-                    )
-                finally:
-                    self._handoff(key)
-                return result
-            # A same-key LWT from this coordinator is already in flight
-            # (or accumulating): ride the next flush rather than racing
-            # its ballot — two proposers from one node can only lose
-            # rounds to each other.
-            result = yield from self._submit_op(
-                key, _BatchOp("dequeue", lock_ref, None, on_committing)
-            )
-            return result
-        result = yield from self._dequeue_direct(key, lock_ref, on_committing)
-        return result
-
-    def _dequeue_direct(
-        self, key: str, lock_ref: int, on_committing=None
-    ) -> Generator[Any, Any, bool]:
-        with self.obs.tracer.span("lockstore.dequeue", node=self._writer, key=key):
-            result = yield from self.coordinator.cas(
+            yield from self.coordinator.cas(
                 LOCK_TABLE,
                 key,
                 Condition("exists", clustering=lock_ref),
-                [DeleteRow(LOCK_TABLE, key, lock_ref, self._stamp())],
+                mutations,
                 stamp_with_ballot=True,  # the tombstone must beat the insert
                 on_committing=on_committing,
                 # In batch mode the dequeue is the lock handover: on a
@@ -406,24 +404,8 @@ class LockStore:
                 # partition to off-chain mints (which back off longer).
                 backoff_scale=self._dequeue_backoff_scale,
             )
-        # result.applied False means the row was already gone: still a
-        # success (the paper's "no-op if lockRef not in queue").
-        return True
 
     # -- LWT group commit (DESIGN.md §9) ----------------------------------------
-
-    def _submit_enqueue(self, key: str) -> Generator[Any, Any, int]:
-        """Self-clocking group commit for mints: run the plain LWT when
-        the key is idle here; otherwise queue for the next batch flush."""
-        if not self._busy.get(key):
-            self._busy[key] = True
-            try:
-                ref = yield from self._enqueue_direct(key)
-            finally:
-                self._handoff(key)
-            return ref
-        ref = yield from self._submit_op(key, _BatchOp("enqueue", None, None))
-        return ref
 
     def _submit_op(self, key: str, op: _BatchOp) -> Generator[Any, Any, Any]:
         op.event = self.sim.event(name=f"lwtbatch:{op.kind}:{key}")
@@ -441,10 +423,7 @@ class LockStore:
 
     def _flush(self, key: str) -> Generator[Any, Any, None]:
         """Commit every queued op for ``key`` in one guarded LWT."""
-        if self.batch_window_ms > 0:
-            # The knob: a short extra accumulation window so ops landing
-            # just behind the queued ones share the round too.
-            yield self.sim.timeout(self.batch_window_ms)
+        yield self.sim.timeout(BATCH_WINDOW_MS)
         queued = self._batches.get(key, [])
         # Bounded flush: minting long runs of consecutive refs would
         # serialize the grant order onto this one site, so leave the
@@ -467,16 +446,6 @@ class LockStore:
         finally:
             self._handoff(key)
 
-    @staticmethod
-    def _batch_guard_target(base: int, enqueues: int) -> int:
-        """The guard value after minting ``enqueues`` refs above ``base``.
-
-        Kept as a hook point so mutation tests can break batch atomicity
-        (advance the guard by less than the refs handed out) and prove
-        the runtime auditor flags the duplicate mint.
-        """
-        return base + enqueues
-
     def _flush_ops(self, key: str, ops: List[_BatchOp]) -> Generator[Any, Any, None]:
         enqueues = [op for op in ops if op.kind == "enqueue"]
         dequeues = [op for op in ops if op.kind == "dequeue"]
@@ -485,99 +454,25 @@ class LockStore:
             # plain path is both cheaper and insensitive to concurrent
             # mints from other coordinators, so run it per op.
             for op in dequeues:
-                yield from self._dequeue_direct(key, op.lock_ref, op.on_committing)
+                yield from self._dequeue_cas(
+                    key, op.lock_ref, on_committing=op.on_committing
+                )
                 op.event.succeed(True)
             return
-
         with self.obs.tracer.span(
             "lockstore.batchFlush", node=self._writer, key=key, size=len(ops)
         ) as span:
-            for attempt in range(self.max_enqueue_attempts):
-                rows = yield from self.coordinator.get(
-                    LOCK_TABLE, key, clustering=GUARD_ROW, consistency=Consistency.ONE
-                )
-                guard = None
-                if GUARD_ROW in rows:
-                    guard = rows[GUARD_ROW].visible_values().get("value")
-                base = guard or 0
-                stamp = self._stamp()
-                refs = [base + 1 + i for i in range(len(enqueues))]
-                mutations: List[Any] = [
-                    Update(
-                        LOCK_TABLE,
-                        key,
-                        GUARD_ROW,
-                        {"value": self._batch_guard_target(base, len(enqueues))},
-                        stamp,
-                    )
-                ]
-                enqueued_at = self.clock.now()
-                for ref in refs:
-                    mutations.append(
-                        Update(
-                            LOCK_TABLE,
-                            key,
-                            ref,
-                            {"enqueued_at": enqueued_at, "startTime": None},
-                            stamp,
-                        )
-                    )
-                for op in dequeues:
-                    mutations.append(
-                        DeleteRow(LOCK_TABLE, key, op.lock_ref, stamp)
-                    )
-                # The whole batch linearizes at the guard CAS's decide
-                # point: the enqueue audit events (ascending — the FIFO
-                # checker requires mint order == linearization order)
-                # and the dequeues' decided-hooks all fire there, before
-                # the commit acks a rival coordinator could overlap.
-                audit = self.obs.audit
-                emitted = []
-
-                def committing(
-                    refs=refs, attempt=attempt, recovered=False
-                ) -> None:
-                    emitted.append(True)
-                    if audit.enabled:
-                        for ref in refs:
-                            audit.emit(
-                                "enqueue", key=key, node=self._writer,
-                                lock_ref=ref, attempts=attempt + 1,
-                                recovered=recovered,
-                            )
-                    for op in dequeues:
-                        if op.on_committing is not None:
-                            op.on_committing()
-
-                result = yield from self.coordinator.cas(
-                    LOCK_TABLE,
-                    key,
-                    Condition("col_eq", GUARD_ROW, column="value", expected=guard),
-                    mutations,
-                    stamp_with_ballot=True,
-                    on_committing=committing,
-                    backoff_scale=self._mint_backoff_scale,
-                )
-                if result.applied:
-                    span.set(attempts=attempt + 1)
-                    self.obs.metrics.histogram(
-                        "lockstore.batch.size", node=self._writer
-                    ).observe(len(ops))
-                    self.obs.metrics.counter(
-                        "lockstore.batch.flushes", node=self._writer
-                    ).inc()
-                    if not emitted:
-                        committing(recovered=True)
-                    for op, ref in zip(enqueues, refs):
-                        op.event.succeed(ref)
-                    for op in dequeues:
-                        op.event.succeed(True)
-                    return
-                self.obs.metrics.counter("lockstore.enqueue.conflicts", key=key).inc()
-        raise LockContention(
-            f"could not commit a batch of {len(ops)} ops for {key!r} after "
-            f"{self.max_enqueue_attempts} attempts"
-        )
+            refs = yield from self._mint(key, span, len(enqueues), dequeues)
+            self.obs.metrics.histogram(
+                "lockstore.batch.size", node=self._writer
+            ).observe(len(ops))
+            self.obs.metrics.counter(
+                "lockstore.batch.flushes", node=self._writer
+            ).inc()
+            for op, ref in zip(enqueues, refs):
+                op.event.succeed(ref)
+            for op in dequeues:
+                op.event.succeed(True)
 
     # -- lease bookkeeping -----------------------------------------------------------
 

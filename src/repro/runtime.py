@@ -117,10 +117,6 @@ class Clock(Protocol):
         self, callback: Callable[[Any], None], event: Any
     ) -> None: ...
 
-    def _schedule_trigger(
-        self, delay: float, event: Any, ok: bool, value: Any
-    ) -> None: ...
-
     def _defuse(self, event: Any) -> None: ...
 
 
@@ -176,8 +172,7 @@ def require_clock(candidate: Any) -> Any:
             for name in (
                 "now", "active_process", "profiler", "event", "timeout",
                 "process", "all_of", "any_of", "call_at", "_push",
-                "_push_call", "_schedule_callback", "_schedule_trigger",
-                "_defuse",
+                "_push_call", "_schedule_callback", "_defuse",
             )
             if not hasattr(candidate, name)
         ]

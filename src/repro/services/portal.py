@@ -15,7 +15,6 @@ even when the old owner was only *presumed* dead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional
 
 from ..core.client import MusicClient

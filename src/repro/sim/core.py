@@ -501,17 +501,6 @@ class Simulator:
     def _schedule_callback(self, callback: Callable[[Event], None], event: Event) -> None:
         self._ready.append((callback, event))
 
-    def _schedule_trigger(self, delay: float, event: Event, ok: bool, value: Any) -> None:
-        if ok:
-            event._value = value  # staged; unread while the event is pending
-            self._push_call(delay, _fire_event, event)
-        else:
-            def fire() -> None:
-                if not event._triggered:
-                    event._trigger(False, value)
-
-            self._push(delay, fire)
-
     def call_at(self, when: float, action: Callable[[], None]) -> None:
         """Run a plain callable at absolute simulated time ``when``.
 

@@ -35,7 +35,6 @@ from .types import (
     Row,
     Stamp,
     Update,
-    payload_size,
 )
 
 __all__ = ["StoreCoordinator", "CasResult"]

@@ -41,7 +41,7 @@ from ..sim import NodeClock, Simulator
 from ..net import Message, Network, Node
 from ..storage import PaxosState, StorageEngine
 from .config import StoreConfig
-from .types import Ballot, Mutation, Partition, Row, payload_size
+from .types import Ballot, Mutation, Partition, Row
 
 __all__ = ["StorageReplica", "PaxosState"]
 

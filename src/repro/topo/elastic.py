@@ -48,7 +48,6 @@ from ..net import Message, Network, Node, await_quorum, quorum_size
 from ..sim import RandomStreams, Simulator
 from ..store import StoreCluster
 from ..store.replica import StorageReplica
-from ..store.types import payload_size
 from .config import TopoConfig
 from .gossip import (
     STATUS_JOINING,

@@ -1,7 +1,5 @@
 """Tests for the ablation configuration knobs (DESIGN.md §5)."""
 
-import pytest
-
 from repro.core import MusicConfig, build_music
 
 

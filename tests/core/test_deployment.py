@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import MusicConfig, build_music
-from repro.core.deployment import MusicDeployment
 
 
 def test_default_deployment_shape():

@@ -1,7 +1,5 @@
 """Tests for the hierarchical MUSIC prototype (future work)."""
 
-import pytest
-
 from repro.core import build_music
 from repro.core.hierarchical import HierarchicalClient
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import build_music
 from repro.core.multikey import enter_multi
-from repro.errors import ReproError
 
 
 def run(music, generator, limit=1e9):

@@ -28,7 +28,6 @@ def run(music, generator, limit=1e8):
 def test_forced_release_preempts_dead_lockholder():
     """A crashed lockholder's lock is reclaimed; the next client enters."""
     music = failure_music()
-    sim = music.sim
     client_a = music.client("Ohio")
     client_b = music.client("Oregon")
 

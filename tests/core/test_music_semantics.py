@@ -1,7 +1,5 @@
 """Failure-free ECF semantics: Listing 1, exclusivity, fairness, costs."""
 
-import pytest
-
 from repro.core import build_music
 from repro.errors import NotLockHolder
 

@@ -1,9 +1,8 @@
 """Robustness properties: determinism, clock skew, jitter/loss, scale."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import MusicConfig, build_music
+from repro.core import build_music
 from repro.errors import ReproError
 
 

@@ -7,6 +7,7 @@ must reproduce exactly — the same guard CI runs as its identity step.
 """
 
 from repro import build_music
+from repro.leases import NULL_LEASES
 from tests.core.test_fast_locks import (
     GOLDEN_CONTENDED_SEED3,
     GOLDEN_SINGLE,
@@ -22,8 +23,9 @@ def test_default_build_matches_golden_stamps():
 
 def test_explicit_read_leases_false_is_the_default_path():
     music = build_music(seed=3, read_leases=False)
-    # The knob stayed off and no lease machinery was even constructed.
+    # The knob stayed off and no lease machinery was even constructed:
+    # both tiers are the stateless null object.
     assert music.config.read_leases is False
     for replica in music.replicas:
-        assert replica.lease_manager is None
-        assert replica.read_cache is None
+        assert replica.lease_manager is NULL_LEASES
+        assert replica.read_cache is NULL_LEASES

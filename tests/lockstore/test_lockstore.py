@@ -1,7 +1,5 @@
 """Tests for the lock store (guard counter, queue, peek, dequeue)."""
 
-import pytest
-
 from repro.lockstore import LockStore
 
 from tests.helpers import make_store, run

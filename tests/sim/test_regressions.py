@@ -245,14 +245,14 @@ def test_call_at_in_the_past_clamps_to_now():
     assert fired == [10.0]
 
 
-def test_schedule_trigger_in_the_past_clamps_to_now():
+def test_push_call_in_the_past_clamps_to_now():
     sim = Simulator()
     seen = []
 
     def proc():
         yield sim.timeout(10.0)
         event = sim.event()
-        sim._schedule_trigger(-5.0, event, True, "late")
+        sim._push_call(-5.0, event.succeed, "late")
         seen.append((yield event))
 
     sim.process(proc())
