@@ -1,12 +1,16 @@
-"""The MUSIC client library: retries, failover, and the critical-section
-usage pattern of Listing 1.
+"""The MUSIC client: retries, failover, and the critical-section usage
+pattern of Listing 1 — for both deployments of Fig. 1.
 
-A client is colocated with a MUSIC replica (the library deployment of
-Section VI) but holds the full replica list: per Section III-A failure
-semantics, an operation nacked because a quorum of back-end replicas was
-unreachable is retried — "usually at a different MUSIC replica" — until
-it succeeds, the retry budget is exhausted, or the client learns it is
-no longer the lockholder.
+The client is handed its replica list and never asks which deployment
+it is in.  In library mode (Section VI) the list holds the
+:class:`MusicReplica` objects themselves, the nearest one colocated; in
+service mode it holds :class:`~repro.core.service.ReplicaStub` objects
+offering the same surface over one RPC per operation.  Per Section
+III-A failure semantics, an operation nacked because a quorum of
+back-end replicas (or the replica itself) was unreachable is retried —
+"usually at a different MUSIC replica" — until it succeeds, the retry
+budget is exhausted, or the client learns it is no longer the
+lockholder.
 """
 
 from __future__ import annotations
@@ -184,14 +188,17 @@ class MusicClient:
             if waiter is not None:
                 waited_at.unsubscribe_release(key, waiter)
 
-    def _put_attempt(self, key: str, lock_ref: int, value: Any):
-        """One criticalPut attempt at a replica, returning the
-        acknowledged write's stamp.  The replica records the stamp right
-        before acking (no yields in between), so reading it here yields
-        the stamp of *this* attempt even across failover."""
+    def _put_attempt(self, key: str, lock_ref: int, value: Any, delete: bool = False):
+        """One criticalPut (or criticalDelete) attempt at a replica,
+        returning the acknowledged write's stamp.  The replica records
+        the stamp right before acking (no yields in between), so reading
+        it here yields the stamp of *this* attempt even across failover."""
 
         def attempt(replica) -> Generator[Any, Any, Stamp]:
-            done = yield from replica.critical_put(key, lock_ref, value)
+            if delete:
+                done = yield from replica.critical_delete(key, lock_ref)
+            else:
+                done = yield from replica.critical_put(key, lock_ref, value)
             if not done:
                 # Guard said "not first yet": the local lock store lags;
                 # surface as retryable.
@@ -230,6 +237,12 @@ class MusicClient:
         behind the 'true value' definition of Section III-A)."""
         yield from self._with_failover(
             "criticalPut", self._put_attempt(key, lock_ref, value)
+        )
+
+    def critical_delete(self, key: str, lock_ref: int) -> Generator[Any, Any, None]:
+        """Delete the value of ``key`` as the lockholder (Section VI)."""
+        yield from self._with_failover(
+            "criticalDelete", self._put_attempt(key, lock_ref, None, delete=True)
         )
 
     def critical_get(self, key: str, lock_ref: int) -> Generator[Any, Any, Any]:
@@ -349,7 +362,7 @@ class MusicClient:
 
 
 class CriticalSection:
-    """A held lock: get/put sugar bound to (client, key, lockRef)."""
+    """A held lock: get/put/delete sugar bound to (client, key, lockRef)."""
 
     def __init__(self, client: MusicClient, key: str, lock_ref: int) -> None:
         self.client = client
@@ -361,6 +374,9 @@ class CriticalSection:
 
     def put(self, value: Any) -> Generator[Any, Any, None]:
         yield from self.client.critical_put(self.key, self.lock_ref, value)
+
+    def delete(self) -> Generator[Any, Any, None]:
+        yield from self.client.critical_delete(self.key, self.lock_ref)
 
     def exit(self) -> Generator[Any, Any, None]:
         yield from self.client.release_lock(self.key, self.lock_ref)

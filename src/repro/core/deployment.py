@@ -8,18 +8,19 @@ everything tests, examples and benchmarks need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Collection, Dict, List, Mapping, Optional, Tuple
 
-from ..net import LatencyProfile, Network, PAPER_PROFILES
+from ..net import LatencyProfile, Network, Node, PAPER_PROFILES
 from ..obs import NULL_OBS, Observability
 from ..sim import NodeClock, RandomStreams, Simulator
-from ..store import StoreCluster, StoreConfig, build_cluster
+from ..store import StoreCluster, StoreConfig, build_cluster, site_layout
 from .client import MusicClient
 from .config import MusicConfig
 from .failure_detector import FailureDetector
 from .replica import MusicReplica
+from .service import install_service, service_client
 
-__all__ = ["MusicDeployment", "build_music"]
+__all__ = ["MusicDeployment", "build_music", "build_replicas"]
 
 
 @dataclass
@@ -67,15 +68,73 @@ class MusicDeployment:
             self.sim, self.network, nodes=nodes, topology=self.topology
         )
 
+    def _client_id(self, site: str, prefix: str) -> str:
+        seq = self._client_seq.get(site, 0)
+        self._client_seq[site] = seq + 1
+        return f"{prefix}-{site}-{seq}"
+
     def client(self, site: str, client_id: Optional[str] = None) -> MusicClient:
-        if client_id is None:
-            seq = self._client_seq.get(site, 0)
-            self._client_seq[site] = seq + 1
-            client_id = f"client-{site}-{seq}"
+        """A library-mode client at ``site``: handed the replicas."""
         return MusicClient(
-            self.replicas, site, client_id=client_id,
+            self.replicas, site,
+            client_id=client_id or self._client_id(site, "client"),
             config=self.config, streams=self.streams,
         )
+
+    def service_client(self, site: str, client_id: Optional[str] = None) -> MusicClient:
+        """The same client in the service deployment of Fig. 1: on its
+        own host at ``site``, handed RPC stubs of the replicas."""
+        host = Node(self.sim, self.network, client_id or self._client_id(site, "app"), site)
+        host.start()
+        return service_client(
+            host, [(replica.node_id, replica.site) for replica in self.replicas],
+            self.config, streams=self.streams,
+        )
+
+
+def build_replicas(
+    sim: Simulator,
+    network: Network,
+    store: StoreCluster,
+    layout: Mapping[str, str],
+    config: MusicConfig,
+    local: Optional[Collection[str]] = None,
+    replica_class: type = MusicReplica,
+    cores: int = 8,
+    clock_skew_ms: float = 0.0,
+) -> Tuple[List[MusicReplica], List[FailureDetector]]:
+    """Build, wire and start the MUSIC replicas hosted here.
+
+    The one MUSIC-tier assembly, for any :mod:`repro.runtime` ``(Clock,
+    Transport)`` pair: ``layout`` maps *every* MUSIC replica of the
+    deployment to its site (it fixes the push-grant peer lists);
+    ``local`` names the ones instantiated here (default: all).  Every
+    replica serves its operations over RPC as well, so which deployment
+    of Fig. 1 a client is in is decided by the client's construction
+    alone.
+    """
+    skew_rng = store.streams.stream("music-clock-skew")
+    replicas: List[MusicReplica] = []
+    detectors: List[FailureDetector] = []
+    for node_id, site in layout.items():
+        offset = skew_rng.uniform(-clock_skew_ms, clock_skew_ms) if clock_skew_ms else 0.0
+        if local is not None and node_id not in local:
+            continue
+        replica = replica_class(
+            sim, network, node_id, site, store, config=config, cores=cores,
+            clock=NodeClock(sim, offset=offset),
+        )
+        # Sibling wiring for push-based grant notification; harmless
+        # (and unused) unless ``push_grants`` is on.
+        replica.peer_ids = [peer for peer in layout if peer != node_id]
+        install_service(replica)
+        replica.start()
+        replicas.append(replica)
+        if config.failure_detection_enabled:
+            detector = FailureDetector(replica)
+            detector.start()
+            detectors.append(detector)
+    return replicas, detectors
 
 
 def build_music(
@@ -219,30 +278,12 @@ def build_music(
         )
         topology.start()
 
-    skew_rng = streams.stream("music-clock-skew")
-    replicas: List[MusicReplica] = []
-    detectors: List[FailureDetector] = []
-    for site_index, site in enumerate(latency_profile.site_names):
-        for slot in range(music_replicas_per_site):
-            offset = skew_rng.uniform(-clock_skew_ms, clock_skew_ms) if clock_skew_ms else 0.0
-            replica = replica_class(
-                sim, network, f"music-{site_index}-{slot}", site,
-                store, config=music_config, cores=cores,
-                clock=NodeClock(sim, offset=offset),
-            )
-            replica.start()
-            replicas.append(replica)
-            if music_config.failure_detection_enabled:
-                detector = FailureDetector(replica)
-                detector.start()
-                detectors.append(detector)
-
-    # Sibling wiring for push-based grant notification; harmless (and
-    # unused) unless ``push_grants`` is on.
-    for replica in replicas:
-        replica.peer_ids = [
-            peer.node_id for peer in replicas if peer is not replica
-        ]
+    replicas, detectors = build_replicas(
+        sim, network, store,
+        site_layout("music", latency_profile.site_names, music_replicas_per_site),
+        music_config, replica_class=replica_class, cores=cores,
+        clock_skew_ms=clock_skew_ms,
+    )
 
     deployment = MusicDeployment(
         sim=sim, network=network, profile=latency_profile, store=store,

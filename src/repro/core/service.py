@@ -1,17 +1,22 @@
 """MUSIC as a multi-site web service (the second deployment of Fig. 1).
 
-Besides the library mode (client code colocated with a MUSIC replica),
-the production system exposes MUSIC as a REST service: clients on their
-own hosts send each operation to a nearby replica over the network.
-``install_service`` registers RPC handlers on a replica;
-``RemoteMusicClient`` is the client stub, offering the same operations
-as the in-process client (plus retry/failover across replicas) while
-paying the client-to-replica network hop the library mode avoids.
+There is one client — :class:`~repro.core.client.MusicClient` — and the
+deployment mode is *which replica objects it is handed*.  In library
+mode those are the :class:`MusicReplica` objects themselves; in service
+mode (clients on their own hosts, the REST deployment) they are
+:class:`ReplicaStub` objects, which duck-type the replica surface the
+client uses by issuing one RPC per operation to a replica that ran
+:func:`install_service`, paying the client-to-replica hop the library
+mode avoids.  Retries, failover, the blocking-acquire loop and
+``CriticalSection`` exist once, in the client.
+
+Both sides of the wire — the replica's RPC handler and the stub's
+operation methods — come from the single ``_OPERATIONS`` table.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, Iterable, Optional, Tuple
 
 from ..errors import (
     LeaseExpired,
@@ -25,12 +30,14 @@ from ..net import Node
 from ..net.node import DEFAULT_RPC_TIMEOUT_MS
 from ..sim import RandomStreams
 from ..store.types import payload_size
-from .client import ACQUIRE_POLL_BACKOFF
+from .client import MusicClient
+from .config import MusicConfig
 from .replica import MusicReplica
 
-__all__ = ["install_service", "RemoteMusicClient"]
+__all__ = ["install_service", "ReplicaStub", "service_client"]
 
-# Long-poll ceiling of a push-mode ``music.waitRelease`` wait.
+# Lifetime of one ``music.waitRelease`` subscription at the replica; the
+# stub's waiter fires when it lapses, so the client re-polls and renews.
 PUSH_WAIT_MS = 2_000.0
 
 _ERROR_KINDS = {
@@ -40,44 +47,53 @@ _ERROR_KINDS = {
     "LockContention": LockContention,
 }
 
-# (RPC kind, replica method, which args it takes)
+# RPC kind -> (replica method, its argument names, the replica attribute
+# whose value rides the reply as ``stamp`` — the version token the
+# method leaves behind — or None).
 _OPERATIONS = {
-    "music.createLockRef": ("create_lock_ref", ("key",)),
-    "music.acquireLock": ("acquire_lock", ("key", "lock_ref")),
-    "music.criticalPut": ("critical_put", ("key", "lock_ref", "value")),
-    "music.criticalGet": ("critical_get", ("key", "lock_ref")),
-    "music.criticalDelete": ("critical_delete", ("key", "lock_ref")),
-    "music.releaseLock": ("release_lock", ("key", "lock_ref")),
-    "music.put": ("put", ("key", "value")),
-    "music.get": ("get", ("key",)),
-    "music.getAllKeys": ("get_all_keys", ()),
+    "music.createLockRef": ("create_lock_ref", ("key",), None),
+    "music.acquireLock": ("acquire_lock", ("key", "lock_ref"), None),
+    "music.criticalPut": (
+        "critical_put", ("key", "lock_ref", "value"), "last_put_stamp"),
+    "music.criticalGet": (
+        "critical_get", ("key", "lock_ref", "min_stamp"), "last_get_stamp"),
+    "music.criticalDelete": (
+        "critical_delete", ("key", "lock_ref"), "last_put_stamp"),
+    "music.releaseLock": ("release_lock", ("key", "lock_ref"), None),
+    "music.put": ("put", ("key", "value"), None),
+    "music.get": ("get", ("key",), None),
+    "music.getBounded": ("get_bounded", ("key", "staleness_ms"), None),
+    "music.quorumGet": ("quorum_get", ("key",), "last_get_stamp"),
+    "music.quorumPut": ("quorum_put", ("key", "value", "stamp"), "last_put_stamp"),
+    "music.getAllKeys": ("get_all_keys", (), None),
 }
 
 
 def install_service(replica: MusicReplica) -> None:
-    """Expose the ECF operations of ``replica`` over RPC."""
+    """Expose the client-facing operations of ``replica`` over RPC."""
 
-    def make_handler(method_name: str, arg_names):
-        method = getattr(replica, method_name)
-
-        def handler(msg) -> Generator[Any, Any, None]:
-            body = replica.payload(msg)
-            args = [body[name] for name in arg_names]
-            try:
-                result = yield from method(*args)
-                reply = {"ok": True, "result": result}
-            except ReproError as error:
-                reply = {
-                    "ok": False,
-                    "error_kind": type(error).__name__,
-                    "error": str(error),
-                }
-            replica.reply(msg, reply, size_bytes=payload_size(reply.get("result")) + 32)
-
-        return handler
+    def handler(msg) -> Generator[Any, Any, None]:
+        method_name, arg_names, stamp_attr = _OPERATIONS[msg.kind]
+        body = replica.payload(msg)
+        try:
+            result = yield from getattr(replica, method_name)(
+                *[body.get(name) for name in arg_names]
+            )
+            reply = {"ok": True, "result": result}
+            if stamp_attr is not None:
+                # Read with no yield since the method returned, so this
+                # is the stamp of *this* request.
+                reply["stamp"] = getattr(replica, stamp_attr)
+        except ReproError as error:
+            reply = {
+                "ok": False,
+                "error_kind": type(error).__name__,
+                "error": str(error),
+            }
+        replica.reply(msg, reply, size_bytes=payload_size(reply.get("result")) + 32)
 
     def wait_release(msg) -> Generator[Any, Any, None]:
-        # Long-poll for push grants: hold the request until the key's
+        # The stub's subscribe_release: hold the request until the key's
         # next observed dequeue, or the client-supplied bound elapses.
         body = replica.payload(msg)
         waiter = replica.subscribe_release(body["key"])
@@ -89,168 +105,94 @@ def install_service(replica: MusicReplica) -> None:
             replica.unsubscribe_release(body["key"], waiter)
         replica.reply(msg, {"ok": True, "result": None})
 
-    for kind, (method_name, arg_names) in _OPERATIONS.items():
-        replica.on(kind, make_handler(method_name, arg_names))
+    for kind in _OPERATIONS:
+        replica.on(kind, handler)
     replica.on("music.waitRelease", wait_release)
 
 
-class RemoteMusicClient:
-    """A MUSIC client on its own host, talking to replicas over RPC.
+class ReplicaStub:
+    """A remote MUSIC replica as seen from a client host.
 
-    The interface mirrors :class:`~repro.core.client.MusicClient`; nacks
-    (quorum unavailability, replica timeouts) are retried at the next-
-    closest replica, per Section III-A.
+    Offers what :class:`MusicClient` uses of a :class:`MusicReplica` —
+    identity (``node_id``/``site``/``failed``/``config``), environment
+    (``sim``/``network``/``obs``, the host's), the operation generators
+    of ``_OPERATIONS``, the release subscription and the
+    ``last_put_stamp``/``last_get_stamp`` version tokens — each
+    operation being one RPC whose typed error is re-raised here.
     """
 
-    def __init__(
-        self,
-        host: Node,
-        replicas: List[MusicReplica],
-        config=None,
-        streams: Optional[RandomStreams] = None,
-    ) -> None:
-        if not replicas:
-            raise ValueError("need at least one MUSIC replica")
+    def __init__(self, host: Node, node_id: str, site: str, config: MusicConfig) -> None:
         self.host = host
+        self.node_id = node_id
+        self.site = site
+        self.config = config
         self.sim = host.sim
-        self.config = config or replicas[0].config
-        profile = host.network.profile
-        self.replicas = sorted(
-            replicas, key=lambda r: profile.rtt(host.site, r.site)
-        )
-        self._rng = (streams or RandomStreams(0)).stream(f"remote:{host.node_id}")
+        self.network = host.network
+        self.obs = host.obs
+        self.last_put_stamp: Any = None
+        self.last_get_stamp: Any = None
 
-    def _invoke(self, kind: str, body: dict) -> Generator[Any, Any, Any]:
-        """One operation with failover, mirroring the library client's
-        attempt accounting: known-failed replicas advance the rotation
-        cursor without consuming an attempt, and exhausting the live set
-        fails immediately."""
-        last_error: Optional[BaseException] = None
-        size = payload_size(body.get("value")) + 48
-        attempts = self.config.op_retry_limit
-        cursor = 0
-        for attempt in range(attempts):
-            replica = None
-            for _ in range(len(self.replicas)):
-                candidate = self.replicas[cursor % len(self.replicas)]
-                cursor += 1
-                if not candidate.failed:
-                    replica = candidate
-                    break
-            if replica is None:
-                if isinstance(last_error, RpcTimeout):
-                    raise QuorumUnavailable(f"{kind}: {last_error}") from last_error
-                raise last_error or QuorumUnavailable(
-                    f"{kind}: every replica is failed"
-                )
-            try:
-                reply = yield from self.host.call(
-                    replica.node_id, kind, body, size_bytes=size
-                )
-            except RpcTimeout as error:
-                last_error = error
-                continue
-            if reply["ok"]:
-                return reply["result"]
-            error_class = _ERROR_KINDS.get(reply["error_kind"], ReproError)
-            if error_class in (NotLockHolder, LeaseExpired):
-                raise error_class(reply["error"])  # terminal: do not retry
-            last_error = error_class(reply["error"])
-            if attempt + 1 < attempts:
-                yield self.sim.timeout(
-                    self.config.op_retry_delay_ms * (1 + self._rng.random())
-                )
-        if isinstance(last_error, RpcTimeout):
-            # Exhausted retries on unreachable replicas: surface the
-            # Section III-A nack, not a transport detail.
-            raise QuorumUnavailable(f"{kind}: {last_error}") from last_error
-        raise last_error or QuorumUnavailable(f"{kind}: no replica reachable")
+    @property
+    def failed(self) -> bool:
+        return self.network.is_failed(self.node_id)
 
-    # -- the MUSIC operations ------------------------------------------------
-
-    def create_lock_ref(self, key: str) -> Generator[Any, Any, int]:
-        return self._invoke("music.createLockRef", {"key": key})
-
-    def acquire_lock(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
-        return self._invoke("music.acquireLock", {"key": key, "lock_ref": lock_ref})
-
-    def acquire_lock_blocking(
-        self, key: str, lock_ref: int, timeout_ms: Optional[float] = None
-    ) -> Generator[Any, Any, bool]:
-        deadline = None if timeout_ms is None else self.sim.now + timeout_ms
-        interval = self.config.acquire_poll_interval_ms
-        while True:
-            granted = yield from self.acquire_lock(key, lock_ref)
-            if granted:
-                return True
-            if deadline is not None and self.sim.now >= deadline:
-                return False
-            if self.config.push_grants:
-                # Long-poll a nearby replica: the reply arrives at the
-                # key's next dequeue (or after the wait bound), replacing
-                # the blind backoff sleep with a push wake-up.
-                wait_ms = PUSH_WAIT_MS
-                if deadline is not None:
-                    wait_ms = min(wait_ms, deadline - self.sim.now)
-                yield from self._wait_release(key, wait_ms)
-            else:
-                sleep = interval
-                if deadline is not None:
-                    sleep = min(sleep, deadline - self.sim.now)
-                yield self.sim.timeout(sleep)
-                interval = min(
-                    interval * ACQUIRE_POLL_BACKOFF,
-                    self.config.acquire_poll_max_ms,
-                )
-            if deadline is not None and self.sim.now >= deadline:
-                return False
-
-    def _wait_release(self, key: str, wait_ms: float) -> Generator[Any, Any, None]:
-        replica = next((r for r in self.replicas if not r.failed), self.replicas[0])
+    def _call(
+        self, kind: str, body: dict, stamp_attr: Optional[str]
+    ) -> Generator[Any, Any, Any]:
         try:
-            yield from self.host.call(
-                replica.node_id,
-                "music.waitRelease",
-                {"key": key, "wait_ms": wait_ms},
-                timeout=wait_ms + DEFAULT_RPC_TIMEOUT_MS,
+            reply = yield from self.host.call(
+                self.node_id, kind, body,
+                size_bytes=payload_size(body.get("value")) + 48,
             )
-        except RpcTimeout:
-            pass  # replica unreachable: fall back to the next poll
+        except RpcTimeout as error:
+            # An unreachable replica is the Section III-A nack, not a
+            # transport detail: the client retries it elsewhere.
+            raise QuorumUnavailable(f"{kind}: {error}") from error
+        if not reply["ok"]:
+            raise _ERROR_KINDS.get(reply["error_kind"], ReproError)(reply["error"])
+        if stamp_attr is not None:
+            setattr(self, stamp_attr, reply["stamp"])
+        return reply["result"]
 
-    def critical_put(self, key: str, lock_ref: int, value: Any) -> Generator[Any, Any, None]:
-        done = yield from self._invoke(
-            "music.criticalPut", {"key": key, "lock_ref": lock_ref, "value": value}
-        )
-        if not done:
-            raise QuorumUnavailable("replica's local lock store lags; retry")
+    def subscribe_release(self, key: str) -> Any:
+        """An Event firing at the key's next dequeue observed by the
+        replica — or when the subscription lapses or the replica proves
+        unreachable: the push is advisory, a woken client just polls."""
+        waiter = self.sim.event(name=f"grantPush:{key}")
+        self.host.call_async(
+            self.node_id, "music.waitRelease",
+            {"key": key, "wait_ms": PUSH_WAIT_MS},
+            timeout=PUSH_WAIT_MS + DEFAULT_RPC_TIMEOUT_MS,
+        ).add_callback(lambda _reply: waiter.triggered or waiter.succeed(True))
+        return waiter
 
-    def critical_get(self, key: str, lock_ref: int) -> Generator[Any, Any, Any]:
-        ok, value = yield from self._invoke(
-            "music.criticalGet", {"key": key, "lock_ref": lock_ref}
-        )
-        if not ok:
-            raise QuorumUnavailable("replica's local lock store lags; retry")
-        return value
+    def unsubscribe_release(self, key: str, waiter: Any) -> None:
+        """Nothing to send: the replica-side subscription ends at the
+        key's next dequeue or its bound, and the late reply finds no
+        one waiting."""
 
-    def critical_delete(self, key: str, lock_ref: int) -> Generator[Any, Any, None]:
-        yield from self._invoke(
-            "music.criticalDelete", {"key": key, "lock_ref": lock_ref}
-        )
 
-    def release_lock(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
-        try:
-            done = yield from self._invoke(
-                "music.releaseLock", {"key": key, "lock_ref": lock_ref}
-            )
-            return done
-        except NotLockHolder:
-            return True
+def _stub_method(kind: str, arg_names, stamp_attr):
+    def method(self, *args, **kwargs):
+        return self._call(kind, dict(zip(arg_names, args), **kwargs), stamp_attr)
 
-    def put(self, key: str, value: Any) -> Generator[Any, Any, None]:
-        yield from self._invoke("music.put", {"key": key, "value": value})
+    return method
 
-    def get(self, key: str) -> Generator[Any, Any, Any]:
-        return self._invoke("music.get", {"key": key})
 
-    def get_all_keys(self) -> Generator[Any, Any, list]:
-        return self._invoke("music.getAllKeys", {})
+for _kind, (_method_name, _arg_names, _stamp_attr) in _OPERATIONS.items():
+    setattr(ReplicaStub, _method_name, _stub_method(_kind, _arg_names, _stamp_attr))
+
+
+def service_client(
+    host: Node,
+    replicas: Iterable[Tuple[str, str]],
+    config: MusicConfig,
+    streams: Optional[RandomStreams] = None,
+) -> MusicClient:
+    """A service-mode client on ``host``: the one :class:`MusicClient`,
+    handed stubs of ``replicas`` — ``(node id, site)`` pairs of replicas
+    that ran :func:`install_service`."""
+    stubs = [ReplicaStub(host, node_id, site, config) for node_id, site in replicas]
+    return MusicClient(
+        stubs, host.site, client_id=host.node_id, config=config, streams=streams
+    )

@@ -25,7 +25,6 @@ from .clock import LiveClock
 from .codec import CodecError, FrameReader, decode, encode, encode_frame
 from .config import ClusterSpec, NodeSpec, load_cluster, localhost_spec, toml_skeleton
 from .client import (
-    ReplicaHandle,
     WorkloadResult,
     build_remote_client,
     cs_workload,
@@ -44,7 +43,6 @@ __all__ = [
     "LocalCluster",
     "NodeSpec",
     "ProcessCluster",
-    "ReplicaHandle",
     "TcpTransport",
     "WorkloadResult",
     "build_remote_client",

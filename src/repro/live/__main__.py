@@ -50,7 +50,7 @@ def _cmd_node(args: argparse.Namespace) -> int:
 def _cmd_client(args: argparse.Namespace) -> int:
     spec = load_cluster(args.config)
     keys = args.keys.split(",") if args.keys else ["live-key-0"]
-    result = asyncio.run(
+    result, failures = asyncio.run(
         _drive_subprocess_workload(
             spec, keys, rounds=args.ops, n_clients=args.clients,
             timeout_s=args.timeout,
@@ -69,7 +69,9 @@ def _cmd_client(args: argparse.Namespace) -> int:
             sort_keys=True,
         )
     )
-    return 0 if result.failed_cs == 0 else 1
+    for failure in failures:
+        print(f"unhandled failure:\n{failure}", file=sys.stderr)
+    return 0 if result.failed_cs == 0 and not failures else 1
 
 
 def _cmd_localcluster(args: argparse.Namespace) -> int:

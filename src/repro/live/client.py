@@ -1,14 +1,11 @@
-"""Live clients: the unmodified service-mode client over real sockets.
+"""Live clients: the one MUSIC client, in service mode, over real sockets.
 
 A live client process builds a plain :class:`~repro.net.Node` host on
-its own :class:`~repro.live.transport.TcpTransport` and hands it to the
-**existing** :class:`repro.core.RemoteMusicClient` — the service
-deployment of Fig. 1, already written purely against the RPC surface
-that :func:`repro.core.install_service` exposes on every replica.  The
-only live-specific piece is :class:`ReplicaHandle`: the remote client
-sorts and health-checks its replica list through four attributes
-(``node_id``/``site``/``failed``/``config``), and across process
-boundaries those come from the cluster spec instead of live objects.
+its own :class:`~repro.live.transport.TcpTransport` and hands it to
+:func:`repro.core.service_client` — the same
+:class:`~repro.core.MusicClient` the simulator verifies, over RPC stubs
+of the replicas the cluster spec names.  Nothing here is live-specific
+but the spec lookup.
 
 ``cs_workload`` is the shared critical-section workload used by the
 conformance suite, the smoke runner and the live bench: ``rounds``
@@ -26,26 +23,14 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional
 
-from ..core import RemoteMusicClient
+from ..core import MusicClient, service_client
 from ..net import Node
 from ..sim import RandomStreams
 from .config import ClusterSpec
 
-__all__ = ["ReplicaHandle", "build_remote_client", "cs_workload", "WorkloadResult"]
+__all__ = ["build_remote_client", "cs_workload", "WorkloadResult"]
 
 _client_seq = itertools.count()
-
-
-class ReplicaHandle:
-    """What RemoteMusicClient needs to know about a remote replica."""
-
-    __slots__ = ("node_id", "site", "config", "failed")
-
-    def __init__(self, node_id: str, site: str, config: Any) -> None:
-        self.node_id = node_id
-        self.site = site
-        self.config = config
-        self.failed = False
 
 
 def build_remote_client(
@@ -55,20 +40,16 @@ def build_remote_client(
     site: Optional[str] = None,
     client_id: Optional[str] = None,
     seed_salt: int = 0,
-) -> RemoteMusicClient:
+) -> MusicClient:
     """A service-mode MUSIC client on this process's transport."""
-    music_config = spec.music_config()
-    handles = [
-        ReplicaHandle(music_id, spec.site_of(music_id), music_config)
-        for music_id in spec.music_ids
-    ]
-    site = site or handles[0].site
+    replicas = spec.sites_of(spec.music_ids)
+    site = site or next(iter(replicas.values()))
     if client_id is None:
         client_id = f"client-{os.getpid()}-{next(_client_seq)}"
     host = Node(clock, transport, client_id, site)
     host.start()
-    return RemoteMusicClient(
-        host, handles, config=music_config,
+    return service_client(
+        host, replicas.items(), spec.music_config(),
         streams=RandomStreams(spec.seed + seed_salt),
     )
 
@@ -121,7 +102,7 @@ def workload_metrics(result: WorkloadResult) -> Dict[str, float]:
 
 def cs_workload(
     clock: Any,
-    clients: List[RemoteMusicClient],
+    clients: List[MusicClient],
     keys: List[str],
     rounds: int,
     acquire_timeout_ms: float = 60_000.0,
@@ -131,11 +112,12 @@ def cs_workload(
     Client ``i`` works key ``keys[i % len(keys)]``; each client performs
     ``rounds`` critical sections of read → increment → write.  Returns
     the aggregate result including the final value of every key (read
-    under one last critical section per key by the first client).
+    under one last critical section per key by the first client).  The
+    workers spell Listing 1 out because the acquire is timed on its own.
     """
     result = WorkloadResult(started_ms=clock.now)
 
-    def one_client(client: RemoteMusicClient, key: str) -> Generator[Any, Any, None]:
+    def one_client(client: MusicClient, key: str) -> Generator[Any, Any, None]:
         for _ in range(rounds):
             entered = clock.now
             lock_ref = yield from client.create_lock_ref(key)
@@ -154,29 +136,21 @@ def cs_workload(
             result.cs_latencies_ms.append(clock.now - entered)
             result.completed_cs += 1
 
-    def run_all() -> Generator[Any, Any, WorkloadResult]:
-        workers = [
-            clock.process(
-                one_client(client, keys[index % len(keys)]),
-                name=f"cs-worker-{index}",
-            )
-            for index, client in enumerate(clients)
-        ]
-        yield clock.all_of(workers)
-        # Final audited read of every key, under a lock so it is a
-        # linearized observation.
-        reader = clients[0]
-        for key in keys:
-            lock_ref = yield from reader.create_lock_ref(key)
-            granted = yield from reader.acquire_lock_blocking(
-                key, lock_ref, timeout_ms=acquire_timeout_ms
-            )
-            if granted:
-                value = yield from reader.critical_get(key, lock_ref)
-                result.final_values[key] = value
-            yield from reader.release_lock(key, lock_ref)
-        result.finished_ms = clock.now
-        return result
-
-    outcome = yield from run_all()
-    return outcome
+    workers = [
+        clock.process(
+            one_client(client, keys[index % len(keys)]),
+            name=f"cs-worker-{index}",
+        )
+        for index, client in enumerate(clients)
+    ]
+    yield clock.all_of(workers)
+    # Final audited read of every key, under a lock so it is a
+    # linearized observation.
+    for key in keys:
+        section = yield from clients[0].critical_section(
+            key, timeout_ms=acquire_timeout_ms
+        )
+        result.final_values[key] = yield from section.get()
+        yield from section.exit()
+    result.finished_ms = clock.now
+    return result

@@ -2,8 +2,8 @@
 
 This is the live counterpart of :class:`repro.sim.Simulator`.  It
 implements the identical scheduler surface the DES kernel exposes —
-``now``/``event``/``timeout``/``process``/``all_of``/``any_of`` plus the
-kernel-internal ``_push``/``_push_call``/``_schedule_callback``
+``now``/``event``/``timeout``/``process``/``all_of``/``any_of``/``call_at``
+plus the kernel-internal ``_push_call``/``_schedule_callback``/``_defuse``
 hooks — but backs it with an asyncio event loop instead of a heap of
 virtual timestamps.  The existing :class:`~repro.sim.core.Event`,
 :class:`~repro.sim.core.Process`, :class:`~repro.sim.primitives.Mailbox`
@@ -30,6 +30,7 @@ import time
 import traceback
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
+from ..errors import RpcTimeout
 from ..sim.core import AllOf, AnyOf, Event, Process, Timeout
 
 __all__ = ["LiveClock"]
@@ -57,6 +58,10 @@ class LiveClock:
         # Failures that escaped a scheduled action (a handler bug, a
         # codec error): recorded loudly instead of unwinding the loop.
         self.errors: List[str] = []
+        # How many failures drained so far were bugs — everything but an
+        # RPC timeout nobody was left waiting on (peers leaving during a
+        # shutdown drain produce those).  Process exit codes read this.
+        self.fatal_failures = 0
         # Child failures defused by AllOf/AnyOf after the combinator
         # already triggered (same counter the DES kernel keeps).
         self.swallowed_failures = 0
@@ -166,8 +171,11 @@ class LiveClock:
         on.
         """
         failures, self.errors = list(self.errors), []
+        self.fatal_failures += len(failures)
         for event in self._unhandled:
             value = event._value
+            if not isinstance(value, RpcTimeout):
+                self.fatal_failures += 1
             if isinstance(value, BaseException):
                 failures.append(
                     "".join(

@@ -105,6 +105,10 @@ class ClusterSpec:
     def site_of(self, node_id: str) -> str:
         return self.owner_of(node_id).site
 
+    def sites_of(self, node_ids: List[str]) -> Dict[str, str]:
+        """protocol node id -> site: the layout the assembly functions take."""
+        return {node_id: self.site_of(node_id) for node_id in node_ids}
+
     def latency_profile(self) -> LatencyProfile:
         """A flat advisory profile over the cluster's sites."""
         sites = tuple(self.site_names)

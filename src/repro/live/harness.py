@@ -30,7 +30,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs import ECFAuditor, load_audit_jsonl, merge_audit_events
 from .client import WorkloadResult, build_remote_client, cs_workload, workload_metrics
@@ -221,8 +221,9 @@ async def _drive_subprocess_workload(
     rounds: int,
     n_clients: int,
     timeout_s: float,
-) -> WorkloadResult:
-    """The client half of a subprocess-cluster run (in this process)."""
+) -> Tuple[WorkloadResult, List[str]]:
+    """The client half of a subprocess-cluster run (in this process):
+    the workload's result and the client clock's unhandled failures."""
     clock = LiveClock(epoch=spec.epoch)
     transport = TcpTransport(clock, spec, listen=None)
     try:
@@ -234,12 +235,13 @@ async def _drive_subprocess_workload(
             )
             for i in range(n_clients)
         ]
-        return await asyncio.wait_for(
+        result = await asyncio.wait_for(
             clock.run_process(
                 cs_workload(clock, clients, keys, rounds), name="workload"
             ),
             timeout=timeout_s,
         )
+        return result, clock.drain_failures()
     finally:
         await transport.close()
         clock.close()
@@ -298,7 +300,7 @@ def run_localcluster(
     cluster = ProcessCluster(spec)
     cluster.start()
     try:
-        result = asyncio.run(
+        result, client_failures = asyncio.run(
             _drive_subprocess_workload(spec, keys, rounds, n_clients, timeout_s)
         )
     finally:
@@ -314,6 +316,7 @@ def run_localcluster(
         "rounds": rounds,
         "n_clients": n_clients,
         "exit_codes": exit_codes,
+        "client_failures": client_failures,
         "metrics": workload_metrics(result),
         "final_values": result.final_values,
         "expected_values": expected,
@@ -324,5 +327,6 @@ def run_localcluster(
         not auditor.violations
         and result.final_values == expected
         and all(code == 0 for code in exit_codes)
+        and not client_failures
     )
     return summary

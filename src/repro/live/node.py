@@ -1,12 +1,13 @@
 """One OS process of a live MUSIC cluster.
 
 ``LiveProcess`` builds, from one :class:`~repro.live.config.ClusterSpec`
-entry, exactly what :func:`repro.core.build_music` builds for the whole
-simulated world — storage replicas, the placement ring, MUSIC replicas,
-the service RPC surface, observability — but only the slice this
-process hosts, wired to a :class:`~repro.live.clock.LiveClock` and a
-:class:`~repro.live.transport.TcpTransport` instead of the DES.  The
-protocol classes themselves (``StorageReplica``, ``MusicReplica``,
+entry, what :func:`repro.core.build_music` builds for the whole
+simulated world — through the same two assembly functions
+(:func:`repro.store.build_cluster`, :func:`repro.core.build_replicas`),
+handed a :class:`~repro.live.clock.LiveClock` and a
+:class:`~repro.live.transport.TcpTransport` instead of the DES pair,
+the spec's full node -> site layout, and the ids this process hosts.
+The protocol classes themselves (``StorageReplica``, ``MusicReplica``,
 ``LockStore``, ``StoreCoordinator``) are the identical, unmodified
 code — that is the whole point.
 
@@ -30,13 +31,10 @@ import sys
 from pathlib import Path
 from typing import Any, List, Optional
 
-from ..core import MusicReplica, install_service
-from ..core.failure_detector import FailureDetector
+from ..core import build_replicas
 from ..obs import AuditRecorder, Observability, write_audit_jsonl, write_jsonl
-from ..sim import NodeClock, RandomStreams
-from ..store import StoreCluster
-from ..store.replica import StorageReplica
-from ..store.ring import HashRing
+from ..sim import RandomStreams
+from ..store import build_cluster
 from .clock import LiveClock
 from .config import ClusterSpec
 from .transport import TcpTransport
@@ -75,51 +73,23 @@ class LiveProcess:
         self.transport = TcpTransport(
             self.clock, spec, obs=self.obs, listen=self.node_spec.address
         )
-        streams = RandomStreams(spec.seed)
-        store_config = spec.store_config()
-
-        # The placement ring spans the *whole* cluster (deterministic:
-        # every process builds it identically from the spec); only the
-        # locally-hosted replicas are instantiated here.
-        ring = HashRing(vnodes=store_config.ring_vnodes)
-        all_store_ids = spec.store_ids
-        for store_id in all_store_ids:
-            ring.add_node(store_id, spec.site_of(store_id))
-        local_replicas: List[StorageReplica] = []
-        for store_id in self.node_spec.store:
-            replica = StorageReplica(
-                self.clock, self.transport, store_id, self.node_spec.site,
-                store_config, clock=NodeClock(self.clock),
-                peers=list(all_store_ids),
-            )
-            replica.ring = ring
-            local_replicas.append(replica)
-        self.store = StoreCluster(
-            self.clock, self.transport, store_config, local_replicas,
-            ring, streams,
+        # The layouts span the *whole* cluster (deterministic: every
+        # process derives them identically from the spec); only the
+        # locally-hosted nodes are instantiated here.
+        self.store = build_cluster(
+            self.clock, self.transport, self.transport.profile,
+            config=spec.store_config(), streams=RandomStreams(spec.seed),
+            layout=spec.sites_of(spec.store_ids),
+            local=self.node_spec.store,
         )
         self.store.start()
-
-        self.replicas: List[MusicReplica] = []
-        self.detectors: List[FailureDetector] = []
-        for music_id in self.node_spec.music:
-            replica = MusicReplica(
-                self.clock, self.transport, music_id, self.node_spec.site,
-                self.store, config=music_config,
-                clock=NodeClock(self.clock),
-            )
-            replica.peer_ids = [
-                peer for peer in spec.music_ids if peer != music_id
-            ]
-            replica.start()
-            # The service deployment of Fig. 1: every ECF operation is
-            # reachable over RPC, which is how live clients talk to us.
-            install_service(replica)
-            self.replicas.append(replica)
-            if music_config.failure_detection_enabled:
-                detector = FailureDetector(replica)
-                detector.start()
-                self.detectors.append(detector)
+        # Every replica serves its operations over RPC (the service
+        # deployment of Fig. 1), which is how live clients reach us.
+        self.replicas, self.detectors = build_replicas(
+            self.clock, self.transport, self.store,
+            spec.sites_of(spec.music_ids), music_config,
+            local=self.node_spec.music,
+        )
 
         self._shutdown_done = False
 
@@ -219,4 +189,6 @@ async def run_node(
         await process.shutdown()
         process.report_failures()
     print(f"STOPPED {node_name}", flush=True)
-    return 0
+    # Nothing fails silently: an exception that escaped a handler or a
+    # scheduled action fails the process, not just its log.
+    return 1 if process.clock.fatal_failures else 0

@@ -105,12 +105,10 @@ class Clock(Protocol):
     def call_at(self, when: float, action: Callable[[], None]) -> None: ...
 
     # Kernel-internal surface: Event/Timeout/Process objects schedule
-    # themselves through these, so any Clock must provide them.
-    # ``_push_call`` is the allocation-free fast path (``fn(arg)``, no
-    # closure); ``_defuse`` accounts an AllOf/AnyOf child failure that
+    # themselves through these three, so any Clock must provide them.
+    # ``_push_call`` schedules ``fn(arg)`` after a delay without a
+    # closure; ``_defuse`` accounts an AllOf/AnyOf child failure that
     # lost the race after the combinator triggered.
-    def _push(self, delay: float, action: Callable[[], None]) -> None: ...
-
     def _push_call(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None: ...
 
     def _schedule_callback(
@@ -171,7 +169,7 @@ def require_clock(candidate: Any) -> Any:
             name
             for name in (
                 "now", "active_process", "profiler", "event", "timeout",
-                "process", "all_of", "any_of", "call_at", "_push",
+                "process", "all_of", "any_of", "call_at",
                 "_push_call", "_schedule_callback", "_defuse",
             )
             if not hasattr(candidate, name)

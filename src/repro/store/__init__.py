@@ -1,6 +1,6 @@
 """Cassandra-like replicated store: quorum ops, LWTs, sharding, anti-entropy."""
 
-from .cluster import StoreCluster, build_cluster
+from .cluster import StoreCluster, build_cluster, site_layout
 from .config import StoreConfig
 from .coordinator import CasResult, StoreCoordinator
 from .replica import PaxosState, StorageReplica
@@ -38,5 +38,6 @@ __all__ = [
     "StoreCoordinator",
     "Update",
     "build_cluster",
+    "site_layout",
     "payload_size",
 ]

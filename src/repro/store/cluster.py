@@ -8,7 +8,7 @@ nodes within a site via the hash ring.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Collection, Dict, List, Mapping, Optional, Sequence
 
 from ..net import LatencyProfile, Network, Node
 from ..sim import NodeClock, RandomStreams, Simulator
@@ -17,7 +17,7 @@ from .coordinator import StoreCoordinator
 from .replica import StorageReplica
 from .ring import HashRing
 
-__all__ = ["StoreCluster", "build_cluster"]
+__all__ = ["StoreCluster", "build_cluster", "site_layout"]
 
 
 class StoreCluster:
@@ -93,6 +93,16 @@ class StoreCluster:
             replica.recover()
 
 
+def site_layout(prefix: str, site_names: Sequence[str], per_site: int) -> Dict[str, str]:
+    """Node id -> site for ``per_site`` nodes at every site, under the
+    id scheme all deployments share (``<prefix>-<site index>-<slot>``)."""
+    return {
+        f"{prefix}-{site_index}-{slot}": site
+        for site_index, site in enumerate(site_names)
+        for slot in range(per_site)
+    }
+
+
 def build_cluster(
     sim: Simulator,
     network: Network,
@@ -102,8 +112,17 @@ def build_cluster(
     streams: Optional[RandomStreams] = None,
     cores: int = 8,
     clock_skew_ms: float = 0.0,
+    layout: Optional[Mapping[str, str]] = None,
+    local: Optional[Collection[str]] = None,
 ) -> StoreCluster:
     """Build and return a (not yet started) store cluster.
+
+    The one store assembly, for any :mod:`repro.runtime` ``(Clock,
+    Transport)`` pair: ``layout`` maps *every* storage node of the
+    cluster to its site (default: ``nodes_per_site`` per profile site)
+    and fixes the placement ring and the peer list; ``local`` names the
+    nodes instantiated here (default: all of them — the simulated
+    world; a live process passes the ids it hosts).
 
     ``clock_skew_ms`` spreads replica clock offsets over +/- the given
     bound, exercising MUSIC's independence from cross-node clock
@@ -112,30 +131,27 @@ def build_cluster(
     config = config or StoreConfig(replication_factor=len(profile.site_names))
     streams = streams or RandomStreams(0)
     skew_rng = streams.stream("clock-skew")
+    if layout is None:
+        layout = site_layout("store", profile.site_names, nodes_per_site)
     ring = HashRing(vnodes=config.ring_vnodes)
+    node_ids = list(layout)
     replicas: List[StorageReplica] = []
-    node_ids: List[str] = []
-    for site_index, site in enumerate(profile.site_names):
-        for slot in range(nodes_per_site):
-            node_ids.append(f"store-{site_index}-{slot}")
-
-    for node_id in node_ids:
-        site_index = int(node_id.split("-")[1])
-        site = profile.site_names[site_index]
+    for node_id, site in layout.items():
+        # Drawn for every node, hosted here or not, so a node's offset
+        # depends on the seed alone.
         offset = skew_rng.uniform(-clock_skew_ms, clock_skew_ms) if clock_skew_ms else 0.0
-        replica = StorageReplica(
-            sim,
-            network,
-            node_id,
-            site,
-            config,
-            cores=cores,
-            clock=NodeClock(sim, offset=offset),
-            peers=node_ids,
-        )
+        if local is None or node_id in local:
+            replica = StorageReplica(
+                sim,
+                network,
+                node_id,
+                site,
+                config,
+                cores=cores,
+                clock=NodeClock(sim, offset=offset),
+                peers=node_ids,
+            )
+            replica.ring = ring
+            replicas.append(replica)
         ring.add_node(node_id, site)
-        replicas.append(replica)
-
-    for replica in replicas:
-        replica.ring = ring
     return StoreCluster(sim, network, config, replicas, ring, streams, cores=cores)

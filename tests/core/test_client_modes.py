@@ -1,0 +1,421 @@
+"""One client contract, both deployments of Fig. 1.
+
+Every case here runs twice: once over a ``library`` client (handed the
+MUSIC replicas themselves) and once over a ``service`` client (the same
+``MusicClient`` handed RPC stubs, on its own host).  The client code is
+one implementation, so its retry accounting, deadline discipline and
+Listing-1 surface must not depend on which it was handed.
+
+Two seed bugs stay pinned (they once lived in both client forks):
+
+1. the failover loop *burned a retry attempt* on every known-failed
+   replica it skipped, and with every replica failed spun dry before
+   failing.  Each attempt now lands on a live replica and the
+   all-failed case raises immediately;
+2. ``acquire_lock_blocking`` slept its full backoff interval past the
+   caller's deadline and then polled one extra time.  The sleep is
+   clamped to the remaining deadline and the deadline re-checked before
+   the next attempt.
+
+The service-only cases at the bottom pin what only exists across a
+wire: the client-to-replica hop, and the two bugs the forked service
+client had (watermark not sent, release push lost during the poll).
+"""
+
+import pytest
+
+from repro.core import build_music, service_client
+from repro.core.service import PUSH_WAIT_MS
+from repro.errors import NotLockHolder, QuorumUnavailable, ReproError
+from repro.net import Node
+
+MODES = ("library", "service")
+
+
+@pytest.fixture(params=MODES)
+def mode(request):
+    return request.param
+
+
+def client_of(music, mode, site="Ohio"):
+    return music.client(site) if mode == "library" else music.service_client(site)
+
+
+def run(music, generator, limit=1e9):
+    return music.sim.run_until_complete(music.sim.process(generator), limit=limit)
+
+
+# -- failover attempt accounting ---------------------------------------------
+
+
+def test_failover_attempts_all_land_on_the_live_replica(mode):
+    """With two replicas pre-failed, every one of the op_retry_limit
+    attempts must still contact the remaining live replica (the seed
+    bug burned attempts skipping the failed ones)."""
+    music = build_music()
+    client = client_of(music, mode)
+    music.replica_at("Ohio").crash()
+    music.replica_at("Oregon").crash()
+    music.config.op_retry_delay_ms = 1.0
+    calls = []
+
+    def nacking_op(replica):
+        calls.append(replica.site)
+        raise QuorumUnavailable("synthetic nack")
+        yield  # pragma: no cover - makes this a generator function
+
+    def task():
+        try:
+            yield from client._with_failover("op", nacking_op)
+        except QuorumUnavailable:
+            return "nacked"
+        return "ok"
+
+    assert run(music, task()) == "nacked"
+    assert len(calls) == music.config.op_retry_limit
+    assert set(calls) == {"N.California"}
+
+
+def test_failed_replicas_are_skipped_without_burning_attempts(mode):
+    music = build_music()
+    client = client_of(music, mode)
+    music.replica_at("Ohio").crash()
+    music.replica_at("Oregon").crash()
+
+    def task():
+        # The one live replica still serves the op on the first attempt.
+        yield from client.put("k", "v")
+        value = yield from client.get("k")
+        return value
+
+    assert run(music, task()) == "v"
+
+
+def test_failover_raises_immediately_when_every_replica_is_failed(mode):
+    music = build_music()
+    client = client_of(music, mode)
+    for replica in music.replicas:
+        replica.crash()
+    started = music.sim.now
+
+    def task():
+        try:
+            yield from client.get("k")
+        except QuorumUnavailable as error:
+            return str(error)
+        return None
+
+    message = run(music, task())
+    assert message is not None and "every replica is failed" in message
+    # No retry sleeps: the failure is synchronous, not op_retry_limit
+    # rounds of backoff against nothing.
+    assert music.sim.now == started
+
+
+def test_failover_happy_path_uses_one_attempt(mode):
+    music = build_music()
+    client = client_of(music, mode)
+    calls = []
+
+    def op(replica):
+        calls.append(replica.site)
+        return "value"
+        yield  # pragma: no cover
+
+    def task():
+        result = yield from client._with_failover("op", op)
+        return result
+
+    assert run(music, task()) == "value"
+    assert calls == ["Ohio"]  # home replica first, exactly once
+
+
+def test_client_fails_over_across_replicas(mode):
+    music = build_music()
+    client = client_of(music, mode)
+    music.replica_at("Ohio").crash()
+
+    def task():
+        cs = yield from client.critical_section("k")
+        yield from cs.put("via-failover")
+        value = yield from cs.get()
+        yield from cs.exit()
+        return value
+
+    assert run(music, task()) == "via-failover"
+
+
+def test_nacks_without_backend_quorum(mode):
+    music = build_music()
+    client = client_of(music, mode)
+    music.store.config.rpc_timeout_ms = 300.0
+    music.network.isolate_site("N.California")
+    music.network.isolate_site("Oregon")
+
+    def task():
+        try:
+            yield from client.create_lock_ref("k")
+        except QuorumUnavailable:
+            return "nack"
+        return "ok"
+
+    assert run(music, task()) == "nack"
+
+
+# -- blocking-acquire deadline -----------------------------------------------
+
+# A poll in flight when the deadline passes still completes.  A library
+# poll is a local peek; a service poll adds one intra-site round trip.
+OVERSHOOT_MS = {"library": 1e-9, "service": 10.0}
+
+
+def _contended_wait(mode, timeout_ms, **build_kwargs):
+    music = build_music(**build_kwargs)
+    holder = music.client("Ohio")
+    waiter = client_of(music, mode, "Oregon")
+
+    def task():
+        cs = yield from holder.critical_section("k")
+        ref = yield from waiter.create_lock_ref("k")
+        started = music.sim.now
+        granted = yield from waiter.acquire_lock_blocking(
+            "k", ref, timeout_ms=timeout_ms
+        )
+        waited = music.sim.now - started
+        yield from cs.exit()
+        yield from waiter.release_lock("k", ref)
+        return granted, waited
+
+    return run(music, task())
+
+
+@pytest.mark.parametrize("timeout_ms", [400.0, 1_000.0, 2_500.0])
+def test_acquire_blocking_respects_its_deadline(mode, timeout_ms):
+    """A contended acquire with a timeout returns False within
+    timeout_ms (+ a poll already in flight) — the seed bug overshot by
+    up to a full backed-off poll interval (500 ms)."""
+    granted, waited = _contended_wait(mode, timeout_ms)
+    assert granted is False
+    assert waited <= timeout_ms + OVERSHOOT_MS[mode], waited
+
+
+def test_acquire_blocking_deadline_holds_with_push_grants(mode):
+    """Same contract with the push-grant wait path active."""
+    granted, waited = _contended_wait(mode, 800.0, fast_locks=True)
+    assert granted is False
+    assert waited <= 800.0 + OVERSHOOT_MS[mode], waited
+
+
+def test_critical_section_times_out_and_gives_the_ref_back(mode):
+    music = build_music()
+    holder = music.client("Ohio")
+    waiter = client_of(music, mode, "Oregon")
+
+    def task():
+        cs = yield from holder.critical_section("k")
+        with pytest.raises(ReproError, match="timed out"):
+            yield from waiter.critical_section("k", timeout_ms=300.0)
+        yield from cs.exit()
+        # The timed-out lockRef was released, not orphaned: the next
+        # section enters without waiting for a failure detector.
+        again = yield from waiter.critical_section("k", timeout_ms=5_000.0)
+        yield from again.exit()
+        return "done"
+
+    assert run(music, task()) == "done"
+
+
+# -- the Listing-1 surface ---------------------------------------------------
+
+
+def test_critical_section_round_trip(mode):
+    music = build_music()
+    client = client_of(music, mode)
+
+    def task():
+        ref = yield from client.create_lock_ref("k")
+        granted = yield from client.acquire_lock_blocking("k", ref)
+        assert granted
+        yield from client.critical_put("k", ref, {"v": 1})
+        value = yield from client.critical_get("k", ref)
+        yield from client.release_lock("k", ref)
+        return value
+
+    assert run(music, task()) == {"v": 1}
+
+
+def test_critical_delete(mode):
+    music = build_music()
+    client = client_of(music, mode)
+
+    def task():
+        cs = yield from client.critical_section("k")
+        yield from cs.put("data")
+        before = yield from cs.get()
+        yield from cs.delete()
+        after = yield from cs.get()
+        yield from cs.exit()
+        return before, after
+
+    assert run(music, task()) == ("data", None)
+
+
+def test_unlocked_ops_and_get_all_keys(mode):
+    music = build_music()
+    client = client_of(music, mode)
+
+    def task():
+        yield from client.put("job-1", {"s": 1})
+        yield from client.put("job-2", {"s": 2})
+        yield music.sim.timeout(50.0)
+        keys = yield from client.get_all_keys()
+        value = yield from client.get("job-1")
+        return keys, value
+
+    keys, value = run(music, task())
+    assert keys == ["job-1", "job-2"]
+    assert value == {"s": 1}
+
+
+def test_errors_reach_the_caller_typed(mode):
+    music = build_music()
+    client = client_of(music, mode)
+    client_b = music.client("Oregon")
+
+    def task():
+        ref = yield from client.create_lock_ref("k")
+        granted = yield from client.acquire_lock_blocking("k", ref)
+        assert granted
+        yield from client.release_lock("k", ref)
+        ref_b = yield from client_b.create_lock_ref("k")
+        yield from client_b.acquire_lock_blocking("k", ref_b)
+        # The stale ref must surface NotLockHolder, not a generic error
+        # — and releasing it again is a no-op, not a failure.
+        with pytest.raises(NotLockHolder):
+            yield from client.critical_put("k", ref, "stale")
+        assert (yield from client.release_lock("k", ref)) is True
+        yield from client_b.release_lock("k", ref_b)
+        return "done"
+
+    assert run(music, task()) == "done"
+
+
+def test_stamped_and_txn_ops(mode):
+    """The version tokens the transaction layer records ride every
+    path: the stamp a critical write was acknowledged under is the
+    stamp the next read — guarded or not — reports."""
+    music = build_music()
+    client = client_of(music, mode)
+
+    def task():
+        cs = yield from client.critical_section("k")
+        put_stamp = yield from client.critical_put_stamped("k", cs.lock_ref, "a")
+        value, get_stamp = yield from client.critical_get_stamped("k", cs.lock_ref)
+        yield from cs.exit()
+        unguarded = yield from client.txn_read("k")
+        newer = (put_stamp[0] + 1.0, "txn")
+        yield from client.txn_write("k", "b", newer)
+        rewritten = yield from client.txn_read("k")
+        return put_stamp, (value, get_stamp), unguarded, rewritten, newer
+
+    put_stamp, guarded, unguarded, rewritten, newer = run(music, task())
+    assert guarded == ("a", put_stamp)
+    assert unguarded == ("a", put_stamp)
+    assert rewritten == ("b", newer)
+
+
+def test_bounded_reads_keep_the_session_prefix(mode):
+    music = build_music(read_leases=True, audit=True)
+    writer = music.client("Ohio")
+    reader = client_of(music, mode)
+    ohio = music.replica_at("Ohio")
+
+    def task():
+        yield from writer.put("k", "old")
+        yield music.sim.timeout(1_000.0)      # "old" fully replicated
+        yield from writer.put("k", "new")     # acked by Ohio only
+        first = yield from reader.get("k", staleness_ms=5_000.0)
+        ohio.crash(preserve_memory=True)
+        # Failover lands on a replica whose ONE read races the still-in-
+        # flight replication of "new"; the session watermark covers it.
+        second = yield from reader.get("k", staleness_ms=5_000.0)
+        ohio.recover()
+        return first, second
+
+    assert run(music, task()) == ("new", "new")
+    assert music.auditor.clean, music.auditor.render_report()
+
+
+# -- service mode only: what exists only across a wire -----------------------
+
+
+def far_client_of(music):
+    """A service client in Oregon that knows only the Ohio replica: every
+    operation crosses the 72 ms Oregon-Ohio link."""
+    far_host = Node(music.sim, music.network, "far-host", "Oregon")
+    far_host.start()
+    ohio = music.replica_at("Ohio")
+    return service_client(
+        far_host, [(ohio.node_id, ohio.site)], music.config, streams=music.streams
+    )
+
+
+def test_service_mode_pays_the_client_to_replica_hop():
+    """Service mode adds a client-to-replica round trip per op; a
+    client far from every replica it knows pays a WAN hop."""
+    music = build_music()
+    far_client = far_client_of(music)
+
+    def task():
+        start = music.sim.now
+        yield from far_client.put("k", "x")
+        return music.sim.now - start
+
+    # One Oregon->Ohio round trip (72.14ms) on top of the eventual write.
+    assert run(music, task()) > 70.0
+
+
+def test_release_during_the_poll_round_trip_wakes_a_service_waiter():
+    """Push grants, service mode: a release decided while the waiter's
+    acquireLock poll is crossing the wire must still wake it.  The
+    forked service client subscribed (``music.waitRelease``) only
+    *after* the poll returned, so a push landing in between was lost and
+    the waiter slept out the 2 s long-poll bound with the lock free.
+
+    The waiter sits a WAN hop (72 ms RTT) from the only replica it
+    knows, which makes the window wide, and starts polling at a fixed
+    time with its lockRef already minted; the holder's release is swept
+    across that first poll so some releases are decided inside it.
+    """
+    poll_at_ms = 1_500.0
+    waits = []
+    for release_after_ms in range(1_000, 1_300, 20):
+        music = build_music(fast_locks=True, seed=5)
+        sim = music.sim
+        holder = music.client("Ohio")
+        waiter = far_client_of(music)
+        released_at = []
+
+        def hold():
+            cs = yield from holder.critical_section("k")
+            yield sim.timeout(float(release_after_ms))
+            yield from cs.exit()
+            released_at.append(sim.now)
+
+        def wait():
+            yield sim.timeout(600.0)  # the holder is in by now
+            ref = yield from waiter.create_lock_ref("k")
+            yield sim.timeout(poll_at_ms - sim.now)
+            granted = yield from waiter.acquire_lock_blocking("k", ref)
+            assert granted
+            granted_at = sim.now
+            yield from waiter.release_lock("k", ref)
+            return granted_at
+
+        sim.process(hold())
+        granted_at = run(music, wait())
+        waits.append(granted_at - max(released_at[0], poll_at_ms))
+
+    # One client<->replica round trip, the short re-poll fuse and the
+    # grant's own quorum flag read at worst — never the long-poll bound.
+    assert max(waits) < 200.0 < PUSH_WAIT_MS, waits

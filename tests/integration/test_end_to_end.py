@@ -8,11 +8,10 @@ and remote clients, recipes, multi-key sections and a flapping WAN link
 
 import pytest
 
-from repro.core import MusicConfig, build_music, install_service, RemoteMusicClient
+from repro.core import MusicConfig, build_music
 from repro.core.multikey import enter_multi
 from repro.errors import ReproError
 from repro.faults import FaultSchedule, flaky_link_profile
-from repro.net import Node
 from repro.recipes import AtomicCounter, AtomicQueue
 
 
@@ -27,8 +26,6 @@ def soak_result():
     music = build_music(nodes_per_site=3, music_config=config, seed=202,
                         anti_entropy=True)
     sim = music.sim
-    for replica in music.replicas:
-        install_service(replica)
 
     faults = FaultSchedule(sim, music.network)
     flaky_link_profile(faults, "Ohio", "Oregon", start=5_000.0, end=40_000.0,
@@ -112,9 +109,7 @@ def soak_result():
         return op
 
     # 4. A remote (REST-mode) client writing its own keys.
-    app_host = Node(sim, music.network, "soak-app", "N.California")
-    app_host.start()
-    remote = RemoteMusicClient(app_host, music.replicas, streams=music.streams)
+    remote = music.service_client("N.California", client_id="soak-app")
 
     def remote_op():
         key = f"remote-{stats['remote_writes']}"

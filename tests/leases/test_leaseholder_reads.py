@@ -91,11 +91,16 @@ def test_next_holder_reads_latest_across_sites():
     assert music.auditor.clean, music.auditor.render_report()
 
 
-def test_session_watermark_guards_failover_mirror():
+@pytest.mark.parametrize("mode", ["library", "service"])
+def test_session_watermark_guards_failover_mirror(mode):
     """Mid-section failover: a put acknowledged via another replica must
-    never be shadowed by the first replica's stale-but-in-window mirror."""
+    never be shadowed by the first replica's stale-but-in-window mirror.
+
+    In service mode the watermark has to cross the wire: the forked
+    service client's ``music.criticalGet`` carried only ``key, lock_ref``,
+    so the recovered replica served its stale mirror ("v1")."""
     music = build()
-    client = music.client("Ohio")
+    client = music.client("Ohio") if mode == "library" else music.service_client("Ohio")
     ohio = music.replica_at("Ohio")
 
     def scenario():

@@ -3,10 +3,10 @@ transports, auditor on, zero violations, identical client-visible state.
 
 The workload is the shared counter-increment CS loop from
 ``repro.live.client.cs_workload``, run in **service mode** in both
-worlds (clients reach replicas over RPC through ``install_service``):
+worlds (the one ``MusicClient`` handed RPC stubs of the replicas):
 
-* DES: ``build_music(audit=True)`` + RemoteMusicClient on the
-  simulated Network — deterministic schedule, online auditing.
+* DES: ``build_music(audit=True)`` + ``deployment.service_client`` on
+  the simulated Network — deterministic schedule, online auditing.
 * live: a 3-node ``LocalCluster`` — real TCP sockets, wall-clock
   schedule, per-node audit slices merged and replayed offline.
 
@@ -17,9 +17,8 @@ schedules — and neither mode may raise a single ECF violation.
 
 import asyncio
 
-from repro.core import RemoteMusicClient, build_music, install_service
+from repro.core import build_music
 from repro.live import LocalCluster, cs_workload
-from repro.net import Node
 
 from .conftest import make_spec
 
@@ -39,19 +38,11 @@ def expected_counters(keys, n_clients, rounds):
 def run_sim_workload(keys, n_clients=N_CLIENTS, rounds=ROUNDS, seed=11):
     deployment = build_music(seed=seed, audit=True)
     sim = deployment.sim
-    for replica in deployment.replicas:
-        install_service(replica)
     sites = deployment.profile.site_names
-    clients = []
-    for index in range(n_clients):
-        host = Node(sim, deployment.network, f"app-host-{index}", sites[index % len(sites)])
-        host.start()
-        clients.append(
-            RemoteMusicClient(
-                host, deployment.replicas, config=deployment.config,
-                streams=deployment.streams,
-            )
-        )
+    clients = [
+        deployment.service_client(sites[index % len(sites)])
+        for index in range(n_clients)
+    ]
     result = sim.run_until_complete(
         sim.process(cs_workload(sim, clients, keys, rounds)), limit=1e9
     )

@@ -66,3 +66,22 @@ def test_require_transport_names_missing_attributes():
     with pytest.raises(TypeError) as exc:
         require_transport(NotATransport())
     assert "send" in str(exc.value)
+
+
+def test_clock_contract_does_not_include_push():
+    """``_push`` is a private method of each kernel (behind ``call_at``),
+    not part of the seam: a clock without it is still a Clock."""
+
+    class WithoutPush:
+        def __init__(self, sim):
+            self._sim = sim
+
+        def __getattr__(self, name):
+            if name == "_push":
+                raise AttributeError(name)
+            return getattr(self._sim, name)
+
+    clock = WithoutPush(Simulator())
+    assert not hasattr(clock, "_push")
+    assert isinstance(clock, Clock)
+    require_clock(clock)

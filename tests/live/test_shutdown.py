@@ -71,3 +71,40 @@ def test_shutdown_is_idempotent(tmp_path):
             await process.shutdown()  # already shut down: no-op
 
     asyncio.run(main())
+
+
+def test_an_escaped_handler_exception_fails_the_node_exit_code(tmp_path, monkeypatch):
+    """Nothing fails silently in a live process (ROADMAP 4e): a node
+    whose handler raised exits non-zero — it used to ``return 0``
+    whatever its clock had recorded — while a node that merely served
+    and drained exits 0."""
+    from repro.live import LiveClock, TcpTransport
+    from repro.live import node as node_module
+    from repro.net import Node
+
+    class FaultyProcess(node_module.LiveProcess):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+
+            def boom(message):
+                raise RuntimeError("injected handler bug")
+
+            self.replicas[0].on("test.boom", boom)
+
+    monkeypatch.setattr(node_module, "LiveProcess", FaultyProcess)
+    spec = make_spec(n_nodes=1, tmp_path=tmp_path)
+
+    async def serve(poke: bool) -> int:
+        serving = asyncio.create_task(node_module.run_node(spec, "n0", duration_s=0.5))
+        if poke:
+            await asyncio.sleep(0.2)
+            clock = LiveClock(epoch=spec.epoch)
+            transport = TcpTransport(clock, spec, listen=None)
+            Node(clock, transport, "poker", "site-0").send("music-0-0", "test.boom", {})
+            await asyncio.sleep(0.2)
+            await transport.close()
+            clock.close()
+        return await serving
+
+    assert asyncio.run(serve(poke=False)) == 0
+    assert asyncio.run(serve(poke=True)) == 1

@@ -16,9 +16,11 @@ def run_workload(
     read_fraction=0.4,
     keys_per_txn=(2, 3),
     stream="txn-test",
+    make_client=None,
 ):
     """Drive ``clients`` workers through the retrying executor; returns
-    the list of :class:`~repro.txn.TxnResult`."""
+    the list of :class:`~repro.txn.TxnResult`.  ``make_client(site)``
+    defaults to the deployment's library-mode clients."""
     sim = deployment.sim
     mix = txn_mix(keys_per_txn, read_fraction=read_fraction, zipf_theta=theta)
     rng = deployment.streams.stream(stream)
@@ -31,9 +33,10 @@ def run_workload(
             result = yield from executor.run(spec)
             results.append(result)
 
+    make_client = make_client or deployment.client
     procs = []
     for index in range(clients):
-        client = deployment.client(sites[index % len(sites)])
+        client = make_client(sites[index % len(sites)])
         specs = list(mix.transactions(txns_per_client, key_count, rng))
         procs.append(sim.process(worker(client, specs)))
     for proc in procs:
