@@ -7,9 +7,8 @@ full MUSIC critical section.
 """
 
 from repro.core import build_music
-from repro.net import PROFILE_LUS, Network
-from repro.sim import RandomStreams, Simulator
-from repro.store import Condition, StoreConfig, build_cluster
+from repro.sim import Simulator
+from repro.store import Condition
 from repro.store.types import Update
 from tests.helpers import make_store
 

@@ -3,13 +3,10 @@
 from .cost_model import CostModel
 from .report import render_bars, render_cdf, render_series, render_table
 from .stats import Summary, cdf_points, percentile, summarize
-from .timeline import TraceEntry, Tracer
 
 __all__ = [
     "CostModel",
     "Summary",
-    "TraceEntry",
-    "Tracer",
     "cdf_points",
     "percentile",
     "render_bars",

@@ -4,7 +4,6 @@ from .experiments import EXPERIMENTS, ExperimentResult, run_experiment, scale_na
 from .harness import LatencyResult, ThroughputResult, measure_latency, measure_throughput
 from .results import (
     BENCH_SCHEMA,
-    append_bench_entry,
     bench_record,
     load_bench_json,
     results_dir,
@@ -17,7 +16,6 @@ __all__ = [
     "ExperimentResult",
     "LatencyResult",
     "ThroughputResult",
-    "append_bench_entry",
     "bench_record",
     "load_bench_json",
     "measure_latency",

@@ -1,8 +1,8 @@
 """The shared ``benchmarks/results/BENCH_*.json`` writer.
 
 Every benchmark axis used to emit its own ad-hoc JSON shape, which meant
-each new tool that wanted to read results (the perf-trajectory gate, CI
-comparisons, the report CLI) had to special-case four files.  This
+each new tool that wanted to read results (CI comparisons, the report
+CLI) had to special-case four files.  This
 module fixes the envelope once:
 
 .. code-block:: json
@@ -20,11 +20,6 @@ module fixes the envelope once:
 by the caller — the writer adds nothing implicit (no clock reads, no env
 sniffing), so emitting the same data twice produces byte-identical files
 and committed baselines stay diff-clean.
-
-Trajectory files (``BENCH_simcore.json``) hold an append-only history
-instead of one snapshot: ``{"schema": ..., "name": ..., "entries":
-[record, ...]}`` where each entry is a full record.  Use
-:func:`append_bench_entry` for those.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ __all__ = [
     "bench_record",
     "results_dir",
     "write_bench_json",
-    "append_bench_entry",
     "load_bench_json",
 ]
 
@@ -92,46 +86,11 @@ def write_bench_json(
     return target
 
 
-def append_bench_entry(
-    name: str,
-    config: Dict[str, Any],
-    seed: Optional[int],
-    metrics: Dict[str, Any],
-    timestamp: Optional[float] = None,
-    filename: Optional[str] = None,
-    keep_last: Optional[int] = None,
-) -> Optional[pathlib.Path]:
-    """Append one record to the trajectory file ``BENCH_<name>.json``.
-
-    The file holds ``{"schema", "name", "entries": [...]}``; a malformed
-    or missing file starts a fresh history.  ``keep_last`` bounds the
-    history length (oldest entries dropped first).
-    """
-    target = results_dir() / (filename or f"BENCH_{name}.json")
-    document: Dict[str, Any] = {"schema": BENCH_SCHEMA, "name": name, "entries": []}
-    try:
-        existing = json.loads(target.read_text())
-        if isinstance(existing, dict) and isinstance(existing.get("entries"), list):
-            document["entries"] = existing["entries"]
-    except (OSError, ValueError):
-        pass
-    document["entries"].append(bench_record(name, config, seed, metrics, timestamp))
-    if keep_last is not None and keep_last > 0:
-        document["entries"] = document["entries"][-keep_last:]
-    try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
-    except OSError:
-        return None
-    return target
-
-
 def load_bench_json(path: Any) -> Dict[str, Any]:
-    """Load and validate a BENCH file (snapshot or trajectory).
+    """Load and validate a BENCH file.
 
-    Raises ``ValueError`` if the file does not carry the shared schema —
-    the perf-trajectory tooling refuses to compare apples to pre-v1
-    oranges.
+    Raises ``ValueError`` if the file does not carry the shared schema,
+    so readers never compare apples to pre-v1 oranges.
     """
     text = pathlib.Path(path).read_text()
     document = json.loads(text)

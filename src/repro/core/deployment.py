@@ -7,7 +7,7 @@ everything tests, examples and benchmarks need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Collection, Dict, List, Mapping, Optional, Tuple
 
 from ..net import LatencyProfile, Network, Node, PAPER_PROFILES
@@ -229,16 +229,20 @@ def build_music(
     elif obs is not None and not network.obs.enabled:
         network.obs = obs
         obs.observe_network(network)
-    store_config = store_config or StoreConfig(
-        replication_factor=len(latency_profile.site_names)
+    # The keyword sugar below resolves onto copies: the caller's config
+    # objects are read, never written, so one MusicConfig / StoreConfig
+    # can seed any number of deployments.
+    store_config = replace(
+        store_config
+        or StoreConfig(replication_factor=len(latency_profile.site_names)),
+        anti_entropy_enabled=anti_entropy,
     )
-    store_config.anti_entropy_enabled = anti_entropy
     if wal_sync is not None:
         # Convenience durability axis: replicas copy the engine config
         # at construction, so set it before build_cluster runs.
-        store_config.storage.wal_sync = wal_sync
+        store_config.storage = replace(store_config.storage, wal_sync=wal_sync)
         store_config.storage.validate()
-    music_config = music_config or MusicConfig()
+    music_config = replace(music_config or MusicConfig())
     if failure_detection is not None:
         music_config.failure_detection_enabled = failure_detection
     if fast_locks:

@@ -3,9 +3,8 @@
 This is the live counterpart of :class:`repro.sim.Simulator`.  It
 implements the identical scheduler surface the DES kernel exposes —
 ``now``/``event``/``timeout``/``process``/``all_of``/``any_of``/``call_at``
-plus the kernel-internal ``_push_call``/``_schedule_callback``/``_defuse``
-hooks — but backs it with an asyncio event loop instead of a heap of
-virtual timestamps.  The existing :class:`~repro.sim.core.Event`,
+plus the two kernel hooks ``schedule``/``defuse`` — but backs it with
+an asyncio event loop instead of a heap of virtual timestamps.  The existing :class:`~repro.sim.core.Event`,
 :class:`~repro.sim.core.Process`, :class:`~repro.sim.primitives.Mailbox`
 and friends run on it **unmodified**: a protocol generator that yields
 ``sim.timeout(5.0)`` sleeps five virtual milliseconds under the DES and
@@ -31,7 +30,7 @@ import traceback
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from ..errors import RpcTimeout
-from ..sim.core import AllOf, AnyOf, Event, Process, Timeout
+from ..sim.core import AllOf, AnyOf, Event, Process, Timeout, call_action
 
 __all__ = ["LiveClock"]
 
@@ -92,18 +91,18 @@ class LiveClock:
 
     # -- scheduling --------------------------------------------------------
 
-    def _push(self, delay: float, action: Callable[[], None]) -> None:
+    def schedule(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Run ``fn(arg)`` after ``delay`` ms on the loop (the kernel hook)."""
         if self._closed:
             return
-        handle_slot: list = []
 
         def fire() -> None:
-            if handle_slot:
-                self._handles.discard(handle_slot[0])
+            # The loop never fires synchronously, so `handle` is bound.
+            self._handles.discard(handle)
             if self._closed:
                 return
             try:
-                action()
+                fn(arg)
             except BaseException:  # noqa: BLE001 - isolate handler bugs
                 self.errors.append(traceback.format_exc())
 
@@ -113,21 +112,13 @@ class LiveClock:
             handle = self.loop.call_soon(fire)
         else:
             handle = self.loop.call_later(delay / 1000.0, fire)
-        handle_slot.append(handle)
         self._handles.add(handle)
-
-    def _push_call(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
-        """Schedule ``fn(arg)`` after ``delay`` ms (kernel fast-path API)."""
-        self._push(delay, lambda: fn(arg))
-
-    def _schedule_callback(self, callback: Callable[[Event], None], event: Event) -> None:
-        self._push(0.0, lambda: callback(event))
 
     def call_at(self, when: float, action: Callable[[], None]) -> None:
         """Run ``action`` at absolute clock time ``when`` (ms)."""
-        self._push(max(0.0, when - self.now), action)
+        self.schedule(when - self.now, call_action, action)
 
-    def _defuse(self, event: Event) -> None:
+    def defuse(self, event: Event) -> None:
         """Account a child failure that lost an AllOf/AnyOf race."""
         self.swallowed_failures += 1
 

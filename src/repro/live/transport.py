@@ -299,7 +299,7 @@ class TcpTransport:
         if target is not None:
             # Same-process delivery: next loop iteration, like a
             # same-time DES heap entry.
-            self.sim._push_call(0.0, self._deliver_local, message)
+            self.sim.schedule(0.0, self._deliver_local, message)
             return
 
         src_site = source.site if source is not None else self._remote_sites.get(src, "")

@@ -233,7 +233,7 @@ class Network:
 
         # Bound-method delivery: no per-message closure.  The endpoint
         # records are re-looked-up at arrival time from the message.
-        sim._push_call(arrival - now, self._deliver, message)
+        sim.schedule(arrival - now, self._deliver, message)
 
     def _deliver(self, message: Message) -> None:
         # Partition/failure state is evaluated at arrival time, so a

@@ -185,7 +185,7 @@ class Node:
         # Closure-free expiry: a tuple arg instead of a per-RPC lambda;
         # the timeout message string is only built if the RPC actually
         # expires.
-        sim._push_call(timeout, Node._expire_rpc, (self, request_id, reply_event, kind, dst, timeout))
+        sim.schedule(timeout, Node._expire_rpc, (self, request_id, reply_event, kind, dst, timeout))
         return reply_event
 
     @staticmethod

@@ -4,7 +4,7 @@
 for every accepted send.  This module turns that into a single, shared
 subscription point: one tap per network, fanning out typed
 :class:`NetworkEvent` records to any number of subscribers (the metrics
-sink, the timeline renderer, tests).  With no subscribers the cost is
+sink, exporters, tests).  With no subscribers the cost is
 the network's existing empty-tap-list check — nothing here runs.
 """
 

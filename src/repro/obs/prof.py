@@ -6,11 +6,11 @@ time spent popping the event heap and running handlers.  This module
 profiles the simulator with zero cost when off:
 
 - ``Simulator.profiler`` is a **class attribute** defaulting to ``None``;
-  :meth:`SimProfiler.install` shadows the instance's ``step`` method
-  with a timing wrapper (``run``/``run_until_complete`` call
-  ``self.step()``, so the wrapper intercepts every event) and sets the
-  instance attribute.  Uninstalled simulators execute the exact original
-  bytecode — no branch, no check, nothing.
+  :meth:`SimProfiler.install` sets the instance attribute and nothing
+  else.  The kernel has one dispatch loop; it reads the slot once per
+  ``run`` and, when set, hands each popped ``(fn, arg)`` and the queue
+  depth to :meth:`SimProfiler.dispatch`, which times the call.  The
+  profiler never pops a queue itself, so it cannot reorder anything.
 - Allocation counters piggyback the same guard: ``Node.call_async`` and
   ``Tracer.span`` bump ``profiler.rpc_envelopes`` / ``profiler.obs_spans``
   only after a ``sim.profiler is not None`` test (one class-attribute
@@ -29,8 +29,8 @@ timings are untouched, so profiled runs stay bit-identical in sim time):
   owning process/event name onto a subsystem (music / store / net /
   client / topo / timer);
 - RPC envelope, obs-span and heap-push allocation counts (heap pushes
-  read the kernel's ``(time, seq)`` tie-break counter, so the ready
-  queue's heap bypass is directly visible as fewer pushes per event).
+  read the kernel's ``heap_pushes`` counter, so the ready queue's heap
+  bypass is directly visible as fewer pushes per event).
 
 ``speedscope_samples()`` exports the buckets as weighted stacks for a
 flamegraph (:func:`repro.obs.export.write_speedscope`).
@@ -38,11 +38,11 @@ flamegraph (:func:`repro.obs.export.write_speedscope`).
 
 from __future__ import annotations
 
-import time
+from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim import Simulator
-from ..sim.core import _NOARG
+from ..sim.core import call_action
 
 __all__ = ["SimProfiler", "subsystem_of"]
 
@@ -99,15 +99,16 @@ def _entry_owner_name(fn: Callable[..., None], arg: Any) -> str:
     ``Process._resume`` callback with the triggering event as ``arg``, a
     module-level ``_fire_event`` with the event (usually a Timeout) as
     ``arg``, a bound ``Network._deliver`` with the message as ``arg``,
-    or a legacy no-arg callable.  We look at the bound object first,
-    then the argument, then (for legacy closures) the closure cells.
+    or a ``call_at`` action (``arg`` is None; see
+    :meth:`SimProfiler.dispatch`).  We look at the bound object first,
+    then the argument.
     """
     owner = getattr(fn, "__self__", None)
     if owner is not None:
         name = getattr(owner, "name", None)
         if name:
             return str(name)
-    if arg is not _NOARG and arg is not None:
+    if arg is not None:
         name = getattr(arg, "name", None)
         if isinstance(name, str) and name:
             return name
@@ -118,24 +119,6 @@ def _entry_owner_name(fn: Callable[..., None], arg: Any) -> str:
                     return name
     if owner is not None:
         return type(owner).__name__
-    closure = getattr(fn, "__closure__", None)
-    if closure:
-        fallback = ""
-        for cell in closure:
-            try:
-                value = cell.cell_contents
-            except ValueError:  # pragma: no cover - empty cell
-                continue
-            bound = getattr(value, "__self__", None)
-            if bound is not None:
-                name = getattr(bound, "name", None)
-                if name:
-                    return str(name)
-            name = getattr(value, "name", None)
-            if isinstance(name, str) and name:
-                fallback = fallback or name
-        if fallback:
-            return fallback
     return getattr(fn, "__qualname__", type(fn).__name__)
 
 
@@ -164,98 +147,82 @@ class SimProfiler:
         self.sampled_wall_s = 0.0
         self._sim: Optional[Simulator] = None
         self._tick = 0
-        self._seq_at_install = 0
-        self._heap_pushes_final = 0
+        self._pushes_at_install = 0
+        self._pushes_final = 0
 
     @property
     def heap_pushes(self) -> int:
         """Heap pushes since install (same-time ready-queue work excluded).
 
-        Read from the kernel's ``(time, seq)`` tie-break counter, which
-        only advances on real ``heapq`` pushes — the denominator for
-        "what fraction of scheduling bypassed the heap".
+        Read from the kernel's ``heap_pushes`` counter, which only
+        advances on real ``heapq`` pushes — the denominator for "what
+        fraction of scheduling bypassed the heap".
         """
         sim = self._sim
         if sim is not None:
-            return sim._seq - self._seq_at_install
-        return self._heap_pushes_final
+            return sim.heap_pushes - self._pushes_at_install
+        return self._pushes_final
 
     # -- installation -------------------------------------------------------
 
     def install(self, sim: Simulator) -> "SimProfiler":
-        """Attach to ``sim``: shadow its ``step`` and set ``sim.profiler``.
-
-        The wrapper replicates ``Simulator.step`` exactly (pop, advance
-        ``now``, run the action) so simulated behaviour — event order,
-        timestamps, RNG draws — is bit-identical with profiling on.
-        """
+        """Attach to ``sim``: its next ``run`` hands every dispatch here."""
         if self._sim is not None:
             raise RuntimeError("profiler is already installed")
-        if "step" in sim.__dict__:
-            raise RuntimeError("simulator already has a step override")
+        if sim.profiler is not None:
+            raise RuntimeError("simulator already has a profiler installed")
         self._sim = sim
-        sim.profiler = self  # type: ignore[attr-defined]
-        self._seq_at_install = sim._seq
-
-        heappop = __import__("heapq").heappop
-        perf_counter = time.perf_counter
-        heap = sim._heap
-        ready = sim._ready
-
-        def profiled_step() -> None:
-            # Replicates Simulator.step exactly (same-time heap entries
-            # drain before the ready queue, then future heap entries)
-            # with timing around the dispatch — simulated behaviour is
-            # bit-identical with profiling on.
-            depth = len(heap) + len(ready)
-            if depth > self.heap_high_water:
-                self.heap_high_water = depth
-            if ready:
-                if heap and heap[0][0] <= sim.now:
-                    _when, _seq, fn, arg = heappop(heap)
-                else:
-                    fn, arg = ready.popleft()
-            else:
-                sim.now, _seq, fn, arg = heappop(heap)
-            began = perf_counter()
-            if arg is _NOARG:
-                fn()
-            else:
-                fn(arg)
-            elapsed = perf_counter() - began
-            self.events += 1
-            self.wall_s += elapsed
-            kind = getattr(fn, "__qualname__", None) or type(fn).__name__
-            bucket = self.by_event_type.get(kind)
-            if bucket is None:
-                bucket = self.by_event_type[kind] = [0, 0.0]
-            bucket[0] += 1
-            bucket[1] += elapsed
-            self._tick += 1
-            if self._tick >= self.sample_every:
-                self._tick = 0
-                subsystem = subsystem_of(_entry_owner_name(fn, arg))
-                sub = self.by_subsystem.get(subsystem)
-                if sub is None:
-                    sub = self.by_subsystem[subsystem] = [0, 0.0]
-                sub[0] += 1
-                sub[1] += elapsed
-                self.sampled_events += 1
-                self.sampled_wall_s += elapsed
-
-        sim.step = profiled_step  # type: ignore[method-assign]
+        sim.profiler = self
+        self._pushes_at_install = sim.heap_pushes
         return self
 
     def uninstall(self) -> None:
-        """Restore the original ``step`` and detach."""
+        """Detach; a ``run`` already in progress keeps reporting until it returns."""
         sim = self._sim
         if sim is None:
             return
-        self._heap_pushes_final = sim._seq - self._seq_at_install
-        sim.__dict__.pop("step", None)
-        if getattr(sim, "profiler", None) is self:
-            sim.profiler = None  # type: ignore[attr-defined]
+        self._pushes_final = sim.heap_pushes - self._pushes_at_install
+        if sim.profiler is self:
+            sim.profiler = None
         self._sim = None
+
+    # -- the kernel's callback ----------------------------------------------
+
+    def dispatch(self, fn: Callable[[Any], None], arg: Any, depth: int) -> None:
+        """Run one scheduled ``fn(arg)`` for the kernel, timing it.
+
+        ``depth`` is the scheduler depth (heap + ready queue) before the
+        entry was popped.  The call itself is all that touches simulated
+        state, so behaviour is bit-identical with profiling on.
+        """
+        if depth > self.heap_high_water:
+            self.heap_high_water = depth
+        began = perf_counter()
+        fn(arg)
+        elapsed = perf_counter() - began
+        self.events += 1
+        self.wall_s += elapsed
+        if fn is call_action:
+            # A call_at action arrives as the thunk's arg: key and
+            # attribute it by the action, not the thunk.
+            fn, arg = arg, None
+        kind = getattr(fn, "__qualname__", None) or type(fn).__name__
+        bucket = self.by_event_type.get(kind)
+        if bucket is None:
+            bucket = self.by_event_type[kind] = [0, 0.0]
+        bucket[0] += 1
+        bucket[1] += elapsed
+        self._tick += 1
+        if self._tick >= self.sample_every:
+            self._tick = 0
+            subsystem = subsystem_of(_entry_owner_name(fn, arg))
+            sub = self.by_subsystem.get(subsystem)
+            if sub is None:
+                sub = self.by_subsystem[subsystem] = [0, 0.0]
+            sub[0] += 1
+            sub[1] += elapsed
+            self.sampled_events += 1
+            self.sampled_wall_s += elapsed
 
     # -- results ------------------------------------------------------------
 
@@ -277,7 +244,7 @@ class SimProfiler:
         }
 
     def snapshot(self) -> Dict[str, Any]:
-        """A JSON-friendly dump (feeds the perf-trajectory bench records)."""
+        """A JSON-friendly dump of every counter."""
         return {
             "events": self.events,
             "wall_s": self.wall_s,

@@ -104,18 +104,17 @@ class Clock(Protocol):
 
     def call_at(self, when: float, action: Callable[[], None]) -> None: ...
 
-    # Kernel-internal surface: Event/Timeout/Process objects schedule
-    # themselves through these three, so any Clock must provide them.
-    # ``_push_call`` schedules ``fn(arg)`` after a delay without a
-    # closure; ``_defuse`` accounts an AllOf/AnyOf child failure that
-    # lost the race after the combinator triggered.
-    def _push_call(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None: ...
+    # The two kernel hooks: Event/Timeout/Process objects, the node RPC
+    # timer and both transports schedule themselves through ``schedule``,
+    # so any Clock must provide them.  ``schedule`` runs ``fn(arg)``
+    # after ``delay`` ms without a closure; a non-positive delay means
+    # "this instant, FIFO behind what is already queued, never
+    # synchronously", and positive delays run in (time, insertion)
+    # order.  ``defuse`` accounts an AllOf/AnyOf child failure that lost
+    # the race after the combinator triggered (``swallowed_failures``).
+    def schedule(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None: ...
 
-    def _schedule_callback(
-        self, callback: Callable[[Any], None], event: Any
-    ) -> None: ...
-
-    def _defuse(self, event: Any) -> None: ...
+    def defuse(self, event: Any) -> None: ...
 
 
 @runtime_checkable
@@ -170,7 +169,7 @@ def require_clock(candidate: Any) -> Any:
             for name in (
                 "now", "active_process", "profiler", "event", "timeout",
                 "process", "all_of", "any_of", "call_at",
-                "_push_call", "_schedule_callback", "_defuse",
+                "schedule", "defuse",
             )
             if not hasattr(candidate, name)
         ]

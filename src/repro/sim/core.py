@@ -36,8 +36,8 @@ Example::
     sim.process(main())
     sim.run()
 
-Scheduler fast path (DESIGN.md §14)
------------------------------------
+Simulation kernel (DESIGN.md §14)
+---------------------------------
 
 The scheduler keeps two structures:
 
@@ -47,22 +47,26 @@ The scheduler keeps two structures:
   of the current instant, and they bypass the heap entirely.
 - ``_heap`` — a binary heap of plain ``(time, seq, fn, arg)`` tuples for
   work at a *future* time (timeouts, message arrivals, timers).  ``seq``
-  is a per-simulator push counter that breaks same-time ties FIFO; it
-  is unique, so ``heapq`` orders entries by ``(time, seq)`` in C and
-  never compares ``fn`` or ``arg``.
+  is the per-simulator ``heap_pushes`` counter, which breaks same-time
+  ties FIFO; it is unique, so ``heapq`` orders entries by
+  ``(time, seq)`` in C and never compares ``fn`` or ``arg``.
+
+One scheduling hook fills them — :meth:`Simulator.schedule` — and one
+loop empties them — :meth:`Simulator._drain`, which ``run`` and
+``run_until_complete`` wrap.  Every scheduled action is an ``(fn, arg)``
+pair and every dispatch is ``fn(arg)``, so the hot paths — callback
+delivery, process resume, timeout firing, message delivery — allocate
+no lambdas.  An installed :class:`repro.obs.prof.SimProfiler` is handed
+each popped pair by the same loop; it does not run a loop of its own.
 
 Determinism contract: every entry in ``_ready`` was scheduled at the
 current ``now`` and therefore *after* (in program order) every heap
 entry whose time equals ``now`` — heap entries landing at ``now`` were
-pushed at an earlier instant with a positive delay.  ``step`` therefore
-drains same-time heap entries before the ready queue, which reproduces
-exactly the global ``(time, seq)`` order of a single heap holding every
-action.  Seed runs are bit-identical across the change.
-
-Scheduled actions are ``(fn, arg)`` pairs rather than zero-argument
-closures: the dispatcher calls ``fn(arg)`` (or ``fn()`` when ``arg`` is
-the no-arg sentinel), so the hot paths — callback delivery, process
-resume, timeout firing, message delivery — allocate no lambdas.
+pushed at an earlier instant with a positive delay.  The loop therefore
+drains same-time heap entries before the ready queue, and the ready
+queue before any future heap entry, which reproduces exactly the global
+``(time, seq)`` order of a single heap holding every action
+(``tests/sim/test_dispatch_order.py`` checks it against that model).
 """
 
 from __future__ import annotations
@@ -80,11 +84,8 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Simulator",
+    "call_action",
 ]
-
-
-# Sentinel marking a scheduled (fn, arg) pair whose fn takes no argument.
-_NOARG = object()
 
 
 class SimulationError(Exception):
@@ -100,6 +101,11 @@ class Interrupt(Exception):
     @property
     def cause(self) -> Any:
         return self.args[0] if self.args else None
+
+
+def call_action(action: Callable[[], None]) -> None:
+    """Scheduled thunk behind ``call_at``: run a no-argument callable."""
+    action()
 
 
 def _fire_event(event: "Event") -> None:
@@ -177,7 +183,7 @@ class Event:
         if self._triggered:
             if not self._ok and self in self.sim._unhandled:
                 self.sim._unhandled.remove(self)
-            self.sim._schedule_callback(callback, self)
+            self.sim.schedule(0.0, callback, self)
         else:
             callbacks = self._callbacks
             if callbacks is None:
@@ -199,9 +205,9 @@ class Event:
                 self.sim._unhandled.append(self)
             return
         self._callbacks = None
-        schedule = self.sim._schedule_callback
+        schedule = self.sim.schedule
         for callback in callbacks:
-            schedule(callback, self)
+            schedule(0.0, callback, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "pending"
@@ -224,7 +230,7 @@ class Timeout(Event):
         super().__init__(sim, name="Timeout")
         self.delay = delay
         self._value = value  # staged for _fire_event; unread while pending
-        sim._push_call(delay, _fire_event, self)
+        sim.schedule(delay, _fire_event, self)
 
 
 class Process(Event):
@@ -255,7 +261,7 @@ class Process(Event):
         # one per yield (processes re-register after every wait).
         self._resume_cb = self._resume
         # Kick the generator off on the next scheduler step.
-        sim._push_call(0.0, Process._bootstrap, self)
+        sim.schedule(0.0, Process._bootstrap, self)
 
     def _bootstrap(self) -> None:
         if not self._triggered:
@@ -277,7 +283,7 @@ class Process(Event):
             self._interrupts = [cause]
         else:
             self._interrupts.append(cause)
-        self.sim._schedule_callback(Process._deliver_interrupt, self)
+        self.sim.schedule(0.0, Process._deliver_interrupt, self)
 
     def _deliver_interrupt(self) -> None:
         if self._triggered or not self._interrupts:
@@ -365,7 +371,7 @@ class AllOf(Event):
         self._pending = len(children)
         if not children:
             self._value = []  # staged for _fire_event
-            sim._push_call(0.0, _fire_event, self)
+            sim.schedule(0.0, _fire_event, self)
             return
         for index, child in enumerate(children):
             child.add_callback(self._make_collector(index))
@@ -374,7 +380,7 @@ class AllOf(Event):
         def collect(event: Event) -> None:
             if self._triggered:
                 if not event._ok:
-                    self.sim._defuse(event)
+                    self.sim.defuse(event)
                 return
             if not event._ok:
                 self.fail(event._value)
@@ -412,7 +418,7 @@ class AnyOf(Event):
         def collect(event: Event) -> None:
             if self._triggered:
                 if not event._ok:
-                    self.sim._defuse(event)
+                    self.sim.defuse(event)
                 return
             if event._ok:
                 self.succeed((index, event._value))
@@ -432,11 +438,9 @@ class Simulator:
 
     # Self-profiler slot (see repro.obs.prof.SimProfiler).  A class
     # attribute, not instance state: unprofiled simulators carry no
-    # extra per-instance data and `sim.profiler is None` checks resolve
-    # against the class.  SimProfiler.install() sets the instance
-    # attribute and shadows `step` with a timing wrapper; run()/
-    # run_until_complete() dispatch through `self.step()` whenever an
-    # instance override is present, so the wrapper sees every event.
+    # extra per-instance data.  SimProfiler.install() sets the instance
+    # attribute; the dispatch loop reads it once per run and hands each
+    # popped action to it.
     profiler: Optional[Any] = None
 
     def __init__(self) -> None:
@@ -446,9 +450,9 @@ class Simulator:
         self.active_process: Optional[Process] = None
         self._heap: list[tuple] = []
         self._ready: deque = deque()
-        # Heap pushes ever — doubles as the FIFO tie-break sequence for
-        # same-time heap entries and as the profiler's heap-push counter.
-        self._seq = 0
+        # Heap pushes ever — also the FIFO tie-break sequence for
+        # same-time heap entries.
+        self.heap_pushes = 0
         self._running = False
         self._unhandled: list[Event] = []
         # Child failures that lost an AllOf/AnyOf race after the
@@ -474,69 +478,67 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------------
 
-    def _push(self, delay: float, action: Callable[[], None]) -> None:
-        """Schedule a no-argument callable after ``delay`` ms.
+    def schedule(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Run ``fn(arg)`` after ``delay`` ms — the one scheduling hook.
 
-        Contract (shared with :meth:`call_at`): a non-positive delay is
-        clamped to "now" — the action joins the same-time FIFO queue.
-        Scheduling "in the past" therefore behaves identically whether
-        expressed as a negative delay or an absolute time before ``now``.
+        A non-positive delay is clamped to "now": the action joins the
+        same-time FIFO queue, behind everything already queued for this
+        instant, and never runs synchronously.
         """
-        if delay <= 0.0:
-            self._ready.append((action, _NOARG))
-        else:
-            seq = self._seq
-            self._seq = seq + 1
-            heapq.heappush(self._heap, (self.now + delay, seq, action, _NOARG))
-
-    def _push_call(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
-        """Schedule ``fn(arg)`` after ``delay`` ms (clamped like _push)."""
         if delay <= 0.0:
             self._ready.append((fn, arg))
         else:
-            seq = self._seq
-            self._seq = seq + 1
+            seq = self.heap_pushes
+            self.heap_pushes = seq + 1
             heapq.heappush(self._heap, (self.now + delay, seq, fn, arg))
-
-    def _schedule_callback(self, callback: Callable[[Event], None], event: Event) -> None:
-        self._ready.append((callback, event))
 
     def call_at(self, when: float, action: Callable[[], None]) -> None:
         """Run a plain callable at absolute simulated time ``when``.
 
-        Times at or before ``now`` are clamped to "now" (the action runs
-        on the current instant's FIFO queue) — the same clamping
-        :meth:`_push` applies to non-positive delays.
+        Times at or before ``now`` are clamped to "now", as in
+        :meth:`schedule`.
         """
-        self._push(when - self.now, action)
+        self.schedule(when - self.now, call_action, action)
 
-    def _defuse(self, event: Event) -> None:
+    def defuse(self, event: Event) -> None:
         """Account a child failure that lost an AllOf/AnyOf race."""
         self.swallowed_failures += 1
 
     # -- execution ---------------------------------------------------------
 
-    def step(self) -> None:
-        """Execute the single next scheduled action.
+    def _drain(self, until: float, waiting: Event) -> None:
+        """The dispatch loop: run actions in global ``(time, seq)`` order.
 
-        Dispatch order: same-time heap entries (scheduled at an earlier
-        instant, landing now) run before the ready queue; the ready
-        queue runs before any future-time heap entry.  This reproduces
-        global ``(time, seq)`` order exactly.
+        Same-time heap entries (scheduled at an earlier instant, landing
+        now) run before the ready queue; the ready queue runs before any
+        future heap entry.  Stops when ``waiting`` has triggered, when
+        both queues are empty, or before the first heap entry later than
+        ``until``; the caller tells those apart.
         """
+        if self._running:
+            raise SimulationError("simulator is already running (re-entrant run())")
+        self._running = True
         ready = self._ready
-        if ready:
-            heap = self._heap
-            if heap and heap[0][0] <= self.now:
-                _when, _seq, fn, arg = heapq.heappop(heap)
-            else:
-                fn, arg = ready.popleft()
-        else:
-            self.now, _seq, fn, arg = heapq.heappop(self._heap)
-        if arg is _NOARG:
-            fn()
-        else:
-            fn(arg)
+        heap = self._heap
+        heappop = heapq.heappop
+        popleft = ready.popleft
+        profiler = self.profiler
+        observe = None if profiler is None else profiler.dispatch
+        try:
+            while not waiting._triggered:
+                if ready and not (heap and heap[0][0] <= self.now):
+                    fn, arg = popleft()
+                elif heap and heap[0][0] <= until:
+                    self.now, _seq, fn, arg = heappop(heap)
+                else:
+                    break
+                if observe is None:
+                    fn(arg)
+                else:
+                    # Queue depth as it stood before this pop.
+                    observe(fn, arg, len(heap) + len(ready) + 1)
+        finally:
+            self._running = False
 
     def run(self, until: Optional[float] = None, strict: bool = True) -> None:
         """Run until the queues drain or simulated time passes ``until``.
@@ -546,37 +548,13 @@ class Simulator:
         default), a process failure that no other process observed is
         re-raised here rather than passing silently.
         """
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run())")
-        self._running = True
-        ready = self._ready
-        heap = self._heap
-        try:
-            if until is None and "step" not in self.__dict__:
-                # Hot loop: inline dispatch (no per-event method call).
-                heappop = heapq.heappop
-                pop_ready = ready.popleft
-                while ready or heap:
-                    if ready and not (heap and heap[0][0] <= self.now):
-                        fn, arg = pop_ready()
-                    else:
-                        self.now, _seq, fn, arg = heappop(heap)
-                    if arg is _NOARG:
-                        fn()
-                    else:
-                        fn(arg)
-            else:
-                step = self.step
-                while ready or heap:
-                    if until is not None:
-                        at = self.now if ready else heap[0][0]
-                        if at > until:
-                            break
-                    step()
-                if until is not None and self.now < until:
-                    self.now = until
-        finally:
-            self._running = False
+        # `run` waits on an event nobody triggers: only the queues or
+        # `until` end the loop.
+        if until is None:
+            self._drain(float("inf"), Event(self))
+        elif until >= self.now:
+            self._drain(until, Event(self))
+            self.now = until
         if strict and self._unhandled:
             failure = self._unhandled.pop(0)
             raise failure._value
@@ -586,37 +564,13 @@ class Simulator:
 
         ``limit`` bounds simulated time as a hang safeguard.
         """
-        ready = self._ready
-        heap = self._heap
-        if "step" not in self.__dict__:
-            heappop = heapq.heappop
-            pop_ready = ready.popleft
-            while not process._triggered:
-                if ready and not (heap and heap[0][0] <= self.now):
-                    fn, arg = pop_ready()
-                elif heap:
-                    if heap[0][0] > limit:
-                        raise SimulationError(f"simulated time limit {limit} exceeded")
-                    self.now, _seq, fn, arg = heappop(heap)
-                else:
-                    raise SimulationError(
-                        f"deadlock: no scheduled events but {process.name!r} is not done"
-                    )
-                if arg is _NOARG:
-                    fn()
-                else:
-                    fn(arg)
-        else:
-            step = self.step
-            while not process._triggered:
-                if not ready:
-                    if not heap:
-                        raise SimulationError(
-                            f"deadlock: no scheduled events but {process.name!r} is not done"
-                        )
-                    if heap[0][0] > limit:
-                        raise SimulationError(f"simulated time limit {limit} exceeded")
-                step()
+        self._drain(limit, process)
+        if not process._triggered:
+            if self._heap:
+                raise SimulationError(f"simulated time limit {limit} exceeded")
+            raise SimulationError(
+                f"deadlock: no scheduled events but {process.name!r} is not done"
+            )
         if process._ok:
             return process._value
         if process in self._unhandled:

@@ -1,4 +1,4 @@
-"""The unified BENCH_*.json envelope: round-trip, validation, append."""
+"""The unified BENCH_*.json envelope: round-trip and validation."""
 
 import json
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.bench import (
     BENCH_SCHEMA,
-    append_bench_entry,
     bench_record,
     load_bench_json,
     write_bench_json,
@@ -54,31 +53,6 @@ def test_load_rejects_foreign_schema(tmp_path):
     alien.write_text(json.dumps({"speedup": 2.0}))
     with pytest.raises(ValueError, match="repro.bench/v1"):
         load_bench_json(alien)
-
-
-def test_append_trajectory_grows_and_bounds(tmp_path, monkeypatch):
-    monkeypatch.setattr(results, "results_dir", lambda: tmp_path)
-    for index in range(5):
-        append_bench_entry(
-            "simcore", config={"scenario": "s", "scale": "smoke"},
-            seed=0, metrics={"i": index}, keep_last=3,
-        )
-    document = load_bench_json(tmp_path / "BENCH_simcore.json")
-    assert document["name"] == "simcore"
-    entries = document["entries"]
-    assert len(entries) == 3  # keep_last bound, oldest dropped
-    assert [e["metrics"]["i"] for e in entries] == [2, 3, 4]
-    assert all(e["schema"] == BENCH_SCHEMA for e in entries)
-
-
-def test_append_recovers_from_malformed_file(tmp_path, monkeypatch):
-    monkeypatch.setattr(results, "results_dir", lambda: tmp_path)
-    (tmp_path / "BENCH_simcore.json").write_text("{not json")
-    append_bench_entry(
-        "simcore", config={"scale": "smoke"}, seed=0, metrics={"i": 0},
-    )
-    document = load_bench_json(tmp_path / "BENCH_simcore.json")
-    assert len(document["entries"]) == 1
 
 
 def test_committed_results_carry_the_schema():

@@ -1,7 +1,5 @@
 """Tests for the benchmark workload drivers."""
 
-import pytest
-
 from repro.bench.harness import measure_throughput
 from repro.bench.workers import (
     cassa_ev_worker,

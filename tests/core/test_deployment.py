@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import MusicConfig, build_music
+from repro.store import StoreConfig
 
 
 def test_default_deployment_shape():
@@ -67,3 +68,29 @@ def test_music_replicas_have_distinct_ids():
     music = build_music(music_replicas_per_site=2)
     ids = [r.node_id for r in music.replicas]
     assert len(ids) == len(set(ids)) == 6
+
+
+def test_keyword_sugar_never_writes_the_callers_configs():
+    """``build_music`` resolves its keywords onto copies: one config
+    object can seed a features-on deployment and then a features-off one."""
+    music_config, store_config = MusicConfig(), StoreConfig()
+    first = build_music(
+        music_config=music_config, store_config=store_config,
+        fast_locks=True, read_leases=True, failure_detection=True,
+        anti_entropy=True, wal_sync="periodic",
+    )
+    assert first.config.push_grants and first.config.read_leases
+    assert first.config.lwt_batch_enabled and first.config.synch_fast_path
+    assert first.config.failure_detection_enabled and first.detectors
+    assert first.store.config.anti_entropy_enabled
+    assert first.store.config.storage.wal_sync == "periodic"
+
+    assert music_config == MusicConfig()
+    assert store_config == StoreConfig()
+
+    second = build_music(music_config=music_config, store_config=store_config)
+    assert second.config == MusicConfig()
+    assert second.config is not music_config
+    assert not second.detectors
+    assert not second.store.config.anti_entropy_enabled  # the keyword's default
+    assert second.store.config.storage == StoreConfig().storage

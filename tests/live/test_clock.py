@@ -153,10 +153,10 @@ def test_scheduled_action_errors_are_captured_not_fatal():
     async def main():
         clock = LiveClock()
 
-        def explode():
-            raise ValueError("handler bug")
+        def explode(message):
+            raise ValueError(message)
 
-        clock._push(0.0, explode)
+        clock.schedule(0.0, explode, "handler bug")
         await asyncio.sleep(0.02)
         failures = clock.drain_failures()
         # Drained once; a second drain is empty.
@@ -172,11 +172,11 @@ def test_close_cancels_outstanding_timers():
     async def main():
         clock = LiveClock()
         fired = []
-        clock._push(5.0, lambda: fired.append("timer"))
+        clock.schedule(5.0, fired.append, "timer")
         assert clock._handles
         clock.close()
         assert not clock._handles
-        clock._push(1.0, lambda: fired.append("late"))  # no-op when closed
+        clock.schedule(1.0, fired.append, "late")  # no-op when closed
         await asyncio.sleep(0.03)
         return fired
 

@@ -7,6 +7,7 @@ protocol code cannot tell which world it is running in.
 """
 
 import asyncio
+import inspect
 
 import pytest
 
@@ -68,20 +69,132 @@ def test_require_transport_names_missing_attributes():
     assert "send" in str(exc.value)
 
 
-def test_clock_contract_does_not_include_push():
-    """``_push`` is a private method of each kernel (behind ``call_at``),
-    not part of the seam: a clock without it is still a Clock."""
+# -- the Clock scheduling contract, once for both clocks ----------------------
+#
+# ``drive(body)`` builds a clock, calls ``body(clock)`` to schedule work,
+# lets the clock run ``settle_ms`` and returns whatever ``body`` returned.
 
-    class WithoutPush:
+
+def _drive_simulator(body, settle_ms=100.0):
+    sim = Simulator()
+    result = body(sim)
+    sim.run(until=settle_ms)
+    return result
+
+
+def _drive_live_clock(body, settle_ms=100.0):
+    async def main():
+        clock = LiveClock()
+        try:
+            result = body(clock)
+            await asyncio.sleep(settle_ms / 1000.0)
+            assert clock.drain_failures() == []
+            return result
+        finally:
+            clock.close()
+
+    return asyncio.run(main())
+
+
+both_clocks = pytest.mark.parametrize(
+    "drive", [_drive_simulator, _drive_live_clock], ids=["Simulator", "LiveClock"]
+)
+
+
+@both_clocks
+def test_schedule_zero_delay_is_fifo_and_never_synchronous(drive):
+    def body(clock):
+        seen = []
+        event = clock.event()
+        event.add_callback(lambda _ev: seen.append("callback"))
+        event.succeed()  # queues the callback for this instant
+        clock.schedule(0, seen.append, "first")
+        clock.schedule(0.0, seen.append, "second")
+        assert seen == []  # nothing ran inside schedule()
+        return seen
+
+    assert drive(body) == ["callback", "first", "second"]
+
+
+@both_clocks
+def test_schedule_positive_delay_orders_by_time_then_insertion(drive):
+    def body(clock):
+        seen = []
+        clock.schedule(40.0, seen.append, "late")
+        clock.schedule(10.0, seen.append, "early-a")
+        clock.schedule(10.0, seen.append, "early-b")
+        clock.schedule(0.0, seen.append, "now")
+        return seen
+
+    assert drive(body) == ["now", "early-a", "early-b", "late"]
+
+
+@both_clocks
+def test_schedule_negative_delay_clamps_to_now(drive):
+    def body(clock):
+        seen = []
+        clock.schedule(0.0, seen.append, "queued")
+        clock.schedule(-5.0, seen.append, "past")
+        clock.schedule(5.0, seen.append, "future")
+        assert seen == []
+        return seen
+
+    assert drive(body) == ["queued", "past", "future"]
+
+
+@both_clocks
+def test_defuse_counts_a_swallowed_failure(drive):
+    def body(clock):
+        assert clock.swallowed_failures == 0
+        winner, loser = clock.event(), clock.event()
+        race = clock.any_of([winner, loser])
+        winner.succeed("won")
+        loser.fail(RuntimeError("lost the race"))
+        return clock, race
+
+    clock, race = drive(body)
+    assert race.value == (0, "won")
+    assert clock.swallowed_failures == 1
+    clock.defuse(race)
+    assert clock.swallowed_failures == 2
+
+
+@both_clocks
+def test_clocks_expose_only_the_public_hooks(drive):
+    def body(clock):
+        return [
+            name
+            for name in ("_push", "_push_call", "_schedule_callback", "_defuse", "step")
+            if hasattr(clock, name)
+        ]
+
+    assert drive(body, settle_ms=0.0) == []
+
+
+def test_require_clock_names_missing_hooks():
+    class WithoutHooks:
+        """Every Clock attribute except the two kernel hooks."""
+
         def __init__(self, sim):
             self._sim = sim
 
         def __getattr__(self, name):
-            if name == "_push":
+            if name in ("schedule", "defuse"):
                 raise AttributeError(name)
             return getattr(self._sim, name)
 
-    clock = WithoutPush(Simulator())
-    assert not hasattr(clock, "_push")
-    assert isinstance(clock, Clock)
-    require_clock(clock)
+    clock = WithoutHooks(Simulator())
+    assert not isinstance(clock, Clock)
+    with pytest.raises(TypeError) as exc:
+        require_clock(clock)
+    assert "missing: ['schedule', 'defuse']" in str(exc.value)
+
+
+def test_clock_declares_no_private_method():
+    declared = [
+        name
+        for name, value in vars(Clock).items()
+        if inspect.isfunction(value) and value.__qualname__ == f"Clock.{name}"
+    ]
+    assert "schedule" in declared and "defuse" in declared
+    assert [name for name in declared if name.startswith("_")] == []

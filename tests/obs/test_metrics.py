@@ -38,9 +38,10 @@ def test_histogram_quantiles_against_sorted_sample_oracle():
         # The histogram interpolates within fixed buckets: the estimate
         # must land within one bucket of the exact order statistic.
         bounds = list(histogram.bounds)
-        bucket_of = lambda v: next(
-            (i for i, bound in enumerate(bounds) if v <= bound), len(bounds)
-        )
+
+        def bucket_of(v):
+            return next((i for i, bound in enumerate(bounds) if v <= bound), len(bounds))
+
         assert abs(bucket_of(estimate) - bucket_of(exact)) <= 1, (
             f"q={q}: estimate {estimate} too far from exact {exact}"
         )

@@ -1,14 +1,17 @@
 """The DES self-profiler: zero cost when off, bit-identical when on.
 
-``profile=True`` swaps the simulator's bound ``step`` for a timed
-wrapper that replicates the original dispatch exactly — same heappop,
-same ``now`` update, same handler call — so every simulated timing is
+``profile=True`` registers a :class:`SimProfiler` in the simulator's
+``profiler`` slot; the kernel's one dispatch loop hands it each popped
+``(fn, arg)`` to time and call, so every simulated timing is
 bit-identical with the profiler attached.  When off, the only residue
-is a class-level ``Simulator.profiler = None`` attribute and
-``is not None`` guards on the two allocation counters.
+is a class-level ``Simulator.profiler = None`` attribute, one read of
+it per ``run``, and ``is not None`` guards on the two allocation
+counters.
 """
 
 import time
+
+import pytest
 
 from repro.core import build_music
 from repro.obs import SimProfiler, subsystem_of
@@ -30,11 +33,11 @@ def test_profiler_composes_with_obs_bit_identically():
     assert profiled == baseline
 
 
-def test_unprofiled_sim_has_no_instance_step():
+def test_unprofiled_sim_has_no_profiler():
     deployment = build_music(seed=5)
     assert deployment.profiler is None
     assert deployment.sim.profiler is None
-    assert "step" not in deployment.sim.__dict__
+    assert "profiler" not in deployment.sim.__dict__
     assert Simulator.profiler is None  # class attribute, shared default
 
 
@@ -69,17 +72,14 @@ def test_install_guards_and_uninstall():
     profiler = SimProfiler()
     profiler.install(deployment.sim)
     try:
-        another = SimProfiler()
-        raised = False
-        try:
-            another.install(deployment.sim)
-        except RuntimeError:
-            raised = True
-        assert raised
+        with pytest.raises(RuntimeError, match="already has a profiler"):
+            SimProfiler().install(deployment.sim)
+        with pytest.raises(RuntimeError, match="already installed"):
+            profiler.install(Simulator())
+        assert deployment.sim.profiler is profiler
     finally:
         profiler.uninstall()
     assert deployment.sim.profiler is None
-    assert "step" not in deployment.sim.__dict__
 
 
 def test_subsystem_classifier():

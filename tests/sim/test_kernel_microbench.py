@@ -13,8 +13,6 @@ deterministic):
 - the profiled dispatch is bit-identical to the plain one.
 """
 
-import pytest
-
 from repro.net import PROFILE_LUS, Network
 from repro.net.node import Node
 from repro.obs.prof import SimProfiler

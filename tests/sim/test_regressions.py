@@ -10,8 +10,9 @@ Each test here pins one of the four bugfixes of the scheduler rework:
 3. ``Network.recover_node`` used to leave the crashed node's
    ``egress_free_at`` horizon in place, charging phantom transmission
    delay after recovery.
-4. ``call_at`` clamped past deadlines while ``_push`` raised on negative
-   delays; both now clamp (``timeout`` still rejects negative delays at
+4. ``call_at`` clamped past deadlines while the scheduling hook raised
+   on negative delays; ``schedule`` now clamps, and ``call_at`` goes
+   through it (``timeout`` still rejects negative delays at
    the API boundary), and an interrupted ``Condition`` waiter no longer
    stays on the waiter list forever.
 """
@@ -245,14 +246,14 @@ def test_call_at_in_the_past_clamps_to_now():
     assert fired == [10.0]
 
 
-def test_push_call_in_the_past_clamps_to_now():
+def test_schedule_in_the_past_clamps_to_now():
     sim = Simulator()
     seen = []
 
     def proc():
         yield sim.timeout(10.0)
         event = sim.event()
-        sim._push_call(-5.0, event.succeed, "late")
+        sim.schedule(-5.0, event.succeed, "late")
         seen.append((yield event))
 
     sim.process(proc())
