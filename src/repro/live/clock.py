@@ -3,8 +3,9 @@
 This is the live counterpart of :class:`repro.sim.Simulator`.  It
 implements the identical scheduler surface the DES kernel exposes —
 ``now``/``event``/``timeout``/``process``/``all_of``/``any_of``/``call_at``
-plus the two kernel hooks ``schedule``/``defuse`` — but backs it with
-an asyncio event loop instead of a heap of virtual timestamps.  The existing :class:`~repro.sim.core.Event`,
+plus the three kernel hooks ``schedule``/``schedule_at``/``defuse`` —
+but backs it with an asyncio event loop instead of a heap of virtual
+timestamps.  The existing :class:`~repro.sim.core.Event`,
 :class:`~repro.sim.core.Process`, :class:`~repro.sim.primitives.Mailbox`
 and friends run on it **unmodified**: a protocol generator that yields
 ``sim.timeout(5.0)`` sleeps five virtual milliseconds under the DES and
@@ -51,6 +52,9 @@ class LiveClock:
         # Unix-seconds anchor shared by every process of a cluster.
         self.epoch = time.time() if epoch is None else float(epoch)
         self.active_process: Optional[Process] = None
+        # True inside a scheduled action: a wakeup raised there by no
+        # process runs its waiters in place, as under the DES loop.
+        self.dispatching = False
         self._unhandled: List[Event] = []
         self._handles: set = set()
         self._closed = False
@@ -81,7 +85,9 @@ class LiveClock:
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator[Any, Any, Any], name: str = "") -> Process:
-        return Process(self, generator, name=name)
+        process = Process(self, generator, name=name)
+        self.schedule(0.0, Process.start, process)
+        return process
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -101,10 +107,13 @@ class LiveClock:
             self._handles.discard(handle)
             if self._closed:
                 return
+            self.dispatching = True
             try:
                 fn(arg)
             except BaseException:  # noqa: BLE001 - isolate handler bugs
                 self.errors.append(traceback.format_exc())
+            finally:
+                self.dispatching = False
 
         if delay <= 0.0:
             # Soon, in FIFO order — the live analogue of a same-time
@@ -114,9 +123,13 @@ class LiveClock:
             handle = self.loop.call_later(delay / 1000.0, fire)
         self._handles.add(handle)
 
+    def schedule_at(self, when: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Run ``fn(arg)`` at absolute clock time ``when`` (ms)."""
+        self.schedule(when - self.now, fn, arg)
+
     def call_at(self, when: float, action: Callable[[], None]) -> None:
         """Run ``action`` at absolute clock time ``when`` (ms)."""
-        self.schedule(when - self.now, call_action, action)
+        self.schedule_at(when, call_action, action)
 
     def defuse(self, event: Event) -> None:
         """Account a child failure that lost an AllOf/AnyOf race."""

@@ -35,7 +35,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..net.network import Message, NetworkStats
 from ..obs import NULL_OBS
-from ..sim.primitives import Mailbox
 from .clock import LiveClock
 from .codec import FrameReader, encode_frame
 from .config import ClusterSpec
@@ -53,7 +52,7 @@ RECONNECT_MAX_S = 2.0
 class _LocalEndpoint:
     __slots__ = ("node_id", "site", "inbox", "failed")
 
-    def __init__(self, node_id: str, site: str, inbox: Mailbox) -> None:
+    def __init__(self, node_id: str, site: str, inbox: Any) -> None:
         self.node_id = node_id
         self.site = site
         self.inbox = inbox
@@ -224,7 +223,7 @@ class TcpTransport:
 
     # -- membership (Network-compatible) -----------------------------------
 
-    def register(self, node_id: str, site: str, inbox: Mailbox) -> None:
+    def register(self, node_id: str, site: str, inbox: Any) -> None:
         if node_id in self._endpoints:
             raise ValueError(f"node id {node_id!r} already registered")
         if site not in self.profile.site_names:
@@ -344,6 +343,8 @@ class TcpTransport:
             self.stats.dropped_partition += 1
             return
         self.stats.delivered += 1
+        # Runs the node's handler; this is a scheduled action, so the
+        # clock isolates whatever the handler raises.
         target.inbox.put(message)
 
     # -- socket plumbing ---------------------------------------------------
@@ -412,4 +413,7 @@ class TcpTransport:
             self.stats.dropped_partition += 1
             return
         self.stats.delivered += 1
-        target.inbox.put(message)
+        # Through the clock, not inline: delivery runs the node's
+        # handler, and a handler bug must land in LiveClock.errors (and
+        # the exit code) instead of killing this socket's read task.
+        self.sim.schedule(0.0, target.inbox.put, message)

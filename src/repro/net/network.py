@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from ..obs import NULL_OBS
-from ..sim import Mailbox, RandomStreams, Simulator
+from ..sim import RandomStreams, Simulator
 from .topology import LatencyProfile
 
 __all__ = ["Message", "NetworkStats", "Network", "DEFAULT_BANDWIDTH_BYTES_PER_MS"]
@@ -72,7 +72,7 @@ class _Endpoint:
 
     __slots__ = ("node_id", "site", "inbox", "egress_free_at", "failed")
 
-    def __init__(self, node_id: str, site: str, inbox: Mailbox) -> None:
+    def __init__(self, node_id: str, site: str, inbox: Any) -> None:
         self.node_id = node_id
         self.site = site
         self.inbox = inbox
@@ -117,7 +117,8 @@ class Network:
 
     # -- membership ----------------------------------------------------------
 
-    def register(self, node_id: str, site: str, inbox: Mailbox) -> None:
+    def register(self, node_id: str, site: str, inbox: Any) -> None:
+        """Admit a node; delivery is ``inbox.put(message)``, at arrival."""
         if node_id in self._endpoints:
             raise ValueError(f"node id {node_id!r} already registered")
         if site not in self.profile.site_names:

@@ -1,20 +1,23 @@
-"""Node base class: inbox dispatch, request/reply RPC, CPU modelling.
+"""Node base class: message dispatch, request/reply RPC, CPU modelling.
 
 Every protocol participant (store replica, MUSIC replica, Zookeeper
-server, Raft peer, client host) subclasses :class:`Node`.  A node owns a
-mailbox registered with the :class:`~repro.net.network.Network`, a serve
-loop that dispatches incoming messages to registered handlers, a local
-clock, and a CPU resource with a configurable core count (the paper's
-testbed machines have eight 2.5 GHz cores; CPU contention is what caps
+server, Raft peer, client host) subclasses :class:`Node`.  The inbox a
+node registers with the :class:`~repro.net.network.Network` is a sink,
+not a queue: the transport's ``put(message)`` completes a pending RPC
+or runs the registered handler inside the delivery itself, with no
+mailbox and no serve loop in between.  A node also owns a local clock
+and a CPU resource with a configurable core count (the paper's testbed
+machines have eight 2.5 GHz cores; CPU contention is what caps
 CassaEV-style local operations at finite throughput).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional, Tuple
+from collections import deque
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..errors import RpcTimeout
-from ..sim import Mailbox, NodeClock, Process, Resource
+from ..sim import NodeClock, Process, Resource
 from .network import Message
 
 if TYPE_CHECKING:  # the environment seams; see repro.runtime
@@ -27,6 +30,75 @@ DEFAULT_RPC_TIMEOUT_MS = 4_000.0
 _REPLY_KIND = "__reply__"
 
 Handler = Callable[[Message], Optional[Generator[Any, Any, None]]]
+
+
+class _Sink:
+    """What a node registers as its inbox: ``put`` is its dispatch.
+
+    (Not the node itself — subclasses own the name, e.g.
+    ``MusicReplica.put(key, value)``.)
+    """
+
+    __slots__ = ("put",)
+
+    def __init__(self, put: Callable[[Message], None]) -> None:
+        self.put = put
+
+
+class _ExpiryQueue:
+    """One node's RPC deadlines for one timeout value, behind one timer.
+
+    Calls with the same timeout expire in the order they were sent, so
+    the deadlines form a FIFO and a single kernel entry, armed for the
+    oldest one, covers them all: when it fires it drops the heads that
+    were answered meanwhile, fails the ones that are due and re-arms
+    for the next unanswered deadline.  An answered RPC therefore costs
+    no kernel event and parks nothing in the clock's heap.
+    """
+
+    __slots__ = ("sim", "pending", "timeout", "entries", "armed")
+
+    # Profiler attribution: the timer is the net layer's.
+    name = "rpc:expiry"
+
+    def __init__(self, sim: "Clock", pending: Dict[int, Any], timeout: float) -> None:
+        self.sim = sim
+        self.pending = pending  # the node's request_id -> reply event map
+        self.timeout = timeout
+        # (deadline, request_id, reply_event, kind, dst), oldest first.
+        self.entries: Deque[Tuple[float, int, Any, str, str]] = deque()
+        self.armed = False
+
+    def add(self, request_id: int, reply_event: Any, kind: str, dst: str) -> None:
+        sim = self.sim
+        # The deadline is fixed here and met exactly (schedule_at), as
+        # if every call still had a timer of its own.
+        deadline = sim.now + self.timeout
+        self.entries.append((deadline, request_id, reply_event, kind, dst))
+        if not self.armed:
+            self.armed = True
+            sim.schedule_at(deadline, self._fire, None)
+
+    def _fire(self, _arg: None) -> None:
+        entries = self.entries
+        now = self.sim.now
+        due: List[Tuple[float, int, Any, str, str]] = []
+        while entries:
+            entry = entries[0]
+            if not entry[2]._triggered:
+                if entry[0] > now:
+                    break
+                due.append(entry)
+            entries.popleft()
+        # Re-arm before failing anything: a waiter woken below may well
+        # call again, and must find the timer state settled.
+        if entries:
+            self.sim.schedule_at(entries[0][0], self._fire, None)
+        else:
+            self.armed = False
+        for _deadline, request_id, reply_event, kind, dst in due:
+            self.pending.pop(request_id, None)
+            reply_event.fail(RpcTimeout(f"{kind} to {dst} after {self.timeout}ms"))
 
 
 class Node:
@@ -56,27 +128,30 @@ class Node:
         # Shared observability facade (a no-op unless installed on the
         # network); protocol code opens spans / bumps counters through it.
         self.obs = network.obs
-        self.inbox = Mailbox(sim, name=f"inbox:{node_id}")
         self.cpu = Resource(sim, capacity=cores, name=f"cpu:{node_id}")
         self.clock = clock or NodeClock(sim)
+        # Messages delivered before start(), in arrival order; None once
+        # the node dispatches.
+        self._early: Optional[List[Message]] = []
+        self.inbox = _Sink(self._dispatch)
         self.network.register(node_id, site, self.inbox)
         self._handlers: Dict[str, Handler] = {}
         self._pending_replies: Dict[int, Any] = {}
+        self._expiry: Dict[float, _ExpiryQueue] = {}
         self._next_request_id = 0
         # Per-kind reply-event ("rpc:<kind>") and handler-process
         # ("<node>:<kind>") names, built once per kind so the RPC hot
         # path never formats strings.
         self._rpc_names: Dict[str, str] = {}
         self._proc_names: Dict[str, str] = {}
-        self._serve_process: Optional[Process] = None
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Begin dispatching incoming messages."""
-        if self._serve_process is not None:
-            return
-        self._serve_process = self.sim.process(self._serve(), name=f"serve:{self.node_id}")
+        """Begin dispatching incoming messages, oldest undelivered first."""
+        early, self._early = self._early, None
+        for message in early or ():
+            self._dispatch(message)
 
     def crash(self, preserve_memory: bool = False) -> None:
         """Crash-stop this node: traffic is dropped and volatile state is lost.
@@ -143,7 +218,7 @@ class Node:
 
         A handler may be a plain function (runs instantly) or a generator
         function result; generators are spawned as independent processes
-        so slow requests do not block the serve loop.
+        so slow requests do not hold up later deliveries.
         """
         if kind == _REPLY_KIND:
             raise ValueError("cannot register a handler for the reply kind")
@@ -182,18 +257,11 @@ class Node:
         if trace_context is not None:
             envelope["trace"] = trace_context
         self.network.send(self.node_id, dst, kind, envelope, size_bytes)
-        # Closure-free expiry: a tuple arg instead of a per-RPC lambda;
-        # the timeout message string is only built if the RPC actually
-        # expires.
-        sim.schedule(timeout, Node._expire_rpc, (self, request_id, reply_event, kind, dst, timeout))
+        expiry = self._expiry.get(timeout)
+        if expiry is None:
+            expiry = self._expiry[timeout] = _ExpiryQueue(sim, self._pending_replies, timeout)
+        expiry.add(request_id, reply_event, kind, dst)
         return reply_event
-
-    @staticmethod
-    def _expire_rpc(arg: Tuple["Node", int, Any, str, str, float]) -> None:
-        node, request_id, reply_event, kind, dst, timeout = arg
-        if not reply_event._triggered:
-            node._pending_replies.pop(request_id, None)
-            reply_event.fail(RpcTimeout(f"{kind} to {dst} after {timeout}ms"))
 
     def call(
         self,
@@ -230,41 +298,46 @@ class Node:
 
     def compute(self, service_time_ms: float) -> Generator[Any, Any, None]:
         """Occupy one CPU core for ``service_time_ms`` (queueing if busy)."""
-        yield from self.cpu.use(service_time_ms)
+        return self.cpu.use(service_time_ms)
 
-    # -- internals -----------------------------------------------------------
+    # -- delivery ------------------------------------------------------------
 
-    def _serve(self) -> Generator[Any, Any, None]:
-        while True:
-            message: Message = yield self.inbox.get()
-            if message.kind == _REPLY_KIND:
-                self._complete_reply(message)
-                continue
-            handler = self._handlers.get(message.kind)
-            if handler is None:
-                raise LookupError(f"{self.node_id}: no handler for {message.kind!r}")
-            result = handler(message)
-            if result is not None and hasattr(result, "send"):
-                if self.sim.profiler is not None:
-                    kind = message.kind
-                    name = self._proc_names.get(kind)
-                    if name is None:
-                        name = self._proc_names[kind] = f"{self.node_id}:{kind}"
-                    process = self.sim.process(result, name=name)
-                else:
-                    process = self.sim.process(result)
-                if self.obs.enabled and isinstance(message.body, dict):
-                    trace_context = message.body.get("trace")
-                    if trace_context is not None:
-                        # Join the handler to the caller's trace so the
-                        # replica-side work nests under the RPC's span.
-                        self.obs.tracer.adopt(process, trace_context)
+    def _dispatch(self, message: Message) -> None:
+        """The inbox's ``put``: handle ``message`` now, in the delivery.
 
-    def _complete_reply(self, message: Message) -> None:
-        request_id = message.body["request_id"]
-        event = self._pending_replies.pop(request_id, None)
-        if event is not None and not event.triggered:
-            event.succeed(message.body["payload"])
+        A reply completes its pending RPC; anything else runs its
+        handler, and a generator handler takes its first step here, in
+        the delivery, before becoming a process of its own.
+        """
+        if self._early is not None:
+            self._early.append(message)
+            return
+        kind = message.kind
+        if kind == _REPLY_KIND:
+            body = message.body
+            event = self._pending_replies.pop(body["request_id"], None)
+            if event is not None and not event._triggered:
+                event.succeed(body["payload"])
+            return
+        handler = self._handlers.get(kind)
+        if handler is None:
+            raise LookupError(f"{self.node_id}: no handler for {kind!r}")
+        result = handler(message)
+        if result is not None and hasattr(result, "send"):
+            sim = self.sim
+            name = ""
+            if sim.profiler is not None:
+                name = self._proc_names.get(kind)
+                if name is None:
+                    name = self._proc_names[kind] = f"{self.node_id}:{kind}"
+            process = Process(sim, result, name)
+            if self.obs.enabled and isinstance(message.body, dict):
+                trace_context = message.body.get("trace")
+                if trace_context is not None:
+                    # Join the handler to the caller's trace so the
+                    # replica-side work nests under the RPC's span.
+                    self.obs.tracer.adopt(process, trace_context)
+            process.start()
 
     # -- broadcast helper ------------------------------------------------------
 

@@ -23,6 +23,42 @@ def quorum_size(replica_count: int) -> int:
     return replica_count // 2 + 1
 
 
+class _Collector:
+    """Counts the replies of one quorum wait into its outcome event."""
+
+    __slots__ = ("outcome", "needed", "total", "destinations", "successes", "failed")
+
+    def __init__(
+        self, outcome: Event, needed: int, handles: List[Tuple[str, Event]]
+    ) -> None:
+        self.outcome = outcome
+        self.needed = needed
+        self.total = len(handles)
+        self.destinations = {event: dst for dst, event in handles}
+        self.successes: List[Tuple[str, Any]] = []
+        self.failed = 0
+
+    def collect(self, event: Event) -> None:
+        outcome = self.outcome
+        if outcome._triggered:
+            return
+        if event._ok:
+            successes = self.successes
+            successes.append((self.destinations[event], event._value))
+            if len(successes) >= self.needed:
+                outcome.succeed(list(successes))
+        else:
+            self.failed += 1
+            reachable = self.total - self.failed
+            if reachable < self.needed:
+                outcome.fail(
+                    QuorumUnavailable(
+                        f"only {reachable} of {self.total} replicas "
+                        f"reachable, needed {self.needed}"
+                    )
+                )
+
+
 def await_quorum(
     sim: Simulator,
     handles: List[Tuple[str, Event]],
@@ -41,31 +77,10 @@ def await_quorum(
         raise QuorumUnavailable(f"need {needed} replies but only {total} requests sent")
 
     outcome: Event = sim.event(name=f"quorum:{needed}/{total}")
-    successes: List[Tuple[str, Any]] = []
-    failures: List[Tuple[str, BaseException]] = []
-
-    def make_collector(dst: str):
-        def collect(event: Event) -> None:
-            if outcome.triggered:
-                return
-            if event.ok:
-                successes.append((dst, event.value))
-                if len(successes) >= needed:
-                    outcome.succeed(list(successes))
-            else:
-                failures.append((dst, event._value))
-                if total - len(failures) < needed:
-                    outcome.fail(
-                        QuorumUnavailable(
-                            f"only {total - len(failures)} of {total} replicas "
-                            f"reachable, needed {needed}"
-                        )
-                    )
-
-        return collect
-
-    for dst, process in handles:
-        process.add_callback(make_collector(dst))
+    # One collector for the whole wait, not a closure per destination.
+    collect = _Collector(outcome, needed, handles).collect
+    for _dst, reply in handles:
+        reply.add_callback(collect)
 
     result = yield outcome
     return result

@@ -22,12 +22,19 @@ timings are untouched, so profiled runs stay bit-identical in sim time):
 - total events executed, total wall seconds, events/sec;
 - scheduler depth high-water mark (heap + same-time ready queue);
 - per-event-type handler time, keyed by the scheduled function's
-  ``__qualname__`` (``Process._bootstrap``, ``Process._resume``,
-  ``_fire_event`` timeout fires, ``Network._deliver`` deliveries, ...);
+  ``__qualname__``: ``Network._deliver`` (a delivery, *including* the
+  handler's first step or the reply's waiters, which run inside it),
+  ``Process._wake`` (the end of a bare-delay sleep, e.g. a handler's
+  CPU hold), ``_fire_event`` (a ``Timeout`` fire and the waiters it
+  wakes in place), ``Process.start`` (a ``sim.process`` bootstrap),
+  ``Process._resume`` (a wakeup a running process raised, deferred),
+  ``Process._deliver_interrupt``, ``_ExpiryQueue._fire`` (a node's RPC
+  expiry timer) and the ``__qualname__`` of each ``call_at`` action;
 - per-subsystem handler time, attributed by sampling the scheduled
   ``(fn, arg)`` pair every ``sample_every`` events and mapping the
   owning process/event name onto a subsystem (music / store / net /
-  client / topo / timer);
+  client / topo / timer); a delivery is billed to its destination's
+  handler, ``"<dst>:<kind>"``, since that is whose work it carries;
 - RPC envelope, obs-span and heap-push allocation counts (heap pushes
   read the kernel's ``heap_pushes`` counter, so the ready queue's heap
   bypass is directly visible as fewer pushes per event).
@@ -59,7 +66,6 @@ _SUBSYSTEM_RULES: Tuple[Tuple[str, str], ...] = (
     ("hint", "topo"),
     ("detector", "topo"),
     ("rpc:", "net"),
-    ("serve:", "net"),
     ("inbox", "net"),
     ("nic", "net"),
     ("cpu:", "net"),
@@ -94,15 +100,22 @@ def subsystem_of(name: Optional[str]) -> str:
 def _entry_owner_name(fn: Callable[..., None], arg: Any) -> str:
     """Best-effort name of whatever a scheduled ``(fn, arg)`` pair runs.
 
-    Scheduled entries are one of: an unbound ``Process._bootstrap`` /
+    Scheduled entries are one of: an unbound ``Process.start`` /
     ``Process._deliver_interrupt`` with the process as ``arg``, a bound
     ``Process._resume`` callback with the triggering event as ``arg``, a
+    bound ``Process._wake`` with a sleep token as ``arg``, a
     module-level ``_fire_event`` with the event (usually a Timeout) as
     ``arg``, a bound ``Network._deliver`` with the message as ``arg``,
-    or a ``call_at`` action (``arg`` is None; see
-    :meth:`SimProfiler.dispatch`).  We look at the bound object first,
-    then the argument.
+    a bound ``_ExpiryQueue._fire``, or a ``call_at`` action (``arg`` is
+    None; see :meth:`SimProfiler.dispatch`).  A message is billed to
+    the handler it is delivered to; otherwise we look at the bound
+    object first, then the argument.
     """
+    dst = getattr(arg, "dst", None)
+    if dst is not None:
+        # A delivery runs the destination's handler (or, for a reply,
+        # the caller waiting on that node) inside itself.
+        return f"{dst}:{arg.kind}"
     owner = getattr(fn, "__self__", None)
     if owner is not None:
         name = getattr(owner, "name", None)

@@ -20,8 +20,9 @@ Context propagation uses two mechanisms:
   parent.
 - **Across RPCs**: :meth:`Tracer.rpc_context` returns a ``(trace_id,
   span_id)`` pair that :class:`repro.net.Node` piggybacks on the RPC
-  envelope; the serve loop seeds the handler process's context with it
-  (:meth:`Tracer.adopt`), so replica-side spans join the caller's trace.
+  envelope; the node's dispatch seeds the handler process's context with
+  it (:meth:`Tracer.adopt`) before the handler's first step, so
+  replica-side spans join the caller's trace.
 
 The :data:`NULL_TRACER` makes the disabled path near-free: ``span()``
 returns a shared inert object whose enter/exit do nothing, no state is

@@ -85,6 +85,12 @@ class Clock(Protocol):
     # spawned children and trace spans); None between steps.
     active_process: Optional[Any]
 
+    # True while the clock is running a scheduled action.  An event
+    # triggered then, with no process executing, wakes its waiters in
+    # place; triggered by a running process or by code outside the loop,
+    # it queues them for this instant instead.
+    dispatching: bool
+
     # Self-profiler slot (repro.obs.prof.SimProfiler); None when off.
     profiler: Optional[Any]
 
@@ -104,15 +110,20 @@ class Clock(Protocol):
 
     def call_at(self, when: float, action: Callable[[], None]) -> None: ...
 
-    # The two kernel hooks: Event/Timeout/Process objects, the node RPC
-    # timer and both transports schedule themselves through ``schedule``,
-    # so any Clock must provide them.  ``schedule`` runs ``fn(arg)``
-    # after ``delay`` ms without a closure; a non-positive delay means
-    # "this instant, FIFO behind what is already queued, never
-    # synchronously", and positive delays run in (time, insertion)
-    # order.  ``defuse`` accounts an AllOf/AnyOf child failure that lost
-    # the race after the combinator triggered (``swallowed_failures``).
+    # The three kernel hooks: Event/Timeout/Process objects, the node
+    # RPC expiry timer and both transports schedule themselves through
+    # these, so any Clock must provide them.  ``schedule`` runs
+    # ``fn(arg)`` after ``delay`` ms without a closure; a non-positive
+    # delay means "this instant, FIFO behind what is already queued,
+    # never synchronously", and positive delays run in (time, insertion)
+    # order.  ``schedule_at`` is the same at an absolute clock time — a
+    # deadline computed earlier is met exactly, where ``when - now``
+    # through ``schedule`` could land one ulp off.  ``defuse`` accounts
+    # an AllOf/AnyOf child failure that lost the race after the
+    # combinator triggered (``swallowed_failures``).
     def schedule(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None: ...
+
+    def schedule_at(self, when: float, fn: Callable[[Any], None], arg: Any) -> None: ...
 
     def defuse(self, event: Any) -> None: ...
 
@@ -167,9 +178,9 @@ def require_clock(candidate: Any) -> Any:
         missing = [
             name
             for name in (
-                "now", "active_process", "profiler", "event", "timeout",
-                "process", "all_of", "any_of", "call_at",
-                "schedule", "defuse",
+                "now", "active_process", "dispatching", "profiler", "event",
+                "timeout", "process", "all_of", "any_of", "call_at",
+                "schedule", "schedule_at", "defuse",
             )
             if not hasattr(candidate, name)
         ]

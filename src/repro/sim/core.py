@@ -15,9 +15,11 @@ The programming model is generator-based processes, similar in spirit to
 SimPy but purpose-built and dependency-free:
 
 - A *process* is a Python generator driven by the :class:`Simulator`.
-- A process yields :class:`Event` objects (or a plain number, shorthand
-  for a timeout) and is resumed when the event triggers, receiving the
-  event's value.  A failed event raises inside the generator instead.
+- A process yields :class:`Event` objects and is resumed when the event
+  triggers, receiving the event's value; a failed event raises inside
+  the generator instead.  Yielding a plain number is a *bare delay*: the
+  process sleeps that long and resumes with ``None`` (cheaper than
+  ``sim.timeout(delay)``, which makes an event others could wait on).
 - Processes are themselves events that trigger on completion, so
   processes can wait for each other.
 
@@ -42,22 +44,39 @@ Simulation kernel (DESIGN.md §14)
 The scheduler keeps two structures:
 
 - ``_ready`` — a plain FIFO deque of ``(fn, arg)`` pairs for *same-time*
-  work: callback hops, process bootstraps, triggered-event wakeups.
-  Roughly 80% of all scheduled actions are ``delay == 0`` continuations
-  of the current instant, and they bypass the heap entirely.
+  work: process bootstraps, interrupts, and the wakeups a running
+  process raises.  They bypass the heap entirely.
 - ``_heap`` — a binary heap of plain ``(time, seq, fn, arg)`` tuples for
-  work at a *future* time (timeouts, message arrivals, timers).  ``seq``
-  is the per-simulator ``heap_pushes`` counter, which breaks same-time
-  ties FIFO; it is unique, so ``heapq`` orders entries by
+  work at a *future* time (sleeps, timeouts, message arrivals, timers).
+  ``seq`` is the per-simulator ``heap_pushes`` counter, which breaks
+  same-time ties FIFO; it is unique, so ``heapq`` orders entries by
   ``(time, seq)`` in C and never compares ``fn`` or ``arg``.
 
-One scheduling hook fills them — :meth:`Simulator.schedule` — and one
-loop empties them — :meth:`Simulator._drain`, which ``run`` and
+Two scheduling hooks fill them — :meth:`Simulator.schedule` (relative)
+and :meth:`Simulator.schedule_at` (absolute, exact) — and one loop
+empties them — :meth:`Simulator._drain`, which ``run`` and
 ``run_until_complete`` wrap.  Every scheduled action is an ``(fn, arg)``
-pair and every dispatch is ``fn(arg)``, so the hot paths — callback
-delivery, process resume, timeout firing, message delivery — allocate
-no lambdas.  An installed :class:`repro.obs.prof.SimProfiler` is handed
-each popped pair by the same loop; it does not run a loop of its own.
+pair and every dispatch is ``fn(arg)``, so the hot paths — process
+wake, timeout firing, message delivery — allocate no lambdas.  An
+installed :class:`repro.obs.prof.SimProfiler` is handed each popped pair
+by the same loop; it does not run a loop of its own.
+
+Only work that advances simulated time, or that a running process
+raised, is an entry of its own.  Two rules keep same-instant hand-offs
+out of the queues:
+
+- **Who wakes in place.**  An event triggered *by the loop itself* — a
+  dispatched action (timer fire, message delivery) with no process
+  executing — calls its callbacks on the spot, in registration order,
+  so the waiting process runs inside that dispatch.  An event triggered
+  *by a running process* (or by code outside the loop) queues its
+  callbacks on ``_ready`` for the same instant: process code keeps
+  run-to-completion and no generator is ever re-entered.
+- **What a bare delay is.**  ``yield 2.5`` is one
+  ``schedule(2.5, process._wake, token)`` and nothing else — no
+  ``Timeout``, no callback list, no second hop to resume.  An interrupt
+  bumps the process's token, so the wake of a sleep it left early is
+  ignored when it arrives.
 
 Determinism contract: every entry in ``_ready`` was scheduled at the
 current ``now`` and therefore *after* (in program order) every heap
@@ -205,9 +224,20 @@ class Event:
                 self.sim._unhandled.append(self)
             return
         self._callbacks = None
-        schedule = self.sim.schedule
-        for callback in callbacks:
-            schedule(0.0, callback, self)
+        sim = self.sim
+        if sim.dispatching and sim.active_process is None:
+            # Raised by the dispatch loop itself (a timer fire, a message
+            # delivery): no process is mid-step, so the waiters run in
+            # place, in registration order, inside this dispatch.
+            for callback in callbacks:
+                callback(self)
+        else:
+            # Raised by a running process (or by set-up code outside the
+            # loop): deferred, so process code keeps run-to-completion
+            # and no generator is ever re-entered.
+            schedule = sim.schedule
+            for callback in callbacks:
+                schedule(0.0, callback, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "pending"
@@ -240,7 +270,7 @@ class Process(Event):
     (with the return value) or raises (failing waiters with the error).
     """
 
-    __slots__ = ("generator", "context", "_waiting_on", "_interrupts", "_resume_cb")
+    __slots__ = ("generator", "context", "_waiting_on", "_interrupts", "_resume_cb", "_sleep")
 
     def __init__(
         self, sim: "Simulator", generator: Generator[Any, Any, Any], name: str = ""
@@ -260,10 +290,17 @@ class Process(Event):
         # One bound method for the life of the process instead of a fresh
         # one per yield (processes re-register after every wait).
         self._resume_cb = self._resume
-        # Kick the generator off on the next scheduler step.
-        sim.schedule(0.0, Process._bootstrap, self)
+        # Token of the current bare-delay sleep: every interrupt bumps
+        # it, so the wake of a sleep the process left early is stale.
+        self._sleep = 0
 
-    def _bootstrap(self) -> None:
+    def start(self) -> None:
+        """Take the generator's first step, now.
+
+        ``sim.process(...)`` schedules this for the next scheduler step;
+        a caller that is itself a dispatched action (message delivery)
+        may call it directly to run the first step in place.
+        """
         if not self._triggered:
             self._advance(False, None)
 
@@ -299,19 +336,24 @@ class Process(Event):
         self._waiting_on = None
         if waiting is not None and waiting._abandon is not None:
             waiting._abandon(waiting)
+        self._sleep += 1  # a bare-delay sleep we were in will wake stale
         self._advance(True, Interrupt(cause))
 
     def _resume(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event is not self._waiting_on and self._waiting_on is not None:
-            # Stale wakeup: an interrupt detached us from this event.
+        if self._triggered or event is not self._waiting_on:
+            # Finished, or a stale wakeup: an interrupt detached us from
+            # this event (we may be waiting on another, or asleep).
             return
         self._waiting_on = None
         if not event._triggered or event._ok:
             self._advance(False, event._value)
         else:
             self._advance(True, event._value)
+
+    def _wake(self, token: int) -> None:
+        # End of a bare-delay sleep, unless an interrupt ended it first.
+        if token == self._sleep:
+            self._advance(False, None)
 
     def _advance(self, throw: bool, payload: Any) -> None:
         # Mark this process as the one executing so anything it creates
@@ -335,18 +377,26 @@ class Process(Event):
             except BaseException as exc:
                 self.fail(exc)
                 return
-            if type(target) is not Timeout and not isinstance(target, Event):
+            kind = type(target)
+            if kind is not float and kind is not Timeout and not isinstance(target, Event):
                 target = self._coerce(target)
         finally:
             sim.active_process = previous
-        self._waiting_on = target
-        target.add_callback(self._resume_cb)
+        if type(target) is float:
+            # A bare delay is a sleep nobody else can wait on: one
+            # scheduled wake, no Timeout object and no callback list.
+            if target < 0:
+                raise SimulationError(f"negative timeout delay {target!r}")
+            sim.schedule(target, self._wake, self._sleep)
+        else:
+            self._waiting_on = target
+            target.add_callback(self._resume_cb)
 
-    def _coerce(self, target: Any) -> Event:
+    def _coerce(self, target: Any) -> Any:
         if isinstance(target, (int, float)):
-            return Timeout(self.sim, float(target))
+            return float(target)
         if hasattr(target, "send"):
-            return Process(self.sim, target)
+            return self.sim.process(target)
         raise SimulationError(
             f"process {self.name!r} yielded {target!r}; expected an Event, "
             "a delay (number), or a generator"
@@ -453,7 +503,10 @@ class Simulator:
         # Heap pushes ever — also the FIFO tie-break sequence for
         # same-time heap entries.
         self.heap_pushes = 0
-        self._running = False
+        # True while the dispatch loop runs: a wakeup the loop itself
+        # raises runs in place (Event._trigger); also the re-entrancy
+        # guard of _drain.
+        self.dispatching = False
         self._unhandled: list[Event] = []
         # Child failures that lost an AllOf/AnyOf race after the
         # combinator already triggered: defused, not silently dropped.
@@ -468,7 +521,10 @@ class Simulator:
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator[Any, Any, Any], name: str = "") -> Process:
-        return Process(self, generator, name=name)
+        process = Process(self, generator, name=name)
+        # Kick the generator off on the next scheduler step.
+        self.schedule(0.0, Process.start, process)
+        return process
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -492,13 +548,24 @@ class Simulator:
             self.heap_pushes = seq + 1
             heapq.heappush(self._heap, (self.now + delay, seq, fn, arg))
 
-    def call_at(self, when: float, action: Callable[[], None]) -> None:
-        """Run a plain callable at absolute simulated time ``when``.
+    def schedule_at(self, when: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Run ``fn(arg)`` at absolute simulated time ``when``, exactly.
 
-        Times at or before ``now`` are clamped to "now", as in
-        :meth:`schedule`.
+        :meth:`schedule` with ``when - now`` would re-add ``now`` and can
+        land one ulp off a deadline computed earlier; this pushes the
+        float it is given.  Times at or before ``now`` are clamped to
+        "now", as in :meth:`schedule`.
         """
-        self.schedule(when - self.now, call_action, action)
+        if when <= self.now:
+            self._ready.append((fn, arg))
+        else:
+            seq = self.heap_pushes
+            self.heap_pushes = seq + 1
+            heapq.heappush(self._heap, (when, seq, fn, arg))
+
+    def call_at(self, when: float, action: Callable[[], None]) -> None:
+        """Run a plain callable at absolute simulated time ``when``."""
+        self.schedule_at(when, call_action, action)
 
     def defuse(self, event: Event) -> None:
         """Account a child failure that lost an AllOf/AnyOf race."""
@@ -515,9 +582,9 @@ class Simulator:
         both queues are empty, or before the first heap entry later than
         ``until``; the caller tells those apart.
         """
-        if self._running:
+        if self.dispatching:
             raise SimulationError("simulator is already running (re-entrant run())")
-        self._running = True
+        self.dispatching = True
         ready = self._ready
         heap = self._heap
         heappop = heapq.heappop
@@ -538,7 +605,7 @@ class Simulator:
                     # Queue depth as it stood before this pop.
                     observe(fn, arg, len(heap) + len(ready) + 1)
         finally:
-            self._running = False
+            self.dispatching = False
 
     def run(self, until: Optional[float] = None, strict: bool = True) -> None:
         """Run until the queues drain or simulated time passes ``until``.

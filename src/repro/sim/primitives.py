@@ -27,8 +27,10 @@ class Mailbox:
     """An unbounded FIFO queue of items with event-based ``get``.
 
     ``put`` is immediate (never blocks); ``get`` returns an event that
-    triggers with the oldest item, waking waiters in FIFO order.  This is
-    the delivery queue used for node inboxes and RPC reply slots.
+    triggers with the oldest item, waking waiters in FIFO order.  A
+    mailbox satisfies the transports' inbox contract (anything with
+    ``put``), for code that wants to pull messages; :class:`repro.net.
+    Node` registers a sink that dispatches on ``put`` instead.
     """
 
     def __init__(self, sim: Simulator, name: str = "") -> None:
@@ -158,7 +160,7 @@ class Resource:
         else:
             yield self.acquire()
         try:
-            yield self.sim.timeout(hold_time)
+            yield hold_time  # a bare-delay sleep: one scheduled wake
         finally:
             self.release(None)
 

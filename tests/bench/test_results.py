@@ -63,3 +63,19 @@ def test_committed_results_carry_the_schema():
         document = load_bench_json(path)
         assert document["schema"] == BENCH_SCHEMA
         assert document["name"]
+
+
+def test_committed_e2e_fingerprints_cover_every_gated_workload():
+    """CI's e2e-smoke job compares ``run.py --label ci`` against
+    ``e2e_fingerprints.json``: it must name exactly the sim workloads
+    BENCHMARK.json declares, each with a 16-hex-digit fingerprint."""
+    import re
+
+    baseline = json.loads((results.results_dir() / "e2e_fingerprints.json").read_text())
+    spec = json.loads((results.results_dir().parents[1] / "BENCHMARK.json").read_text())
+    assert set(baseline["fingerprints"]) == {w["name"] for w in spec["workloads"]}
+    assert all(
+        re.fullmatch(r"[0-9a-f]{16}", fingerprint)
+        for fingerprint in baseline["fingerprints"].values()
+    )
+    assert (baseline["seed"], baseline["scale"]) == (0, "full")

@@ -143,6 +143,68 @@ def test_schedule_negative_delay_clamps_to_now(drive):
 
 
 @both_clocks
+def test_schedule_at_orders_by_absolute_time_and_clamps_the_past(drive):
+    def body(clock):
+        seen = []
+        start = clock.now
+        clock.schedule_at(start + 40.0, seen.append, "late")
+        clock.schedule_at(start + 10.0, seen.append, "early")
+        clock.schedule(0.0, seen.append, "queued")
+        clock.schedule_at(start - 5.0, seen.append, "past")
+        assert seen == []  # never synchronously, even when overdue
+        return seen
+
+    assert drive(body) == ["queued", "past", "early", "late"]
+
+
+@both_clocks
+def test_a_wakeup_raised_by_a_scheduled_action_runs_in_place(drive):
+    """Who wakes in place: an event triggered by the clock's own
+    dispatch, with no process executing, runs its waiters inside
+    ``succeed()``; one triggered by a running process queues them, so
+    process code keeps run-to-completion on either clock."""
+
+    def body(clock):
+        seen = []
+        by_action, by_process = clock.event(), clock.event()
+
+        def waiter(tag, event):
+            yield event
+            seen.append(tag + " woke")
+
+        def action(_arg):
+            by_action.succeed()
+            seen.append("action returned")
+
+        def trigger():
+            yield 1.0
+            by_process.succeed()
+            seen.append("process stepped on")
+
+        clock.process(waiter("a", by_action))
+        clock.process(waiter("p", by_process))
+        clock.process(trigger())
+        clock.schedule(0.0, action, None)
+        return seen
+
+    assert drive(body) == [
+        "a woke", "action returned", "process stepped on", "p woke",
+    ]
+
+
+@both_clocks
+def test_dispatching_is_false_outside_a_scheduled_action(drive):
+    def body(clock):
+        seen = [clock.dispatching]
+        clock.schedule(0.0, lambda _arg: seen.append(clock.dispatching), None)
+        return clock, seen
+
+    clock, seen = drive(body)
+    assert seen == [False, True]
+    assert clock.dispatching is False
+
+
+@both_clocks
 def test_defuse_counts_a_swallowed_failure(drive):
     def body(clock):
         assert clock.swallowed_failures == 0
@@ -196,5 +258,5 @@ def test_clock_declares_no_private_method():
         for name, value in vars(Clock).items()
         if inspect.isfunction(value) and value.__qualname__ == f"Clock.{name}"
     ]
-    assert "schedule" in declared and "defuse" in declared
+    assert {"schedule", "schedule_at", "defuse"} <= set(declared)
     assert [name for name in declared if name.startswith("_")] == []

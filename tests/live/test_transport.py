@@ -93,6 +93,49 @@ def test_node_rpc_round_trip_between_transports():
     asyncio.run(main())
 
 
+def test_a_raising_handler_is_isolated_on_both_delivery_paths():
+    """Delivery runs the handler: whether the message came off a socket
+    or from a node in the same process, a handler bug lands in
+    ``LiveClock.errors`` and the next message is still served."""
+
+    async def main():
+        clock = LiveClock()
+        spec = spec_for_transport_tests()
+        t0, t1 = await start_pair(clock, spec)
+        try:
+            server = Node(clock, t1, "store-1-0", spec.nodes[1].site)
+
+            def fragile(message):
+                if Node.payload(message) == "bad":
+                    raise RuntimeError("injected handler bug")
+                server.reply(message, "served")
+
+            server.on("fragile", fragile)
+            server.start()
+            remote = Node(clock, t0, "store-0-0", spec.nodes[0].site)
+            local = Node(clock, t1, "music-1-0", spec.nodes[1].site)
+            remote.start()
+            local.start()
+
+            def call(client, payload):
+                return (yield from client.call("store-1-0", "fragile", payload, timeout=200.0))
+
+            for client in (remote, local):
+                with pytest.raises(Exception, match="fragile to store-1-0"):
+                    await asyncio.wait_for(clock.run_process(call(client, "bad")), timeout=5.0)
+                reply = await asyncio.wait_for(clock.run_process(call(client, "good")), timeout=5.0)
+                assert reply == "served"
+            assert len(clock.errors) == 2
+            assert all("injected handler bug" in error for error in clock.errors)
+            assert len(clock.drain_failures()) == 2 and clock.fatal_failures == 2
+        finally:
+            await t0.close()
+            await t1.close()
+            clock.close()
+
+    asyncio.run(main())
+
+
 def test_listenless_client_gets_replies_over_return_link():
     """A client transport with no listening socket: replies must route
     back over the connection the request went out on."""

@@ -92,6 +92,27 @@ def test_subsystem_classifier():
     assert subsystem_of(None) == "other"
 
 
+def test_a_delivery_is_billed_to_its_destination_handler():
+    """``Network._deliver`` carries the handler's work (or, for a reply,
+    the waiting caller's), so its time belongs to ``<dst>:<kind>``'s
+    subsystem — not to a bucket of its own."""
+    deployment = build_music(seed=5, profile=True)
+    deployment.profiler.sample_every = 1  # exact attribution
+    _workload(deployment)
+    profiler = deployment.profiler
+    kinds = set(profiler.by_event_type)
+    assert {"Network._deliver", "Process._wake", "Process.start"} <= kinds
+    assert "Node._serve" not in kinds and "Node._expire_rpc" not in kinds
+    deliveries = profiler.by_event_type["Network._deliver"][0]
+    assert deliveries > 0.5 * profiler.events  # most of what the kernel runs
+    # Counts, not wall time: exact at sample_every=1.  Every delivery
+    # went to a store or a music node; billed to "Network" they would
+    # all sit in "other".
+    billed = {name: count for name, (count, _wall) in profiler.by_subsystem.items()}
+    assert billed["store"] + billed["music"] >= deliveries
+    assert billed.get("other", 0) < profiler.events - deliveries
+
+
 def test_speedscope_samples_shape():
     deployment = build_music(seed=5, profile=True)
     _workload(deployment)

@@ -309,3 +309,107 @@ def test_event_value_before_trigger_raises():
     event = Event(sim)
     with pytest.raises(SimulationError):
         _ = event.value
+
+
+# -- bare-delay sleeps and absolute-time scheduling ---------------------------
+
+
+def test_bare_delay_sleeps_like_a_timeout():
+    sim = Simulator()
+    woke = []
+
+    def sleeper():
+        woke.append((yield 2.5))  # a float: one scheduled wake
+        woke.append((yield 2))  # an int is coerced to the same thing
+        woke.append(sim.now)
+
+    sim.process(sleeper())
+    sim.run()
+    assert woke == [None, None, 4.5]
+
+
+def test_bare_negative_delay_is_rejected():
+    sim = Simulator()
+
+    def sleeper():
+        yield -1.0
+
+    sim.process(sleeper())
+    with pytest.raises(SimulationError, match="negative timeout delay"):
+        sim.run()
+
+
+def test_interrupted_bare_delay_sleep_never_resumes_early():
+    """The wake of a sleep an interrupt ended is stale: the process
+    sleeps again, straight through it, to its own wake."""
+    sim = Simulator()
+    trace = []
+
+    def sleeper():
+        try:
+            yield 10.0
+            trace.append("first sleep done")
+        except Interrupt as interrupt:
+            trace.append(("interrupted", interrupt.cause, sim.now))
+        yield 20.0
+        trace.append(("second sleep done", sim.now))
+
+    target = sim.process(sleeper())
+    sim.call_at(1.0, lambda: target.interrupt("up"))
+    sim.run()
+    assert trace == [("interrupted", "up", 1.0), ("second sleep done", 21.0)]
+
+
+def test_stale_wake_landing_on_the_next_wake_resumes_once():
+    sim = Simulator()
+    wakes = []
+
+    def sleeper():
+        try:
+            yield 10.0
+        except Interrupt:
+            pass
+        yield 9.0  # due at 10.0 too, behind the stale wake
+        wakes.append(sim.now)
+        yield 5.0
+        wakes.append(sim.now)
+
+    target = sim.process(sleeper())
+    sim.call_at(1.0, lambda: target.interrupt())
+    sim.run()
+    assert wakes == [10.0, 15.0]
+
+
+def test_abandoned_event_cannot_end_a_bare_delay_sleep():
+    """Interrupted away from an event, then asleep: the old event
+    triggering mid-sleep is a stale wakeup, not the end of the sleep."""
+    sim = Simulator()
+    gate = sim.event()
+    trace = []
+
+    def waiter():
+        try:
+            yield gate
+        except Interrupt:
+            trace.append(("interrupted", sim.now))
+        yield 10.0
+        trace.append(("slept", sim.now))
+
+    target = sim.process(waiter())
+    sim.call_at(1.0, lambda: target.interrupt())
+    sim.call_at(5.0, lambda: gate.succeed("late"))
+    sim.run()
+    assert trace == [("interrupted", 1.0), ("slept", 11.0)]
+
+
+def test_schedule_at_and_call_at_land_on_the_float_given():
+    sim = Simulator()
+    sim.run(until=8.3)
+    when = 52.9
+    assert sim.now + (when - sim.now) != when  # the relative form is an ulp off
+    fired = []
+    sim.schedule_at(when, lambda tag: fired.append((tag, sim.now)), "schedule_at")
+    sim.call_at(when, lambda: fired.append(("call_at", sim.now)))
+    sim.schedule_at(1.0, lambda tag: fired.append((tag, sim.now)), "past")  # clamps to now
+    sim.run()
+    assert fired == [("past", 8.3), ("schedule_at", when), ("call_at", when)]

@@ -145,6 +145,30 @@ def test_resource_released_on_interrupt():
     assert done == [6.0]
 
 
+def test_interrupted_hold_returns_its_core_and_its_wake_goes_stale():
+    """`use` holds through a bare-delay sleep: interrupted mid-hold it
+    still releases, and that hold's wake must not cut a later one short."""
+    from repro.sim import Interrupt
+
+    sim = Simulator()
+    cpu = Resource(sim, capacity=1)
+    done = []
+
+    def holder():
+        try:
+            yield from cpu.use(100.0)
+        except Interrupt:
+            done.append(("interrupted", sim.now, cpu.in_use))
+        yield from cpu.use(200.0)  # spans the first hold's wake at t=100
+        done.append(("held", sim.now, cpu.in_use))
+
+    hold = sim.process(holder())
+    sim.call_at(5.0, lambda: hold.interrupt())
+    sim.run()
+    assert done == [("interrupted", 5.0, 0), ("held", 205.0, 0)]
+    assert cpu.total_busy_time == pytest.approx(205.0)
+
+
 def test_condition_broadcast():
     sim = Simulator()
     cond = Condition(sim)
