@@ -1,12 +1,16 @@
 """Shared plumbing for the figure-regeneration benchmarks.
 
-Each benchmark runs one experiment from :mod:`repro.bench.experiments`
-exactly once under pytest-benchmark timing, asserts the paper's shape
-checks, and writes the rendered table to ``benchmarks/results/<id>.txt``
-so a full run leaves the regenerated figures on disk.  Those tables are
-simulated-clock numbers, byte-stable from run to run; an experiment that
-reports wall-clock numbers names its own ``results_dir`` (a ``tmp_path``)
-so the suite leaves ``git status`` clean.
+Each benchmark regenerates one scenario of the :mod:`repro.bench`
+registry by id: ``regenerate("<id>")`` runs it exactly once through
+:func:`repro.bench.run_experiment` under pytest-benchmark timing,
+asserts the scenario's shape checks, and writes the rendered table to
+``benchmarks/results/<id>.txt`` so a full run leaves the regenerated
+figures on disk.  Every registered id has exactly one such call
+(``tests/bench/test_registry.py``).  Those tables are simulated-clock
+numbers, byte-stable from run to run; a scenario that reports wall-clock
+numbers names its own ``results_dir`` (a ``tmp_path``) so the suite
+leaves ``git status`` clean.  Extra per-figure asserts live in the
+``test_*.py`` files, on ``result.data``.
 """
 
 from __future__ import annotations

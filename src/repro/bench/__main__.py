@@ -3,6 +3,7 @@
 Usage::
 
     python -m repro.bench              # run everything
+    python -m repro.bench --list       # one line per scenario id
     python -m repro.bench fig6a fig8   # run a subset
     python -m repro.bench --audit fig8 # with the runtime ECF auditor on
     REPRO_BENCH_SCALE=full python -m repro.bench
@@ -13,19 +14,17 @@ from __future__ import annotations
 import sys
 import time
 
-from . import experiments
-from .experiments import EXPERIMENTS, run_experiment, scale_name
+from . import EXPERIMENTS, run_experiment, scale_name
 
 
 def main(argv: list) -> int:
-    if "--audit" in argv:
+    audit = "--audit" in argv
+    if audit:
         argv = [arg for arg in argv if arg != "--audit"]
-        experiments.AUDIT = True
         print("runtime ECF auditor: ON (every MUSIC deployment is checked)")
     if argv and argv[0] in ("--list", "-l"):
-        for exp_id, func in EXPERIMENTS.items():
-            doc = (func.__doc__ or "").strip().splitlines()[0]
-            print(f"{exp_id:18s} {doc}")
+        for exp_id, declared in EXPERIMENTS.items():
+            print(f"{exp_id:18s} {declared.doc}")
         return 0
     wanted = argv or list(EXPERIMENTS)
     unknown = [exp_id for exp_id in wanted if exp_id not in EXPERIMENTS]
@@ -36,7 +35,7 @@ def main(argv: list) -> int:
     failures = 0
     for exp_id in wanted:
         started = time.time()
-        result = run_experiment(exp_id)
+        result = run_experiment(exp_id, audit=audit)
         elapsed = time.time() - started
         print()
         print(result.text)

@@ -59,9 +59,13 @@ class _Recorder:
         self.completed = 0
         self.errors = 0
 
-    def record(self, count: int = 1) -> None:
-        if self.warmup_end <= self.sim.now < self.window_end:
+    def record(self, count: int = 1) -> bool:
+        """Count ``count`` completions; says whether they fell in the
+        window, for workers that keep their own per-op statistics."""
+        in_window = self.warmup_end <= self.sim.now < self.window_end
+        if in_window:
             self.completed += count
+        return in_window
 
     def record_error(self) -> None:
         if self.warmup_end <= self.sim.now < self.window_end:
@@ -71,7 +75,7 @@ class _Recorder:
 # A worker factory receives (thread_index, record, record_error) and
 # returns a generator that loops issuing operations forever, calling
 # record() after each completed unit of work.
-WorkerFactory = Callable[[int, Callable[..., None], Callable[[], None]], Generator]
+WorkerFactory = Callable[[int, Callable[..., bool], Callable[[], None]], Generator]
 
 
 def measure_throughput(
@@ -85,6 +89,9 @@ def measure_throughput(
 
     The simulation stops at the window's end; workers are simply
     abandoned mid-operation (their in-flight work is not counted).
+    Nothing fails silently: a :class:`ReproError` no process observed
+    (a worker's, or a background task's) counts as an error, and any
+    other exception is a bug in the harness or the system and is raised.
     """
     recorder = _Recorder(sim, sim.now + warmup_ms, sim.now + warmup_ms + window_ms)
 
@@ -99,12 +106,20 @@ def measure_throughput(
     for index in range(threads):
         worker = make_worker(index, recorder.record, recorder.record_error)
         sim.process(resilient(worker), name=f"worker-{index}")
-    sim.run(until=sim.now + warmup_ms + window_ms, strict=False)
+    unobserved = 0
+    while True:
+        # Strict mode re-raises one unobserved failure per call; once
+        # the window has run, each further call only pops the next one.
+        try:
+            sim.run(until=recorder.window_end)
+            break
+        except ReproError:
+            unobserved += 1
     return ThroughputResult(
         completed=recorder.completed,
         window_ms=window_ms,
         threads=threads,
-        errors=recorder.errors,
+        errors=recorder.errors + unobserved,
     )
 
 

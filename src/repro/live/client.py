@@ -8,8 +8,9 @@ of the replicas the cluster spec names.  Nothing here is live-specific
 but the spec lookup.
 
 ``cs_workload`` is the shared critical-section workload used by the
-conformance suite, the smoke runner and the live bench: ``rounds``
-read-modify-write increments per key, a fixed number of logical
+conformance suite, the smoke runner and the live bench: the hot-key
+counter driver of :mod:`repro.bench.workers` (``rounds``
+read-modify-write increments per key) over a fixed number of logical
 clients, every CS timed.  Its *effect* is timing-independent (each key
 ends at exactly ``rounds * clients_per_key`` increments), which is what
 lets the sim-vs-live conformance test demand identical final state
@@ -21,9 +22,12 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, Generator, List, Optional
 
-from ..core import MusicClient, service_client
+from ..analysis import summarize
+from ..bench.workers import counter_increments, read_counter
+from ..core import CriticalSection, MusicClient, service_client
 from ..net import Node
 from ..sim import RandomStreams
 from .config import ClusterSpec
@@ -78,26 +82,22 @@ class WorkloadResult:
         return self.completed_cs / (self.duration_ms / 1000.0)
 
 
-def _percentile(samples: List[float], fraction: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))
-    return ordered[index]
-
-
 def workload_metrics(result: WorkloadResult) -> Dict[str, float]:
-    """The BENCH_live metric set for one workload run."""
-    return {
+    """The BENCH_live metric set for one workload run.  Percentiles
+    follow ``analysis.summarize`` (linear interpolation), the rule of
+    every simulated BENCH file, so the two are comparable."""
+    metrics = {
         "completed_cs": float(result.completed_cs),
         "failed_cs": float(result.failed_cs),
         "duration_ms": result.duration_ms,
         "cs_per_sec": result.cs_per_sec(),
-        "cs_p50_ms": _percentile(result.cs_latencies_ms, 0.50),
-        "cs_p99_ms": _percentile(result.cs_latencies_ms, 0.99),
-        "acquire_p50_ms": _percentile(result.acquire_latencies_ms, 0.50),
-        "acquire_p99_ms": _percentile(result.acquire_latencies_ms, 0.99),
     }
+    for name, samples in (("cs", result.cs_latencies_ms),
+                          ("acquire", result.acquire_latencies_ms)):
+        summary = summarize(samples) if samples else None
+        metrics[f"{name}_p50_ms"] = summary.p50 if summary else 0.0
+        metrics[f"{name}_p99_ms"] = summary.p99 if summary else 0.0
+    return metrics
 
 
 def cs_workload(
@@ -112,33 +112,33 @@ def cs_workload(
     Client ``i`` works key ``keys[i % len(keys)]``; each client performs
     ``rounds`` critical sections of read → increment → write.  Returns
     the aggregate result including the final value of every key (read
-    under one last critical section per key by the first client).  The
-    workers spell Listing 1 out because the acquire is timed on its own.
+    under one last critical section per key by the first client).
     """
     result = WorkloadResult(started_ms=clock.now)
 
-    def one_client(client: MusicClient, key: str) -> Generator[Any, Any, None]:
-        for _ in range(rounds):
-            entered = clock.now
-            lock_ref = yield from client.create_lock_ref(key)
-            granted = yield from client.acquire_lock_blocking(
-                key, lock_ref, timeout_ms=acquire_timeout_ms
-            )
-            if not granted:
-                yield from client.release_lock(key, lock_ref)
-                result.failed_cs += 1
-                continue
-            result.acquire_latencies_ms.append(clock.now - entered)
-            value = yield from client.critical_get(key, lock_ref)
-            value = (value or 0) + 1
-            yield from client.critical_put(key, lock_ref, value)
+    def enter(client: MusicClient, key: str) -> Generator[Any, Any, Optional[CriticalSection]]:
+        # ``client.critical_section`` spelled out: a timed-out acquire
+        # is counted as a failed CS here instead of raised.
+        lock_ref = yield from client.create_lock_ref(key)
+        granted = yield from client.acquire_lock_blocking(
+            key, lock_ref, timeout_ms=acquire_timeout_ms
+        )
+        if not granted:
             yield from client.release_lock(key, lock_ref)
-            result.cs_latencies_ms.append(clock.now - entered)
-            result.completed_cs += 1
+            result.failed_cs += 1
+            return None
+        return CriticalSection(client, key, lock_ref)
+
+    def record(started: float, entered: float, finished: float) -> None:
+        result.acquire_latencies_ms.append(entered - started)
+        result.cs_latencies_ms.append(finished - started)
+        result.completed_cs += 1
 
     workers = [
         clock.process(
-            one_client(client, keys[index % len(keys)]),
+            counter_increments(
+                clock, partial(enter, client, keys[index % len(keys)]), rounds, record
+            ),
             name=f"cs-worker-{index}",
         )
         for index, client in enumerate(clients)
@@ -147,10 +147,8 @@ def cs_workload(
     # Final audited read of every key, under a lock so it is a
     # linearized observation.
     for key in keys:
-        section = yield from clients[0].critical_section(
-            key, timeout_ms=acquire_timeout_ms
+        result.final_values[key] = yield from read_counter(
+            clients[0], key, timeout_ms=acquire_timeout_ms
         )
-        result.final_values[key] = yield from section.get()
-        yield from section.exit()
     result.finished_ms = clock.now
     return result

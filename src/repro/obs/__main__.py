@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter as TallyCounter
+from functools import partial
 from typing import Any, Generator, List, Optional
 
 from .audit import replay_audit, write_audit_jsonl
@@ -168,38 +169,30 @@ def _run_explain(args: argparse.Namespace) -> int:
 def _contention_spans(args: argparse.Namespace) -> List[SpanRecord]:
     """Run the standard contention workload (the 16-client hot-key bench
     shape, seed 606) with tracing on and return its spans."""
+    from ..bench.workers import counter_increments, run_all, site_clients
     from ..core import build_music
 
     deployment = build_music(
         profile_name=args.profile, obs=True, seed=args.seed,
         fast_locks=args.fast_locks,
     )
-    sim = deployment.sim
-    obs = deployment.obs
-    sites = deployment.profile.site_names
-    clients = [
-        deployment.client(sites[index % len(sites)]) for index in range(args.clients)
-    ]
-
-    def worker(client) -> Generator[Any, Any, None]:
-        for _ in range(args.rounds):
-            with obs.tracer.span(
-                ROOT_SPAN, node=client.client_id, site=client.site, key="hot"
-            ):
-                section = yield from client.critical_section("hot", timeout_ms=1e9)
-                value = yield from section.get()
-                yield from section.put((value or 0) + 1)
-                yield from section.exit()
-
-    processes = [sim.process(worker(client)) for client in clients]
-    for process in processes:
-        sim.run_until_complete(process, limit=1e10)
+    tracer = deployment.obs.tracer
+    run_all(deployment.sim, [
+        counter_increments(
+            deployment.sim,
+            partial(client.critical_section, "hot", timeout_ms=1e9),
+            args.rounds,
+            span=partial(tracer.span, ROOT_SPAN,
+                         node=client.client_id, site=client.site, key="hot"),
+        )
+        for client in site_clients(deployment, args.clients)
+    ])
     print(
         f"ran {args.clients} clients x {args.rounds} rounds on 1 hot key "
         f"({args.profile}, seed {args.seed}, "
         f"fast_locks={'on' if args.fast_locks else 'off'})"
     )
-    return obs.tracer.spans
+    return tracer.spans
 
 
 def _run_report(args: argparse.Namespace) -> int:

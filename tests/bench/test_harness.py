@@ -52,6 +52,43 @@ def test_throughput_worker_errors_counted_not_fatal():
     assert result.errors == 3
 
 
+def test_throughput_counts_unobserved_background_errors():
+    """A ReproError in a process nobody waits on (not a worker: those
+    are caught and counted already) is an error, not silence."""
+    sim = Simulator()
+
+    def background():
+        yield sim.timeout(700.0)
+        raise ReproError("background task died")
+
+    def worker(index, record, record_error):
+        if index == 0:
+            sim.process(background())
+        while True:
+            yield sim.timeout(100.0)
+            record()
+
+    result = measure_throughput(sim, worker, threads=2,
+                                warmup_ms=500.0, window_ms=1_000.0)
+    assert result.completed == 20
+    assert result.errors == 1
+
+
+def test_throughput_raises_on_a_worker_bug():
+    """Anything but a ReproError is a bug in the harness or the system:
+    the figure must not quietly print a lower number."""
+    sim = Simulator()
+
+    def worker(index, record, record_error):
+        yield sim.timeout(600.0)
+        record()
+        raise TypeError("worker bug")
+
+    with pytest.raises(TypeError, match="worker bug"):
+        measure_throughput(sim, worker, threads=3,
+                           warmup_ms=500.0, window_ms=1_000.0)
+
+
 def test_latency_measures_each_operation():
     sim = Simulator()
     delays = [10.0, 20.0, 30.0, 40.0]
@@ -65,14 +102,12 @@ def test_latency_measures_each_operation():
 
 
 def test_experiment_registry_complete():
-    from repro.bench import EXPERIMENTS
+    """The registry and the committed tables name the same experiments
+    (tests/bench/test_registry.py holds the rest of the contract)."""
+    from repro.bench import EXPERIMENTS, results_dir
 
-    expected = {"table2", "fig4a", "fig4b", "fig5a", "fig5b", "fig6a", "fig6b",
-                "fig7a", "fig7b", "fig8", "fig9", "xb4",
-                "ablation_peek", "ablation_sync", "ext_hierarchical",
-                "storage_durability", "elastic_scaling", "lock_contention",
-                "read_scaleout", "live_localcluster", "txn_regimes"}
-    assert expected == set(EXPERIMENTS)
+    committed = {path.stem for path in results_dir().glob("*.txt")}
+    assert committed == set(EXPERIMENTS)
 
 
 def test_run_experiment_unknown_id():

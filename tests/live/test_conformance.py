@@ -63,6 +63,19 @@ def run_live_workload(keys, tmp_path, n_clients=N_CLIENTS, rounds=ROUNDS, seed=1
     return asyncio.run(main())
 
 
+def test_workload_metrics_use_the_shared_percentile_rule():
+    """p50/p99 come from ``analysis.summarize`` (linear interpolation),
+    like every simulated BENCH file; an empty sample reads 0."""
+    from repro.analysis import summarize
+    from repro.live import WorkloadResult, workload_metrics
+
+    samples = [10.0, 20.0, 30.0, 40.0]
+    metrics = workload_metrics(WorkloadResult(completed_cs=4, cs_latencies_ms=samples))
+    assert metrics["cs_p50_ms"] == summarize(samples).p50 == 25.0
+    assert metrics["cs_p99_ms"] == summarize(samples).p99
+    assert metrics["acquire_p50_ms"] == metrics["acquire_p99_ms"] == 0.0
+
+
 def check_conformance(keys, tmp_path):
     expected = expected_counters(keys, N_CLIENTS, ROUNDS)
 
