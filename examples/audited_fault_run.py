@@ -1,11 +1,13 @@
 #!/usr/bin/env python
 """A fault-ridden run with the runtime ECF auditor attached.
 
-``build_music(audit=True)`` hooks an :class:`repro.obs.ECFAuditor` into
-the observability recorder: every lockRef enqueue/grant/release, every
-synchFlag read/write, and every criticalGet/criticalPut quorum decision
-is checked *online* against the ECF safety invariants (Exclusivity,
-Latest-State, queue FIFO, the δ > 0 forcedRelease rule, ...).
+``build_music(audit=True)`` attaches an audit stream
+(:mod:`repro.obs.audit`) with the ECF checker subscribed
+(:mod:`repro.obs.ecf`) to the observability recorder: every lockRef
+enqueue/grant/release, every synchFlag read/write, and every
+criticalGet/criticalPut quorum decision is checked *online* against the
+ECF safety invariants (Exclusivity, Latest-State, queue FIFO, the δ > 0
+forcedRelease rule, ...).
 
 This script throws a partition, a flapping WAN link, a store-node
 crash, and a false failure detection at a contended deployment — then

@@ -14,9 +14,9 @@ from typing import Any, Dict, List, Tuple
 from ..analysis import summarize
 from ..core.replica import VALUE_ROW
 from ..errors import ReproError
-from ..obs import SerializabilityChecker
 from ..storage import StorageEngineConfig
 from ..store import Consistency, StoreConfig
+from ..txn import SerializabilityChecker
 from ..workloads import READ_HEAVY_YCSB_WORKLOADS, txn_mix
 from .paper import (
     SATURATION_FULL,
@@ -521,7 +521,7 @@ def txn_regimes(run: Run) -> ExperimentResult:
     read-modify-write on the rest) on a fresh deployment, through the
     retrying :class:`~repro.txn.TransactionExecutor`.  Every cell's
     committed history must pass the
-    :class:`~repro.obs.SerializabilityChecker` — regimes are compared on
+    :class:`~repro.txn.SerializabilityChecker` — regimes are compared on
     checked histories — and the store's final cell (value, stamp) must
     match the last committed write of each key's version chain.  The
     headline is the commits/sec crossover table.

@@ -75,9 +75,10 @@ class MusicConfig:
     push_grants: bool = False
 
     # Read scale-out leases (DESIGN.md §10).  Default off with
-    # bit-identical timings; ``build_music(read_leases=True)`` flips
-    # ``read_leases`` together with ``push_grants`` (the cache
-    # invalidation stream rides the push-grant channel).
+    # bit-identical timings.  ``read_leases`` implies ``push_grants``
+    # (``__post_init__``): the cache invalidation stream rides the
+    # push-grant channel, so leases without it would serve cached reads
+    # up to their staleness bound instead of the push latency.
     #
     # Leaseholder local reads: the current lockholder's replica serves
     # critical_get from a local mirror while its lease — anchored at the
@@ -89,3 +90,7 @@ class MusicConfig:
     # dequeue, so every window anchored before the revocation became
     # quorum-visible has expired by the time the next holder can enter.
     read_lease_ms: float = 400.0
+
+    def __post_init__(self) -> None:
+        if self.read_leases:
+            self.push_grants = True

@@ -170,10 +170,10 @@ def build_music(
     enables metrics and tracing across every node of the deployment;
     the default is the near-free no-op recorder.
 
-    ``audit=True`` additionally attaches a runtime
-    :class:`~repro.obs.ECFAuditor` (implying ``obs``): every ECF-relevant
-    operation is checked online and the auditor is returned as
-    ``deployment.auditor``.
+    ``audit=True`` additionally attaches an audit stream with the ECF
+    checker subscribed (:class:`~repro.obs.ECFAuditor`, implying
+    ``obs``): every ECF-relevant operation is checked online and the
+    stream is returned as ``deployment.auditor``.
 
     ``wal_sync`` overrides the store replicas' commit-log sync mode
     (``"always"`` / ``"periodic"`` / ``"off"``) — the durability axis of
@@ -250,9 +250,8 @@ def build_music(
         music_config.synch_fast_path = True
         music_config.push_grants = True
     if read_leases:
-        music_config.read_leases = True
-        # Push grants double as the lease/cache invalidation channel.
-        music_config.push_grants = True
+        # Implies push_grants (MusicConfig: the invalidation channel).
+        music_config = replace(music_config, read_leases=True)
 
     auditor = None
     if audit:

@@ -173,11 +173,12 @@ class ClusterSpec:
 
 
 def _apply_overrides(config: Any, overrides: Dict[str, Any], section: str) -> Any:
-    for key, value in overrides.items():
+    """``config`` with ``overrides`` applied through its constructor, so
+    what one tunable implies for another (``__post_init__``) holds."""
+    for key in overrides:
         if not hasattr(config, key):
             raise KeyError(f"[{section}] has no tunable {key!r}")
-        setattr(config, key, value)
-    return config
+    return dataclasses.replace(config, **overrides)
 
 
 def load_cluster(path: Any) -> ClusterSpec:

@@ -17,8 +17,8 @@ Two cluster shapes:
 Either way the evidence pipeline is the same: every process records
 its audit slice, the harness merges slices on the shared wall clock
 (:func:`repro.obs.merge_audit_events`) and replays the merged history
-through the full :class:`~repro.obs.ECFAuditor` checkers — Exclusivity,
-Latest-State and FIFO verified on a *real* execution.
+through a stream with the :class:`~repro.obs.ECFChecker` subscribed —
+Exclusivity, Latest-State and FIFO verified on a *real* execution.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..obs import ECFAuditor, load_audit_jsonl, merge_audit_events
+from ..obs import AuditStream, ECFAuditor, merge_audit_events, replay_audit
 from .client import WorkloadResult, build_remote_client, cs_workload, workload_metrics
 from .clock import LiveClock
 from .config import ClusterSpec, localhost_spec
@@ -48,19 +48,10 @@ __all__ = [
 ]
 
 
-def replay_merged(histories: List[List[Any]], period_ms: float) -> ECFAuditor:
+def replay_merged(histories: List[List[Any]], period_ms: float) -> AuditStream:
     """Merge per-process audit slices and re-run every ECF checker."""
     merged = merge_audit_events(histories)
     return ECFAuditor.replay(merged, period_ms=period_ms)
-
-
-def load_run_dir_audits(run_dir: Path) -> List[List[Any]]:
-    """Read every ``audit-*.jsonl`` slice a cluster run left behind."""
-    histories: List[List[Any]] = []
-    for path in sorted(Path(run_dir).glob("audit-*.jsonl")):
-        events, _period_ms = load_audit_jsonl(str(path))
-        histories.append(events)
-    return histories
 
 
 class LocalCluster:
@@ -114,7 +105,7 @@ class LocalCluster:
         # One shared clock, so one drain covers every node in-process.
         return list(self.clock.drain_failures())
 
-    def audit(self) -> ECFAuditor:
+    def audit(self) -> AuditStream:
         """Merge every node's recorded slice and replay the checkers."""
         histories = [list(process.recorder.events) for process in self.processes]
         period_ms = self.spec.music_config().period_ms
@@ -203,10 +194,11 @@ class ProcessCluster:
                 codes.append(proc.wait())
         return codes
 
-    def audit(self) -> ECFAuditor:
-        histories = load_run_dir_audits(self.run_dir)
-        period_ms = self.spec.music_config().period_ms
-        return replay_merged(histories, period_ms)
+    def audit(self) -> AuditStream:
+        """Replay the ``audit-*.jsonl`` slices the nodes left behind — the
+        command ``python -m repro.obs audit <run_dir>/audit-*.jsonl`` runs."""
+        slices = sorted(self.run_dir.glob("audit-*.jsonl"))
+        return replay_audit(*(str(path) for path in slices))
 
     def __enter__(self) -> "ProcessCluster":
         return self.start()

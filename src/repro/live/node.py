@@ -11,11 +11,12 @@ The protocol classes themselves (``StorageReplica``, ``MusicReplica``,
 ``LockStore``, ``StoreCoordinator``) are the identical, unmodified
 code — that is the whole point.
 
-Audit events are captured by a record-only
-:class:`~repro.obs.AuditRecorder` (a single process sees only its slice
-of the global stream; online checking happens offline after the
-harness merges every process's slice) and flushed to
-``<run_dir>/audit-<name>.jsonl`` on shutdown, alongside span JSONL.
+Audit events go to the same :class:`~repro.obs.AuditStream` a simulated
+deployment attaches, with no checker subscribed: a single process sees
+only its slice of the global history, so it records, and checking
+happens after the harness merges every process's slice.  The slice is
+flushed to ``<run_dir>/audit-<name>.jsonl`` on shutdown, alongside span
+JSONL.
 
 Shutdown is graceful: SIGTERM/SIGINT stops accepting connections,
 leaves a drain window for in-flight RPC handlers to finish and reply,
@@ -32,7 +33,7 @@ from pathlib import Path
 from typing import Any, List, Optional
 
 from ..core import build_replicas
-from ..obs import AuditRecorder, Observability, write_audit_jsonl, write_jsonl
+from ..obs import AuditStream, Observability, write_audit_jsonl, write_jsonl
 from ..sim import RandomStreams
 from ..store import build_cluster
 from .clock import LiveClock
@@ -67,8 +68,8 @@ class LiveProcess:
             self.clock, span_id_base=(node_index + 1) * _ID_STRIDE
         )
         music_config = spec.music_config()
-        self.recorder: AuditRecorder = self.obs.attach_audit(
-            AuditRecorder(period_ms=music_config.period_ms)
+        self.recorder = self.obs.attach_audit(
+            AuditStream(period_ms=music_config.period_ms)
         )
         self.transport = TcpTransport(
             self.clock, spec, obs=self.obs, listen=self.node_spec.address
@@ -124,11 +125,7 @@ class LiveProcess:
         self._shutdown_done = True
         # Step 1: stop accepting new connections; existing links stay up
         # so handlers mid-critical-section can still reply.
-        server = self.transport._server
-        if server is not None:
-            server.close()
-            await server.wait_closed()
-            self.transport._server = None
+        await self.transport.stop_listening()
         # Step 2: drain window for in-flight handler processes.
         if drain_s > 0:
             await asyncio.sleep(drain_s)

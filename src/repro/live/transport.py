@@ -208,12 +208,20 @@ class TcpTransport:
         host, port = self._listen
         self._server = await asyncio.start_server(self._on_connection, host, port)
 
-    async def close(self) -> None:
-        """Close the server and every link; in-queue frames are dropped."""
+    @property
+    def listening(self) -> bool:
+        return self._server is not None
+
+    async def stop_listening(self) -> None:
+        """Stop accepting connections; established links stay up."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+
+    async def close(self) -> None:
+        """Close the server and every link; in-queue frames are dropped."""
+        await self.stop_listening()
         links: List[_Link] = list(self._outbound.values()) + list(self._inbound)
         self._outbound.clear()
         self._inbound.clear()

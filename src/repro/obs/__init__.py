@@ -19,15 +19,10 @@ latency decomposition directly from recorded spans.
 from .audit import (
     NULL_AUDIT,
     AuditEvent,
-    AuditRecorder,
-    CommittedTxn,
-    ECFAuditor,
+    AuditStream,
     NullAudit,
-    SerializabilityChecker,
     load_audit_jsonl,
     merge_audit_events,
-    render_span_tree,
-    replay_audit,
     write_audit_jsonl,
 )
 from .critpath import (
@@ -42,6 +37,7 @@ from .critpath import (
     render_phase_summary,
     write_critpath_jsonl,
 )
+from .ecf import ECFAuditor, ECFChecker, replay_audit
 from .export import (
     PhaseBreakdown,
     PhaseStats,
@@ -49,6 +45,7 @@ from .export import (
     load_jsonl,
     phase_breakdown,
     render_phase_table,
+    render_span_tree,
     speedscope_document,
     write_chrome_trace,
     write_jsonl,
@@ -63,27 +60,24 @@ from .metrics import (
     derived_ratios,
     render_derived_ratios,
 )
-from .netobs import NetworkEvent, NetworkObserver, network_events
 from .prof import SimProfiler, subsystem_of
 from .recorder import NULL_OBS, NullObservability, Observability
 from .trace import NULL_TRACER, NullTracer, Span, SpanRecord, Tracer
 
 __all__ = [
     "AuditEvent",
-    "AuditRecorder",
-    "CommittedTxn",
+    "AuditStream",
     "Counter",
     "CritPath",
     "DEFAULT_LATENCY_BUCKETS_MS",
     "ECFAuditor",
+    "ECFChecker",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_AUDIT",
     "NULL_OBS",
     "NULL_TRACER",
-    "NetworkEvent",
-    "NetworkObserver",
     "NullAudit",
     "NullObservability",
     "NullTracer",
@@ -91,7 +85,6 @@ __all__ = [
     "PhaseBreakdown",
     "PhaseSlice",
     "PhaseStats",
-    "SerializabilityChecker",
     "SimProfiler",
     "Span",
     "SpanRecord",
@@ -105,7 +98,6 @@ __all__ = [
     "load_critpath_jsonl",
     "load_jsonl",
     "merge_audit_events",
-    "network_events",
     "observe_phases",
     "phase_breakdown",
     "phase_summary",

@@ -20,7 +20,9 @@ Four modes:
 - ``python -m repro.obs audit events.jsonl`` — replay a dumped audit
   history through every ECF checker and print the violation report
   (exit status 1 if any invariant was violated); pass ``--spans`` to
-  also render the guilty span tree under each violation.
+  also render the guilty span tree under each violation.  Given the
+  per-process slices of a live run (``live-runs/ci/audit-*.jsonl``) it
+  merges them on their shared clock first.
 
 Example::
 
@@ -37,7 +39,7 @@ from collections import Counter as TallyCounter
 from functools import partial
 from typing import Any, Generator, List, Optional
 
-from .audit import replay_audit, write_audit_jsonl
+from .audit import write_audit_jsonl
 from .critpath import (
     critpath_speedscope_samples,
     explain_table,
@@ -46,6 +48,7 @@ from .critpath import (
     render_phase_summary,
     write_critpath_jsonl,
 )
+from .ecf import replay_audit
 from .export import (
     load_jsonl,
     phase_breakdown,
@@ -213,13 +216,14 @@ def _run_report(args: argparse.Namespace) -> int:
 
 
 def _run_audit(args: argparse.Namespace) -> int:
+    named = " ".join(args.events)
     try:
-        auditor = replay_audit(args.events)
+        auditor = replay_audit(*args.events)
     except OSError as error:
-        print(f"cannot read {args.events}: {error}", file=sys.stderr)
+        print(f"cannot read {named}: {error}", file=sys.stderr)
         return 1
     except (KeyError, ValueError) as error:
-        print(f"{args.events} is not an audit JSONL dump ({error!r})", file=sys.stderr)
+        print(f"{named} is not an audit JSONL dump ({error!r})", file=sys.stderr)
         return 1
     spans: Optional[List[SpanRecord]] = None
     if args.spans:
@@ -398,10 +402,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         description=(
             "Replay an events.jsonl audit history through every ECF checker "
             "and print the violation report; exit status 1 if any invariant "
-            "was violated."
+            "was violated.  Several files are taken as the per-process "
+            "slices of one live run and merged first."
         ),
     )
-    audit.add_argument("events", help="an events.jsonl produced by --audit-jsonl")
+    audit.add_argument(
+        "events", nargs="+",
+        help="an events.jsonl produced by --audit-jsonl, or a live run's "
+        "audit-*.jsonl slices",
+    )
     audit.add_argument(
         "--spans",
         help="a spans.jsonl from the same run, to render guilty span trees",

@@ -1,89 +1,58 @@
-"""Runtime ECF safety auditor: online invariant checking over the obs
-event stream.
+"""The audit stream: one recorded operation history, simulated or live.
 
 The bounded model checker of :mod:`repro.verification` proves the ECF
 properties over the Section V Alloy model — but nothing in that proof
-watches the *implementation*.  This module closes the gap in the style
-of replication-aware linearizability: correctness is specified over a
-recorded operation **history**, not over internals.  The instrumented
-code paths (``core/replica.py``, ``lockstore``, ``store``, ``faults``)
-emit structured :class:`AuditEvent` records at every ECF-relevant
-point — lockRef enqueue/grant/release/forcedRelease, synchFlag
-reads/writes, and every criticalGet/criticalPut quorum decision with
-its v2s vector timestamp — and :class:`ECFAuditor` maintains per-key
-history variables (the "true pair" of ``verification/model.py``,
-transplanted to the implementation) and checks, online:
+watches the *implementation*.  The runtime audit closes the gap in the
+style of replication-aware linearizability: correctness is specified
+over a recorded operation **history**, not over internals.  Flow is one
+way:
 
-- **Exclusivity** — a write from a preempted/never-granted lockRef must
-  never override the synchronized state of a later lockholder;
-- **LatestState** — every criticalGet by the current lockholder
-  observes the true pair (the greatest-stamp acknowledged write);
-- **LockQueueFIFO** — lockRefs are minted strictly increasing and head
-  grants never go backwards or skip a queued predecessor;
-- **SynchFlag** — a quorum flag read started after a quorum flag write
-  acknowledged must observe it (R+W > N intersection);
-- **SynchFlagMonotonicity** — a forcedRelease flag write must not lose
-  the stamp race to the very lockholder it preempts (the δ > 0 rule's
-  purpose);
-- **ForcedReleaseDelta** — forcedRelease stamps the flag with
-  ``lockRef + δ`` for 0 < δ < 1 (δ = 0 reproduces the Section IV-B
-  race, δ ≥ 1 would beat the next holder's reset);
-- **ForcedReleaseOrder** — the flag quorum write completes *before*
-  the dequeue, so the next holder's flag read cannot miss it;
-- **SyncRequired** — a grant that saw the synchFlag set must run the
-  data-store synchronization before entering the critical section;
-- **LeaseBound** — critical writes carry stamps inside their lockRef's
-  lease window ``[lockRef·T, (lockRef+1)·T)``;
-- **LeaseSafety** — a leaseholder *local* read (``read_leases`` tier,
-  DESIGN.md §10) must be served under a granted lockRef whose
-  forcedRelease has not completed — the lease never outlives the ECF
-  window — and, while that ref is the live holder, must observe the
-  true pair;
-- **MonotonicReads** — a bounded-staleness cached read never serves an
-  entry older than its staleness bound, never serves an entry fetched
-  before the node's last delivered push-grant invalidation of the key,
-  and never goes backwards within one client session (monotonic
-  prefix).
+- **emission sites** (``core/replica.py``, ``lockstore``, ``store``,
+  ``faults``, ``topo``) call :meth:`AuditStream.emit` at every
+  ECF-relevant point — lockRef enqueue/grant/release/forcedRelease,
+  synchFlag reads/writes, every criticalGet/criticalPut quorum decision
+  with its v2s vector timestamp;
+- the **stream** (this module) stamps each :class:`AuditEvent` with the
+  clock and the open span, keeps the bounded history, and hands the
+  event to its **subscribers** — :class:`~repro.obs.ecf.ECFChecker`,
+  :class:`~repro.txn.WaitsForGraph` — which file what they find on the
+  stream's one violation sink (:meth:`AuditStream.file`);
+- **offline readers** work from the history alone: JSONL dump and load,
+  :func:`merge_audit_events` over the per-process slices of a live
+  run, :meth:`AuditStream.render_report`.
 
-Violations are :class:`~repro.verification.invariants.ViolationRecord`
-instances — the same dataclass the model checker produces — carrying
-the offending key's recent event trace plus the ``(trace_id, span_id)``
-pairs of the implicated obs spans, so ``python -m repro.obs audit`` can
-render the guilty span trees.
+A simulated deployment and a live process attach the *same* class.  A
+single live process sees only its slice of the global history, so no
+checker is subscribed there: it records, the harness merges the slices,
+and the merged history replays through a stream that does have the
+checker subscribed (:meth:`ECFAuditor.replay
+<repro.obs.ecf.ECFAuditor.replay>`).
 
-The disabled path reuses the :data:`~repro.obs.recorder.NULL_OBS`
-null-object pattern: every emission site is ``audit = self.obs.audit;
-if audit.enabled: ...`` and the default :data:`NULL_AUDIT` is a shared
-inert object, so an un-audited run pays two attribute lookups and a
-falsy branch per site (asserted by ``tests/obs/test_overhead.py``).
-
-Histories dump to JSONL (:func:`write_audit_jsonl`) and replay offline
-(:func:`replay_audit` / ``python -m repro.obs audit events.jsonl``),
-so a red CI run's uploaded artifacts re-check bit-identically.
+Emission obeys two rules.  It never yields, sleeps or draws randomness,
+so attaching a stream cannot change simulated timings.  And the
+disabled path is the :data:`~repro.obs.recorder.NULL_OBS` null-object
+pattern: every site reads ``audit = self.obs.audit; if audit.enabled:``
+and the default :data:`NULL_AUDIT` is a shared inert object, so an
+un-audited run pays two attribute loads and a falsy branch per site
+(asserted by ``tests/obs/test_overhead.py``).
 """
 
 from __future__ import annotations
 
-import json
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..verification.invariants import ViolationRecord
+from .export import PathOrFile, read_records, render_span_tree, write_records
 from .trace import SpanRecord
 
 __all__ = [
     "AuditEvent",
-    "AuditRecorder",
-    "CommittedTxn",
-    "ECFAuditor",
+    "AuditStream",
     "NULL_AUDIT",
     "NullAudit",
-    "SerializabilityChecker",
     "load_audit_jsonl",
     "merge_audit_events",
-    "render_span_tree",
-    "replay_audit",
     "write_audit_jsonl",
 ]
 
@@ -150,7 +119,7 @@ class AuditEvent:
 
 
 class NullAudit:
-    """The inert default auditor: emission sites see ``enabled=False``
+    """The inert default stream: emission sites see ``enabled=False``
     and never build an event."""
 
     enabled = False
@@ -164,62 +133,14 @@ class NullAudit:
 NULL_AUDIT = NullAudit()
 
 
-class _FlagRegister:
-    """The auditor's view of one key's synchFlag: a stamp-ordered
-    register fed by the acknowledged quorum writes."""
+class AuditStream:
+    """The history of one execution and the findings filed against it.
 
-    __slots__ = ("stamp", "value", "acked_ms")
-
-    def __init__(self) -> None:
-        self.stamp: Optional[Stamp] = None
-        self.value = False
-        self.acked_ms: Optional[float] = None
-
-    def apply(self, stamp: Stamp, value: bool, now: float) -> bool:
-        if self.stamp is None or stamp > self.stamp:
-            self.stamp, self.value, self.acked_ms = stamp, value, now
-            return True
-        return False
-
-
-class _KeyState:
-    """Per-key history variables (the model's state, observed live)."""
-
-    __slots__ = (
-        "queue", "last_enqueued", "head_granted", "granted_active",
-        "granted_refs", "synced_refs", "forced_flags", "flag",
-        "true_stamp", "true_value", "true_span", "recent", "recent_spans",
-        "invalidated_at", "session_stamps", "forced_refs",
-    )
-
-    def __init__(self) -> None:
-        self.queue: Set[int] = set()          # enqueued, not yet dequeued
-        self.last_enqueued = 0
-        self.head_granted = 0                 # highest head-granted lockRef
-        self.granted_active: Optional[int] = None
-        self.granted_refs: Set[int] = set()   # every ref that ever saw a grant
-        self.synced_refs: Set[int] = set()    # refs that ran the acquire sync
-        self.forced_flags: Dict[int, Stamp] = {}
-        # Read-lease history: per-node time of the last delivered cache
-        # invalidation, per-client session read stamps, and every ref
-        # whose forcedRelease dequeue has completed.
-        self.invalidated_at: Dict[str, float] = {}
-        self.session_stamps: Dict[str, Stamp] = {}
-        self.forced_refs: Set[int] = set()
-        self.flag = _FlagRegister()
-        # The "true pair": greatest-stamp acknowledged critical write.
-        self.true_stamp: Optional[Stamp] = None
-        self.true_value: Any = None
-        self.true_span: Optional[Tuple[int, int]] = None
-        self.recent: "deque[str]" = deque(maxlen=16)
-        self.recent_spans: "deque[Tuple[int, int]]" = deque(maxlen=16)
-
-
-class ECFAuditor:
-    """Online checker over the audit event stream of one simulation.
-
-    Attach with ``Observability.attach_audit`` (or ``build_music(...,
-    audit=True)``); replay a dumped history with :meth:`replay`.
+    Attach with ``Observability.attach_audit``.  Events come in through
+    :meth:`emit` (the instrumented run) or :meth:`ingest` (offline
+    replay); every ``subscriber(event)`` sees each one, in subscription
+    order, and files violations with :meth:`file`.  With no subscriber
+    the stream only records.
     """
 
     enabled = True
@@ -227,39 +148,34 @@ class ECFAuditor:
     def __init__(
         self,
         period_ms: float = DEFAULT_PERIOD_MS,
-        sim: Any = None,
-        tracer: Any = None,
         event_limit: int = 500_000,
         violation_limit: int = 1_000,
     ) -> None:
+        # T rides with the history: replay needs it to decompose stamps.
         self.period_ms = period_ms
-        self.sim = sim
-        self.tracer = tracer
+        # The run's clock and tracer, set by attach_audit; without them
+        # (a replay, a unit test) emit stamps t=0 and no span.
+        self.sim: Any = None
+        self.tracer: Any = None
         self.event_limit = event_limit
         self.violation_limit = violation_limit
         self.events: List[AuditEvent] = []
         self.dropped = 0
         self.violations: List[ViolationRecord] = []
         self.violation_counts: Dict[str, int] = {}
-        self.counters: Dict[str, int] = {
-            "zombie_grants": 0, "zombie_puts": 0, "zombie_gets": 0,
-            "zombie_lease_reads": 0,
-            "recovered_mints": 0, "faults": 0, "lwts": 0,
-        }
-        self._keys: Dict[str, _KeyState] = {}
-        self._fault_recent: "deque[Tuple[int, str]]" = deque(maxlen=4)
+        # Benign-race and volume tallies, named by whichever subscriber
+        # keeps them.
+        self.counters: Dict[str, int] = {}
+        self._subscribers: List[Callable[[AuditEvent], None]] = []
         self._seq = 0
-        # External consumers of the raw event stream (e.g. the locking
-        # engine's waits-for graph).  Empty by default: ingest pays one
-        # truthiness test, nothing more.
-        self._listeners: List[Any] = []
 
-    # -- wiring -----------------------------------------------------------
+    def subscribe(self, subscriber: Callable[[AuditEvent], None]) -> None:
+        """Hand ``subscriber(event)`` every event from now on.
 
-    def bind(self, sim: Any, tracer: Any) -> None:
-        """Adopt a simulation's clock and tracer (done by attach_audit)."""
-        self.sim = sim
-        self.tracer = tracer
+        Subscribers are bound by the emission rules: they must not
+        yield, sleep, or consume randomness.
+        """
+        self._subscribers.append(subscriber)
 
     # -- ingestion --------------------------------------------------------
 
@@ -272,11 +188,7 @@ class ECFAuditor:
         stamp: Optional[Stamp] = None,
         **fields: Any,
     ) -> None:
-        """Record one event at the current simulated time and check it.
-
-        Pure recording: never yields, sleeps, or consumes randomness, so
-        attaching the auditor cannot change simulated timings.
-        """
+        """Record one event at the current time, under the open span."""
         trace_id = span_id = None
         if self.tracer is not None:
             span = self.tracer.current_span()
@@ -297,28 +209,6 @@ class ECFAuditor:
         )
         self.ingest(event)
 
-    def add_listener(self, listener: Any) -> None:
-        """Subscribe ``listener(event)`` to every ingested event.
-
-        Listeners observe the stream, they do not check it: they must
-        not yield, sleep, or consume randomness (same discipline as
-        :meth:`emit`), so attaching one cannot change simulated timings.
-        """
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener: Any) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
-    def record_violation(self, record: ViolationRecord) -> None:
-        """File a violation found by an external checker (e.g. the
-        waits-for graph) under this auditor's report/assert plumbing."""
-        self.violation_counts[record.invariant] = (
-            self.violation_counts.get(record.invariant, 0) + 1
-        )
-        if len(self.violations) < self.violation_limit:
-            self.violations.append(record)
-
     def ingest(self, event: AuditEvent) -> None:
         """Feed one event (live emission and offline replay share this)."""
         if len(self.events) < self.event_limit:
@@ -326,353 +216,18 @@ class ECFAuditor:
         else:
             self.dropped += 1
         self._seq = max(self._seq, event.seq)
-        if self._listeners:
-            for listener in self._listeners:
-                listener(event)
-        if event.kind == "fault":
-            self.counters["faults"] += 1
-            self._fault_recent.append((event.seq, event.label()
-                                       + f"[{event.fields.get('label', '')}]"))
-            return
-        if event.kind == "lwt":
-            self.counters["lwts"] += 1
-            return
-        if event.key is None:
-            return
-        state = self._keys.get(event.key)
-        if state is None:
-            state = self._keys[event.key] = _KeyState()
-        state.recent.append(f"t={event.t_ms:.1f} {event.label()}")
-        if event.trace_id is not None and event.span_id is not None:
-            state.recent_spans.append((event.trace_id, event.span_id))
-        handler = getattr(self, f"_on_{event.kind}", None)
-        if handler is not None:
-            handler(event, state)
+        for subscriber in self._subscribers:
+            subscriber(event)
 
-    # -- checkers ---------------------------------------------------------
+    # -- the violation sink -----------------------------------------------
 
-    def _on_enqueue(self, event: AuditEvent, state: _KeyState) -> None:
-        ref = event.lock_ref
-        if ref <= state.last_enqueued:
-            if event.fields.get("recovered"):
-                # The mint was completed by a rival coordinator's LWT
-                # recovery: it linearized before the rival's own mint
-                # but the loser only learned (and emitted) afterwards.
-                # Emission order is not mint order here, by construction.
-                self.counters["recovered_mints"] += 1
-            else:
-                self._violate(
-                    "LockQueueFIFO", event, state,
-                    f"lockRef {ref} minted after {state.last_enqueued}: the "
-                    "LWT guard must yield strictly increasing references",
-                )
-        state.last_enqueued = max(state.last_enqueued, ref)
-        state.queue.add(ref)
-
-    def _on_flag_read(self, event: AuditEvent, state: _KeyState) -> None:
-        observed = bool(event.fields.get("flag", False))
-        started = event.fields.get("started_ms", event.t_ms)
-        register = state.flag
-        if (
-            not observed
-            and register.value
-            and register.acked_ms is not None
-            and register.acked_ms < started
-        ):
-            self._violate(
-                "SynchFlag", event, state,
-                "a quorum flag read started after a forcedRelease flag write "
-                "acknowledged, yet observed flag=False (quorum intersection "
-                "broken)",
-            )
-
-    def _on_sync(self, event: AuditEvent, state: _KeyState) -> None:
-        ref = event.lock_ref
-        state.synced_refs.add(ref)
-        self._check_lease_bound(event, state)
-        if state.true_stamp is None or event.stamp > state.true_stamp:
-            state.true_stamp = event.stamp
-            state.true_value = event.fields.get("value")
-            state.true_span = self._span_of(event)
-
-    def _on_flag_write(self, event: AuditEvent, state: _KeyState) -> None:
-        ref = event.lock_ref
-        reason = event.fields.get("reason")
-        value = bool(event.fields.get("flag", False))
-        register = state.flag
-        if reason == "forced":
-            offset = event.stamp[0] - ref * self.period_ms
-            if not 0.0 < offset < self.period_ms:
-                delta = offset / self.period_ms
-                self._violate(
-                    "ForcedReleaseDelta", event, state,
-                    f"forcedRelease stamped the synchFlag with δ={delta:g} "
-                    "lockRef units; the Section IV-B rule needs 0 < δ < 1 "
-                    "(δ=0 ties with the released holder's own flag reset, "
-                    "δ≥1 would beat the next holder's)",
-                )
-            state.forced_flags[ref] = event.stamp
-            # The forced write must beat the flag *reset* of the very
-            # lockRef it preempts, or the next holder skips the
-            # synchronization.  Losing to a later lockRef's reset is the
-            # intended resolution of a detector race, and losing a
-            # node-id tiebreak to another forced write is harmless (the
-            # flag is set either way) — only a losing write that leaves
-            # the flag cleared is a hazard.
-            if (
-                register.stamp is not None
-                and event.stamp <= register.stamp
-                and not register.value
-            ):
-                register_ref = int(register.stamp[0] // self.period_ms)
-                if ref >= register_ref:
-                    self._violate(
-                        "SynchFlagMonotonicity", event, state,
-                        f"forcedRelease({ref})'s flag write (stamp "
-                        f"{event.stamp[0]:.6f}) lost to the flag reset "
-                        f"(stamp {register.stamp[0]:.6f}) of lockRef "
-                        f"{register_ref}: the next holder will skip the "
-                        "synchronization",
-                    )
-        register.apply(event.stamp, value, event.t_ms)
-
-    def _on_grant(self, event: AuditEvent, state: _KeyState) -> None:
-        ref = event.lock_ref
-        state.granted_refs.add(ref)
-        if ref not in state.queue:
-            # A stale local peek granted a dequeued lockRef: the paper's
-            # zombie-holder scenario.  Allowed — its writes are bounded
-            # by the Exclusivity/LeaseBound checks below.
-            self.counters["zombie_grants"] += 1
-            return
-        head = min(state.queue)
-        if ref != head:
-            self._violate(
-                "LockQueueFIFO", event, state,
-                f"lockRef {ref} granted while lockRef {head} heads the "
-                "queue (grant order must follow the consensus queue)",
-            )
-        elif ref < state.head_granted:
-            self._violate(
-                "LockQueueFIFO", event, state,
-                f"head grant went backwards: {ref} after {state.head_granted}",
-            )
-        if (
-            state.granted_active is not None
-            and state.granted_active != ref
-            and state.granted_active in state.queue
-        ):
-            self._violate(
-                "Exclusivity", event, state,
-                f"lockRef {ref} granted while lockRef "
-                f"{state.granted_active} is still granted and queued "
-                "(two concurrent lockholders)",
-            )
-        if bool(event.fields.get("flag", False)) and ref not in state.synced_refs:
-            self._violate(
-                "SyncRequired", event, state,
-                f"lockRef {ref}'s grant observed synchFlag=True but entered "
-                "the critical section without synchronizing the data store "
-                "(the store may be undefined after a forcedRelease)",
-            )
-        state.granted_active = ref
-        state.head_granted = max(state.head_granted, ref)
-
-    def _on_critical_put(self, event: AuditEvent, state: _KeyState) -> None:
-        ref = event.lock_ref
-        self._check_lease_bound(event, state)
-        if ref not in state.granted_refs:
-            self._violate(
-                "Exclusivity", event, state,
-                f"criticalPut by lockRef {ref}, which was never granted "
-                "the lock (guard bypassed?)",
-            )
-        elif ref < state.head_granted:
-            # A preempted holder still writing: legal, *iff* its stamp
-            # cannot override the synchronized state of its successor.
-            self.counters["zombie_puts"] += 1
-            if state.true_stamp is not None and event.stamp > state.true_stamp:
-                self._violate(
-                    "Exclusivity", event, state,
-                    f"a write from preempted lockRef {ref} (stamp "
-                    f"{event.stamp[0]:.6f}) overrides the synchronized "
-                    f"state (stamp {state.true_stamp[0]:.6f}) of lockRef "
-                    f"{state.head_granted}",
-                )
-        if state.true_stamp is None or event.stamp > state.true_stamp:
-            state.true_stamp = event.stamp
-            state.true_value = event.fields.get("value")
-            state.true_span = self._span_of(event)
-
-    def _on_critical_get(self, event: AuditEvent, state: _KeyState) -> None:
-        ref = event.lock_ref
-        if ref not in state.granted_refs:
-            self._violate(
-                "Exclusivity", event, state,
-                f"criticalGet by lockRef {ref}, which was never granted "
-                "the lock (guard bypassed?)",
-            )
-            return
-        if ref != state.head_granted or ref not in state.queue:
-            self.counters["zombie_gets"] += 1
-            return
-        if state.true_stamp is None:
-            return  # no critical write yet: nothing to compare against
-        observed = event.fields.get("value")
-        if observed != state.true_value:
-            self._violate(
-                "LatestState", event, state,
-                f"criticalGet by the current lockholder observed "
-                f"{observed!r} but the true pair (stamp "
-                f"{state.true_stamp[0]:.6f}) is {state.true_value!r}",
-                extra_span=state.true_span,
-            )
-
-    def _on_release(self, event: AuditEvent, state: _KeyState) -> None:
-        self._dequeue(event.lock_ref, state)
-
-    def _on_forced_release(self, event: AuditEvent, state: _KeyState) -> None:
-        ref = event.lock_ref
-        if ref not in state.forced_flags:
-            self._violate(
-                "ForcedReleaseOrder", event, state,
-                f"forcedRelease dequeued lockRef {ref} without first "
-                "completing the synchFlag quorum write: the next holder's "
-                "flag read can miss the preemption",
-            )
-        state.forced_refs.add(ref)
-        self._dequeue(ref, state)
-
-    # -- read-lease checkers (DESIGN.md §10) ------------------------------
-
-    def _on_lease_read(self, event: AuditEvent, state: _KeyState) -> None:
-        ref = event.lock_ref
-        if ref not in state.granted_refs:
-            self._violate(
-                "LeaseSafety", event, state,
-                f"leaseholder local read under lockRef {ref}, which was "
-                "never granted the lock (lease anchored without a grant?)",
-            )
-            return
-        if ref in state.forced_refs:
-            self._violate(
-                "LeaseSafety", event, state,
-                f"lockRef {ref} served a local lease read after its "
-                "forcedRelease completed: the lease outlived the ECF "
-                "window (wait-out or revocation check broken)",
-            )
-            return
-        if ref != state.head_granted or ref not in state.queue:
-            # A cleanly-released holder's stale local peek: same benign
-            # zombie race criticalGet tolerates, same bound (its lease
-            # died with the release; the serve is read-only).
-            self.counters["zombie_lease_reads"] += 1
-            return
-        if state.true_stamp is None:
-            return
-        observed = event.fields.get("value")
-        if observed != state.true_value:
-            self._violate(
-                "LeaseSafety", event, state,
-                f"leaseholder local read observed {observed!r} but the "
-                f"true pair (stamp {state.true_stamp[0]:.6f}) is "
-                f"{state.true_value!r} (write-through mirror stale inside "
-                "an open window)",
-                extra_span=state.true_span,
-            )
-
-    def _on_lease_invalidate(self, event: AuditEvent, state: _KeyState) -> None:
-        if event.node is not None:
-            state.invalidated_at[event.node] = event.t_ms
-
-    def _on_cached_read(self, event: AuditEvent, state: _KeyState) -> None:
-        fetched = event.fields.get("fetched_ms")
-        bound = event.fields.get("bound_ms")
-        if fetched is not None:
-            node = event.node
-            invalidated = state.invalidated_at.get(node) if node else None
-            if invalidated is not None and fetched < invalidated:
-                self._violate(
-                    "MonotonicReads", event, state,
-                    f"node {node} served a cached read fetched at "
-                    f"{fetched:.1f}ms, before the key's last delivered "
-                    f"invalidation at {invalidated:.1f}ms (push-grant "
-                    "cache invalidation dropped)",
-                )
-            if bound is not None and event.t_ms - fetched > bound + 1e-9:
-                self._violate(
-                    "MonotonicReads", event, state,
-                    f"cached read served an entry {event.t_ms - fetched:.1f}ms "
-                    f"old against a staleness bound of {bound:g}ms",
-                )
-        client = event.fields.get("client")
-        if client is not None and event.stamp is not None:
-            previous = state.session_stamps.get(client)
-            if previous is not None and event.stamp < previous:
-                self._violate(
-                    "MonotonicReads", event, state,
-                    f"client {client}'s session went backwards on this key: "
-                    f"read stamp {event.stamp[0]:.6f} after having observed "
-                    f"{previous[0]:.6f} (monotonic prefix broken)",
-                )
-            elif previous is None or event.stamp > previous:
-                state.session_stamps[client] = event.stamp
-
-    def _dequeue(self, ref: int, state: _KeyState) -> None:
-        state.queue.discard(ref)
-        state.synced_refs.discard(ref)
-        if state.granted_active == ref:
-            state.granted_active = None
-
-    def _check_lease_bound(self, event: AuditEvent, state: _KeyState) -> None:
-        offset = event.stamp[0] - event.lock_ref * self.period_ms
-        if not 0.0 <= offset < self.period_ms:
-            self._violate(
-                "LeaseBound", event, state,
-                f"{event.kind} stamped {offset:.3f}ms past lockRef "
-                f"{event.lock_ref}'s lease start; v2s ordering needs the "
-                f"offset inside [0, T={self.period_ms:g}ms)",
-            )
-
-    # -- violation plumbing -----------------------------------------------
-
-    def _span_of(self, event: AuditEvent) -> Optional[Tuple[int, int]]:
-        if event.trace_id is None or event.span_id is None:
-            return None
-        return (event.trace_id, event.span_id)
-
-    def _violate(
-        self,
-        invariant: str,
-        event: AuditEvent,
-        state: _KeyState,
-        detail: str,
-        extra_span: Optional[Tuple[int, int]] = None,
-    ) -> None:
-        self.violation_counts[invariant] = self.violation_counts.get(invariant, 0) + 1
-        if len(self.violations) >= self.violation_limit:
-            return
-        spans: List[Tuple[int, int]] = []
-        own = self._span_of(event)
-        if own is not None:
-            spans.append(own)
-        if extra_span is not None and extra_span not in spans:
-            spans.append(extra_span)
-        trace = [label for _seq, label in self._fault_recent] + list(state.recent)
-        self.violations.append(
-            ViolationRecord(
-                invariant=invariant,
-                source="runtime",
-                detail=detail,
-                key=event.key,
-                lock_ref=event.lock_ref,
-                time_ms=event.t_ms,
-                trace=trace,
-                trace_spans=spans,
-            )
+    def file(self, record: ViolationRecord) -> None:
+        """Count a subscriber's finding and keep it (up to the limit)."""
+        self.violation_counts[record.invariant] = (
+            self.violation_counts.get(record.invariant, 0) + 1
         )
-
-    # -- reporting --------------------------------------------------------
+        if len(self.violations) < self.violation_limit:
+            self.violations.append(record)
 
     @property
     def clean(self) -> bool:
@@ -690,11 +245,14 @@ class ECFAuditor:
         """A human-readable audit summary; pass recorded spans to also
         render the guilty span tree under each violation."""
         kinds: Dict[str, int] = {}
+        keys = set()
         for event in self.events:
             kinds[event.kind] = kinds.get(event.kind, 0) + 1
+            if event.key is not None:
+                keys.add(event.key)
         total = len(self.events) + self.dropped
         lines = [
-            f"ECF audit: {total} events over {len(self._keys)} key(s), "
+            f"ECF audit: {total} events over {len(keys)} key(s), "
             f"{sum(self.violation_counts.values())} violation(s)"
         ]
         if kinds:
@@ -727,38 +285,6 @@ class ECFAuditor:
             lines.append(f"\n... and {remaining} more violation(s)")
         return "\n".join(lines)
 
-    # -- offline ----------------------------------------------------------
-
-    @classmethod
-    def replay(
-        cls, events: Iterable[AuditEvent], period_ms: float = DEFAULT_PERIOD_MS
-    ) -> "ECFAuditor":
-        """Re-check a recorded history; returns the replayed auditor."""
-        auditor = cls(period_ms=period_ms)
-        for event in sorted(events, key=lambda e: e.seq):
-            auditor.ingest(event)
-        return auditor
-
-
-class AuditRecorder(ECFAuditor):
-    """Record-only auditor: one process's slice of a live execution.
-
-    A single process of a ``repro.live`` cluster observes only its own
-    decide points, so running the online checkers there would raise
-    false violations (it cannot see a rival site's grants).  Each
-    process therefore records its slice with this class, the harness
-    merges the slices with :func:`merge_audit_events`, and the full
-    stream replays through the real :class:`ECFAuditor` checkers
-    offline — same invariants, checked on a *real* execution.
-    """
-
-    def ingest(self, event: AuditEvent) -> None:
-        if len(self.events) < self.event_limit:
-            self.events.append(event)
-        else:
-            self.dropped += 1
-        self._seq = max(self._seq, event.seq)
-
 
 def merge_audit_events(
     histories: Iterable[Iterable[AuditEvent]],
@@ -768,8 +294,8 @@ def merge_audit_events(
     Events order by their wall timestamp — every
     :class:`~repro.live.LiveClock` of a cluster shares the epoch, so
     ``t_ms`` values are mutually comparable — with (history index,
-    original seq) breaking ties.  Sequence numbers are reassigned so
-    :meth:`ECFAuditor.replay`'s seq sort reproduces exactly this order.
+    original seq) breaking ties.  Sequence numbers are reassigned so a
+    replay's seq sort reproduces exactly this order.
     """
     keyed = [
         (event.t_ms, index, event.seq, event)
@@ -786,356 +312,25 @@ def merge_audit_events(
 
 # -- JSONL persistence ------------------------------------------------------
 
-PathOrFile = Union[str, "IO[str]"]
-
 _META_KIND = "_meta"
 
 
-def _jsonable(value: Any) -> Any:
-    return json.loads(json.dumps(value, sort_keys=True, default=repr))
-
-
-def write_audit_jsonl(auditor: ECFAuditor, destination: PathOrFile) -> None:
+def write_audit_jsonl(auditor: AuditStream, destination: PathOrFile) -> None:
     """One event per line, preceded by a meta line carrying T (needed to
     decompose v2s stamps on replay)."""
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as handle:
-            write_audit_jsonl(auditor, handle)
-        return
-    destination.write(
-        json.dumps({"kind": _META_KIND, "period_ms": auditor.period_ms}) + "\n"
+    write_records(
+        auditor.events, destination,
+        header={"kind": _META_KIND, "period_ms": auditor.period_ms},
     )
-    for event in auditor.events:
-        destination.write(
-            json.dumps(_jsonable(event.to_dict()), sort_keys=True) + "\n"
-        )
 
 
 def load_audit_jsonl(source: PathOrFile) -> Tuple[List[AuditEvent], float]:
     """Returns ``(events, period_ms)``."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return load_audit_jsonl(handle)
     events: List[AuditEvent] = []
     period_ms = DEFAULT_PERIOD_MS
-    for line in source:
-        line = line.strip()
-        if not line:
-            continue
-        data = json.loads(line)
+    for data in read_records(source):
         if data.get("kind") == _META_KIND:
             period_ms = float(data.get("period_ms", period_ms))
-            continue
-        events.append(AuditEvent.from_dict(data))
+        else:
+            events.append(AuditEvent.from_dict(data))
     return events, period_ms
-
-
-def replay_audit(source: PathOrFile) -> ECFAuditor:
-    """Load a JSONL history and re-run every checker over it."""
-    events, period_ms = load_audit_jsonl(source)
-    return ECFAuditor.replay(events, period_ms=period_ms)
-
-
-# -- guilty span trees -------------------------------------------------------
-
-
-def render_span_tree(
-    spans: Sequence[SpanRecord],
-    trace_id: int,
-    highlight: Optional[Set[int]] = None,
-    max_spans: int = 100,
-) -> str:
-    """The span tree of one trace, guilty spans marked with ``▶``."""
-    highlight = highlight or set()
-    members = [s for s in spans if s.trace_id == trace_id]
-    if not members:
-        return f"  (no spans recorded for trace {trace_id})"
-    by_id = {s.span_id: s for s in members}
-    children: Dict[Optional[int], List[SpanRecord]] = {}
-    for span in members:
-        parent = span.parent_id if span.parent_id in by_id else None
-        children.setdefault(parent, []).append(span)
-    for siblings in children.values():
-        siblings.sort(key=lambda s: (s.start_ms, s.span_id))
-    lines: List[str] = [f"  span tree of trace {trace_id}:"]
-    emitted = 0
-
-    def walk(span: SpanRecord, depth: int) -> None:
-        nonlocal emitted
-        if emitted >= max_spans:
-            return
-        emitted += 1
-        marker = "▶" if span.span_id in highlight else " "
-        where = f" node={span.node}" if span.node else ""
-        lines.append(
-            f"  {marker}{'  ' * depth}{span.name} "
-            f"[{span.start_ms:.1f}–{span.end_ms:.1f}ms]{where}"
-        )
-        for child in children.get(span.span_id, []):
-            walk(child, depth + 1)
-
-    for root in children.get(None, []):
-        walk(root, 0)
-    if emitted >= max_spans:
-        lines.append(f"  ... (tree truncated at {max_spans} spans)")
-    return "\n".join(lines)
-
-
-# -- transactional serializability --------------------------------------------
-
-
-@dataclass(slots=True)
-class CommittedTxn:
-    """One committed transaction's footprint, as the txn engines record it.
-
-    ``reads`` maps each read key to the *stamp* of the version observed
-    (None for a never-written key); ``writes`` maps each written key to
-    the stamp of the installed version.  Stamps are real store cell
-    stamps — the same ``(scalar, writer)`` tokens the ECF checkers see —
-    so the serializability check replays exactly what the store
-    persisted, not an engine-private notion of version.
-    """
-
-    txn_id: str
-    engine: str
-    commit_seq: int
-    reads: Dict[str, Optional[Stamp]] = field(default_factory=dict)
-    writes: Dict[str, Stamp] = field(default_factory=dict)
-    begin_seq: Optional[int] = None
-    commit_ms: Optional[float] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "txn_id": self.txn_id,
-            "engine": self.engine,
-            "commit_seq": self.commit_seq,
-            "reads": {k: (list(s) if s is not None else None)
-                      for k, s in self.reads.items()},
-            "writes": {k: list(s) for k, s in self.writes.items()},
-            "begin_seq": self.begin_seq,
-            "commit_ms": self.commit_ms,
-        }
-
-
-_INITIAL = "<initial>"
-
-
-class SerializabilityChecker:
-    """Replays committed transactions' read/write stamps and verifies
-    there is a valid serial order (conflict serializability).
-
-    The check is the textbook precedence-graph construction over the
-    *stamped* version history:
-
-    * per key, the committed writes ordered by stamp are the version
-      chain (any read stamp below every write stamp is the pre-seeded
-      initial version);
-    * edges: wr (writer of version v → each reader of v), ww
-      (consecutive writers in the chain), rw (reader of version v →
-      writer of the version after v — the anti-dependency);
-    * the history is serializable iff the graph is acyclic.  The serial
-      order is then a topological sort biased toward commit order.
-
-    Commit order alone is *not* required to be serial: SSI legally
-    commits an rw-antidependent reader after the writer it precedes in
-    the serial order.  The checker therefore reports (but does not fail
-    on) a non-serial commit order, and fails only on a cycle, a read of
-    a version that was never written (a phantom version), or a replay of
-    the serial order that does not reproduce every read.
-    """
-
-    def __init__(self, name: str = "Serializability") -> None:
-        self.name = name
-        self.violations: List[ViolationRecord] = []
-        self.serial_order: List[str] = []
-        self.commit_order_serial: Optional[bool] = None
-
-    # -- the check --------------------------------------------------------
-
-    def check(self, txns: Sequence[CommittedTxn]) -> List[ViolationRecord]:
-        """Run the full check; returns (and stores) the violations."""
-        self.violations = []
-        self.serial_order = []
-        self.commit_order_serial = None
-        txns = sorted(txns, key=lambda t: t.commit_seq)
-        by_id = {t.txn_id: t for t in txns}
-        if len(by_id) != len(txns):
-            self._violate("duplicate txn_id in committed history", None)
-            return self.violations
-
-        # 1. Per-key version chains from the write stamps.
-        chains: Dict[str, List[Tuple[Stamp, str]]] = {}
-        for txn in txns:
-            for key, stamp in txn.writes.items():
-                chains.setdefault(key, []).append((stamp, txn.txn_id))
-        for key, chain in chains.items():
-            chain.sort()
-            for (s1, t1), (s2, t2) in zip(chain, chain[1:]):
-                if s1 == s2:
-                    self._violate(
-                        f"duplicate version stamp {s1} on {key!r} "
-                        f"(txns {t1} and {t2})", key,
-                    )
-
-        # 2. Resolve each read to a version (writer txn_id or _INITIAL).
-        reads_of: Dict[Tuple[str, str], str] = {}  # (txn, key) -> writer
-        for txn in txns:
-            for key, stamp in txn.reads.items():
-                chain = chains.get(key, [])
-                if stamp is None:
-                    reads_of[(txn.txn_id, key)] = _INITIAL
-                    continue
-                writer = next((t for s, t in chain if s == stamp), None)
-                if writer is not None:
-                    reads_of[(txn.txn_id, key)] = writer
-                elif not chain or stamp < chain[0][0]:
-                    # Below every committed write: the pre-seeded value.
-                    reads_of[(txn.txn_id, key)] = _INITIAL
-                else:
-                    self._violate(
-                        f"txn {txn.txn_id} read {key!r} at stamp {stamp}, "
-                        "which matches no committed write and is not the "
-                        "initial version (phantom version)", key,
-                    )
-                    reads_of[(txn.txn_id, key)] = _INITIAL
-
-        # 3. Precedence edges.
-        edges: Dict[str, Dict[str, str]] = {t.txn_id: {} for t in txns}
-
-        def add_edge(a: str, b: str, reason: str) -> None:
-            if a != b and a in edges and b not in edges[a]:
-                edges[a][b] = reason
-
-        for key, chain in chains.items():
-            order = [t for _s, t in chain]
-            for t1, t2 in zip(order, order[1:]):
-                add_edge(t1, t2, f"ww on {key!r}")
-        for (reader, key), writer in reads_of.items():
-            chain = chains.get(key, [])
-            order = [t for _s, t in chain]
-            if writer == _INITIAL:
-                if order:
-                    add_edge(reader, order[0], f"rw on {key!r}")
-            else:
-                add_edge(writer, reader, f"wr on {key!r}")
-                index = order.index(writer)
-                if index + 1 < len(order):
-                    add_edge(reader, order[index + 1], f"rw on {key!r}")
-
-        # 4. Cycle detection (iterative DFS).
-        cycle = self._find_cycle(edges)
-        if cycle is not None:
-            labels = []
-            for a, b in zip(cycle, cycle[1:]):
-                labels.append(f"{a} -[{edges[a][b]}]-> {b}")
-            self._violate(
-                "committed history has no serial order; dependency cycle: "
-                + "; ".join(labels),
-                None,
-                trace=[f"commit order: {' -> '.join(t.txn_id for t in txns)}"],
-            )
-            return self.violations
-
-        # 5. Serial order: topological sort, commit order as tie-break.
-        seq = {t.txn_id: t.commit_seq for t in txns}
-        indeg = {t.txn_id: 0 for t in txns}
-        for a in edges:
-            for b in edges[a]:
-                indeg[b] += 1
-        import heapq
-
-        ready = [(seq[t], t) for t in indeg if indeg[t] == 0]
-        heapq.heapify(ready)
-        order: List[str] = []
-        while ready:
-            _, t = heapq.heappop(ready)
-            order.append(t)
-            for b in edges[t]:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    heapq.heappush(ready, (seq[b], b))
-        self.serial_order = order
-        self.commit_order_serial = order == [t.txn_id for t in txns]
-
-        # 6. Replay the serial order; every read must reproduce.
-        latest: Dict[str, str] = {}
-        for txn_id in order:
-            txn = by_id[txn_id]
-            for key in txn.reads:
-                expected = latest.get(key, _INITIAL)
-                observed = reads_of[(txn_id, key)]
-                if observed != expected:
-                    self._violate(
-                        f"serial replay failed: txn {txn_id} read {key!r} "
-                        f"from {observed} but the serial order says "
-                        f"{expected}", key,
-                    )
-            for key in txn.writes:
-                latest[key] = txn_id
-        return self.violations
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
-    def assert_serializable(self, txns: Sequence[CommittedTxn]) -> None:
-        self.check(txns)
-        if not self.clean:
-            raise AssertionError(self.render_report())
-
-    def render_report(self) -> str:
-        lines = [
-            f"serializability check: {len(self.violations)} violation(s)"
-        ]
-        if self.commit_order_serial is not None:
-            lines.append(
-                "  commit order is "
-                + ("a valid serial order"
-                   if self.commit_order_serial
-                   else "NOT serial (a legal reordering exists)")
-            )
-        for record in self.violations[:10]:
-            lines.append(record.render())
-        return "\n".join(lines)
-
-    # -- internals --------------------------------------------------------
-
-    def _violate(
-        self, detail: str, key: Optional[str],
-        trace: Optional[List[str]] = None,
-    ) -> None:
-        self.violations.append(
-            ViolationRecord(
-                invariant=self.name, source="runtime", detail=detail,
-                key=key, trace=trace or [],
-            )
-        )
-
-    @staticmethod
-    def _find_cycle(edges: Dict[str, Dict[str, str]]) -> Optional[List[str]]:
-        """A cycle as ``[t0, t1, ..., t0]``, or None if acyclic."""
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {node: WHITE for node in edges}
-        for start in edges:
-            if color[start] != WHITE:
-                continue
-            stack: List[Tuple[str, Iterator[str]]] = [(start, iter(edges[start]))]
-            color[start] = GREY
-            path = [start]
-            while stack:
-                node, children = stack[-1]
-                advanced = False
-                for child in children:
-                    if color[child] == GREY:
-                        return path[path.index(child):] + [child]
-                    if color[child] == WHITE:
-                        color[child] = GREY
-                        path.append(child)
-                        stack.append((child, iter(edges[child])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    path.pop()
-                    stack.pop()
-        return None

@@ -71,10 +71,10 @@ histograms into a :class:`~repro.obs.metrics.MetricsRegistry`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .export import PathOrFile, read_records, write_records
 from .trace import SpanRecord
 
 __all__ = [
@@ -551,29 +551,14 @@ def explain_table(
 
 # -- persistence -------------------------------------------------------------
 
-PathOrFile = Union[str, "IO[str]"]
-
 
 def write_critpath_jsonl(paths: Iterable[CritPath], destination: PathOrFile) -> None:
-    """One CritPath per line (mirrors the span JSONL convention)."""
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as handle:
-            write_critpath_jsonl(paths, handle)
-        return
-    for path in paths:
-        destination.write(json.dumps(path.to_dict(), sort_keys=True) + "\n")
+    """One CritPath per line (the span JSONL convention)."""
+    write_records(paths, destination)
 
 
 def load_critpath_jsonl(source: PathOrFile) -> List[CritPath]:
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return load_critpath_jsonl(handle)
-    paths = []
-    for line in source:
-        line = line.strip()
-        if line:
-            paths.append(CritPath.from_dict(json.loads(line)))
-    return paths
+    return [CritPath.from_dict(data) for data in read_records(source)]
 
 
 def critpath_speedscope_samples(

@@ -1,7 +1,9 @@
-"""Trace exporters: JSONL, Chrome trace-event JSON, phase-breakdown tables.
+"""Trace exporters: JSONL, Chrome trace-event JSON, phase-breakdown
+tables, guilty span trees.
 
-Three consumers, three formats:
-
+- :func:`write_records` / :func:`read_records` — the one JSONL codec:
+  a ``to_dict()`` object per line out, a dict per non-blank line in.
+  Spans, critical paths and audit events all dump through it.
 - :func:`write_jsonl` / :func:`load_jsonl` — a line-per-span dump that
   round-trips losslessly, for archival and offline analysis
   (``python -m repro.obs report spans.jsonl``).
@@ -14,17 +16,21 @@ Three consumers, three formats:
   Fig. 5(b) decomposition: group the children of each root operation
   span by name and tabulate mean latency, share of the end-to-end op,
   and message-level counts, purely from recorded spans.
+- :func:`render_span_tree` — one trace as an indented tree with the
+  spans an audit violation implicates marked ``▶``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, IO, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, IO, Iterable, Iterator, List, Optional, Sequence, Set, Union
 
 from .trace import SpanRecord
 
 __all__ = [
+    "write_records",
+    "read_records",
     "write_jsonl",
     "load_jsonl",
     "chrome_trace_events",
@@ -35,6 +41,7 @@ __all__ = [
     "PhaseBreakdown",
     "phase_breakdown",
     "render_phase_table",
+    "render_span_tree",
 ]
 
 PathOrFile = Union[str, "IO[str]"]
@@ -43,26 +50,44 @@ PathOrFile = Union[str, "IO[str]"]
 # -- JSONL ---------------------------------------------------------------
 
 
-def write_jsonl(spans: Iterable[SpanRecord], destination: PathOrFile) -> None:
-    """Write one span per line; safe to concatenate across runs."""
+def write_records(
+    records: Iterable[Any],
+    destination: PathOrFile,
+    header: Optional[Dict[str, Any]] = None,
+) -> None:
+    """One ``record.to_dict()`` per line (after ``header``, if given);
+    values JSON cannot express are written as their ``repr``."""
     if isinstance(destination, str):
         with open(destination, "w", encoding="utf-8") as handle:
-            write_jsonl(spans, handle)
+            write_records(records, handle, header)
         return
-    for span in spans:
-        destination.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
+    if header is not None:
+        destination.write(json.dumps(header) + "\n")
+    for record in records:
+        destination.write(
+            json.dumps(record.to_dict(), sort_keys=True, default=repr) + "\n"
+        )
 
 
-def load_jsonl(source: PathOrFile) -> List[SpanRecord]:
+def read_records(source: PathOrFile) -> Iterator[Dict[str, Any]]:
+    """The JSON object on each non-blank line."""
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
-            return load_jsonl(handle)
-    spans = []
+            yield from read_records(handle)
+        return
     for line in source:
         line = line.strip()
         if line:
-            spans.append(SpanRecord.from_dict(json.loads(line)))
-    return spans
+            yield json.loads(line)
+
+
+def write_jsonl(spans: Iterable[SpanRecord], destination: PathOrFile) -> None:
+    """Write one span per line; safe to concatenate across runs."""
+    write_records(spans, destination)
+
+
+def load_jsonl(source: PathOrFile) -> List[SpanRecord]:
+    return [SpanRecord.from_dict(data) for data in read_records(source)]
 
 
 # -- Chrome trace-event JSON ----------------------------------------------
@@ -329,4 +354,49 @@ def render_phase_table(breakdown: PhaseBreakdown) -> str:
         f"{'end-to-end':<44} {breakdown.operations:>6} "
         f"{breakdown.end_to_end_mean_ms:>9.2f} {100.0:>7.1f}%"
     )
+    return "\n".join(lines)
+
+
+# -- guilty span trees -------------------------------------------------------
+
+
+def render_span_tree(
+    spans: Sequence[SpanRecord],
+    trace_id: int,
+    highlight: Optional[Set[int]] = None,
+    max_spans: int = 100,
+) -> str:
+    """The span tree of one trace, guilty spans marked with ``▶``."""
+    highlight = highlight or set()
+    members = [s for s in spans if s.trace_id == trace_id]
+    if not members:
+        return f"  (no spans recorded for trace {trace_id})"
+    by_id = {s.span_id: s for s in members}
+    children: Dict[Optional[int], List[SpanRecord]] = {}
+    for span in members:
+        parent = span.parent_id if span.parent_id in by_id else None
+        children.setdefault(parent, []).append(span)
+    for siblings in children.values():
+        siblings.sort(key=lambda s: (s.start_ms, s.span_id))
+    lines: List[str] = [f"  span tree of trace {trace_id}:"]
+    emitted = 0
+
+    def walk(span: SpanRecord, depth: int) -> None:
+        nonlocal emitted
+        if emitted >= max_spans:
+            return
+        emitted += 1
+        marker = "▶" if span.span_id in highlight else " "
+        where = f" node={span.node}" if span.node else ""
+        lines.append(
+            f"  {marker}{'  ' * depth}{span.name} "
+            f"[{span.start_ms:.1f}–{span.end_ms:.1f}ms]{where}"
+        )
+        for child in children.get(span.span_id, []):
+            walk(child, depth + 1)
+
+    for root in children.get(None, []):
+        walk(root, 0)
+    if emitted >= max_spans:
+        lines.append(f"  ... (tree truncated at {max_spans} spans)")
     return "\n".join(lines)

@@ -15,9 +15,8 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # the scheduler seam; see repro.runtime
     from ..runtime import Clock
-from .audit import NULL_AUDIT, ECFAuditor
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .netobs import NetworkEvent, network_events
+from .audit import NULL_AUDIT, AuditStream
+from .metrics import MetricsRegistry
 from .trace import NULL_TRACER, NullTracer, Tracer
 
 __all__ = ["Observability", "NullObservability", "NULL_OBS"]
@@ -41,45 +40,38 @@ class Observability:
         self.sim = sim
         self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer or Tracer(sim, limit=span_limit, id_base=span_id_base)
-        # The runtime ECF auditor; NULL_AUDIT until one is attached, so
+        # The audit stream; NULL_AUDIT until one is attached, so
         # emission sites stay on the null-object fast path.
         self.audit = NULL_AUDIT
 
-    def attach_audit(self, auditor: Optional[ECFAuditor] = None) -> ECFAuditor:
-        """Subscribe an :class:`~repro.obs.audit.ECFAuditor` to this
-        recorder's event stream (creating one if not given)."""
-        if auditor is None:
-            auditor = ECFAuditor(sim=self.sim, tracer=self.tracer)
-        else:
-            auditor.bind(self.sim, self.tracer)
-        self.audit = auditor
-        return auditor
+    def attach_audit(self, stream: AuditStream) -> AuditStream:
+        """Make ``stream`` the one this recorder's emission sites feed,
+        stamping its events from this recorder's clock and tracer."""
+        stream.sim, stream.tracer = self.sim, self.tracer
+        self.audit = stream
+        return stream
 
     def observe_network(self, network) -> None:
-        """Subscribe message counters/bytes to ``network``'s send events."""
+        """Count ``network``'s sends into ``net.messages`` / ``net.bytes``
+        (one tap on the network or transport, called per accepted send)."""
         registry = self.metrics
         by_kind = {}
 
-        def on_event(event: NetworkEvent) -> None:
-            pair = by_kind.get(event.kind)
+        def count(message) -> None:
+            pair = by_kind.get(message.kind)
             if pair is None:
-                pair = (
-                    registry.counter("net.messages", kind=event.kind),
-                    registry.counter("net.bytes", kind=event.kind),
+                pair = by_kind[message.kind] = (
+                    registry.counter("net.messages", kind=message.kind),
+                    registry.counter("net.bytes", kind=message.kind),
                 )
-                by_kind[event.kind] = pair
             pair[0].inc()
-            pair[1].inc(event.size_bytes)
+            pair[1].inc(message.size_bytes)
 
-        network_events(network).subscribe(on_event)
+        network.add_tap(count)
 
 
 class _NullMetrics:
     """A registry whose instruments are shared and write nowhere."""
-
-    _COUNTER = Counter("null", {})
-    _GAUGE = Gauge("null", {})
-    _HISTOGRAM = Histogram("null", {}, buckets=(1.0,))
 
     class _Inert:
         __slots__ = ()

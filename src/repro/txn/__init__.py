@@ -10,8 +10,8 @@ Three concurrency-control regimes behind one interface (DESIGN.md §13):
 * ``ssi`` — :class:`SSIEngine`: serializable snapshot isolation with
   first-committer-wins and rw-antidependency pivot aborts.
 
-Every engine emits :class:`~repro.obs.audit.CommittedTxn` records that
-the :class:`~repro.obs.audit.SerializabilityChecker` replays, so the
+Every engine emits :class:`CommittedTxn` records that the
+:class:`SerializabilityChecker` replays (:mod:`repro.txn.oracle`), so the
 regimes are compared on *checked* histories, not trust.
 
 Usage::
@@ -26,6 +26,7 @@ from .api import RetryPolicy, TransactionExecutor, TxnResult, TxnRuntime, rmw_bo
 from .engine import Transaction, TxnAborted, TxnEngine
 from .locking import LockingEngine, LockingTxn, WaitsForGraph
 from .occ import EPOCH_KEY, EpochOCCEngine, OCCTxn
+from .oracle import CommittedTxn, SerializabilityChecker
 from .ssi import SSIEngine, SSITxn
 
 ENGINES = {
@@ -35,6 +36,7 @@ ENGINES = {
 }
 
 __all__ = [
+    "CommittedTxn",
     "EPOCH_KEY",
     "ENGINES",
     "EpochOCCEngine",
@@ -44,6 +46,7 @@ __all__ = [
     "RetryPolicy",
     "SSIEngine",
     "SSITxn",
+    "SerializabilityChecker",
     "Transaction",
     "TransactionExecutor",
     "TxnAborted",

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, Optional
 
-from ..obs.audit import CommittedTxn
 from .engine import Transaction, TxnAborted, TxnEngine
+from .oracle import CommittedTxn
 
 __all__ = [
     "RetryPolicy",

@@ -8,22 +8,20 @@ and :class:`~repro.txn.ssi.SSIEngine` runs snapshot isolation with
 first-committer-wins plus rw-antidependency aborts.
 
 Every engine produces the same evidence: a list of
-:class:`~repro.obs.audit.CommittedTxn` records whose read/write stamps
+:class:`~repro.txn.oracle.CommittedTxn` records whose read/write stamps
 are *real store cell stamps*, so one
-:class:`~repro.obs.audit.SerializabilityChecker` replays any engine's
+:class:`~repro.txn.oracle.SerializabilityChecker` replays any engine's
 history and verifies a valid serial order exists.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional
 
 from ..errors import ReproError
-from ..obs.audit import CommittedTxn
+from .oracle import CommittedTxn, Stamp
 
 __all__ = ["TxnAborted", "TxnEngine", "Transaction", "Stamp"]
-
-Stamp = Tuple[float, str]
 
 
 class TxnAborted(ReproError):

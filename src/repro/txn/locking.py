@@ -10,13 +10,13 @@ mid-transaction surfaces as :class:`~repro.txn.engine.TxnAborted`
 and retries with fresh lockRefs.
 
 Deadlock-freedom is not assumed — it is *checked*.  The
-:class:`WaitsForGraph` subscribes to the runtime auditor's event stream
-(``enqueue`` / ``grant`` / ``release`` / ``forced_release``, the same
-events the ECF auditor consumes) and maintains the classical waits-for
-graph: an edge T₁ → T₂ whenever a lockRef bound to T₁ waits in a queue
-whose granted head is bound to T₂.  The graph must stay acyclic at
-every grant and enqueue; a cycle is recorded as a ``Deadlock``
-violation on the auditor.
+:class:`WaitsForGraph` subscribes to the audit stream exactly as the
+ECF checker does (``enqueue`` / ``grant`` / ``release`` /
+``forced_release``, the same events) and maintains the classical
+waits-for graph: an edge T₁ → T₂ whenever a lockRef bound to T₁ waits
+in a queue whose granted head is bound to T₂.  The graph must stay
+acyclic at every grant and enqueue; a cycle is filed as a ``Deadlock``
+violation on the stream.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from ..core.multikey import MultiKeyCriticalSection, enter_multi
 from ..errors import NotLockHolder, ReproError
-from ..obs.audit import AuditEvent, CommittedTxn
+from ..obs.audit import AuditEvent, AuditStream
 from ..verification.invariants import ViolationRecord
 from .engine import Stamp, Transaction, TxnAborted, TxnEngine
+from .oracle import CommittedTxn
 
 __all__ = ["LockingEngine", "LockingTxn", "WaitsForGraph"]
 
@@ -43,8 +44,8 @@ class WaitsForGraph:
 
     invariant = "Deadlock"
 
-    def __init__(self, auditor: Optional[Any] = None) -> None:
-        self.auditor = auditor
+    def __init__(self, stream: Optional[AuditStream] = None) -> None:
+        self.stream = stream  # where cycles are filed, if anywhere
         self._txn_of: Dict[Tuple[str, int], str] = {}  # (key, ref) -> txn
         self._waiting: Dict[str, Set[int]] = {}        # key -> queued refs
         self._granted: Dict[str, Optional[int]] = {}   # key -> head ref
@@ -134,8 +135,8 @@ class WaitsForGraph:
             trace=[event.label()],
         )
         self.violations.append(record)
-        if self.auditor is not None:
-            self.auditor.record_violation(record)
+        if self.stream is not None:
+            self.stream.file(record)
 
 
 class LockingEngine(TxnEngine):
@@ -156,16 +157,12 @@ class LockingEngine(TxnEngine):
         super().__init__(deployment)
         self.lock_timeout_ms = lock_timeout_ms
         self.acquire_retries = acquire_retries
+        # The deadlock checker, subscribed when the deployment is audited.
         self.waits_for: Optional[WaitsForGraph] = None
         self._mutant_seq = 0
         if deployment.auditor is not None:
-            self.attach_invariants(deployment.auditor)
-
-    def attach_invariants(self, auditor: Any) -> None:
-        """Subscribe the waits-for deadlock checker to ``auditor``."""
-        if self.waits_for is None:
-            self.waits_for = WaitsForGraph(auditor)
-            auditor.add_listener(self.waits_for.on_event)
+            self.waits_for = WaitsForGraph(deployment.auditor)
+            deployment.auditor.subscribe(self.waits_for.on_event)
 
     def begin(self, client: Any, spec: Any) -> Generator[Any, Any, "LockingTxn"]:
         txn = LockingTxn(self, client, self.next_txn_id(client), spec)

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional
 
-from ..obs.audit import CommittedTxn
 from .engine import Stamp, Transaction, TxnAborted, TxnEngine
+from .oracle import CommittedTxn
 
 __all__ = ["EpochOCCEngine", "OCCTxn", "EPOCH_KEY"]
 

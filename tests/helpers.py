@@ -49,3 +49,25 @@ def make_store(
 def run(sim, generator, limit=1e9):
     """Run a client generator to completion and return its value."""
     return sim.run_until_complete(sim.process(generator), limit=limit)
+
+
+def assert_replay_equivalent(auditor, subscribe=None):
+    """Online and offline checking are one oracle: replaying the
+    recorded history through a fresh checker reaches the verdict the
+    online checker reached, record for record.
+
+    ``subscribe(stream)`` adds whatever the online stream carried beside
+    the ECF checker (e.g. a bound ``WaitsForGraph``) to the fresh one.
+    """
+    from repro.obs import ECFAuditor
+
+    assert auditor.dropped == 0, "a truncated history cannot replay to the same verdict"
+    replayed = ECFAuditor(period_ms=auditor.period_ms)
+    if subscribe is not None:
+        subscribe(replayed)
+    for event in auditor.events:
+        replayed.ingest(event)
+    assert replayed.violations == auditor.violations
+    assert replayed.violation_counts == auditor.violation_counts
+    assert replayed.counters == auditor.counters
+    return replayed

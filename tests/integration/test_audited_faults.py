@@ -16,6 +16,7 @@ from repro import MusicConfig, build_music
 from repro.errors import ReproError
 from repro.faults import FaultSchedule, flaky_link_profile
 from repro.obs import replay_audit, write_audit_jsonl
+from tests.helpers import assert_replay_equivalent
 
 # CI sets this to a directory; each run's audit history is dumped there
 # so a red build's artifacts can be re-checked offline with
@@ -117,6 +118,7 @@ def test_seeded_fault_run_audits_clean():
     assert "sync" in kinds  # the takeover had to synchronize
     assert auditor.clean, auditor.render_report()
     auditor.assert_clean()
+    assert_replay_equivalent(music.auditor)
 
 
 def test_seeded_fault_run_audits_clean_with_fast_locks():
@@ -132,6 +134,7 @@ def test_seeded_fault_run_audits_clean_with_fast_locks():
     assert "sync" in kinds  # forced preemption still forces the sync
     assert auditor.clean, auditor.render_report()
     auditor.assert_clean()
+    assert_replay_equivalent(music.auditor)
 
 
 def test_fault_run_history_replays_identically_offline():
@@ -145,6 +148,7 @@ def test_fault_run_history_replays_identically_offline():
     assert replayed.violation_counts == music.auditor.violation_counts
     assert replayed.counters == music.auditor.counters
     assert replayed.clean
+    assert_replay_equivalent(music.auditor)
 
 
 def test_fault_markers_interleave_with_key_histories():

@@ -14,8 +14,8 @@ library-only and are not exercised here: ``PortalFrontend``
 import pytest
 
 from repro.core import build_music, enter_multi
-from repro.obs import SerializabilityChecker
 from repro.recipes import AtomicCounter, AtomicQueue
+from repro.txn import SerializabilityChecker
 from tests.helpers import run
 from tests.txn.helpers import build_txn_music, run_workload
 

@@ -133,3 +133,45 @@ def test_portal_dashboard_serves_bounded_reads():
     ohio = music.replica_at("Ohio")
     assert ohio.counters["cache_hits"] >= 1           # the re-read was local
     assert music.auditor.clean, music.auditor.render_report()
+
+
+def test_read_leases_bring_the_invalidation_channel_on_every_construction_path():
+    """``read_leases`` implies ``push_grants`` in ``MusicConfig`` itself,
+    not only under ``build_music(read_leases=True)``: a config built by a
+    live cluster spec or handed straight to a replica used to leave the
+    invalidation channel off, so cached reads lived to their staleness
+    bound — silently, since MonotonicReads only compares against
+    *delivered* invalidations."""
+    from dataclasses import replace
+
+    from repro import MusicConfig
+    from repro.live import ClusterSpec, localhost_spec
+
+    assert MusicConfig(read_leases=True).push_grants
+    assert replace(MusicConfig(), read_leases=True).push_grants
+    spec = localhost_spec(music={"read_leases": True})
+    assert spec.music_config().push_grants
+    assert ClusterSpec.from_dict(spec.to_dict()).music_config().push_grants  # the TOML/JSON path
+    assert not MusicConfig().push_grants
+    sugar = build_music(read_leases=True).config
+    assert sugar == build_music(music_config=MusicConfig(read_leases=True)).config
+
+    # And the channel works: the scenario of the test above, with the
+    # tier switched on through the config alone.
+    music = build_music(music_config=MusicConfig(read_leases=True), audit=True)
+    sim = music.sim
+    writer, reader = music.client("Ohio"), music.client("Oregon")
+
+    def scenario():
+        seen = []
+        for value in (1, 2):
+            cs = yield from writer.critical_section("k")
+            yield from cs.put(value)
+            yield from cs.exit()                      # release push fans out
+            yield sim.timeout(500.0)
+            seen.append((yield from reader.get("k", staleness_ms=10_000.0)))
+        return seen
+
+    assert run(sim, scenario()) == [1, 2]
+    assert music.replica_at("Oregon").counters["cache_invalidations"] >= 1
+    assert music.auditor.clean, music.auditor.render_report()

@@ -16,6 +16,7 @@ from repro import MusicConfig, build_music
 from repro.errors import ReproError
 from repro.faults import FaultSchedule, flaky_link_profile
 from repro.obs import write_audit_jsonl
+from tests.helpers import assert_replay_equivalent
 
 ARTIFACT_DIR = os.environ.get("REPRO_AUDIT_ARTIFACT_DIR")
 
@@ -162,3 +163,4 @@ def test_leased_fault_run_audits_clean():
     assert "lease_invalidate" in kinds
     assert auditor.clean, auditor.render_report()
     auditor.assert_clean()
+    assert_replay_equivalent(auditor)

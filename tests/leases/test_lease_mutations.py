@@ -11,7 +11,7 @@ drops the push-grant cache invalidation — MonotonicReads must fire.
 from repro import MusicConfig, build_music
 from repro.core.replica import MusicReplica
 from repro.errors import NotLockHolder
-from tests.helpers import run
+from tests.helpers import assert_replay_equivalent, run
 
 
 def assert_caught(auditor, invariant):
@@ -114,6 +114,7 @@ def test_forced_takeover_baseline_is_clean():
     kinds = {event.kind for event in music.auditor.events}
     assert {"lease_read", "forced_release"} <= kinds
     assert music.auditor.clean, music.auditor.render_report()
+    assert_replay_equivalent(music.auditor)
 
 
 def test_removing_the_expiry_check_trips_lease_safety():
@@ -121,6 +122,7 @@ def test_removing_the_expiry_check_trips_lease_safety():
     # The mutant keeps serving its mirror after the ECF window closed.
     assert lease_served
     assert_caught(music.auditor, "LeaseSafety")
+    assert_replay_equivalent(music.auditor)
 
 
 # -- scenario (b): a cached read outliving its invalidation ----------------
@@ -158,6 +160,7 @@ def test_stale_cache_baseline_is_clean():
     music, values = _stale_cache_run()
     assert values == (1, 2)
     assert music.auditor.clean, music.auditor.render_report()
+    assert_replay_equivalent(music.auditor)
 
 
 def test_dropping_push_invalidation_trips_monotonic_reads():
@@ -166,3 +169,4 @@ def test_dropping_push_invalidation_trips_monotonic_reads():
     # arrived before the read's cache entry was fetched... after it.
     assert values == (1, 1)
     assert_caught(music.auditor, "MonotonicReads")
+    assert_replay_equivalent(music.auditor)

@@ -30,10 +30,10 @@ def test_local_cluster_shutdown_leaves_no_orphans(tmp_path):
 
         # Every listening server gone, every pooled link torn down.
         for process in cluster.processes:
-            assert process.transport._server is None
+            assert not process.transport.listening
             assert not process.transport._outbound
             assert not process.transport._inbound
-        assert cluster.client_transport._server is None
+        assert not cluster.client_transport.listening
         assert not cluster.client_transport._outbound
         # The shared clock holds no live timers.
         assert not cluster.clock._handles

@@ -12,7 +12,7 @@ from repro import MusicConfig, build_music
 from repro.core.replica import VALUE_ROW, MusicReplica
 from repro.lockstore import LockStore
 from repro.store import Consistency
-from tests.helpers import run
+from tests.helpers import assert_replay_equivalent, run
 
 
 def fault_run(seed=31, **build_kw):
@@ -70,6 +70,7 @@ def test_unmutated_run_is_clean():
     kinds = {event.kind for event in music.auditor.events}
     assert "forced_release" in kinds
     assert "sync" in kinds
+    assert_replay_equivalent(music.auditor)
 
 
 def test_delta_zero_forced_release_is_caught():
@@ -78,6 +79,7 @@ def test_delta_zero_forced_release_is_caught():
     music = fault_run(config_kw=dict(delta=0.0))
     violation = assert_caught(music.auditor, "ForcedReleaseDelta")
     assert "δ=0" in violation.detail
+    assert_replay_equivalent(music.auditor)
 
 
 def test_skipped_acquire_sync_is_caught():
@@ -88,6 +90,7 @@ def test_skipped_acquire_sync_is_caught():
     music = fault_run(replica_class=NoSyncReplica)
     violation = assert_caught(music.auditor, "SyncRequired")
     assert "without synchronizing" in violation.detail
+    assert_replay_equivalent(music.auditor)
 
 
 def test_release_without_quorum_flag_write_is_caught():
@@ -116,6 +119,7 @@ def test_release_without_quorum_flag_write_is_caught():
     music = fault_run(replica_class=NoQuorumRelease)
     violation = assert_caught(music.auditor, "ForcedReleaseOrder")
     assert "without first" in violation.detail
+    assert_replay_equivalent(music.auditor)
 
 
 def test_bypassed_queue_head_guard_is_caught():
@@ -138,6 +142,7 @@ def test_bypassed_queue_head_guard_is_caught():
     violation = assert_caught(music.auditor, "Exclusivity")
     assert "never granted" in violation.detail
     assert violation.lock_ref == 99
+    assert_replay_equivalent(music.auditor)
 
 
 def _batched_mint_scenario():
@@ -168,6 +173,7 @@ def test_batched_mint_run_is_clean():
     music, refs = _batched_mint_scenario()
     assert music.auditor.clean, music.auditor.render_report()
     assert sorted(refs) == [1, 2, 3, 4, 5, 6]
+    assert_replay_equivalent(music.auditor)
 
 
 def test_non_atomic_batch_mint_is_caught():
@@ -186,6 +192,7 @@ def test_non_atomic_batch_mint_is_caught():
     assert len(refs) != len(set(refs))  # the duplicate mint happened...
     violation = assert_caught(music.auditor, "LockQueueFIFO")
     assert "minted after" in violation.detail  # ...and was flagged
+    assert_replay_equivalent(music.auditor)
 
 
 def _fast_path_scenario(replica_class=MusicReplica):
@@ -239,6 +246,7 @@ def test_fast_path_scenario_is_clean_without_mutant():
     kinds = {event.kind for event in music.auditor.events}
     assert "forced_release" in kinds
     assert "sync" in kinds
+    assert_replay_equivalent(music.auditor)
 
 
 def test_broken_fast_path_epoch_check_is_caught():
@@ -254,6 +262,7 @@ def test_broken_fast_path_epoch_check_is_caught():
     music = _fast_path_scenario(replica_class=AlwaysFastReplica)
     violation = assert_caught(music.auditor, "LatestState")
     assert "DIVERGED" in violation.detail
+    assert_replay_equivalent(music.auditor)
 
 
 def test_mutant_violations_render_with_span_trees():
@@ -265,3 +274,4 @@ def test_mutant_violations_render_with_span_trees():
     assert "ForcedReleaseDelta" in report
     assert "span tree of trace" in report
     assert "▶" in report
+    assert_replay_equivalent(music.auditor)

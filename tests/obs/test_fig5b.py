@@ -88,3 +88,14 @@ def test_network_counters_populated():
     assert obs.metrics.total("net.messages") > 0
     assert obs.metrics.total("net.bytes") > 0
     assert obs.metrics.total("net.messages", kind="paxos_propose") > 0
+
+
+def test_network_counters_agree_with_the_networks_own_tally():
+    """One tap call per accepted send: the counters miss and double
+    nothing the network itself counted."""
+    deployment, obs = _traced_run(ops=2)
+    stats = deployment.network.stats
+    assert obs.metrics.total("net.messages") == stats.sent
+    assert obs.metrics.total("net.bytes") == stats.bytes_sent
+    for kind, count in stats.per_kind.items():
+        assert obs.metrics.total("net.messages", kind=kind) == count

@@ -1,0 +1,78 @@
+"""The shape ROADMAP item 4 asks of ``src/``, kept by a test: no module
+grows past 700 lines, ``repro.obs`` stays the bottom layer (it observes
+the protocol layers, it does not know them), and what it exports it
+defines."""
+
+import ast
+import importlib
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+MAX_LINES = 700
+# Over the limit today.  The list may shrink; it grows only with the
+# reason next to the entry.
+OVERSIZE = {
+    "core/replica.py",  # 744: the five ECF operations + lease tier; ROADMAP 4(a) splits it
+}
+
+# The layers repro.obs observes.  Only the CLI (``__main__``) may import
+# them, to build the deployments it reports on.
+ABOVE_OBS = {"core", "store", "lockstore", "txn", "live", "bench"}
+
+
+def test_no_module_over_the_line_limit():
+    sizes = {
+        path.relative_to(SRC).as_posix(): len(path.read_text().splitlines())
+        for path in SRC.rglob("*.py")
+    }
+    oversize = {name for name, lines in sizes.items() if lines > MAX_LINES}
+    assert oversize <= OVERSIZE, {name: sizes[name] for name in oversize - OVERSIZE}
+    assert OVERSIZE <= oversize, f"now under the limit, drop from OVERSIZE: {OVERSIZE - oversize}"
+
+
+def imported_repro_packages(path):
+    """Top-level ``repro`` subpackages a module of ``repro.obs`` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("", "repro.obs.", "repro.")[node.level] + (node.module or "")
+            names = [f"{base}.{alias.name}".replace("..", ".") for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "repro" and len(parts) > 1:
+                found.add(parts[1])
+    return found
+
+
+def test_obs_imports_no_layer_above_it():
+    for path in sorted((SRC / "obs").glob("*.py")):
+        if path.name == "__main__.py":
+            continue
+        above = imported_repro_packages(path) & ABOVE_OBS
+        assert not above, f"repro/obs/{path.name} imports {sorted(above)}"
+
+
+def test_obs_exports_only_what_it_defines():
+    obs = importlib.import_module("repro.obs")
+    defined = {}
+    for path in (SRC / "obs").glob("*.py"):
+        if path.name in ("__init__.py", "__main__.py"):
+            continue
+        module = f"repro.obs.{path.stem}"
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                defined.setdefault(node.name, module)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        defined.setdefault(target.id, module)
+    for name in obs.__all__:
+        assert name in defined, f"repro.obs exports {name}, defined in another layer"
+        home = importlib.import_module(defined[name])
+        assert getattr(obs, name) is getattr(home, name)

@@ -3,8 +3,7 @@ history passes the serializability checker (DESIGN.md §13)."""
 
 import pytest
 
-from repro.obs import SerializabilityChecker
-from repro.txn import TxnAborted
+from repro.txn import SerializabilityChecker, TxnAborted
 
 from .helpers import build_txn_music, run_workload
 

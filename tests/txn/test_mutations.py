@@ -4,8 +4,7 @@ is only trustworthy if it rejects known-bad protocols)."""
 
 import pytest
 
-from repro.obs import SerializabilityChecker
-from repro.txn import EpochOCCEngine, LockingEngine, SSIEngine
+from repro.txn import EpochOCCEngine, LockingEngine, SerializabilityChecker, SSIEngine
 
 from .helpers import build_txn_music, run_workload
 

@@ -1,8 +1,9 @@
 """WaitsForGraph unit tests over synthetic audit events: the deadlock
 invariant fires on a cycle and stays quiet on ordered acquisition."""
 
-from repro.obs.audit import AuditEvent, ECFAuditor
+from repro.obs import AuditEvent, ECFAuditor
 from repro.txn import WaitsForGraph
+from tests.helpers import assert_replay_equivalent
 
 
 def event(kind, key, ref, seq=[0]):
@@ -73,20 +74,25 @@ def test_forced_release_clears_the_waiter():
 
 
 def test_cycle_recorded_on_the_auditor():
+    def subscribe_bound_graph(stream):
+        graph = WaitsForGraph(stream)
+        graph.bind("a", 1, "T1")
+        graph.bind("b", 1, "T2")
+        graph.bind("b", 2, "T1")
+        graph.bind("a", 2, "T2")
+        stream.subscribe(graph.on_event)
+
     auditor = ECFAuditor()
-    graph = WaitsForGraph(auditor)
-    graph.bind("a", 1, "T1")
-    graph.bind("b", 1, "T2")
-    graph.bind("b", 2, "T1")
-    graph.bind("a", 2, "T2")
+    subscribe_bound_graph(auditor)
     for kind, key, ref in [
         ("enqueue", "a", 1), ("grant", "a", 1),
         ("enqueue", "b", 1), ("grant", "b", 1),
         ("enqueue", "b", 2), ("enqueue", "a", 2),
     ]:
-        graph.on_event(event(kind, key, ref))
+        auditor.ingest(event(kind, key, ref))
     assert auditor.violation_counts.get("Deadlock") == 1
     assert not auditor.clean
+    assert_replay_equivalent(auditor, subscribe=subscribe_bound_graph)
 
 
 def test_unbound_refs_are_ignored():
