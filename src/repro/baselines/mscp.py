@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from ..core.deployment import MusicDeployment, build_music
-from ..core.replica import VALUE_ROW, MusicReplica
+from ..core.replica import DATA_TABLE, VALUE_ROW, MusicReplica
 from ..store import Condition
 from ..store.types import Update
 
@@ -31,12 +31,12 @@ class MscpReplica(MusicReplica):
             return False
         offset = yield from self._lease_offset(key, lock_ref)
         yield from self.coordinator.cas(
-            self.data_table,
+            DATA_TABLE,
             key,
             # Exclusivity already comes from the lock; the LWT is used
             # purely as a sequentially-consistent write.
             Condition("always"),
-            [Update(self.data_table, key, VALUE_ROW, {"value": value},
+            [Update(DATA_TABLE, key, VALUE_ROW, {"value": value},
                     self._stamp(lock_ref, offset))],
         )
         self._record("criticalPut", started)

@@ -12,7 +12,8 @@ from functools import partial
 from typing import Any, Dict, List, Tuple
 
 from ..analysis import summarize
-from ..core.replica import VALUE_ROW
+from ..core import MusicConfig
+from ..core.replica import DATA_TABLE, VALUE_ROW
 from ..errors import ReproError
 from ..storage import StorageEngineConfig
 from ..store import Consistency, StoreConfig
@@ -209,7 +210,7 @@ def elastic_scaling(run: Run) -> ExperimentResult:
     def verify():
         for key, high in sorted(acked.items()):
             rows = yield from coord.get(
-                deployment.config.data_table, key, consistency=Consistency.QUORUM
+                DATA_TABLE, key, consistency=Consistency.QUORUM
             )
             value = rows[VALUE_ROW].visible_values().get("value") if rows else None
             if value is None or value < high:
@@ -267,7 +268,8 @@ def lock_contention(run: Run) -> ExperimentResult:
     n_clients, rounds = run.p["clients"], run.p["rounds"]
 
     def measure(mode: str, fast: bool) -> Dict[str, Any]:
-        deployment = run.build_music(seed=run.seed, fast_locks=fast)
+        config = MusicConfig(fast_locks=fast)
+        deployment = run.build_music(seed=run.seed, music_config=config)
         sim = deployment.sim
         clients = site_clients(deployment, n_clients)
         latencies: List[float] = []

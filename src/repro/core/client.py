@@ -35,6 +35,8 @@ _RETRYABLE = (QuorumUnavailable, RpcTimeout, LockContention)
 
 # Multiplicative backoff between unsuccessful acquireLock polls.
 ACQUIRE_POLL_BACKOFF = 1.5
+# Attempts at a nacked operation before the client gives up on it.
+OP_RETRY_LIMIT = 5
 
 
 class MusicClient:
@@ -53,6 +55,11 @@ class MusicClient:
         self.site = site
         self.client_id = client_id
         self.config = config or replicas[0].config
+        # What the feature switches ask of a client, resolved once:
+        # whether acquire_lock_blocking subscribes to release pushes,
+        # and whether the read-lease session state below is kept.
+        self.push_grants = self.config.push_grants
+        self.read_leases = self.config.read_leases
         profile = replicas[0].network.profile
         # Home replica first, then by proximity — the failover order.
         self.replicas = sorted(
@@ -81,13 +88,12 @@ class MusicClient:
 
         Every attempt contacts a live replica: known-failed replicas are
         skipped by advancing the rotation cursor, not by burning one of
-        the ``op_retry_limit`` attempts.  If no live replica remains the
+        the ``OP_RETRY_LIMIT`` attempts.  If no live replica remains the
         operation fails immediately rather than spinning the loop dry.
         """
         last_error: Optional[BaseException] = None
-        attempts = self.config.op_retry_limit
         cursor = 0
-        for attempt in range(attempts):
+        for attempt in range(OP_RETRY_LIMIT):
             replica = None
             for _ in range(len(self.replicas)):
                 candidate = self.replicas[cursor % len(self.replicas)]
@@ -104,7 +110,7 @@ class MusicClient:
                 return result
             except _RETRYABLE as error:
                 last_error = error
-                if attempt + 1 < attempts:
+                if attempt + 1 < OP_RETRY_LIMIT:
                     yield self.sim.timeout(
                         self.config.op_retry_delay_ms * (1 + self._rng.random())
                     )
@@ -145,7 +151,7 @@ class MusicClient:
         waited_at = None
         try:
             while True:
-                if self.config.push_grants and waiter is None:
+                if self.push_grants and waiter is None:
                     waited_at = self.replica
                     waiter = waited_at.subscribe_release(key)
                 granted = yield from self.acquire_lock(key, lock_ref)
@@ -204,7 +210,7 @@ class MusicClient:
                 # surface as retryable.
                 raise QuorumUnavailable("local lock store behind; retry")
             stamp = replica.last_put_stamp
-            if self.config.read_leases:
+            if self.read_leases:
                 # This session's floor for lease-served reads, so a
                 # failover to a stale-mirror replica cannot serve a
                 # value older than our own last write.
@@ -216,11 +222,8 @@ class MusicClient:
     def _get_attempt(self, key: str, lock_ref: int):
         """One criticalGet attempt at a replica, returning ``(value,
         stamp)`` of what it served."""
-        min_stamp = (
-            self._critical_watermarks.get((key, lock_ref))
-            if self.config.read_leases
-            else None
-        )
+        # None unless read_leases recorded a write of this section.
+        min_stamp = self._critical_watermarks.get((key, lock_ref))
 
         def attempt(replica) -> Generator[Any, Any, Tuple[Any, Optional[Stamp]]]:
             ok, value = yield from replica.critical_get(
@@ -304,7 +307,7 @@ class MusicClient:
         bound, served from the replica read cache under monotonic-prefix
         session semantics (a later read never observes an older stamp
         than an earlier read of the same key by this client)."""
-        if staleness_ms is None or not self.config.read_leases:
+        if staleness_ms is None or not self.read_leases:
             value = yield from self._with_failover(
                 "get", lambda replica: replica.get(key)
             )

@@ -31,7 +31,6 @@ class MusicConfig:
     # Client-side behaviour.
     acquire_poll_interval_ms: float = 10.0  # backoff between acquireLock polls
     acquire_poll_max_ms: float = 500.0
-    op_retry_limit: int = 5  # retries of a nacked operation
     op_retry_delay_ms: float = 100.0
 
     # Failure detection: how long a granted lock may sit idle before any
@@ -42,9 +41,6 @@ class MusicConfig:
     orphan_timeout_ms: float = 60_000.0
     failure_detection_enabled: bool = False
 
-    # Data/lock table names.
-    data_table: str = "music_data"
-
     # Ablation knobs (not part of MUSIC proper; see DESIGN.md §5):
     # poll acquireLock against a quorum instead of the local replica,
     peek_quorum: bool = False
@@ -52,33 +48,18 @@ class MusicConfig:
     # synchFlag is set.
     always_sync: bool = False
 
-    # Contention hot path (DESIGN.md §9).  All three features default
-    # off with bit-identical timings; ``build_music(fast_locks=True)``
-    # flips them together.
-    #
-    # LWT group commit: concurrent createLockRef/releaseLock operations
-    # on the same key, arriving at the same coordinator within the batch
-    # window, share one Paxos round (one ballot, one atomic batch of
-    # queue mutations under the guard counter).
-    lwt_batch_enabled: bool = False
-    # Cap on ops per batch flush: a slow coordinator otherwise grows
-    # ever-larger mint batches, minting long runs of consecutive lockRefs
-    # that serialize the grant order onto one site (and its quorum
-    # geometry).  Excess ops simply wait for the next self-clocked flush.
-    lwt_batch_max_ops: int = 4
-    # synchFlag fast path: skip the grant-time quorum flag read when the
-    # local forced-release epoch proves no forcedRelease has applied
-    # since this replica last established flag=False at quorum.
-    synch_fast_path: bool = False
-    # Push grants: releaseLock/forcedRelease notify waiting clients so
-    # acquire_lock_blocking wakes immediately instead of backing off.
-    push_grants: bool = False
+    # Contention hot path (DESIGN.md §9): one switch, default off with
+    # bit-identical timings.  On, three things move together — LWT group
+    # commit (concurrent createLockRef/releaseLock operations on a key
+    # at one coordinator share one Paxos round), the synchFlag fast path
+    # (the grant-time quorum flag read is skipped when the local
+    # forced-release epoch proves no forcedRelease has applied since
+    # this replica last established flag=False at quorum) and push
+    # grants (see ``push_grants`` below).
+    fast_locks: bool = False
 
     # Read scale-out leases (DESIGN.md §10).  Default off with
-    # bit-identical timings.  ``read_leases`` implies ``push_grants``
-    # (``__post_init__``): the cache invalidation stream rides the
-    # push-grant channel, so leases without it would serve cached reads
-    # up to their staleness bound instead of the push latency.
+    # bit-identical timings.
     #
     # Leaseholder local reads: the current lockholder's replica serves
     # critical_get from a local mirror while its lease — anchored at the
@@ -91,6 +72,12 @@ class MusicConfig:
     # quorum-visible has expired by the time the next holder can enter.
     read_lease_ms: float = 400.0
 
-    def __post_init__(self) -> None:
-        if self.read_leases:
-            self.push_grants = True
+    @property
+    def push_grants(self) -> bool:
+        """Whether releaseLock/forcedRelease notify waiting clients, so
+        acquire_lock_blocking wakes immediately instead of backing off.
+        Part of ``fast_locks``; ``read_leases`` needs it too — the cache
+        invalidation stream rides the push channel, so leases without it
+        would serve cached reads up to their staleness bound instead of
+        the push latency."""
+        return self.fast_locks or self.read_leases

@@ -145,7 +145,6 @@ def build_music(
     store_config: Optional[StoreConfig] = None,
     seed: int = 0,
     anti_entropy: bool = False,
-    failure_detection: Optional[bool] = None,
     clock_skew_ms: float = 0.0,
     sim: Optional[Simulator] = None,
     network: Optional[Network] = None,
@@ -153,10 +152,8 @@ def build_music(
     cores: int = 8,
     obs=None,
     audit: bool = False,
-    wal_sync: Optional[str] = None,
     elastic: bool = False,
     topo_config=None,
-    fast_locks: Optional[bool] = None,
     read_leases: Optional[bool] = None,
     profile: bool = False,
     txn: bool = False,
@@ -175,10 +172,6 @@ def build_music(
     ``obs``): every ECF-relevant operation is checked online and the
     stream is returned as ``deployment.auditor``.
 
-    ``wal_sync`` overrides the store replicas' commit-log sync mode
-    (``"always"`` / ``"periodic"`` / ``"off"``) — the durability axis of
-    the storage engine; see :class:`~repro.storage.StorageEngineConfig`.
-
     ``elastic=True`` attaches a :class:`~repro.topo.TopologyManager`
     (returned as ``deployment.topology``): gossip membership on every
     store replica plus live ``bootstrap``/``decommission``/``repair_pair``
@@ -186,17 +179,18 @@ def build_music(
     unbuilt — no extra nodes, processes, or randomness — so simulated
     timings are bit-identical to earlier versions.
 
-    ``fast_locks=True`` flips the three contention-hot-path features of
-    DESIGN.md §9 together (LWT group commit, synchFlag fast path, push
-    grants) on the resolved ``MusicConfig``; the default leaves them off
-    with bit-identical timings.
+    Protocol features are fields of ``music_config``: the contention
+    hot path of DESIGN.md §9 is ``MusicConfig(fast_locks=True)``,
+    failure detection ``MusicConfig(failure_detection_enabled=True)``;
+    commit-log durability is ``StoreConfig(storage=StorageEngineConfig(
+    wal_sync=…))``.  All default off with bit-identical timings.
 
-    ``read_leases=True`` enables the read scale-out tier of DESIGN.md
-    §10 — leaseholder local critical reads audited against the ECF
-    window, plus the bounded-staleness ``client.get(key, staleness_ms=…)``
-    cache — together with ``push_grants`` (the invalidation channel).
-    The default leaves the tier entirely unbuilt with bit-identical
-    timings.
+    ``read_leases=True`` sets ``MusicConfig.read_leases``: the read
+    scale-out tier of DESIGN.md §10 — leaseholder local critical reads
+    audited against the ECF window, plus the bounded-staleness
+    ``client.get(key, staleness_ms=…)`` cache, invalidated over the
+    push-grant channel.  The default leaves the tier entirely unbuilt
+    with bit-identical timings.
 
     ``txn=True`` attaches the transaction layer of DESIGN.md §13
     (returned as ``deployment.txn``, a :class:`~repro.txn.TxnRuntime`):
@@ -229,29 +223,17 @@ def build_music(
     elif obs is not None and not network.obs.enabled:
         network.obs = obs
         obs.observe_network(network)
-    # The keyword sugar below resolves onto copies: the caller's config
-    # objects are read, never written, so one MusicConfig / StoreConfig
-    # can seed any number of deployments.
+    # The two keywords that re-spell a config field resolve onto copies:
+    # the caller's config objects are read, never written, so one
+    # MusicConfig / StoreConfig can seed any number of deployments.
     store_config = replace(
         store_config
         or StoreConfig(replication_factor=len(latency_profile.site_names)),
         anti_entropy_enabled=anti_entropy,
     )
-    if wal_sync is not None:
-        # Convenience durability axis: replicas copy the engine config
-        # at construction, so set it before build_cluster runs.
-        store_config.storage = replace(store_config.storage, wal_sync=wal_sync)
-        store_config.storage.validate()
     music_config = replace(music_config or MusicConfig())
-    if failure_detection is not None:
-        music_config.failure_detection_enabled = failure_detection
-    if fast_locks:
-        music_config.lwt_batch_enabled = True
-        music_config.synch_fast_path = True
-        music_config.push_grants = True
     if read_leases:
-        # Implies push_grants (MusicConfig: the invalidation channel).
-        music_config = replace(music_config, read_leases=True)
+        music_config.read_leases = True
 
     auditor = None
     if audit:

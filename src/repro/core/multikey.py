@@ -124,24 +124,20 @@ def enter_multi(
     client: MusicClient,
     keys: Sequence[str],
     timeout_ms: Optional[float] = None,
-    max_attempts: int = 10,
     read_only: bool = False,
-    retries: Optional[int] = None,
+    retries: int = 9,
     on_ref: Optional[Callable[[str, int], None]] = None,
 ) -> Generator[Any, Any, MultiKeyCriticalSection]:
     """Acquire locks on all ``keys`` in lexicographic order.
 
     On a mid-acquisition preemption (some lock forcibly released while
     we wait for a later one), every held lock is released and the whole
-    acquisition restarts with fresh lockRefs.  Raises after
-    ``max_attempts`` restarts or when ``timeout_ms`` elapses.
-
-    ``retries=N`` opts into the transactional retry discipline instead:
-    up to ``N`` restarts (``N + 1`` attempts total) with fresh lockRefs
-    and *jittered exponential* backoff between restarts, so two clients
-    repeatedly colliding on overlapping key sets desynchronise instead
-    of re-colliding in lockstep.  The default (``retries=None``) keeps
-    the original fixed-interval behaviour.
+    acquisition restarts with fresh lockRefs: up to ``retries``
+    restarts (``retries + 1`` attempts in total) with *jittered
+    exponential* backoff between them, so two clients repeatedly
+    colliding on overlapping key sets desynchronise instead of
+    re-colliding in lockstep.  Raises once the attempts are spent or
+    when ``timeout_ms`` elapses.
 
     ``on_ref`` is called synchronously as ``on_ref(key, lock_ref)`` the
     moment each lockRef is minted (including re-mints on restart) — the
@@ -156,7 +152,7 @@ def enter_multi(
         raise ValueError("a multi-key critical section needs at least one key")
     ordered = sorted(set(keys))
     deadline = None if timeout_ms is None else client.sim.now + timeout_ms
-    attempts = max_attempts if retries is None else max(1, retries + 1)
+    attempts = max(1, retries + 1)
 
     for attempt in range(attempts):
         held: Dict[str, int] = {}
@@ -194,12 +190,9 @@ def enter_multi(
                 return ReadOnlyMultiKeySection(client, held)
             return MultiKeyCriticalSection(client, held)
         yield from _release_all(client, held)
-        if retries is None:
-            yield client.sim.timeout(client.config.acquire_poll_interval_ms)
-        else:
-            base = client.config.acquire_poll_interval_ms * (2 ** attempt)
-            backoff = min(base, client.config.acquire_poll_max_ms)
-            yield client.sim.timeout(backoff * (1.0 + client._rng.random()))
+        base = client.config.acquire_poll_interval_ms * (2 ** attempt)
+        backoff = min(base, client.config.acquire_poll_max_ms)
+        yield client.sim.timeout(backoff * (1.0 + client._rng.random()))
 
     raise ReproError(
         f"multi-key acquisition of {ordered} kept losing locks after "

@@ -43,12 +43,13 @@ from ..store.replica import ALL_ROWS
 from .config import MusicConfig
 from .timestamps import UNLOCKED_LOCK_REF, VectorTimestamp, check_overflow, v2s
 
-__all__ = ["MusicReplica", "VALUE_ROW", "SYNCH_ROW"]
+__all__ = ["MusicReplica", "DATA_TABLE", "VALUE_ROW", "SYNCH_ROW"]
 
 # Sentinel distinguishing "no cached flag epoch" from a cached epoch of
 # None (no forcedRelease ever applied to the key).
 _NO_EPOCH = object()
 
+DATA_TABLE = "music_data"
 # Clustering keys inside a key's data-table partition: the value row and
 # the synchFlag row are separate rows so the flag's quorum read stays
 # small regardless of the value size (the paper stores them as separate
@@ -102,23 +103,32 @@ class MusicReplica(Node):
         clock: Optional[NodeClock] = None,
     ) -> None:
         super().__init__(sim, network, node_id, site, cores=cores, clock=clock)
-        self.config = config or MusicConfig()
-        self.data_table = self.config.data_table
+        config = config or MusicConfig()
+        self.config = config
         self.store = store
         self.coordinator: StoreCoordinator = store.coordinator_for(self)
-        leases_on = self.config.read_leases
+        # What the feature switches ask for is resolved here, once, into
+        # the attributes the one path below reads; no method consults
+        # ``config.<feature>`` again.
+        leases_on = config.read_leases
         self.lock_store = LockStore(
-            self.coordinator,
-            self.clock,
-            batched=self.config.lwt_batch_enabled,
-            batch_max_ops=self.config.lwt_batch_max_ops,
-            lease_rows=leases_on,
+            self.coordinator, self.clock,
+            batched=config.fast_locks, lease_rows=leases_on,
         )
         # lsPeek consistency of acquire and the guards: local by
         # default, quorum under the ablation knob.
         self._peek_at = (
-            Consistency.QUORUM if self.config.peek_quorum else Consistency.LOCAL_ONE
+            Consistency.QUORUM if config.peek_quorum else Consistency.LOCAL_ONE
         )
+        # The synchFlag fast path trusts the forced-release epoch of the
+        # read that proved us queue head; the quorum-peek ablation
+        # bypasses it (its peek has no single local source).
+        self._flag_fast_path = config.fast_locks and not config.peek_quorum
+        # A forced dequeue also writes the marker rows: the epoch the
+        # fast path compares against, the revocation leases die by.
+        self._forced_markers = config.fast_locks or leases_on
+        self._push_grants = config.push_grants
+        self._always_sync = config.always_sync
         # Lease starts cached per (key, lockRef) once granted here.
         self._leases: Dict[Tuple[str, int], float] = {}
         # Service-layer cache invalidation hooks, called with the key on
@@ -135,9 +145,9 @@ class MusicReplica(Node):
         self._get_rows: Any = VALUE_ROW
         if leases_on:
             self.lease_manager = LeaseManager(
-                read_lease_ms=self.config.read_lease_ms,
-                period_ms=self.config.period_ms,
-                delta=self.config.delta,
+                read_lease_ms=config.read_lease_ms,
+                period_ms=config.period_ms,
+                delta=config.delta,
             )
             self.read_cache = ReadCache()
             self._get_rows = ALL_ROWS
@@ -233,11 +243,7 @@ class MusicReplica(Node):
                 return False
 
             grant_started = self.sim.now
-            # The synchFlag fast path trusts the forced-release epoch of
-            # the read that proved us queue head; the quorum-peek
-            # ablation bypasses it (its peek has no single local source).
-            fast_capable = self.config.synch_fast_path and not self.config.peek_quorum
-            fast = fast_capable and self._fast_path_valid(key, epoch)
+            fast = self._flag_fast_path and self._fast_path_valid(key, epoch)
             flag = False
             anchor_clock = None
             flag_stamp = None
@@ -255,7 +261,7 @@ class MusicReplica(Node):
                     # quorum flag read *started* (DESIGN.md §10).
                     anchor_clock = self.lease_manager.anchor_start(self.clock)
                     flag_rows = yield from self.coordinator.get(
-                        self.data_table, key, clustering=SYNCH_ROW,
+                        DATA_TABLE, key, clustering=SYNCH_ROW,
                         consistency=Consistency.QUORUM,
                     )
                     flag, flag_stamp = _cell_of(flag_rows, SYNCH_ROW, "flag")
@@ -266,9 +272,9 @@ class MusicReplica(Node):
                             "flag_read", key=key, node=self.node_id,
                             lock_ref=lock_ref, flag=flag, started_ms=grant_started,
                         )
-                    if flag or self.config.always_sync:
+                    if flag or self._always_sync:
                         yield from self._synchronize(key, lock_ref)
-                    if fast_capable:
+                    if self._flag_fast_path:
                         # flag=False now holds at quorum (read clean or
                         # just re-established by the sync); remember the
                         # peek-time epoch as the evidence horizon.
@@ -313,13 +319,13 @@ class MusicReplica(Node):
         audit = self.obs.audit
         with self._span("music.synchronize", key):
             rows = yield from self.coordinator.get(
-                self.data_table, key, clustering=VALUE_ROW,
+                DATA_TABLE, key, clustering=VALUE_ROW,
                 consistency=Consistency.QUORUM,
             )
             current, _ = _cell_of(rows)
             value_stamp = self._stamp(lock_ref, 0.0)
             yield from self.coordinator.put(
-                self.data_table, key, VALUE_ROW, {"value": current},
+                DATA_TABLE, key, VALUE_ROW, {"value": current},
                 value_stamp, consistency=Consistency.QUORUM,
             )
             if audit.enabled:
@@ -329,7 +335,7 @@ class MusicReplica(Node):
                 )
             flag_stamp = self._stamp(lock_ref, _TICK)
             yield from self.coordinator.put(
-                self.data_table, key, SYNCH_ROW, {"flag": False},
+                DATA_TABLE, key, SYNCH_ROW, {"flag": False},
                 flag_stamp, consistency=Consistency.QUORUM,
             )
             if audit.enabled:
@@ -353,7 +359,7 @@ class MusicReplica(Node):
             offset = yield from self._lease_offset(key, lock_ref)
             stamp = self._stamp(lock_ref, offset)
             yield from self.coordinator.put(
-                self.data_table, key, VALUE_ROW, {"value": value},
+                DATA_TABLE, key, VALUE_ROW, {"value": value},
                 stamp, consistency=Consistency.QUORUM,
             )
             # The acknowledged stamp is the client-side session
@@ -423,7 +429,7 @@ class MusicReplica(Node):
                 if anchor_clock is not None:
                     self._count("music.lease.misses", "lease_misses")
                 rows = yield from self.coordinator.get(
-                    self.data_table, key, clustering=self._get_rows,
+                    DATA_TABLE, key, clustering=self._get_rows,
                     consistency=Consistency.QUORUM,
                 )
                 value, stamp = _cell_of(rows)
@@ -531,7 +537,7 @@ class MusicReplica(Node):
                 audit.emit(
                     event, key=key, node=self.node_id, lock_ref=lock_ref, **fields
                 )
-            if self.config.push_grants and not late:
+            if self._push_grants and not late:
                 self._push_release(key)
 
         return decided
@@ -570,7 +576,7 @@ class MusicReplica(Node):
         with self._span("music.forcedRelease", key):
             forced_stamp = self._stamp(lock_ref + self.config.delta, 0.0)
             yield from self.coordinator.put(
-                self.data_table, key, SYNCH_ROW, {"flag": True},
+                DATA_TABLE, key, SYNCH_ROW, {"flag": True},
                 forced_stamp, consistency=Consistency.QUORUM,
             )
             audit = self.obs.audit
@@ -593,9 +599,7 @@ class MusicReplica(Node):
                 yield self.sim.timeout(self.lease_manager.wait_out_ms)
             decided = self._decided_hook("forced_release", key, lock_ref, forced_stamp)
             yield from self.lock_store.dequeue(
-                key, lock_ref,
-                forced=self.config.synch_fast_path or self.config.read_leases,
-                on_committing=decided,
+                key, lock_ref, forced=self._forced_markers, on_committing=decided
             )
             decided(late=True)
         return True
@@ -669,14 +673,14 @@ class MusicReplica(Node):
         stamp = (v2s(VectorTimestamp(UNLOCKED_LOCK_REF, now), self.config.period_ms),
                  self.node_id)
         yield from self.coordinator.put(
-            self.data_table, key, VALUE_ROW, {"value": value}, stamp,
+            DATA_TABLE, key, VALUE_ROW, {"value": value}, stamp,
             consistency=Consistency.ONE,
         )
 
     def get(self, key: str) -> Generator[Any, Any, Any]:
         """Eventual read (possibly stale) with no ECF guarantees."""
         rows = yield from self.coordinator.get(
-            self.data_table, key, clustering=VALUE_ROW, consistency=Consistency.ONE
+            DATA_TABLE, key, clustering=VALUE_ROW, consistency=Consistency.ONE
         )
         return _cell_of(rows)[0]
 
@@ -691,7 +695,7 @@ class MusicReplica(Node):
         the criticalGet guard does not apply.
         """
         rows = yield from self.coordinator.get(
-            self.data_table, key, clustering=VALUE_ROW, consistency=Consistency.QUORUM
+            DATA_TABLE, key, clustering=VALUE_ROW, consistency=Consistency.QUORUM
         )
         value, stamp = _cell_of(rows)
         self.last_get_stamp = stamp
@@ -708,7 +712,7 @@ class MusicReplica(Node):
         machinery as criticalPut, different fencing discipline.
         """
         yield from self.coordinator.put(
-            self.data_table, key, VALUE_ROW, {"value": value}, stamp,
+            DATA_TABLE, key, VALUE_ROW, {"value": value}, stamp,
             consistency=Consistency.QUORUM,
         )
         self.last_put_stamp = stamp
@@ -732,7 +736,7 @@ class MusicReplica(Node):
                               hit=True, node=self.node_id)
         self._count("music.cache.misses", "cache_misses")
         rows = yield from self.coordinator.get(
-            self.data_table, key, clustering=VALUE_ROW, consistency=Consistency.ONE
+            DATA_TABLE, key, clustering=VALUE_ROW, consistency=Consistency.ONE
         )
         value, stamp = _cell_of(rows)
         fetched = self.sim.now
@@ -741,4 +745,4 @@ class MusicReplica(Node):
 
     def get_all_keys(self, table: Optional[str] = None) -> Generator[Any, Any, list]:
         """All keys of the data table (eventual; used by job schedulers)."""
-        return self.coordinator.scan_keys(table or self.data_table)
+        return self.coordinator.scan_keys(table or DATA_TABLE)

@@ -127,20 +127,17 @@ class FaultSchedule:
         when: float,
         node_id: str,
         down_ms: float = 0.0,
-        preserve_memory: bool = False,
     ) -> "FaultSchedule":
         """Crash ``node_id`` at ``when`` — losing its volatile state —
         and begin recovery ``down_ms`` later.
 
         Recovery replays the node's durable commit log on the simulated
         clock, so the node rejoins only after ``when + down_ms +
-        replay_time``.  ``preserve_memory=True`` degrades to the legacy
-        suspend/resume semantics (see :meth:`Node.crash`).
+        replay_time``.
         """
         self._node(node_id)  # fail fast on a missing registry entry
         self._add(
-            when, f"restart {node_id} (crash)",
-            lambda: self._node(node_id).crash(preserve_memory=preserve_memory),
+            when, f"restart {node_id} (crash)", lambda: self._node(node_id).crash()
         )
         return self._add(
             when + down_ms, f"restart {node_id} (recover)",

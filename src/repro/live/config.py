@@ -173,10 +173,11 @@ class ClusterSpec:
 
 
 def _apply_overrides(config: Any, overrides: Dict[str, Any], section: str) -> Any:
-    """``config`` with ``overrides`` applied through its constructor, so
-    what one tunable implies for another (``__post_init__``) holds."""
+    """``config`` with ``overrides`` applied; only its fields are
+    tunables, not what it derives from them (properties, methods)."""
+    tunables = {field.name for field in dataclasses.fields(config)}
     for key in overrides:
-        if not hasattr(config, key):
+        if key not in tunables:
             raise KeyError(f"[{section}] has no tunable {key!r}")
     return dataclasses.replace(config, **overrides)
 

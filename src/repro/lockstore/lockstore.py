@@ -56,6 +56,11 @@ FORCED_ROW = "__forced__"
 # Group commit's extra accumulation window before a flush, so ops
 # landing just behind the queued ones share the round too.
 BATCH_WINDOW_MS = 2.0
+# Cap on ops per group-commit flush: a slow coordinator otherwise grows
+# ever-larger mint batches, minting long runs of consecutive lockRefs
+# that serialize the grant order onto one site (and its quorum
+# geometry).  Excess ops simply wait for the next self-clocked flush.
+BATCH_MAX_OPS = 4
 
 
 @dataclass
@@ -86,7 +91,6 @@ class LockStore:
         clock: NodeClock,
         max_enqueue_attempts: int = 20,
         batched: bool = False,
-        batch_max_ops: int = 4,
         lease_rows: bool = False,
     ) -> None:
         self.coordinator = coordinator
@@ -104,7 +108,6 @@ class LockStore:
         # in flight queue up and are flushed as one guarded batch when
         # the token frees.
         self.batched = batched
-        self.batch_max_ops = batch_max_ops
         self.sim = coordinator.sim
         self._batches: Dict[str, List[_BatchOp]] = {}
         self._busy: Dict[str, bool] = {}
@@ -425,12 +428,10 @@ class LockStore:
         """Commit every queued op for ``key`` in one guarded LWT."""
         yield self.sim.timeout(BATCH_WINDOW_MS)
         queued = self._batches.get(key, [])
-        # Bounded flush: minting long runs of consecutive refs would
-        # serialize the grant order onto this one site, so leave the
-        # excess for the next self-clocked flush.
-        ops = queued[: self.batch_max_ops]
-        if len(queued) > self.batch_max_ops:
-            self._batches[key] = queued[self.batch_max_ops:]
+        # Bounded flush: the excess waits for the next self-clocked one.
+        ops = queued[:BATCH_MAX_OPS]
+        if len(queued) > BATCH_MAX_OPS:
+            self._batches[key] = queued[BATCH_MAX_OPS:]
         else:
             self._batches.pop(key, None)
         try:

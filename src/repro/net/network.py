@@ -139,10 +139,10 @@ class Network:
 
         This toggles *membership only* and says nothing about memory.
         The volatile-loss contract lives on the node:
-        :meth:`~repro.net.node.Node.crash` discards volatile state by
-        default (with a ``preserve_memory=True`` escape hatch), while
-        calling ``fail_node`` directly models an unreachable-but-alive
-        node — the false-failure-detection scenario of Section IV-B.
+        :meth:`~repro.net.node.Node.crash` discards volatile state,
+        while calling ``fail_node`` directly models an unreachable-but-
+        alive node — the false-failure-detection scenario of Section
+        IV-B.
         """
         self._endpoints[node_id].failed = True
 

@@ -153,7 +153,7 @@ class Node:
         for message in early or ():
             self._dispatch(message)
 
-    def crash(self, preserve_memory: bool = False) -> None:
+    def crash(self) -> None:
         """Crash-stop this node: traffic is dropped and volatile state is lost.
 
         The contract (paper Section III: crash failures, not fail-stop
@@ -165,16 +165,12 @@ class Node:
         unsynced commit-log tail; a plain node has nothing modelled as
         volatile, so nothing is lost).  Durable state — a storage
         engine's synced commit log and flushed segments — survives and
-        is replayed by :meth:`recover`.
-
-        ``preserve_memory=True`` is the legacy escape hatch: the node
-        goes silent but keeps RAM intact, which models a *suspended*
-        process (GC pause, VM migration) rather than a real crash, and
-        is what older tests built their expectations on.
+        is replayed by :meth:`recover`.  (A *suspended* process — GC
+        pause, VM migration: silent, RAM intact — is
+        ``network.fail_node`` / ``recover_node``.)
         """
         self.network.fail_node(self.node_id)
-        if not preserve_memory:
-            self._discard_volatile()
+        self._discard_volatile()
 
     def recover(self) -> None:
         """Replay durable state, then rejoin the network.

@@ -173,11 +173,11 @@ def _contention_spans(args: argparse.Namespace) -> List[SpanRecord]:
     """Run the standard contention workload (the 16-client hot-key bench
     shape, seed 606) with tracing on and return its spans."""
     from ..bench.workers import counter_increments, run_all, site_clients
-    from ..core import build_music
+    from ..core import MusicConfig, build_music
 
+    config = MusicConfig(fast_locks=args.fast_locks)
     deployment = build_music(
-        profile_name=args.profile, obs=True, seed=args.seed,
-        fast_locks=args.fast_locks,
+        profile_name=args.profile, obs=True, seed=args.seed, music_config=config
     )
     tracer = deployment.obs.tracer
     run_all(deployment.sim, [
@@ -366,7 +366,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     explain.add_argument("--seed", type=int, default=606, help="workload seed (default 606)")
     explain.add_argument(
         "--fast-locks", action="store_true",
-        help="run the workload with the contention hot path on",
+        help="run the workload with MusicConfig(fast_locks=True), "
+             "the contention hot path",
     )
     explain.add_argument(
         "--histograms", action="store_true",

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from ..errors import ReproError
 from ..sim import NodeClock, Simulator
 from ..net import Message, Network, Node
 from ..storage import PaxosState, StorageEngine
@@ -301,7 +302,7 @@ class StorageReplica(Node):
                     size_bytes=size + 64,
                     timeout=self.config.rpc_timeout_ms,
                 )
-            except Exception:
+            except ReproError:
                 continue  # unreachable peer; try again next round
             for table, partition_key, rows in reply["entries"]:
                 yield from self._merge_rows(table, partition_key, rows)

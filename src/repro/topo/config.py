@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 __all__ = ["TopoConfig"]
 
@@ -42,11 +41,3 @@ class TopoConfig:
     # Drop the source's local copy of a partition once it has been
     # handed to its new owners (Cassandra's ``nodetool cleanup``).
     cleanup_after_move: bool = True
-
-    # Safety mutation switch for the ECF regression tests: when False,
-    # handovers stream the data tables but *omit* the lock store's
-    # tables, so a moved partition's new owners are missing the lock
-    # guard/queue/synchFlag rows — the auditor must flag the resulting
-    # exclusivity violation.  Always True in correct deployments.
-    handover_lock_rows: bool = True
-    lock_tables: Tuple[str, ...] = ("music_locks",)

@@ -25,8 +25,8 @@ granularity:
    there is no instant at which a reader can see the new owners without
    the data (and its lock rows) being there.  Handing the lock-store
    rows together with the data rows is what preserves ECF across the
-   move — the ``handover_lock_rows=False`` mutation exists precisely to
-   show the auditor catching the alternative.
+   move (``tests/topo/test_elastic.py`` seeds the alternative and shows
+   the auditor catching it).
 
 4. **Cleanup.**  Former owners drop their local copy (a journaled
    ``drop`` record, so the cleanup survives crash replay), mirroring
@@ -304,12 +304,6 @@ class TopologyManager:
             self.sim, handles, quorum_size(len(old))
         )
         entries, paxos = self._merge_collected([reply for _dst, reply in replies])
-        if not self.config.handover_lock_rows:
-            # The deliberate safety mutation: data rows move, the lock
-            # guard/queue/synchFlag rows do not.
-            for table in self.config.lock_tables:
-                entries.pop(table, None)
-                paxos.pop(table, None)
         size = (
             sum(
                 row.payload_bytes()

@@ -27,6 +27,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Generator, List, Tuple
 
+from ..errors import ReproError
 from ..net import Message, Node
 from ..sim import RandomStreams
 from .config import TopoConfig
@@ -223,7 +224,7 @@ class Gossiper:
                 size_bytes=24 * len(digest) + 32,
                 timeout=self.config.rpc_timeout_ms,
             )
-        except Exception:
+        except ReproError:
             return  # silent peer; phi keeps accruing
         self.merge(reply["states"])
         wanted = self._newer_than(reply["digest"])

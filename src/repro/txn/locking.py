@@ -144,10 +144,6 @@ class LockingEngine(TxnEngine):
 
     name = "locking"
 
-    # Stamp space for the drop-a-lock mutant's unguarded writes (test
-    # subclass); far above any real lockRef so chains stay ordered.
-    _MUTANT_REF_BASE = 1_000_000
-
     def __init__(
         self,
         deployment: Any,
@@ -159,7 +155,6 @@ class LockingEngine(TxnEngine):
         self.acquire_retries = acquire_retries
         # The deadlock checker, subscribed when the deployment is audited.
         self.waits_for: Optional[WaitsForGraph] = None
-        self._mutant_seq = 0
         if deployment.auditor is not None:
             self.waits_for = WaitsForGraph(deployment.auditor)
             deployment.auditor.subscribe(self.waits_for.on_event)
@@ -169,16 +164,9 @@ class LockingEngine(TxnEngine):
         yield from txn._enter()
         return txn
 
-    # -- hooks (overridden by the seeded mutation in tests) ----------------
-
     def _lock_keys(self, spec: Any) -> List[str]:
+        # Kept separate so the seeded mutation in tests can drop a lock.
         return sorted(spec.keys)
-
-    def _mutant_stamp(self) -> Stamp:
-        """A monotone stamp for writes the mutant does without a lock."""
-        self._mutant_seq += 1
-        period = self.deployment.config.period_ms
-        return ((self._MUTANT_REF_BASE + self._mutant_seq) * period, "txn-unlocked")
 
 
 class LockingTxn(Transaction):
@@ -207,19 +195,24 @@ class LockingTxn(Transaction):
 
     def _read(self, key: str) -> Generator[Any, Any, Any]:
         assert self.section is not None
-        if key in self.section.lock_refs:
-            try:
-                value, stamp = yield from self.client.critical_get_stamped(
-                    key, self.section.lock_refs[key]
-                )
-            except NotLockHolder as error:
-                raise TxnAborted("forced_release", str(error))
-        else:
-            # Only reachable under the drop-a-lock mutation: the key was
-            # excluded from the lock set, so read unguarded.
-            value, stamp = yield from self.client.txn_read(key)
+        try:
+            value, stamp = yield from self.client.critical_get_stamped(
+                key, self.section.lock_refs[key]
+            )
+        except NotLockHolder as error:
+            raise TxnAborted("forced_release", str(error))
         self._note_read(key, value, stamp)
         return value
+
+    def _write(self, key: str, value: Any) -> Generator[Any, Any, Stamp]:
+        assert self.section is not None
+        try:
+            stamp = yield from self.client.critical_put_stamped(
+                key, self.section.lock_refs[key], value
+            )
+        except NotLockHolder as error:
+            raise TxnAborted("forced_release", str(error))
+        return stamp
 
     def commit(self) -> Generator[Any, Any, CommittedTxn]:
         assert self.section is not None
@@ -227,18 +220,7 @@ class LockingTxn(Transaction):
         writes: Dict[str, Stamp] = {}
         with engine.obs.tracer.span("txn.commit_cs", txn=self.txn_id):
             for key in sorted(self._pending):
-                value = self._pending[key]
-                if key in self.section.lock_refs:
-                    try:
-                        stamp = yield from self.client.critical_put_stamped(
-                            key, self.section.lock_refs[key], value
-                        )
-                    except NotLockHolder as error:
-                        raise TxnAborted("forced_release", str(error))
-                else:  # the mutation's unguarded write path
-                    stamp = engine._mutant_stamp()
-                    yield from self.client.txn_write(key, value, stamp)
-                writes[key] = stamp
+                writes[key] = yield from self._write(key, self._pending[key])
             record = engine.record_commit(
                 self.txn_id, self.reads, writes
             )

@@ -24,7 +24,8 @@ client had (watermark not sent, release push lost during the poll).
 
 import pytest
 
-from repro.core import build_music, service_client
+from repro.core import MusicConfig, build_music, service_client
+from repro.core.client import OP_RETRY_LIMIT
 from repro.core.service import PUSH_WAIT_MS
 from repro.errors import NotLockHolder, QuorumUnavailable, ReproError
 from repro.net import Node
@@ -49,7 +50,7 @@ def run(music, generator, limit=1e9):
 
 
 def test_failover_attempts_all_land_on_the_live_replica(mode):
-    """With two replicas pre-failed, every one of the op_retry_limit
+    """With two replicas pre-failed, every one of the OP_RETRY_LIMIT
     attempts must still contact the remaining live replica (the seed
     bug burned attempts skipping the failed ones)."""
     music = build_music()
@@ -72,7 +73,7 @@ def test_failover_attempts_all_land_on_the_live_replica(mode):
         return "ok"
 
     assert run(music, task()) == "nacked"
-    assert len(calls) == music.config.op_retry_limit
+    assert len(calls) == OP_RETRY_LIMIT
     assert set(calls) == {"N.California"}
 
 
@@ -107,7 +108,7 @@ def test_failover_raises_immediately_when_every_replica_is_failed(mode):
 
     message = run(music, task())
     assert message is not None and "every replica is failed" in message
-    # No retry sleeps: the failure is synchronous, not op_retry_limit
+    # No retry sleeps: the failure is synchronous, not OP_RETRY_LIMIT
     # rounds of backoff against nothing.
     assert music.sim.now == started
 
@@ -201,7 +202,9 @@ def test_acquire_blocking_respects_its_deadline(mode, timeout_ms):
 
 def test_acquire_blocking_deadline_holds_with_push_grants(mode):
     """Same contract with the push-grant wait path active."""
-    granted, waited = _contended_wait(mode, 800.0, fast_locks=True)
+    granted, waited = _contended_wait(
+        mode, 800.0, music_config=MusicConfig(fast_locks=True)
+    )
     assert granted is False
     assert waited <= 800.0 + OVERSHOOT_MS[mode], waited
 
@@ -335,11 +338,11 @@ def test_bounded_reads_keep_the_session_prefix(mode):
         yield music.sim.timeout(1_000.0)      # "old" fully replicated
         yield from writer.put("k", "new")     # acked by Ohio only
         first = yield from reader.get("k", staleness_ms=5_000.0)
-        ohio.crash(preserve_memory=True)
+        music.network.fail_node(ohio.node_id)
         # Failover lands on a replica whose ONE read races the still-in-
         # flight replication of "new"; the session watermark covers it.
         second = yield from reader.get("k", staleness_ms=5_000.0)
-        ohio.recover()
+        music.network.recover_node(ohio.node_id)
         return first, second
 
     assert run(music, task()) == ("new", "new")
@@ -389,8 +392,9 @@ def test_release_during_the_poll_round_trip_wakes_a_service_waiter():
     """
     poll_at_ms = 1_500.0
     waits = []
+    config = MusicConfig(fast_locks=True)
     for release_after_ms in range(1_000, 1_300, 20):
-        music = build_music(fast_locks=True, seed=5)
+        music = build_music(music_config=config, seed=5)
         sim = music.sim
         holder = music.client("Ohio")
         waiter = far_client_of(music)

@@ -1,8 +1,11 @@
 """Tests for the deployment builder itself."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import MusicConfig, build_music
+from repro.storage import StorageEngineConfig
 from repro.store import StoreConfig
 
 
@@ -15,7 +18,7 @@ def test_default_deployment_shape():
 
 
 def test_failure_detection_flag_starts_detectors():
-    music = build_music(failure_detection=True)
+    music = build_music(music_config=MusicConfig(failure_detection_enabled=True))
     assert len(music.detectors) == 3
 
 
@@ -73,24 +76,25 @@ def test_music_replicas_have_distinct_ids():
 def test_keyword_sugar_never_writes_the_callers_configs():
     """``build_music`` resolves its keywords onto copies: one config
     object can seed a features-on deployment and then a features-off one."""
-    music_config, store_config = MusicConfig(), StoreConfig()
+    music_config = MusicConfig(fast_locks=True, failure_detection_enabled=True)
+    store_config = StoreConfig(storage=StorageEngineConfig(wal_sync="periodic"))
+    asked_music, asked_store = replace(music_config), replace(store_config)
     first = build_music(
         music_config=music_config, store_config=store_config,
-        fast_locks=True, read_leases=True, failure_detection=True,
-        anti_entropy=True, wal_sync="periodic",
+        read_leases=True, anti_entropy=True,
     )
     assert first.config.push_grants and first.config.read_leases
-    assert first.config.lwt_batch_enabled and first.config.synch_fast_path
+    assert first.config.fast_locks
     assert first.config.failure_detection_enabled and first.detectors
     assert first.store.config.anti_entropy_enabled
     assert first.store.config.storage.wal_sync == "periodic"
 
-    assert music_config == MusicConfig()
-    assert store_config == StoreConfig()
+    assert music_config == asked_music
+    assert store_config == asked_store
 
     second = build_music(music_config=music_config, store_config=store_config)
-    assert second.config == MusicConfig()
+    assert second.config == music_config
     assert second.config is not music_config
-    assert not second.detectors
+    assert not second.config.read_leases
     assert not second.store.config.anti_entropy_enabled  # the keyword's default
-    assert second.store.config.storage == StoreConfig().storage
+    assert second.store.config.storage == store_config.storage

@@ -1,5 +1,5 @@
-"""The DESIGN §9 contention hot path: feature behavior with the three
-knobs on, and the bit-identical guarantee with them off.
+"""The DESIGN §9 contention hot path: feature behavior with
+``fast_locks`` on, and the bit-identical guarantee with it off.
 
 The features-off timings are pinned against golden stamps recorded from
 the seed tree: any code on the default path that moves an event, draws
@@ -7,6 +7,7 @@ extra randomness, or reorders a quorum round trips these exact floats.
 """
 
 from repro import MusicConfig, build_music
+from repro.lockstore import lockstore
 from tests.helpers import run
 
 # Completion times (sim ms) of 5 sequential critical sections from one
@@ -72,8 +73,8 @@ def _contended_stamps(seed):
 
 
 def test_features_off_timings_are_bit_identical_to_the_seed():
-    """The hot-path knobs default off and must leave every simulated
-    event exactly where the seed tree put it."""
+    """The hot path defaults off and must leave every simulated event
+    exactly where the seed tree put it."""
     assert _single_client_stamps(3) == GOLDEN_SINGLE
     assert _single_client_stamps(7) == GOLDEN_SINGLE
     assert _contended_stamps(3) == GOLDEN_CONTENDED_SEED3
@@ -83,7 +84,7 @@ def test_features_off_timings_are_bit_identical_to_the_seed():
 
 
 def test_concurrent_mints_batch_into_distinct_sequential_refs():
-    config = MusicConfig(lwt_batch_enabled=True)
+    config = MusicConfig(fast_locks=True)
     music = build_music(music_config=config, obs=True)
     sim = music.sim
     client = music.client("Ohio")
@@ -103,8 +104,9 @@ def test_concurrent_mints_batch_into_distinct_sequential_refs():
     assert flushes >= 1  # the accumulated ops really rode a group commit
 
 
-def test_batch_flush_respects_the_ops_cap():
-    config = MusicConfig(lwt_batch_enabled=True, lwt_batch_max_ops=2)
+def test_batch_flush_respects_the_ops_cap(monkeypatch):
+    monkeypatch.setattr(lockstore, "BATCH_MAX_OPS", 2)
+    config = MusicConfig(fast_locks=True)
     music = build_music(music_config=config, obs=True)
     sim = music.sim
     client = music.client("Ohio")
@@ -138,7 +140,7 @@ def _grant_counters(music, site="Ohio"):
 
 
 def test_fast_path_skips_the_flag_read_after_a_clean_grant():
-    config = MusicConfig(synch_fast_path=True)
+    config = MusicConfig(fast_locks=True)
     music = build_music(music_config=config, obs=True)
     client = music.client("Ohio")
 
@@ -157,7 +159,7 @@ def test_fast_path_skips_the_flag_read_after_a_clean_grant():
 
 
 def test_forced_release_invalidates_the_fast_path():
-    config = MusicConfig(synch_fast_path=True)
+    config = MusicConfig(fast_locks=True)
     music = build_music(music_config=config, obs=True)
     client = music.client("Ohio")
     replica = music.replica_at("Ohio")
@@ -192,7 +194,7 @@ def test_release_push_wakes_the_waiter_before_the_poll_backoff():
     # Make polling hopeless: without the push, the waiter's next poll
     # after the release would be a full backed-off interval away.
     config = MusicConfig(
-        push_grants=True,
+        fast_locks=True,
         acquire_poll_interval_ms=30_000.0,
         acquire_poll_max_ms=30_000.0,
     )

@@ -62,16 +62,16 @@ def spy_on_head_reads(replica, log):
 
 
 @pytest.mark.parametrize(
-    "synch_fast_path,read_leases,peek_quorum",
+    "fast_locks,read_leases,peek_quorum",
     list(itertools.product([False, True], repeat=3)),
 )
 def test_head_read_decodes_the_same_entry_under_every_feature_mix(
-    synch_fast_path, read_leases, peek_quorum
+    fast_locks, read_leases, peek_quorum
 ):
-    config = MusicConfig(synch_fast_path=synch_fast_path, peek_quorum=peek_quorum)
-    music = build_music(
-        music_config=config, seed=13, read_leases=read_leases, audit=True
+    config = MusicConfig(
+        fast_locks=fast_locks, read_leases=read_leases, peek_quorum=peek_quorum
     )
+    music = build_music(music_config=config, seed=13, audit=True)
     sim = music.sim
     log = []
     for replica in music.replicas:
@@ -108,7 +108,7 @@ def test_head_read_decodes_the_same_entry_under_every_feature_mix(
         assert decoded == reference_head(rows)
     # The run crossed a forced release, so the markers were really there
     # to decode — under exactly the flags that write them.
-    forced_on = synch_fast_path or read_leases
+    forced_on = fast_locks or read_leases
     assert any(epoch is not None for _, (_, epoch, _) in log) == forced_on
     assert any(revoked is not None for _, (_, _, revoked) in log) == read_leases
 

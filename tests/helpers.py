@@ -51,6 +51,13 @@ def run(sim, generator, limit=1e9):
     return sim.run_until_complete(sim.process(generator), limit=limit)
 
 
+def broken_rpc(*_args, **_kwargs):
+    """A stand-in for ``Node.call`` that raises what no peer failure
+    raises: a bug on the RPC path, not an ``RpcTimeout``."""
+    raise TypeError("bug on the RPC path")
+    yield  # pragma: no cover - keeps this a generator like Node.call
+
+
 def assert_replay_equivalent(auditor, subscribe=None):
     """Online and offline checking are one oracle: replaying the
     recorded history through a fresh checker reaches the verdict the

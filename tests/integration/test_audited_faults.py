@@ -24,15 +24,16 @@ from tests.helpers import assert_replay_equivalent
 ARTIFACT_DIR = os.environ.get("REPRO_AUDIT_ARTIFACT_DIR")
 
 
-def _audited_fault_run(seed=77, **build_kw):
+def _audited_fault_run(seed=77, fast_locks=False):
     """Partitions + a crash + false detection over contended keys."""
     config = MusicConfig(
+        fast_locks=fast_locks,
         failure_detection_enabled=True,
         detector_scan_interval_ms=1_000.0,
         lease_timeout_ms=3_000.0,
         orphan_timeout_ms=3_000.0,
     )
-    music = build_music(music_config=config, seed=seed, audit=True, **build_kw)
+    music = build_music(music_config=config, seed=seed, audit=True)
     faults = FaultSchedule(music.sim, music.network)
     # The isolation window preempts the stalled Ohio lockholder (false
     # failure detection); a flapping WAN link and a store-node crash/
@@ -97,7 +98,7 @@ def _audited_fault_run(seed=77, **build_kw):
     music.sim.run(until=music.sim.now + 10_000.0)
     if ARTIFACT_DIR:
         os.makedirs(ARTIFACT_DIR, exist_ok=True)
-        suffix = "_fastlocks" if build_kw.get("fast_locks") else ""
+        suffix = "_fastlocks" if fast_locks else ""
         write_audit_jsonl(
             music.auditor,
             os.path.join(

@@ -201,10 +201,7 @@ def _split_brain_restart(journal_paxos, seed=13):
             wal_sync="always", journal_paxos=journal_paxos
         )
     )
-    music = build_music(
-        seed=seed, audit=True, failure_detection=False,
-        store_config=store_config,
-    )
+    music = build_music(seed=seed, audit=True, store_config=store_config)
     sim = music.sim
     ohio = music.replica_at("Ohio").lock_store
     ncal = music.replica_at("N.California").lock_store

@@ -94,11 +94,11 @@ def test_session_watermark_survives_replica_failover():
         yield sim.timeout(1_000.0)                    # "old" fully replicated
         yield from writer.put("k", "new")             # acked by Ohio only
         a = yield from reader.get("k", staleness_ms=5_000.0)
-        ohio.crash(preserve_memory=True)
+        music.network.fail_node(ohio.node_id)
         # Failover lands on Oregon, whose ONE read races the still-in-
         # flight replication of "new" and fetches the older stamp.
         b = yield from reader.get("k", staleness_ms=5_000.0)
-        ohio.recover()
+        music.network.recover_node(ohio.node_id)
         return a, b
 
     # The client's session watermark papers over the regression: the

@@ -108,9 +108,9 @@ def test_session_watermark_guards_failover_mirror(mode):
         granted = yield from client.acquire_lock_blocking("k", ref)
         assert granted
         yield from client.critical_put("k", ref, "v1")   # mirror at Ohio
-        ohio.crash(preserve_memory=True)                 # suspend, RAM intact
+        music.network.fail_node(ohio.node_id)            # suspend, RAM intact
         yield from client.critical_put("k", ref, "v2")   # via failover replica
-        ohio.recover()
+        music.network.recover_node(ohio.node_id)
         value = yield from client.critical_get("k", ref)  # back at Ohio
         yield from client.release_lock("k", ref)
         return value

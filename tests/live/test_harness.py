@@ -69,10 +69,13 @@ def test_config_rejects_missing_epoch(tmp_path):
 
 
 def test_config_rejects_unknown_tunable(tmp_path):
-    spec = make_spec(n_nodes=2, tmp_path=tmp_path)
-    spec.music["no_such_knob"] = 1
-    with pytest.raises(KeyError, match="no_such_knob"):
-        spec.music_config()
+    # Only fields are tunables: a name the config merely *has* (a
+    # derived property, a method) is rejected the same way.
+    for name in ("no_such_knob", "push_grants", "__eq__"):
+        spec = make_spec(n_nodes=2, tmp_path=tmp_path)
+        spec.music[name] = 1
+        with pytest.raises(KeyError, match=f"no tunable '{name}'"):
+            spec.music_config()
 
 
 def test_toml_skeleton_reflects_spec():

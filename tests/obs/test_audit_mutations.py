@@ -9,7 +9,7 @@ violation naming the invariant and carrying the guilty trace spans.
 """
 
 from repro import MusicConfig, build_music
-from repro.core.replica import VALUE_ROW, MusicReplica
+from repro.core.replica import DATA_TABLE, VALUE_ROW, MusicReplica
 from repro.lockstore import LockStore
 from repro.store import Consistency
 from tests.helpers import assert_replay_equivalent, run
@@ -149,7 +149,7 @@ def _batched_mint_scenario():
     """Five concurrent mints in batch mode (one direct under the busy
     token, four riding the flush) followed by one more mint against
     whatever guard value the flush left behind."""
-    config = MusicConfig(lwt_batch_enabled=True)
+    config = MusicConfig(fast_locks=True)
     music = build_music(music_config=config, audit=True)
     sim = music.sim
     client = music.client("Ohio")
@@ -199,7 +199,7 @@ def _fast_path_scenario(replica_class=MusicReplica):
     """A stalled holder whose last store write the auditor never saw,
     then a forcedRelease: the next grant's synchronization is the only
     thing standing between the new holder and the unsynchronized store."""
-    config = MusicConfig(synch_fast_path=True)
+    config = MusicConfig(fast_locks=True)
     music = build_music(
         music_config=config, audit=True, replica_class=replica_class
     )
@@ -218,7 +218,7 @@ def _fast_path_scenario(replica_class=MusicReplica):
         # recorded (the holder died between the quorum write and the
         # ack): the store diverges from the auditor's true value.
         yield from replica.coordinator.put(
-            replica.data_table, "k", VALUE_ROW, {"value": "DIVERGED"},
+            DATA_TABLE, "k", VALUE_ROW, {"value": "DIVERGED"},
             replica._stamp(ref2, 1.0), consistency=Consistency.QUORUM,
         )
         # The detector path preempts the stalled holder (quorum flag

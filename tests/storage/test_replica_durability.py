@@ -81,15 +81,15 @@ class TestCrashRecoverRoundTrips:
         assert local_visible(victim, "a") == 1  # segment survived
         assert local_visible(victim, "b") is None  # memtable did not
 
-    def test_preserve_memory_escape_hatch_skips_the_state_loss(self):
-        sim, _net, cluster, (host,) = durable_store("off")
+    def test_fail_node_suspends_without_the_state_loss(self):
+        sim, net, cluster, (host,) = durable_store("off")
         coord = cluster.coordinator_for(host)
         write(sim, coord, "a", 1, 1.0)
         victim = cluster.by_id["store-0-0"]
-        victim.crash(preserve_memory=True)
-        victim.recover()
+        net.fail_node(victim.node_id)
+        net.recover_node(victim.node_id)
         sim.run()
-        # Legacy suspend/resume: nothing lost even with the WAL off.
+        # Suspend/resume, not a crash: nothing lost even with the WAL off.
         assert local_visible(victim, "a") == 1
         assert victim.engine.stats["crashes"] == 0
         assert victim.engine.stats["replays"] == 0

@@ -1,9 +1,11 @@
 """Tests for replica-local behaviour and anti-entropy convergence."""
 
+import pytest
+
 from repro.store import Consistency
 from repro.store.types import Update
 
-from tests.helpers import make_store, run
+from tests.helpers import broken_rpc, make_store, run
 
 
 def test_replica_local_rows_skips_dead_rows():
@@ -69,6 +71,21 @@ def test_anti_entropy_spreads_tombstones():
         return oregon.local_row("t", "k", None)
 
     assert run(sim, client()) is None
+
+
+def test_anti_entropy_rides_out_a_silent_peer_but_not_a_bug():
+    """An unreachable peer is an RpcTimeout the loop retries past; any
+    other exception on the exchange path is a bug and fails the run."""
+    sim, net, cluster, (host,) = make_store(anti_entropy=True)
+    coord = cluster.coordinator_for(host)
+    run(sim, coord.put("t", "k", None, {"v": 1}, (1.0, "w"),
+                       consistency=Consistency.ALL))
+    net.fail_node(cluster.replicas_in_site("Oregon")[0].node_id)
+    sim.run(until=sim.now + 20_000.0)
+
+    cluster.replicas_in_site("Ohio")[0].call = broken_rpc
+    with pytest.raises(TypeError, match="bug on the RPC path"):
+        sim.run(until=sim.now + 20_000.0)
 
 
 def test_anti_entropy_disabled_leaves_replica_stale():

@@ -1,11 +1,15 @@
-"""The shape ROADMAP item 4 asks of ``src/``, kept by a test: no module
-grows past 700 lines, ``repro.obs`` stays the bottom layer (it observes
-the protocol layers, it does not know them), and what it exports it
-defines."""
+"""The shape ROADMAP items 4 and 5 ask of ``src/``, kept by a test: no
+module grows past 700 lines, ``repro.obs`` stays the bottom layer (it
+observes the protocol layers, it does not know them), what it exports
+it defines, and the option counts of the MUSIC tier only go down."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
+
+from repro.core import MusicConfig, build_music
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -13,7 +17,7 @@ MAX_LINES = 700
 # Over the limit today.  The list may shrink; it grows only with the
 # reason next to the entry.
 OVERSIZE = {
-    "core/replica.py",  # 744: the five ECF operations + lease tier; ROADMAP 4(a) splits it
+    "core/replica.py",  # 748: the five ECF operations + lease tier; ROADMAP 5(b) splits it
 }
 
 # The layers repro.obs observes.  Only the CLI (``__main__``) may import
@@ -76,3 +80,37 @@ def test_obs_exports_only_what_it_defines():
         assert name in defined, f"repro.obs exports {name}, defined in another layer"
         home = importlib.import_module(defined[name])
         assert getattr(obs, name) is getattr(home, name)
+
+
+# -- the MUSIC tier's options ------------------------------------------------
+
+FEATURE_FIELDS = {"fast_locks", "push_grants", "read_leases", "peek_quorum", "always_sync"}
+
+
+def test_option_counts_only_go_down():
+    assert len(dataclasses.fields(MusicConfig)) <= 14
+    assert len(inspect.signature(build_music).parameters) <= 19
+
+
+def feature_reads_outside_init(path):
+    """``(function, field)`` for every ``<anything>config.<feature>`` read
+    in a function of ``path`` other than ``__init__``."""
+    found = []
+    for function in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(function, ast.FunctionDef) or function.name == "__init__":
+            continue
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Attribute) or node.attr not in FEATURE_FIELDS:
+                continue
+            owner = node.value
+            name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", "")
+            if name.endswith("config"):
+                found.append((function.name, node.attr))
+    return found
+
+
+def test_feature_switches_are_resolved_once_in_init():
+    """What a feature switch asks for is decided in ``__init__``: no
+    method of the replica or the client reads ``config.<feature>``."""
+    for module in ("core/replica.py", "core/client.py"):
+        assert feature_reads_outside_init(SRC / module) == [], module

@@ -6,7 +6,6 @@ import pytest
 from repro.core import build_music
 from repro.lockstore import LOCK_TABLE
 from repro.store import Consistency
-from repro.topo import STATUS_NORMAL, TopoConfig
 
 # A partition whose owner set changes in ALL three sites when one node
 # joins per site (verified by test_probe_key_moves_everywhere below):
@@ -152,13 +151,23 @@ def test_handover_carries_lock_rows_and_guard_state():
 
 
 def test_handover_without_lock_rows_breaks_exclusivity():
-    """The deliberate mutation: stream data rows but not lock rows.
+    """The deliberate mutation: stream data rows but not the lock
+    guard/queue rows.
 
     With every pre-move owner of the key replaced in one transition, the
     new owner set has no guard/queue state, so a later client re-mints
     lockRef 1 and is granted while lockRef 2 still holds the lock — the
     auditor must flag the exclusivity violation online."""
-    music = make_elastic(topo_config=TopoConfig(handover_lock_rows=False))
+    music = make_elastic()
+    merge = music.topology._merge_collected
+
+    def merge_without_lock_rows(replies):
+        entries, paxos = merge(replies)
+        entries.pop(LOCK_TABLE, None)
+        paxos.pop(LOCK_TABLE, None)
+        return entries, paxos
+
+    music.topology._merge_collected = merge_without_lock_rows
     sim = music.sim
     client = music.client("Ohio")
 

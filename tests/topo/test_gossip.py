@@ -1,7 +1,10 @@
 """Gossip membership: dissemination, status changes, phi suspicion."""
 
+import pytest
+
 from repro.core import build_music
 from repro.topo import STATUS_LEAVING, STATUS_NORMAL, TopoConfig
+from tests.helpers import broken_rpc
 
 
 def make_elastic(seed=5, **kwargs):
@@ -47,6 +50,16 @@ def test_phi_accrues_on_silent_peer_and_resets_on_recovery():
     music.network.recover_node("store-2-0")
     sim.run(until=75_000.0)
     assert observer.suspects == []
+
+
+def test_a_bug_in_a_gossip_round_fails_the_run():
+    """Only a silent peer (RpcTimeout) is ridden out — the phi test
+    above; anything else raised by a round is a bug, not suspicion."""
+    music = make_elastic()
+    music.sim.run(until=5_000.0)
+    music.store.by_id["store-0-0"].call = broken_rpc
+    with pytest.raises(TypeError, match="bug on the RPC path"):
+        music.sim.run(until=20_000.0)
 
 
 def test_gossip_is_deterministic():

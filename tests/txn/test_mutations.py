@@ -2,20 +2,51 @@
 *caught* by the serializability checker (ISSUE acceptance: the checker
 is only trustworthy if it rejects known-bad protocols)."""
 
+import itertools
+
 import pytest
 
 from repro.txn import EpochOCCEngine, LockingEngine, SerializabilityChecker, SSIEngine
+from repro.txn.locking import LockingTxn
 
 from .helpers import build_txn_music, run_workload
 
 
 class DroppedLockEngine(LockingEngine):
-    """Mutation: 'forget' the last lock of every multi-key set; writes
-    to the dropped key go out unguarded."""
+    """Mutation: 'forget' the last lock of every multi-key set; reads
+    and writes of the dropped key go out unguarded."""
+
+    def __init__(self, deployment):
+        super().__init__(deployment)
+        # "lockRefs" stamping the unguarded writes: monotone, and far
+        # above any real lockRef so chains stay ordered.
+        self.unguarded_refs = itertools.count(1_000_001)
+
+    def begin(self, client, spec):
+        txn = DroppedLockTxn(self, client, self.next_txn_id(client), spec)
+        yield from txn._enter()
+        return txn
 
     def _lock_keys(self, spec):
         keys = sorted(spec.keys)
         return keys[:-1] if len(keys) > 1 else keys
+
+
+class DroppedLockTxn(LockingTxn):
+    def _read(self, key):
+        if key in self.section.lock_refs:
+            return (yield from super()._read(key))
+        value, stamp = yield from self.client.txn_read(key)
+        self._note_read(key, value, stamp)
+        return value
+
+    def _write(self, key, value):
+        if key in self.section.lock_refs:
+            return (yield from super()._write(key, value))
+        period = self.engine.deployment.config.period_ms
+        stamp = (next(self.engine.unguarded_refs) * period, "txn-unlocked")
+        yield from self.client.txn_write(key, value, stamp)
+        return stamp
 
 
 class NoValidationEngine(EpochOCCEngine):
