@@ -7,7 +7,9 @@
 enqueue/grant/release, every synchFlag read/write, and every
 criticalGet/criticalPut quorum decision is checked *online* against the
 ECF safety invariants (Exclusivity, Latest-State, queue FIFO, the δ > 0
-forcedRelease rule, ...).
+forcedRelease rule, ...).  Alone it records the audit history and
+nothing else; this script also asks for ``obs=True``, so every audit
+event carries its span and a violation would render with its span tree.
 
 This script throws a partition, a flapping WAN link, a store-node
 crash, and a false failure detection at a contended deployment — then
@@ -36,7 +38,7 @@ def main() -> None:
         lease_timeout_ms=3_000.0,
         orphan_timeout_ms=3_000.0,
     )
-    music = build_music(music_config=config, seed=77, audit=True)
+    music = build_music(music_config=config, seed=77, obs=True, audit=True)
     sim = music.sim
 
     faults = FaultSchedule(sim, music.network)
@@ -103,7 +105,7 @@ def main() -> None:
 
     print(f"\nsimulated {sim.now / 1_000.0:.1f}s of faults and contention;"
           " the audit report:\n")
-    print(music.auditor.render_report())
+    print(music.auditor.render_report(spans=music.obs.tracer.spans))
     music.auditor.assert_clean()
 
     # The same history re-checks offline, bit-identically.

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from typing import Collection, Dict, List, Mapping, Optional, Tuple
 
 from ..net import LatencyProfile, Network, Node, PAPER_PROFILES
-from ..obs import NULL_OBS, Observability
+from ..obs import NULL_OBS, ECFAuditor, Observability, SimProfiler
 from ..sim import NodeClock, RandomStreams, Simulator
 from ..store import StoreCluster, StoreConfig, build_cluster, site_layout
 from .client import MusicClient
@@ -164,13 +164,15 @@ def build_music(
     MSCP) while keeping the identical deployment shape.
 
     ``obs=True`` (or an :class:`~repro.obs.Observability` instance)
-    enables metrics and tracing across every node of the deployment;
+    records spans and metrics across every node of the deployment;
     the default is the near-free no-op recorder.
 
-    ``audit=True`` additionally attaches an audit stream with the ECF
-    checker subscribed (:class:`~repro.obs.ECFAuditor`, implying
-    ``obs``): every ECF-relevant operation is checked online and the
-    stream is returned as ``deployment.auditor``.
+    ``audit=True`` attaches an audit stream with the ECF checker
+    subscribed (:class:`~repro.obs.ECFAuditor`), returned as
+    ``deployment.auditor``: every ECF-relevant operation is recorded
+    and checked online, and nothing else is — no span, no instrument.
+    Both together also stamp every audit event with its open span, so
+    a violation renders with its span tree.
 
     ``elastic=True`` attaches a :class:`~repro.topo.TopologyManager`
     (returned as ``deployment.topology``): gossip membership on every
@@ -210,19 +212,16 @@ def build_music(
     sim = sim or Simulator()
     profiler = None
     if profile:
-        from ..obs import SimProfiler
-
         profiler = SimProfiler().install(sim)
     streams = RandomStreams(seed)
-    if audit and obs is None:
-        obs = True
-    if obs is True:
-        obs = Observability(sim)
     if network is None:
-        network = Network(sim, latency_profile, streams=streams, obs=obs)
-    elif obs is not None and not network.obs.enabled:
-        network.obs = obs
-        obs.observe_network(network)
+        network = Network(sim, latency_profile, streams=streams)
+    if obs is None and audit and network.obs is NULL_OBS:
+        # Audit alone: the tracer and the metrics stay the null objects.
+        obs = Observability(sim, metrics=NULL_OBS.metrics, tracer=NULL_OBS.tracer)
+    if obs is not None and not network.obs.enabled:
+        network.obs = Observability(sim) if obs is True else obs
+        network.obs.observe_network(network)
     # The two keywords that re-spell a config field resolve onto copies:
     # the caller's config objects are read, never written, so one
     # MusicConfig / StoreConfig can seed any number of deployments.
@@ -237,8 +236,6 @@ def build_music(
 
     auditor = None
     if audit:
-        from ..obs import ECFAuditor
-
         auditor = network.obs.attach_audit(
             ECFAuditor(period_ms=music_config.period_ms)
         )

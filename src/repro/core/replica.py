@@ -181,6 +181,7 @@ class MusicReplica(Node):
             "cache_invalidations": 0,
         }
         self._op_histograms: Dict[str, Any] = {}
+        self._metric_counters: Dict[str, Any] = {}
 
     # -- helpers ------------------------------------------------------------
 
@@ -202,7 +203,12 @@ class MusicReplica(Node):
         """Bump a ``music.*`` metric and, if named, its ``counters`` twin."""
         if counter is not None:
             self.counters[counter] += 1
-        self.obs.metrics.counter(metric, node=self.node_id).inc()
+        instrument = self._metric_counters.get(metric)
+        if instrument is None:
+            instrument = self._metric_counters[metric] = self.obs.metrics.counter(
+                metric, node=self.node_id
+            )
+        instrument.inc()
 
     def _stamp(self, lock_ref: float, offset: float) -> Stamp:
         """A store stamp carrying v2s((lockRef, offset))."""

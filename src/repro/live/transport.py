@@ -196,8 +196,7 @@ class TcpTransport:
         self._listen = listen
         self._server: Optional[asyncio.AbstractServer] = None
         self.obs = obs or NULL_OBS
-        if self.obs.enabled:
-            self.obs.observe_network(self)
+        self.obs.observe_network(self)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -110,10 +110,9 @@ class Network:
         self._one_way_cache: Dict[Tuple[str, str], float] = {}
         self._taps: list[Callable[[Message], None]] = []
         # Observability facade inherited by every node registered here
-        # (a NullObservability unless a real one is installed).
+        # (NULL_OBS unless a real one is installed).
         self.obs = obs or NULL_OBS
-        if self.obs.enabled:
-            self.obs.observe_network(self)
+        self.obs.observe_network(self)
 
     # -- membership ----------------------------------------------------------
 

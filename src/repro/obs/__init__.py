@@ -61,7 +61,7 @@ from .metrics import (
     render_derived_ratios,
 )
 from .prof import SimProfiler, subsystem_of
-from .recorder import NULL_OBS, NullObservability, Observability
+from .recorder import NULL_OBS, Observability
 from .trace import NULL_TRACER, NullTracer, Span, SpanRecord, Tracer
 
 __all__ = [
@@ -79,7 +79,6 @@ __all__ = [
     "NULL_OBS",
     "NULL_TRACER",
     "NullAudit",
-    "NullObservability",
     "NullTracer",
     "Observability",
     "PhaseBreakdown",

@@ -153,8 +153,8 @@ class AuditStream:
     ) -> None:
         # T rides with the history: replay needs it to decompose stamps.
         self.period_ms = period_ms
-        # The run's clock and tracer, set by attach_audit; without them
-        # (a replay, a unit test) emit stamps t=0 and no span.
+        # The run's clock and (if it records spans) tracer, set by
+        # attach_audit; without them emit stamps t=0 and no span.
         self.sim: Any = None
         self.tracer: Any = None
         self.event_limit = event_limit

@@ -1,12 +1,13 @@
-"""The observability facade: metrics + tracing bundled per deployment.
+"""The observability facade: three recorders bundled per deployment.
 
 Every :class:`~repro.net.Node` reads ``network.obs`` at construction, so
 installing an :class:`Observability` on a network before building nodes
-lights up the whole stack — MUSIC replicas, store replicas, baselines —
-with one switch.  The default is :data:`NULL_OBS`, whose tracer and
-metrics are shared inert objects: the disabled hot path is a couple of
-attribute lookups and no allocation, keeping benchmark numbers
-undisturbed (asserted by ``tests/obs/test_overhead.py``).
+lights up the whole stack — MUSIC replicas, store replicas, baselines.
+Its tracer, metrics registry and audit stream are independent, each the
+shared inert null object unless asked for: the disabled hot path is a
+couple of attribute lookups and no allocation, so an audited run pays
+for the audit and nothing else and the default :data:`NULL_OBS` keeps
+benchmark numbers undisturbed (asserted by ``tests/obs/test_overhead.py``).
 """
 
 from __future__ import annotations
@@ -17,15 +18,13 @@ if TYPE_CHECKING:  # the scheduler seam; see repro.runtime
     from ..runtime import Clock
 from .audit import NULL_AUDIT, AuditStream
 from .metrics import MetricsRegistry
-from .trace import NULL_TRACER, NullTracer, Tracer
+from .trace import NULL_TRACER, Tracer
 
-__all__ = ["Observability", "NullObservability", "NULL_OBS"]
+__all__ = ["Observability", "NULL_OBS"]
 
 
 class Observability:
-    """Live metrics registry + tracer for one simulation."""
-
-    enabled = True
+    """Metrics registry + tracer + audit stream for one simulation."""
 
     def __init__(
         self,
@@ -38,22 +37,34 @@ class Observability:
         # ``sim`` is any repro.runtime.Clock: the DES simulator or a
         # live wall clock — spans and audit events stamp time from it.
         self.sim = sim
+        # Pass ``NULL_OBS.metrics`` / ``NULL_OBS.tracer`` to leave a
+        # recorder off; the default builds a live one.
         self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer or Tracer(sim, limit=span_limit, id_base=span_id_base)
+        # What nodes gate per-message and per-operation instrumentation
+        # on: false when neither spans nor instruments are recorded.
+        self.enabled = self.tracer.enabled or not isinstance(self.metrics, _NullMetrics)
         # The audit stream; NULL_AUDIT until one is attached, so
         # emission sites stay on the null-object fast path.
         self.audit = NULL_AUDIT
 
     def attach_audit(self, stream: AuditStream) -> AuditStream:
         """Make ``stream`` the one this recorder's emission sites feed,
-        stamping its events from this recorder's clock and tracer."""
-        stream.sim, stream.tracer = self.sim, self.tracer
+        stamping its events from this recorder's clock and, when spans
+        are being recorded, the open span."""
+        if self is NULL_OBS:
+            raise ValueError("NULL_OBS is shared: attach to a recorder of your own")
+        stream.sim = self.sim
+        stream.tracer = self.tracer if self.tracer.enabled else None
         self.audit = stream
         return stream
 
     def observe_network(self, network) -> None:
         """Count ``network``'s sends into ``net.messages`` / ``net.bytes``
-        (one tap on the network or transport, called per accepted send)."""
+        (one tap on the network or transport, called per accepted send);
+        a recorder that records nothing adds no tap."""
+        if not self.enabled:
+            return
         registry = self.metrics
         by_kind = {}
 
@@ -106,16 +117,5 @@ class _NullMetrics:
         return {"counters": [], "gauges": [], "histograms": []}
 
 
-class NullObservability:
-    """The inert default: all instruments are shared no-ops."""
-
-    enabled = False
-    metrics = _NullMetrics()
-    tracer: NullTracer = NULL_TRACER
-    audit = NULL_AUDIT
-
-    def observe_network(self, network) -> None:
-        pass
-
-
-NULL_OBS = NullObservability()
+# The inert default: every recorder off, shared by all un-observed runs.
+NULL_OBS = Observability(None, metrics=_NullMetrics(), tracer=NULL_TRACER)

@@ -240,10 +240,6 @@ class Tracer:
             )
         )
 
-    def clear(self) -> None:
-        self.spans.clear()
-        self.dropped = 0
-
     # -- queries -------------------------------------------------------------
 
     def roots(self, name: Optional[str] = None) -> List[SpanRecord]:
@@ -294,16 +290,10 @@ class NullTracer:
     def span(self, _name: str, **_kw: Any) -> _NullSpan:
         return _NULL_SPAN
 
-    def current_span(self) -> None:
-        return None
-
     def rpc_context(self) -> None:
         return None
 
     def adopt(self, process: Any, context: Tuple[int, int]) -> None:
-        pass
-
-    def clear(self) -> None:
         pass
 
 

@@ -81,6 +81,7 @@ class StorageReplica(Node):
             "paxos_proposes": 0,
             "paxos_commits": 0,
         }
+        self._instruments: Dict[str, Any] = {}
         self.on("store_read", self._handle_read)
         self.on("store_write", self._handle_write)
         self.on("store_scan", self._handle_scan)
@@ -138,9 +139,12 @@ class StorageReplica(Node):
     def _count(self, name: str) -> None:
         self.counters[name] += 1
         if self.obs.enabled:
-            self.obs.metrics.counter(
-                f"store.replica.{name}", node=self.node_id
-            ).inc()
+            counter = self._instruments.get(name)
+            if counter is None:
+                counter = self._instruments[name] = self.obs.metrics.counter(
+                    f"store.replica.{name}", node=self.node_id
+                )
+            counter.inc()
 
     # -- read/write handlers -------------------------------------------------
 

@@ -213,7 +213,11 @@ def _survives(cell: Cell, stamp: Stamp, value: Any) -> bool:
     """Last-write-wins: does the stored ``cell`` survive a write of
     ``value`` at ``stamp``?"""
     mine = cell.stamp
-    return mine > stamp or (mine == stamp and repr(cell.value) >= repr(value))
+    # A value ties with itself (in-sync replicas of one simulator hold
+    # the same object), so only distinct values are rendered to compare.
+    return mine > stamp or (
+        mine == stamp and (cell.value is value or repr(cell.value) >= repr(value))
+    )
 
 
 # A partition: rows by clustering key.  Clustering keys must be mutually

@@ -5,8 +5,12 @@ from dataclasses import replace
 import pytest
 
 from repro.core import MusicConfig, build_music
+from repro.net import PAPER_PROFILES, Network
+from repro.obs import NULL_OBS, Observability
+from repro.sim import RandomStreams, Simulator
 from repro.storage import StorageEngineConfig
 from repro.store import StoreConfig
+from tests.helpers import run
 
 
 def test_default_deployment_shape():
@@ -98,3 +102,55 @@ def test_keyword_sugar_never_writes_the_callers_configs():
     assert not second.config.read_leases
     assert not second.store.config.anti_entropy_enabled  # the keyword's default
     assert second.store.config.storage == store_config.storage
+
+
+def _one_critical_section(music):
+    client = music.client("Ohio")
+
+    def body():
+        section = yield from client.critical_section("k")
+        yield from section.put(1)
+        yield from section.exit()
+
+    run(music.sim, body())
+
+
+def _callers_network(observed=False):
+    sim = Simulator()
+    network = Network(
+        sim, PAPER_PROFILES["lUs"], streams=RandomStreams(3),
+        jitter_fraction=0.05, obs=Observability(sim) if observed else None,
+    )
+    return sim, network
+
+
+def test_audit_alone_on_a_passed_in_network_reaches_every_node():
+    """The ``ycsb_*`` shape: the caller builds the (jittered) network.
+    The audit-only recorder must be on it before any node reads it."""
+    sim, network = _callers_network()
+    music = build_music(sim=sim, network=network, audit=True)
+    assert network.obs is music.obs is not NULL_OBS
+    assert not music.obs.enabled and music.obs.audit is music.auditor
+    nodes = music.store.replicas + music.replicas
+    assert all(node.obs is music.obs for node in nodes)
+    _one_critical_section(music)
+    assert music.auditor.events and music.auditor.clean
+    assert music.obs.tracer.spans == []
+    assert NULL_OBS.audit.events == []  # the shared default stayed inert
+    with pytest.raises(ValueError):
+        NULL_OBS.attach_audit(music.auditor)
+
+
+@pytest.mark.parametrize("obs", [None, True])
+def test_audit_on_an_already_observed_network_joins_its_recorder(obs):
+    """No second recorder is built beside the one the network's nodes
+    read: the stream attaches to that one, span ids and all."""
+    sim, network = _callers_network(observed=True)
+    theirs = network.obs
+    music = build_music(sim=sim, network=network, obs=obs, audit=True)
+    assert network.obs is music.obs is theirs
+    assert theirs.audit is music.auditor
+    assert len(network._taps) == 1  # observed once, by its builder
+    _one_critical_section(music)
+    assert music.auditor.events and music.auditor.clean
+    assert all(event.span_id is not None for event in music.auditor.events)

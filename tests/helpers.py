@@ -1,5 +1,7 @@
 """Shared builders for integration tests."""
 
+from dataclasses import replace
+
 from repro.net import PAPER_PROFILES, Network, Node
 from repro.sim import RandomStreams, Simulator
 from repro.store import StoreConfig, build_cluster
@@ -78,3 +80,34 @@ def assert_replay_equivalent(auditor, subscribe=None):
     assert replayed.violation_counts == auditor.violation_counts
     assert replayed.counters == auditor.counters
     return replayed
+
+
+def audit_history(auditor):
+    """What the stream recorded, minus the span ids only a traced run has."""
+    return [
+        (e.seq, e.t_ms, e.kind, e.key, e.node, e.lock_ref, e.stamp, e.fields)
+        for e in auditor.events
+    ]
+
+
+def in_both_audit_modes(scenario, **kwargs):
+    """The audit is one oracle at two prices: run ``scenario(obs=…)``
+    audit-only and with tracing + metrics beside it, and require the
+    same history and the same verdict from both — only the traced run
+    can name spans.  Returns the two results, audit-only first.
+
+    A scenario returns its deployment, or a tuple that starts with it.
+    """
+    runs = [scenario(obs=obs, **kwargs) for obs in (None, True)]
+    plain, traced = (
+        (result[0] if isinstance(result, tuple) else result).auditor
+        for result in runs
+    )
+    assert plain.tracer is None and traced.tracer is not None
+    assert audit_history(plain) == audit_history(traced)
+    assert all(e.span_id is None and e.trace_id is None for e in plain.events)
+    assert plain.violation_counts == traced.violation_counts
+    assert plain.counters == traced.counters
+    assert not any(v.trace_spans for v in plain.violations)
+    assert plain.violations == [replace(v, trace_spans=[]) for v in traced.violations]
+    return runs

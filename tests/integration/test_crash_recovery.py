@@ -58,7 +58,8 @@ def _crash_storm(seed=77):
         lease_timeout_ms=3_000.0,
         orphan_timeout_ms=3_000.0,
     )
-    music = build_music(music_config=config, seed=seed, audit=True)
+    # obs=True: the storm's replay time is read back from the metrics.
+    music = build_music(music_config=config, seed=seed, obs=True, audit=True)
     faults = music.fault_schedule()
     # Ohio's isolation preempts a live lockholder (false detection); a
     # flapping WAN link runs underneath; two store nodes restart and
@@ -201,7 +202,8 @@ def _split_brain_restart(journal_paxos, seed=13):
             wal_sync="always", journal_paxos=journal_paxos
         )
     )
-    music = build_music(seed=seed, audit=True, store_config=store_config)
+    # obs=True: the caught double mint must name its guilty spans.
+    music = build_music(seed=seed, obs=True, audit=True, store_config=store_config)
     sim = music.sim
     ohio = music.replica_at("Ohio").lock_store
     ncal = music.replica_at("N.California").lock_store

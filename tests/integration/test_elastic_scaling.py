@@ -62,7 +62,8 @@ def _dump_artifacts(music, tag):
 
 
 def _growth_run(seed=29):
-    music = build_music(elastic=True, audit=True, seed=seed)
+    # obs=True: the tests read the topology plane's own metrics.
+    music = build_music(elastic=True, obs=True, audit=True, seed=seed)
     sim = music.sim
     faults = music.fault_schedule()
     faults.crash_mid_bootstrap(CRASH_NODE, after_streams=2, down_ms=1_500.0)

@@ -6,12 +6,14 @@ subclassed replica with exactly one safety ingredient deleted (the
 audit must flag it).  Mutant (a) removes the ECF-window expiry check
 from the leaseholder serve path — LeaseSafety must fire.  Mutant (b)
 drops the push-grant cache invalidation — MonotonicReads must fire.
+Every scenario runs audit-only and with ``obs=True`` beside the audit:
+same history, same violations, span ids only in the second.
 """
 
 from repro import MusicConfig, build_music
 from repro.core.replica import MusicReplica
 from repro.errors import NotLockHolder
-from tests.helpers import assert_replay_equivalent, run
+from tests.helpers import assert_replay_equivalent, in_both_audit_modes, run
 
 
 def assert_caught(auditor, invariant):
@@ -52,14 +54,14 @@ class DroppedInvalidation(MusicReplica):
 # -- scenario (a): forced takeover races the leaseholder's reads -----------
 
 
-def _forced_takeover_run(replica_class=MusicReplica):
+def _forced_takeover_run(replica_class=MusicReplica, obs=None):
     """An Ohio leaseholder reads in a tight loop while Oregon forcibly
     releases its lock and writes.  Returns (music, values served by the
     lease tier at Ohio)."""
     config = MusicConfig()
     config.read_lease_ms = 150.0
     music = build_music(
-        music_config=config, seed=21, read_leases=True, audit=True,
+        music_config=config, seed=21, read_leases=True, audit=True, obs=obs,
         replica_class=replica_class,
     )
     sim = music.sim
@@ -108,32 +110,34 @@ def _forced_takeover_run(replica_class=MusicReplica):
 
 
 def test_forced_takeover_baseline_is_clean():
-    music, lease_served = _forced_takeover_run()
-    # The lease tier actually served reads, and only pre-takeover state.
-    assert lease_served and all(v == "PRE" for v in lease_served)
-    kinds = {event.kind for event in music.auditor.events}
-    assert {"lease_read", "forced_release"} <= kinds
-    assert music.auditor.clean, music.auditor.render_report()
-    assert_replay_equivalent(music.auditor)
+    for music, lease_served in in_both_audit_modes(_forced_takeover_run):
+        # The lease tier actually served reads, and only pre-takeover state.
+        assert lease_served and all(v == "PRE" for v in lease_served)
+        kinds = {event.kind for event in music.auditor.events}
+        assert {"lease_read", "forced_release"} <= kinds
+        assert music.auditor.clean, music.auditor.render_report()
+        assert_replay_equivalent(music.auditor)
 
 
 def test_removing_the_expiry_check_trips_lease_safety():
-    music, lease_served = _forced_takeover_run(replica_class=NoExpiryCheck)
-    # The mutant keeps serving its mirror after the ECF window closed.
-    assert lease_served
-    assert_caught(music.auditor, "LeaseSafety")
-    assert_replay_equivalent(music.auditor)
+    for music, lease_served in in_both_audit_modes(
+        _forced_takeover_run, replica_class=NoExpiryCheck
+    ):
+        # The mutant keeps serving its mirror after the ECF window closed.
+        assert lease_served
+        assert_caught(music.auditor, "LeaseSafety")
+        assert_replay_equivalent(music.auditor)
 
 
 # -- scenario (b): a cached read outliving its invalidation ----------------
 
 
-def _stale_cache_run(replica_class=MusicReplica):
+def _stale_cache_run(replica_class=MusicReplica, obs=None):
     """A writer updates a key under a critical section; a remote reader
     uses a generous staleness bound, so only the push-grant invalidation
     keeps its cache honest.  Returns (music, (first, second)) reads."""
     music = build_music(
-        seed=5, read_leases=True, audit=True, replica_class=replica_class
+        seed=5, read_leases=True, audit=True, obs=obs, replica_class=replica_class
     )
     sim = music.sim
     writer = music.client("Ohio")
@@ -157,16 +161,18 @@ def _stale_cache_run(replica_class=MusicReplica):
 
 
 def test_stale_cache_baseline_is_clean():
-    music, values = _stale_cache_run()
-    assert values == (1, 2)
-    assert music.auditor.clean, music.auditor.render_report()
-    assert_replay_equivalent(music.auditor)
+    for music, values in in_both_audit_modes(_stale_cache_run):
+        assert values == (1, 2)
+        assert music.auditor.clean, music.auditor.render_report()
+        assert_replay_equivalent(music.auditor)
 
 
 def test_dropping_push_invalidation_trips_monotonic_reads():
-    music, values = _stale_cache_run(replica_class=DroppedInvalidation)
-    # The mutant serves the cached 1 even though the invalidation push
-    # arrived before the read's cache entry was fetched... after it.
-    assert values == (1, 1)
-    assert_caught(music.auditor, "MonotonicReads")
-    assert_replay_equivalent(music.auditor)
+    for music, values in in_both_audit_modes(
+        _stale_cache_run, replica_class=DroppedInvalidation
+    ):
+        # The mutant serves the cached 1 even though the invalidation push
+        # arrived before the read's cache entry was fetched... after it.
+        assert values == (1, 1)
+        assert_caught(music.auditor, "MonotonicReads")
+        assert_replay_equivalent(music.auditor)

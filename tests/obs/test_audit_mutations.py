@@ -5,14 +5,16 @@ Each test here re-introduces one of the paper's Section IV-B hazards —
 δ=0 forcedRelease stamps, a skipped acquire-time synchronization, a
 forcedRelease that dequeues without the quorum flag write, and a
 bypassed queue-head guard — and asserts the auditor flags it with a
-violation naming the invariant and carrying the guilty trace spans.
+violation naming the invariant, in both audited modes: ``audit=True``
+alone (the checker and nothing else) and ``obs=True, audit=True``, which
+files the same violations and also names the guilty trace spans.
 """
 
 from repro import MusicConfig, build_music
 from repro.core.replica import DATA_TABLE, VALUE_ROW, MusicReplica
 from repro.lockstore import LockStore
 from repro.store import Consistency
-from tests.helpers import assert_replay_equivalent, run
+from tests.helpers import assert_replay_equivalent, in_both_audit_modes, run
 
 
 def fault_run(seed=31, **build_kw):
@@ -57,29 +59,30 @@ def assert_caught(auditor, invariant):
     for violation in offenders:
         assert violation.source == "runtime"
         assert violation.invariant == invariant  # names the invariant...
-        assert violation.trace_spans  # ...and the guilty spans
+        # ...and, when the run was traced, the guilty spans
+        assert bool(violation.trace_spans) == (auditor.tracer is not None)
         assert violation.trace  # ...and the key's event history
     return offenders[0]
 
 
 def test_unmutated_run_is_clean():
     """The baseline: the same scenario audits clean without a mutant."""
-    music = fault_run()
-    assert music.auditor.clean, music.auditor.render_report()
-    # The preemption actually happened (the mutants below rely on it).
-    kinds = {event.kind for event in music.auditor.events}
-    assert "forced_release" in kinds
-    assert "sync" in kinds
-    assert_replay_equivalent(music.auditor)
+    for music in in_both_audit_modes(fault_run):
+        assert music.auditor.clean, music.auditor.render_report()
+        # The preemption actually happened (the mutants below rely on it).
+        kinds = {event.kind for event in music.auditor.events}
+        assert "forced_release" in kinds
+        assert "sync" in kinds
+        assert_replay_equivalent(music.auditor)
 
 
 def test_delta_zero_forced_release_is_caught():
     """δ=0 stamps tie the forced flag write with the released holder's
     own reset — the exact race the Section IV-B rule exists to break."""
-    music = fault_run(config_kw=dict(delta=0.0))
-    violation = assert_caught(music.auditor, "ForcedReleaseDelta")
-    assert "δ=0" in violation.detail
-    assert_replay_equivalent(music.auditor)
+    for music in in_both_audit_modes(fault_run, config_kw=dict(delta=0.0)):
+        violation = assert_caught(music.auditor, "ForcedReleaseDelta")
+        assert "δ=0" in violation.detail
+        assert_replay_equivalent(music.auditor)
 
 
 def test_skipped_acquire_sync_is_caught():
@@ -87,10 +90,10 @@ def test_skipped_acquire_sync_is_caught():
         def _synchronize(self, key, lock_ref):
             return iter(())  # "optimize away" the acquire-time sync
 
-    music = fault_run(replica_class=NoSyncReplica)
-    violation = assert_caught(music.auditor, "SyncRequired")
-    assert "without synchronizing" in violation.detail
-    assert_replay_equivalent(music.auditor)
+    for music in in_both_audit_modes(fault_run, replica_class=NoSyncReplica):
+        violation = assert_caught(music.auditor, "SyncRequired")
+        assert "without synchronizing" in violation.detail
+        assert_replay_equivalent(music.auditor)
 
 
 def test_release_without_quorum_flag_write_is_caught():
@@ -116,10 +119,10 @@ def test_release_without_quorum_flag_write_is_caught():
                     )
             return True
 
-    music = fault_run(replica_class=NoQuorumRelease)
-    violation = assert_caught(music.auditor, "ForcedReleaseOrder")
-    assert "without first" in violation.detail
-    assert_replay_equivalent(music.auditor)
+    for music in in_both_audit_modes(fault_run, replica_class=NoQuorumRelease):
+        violation = assert_caught(music.auditor, "ForcedReleaseOrder")
+        assert "without first" in violation.detail
+        assert_replay_equivalent(music.auditor)
 
 
 def test_bypassed_queue_head_guard_is_caught():
@@ -128,29 +131,32 @@ def test_bypassed_queue_head_guard_is_caught():
             return True  # skip the lockRef-vs-queue-head check
             yield
 
-    music = fault_run(replica_class=UnguardedReplica)
-    sim = music.sim
+    def intrusion(obs):
+        music = fault_run(replica_class=UnguardedReplica, obs=obs)
 
-    def intruder():
-        # A criticalPut under a lockRef that was never granted.  The
-        # real guard returns proceed=False for it; the mutant lets the
-        # quorum write through, which the auditor must flag.
-        replica = music.replicas[0]
-        yield from replica.critical_put("k", 99, "INTRUDER")
+        def intruder():
+            # A criticalPut under a lockRef that was never granted.  The
+            # real guard returns proceed=False for it; the mutant lets the
+            # quorum write through, which the auditor must flag.
+            replica = music.replicas[0]
+            yield from replica.critical_put("k", 99, "INTRUDER")
 
-    run(sim, intruder())
-    violation = assert_caught(music.auditor, "Exclusivity")
-    assert "never granted" in violation.detail
-    assert violation.lock_ref == 99
-    assert_replay_equivalent(music.auditor)
+        run(music.sim, intruder())
+        return music
+
+    for music in in_both_audit_modes(intrusion):
+        violation = assert_caught(music.auditor, "Exclusivity")
+        assert "never granted" in violation.detail
+        assert violation.lock_ref == 99
+        assert_replay_equivalent(music.auditor)
 
 
-def _batched_mint_scenario():
+def _batched_mint_scenario(obs=None):
     """Five concurrent mints in batch mode (one direct under the busy
     token, four riding the flush) followed by one more mint against
     whatever guard value the flush left behind."""
     config = MusicConfig(fast_locks=True)
-    music = build_music(music_config=config, audit=True)
+    music = build_music(music_config=config, audit=True, obs=obs)
     sim = music.sim
     client = music.client("Ohio")
     refs = []
@@ -170,10 +176,10 @@ def test_batched_mint_run_is_clean():
     """Baseline for the atomicity mutant: with the real guard target the
     same contended-mint scenario yields distinct sequential refs and a
     clean audit."""
-    music, refs = _batched_mint_scenario()
-    assert music.auditor.clean, music.auditor.render_report()
-    assert sorted(refs) == [1, 2, 3, 4, 5, 6]
-    assert_replay_equivalent(music.auditor)
+    for music, refs in in_both_audit_modes(_batched_mint_scenario):
+        assert music.auditor.clean, music.auditor.render_report()
+        assert sorted(refs) == [1, 2, 3, 4, 5, 6]
+        assert_replay_equivalent(music.auditor)
 
 
 def test_non_atomic_batch_mint_is_caught():
@@ -186,22 +192,23 @@ def test_non_atomic_batch_mint_is_caught():
         lambda base, enqueues: base + min(enqueues, 1)
     )
     try:
-        music, refs = _batched_mint_scenario()
+        runs = in_both_audit_modes(_batched_mint_scenario)
     finally:
         LockStore._batch_guard_target = original
-    assert len(refs) != len(set(refs))  # the duplicate mint happened...
-    violation = assert_caught(music.auditor, "LockQueueFIFO")
-    assert "minted after" in violation.detail  # ...and was flagged
-    assert_replay_equivalent(music.auditor)
+    for music, refs in runs:
+        assert len(refs) != len(set(refs))  # the duplicate mint happened...
+        violation = assert_caught(music.auditor, "LockQueueFIFO")
+        assert "minted after" in violation.detail  # ...and was flagged
+        assert_replay_equivalent(music.auditor)
 
 
-def _fast_path_scenario(replica_class=MusicReplica):
+def _fast_path_scenario(replica_class=MusicReplica, obs=None):
     """A stalled holder whose last store write the auditor never saw,
     then a forcedRelease: the next grant's synchronization is the only
     thing standing between the new holder and the unsynchronized store."""
     config = MusicConfig(fast_locks=True)
     music = build_music(
-        music_config=config, audit=True, replica_class=replica_class
+        music_config=config, audit=True, obs=obs, replica_class=replica_class
     )
     client = music.client("Ohio")
     replica = music.replica_at("Ohio")
@@ -239,14 +246,14 @@ def test_fast_path_scenario_is_clean_without_mutant():
     """Baseline: the real epoch check sees the forcedRelease marker,
     misses the fast path, reads flag=True and synchronizes — the
     post-preemption read audits clean."""
-    music = _fast_path_scenario()
-    assert music.auditor.clean, music.auditor.render_report()
-    # The scenario exercised the machinery it claims to: a forced
-    # release happened and the next grant took the slow path + sync.
-    kinds = {event.kind for event in music.auditor.events}
-    assert "forced_release" in kinds
-    assert "sync" in kinds
-    assert_replay_equivalent(music.auditor)
+    for music in in_both_audit_modes(_fast_path_scenario):
+        assert music.auditor.clean, music.auditor.render_report()
+        # The scenario exercised the machinery it claims to: a forced
+        # release happened and the next grant took the slow path + sync.
+        kinds = {event.kind for event in music.auditor.events}
+        assert "forced_release" in kinds
+        assert "sync" in kinds
+        assert_replay_equivalent(music.auditor)
 
 
 def test_broken_fast_path_epoch_check_is_caught():
@@ -259,16 +266,19 @@ def test_broken_fast_path_epoch_check_is_caught():
         def _fast_path_valid(self, key, epoch):
             return True  # "the cache is always valid"
 
-    music = _fast_path_scenario(replica_class=AlwaysFastReplica)
-    violation = assert_caught(music.auditor, "LatestState")
-    assert "DIVERGED" in violation.detail
-    assert_replay_equivalent(music.auditor)
+    for music in in_both_audit_modes(
+        _fast_path_scenario, replica_class=AlwaysFastReplica
+    ):
+        violation = assert_caught(music.auditor, "LatestState")
+        assert "DIVERGED" in violation.detail
+        assert_replay_equivalent(music.auditor)
 
 
 def test_mutant_violations_render_with_span_trees():
     """The report pipeline end-to-end: a caught mutant's report names
-    the invariant and renders the guilty span tree with ▶ markers."""
-    music = fault_run(config_kw=dict(delta=0.0))
+    the invariant and renders the guilty span tree with ▶ markers —
+    which takes the spans, so the run asks for ``obs=True`` as well."""
+    music = fault_run(config_kw=dict(delta=0.0), obs=True)
     spans = music.network.obs.tracer.spans
     report = music.auditor.render_report(spans=spans)
     assert "ForcedReleaseDelta" in report

@@ -16,7 +16,7 @@ import time
 
 from repro.core import build_music
 from repro.obs import NULL_AUDIT, NULL_OBS
-from tests.helpers import run
+from tests.helpers import assert_replay_equivalent, audit_history, run
 
 
 def _workload(deployment, ops=5):
@@ -43,13 +43,42 @@ def test_observability_does_not_change_simulated_time():
 
 def test_auditor_does_not_change_simulated_time():
     """Audit emission is pure recording (no yields, sleeps, or RNG), so
-    attaching the auditor leaves every simulated timing bit-identical."""
+    attaching the auditor — alone, or beside tracing and metrics — leaves
+    every simulated timing bit-identical, and both audited modes record
+    the same history."""
     baseline = _workload(build_music(seed=5))
-    audited_deployment = build_music(seed=5, audit=True)
-    audited = _workload(audited_deployment)
-    assert audited == baseline
-    assert audited_deployment.auditor.events  # it really was recording
-    assert audited_deployment.auditor.clean
+    audit_only = build_music(seed=5, audit=True)
+    audit_and_obs = build_music(seed=5, obs=True, audit=True)
+    assert _workload(audit_only) == baseline
+    assert _workload(audit_and_obs) == baseline
+    assert audit_only.auditor.events  # it really was recording
+    assert audit_history(audit_only.auditor) == audit_history(audit_and_obs.auditor)
+    for deployment in (audit_only, audit_and_obs):
+        assert deployment.auditor.clean
+        assert_replay_equivalent(deployment.auditor)
+
+
+def test_an_audited_run_records_the_audit_and_nothing_else():
+    """A count guard that repeats exactly: ``audit=True`` alone opens no
+    span, creates no instrument and taps no message; adding ``obs=True``
+    lights all three up and stamps every audit event with its span."""
+    audit_only = build_music(seed=5, profile=True, audit=True)
+    _workload(audit_only)
+    assert audit_only.profiler.obs_spans == 0
+    assert audit_only.obs.tracer.spans == []
+    assert not any(audit_only.obs.metrics.snapshot().values())
+    assert not audit_only.obs.enabled
+    assert audit_only.auditor.events and audit_only.auditor.clean
+    assert all(event.span_id is None for event in audit_only.auditor.events)
+
+    both = build_music(seed=5, profile=True, obs=True, audit=True)
+    _workload(both)
+    assert both.profiler.obs_spans > 0
+    assert both.obs.tracer.spans
+    snapshot = both.obs.metrics.snapshot()
+    assert snapshot["counters"] and snapshot["histograms"]
+    assert both.auditor.events and both.auditor.clean
+    assert all(event.span_id is not None for event in both.auditor.events)
 
 
 def test_null_audit_emission_site_is_near_free():

@@ -1,10 +1,12 @@
 """Property-based tests on store data structures (hypothesis)."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.store import HashRing, Row
-from repro.store.types import Cell
+from repro.store.types import Cell, _survives
 
 # Strategies ------------------------------------------------------------------
 
@@ -29,6 +31,39 @@ def apply_ops(row: Row, ops) -> Row:
             _kind, stamp = op
             row.delete(stamp)
     return row
+
+
+class TestLwwTieBreak:
+    """``_survives`` skips the two ``repr`` calls when both sides hold
+    the same object; it must still be the one-line last-write-wins rule."""
+
+    values = st.one_of(
+        st.none(), st.integers(-3, 3), st.text(max_size=3),
+        st.lists(st.integers(0, 2), max_size=2),
+        st.dictionaries(st.sampled_from(["a", "b"]), st.integers(0, 2), max_size=2),
+    )
+
+    @staticmethod
+    def reference(cell, stamp, value):
+        return cell.stamp > stamp or (
+            cell.stamp == stamp and repr(cell.value) >= repr(value)
+        )
+
+    @given(stored=values, incoming=values, mine=stamps, theirs=stamps,
+           how=st.sampled_from(["identical", "equal-but-distinct", "as-drawn"]),
+           tie=st.booleans())
+    def test_matches_the_reference_rule(self, stored, incoming, mine, theirs, how, tie):
+        if how == "identical":
+            incoming = stored
+        elif how == "equal-but-distinct":
+            incoming = copy.deepcopy(stored)
+        if tie:
+            theirs = mine
+        cell = Cell(stored, mine)
+        expected = self.reference(cell, theirs, incoming)
+        assert _survives(cell, theirs, incoming) == expected
+        if tie and how != "as-drawn":
+            assert _survives(cell, theirs, incoming)  # a value ties with itself
 
 
 class TestRowMergeIsACrdt:
