@@ -14,7 +14,7 @@ from typing import Any, Generator
 
 from ..core.deployment import MusicDeployment, build_music
 from ..core.replica import DATA_TABLE, VALUE_ROW, MusicReplica
-from ..store import Condition
+from ..store import Condition, Stamp
 from ..store.types import Update
 
 __all__ = ["MscpReplica", "build_mscp"]
@@ -23,24 +23,14 @@ __all__ = ["MscpReplica", "build_mscp"]
 class MscpReplica(MusicReplica):
     """A MUSIC replica whose critical puts are LWT writes."""
 
-    def critical_put(self, key: str, lock_ref: int, value: Any) -> Generator[Any, Any, bool]:
-        """criticalPut via LWT [cost: value consensus write]."""
-        started = self.sim.now
-        proceed = yield from self._guard(key, lock_ref)
-        if not proceed:
-            return False
-        offset = yield from self._lease_offset(key, lock_ref)
-        yield from self.coordinator.cas(
-            DATA_TABLE,
-            key,
-            # Exclusivity already comes from the lock; the LWT is used
-            # purely as a sequentially-consistent write.
-            Condition("always"),
-            [Update(DATA_TABLE, key, VALUE_ROW, {"value": value},
-                    self._stamp(lock_ref, offset))],
+    def _put_value(self, key: str, value: Any, stamp: Stamp) -> Generator[Any, Any, Any]:
+        """criticalPut's store write via LWT [cost: value consensus
+        write].  Exclusivity already comes from the lock; the LWT is
+        used purely as a sequentially-consistent write."""
+        return self.coordinator.cas(
+            DATA_TABLE, key, Condition("always"),
+            [Update(DATA_TABLE, key, VALUE_ROW, {"value": value}, stamp)],
         )
-        self._record("criticalPut", started)
-        return True
 
 
 def build_mscp(**kwargs) -> MusicDeployment:

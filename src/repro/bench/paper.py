@@ -201,17 +201,12 @@ def fig5b(run: Run) -> ExperimentResult:
     """Fig 5(b): per-operation latency breakdown on lUs."""
 
     def measure(system: str) -> Dict[Tuple[str, str], float]:
-        """Mean replica-side time per (site, operation).  LWT cost
-        depends on the coordinator's vantage (Oregon's nearest quorum
-        peer is 24.2 ms away vs Ohio's 53.79), and the paper reports
-        the Ohio vantage."""
-        deployment = run.build(system, profile_name="lUs", seed=45)
+        """Mean replica-side time per (site, operation span), read
+        from the recorded ``music.*`` spans.  LWT cost depends on the
+        coordinator's vantage (Oregon's nearest quorum peer is 24.2 ms
+        away vs Ohio's 53.79), and the paper reports the Ohio vantage."""
+        deployment = run.build(system, profile_name="lUs", seed=45, obs=True)
         sim = deployment.sim
-        timings: Dict[Tuple[str, str], List[float]] = {}
-        for replica in deployment.replicas:
-            replica.op_recorder = (
-                lambda op, ms, site=replica.site: timings.setdefault((site, op), []).append(ms)
-            )
         holder = deployment.client("Ohio")
         # MUSIC only — a queued second client: its polling exercises the
         # local peek path (the 'L' bar of Fig 5b).
@@ -236,16 +231,22 @@ def fig5b(run: Run) -> ExperimentResult:
                         pass
 
         sim.run_until_complete(sim.process(workload()), limit=1e9)
+        timings: Dict[Tuple[str, str], List[float]] = {}
+        for span in deployment.obs.tracer.spans:
+            if span.name.startswith("music."):
+                timings.setdefault((span.site, span.name), []).append(span.duration_ms)
         return {site_op: sum(values) / len(values) for site_op, values in timings.items()}
 
     music, mscp = measure("MUSIC"), measure("MSCP")
     rows = [
-        ["createLockRef (consensus)", music[("Ohio", "createLockRef")], "219-230"],
-        ["acquireLock peek (L, local)", music[("Oregon", "acquireLock.peek")], "~0.67"],
-        ["acquireLock grant (Q)", music[("Ohio", "acquireLock.grant")], "~55"],
-        ["criticalPut (Q, MUSIC)", music[("Ohio", "criticalPut")], "~93"],
-        ["criticalPut (P, MSCP)", mscp[("Ohio", "criticalPut")], "~270"],
-        ["releaseLock (consensus)", music[("Ohio", "releaseLock")], "219-230"],
+        ["createLockRef (consensus)", music[("Ohio", "music.createLockRef")], "219-230"],
+        # Oregon only ever polls behind Ohio: each of its acquireLock
+        # spans is one ungranted local peek.
+        ["acquireLock peek (L, local)", music[("Oregon", "music.acquireLock")], "~0.67"],
+        ["acquireLock grant (Q)", music[("Ohio", "music.grant")], "~55"],
+        ["criticalPut (Q, MUSIC)", music[("Ohio", "music.criticalPut")], "~93"],
+        ["criticalPut (P, MSCP)", mscp[("Ohio", "music.criticalPut")], "~270"],
+        ["releaseLock (consensus)", music[("Ohio", "music.releaseLock")], "219-230"],
     ]
     checks = [
         ("createLockRef ≈ 4 quorum RTTs (LWT)", 200 < rows[0][1] < 240),

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis import cdf_points, render_cdf, render_series, render_table
-from ..baselines.mscp import build_mscp
+from ..baselines.mscp import MscpReplica
 from ..core import build_music
 from ..core.deployment import MusicDeployment
 from .results import write_bench_json
@@ -137,7 +137,9 @@ class Run:
 
     def build(self, system: str, **kwargs: Any) -> MusicDeployment:
         """The deployment behind a MUSIC-shaped system label."""
-        return build_mscp(**kwargs) if system == "MSCP" else self.build_music(**kwargs)
+        if system == "MSCP":
+            kwargs["replica_class"] = MscpReplica
+        return self.build_music(**kwargs)
 
     def sweep(self, xs: Sequence[Any], systems: Sequence[str],
               measure: Callable[[Any, str], Any]) -> Dict[str, List[Any]]:

@@ -196,20 +196,17 @@ class MusicClient:
 
     def _put_attempt(self, key: str, lock_ref: int, value: Any, delete: bool = False):
         """One criticalPut (or criticalDelete) attempt at a replica,
-        returning the acknowledged write's stamp.  The replica records
-        the stamp right before acking (no yields in between), so reading
-        it here yields the stamp of *this* attempt even across failover."""
+        returning the stamp that attempt was acknowledged under."""
 
         def attempt(replica) -> Generator[Any, Any, Stamp]:
             if delete:
-                done = yield from replica.critical_delete(key, lock_ref)
+                stamp = yield from replica.critical_delete(key, lock_ref)
             else:
-                done = yield from replica.critical_put(key, lock_ref, value)
-            if not done:
+                stamp = yield from replica.critical_put(key, lock_ref, value)
+            if stamp is None:
                 # Guard said "not first yet": the local lock store lags;
                 # surface as retryable.
                 raise QuorumUnavailable("local lock store behind; retry")
-            stamp = replica.last_put_stamp
             if self.read_leases:
                 # This session's floor for lease-served reads, so a
                 # failover to a stale-mirror replica cannot serve a
@@ -226,25 +223,26 @@ class MusicClient:
         min_stamp = self._critical_watermarks.get((key, lock_ref))
 
         def attempt(replica) -> Generator[Any, Any, Tuple[Any, Optional[Stamp]]]:
-            ok, value = yield from replica.critical_get(
+            ok, value, stamp = yield from replica.critical_get(
                 key, lock_ref, min_stamp=min_stamp
             )
             if not ok:
                 raise QuorumUnavailable("local lock store behind; retry")
-            return (value, replica.last_get_stamp)
+            return (value, stamp)
 
         return attempt
 
-    def critical_put(self, key: str, lock_ref: int, value: Any) -> Generator[Any, Any, None]:
+    def critical_put(self, key: str, lock_ref: int, value: Any) -> Generator[Any, Any, Stamp]:
         """criticalPut, retried until acknowledged (the client obligation
-        behind the 'true value' definition of Section III-A)."""
-        yield from self._with_failover(
+        behind the 'true value' definition of Section III-A); returns
+        the acknowledged write's stamp."""
+        return self._with_failover(
             "criticalPut", self._put_attempt(key, lock_ref, value)
         )
 
-    def critical_delete(self, key: str, lock_ref: int) -> Generator[Any, Any, None]:
+    def critical_delete(self, key: str, lock_ref: int) -> Generator[Any, Any, Stamp]:
         """Delete the value of ``key`` as the lockholder (Section VI)."""
-        yield from self._with_failover(
+        return self._with_failover(
             "criticalDelete", self._put_attempt(key, lock_ref, None, delete=True)
         )
 
@@ -253,14 +251,6 @@ class MusicClient:
             "criticalGet", self._get_attempt(key, lock_ref)
         )
         return value
-
-    def critical_put_stamped(
-        self, key: str, lock_ref: int, value: Any
-    ) -> Generator[Any, Any, Stamp]:
-        """criticalPut that also returns the acknowledged write's stamp."""
-        return self._with_failover(
-            "criticalPut", self._put_attempt(key, lock_ref, value)
-        )
 
     def critical_get_stamped(
         self, key: str, lock_ref: int
@@ -375,11 +365,11 @@ class CriticalSection:
     def get(self) -> Generator[Any, Any, Any]:
         return self.client.critical_get(self.key, self.lock_ref)
 
-    def put(self, value: Any) -> Generator[Any, Any, None]:
-        yield from self.client.critical_put(self.key, self.lock_ref, value)
+    def put(self, value: Any) -> Generator[Any, Any, Stamp]:
+        return self.client.critical_put(self.key, self.lock_ref, value)
 
-    def delete(self) -> Generator[Any, Any, None]:
-        yield from self.client.critical_delete(self.key, self.lock_ref)
+    def delete(self) -> Generator[Any, Any, Stamp]:
+        return self.client.critical_delete(self.key, self.lock_ref)
 
     def exit(self) -> Generator[Any, Any, None]:
         yield from self.client.release_lock(self.key, self.lock_ref)

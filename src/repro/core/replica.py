@@ -153,13 +153,6 @@ class MusicReplica(Node):
             self._get_rows = ALL_ROWS
             # Invalidation piggybacks on the release-push stream.
             self._release_listeners.append(self._lease_invalidate)
-        # Stamp of the last acknowledged critical write through this
-        # replica (the client-side session watermark for lease serves).
-        self.last_put_stamp: Optional[Stamp] = None
-        # Stamp of the value served by the last critical/quorum read
-        # through this replica (the version token the transaction layer
-        # records in its read sets; None = never-written key).
-        self.last_get_stamp: Optional[Stamp] = None
         # synchFlag fast path (DESIGN.md §9): per-key forced-release
         # epoch under which this replica last established flag=False at
         # quorum.  Key absent = no fast-path evidence.
@@ -169,8 +162,6 @@ class MusicReplica(Node):
         self._release_waiters: Dict[str, list] = {}
         self.peer_ids: list = []
         self.on("music.grantPush", lambda msg: self._notify_release(msg.body["key"]))
-        # Optional instrumentation: called as recorder(op_name, elapsed_ms).
-        self.op_recorder: Optional[Callable[[str, float], None]] = None
         self.counters = {
             "forced_releases": 0,
             "syncs": 0,
@@ -180,21 +171,9 @@ class MusicReplica(Node):
             "cache_misses": 0,
             "cache_invalidations": 0,
         }
-        self._op_histograms: Dict[str, Any] = {}
         self._metric_counters: Dict[str, Any] = {}
 
     # -- helpers ------------------------------------------------------------
-
-    def _record(self, op: str, started: float) -> None:
-        if self.op_recorder is not None:
-            self.op_recorder(op, self.sim.now - started)
-        if self.obs.enabled:
-            histogram = self._op_histograms.get(op)
-            if histogram is None:
-                histogram = self._op_histograms[op] = self.obs.metrics.histogram(
-                    "music.op_ms", op=op, node=self.node_id, site=self.site
-                )
-            histogram.observe(self.sim.now - started)
 
     def _span(self, name: str, key: str) -> Any:
         return self.obs.tracer.span(name, node=self.node_id, site=self.site, key=key)
@@ -225,11 +204,9 @@ class MusicReplica(Node):
 
     def create_lock_ref(self, key: str) -> Generator[Any, Any, int]:
         """Mint and enqueue a lockRef, good for one critical section."""
-        started = self.sim.now
         with self._span("music.createLockRef", key):
             lock_ref = yield from self.lock_store.generate_and_enqueue(key)
         check_overflow(lock_ref, self.config.period_ms)
-        self._record("createLockRef", started)
         return lock_ref
 
     # -- acquireLock (cost: synchFlag quorum read; local peek while polling) --------
@@ -237,12 +214,10 @@ class MusicReplica(Node):
     def acquire_lock(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
         """True once ``lock_ref`` is first in the queue and the data store
         is synchronized; False to poll again; NotLockHolder if preempted."""
-        started = self.sim.now
         with self._span("music.acquireLock", key) as span:
             head, epoch, _ = yield from self.lock_store.head(key, self._peek_at)
             order = _queue_order(lock_ref, head)
             if order:
-                self._record("acquireLock.peek", started)
                 if order < 0:
                     raise self._not_holder(key, lock_ref)
                 span.set(granted=False)
@@ -301,7 +276,6 @@ class MusicReplica(Node):
                     "grant", key=key, node=self.node_id,
                     lock_ref=lock_ref, flag=flag, fast=fast,
                 )
-            self._record("acquireLock.grant", grant_started)
             return True
 
     def _fast_path_valid(self, key: str, epoch: Any) -> bool:
@@ -330,10 +304,7 @@ class MusicReplica(Node):
             )
             current, _ = _cell_of(rows)
             value_stamp = self._stamp(lock_ref, 0.0)
-            yield from self.coordinator.put(
-                DATA_TABLE, key, VALUE_ROW, {"value": current},
-                value_stamp, consistency=Consistency.QUORUM,
-            )
+            yield from self.quorum_put(key, current, value_stamp)
             if audit.enabled:
                 audit.emit(
                     "sync", key=key, node=self.node_id, lock_ref=lock_ref,
@@ -353,24 +324,32 @@ class MusicReplica(Node):
     # -- criticalPut (cost: value quorum write) ----------------------------------
 
     def critical_put(
-        self, key: str, lock_ref: int, value: Any, op: str = "criticalPut"
-    ) -> Generator[Any, Any, bool]:
-        """Write the latest value of ``key`` as the current lockholder."""
-        started = self.sim.now
+        self, key: str, lock_ref: int, value: Any
+    ) -> Generator[Any, Any, Optional[Stamp]]:
+        """Write the latest value of ``key`` as the current lockholder.
+
+        Returns the stamp the write was acknowledged under (the client's
+        session watermark for lease serves, the transaction layer's
+        version token); ``None`` when the guard says retry.
+        """
+        return self._critical_write("criticalPut", key, lock_ref, value, self._put_value)
+
+    def _put_value(self, key: str, value: Any, stamp: Stamp) -> Generator[Any, Any, Stamp]:
+        """criticalPut's store write — the one step of the operation a
+        subclass replaces (MSCP's LWT)."""
+        return self.quorum_put(key, value, stamp)
+
+    def _critical_write(
+        self, op: str, key: str, lock_ref: int, value: Any, write: Callable
+    ) -> Generator[Any, Any, Optional[Stamp]]:
         with self._span("music." + op, key) as span:
             proceed = yield from self._guard(key, lock_ref)
             if not proceed:
                 span.set(guarded=True)
-                return False
+                return None
             offset = yield from self._lease_offset(key, lock_ref)
             stamp = self._stamp(lock_ref, offset)
-            yield from self.coordinator.put(
-                DATA_TABLE, key, VALUE_ROW, {"value": value},
-                stamp, consistency=Consistency.QUORUM,
-            )
-            # The acknowledged stamp is the client-side session
-            # watermark for lease serves.
-            self.last_put_stamp = stamp
+            yield from write(key, value, stamp)
             audit = self.obs.audit
             if audit.enabled:
                 audit.emit(
@@ -381,28 +360,28 @@ class MusicReplica(Node):
             # bounded-staleness cache.
             self.lease_manager.fill(key, lock_ref, value, stamp)
             self.read_cache.fill(key, value, stamp, self.sim.now)
-        self._record(op, started)
-        return True
+        return stamp
 
-    def critical_delete(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
+    def critical_delete(
+        self, key: str, lock_ref: int
+    ) -> Generator[Any, Any, Optional[Stamp]]:
         """Delete the value of ``key`` as the lockholder: Section VI's
         companion of criticalPut is a criticalPut of ``None`` under its
-        own op name.  Bound to this class's quorum write, so a subclass
-        that overrides ``critical_put`` (MSCP's LWT put) keeps the plain
-        delete."""
-        return MusicReplica.critical_put(
-            self, key, lock_ref, None, op="criticalDelete"
-        )
+        own op name — and always the plain quorum write, whatever a
+        subclass makes of ``_put_value``."""
+        return self._critical_write("criticalDelete", key, lock_ref, None, self.quorum_put)
 
     # -- criticalGet (cost: value quorum read) -----------------------------------
 
     def critical_get(
         self, key: str, lock_ref: int, min_stamp: Optional[Stamp] = None,
-    ) -> Generator[Any, Any, Tuple[bool, Any]]:
+    ) -> Generator[Any, Any, Tuple[bool, Any, Optional[Stamp]]]:
         """Read the latest (true) value of ``key`` as the lockholder.
 
-        Returns ``(True, value)`` on success, ``(False, None)`` when the
-        caller should retry (local queue not caught up yet).
+        Returns ``(True, value, stamp)`` on success — the stamp is the
+        version token of what was served, ``None`` for a never-written
+        key — and ``(False, None, None)`` when the caller should retry
+        (local queue not caught up yet).
 
         With ``read_leases`` on, the read is served from the local lease
         mirror while the holder's lease window is provably inside the
@@ -411,23 +390,21 @@ class MusicReplica(Node):
         lease serve must be at least that fresh, so a failover to a
         replica with a stale mirror falls through to the quorum.
         """
-        started = self.sim.now
         leases = self.lease_manager
         with self._span("music.criticalGet", key) as span:
             proceed = yield from self._guard(key, lock_ref)
             if not proceed:
                 span.set(guarded=True)
-                return (False, None)
+                return (False, None, None)
             audit = self.obs.audit
             view = leases.view(key, lock_ref)
             if self._lease_serviceable(view, min_stamp):
-                value = view.value
-                self.last_get_stamp = view.value_stamp
+                value, stamp = view.value, view.value_stamp
                 self._count("music.lease.hits", "lease_hits")
                 if audit.enabled:
                     audit.emit(
                         "lease_read", key=key, node=self.node_id,
-                        lock_ref=lock_ref, stamp=view.value_stamp, value=value,
+                        lock_ref=lock_ref, stamp=stamp, value=value,
                     )
                 span.set(lease=True)
             else:
@@ -439,7 +416,6 @@ class MusicReplica(Node):
                     consistency=Consistency.QUORUM,
                 )
                 value, stamp = _cell_of(rows)
-                self.last_get_stamp = stamp
                 if audit.enabled:
                     audit.emit(
                         "critical_get", key=key, node=self.node_id,
@@ -450,8 +426,7 @@ class MusicReplica(Node):
                     if leases.anchor_allowed(lock_ref, flag_stamp):
                         leases.anchor(key, lock_ref, anchor_clock)
                         leases.fill(key, lock_ref, value, stamp)
-        self._record("criticalGet", started)
-        return (True, value)
+        return (True, value, stamp)
 
     def _lease_serviceable(self, view: Any, min_stamp: Optional[Stamp]) -> bool:
         """Whether a lease view may answer criticalGet locally: it must
@@ -549,7 +524,6 @@ class MusicReplica(Node):
         return decided
 
     def release_lock(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
-        started = self.sim.now
         with self._span("music.releaseLock", key):
             head, _, _ = yield from self.lock_store.head(key)
             # A lockRef the queue has moved past was already forcibly
@@ -562,7 +536,6 @@ class MusicReplica(Node):
                 decided(late=True)
         self.lease_manager.revoke(key)
         self._leases.pop((key, lock_ref), None)
-        self._record("releaseLock", started)
         return True
 
     # -- forcedRelease (internal; cost: flag quorum write + consensus write) ---------
@@ -703,14 +676,13 @@ class MusicReplica(Node):
         rows = yield from self.coordinator.get(
             DATA_TABLE, key, clustering=VALUE_ROW, consistency=Consistency.QUORUM
         )
-        value, stamp = _cell_of(rows)
-        self.last_get_stamp = stamp
-        return (value, stamp)
+        return _cell_of(rows)
 
     def quorum_put(
         self, key: str, value: Any, stamp: Stamp
-    ) -> Generator[Any, Any, None]:
-        """Quorum write under a caller-supplied stamp, no lock guard.
+    ) -> Generator[Any, Any, Stamp]:
+        """Quorum write under a caller-supplied stamp, no lock guard;
+        returns the stamp once acknowledged.
 
         The transaction engines mint their own monotonic stamps (from a
         commit sequence, or from the epoch sealer's CS lockRef space)
@@ -721,7 +693,7 @@ class MusicReplica(Node):
             DATA_TABLE, key, VALUE_ROW, {"value": value}, stamp,
             consistency=Consistency.QUORUM,
         )
-        self.last_put_stamp = stamp
+        return stamp
 
     def get_bounded(
         self, key: str, staleness_ms: float

@@ -47,50 +47,58 @@ _ERROR_KINDS = {
     "LockContention": LockContention,
 }
 
-# RPC kind -> (replica method, its argument names, the replica attribute
-# whose value rides the reply as ``stamp`` — the version token the
-# method leaves behind — or None).
+# RPC kind -> (replica method, its argument names).
 _OPERATIONS = {
-    "music.createLockRef": ("create_lock_ref", ("key",), None),
-    "music.acquireLock": ("acquire_lock", ("key", "lock_ref"), None),
-    "music.criticalPut": (
-        "critical_put", ("key", "lock_ref", "value"), "last_put_stamp"),
-    "music.criticalGet": (
-        "critical_get", ("key", "lock_ref", "min_stamp"), "last_get_stamp"),
-    "music.criticalDelete": (
-        "critical_delete", ("key", "lock_ref"), "last_put_stamp"),
-    "music.releaseLock": ("release_lock", ("key", "lock_ref"), None),
-    "music.put": ("put", ("key", "value"), None),
-    "music.get": ("get", ("key",), None),
-    "music.getBounded": ("get_bounded", ("key", "staleness_ms"), None),
-    "music.quorumGet": ("quorum_get", ("key",), "last_get_stamp"),
-    "music.quorumPut": ("quorum_put", ("key", "value", "stamp"), "last_put_stamp"),
-    "music.getAllKeys": ("get_all_keys", (), None),
+    "music.createLockRef": ("create_lock_ref", ("key",)),
+    "music.acquireLock": ("acquire_lock", ("key", "lock_ref")),
+    "music.criticalPut": ("critical_put", ("key", "lock_ref", "value")),
+    "music.criticalGet": ("critical_get", ("key", "lock_ref", "min_stamp")),
+    "music.criticalDelete": ("critical_delete", ("key", "lock_ref")),
+    "music.releaseLock": ("release_lock", ("key", "lock_ref")),
+    "music.put": ("put", ("key", "value")),
+    "music.get": ("get", ("key",)),
+    "music.getBounded": ("get_bounded", ("key", "staleness_ms")),
+    "music.quorumGet": ("quorum_get", ("key",)),
+    "music.quorumPut": ("quorum_put", ("key", "value", "stamp")),
+    "music.getAllKeys": ("get_all_keys", ()),
 }
+
+# The writes answer with the stamp they were acknowledged under; on the
+# wire that is a bare ack.
+_WRITE_KINDS = frozenset({"music.criticalPut", "music.criticalDelete", "music.quorumPut"})
+
+
+def _reply_size(kind: str, result: Any) -> int:
+    """Modelled size of a successful reply: what it carries of the
+    *value*, plus a fixed envelope the version stamp of a write or a
+    criticalGet rides in (a header, as the REST deployment has it)."""
+    if kind in _WRITE_KINDS:
+        result = None
+    elif kind == "music.criticalGet":
+        result = result[:2]
+    return payload_size(result) + 32
 
 
 def install_service(replica: MusicReplica) -> None:
     """Expose the client-facing operations of ``replica`` over RPC."""
 
     def handler(msg) -> Generator[Any, Any, None]:
-        method_name, arg_names, stamp_attr = _OPERATIONS[msg.kind]
+        method_name, arg_names = _OPERATIONS[msg.kind]
         body = replica.payload(msg)
         try:
             result = yield from getattr(replica, method_name)(
                 *[body.get(name) for name in arg_names]
             )
             reply = {"ok": True, "result": result}
-            if stamp_attr is not None:
-                # Read with no yield since the method returned, so this
-                # is the stamp of *this* request.
-                reply["stamp"] = getattr(replica, stamp_attr)
+            size_bytes = _reply_size(msg.kind, result)
         except ReproError as error:
             reply = {
                 "ok": False,
                 "error_kind": type(error).__name__,
                 "error": str(error),
             }
-        replica.reply(msg, reply, size_bytes=payload_size(reply.get("result")) + 32)
+            size_bytes = payload_size(None) + 32
+        replica.reply(msg, reply, size_bytes=size_bytes)
 
     def wait_release(msg) -> Generator[Any, Any, None]:
         # The stub's subscribe_release: hold the request until the key's
@@ -116,9 +124,9 @@ class ReplicaStub:
     Offers what :class:`MusicClient` uses of a :class:`MusicReplica` —
     identity (``node_id``/``site``/``failed``/``config``), environment
     (``sim``/``network``/``obs``, the host's), the operation generators
-    of ``_OPERATIONS``, the release subscription and the
-    ``last_put_stamp``/``last_get_stamp`` version tokens — each
-    operation being one RPC whose typed error is re-raised here.
+    of ``_OPERATIONS`` and the release subscription — each operation
+    being one RPC whose result is returned, or typed error re-raised,
+    here.
     """
 
     def __init__(self, host: Node, node_id: str, site: str, config: MusicConfig) -> None:
@@ -129,16 +137,12 @@ class ReplicaStub:
         self.sim = host.sim
         self.network = host.network
         self.obs = host.obs
-        self.last_put_stamp: Any = None
-        self.last_get_stamp: Any = None
 
     @property
     def failed(self) -> bool:
         return self.network.is_failed(self.node_id)
 
-    def _call(
-        self, kind: str, body: dict, stamp_attr: Optional[str]
-    ) -> Generator[Any, Any, Any]:
+    def _call(self, kind: str, body: dict) -> Generator[Any, Any, Any]:
         try:
             reply = yield from self.host.call(
                 self.node_id, kind, body,
@@ -150,8 +154,6 @@ class ReplicaStub:
             raise QuorumUnavailable(f"{kind}: {error}") from error
         if not reply["ok"]:
             raise _ERROR_KINDS.get(reply["error_kind"], ReproError)(reply["error"])
-        if stamp_attr is not None:
-            setattr(self, stamp_attr, reply["stamp"])
         return reply["result"]
 
     def subscribe_release(self, key: str) -> Any:
@@ -172,15 +174,15 @@ class ReplicaStub:
         one waiting."""
 
 
-def _stub_method(kind: str, arg_names, stamp_attr):
+def _stub_method(kind: str, arg_names):
     def method(self, *args, **kwargs):
-        return self._call(kind, dict(zip(arg_names, args), **kwargs), stamp_attr)
+        return self._call(kind, dict(zip(arg_names, args), **kwargs))
 
     return method
 
 
-for _kind, (_method_name, _arg_names, _stamp_attr) in _OPERATIONS.items():
-    setattr(ReplicaStub, _method_name, _stub_method(_kind, _arg_names, _stamp_attr))
+for _kind, (_method_name, _arg_names) in _OPERATIONS.items():
+    setattr(ReplicaStub, _method_name, _stub_method(_kind, _arg_names))
 
 
 def service_client(

@@ -7,10 +7,10 @@ Usage::
 
     deployment = build_music(obs=True)          # or obs=Observability(sim)
     obs = deployment.obs
-    ... run a workload ...
+    ... run a workload, each critical section under a "music.cs" span ...
     print(obs.metrics.render())
-    from repro.obs import phase_breakdown, render_phase_table
-    print(render_phase_table(phase_breakdown(obs.tracer.spans, "music.criticalPut")))
+    from repro.obs import extract_critpaths, render_phase_summary
+    print(render_phase_summary(extract_critpaths(obs.tracer.spans)))
 
 ``python -m repro.obs`` regenerates the paper's Fig. 5(b) per-phase
 latency decomposition directly from recorded spans.
@@ -39,12 +39,8 @@ from .critpath import (
 )
 from .ecf import ECFAuditor, ECFChecker, replay_audit
 from .export import (
-    PhaseBreakdown,
-    PhaseStats,
     chrome_trace_events,
     load_jsonl,
-    phase_breakdown,
-    render_phase_table,
     render_span_tree,
     speedscope_document,
     write_chrome_trace,
@@ -81,9 +77,7 @@ __all__ = [
     "NullAudit",
     "NullTracer",
     "Observability",
-    "PhaseBreakdown",
     "PhaseSlice",
-    "PhaseStats",
     "SimProfiler",
     "Span",
     "SpanRecord",
@@ -98,11 +92,9 @@ __all__ = [
     "load_jsonl",
     "merge_audit_events",
     "observe_phases",
-    "phase_breakdown",
     "phase_summary",
     "render_derived_ratios",
     "render_phase_summary",
-    "render_phase_table",
     "render_span_tree",
     "replay_audit",
     "speedscope_document",

@@ -1,11 +1,11 @@
 """The ``python -m repro.obs`` report CLI.
 
-Four modes:
+Three modes:
 
 - ``python -m repro.obs fig5b`` (the default) — run a small MUSIC
   deployment with observability on, drive a single-client critical-
-  section workload, and print the Fig. 5(b)-style per-phase latency
-  table derived purely from the recorded spans.  ``--jsonl`` and
+  section workload, and print the Fig. 5(b)-style critical-path phase
+  totals derived purely from the recorded spans.  ``--jsonl`` and
   ``--chrome`` additionally dump the raw spans for offline analysis or
   Perfetto; ``--audit`` attaches the runtime ECF auditor and prints its
   report, ``--audit-jsonl`` dumps the audit history for offline replay.
@@ -14,9 +14,9 @@ Four modes:
   reconstruct every critical section's blocking chain
   (:mod:`repro.obs.critpath`), and print the slowest CSs with their
   dominant phase, guilty span IDs and replica/site, plus the aggregate
-  phase totals.  ``--speedscope`` exports a phase flamegraph.
-- ``python -m repro.obs report spans.jsonl`` — rebuild the phase table
-  from a previously dumped JSONL file.
+  phase totals — the table ``fig5b`` prints, so ``explain --spans`` is
+  also how a dumped run is read back.  ``--speedscope`` exports a phase
+  flamegraph.
 - ``python -m repro.obs audit events.jsonl`` — replay a dumped audit
   history through every ECF checker and print the violation report
   (exit status 1 if any invariant was violated); pass ``--spans`` to
@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter as TallyCounter
 from functools import partial
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, List, Optional, Sequence
 
 from .audit import write_audit_jsonl
 from .critpath import (
+    CritPath,
     critpath_speedscope_samples,
     explain_table,
     extract_critpaths,
@@ -51,8 +51,6 @@ from .critpath import (
 from .ecf import replay_audit
 from .export import (
     load_jsonl,
-    phase_breakdown,
-    render_phase_table,
     write_chrome_trace,
     write_jsonl,
     write_speedscope,
@@ -94,7 +92,8 @@ def _run_fig5b(args: argparse.Namespace) -> int:
     deployment.sim.run()
 
     spans = obs.tracer.spans
-    _emit(spans, ROOT_SPAN, args)
+    _print_phase_totals(extract_critpaths(spans, root_name=ROOT_SPAN), spans)
+    _dump_spans(spans, args)
     if args.metrics:
         print()
         print(obs.metrics.render())
@@ -137,30 +136,16 @@ def _run_explain(args: argparse.Namespace) -> int:
 
     print(explain_table(paths, slowest=args.slowest, phase=args.phase))
     print()
-    print(render_phase_summary(paths))
-    worst = max(
-        abs(path.attributed_ms - path.duration_ms) / path.duration_ms
-        for path in paths
-        if path.duration_ms > 0
-    )
-    print(
-        f"attribution: phase times sum to within {100.0 * worst:.2f}% of each "
-        f"CS's measured latency ({len(paths)} CSs, {len(spans)} spans)"
-    )
+    _print_phase_totals(paths, spans)
     if args.histograms:
         registry = MetricsRegistry()
         observe_phases(paths, registry)
         print()
         print(registry.render())
-    if args.jsonl:
-        write_jsonl(spans, args.jsonl)
-        print(f"spans written to {args.jsonl}")
+    _dump_spans(spans, args)
     if args.critpath_jsonl:
         write_critpath_jsonl(paths, args.critpath_jsonl)
         print(f"critical paths written to {args.critpath_jsonl}")
-    if args.chrome:
-        write_chrome_trace(spans, args.chrome)
-        print(f"chrome trace written to {args.chrome} (load in Perfetto / about://tracing)")
     if args.speedscope:
         write_speedscope(
             "critical-path phases", critpath_speedscope_samples(paths), args.speedscope
@@ -198,23 +183,6 @@ def _contention_spans(args: argparse.Namespace) -> List[SpanRecord]:
     return tracer.spans
 
 
-def _run_report(args: argparse.Namespace) -> int:
-    try:
-        spans = load_jsonl(args.spans)
-    except OSError as error:
-        print(f"cannot read {args.spans}: {error}", file=sys.stderr)
-        return 1
-    except (KeyError, ValueError) as error:
-        print(f"{args.spans} is not a span JSONL dump ({error!r})", file=sys.stderr)
-        return 1
-    if not spans:
-        print(f"no spans in {args.spans}", file=sys.stderr)
-        return 1
-    root = args.root or _guess_root(spans)
-    _emit(spans, root, args)
-    return 0
-
-
 def _run_audit(args: argparse.Namespace) -> int:
     named = " ".join(args.events)
     try:
@@ -236,18 +204,10 @@ def _run_audit(args: argparse.Namespace) -> int:
     return 0 if auditor.clean else 1
 
 
-def _guess_root(spans: List[SpanRecord]) -> str:
-    """The most frequent root-span name (no parent) in the dump."""
-    tally = TallyCounter(span.name for span in spans if span.parent_id is None)
-    if not tally:
-        raise SystemExit("no root spans found; pass --root explicitly")
-    return tally.most_common(1)[0][0]
-
-
 def _span_hit_ratios(spans: List[SpanRecord]) -> List[str]:
     """Hit-rate lines derivable from span attributes alone.
 
-    Works on offline JSONL dumps where no metrics registry exists:
+    Works on offline JSONL dumps, where no metrics registry exists:
     ``music.grant`` spans carry ``fast=True`` on synchFlag fast-path
     grants, ``music.criticalGet`` spans carry ``lease=True`` on
     leaseholder-local reads.
@@ -270,12 +230,22 @@ def _span_hit_ratios(spans: List[SpanRecord]) -> List[str]:
     return lines
 
 
-def _emit(spans: List[SpanRecord], root: str, args: argparse.Namespace) -> None:
-    breakdown = phase_breakdown(spans, root, depth=args.depth)
-    print(render_phase_table(breakdown))
+def _print_phase_totals(paths: Sequence[CritPath], spans: List[SpanRecord]) -> None:
+    """The one phase table, its self-check line, and the hit-rates the
+    spans themselves carry — what ``fig5b`` prints for its run and
+    ``explain`` for its own or a dumped one."""
+    print(render_phase_summary(paths))
+    worst = max(
+        (
+            abs(path.attributed_ms - path.duration_ms) / path.duration_ms
+            for path in paths
+            if path.duration_ms > 0
+        ),
+        default=0.0,
+    )
     print(
-        f"coverage: phases account for {100.0 * breakdown.coverage:.1f}% "
-        f"of end-to-end time ({len(spans)} spans recorded)"
+        f"attribution: phase times sum to within {100.0 * worst:.2f}% of each "
+        f"CS's measured latency ({len(paths)} CSs, {len(spans)} spans)"
     )
     ratios = _span_hit_ratios(spans)
     if ratios:
@@ -283,14 +253,15 @@ def _emit(spans: List[SpanRecord], root: str, args: argparse.Namespace) -> None:
         print("derived hit-rates:")
         for line in ratios:
             print(f"  {line}")
-    jsonl: Optional[str] = getattr(args, "jsonl", None)
-    chrome: Optional[str] = getattr(args, "chrome", None)
-    if jsonl:
-        write_jsonl(spans, jsonl)
-        print(f"spans written to {jsonl}")
-    if chrome:
-        write_chrome_trace(spans, chrome)
-        print(f"chrome trace written to {chrome} (load in Perfetto / about://tracing)")
+
+
+def _dump_spans(spans: List[SpanRecord], args: argparse.Namespace) -> None:
+    if args.jsonl:
+        write_jsonl(spans, args.jsonl)
+        print(f"spans written to {args.jsonl}")
+    if args.chrome:
+        write_chrome_trace(spans, args.chrome)
+        print(f"chrome trace written to {args.chrome} (load in Perfetto / about://tracing)")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -299,24 +270,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="observability reports for the MUSIC reproduction",
     )
     subparsers = parser.add_subparsers(
-        dest="command", title="commands", metavar="{fig5b,explain,report,audit}"
+        dest="command", title="commands", metavar="{fig5b,explain,audit}"
     )
 
     fig5b = subparsers.add_parser(
         "fig5b",
-        help="run a traced workload and print the Fig. 5(b) phase breakdown",
+        help="run a traced workload and print the Fig. 5(b) phase totals",
         description=(
             "Run a single-client critical-section workload with tracing on "
-            "and print the per-phase latency table (the paper's Fig. 5(b)), "
-            "optionally with metrics, derived hit-rates, span dumps and the "
-            "runtime ECF auditor."
+            "and print its critical-path phase totals (the paper's Fig. 5(b)), "
+            "optionally with metrics, span dumps and the runtime ECF auditor."
         ),
     )
     fig5b.add_argument("--profile", default="lUs", help="latency profile (default lUs)")
     fig5b.add_argument("--ops", type=int, default=20, help="critical sections to run")
     fig5b.add_argument("--keys", type=int, default=4, help="distinct keys to cycle over")
     fig5b.add_argument("--value-bytes", type=int, default=256, help="payload size")
-    fig5b.add_argument("--depth", type=int, default=1, help="phase nesting depth")
     fig5b.add_argument("--jsonl", help="also dump spans to this JSONL file")
     fig5b.add_argument("--chrome", help="also dump a Chrome trace-event JSON file")
     fig5b.add_argument(
@@ -382,20 +351,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--speedscope", help="dump a speedscope phase flamegraph to this JSON file"
     )
     explain.set_defaults(run=_run_explain)
-
-    report = subparsers.add_parser(
-        "report",
-        help="rebuild phase tables and hit-rates from a span JSONL dump",
-        description=(
-            "Rebuild the Fig. 5(b) phase table and derived hit-rate ratios "
-            "from a spans.jsonl produced by --jsonl, without re-running the "
-            "simulation."
-        ),
-    )
-    report.add_argument("spans", help="a spans.jsonl produced by --jsonl")
-    report.add_argument("--root", help="root span name (default: most frequent root)")
-    report.add_argument("--depth", type=int, default=1, help="phase nesting depth")
-    report.set_defaults(run=_run_report)
 
     audit = subparsers.add_parser(
         "audit",

@@ -492,7 +492,7 @@ def phase_summary(paths: Sequence[CritPath]) -> List[Tuple[str, int, float]]:
 
 def render_phase_summary(paths: Sequence[CritPath]) -> str:
     """An aggregate where-does-the-time-go table across all paths."""
-    wall = sum(path.duration_ms for path in paths) or 1.0
+    wall = sum(path.duration_ms for path in paths)
     lines = [
         f"critical-path phase totals ({len(paths)} critical sections, "
         f"{wall:.1f} ms total)",
@@ -501,7 +501,7 @@ def render_phase_summary(paths: Sequence[CritPath]) -> str:
     ]
     for phase, count, total in phase_summary(paths):
         lines.append(
-            f"{phase:<26} {count:>5} {total:>11.1f} {100.0 * total / wall:>6.1f}%"
+            f"{phase:<26} {count:>5} {total:>11.1f} {100.0 * total / (wall or 1.0):>6.1f}%"
         )
     return "\n".join(lines)
 

@@ -1,21 +1,19 @@
-"""Trace exporters: JSONL, Chrome trace-event JSON, phase-breakdown
-tables, guilty span trees.
+"""Trace exporters: JSONL, Chrome trace-event JSON, speedscope, guilty
+span trees.
 
 - :func:`write_records` / :func:`read_records` — the one JSONL codec:
   a ``to_dict()`` object per line out, a dict per non-blank line in.
   Spans, critical paths and audit events all dump through it.
 - :func:`write_jsonl` / :func:`load_jsonl` — a line-per-span dump that
   round-trips losslessly, for archival and offline analysis
-  (``python -m repro.obs report spans.jsonl``).
+  (``python -m repro.obs explain --spans spans.jsonl``).
 - :func:`chrome_trace_events` / :func:`write_chrome_trace` — the Chrome
   trace-event format, loadable in ``about://tracing`` or Perfetto.
   Sites map to processes and nodes to threads, so a criticalPut renders
   as a coordinator slice with replica slices under the remote sites,
   offset by the WAN latencies that produced them.
-- :func:`phase_breakdown` / :func:`render_phase_table` — the paper's
-  Fig. 5(b) decomposition: group the children of each root operation
-  span by name and tabulate mean latency, share of the end-to-end op,
-  and message-level counts, purely from recorded spans.
+- :func:`speedscope_document` / :func:`write_speedscope` — a sampled
+  speedscope profile from weighted stacks.
 - :func:`render_span_tree` — one trace as an indented tree with the
   spans an audit violation implicates marked ``▶``.
 """
@@ -23,7 +21,6 @@ tables, guilty span trees.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Dict, IO, Iterable, Iterator, List, Optional, Sequence, Set, Union
 
 from .trace import SpanRecord
@@ -37,10 +34,6 @@ __all__ = [
     "write_chrome_trace",
     "speedscope_document",
     "write_speedscope",
-    "PhaseStats",
-    "PhaseBreakdown",
-    "phase_breakdown",
-    "render_phase_table",
     "render_span_tree",
 ]
 
@@ -218,143 +211,6 @@ def write_speedscope(
             json.dump(document, handle)
         return
     json.dump(document, destination)
-
-
-# -- Fig. 5(b): per-phase latency decomposition ----------------------------
-
-
-@dataclass
-class PhaseStats:
-    """Aggregate timing of one phase across all sampled operations."""
-
-    name: str
-    count: int = 0
-    total_ms: float = 0.0
-    durations: List[float] = field(default_factory=list)
-
-    @property
-    def mean_ms(self) -> float:
-        return self.total_ms / self.count if self.count else 0.0
-
-
-@dataclass
-class PhaseBreakdown:
-    """Phases of a set of root operation spans, Fig. 5(b)-style."""
-
-    root_name: str
-    operations: int
-    end_to_end_total_ms: float
-    phases: List[PhaseStats]
-    unattributed_ms: float
-
-    @property
-    def end_to_end_mean_ms(self) -> float:
-        return self.end_to_end_total_ms / self.operations if self.operations else 0.0
-
-    @property
-    def attributed_total_ms(self) -> float:
-        return sum(phase.total_ms for phase in self.phases)
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of end-to-end time the phases account for."""
-        if self.end_to_end_total_ms == 0:
-            return 1.0
-        return self.attributed_total_ms / self.end_to_end_total_ms
-
-
-def phase_breakdown(
-    spans: Sequence[SpanRecord],
-    root_name: str,
-    depth: int = 1,
-    phase_order: Optional[Sequence[str]] = None,
-) -> PhaseBreakdown:
-    """Decompose every span named ``root_name`` into its child phases.
-
-    ``depth=1`` groups direct children by name; ``depth=2`` descends one
-    level further (e.g. splitting an LWT into its Paxos phases).  The
-    decomposition uses only recorded spans — no cooperation from the
-    instrumented code beyond having opened child spans.
-    """
-    by_parent: Dict[int, List[SpanRecord]] = {}
-    for span in spans:
-        if span.parent_id is not None:
-            by_parent.setdefault(span.parent_id, []).append(span)
-
-    roots = [span for span in spans if span.name == root_name]
-    phases: Dict[str, PhaseStats] = {}
-    end_to_end = 0.0
-    attributed = 0.0
-
-    def collect(parent: SpanRecord, level: int, prefix: str) -> float:
-        covered = 0.0
-        for child in by_parent.get(parent.span_id, ()):  # same trace by construction
-            if child.trace_id != parent.trace_id:
-                continue
-            label = f"{prefix}{child.name}"
-            if level < depth and by_parent.get(child.span_id):
-                inner = collect(child, level + 1, f"{label}/")
-                remainder = child.duration_ms - inner
-                if remainder > 0:
-                    stats = phases.setdefault(f"{label}/(self)", PhaseStats(f"{label}/(self)"))
-                    stats.count += 1
-                    stats.total_ms += remainder
-                    stats.durations.append(remainder)
-            else:
-                stats = phases.setdefault(label, PhaseStats(label))
-                stats.count += 1
-                stats.total_ms += child.duration_ms
-                stats.durations.append(child.duration_ms)
-            covered += child.duration_ms
-        return covered
-
-    for root in roots:
-        end_to_end += root.duration_ms
-        attributed += collect(root, 1, "")
-
-    ordered = list(phases.values())
-    if phase_order:
-        rank = {name: index for index, name in enumerate(phase_order)}
-        ordered.sort(key=lambda stats: (rank.get(stats.name, len(rank)), stats.name))
-    else:
-        ordered.sort(key=lambda stats: -stats.total_ms)
-
-    return PhaseBreakdown(
-        root_name=root_name,
-        operations=len(roots),
-        end_to_end_total_ms=end_to_end,
-        phases=ordered,
-        unattributed_ms=max(0.0, end_to_end - attributed),
-    )
-
-
-def render_phase_table(breakdown: PhaseBreakdown) -> str:
-    """The ASCII Fig. 5(b) table for one breakdown."""
-    lines = [
-        f"phase breakdown of {breakdown.root_name!r} "
-        f"({breakdown.operations} ops, mean end-to-end "
-        f"{breakdown.end_to_end_mean_ms:.2f} ms)",
-        f"{'phase':<44} {'count':>6} {'mean ms':>9} {'% of op':>8}",
-        "-" * 70,
-    ]
-    total = breakdown.end_to_end_total_ms or 1.0
-    for phase in breakdown.phases:
-        lines.append(
-            f"{phase.name:<44} {phase.count:>6} {phase.mean_ms:>9.2f} "
-            f"{100.0 * phase.total_ms / total:>7.1f}%"
-        )
-    if breakdown.operations:
-        lines.append(
-            f"{'(unattributed)':<44} {'':>6} "
-            f"{breakdown.unattributed_ms / breakdown.operations:>9.2f} "
-            f"{100.0 * breakdown.unattributed_ms / total:>7.1f}%"
-        )
-    lines.append("-" * 70)
-    lines.append(
-        f"{'end-to-end':<44} {breakdown.operations:>6} "
-        f"{breakdown.end_to_end_mean_ms:>9.2f} {100.0:>7.1f}%"
-    )
-    return "\n".join(lines)
 
 
 # -- guilty span trees -------------------------------------------------------

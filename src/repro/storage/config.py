@@ -54,7 +54,6 @@ class StorageEngineConfig:
 
     # Size-tiered compaction (Cassandra STCS): merge a size tier once it
     # holds this many segments; tiers are log_{tier_factor}(size) buckets.
-    compaction_enabled: bool = True
     compaction_min_segments: int = 4
     compaction_tier_factor: float = 4.0
     # Background merge throughput; the merge occupies this much simulated

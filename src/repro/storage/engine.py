@@ -405,8 +405,7 @@ class StorageEngine:
             self.obs.metrics.gauge("storage.segments", node=self.node_id).set(
                 len(self.segments)
             )
-        if self.config.compaction_enabled:
-            self._ensure_compaction()
+        self._ensure_compaction()
         return segment
 
     def _pick_tier(self) -> Optional[List[Segment]]:

@@ -60,6 +60,15 @@ from .merkle import MerkleTree, leaf_index
 
 __all__ = ["TopologyManager"]
 
+# Range streaming during bootstrap/decommission: how long to wait before
+# retrying a failed collect/handover, and how many times — enough to
+# ride out a crashed-and-recovering endpoint (two minutes of retries)
+# rather than aborting the topology change.
+HANDOVER_RETRY_MS = 1_000.0
+HANDOVER_MAX_RETRIES = 120
+# Merkle anti-entropy tree depth (2**depth leaves per tree).
+REPAIR_DEPTH = 6
+
 # StreamListener(partition_key, old_owners, new_owners) — called when a
 # partition's move starts; FaultSchedule.crash_mid_bootstrap hooks this.
 StreamListener = Callable[[str, List[str], List[str]], None]
@@ -254,7 +263,7 @@ class TopologyManager:
             "topo.stream", key=key, gainers=",".join(gainers)
         ):
             streamed = 0
-            for attempt in range(self.config.handover_max_retries + 1):
+            for attempt in range(HANDOVER_MAX_RETRIES + 1):
                 try:
                     streamed = yield from self._stream_once(key, old, gainers)
                     break
@@ -263,11 +272,11 @@ class TopologyManager:
                         self.obs.metrics.counter(
                             "topo.stream.retries", node=self.node.node_id
                         ).inc()
-                    yield self.sim.timeout(self.config.handover_retry_ms)
+                    yield self.sim.timeout(HANDOVER_RETRY_MS)
             else:
                 raise QuorumUnavailable(
                     f"handover of partition {key!r} failed after "
-                    f"{self.config.handover_max_retries} retries"
+                    f"{HANDOVER_MAX_RETRIES} retries"
                 )
             # Flip in the same event-loop step as the final handover ack:
             # no yield separates the ack from the routing change, so no
@@ -287,8 +296,9 @@ class TopologyManager:
                 self.obs.metrics.counter(
                     "topo.stream.bytes", node=self.node.node_id
                 ).inc(streamed)
-        if self.config.cleanup_after_move and losers:
-            yield from self._cleanup(key, losers)
+        # The sources drop their copy once the new owners hold it
+        # (Cassandra's ``nodetool cleanup``).
+        yield from self._cleanup(key, losers)
 
     def _stream_once(
         self, key: str, old: List[str], gainers: List[str]
@@ -385,20 +395,19 @@ class TopologyManager:
     # -- repair ------------------------------------------------------------------
 
     def _repair_pair(self, node_a: str, node_b: str) -> Generator[Any, Any, int]:
-        depth = self.config.repair_depth
         with self.obs.tracer.span(
             "topo.repair", nodes=f"{node_a},{node_b}"
         ) as span:
             tree_a = yield from self.node.call(
                 node_a,
                 "topo_merkle_tree",
-                {"depth": depth, "peer": node_b},
+                {"depth": REPAIR_DEPTH, "peer": node_b},
                 timeout=self.config.rpc_timeout_ms,
             )
             tree_b = yield from self.node.call(
                 node_b,
                 "topo_merkle_tree",
-                {"depth": depth, "peer": node_a},
+                {"depth": REPAIR_DEPTH, "peer": node_a},
                 timeout=self.config.rpc_timeout_ms,
             )
             differing = MerkleTree.from_payload(tree_a["tree"]).diff(
@@ -416,7 +425,7 @@ class TopologyManager:
                 yield from self.node.call(
                     node_a,
                     "topo_repair_sync",
-                    {"peer": node_b, "leaves": differing, "depth": depth},
+                    {"peer": node_b, "leaves": differing, "depth": REPAIR_DEPTH},
                     size_bytes=8 * len(differing) + 32,
                     timeout=self.config.rpc_timeout_ms,
                 )

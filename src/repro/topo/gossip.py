@@ -54,6 +54,13 @@ _ACTIVE = (STATUS_JOINING, STATUS_NORMAL, STATUS_LEAVING)
 # ln(10): converts the exponential tail probability to base-10 phi.
 _PHI_FACTOR = 0.4343
 
+# One round per interval per node (with +/-10% jitter so members do not
+# run in lockstep), contacting this many random live peers per round.
+GOSSIP_INTERVAL_MS = 1_000.0
+GOSSIP_FANOUT = 1
+# Recent heartbeat inter-arrival intervals kept per peer for phi.
+PHI_WINDOW = 8
+
 
 @dataclass(frozen=True)
 class EndpointState:
@@ -158,9 +165,7 @@ class Gossiper:
         now = self.node.sim.now
         last = self._last_heard.get(peer)
         if last is not None and now > last:
-            window = self._intervals.setdefault(
-                peer, deque(maxlen=self.config.phi_window)
-            )
+            window = self._intervals.setdefault(peer, deque(maxlen=PHI_WINDOW))
             window.append(now - last)
         self._last_heard[peer] = now
 
@@ -197,9 +202,10 @@ class Gossiper:
         )
 
     def _gossip_loop(self) -> Generator[Any, Any, None]:
-        interval = self.config.gossip_interval_ms
         while not self._stopped:
-            yield self.node.sim.timeout(interval * (0.9 + 0.2 * self._rng.random()))
+            yield self.node.sim.timeout(
+                GOSSIP_INTERVAL_MS * (0.9 + 0.2 * self._rng.random())
+            )
             if self._stopped:
                 return
             if self.node.failed:
@@ -208,7 +214,7 @@ class Gossiper:
             targets = self._targets()
             if not targets:
                 continue
-            fanout = min(self.config.gossip_fanout, len(targets))
+            fanout = min(GOSSIP_FANOUT, len(targets))
             peers = self._rng.sample(targets, fanout)
             for peer in peers:
                 yield from self._gossip_once(peer)

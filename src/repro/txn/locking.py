@@ -207,7 +207,7 @@ class LockingTxn(Transaction):
     def _write(self, key: str, value: Any) -> Generator[Any, Any, Stamp]:
         assert self.section is not None
         try:
-            stamp = yield from self.client.critical_put_stamped(
+            stamp = yield from self.client.critical_put(
                 key, self.section.lock_refs[key], value
             )
         except NotLockHolder as error:

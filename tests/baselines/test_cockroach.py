@@ -1,10 +1,7 @@
 """Tests for the CockroachDB baseline: Raft ranges, txns, X-B3 CS."""
 
-import pytest
-
 from repro.baselines.cockroach import (
     CockroachClient,
-    CockroachConfig,
     CockroachCriticalSection,
     build_cockroach,
     range_of,

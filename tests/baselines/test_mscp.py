@@ -30,10 +30,6 @@ def test_mscp_critical_put_costs_an_lwt():
     from repro.core import build_music
 
     def put_latency(deployment):
-        timings = {}
-        deployment.replica_at("Ohio").op_recorder = (
-            lambda op, ms: timings.setdefault(op, []).append(ms)
-        )
         client = deployment.client("Ohio")
 
         def task():
@@ -42,10 +38,11 @@ def test_mscp_critical_put_costs_an_lwt():
             yield from cs.exit()
 
         run(deployment, task())
-        return timings["criticalPut"][0]
+        [put] = [s for s in deployment.obs.tracer.spans if s.name == "music.criticalPut"]
+        return put.duration_ms
 
-    music_put = put_latency(build_music())
-    mscp_put = put_latency(build_mscp())
+    music_put = put_latency(build_music(obs=True))
+    mscp_put = put_latency(build_mscp(obs=True))
     assert music_put < 60.0
     assert mscp_put > 200.0
     assert 3.0 < mscp_put / music_put < 6.0
@@ -68,3 +65,38 @@ def test_mscp_exclusivity_preserved():
     for proc in procs:
         mscp.sim.run_until_complete(proc, limit=1e8)
     assert holding["max"] == 1
+
+
+def test_an_audited_mscp_section_is_clean_and_holds_its_put():
+    """MSCP overrides the store write, not the operation: its
+    criticalPut still opens the span and reports to the auditor."""
+    mscp = build_mscp(audit=True, obs=True)
+    client = mscp.client("Ohio")
+
+    def task():
+        cs = yield from client.critical_section("k")
+        stamp = yield from cs.put("x")
+        yield from cs.exit()
+        return stamp
+
+    stamp = run(mscp, task())
+    assert mscp.auditor.clean, mscp.auditor.render_report()
+    [put] = [e for e in mscp.auditor.events if e.kind == "critical_put"]
+    assert (put.fields["value"], put.stamp) == ("x", stamp)
+    assert any(s.name == "music.criticalPut" for s in mscp.obs.tracer.spans)
+
+
+def test_a_service_mode_mscp_put_returns_the_stamp_the_store_holds():
+    mscp = build_mscp()
+    client = mscp.service_client("Ohio")
+
+    def task():
+        cs = yield from client.critical_section("k")
+        put_stamp = yield from cs.put("x")
+        held = yield from client.critical_get_stamped("k", cs.lock_ref)
+        yield from cs.exit()
+        return put_stamp, held
+
+    put_stamp, held = run(mscp, task())
+    assert put_stamp is not None
+    assert held == ("x", put_stamp)

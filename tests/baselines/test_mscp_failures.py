@@ -2,8 +2,6 @@
 is "identical guarantees", so the ECF failure scenarios are re-run
 against the LWT-critical-put variant."""
 
-import pytest
-
 from repro.baselines.mscp import build_mscp
 from repro.core import MusicConfig
 from repro.errors import NotLockHolder

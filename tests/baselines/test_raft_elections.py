@@ -1,12 +1,9 @@
 """Tests for Raft leader elections in the CockroachDB baseline."""
 
-import pytest
-
 from repro.baselines.cockroach import (
     CockroachClient,
     CockroachConfig,
     build_cockroach,
-    range_of,
 )
 from repro.errors import NoLeader
 from repro.net import PROFILE_LUS, Network

@@ -275,7 +275,6 @@ def test_commits_apply_in_order_under_jitter():
 
     run(sim, task())
     for server in servers:
-        versions = []
         for i in range(12):
             assert server.tree.exists(f"/j{i}")
         assert server.counters["applied"] == servers[0].counters["applied"]

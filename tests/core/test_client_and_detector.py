@@ -131,8 +131,9 @@ def test_get_entry_quorum_fallback_when_local_lags():
         cs = yield from client.critical_section("k")
         # Oregon's MUSIC replica has no cached lease for this lockRef;
         # its criticalPut must recover the startTime from the store.
-        done = yield from oregon_replica.critical_put("k", cs.lock_ref, "via-oregon")
+        stamp = yield from oregon_replica.critical_put("k", cs.lock_ref, "via-oregon")
         yield from client.release_lock("k", cs.lock_ref)
-        return done
+        return stamp
 
-    assert run(music, task()) is True
+    # Acknowledged (a guard retry would be None), under Oregon's stamp.
+    assert run(music, task())[1] == oregon_replica.node_id

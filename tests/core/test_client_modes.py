@@ -17,6 +17,10 @@ Two seed bugs stay pinned (they once lived in both client forks):
    clamped to the remaining deadline and the deadline re-checked before
    the next attempt.
 
+The stamp a write was acknowledged under is a return value on every
+path, a failover mid-section included; that one case also runs over a
+``live`` client (the service client on real sockets).
+
 The service-only cases at the bottom pin what only exists across a
 wire: the client-to-replica hop, and the two bugs the forked service
 client had (watermark not sent, release push lost during the poll).
@@ -312,7 +316,7 @@ def test_stamped_and_txn_ops(mode):
 
     def task():
         cs = yield from client.critical_section("k")
-        put_stamp = yield from client.critical_put_stamped("k", cs.lock_ref, "a")
+        put_stamp = yield from client.critical_put("k", cs.lock_ref, "a")
         value, get_stamp = yield from client.critical_get_stamped("k", cs.lock_ref)
         yield from cs.exit()
         unguarded = yield from client.txn_read("k")
@@ -325,6 +329,64 @@ def test_stamped_and_txn_ops(mode):
     assert guarded == ("a", put_stamp)
     assert unguarded == ("a", put_stamp)
     assert rewritten == ("b", newer)
+
+
+def stamped_section(client, lose_home):
+    """Put, lose the home replica, put again, read back guarded and
+    unguarded: every version stamp is a return value."""
+    cs = yield from client.critical_section("k")
+    first = yield from cs.put("a")
+    lose_home()
+    second = yield from cs.put("b")
+    guarded = yield from client.critical_get_stamped("k", cs.lock_ref)
+    unguarded = yield from client.txn_read("k")
+    yield from cs.exit()
+    return first, second, guarded, unguarded
+
+
+def check_stamps_across_the_failover(stamps, home):
+    first, second, guarded, unguarded = stamps
+    # A stamp names the replica that wrote under it: the second put was
+    # acknowledged elsewhere, and its caller got *that* attempt's stamp.
+    assert first[1] == home and second[1] != home
+    assert first < second
+    assert guarded == unguarded == ("b", second)
+
+
+def test_stamps_are_return_values_across_a_failover(mode):
+    music = build_music()
+    client = client_of(music, mode)
+    home = music.replica_at("Ohio")
+    stamps = run(music, stamped_section(client, home.crash))
+    check_stamps_across_the_failover(stamps, home.node_id)
+
+
+def test_a_live_client_gets_the_same_stamps_from_return_values(tmp_path, monkeypatch):
+    """The same section over real sockets (the live runtime's client is
+    the service client on a TCP transport)."""
+    import asyncio
+
+    from repro.live import LocalCluster
+    from tests.live.conftest import make_spec
+
+    async def main():
+        async with LocalCluster(make_spec(n_nodes=3, tmp_path=tmp_path)) as cluster:
+            client = cluster.build_client()
+            home = client.replica.node_id
+
+            def lose_home():
+                # What the client sees of a crashed remote replica.
+                monkeypatch.setattr(
+                    cluster.client_transport, "is_failed", lambda node_id: node_id == home
+                )
+
+            stamps = await asyncio.wait_for(
+                cluster.clock.run_process(stamped_section(client, lose_home)), timeout=60.0
+            )
+            assert cluster.drain_failures() == []
+        return stamps, home
+
+    check_stamps_across_the_failover(*asyncio.run(main()))
 
 
 def test_bounded_reads_keep_the_session_prefix(mode):

@@ -131,8 +131,8 @@ def test_exclusivity_under_false_failure_detection():
     # holds the lock: its guard passes and its quorum write goes out.
     def stale_put():
         try:
-            done = yield from replica_ohio.critical_put("k", ref_a, "A-ZOMBIE-WRITE")
-            return f"put-returned-{done}"
+            stamp = yield from replica_ohio.critical_put("k", ref_a, "A-ZOMBIE-WRITE")
+            return f"put-returned-{stamp is not None}"
         except NotLockHolder:
             return "rejected"
 

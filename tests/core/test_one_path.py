@@ -117,11 +117,9 @@ def test_head_read_decodes_the_same_entry_under_every_feature_mix(
 
 
 def test_critical_delete_is_a_critical_put_of_none_under_its_own_name():
-    music = build_music(seed=2, audit=True)
+    music = build_music(seed=2, audit=True, obs=True)
     client = music.client("Ohio")
     replica = music.replica_at("Ohio")
-    ops = []
-    replica.op_recorder = lambda op, elapsed_ms: ops.append(op)
 
     def scenario():
         ref = yield from client.create_lock_ref("k")
@@ -132,10 +130,14 @@ def test_critical_delete_is_a_critical_put_of_none_under_its_own_name():
         yield from client.release_lock("k", ref)
         return deleted, value
 
-    assert run(music.sim, scenario()) == (True, None)
-    assert ops.count("criticalDelete") == 1 and ops.count("criticalPut") == 1
+    deleted, value = run(music.sim, scenario())
+    assert value is None
+    ops = [span.name for span in music.obs.tracer.spans]
+    assert ops.count("music.criticalDelete") == 1 and ops.count("music.criticalPut") == 1
     puts = [e for e in music.auditor.events if e.kind == "critical_put"]
     assert [e.fields["value"] for e in puts] == ["v", None]
+    # The delete reports the stamp it was acknowledged under.
+    assert deleted == puts[1].stamp
     assert music.auditor.clean, music.auditor.render_report()
 
 

@@ -85,7 +85,7 @@ def _forced_takeover_run(replica_class=MusicReplica, obs=None):
             yield sim.timeout(2.0)
             before = ohio.counters["lease_hits"]
             try:
-                ok, value = yield from ohio.critical_get("k", ref)
+                ok, value, _ = yield from ohio.critical_get("k", ref)
             except NotLockHolder:
                 return
             if not ok:

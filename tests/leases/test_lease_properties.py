@@ -53,7 +53,7 @@ def test_revoked_lease_never_outlives_the_forced_release(
         # anchor is still open, so the lease tier provably served once
         # even under the most aggressive preemption schedules.
         before = ohio.counters["lease_hits"]
-        ok, value = yield from ohio.critical_get("k", ref)
+        ok, value, _ = yield from ohio.critical_get("k", ref)
         assert ok and ohio.counters["lease_hits"] > before
         lease_served.append(value)
         state["ref"] = ref
@@ -61,7 +61,7 @@ def test_revoked_lease_never_outlives_the_forced_release(
             yield sim.timeout(gaps[index % len(gaps)])
             before = ohio.counters["lease_hits"]
             try:
-                ok, value = yield from ohio.critical_get("k", ref)
+                ok, value, _ = yield from ohio.critical_get("k", ref)
             except NotLockHolder:
                 return
             if not ok:

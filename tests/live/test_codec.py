@@ -126,7 +126,7 @@ def test_every_service_operation_round_trips_the_wire():
         ref = yield from client.create_lock_ref("k")
         music.sim.process(_exit_later(music.sim, holder))
         assert (yield from client.acquire_lock_blocking("k", ref))  # waits: waitRelease
-        stamp = yield from client.critical_put_stamped("k", ref, {"n": (1, "x")})
+        stamp = yield from client.critical_put("k", ref, {"n": (1, "x")})
         yield from client.critical_get_stamped("k", ref)
         yield from client.critical_delete("k", ref)
         yield from client.release_lock("k", ref)
@@ -140,12 +140,13 @@ def test_every_service_operation_round_trips_the_wire():
         yield from client.txn_write("t", "v", (stamp[0] + 1.0, "txn"))
         yield from client.txn_read("t")
         yield from client.get_all_keys()
+        return stamp
 
-    music.sim.run_until_complete(music.sim.process(scenario()), limit=1e9)
+    stamp = music.sim.run_until_complete(music.sim.process(scenario()), limit=1e9)
     assert set(requests) == set(_OPERATIONS) | {"music.waitRelease"}
     payloads = [reply["payload"] for reply in replies]
     assert any(isinstance(p.get("result"), CachedRead) for p in payloads)
-    assert any(isinstance(p.get("stamp"), tuple) for p in payloads)
+    assert any(p.get("result") == stamp for p in payloads)  # a write's ack
     assert any(p["ok"] is False for p in payloads)
     for body in [b for bodies in requests.values() for b in bodies] + replies:
         assert round_trip(body) == body

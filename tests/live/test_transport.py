@@ -10,6 +10,7 @@ import asyncio
 import pytest
 
 from repro.live import LiveClock, TcpTransport
+from repro.live.codec import CodecError
 from repro.net import Node
 from repro.sim import Mailbox
 
@@ -283,6 +284,141 @@ def test_register_validates_site_and_duplicates():
                 transport.register("a", spec.nodes[0].site, Mailbox(clock, name="dup"))
             with pytest.raises(ValueError):
                 transport.register("c", "no-such-site", Mailbox(clock, name="c"))
+        finally:
+            await transport.close()
+            clock.close()
+
+    asyncio.run(main())
+
+
+# -- drop accounting: each cause moves its own counter, by the frames dropped ----
+
+
+def drops(transport):
+    stats = transport.stats
+    return {
+        "failed": stats.dropped_failed,
+        "partition": stats.dropped_partition,
+        "loss": stats.dropped_loss,
+    }
+
+
+async def paired_endpoints(clock, spec):
+    """``a`` on transport 0 / site 0, ``b`` on transport 1 / site 1, and
+    a process collecting what ``b`` receives."""
+    t0, t1 = await start_pair(clock, spec)
+    box = Mailbox(clock, name="b")
+    t0.register("store-0-0", spec.nodes[0].site, Mailbox(clock, name="a"))
+    t1.register("store-1-0", spec.nodes[1].site, box)
+    received = []
+
+    def drain():
+        while True:
+            message = yield box.get()
+            received.append(message.body)
+
+    clock.process(drain())
+    return t0, t1, received
+
+
+async def until(predicate, timeout_s=5.0):
+    deadline = asyncio.get_running_loop().time() + timeout_s
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "timed out"
+        await asyncio.sleep(0.01)
+
+
+def test_a_site_partition_counts_each_frame_dropped_off_the_socket():
+    async def main():
+        clock = LiveClock()
+        spec = spec_for_transport_tests()
+        t0, t1, received = await paired_endpoints(clock, spec)
+        try:
+            t1.partition_sites(spec.nodes[0].site, spec.nodes[1].site)
+            for index in range(3):
+                t0.send("store-0-0", "store-1-0", "n", index)
+            # The partition is judged where the frame lands.
+            await until(lambda: t1.stats.dropped_partition >= 3)
+            t1.heal_all()
+            t0.send("store-0-0", "store-1-0", "n", "marker")
+            await until(lambda: received)
+            assert received == ["marker"]
+            assert drops(t1) == {"failed": 0, "partition": 3, "loss": 0}
+            assert drops(t0) == {"failed": 0, "partition": 0, "loss": 0}
+            assert (t0.stats.sent, t1.stats.delivered) == (4, 1)
+        finally:
+            await t0.close()
+            await t1.close()
+            clock.close()
+
+    asyncio.run(main())
+
+
+def test_a_site_partition_counts_each_frame_dropped_in_process():
+    async def main():
+        clock = LiveClock()
+        spec = spec_for_transport_tests()
+        transport = TcpTransport(clock, spec, listen=None)
+        try:
+            box = Mailbox(clock, name="b")
+            transport.register("a", spec.nodes[0].site, Mailbox(clock, name="a"))
+            transport.register("b", spec.nodes[1].site, box)
+            transport.partition_sites(spec.nodes[0].site, spec.nodes[1].site)
+            for index in range(4):
+                transport.send("a", "b", "n", index)
+            await until(lambda: transport.stats.dropped_partition >= 4)
+            await asyncio.sleep(0.05)
+            assert drops(transport) == {"failed": 0, "partition": 4, "loss": 0}
+            assert transport.stats.delivered == 0
+            assert not transport._outbound  # the same-process path
+        finally:
+            await transport.close()
+            clock.close()
+
+    asyncio.run(main())
+
+
+def test_a_failed_target_counts_each_frame_dropped_off_the_socket():
+    async def main():
+        clock = LiveClock()
+        spec = spec_for_transport_tests()
+        t0, t1, received = await paired_endpoints(clock, spec)
+        try:
+            t1.fail_node("store-1-0")
+            for index in range(2):
+                t0.send("store-0-0", "store-1-0", "n", index)
+            # The sender cannot know: the frames leave and die remotely.
+            await until(lambda: t1.stats.dropped_failed >= 2)
+            t1.recover_node("store-1-0")
+            t0.send("store-0-0", "store-1-0", "n", "marker")
+            await until(lambda: received)
+            assert received == ["marker"]
+            assert drops(t1) == {"failed": 2, "partition": 0, "loss": 0}
+            assert drops(t0) == {"failed": 0, "partition": 0, "loss": 0}
+        finally:
+            await t0.close()
+            await t1.close()
+            clock.close()
+
+    asyncio.run(main())
+
+
+def test_an_unroutable_or_unencodable_frame_counts_as_loss():
+    async def main():
+        clock = LiveClock()
+        spec = spec_for_transport_tests()
+        transport = TcpTransport(clock, spec, listen=None)
+        try:
+            transport.register("a", spec.nodes[0].site, Mailbox(clock, name="a"))
+            # No address in the spec, and it never wrote to us: no route.
+            for index in range(3):
+                transport.send("a", "nobody-7", "n", index)
+            assert drops(transport) == {"failed": 0, "partition": 0, "loss": 3}
+            # A body the wire codec refuses is lost too — and says so.
+            with pytest.raises(CodecError):
+                transport.send("a", "store-1-0", "n", object())
+            assert drops(transport) == {"failed": 0, "partition": 0, "loss": 4}
+            assert transport.stats.sent == 4 and transport.stats.delivered == 0
         finally:
             await transport.close()
             clock.close()

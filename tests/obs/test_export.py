@@ -1,4 +1,4 @@
-"""Exporters: JSONL round-trip, Chrome trace validity, phase tables."""
+"""Exporters: JSONL round-trip, Chrome trace validity."""
 
 import io
 import json
@@ -7,8 +7,6 @@ from repro.obs import (
     SpanRecord,
     chrome_trace_events,
     load_jsonl,
-    phase_breakdown,
-    render_phase_table,
     write_chrome_trace,
     write_jsonl,
 )
@@ -17,7 +15,7 @@ from repro.obs import (
 def _sample_spans():
     #   op [0, 100] on client
     #     phase.a [0, 40]  on node-1
-    #     phase.b [40, 90] on node-2 (10ms of op unattributed)
+    #     phase.b [40, 90] on node-2
     return [
         SpanRecord(1, 1, None, "op", "client", "Ohio", 0.0, 100.0, {"key": "k"}),
         SpanRecord(1, 2, 1, "phase.a", "node-1", "Ohio", 0.0, 40.0, {}),
@@ -60,37 +58,6 @@ def test_chrome_trace_round_trips_through_json():
     assert any(event["name"] == "thread_name" for event in metadata)
     # Two sites -> two distinct pids.
     assert len({event["pid"] for event in complete}) == 2
-
-
-def test_phase_breakdown_attribution():
-    breakdown = phase_breakdown(_sample_spans(), "op")
-    assert breakdown.operations == 1
-    assert breakdown.end_to_end_total_ms == 100.0
-    by_name = {phase.name: phase for phase in breakdown.phases}
-    assert by_name["phase.a"].total_ms == 40.0
-    assert by_name["phase.b"].total_ms == 50.0
-    assert breakdown.unattributed_ms == 10.0
-    assert abs(breakdown.coverage - 0.9) < 1e-9
-
-
-def test_phase_breakdown_depth_two_adds_self_rows():
-    spans = _sample_spans() + [
-        SpanRecord(1, 4, 2, "sub.x", "node-1", "Ohio", 0.0, 30.0, {}),
-    ]
-    breakdown = phase_breakdown(spans, "op", depth=2)
-    by_name = {phase.name: phase for phase in breakdown.phases}
-    assert by_name["phase.a/sub.x"].total_ms == 30.0
-    assert by_name["phase.a/(self)"].total_ms == 10.0
-    assert by_name["phase.b"].total_ms == 50.0
-
-
-def test_render_phase_table_shape():
-    table = render_phase_table(phase_breakdown(_sample_spans(), "op"))
-    assert "phase.a" in table
-    assert "(unattributed)" in table
-    assert "end-to-end" in table
-    # Percent column sums to ~100 across phases + unattributed.
-    assert "40.0%" in table and "50.0%" in table and "10.0%" in table
 
 
 def test_chrome_trace_events_empty():

@@ -76,7 +76,7 @@ def test_an_audited_run_records_the_audit_and_nothing_else():
     assert both.profiler.obs_spans > 0
     assert both.obs.tracer.spans
     snapshot = both.obs.metrics.snapshot()
-    assert snapshot["counters"] and snapshot["histograms"]
+    assert snapshot["counters"]
     assert both.auditor.events and both.auditor.clean
     assert all(event.span_id is not None for event in both.auditor.events)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Simulator
+from repro.sim import Simulator
 
 
 def test_all_of_fails_with_first_child_failure():

@@ -3,6 +3,7 @@
 from repro.net import Node
 from repro.store import Consistency
 from repro.topo import MerkleTree
+from repro.topo.elastic import REPAIR_DEPTH
 
 from tests.topo.test_elastic import make_elastic, run
 
@@ -110,7 +111,7 @@ def test_converged_engines_hash_identically():
     music.sim.run_until_complete(
         music.topology.repair_pair("store-0-0", "store-2-0"), limit=600_000.0
     )
-    depth = music.topology.config.repair_depth
+    depth = REPAIR_DEPTH
     ring = music.store.ring
 
     def owns_both(pk):
