@@ -93,28 +93,33 @@ class MusicClient:
         """
         last_error: Optional[BaseException] = None
         cursor = 0
-        for attempt in range(OP_RETRY_LIMIT):
-            replica = None
-            for _ in range(len(self.replicas)):
-                candidate = self.replicas[cursor % len(self.replicas)]
-                cursor += 1
-                if not candidate.failed:
-                    replica = candidate
-                    break
-            if replica is None:
-                raise last_error or QuorumUnavailable(
-                    f"{op_name}: every replica is failed"
-                )
-            try:
-                result = yield from make_op(replica)
-                return result
-            except _RETRYABLE as error:
-                last_error = error
-                if attempt + 1 < OP_RETRY_LIMIT:
-                    yield self.sim.timeout(
-                        self.config.op_retry_delay_ms * (1 + self._rng.random())
+        try:
+            for attempt in range(OP_RETRY_LIMIT):
+                replica = None
+                for _ in range(len(self.replicas)):
+                    candidate = self.replicas[cursor % len(self.replicas)]
+                    cursor += 1
+                    if not candidate.failed:
+                        replica = candidate
+                        break
+                if replica is None:
+                    raise last_error or QuorumUnavailable(
+                        f"{op_name}: every replica is failed"
                     )
-        raise last_error or QuorumUnavailable(f"{op_name}: no replica reachable")
+                try:
+                    result = yield from make_op(replica)
+                    return result
+                except _RETRYABLE as error:
+                    last_error = error
+                    if attempt + 1 < OP_RETRY_LIMIT:
+                        yield self.sim.timeout(
+                            self.config.op_retry_delay_ms * (1 + self._rng.random())
+                        )
+            raise last_error or QuorumUnavailable(f"{op_name}: no replica reachable")
+        finally:
+            # The error's traceback holds this frame; a frame that went on
+            # naming the error would make the two a cycle.
+            last_error = None
 
     # -- MUSIC operations -------------------------------------------------------
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import asyncio
 import time
 import traceback
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from ..errors import RpcTimeout
 from ..sim.core import AllOf, AnyOf, Event, Process, Timeout, call_action
@@ -56,7 +56,9 @@ class LiveClock:
         # process runs its waiters in place, as under the DES loop.
         self.dispatching = False
         self._unhandled: List[Event] = []
-        self._handles: set = set()
+        # Pending loop handles by schedule order, for close() to cancel.
+        self._handles: Dict[int, asyncio.Handle] = {}
+        self._scheduled = 0
         self._closed = False
         # Failures that escaped a scheduled action (a handler bug, a
         # codec error): recorded loudly instead of unwinding the loop.
@@ -101,27 +103,29 @@ class LiveClock:
         """Run ``fn(arg)`` after ``delay`` ms on the loop (the kernel hook)."""
         if self._closed:
             return
-
-        def fire() -> None:
-            # The loop never fires synchronously, so `handle` is bound.
-            self._handles.discard(handle)
-            if self._closed:
-                return
-            self.dispatching = True
-            try:
-                fn(arg)
-            except BaseException:  # noqa: BLE001 - isolate handler bugs
-                self.errors.append(traceback.format_exc())
-            finally:
-                self.dispatching = False
-
+        # The loop's handle is kept (for close()) under a token the
+        # firing pops: once fired, nothing names the handle, so it and
+        # the (fn, arg) it carries are freed there and then.
+        token = self._scheduled = self._scheduled + 1
         if delay <= 0.0:
             # Soon, in FIFO order — the live analogue of a same-time
             # heap entry.
-            handle = self.loop.call_soon(fire)
+            handle = self.loop.call_soon(self._fire, token, fn, arg)
         else:
-            handle = self.loop.call_later(delay / 1000.0, fire)
-        self._handles.add(handle)
+            handle = self.loop.call_later(delay / 1000.0, self._fire, token, fn, arg)
+        self._handles[token] = handle
+
+    def _fire(self, token: int, fn: Callable[[Any], None], arg: Any) -> None:
+        self._handles.pop(token, None)
+        if self._closed:
+            return
+        self.dispatching = True
+        try:
+            fn(arg)
+        except BaseException:  # noqa: BLE001 - isolate handler bugs
+            self.errors.append(traceback.format_exc())
+        finally:
+            self.dispatching = False
 
     def schedule_at(self, when: float, fn: Callable[[Any], None], arg: Any) -> None:
         """Run ``fn(arg)`` at absolute clock time ``when`` (ms)."""
@@ -196,6 +200,6 @@ class LiveClock:
     def close(self) -> None:
         """Cancel every outstanding timer; further scheduling is a no-op."""
         self._closed = True
-        for handle in self._handles:
+        for handle in self._handles.values():
             handle.cancel()
         self._handles.clear()

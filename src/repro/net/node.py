@@ -53,7 +53,10 @@ class _ExpiryQueue:
     oldest one, covers them all: when it fires it drops the heads that
     were answered meanwhile, fails the ones that are due and re-arms
     for the next unanswered deadline.  An answered RPC therefore costs
-    no kernel event and parks nothing in the clock's heap.
+    no kernel event and parks nothing in the clock's heap — nor here: an
+    entry is four scalars, never the reply event, and ``add`` drops
+    answered heads as well, so the queue is as long as the calls in
+    flight (plus whatever was answered behind an unanswered head).
     """
 
     __slots__ = ("sim", "pending", "timeout", "entries", "armed")
@@ -63,32 +66,40 @@ class _ExpiryQueue:
 
     def __init__(self, sim: "Clock", pending: Dict[int, Any], timeout: float) -> None:
         self.sim = sim
-        self.pending = pending  # the node's request_id -> reply event map
+        # The node's request_id -> reply event map; a call is unanswered
+        # exactly while its id is in it.
+        self.pending = pending
         self.timeout = timeout
-        # (deadline, request_id, reply_event, kind, dst), oldest first.
-        self.entries: Deque[Tuple[float, int, Any, str, str]] = deque()
+        # (deadline, request_id, kind, dst), oldest first.
+        self.entries: Deque[Tuple[float, int, str, str]] = deque()
         self.armed = False
 
-    def add(self, request_id: int, reply_event: Any, kind: str, dst: str) -> None:
+    def add(self, request_id: int, kind: str, dst: str) -> None:
         sim = self.sim
+        entries = self.entries
+        pending = self.pending
+        # Answered heads go now, not only at the next fire.
+        while entries and entries[0][1] not in pending:
+            entries.popleft()
         # The deadline is fixed here and met exactly (schedule_at), as
         # if every call still had a timer of its own.
         deadline = sim.now + self.timeout
-        self.entries.append((deadline, request_id, reply_event, kind, dst))
+        entries.append((deadline, request_id, kind, dst))
         if not self.armed:
             self.armed = True
             sim.schedule_at(deadline, self._fire, None)
 
     def _fire(self, _arg: None) -> None:
         entries = self.entries
+        pending = self.pending
         now = self.sim.now
-        due: List[Tuple[float, int, Any, str, str]] = []
+        due: List[Tuple[Any, str, str]] = []
         while entries:
-            entry = entries[0]
-            if not entry[2]._triggered:
-                if entry[0] > now:
+            deadline, request_id, kind, dst = entries[0]
+            if request_id in pending:
+                if deadline > now:
                     break
-                due.append(entry)
+                due.append((pending.pop(request_id), kind, dst))
             entries.popleft()
         # Re-arm before failing anything: a waiter woken below may well
         # call again, and must find the timer state settled.
@@ -96,8 +107,7 @@ class _ExpiryQueue:
             self.sim.schedule_at(entries[0][0], self._fire, None)
         else:
             self.armed = False
-        for _deadline, request_id, reply_event, kind, dst in due:
-            self.pending.pop(request_id, None)
+        for reply_event, kind, dst in due:
             reply_event.fail(RpcTimeout(f"{kind} to {dst} after {self.timeout}ms"))
 
 
@@ -256,7 +266,7 @@ class Node:
         expiry = self._expiry.get(timeout)
         if expiry is None:
             expiry = self._expiry[timeout] = _ExpiryQueue(sim, self._pending_replies, timeout)
-        expiry.add(request_id, reply_event, kind, dst)
+        expiry.add(request_id, kind, dst)
         return reply_event
 
     def call(

@@ -24,19 +24,27 @@ def quorum_size(replica_count: int) -> int:
 
 
 class _Collector:
-    """Counts the replies of one quorum wait into its outcome event."""
+    """Counts the replies of one quorum wait into its ``outcome`` event.
+
+    Held only by the reply events it listens to, so it goes when the
+    last of them has triggered.
+    """
 
     __slots__ = ("outcome", "needed", "total", "destinations", "successes", "failed")
 
     def __init__(
-        self, outcome: Event, needed: int, handles: List[Tuple[str, Event]]
+        self, sim: Simulator, handles: List[Tuple[str, Event]], needed: int
     ) -> None:
-        self.outcome = outcome
-        self.needed = needed
         self.total = len(handles)
+        self.outcome: Event = sim.event(name=f"quorum:{needed}/{self.total}")
+        self.needed = needed
         self.destinations = {event: dst for dst, event in handles}
         self.successes: List[Tuple[str, Any]] = []
         self.failed = 0
+        # One collector for the whole wait, not a closure per destination.
+        collect = self.collect
+        for _dst, reply in handles:
+            reply.add_callback(collect)
 
     def collect(self, event: Event) -> None:
         outcome = self.outcome
@@ -76,11 +84,7 @@ def await_quorum(
     if needed > total:
         raise QuorumUnavailable(f"need {needed} replies but only {total} requests sent")
 
-    outcome: Event = sim.event(name=f"quorum:{needed}/{total}")
-    # One collector for the whole wait, not a closure per destination.
-    collect = _Collector(outcome, needed, handles).collect
-    for _dst, reply in handles:
-        reply.add_callback(collect)
-
-    result = yield outcome
+    # No local names the collector or its outcome: a failed outcome's
+    # traceback holds this frame, and through such a name, itself.
+    result = yield _Collector(sim, handles, needed).outcome
     return result

@@ -368,13 +368,24 @@ class Process(Event):
                 else:
                     target = self.generator.send(payload)
             except StopIteration as stop:
+                # Finished: let go of the generator and of the bound
+                # method that points back here, so a done process is a
+                # tree and dies with its last waiter's reference.
+                self.generator = self._resume_cb = None
                 self.succeed(stop.value)
                 return
             except Interrupt:
                 # The process let an interrupt escape: treat as normal exit.
+                # (Thrown from here, it is `payload`, and its traceback
+                # holds this frame: unname it, or the two are a cycle.)
+                self.generator = self._resume_cb = payload = None
                 self.succeed(None)
                 return
             except BaseException as exc:
+                # (A failure keeps its traceback whole, and that holds
+                # this frame: a process that raised is the one kind the
+                # collector, not the last reference, frees.)
+                self.generator = self._resume_cb = None
                 self.fail(exc)
                 return
             kind = type(target)

@@ -49,23 +49,23 @@ __all__ = ["StorageEngine", "PaxosState"]
 # repro.store.replica builds on this module.
 Ballot = Tuple[int, str]
 
-_ROW_CLS = None
+_STORE_TYPES = None
 
 
-def _row_cls():
-    """Lazy Row import: repro.store.replica imports this module, so the
-    reverse edge must not exist at import time."""
-    global _ROW_CLS
-    if _ROW_CLS is None:
-        from ..store.types import Row
+def _store_types():
+    """Lazy ``(Row, payload_size)`` import, resolved once:
+    repro.store.replica imports this module, so the reverse edge must
+    not exist at import time."""
+    global _STORE_TYPES
+    if _STORE_TYPES is None:
+        from ..store.types import Row, payload_size
 
-        _ROW_CLS = Row
-    return _ROW_CLS
+        _STORE_TYPES = (Row, payload_size)
+    return _STORE_TYPES
 
 
 def _rows_size_bytes(rows: Dict[Any, Any]) -> int:
-    from ..store.types import payload_size
-
+    payload_size = _store_types()[1]
     total = 32
     for row in rows.values():
         total += 16
@@ -277,7 +277,7 @@ class StorageEngine:
         table, partition_key = update.table, update.partition
         partition = self.memtable.setdefault(table, {}).setdefault(partition_key, {})
         old = partition.get(update.clustering)
-        row = _row_cls()() if old is None else old.copy()
+        row = _store_types()[0]() if old is None else old.copy()
         if hasattr(update, "columns"):
             for column, value in update.columns.items():
                 row.apply_cell(column, value, update.stamp, update.op_id)

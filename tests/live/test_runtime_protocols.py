@@ -7,14 +7,15 @@ protocol code cannot tell which world it is running in.
 """
 
 import asyncio
+import gc
 import inspect
 
 import pytest
 
 from repro.live import LiveClock, TcpTransport, localhost_spec
-from repro.net import PROFILE_LUS, Network
+from repro.net import PROFILE_LUS, Network, Node
 from repro.runtime import Clock, Transport, require_clock, require_transport
-from repro.sim import RandomStreams, Simulator
+from repro.sim import Process, RandomStreams, Simulator
 
 
 def test_simulator_satisfies_clock():
@@ -260,3 +261,53 @@ def test_clock_declares_no_private_method():
     ]
     assert {"schedule", "schedule_at", "defuse"} <= set(declared)
     assert [name for name in declared if name.startswith("_")] == []
+
+
+# -- object lifetime is the kernel's, so it is the same in both worlds ----------
+
+
+def test_live_rpcs_leave_the_collector_no_process():
+    """The live twin of tests/sim/test_process_lifetime.py: a served RPC
+    frees its handler process when it finishes, on the wall clock too —
+    a long-running node pays no collector work per call."""
+
+    async def main():
+        clock = LiveClock()
+        # No sockets: both nodes live on this transport, so every message
+        # takes the same-process delivery path.
+        transport = TcpTransport(clock, localhost_spec(n_nodes=2, base_port=0), listen=None)
+        site = transport.profile.site_names[0]
+        client = Node(clock, transport, "client", site)
+        server = Node(clock, transport, "server", site)
+
+        def echo(message):  # a generator handler: one Process per call
+            yield 0.0
+            server.reply(message, Node.payload(message))
+
+        server.on("echo", echo)
+        client.start()
+        server.start()
+
+        def calls(count):
+            for index in range(count):
+                assert (yield from client.call("server", "echo", index)) == index
+
+        try:
+            await asyncio.wait_for(clock.run_process(calls(300)), timeout=20.0)
+            assert clock.drain_failures() == []
+        finally:
+            await transport.close()
+            clock.close()
+
+    gc.collect()
+    gc.disable()
+    try:
+        asyncio.run(main())
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [item for item in gc.garbage if isinstance(item, Process)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == []

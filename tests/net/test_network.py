@@ -38,7 +38,7 @@ def test_intra_site_delivery_is_fast():
     received = []
 
     def receiver():
-        msg = yield inboxes["a2"].get()
+        yield inboxes["a2"].get()
         received.append(sim.now)
 
     sim.process(receiver())

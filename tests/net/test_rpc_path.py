@@ -7,12 +7,16 @@ pin that with exact counters (dispatches, heap depth, float-equal
 deadlines), which do not depend on the host.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import RpcTimeout
 from repro.net import PROFILE_LUS, Network, Node
+from repro.net.node import _ExpiryQueue
 from repro.obs import SimProfiler
-from repro.sim import RandomStreams, Simulator
+from repro.sim import Event, RandomStreams, Simulator
 
 
 def build_pair(profiled=False, start=True):
@@ -73,10 +77,18 @@ def test_a_generator_handler_adds_only_the_time_it_takes():
     assert profiler.events == 4
 
 
-def test_a_thousand_answered_rpcs_park_nothing_in_the_heap():
+def test_a_thousand_answered_rpcs_park_nothing_in_the_heap(monkeypatch):
     sim, _net, a, _b, profiler = build_pair(profiled=True)
     callers, calls = 10, 100
     answered = []
+    backlog = []  # at every add: expiry entries kept beyond the calls in flight
+    add = _ExpiryQueue.add
+
+    def counting_add(queue, *call):
+        add(queue, *call)
+        backlog.append(len(queue.entries) - len(queue.pending))
+
+    monkeypatch.setattr(_ExpiryQueue, "add", counting_add)
 
     def caller(tag):
         for index in range(calls):
@@ -87,10 +99,46 @@ def test_a_thousand_answered_rpcs_park_nothing_in_the_heap():
     sim.run()
     assert len(answered) == callers * calls
     # Ten calls in flight: ten deliveries and one timer, not a parked
-    # expiry entry for every call of the last four seconds.
+    # expiry entry for every call of the last four seconds ...
     assert profiler.heap_high_water < 32
     assert profiler.events < 3 * callers * calls
+    # ... and not a queued one either: an answered call's entry goes at
+    # the next call, not four simulated seconds later.
+    assert len(backlog) == callers * calls and max(backlog) <= 1
     assert settled(a)
+
+
+class WeakEvent(Event):
+    """``Event`` has no ``__weakref__`` slot; this one can be watched."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_an_answered_calls_reply_event_dies_when_its_caller_moves_on():
+    sim, _net, a, _b, _ = build_pair()
+    sim.event = lambda name="": WeakEvent(sim, name)  # what call_async makes
+    watched = []
+
+    def caller():
+        for index in range(3):
+            handle = a.call_async("b", "echo", ["row"] * 100)
+            watched.append(weakref.ref(handle))
+            reply = yield handle
+            assert len(reply) == 100
+            del handle, reply
+            # We run inside the reply's delivery, which still names the
+            # event; one step on, nothing does — no expiry entry, though
+            # the call's deadline is seconds away.
+            yield 1.0
+            assert watched[index]() is None
+            assert not a._pending_replies
+
+    gc.disable()
+    try:
+        sim.run_until_complete(sim.process(caller()))
+    finally:
+        gc.enable()
+    assert sim.now < 1_000.0 and len(watched) == 3
 
 
 # -- the expiry queue ------------------------------------------------------------
@@ -140,6 +188,41 @@ def test_mixed_timeouts_expire_in_deadline_order():
     sim.run()
     assert expired == [("short", 110.0), ("short-2", 130.0), ("mid", 320.0), ("long", 500.0)]
     assert settled(a)
+
+
+def test_answered_and_unanswered_calls_interleaved_fail_only_the_unanswered_on_time():
+    sim, net, a, _b, _ = build_pair()
+    timeout = 444.6  # inexact in binary, like the send times below
+    outcomes = []  # (sent_at, finished_at, reply or None), in finishing order
+
+    def caller(tag):
+        for index in range(12):
+            yield 0.1 + 7.3 * tag
+            sent_at = sim.now
+            try:
+                reply = yield from a.call("b", "echo", (tag, index), timeout=timeout)
+            except RpcTimeout:
+                reply = None
+            outcomes.append((sent_at, sim.now, reply))
+
+    # The peer is gone for a stretch in mid-stream: what the five callers
+    # send before and after it is answered, what they send during it is
+    # not, and the one queue holds both kinds while its timer is armed.
+    sim.call_at(300.0, lambda: net.fail_node("b"))
+    sim.call_at(1_100.0, lambda: net.recover_node("b"))
+    for tag in range(5):
+        sim.process(caller(tag))
+    sim.run()
+    assert len(outcomes) == 60
+    failed = [(sent_at, at) for sent_at, at, reply in outcomes if reply is None]
+    answered = [(sent_at, at) for sent_at, at, reply in outcomes if reply is not None]
+    assert len(failed) >= 5 and len(answered) >= 20
+    assert any(sent_at > failed[-1][0] for sent_at, _ in answered)  # after the heal
+    # Every failure lands at its own deadline, float-equal, oldest first.
+    assert [at for _, at in failed] == [sent_at + timeout for sent_at, _ in failed]
+    assert failed == sorted(failed)
+    assert all(at < sent_at + timeout for sent_at, at in answered)
+    assert sim._heap == [] and settled(a)
 
 
 def test_a_reply_before_the_deadline_leaves_nothing_to_fire():
