@@ -15,6 +15,7 @@ lockholder.
 
 from __future__ import annotations
 
+import random
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..errors import (
@@ -65,7 +66,10 @@ class MusicClient:
         self.replicas = sorted(
             replicas, key=lambda r: profile.rtt(site, r.site)
         )
-        self._rng = (streams or RandomStreams(0)).stream(f"client:{client_id}")
+        # The jitter stream is made on first draw (see rng): an
+        # uncontended client never retries or polls.
+        self._streams = streams or RandomStreams(0)
+        self._rng: Optional[random.Random] = None
         self.sim = replicas[0].sim
         # Read-lease session state (only populated when read_leases is
         # on): per-key monotonic-prefix watermark for bounded reads, and
@@ -80,6 +84,16 @@ class MusicClient:
             if not replica.failed:
                 return replica
         return self.replicas[0]
+
+    @property
+    def rng(self) -> random.Random:
+        """The client's jitter stream (retry delays, poll sleeps); made
+        lazily, which changes no draw: a stream depends only on (seed,
+        name)."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self._streams.stream(f"client:{self.client_id}")
+        return rng
 
     # -- retry plumbing ---------------------------------------------------------
 
@@ -112,9 +126,7 @@ class MusicClient:
                 except _RETRYABLE as error:
                     last_error = error
                     if attempt + 1 < OP_RETRY_LIMIT:
-                        yield self.sim.timeout(
-                            self.config.op_retry_delay_ms * (1 + self._rng.random())
-                        )
+                        yield self.config.op_retry_delay_ms * (1 + self.rng.random())
             raise last_error or QuorumUnavailable(f"{op_name}: no replica reachable")
         finally:
             # The error's traceback holds this frame; a frame that went on
@@ -171,7 +183,7 @@ class MusicClient:
                     waiter = None
                     pushed = True
                 else:
-                    sleep = interval * (1 + 0.2 * self._rng.random())
+                    sleep = interval * (1 + 0.2 * self.rng.random())
                     if deadline is not None:
                         sleep = min(sleep, deadline - self.sim.now)
                     if waiter is not None:
@@ -182,7 +194,7 @@ class MusicClient:
                             waiter = None  # consumed by the notify
                             pushed = True
                     else:
-                        yield self.sim.timeout(sleep)
+                        yield sleep  # a bare delay: nobody else waits on it
                 if pushed:
                     # The grant is at most a local store apply away, so
                     # re-poll on a short fuse (the push races the commit

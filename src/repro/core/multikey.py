@@ -192,7 +192,7 @@ def enter_multi(
         yield from _release_all(client, held)
         base = client.config.acquire_poll_interval_ms * (2 ** attempt)
         backoff = min(base, client.config.acquire_poll_max_ms)
-        yield client.sim.timeout(backoff * (1.0 + client._rng.random()))
+        yield client.sim.timeout(backoff * (1.0 + client.rng.random()))
 
     raise ReproError(
         f"multi-key acquisition of {ordered} kept losing locks after "

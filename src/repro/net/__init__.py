@@ -2,7 +2,7 @@
 
 from .network import DEFAULT_BANDWIDTH_BYTES_PER_MS, Message, Network, NetworkStats
 from .node import DEFAULT_RPC_TIMEOUT_MS, Node
-from .quorum import await_quorum, quorum_size
+from .quorum import await_quorum, quorum_of, quorum_size
 from .topology import (
     LOCAL_RTT_MS,
     PAPER_PROFILES,
@@ -28,5 +28,6 @@ __all__ = [
     "PROFILE_LUSEU",
     "Site",
     "await_quorum",
+    "quorum_of",
     "quorum_size",
 ]

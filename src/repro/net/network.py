@@ -109,6 +109,7 @@ class Network:
         # path, so resolve each ordered pair once.
         self._one_way_cache: Dict[Tuple[str, str], float] = {}
         self._taps: list[Callable[[Message], None]] = []
+        self._deliver_cb = self._deliver
         # Observability facade inherited by every node registered here
         # (NULL_OBS unless a real one is installed).
         self.obs = obs or NULL_OBS
@@ -199,8 +200,9 @@ class Network:
         """
         sim = self.sim
         now = sim.now
-        source = self._endpoints[src]
-        target = self._endpoints[dst]
+        endpoints = self._endpoints
+        source = endpoints[src]
+        target = endpoints[dst]
         message_id = self._next_message_id
         self._next_message_id = message_id + 1
         message = Message(src, dst, kind, body, size_bytes, now, message_id)
@@ -209,8 +211,9 @@ class Network:
         stats.bytes_sent += size_bytes
         per_kind = stats.per_kind
         per_kind[kind] = per_kind.get(kind, 0) + 1
-        for tap in self._taps:
-            tap(message)
+        if self._taps:
+            for tap in self._taps:
+                tap(message)
 
         if source.failed:
             stats.dropped_failed += 1
@@ -218,22 +221,24 @@ class Network:
 
         # Egress serialization: the sender's NIC transmits one message at
         # a time; later messages queue behind earlier ones.
-        tx_time = (size_bytes + MESSAGE_OVERHEAD_BYTES) / self.bandwidth
-        start = max(now, source.egress_free_at)
-        source.egress_free_at = start + tx_time
-        departure = start + tx_time
+        departure = source.egress_free_at
+        if departure < now:
+            departure = now
+        departure += (size_bytes + MESSAGE_OVERHEAD_BYTES) / self.bandwidth
+        source.egress_free_at = departure
 
         pair = (source.site, target.site)
         latency = self._one_way_cache.get(pair)
         if latency is None:
             latency = self._one_way_cache[pair] = self.profile.one_way(*pair)
-        if self.jitter_fraction > 0.0:
-            latency *= 1.0 + self._rng.uniform(0.0, self.jitter_fraction)
-        arrival = departure + latency
+        jitter = self.jitter_fraction
+        if jitter > 0.0:
+            # Exactly uniform(0.0, jitter), minus its frame.
+            latency *= 1.0 + jitter * self._rng.random()
 
-        # Bound-method delivery: no per-message closure.  The endpoint
-        # records are re-looked-up at arrival time from the message.
-        sim.schedule(arrival - now, self._deliver, message)
+        # Bound-method delivery, bound once: no per-message closure.  The
+        # endpoint records are re-looked-up at arrival time from the message.
+        sim.schedule(departure + latency - now, self._deliver_cb, message)
 
     def _deliver(self, message: Message) -> None:
         # Partition/failure state is evaluated at arrival time, so a

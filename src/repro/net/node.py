@@ -14,6 +14,7 @@ CassaEV-style local operations at finite throughput).
 from __future__ import annotations
 
 from collections import deque
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..errors import RpcTimeout
@@ -43,6 +44,19 @@ class _Sink:
 
     def __init__(self, put: Callable[[Message], None]) -> None:
         self.put = put
+
+
+class _Handler:
+    """What a served handler's continuation runs as (:meth:`Node.serve`):
+    the process it used to spawn, minus the generator — a name for the
+    profiler and an empty context (its spans name their parent)."""
+
+    __slots__ = ("name",)
+
+    context = MappingProxyType({})
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
 class _ExpiryQueue:
@@ -149,11 +163,13 @@ class Node:
         self._pending_replies: Dict[int, Any] = {}
         self._expiry: Dict[float, _ExpiryQueue] = {}
         self._next_request_id = 0
-        # Per-kind reply-event ("rpc:<kind>") and handler-process
-        # ("<node>:<kind>") names, built once per kind so the RPC hot
+        # Per-kind reply-event names ("rpc:<kind>") and handler stand-ins
+        # (named "<node>:<kind>"), built once per kind so the RPC hot
         # path never formats strings.
         self._rpc_names: Dict[str, str] = {}
-        self._proc_names: Dict[str, str] = {}
+        self._handlers_as: Dict[str, _Handler] = {}
+        # The kind of the request being dispatched (see serve()).
+        self._serving: Optional[str] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -222,9 +238,11 @@ class Node:
     def on(self, kind: str, handler: Handler) -> None:
         """Register ``handler`` for messages of ``kind``.
 
-        A handler may be a plain function (runs instantly) or a generator
-        function result; generators are spawned as independent processes
-        so slow requests do not hold up later deliveries.
+        A handler may be a plain function (runs instantly; one that
+        needs CPU time serves it, :meth:`serve`, and continues when the
+        core is released) or a generator function result; generators
+        are spawned as independent processes so slow requests do not
+        hold up later deliveries.
         """
         if kind == _REPLY_KIND:
             raise ValueError("cannot register a handler for the reply kind")
@@ -243,25 +261,30 @@ class Node:
         body: Any,
         size_bytes: int = 64,
         timeout: float = DEFAULT_RPC_TIMEOUT_MS,
+        reply_event: Any = None,
     ) -> Any:
-        """Fire an RPC; returns the reply Event (fails with RpcTimeout)."""
+        """Fire an RPC; returns the reply Event (fails with RpcTimeout),
+        ``reply_event`` if given — one a caller already waits on."""
         sim = self.sim
         request_id = self._next_request_id
         self._next_request_id = request_id + 1
         profiler = sim.profiler
         if profiler is not None:
             profiler.rpc_envelopes += 1
-            name = self._rpc_names.get(kind)
-            if name is None:
-                name = self._rpc_names[kind] = "rpc:" + kind
-            reply_event = sim.event(name=name)
-        else:
+            if reply_event is None:
+                name = self._rpc_names.get(kind)
+                if name is None:
+                    name = self._rpc_names[kind] = "rpc:" + kind
+                reply_event = sim.event(name=name)
+        elif reply_event is None:
             reply_event = sim.event()
         self._pending_replies[request_id] = reply_event
         envelope = {"request_id": request_id, "reply_to": self.node_id, "payload": body}
-        trace_context = self.obs.tracer.rpc_context()
-        if trace_context is not None:
-            envelope["trace"] = trace_context
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            trace_context = tracer.rpc_context()
+            if trace_context is not None:
+                envelope["trace"] = trace_context
         self.network.send(self.node_id, dst, kind, envelope, size_bytes)
         expiry = self._expiry.get(timeout)
         if expiry is None:
@@ -306,6 +329,30 @@ class Node:
         """Occupy one CPU core for ``service_time_ms`` (queueing if busy)."""
         return self.cpu.use(service_time_ms)
 
+    def serve(
+        self,
+        service_time_ms: float,
+        then: Callable[[Any], None],
+        arg: Any,
+        waiter: Any = None,
+    ) -> None:
+        """:meth:`compute`, then ``then(arg)`` — a continuation, not a
+        step (DESIGN.md §14).  ``then`` runs as the calling process, so
+        trace context, spans and the trigger rule see what the rest of
+        its step saw; from a handler inside its delivery, as a stand-in
+        named ``"<node>:<kind>"``.  ``waiter``: see ``Resource.hold``."""
+        owner = self.sim.active_process
+        if owner is None:
+            owner = self._handler_as(self._serving)
+        self.cpu.hold(service_time_ms, then, arg, owner, waiter)
+
+    def _handler_as(self, kind: str) -> "_Handler":
+        """The stand-in a handler of ``kind`` runs as (see serve())."""
+        handler = self._handlers_as.get(kind)
+        if handler is None:
+            handler = self._handlers_as[kind] = _Handler(f"{self.node_id}:{kind}")
+        return handler
+
     # -- delivery ------------------------------------------------------------
 
     def _dispatch(self, message: Message) -> None:
@@ -323,19 +370,16 @@ class Node:
             body = message.body
             event = self._pending_replies.pop(body["request_id"], None)
             if event is not None and not event._triggered:
-                event.succeed(body["payload"])
+                event._trigger(True, body["payload"])
             return
         handler = self._handlers.get(kind)
         if handler is None:
             raise LookupError(f"{self.node_id}: no handler for {kind!r}")
+        self._serving = kind
         result = handler(message)
         if result is not None and hasattr(result, "send"):
             sim = self.sim
-            name = ""
-            if sim.profiler is not None:
-                name = self._proc_names.get(kind)
-                if name is None:
-                    name = self._proc_names[kind] = f"{self.node_id}:{kind}"
+            name = "" if sim.profiler is None else self._handler_as(kind).name
             process = Process(sim, result, name)
             if self.obs.enabled and isinstance(message.body, dict):
                 trace_context = message.body.get("trace")
@@ -362,6 +406,6 @@ class Node:
         (see :mod:`repro.store.coordinator`).
         """
         return [
-            (dst, self.call_async(dst, kind, body, size_bytes=size_bytes, timeout=timeout))
+            (dst, self.call_async(dst, kind, body, size_bytes, timeout))
             for dst in destinations
         ]

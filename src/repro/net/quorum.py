@@ -10,12 +10,12 @@ operation costs ~1 RTT to the nearest majority in the latency figures.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Tuple
+from typing import Any, Generator, List, Optional, Tuple
 
 from ..errors import QuorumUnavailable
 from ..sim import Event, Simulator
 
-__all__ = ["await_quorum", "quorum_size"]
+__all__ = ["await_quorum", "quorum_of", "quorum_size"]
 
 
 def quorum_size(replica_count: int) -> int:
@@ -33,10 +33,10 @@ class _Collector:
     __slots__ = ("outcome", "needed", "total", "destinations", "successes", "failed")
 
     def __init__(
-        self, sim: Simulator, handles: List[Tuple[str, Event]], needed: int
+        self, outcome: Event, handles: List[Tuple[str, Event]], needed: int
     ) -> None:
         self.total = len(handles)
-        self.outcome: Event = sim.event(name=f"quorum:{needed}/{self.total}")
+        self.outcome = outcome
         self.needed = needed
         self.destinations = {event: dst for dst, event in handles}
         self.successes: List[Tuple[str, Any]] = []
@@ -67,24 +67,38 @@ class _Collector:
                 )
 
 
+def quorum_of(
+    sim: Simulator,
+    handles: List[Tuple[str, Event]],
+    needed: int,
+    outcome: Optional[Event] = None,
+) -> Event:
+    """An event (``outcome`` if given) that succeeds with the
+    ``(destination, reply)`` pairs of the first ``needed`` (at most
+    ``len(handles)``) successful replies, in completion order, or fails
+    with :class:`QuorumUnavailable` once a quorum can no longer be
+    formed.  Stragglers are left running; their eventual completion is
+    harmless (and mirrors replicas applying a write after the
+    coordinator has already acknowledged it)."""
+    if outcome is None:
+        outcome = sim.event(name="quorum")
+    _Collector(outcome, handles, needed)
+    return outcome
+
+
 def await_quorum(
     sim: Simulator,
     handles: List[Tuple[str, Event]],
     needed: int,
 ) -> Generator[Any, Any, List[Tuple[str, Any]]]:
-    """Wait for ``needed`` successful replies out of ``handles``.
-
-    Returns the list of ``(destination, reply)`` pairs that formed the
-    quorum, in completion order.  Raises :class:`QuorumUnavailable` once
-    a quorum can no longer be formed.  Stragglers are left running; their
-    eventual completion is harmless (and mirrors replicas applying a
-    write after the coordinator has already acknowledged it).
-    """
+    """:func:`quorum_of` for ``yield from``: returns the quorum's
+    ``(destination, reply)`` pairs or raises :class:`QuorumUnavailable`
+    — at once if ``needed`` exceeds the requests sent."""
     total = len(handles)
     if needed > total:
         raise QuorumUnavailable(f"need {needed} replies but only {total} requests sent")
 
-    # No local names the collector or its outcome: a failed outcome's
-    # traceback holds this frame, and through such a name, itself.
-    result = yield _Collector(sim, handles, needed).outcome
+    # No local names the outcome: a failed outcome's traceback holds
+    # this frame, and through such a name, itself.
+    result = yield quorum_of(sim, handles, needed)
     return result

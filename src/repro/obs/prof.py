@@ -24,8 +24,9 @@ timings are untouched, so profiled runs stay bit-identical in sim time):
 - per-event-type handler time, keyed by the scheduled function's
   ``__qualname__``: ``Network._deliver`` (a delivery, *including* the
   handler's first step or the reply's waiters, which run inside it),
-  ``Process._wake`` (the end of a bare-delay sleep, e.g. a handler's
-  CPU hold), ``_fire_event`` (a ``Timeout`` fire and the waiters it
+  ``_end_hold`` (the end of a CPU hold and the continuation it runs,
+  see ``Node.serve``), ``Process._wake`` (the end of a bare-delay
+  sleep, e.g. a poll), ``_fire_event`` (a ``Timeout`` fire and the waiters it
   wakes in place), ``Process.start`` (a ``sim.process`` bootstrap),
   ``Process._resume`` (a wakeup a running process raised, deferred),
   ``Process._deliver_interrupt``, ``_ExpiryQueue._fire`` (a node's RPC
@@ -34,7 +35,9 @@ timings are untouched, so profiled runs stay bit-identical in sim time):
   ``(fn, arg)`` pair every ``sample_every`` events and mapping the
   owning process/event name onto a subsystem (music / store / net /
   client / topo / timer); a delivery is billed to its destination's
-  handler, ``"<dst>:<kind>"``, since that is whose work it carries;
+  handler, ``"<dst>:<kind>"``, since that is whose work it carries,
+  and a hold's end to whoever its continuation runs as (the handler's
+  ``"<node>:<kind>"`` or the calling process);
 - RPC envelope, obs-span and heap-push allocation counts (heap pushes
   read the kernel's ``heap_pushes`` counter, so the ready queue's heap
   bypass is directly visible as fewer pushes per event).

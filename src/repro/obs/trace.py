@@ -20,9 +20,10 @@ Context propagation uses two mechanisms:
   parent.
 - **Across RPCs**: :meth:`Tracer.rpc_context` returns a ``(trace_id,
   span_id)`` pair that :class:`repro.net.Node` piggybacks on the RPC
-  envelope; the node's dispatch seeds the handler process's context with
-  it (:meth:`Tracer.adopt`) before the handler's first step, so
-  replica-side spans join the caller's trace.
+  envelope; the node's dispatch seeds a generator handler's process
+  context with it (:meth:`Tracer.adopt`) before the handler's first
+  step, and a served handler (no process) passes it as the explicit
+  ``parent`` of its span, so replica-side spans join the caller's trace.
 
 The :data:`NULL_TRACER` makes the disabled path near-free: ``span()``
 returns a shared inert object whose enter/exit do nothing, no state is
@@ -177,16 +178,22 @@ class Tracer:
         name: str,
         node: Optional[str] = None,
         site: Optional[str] = None,
+        parent: Optional[Tuple[int, int]] = None,
         **attrs: Any,
     ) -> Span:
-        """Open a span parented to the calling process's current context."""
+        """Open a span parented to the calling process's current context,
+        or to ``parent`` — a ``(trace_id, span_id)`` from an RPC envelope
+        — when one is given (a served handler has no process to carry
+        it; see ``repro.net.Node.serve``)."""
         trace_id: Optional[int] = None
         parent_id: Optional[int] = None
         process = self.sim.active_process
-        if process is not None and process.context:
-            parent: Optional[Span] = process.context.get(_SPAN_KEY)
-            if parent is not None:
-                trace_id, parent_id = parent.trace_id, parent.span_id
+        if parent is not None:
+            trace_id, parent_id = parent
+        elif process is not None and process.context:
+            current: Optional[Span] = process.context.get(_SPAN_KEY)
+            if current is not None:
+                trace_id, parent_id = current.trace_id, current.span_id
             else:
                 remote = process.context.get(_REMOTE_KEY)
                 if remote is not None:

@@ -94,6 +94,8 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
+_heappush = heapq.heappush
+
 __all__ = [
     "Event",
     "Timeout",
@@ -389,7 +391,10 @@ class Process(Event):
                 self.fail(exc)
                 return
             kind = type(target)
-            if kind is not float and kind is not Timeout and not isinstance(target, Event):
+            if (
+                kind is not float and kind is not Event and kind is not Timeout
+                and not isinstance(target, Event)
+            ):
                 target = self._coerce(target)
         finally:
             sim.active_process = previous
@@ -526,7 +531,7 @@ class Simulator:
     # -- construction helpers -------------------------------------------------
 
     def event(self, name: str = "") -> Event:
-        return Event(self, name=name)
+        return Event(self, name)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
@@ -557,7 +562,7 @@ class Simulator:
         else:
             seq = self.heap_pushes
             self.heap_pushes = seq + 1
-            heapq.heappush(self._heap, (self.now + delay, seq, fn, arg))
+            _heappush(self._heap, (self.now + delay, seq, fn, arg))
 
     def schedule_at(self, when: float, fn: Callable[[Any], None], arg: Any) -> None:
         """Run ``fn(arg)`` at absolute simulated time ``when``, exactly.

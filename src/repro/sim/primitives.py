@@ -5,9 +5,10 @@ FIFO mailboxes for message delivery, counted resources for CPU cores and
 NIC serialization, and condition variables for state-change waits.
 
 All three primitives register an *abandon hook* (``Event._abandon``) on
-the events they hand to waiters: when a waiting process is interrupted
-away from the event, the kernel calls the hook so the primitive can
-cancel the queued waiter state.  Without this, an interrupted
+the events they hand to waiters — as does :meth:`Resource.hold` on the
+event its owner waits on — when a waiting process is interrupted away
+from the event, the kernel calls the hook so the primitive can cancel
+the queued waiter state.  Without this, an interrupted
 ``Resource.acquire`` still received a grant later (permanently shrinking
 capacity), a ``Condition`` retained the dead waiter forever, and a
 ``Mailbox`` could deliver an item into an event nobody would read.
@@ -16,7 +17,7 @@ capacity), a ``Condition`` retained the dead waiter forever, and a
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Callable, Deque, Generator, Optional
 
 from .core import Event, SimulationError, Simulator
 
@@ -164,6 +165,36 @@ class Resource:
         finally:
             self.release(None)
 
+    def hold(
+        self,
+        hold_time: float,
+        then: Callable[[Any], None],
+        arg: Any,
+        owner: Any = None,
+        waiter: Optional[Event] = None,
+    ) -> None:
+        """:meth:`use` as a continuation: queue and hold exactly as
+        ``use`` does (one heap entry, pushed where it pushed its sleep),
+        then release and run ``then(arg)`` with ``owner`` as
+        ``sim.active_process``.  Interrupted away from ``waiter``, the
+        owner abandons the hold: it leaves the queue or gives its unit
+        back at once, and ``then`` never runs."""
+        if hold_time < 0:
+            raise SimulationError(f"negative timeout delay {hold_time!r}")
+        held = _Hold(self, hold_time, then, arg, owner)
+        if waiter is not None:
+            waiter._abandon = held.abandon
+        in_use = self._in_use
+        if in_use < self.capacity:
+            if in_use == 0:
+                self._busy_since = self.sim.now
+            self._in_use = in_use + 1
+            self.sim.schedule(hold_time, _end_hold, held)
+        else:
+            grant = held.grant = Event(self.sim, name=self.name)
+            self._waiters.append(grant)
+            grant.add_callback(held.start)
+
     def _grant(self, event: Event) -> None:
         if self._in_use == 0:
             self._busy_since = self.sim.now
@@ -176,6 +207,66 @@ class Resource:
         if self._busy_since is not None:
             busy += self.sim.now - self._busy_since
         return busy / elapsed if elapsed > 0 else 0.0
+
+
+class _Hold:
+    """One :meth:`Resource.hold`: queued (``grant`` set), running, or
+    ended or abandoned (``then`` cleared, with what it referenced)."""
+
+    __slots__ = ("resource", "hold_time", "then", "arg", "owner", "grant", "name")
+
+    def __init__(
+        self, resource: Resource, hold_time: float, then: Any, arg: Any, owner: Any
+    ) -> None:
+        self.resource = resource
+        self.hold_time = hold_time
+        self.then = then
+        self.arg = arg
+        self.owner = owner
+        self.grant: Optional[Event] = None
+        self.name = resource.name if owner is None else owner.name  # for the profiler
+
+    def start(self, _grant: Event) -> None:
+        if self.then is not None:  # granted after queueing
+            self.grant = None
+            self.resource.sim.schedule(self.hold_time, _end_hold, self)
+
+    def abandon(self, _event: Any = None) -> None:
+        """Cancel the hold (a no-op once it has ended)."""
+        if self.then is None:
+            return
+        resource, grant, owner = self.resource, self.grant, self.owner
+        self.then = self.arg = self.owner = self.grant = None
+        if grant is None:  # running: released as use()'s ``finally`` did
+            sim = resource.sim
+            previous = sim.active_process
+            sim.active_process = owner
+            try:
+                resource.release(None)
+            finally:
+                sim.active_process = previous
+        elif grant._triggered:
+            resource.release(None)  # granted; the start was still queued
+        else:
+            resource._waiters.remove(grant)
+
+
+def _end_hold(held: _Hold) -> None:
+    """Scheduled end of a :meth:`Resource.hold`: release, then continue."""
+    then = held.then
+    if then is None:
+        return  # abandoned: its unit went back at the interrupt
+    arg, owner = held.arg, held.owner
+    held.then = held.arg = held.owner = None
+    resource = held.resource
+    sim = resource.sim
+    previous = sim.active_process
+    sim.active_process = owner
+    try:
+        resource.release(None)
+        then(arg)
+    finally:
+        sim.active_process = previous
 
 
 class Condition:

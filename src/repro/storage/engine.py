@@ -35,7 +35,7 @@ terminate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..obs import NULL_OBS
 from .config import StorageEngineConfig
@@ -135,6 +135,9 @@ class StorageEngine:
         # through live_rows(); a lock partition is mostly tombstones of
         # released lockRefs, and queue reads must not pay for them.
         self._live: Dict[Tuple[str, str], Dict[Any, Any]] = {}
+        # Beside it, each partition's live_bytes(), dropped wherever the
+        # index changes.
+        self._live_bytes: Dict[Tuple[str, str], int] = {}
         self.segments: List[Segment] = []
         self.paxos: Dict[Tuple[str, str], PaxosState] = {}
         self.crashed = False
@@ -168,23 +171,29 @@ class StorageEngine:
         self,
         updates: List[Any],
         paxos: Optional[Tuple[Tuple[str, str], PaxosState]] = None,
-    ) -> Generator[Any, Any, None]:
-        """Journal and apply one batch (group commit: one fsync).
+        then: Optional[Callable[[Any], None]] = None,
+        arg: Any = None,
+    ) -> Tuple[Any, ...]:
+        """Journal and apply one batch (group commit: one fsync), then
+        run ``then(arg)``; returns what a process caller yields from.
 
         ``updates`` is a list of Update/DeleteRow; ``paxos`` optionally
         piggybacks an acceptor-state snapshot on the same fsync.  The
         memtable apply happens only after the batch is durable per the
         sync mode, so an acknowledged write is never lost under
-        ``wal_sync="always"``.
+        ``wal_sync="always"`` — see :meth:`_durably` for when that is.
+        A crashed engine journals nothing and continues at once.
         """
         if self.crashed:
-            return
-        first_lsn = None
+            if then is not None:
+                then(arg)
+            return ()
+        lsn = None
         for update in updates:
             kind = "update" if hasattr(update, "columns") else "delete"
             record = self.wal.append(kind, update, update.size_bytes())
-            if first_lsn is None:
-                first_lsn = record.lsn
+            if lsn is None:
+                lsn = record.lsn
         if paxos is not None and self.config.journal_paxos:
             key, state = paxos
             size = 48
@@ -193,20 +202,18 @@ class StorageEngine:
             record = self.wal.append(
                 "paxos", (key, state.promised, state.accepted, state.latest_commit), size
             )
-            if first_lsn is None:
-                first_lsn = record.lsn
-        if first_lsn is not None:
-            self._pending_lsns.add(first_lsn)
-            try:
-                yield from self._sync_point()
-            finally:
-                self._pending_lsns.discard(first_lsn)
-            if self.crashed:
-                return
+            if lsn is None:
+                lsn = record.lsn
+        return self._durably(lsn, self._applied, (updates, then, arg))
+
+    def _applied(self, batch: Tuple[List[Any], Any, Any]) -> None:
+        updates, then, arg = batch
         for update in updates:
             self._apply(update)
         if updates:
             self._maybe_flush()
+        if then is not None:
+            then(arg)
 
     def journal_paxos(
         self, key: Tuple[str, str], state: PaxosState
@@ -222,14 +229,10 @@ class StorageEngine:
             return
         size = _rows_size_bytes(rows)
         record = self.wal.append("rows", (table, partition_key, rows), size)
-        self._pending_lsns.add(record.lsn)
-        try:
-            yield from self._sync_point()
-        finally:
-            self._pending_lsns.discard(record.lsn)
-        if self.crashed:
-            return
-        self._merge(table, partition_key, rows, size)
+        yield from self._durably(record.lsn, self._merged, (table, partition_key, rows, size))
+
+    def _merged(self, merge: Tuple[str, str, Dict[Any, Any], int]) -> None:
+        self._merge(*merge)
         self._maybe_flush()
 
     def drop_partition(
@@ -246,21 +249,18 @@ class StorageEngine:
         """
         if self.crashed:
             return
-        record = self.wal.append("drop", (partition_key, tables), 24)
-        self._pending_lsns.add(record.lsn)
-        try:
-            yield from self._sync_point()
-        finally:
-            self._pending_lsns.discard(record.lsn)
-        if self.crashed:
-            return
-        self._drop(partition_key, tables)
+        drop = (partition_key, tables)
+        yield from self._durably(self.wal.append("drop", drop, 24).lsn, self._dropped, drop)
+
+    def _dropped(self, drop: Tuple[str, Optional[List[str]]]) -> None:
+        self._drop(*drop)
 
     def _drop(self, partition_key: str, tables: Optional[List[str]]) -> None:
         for table, partitions in self.memtable.items():
             if tables is None or table in tables:
                 partitions.pop(partition_key, None)
                 self._live.pop((table, partition_key), None)
+        self._live_bytes.clear()
         for segment in self.segments:
             for table, partitions in segment.tables.items():
                 if tables is None or table in tables:
@@ -308,9 +308,11 @@ class StorageEngine:
     ) -> None:
         """Put ``row`` where ``old`` was (None: append) and index it."""
         partition[clustering] = row.freeze()
-        live = self._live.get((table, partition_key))
+        key = (table, partition_key)
+        live = self._live.get(key)
         if live is None:
-            live = self._live[(table, partition_key)] = {}
+            live = self._live[key] = {}
+        self._live_bytes.pop(key, None)
         if not row.live:
             live.pop(clustering, None)
         elif old is None or clustering in live:
@@ -323,19 +325,38 @@ class StorageEngine:
 
     # -- fsync ---------------------------------------------------------------
 
-    def _sync_point(self) -> Generator[Any, Any, None]:
-        mode = self.config.wal_sync
-        if mode == "always":
-            latency = self.config.fsync_latency_ms
-            if latency > 0.0:
-                yield self.sim.timeout(latency)
-                if self.crashed:
-                    return
+    def _durably(
+        self, lsn: Optional[int], apply: Callable[[Any], None], arg: Any
+    ) -> Tuple[Any, ...]:
+        """Run ``apply(arg)`` once the records from ``lsn`` on are durable
+        per ``wal_sync``: now, returning ``()``, unless ``"always"`` has an
+        fsync latency to wait out — then when it ends (not at all if the
+        engine crashed meanwhile), returning ``(event,)`` for that end.
+        Either way it is what a process caller yields from."""
+        if lsn is not None:
+            mode = self.config.wal_sync
+            if mode == "always":
+                latency = self.config.fsync_latency_ms
+                if latency > 0.0:
+                    synced = self.sim.event()
+                    self._pending_lsns.add(lsn)
+                    self.sim.schedule(latency, self._fsynced, (lsn, apply, arg, synced))
+                    return (synced,)
+                self._fsync()
+            elif mode == "periodic":
+                self._ensure_sync_loop()
+            elif mode != "off":
+                raise ValueError(f"unknown wal_sync mode {mode!r}")
+        apply(arg)
+        return ()
+
+    def _fsynced(self, pending: Tuple[int, Callable[[Any], None], Any, Any]) -> None:
+        lsn, apply, arg, synced = pending
+        self._pending_lsns.discard(lsn)
+        if not self.crashed:  # else lost with the unsynced tail
             self._fsync()
-        elif mode == "periodic":
-            self._ensure_sync_loop()
-        elif mode != "off":
-            raise ValueError(f"unknown wal_sync mode {mode!r}")
+            apply(arg)
+        synced.succeed()
 
     def _fsync(self) -> None:
         newly_synced = self.wal.sync()
@@ -397,6 +418,7 @@ class StorageEngine:
         self.segments.append(segment)
         self.memtable = {}
         self._live = {}
+        self._live_bytes = {}
         self.memtable_bytes = 0
         self.wal.truncate_through(segment.max_lsn)
         self.stats["flushes"] += 1
@@ -510,6 +532,18 @@ class StorageEngine:
                 return {c: row for c, row in view.items() if row.live}
         return self._live.get((table, partition_key)) or {}
 
+    def live_bytes(self, table: str, partition_key: str) -> int:
+        """``sum(row.payload_bytes() for row in live_rows(...).values())``,
+        memoised until the partition's live rows change."""
+        key = (table, partition_key)
+        total = self._live_bytes.get(key)
+        if total is None:
+            total = 0
+            for row in self.live_rows(table, partition_key).values():
+                total += row.payload_bytes()
+            self._live_bytes[key] = total
+        return total
+
     def partition_keys(self) -> List[Tuple[str, str]]:
         """All (table, partition) pairs, memtable insertion order first
         (so the anti-entropy cursor walks the same sequence it did when
@@ -543,6 +577,7 @@ class StorageEngine:
         lost = self.wal.drop_unsynced()
         self.memtable = {}
         self._live = {}
+        self._live_bytes = {}
         self.memtable_bytes = 0
         self.paxos = {}
         self.crashed = True

@@ -32,7 +32,7 @@ from typing import Any, List
 __all__ = ["WalRecord", "CommitLog", "dump_wal_jsonl"]
 
 
-@dataclass
+@dataclass(slots=True)
 class WalRecord:
     """One journaled mutation; ``lsn`` is the append order (1-based)."""
 
@@ -48,6 +48,7 @@ class CommitLog:
     def __init__(self) -> None:
         self.records: List[WalRecord] = []
         self._unsynced: List[WalRecord] = []
+        self._unsynced_bytes = 0
         self._next_lsn = 1
         self.synced_lsn = 0
         self.checkpoint_lsn = 0
@@ -67,6 +68,7 @@ class CommitLog:
         self._next_lsn += 1
         self.records.append(record)
         self._unsynced.append(record)
+        self._unsynced_bytes += size_bytes
         self.appended_records += 1
         self.appended_bytes += size_bytes
         return record
@@ -77,18 +79,19 @@ class CommitLog:
 
     @property
     def unsynced_bytes(self) -> int:
-        return sum(record.size_bytes for record in self._unsynced)
+        return self._unsynced_bytes
 
     def sync(self) -> int:
         """fsync: everything appended so far becomes durable.
 
         Returns the number of bytes newly made durable.
         """
-        newly_synced = self.unsynced_bytes
-        self.synced_lsn = self.last_lsn
+        newly_synced = self._unsynced_bytes
+        self.synced_lsn = self._next_lsn - 1
         self.synced_bytes += newly_synced
         self.syncs += 1
         self._unsynced = []
+        self._unsynced_bytes = 0
         return newly_synced
 
     # -- crash / checkpoint --------------------------------------------------
@@ -100,6 +103,7 @@ class CommitLog:
             lost_ids = {id(record) for record in lost}
             self.records = [r for r in self.records if id(r) not in lost_ids]
             self._unsynced = []
+            self._unsynced_bytes = 0
         return lost
 
     def truncate_through(self, lsn: int) -> int:
@@ -128,6 +132,7 @@ class CommitLog:
         # now, whether or not their log bytes had been synced.
         kept_set = {id(record) for record in kept}
         self._unsynced = [r for r in self._unsynced if id(r) in kept_set]
+        self._unsynced_bytes = sum(record.size_bytes for record in self._unsynced)
         self.checkpoint_lsn = max(self.checkpoint_lsn, lsn)
         return dropped
 

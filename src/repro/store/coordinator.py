@@ -19,12 +19,12 @@ LWT costs ~4 (Fig. 5b).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..errors import LockContention, QuorumUnavailable, ReproError
-from ..net import Node, await_quorum, quorum_size
-from ..sim import RandomStreams
+from ..net import Node, quorum_of, quorum_size
+from ..sim import Event, RandomStreams
 from .config import StoreConfig
 from .ring import HashRing
 from .types import (
@@ -39,6 +39,9 @@ from .types import (
 
 __all__ = ["StoreCoordinator", "CasResult"]
 
+# The levels answered by one replica.
+_SINGLE = (Consistency.ONE, Consistency.LOCAL_ONE)
+
 
 @dataclass
 class CasResult:
@@ -51,6 +54,34 @@ class CasResult:
 
     applied: bool
     current: Dict[Any, Row] = field(default_factory=dict)
+
+
+class _Prepare:
+    """One LWT attempt's prepare round: what its served continuation
+    chose (replicas, quorum, ballot target, stamped mutation) and the
+    ``paxos.prepare`` span it opened, which ``with prepare:`` closes."""
+
+    __slots__ = (
+        "table", "partition", "mutation", "stamp_with_ballot",
+        "replicas", "needed", "target", "span",
+    )
+
+    def __init__(
+        self, table: str, partition: str, mutation: Mutation, stamp_with_ballot: bool
+    ) -> None:
+        self.table = table
+        self.partition = partition
+        self.mutation = mutation
+        self.stamp_with_ballot = stamp_with_ballot
+        self.span: Any = None
+
+    def __enter__(self) -> "_Prepare":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if self.span is not None:  # None: interrupted before it was sent
+            self.span.__exit__(exc_type, exc, tb)
+        return False
 
 
 class StoreCoordinator:
@@ -94,13 +125,23 @@ class StoreCoordinator:
 
     @staticmethod
     def _needed(consistency: str, replica_count: int) -> int:
-        if consistency in (Consistency.ONE, Consistency.LOCAL_ONE):
+        """Acks to wait for; raises ``ValueError`` for an unknown level
+        (each op asks first, in the caller's step)."""
+        if consistency in _SINGLE:
             return 1
         if consistency == Consistency.QUORUM:
             return quorum_size(replica_count)
         if consistency == Consistency.ALL:
             return replica_count
         raise ValueError(f"unknown consistency {consistency!r}")
+
+    def _serve(self, then: Callable[[Tuple[Any, ...]], None], *args: Any) -> Event:
+        """Serve ``coordinator_service_ms``, then ``then((done, *args))``;
+        return ``done``, the one event the op yields (and never names: a
+        failed one's traceback holds the op's frame)."""
+        done = self.sim.event()
+        self.node.serve(self.config.coordinator_service_ms, then, (done,) + args, done)
+        return done
 
     # -- reads ------------------------------------------------------------
 
@@ -119,29 +160,40 @@ class StoreCoordinator:
         wise by stamp, so the result is at least as new as any value
         acknowledged at the same consistency.
         """
+        self._needed(consistency, 1)
         with self.obs.tracer.span(
             "store.get", node=self.node.node_id, site=self.node.site,
             consistency=consistency, table=table,
         ):
-            yield from self.node.compute(self.config.coordinator_service_ms)
-            replicas = self.replicas(partition)
-            body = {"table": table, "partition": partition, "clustering": clustering}
-            if consistency in (Consistency.ONE, Consistency.LOCAL_ONE):
-                target = self._nearest(replicas, local_only=consistency == Consistency.LOCAL_ONE)
-                reply = yield from self.node.call(
-                    target, "store_read", body, timeout=self.config.rpc_timeout_ms
-                )
-                return reply["rows"]
-            needed = self._needed(consistency, len(replicas))
-            handles = self.node.call_many(
-                replicas, "store_read", body, timeout=self.config.rpc_timeout_ms
+            replies = yield self._serve(
+                self._get_served, table, partition, clustering, consistency
             )
-            replies = yield from await_quorum(self.sim, handles, needed)
+            if consistency in _SINGLE:
+                return replies["rows"]
             merged = self._merge_replies([reply for _dst, reply in replies])
             if read_repair or self.config.read_repair_enabled:
                 self.obs.metrics.counter("store.read_repairs", node=self.node.node_id).inc()
                 self._issue_read_repair(table, partition, merged, [dst for dst, _ in replies])
             return merged
+
+    def _get_served(self, op: Tuple[Any, ...]) -> None:
+        done, table, partition, clustering, consistency = op
+        replicas = self.replicas(partition)
+        body = {"table": table, "partition": partition, "clustering": clustering}
+        timeout = self.config.rpc_timeout_ms
+        if consistency in _SINGLE:
+            try:
+                target = self._nearest(replicas, consistency == Consistency.LOCAL_ONE)
+            except QuorumUnavailable as error:
+                # Without the traceback: it holds this frame, which names done.
+                done.fail(error.with_traceback(None))
+                return
+            self.node.call_async(
+                target, "store_read", body, timeout=timeout, reply_event=done
+            )
+            return
+        handles = self.node.call_many(replicas, "store_read", body, timeout=timeout)
+        quorum_of(self.sim, handles, self._needed(consistency, len(replicas)), done)
 
     def scan_keys(
         self, table: str, consistency: str = Consistency.LOCAL_ONE
@@ -151,13 +203,15 @@ class StoreCoordinator:
         Used by the homing service's getAllKeys; staleness is harmless
         there (Section VII-a).
         """
-        yield from self.node.compute(self.config.coordinator_service_ms)
-        all_nodes = self.ring.nodes
-        target = self._nearest(all_nodes, local_only=False)
-        reply = yield from self.node.call(
-            target, "store_scan", {"table": table}, timeout=self.config.rpc_timeout_ms
-        )
+        reply = yield self._serve(self._scan_served, table)
         return reply["keys"]
+
+    def _scan_served(self, op: Tuple[Any, ...]) -> None:
+        done, table = op
+        self.node.call_async(
+            self._nearest(self.ring.nodes, local_only=False), "store_scan",
+            {"table": table}, timeout=self.config.rpc_timeout_ms, reply_event=done,
+        )
 
     @staticmethod
     def _merge_replies(replies: List[Dict[str, Any]]) -> Dict[Any, Row]:
@@ -217,7 +271,7 @@ class StoreCoordinator:
         paper's ``dsPutQuorum``.
         """
         update = Update(table, partition, clustering, dict(columns), stamp)
-        yield from self._write([update], consistency)
+        return self._write([update], consistency)
 
     def delete_row(
         self,
@@ -227,42 +281,45 @@ class StoreCoordinator:
         stamp: Stamp,
         consistency: str = Consistency.QUORUM,
     ) -> Generator[Any, Any, None]:
-        yield from self._write([DeleteRow(table, partition, clustering, stamp)], consistency)
+        return self._write([DeleteRow(table, partition, clustering, stamp)], consistency)
 
     def _write(self, updates: List[Any], consistency: str) -> Generator[Any, Any, None]:
         partition = updates[0].partition
         table = updates[0].table
         if any(u.partition != partition or u.table != table for u in updates):
             raise ValueError("a write batch must target a single (table, partition)")
+        self._needed(consistency, 1)
         with self.obs.tracer.span(
             "store.put", node=self.node.node_id, site=self.node.site,
             consistency=consistency, table=table,
         ):
-            yield from self.node.compute(self.config.coordinator_service_ms)
-            replicas = self.replicas(partition)
-            needed = self._needed(consistency, len(replicas))
-            # During a ring transition, nodes gaining this partition are
-            # dual-written and their acks are *required* (Cassandra's
-            # blockFor + pending endpoints): every write acknowledged
-            # before the handover flip is then guaranteed to sit on the
-            # post-flip owner, so read quorums intersect across the move.
-            pending = list(
-                self.ring.pending_owners(partition, self.config.replication_factor)
-            )
-            targets = replicas + pending if pending else replicas
-            needed += len(pending)
-            size = sum(update.size_bytes() for update in updates)
-            handles = self.node.call_many(
-                targets,
-                "store_write",
-                {"updates": updates},
-                size_bytes=size,
-                timeout=self.config.rpc_timeout_ms,
-            )
-            if self.config.hinted_handoff_enabled:
-                for dst, handle in handles:
-                    handle.add_callback(self._hint_on_failure(dst, updates))
-            yield from await_quorum(self.sim, handles, needed)
+            yield self._serve(self._write_served, updates, consistency)
+
+    def _write_served(self, op: Tuple[Any, ...]) -> None:
+        done, updates, consistency = op
+        partition = updates[0].partition
+        replicas = self.replicas(partition)
+        needed = self._needed(consistency, len(replicas))
+        # During a ring transition, nodes gaining this partition are
+        # dual-written and their acks are *required* (Cassandra's
+        # blockFor + pending endpoints): every write acknowledged
+        # before the handover flip is then guaranteed to sit on the
+        # post-flip owner, so read quorums intersect across the move.
+        pending = list(self.ring.pending_owners(partition, self.config.replication_factor))
+        targets = replicas + pending if pending else replicas
+        needed += len(pending)
+        size = sum(update.size_bytes() for update in updates)
+        handles = self.node.call_many(
+            targets,
+            "store_write",
+            {"updates": updates},
+            size_bytes=size,
+            timeout=self.config.rpc_timeout_ms,
+        )
+        if self.config.hinted_handoff_enabled:
+            for dst, handle in handles:
+                handle.add_callback(self._hint_on_failure(dst, updates))
+        quorum_of(self.sim, handles, needed, done)
 
     # -- hinted handoff ---------------------------------------------------------
 
@@ -375,7 +432,7 @@ class StoreCoordinator:
         # ambiguity resolution when a partial accept is completed by a
         # competing coordinator).
         op_id = f"{self.node.node_id}#{next(self._op_ids)}"
-        mutation = [replace(update, op_id=op_id) for update in mutation]
+        mutation = [update.restamped(update.stamp, op_id) for update in mutation]
         with self.obs.tracer.span(
             "store.cas", node=self.node.node_id, site=self.node.site, table=table
         ) as span:
@@ -406,7 +463,7 @@ class StoreCoordinator:
                     2_000.0,
                 )
                 backoff += self._rng.uniform(0.0, self.config.cas_backoff_jitter_ms)
-                yield self.sim.timeout(backoff)
+                yield backoff  # a bare delay: nobody else waits on it
         raise LockContention(
             f"cas on {table}/{partition} lost {attempts} ballot races"
         )
@@ -421,21 +478,12 @@ class StoreCoordinator:
         on_committing: Optional[Callable[[], None]] = None,
     ) -> Generator[Any, Any, Optional[CasResult]]:
         """One Paxos attempt; returns None to signal retry-with-backoff."""
-        yield from self.node.compute(self.config.coordinator_service_ms)
-        replicas = self.replicas(partition)
-        needed = quorum_size(len(replicas))
-        ballot = self._next_ballot()
-        target = {"table": table, "partition": partition, "ballot": ballot}
-        if stamp_with_ballot:
-            stamp = (float(ballot[0]), ballot[1])
-            mutation = [replace(update, stamp=stamp) for update in mutation]
-
-        # Round 1: prepare/promise.
-        with self.obs.tracer.span("paxos.prepare", node=self.node.node_id):
-            handles = self.node.call_many(
-                replicas, "paxos_prepare", target, timeout=self.config.rpc_timeout_ms
-            )
-            replies = yield from await_quorum(self.sim, handles, needed)
+        # Round 1: prepare/promise, sent by the served continuation.
+        prepare = _Prepare(table, partition, mutation, stamp_with_ballot)
+        with prepare:
+            replies = yield self._serve(self._prepare_served, prepare)
+        replicas, needed, target = prepare.replicas, prepare.needed, prepare.target
+        mutation = prepare.mutation
         promises = [reply for _dst, reply in replies]
         if not all(promise["promised"] for promise in promises):
             # Lost the ballot race: advance past the winning ballot, or
@@ -483,7 +531,7 @@ class StoreCoordinator:
             read_handles = self.node.call_many(
                 replicas, "store_read", read_body, timeout=self.config.rpc_timeout_ms
             )
-            read_replies = yield from await_quorum(self.sim, read_handles, needed)
+            read_replies = yield quorum_of(self.sim, read_handles, needed)
         current = self._merge_replies([reply for _dst, reply in read_replies])
         if self._mutation_visible(current, mutation):
             # A competing coordinator completed our partially-accepted
@@ -505,6 +553,29 @@ class StoreCoordinator:
         yield from self._commit(replicas, needed, target, mutation)
         return CasResult(applied=True, current=current)
 
+    def _prepare_served(self, op: Tuple[Any, ...]) -> None:
+        """What an attempt does once its CPU time is served: pick the
+        replicas and the ballot, stamp the mutation, send the prepares."""
+        done, prepare = op
+        prepare.replicas = replicas = self.replicas(prepare.partition)
+        prepare.needed = needed = quorum_size(len(replicas))
+        ballot = self._next_ballot()
+        prepare.target = target = {
+            "table": prepare.table, "partition": prepare.partition, "ballot": ballot,
+        }
+        if prepare.stamp_with_ballot:
+            stamp = (float(ballot[0]), ballot[1])
+            prepare.mutation = [
+                update.restamped(stamp, update.op_id) for update in prepare.mutation
+            ]
+        # The caller's current span while the prepares go out.
+        prepare.span = self.obs.tracer.span("paxos.prepare", node=self.node.node_id)
+        prepare.span.__enter__()
+        handles = self.node.call_many(
+            replicas, "paxos_prepare", target, timeout=self.config.rpc_timeout_ms
+        )
+        quorum_of(self.sim, handles, needed, done)
+
     def _propose(
         self,
         replicas: List[str],
@@ -522,7 +593,7 @@ class StoreCoordinator:
                 size_bytes=size,
                 timeout=self.config.rpc_timeout_ms,
             )
-            replies = yield from await_quorum(self.sim, handles, needed)
+            replies = yield quorum_of(self.sim, handles, needed)
         rejections = [reply for _dst, reply in replies if not reply["accepted"]]
         if rejections:
             self._observe_ballots(rejections)
@@ -562,7 +633,7 @@ class StoreCoordinator:
             handles = self.node.call_many(
                 targets, "paxos_commit", body, timeout=self.config.rpc_timeout_ms
             )
-            yield from await_quorum(self.sim, handles, needed)
+            yield quorum_of(self.sim, handles, needed)
 
     @staticmethod
     def _same_mutation(left: Mutation, right: Mutation) -> bool:

@@ -24,13 +24,17 @@ according to the configured ``wal_sync`` mode.  ``crash()`` discards
 the volatile column; ``recover()`` replays the commit log (charging the
 replay time on the sim clock) before the node rejoins the network.
 
-State mutations still happen without intervening yields under the
-default zero-fsync-latency configuration, so each handler step is
-atomic with respect to other requests, matching the "biggest atomic
-event is confined to one node" granularity of the paper's formal model
-(Section V-A).  With a non-zero fsync latency, the journal append /
-memtable apply pair brackets the charged fsync — exactly the window a
-real commit log introduces.
+Every handler is a plain function that serves its CPU time
+(:meth:`~repro.net.node.Node.serve`) and does the rest in a
+continuation when the core is released — no request becomes a process.
+Under the default zero-fsync-latency configuration the continuation
+journals, applies and replies synchronously, so each handler's state
+change is atomic with respect to other requests, matching the "biggest
+atomic event is confined to one node" granularity of the paper's formal
+model (Section V-A).  With a non-zero fsync latency, the journal append
+/ memtable apply pair brackets the charged fsync — exactly the window a
+real commit log introduces — and the reply is one more continuation
+(:meth:`~repro.storage.StorageEngine.commit`).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..errors import ReproError
-from ..sim import NodeClock, Simulator
+from ..sim import NodeClock, Process, Simulator
 from ..net import Message, Network, Node
 from ..storage import PaxosState, StorageEngine
 from .config import StoreConfig
@@ -48,6 +52,10 @@ __all__ = ["StorageReplica", "PaxosState"]
 
 # Sentinel meaning "read the whole partition" in a store_read request.
 ALL_ROWS = "__all_rows__"
+
+# The constant acknowledgements (shared: replies are read, never changed).
+_OK = {"ok": True}
+_ACCEPTED = {"accepted": True}
 
 
 class StorageReplica(Node):
@@ -138,54 +146,69 @@ class StorageReplica(Node):
 
     def _count(self, name: str) -> None:
         self.counters[name] += 1
-        if self.obs.enabled:
-            counter = self._instruments.get(name)
-            if counter is None:
-                counter = self._instruments[name] = self.obs.metrics.counter(
-                    f"store.replica.{name}", node=self.node_id
-                )
-            counter.inc()
-
-    # -- read/write handlers -------------------------------------------------
-
-    def _handle_read(self, msg: Message) -> Generator[Any, Any, None]:
-        body = self.payload(msg)
-        with self.obs.tracer.span("replica.read", node=self.node_id, site=self.site):
-            yield from self.compute(self.config.read_service_ms)
-            self._count("reads")
-            clustering = body.get("clustering", ALL_ROWS)
-            if clustering == ALL_ROWS:
-                rows = self.local_rows(body["table"], body["partition"])
-            else:
-                row = self.local_row(body["table"], body["partition"], clustering)
-                rows = {clustering: row} if row is not None else {}
-            # A plain loop over the memoised row sizes: a generator
-            # expression here is a frame per reply on the hottest handler.
-            size = 32
-            for row in rows.values():
-                size += row.payload_bytes()
-            self.reply(msg, {"rows": rows}, size_bytes=size)
-
-    def _handle_write(self, msg: Message) -> Generator[Any, Any, None]:
-        body = self.payload(msg)
-        with self.obs.tracer.span("replica.write", node=self.node_id, site=self.site):
-            updates = body["updates"]
-            size = sum(update.size_bytes() for update in updates)
-            yield from self.compute(
-                self.config.write_service_ms + self.config.value_service_ms(size)
+        # One cached handle per name; an inert one when metrics are off.
+        counter = self._instruments.get(name)
+        if counter is None:
+            counter = self._instruments[name] = self.obs.metrics.counter(
+                f"store.replica.{name}", node=self.node_id
             )
-            self._count("writes")
-            yield from self.engine.commit(updates)
-            self.reply(msg, {"ok": True})
+        counter.inc()
 
-    def _handle_scan(self, msg: Message) -> Generator[Any, Any, None]:
-        """List the live partition keys of a table (an eventual read)."""
+    # -- read/write handlers (each serves its CPU time; see the docstring)
+
+    def _span(self, name: str, msg: Message) -> Any:
+        return self.obs.tracer.span(
+            name, node=self.node_id, site=self.site, parent=msg.body.get("trace")
+        )
+
+    def _answer(self, answer: Tuple[Message, Any, Dict[str, Any]]) -> None:
+        msg, span, body = answer
+        self.reply(msg, body)
+        span.finish()
+
+    def _handle_read(self, msg: Message) -> None:
+        served = (msg, self._span("replica.read", msg))
+        self.serve(self.config.read_service_ms, self._read_served, served)
+
+    def _read_served(self, served: Tuple[Message, Any]) -> None:
+        msg, span = served
         body = self.payload(msg)
-        yield from self.compute(self.config.read_service_ms)
+        self._count("reads")
+        clustering = body.get("clustering", ALL_ROWS)
+        if clustering == ALL_ROWS:
+            rows = self.local_rows(body["table"], body["partition"])
+            size = 32 + self.engine.live_bytes(body["table"], body["partition"])
+        else:
+            row = self.local_row(body["table"], body["partition"], clustering)
+            rows = {clustering: row} if row is not None else {}
+            size = 32 if row is None else 32 + row.payload_bytes()
+        self.reply(msg, {"rows": rows}, size_bytes=size)
+        span.finish()
+
+    def _handle_write(self, msg: Message) -> None:
+        served = (msg, self._span("replica.write", msg))
+        size = sum(update.size_bytes() for update in self.payload(msg)["updates"])
+        self.serve(
+            self.config.write_service_ms + self.config.value_service_ms(size),
+            self._write_served, served,
+        )
+
+    def _write_served(self, served: Tuple[Message, Any]) -> None:
+        self._count("writes")
+        msg, span = served
+        updates = self.payload(msg)["updates"]
+        self.engine.commit(updates, None, self._answer, (msg, span, _OK))
+
+    def _handle_scan(self, msg: Message) -> None:
+        """List the live partition keys of a table (an eventual read)."""
+        self.serve(self.config.read_service_ms, self._scan_served, msg)
+
+    def _scan_served(self, msg: Message) -> None:
+        table = self.payload(msg)["table"]
         keys = sorted(
             partition_key
-            for partition_key in self.engine.table_partition_keys(body["table"])
-            if self.engine.live_rows(body["table"], partition_key)
+            for partition_key in self.engine.table_partition_keys(table)
+            if self.engine.live_rows(table, partition_key)
         )
         self.reply(msg, {"keys": keys}, size_bytes=16 * len(keys) + 32)
 
@@ -194,85 +217,88 @@ class StorageReplica(Node):
     def _paxos_state(self, table: str, partition_key: str) -> PaxosState:
         return self.engine.paxos_state(table, partition_key)
 
-    def _handle_paxos_prepare(self, msg: Message) -> Generator[Any, Any, None]:
-        body = self.payload(msg)
-        with self.obs.tracer.span(
-            "replica.paxos_prepare", node=self.node_id, site=self.site
-        ) as span:
-            yield from self.compute(self.config.paxos_phase_service_ms)
-            self._count("paxos_prepares")
-            key = (body["table"], body["partition"])
-            state = self._paxos_state(*key)
-            ballot: Ballot = body["ballot"]
-            if state.promised is not None and ballot <= state.promised:
-                span.set(promised=False)
-                self.reply(msg, {"promised": False, "promised_ballot": state.promised})
-                return
-            state.promised = ballot
-            in_progress = None
-            if state.accepted is not None:
-                accepted_ballot, mutation = state.accepted
-                in_progress = (accepted_ballot, mutation)
-            # The promise must be durable before it is given: a promise
-            # forgotten across a restart would let an older ballot slip in.
-            yield from self.engine.journal_paxos(key, state)
-            self.reply(msg, {
-                "promised": True,
-                "in_progress": in_progress,
-                "latest_commit": state.latest_commit,
-            })
+    def _handle_paxos_prepare(self, msg: Message) -> None:
+        served = (msg, self._span("replica.paxos_prepare", msg))
+        self.serve(self.config.paxos_phase_service_ms, self._prepare_served, served)
 
-    def _handle_paxos_propose(self, msg: Message) -> Generator[Any, Any, None]:
+    def _prepare_served(self, served: Tuple[Message, Any]) -> None:
+        msg, span = served
         body = self.payload(msg)
-        with self.obs.tracer.span(
-            "replica.paxos_propose", node=self.node_id, site=self.site
-        ) as span:
-            mutation: Mutation = body["mutation"]
-            size = sum(update.size_bytes() for update in mutation)
-            yield from self.compute(
-                self.config.paxos_phase_service_ms + self.config.value_service_ms(size)
-            )
-            self._count("paxos_proposes")
-            key = (body["table"], body["partition"])
-            state = self._paxos_state(*key)
-            ballot: Ballot = body["ballot"]
-            if state.promised is not None and ballot < state.promised:
-                span.set(accepted=False)
-                self.reply(msg, {"accepted": False, "promised_ballot": state.promised})
-                return
-            state.promised = ballot
-            state.accepted = (ballot, mutation)
-            # Cassandra journals the accepted proposal in system.paxos
-            # before acknowledging; a volatile acceptance is the classic
-            # Paxos durability bug (see tests/integration).
-            yield from self.engine.journal_paxos(key, state)
-            self.reply(msg, {"accepted": True})
+        self._count("paxos_prepares")
+        key = (body["table"], body["partition"])
+        state = self._paxos_state(*key)
+        ballot: Ballot = body["ballot"]
+        if state.promised is not None and ballot <= state.promised:
+            span.set(promised=False)
+            rejection = {"promised": False, "promised_ballot": state.promised}
+            self._answer((msg, span, rejection))
+            return
+        state.promised = ballot
+        # The promise must be durable before it is given: a promise
+        # forgotten across a restart would let an older ballot slip in.
+        self.engine.commit(
+            [], (key, state), self._promised, (msg, span, state, state.accepted)
+        )
 
-    def _handle_paxos_commit(self, msg: Message) -> Generator[Any, Any, None]:
+    def _promised(self, promise: Tuple[Message, Any, PaxosState, Any]) -> None:
+        msg, span, state, in_progress = promise
+        self.reply(msg, {
+            "promised": True,
+            "in_progress": in_progress,
+            "latest_commit": state.latest_commit,
+        })
+        span.finish()
+
+    def _handle_paxos_propose(self, msg: Message) -> None:
+        served = (msg, self._span("replica.paxos_propose", msg))
+        size = sum(update.size_bytes() for update in self.payload(msg)["mutation"])
+        self.serve(
+            self.config.paxos_phase_service_ms + self.config.value_service_ms(size),
+            self._propose_served, served,
+        )
+
+    def _propose_served(self, served: Tuple[Message, Any]) -> None:
+        msg, span = served
         body = self.payload(msg)
-        with self.obs.tracer.span(
-            "replica.paxos_commit", node=self.node_id, site=self.site
-        ):
-            yield from self.compute(self.config.paxos_phase_service_ms)
-            self._count("paxos_commits")
-            key = (body["table"], body["partition"])
-            state = self._paxos_state(*key)
-            ballot: Ballot = body["ballot"]
-            mutation: Mutation = body["mutation"]
-            # Apply the decided mutation (idempotent thanks to LWW stamps).
-            apply_needed = ballot not in state.committed_ballots
-            if apply_needed:
-                state.committed_ballots.add(ballot)
-            if state.latest_commit is None or ballot > state.latest_commit:
-                state.latest_commit = ballot
-            if state.accepted is not None and state.accepted[0] <= ballot:
-                state.accepted = None
-            # One group commit covers the data mutation and the acceptor
-            # snapshot: a single fsync, like Cassandra's batched commitlog.
-            yield from self.engine.commit(
-                mutation if apply_needed else [], paxos=(key, state)
-            )
-            self.reply(msg, {"ok": True})
+        self._count("paxos_proposes")
+        key = (body["table"], body["partition"])
+        state = self._paxos_state(*key)
+        ballot: Ballot = body["ballot"]
+        if state.promised is not None and ballot < state.promised:
+            span.set(accepted=False)
+            rejection = {"accepted": False, "promised_ballot": state.promised}
+            self._answer((msg, span, rejection))
+            return
+        state.promised = ballot
+        state.accepted = (ballot, body["mutation"])
+        # Cassandra journals the accepted proposal in system.paxos
+        # before acknowledging; a volatile acceptance is the classic
+        # Paxos durability bug (see tests/integration).
+        self.engine.commit([], (key, state), self._answer, (msg, span, _ACCEPTED))
+
+    def _handle_paxos_commit(self, msg: Message) -> None:
+        served = (msg, self._span("replica.paxos_commit", msg))
+        self.serve(self.config.paxos_phase_service_ms, self._commit_served, served)
+
+    def _commit_served(self, served: Tuple[Message, Any]) -> None:
+        msg, span = served
+        body = self.payload(msg)
+        self._count("paxos_commits")
+        key = (body["table"], body["partition"])
+        state = self._paxos_state(*key)
+        ballot: Ballot = body["ballot"]
+        # Apply the decided mutation (idempotent thanks to LWW stamps).
+        apply_needed = ballot not in state.committed_ballots
+        if apply_needed:
+            state.committed_ballots.add(ballot)
+        if state.latest_commit is None or ballot > state.latest_commit:
+            state.latest_commit = ballot
+        if state.accepted is not None and state.accepted[0] <= ballot:
+            state.accepted = None
+        # One group commit covers the data mutation and the acceptor
+        # snapshot: a single fsync, like Cassandra's batched commitlog.
+        mutation: Mutation = body["mutation"] if apply_needed else []
+        self.engine.commit(mutation, (key, state), self._answer, (msg, span, _OK))
 
     # -- anti-entropy -----------------------------------------------------------
 
@@ -309,7 +335,7 @@ class StorageReplica(Node):
             except ReproError:
                 continue  # unreachable peer; try again next round
             for table, partition_key, rows in reply["entries"]:
-                yield from self._merge_rows(table, partition_key, rows)
+                yield from self.engine.merge_rows(table, partition_key, rows)
 
     def _owns(self, node_id: str, partition_key: str) -> bool:
         if self.ring is None:
@@ -337,15 +363,22 @@ class StorageReplica(Node):
             for table, partition_key in window
         ]
 
-    def _handle_ae_exchange(self, msg: Message) -> Generator[Any, Any, None]:
-        body = self.payload(msg)
-        yield from self.compute(self.config.read_service_ms)
+    def _handle_ae_exchange(self, msg: Message) -> None:
+        self.serve(self.config.read_service_ms, self._ae_served, msg)
+
+    def _ae_served(self, msg: Message) -> None:
+        # Each merge is the engine's generator path (it may wait out an
+        # fsync), so the rest of the exchange is a process, started in
+        # place: with nothing to wait for it ends inside this dispatch.
+        Process(self.sim, self._ae_merge(msg), f"{self.node_id}:ae_exchange").start()
+
+    def _ae_merge(self, msg: Message) -> Generator[Any, Any, None]:
         reply_entries = []
-        for table, partition_key, rows in body["entries"]:
+        for table, partition_key, rows in self.payload(msg)["entries"]:
             if not self._owns(self.node_id, partition_key):
                 continue
             ours = dict(self.engine.partition_view(table, partition_key))
-            yield from self._merge_rows(table, partition_key, rows)
+            yield from self.engine.merge_rows(table, partition_key, rows)
             reply_entries.append((table, partition_key, ours))
         size = sum(
             row.payload_bytes()
@@ -353,8 +386,3 @@ class StorageReplica(Node):
             for row in rows.values()
         )
         self.reply(msg, {"entries": reply_entries}, size_bytes=size + 64)
-
-    def _merge_rows(
-        self, table: str, partition_key: str, rows: Dict[Any, Row]
-    ) -> Generator[Any, Any, None]:
-        yield from self.engine.merge_rows(table, partition_key, rows)

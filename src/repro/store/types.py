@@ -248,6 +248,13 @@ class Update:
             )
         return size
 
+    def restamped(self, stamp: Stamp, op_id: str) -> "Update":
+        """This write under another stamp and operation id — what
+        ``dataclasses.replace`` makes, minus its introspection."""
+        return Update(
+            self.table, self.partition, self.clustering, self.columns, stamp, op_id
+        )
+
 
 @dataclass(slots=True)
 class DeleteRow:
@@ -261,6 +268,10 @@ class DeleteRow:
 
     def size_bytes(self) -> int:
         return 32
+
+    def restamped(self, stamp: Stamp, op_id: str) -> "DeleteRow":
+        """This delete under another stamp and operation id."""
+        return DeleteRow(self.table, self.partition, self.clustering, stamp, op_id)
 
 
 # An atomic batch of writes within one (table, partition) — the unit a

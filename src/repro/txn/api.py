@@ -125,7 +125,7 @@ class TransactionExecutor:
                         "txn.abort_backoff", reason=abort.reason
                     ):
                         yield self.sim.timeout(
-                            self.retry.backoff_ms(attempt, self.client._rng)
+                            self.retry.backoff_ms(attempt, self.client.rng)
                         )
         raise AssertionError("unreachable")  # pragma: no cover
 

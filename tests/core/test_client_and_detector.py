@@ -137,3 +137,47 @@ def test_get_entry_quorum_fallback_when_local_lags():
 
     # Acknowledged (a guard retry would be None), under Oregon's stamp.
     assert run(music, task())[1] == oregon_replica.node_id
+
+
+def test_a_client_that_never_retries_or_polls_makes_no_stream():
+    """The jitter stream is made on first draw: an uncontended client —
+    no failover retry, no acquire poll — never pays for one."""
+    music = build_music(seed=4)
+    client = music.client("Ohio", client_id="solo")
+
+    def task():
+        section = yield from client.critical_section("k")
+        yield from section.put(1)
+        yield from section.exit()
+
+    run(music, task())
+    assert client._rng is None
+    assert "client:solo" not in music.streams._streams
+
+
+def test_lazy_jitter_draws_equal_eager_ones():
+    """``RandomStreams.stream`` depends only on (seed, name), so making
+    a client's stream at its first draw instead of at construction
+    changes no draw: a contended run (polls and backoffs) is identical."""
+
+    def contended(eager):
+        music = build_music(seed=6)
+        clients = [music.client(site) for site in ("Ohio", "Ohio", "Oregon", "Oregon")]
+        if eager:
+            for client in clients:
+                client.rng  # made now, at construction time
+        finished = []
+
+        def worker(client):
+            for _ in range(3):
+                section = yield from client.critical_section("hot")
+                yield from section.exit()
+                finished.append((client.client_id, music.sim.now))
+
+        processes = [music.sim.process(worker(client)) for client in clients]
+        for process in processes:
+            music.sim.run_until_complete(process)
+        return finished, [client._rng.getstate() for client in clients]
+
+    lazy, eager = contended(eager=False), contended(eager=True)
+    assert lazy == eager and len(lazy[0]) == 12

@@ -53,6 +53,14 @@ def run(sim, generator, limit=1e9):
     return sim.run_until_complete(sim.process(generator), limit=limit)
 
 
+def commit(sim, engine, updates, **kwargs):
+    """``StorageEngine.commit`` a batch and run the clock until it is
+    applied (at once, unless an fsync latency must be waited out)."""
+    applied = sim.event()
+    engine.commit(updates, then=applied.succeed, **kwargs)
+    return sim.run_until_complete(applied)
+
+
 def broken_rpc(*_args, **_kwargs):
     """A stand-in for ``Node.call`` that raises what no peer failure
     raises: a bug on the RPC path, not an ``RpcTimeout``."""

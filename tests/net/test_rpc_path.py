@@ -1,8 +1,10 @@
 """What one RPC costs the kernel — counted, not timed.
 
 A delivered message runs its handler inside the delivery event, a reply
-wakes its caller inside the reply's delivery, and a node keeps one expiry
-timer per timeout value instead of one heap entry per call.  These tests
+wakes its caller inside the reply's delivery, CPU time is a held core
+whose end runs the rest as a continuation (no handler process), and a
+node keeps one expiry timer per timeout value instead of one heap entry
+per call.  These tests
 pin that with exact counters (dispatches, heap depth, float-equal
 deadlines), which do not depend on the host.
 """
@@ -12,11 +14,14 @@ import weakref
 
 import pytest
 
+from repro.core import build_music
 from repro.errors import RpcTimeout
 from repro.net import PROFILE_LUS, Network, Node
 from repro.net.node import _ExpiryQueue
 from repro.obs import SimProfiler
-from repro.sim import Event, RandomStreams, Simulator
+from repro.sim import Event, Process, RandomStreams, Simulator
+from repro.store import Consistency
+from tests.helpers import make_store
 
 
 def build_pair(profiled=False, start=True):
@@ -75,6 +80,78 @@ def test_a_generator_handler_adds_only_the_time_it_takes():
     # bootstrap, delivery (+ the handler's first step), the end of its
     # CPU hold (+ the reply's send), the reply's delivery.
     assert profiler.events == 4
+
+
+def test_a_served_handler_still_costs_exactly_four_dispatches():
+    sim, _net, a, b, profiler = build_pair(profiled=True)
+    b.on("slow", lambda msg: b.serve(2.0, lambda request: b.reply(request, "done"), msg))
+
+    def caller():
+        return (yield from a.call("b", "slow", None))
+
+    assert sim.run_until_complete(sim.process(caller())) == "done"
+    # bootstrap, delivery (the handler serves), the hold's end (the
+    # continuation replies), the reply's delivery — and no process.
+    assert profiler.events == 4
+    assert set(profiler.by_event_type) == {"Process.start", "Network._deliver", "_end_hold"}
+
+
+def test_store_rpcs_are_answered_without_a_process(monkeypatch):
+    """A contention16-shaped run at tiny scale: four clients, two
+    critical sections each on one key.  Every store RPC a replica
+    answers is served by continuations; none becomes a process."""
+    import repro.net.node as node_module
+
+    spawned = []
+
+    class Counted(Process):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            spawned.append(self.name)
+
+    monkeypatch.setattr(node_module, "Process", Counted)
+    deployment = build_music(profile_name="lUs", seed=0)
+    sim = deployment.sim
+    sites = deployment.profile.site_names
+    clients = [deployment.client(sites[i % len(sites)]) for i in range(4)]
+
+    def worker(client):
+        for _ in range(2):
+            section = yield from client.critical_section("hot", timeout_ms=1e9)
+            value = yield from section.get()
+            yield from section.put((value or 0) + 1)
+            yield from section.exit()
+
+    for process in [sim.process(worker(client)) for client in clients]:
+        sim.run_until_complete(process)
+    per_kind = deployment.network.stats.per_kind
+    assert per_kind["store_read"] > 0 and per_kind["paxos_commit"] > 0
+    assert spawned == []
+
+
+def test_a_local_one_get_resumes_its_caller_exactly_once():
+    sim, _net, cluster, (host,) = make_store()
+    coordinator = cluster.coordinator_for(host)
+    advances = []
+
+    class Counted(Process):
+        __slots__ = ()
+
+        def _advance(self, throw, payload):
+            advances.append(sim.now)
+            Process._advance(self, throw, payload)
+
+    def caller():
+        rows = yield from coordinator.get("t", "k", consistency=Consistency.LOCAL_ONE)
+        return rows
+
+    process = Counted(sim, caller())
+    sim.schedule(0.0, Process.start, process)
+    assert sim.run_until_complete(process) == {}
+    # Its first step, then the reply: the CPU hold is not a step.
+    assert len(advances) == 2 and advances[0] == 0.0
 
 
 def test_a_thousand_answered_rpcs_park_nothing_in_the_heap(monkeypatch):

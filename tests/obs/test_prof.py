@@ -101,7 +101,8 @@ def test_a_delivery_is_billed_to_its_destination_handler():
     _workload(deployment)
     profiler = deployment.profiler
     kinds = set(profiler.by_event_type)
-    assert {"Network._deliver", "Process._wake", "Process.start"} <= kinds
+    # (A CPU hold ends in ``_end_hold``, not in a process's wake.)
+    assert {"Network._deliver", "_end_hold", "Process.start"} <= kinds
     assert "Node._serve" not in kinds and "Node._expire_rpc" not in kinds
     deliveries = profiler.by_event_type["Network._deliver"][0]
     assert deliveries > 0.5 * profiler.events  # most of what the kernel runs
@@ -111,6 +112,30 @@ def test_a_delivery_is_billed_to_its_destination_handler():
     billed = {name: count for name, (count, _wall) in profiler.by_subsystem.items()}
     assert billed["store"] + billed["music"] >= deliveries
     assert billed.get("other", 0) < profiler.events - deliveries
+
+
+def test_a_hold_is_billed_to_whoever_it_runs_as():
+    """A CPU hold's end runs a continuation as the step it replaced, so
+    it is billed to that step's owner: ``"<node>:<kind>"`` for a served
+    handler (store), the calling process for a coordinator op (here a
+    client) — never to the core (``cpu:…``, net) or to nobody."""
+    deployment = build_music(seed=5, profile=True)
+    deployment.profiler.sample_every = 1
+    client = deployment.client(deployment.profile.site_names[0])
+
+    def body():
+        for index in range(3):
+            section = yield from client.critical_section(f"key-{index}")
+            yield from section.put(index)
+            yield from section.exit()
+
+    sim = deployment.sim
+    sim.run_until_complete(sim.process(body(), name="client-0"))
+    profiler = deployment.profiler
+    billed = {name: count for name, (count, _wall) in profiler.by_subsystem.items()}
+    assert set(billed) == {"store", "music", "client"}
+    # The client's bootstrap, and the coordinator holds it waited out.
+    assert billed["client"] > 1
 
 
 def test_speedscope_samples_shape():

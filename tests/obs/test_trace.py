@@ -127,3 +127,31 @@ def test_tracer_queries():
     assert child.name == "child"
     trace = obs.tracer.trace(root.trace_id)
     assert [span.name for span in trace] == ["root", "child"]
+
+
+def test_every_replica_span_is_a_child_of_its_rpcs_caller_span():
+    """A served handler has no process to adopt the envelope's trace
+    context into; its ``replica.*`` span names that context as its
+    parent explicitly — the coordinator span current when the RPC was
+    sent — and is finished by the continuation, after its service."""
+    from repro.core import build_music
+    from tests.obs.test_overhead import _workload
+
+    deployment = build_music(seed=5, obs=True)
+    _workload(deployment)
+    spans = deployment.obs.tracer.spans
+    by_id = {span.span_id: span for span in spans}
+    callers = {
+        "replica.read": {"store.get", "paxos.read"},
+        "replica.write": {"store.put"},
+        "replica.paxos_prepare": {"paxos.prepare"},
+        "replica.paxos_propose": {"paxos.propose"},
+        "replica.paxos_commit": {"paxos.commit"},
+    }
+    served = [span for span in spans if span.name.startswith("replica.")]
+    assert {span.name for span in served} == set(callers)
+    for span in served:
+        parent = by_id[span.parent_id]
+        assert parent.name in callers[span.name]
+        assert parent.trace_id == span.trace_id and parent.node != span.node
+        assert parent.start_ms < span.start_ms < span.end_ms

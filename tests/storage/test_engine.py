@@ -4,7 +4,7 @@ from repro.sim import Simulator
 from repro.storage import StorageEngine, StorageEngineConfig
 from repro.store.types import DeleteRow, Row, Update
 
-from tests.helpers import run
+from tests.helpers import commit, run
 
 
 def upd(ck, value, ts=1.0, table="t", pk="p"):
@@ -14,10 +14,6 @@ def upd(ck, value, ts=1.0, table="t", pk="p"):
 def make_engine(sim=None, **config_kw):
     sim = sim or Simulator()
     return sim, StorageEngine(sim, StorageEngineConfig(**config_kw), node_id="n1")
-
-
-def commit(sim, engine, updates, **kw):
-    run(sim, engine.commit(updates, **kw))
 
 
 class TestSyncModes:

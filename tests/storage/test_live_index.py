@@ -6,7 +6,9 @@ read does not walk the tombstones a lock partition accumulates.  The
 property: after any interleaving of the operations that change stored
 rows, the answer is exactly what filtering ``partition_view`` gives —
 same keys, same rows, *same iteration order* (replies are built by
-iterating it, and reply order feeds merge order feeds timings).
+iterating it, and reply order feeds merge order feeds timings) — and
+``live_bytes``, the whole-partition reply size memoised beside it, is
+the summed ``payload_bytes()`` of those rows.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from repro.sim import Simulator
 from repro.storage import StorageEngine, StorageEngineConfig
 from repro.store.types import DeleteRow, Row, Update
 
-from tests.helpers import run
+from tests.helpers import commit, run
 
 PARTITIONS = ("p", "q")
 
@@ -57,10 +59,10 @@ def apply_op(sim, engine, index, op):
     if kind == "update":
         _, pk, ck, column, ts = op
         stamp = (float(ts), f"w{index}")
-        run(sim, engine.commit([Update("t", pk, ck, {column: index}, stamp)]))
+        commit(sim, engine, [Update("t", pk, ck, {column: index}, stamp)])
     elif kind == "delete":
         _, pk, ck, ts = op
-        run(sim, engine.commit([DeleteRow("t", pk, ck, (float(ts), f"w{index}"))]))
+        commit(sim, engine, [DeleteRow("t", pk, ck, (float(ts), f"w{index}"))])
     elif kind == "merge":
         _, pk, ck, ts, tombstone = op
         theirs = Row()
@@ -87,6 +89,9 @@ def assert_index_matches(engine):
             if row.live
         ]
         assert list(engine.live_rows("t", pk).items()) == expected
+        # The memoised reply size is the sum it stands for — asked after
+        # every operation, so a change that misses an invalidation shows.
+        assert engine.live_bytes("t", pk) == sum(row.payload_bytes() for _, row in expected)
 
 
 @settings(max_examples=150, deadline=None)
@@ -101,24 +106,24 @@ def test_live_rows_equal_the_filtered_partition_in_order(sequence, flush_bytes):
 def test_a_rewritten_row_re_enters_at_its_original_position():
     sim, engine = make_engine()
     for ck in (1, 2, 3):
-        run(sim, engine.commit([Update("t", "p", ck, {"c": ck}, (1.0, "w"))]))
-    run(sim, engine.commit([DeleteRow("t", "p", 2, (2.0, "w"))]))
+        commit(sim, engine, [Update("t", "p", ck, {"c": ck}, (1.0, "w"))])
+    commit(sim, engine, [DeleteRow("t", "p", 2, (2.0, "w"))])
     assert list(engine.live_rows("t", "p")) == [1, 3]
-    run(sim, engine.commit([Update("t", "p", 2, {"c": "again"}, (3.0, "w"))]))
+    commit(sim, engine, [Update("t", "p", 2, {"c": "again"}, (3.0, "w"))])
     assert list(engine.partition_view("t", "p")) == [1, 2, 3]
     assert list(engine.live_rows("t", "p")) == [1, 2, 3]
 
 
 def test_stored_rows_are_replaced_not_mutated():
     sim, engine = make_engine()
-    run(sim, engine.commit([Update("t", "p", 1, {"c": "old"}, (1.0, "w"))]))
+    commit(sim, engine, [Update("t", "p", 1, {"c": "old"}, (1.0, "w"))])
     before = engine.live_rows("t", "p")[1]
-    run(sim, engine.commit([Update("t", "p", 1, {"c": "new"}, (2.0, "w"))]))
+    commit(sim, engine, [Update("t", "p", 1, {"c": "new"}, (2.0, "w"))])
     after = engine.live_rows("t", "p")[1]
     assert before is not after
     assert before.visible_values() == {"c": "old"}
     assert after.visible_values() == {"c": "new"}
-    run(sim, engine.commit([DeleteRow("t", "p", 1, (3.0, "w"))]))
+    commit(sim, engine, [DeleteRow("t", "p", 1, (3.0, "w"))])
     assert after.live and after.tombstone is None
     assert engine.live_rows("t", "p") == {}
     assert not engine.partition_view("t", "p")[1].live

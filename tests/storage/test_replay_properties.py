@@ -13,7 +13,7 @@ from repro.sim import Simulator
 from repro.storage import StorageEngine, StorageEngineConfig
 from repro.store.types import DeleteRow, Update
 
-from tests.helpers import run
+from tests.helpers import commit, run
 
 # One logical operation: (kind, clustering key, column, value, timestamp
 # tiebreaker).  Small key spaces force overwrites, deletes over live
@@ -38,7 +38,7 @@ def apply_ops(sim, engine, sequence):
             mutation = Update("t", "p", ck, {col: value}, stamp)
         else:
             mutation = DeleteRow("t", "p", ck, stamp)
-        run(sim, engine.commit([mutation]))
+        commit(sim, engine, [mutation])
 
 
 def build(flush_bytes):

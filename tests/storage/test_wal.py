@@ -9,6 +9,8 @@ from repro.sim import Simulator
 from repro.storage import CommitLog, StorageEngine, StorageEngineConfig, dump_wal_jsonl
 from repro.store.types import Update
 
+from tests.helpers import commit
+
 
 def upd(n, value="v"):
     return Update("t", "p", n, {"c": value}, (float(n), "w"))
@@ -88,9 +90,9 @@ class TestJsonlDump:
     def test_dump_renders_header_and_durability_flags(self):
         sim = Simulator()
         engine = StorageEngine(sim, StorageEngineConfig(wal_sync="off"), node_id="n1")
-        sim.run_until_complete(sim.process(engine.commit([upd(1)])))
+        commit(sim, engine, [upd(1)])
         engine.config.wal_sync = "always"
-        sim.run_until_complete(sim.process(engine.commit([upd(2)])))
+        commit(sim, engine, [upd(2)])
         buffer = io.StringIO()
         count = dump_wal_jsonl(engine, buffer)
         lines = [json.loads(line) for line in buffer.getvalue().splitlines()]

@@ -1,7 +1,5 @@
 """Integration tests for quorum reads/writes through the coordinator."""
 
-import pytest
-
 from repro.errors import QuorumUnavailable
 from repro.store import Consistency
 

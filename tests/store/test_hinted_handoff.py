@@ -1,7 +1,5 @@
 """Tests for hinted handoff (coordinator-side write repair)."""
 
-import pytest
-
 from repro.store import Consistency, StoreConfig
 
 from tests.helpers import make_store, run

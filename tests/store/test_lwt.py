@@ -1,7 +1,5 @@
 """Integration tests for light-weight transactions (per-partition Paxos)."""
 
-import pytest
-
 from repro.errors import QuorumUnavailable
 from repro.store import Condition, Consistency
 from repro.store.types import DeleteRow, Update
@@ -140,7 +138,7 @@ def test_cas_completes_in_progress_proposal_from_dead_coordinator():
         except QuorumUnavailable:
             pass  # the host was crashed mid-transaction
 
-    proc = sim.process(doomed())
+    sim.process(doomed())
     # Propose (round 3) starts after ~prepare (1 RTT) + read (1 RTT) ≈ 108ms;
     # accepts land at replicas ~27-36ms later; commit issues at ~162ms.
     # Crash the host at 170ms: accepts are durable, commit never arrives

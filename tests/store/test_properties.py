@@ -2,7 +2,6 @@
 
 import copy
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.store import HashRing, Row

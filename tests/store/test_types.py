@@ -1,6 +1,6 @@
 """Unit tests for the store data model (rows, cells, conditions)."""
 
-from repro.store import Cell, Condition, Row, payload_size
+from repro.store import Condition, Row, payload_size
 from repro.store.types import Update, DeleteRow
 
 
