@@ -2,11 +2,10 @@
 
 from .cost_model import CostModel
 from .report import render_bars, render_cdf, render_series, render_table
-from .stats import Summary, cdf_points, percentile, summarize
+from .stats import cdf_points, percentile, summarize
 
 __all__ = [
     "CostModel",
-    "Summary",
     "cdf_points",
     "percentile",
     "render_bars",

@@ -4,22 +4,19 @@ from .cockroach import (
     CockroachClient,
     CockroachConfig,
     CockroachCriticalSection,
-    CockroachNode,
     build_cockroach,
 )
 from .mscp import MscpReplica, build_mscp
-from .zookeeper import ZkConfig, ZkLock, ZkSession, ZookeeperServer, build_zookeeper
+from .zookeeper import ZkConfig, ZkLock, ZkSession, build_zookeeper
 
 __all__ = [
     "CockroachClient",
     "CockroachConfig",
     "CockroachCriticalSection",
-    "CockroachNode",
     "MscpReplica",
     "ZkConfig",
     "ZkLock",
     "ZkSession",
-    "ZookeeperServer",
     "build_cockroach",
     "build_mscp",
     "build_zookeeper",

@@ -1,14 +1,12 @@
 """CockroachDB baseline: Raft ranges, leaseholders, transactions."""
 
-from .raft import CockroachConfig, CockroachNode, build_cockroach, range_of
-from .txn import CockroachClient, CockroachCriticalSection, Transaction
+from .raft import CockroachConfig, build_cockroach, range_of
+from .txn import CockroachClient, CockroachCriticalSection
 
 __all__ = [
     "CockroachClient",
     "CockroachConfig",
     "CockroachCriticalSection",
-    "CockroachNode",
-    "Transaction",
     "build_cockroach",
     "range_of",
 ]

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ...errors import NoLeader, RpcTimeout, TransactionAborted
-from ...net import Network, Node, await_quorum, quorum_size
+from ...net import Network, Node, quorum_of, quorum_size
 from ...sim import Condition as SimCondition
 from ...sim import RandomStreams, Simulator
 from ...store.types import payload_size
@@ -290,7 +290,7 @@ class CockroachNode(Node):
                     followers, "raft_append", body,
                     size_bytes=size, timeout=self.config.rpc_timeout_ms,
                 )
-                replies = yield from await_quorum(self.sim, handles, needed)
+                replies = yield quorum_of(self.sim, handles, needed)
             for dst, reply in replies:
                 if reply.get("term", 0) > state.term:
                     self._step_down(range_id, reply["term"])
@@ -542,7 +542,7 @@ class CockroachNode(Node):
         votes = 1  # self-vote
         needed = quorum_size(len(self.peers))
         try:
-            replies = yield from await_quorum(self.sim, handles, needed - 1)
+            replies = yield quorum_of(self.sim, handles, needed - 1)
         except Exception:
             state.role = "follower"
             return

@@ -1,26 +1,17 @@
 """Zookeeper baseline: Zab broadcast, znode tree, sessions, lock recipe."""
 
 from .lock_recipe import ZkLock
-from .server import ZkConfig, ZkSession, ZookeeperServer, build_zookeeper
-from .znode import (
-    BadVersionError,
-    NodeExistsError,
-    NoNodeError,
-    ZkError,
-    ZNode,
-    ZNodeTree,
-)
+from .server import ZkConfig, ZkSession, build_zookeeper
+from .znode import BadVersionError, NodeExistsError, NoNodeError, ZkError, ZNodeTree
 
 __all__ = [
     "BadVersionError",
     "NoNodeError",
     "NodeExistsError",
-    "ZNode",
     "ZNodeTree",
     "ZkConfig",
     "ZkError",
     "ZkLock",
     "ZkSession",
-    "ZookeeperServer",
     "build_zookeeper",
 ]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ...errors import NoLeader, RpcTimeout
-from ...net import Network, Node, await_quorum, quorum_size
+from ...net import Network, Node, quorum_of, quorum_size
 from ...sim import Condition as SimCondition
 from ...sim import Resource, Simulator
 from ...store.types import payload_size
@@ -188,7 +188,7 @@ class ZookeeperServer(Node):
                     followers, "zab_replicate", {"zxid": zxid, "op": op},
                     size_bytes=op.size_bytes(), timeout=self.config.rpc_timeout_ms,
                 )
-                yield from await_quorum(self.sim, handles, needed)
+                yield quorum_of(self.sim, handles, needed)
         # Commit: apply locally in strict zxid order, then tell followers.
         # A failed apply (e.g. NodeExists) is still a committed log entry
         # — it must reach followers or their ordered apply would stall.

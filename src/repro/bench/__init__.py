@@ -12,7 +12,7 @@ through :func:`run_experiment`.
 
 # Importing registers the scenarios; this order is the run-everything order.
 from . import paper, ablations, axes  # noqa: F401
-from .harness import LatencyResult, ThroughputResult, measure_latency, measure_throughput
+from .harness import measure_latency, measure_throughput
 from .results import (
     BENCH_SCHEMA,
     bench_record,
@@ -20,21 +20,16 @@ from .results import (
     results_dir,
     write_bench_json,
 )
-from .scenario import EXPERIMENTS, ExperimentResult, Scenario, run_experiment, scale_name
+from .scenario import EXPERIMENTS, run_experiment
 
 __all__ = [
     "BENCH_SCHEMA",
     "EXPERIMENTS",
-    "ExperimentResult",
-    "LatencyResult",
-    "Scenario",
-    "ThroughputResult",
     "bench_record",
     "load_bench_json",
     "measure_latency",
     "measure_throughput",
     "results_dir",
     "run_experiment",
-    "scale_name",
     "write_bench_json",
 ]

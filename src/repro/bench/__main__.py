@@ -14,7 +14,8 @@ from __future__ import annotations
 import sys
 import time
 
-from . import EXPERIMENTS, run_experiment, scale_name
+from . import EXPERIMENTS, run_experiment
+from .scenario import scale_name
 
 
 def main(argv: list) -> int:

@@ -521,7 +521,7 @@ def txn_regimes(run: Run) -> ExperimentResult:
     Each engine x contention cell runs the *same* seeded ``txn_mix``
     workload (2-4 keys per transaction, half read-only keys, integer
     read-modify-write on the rest) on a fresh deployment, through the
-    retrying :class:`~repro.txn.TransactionExecutor`.  Every cell's
+    retrying :class:`~repro.txn.api.TransactionExecutor`.  Every cell's
     committed history must pass the
     :class:`~repro.txn.SerializabilityChecker` — regimes are compared on
     checked histories — and the store's final cell (value, stamp) must

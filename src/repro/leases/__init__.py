@@ -15,6 +15,6 @@ replica imports it, not the other way around).
 """
 
 from .cache import CachedRead, ReadCache
-from .manager import NULL_LEASES, LeaseManager, LeaseView
+from .manager import NULL_LEASES, LeaseManager
 
-__all__ = ["NULL_LEASES", "CachedRead", "LeaseManager", "LeaseView", "ReadCache"]
+__all__ = ["NULL_LEASES", "CachedRead", "LeaseManager", "ReadCache"]

@@ -23,15 +23,10 @@ Latest-State / FIFO checkers over the merged history.
 
 from .clock import LiveClock
 from .codec import CodecError, FrameReader, decode, encode, encode_frame
-from .config import ClusterSpec, NodeSpec, load_cluster, localhost_spec, toml_skeleton
-from .client import (
-    WorkloadResult,
-    build_remote_client,
-    cs_workload,
-    workload_metrics,
-)
-from .harness import LocalCluster, ProcessCluster, replay_merged, run_localcluster
-from .node import LiveProcess, run_node
+from .config import ClusterSpec, load_cluster, localhost_spec, toml_skeleton
+from .client import WorkloadResult, cs_workload, workload_metrics
+from .harness import LocalCluster, replay_merged, run_localcluster
+from .node import LiveProcess
 from .transport import TcpTransport
 
 __all__ = [
@@ -41,11 +36,8 @@ __all__ = [
     "LiveClock",
     "LiveProcess",
     "LocalCluster",
-    "NodeSpec",
-    "ProcessCluster",
     "TcpTransport",
     "WorkloadResult",
-    "build_remote_client",
     "cs_workload",
     "decode",
     "encode",
@@ -54,7 +46,6 @@ __all__ = [
     "localhost_spec",
     "replay_merged",
     "run_localcluster",
-    "run_node",
     "toml_skeleton",
     "workload_metrics",
 ]

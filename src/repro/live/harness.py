@@ -17,7 +17,7 @@ Two cluster shapes:
 Either way the evidence pipeline is the same: every process records
 its audit slice, the harness merges slices on the shared wall clock
 (:func:`repro.obs.merge_audit_events`) and replays the merged history
-through a stream with the :class:`~repro.obs.ECFChecker` subscribed —
+through a stream with the :class:`~repro.obs.ecf.ECFChecker` subscribed —
 Exclusivity, Latest-State and FIFO verified on a *real* execution.
 """
 

@@ -1,8 +1,8 @@
 """WAN model: topology/latency profiles, transport, nodes, RPC, quorums."""
 
-from .network import DEFAULT_BANDWIDTH_BYTES_PER_MS, Message, Network, NetworkStats
+from .network import Message, Network, NetworkStats
 from .node import DEFAULT_RPC_TIMEOUT_MS, Node
-from .quorum import await_quorum, quorum_of, quorum_size
+from .quorum import quorum_of, quorum_size
 from .topology import (
     LOCAL_RTT_MS,
     PAPER_PROFILES,
@@ -10,11 +10,9 @@ from .topology import (
     PROFILE_LUS,
     PROFILE_LUSEU,
     LatencyProfile,
-    Site,
 )
 
 __all__ = [
-    "DEFAULT_BANDWIDTH_BYTES_PER_MS",
     "DEFAULT_RPC_TIMEOUT_MS",
     "LOCAL_RTT_MS",
     "LatencyProfile",
@@ -26,8 +24,6 @@ __all__ = [
     "PROFILE_L1",
     "PROFILE_LUS",
     "PROFILE_LUSEU",
-    "Site",
-    "await_quorum",
     "quorum_of",
     "quorum_size",
 ]

@@ -326,7 +326,7 @@ class Node:
     # -- compute ------------------------------------------------------------
 
     def compute(self, service_time_ms: float) -> Generator[Any, Any, None]:
-        """Occupy one CPU core for ``service_time_ms`` (queueing if busy)."""
+        """:meth:`serve` for a process: ``yield from node.compute(ms)``."""
         return self.cpu.use(service_time_ms)
 
     def serve(
@@ -336,11 +336,11 @@ class Node:
         arg: Any,
         waiter: Any = None,
     ) -> None:
-        """:meth:`compute`, then ``then(arg)`` — a continuation, not a
-        step (DESIGN.md §14).  ``then`` runs as the calling process, so
-        trace context, spans and the trigger rule see what the rest of
-        its step saw; from a handler inside its delivery, as a stand-in
-        named ``"<node>:<kind>"``.  ``waiter``: see ``Resource.hold``."""
+        """Hold a CPU core ``service_time_ms`` (FIFO), then run
+        ``then(arg)`` — a continuation (DESIGN.md §14) run as the calling
+        process, so trace context, spans and the trigger rule see what
+        the rest of its step saw; from a handler inside its delivery, as
+        a stand-in ``"<node>:<kind>"``.  ``waiter``: see ``Resource.hold``."""
         owner = self.sim.active_process
         if owner is None:
             owner = self._handler_as(self._serving)

@@ -6,16 +6,20 @@ requests, succeed as soon as K replies arrive, fail as soon as more than
 N-K have failed.  This returns early on success — a write to a quorum
 does *not* wait for the slowest replica, which is precisely why a quorum
 operation costs ~1 RTT to the nearest majority in the latency figures.
+
+There is one quorum wait, :func:`quorum_of`: an event that a process
+yields, or, handed the ``outcome`` event a caller already waits on, one
+that a served continuation fills in for it (``repro.store.coordinator``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..errors import QuorumUnavailable
 from ..sim import Event, Simulator
 
-__all__ = ["await_quorum", "quorum_of", "quorum_size"]
+__all__ = ["quorum_of", "quorum_size"]
 
 
 def quorum_size(replica_count: int) -> int:
@@ -74,31 +78,17 @@ def quorum_of(
     outcome: Optional[Event] = None,
 ) -> Event:
     """An event (``outcome`` if given) that succeeds with the
-    ``(destination, reply)`` pairs of the first ``needed`` (at most
-    ``len(handles)``) successful replies, in completion order, or fails
-    with :class:`QuorumUnavailable` once a quorum can no longer be
-    formed.  Stragglers are left running; their eventual completion is
-    harmless (and mirrors replicas applying a write after the
-    coordinator has already acknowledged it)."""
+    ``(destination, reply)`` pairs of the first ``needed`` successful
+    replies, in completion order, or fails with
+    :class:`QuorumUnavailable` once a quorum can no longer be formed.
+    A process waits with ``replies = yield quorum_of(...)``.  Raises
+    :class:`QuorumUnavailable` at once, in the caller's step, if
+    ``needed`` exceeds the requests sent.  Stragglers are left running;
+    their eventual completion is harmless (and mirrors replicas applying
+    a write after the coordinator has already acknowledged it)."""
+    if needed > len(handles):
+        raise QuorumUnavailable(f"need {needed} replies but only {len(handles)} requests sent")
     if outcome is None:
         outcome = sim.event(name="quorum")
     _Collector(outcome, handles, needed)
     return outcome
-
-
-def await_quorum(
-    sim: Simulator,
-    handles: List[Tuple[str, Event]],
-    needed: int,
-) -> Generator[Any, Any, List[Tuple[str, Any]]]:
-    """:func:`quorum_of` for ``yield from``: returns the quorum's
-    ``(destination, reply)`` pairs or raises :class:`QuorumUnavailable`
-    — at once if ``needed`` exceeds the requests sent."""
-    total = len(handles)
-    if needed > total:
-        raise QuorumUnavailable(f"need {needed} replies but only {total} requests sent")
-
-    # No local names the outcome: a failed outcome's traceback holds
-    # this frame, and through such a name, itself.
-    result = yield quorum_of(sim, handles, needed)
-    return result

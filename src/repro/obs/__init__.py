@@ -20,14 +20,12 @@ from .audit import (
     NULL_AUDIT,
     AuditEvent,
     AuditStream,
-    NullAudit,
     load_audit_jsonl,
     merge_audit_events,
     write_audit_jsonl,
 )
 from .critpath import (
     CritPath,
-    PhaseSlice,
     critpath_speedscope_samples,
     explain_table,
     extract_critpaths,
@@ -37,54 +35,34 @@ from .critpath import (
     render_phase_summary,
     write_critpath_jsonl,
 )
-from .ecf import ECFAuditor, ECFChecker, replay_audit
+from .ecf import ECFAuditor, replay_audit
 from .export import (
     chrome_trace_events,
     load_jsonl,
     render_span_tree,
-    speedscope_document,
     write_chrome_trace,
     write_jsonl,
-    write_speedscope,
 )
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS_MS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    derived_ratios,
-    render_derived_ratios,
-)
+from .metrics import Histogram, MetricsRegistry
 from .prof import SimProfiler, subsystem_of
 from .recorder import NULL_OBS, Observability
-from .trace import NULL_TRACER, NullTracer, Span, SpanRecord, Tracer
+from .trace import NULL_TRACER, SpanRecord
 
 __all__ = [
     "AuditEvent",
     "AuditStream",
-    "Counter",
     "CritPath",
-    "DEFAULT_LATENCY_BUCKETS_MS",
     "ECFAuditor",
-    "ECFChecker",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_AUDIT",
     "NULL_OBS",
     "NULL_TRACER",
-    "NullAudit",
-    "NullTracer",
     "Observability",
-    "PhaseSlice",
     "SimProfiler",
-    "Span",
     "SpanRecord",
-    "Tracer",
     "chrome_trace_events",
     "critpath_speedscope_samples",
-    "derived_ratios",
     "explain_table",
     "extract_critpaths",
     "load_audit_jsonl",
@@ -93,15 +71,12 @@ __all__ = [
     "merge_audit_events",
     "observe_phases",
     "phase_summary",
-    "render_derived_ratios",
     "render_phase_summary",
     "render_span_tree",
     "replay_audit",
-    "speedscope_document",
     "subsystem_of",
     "write_audit_jsonl",
     "write_chrome_trace",
     "write_critpath_jsonl",
     "write_jsonl",
-    "write_speedscope",
 ]

@@ -4,14 +4,17 @@ These mirror the small set of concurrency tools the protocol code needs:
 FIFO mailboxes for message delivery, counted resources for CPU cores and
 NIC serialization, and condition variables for state-change waits.
 
-All three primitives register an *abandon hook* (``Event._abandon``) on
-the events they hand to waiters — as does :meth:`Resource.hold` on the
-event its owner waits on — when a waiting process is interrupted away
-from the event, the kernel calls the hook so the primitive can cancel
-the queued waiter state.  Without this, an interrupted
-``Resource.acquire`` still received a grant later (permanently shrinking
-capacity), a ``Condition`` retained the dead waiter forever, and a
-``Mailbox`` could deliver an item into an event nobody would read.
+A resource has one way to hold a unit: :meth:`Resource.hold`, a
+continuation with one queueing rule (FIFO) and one abandon rule.
+:meth:`Resource.use` is its generator face, not a second implementation.
+
+Each primitive registers an *abandon hook* (``Event._abandon``) on the
+event a waiter blocks on: a mailbox get, a condition wait, the event a
+hold's owner waits on.  When a waiting process is interrupted away from
+it, the kernel calls the hook and the primitive cancels the waiter's
+state: a hold leaves the queue or gives its unit back (else capacity
+would shrink for good), a ``Condition`` forgets the waiter, and a
+``Mailbox`` puts back an item it had already handed over.
 """
 
 from __future__ import annotations
@@ -86,15 +89,11 @@ class Mailbox:
 class Resource:
     """A counted resource with FIFO granting (e.g. CPU cores, a NIC).
 
-    Usage from a process::
+    There is one way to hold a unit, :meth:`hold`: a continuation that
+    queues FIFO for a free unit, keeps it ``hold_time`` and gives it
+    back, then runs ``then(arg)``.  :meth:`use` is its generator face::
 
-        grant = yield resource.acquire()
-        try:
-            yield sim.timeout(service_time)
-        finally:
-            resource.release(grant)
-
-    or, more conveniently, ``yield from resource.use(service_time)``.
+        yield from resource.use(service_time)
     """
 
     def __init__(self, sim: Simulator, capacity: int, name: str = "") -> None:
@@ -117,53 +116,28 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def acquire(self) -> Event:
-        event = Event(self.sim, name=self.name)
-        if self._in_use < self.capacity:
-            self._grant(event)
-        else:
-            self._waiters.append(event)
-        event._abandon = self._abandon_acquire
-        return event
-
-    def _abandon_acquire(self, event: Event) -> None:
-        # The acquiring process was interrupted away from this grant.
-        if event._triggered:
-            # The grant already fired (capacity was charged) but the
-            # interrupted process will never run its release: give the
-            # slot back, waking the next waiter if any.
-            self.release(None)
-        else:
-            # Still queued: un-queue so a future release is not granted
-            # to a process that stopped waiting.
-            try:
-                self._waiters.remove(event)
-            except ValueError:
-                pass
-
-    def release(self, _grant: Any = None) -> None:
+    def release(self) -> None:
+        """Give one unit back: to the oldest queued hold, else to the pool."""
         if self._in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
+        if self._waiters:
+            # The unit passes straight on; the grant wakes its hold by
+            # the kernel's trigger rule (deferred inside a step).
+            self._waiters.popleft().succeed(self)
+            return
         self._in_use -= 1
         if self._in_use == 0 and self._busy_since is not None:
             self.total_busy_time += self.sim.now - self._busy_since
             self._busy_since = None
-        if self._waiters:
-            self._grant(self._waiters.popleft())
 
     def use(self, hold_time: float) -> Generator[Any, Any, None]:
-        """Acquire, hold for ``hold_time``, release; use with ``yield from``."""
-        if self._in_use < self.capacity:
-            # Uncontended fast path: grant without an intermediate event.
-            if self._in_use == 0:
-                self._busy_since = self.sim.now
-            self._in_use += 1
-        else:
-            yield self.acquire()
-        try:
-            yield hold_time  # a bare-delay sleep: one scheduled wake
-        finally:
-            self.release(None)
+        """:meth:`hold` for ``yield from``: the calling process resumes
+        from the hold's end, after the release, and an interrupt abandons
+        the hold."""
+        process = self.sim.active_process
+        held = Event(self.sim, name=self.name)
+        self.hold(hold_time, process._resume_cb, held, process, held)
+        yield held
 
     def hold(
         self,
@@ -173,9 +147,8 @@ class Resource:
         owner: Any = None,
         waiter: Optional[Event] = None,
     ) -> None:
-        """:meth:`use` as a continuation: queue and hold exactly as
-        ``use`` does (one heap entry, pushed where it pushed its sleep),
-        then release and run ``then(arg)`` with ``owner`` as
+        """Queue for a unit, hold it ``hold_time`` (one heap entry), then
+        release it and run ``then(arg)`` with ``owner`` as
         ``sim.active_process``.  Interrupted away from ``waiter``, the
         owner abandons the hold: it leaves the queue or gives its unit
         back at once, and ``then`` never runs."""
@@ -194,12 +167,6 @@ class Resource:
             grant = held.grant = Event(self.sim, name=self.name)
             self._waiters.append(grant)
             grant.add_callback(held.start)
-
-    def _grant(self, event: Event) -> None:
-        if self._in_use == 0:
-            self._busy_since = self.sim.now
-        self._in_use += 1
-        event.succeed(self)
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` time the resource was non-idle."""
@@ -237,16 +204,16 @@ class _Hold:
             return
         resource, grant, owner = self.resource, self.grant, self.owner
         self.then = self.arg = self.owner = self.grant = None
-        if grant is None:  # running: released as use()'s ``finally`` did
+        if grant is None:  # running: released as the owner
             sim = resource.sim
             previous = sim.active_process
             sim.active_process = owner
             try:
-                resource.release(None)
+                resource.release()
             finally:
                 sim.active_process = previous
         elif grant._triggered:
-            resource.release(None)  # granted; the start was still queued
+            resource.release()  # granted; the start was still queued
         else:
             resource._waiters.remove(grant)
 
@@ -263,7 +230,7 @@ def _end_hold(held: _Hold) -> None:
     previous = sim.active_process
     sim.active_process = owner
     try:
-        resource.release(None)
+        resource.release()
         then(arg)
     finally:
         sim.active_process = previous

@@ -12,19 +12,14 @@ MUSIC lock store's guard/queue partitions and LWT Paxos acceptor
 state) is built on this engine.
 """
 
-from .config import StorageEngineConfig, WAL_SYNC_MODES
+from .config import StorageEngineConfig
 from .engine import PaxosState, StorageEngine
-from .segment import Segment, size_tier
-from .wal import CommitLog, WalRecord, dump_wal_jsonl
+from .wal import CommitLog, dump_wal_jsonl
 
 __all__ = [
     "CommitLog",
     "PaxosState",
-    "Segment",
     "StorageEngine",
     "StorageEngineConfig",
-    "WAL_SYNC_MODES",
-    "WalRecord",
     "dump_wal_jsonl",
-    "size_tier",
 ]

@@ -215,12 +215,6 @@ class StorageEngine:
         if then is not None:
             then(arg)
 
-    def journal_paxos(
-        self, key: Tuple[str, str], state: PaxosState
-    ) -> Generator[Any, Any, None]:
-        """Journal one acceptor-state snapshot (durable per sync mode)."""
-        yield from self.commit([], paxos=(key, state))
-
     def merge_rows(
         self, table: str, partition_key: str, rows: Dict[Any, Any]
     ) -> Generator[Any, Any, None]:

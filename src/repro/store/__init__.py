@@ -2,17 +2,14 @@
 
 from .cluster import StoreCluster, build_cluster, site_layout
 from .config import StoreConfig
-from .coordinator import CasResult, StoreCoordinator
-from .replica import PaxosState, StorageReplica
+from .coordinator import StoreCoordinator
+from .replica import StorageReplica
 from .ring import HashRing
 from .types import (
-    Ballot,
     Cell,
     Condition,
     Consistency,
     DeleteRow,
-    Mutation,
-    Partition,
     Row,
     Stamp,
     Update,
@@ -20,16 +17,11 @@ from .types import (
 )
 
 __all__ = [
-    "Ballot",
-    "CasResult",
     "Cell",
     "Condition",
     "Consistency",
     "DeleteRow",
     "HashRing",
-    "Mutation",
-    "Partition",
-    "PaxosState",
     "Row",
     "Stamp",
     "StorageReplica",

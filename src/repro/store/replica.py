@@ -24,9 +24,12 @@ according to the configured ``wal_sync`` mode.  ``crash()`` discards
 the volatile column; ``recover()`` replays the commit log (charging the
 replay time on the sim clock) before the node rejoins the network.
 
-Every handler is a plain function that serves its CPU time
-(:meth:`~repro.net.node.Node.serve`) and does the rest in a
-continuation when the core is released — no request becomes a process.
+Every handler has one shape, built by ``_served`` from its row of the
+table in ``__init__`` (span name, service time, body): open the op's
+``replica.*`` span under the RPC's trace, serve the CPU time
+(:meth:`~repro.net.node.Node.serve`), and run the body as a
+continuation when the core is released.  The body ends in ``_answer``,
+which replies and finishes the span.  No request becomes a process.
 Under the default zero-fsync-latency configuration the continuation
 journals, applies and replies synchronously, so each handler's state
 change is atomic with respect to other requests, matching the "biggest
@@ -39,19 +42,23 @@ real commit log introduces — and the reply is one more continuation
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..sim import NodeClock, Process, Simulator
 from ..net import Message, Network, Node
+from ..obs import NULL_TRACER
 from ..storage import PaxosState, StorageEngine
 from .config import StoreConfig
-from .types import Ballot, Mutation, Partition, Row
+from .types import Ballot, Mutation, Row
 
 __all__ = ["StorageReplica", "PaxosState"]
 
 # Sentinel meaning "read the whole partition" in a store_read request.
 ALL_ROWS = "__all_rows__"
+
+# What a served op's body gets: the request, its payload and its span.
+Served = Tuple[Message, Dict[str, Any], Any]
 
 # The constant acknowledgements (shared: replies are read, never changed).
 _OK = {"ok": True}
@@ -90,13 +97,19 @@ class StorageReplica(Node):
             "paxos_commits": 0,
         }
         self._instruments: Dict[str, Any] = {}
-        self.on("store_read", self._handle_read)
-        self.on("store_write", self._handle_write)
-        self.on("store_scan", self._handle_scan)
-        self.on("paxos_prepare", self._handle_paxos_prepare)
-        self.on("paxos_propose", self._handle_paxos_propose)
-        self.on("paxos_commit", self._handle_paxos_commit)
-        self.on("ae_exchange", self._handle_ae_exchange)
+        # kind: (its replica.* span or None, the StoreConfig field of its
+        # service time, the payload list priced per byte or None, body)
+        read, write, paxos = "read_service_ms", "write_service_ms", "paxos_phase_service_ms"
+        for kind, served in {
+            "store_read": ("replica.read", read, None, self._read),
+            "store_write": ("replica.write", write, "updates", self._write),
+            "store_scan": (None, read, None, self._scan),
+            "paxos_prepare": ("replica.paxos_prepare", paxos, None, self._prepare),
+            "paxos_propose": ("replica.paxos_propose", paxos, "mutation", self._propose),
+            "paxos_commit": ("replica.paxos_commit", paxos, None, self._commit),
+            "ae_exchange": (None, read, None, self._ae_exchange),
+        }.items():
+            self.on(kind, self._served(*served))
 
     def start(self) -> None:
         super().start()
@@ -116,11 +129,6 @@ class StorageReplica(Node):
         return None
 
     # -- local storage ------------------------------------------------------
-
-    @property
-    def tables(self) -> Dict[str, Dict[str, Partition]]:
-        """The engine's memtable (legacy view; excludes flushed segments)."""
-        return self.engine.memtable
 
     @property
     def paxos(self) -> Dict[Tuple[str, str], PaxosState]:
@@ -154,25 +162,42 @@ class StorageReplica(Node):
             )
         counter.inc()
 
-    # -- read/write handlers (each serves its CPU time; see the docstring)
+    # -- handlers (each serves its CPU time; see the docstring) -------------
 
-    def _span(self, name: str, msg: Message) -> Any:
-        return self.obs.tracer.span(
-            name, node=self.node_id, site=self.site, parent=msg.body.get("trace")
-        )
+    def _served(
+        self,
+        span_name: Optional[str],
+        service: str,
+        priced: Optional[str],
+        body: Callable[[Served], None],
+    ) -> Callable[[Message], None]:
+        """The one shape of a store handler: open the op's ``replica.*``
+        span under the RPC's trace, serve the op's CPU time, then run
+        ``body((msg, payload, span))``, which ends in :meth:`_answer`."""
 
-    def _answer(self, answer: Tuple[Message, Any, Dict[str, Any]]) -> None:
-        msg, span, body = answer
-        self.reply(msg, body)
+        def handle(msg: Message) -> None:
+            tracer = self.obs.tracer if span_name is not None else NULL_TRACER
+            span = tracer.span(
+                span_name, node=self.node_id, site=self.site, parent=msg.body.get("trace")
+            )
+            payload = msg.body["payload"]
+            config = self.config
+            service_ms = getattr(config, service)
+            if priced is not None:
+                size = sum(update.size_bytes() for update in payload[priced])
+                service_ms += config.value_service_ms(size)
+            self.serve(service_ms, body, (msg, payload, span))
+
+        return handle
+
+    def _answer(self, answer: Tuple[Served, Dict[str, Any], int]) -> None:
+        """Reply and finish the op's span: how every served op ends."""
+        (msg, _payload, span), body, size = answer
+        self.reply(msg, body, size)
         span.finish()
 
-    def _handle_read(self, msg: Message) -> None:
-        served = (msg, self._span("replica.read", msg))
-        self.serve(self.config.read_service_ms, self._read_served, served)
-
-    def _read_served(self, served: Tuple[Message, Any]) -> None:
-        msg, span = served
-        body = self.payload(msg)
+    def _read(self, served: Served) -> None:
+        _msg, body, _span = served
         self._count("reads")
         clustering = body.get("clustering", ALL_ROWS)
         if clustering == ALL_ROWS:
@@ -182,48 +207,29 @@ class StorageReplica(Node):
             row = self.local_row(body["table"], body["partition"], clustering)
             rows = {clustering: row} if row is not None else {}
             size = 32 if row is None else 32 + row.payload_bytes()
-        self.reply(msg, {"rows": rows}, size_bytes=size)
-        span.finish()
+        self._answer((served, {"rows": rows}, size))
 
-    def _handle_write(self, msg: Message) -> None:
-        served = (msg, self._span("replica.write", msg))
-        size = sum(update.size_bytes() for update in self.payload(msg)["updates"])
-        self.serve(
-            self.config.write_service_ms + self.config.value_service_ms(size),
-            self._write_served, served,
-        )
-
-    def _write_served(self, served: Tuple[Message, Any]) -> None:
+    def _write(self, served: Served) -> None:
         self._count("writes")
-        msg, span = served
-        updates = self.payload(msg)["updates"]
-        self.engine.commit(updates, None, self._answer, (msg, span, _OK))
+        self.engine.commit(served[1]["updates"], None, self._answer, (served, _OK, 64))
 
-    def _handle_scan(self, msg: Message) -> None:
+    def _scan(self, served: Served) -> None:
         """List the live partition keys of a table (an eventual read)."""
-        self.serve(self.config.read_service_ms, self._scan_served, msg)
-
-    def _scan_served(self, msg: Message) -> None:
-        table = self.payload(msg)["table"]
+        table = served[1]["table"]
         keys = sorted(
             partition_key
             for partition_key in self.engine.table_partition_keys(table)
             if self.engine.live_rows(table, partition_key)
         )
-        self.reply(msg, {"keys": keys}, size_bytes=16 * len(keys) + 32)
+        self._answer((served, {"keys": keys}, 16 * len(keys) + 32))
 
     # -- Paxos acceptor handlers ----------------------------------------------
 
     def _paxos_state(self, table: str, partition_key: str) -> PaxosState:
         return self.engine.paxos_state(table, partition_key)
 
-    def _handle_paxos_prepare(self, msg: Message) -> None:
-        served = (msg, self._span("replica.paxos_prepare", msg))
-        self.serve(self.config.paxos_phase_service_ms, self._prepare_served, served)
-
-    def _prepare_served(self, served: Tuple[Message, Any]) -> None:
-        msg, span = served
-        body = self.payload(msg)
+    def _prepare(self, served: Served) -> None:
+        _msg, body, span = served
         self._count("paxos_prepares")
         key = (body["table"], body["partition"])
         state = self._paxos_state(*key)
@@ -231,35 +237,23 @@ class StorageReplica(Node):
         if state.promised is not None and ballot <= state.promised:
             span.set(promised=False)
             rejection = {"promised": False, "promised_ballot": state.promised}
-            self._answer((msg, span, rejection))
+            self._answer((served, rejection, 64))
             return
         state.promised = ballot
         # The promise must be durable before it is given: a promise
         # forgotten across a restart would let an older ballot slip in.
-        self.engine.commit(
-            [], (key, state), self._promised, (msg, span, state, state.accepted)
-        )
+        self.engine.commit([], (key, state), self._promised, (served, state, state.accepted))
 
-    def _promised(self, promise: Tuple[Message, Any, PaxosState, Any]) -> None:
-        msg, span, state, in_progress = promise
-        self.reply(msg, {
+    def _promised(self, promise: Tuple[Served, PaxosState, Any]) -> None:
+        served, state, in_progress = promise
+        self._answer((served, {
             "promised": True,
             "in_progress": in_progress,
             "latest_commit": state.latest_commit,
-        })
-        span.finish()
+        }, 64))
 
-    def _handle_paxos_propose(self, msg: Message) -> None:
-        served = (msg, self._span("replica.paxos_propose", msg))
-        size = sum(update.size_bytes() for update in self.payload(msg)["mutation"])
-        self.serve(
-            self.config.paxos_phase_service_ms + self.config.value_service_ms(size),
-            self._propose_served, served,
-        )
-
-    def _propose_served(self, served: Tuple[Message, Any]) -> None:
-        msg, span = served
-        body = self.payload(msg)
+    def _propose(self, served: Served) -> None:
+        _msg, body, span = served
         self._count("paxos_proposes")
         key = (body["table"], body["partition"])
         state = self._paxos_state(*key)
@@ -267,22 +261,17 @@ class StorageReplica(Node):
         if state.promised is not None and ballot < state.promised:
             span.set(accepted=False)
             rejection = {"accepted": False, "promised_ballot": state.promised}
-            self._answer((msg, span, rejection))
+            self._answer((served, rejection, 64))
             return
         state.promised = ballot
         state.accepted = (ballot, body["mutation"])
         # Cassandra journals the accepted proposal in system.paxos
         # before acknowledging; a volatile acceptance is the classic
         # Paxos durability bug (see tests/integration).
-        self.engine.commit([], (key, state), self._answer, (msg, span, _ACCEPTED))
+        self.engine.commit([], (key, state), self._answer, (served, _ACCEPTED, 64))
 
-    def _handle_paxos_commit(self, msg: Message) -> None:
-        served = (msg, self._span("replica.paxos_commit", msg))
-        self.serve(self.config.paxos_phase_service_ms, self._commit_served, served)
-
-    def _commit_served(self, served: Tuple[Message, Any]) -> None:
-        msg, span = served
-        body = self.payload(msg)
+    def _commit(self, served: Served) -> None:
+        _msg, body, _span = served
         self._count("paxos_commits")
         key = (body["table"], body["partition"])
         state = self._paxos_state(*key)
@@ -298,7 +287,7 @@ class StorageReplica(Node):
         # One group commit covers the data mutation and the acceptor
         # snapshot: a single fsync, like Cassandra's batched commitlog.
         mutation: Mutation = body["mutation"] if apply_needed else []
-        self.engine.commit(mutation, (key, state), self._answer, (msg, span, _OK))
+        self.engine.commit(mutation, (key, state), self._answer, (served, _OK, 64))
 
     # -- anti-entropy -----------------------------------------------------------
 
@@ -363,18 +352,15 @@ class StorageReplica(Node):
             for table, partition_key in window
         ]
 
-    def _handle_ae_exchange(self, msg: Message) -> None:
-        self.serve(self.config.read_service_ms, self._ae_served, msg)
-
-    def _ae_served(self, msg: Message) -> None:
+    def _ae_exchange(self, served: Served) -> None:
         # Each merge is the engine's generator path (it may wait out an
         # fsync), so the rest of the exchange is a process, started in
         # place: with nothing to wait for it ends inside this dispatch.
-        Process(self.sim, self._ae_merge(msg), f"{self.node_id}:ae_exchange").start()
+        Process(self.sim, self._ae_merge(served), f"{self.node_id}:ae_exchange").start()
 
-    def _ae_merge(self, msg: Message) -> Generator[Any, Any, None]:
+    def _ae_merge(self, served: Served) -> Generator[Any, Any, None]:
         reply_entries = []
-        for table, partition_key, rows in self.payload(msg)["entries"]:
+        for table, partition_key, rows in served[1]["entries"]:
             if not self._owns(self.node_id, partition_key):
                 continue
             ours = dict(self.engine.partition_view(table, partition_key))
@@ -385,4 +371,4 @@ class StorageReplica(Node):
             for _t, _p, rows in reply_entries
             for row in rows.values()
         )
-        self.reply(msg, {"entries": reply_entries}, size_bytes=size + 64)
+        self._answer((served, {"entries": reply_entries}, size + 64))

@@ -16,26 +16,13 @@ constructs none of this, keeping baseline timings untouched.
 """
 
 from .config import TopoConfig
-from .gossip import (
-    STATUS_DOWN,
-    STATUS_JOINING,
-    STATUS_LEAVING,
-    STATUS_LEFT,
-    STATUS_NORMAL,
-    EndpointState,
-    Gossiper,
-)
+from .gossip import STATUS_LEAVING, STATUS_NORMAL
 from .merkle import MerkleTree, leaf_index, partition_hash
 from .elastic import TopologyManager
 
 __all__ = [
-    "EndpointState",
-    "Gossiper",
     "MerkleTree",
-    "STATUS_DOWN",
-    "STATUS_JOINING",
     "STATUS_LEAVING",
-    "STATUS_LEFT",
     "STATUS_NORMAL",
     "TopoConfig",
     "TopologyManager",

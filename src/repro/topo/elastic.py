@@ -44,7 +44,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..errors import QuorumUnavailable, ReproError
-from ..net import Message, Network, Node, await_quorum, quorum_size
+from ..net import Message, Network, Node, quorum_of, quorum_size
 from ..sim import RandomStreams, Simulator
 from ..store import StoreCluster
 from ..store.replica import StorageReplica
@@ -310,9 +310,7 @@ class TopologyManager:
             {"partition": key},
             timeout=self.config.rpc_timeout_ms,
         )
-        replies = yield from await_quorum(
-            self.sim, handles, quorum_size(len(old))
-        )
+        replies = yield quorum_of(self.sim, handles, quorum_size(len(old)))
         entries, paxos = self._merge_collected([reply for _dst, reply in replies])
         size = (
             sum(
@@ -333,7 +331,7 @@ class TopologyManager:
             timeout=self.config.rpc_timeout_ms,
         )
         # Every gainer must hold the partition before the flip.
-        yield from await_quorum(self.sim, handover, len(gainers))
+        yield quorum_of(self.sim, handover, len(gainers))
         return size * len(gainers)
 
     @staticmethod
@@ -501,7 +499,7 @@ class TopologyManager:
                 state.latest_commit is None or latest > state.latest_commit
             ):
                 state.latest_commit = latest
-            yield from replica.engine.journal_paxos((table, key), state)
+            yield from replica.engine.commit([], paxos=((table, key), state))
         replica.reply(msg, {"ok": True})
 
     def _merkle_filter(

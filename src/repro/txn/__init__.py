@@ -22,12 +22,12 @@ Usage::
         sim.process(executor.run(spec)), limit=60_000)
 """
 
-from .api import RetryPolicy, TransactionExecutor, TxnResult, TxnRuntime, rmw_body
+from .api import RetryPolicy, TxnRuntime
 from .engine import Transaction, TxnAborted, TxnEngine
 from .locking import LockingEngine, LockingTxn, WaitsForGraph
-from .occ import EPOCH_KEY, EpochOCCEngine, OCCTxn
-from .oracle import CommittedTxn, SerializabilityChecker
-from .ssi import SSIEngine, SSITxn
+from .occ import EpochOCCEngine
+from .oracle import SerializabilityChecker
+from .ssi import SSIEngine
 
 ENGINES = {
     LockingEngine.name: LockingEngine,
@@ -36,23 +36,15 @@ ENGINES = {
 }
 
 __all__ = [
-    "CommittedTxn",
-    "EPOCH_KEY",
-    "ENGINES",
     "EpochOCCEngine",
     "LockingEngine",
     "LockingTxn",
-    "OCCTxn",
     "RetryPolicy",
     "SSIEngine",
-    "SSITxn",
     "SerializabilityChecker",
     "Transaction",
-    "TransactionExecutor",
     "TxnAborted",
     "TxnEngine",
-    "TxnResult",
     "TxnRuntime",
     "WaitsForGraph",
-    "rmw_body",
 ]

@@ -1,12 +1,11 @@
 """Formal verification: the Section V model and a bounded checker."""
 
-from .checker import CheckResult, ModelChecker
-from .invariants import INVARIANTS, Violation, ViolationRecord, check_invariants
+from .checker import ModelChecker
+from .invariants import INVARIANTS, Violation, ViolationRecord
 from .model import (
     K,
     ClientState,
     ModelConfig,
-    ModelState,
     Phase,
     Write,
     enabled_events,
@@ -14,18 +13,15 @@ from .model import (
 )
 
 __all__ = [
-    "CheckResult",
     "ClientState",
     "INVARIANTS",
     "K",
     "ModelChecker",
     "ModelConfig",
-    "ModelState",
     "Phase",
     "Violation",
     "ViolationRecord",
     "Write",
-    "check_invariants",
     "enabled_events",
     "initial_state",
 ]

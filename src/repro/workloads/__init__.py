@@ -1,7 +1,6 @@
 """Workload generators: sized values, key ranges, YCSB mixes."""
 
 from .generator import (
-    DEFAULT_VALUE_BYTES,
     PAPER_BATCH_SIZES,
     PAPER_DATA_SIZES,
     KeyRange,
@@ -19,7 +18,6 @@ from .ycsb import (
 )
 
 __all__ = [
-    "DEFAULT_VALUE_BYTES",
     "KeyRange",
     "PAPER_BATCH_SIZES",
     "PAPER_DATA_SIZES",

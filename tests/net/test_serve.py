@@ -1,7 +1,8 @@
 """A served continuation is the step it replaces, minus the generator.
 
-``Node.serve`` holds a core exactly as ``compute`` does and runs the
-rest of the work as a continuation when the hold ends, *as the caller*.
+``Node.serve`` holds a core FIFO, as ``compute`` (its generator face)
+does, and runs the rest of the work as a continuation when the hold
+ends, *as the caller*.
 Each test here pins one way a continuation could drift from the process
 step it replaced — and fails on the naive version of it: cores granted
 in the wrong order, an interrupt that leaks a core or still sends,
@@ -28,12 +29,13 @@ from tests.helpers import make_store, run
 
 def run_schedule(jobs, cores, served):
     """Run ``jobs`` — (arrival, hold, tail, how) — on one node; return
-    what happened, in order.  A job holds a core for ``hold`` ms, then
-    logs its end and a follow-up ``tail`` ms later (what a reply's send
-    is to a handler).  ``how`` is who asks for the core: a process
-    ("caller"), a process through ``compute`` ("compute"), or the
-    handler of a delivered message ("handler").  With ``served`` false
-    every job goes through ``compute`` — the reference schedule."""
+    what happened, in order.  A job asks for a core (logged as "ask"),
+    holds it for ``hold`` ms, then logs its end and a follow-up ``tail``
+    ms later (what a reply's send is to a handler).  ``how`` is who
+    asks: a process ("caller"), a process through ``compute``
+    ("compute"), or the handler of a delivered message ("handler").
+    With ``served`` false every job goes through ``compute``, the
+    generator face; otherwise callers and handlers use ``serve``."""
     sim = Simulator()
     net = Network(sim, PROFILE_LUS, streams=RandomStreams(5))
     node = Node(sim, net, "n", "Ohio", cores=cores)
@@ -49,6 +51,7 @@ def run_schedule(jobs, cores, served):
 
     def handler(msg):
         index, hold, tail = msg.body
+        log.append(("ask", index, sim.now))
         if served:
             node.serve(hold, finish, (index, tail, None))
             return None
@@ -67,7 +70,9 @@ def run_schedule(jobs, cores, served):
         yield arrival
         if how == "handler":
             sender.send("n", "job", (index, hold, tail))
-        elif served and how == "caller":
+            return
+        log.append(("ask", index, sim.now))
+        if served and how == "caller":
             done = sim.event()
             node.serve(hold, finish, (index, tail, done), done)
             yield done
@@ -80,6 +85,27 @@ def run_schedule(jobs, cores, served):
     sim.run()
     assert node.cpu.in_use == 0 and node.cpu.queue_length == 0
     return log
+
+
+def fifo_model(jobs, cores, asks):
+    """The schedule a FIFO multi-server queue gives, worked out without
+    the simulator: in the order the jobs asked (``asks``: (index, time)),
+    each starts at the later of its ask and the earliest time a core is
+    free, and ends ``hold`` later.  Returns {index: (end, tail time)}."""
+    free = [0.0] * cores
+    model = {}
+    for index, asked in asks:
+        _arrival, hold, tail, _how = jobs[index]
+        core = min(range(cores), key=free.__getitem__)
+        free[core] = max(asked, free[core]) + hold
+        model[index] = (free[core], free[core] + tail)
+    return model
+
+
+def observed(log):
+    ends = {index: at for kind, index, at in log if kind == "end"}
+    tails = {index: at for kind, index, at in log if kind == "tail"}
+    return {index: (ends[index], tails[index]) for index in ends}
 
 
 jobs = st.lists(
@@ -96,8 +122,11 @@ jobs = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(jobs=jobs, cores=st.integers(min_value=1, max_value=3))
-def test_served_holds_share_cores_exactly_as_compute_does(jobs, cores):
-    assert run_schedule(jobs, cores, served=True) == run_schedule(jobs, cores, served=False)
+def test_served_and_computed_holds_share_cores_as_a_fifo_queue_does(jobs, cores):
+    for served in (True, False):
+        log = run_schedule(jobs, cores, served)
+        asks = [(index, at) for kind, index, at in log if kind == "ask"]
+        assert observed(log) == fifo_model(jobs, cores, asks)
 
 
 def test_a_core_granted_inside_a_continuation_is_deferred_like_a_process():
@@ -108,7 +137,10 @@ def test_a_core_granted_inside_a_continuation_is_deferred_like_a_process():
     hold's end would be pushed, and run, first."""
     jobs = [(0.0, 1.0, 1.0, "caller"), (0.0, 1.0, 0.0, "caller")]
     log = run_schedule(jobs, cores=1, served=True)
-    assert log == [("end", 0, 1.0), ("tail", 0, 2.0), ("end", 1, 2.0), ("tail", 1, 2.0)]
+    assert log == [
+        ("ask", 0, 0.0), ("ask", 1, 0.0),
+        ("end", 0, 1.0), ("tail", 0, 2.0), ("end", 1, 2.0), ("tail", 1, 2.0),
+    ]
     assert log == run_schedule(jobs, cores=1, served=False)
 
 

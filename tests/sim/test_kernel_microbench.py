@@ -82,9 +82,10 @@ def test_mailbox_and_resource_events_reuse_container_name():
     from repro.sim import Resource
 
     cpu = Resource(sim, capacity=1, name="cpu:n1")
-    grant = cpu.acquire()
+    cpu.hold(1.0, lambda _arg: None, None)
+    cpu.hold(1.0, lambda _arg: None, None)  # queued behind the first
+    (grant,) = cpu._waiters
     assert grant.name is cpu.name
-    cpu.release(None)
     sim.run()
 
 

@@ -5,8 +5,9 @@ Each test here pins one of the four bugfixes of the scheduler rework:
 1. ``AnyOf`` used to swallow a losing child's *failure* silently; the
    kernel now defuses it explicitly and counts it in
    ``sim.swallowed_failures``.
-2. Interrupting a process blocked in ``Resource.acquire()`` used to leak
-   the queued (or already-fired) grant, permanently shrinking capacity.
+2. Interrupting a process queued for a core (``Resource.use``, the
+   generator face of ``Resource.hold``) used to leak the queued (or
+   already-fired) grant, permanently shrinking capacity.
 3. ``Network.recover_node`` used to leave the crashed node's
    ``egress_free_at`` horizon in place, charging phantom transmission
    delay after recovery.
@@ -83,79 +84,102 @@ def test_unwaited_failure_still_raises():
     assert sim.swallowed_failures == 0
 
 
-# -- 2: interrupting a queued Resource.acquire must not leak the grant -------
+# -- 2: interrupting a queued hold must not leak the grant -------------------
 
 
-def test_interrupted_acquire_unqueues_the_waiter():
+def test_interrupted_queued_use_leaves_the_queue():
     sim = Simulator()
     resource = Resource(sim, capacity=1, name="cpu")
     order = []
 
     def holder():
-        yield resource.acquire()
-        yield sim.timeout(10.0)
-        resource.release(None)
+        yield from resource.use(10.0)
         order.append(("holder-released", sim.now))
 
     def waiter():
         try:
-            yield resource.acquire()
-            order.append(("waiter-granted", sim.now))
+            yield from resource.use(1.0)
+            order.append(("waiter-held", sim.now))
         except Interrupt:
             order.append(("waiter-interrupted", sim.now))
 
-    def late_acquirer():
+    def late_user():
         yield sim.timeout(20.0)
-        yield resource.acquire()
-        order.append(("late-granted", sim.now))
-        resource.release(None)
+        yield from resource.use(1.0)
+        order.append(("late-held", sim.now))
 
     sim.process(holder())
     waiting = sim.process(waiter())
-    sim.process(late_acquirer())
+    sim.process(late_user())
     sim.call_at(5.0, lambda: waiting.interrupt("cancelled"))
     sim.run()
 
-    # The interrupted waiter never got the grant, and capacity recovered:
-    # the late acquirer gets the slot the moment it asks.
-    assert ("waiter-interrupted", 5.0) in order
-    assert ("waiter-granted", 10.0) not in order
-    assert ("late-granted", 20.0) in order
+    # The interrupted waiter never got the core, and capacity recovered:
+    # the late user holds it from the moment it asks.
+    assert order == [
+        ("waiter-interrupted", 5.0), ("holder-released", 10.0), ("late-held", 21.0)
+    ]
     assert resource.in_use == 0
     assert resource.queue_length == 0
 
 
-def test_interrupt_after_grant_fired_returns_the_slot():
-    """The race variant: the grant fires and the interrupt lands before
-    the waiter runs.  The abandon hook must give the slot back."""
+def test_interrupt_after_the_grant_fired_returns_the_slot():
+    """The race variant: the holder's release grants the queued hold,
+    and the interrupt is delivered before that hold starts.  The abandon
+    hook must give the slot back, and the hold must never start."""
     sim = Simulator()
     resource = Resource(sim, capacity=1, name="cpu")
-    waiting_process = []
+    started = []
 
     def holder():
-        yield resource.acquire()
-        yield sim.timeout(10.0)
-        # Same step, deliberately ordered: interrupt first (queued), then
-        # release (grants the waiter's event).  The interrupt delivery
-        # runs before the waiter's resume and must un-take the grant.
-        waiting_process[0].interrupt("preempted")
-        resource.release(None)
+        yield from resource.use(10.0)
 
     def waiter():
         try:
-            yield resource.acquire()
-            pytest.fail("interrupted waiter must not receive the grant")
+            yield from resource.use(5.0)
+            started.append(sim.now)
         except Interrupt:
             pass
 
+    # Pushed before the holder's hold end, so at t=10 it runs first:
+    # the interrupt is queued ahead of the grant's deferred start.
+    waiting = []
+    sim.call_at(10.0, lambda: waiting[0].interrupt("preempted"))
     sim.process(holder())
-    waiting_process.append(sim.process(waiter()))
-    sim.run()
+    waiting.append(sim.process(waiter()))
+    sim.run(until=10.0)
     assert resource.in_use == 0
     assert resource.queue_length == 0
-    # The returned slot is immediately grantable again.
-    grant = resource.acquire()
-    assert grant.triggered
+    # The returned slot is immediately holdable again.
+    resource.hold(1.0, started.append, "fresh")
+    assert resource.in_use == 1
+    sim.run()
+    assert started == ["fresh"]
+
+
+def test_interrupted_running_hold_gives_its_unit_back_at_once():
+    """Interrupted mid-hold, ``use`` releases at the interrupt instant
+    and the queued hold behind it starts there, not at the old end."""
+    sim = Simulator()
+    resource = Resource(sim, capacity=1, name="cpu")
+    ends = []
+
+    def holder():
+        try:
+            yield from resource.use(10.0)
+        except Interrupt:
+            ends.append(("interrupted", sim.now))
+
+    def follower():
+        yield from resource.use(2.0)
+        ends.append(("follower", sim.now))
+
+    holding = sim.process(holder())
+    sim.process(follower())
+    sim.call_at(4.0, lambda: holding.interrupt("stop"))
+    sim.run()
+    assert ends == [("interrupted", 4.0), ("follower", 6.0)]
+    assert resource.in_use == 0 and resource.total_busy_time == 6.0
 
 
 def test_interrupted_mailbox_get_requeues_delivered_item():

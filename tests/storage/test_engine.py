@@ -127,7 +127,7 @@ class TestPaxosJournal:
         state = engine.paxos_state("t", "p")
         state.promised = (7, "coord")
         state.accepted = ((7, "coord"), [upd(1, "x")])
-        run(sim, engine.journal_paxos(("t", "p"), state))
+        commit(sim, engine, [], paxos=(("t", "p"), state))
         engine.crash()
         assert engine.paxos == {}
         run(sim, engine.recover())
@@ -139,7 +139,7 @@ class TestPaxosJournal:
         sim, engine = make_engine(journal_paxos=False)
         state = engine.paxos_state("t", "p")
         state.promised = (7, "coord")
-        run(sim, engine.journal_paxos(("t", "p"), state))
+        commit(sim, engine, [], paxos=(("t", "p"), state))
         engine.crash()
         run(sim, engine.recover())
         assert engine.paxos == {}
@@ -148,7 +148,7 @@ class TestPaxosJournal:
         sim, engine = make_engine()
         state = engine.paxos_state("t", "p")
         state.latest_commit = (3, "coord")
-        run(sim, engine.journal_paxos(("t", "p"), state))
+        commit(sim, engine, [], paxos=(("t", "p"), state))
         engine.crash()
         run(sim, engine.recover())
         assert engine.paxos[("t", "p")].committed_ballots == {(3, "coord")}
@@ -189,7 +189,7 @@ class TestRecovery:
                 commit(sim, engine, [upd(i, f"v{i}", ts=float(i))])
             state = engine.paxos_state("t", "p")
             state.latest_commit = (5, "c")
-            run(sim, engine.journal_paxos(("t", "p"), state))
+            commit(sim, engine, [], paxos=(("t", "p"), state))
             engine.crash()
             run(sim, engine.recover())
             return engine, sim.now

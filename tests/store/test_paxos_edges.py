@@ -128,7 +128,6 @@ def test_commit_clears_matching_accepted_state():
 
 def test_local_one_read_requires_local_replica():
     """LOCAL_ONE from a site with no replica is an explicit error."""
-    from repro.net import Node
     from repro.store import HashRing, StoreConfig, StoreCoordinator
 
     sim, net, cluster, (host,) = make_store()

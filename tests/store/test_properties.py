@@ -72,8 +72,6 @@ class TestRowMergeIsACrdt:
 
     @given(ops=st.lists(cell_ops, max_size=12))
     def test_order_independence(self, ops):
-        import itertools
-
         forward = apply_ops(Row(), ops)
         backward = apply_ops(Row(), list(reversed(ops)))
         assert forward.visible_cells().keys() == backward.visible_cells().keys()

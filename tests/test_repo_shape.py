@@ -83,7 +83,46 @@ def test_obs_exports_only_what_it_defines():
         assert name in defined, f"repro.obs exports {name}, defined in another layer"
         home = importlib.import_module(defined[name])
         assert getattr(obs, name) is getattr(home, name)
-    assert len(obs.__all__) <= 43
+    assert len(obs.__all__) <= 30
+
+
+def imported_names():
+    """``(importer, source, name)`` for every ``from <source> import
+    <name>`` under src/, tests/, benchmarks/ and examples/, relative
+    sources resolved; an importer outside src/ is its path."""
+    root = SRC.parents[1]
+    found = []
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for path in (root / top).rglob("*.py"):
+            parts = path.relative_to(root / "src").with_suffix("").parts if top == "src" else ()
+            importer = ".".join(p for p in parts if p != "__init__") or path.as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                base = list(parts[: len(parts) - node.level]) if node.level else []
+                source = ".".join(base + [node.module] if node.module else base)
+                found.extend((importer, source, alias.name) for alias in node.names)
+    return found
+
+
+def test_every_package_exports_only_what_is_used_outside_it():
+    """A ``repro.*`` package's ``__all__`` is its face to the rest of
+    the repo: each name in it is imported by some module outside the
+    package (from the package or one of its modules)."""
+    imports = imported_names()
+
+    def inside(module, package):
+        return module == package or module.startswith(package + ".")
+
+    for init in sorted(SRC.rglob("__init__.py")):
+        package = ".".join(init.relative_to(SRC.parent).parts[:-1])
+        if package == "repro":
+            continue
+        for name in importlib.import_module(package).__all__:
+            assert any(
+                imported == name and inside(source, package) and not inside(importer, package)
+                for importer, source, imported in imports
+            ), f"{package} exports {name}, which nothing outside it imports"
 
 
 # -- the MUSIC tier's options ------------------------------------------------

@@ -19,7 +19,7 @@ def run_workload(
     make_client=None,
 ):
     """Drive ``clients`` workers through the retrying executor; returns
-    the list of :class:`~repro.txn.TxnResult`.  ``make_client(site)``
+    the list of :class:`~repro.txn.api.TxnResult`.  ``make_client(site)``
     defaults to the deployment's library-mode clients."""
     sim = deployment.sim
     mix = txn_mix(keys_per_txn, read_fraction=read_fraction, zipf_theta=theta)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.verification import INVARIANTS, ModelChecker, ModelConfig, Violation
+from repro.verification import INVARIANTS, ModelChecker, ModelConfig
 
 
 def test_default_scope_verifies_all_invariants():

@@ -6,7 +6,6 @@ from repro.verification import (
     K,
     ModelConfig,
     Phase,
-    Write,
     enabled_events,
     initial_state,
 )
