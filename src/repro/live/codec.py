@@ -12,7 +12,9 @@ uses a small tagged encoding:
   exactly, including inside promises and in-progress Paxos state);
 - registered dataclasses become ``{"__c": "Update", "f": {...}}``;
 - dicts with any non-string key (or whose keys collide with a tag)
-  become ``{"__d": [[k, v], ...]}``;
+  become ``{"__d": [[k, v], ...]}``; a read-only ``MappingProxyType``
+  (a replica's live-row view) is lowered the same way and arrives as a
+  plain dict;
 - everything JSON-native passes through untouched.
 
 Frames on the socket are ``<4-byte big-endian length><utf-8 JSON>``.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
+from types import MappingProxyType
 from typing import Any, Dict, Type
 
 from ..leases.cache import CachedRead
@@ -68,7 +71,7 @@ def encode(obj: Any) -> Any:
         return {_TUPLE_TAG: [encode(item) for item in obj]}
     if isinstance(obj, list):
         return [encode(item) for item in obj]
-    if isinstance(obj, dict):
+    if isinstance(obj, (dict, MappingProxyType)):
         if all(isinstance(key, str) for key in obj) and not any(
             tag in obj for tag in _TAGS
         ):

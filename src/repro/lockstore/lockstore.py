@@ -73,13 +73,18 @@ class _BatchOp:
     on_committing: Optional[Any] = None  # advisory hook, see coordinator.cas
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class LockEntry:
-    """One queued lockRef as seen by a peek."""
+    """One queued lockRef as seen by a peek (shared by every peek that
+    decoded the same read, so it cannot be changed)."""
 
     lock_ref: int
     enqueued_at: Optional[float]
     start_time: Optional[float]
+
+
+# What a head read decodes to: (first entry, forced epoch, revoked ref).
+Head = Tuple[Optional[LockEntry], Any, Optional[int]]
 
 
 class LockStore:
@@ -111,6 +116,11 @@ class LockStore:
         self.sim = coordinator.sim
         self._batches: Dict[str, List[_BatchOp]] = {}
         self._busy: Dict[str, bool] = {}
+        # key -> (the rows of its last head read, their decode).  A
+        # single-replica read of an unchanged partition hands back the
+        # same read-only view object, so its decode is reused; any other
+        # read is a new object and is decoded afresh.
+        self._heads: Dict[str, Tuple[Any, Head]] = {}
         self._writer = coordinator.node.node_id
         self.obs = coordinator.node.obs
         # Ballot-loss priority (batch mode only; 1.0 = seed schedule):
@@ -252,9 +262,10 @@ class LockStore:
 
     def head(
         self, key: str, consistency: str = Consistency.LOCAL_ONE
-    ) -> Generator[Any, Any, Tuple[Optional[LockEntry], Any, Optional[int]]]:
+    ) -> Generator[Any, Any, Head]:
         """The one lock-partition head read: ``(entry, forced_epoch,
-        revoked_ref)``, all decoded from a single partition read.
+        revoked_ref)``, all decoded from a single partition read, once
+        per version of the partition a replica publishes.
 
         ``entry`` is the first queued lockRef (None on an empty queue).
         At the default ``LOCAL_ONE`` this is the cheap polling primitive
@@ -274,6 +285,9 @@ class LockStore:
             rows = yield from self.coordinator.get(
                 LOCK_TABLE, key, consistency=consistency
             )
+        memo = self._heads.get(key)
+        if memo is not None and memo[0] is rows:
+            return memo[1]
         epoch = revoked = None
         marker = rows.get(FORCED_ROW)
         if marker is not None:
@@ -282,10 +296,13 @@ class LockStore:
         if marker is not None:
             revoked = marker.visible_values().get("revoked")
         refs = self._lock_refs(rows)
-        if not refs:
-            return None, epoch, revoked
-        first_ref = min(refs)
-        return self._entry(first_ref, rows[first_ref]), epoch, revoked
+        entry = None
+        if refs:
+            first_ref = min(refs)
+            entry = self._entry(first_ref, rows[first_ref])
+        head = entry, epoch, revoked
+        self._heads[key] = rows, head
+        return head
 
     def peek(self, key: str) -> Generator[Any, Any, Optional[LockEntry]]:
         """lsPeek: the first lockRef in the *local* replica's queue."""

@@ -35,7 +35,8 @@ terminate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Tuple
 
 from ..obs import NULL_OBS
 from .config import StorageEngineConfig
@@ -48,6 +49,9 @@ __all__ = ["StorageEngine", "PaxosState"]
 # importing them from repro.store here would be circular, since
 # repro.store.replica builds on this module.
 Ballot = Tuple[int, str]
+
+# The live rows of a partition that has none (one shared, read-only view).
+_NO_ROWS: Mapping[Any, Any] = MappingProxyType({})
 
 _STORE_TYPES = None
 
@@ -134,7 +138,11 @@ class StorageEngine:
         # with the memtable by _store/_drop/flush/crash and read only
         # through live_rows(); a lock partition is mostly tombstones of
         # released lockRefs, and queue reads must not pay for them.
-        self._live: Dict[Tuple[str, str], Dict[Any, Any]] = {}
+        # Each entry is published read-only and never changed after:
+        # _store builds the next version in a copy, so a view handed out
+        # stays the image of the moment it was read, and one object
+        # stands for one version of the partition.
+        self._live: Dict[Tuple[str, str], Mapping[Any, Any]] = {}
         # Beside it, each partition's live_bytes(), dropped wherever the
         # index changes.
         self._live_bytes: Dict[Tuple[str, str], int] = {}
@@ -300,22 +308,27 @@ class StorageEngine:
         old: Any,
         row: Any,
     ) -> None:
-        """Put ``row`` where ``old`` was (None: append) and index it."""
+        """Put ``row`` where ``old`` was (None: append) and publish the
+        partition's next live-row index version."""
         partition[clustering] = row.freeze()
         key = (table, partition_key)
-        live = self._live.get(key)
-        if live is None:
-            live = self._live[key] = {}
+        # Dropped even when the index stays: a segment's live row may
+        # have died under this one.
         self._live_bytes.pop(key, None)
+        current = self._live.get(key, _NO_ROWS)
         if not row.live:
-            live.pop(clustering, None)
-        elif old is None or clustering in live:
+            if clustering not in current:
+                return  # a dead row stayed dead: same version
+            live = current.copy()  # the dict's own copy: dict(view) is 5x slower
+            del live[clustering]
+        elif old is None or clustering in current:
+            live = current.copy()
             live[clustering] = row  # appended, or replaced where it stood
         else:
             # A deleted row was written again: it re-enters at its
             # partition position, not at the end.
-            live.clear()
-            live.update((c, r) for c, r in partition.items() if r.live)
+            live = {c: r for c, r in partition.items() if r.live}
+        self._live[key] = MappingProxyType(live)
 
     # -- fsync ---------------------------------------------------------------
 
@@ -512,19 +525,21 @@ class StorageEngine:
             _merge_into(merged, mem)
         return merged
 
-    def live_rows(self, table: str, partition_key: str) -> Dict[Any, Any]:
+    def live_rows(self, table: str, partition_key: str) -> Mapping[Any, Any]:
         """The rows of one partition for which ``row.live`` holds, in
         ``partition_view`` order, without visiting the dead ones.
 
-        Read-only, like the rows in it.  Served from the index unless a
-        segment holds part of the partition, whose merged view then has
-        to be built and filtered.
+        A read-only view, like the rows in it, that no later write
+        changes: anyone may hold it.  Served from the index — the same
+        object until the partition's live rows change — unless a segment
+        holds part of the partition, whose merged view then has to be
+        built and filtered.
         """
         for segment in self.segments:
             if partition_key in segment.tables.get(table, ()):
                 view = self.partition_view(table, partition_key)
-                return {c: row for c, row in view.items() if row.live}
-        return self._live.get((table, partition_key)) or {}
+                return MappingProxyType({c: row for c, row in view.items() if row.live})
+        return self._live.get((table, partition_key), _NO_ROWS)
 
     def live_bytes(self, table: str, partition_key: str) -> int:
         """``sum(row.payload_bytes() for row in live_rows(...).values())``,

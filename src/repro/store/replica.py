@@ -42,7 +42,7 @@ real commit log introduces — and the reply is one more continuation
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Tuple
 
 from ..errors import ReproError
 from ..sim import NodeClock, Process, Simulator
@@ -140,14 +140,16 @@ class StorageReplica(Node):
         paths such as hinted handoff, which re-sends ``store_write``)."""
         self.engine._apply(update)
 
-    def local_rows(self, table: str, partition_key: str) -> Dict[Any, Row]:
-        """The live rows of a partition, in a fresh dict (empty if none).
+    def local_rows(self, table: str, partition_key: str) -> Mapping[Any, Row]:
+        """The live rows of a partition: the engine's read-only view
+        (empty if none), handed out without a copy.
 
-        The rows are the stored ones, not copies: they are frozen (see
-        :class:`Row`), so every reader may hold them and none can change
-        them; whoever needs to change one copies it first.
+        A published view is never changed — a write publishes a new one
+        — and its rows are the stored ones, frozen (see :class:`Row`), so
+        every reader may hold both and none can change either; whoever
+        needs to change them copies first.
         """
-        return dict(self.engine.live_rows(table, partition_key))
+        return self.engine.live_rows(table, partition_key)
 
     def local_row(self, table: str, partition_key: str, clustering: Any) -> Optional[Row]:
         return self.engine.live_rows(table, partition_key).get(clustering)

@@ -1,6 +1,8 @@
 """Wire-codec round-trips: everything the DES passes by reference must
 survive tagged JSON + length-prefixed framing."""
 
+from types import MappingProxyType
+
 import pytest
 
 from repro.leases.cache import CachedRead
@@ -39,6 +41,16 @@ def test_tag_collision_dicts_are_preserved():
     assert round_trip(sneaky) == sneaky
     assert round_trip({"__d": 0}) == {"__d": 0}
     assert round_trip({"__c": "Update"}) == {"__c": "Update"}
+
+
+def test_read_only_views_lower_like_dicts_and_arrive_as_dicts():
+    # A store_read reply carries the replica's live-row view itself.
+    rows = {1: Row(cells={"value": Cell("v", (1, "c", 3))}), "guard": Row()}
+    for view in (MappingProxyType(rows), MappingProxyType({"k": 1}), MappingProxyType({})):
+        assert encode(view) == encode(dict(view))
+        back = round_trip({"rows": view})
+        assert type(back["rows"]) is dict
+        assert back["rows"] == dict(view)
 
 
 def test_registered_dataclasses_round_trip():

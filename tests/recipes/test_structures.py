@@ -1,7 +1,5 @@
 """Tests for the atomic data-structure recipes."""
 
-import pytest
-
 from repro.core import MusicConfig, build_music
 from repro.recipes import AtomicCounter, AtomicMap, AtomicQueue, LeaderElection
 

@@ -1,9 +1,6 @@
 """Tests for the VNF Homing service (Section VII-a)."""
 
-import pytest
-
 from repro.core import MusicConfig, build_music
-from repro.errors import NotLockHolder
 from repro.services import (
     ClientApi,
     CloudSite,

@@ -1,8 +1,6 @@
 """Tests for the Management Portal service (Section VII-b)."""
 
-import pytest
-
-from repro.core import MusicConfig, build_music
+from repro.core import build_music
 from repro.services import PortalBackend, PortalFrontend
 
 

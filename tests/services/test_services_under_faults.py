@@ -1,7 +1,5 @@
 """The Section VII services driven through scripted fault scenarios."""
 
-import pytest
-
 from repro.core import MusicConfig, build_music
 from repro.errors import ReproError
 from repro.faults import FaultSchedule

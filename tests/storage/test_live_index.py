@@ -9,6 +9,11 @@ same keys, same rows, *same iteration order* (replies are built by
 iterating it, and reply order feeds merge order feeds timings) — and
 ``live_bytes``, the whole-partition reply size memoised beside it, is
 the summed ``payload_bytes()`` of those rows.
+
+The index is published copy-on-write: every view ``live_rows`` ever
+returned still shows what it showed then, and a partition nobody wrote
+is answered with the very same view object — which is what lets a
+reader keep a decode of it (``LockStore.head``).
 """
 
 from hypothesis import given, settings, strategies as st
@@ -94,13 +99,37 @@ def assert_index_matches(engine):
         assert engine.live_bytes("t", pk) == sum(row.payload_bytes() for _, row in expected)
 
 
+def from_index(engine, pk):
+    """True if ``live_rows`` serves ``pk`` from the index (no segment
+    holds part of it, so no merged view has to be built)."""
+    return not any(pk in segment.tables.get("t", ()) for segment in engine.segments)
+
+
 @settings(max_examples=150, deadline=None)
 @given(sequence=ops, flush_bytes=st.sampled_from([1 << 30, 300, 60]))
 def test_live_rows_equal_the_filtered_partition_in_order(sequence, flush_bytes):
     sim, engine = make_engine(flush_bytes)
+    handed_out = []  # (view, its image when it was returned)
+    indexed = {}  # pk -> the view the index served after the last op
     for index, op in enumerate(sequence):
         apply_op(sim, engine, index, op)
         assert_index_matches(engine)
+        for pk in PARTITIONS:
+            view = engine.live_rows("t", pk)
+            handed_out.append((view, list(view.items())))
+            if not from_index(engine, pk):
+                indexed.pop(pk, None)
+                continue
+            # One version, one object: a second read returns the first,
+            # and so does a read after a write to the other partition.
+            assert engine.live_rows("t", pk) is view
+            if pk in indexed and op[0] in ("update", "delete", "merge", "drop") and op[1] != pk:
+                assert view is indexed[pk]
+            indexed[pk] = view
+        # Copy-on-write: no later operation reaches into a view already
+        # handed out.
+        for view, image in handed_out:
+            assert list(view.items()) == image
 
 
 def test_a_rewritten_row_re_enters_at_its_original_position():

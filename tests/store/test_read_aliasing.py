@@ -1,14 +1,23 @@
-"""Read replies share the replicas' stored rows; nothing can leak back.
+"""Read replies share the replicas' stored state; nothing can leak back.
 
-A ``store_read`` reply hands out the stored ``Row`` objects themselves
-(no per-row copy), which is safe only because stored rows are frozen: a
-write replaces the row, and the mutators raise on a frozen one.  These
-tests try every way a holder could change a row it was given — a reply
-at ONE, a quorum merge, ``_merge_replies`` over agreeing and over
-diverged replicas, the lock store's queue — and check that neither the
-replicas' stored state nor what a second reader sees moves, and that a
-later write never reaches back into a reply already handed out.
+A whole-partition ``store_read`` reply hands out the replica's published
+live-row view itself (no copy of the dict, none of its rows), which is
+safe only because both are read-only: the view has no mutators and a
+write publishes a new one instead of changing it, and stored rows are
+frozen — a write replaces the row, and the mutators raise on a frozen
+one.  A merged (QUORUM/ALL) reply is built for its caller, who owns the
+dict but still not the rows.  These tests try every way a holder could
+change what it was given — a reply at ONE, a quorum merge,
+``_merge_replies`` over agreeing and over diverged replicas, the lock
+store's queue entries (frozen, since a decoded head is shared) — and
+check that neither the replicas' stored state nor what a second reader
+sees moves, and that a later write never reaches back into a reply
+already handed out.
 """
+
+from dataclasses import FrozenInstanceError
+
+import pytest
 
 from repro.lockstore import LockStore
 from repro.lockstore.lockstore import LOCK_TABLE
@@ -89,12 +98,27 @@ def test_a_reply_row_cannot_be_changed_at_any_consistency():
         assert content(read(sim, coord, consistency)) == image
 
 
-def test_the_reply_dict_is_the_readers_own():
+def test_a_reply_at_one_is_read_only_and_a_merged_one_is_the_readers_own():
     sim, cluster, coord = seeded_store()
     before = stored_state(cluster)
     rows = read(sim, coord, Consistency.ONE)
-    rows.clear()
-    rows["bogus"] = Row()
+    # The replica's published view itself: it has no mutators at all.
+    with pytest.raises(AttributeError):
+        rows.clear()
+    with pytest.raises(TypeError):
+        rows["bogus"] = Row()
+    with pytest.raises(TypeError):
+        del rows[1]
+    assert list(rows) == [1, 3]
+    assert list(read(sim, coord, Consistency.ONE)) == [1, 3]
+    assert stored_state(cluster) == before
+
+    # A quorum reply is a merge built for this caller: a dict it owns.
+    merged = read(sim, coord, Consistency.QUORUM)
+    assert type(merged) is dict
+    merged.clear()
+    merged["bogus"] = Row()
+    assert list(read(sim, coord, Consistency.QUORUM)) == [1, 3]
     assert list(read(sim, coord, Consistency.ONE)) == [1, 3]
     assert stored_state(cluster) == before
 
@@ -164,7 +188,9 @@ def test_lock_queue_entries_are_detached_from_the_store():
     entries = run(sim, lockstore.queue("k"))
     assert [entry.lock_ref for entry in entries] == [1, 2, 3]
     for entry in entries:
-        entry.lock_ref, entry.enqueued_at, entry.start_time = -1, -1.0, -1.0
+        for field, value in (("lock_ref", -1), ("enqueued_at", -1.0), ("start_time", -1.0)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(entry, field, value)
     assert stored_state(cluster) == before
     again = run(sim, lockstore.queue("k"))
     assert [entry.lock_ref for entry in again] == [1, 2, 3]
