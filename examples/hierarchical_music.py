@@ -14,7 +14,7 @@ Run:  python examples/hierarchical_music.py
 from collections import Counter
 
 from repro import build_music
-from repro.analysis import render_bars
+from repro.bench.report import render_bars
 from repro.core.hierarchical import HierarchicalClient
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Dict, List, Tuple
 
-from ..analysis import summarize
 from ..core import MusicConfig
 from ..core.replica import DATA_TABLE, VALUE_ROW
 from ..errors import ReproError
@@ -25,6 +24,7 @@ from .paper import (
     SCALING_SIZES_FULL,
     SCALING_SIZES_QUICK,
 )
+from .report import summarize
 from .scenario import ExperimentResult, Run, scenario
 from .workers import counter_increments, read_counter, run_all, site_clients
 
@@ -533,7 +533,7 @@ def txn_regimes(run: Run) -> ExperimentResult:
     engines = ["locking", "occ", "ssi"]
 
     def measure(engine_name: str, theta: float) -> Dict[str, Any]:
-        deployment = run.build_music(seed=run.seed, txn=True)
+        deployment = run.build_music(seed=run.seed)
         sim = deployment.sim
         sites = deployment.profile.site_names
         engine = deployment.txn.engine(engine_name)

@@ -9,14 +9,15 @@ EXPERIMENTS.md records paper-vs-measured side by side.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
-from ..analysis import CostModel, summarize
 from ..errors import NotLockHolder, ReproError
 from ..net import PAPER_PROFILES, Network, Node
 from ..sim import RandomStreams, Simulator
 from ..workloads import PAPER_DATA_SIZES, PAPER_YCSB_WORKLOADS, SizedValue, ZipfianGenerator
 from .harness import measure_throughput
+from .report import summarize
 from .scenario import ExperimentResult, Run, scenario
 from .workers import cs_latency, saturated_throughput
 
@@ -566,6 +567,45 @@ def fig9(run: Run) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # X-B4 — the analytic cost model
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class CostModel:
+    """The qualitative cost analysis of Appendix X-B4, in any common
+    unit (e.g. ms or RTTs).
+
+    A critical section with ``x`` state updates costs MUSIC 2 consensus
+    ops (createLockRef + releaseLock), one quorum lookup of the synchFlag
+    and ``x`` quorum writes → ``2C + (x+1)Q``; Spanner/CockroachDB with
+    per-update exclusive transactions pay two consensus operations per
+    update → ``2xC``.  With the paper's generous C ≈ Q, MUSIC's ``(3+x)C
+    ≈ xC`` for large x is about half of ``2xC``: "nearly two times
+    faster".
+    """
+
+    consensus: float  # C: one consensus operation
+    quorum: float  # Q: one quorum operation
+
+    def music_critical_section(self, updates: int) -> float:
+        """2C + (x+1)Q."""
+        if updates < 0:
+            raise ValueError("updates must be non-negative")
+        return 2 * self.consensus + (updates + 1) * self.quorum
+
+    def per_update_transactions(self, updates: int) -> float:
+        """2xC: each update in its own exclusive consensus transaction."""
+        if updates < 0:
+            raise ValueError("updates must be non-negative")
+        return 2 * updates * self.consensus
+
+    def speedup(self, updates: int) -> float:
+        """How much faster MUSIC is: (2xC) / (2C + (x+1)Q)."""
+        return self.per_update_transactions(updates) / self.music_critical_section(updates)
+
+    @classmethod
+    def generous(cls, cost: float = 1.0) -> "CostModel":
+        """The paper's generous C == Q assumption."""
+        return cls(consensus=cost, quorum=cost)
 
 
 @scenario("xb4", "Cost model")

@@ -23,10 +23,10 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..analysis import cdf_points, render_cdf, render_series, render_table
 from ..baselines.mscp import MscpReplica
 from ..core import build_music
 from ..core.deployment import MusicDeployment
+from .report import cdf_points, render_cdf, render_series, render_table
 from .results import write_bench_json
 
 __all__ = [

@@ -43,10 +43,22 @@ class MusicDeployment:
     # The DES self-profiler (repro.obs.SimProfiler); None unless built
     # with ``profile=True``.
     profiler: Optional[object] = None
-    # The transaction layer (repro.txn.TxnRuntime); None unless built
-    # with ``txn=True``.
-    txn: Optional[object] = None
+    _txn: Optional[object] = field(default=None, init=False, repr=False)
     _client_seq: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def txn(self) -> "TxnRuntime":  # noqa: F821 - lazy import
+        """The transaction layer of DESIGN.md §13, a
+        :class:`~repro.txn.TxnRuntime`: engine/executor factories for the
+        three concurrency-control regimes (MUSIC locks, epoch OCC, SSI).
+        Built on first access; building it allocates nothing on the
+        simulator — no processes, events or randomness — so touching it
+        without running a transaction keeps timings bit-identical."""
+        if self._txn is None:
+            from ..txn import TxnRuntime
+
+            self._txn = TxnRuntime(self)
+        return self._txn
 
     def replica_at(self, site: str) -> MusicReplica:
         for replica in self.replicas:
@@ -156,7 +168,6 @@ def build_music(
     topo_config=None,
     read_leases: Optional[bool] = None,
     profile: bool = False,
-    txn: bool = False,
 ) -> MusicDeployment:
     """Build and start a MUSIC deployment on a fresh (or given) simulator.
 
@@ -194,13 +205,8 @@ def build_music(
     push-grant channel.  The default leaves the tier entirely unbuilt
     with bit-identical timings.
 
-    ``txn=True`` attaches the transaction layer of DESIGN.md §13
-    (returned as ``deployment.txn``, a :class:`~repro.txn.TxnRuntime`):
-    engine/executor factories for the three concurrency-control regimes
-    (MUSIC locks, epoch OCC, SSI).  Attaching the runtime allocates
-    nothing on the simulator — no processes, events, or randomness —
-    so the default (and even ``txn=True`` with no transactions run)
-    keeps simulated timings bit-identical.
+    The transaction layer of DESIGN.md §13 is ``deployment.txn``,
+    built on first access.
 
     ``profile=True`` installs a :class:`~repro.obs.SimProfiler` on the
     simulator (returned as ``deployment.profiler``): wall-clock cost of
@@ -267,14 +273,9 @@ def build_music(
         clock_skew_ms=clock_skew_ms,
     )
 
-    deployment = MusicDeployment(
+    return MusicDeployment(
         sim=sim, network=network, profile=latency_profile, store=store,
         replicas=replicas, detectors=detectors, config=music_config,
         streams=streams, obs=network.obs, auditor=auditor,
         topology=topology, profiler=profiler,
     )
-    if txn:
-        from ..txn import TxnRuntime
-
-        deployment.txn = TxnRuntime(deployment)
-    return deployment

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Dict, Generator, List, Optional
 
-from ..analysis import summarize
+from ..bench.report import summarize
 from ..bench.workers import counter_increments, read_counter
 from ..core import CriticalSection, MusicClient, service_client
 from ..net import Node
@@ -84,7 +84,7 @@ class WorkloadResult:
 
 def workload_metrics(result: WorkloadResult) -> Dict[str, float]:
     """The BENCH_live metric set for one workload run.  Percentiles
-    follow ``analysis.summarize`` (linear interpolation), the rule of
+    follow ``bench.report.summarize`` (linear interpolation), the rule of
     every simulated BENCH file, so the two are comparable."""
     metrics = {
         "completed_cs": float(result.completed_cs),

@@ -61,6 +61,8 @@ BATCH_WINDOW_MS = 2.0
 # that serialize the grant order onto one site (and its quorum
 # geometry).  Excess ops simply wait for the next self-clocked flush.
 BATCH_MAX_OPS = 4
+# Guard-read + CAS rounds a mint tries before raising LockContention.
+MAX_ENQUEUE_ATTEMPTS = 20
 
 
 @dataclass
@@ -94,13 +96,11 @@ class LockStore:
         self,
         coordinator: StoreCoordinator,
         clock: NodeClock,
-        max_enqueue_attempts: int = 20,
         batched: bool = False,
         lease_rows: bool = False,
     ) -> None:
         self.coordinator = coordinator
         self.clock = clock
-        self.max_enqueue_attempts = max_enqueue_attempts
         # Read leases (DESIGN.md §10): forced dequeues also write the
         # LEASE_ROW revocation marker.  Off by default — the extra
         # mutation would not change timings, but the schema stays
@@ -179,7 +179,7 @@ class LockStore:
         conditionally advance it and insert the queue rows, retrying the
         whole sequence if another client won the race.  A plain mint is
         the ``count=1``, no-dequeue batch."""
-        for attempt in range(self.max_enqueue_attempts):
+        for attempt in range(MAX_ENQUEUE_ATTEMPTS):
             rows = yield from self.coordinator.get(
                 LOCK_TABLE, key, clustering=GUARD_ROW, consistency=Consistency.ONE
             )
@@ -255,7 +255,7 @@ class LockStore:
             self.obs.metrics.counter("lockstore.enqueue.conflicts", key=key).inc()
         raise LockContention(
             f"could not mint {count} lockRef(s) for {key!r} after "
-            f"{self.max_enqueue_attempts} attempts"
+            f"{MAX_ENQUEUE_ATTEMPTS} attempts"
         )
 
     # -- lsPeek -----------------------------------------------------------------

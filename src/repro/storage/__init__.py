@@ -9,11 +9,12 @@ cost of each ``wal_sync`` mode charged on the simulated clock.
 
 :class:`~repro.store.replica.StorageReplica` (and, through it, the
 MUSIC lock store's guard/queue partitions and LWT Paxos acceptor
-state) is built on this engine.
+state) is built on this engine.  :func:`merge_into` is the one
+last-write-wins rule by which any two copies of a partition combine.
 """
 
 from .config import StorageEngineConfig
-from .engine import PaxosState, StorageEngine
+from .engine import PaxosState, StorageEngine, merge_into
 from .wal import CommitLog, dump_wal_jsonl
 
 __all__ = [
@@ -22,4 +23,5 @@ __all__ = [
     "StorageEngine",
     "StorageEngineConfig",
     "dump_wal_jsonl",
+    "merge_into",
 ]

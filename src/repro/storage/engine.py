@@ -43,7 +43,7 @@ from .config import StorageEngineConfig
 from .segment import Segment, size_tier
 from .wal import CommitLog
 
-__all__ = ["StorageEngine", "PaxosState"]
+__all__ = ["StorageEngine", "PaxosState", "merge_into"]
 
 # Ballot / Mutation are structural (tuples / lists of Update objects);
 # importing them from repro.store here would be circular, since
@@ -84,8 +84,11 @@ def _row_count(tables: Dict[str, Dict[str, Dict[Any, Any]]]) -> int:
     )
 
 
-def _merge_into(target: Dict[Any, Any], rows: Dict[Any, Any]) -> None:
-    """Fold stored ``rows`` into ``target`` (both clustering -> frozen Row)."""
+def merge_into(target: Dict[Any, Any], rows: Mapping[Any, Any]) -> None:
+    """Fold ``rows`` into ``target`` (clustering -> Row) by last-write-wins,
+    the one rule that combines copies of a partition.  No row changes: a
+    row only one side has is taken as it is, one both have is
+    :meth:`Row.merged` (``target``'s own when ``rows`` adds nothing)."""
     for clustering, row in rows.items():
         known = target.get(clustering)
         target[clustering] = row if known is None else known.merged(row).freeze()
@@ -107,6 +110,18 @@ class PaxosState:
     # replies so coordinators can discard obsolete in-progress proposals
     # (mirrors Cassandra's most-recent-commit tracking).
     latest_commit: Optional[Ballot] = None
+
+    def join(self, promised: Any, accepted: Any, latest_commit: Any) -> "PaxosState":
+        """Fold another acceptor's image of this partition in: keep the
+        newest of each field, ours on a tie.  Returns ``self``."""
+        if promised is not None and (self.promised is None or promised > self.promised):
+            self.promised = promised
+        if accepted is not None and (self.accepted is None or accepted[0] > self.accepted[0]):
+            self.accepted = accepted
+        latest = self.latest_commit
+        if latest_commit is not None and (latest is None or latest_commit > latest):
+            self.latest_commit = latest_commit
+        return self
 
 
 class StorageEngine:
@@ -252,12 +267,10 @@ class StorageEngine:
         if self.crashed:
             return
         drop = (partition_key, tables)
-        yield from self._durably(self.wal.append("drop", drop, 24).lsn, self._dropped, drop)
+        yield from self._durably(self.wal.append("drop", drop, 24).lsn, self._drop, drop)
 
-    def _dropped(self, drop: Tuple[str, Optional[List[str]]]) -> None:
-        self._drop(*drop)
-
-    def _drop(self, partition_key: str, tables: Optional[List[str]]) -> None:
+    def _drop(self, drop: Tuple[str, Optional[List[str]]]) -> None:
+        partition_key, tables = drop
         for table, partitions in self.memtable.items():
             if tables is None or table in tables:
                 partitions.pop(partition_key, None)
@@ -478,7 +491,7 @@ class StorageEngine:
         for segment in group:
             for table, partitions in segment.tables.items():
                 for partition_key, rows in partitions.items():
-                    _merge_into(
+                    merge_into(
                         merged_tables.setdefault(table, {}).setdefault(
                             partition_key, {}
                         ),
@@ -520,9 +533,9 @@ class StorageEngine:
         for segment in self.segments:
             rows = segment.tables.get(table, {}).get(partition_key)
             if rows:
-                _merge_into(merged, rows)
+                merge_into(merged, rows)
         if mem:
-            _merge_into(merged, mem)
+            merge_into(merged, mem)
         return merged
 
     def live_rows(self, table: str, partition_key: str) -> Mapping[Any, Any]:
@@ -639,18 +652,14 @@ class StorageEngine:
             table, partition_key, rows = record.payload
             self._merge(table, partition_key, rows, record.size_bytes)
         elif record.kind == "drop":
-            partition_key, tables = record.payload
-            self._drop(partition_key, tables)
+            self._drop(record.payload)
         elif record.kind == "paxos":
-            key, promised, accepted, latest_commit = record.payload
-            state = PaxosState(
-                promised=promised, accepted=accepted, latest_commit=latest_commit
-            )
-            if latest_commit is not None:
+            key, *image = record.payload
+            state = self.paxos[key] = PaxosState().join(*image)
+            if state.latest_commit is not None:
                 # The full committed-ballot set is a dedup cache, not
                 # state; re-delivered commits re-apply idempotently (LWW).
-                state.committed_ballots = {latest_commit}
-            self.paxos[key] = state
+                state.committed_ballots = {state.latest_commit}
         else:  # pragma: no cover - appends validate kinds
             raise ValueError(f"unknown WAL record kind {record.kind!r}")
 

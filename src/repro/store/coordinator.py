@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 from ..errors import LockContention, QuorumUnavailable, ReproError
 from ..net import Node, quorum_of, quorum_size
 from ..sim import Event, RandomStreams
+from ..storage import merge_into
 from .config import StoreConfig
 from .ring import HashRing
 from .types import (
@@ -151,14 +152,14 @@ class StoreCoordinator:
         partition: str,
         clustering: Any = "__all_rows__",
         consistency: str = Consistency.QUORUM,
-        read_repair: bool = False,
     ) -> Generator[Any, Any, Dict[Any, Row]]:
         """Read rows of a partition; returns merged {clustering: Row}.
 
         At ONE/LOCAL_ONE only one replica is consulted (an *eventual*
         read: possibly stale).  At QUORUM/ALL, replies are merged cell-
         wise by stamp, so the result is at least as new as any value
-        acknowledged at the same consistency.
+        acknowledged at the same consistency; with
+        ``StoreConfig.read_repair_enabled`` the merge is pushed back.
         """
         self._needed(consistency, 1)
         with self.obs.tracer.span(
@@ -171,7 +172,7 @@ class StoreCoordinator:
             if consistency in _SINGLE:
                 return replies["rows"]
             merged = self._merge_replies([reply for _dst, reply in replies])
-            if read_repair or self.config.read_repair_enabled:
+            if self.config.read_repair_enabled:
                 self.obs.metrics.counter("store.read_repairs", node=self.node.node_id).inc()
                 self._issue_read_repair(table, partition, merged, [dst for dst, _ in replies])
             return merged
@@ -215,17 +216,16 @@ class StoreCoordinator:
 
     @staticmethod
     def _merge_replies(replies: List[Dict[str, Any]]) -> Dict[Any, Row]:
-        """Cell-wise LWW merge of read replies; read-only like them.
+        """The live rows of the replies' LWW merge (``merge_into``), in
+        a dict the caller owns.
 
-        Reply rows are the replicas' stored (frozen) rows, so the merge
+        Reply rows are the replicas' stored (frozen) rows, and the merge
         changes none of them: a row the replies agree on is passed
-        through, one they differ on is merged into a copy.
+        through, one they differ on is merged into a new frozen row.
         """
         merged: Dict[Any, Row] = {}
         for reply in replies:
-            for clustering, row in reply["rows"].items():
-                known = merged.get(clustering)
-                merged[clustering] = row if known is None else known.merged(row)
+            merge_into(merged, reply["rows"])
         return {c: r for c, r in merged.items() if r.live}
 
     def _issue_read_repair(
@@ -393,7 +393,6 @@ class StoreCoordinator:
         partition: str,
         condition: Condition,
         mutation: Mutation,
-        max_attempts: Optional[int] = None,
         stamp_with_ballot: bool = False,
         on_committing: Optional[Callable[[], None]] = None,
         backoff_scale: float = 1.0,
@@ -403,7 +402,7 @@ class StoreCoordinator:
         Linearized through per-partition Paxos; costs four quorum round
         trips when uncontended.  On ballot contention the coordinator
         backs off and retries; :class:`LockContention` is raised only
-        after ``max_attempts`` consecutive losses.
+        after ``StoreConfig.cas_max_attempts`` consecutive losses.
 
         With ``stamp_with_ballot``, the mutation's write stamps are
         replaced by the winning Paxos ballot (Cassandra's behaviour):
@@ -426,7 +425,7 @@ class StoreCoordinator:
         while deferrable work (a mint batch) passes > 1 to yield the
         partition.  The default leaves the schedule untouched.
         """
-        attempts = max_attempts or self.config.cas_max_attempts
+        attempts = self.config.cas_max_attempts
         # One identity for the whole logical operation: re-stamped retry
         # attempts must still be recognisable as *this* CAS (for the
         # ambiguity resolution when a partial accept is completed by a

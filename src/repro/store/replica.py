@@ -15,6 +15,12 @@ Each replica is a :class:`~repro.net.node.Node` that serves:
   healed partitions (Section III-B's "a write ... eventually propagates
   to all other replicas").
 
+Every exchange of rows between replicas — anti-entropy here, range
+handover and Merkle repair in :mod:`repro.topo` — moves a *bundle*
+(:meth:`StorageReplica.bundle`): full partition views of stored, frozen
+rows, merged on arrival by :meth:`StorageReplica.merge_bundle` and sized
+by :func:`bundle_bytes`.
+
 All state lives in a per-replica :class:`~repro.storage.StorageEngine`
 (Cassandra's write path: commit log → memtable → segments), so every
 acknowledged mutation — including Paxos acceptor state and the lock
@@ -52,7 +58,7 @@ from ..storage import PaxosState, StorageEngine
 from .config import StoreConfig
 from .types import Ballot, Mutation, Row
 
-__all__ = ["StorageReplica", "PaxosState"]
+__all__ = ["StorageReplica", "PaxosState", "bundle_bytes"]
 
 # Sentinel meaning "read the whole partition" in a store_read request.
 ALL_ROWS = "__all_rows__"
@@ -60,9 +66,19 @@ ALL_ROWS = "__all_rows__"
 # What a served op's body gets: the request, its payload and its span.
 Served = Tuple[Message, Dict[str, Any], Any]
 
+# Rows in transit between replicas: (table, partition, {clustering: Row})
+# per partition, tombstones included.
+Bundle = List[Tuple[str, str, Dict[Any, Row]]]
+
 # The constant acknowledgements (shared: replies are read, never changed).
 _OK = {"ok": True}
 _ACCEPTED = {"accepted": True}
+
+
+def bundle_bytes(bundle: Bundle) -> int:
+    """The payload bytes of a bundle's rows; a message adds its own
+    constant on top."""
+    return sum(row.payload_bytes() for _t, _p, rows in bundle for row in rows.values())
 
 
 class StorageReplica(Node):
@@ -136,8 +152,9 @@ class StorageReplica(Node):
 
     def apply_update(self, update: Any) -> None:
         """Apply one Update or DeleteRow to the memtable (LWW merge),
-        bypassing the journal — callers own durability (used by replay
-        paths such as hinted handoff, which re-sends ``store_write``)."""
+        bypassing the journal and the network: a test seam for making
+        replicas diverge.  Nothing in the protocol calls it (hinted
+        handoff re-sends ``store_write``)."""
         self.engine._apply(update)
 
     def local_rows(self, table: str, partition_key: str) -> Mapping[Any, Row]:
@@ -310,49 +327,54 @@ class StorageReplica(Node):
             batch = self._next_ae_batch(limit=32, peer=peer)
             if not batch:
                 continue
-            size = sum(
-                row.payload_bytes()
-                for _t, _p, rows in batch
-                for row in rows.values()
-            )
             try:
                 reply = yield from self.call(
                     peer,
                     "ae_exchange",
                     {"entries": batch},
-                    size_bytes=size + 64,
+                    size_bytes=bundle_bytes(batch) + 64,
                     timeout=self.config.rpc_timeout_ms,
                 )
             except ReproError:
                 continue  # unreachable peer; try again next round
-            for table, partition_key, rows in reply["entries"]:
-                yield from self.engine.merge_rows(table, partition_key, rows)
+            yield from self.merge_bundle(reply["entries"])
 
-    def _owns(self, node_id: str, partition_key: str) -> bool:
+    def owns(self, node_id: str, partition_key: str) -> bool:
+        """Whether ``node_id`` replicates the partition (without a ring,
+        every node does)."""
         if self.ring is None:
             return True
         return node_id in self.ring.replicas_for(partition_key, self.config.replication_factor)
 
-    def _next_ae_batch(
-        self, limit: int, peer: Optional[str] = None
-    ) -> List[Tuple[str, str, Dict[Any, Row]]]:
-        """A rotating window of partitions to exchange this round."""
+    def bundle(self, pairs: List[Tuple[str, str]]) -> Bundle:
+        """The full views of the given ``(table, partition)`` pairs, to
+        send to a peer.  Tombstones are included — a bundle that dropped
+        deletion markers would resurrect rows on the receiver — and no
+        row is copied: stored rows never change, so a fresh dict of them
+        is a copy of the partition."""
+        view = self.engine.partition_view
+        return [(table, partition, dict(view(table, partition))) for table, partition in pairs]
+
+    def merge_bundle(self, bundle: Bundle) -> Generator[Any, Any, None]:
+        """LWW-merge a peer's bundle: one journaled merge per partition.
+        The engine stores copies of what it merges, never the rows it
+        was handed, so one bundle may go to any number of replicas."""
+        for table, partition, rows in bundle:
+            yield from self.engine.merge_rows(table, partition, rows)
+
+    def _next_ae_batch(self, limit: int, peer: str) -> Bundle:
+        """A rotating window of the partitions ``peer`` also replicates."""
         everything: List[Tuple[str, str]] = [
             (table, partition_key)
             for table, partition_key in self.engine.partition_keys()
-            if peer is None or self._owns(peer, partition_key)
+            if self.owns(peer, partition_key)
         ]
         if not everything:
             return []
         start = self._ae_cursor % len(everything)
         self._ae_cursor += limit
         window = [everything[(start + i) % len(everything)] for i in range(min(limit, len(everything)))]
-        # Snapshots for free: stored rows never change, so a fresh dict
-        # of them is a copy of the partition (tombstones included).
-        return [
-            (table, partition_key, dict(self.engine.partition_view(table, partition_key)))
-            for table, partition_key in window
-        ]
+        return self.bundle(window)
 
     def _ae_exchange(self, served: Served) -> None:
         # Each merge is the engine's generator path (it may wait out an
@@ -361,16 +383,9 @@ class StorageReplica(Node):
         Process(self.sim, self._ae_merge(served), f"{self.node_id}:ae_exchange").start()
 
     def _ae_merge(self, served: Served) -> Generator[Any, Any, None]:
-        reply_entries = []
-        for table, partition_key, rows in served[1]["entries"]:
-            if not self._owns(self.node_id, partition_key):
-                continue
-            ours = dict(self.engine.partition_view(table, partition_key))
-            yield from self.engine.merge_rows(table, partition_key, rows)
-            reply_entries.append((table, partition_key, ours))
-        size = sum(
-            row.payload_bytes()
-            for _t, _p, rows in reply_entries
-            for row in rows.values()
-        )
-        self._answer((served, {"entries": reply_entries}, size + 64))
+        # Answer with our copy of every partition we replicate, as it was
+        # when the peer's arrived.
+        theirs = [entry for entry in served[1]["entries"] if self.owns(self.node_id, entry[1])]
+        ours = self.bundle([(table, partition) for table, partition, _rows in theirs])
+        yield from self.merge_bundle(theirs)
+        self._answer((served, {"entries": ours}, bundle_bytes(ours) + 64))

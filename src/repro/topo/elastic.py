@@ -13,12 +13,14 @@ granularity:
    the move is on the new owner before the flip.
 
 2. **Range streaming.**  For each affected partition the manager quorum-
-   collects the full contents — all tables' rows *including tombstones*,
-   plus per-table Paxos acceptor state — from the current owners out of
-   their storage engines, LWW-merges the replies, and hands the bundle to
-   every gaining node in one ``topo_handover`` message.  Bytes ride the
-   normal network model, so streaming cost shows up in the per-byte cost
-   accounting like any other traffic.
+   collects the full contents — all tables' rows *including tombstones*
+   (a :meth:`~repro.store.replica.StorageReplica.bundle`), plus per-table
+   Paxos acceptor state — from the current owners out of their storage
+   engines, folds the replies (:func:`~repro.storage.merge_into` for the
+   rows, :meth:`~repro.storage.PaxosState.join` for the acceptors), and
+   hands the result to every gaining node in one ``topo_handover``
+   message.  Bytes ride the normal network model, so streaming cost
+   shows up in the per-byte cost accounting like any other traffic.
 
 3. **Atomic flip.**  The partition's ring entry flips to the new layout
    in the same event-loop step that observes the final handover ack:
@@ -34,9 +36,12 @@ granularity:
 
 Repair is Merkle-tree anti-entropy (:mod:`repro.topo.merkle`): trees
 over the partitions a replica pair co-owns are exchanged, and only the
-token leaves that differ are synchronised — a symmetric row exchange
+token leaves that differ are synchronised — a symmetric bundle exchange
 with LWW merge on both sides, so tombstones win over stale live rows
 and v2s stamps are preserved byte-for-byte.
+
+No row is copied on the way: bundles carry the sources' stored, frozen
+rows, and a receiving engine stores copies of what it merges.
 """
 
 from __future__ import annotations
@@ -46,8 +51,9 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 from ..errors import QuorumUnavailable, ReproError
 from ..net import Message, Network, Node, quorum_of, quorum_size
 from ..sim import RandomStreams, Simulator
+from ..storage import PaxosState, merge_into
 from ..store import StoreCluster
-from ..store.replica import StorageReplica
+from ..store.replica import Bundle, StorageReplica, bundle_bytes
 from .config import TopoConfig
 from .gossip import (
     STATUS_JOINING,
@@ -312,21 +318,14 @@ class TopologyManager:
         )
         replies = yield quorum_of(self.sim, handles, quorum_size(len(old)))
         entries, paxos = self._merge_collected([reply for _dst, reply in replies])
-        size = (
-            sum(
-                row.payload_bytes()
-                for rows in entries.values()
-                for row in rows.values()
-            )
-            + 48 * len(paxos)
-            + 64
-        )
+        bundle = [(table, key, rows) for table, rows in entries.items()]
+        size = bundle_bytes(bundle) + 48 * len(paxos) + 64
         if not gainers:
             return size
         handover = self.node.call_many(
             gainers,
             "topo_handover",
-            {"partition": key, "entries": entries, "paxos": paxos},
+            {"partition": key, "entries": bundle, "paxos": paxos},
             size_bytes=size,
             timeout=self.config.rpc_timeout_ms,
         )
@@ -337,38 +336,16 @@ class TopologyManager:
     @staticmethod
     def _merge_collected(
         replies: List[Dict[str, Any]],
-    ) -> Tuple[Dict[str, Dict[Any, Any]], Dict[str, Tuple[Any, Any, Any]]]:
-        """LWW-merge collect replies into one bundle per table."""
+    ) -> Tuple[Dict[str, Dict[Any, Any]], Dict[str, PaxosState]]:
+        """Fold the owners' collect replies into one row set and one
+        acceptor state per table."""
         entries: Dict[str, Dict[Any, Any]] = {}
-        paxos: Dict[str, Tuple[Any, Any, Any]] = {}
+        paxos: Dict[str, PaxosState] = {}
         for reply in replies:
-            for table, rows in reply["entries"].items():
-                merged = entries.setdefault(table, {})
-                for clustering, row in rows.items():
-                    known = merged.get(clustering)
-                    if known is None:
-                        merged[clustering] = row.copy()
-                    else:
-                        known.merge_from(row)
-            for table, (promised, accepted, latest) in reply["paxos"].items():
-                current = paxos.get(table)
-                if current is None:
-                    paxos[table] = (promised, accepted, latest)
-                    continue
-                best_promised = max(
-                    (b for b in (current[0], promised) if b is not None),
-                    default=None,
-                )
-                best_accepted = max(
-                    (a for a in (current[1], accepted) if a is not None),
-                    key=lambda pair: pair[0],
-                    default=None,
-                )
-                best_latest = max(
-                    (b for b in (current[2], latest) if b is not None),
-                    default=None,
-                )
-                paxos[table] = (best_promised, best_accepted, best_latest)
+            for table, _key, rows in reply["entries"]:
+                merge_into(entries.setdefault(table, {}), rows)
+            for table, image in reply["paxos"].items():
+                paxos.setdefault(table, PaxosState()).join(*image)
         return entries, paxos
 
     def _cleanup(self, key: str, losers: List[str]) -> Generator[Any, Any, None]:
@@ -386,7 +363,7 @@ class TopologyManager:
                     ).inc()
             except ReproError:
                 # Best-effort, like nodetool cleanup: a dead ex-owner
-                # keeps a stale copy, but ``_owns`` checks stop it from
+                # keeps a stale copy, but ``owns`` checks stop it from
                 # re-propagating via anti-entropy.
                 continue
 
@@ -437,32 +414,17 @@ class TopologyManager:
     def _handle_collect(
         self, replica: StorageReplica, msg: Message
     ) -> Generator[Any, Any, None]:
-        body = replica.payload(msg)
-        key = body["partition"]
+        key = replica.payload(msg)["partition"]
         yield from replica.compute(replica.config.read_service_ms)
-        entries: Dict[str, Dict[Any, Any]] = {}
-        for table, partition_key in replica.engine.partition_keys():
-            if partition_key != key or table in entries:
-                continue
-            view = replica.engine.partition_view(table, key)
-            # Full views, tombstones included: a handover that dropped
-            # deletion markers would resurrect rows on the new owner.
-            entries[table] = {
-                clustering: row.copy() for clustering, row in view.items()
-            }
-        paxos: Dict[str, Tuple[Any, Any, Any]] = {}
-        for (table, partition_key), state in replica.engine.paxos.items():
-            if partition_key == key:
-                paxos[table] = (state.promised, state.accepted, state.latest_commit)
-        size = (
-            sum(
-                row.payload_bytes()
-                for rows in entries.values()
-                for row in rows.values()
-            )
-            + 48 * len(paxos)
-            + 64
+        entries = replica.bundle(
+            [(table, pk) for table, pk in replica.engine.partition_keys() if pk == key]
         )
+        paxos = {
+            table: (state.promised, state.accepted, state.latest_commit)
+            for (table, pk), state in replica.engine.paxos.items()
+            if pk == key
+        }
+        size = bundle_bytes(entries) + 48 * len(paxos) + 64
         replica.reply(msg, {"entries": entries, "paxos": paxos}, size_bytes=size)
 
     def _handle_handover(
@@ -470,49 +432,22 @@ class TopologyManager:
     ) -> Generator[Any, Any, None]:
         body = replica.payload(msg)
         key = body["partition"]
-        size = sum(
-            row.payload_bytes()
-            for rows in body["entries"].values()
-            for row in rows.values()
-        )
         yield from replica.compute(
             replica.config.write_service_ms
-            + replica.config.value_service_ms(size)
+            + replica.config.value_service_ms(bundle_bytes(body["entries"]))
         )
-        for table, rows in body["entries"].items():
-            # Receiver-side copies: the same bundle goes to every gainer,
-            # and engines must never share live Row objects.
-            yield from replica.engine.merge_rows(
-                table, key, {c: row.copy() for c, row in rows.items()}
+        yield from replica.merge_bundle(body["entries"])
+        for table, theirs in body["paxos"].items():
+            state = replica.engine.paxos_state(table, key).join(
+                theirs.promised, theirs.accepted, theirs.latest_commit
             )
-        for table, (promised, accepted, latest) in body["paxos"].items():
-            state = replica.engine.paxos_state(table, key)
-            if promised is not None and (
-                state.promised is None or promised > state.promised
-            ):
-                state.promised = promised
-            if accepted is not None and (
-                state.accepted is None or accepted[0] > state.accepted[0]
-            ):
-                state.accepted = accepted
-            if latest is not None and (
-                state.latest_commit is None or latest > state.latest_commit
-            ):
-                state.latest_commit = latest
             yield from replica.engine.commit([], paxos=((table, key), state))
         replica.reply(msg, {"ok": True})
 
-    def _merkle_filter(
-        self, replica: StorageReplica, peer: str
-    ) -> Callable[[str], bool]:
-        ring = self.cluster.ring
-        factor = self.cluster.config.replication_factor
-
-        def owns(partition_key: str) -> bool:
-            owners = ring.replicas_for(partition_key, factor)
-            return replica.node_id in owners and peer in owners
-
-        return owns
+    @staticmethod
+    def _merkle_filter(replica: StorageReplica, peer: str) -> Callable[[str], bool]:
+        """The partitions both ``replica`` and ``peer`` replicate."""
+        return lambda key: replica.owns(replica.node_id, key) and replica.owns(peer, key)
 
     def _handle_merkle_tree(
         self, replica: StorageReplica, msg: Message
@@ -528,34 +463,13 @@ class TopologyManager:
 
     def _rows_in_leaves(
         self, replica: StorageReplica, peer: str, leaves: set, depth: int
-    ) -> List[Tuple[str, str, Dict[Any, Any]]]:
+    ) -> Bundle:
         owns = self._merkle_filter(replica, peer)
-        batch: List[Tuple[str, str, Dict[Any, Any]]] = []
-        for table, partition_key in replica.engine.partition_keys():
-            if leaf_index(partition_key, depth) not in leaves:
-                continue
-            if not owns(partition_key):
-                continue
-            view = replica.engine.partition_view(table, partition_key)
-            batch.append(
-                (
-                    table,
-                    partition_key,
-                    {clustering: row.copy() for clustering, row in view.items()},
-                )
-            )
-        return batch
-
-    @staticmethod
-    def _batch_size(batch: List[Tuple[str, str, Dict[Any, Any]]]) -> int:
-        return (
-            sum(
-                row.payload_bytes()
-                for _table, _key, rows in batch
-                for row in rows.values()
-            )
-            + 64
-        )
+        return replica.bundle([
+            (table, partition_key)
+            for table, partition_key in replica.engine.partition_keys()
+            if leaf_index(partition_key, depth) in leaves and owns(partition_key)
+        ])
 
     def _handle_repair_sync(
         self, replica: StorageReplica, msg: Message
@@ -564,26 +478,18 @@ class TopologyManager:
         back whatever the peer holds there (symmetric convergence)."""
         body = replica.payload(msg)
         peer = body["peer"]
-        leaves = set(body["leaves"])
         depth = body["depth"]
         yield from replica.compute(replica.config.read_service_ms)
-        batch = self._rows_in_leaves(replica, peer, leaves, depth)
+        batch = self._rows_in_leaves(replica, peer, set(body["leaves"]), depth)
         reply = yield from replica.call(
             peer,
             "topo_repair_exchange",
             {"entries": batch, "leaves": body["leaves"], "depth": depth},
-            size_bytes=self._batch_size(batch),
+            size_bytes=bundle_bytes(batch) + 64,
             timeout=self.config.rpc_timeout_ms,
         )
-        merged = 0
-        for table, partition_key, rows in reply["entries"]:
-            yield from replica.engine.merge_rows(
-                table,
-                partition_key,
-                {c: row.copy() for c, row in rows.items()},
-            )
-            merged += len(rows)
-        replica.reply(msg, {"ok": True, "rows_merged": merged})
+        yield from replica.merge_bundle(reply["entries"])
+        replica.reply(msg, {"ok": True})
 
     def _handle_repair_exchange(
         self, replica: StorageReplica, msg: Message
@@ -592,18 +498,10 @@ class TopologyManager:
         ours in the same leaves — not just the keys it sent, or a row
         present only here would never reach the initiator."""
         body = replica.payload(msg)
-        leaves = set(body["leaves"])
-        depth = body["depth"]
         yield from replica.compute(replica.config.read_service_ms)
-        sender = msg.src
-        ours = self._rows_in_leaves(replica, sender, leaves, depth)
-        for table, partition_key, rows in body["entries"]:
-            yield from replica.engine.merge_rows(
-                table,
-                partition_key,
-                {c: row.copy() for c, row in rows.items()},
-            )
-        replica.reply(msg, {"entries": ours}, size_bytes=self._batch_size(ours))
+        ours = self._rows_in_leaves(replica, msg.src, set(body["leaves"]), body["depth"])
+        yield from replica.merge_bundle(body["entries"])
+        replica.reply(msg, {"entries": ours}, size_bytes=bundle_bytes(ours) + 64)
 
     def _handle_cleanup(
         self, replica: StorageReplica, msg: Message

@@ -63,11 +63,7 @@ class MerkleTree:
     ) -> "MerkleTree":
         """Hash a storage engine's partitions (optionally filtered)."""
         tree = cls(depth)
-        seen = set()
-        for table, partition_key in engine.partition_keys():
-            if (table, partition_key) in seen:
-                continue
-            seen.add((table, partition_key))
+        for table, partition_key in engine.partition_keys():  # each pair once
             if owns is not None and not owns(partition_key):
                 continue
             view = engine.partition_view(table, partition_key)

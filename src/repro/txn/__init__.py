@@ -16,8 +16,8 @@ regimes are compared on *checked* histories, not trust.
 
 Usage::
 
-    deployment = build_music(audit=True, txn=True)
-    executor = deployment.txn.executor("locking")
+    deployment = build_music(audit=True)
+    executor = deployment.txn.executor("locking")  # built on first access
     result = sim.run_until_complete(
         sim.process(executor.run(spec)), limit=60_000)
 """

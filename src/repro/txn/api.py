@@ -154,8 +154,8 @@ class TxnRuntime:
 
     Constructing the runtime allocates nothing on the simulator: engines
     are created on demand and only the OCC engine spawns a process (its
-    epoch sealer), and only once started.  ``build_music()`` without
-    ``txn=True`` never imports this module.
+    epoch sealer), and only once started.  A deployment imports this
+    module only when its ``txn`` is first touched.
 
     One concurrency-control regime owns a key space at a time: an
     engine's version bookkeeping (and the serializability checker run

@@ -64,9 +64,9 @@ def run_live_workload(keys, tmp_path, n_clients=N_CLIENTS, rounds=ROUNDS, seed=1
 
 
 def test_workload_metrics_use_the_shared_percentile_rule():
-    """p50/p99 come from ``analysis.summarize`` (linear interpolation),
+    """p50/p99 come from ``bench.report.summarize`` (linear interpolation),
     like every simulated BENCH file; an empty sample reads 0."""
-    from repro.analysis import summarize
+    from repro.bench.report import summarize
     from repro.live import WorkloadResult, workload_metrics
 
     samples = [10.0, 20.0, 30.0, 40.0]

@@ -215,20 +215,25 @@ def test_read_repair_enabled_globally_via_config():
 
 
 def test_read_repair_pushes_merged_state():
-    sim, net, cluster, (host,) = make_store()
+    from repro.store import StoreConfig
+    from repro.store.types import Update
+
+    config = StoreConfig(replication_factor=3, read_repair_enabled=True)
+    sim, net, cluster, (host,) = make_store(config=config)
     coord = cluster.coordinator_for(host)
-    oregon_replica = cluster.replicas_in_site("Oregon")[0]
+    (ohio,) = cluster.replicas_in_site("Ohio")
+    (california,) = cluster.replicas_in_site("N.California")
+    (oregon,) = cluster.replicas_in_site("Oregon")
 
     def client():
-        # Write lands on all replicas; then directly overwrite two with a
-        # newer value to simulate divergence.
+        # Write lands on all replicas; then two replicas diverge in
+        # different columns, so only the merge of both is the latest.
         yield from coord.put("data", "k", None, {"value": "old"}, (1.0, "w"))
-        from repro.store.types import Update
-        for replica in cluster.replicas_in_site("Ohio") + cluster.replicas_in_site("N.California"):
-            replica.apply_update(Update("data", "k", None, {"value": "new"}, (2.0, "w")))
-        yield from coord.get("data", "k", consistency=Consistency.ALL, read_repair=True)
+        ohio.apply_update(Update("data", "k", None, {"value": "new"}, (2.0, "w")))
+        california.apply_update(Update("data", "k", None, {"extra": 7}, (3.0, "w")))
+        yield from coord.get("data", "k", consistency=Consistency.ALL)
         yield sim.timeout(200.0)  # let repair writes land
-        row = oregon_replica.local_row("data", "k", None)
-        return row.visible_values()
+        return [replica.local_row("data", "k", None).visible_values()
+                for replica in (ohio, california, oregon)]
 
-    assert run(sim, client())["value"] == "new"
+    assert run(sim, client()) == [{"value": "new", "extra": 7}] * 3

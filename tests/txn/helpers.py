@@ -47,5 +47,4 @@ def run_workload(
 
 def build_txn_music(**overrides):
     overrides.setdefault("seed", 7)
-    overrides.setdefault("txn", True)
     return build_music(**overrides)
