@@ -211,7 +211,7 @@ def build_music(
     ``profile=True`` installs a :class:`~repro.obs.SimProfiler` on the
     simulator (returned as ``deployment.profiler``): wall-clock cost of
     the DES kernel itself — events/sec, heap high-water, per-event-type
-    and per-subsystem handler time, RPC-envelope/obs-span allocation
+    and per-subsystem handler time, RPC-request/obs-span allocation
     counts.  Wall-clock only; simulated timings stay bit-identical.
     """
     latency_profile = PAPER_PROFILES[profile_name]

@@ -7,8 +7,10 @@ unmodified: ``register``/``send``/``site_of``/``is_failed``/``obs``/
 What changes underneath:
 
 - **Latency is real.**  ``send`` frames the message (tagged JSON behind
-  a 4-byte length prefix, :mod:`repro.live.codec`) and hands it to a
-  per-peer connection; the DES's modelled WAN latency, NIC egress
+  a 4-byte length prefix, :mod:`repro.live.codec`; the frame carries
+  every :class:`~repro.net.Message` field the receiver needs, RPC
+  ``request_id`` and ``trace`` included) and hands it to a per-peer
+  connection; the DES's modelled WAN latency, NIC egress
   queue and seeded loss are gone, because the operating system provides
   the genuine articles.
 - **Connections are pooled and self-healing.**  One outbound connection
@@ -30,7 +32,6 @@ tests; cross-process fault injection is a matter of killing processes.
 from __future__ import annotations
 
 import asyncio
-import itertools
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..net.network import Message, NetworkStats
@@ -192,7 +193,6 @@ class TcpTransport:
         self._return_links: Dict[str, _Link] = {}
         self._taps: List[Callable[[Message], None]] = []
         self._partitions: Set[frozenset] = set()
-        self._message_ids = itertools.count()
         self._listen = listen
         self._server: Optional[asyncio.AbstractServer] = None
         self.obs = obs or NULL_OBS
@@ -279,17 +279,12 @@ class TcpTransport:
 
     # -- transport ---------------------------------------------------------
 
-    def send(self, src: str, dst: str, kind: str, body: Any, size_bytes: int = 64) -> None:
+    def send(
+        self, src: str, dst: str, kind: str, body: Any, size_bytes: int = 64,
+        request_id: int = -1, trace: Optional[Tuple[int, int]] = None,
+    ) -> None:
         """Fire-and-forget, exactly like the simulated fair-loss link."""
-        message = Message(
-            src=src,
-            dst=dst,
-            kind=kind,
-            body=body,
-            size_bytes=size_bytes,
-            sent_at=self.sim.now,
-            message_id=next(self._message_ids),
-        )
+        message = Message(src, dst, kind, body, size_bytes, self.sim.now, request_id, trace)
         self.stats.sent += 1
         self.stats.bytes_sent += size_bytes
         self.stats.per_kind[kind] = self.stats.per_kind.get(kind, 0) + 1
@@ -317,6 +312,8 @@ class TcpTransport:
             "body": body,
             "size_bytes": size_bytes,
             "sent_at": message.sent_at,
+            "request_id": request_id,
+            "trace": trace,
         }
         try:
             data = encode_frame(frame)
@@ -410,7 +407,8 @@ class TcpTransport:
             body=frame.get("body"),
             size_bytes=int(frame.get("size_bytes", 0)),
             sent_at=float(frame.get("sent_at", self.sim.now)),
-            message_id=next(self._message_ids),
+            request_id=int(frame.get("request_id", -1)),
+            trace=frame.get("trace"),
         )
         target = self._endpoints.get(message.dst)
         if target is None or target.failed:

@@ -1,7 +1,7 @@
 """WAN model: topology/latency profiles, transport, nodes, RPC, quorums."""
 
 from .network import Message, Network, NetworkStats
-from .node import DEFAULT_RPC_TIMEOUT_MS, Node
+from .node import DEFAULT_RPC_TIMEOUT_MS, REPLY_KIND, Node
 from .quorum import quorum_of, quorum_size
 from .topology import (
     LOCAL_RTT_MS,
@@ -24,6 +24,7 @@ __all__ = [
     "PROFILE_L1",
     "PROFILE_LUS",
     "PROFILE_LUSEU",
+    "REPLY_KIND",
     "quorum_of",
     "quorum_size",
 ]

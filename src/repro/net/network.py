@@ -43,7 +43,9 @@ MESSAGE_OVERHEAD_BYTES = 256
 
 @dataclass(slots=True)
 class Message:
-    """A message in flight between two registered nodes."""
+    """A message in flight between two registered nodes: ``body`` as the
+    sender gave it, plus an RPC's ``request_id`` (−1 one-way; the reply
+    to ``src`` carries the request's) and caller ``trace`` context."""
 
     src: str
     dst: str
@@ -51,7 +53,8 @@ class Message:
     body: Any
     size_bytes: int
     sent_at: float
-    message_id: int
+    request_id: int = -1
+    trace: Optional[Tuple[int, int]] = None
 
 
 @dataclass
@@ -70,7 +73,7 @@ class NetworkStats:
 class _Endpoint:
     """Internal record for one registered node."""
 
-    __slots__ = ("node_id", "site", "inbox", "egress_free_at", "failed")
+    __slots__ = ("node_id", "site", "inbox", "egress_free_at", "failed", "one_way")
 
     def __init__(self, node_id: str, site: str, inbox: Any) -> None:
         self.node_id = node_id
@@ -78,6 +81,8 @@ class _Endpoint:
         self.inbox = inbox
         self.egress_free_at = 0.0
         self.failed = False
+        # dst id -> one-way latency, resolved on the first send to it.
+        self.one_way: Dict[str, float] = {}
 
 
 class Network:
@@ -103,11 +108,6 @@ class Network:
         self._rng = self.streams.stream("network")
         self._endpoints: Dict[str, _Endpoint] = {}
         self._partitions: Set[frozenset] = set()
-        self._next_message_id = 0
-        # (src_site, dst_site) -> one-way latency.  The profile's rtt()
-        # builds a frozenset per lookup; sends are the hottest network
-        # path, so resolve each ordered pair once.
-        self._one_way_cache: Dict[Tuple[str, str], float] = {}
         self._taps: list[Callable[[Message], None]] = []
         self._deliver_cb = self._deliver
         # Observability facade inherited by every node registered here
@@ -192,7 +192,10 @@ class Network:
 
     # -- transport --------------------------------------------------------
 
-    def send(self, src: str, dst: str, kind: str, body: Any, size_bytes: int = 64) -> None:
+    def send(
+        self, src: str, dst: str, kind: str, body: Any, size_bytes: int = 64,
+        request_id: int = -1, trace: Optional[Tuple[int, int]] = None,
+    ) -> None:
         """Fire-and-forget send; delivery (if any) is asynchronous.
 
         The caller never learns whether the message was dropped — exactly
@@ -200,12 +203,12 @@ class Network:
         """
         sim = self.sim
         now = sim.now
-        endpoints = self._endpoints
-        source = endpoints[src]
-        target = endpoints[dst]
-        message_id = self._next_message_id
-        self._next_message_id = message_id + 1
-        message = Message(src, dst, kind, body, size_bytes, now, message_id)
+        source = self._endpoints[src]
+        latency = source.one_way.get(dst)
+        if latency is None:  # an unregistered ``dst`` raises here
+            site = self._endpoints[dst].site
+            latency = source.one_way[dst] = self.profile.one_way(source.site, site)
+        message = Message(src, dst, kind, body, size_bytes, now, request_id, trace)
         stats = self.stats
         stats.sent += 1
         stats.bytes_sent += size_bytes
@@ -227,10 +230,6 @@ class Network:
         departure += (size_bytes + MESSAGE_OVERHEAD_BYTES) / self.bandwidth
         source.egress_free_at = departure
 
-        pair = (source.site, target.site)
-        latency = self._one_way_cache.get(pair)
-        if latency is None:
-            latency = self._one_way_cache[pair] = self.profile.one_way(*pair)
         jitter = self.jitter_fraction
         if jitter > 0.0:
             # Exactly uniform(0.0, jitter), minus its frame.

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections import deque
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Generator, List, Optional
+from typing import Sequence, Tuple
 
 from ..errors import RpcTimeout
 from ..sim import NodeClock, Process, Resource
@@ -24,11 +25,12 @@ from .network import Message
 if TYPE_CHECKING:  # the environment seams; see repro.runtime
     from ..runtime import Clock, Transport
 
-__all__ = ["Node", "DEFAULT_RPC_TIMEOUT_MS"]
+__all__ = ["Node", "DEFAULT_RPC_TIMEOUT_MS", "REPLY_KIND"]
 
 DEFAULT_RPC_TIMEOUT_MS = 4_000.0
 
-_REPLY_KIND = "__reply__"
+# The kind of every RPC reply; its Message carries the request's id.
+REPLY_KIND = "__reply__"
 
 Handler = Callable[[Message], Optional[Generator[Any, Any, None]]]
 
@@ -49,7 +51,8 @@ class _Sink:
 class _Handler:
     """What a served handler's continuation runs as (:meth:`Node.serve`):
     the process it used to spawn, minus the generator — a name for the
-    profiler and an empty context (its spans name their parent)."""
+    profiler and an empty context (its spans name their parent).  One
+    per handled kind, built on the kind's first request."""
 
     __slots__ = ("name",)
 
@@ -159,17 +162,16 @@ class Node:
         self._early: Optional[List[Message]] = []
         self.inbox = _Sink(self._dispatch)
         self.network.register(node_id, site, self.inbox)
-        self._handlers: Dict[str, Handler] = {}
+        # kind -> (handler, its "<node>:<kind>" stand-in once it has run)
+        self._handlers: Dict[str, Tuple[Handler, Optional[_Handler]]] = {}
         self._pending_replies: Dict[int, Any] = {}
         self._expiry: Dict[float, _ExpiryQueue] = {}
         self._next_request_id = 0
-        # Per-kind reply-event names ("rpc:<kind>") and handler stand-ins
-        # (named "<node>:<kind>"), built once per kind so the RPC hot
-        # path never formats strings.
+        # Per-kind reply-event names ("rpc:<kind>"), built once per kind
+        # so the RPC hot path never formats strings.
         self._rpc_names: Dict[str, str] = {}
-        self._handlers_as: Dict[str, _Handler] = {}
-        # The kind of the request being dispatched (see serve()).
-        self._serving: Optional[str] = None
+        # The stand-in of the request being dispatched (see serve()).
+        self._serving = _Handler(node_id)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -244,9 +246,9 @@ class Node:
         are spawned as independent processes so slow requests do not
         hold up later deliveries.
         """
-        if kind == _REPLY_KIND:
+        if kind == REPLY_KIND:
             raise ValueError("cannot register a handler for the reply kind")
-        self._handlers[kind] = handler
+        self._handlers[kind] = (handler, None)
 
     # -- messaging ------------------------------------------------------------
 
@@ -279,13 +281,9 @@ class Node:
         elif reply_event is None:
             reply_event = sim.event()
         self._pending_replies[request_id] = reply_event
-        envelope = {"request_id": request_id, "reply_to": self.node_id, "payload": body}
         tracer = self.obs.tracer
-        if tracer.enabled:
-            trace_context = tracer.rpc_context()
-            if trace_context is not None:
-                envelope["trace"] = trace_context
-        self.network.send(self.node_id, dst, kind, envelope, size_bytes)
+        trace = tracer.rpc_context() if tracer.enabled else None
+        self.network.send(self.node_id, dst, kind, body, size_bytes, request_id, trace)
         expiry = self._expiry.get(timeout)
         if expiry is None:
             expiry = self._expiry[timeout] = _ExpiryQueue(sim, self._pending_replies, timeout)
@@ -309,19 +307,14 @@ class Node:
 
     def reply(self, request: Message, body: Any, size_bytes: int = 64) -> None:
         """Answer an RPC request received via :meth:`call` on the peer."""
-        envelope = request.body
         self.network.send(
-            self.node_id,
-            envelope["reply_to"],
-            _REPLY_KIND,
-            {"request_id": envelope["request_id"], "payload": body},
-            size_bytes,
+            self.node_id, request.src, REPLY_KIND, body, size_bytes, request.request_id
         )
 
     @staticmethod
     def payload(request: Message) -> Any:
-        """The caller-supplied body of an RPC request message."""
-        return request.body["payload"]
+        """The caller-supplied body of an RPC request: ``request.body``."""
+        return request.body
 
     # -- compute ------------------------------------------------------------
 
@@ -343,15 +336,8 @@ class Node:
         a stand-in ``"<node>:<kind>"``.  ``waiter``: see ``Resource.hold``."""
         owner = self.sim.active_process
         if owner is None:
-            owner = self._handler_as(self._serving)
+            owner = self._serving
         self.cpu.hold(service_time_ms, then, arg, owner, waiter)
-
-    def _handler_as(self, kind: str) -> "_Handler":
-        """The stand-in a handler of ``kind`` runs as (see serve())."""
-        handler = self._handlers_as.get(kind)
-        if handler is None:
-            handler = self._handlers_as[kind] = _Handler(f"{self.node_id}:{kind}")
-        return handler
 
     # -- delivery ------------------------------------------------------------
 
@@ -366,34 +352,33 @@ class Node:
             self._early.append(message)
             return
         kind = message.kind
-        if kind == _REPLY_KIND:
-            body = message.body
-            event = self._pending_replies.pop(body["request_id"], None)
+        if kind == REPLY_KIND:
+            event = self._pending_replies.pop(message.request_id, None)
             if event is not None and not event._triggered:
-                event._trigger(True, body["payload"])
+                event._trigger(True, message.body)
             return
-        handler = self._handlers.get(kind)
-        if handler is None:
+        entry = self._handlers.get(kind)
+        if entry is None:
             raise LookupError(f"{self.node_id}: no handler for {kind!r}")
-        self._serving = kind
+        handler, stand_in = entry
+        if stand_in is None:
+            stand_in = _Handler(f"{self.node_id}:{kind}")
+            self._handlers[kind] = (handler, stand_in)
+        self._serving = stand_in
         result = handler(message)
         if result is not None and hasattr(result, "send"):
-            sim = self.sim
-            name = "" if sim.profiler is None else self._handler_as(kind).name
-            process = Process(sim, result, name)
-            if self.obs.enabled and isinstance(message.body, dict):
-                trace_context = message.body.get("trace")
-                if trace_context is not None:
-                    # Join the handler to the caller's trace so the
-                    # replica-side work nests under the RPC's span.
-                    self.obs.tracer.adopt(process, trace_context)
+            process = Process(self.sim, result, stand_in.name)
+            if message.trace is not None:
+                # Join the handler to the caller's trace so the
+                # replica-side work nests under the RPC's span.
+                self.obs.tracer.adopt(process, message.trace)
             process.start()
 
     # -- broadcast helper ------------------------------------------------------
 
     def call_many(
         self,
-        destinations: list[str],
+        destinations: Sequence[str],
         kind: str,
         body: Any,
         size_bytes: int = 64,

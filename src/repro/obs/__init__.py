@@ -46,7 +46,7 @@ from .export import (
 from .metrics import Histogram, MetricsRegistry
 from .prof import SimProfiler, subsystem_of
 from .recorder import NULL_OBS, Observability
-from .trace import NULL_TRACER, SpanRecord
+from .trace import SpanRecord
 
 __all__ = [
     "AuditEvent",
@@ -57,7 +57,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_AUDIT",
     "NULL_OBS",
-    "NULL_TRACER",
     "Observability",
     "SimProfiler",
     "SpanRecord",

@@ -12,9 +12,9 @@ profiles the simulator with zero cost when off:
   depth to :meth:`SimProfiler.dispatch`, which times the call.  The
   profiler never pops a queue itself, so it cannot reorder anything.
 - Allocation counters piggyback the same guard: ``Node.call_async`` and
-  ``Tracer.span`` bump ``profiler.rpc_envelopes`` / ``profiler.obs_spans``
-  only after a ``sim.profiler is not None`` test (one class-attribute
-  load on the off path).
+  ``Tracer.span`` bump ``profiler.rpc_envelopes`` (RPC requests sent) /
+  ``profiler.obs_spans`` only after a ``sim.profiler is not None`` test
+  (one class-attribute load on the off path).
 
 What it measures (all wall-clock via ``time.perf_counter``; simulated
 timings are untouched, so profiled runs stay bit-identical in sim time):
@@ -38,7 +38,7 @@ timings are untouched, so profiled runs stay bit-identical in sim time):
   handler, ``"<dst>:<kind>"``, since that is whose work it carries,
   and a hold's end to whoever its continuation runs as (the handler's
   ``"<node>:<kind>"`` or the calling process);
-- RPC envelope, obs-span and heap-push allocation counts (heap pushes
+- RPC request, obs-span and heap-push allocation counts (heap pushes
   read the kernel's ``heap_pushes`` counter, so the ready queue's heap
   bypass is directly visible as fewer pushes per event).
 
@@ -283,7 +283,7 @@ class SimProfiler:
             f"DES profile: {self.events} events in {self.wall_s:.3f}s wall "
             f"({self.events_per_sec:,.0f} events/sec), "
             f"heap high-water {self.heap_high_water}",
-            f"allocations: {self.rpc_envelopes} RPC envelopes, "
+            f"allocations: {self.rpc_envelopes} RPC requests, "
             f"{self.obs_spans} obs spans, {self.heap_pushes} heap pushes",
             "",
             f"{'event type':<44} {'events':>9} {'wall ms':>10} {'share':>7}",

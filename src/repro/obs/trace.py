@@ -19,11 +19,12 @@ Context propagation uses two mechanisms:
   above it, and a process spawned mid-span inherits that span as its
   parent.
 - **Across RPCs**: :meth:`Tracer.rpc_context` returns a ``(trace_id,
-  span_id)`` pair that :class:`repro.net.Node` piggybacks on the RPC
-  envelope; the node's dispatch seeds a generator handler's process
-  context with it (:meth:`Tracer.adopt`) before the handler's first
-  step, and a served handler (no process) passes it as the explicit
-  ``parent`` of its span, so replica-side spans join the caller's trace.
+  span_id)`` pair that :class:`repro.net.Node` sends as the ``trace``
+  field of the request's ``Message``; the node's dispatch seeds a
+  generator handler's process context with it (:meth:`Tracer.adopt`)
+  before the handler's first step, and a served handler (no process)
+  passes it as the explicit ``parent`` of its span, so replica-side
+  spans join the caller's trace.
 
 The :data:`NULL_TRACER` makes the disabled path near-free: ``span()``
 returns a shared inert object whose enter/exit do nothing, no state is
@@ -43,7 +44,7 @@ __all__ = ["SpanRecord", "Span", "Tracer", "NullTracer", "NULL_TRACER"]
 
 # Keys into Process.context.
 _SPAN_KEY = "obs.span"       # the innermost open local Span
-_REMOTE_KEY = "obs.remote"   # (trace_id, span_id) adopted from an RPC envelope
+_REMOTE_KEY = "obs.remote"   # (trace_id, span_id) adopted from a request's Message
 
 
 @dataclass(slots=True)
@@ -182,7 +183,7 @@ class Tracer:
         **attrs: Any,
     ) -> Span:
         """Open a span parented to the calling process's current context,
-        or to ``parent`` — a ``(trace_id, span_id)`` from an RPC envelope
+        or to ``parent`` — a request ``Message``'s ``(trace_id, span_id)``
         — when one is given (a served handler has no process to carry
         it; see ``repro.net.Node.serve``)."""
         trace_id: Optional[int] = None
@@ -224,7 +225,8 @@ class Tracer:
         return process.context.get(_REMOTE_KEY)
 
     def adopt(self, process: Any, context: Tuple[int, int]) -> None:
-        """Seed a handler process with a remote parent from an envelope."""
+        """Seed a handler process with the remote parent its request's
+        ``Message`` carried as ``trace``."""
         process.context[_REMOTE_KEY] = (context[0], context[1])
 
     # -- recording -----------------------------------------------------------

@@ -12,7 +12,8 @@ environment through exactly two seams:
   milliseconds, deterministic); :class:`repro.live.LiveClock` is the
   other (wall-clock milliseconds over an asyncio loop).
 - a **Transport** — the message fabric handed around as ``network``: it
-  registers node inboxes, moves ``(src, dst, kind, body)`` messages,
+  registers node inboxes, moves :class:`~repro.net.Message` objects
+  (``src, dst, kind, body``, plus an RPC's ``request_id`` and ``trace``),
   answers failure/locality queries, and carries the shared
   :class:`~repro.obs.Observability` facade.  The simulated
   :class:`~repro.net.Network` is one implementation (modelled WAN
@@ -45,6 +46,7 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Tuple,
     runtime_checkable,
 )
 
@@ -132,12 +134,15 @@ class Clock(Protocol):
 class Transport(Protocol):
     """The message-fabric seam: registration, send, and locality.
 
-    Implementations: :class:`repro.net.Network` (DES envelope path with
-    modelled latency/loss/partitions) and
-    :class:`repro.live.TcpTransport` (asyncio TCP with length-prefixed
-    JSON framing).  :class:`repro.net.Node` is written purely against
-    this surface, which is why the identical Node subclasses run over
-    both.
+    Implementations: :class:`repro.net.Network` (modelled
+    latency/loss/partitions) and :class:`repro.live.TcpTransport`
+    (asyncio TCP with length-prefixed JSON framing).
+    :class:`repro.net.Node` is written purely against this surface,
+    which is why the identical Node subclasses run over both.
+
+    ``send`` delivers a ``Message`` with the ``body`` given; an RPC
+    passes its ``request_id`` (−1: one-way) and caller ``trace``, and
+    its reply goes to the request's ``src`` under the same id.
     """
 
     # Shared observability facade; every Node reads this at construction.
@@ -151,7 +156,8 @@ class Transport(Protocol):
     def register(self, node_id: str, site: str, inbox: Any) -> None: ...
 
     def send(
-        self, src: str, dst: str, kind: str, body: Any, size_bytes: int = 64
+        self, src: str, dst: str, kind: str, body: Any, size_bytes: int = 64,
+        request_id: int = -1, trace: Optional[Tuple[int, int]] = None,
     ) -> None: ...
 
     def site_of(self, node_id: str) -> str: ...

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..errors import LockContention, QuorumUnavailable, ReproError
 from ..net import Node, quorum_of, quorum_size
@@ -105,24 +105,28 @@ class StoreCoordinator:
         self._op_ids = itertools.count(1)
         self._hints: List[Tuple[str, List[Any]]] = []
         self._hint_replayer = None
+        # node id -> its rank as a replica to read from: -1 in our site,
+        # else the RTT to its site (see _nearest).
+        self._ranks: Dict[str, float] = {}
 
     # -- replica selection ---------------------------------------------------
 
-    def replicas(self, partition: str) -> List[str]:
+    def replicas(self, partition: str) -> Tuple[str, ...]:
+        """The partition's placement: the ring's cached tuple, not a copy."""
         return self.ring.replicas_for(partition, self.config.replication_factor)
 
-    def _nearest(self, replicas: List[str], local_only: bool) -> str:
-        """The replica in our site, else the lowest-RTT one."""
-        profile = self.node.network.profile
-        my_site = self.node.site
+    def _nearest(self, replicas: Sequence[str], local_only: bool) -> str:
+        """The first replica in our site, else the first lowest-RTT one."""
+        ranks = self._ranks
         for replica in replicas:
-            if self.node.network.site_of(replica) == my_site:
-                return replica
-        if local_only:
-            raise QuorumUnavailable(f"no replica of partition in site {my_site}")
-        return min(
-            replicas, key=lambda r: profile.rtt(my_site, self.node.network.site_of(r))
-        )
+            if replica not in ranks:
+                network, site = self.node.network, self.node.site
+                other = network.site_of(replica)
+                ranks[replica] = -1.0 if other == site else network.profile.rtt(site, other)
+        nearest = min(replicas, key=ranks.__getitem__)
+        if local_only and ranks[nearest] >= 0.0:
+            raise QuorumUnavailable(f"no replica of partition in site {self.node.site}")
+        return nearest
 
     @staticmethod
     def _needed(consistency: str, replica_count: int) -> int:
@@ -305,8 +309,8 @@ class StoreCoordinator:
         # blockFor + pending endpoints): every write acknowledged
         # before the handover flip is then guaranteed to sit on the
         # post-flip owner, so read quorums intersect across the move.
-        pending = list(self.ring.pending_owners(partition, self.config.replication_factor))
-        targets = replicas + pending if pending else replicas
+        pending = self.ring.pending_owners(partition, self.config.replication_factor)
+        targets = [*replicas, *pending] if pending else replicas
         needed += len(pending)
         size = sum(update.size_bytes() for update in updates)
         handles = self.node.call_many(
@@ -577,7 +581,7 @@ class StoreCoordinator:
 
     def _propose(
         self,
-        replicas: List[str],
+        replicas: Sequence[str],
         needed: int,
         target: Dict[str, Any],
         mutation: Mutation,
@@ -601,7 +605,7 @@ class StoreCoordinator:
 
     def _commit(
         self,
-        replicas: List[str],
+        replicas: Sequence[str],
         needed: int,
         target: Dict[str, Any],
         mutation: Mutation,
@@ -627,7 +631,7 @@ class StoreCoordinator:
             if node_id not in replicas and node_id not in pending
         ]
         needed += len(pending)
-        targets = replicas + pending + flipped
+        targets = [*replicas, *pending, *flipped]
         with self.obs.tracer.span("paxos.commit", node=self.node.node_id):
             handles = self.node.call_many(
                 targets, "paxos_commit", body, timeout=self.config.rpc_timeout_ms

@@ -31,11 +31,12 @@ the volatile column; ``recover()`` replays the commit log (charging the
 replay time on the sim clock) before the node rejoins the network.
 
 Every handler has one shape, built by ``_served`` from its row of the
-table in ``__init__`` (span name, service time, body): open the op's
-``replica.*`` span under the RPC's trace, serve the CPU time
-(:meth:`~repro.net.node.Node.serve`), and run the body as a
-continuation when the core is released.  The body ends in ``_answer``,
-which replies and finishes the span.  No request becomes a process.
+table in ``__init__`` (span name, service time, priced, body): open the
+op's ``replica.*`` span under the RPC's trace when spans are recorded,
+serve the CPU time (:meth:`~repro.net.node.Node.serve`), and run the
+body as a continuation when the core is released.  The body ends in
+``_answer``, which replies and finishes the span.  No request becomes a
+process.
 Under the default zero-fsync-latency configuration the continuation
 journals, applies and replies synchronously, so each handler's state
 change is atomic with respect to other requests, matching the "biggest
@@ -52,8 +53,7 @@ from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Tupl
 
 from ..errors import ReproError
 from ..sim import NodeClock, Process, Simulator
-from ..net import Message, Network, Node
-from ..obs import NULL_TRACER
+from ..net import REPLY_KIND, Message, Network, Node
 from ..storage import PaxosState, StorageEngine
 from .config import StoreConfig
 from .types import Ballot, Mutation, Row
@@ -63,7 +63,8 @@ __all__ = ["StorageReplica", "PaxosState", "bundle_bytes"]
 # Sentinel meaning "read the whole partition" in a store_read request.
 ALL_ROWS = "__all_rows__"
 
-# What a served op's body gets: the request, its payload and its span.
+# What a served op's body gets: the request, its body and its span (None
+# unless spans are recorded).
 Served = Tuple[Message, Dict[str, Any], Any]
 
 # Rows in transit between replicas: (table, partition, {clustering: Row})
@@ -114,16 +115,17 @@ class StorageReplica(Node):
         }
         self._instruments: Dict[str, Any] = {}
         # kind: (its replica.* span or None, the StoreConfig field of its
-        # service time, the payload list priced per byte or None, body)
+        # service time, whether the message's bytes are priced too, body).
+        # A priced request's size_bytes is its batch's byte sum.
         read, write, paxos = "read_service_ms", "write_service_ms", "paxos_phase_service_ms"
         for kind, served in {
-            "store_read": ("replica.read", read, None, self._read),
-            "store_write": ("replica.write", write, "updates", self._write),
-            "store_scan": (None, read, None, self._scan),
-            "paxos_prepare": ("replica.paxos_prepare", paxos, None, self._prepare),
-            "paxos_propose": ("replica.paxos_propose", paxos, "mutation", self._propose),
-            "paxos_commit": ("replica.paxos_commit", paxos, None, self._commit),
-            "ae_exchange": (None, read, None, self._ae_exchange),
+            "store_read": ("replica.read", read, False, self._read),
+            "store_write": ("replica.write", write, True, self._write),
+            "store_scan": (None, read, False, self._scan),
+            "paxos_prepare": ("replica.paxos_prepare", paxos, False, self._prepare),
+            "paxos_propose": ("replica.paxos_propose", paxos, True, self._propose),
+            "paxos_commit": ("replica.paxos_commit", paxos, False, self._commit),
+            "ae_exchange": (None, read, False, self._ae_exchange),
         }.items():
             self.on(kind, self._served(*served))
 
@@ -173,7 +175,9 @@ class StorageReplica(Node):
 
     def _count(self, name: str) -> None:
         self.counters[name] += 1
-        # One cached handle per name; an inert one when metrics are off.
+        if not self.obs.enabled:
+            return
+        # One cached handle per name.
         counter = self._instruments.get(name)
         if counter is None:
             counter = self._instruments[name] = self.obs.metrics.counter(
@@ -187,43 +191,44 @@ class StorageReplica(Node):
         self,
         span_name: Optional[str],
         service: str,
-        priced: Optional[str],
+        priced: bool,
         body: Callable[[Served], None],
     ) -> Callable[[Message], None]:
         """The one shape of a store handler: open the op's ``replica.*``
-        span under the RPC's trace, serve the op's CPU time, then run
-        ``body((msg, payload, span))``, which ends in :meth:`_answer`."""
+        span under the RPC's trace (when spans are recorded), serve the
+        op's CPU time, then run ``body((msg, msg.body, span))``, which
+        ends in :meth:`_answer`."""
+        tracer = self.obs.tracer
+        traced = span_name is not None and tracer.enabled
 
         def handle(msg: Message) -> None:
-            tracer = self.obs.tracer if span_name is not None else NULL_TRACER
-            span = tracer.span(
-                span_name, node=self.node_id, site=self.site, parent=msg.body.get("trace")
-            )
-            payload = msg.body["payload"]
+            span = None
+            if traced:
+                span = tracer.span(span_name, node=self.node_id, site=self.site, parent=msg.trace)
             config = self.config
             service_ms = getattr(config, service)
-            if priced is not None:
-                size = sum(update.size_bytes() for update in payload[priced])
-                service_ms += config.value_service_ms(size)
-            self.serve(service_ms, body, (msg, payload, span))
+            if priced:
+                service_ms += config.value_service_ms(msg.size_bytes)
+            self.serve(service_ms, body, (msg, msg.body, span))
 
         return handle
 
     def _answer(self, answer: Tuple[Served, Dict[str, Any], int]) -> None:
         """Reply and finish the op's span: how every served op ends."""
-        (msg, _payload, span), body, size = answer
-        self.reply(msg, body, size)
-        span.finish()
+        (msg, _body, span), body, size = answer
+        self.network.send(self.node_id, msg.src, REPLY_KIND, body, size, msg.request_id)
+        if span is not None:
+            span.finish()
 
     def _read(self, served: Served) -> None:
         _msg, body, _span = served
         self._count("reads")
+        rows = self.engine.live_rows(body["table"], body["partition"])
         clustering = body.get("clustering", ALL_ROWS)
         if clustering == ALL_ROWS:
-            rows = self.local_rows(body["table"], body["partition"])
             size = 32 + self.engine.live_bytes(body["table"], body["partition"])
         else:
-            row = self.local_row(body["table"], body["partition"], clustering)
+            row = rows.get(clustering)
             rows = {clustering: row} if row is not None else {}
             size = 32 if row is None else 32 + row.payload_bytes()
         self._answer((served, {"rows": rows}, size))
@@ -254,7 +259,8 @@ class StorageReplica(Node):
         state = self._paxos_state(*key)
         ballot: Ballot = body["ballot"]
         if state.promised is not None and ballot <= state.promised:
-            span.set(promised=False)
+            if span is not None:
+                span.set(promised=False)
             rejection = {"promised": False, "promised_ballot": state.promised}
             self._answer((served, rejection, 64))
             return
@@ -278,7 +284,8 @@ class StorageReplica(Node):
         state = self._paxos_state(*key)
         ballot: Ballot = body["ballot"]
         if state.promised is not None and ballot < state.promised:
-            span.set(accepted=False)
+            if span is not None:
+                span.set(accepted=False)
             rejection = {"accepted": False, "promised_ballot": state.promised}
             self._answer((served, rejection, 64))
             return

@@ -71,7 +71,7 @@ class HashRing:
         # table is stable and no transition is open.  Placement is on
         # every read/write path, and the md5 + ring walk dominates it;
         # membership changes are rare, so lookups amortise to a dict hit.
-        self._placement_cache: Dict[Tuple[str, int], List[str]] = {}
+        self._placement_cache: Dict[Tuple[str, int], Tuple[str, ...]] = {}
 
     def add_node(self, node_id: str, site: str) -> None:
         if node_id in self._sites:
@@ -160,7 +160,7 @@ class HashRing:
 
     def pre_transition_owners(
         self, partition_key: str, replication_factor: int = 0
-    ) -> List[str]:
+    ) -> Tuple[str, ...]:
         """Placement on the frozen pre-change snapshot (requires an open
         transition); the set that currently holds an unmoved partition."""
         transition = self._transition
@@ -173,7 +173,7 @@ class HashRing:
 
     def post_transition_owners(
         self, partition_key: str, replication_factor: int = 0
-    ) -> List[str]:
+    ) -> Tuple[str, ...]:
         """Placement on the live token table — the layout every
         partition lands on once the transition ends."""
         return self._walk(
@@ -183,10 +183,10 @@ class HashRing:
 
     # -- placement -------------------------------------------------------------
 
-    def replicas_for(self, partition_key: str, replication_factor: int = 0) -> List[str]:
+    def replicas_for(self, partition_key: str, replication_factor: int = 0) -> Tuple[str, ...]:
         """Replica node ids for a partition, first-walked order.
 
-        With the default replication factor (number of sites), the list
+        With the default replication factor (number of sites), the tuple
         holds exactly one node per site.  Raises if the ring cannot
         satisfy the requested factor with distinct sites.  During a
         transition, partitions that have not been handed over yet
@@ -210,9 +210,7 @@ class HashRing:
                 self._tokens, self._token_values, self._sites,
                 partition_key, replication_factor,
             )
-        # Copy: callers may reorder (e.g. proximity sorts) without
-        # corrupting the cached placement.
-        return list(cached)
+        return cached
 
     @staticmethod
     def _walk(
@@ -221,7 +219,7 @@ class HashRing:
         sites: Dict[str, str],
         partition_key: str,
         replication_factor: int,
-    ) -> List[str]:
+    ) -> Tuple[str, ...]:
         if not tokens:
             raise ValueError("ring is empty")
         site_count = len(set(sites.values()))
@@ -242,7 +240,7 @@ class HashRing:
             replicas.append(node_id)
             seen_sites.add(site)
             if len(replicas) == factor:
-                return replicas
+                return tuple(replicas)
         raise ValueError(f"could not place {factor} replicas across sites")
 
     def is_replica(self, node_id: str, partition_key: str, replication_factor: int = 0) -> bool:

@@ -12,6 +12,7 @@ import pytest
 from repro.live import LiveClock, TcpTransport
 from repro.live.codec import CodecError
 from repro.net import Node
+from repro.obs import Observability
 from repro.sim import Mailbox
 
 from .conftest import make_spec
@@ -162,6 +163,53 @@ def test_listenless_client_gets_replies_over_return_link():
 
             reply = await asyncio.wait_for(clock.run_process(call()), timeout=5.0)
             assert reply == "hi"
+        finally:
+            await t_server.close()
+            await t_client.close()
+            clock.close()
+
+    asyncio.run(main())
+
+
+def test_rpc_fields_ride_the_frame_over_a_return_link():
+    """A listenless client's two calls arrive with their own request ids
+    and the caller's trace context; answered in reverse over the return
+    link, each reply still resolves the call it answers."""
+
+    async def main():
+        clock = LiveClock()
+        spec = spec_for_transport_tests()
+        t_server = TcpTransport(clock, spec, listen=spec.nodes[0].address)
+        await t_server.start()
+        t_client = TcpTransport(clock, spec, obs=Observability(clock), listen=None)
+        try:
+            server = Node(clock, t_server, "store-0-0", spec.nodes[0].site)
+            held = []
+
+            def hold(message):
+                held.append(message)
+                if len(held) == 2:  # answer the later call first
+                    for request in reversed(held):
+                        server.reply(request, {"n": request.body["n"]})
+
+            server.on("hold", hold)
+            server.start()
+            client = Node(clock, t_client, "wanderer-1", spec.nodes[0].site)
+            client.start()
+
+            def calls():
+                with t_client.obs.tracer.span("client.op") as span:
+                    first = client.call_async("store-0-0", "hold", {"n": 1})
+                    second = client.call_async("store-0-0", "hold", {"n": 2})
+                    replies = (yield first), (yield second)
+                return (span.trace_id, span.span_id), replies
+
+            trace, replies = await asyncio.wait_for(clock.run_process(calls()), timeout=5.0)
+            assert replies == ({"n": 1}, {"n": 2})
+            assert [(m.body, m.request_id, m.trace) for m in held] == [
+                ({"n": 1}, 0, trace), ({"n": 2}, 1, trace),
+            ]
+            assert "wanderer-1" in t_server._return_links
         finally:
             await t_server.close()
             await t_client.close()
