@@ -57,9 +57,7 @@ class MusicClient:
         self.client_id = client_id
         self.config = config or replicas[0].config
         # What the feature switches ask of a client, resolved once:
-        # whether acquire_lock_blocking subscribes to release pushes,
-        # and whether the read-lease session state below is kept.
-        self.push_grants = self.config.push_grants
+        # whether the read-lease session state below is kept.
         self.read_leases = self.config.read_leases
         profile = replicas[0].network.profile
         # Home replica first, then by proximity — the failover order.
@@ -155,8 +153,8 @@ class MusicClient:
         and the deadline is re-checked before the next quorum attempt,
         so the wait never overshoots ``timeout_ms``.  Raises
         :class:`NotLockHolder` if the lockRef was preempted while
-        waiting.  With ``push_grants`` on, the sleep also wakes early on
-        a release notification for ``key``.
+        waiting.  The sleep also wakes early on a release pushed for
+        ``key`` by the preferred replica's release channel.
         """
         deadline = None if timeout_ms is None else self.sim.now + timeout_ms
         interval = self.config.acquire_poll_interval_ms
@@ -164,25 +162,20 @@ class MusicClient:
         # arriving *while* a poll RPC is in flight would otherwise fall
         # into an unsubscribed window, silently lost, and the waiter
         # would back off toward acquire_poll_max_ms with the lock free.
-        waiter = None
-        waited_at = None
+        # Push grants off, the waiter is None: one lookup per acquire.
+        channel = self.replica.push
+        waiter = channel.subscribe(key)
         try:
             while True:
-                if self.push_grants and waiter is None:
-                    waited_at = self.replica
-                    waiter = waited_at.subscribe_release(key)
                 granted = yield from self.acquire_lock(key, lock_ref)
                 if granted:
                     return True
                 if deadline is not None and self.sim.now >= deadline:
                     return False
-                pushed = False
-                if waiter is not None and waiter.triggered:
-                    # A release landed during the poll round trip:
-                    # re-poll eagerly instead of sleeping on it.
-                    waiter = None
-                    pushed = True
-                else:
+                # A release that landed during the poll round trip is
+                # re-polled eagerly instead of slept on.
+                pushed = waiter is not None and waiter.triggered
+                if not pushed:
                     sleep = interval * (1 + 0.2 * self.rng.random())
                     if deadline is not None:
                         sleep = min(sleep, deadline - self.sim.now)
@@ -190,12 +183,11 @@ class MusicClient:
                         which, _ = yield self.sim.any_of(
                             [waiter, self.sim.timeout(sleep)]
                         )
-                        if which == 0:
-                            waiter = None  # consumed by the notify
-                            pushed = True
+                        pushed = which == 0
                     else:
                         yield sleep  # a bare delay: nobody else waits on it
                 if pushed:
+                    waiter = None  # consumed by the notify
                     # The grant is at most a local store apply away, so
                     # re-poll on a short fuse (the push races the commit
                     # round's replica writes by design).
@@ -207,9 +199,12 @@ class MusicClient:
                     )
                 if deadline is not None and self.sim.now >= deadline:
                     return False
+                if pushed:  # renew, at the replica preferred now
+                    channel = self.replica.push
+                    waiter = channel.subscribe(key)
         finally:
             if waiter is not None:
-                waited_at.unsubscribe_release(key, waiter)
+                channel.unsubscribe(key, waiter)
 
     def _put_attempt(self, key: str, lock_ref: int, value: Any, delete: bool = False):
         """One criticalPut (or criticalDelete) attempt at a replica,

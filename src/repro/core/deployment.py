@@ -135,10 +135,8 @@ def build_replicas(
         replica = replica_class(
             sim, network, node_id, site, store, config=config, cores=cores,
             clock=NodeClock(sim, offset=offset),
+            peer_ids=[peer for peer in layout if peer != node_id],
         )
-        # Sibling wiring for push-based grant notification; harmless
-        # (and unused) unless ``push_grants`` is on.
-        replica.peer_ids = [peer for peer in layout if peer != node_id]
         install_service(replica)
         replica.start()
         replicas.append(replica)

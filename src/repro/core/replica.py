@@ -31,7 +31,7 @@ false failure detection (Section IV-B).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, Mapping, Optional, Tuple
 
 from ..errors import LeaseExpired, NotLockHolder
 from ..leases import NULL_LEASES, CachedRead, LeaseManager, ReadCache
@@ -41,6 +41,7 @@ from ..sim import NodeClock, Simulator
 from ..store import Consistency, Stamp, StoreCluster, StoreCoordinator
 from ..store.replica import ALL_ROWS
 from .config import MusicConfig
+from .push import NO_PUSH, ReleasePush
 from .timestamps import UNLOCKED_LOCK_REF, VectorTimestamp, check_overflow, v2s
 
 __all__ = ["MusicReplica", "DATA_TABLE", "VALUE_ROW", "SYNCH_ROW"]
@@ -101,6 +102,7 @@ class MusicReplica(Node):
         config: Optional[MusicConfig] = None,
         cores: int = 8,
         clock: Optional[NodeClock] = None,
+        peer_ids: Iterable[str] = (),
     ) -> None:
         super().__init__(sim, network, node_id, site, cores=cores, clock=clock)
         config = config or MusicConfig()
@@ -127,13 +129,12 @@ class MusicReplica(Node):
         # A forced dequeue also writes the marker rows: the epoch the
         # fast path compares against, the revocation leases die by.
         self._forced_markers = config.fast_locks or leases_on
-        self._push_grants = config.push_grants
         self._always_sync = config.always_sync
         # Lease starts cached per (key, lockRef) once granted here.
         self._leases: Dict[Tuple[str, int], float] = {}
-        # Service-layer cache invalidation hooks, called with the key on
-        # every observed release push (see PortalFrontend).
-        self._release_listeners: list = []
+        # Push grants (DESIGN.md §9): the release channel to this
+        # replica's waiters and to ``peer_ids``, or NO_PUSH.
+        self.push: Any = ReleasePush(self, peer_ids) if config.push_grants else NO_PUSH
         # Read scale-out leases (DESIGN.md §10).  The one path below
         # calls both tiers unconditionally; with the feature off they
         # are the null object, which holds no state and reads no clock.
@@ -152,16 +153,11 @@ class MusicReplica(Node):
             self.read_cache = ReadCache()
             self._get_rows = ALL_ROWS
             # Invalidation piggybacks on the release-push stream.
-            self._release_listeners.append(self._lease_invalidate)
+            self.push.add_listener(self._lease_invalidate)
         # synchFlag fast path (DESIGN.md §9): per-key forced-release
         # epoch under which this replica last established flag=False at
         # quorum.  Key absent = no fast-path evidence.
         self._flag_epoch: Dict[str, Any] = {}
-        # Push grants: local waiters parked until the key's next dequeue,
-        # plus the sibling MUSIC replicas to notify (wired by deployment).
-        self._release_waiters: Dict[str, list] = {}
-        self.peer_ids: list = []
-        self.on("music.grantPush", lambda msg: self._notify_release(msg.body["key"]))
         self.counters = {
             "forced_releases": 0,
             "syncs": 0,
@@ -265,10 +261,8 @@ class MusicReplica(Node):
                 start_time = self.clock.now()
                 yield from self.lock_store.set_start_time(key, lock_ref, start_time)
             self._leases[(key, lock_ref)] = start_time
-            if anchor_clock is not None and self.lease_manager.anchor_allowed(
-                lock_ref, flag_stamp
-            ):
-                self.lease_manager.anchor(key, lock_ref, anchor_clock)
+            if anchor_clock is not None:
+                self.lease_manager.anchor(key, lock_ref, anchor_clock, flag_stamp)
             span.set(granted=True)
             audit = self.obs.audit
             if audit.enabled:
@@ -397,8 +391,8 @@ class MusicReplica(Node):
                 span.set(guarded=True)
                 return (False, None, None)
             audit = self.obs.audit
-            view = leases.view(key, lock_ref)
-            if self._lease_serviceable(view, min_stamp):
+            view = leases.serve(key, lock_ref, min_stamp, self.clock)
+            if view is not None:
                 value, stamp = view.value, view.value_stamp
                 self._count("music.lease.hits", "lease_hits")
                 if audit.enabled:
@@ -423,22 +417,9 @@ class MusicReplica(Node):
                     )
                 if anchor_clock is not None:
                     _, flag_stamp = _cell_of(rows, SYNCH_ROW, "flag")
-                    if leases.anchor_allowed(lock_ref, flag_stamp):
-                        leases.anchor(key, lock_ref, anchor_clock)
+                    if leases.anchor(key, lock_ref, anchor_clock, flag_stamp):
                         leases.fill(key, lock_ref, value, stamp)
         return (True, value, stamp)
-
-    def _lease_serviceable(self, view: Any, min_stamp: Optional[Stamp]) -> bool:
-        """Whether a lease view may answer criticalGet locally: it must
-        hold a mirrored value at least as fresh as the caller's session
-        watermark, inside a window that outlasts now plus clock skew."""
-        if view is None or not view.has_value:
-            return False
-        if min_stamp is not None and (
-            view.value_stamp is None or view.value_stamp < min_stamp
-        ):
-            return False
-        return self.lease_manager.window_open(view, self.clock.now())
 
     def _guard(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
         """The critical ops' guard: one lock-partition head read, then
@@ -493,13 +474,13 @@ class MusicReplica(Node):
     ) -> Callable[..., None]:
         """The decided-hook of a release/forcedRelease dequeue.
 
-        With push grants on, waiters are notified the moment the dequeue
-        is *decided* (proposal accepted), overlapping the wake-up with
-        the commit round's WAN acks — the push is advisory, so a waiter
-        that polls too early just polls again.  The audit event must
-        fire at the same decide point: a push-woken successor can be
-        granted during the commit round, and the auditor linearizes by
-        event order.
+        The release channel (``self.push``) is told the moment the
+        dequeue is *decided* (proposal accepted), overlapping the
+        wake-up with the commit round's WAN acks — the push is advisory,
+        so a waiter that polls too early just polls again.  The audit
+        event must fire at the same decide point: a push-woken successor
+        can be granted during the commit round, and the auditor
+        linearizes by event order.
 
         The caller invokes the hook once more with ``late=True`` after
         the dequeue returns: if the LWT never announced a decision (the
@@ -518,8 +499,8 @@ class MusicReplica(Node):
                 audit.emit(
                     event, key=key, node=self.node_id, lock_ref=lock_ref, **fields
                 )
-            if self._push_grants and not late:
-                self._push_release(key)
+            if not late:
+                self.push.push(key)
 
         return decided
 
@@ -583,45 +564,7 @@ class MusicReplica(Node):
             decided(late=True)
         return True
 
-    # -- push-based grant notification (DESIGN.md §9) -----------------------------
-
-    def subscribe_release(self, key: str):
-        """An Event succeeding at the key's next (observed) dequeue."""
-        event = self.sim.event(name=f"grantPush:{key}")
-        self._release_waiters.setdefault(key, []).append(event)
-        return event
-
-    def unsubscribe_release(self, key: str, event) -> None:
-        waiters = self._release_waiters.get(key)
-        if waiters and event in waiters:
-            waiters.remove(event)
-            if not waiters:
-                del self._release_waiters[key]
-
-    def add_release_listener(self, callback: Callable[[str], None]) -> None:
-        """Register a service-layer hook called with the key on every
-        release push this replica observes (e.g. portal owner-cache
-        invalidation)."""
-        self._release_listeners.append(callback)
-
-    def _notify_release(self, key: str) -> None:
-        for listener in self._release_listeners:
-            listener(key)
-        waiters = self._release_waiters.pop(key, None)
-        if not waiters:
-            return
-        for event in waiters:
-            if not event.triggered:
-                event.succeed(True)
-
-    def _push_release(self, key: str) -> None:
-        """Wake local waiters and nudge sibling replicas (best-effort
-        one-way sends: a lost push only means the waiter falls back to
-        its poll timer)."""
-        self._count("music.push.notifies")
-        self._notify_release(key)
-        for peer in self.peer_ids:
-            self.send(peer, "music.grantPush", {"key": key})
+    # -- lease invalidation on the release channel (DESIGN.md §10) ---------------
 
     def _lease_invalidate(self, key: str) -> None:
         """Invalidate lease + cached reads for a key whose critical

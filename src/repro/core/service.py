@@ -32,6 +32,7 @@ from ..sim import RandomStreams
 from ..store.types import payload_size
 from .client import MusicClient
 from .config import MusicConfig
+from .push import NO_PUSH
 from .replica import MusicReplica
 
 __all__ = ["install_service", "ReplicaStub", "service_client"]
@@ -101,16 +102,16 @@ def install_service(replica: MusicReplica) -> None:
         replica.reply(msg, reply, size_bytes=size_bytes)
 
     def wait_release(msg) -> Generator[Any, Any, None]:
-        # The stub's subscribe_release: hold the request until the key's
-        # next observed dequeue, or the client-supplied bound elapses.
+        # The stub's subscribe: hold the request until the key's next
+        # observed dequeue, or the client-supplied bound elapses.
         body = replica.payload(msg)
-        waiter = replica.subscribe_release(body["key"])
+        waiter = replica.push.subscribe(body["key"])
         try:
             yield replica.sim.any_of(
                 [waiter, replica.sim.timeout(body["wait_ms"])]
             )
         finally:
-            replica.unsubscribe_release(body["key"], waiter)
+            replica.push.unsubscribe(body["key"], waiter)
         replica.reply(msg, {"ok": True, "result": None})
 
     for kind in _OPERATIONS:
@@ -124,7 +125,7 @@ class ReplicaStub:
     Offers what :class:`MusicClient` uses of a :class:`MusicReplica` —
     identity (``node_id``/``site``/``failed``/``config``), environment
     (``sim``/``network``/``obs``, the host's), the operation generators
-    of ``_OPERATIONS`` and the release subscription — each operation
+    of ``_OPERATIONS`` and the release channel ``push`` — each operation
     being one RPC whose result is returned, or typed error re-raised,
     here.
     """
@@ -137,10 +138,16 @@ class ReplicaStub:
         self.sim = host.sim
         self.network = host.network
         self.obs = host.obs
+        self._long_poll = config.push_grants
 
     @property
     def failed(self) -> bool:
         return self.network.is_failed(self.node_id)
+
+    @property
+    def push(self) -> Any:
+        """The release channel: this stub's long-poll, or NO_PUSH."""
+        return self if self._long_poll else NO_PUSH
 
     def _call(self, kind: str, body: dict) -> Generator[Any, Any, Any]:
         try:
@@ -156,7 +163,7 @@ class ReplicaStub:
             raise _ERROR_KINDS.get(reply["error_kind"], ReproError)(reply["error"])
         return reply["result"]
 
-    def subscribe_release(self, key: str) -> Any:
+    def subscribe(self, key: str) -> Any:
         """An Event firing at the key's next dequeue observed by the
         replica — or when the subscription lapses or the replica proves
         unreachable: the push is advisory, a woken client just polls."""
@@ -168,7 +175,7 @@ class ReplicaStub:
         ).add_callback(lambda _reply: waiter.triggered or waiter.succeed(True))
         return waiter
 
-    def unsubscribe_release(self, key: str, waiter: Any) -> None:
+    def unsubscribe(self, key: str, waiter: Any) -> None:
         """Nothing to send: the replica-side subscription ends at the
         key's next dequeue or its bound, and the late reply finds no
         one waiting."""

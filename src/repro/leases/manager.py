@@ -78,24 +78,23 @@ class LeaseManager:
         lease window opens there, not when the read returns."""
         return clock.now()
 
-    def anchor_allowed(self, lock_ref: int, flag_stamp: Optional[Stamp]) -> bool:
-        """True when a quorum read that observed ``flag_stamp`` on the
-        synchFlag row proves no revocation of ``lock_ref``'s era has
-        acknowledged: every forcedRelease of this ref or a successor
-        stamps the flag at >= ``(lock_ref + δ)·T``."""
-        if flag_stamp is None:
-            return True
-        return flag_stamp[0] < (lock_ref + self.delta) * self.period_ms
-
-    def anchor(self, key: str, lock_ref: int, anchor_clock_ms: float) -> LeaseView:
-        """(Re-)anchor the key's lease at a read-start local-clock time."""
+    def anchor(self, key: str, lock_ref: int, anchor_clock_ms: float,
+               flag_stamp: Optional[Stamp]) -> bool:
+        """(Re-)anchor the key's lease at a read-start local-clock time
+        if the read's synchFlag stamp proves no revocation of
+        ``lock_ref``'s era has acknowledged (every forcedRelease of it
+        or a successor stamps the flag at >= ``(lock_ref + δ)·T``).
+        Returns whether it anchored."""
+        revoked_from = (lock_ref + self.delta) * self.period_ms
+        if flag_stamp is not None and flag_stamp[0] >= revoked_from:
+            return False
         view = self._leases.get(key)
         if view is None or view.lock_ref != lock_ref:
             view = self._leases[key] = LeaseView(lock_ref)
         if anchor_clock_ms > view.anchor_ms:
             view.anchor_ms = anchor_clock_ms
             view.expires_ms = anchor_clock_ms + self.read_lease_ms
-        return view
+        return True
 
     def fill(self, key: str, lock_ref: int, value: Any,
              stamp: Optional[Stamp]) -> None:
@@ -111,11 +110,20 @@ class LeaseManager:
 
     # -- serving ----------------------------------------------------------
 
-    def view(self, key: str, lock_ref: int) -> Optional[LeaseView]:
+    def serve(self, key: str, lock_ref: int, min_stamp: Optional[Stamp],
+              clock: Any) -> Optional[LeaseView]:
+        """The view that may answer ``lock_ref``'s criticalGet locally,
+        or None: a mirrored value no older than the session watermark
+        ``min_stamp``, in a window that outlasts now plus clock skew.
+        Reads ``clock`` (stateful) only for a view with such a value."""
         view = self._leases.get(key)
-        if view is None or view.lock_ref != lock_ref:
+        if view is None or view.lock_ref != lock_ref or not view.has_value:
             return None
-        return view
+        if min_stamp is not None and (
+            view.value_stamp is None or view.value_stamp < min_stamp
+        ):
+            return None
+        return view if self.window_open(view, clock.now()) else None
 
     def window_open(self, view: LeaseView, now_clock_ms: float) -> bool:
         """Conservative expiry check: the window must outlast ``now``
@@ -152,7 +160,10 @@ class _LeasesOff:
     def anchor_start(self, clock: Any) -> None:
         return None
 
-    def view(self, key: str, lock_ref: int) -> None:
+    def anchor(self, *args: Any) -> bool:
+        return False
+
+    def serve(self, *args: Any) -> None:
         return None
 
     def fill(self, *args: Any) -> None:

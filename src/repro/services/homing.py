@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..core.client import MusicClient
-from ..errors import NotLockHolder, ReproError
+from ..errors import NotLockHolder
 
 __all__ = [
     "CloudSite",
@@ -199,14 +199,6 @@ class HomingWorker:
             if did_work:
                 advanced += 1
         return advanced
-
-    def run_forever(self, idle_ms: float = 500.0) -> Generator[Any, Any, None]:
-        while True:
-            try:
-                yield from self.run_once()
-            except ReproError:
-                pass  # back-end hiccup: retry next round
-            yield self.sim.timeout(idle_ms)
 
     def _try_job(self, job_id: str) -> Generator[Any, Any, bool]:
         lock_ref = yield from self.client.create_lock_ref(job_id)

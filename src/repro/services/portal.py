@@ -123,8 +123,7 @@ class PortalFrontend:
         # Optional staleness bound for owner-record lookups via the
         # bounded-staleness read tier (requires read_leases).
         self.owner_read_staleness_ms = owner_read_staleness_ms
-        if client.push_grants:
-            client.replica.add_release_listener(self._on_release_push)
+        client.replica.push.add_listener(self._on_release_push)
 
     def _on_release_push(self, key: str) -> None:
         # A release/forcedRelease of ``key`` ended some critical section;

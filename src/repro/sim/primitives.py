@@ -81,10 +81,6 @@ class Mailbox:
             raise SimulationError(f"mailbox {self.name!r} is empty")
         return self._items.popleft()
 
-    def peek_all(self) -> list[Any]:
-        """A snapshot of queued items (for assertions in tests)."""
-        return list(self._items)
-
 
 class Resource:
     """A counted resource with FIFO granting (e.g. CPU cores, a NIC).

@@ -84,14 +84,6 @@ class StoreCluster:
     def replicas_in_site(self, site: str) -> List[StorageReplica]:
         return [replica for replica in self.replicas if replica.site == site]
 
-    def crash_site(self, site: str) -> None:
-        for replica in self.replicas_in_site(site):
-            replica.crash()
-
-    def recover_site(self, site: str) -> None:
-        for replica in self.replicas_in_site(site):
-            replica.recover()
-
 
 def site_layout(prefix: str, site_names: Sequence[str], per_site: int) -> Dict[str, str]:
     """Node id -> site for ``per_site`` nodes at every site, under the

@@ -1,7 +1,7 @@
 """Store configuration: service times and protocol knobs.
 
-The CPU service times below are the calibration knobs that map simulated
-protocol work onto the paper's absolute magnitudes.  They were fitted to
+The CPU service times below are the calibration constants that map
+simulated protocol work onto the paper's absolute magnitudes.  They were fitted to
 two anchors from Section VIII (3 nodes x 8 cores, lUs profile):
 
 - ``CassaEV`` (an eventually-consistent local write) peaks near 41K op/s,
@@ -18,6 +18,7 @@ these constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from ..storage import StorageEngineConfig
 
@@ -26,7 +27,8 @@ __all__ = ["StoreConfig"]
 
 @dataclass
 class StoreConfig:
-    """Tunables for the replicated store."""
+    """Tunables for the replicated store (its ``ClassVar`` calibration
+    constants are set by no deployment, so they are not fields)."""
 
     # Replication factor; by default one replica of each key per site.
     replication_factor: int = 3
@@ -40,25 +42,25 @@ class StoreConfig:
     storage: StorageEngineConfig = field(default_factory=StorageEngineConfig)
 
     # CPU service times (milliseconds of one core).
-    coordinator_service_ms: float = 0.10  # request parsing/routing per op
-    read_service_ms: float = 0.15  # memtable read at a replica
-    write_service_ms: float = 0.15  # memtable write + commitlog append
-    paxos_phase_service_ms: float = 1.05  # per LWT phase at a replica
+    coordinator_service_ms: ClassVar[float] = 0.10  # request parsing/routing per op
+    read_service_ms: ClassVar[float] = 0.15  # memtable read at a replica
+    write_service_ms: ClassVar[float] = 0.15  # memtable write + commitlog append
+    paxos_phase_service_ms: ClassVar[float] = 1.05  # per LWT phase at a replica
     # Extra CPU per byte of value, modelling serialization/copy costs
     # (~2 copies at roughly 2 GB/s).
-    per_byte_service_ms: float = 1.0e-6
+    per_byte_service_ms: ClassVar[float] = 1.0e-6
 
     # RPC deadline for replica requests.
     rpc_timeout_ms: float = 4_000.0
 
     # LWT (Paxos) contention handling.
-    cas_max_attempts: int = 20
-    cas_backoff_base_ms: float = 10.0
-    cas_backoff_jitter_ms: float = 40.0
+    cas_max_attempts: ClassVar[int] = 20
+    cas_backoff_base_ms: ClassVar[float] = 10.0
+    cas_backoff_jitter_ms: ClassVar[float] = 40.0
 
-    # Anti-entropy: period between digest exchanges per replica, and the
-    # fraction-of-period jitter applied to avoid lockstep.
-    anti_entropy_interval_ms: float = 1_000.0
+    # Anti-entropy: period between digest exchanges per replica (the
+    # loop jitters each period to avoid lockstep).
+    anti_entropy_interval_ms: ClassVar[float] = 1_000.0
     anti_entropy_enabled: bool = True
 
     # Read repair: push the merged result of every quorum read back to
@@ -79,7 +81,7 @@ class StoreConfig:
     hint_ttl_ms: float = 3_600_000.0
 
     # Virtual nodes per physical node on the hash ring.
-    ring_vnodes: int = 16
+    ring_vnodes: ClassVar[int] = 16
 
     def value_service_ms(self, size_bytes: int) -> float:
         """CPU time attributable to the payload size of one replica op."""

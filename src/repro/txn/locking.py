@@ -28,7 +28,7 @@ from ..errors import NotLockHolder, ReproError
 from ..obs.audit import AuditEvent, AuditStream
 from ..verification.invariants import ViolationRecord
 from .engine import Stamp, Transaction, TxnAborted, TxnEngine
-from .oracle import CommittedTxn
+from .oracle import CommittedTxn, find_cycle
 
 __all__ = ["LockingEngine", "LockingTxn", "WaitsForGraph"]
 
@@ -94,32 +94,11 @@ class WaitsForGraph:
                     out.setdefault(waiter, set()).add(holder)
         return out
 
-    def find_cycle(self) -> Optional[List[str]]:
-        edges = self.edges()
-        color: Dict[str, int] = {}  # 1 = on stack, 2 = done
-        for start in sorted(edges):
-            if color.get(start):
-                continue
-            stack: List[Tuple[str, List[str]]] = [(start, [start])]
-            while stack:
-                node, path = stack.pop()
-                if color.get(node) == 2:
-                    continue
-                color[node] = 1
-                advanced = False
-                for succ in sorted(edges.get(node, ())):
-                    if succ in path:
-                        return path[path.index(succ):] + [succ]
-                    if color.get(succ) != 2:
-                        stack.append((succ, path + [succ]))
-                        advanced = True
-                if not advanced:
-                    color[node] = 2
-        return None
-
     def _check(self, event: AuditEvent) -> None:
         self.checks += 1
-        cycle = self.find_cycle()
+        cycle = find_cycle(
+            {txn: sorted(holders) for txn, holders in sorted(self.edges().items())}
+        )
         if cycle is None:
             return
         record = ViolationRecord(

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..verification.invariants import ViolationRecord
 
-__all__ = ["CommittedTxn", "SerializabilityChecker", "Stamp"]
+__all__ = ["CommittedTxn", "SerializabilityChecker", "Stamp", "find_cycle"]
 
 Stamp = Tuple[float, str]
 
@@ -162,7 +162,7 @@ class SerializabilityChecker:
                     add_edge(reader, order[index + 1], f"rw on {key!r}")
 
         # 4. Cycle detection (iterative DFS).
-        cycle = self._find_cycle(edges)
+        cycle = find_cycle(edges)
         if cycle is not None:
             labels = []
             for a, b in zip(cycle, cycle[1:]):
@@ -248,31 +248,35 @@ class SerializabilityChecker:
             )
         )
 
-    @staticmethod
-    def _find_cycle(edges: Dict[str, Dict[str, str]]) -> Optional[List[str]]:
-        """A cycle as ``[t0, t1, ..., t0]``, or None if acyclic."""
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {node: WHITE for node in edges}
-        for start in edges:
-            if color[start] != WHITE:
-                continue
-            stack: List[Tuple[str, Iterator[str]]] = [(start, iter(edges[start]))]
-            color[start] = GREY
-            path = [start]
-            while stack:
-                node, children = stack[-1]
-                advanced = False
-                for child in children:
-                    if color[child] == GREY:
-                        return path[path.index(child):] + [child]
-                    if color[child] == WHITE:
-                        color[child] = GREY
-                        path.append(child)
-                        stack.append((child, iter(edges[child])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    path.pop()
-                    stack.pop()
-        return None
+
+
+def find_cycle(edges: Mapping[str, Iterable[str]]) -> Optional[List[str]]:
+    """A cycle of the directed graph ``edges`` (node -> successors) as
+    ``[n0, n1, ..., n0]``, or None if acyclic; nodes and successors are
+    visited in iteration order.  A successor need not have out-edges."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    color: Dict[str, int] = {}
+    for start in edges:
+        if color.get(start, WHITE) != WHITE:
+            continue
+        stack: List[Tuple[str, Iterator[str]]] = [(start, iter(edges[start]))]
+        color[start] = GREY
+        path = [start]
+        while stack:
+            node, children = stack[-1]
+            advanced = False
+            for child in children:
+                state = color.get(child, WHITE)
+                if state == GREY:
+                    return path[path.index(child):] + [child]
+                if state == WHITE:
+                    color[child] = GREY
+                    path.append(child)
+                    stack.append((child, iter(edges.get(child, ()))))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = BLACK
+                path.pop()
+                stack.pop()
+    return None

@@ -7,7 +7,7 @@ do in library mode — with the runtime ECF auditor attached and clean.
 
 Layers that reach *through* the client to replica-only hooks stay
 library-only and are not exercised here: ``PortalFrontend``
-(``add_release_listener``) and the hierarchical proxies
+(``replica.push.add_listener``) and the hierarchical proxies
 (``forced_release``).
 """
 

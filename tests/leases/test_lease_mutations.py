@@ -4,7 +4,8 @@ Same discipline as ``tests/obs/test_audit_mutations.py``: run one
 scenario against the real replica (audit must be clean) and against a
 subclassed replica with exactly one safety ingredient deleted (the
 audit must flag it).  Mutant (a) removes the ECF-window expiry check
-from the leaseholder serve path — LeaseSafety must fire.  Mutant (b)
+from the lease tier's serve path (``LeaseManager.window_open``) —
+LeaseSafety must fire.  Mutant (b)
 drops the push-grant cache invalidation — MonotonicReads must fire.
 Every scenario runs audit-only and with ``obs=True`` beside the audit:
 same history, same violations, span ids only in the second.
@@ -35,11 +36,13 @@ def assert_caught(auditor, invariant):
 
 
 class NoExpiryCheck(MusicReplica):
-    """Mutant (a): serves any mirrored value, ignoring the lease window
-    and the revocation wait-out — the core unsafety leases guard against."""
+    """Mutant (a): the lease tier serves any mirrored value, its window
+    always open — ignoring the lease expiry and the revocation wait-out,
+    the core unsafety leases guard against."""
 
-    def _lease_serviceable(self, view, min_stamp):
-        return view is not None and view.has_value
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.lease_manager.window_open = lambda view, now_clock_ms: True
 
 
 class DroppedInvalidation(MusicReplica):

@@ -70,12 +70,15 @@ def test_config_rejects_missing_epoch(tmp_path):
 
 def test_config_rejects_unknown_tunable(tmp_path):
     # Only fields are tunables: a name the config merely *has* (a
-    # derived property, a method) is rejected the same way.
-    for name in ("no_such_knob", "push_grants", "__eq__"):
+    # derived property, a method, a calibration constant) is rejected
+    # the same way.
+    cases = [("music", name) for name in ("no_such_knob", "push_grants", "__eq__")]
+    cases.append(("store", "read_service_ms"))
+    for section, name in cases:
         spec = make_spec(n_nodes=2, tmp_path=tmp_path)
-        spec.music[name] = 1
-        with pytest.raises(KeyError, match=f"no tunable '{name}'"):
-            spec.music_config()
+        getattr(spec, section)[name] = 1
+        with pytest.raises(KeyError, match=rf"\[{section}\] has no tunable '{name}'"):
+            getattr(spec, f"{section}_config")()
 
 
 def test_toml_skeleton_reflects_spec():

@@ -4,6 +4,7 @@ history passes the serializability checker (DESIGN.md §13)."""
 import pytest
 
 from repro.txn import SerializabilityChecker, TxnAborted
+from repro.txn.oracle import find_cycle
 
 from .helpers import build_txn_music, run_workload
 
@@ -49,7 +50,7 @@ def test_locking_waits_for_graph_checked_and_acyclic():
     assert graph.checks > 0
     # ...and lexicographic acquisition kept the graph acyclic.
     assert graph.violations == []
-    assert graph.find_cycle() is None
+    assert find_cycle(graph.edges()) is None
 
 
 def test_occ_epochs_sealed_and_store_matches_records():

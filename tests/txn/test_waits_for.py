@@ -3,6 +3,7 @@ invariant fires on a cycle and stays quiet on ordered acquisition."""
 
 from repro.obs import AuditEvent, ECFAuditor
 from repro.txn import WaitsForGraph
+from repro.txn.oracle import find_cycle
 from tests.helpers import assert_replay_equivalent
 
 
@@ -23,12 +24,14 @@ def test_opposite_order_waiting_is_a_cycle():
     graph.on_event(event("grant", "a", 1))
     graph.on_event(event("enqueue", "b", 1))
     graph.on_event(event("grant", "b", 1))
-    assert graph.find_cycle() is None
+    assert find_cycle(graph.edges()) is None
     # ... then T1 queues on b and T2 queues on a: classic deadlock.
     graph.bind("b", 2, "T1")
     graph.bind("a", 2, "T2")
     graph.on_event(event("enqueue", "b", 2))
-    assert graph.find_cycle() is None  # one edge is not a cycle
+    # One edge is not a cycle, and its holder T2 has no out-edges.
+    assert graph.edges() == {"T1": {"T2"}}
+    assert find_cycle(graph.edges()) is None
     graph.on_event(event("enqueue", "a", 2))
     assert len(graph.violations) == 1
     cycle = graph.violations[0].detail
