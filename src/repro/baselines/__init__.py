@@ -7,14 +7,13 @@ from .cockroach import (
     build_cockroach,
 )
 from .mscp import MscpReplica, build_mscp
-from .zookeeper import ZkConfig, ZkLock, ZkSession, build_zookeeper
+from .zookeeper import ZkLock, ZkSession, build_zookeeper
 
 __all__ = [
     "CockroachClient",
     "CockroachConfig",
     "CockroachCriticalSection",
     "MscpReplica",
-    "ZkConfig",
     "ZkLock",
     "ZkSession",
     "build_cockroach",

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, Generator, List, Optional, Tuple
 
 from ...errors import NoLeader, RpcTimeout, TransactionAborted
-from ...net import Network, Node, quorum_of, quorum_size
+from ...net import DEFAULT_RPC_TIMEOUT_MS, Network, Node, quorum_of, quorum_size
 from ...sim import Condition as SimCondition
 from ...sim import RandomStreams, Simulator
 from ...store.types import payload_size
@@ -43,18 +43,18 @@ __all__ = ["CockroachConfig", "CockroachNode", "build_cockroach", "range_of"]
 
 @dataclass
 class CockroachConfig:
-    """Modelling knobs for the CockroachDB baseline."""
+    """Modelling knobs for the CockroachDB baseline (its ``ClassVar``
+    constants are set by no deployment, so they are not fields)."""
 
-    range_count: int = 8
-    append_service_ms: float = 0.25  # per-proposal log append at a node
-    append_per_byte_ms: float = 2.0e-6
-    read_service_ms: float = 0.1
-    rpc_timeout_ms: float = 4_000.0
-    txn_retry_backoff_ms: float = 25.0
-    txn_max_retries: int = 50
+    range_count: ClassVar[int] = 8
+    append_service_ms: ClassVar[float] = 0.25  # per-proposal log append at a node
+    append_per_byte_ms: ClassVar[float] = 2.0e-6
+    read_service_ms: ClassVar[float] = 0.1
+    txn_retry_backoff_ms: ClassVar[float] = 25.0
+    txn_max_retries: ClassVar[int] = 50
     # Raft timers.
-    heartbeat_interval_ms: float = 1_000.0
-    election_timeout_ms: float = 4_000.0  # + uniform jitter of the same size
+    heartbeat_interval_ms: ClassVar[float] = 1_000.0
+    election_timeout_ms: ClassVar[float] = 4_000.0  # + uniform jitter of the same size
     elections_enabled: bool = True
 
 
@@ -184,7 +184,6 @@ class CockroachNode(Node):
                     result = yield from self.call(
                         leaseholder, "crdb_propose", op,
                         size_bytes=payload_size(op.get("value")) + 64,
-                        timeout=self.config.rpc_timeout_ms,
                     )
                 except RpcTimeout as error:
                     raise NoLeader(f"leaseholder unreachable: {error}") from error
@@ -211,7 +210,6 @@ class CockroachNode(Node):
                 raise NoLeader(f"leaseholder {leaseholder} is down")
             reply = yield from self.call(
                 leaseholder, "crdb_read", {"key": key, "txn_id": txn_id},
-                timeout=self.config.rpc_timeout_ms,
             )
         if reply.get("conflict"):
             raise TransactionAborted(f"intent conflict on {key!r}")
@@ -286,10 +284,7 @@ class CockroachNode(Node):
                 "leader_commit": state.commit_index,
             }
             with self.obs.tracer.span("raft.replicate", node=self.node_id):
-                handles = self.call_many(
-                    followers, "raft_append", body,
-                    size_bytes=size, timeout=self.config.rpc_timeout_ms,
-                )
+                handles = self.call_many(followers, "raft_append", body, size_bytes=size)
                 replies = yield quorum_of(self.sim, handles, needed)
             for dst, reply in replies:
                 if reply.get("term", 0) > state.term:
@@ -391,7 +386,6 @@ class CockroachNode(Node):
                 reply = yield from self.call(
                     peer, "raft_append", body,
                     size_bytes=sum(payload_size(e.op.get("value")) + 64 for e in entries),
-                    timeout=self.config.rpc_timeout_ms,
                 )
             except RpcTimeout:
                 return
@@ -484,8 +478,7 @@ class CockroachNode(Node):
             "entries": [],
             "leader_commit": state.commit_index,
         }
-        handles = self.call_many(followers, "raft_append", body,
-                                 timeout=self.config.rpc_timeout_ms)
+        handles = self.call_many(followers, "raft_append", body)
         for dst, handle in handles:
             handle.add_callback(self._heartbeat_reply_callback(range_id, dst))
 
@@ -538,7 +531,7 @@ class CockroachNode(Node):
         }
         followers = [peer for peer in self.peers if peer != self.node_id]
         handles = self.call_many(followers, "raft_vote", body,
-                                 timeout=self.config.rpc_timeout_ms / 2)
+                                 timeout=DEFAULT_RPC_TIMEOUT_MS / 2)
         votes = 1  # self-vote
         needed = quorum_size(len(self.peers))
         try:

@@ -1,7 +1,7 @@
 """Zookeeper baseline: Zab broadcast, znode tree, sessions, lock recipe."""
 
 from .lock_recipe import ZkLock
-from .server import ZkConfig, ZkSession, build_zookeeper
+from .server import ZkSession, build_zookeeper
 from .znode import BadVersionError, NodeExistsError, NoNodeError, ZkError, ZNodeTree
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "NoNodeError",
     "NodeExistsError",
     "ZNodeTree",
-    "ZkConfig",
     "ZkError",
     "ZkLock",
     "ZkSession",

@@ -46,26 +46,25 @@ _ERROR_KINDS = {
     "ZkError": ZkError,
 }
 
-__all__ = ["ZkConfig", "ZookeeperServer", "ZkSession", "build_zookeeper"]
+__all__ = ["ZookeeperServer", "ZkSession", "build_zookeeper"]
 
 
-@dataclass
-class ZkConfig:
-    """Zookeeper modelling knobs (see module docstring for calibration)."""
-
-    # Commit-pipeline service time: base + per-byte (serialization copies
-    # plus the synchronous log append — ~150 MB/s effective).
-    pipeline_base_ms: float = 0.4
-    pipeline_per_byte_ms: float = 7.0e-6
-    # Follower-side log append for a proposal.
-    follower_append_base_ms: float = 0.2
-    follower_append_per_byte_ms: float = 3.0e-6
-    # Local read service.
-    read_service_ms: float = 0.1
-    rpc_timeout_ms: float = 4_000.0
-    session_timeout_ms: float = 10_000.0
-    session_sweep_interval_ms: float = 2_000.0
-    heartbeat_interval_ms: float = 2_000.0
+# Modelling constants (see the module docstring for calibration).
+# Commit-pipeline service time: base + per-byte (serialization copies
+# plus the synchronous log append — ~150 MB/s effective).
+PIPELINE_BASE_MS = 0.4
+PIPELINE_PER_BYTE_MS = 7.0e-6
+# Follower-side log append for a proposal.
+FOLLOWER_APPEND_BASE_MS = 0.2
+FOLLOWER_APPEND_PER_BYTE_MS = 3.0e-6
+# Local read service.
+READ_SERVICE_MS = 0.1
+# Sessions: the leader sweeps every SESSION_SWEEP_INTERVAL_MS and expires
+# a session silent for SESSION_TIMEOUT_MS; clients ping every
+# HEARTBEAT_INTERVAL_MS.
+SESSION_TIMEOUT_MS = 10_000.0
+SESSION_SWEEP_INTERVAL_MS = 2_000.0
+HEARTBEAT_INTERVAL_MS = 2_000.0
 
 
 @dataclass
@@ -93,11 +92,9 @@ class ZookeeperServer(Node):
         node_id: str,
         site: str,
         ensemble: List[str],
-        config: Optional[ZkConfig] = None,
         cores: int = 8,
     ) -> None:
         super().__init__(sim, network, node_id, site, cores=cores)
-        self.config = config or ZkConfig()
         self.ensemble = list(ensemble)
         self.leader_id = self.ensemble[0]
         self.tree = ZNodeTree()
@@ -149,7 +146,7 @@ class ZookeeperServer(Node):
                 try:
                     result = yield from self.call(
                         self.leader_id, "zab_submit", op,
-                        size_bytes=op.size_bytes(), timeout=self.config.rpc_timeout_ms,
+                        size_bytes=op.size_bytes(),
                     )
                 except RpcTimeout as error:
                     raise NoLeader(f"leader unreachable: {error}") from error
@@ -173,10 +170,7 @@ class ZookeeperServer(Node):
         # The single-threaded commit pipeline: every write in the cluster
         # pays this serialized cost at the leader.
         with self.obs.tracer.span("zab.pipeline", node=self.node_id):
-            yield from self.pipeline.use(
-                self.config.pipeline_base_ms
-                + self.config.pipeline_per_byte_ms * op.size_bytes()
-            )
+            yield from self.pipeline.use(PIPELINE_BASE_MS + PIPELINE_PER_BYTE_MS * op.size_bytes())
         zxid = next(self._zxid)
         self.counters["proposals"] += 1
         self.obs.metrics.counter("zk.proposals", node=self.node_id).inc()
@@ -186,7 +180,7 @@ class ZookeeperServer(Node):
             with self.obs.tracer.span("zab.replicate", node=self.node_id):
                 handles = self.call_many(
                     followers, "zab_replicate", {"zxid": zxid, "op": op},
-                    size_bytes=op.size_bytes(), timeout=self.config.rpc_timeout_ms,
+                    size_bytes=op.size_bytes(),
                 )
                 yield quorum_of(self.sim, handles, needed)
         # Commit: apply locally in strict zxid order, then tell followers.
@@ -214,8 +208,7 @@ class ZookeeperServer(Node):
         body = self.payload(msg)
         op: _Op = body["op"]
         yield from self.compute(
-            self.config.follower_append_base_ms
-            + self.config.follower_append_per_byte_ms * op.size_bytes()
+            FOLLOWER_APPEND_BASE_MS + FOLLOWER_APPEND_PER_BYTE_MS * op.size_bytes()
         )
         self.reply(msg, {"ack": True})
 
@@ -277,7 +270,7 @@ class ZookeeperServer(Node):
 
     def local_read(self, reader) -> Generator[Any, Any, Any]:
         """Serve a read from the local tree (sequentially consistent)."""
-        yield from self.compute(self.config.read_service_ms)
+        yield from self.compute(READ_SERVICE_MS)
         return reader(self.tree)
 
     # -- sessions ---------------------------------------------------------------
@@ -294,13 +287,13 @@ class ZookeeperServer(Node):
 
     def _session_sweeper(self) -> Generator[Any, Any, None]:
         while True:
-            yield self.sim.timeout(self.config.session_sweep_interval_ms)
+            yield self.sim.timeout(SESSION_SWEEP_INTERVAL_MS)
             if self.failed:
                 continue
             now = self.clock.now()
             expired = [
                 sid for sid, last in self.sessions.items()
-                if now - last > self.config.session_timeout_ms
+                if now - last > SESSION_TIMEOUT_MS
             ]
             for session_id in expired:
                 del self.sessions[session_id]
@@ -315,9 +308,8 @@ class ZookeeperServer(Node):
 class ZkSession:
     """A client session bound to (colocated with) one server."""
 
-    def __init__(self, server: ZookeeperServer, config: Optional[ZkConfig] = None) -> None:
+    def __init__(self, server: ZookeeperServer) -> None:
         self.server = server
-        self.config = config or server.config
         self.sim = server.sim
         self.session_id: Optional[int] = None
         self._heartbeat = None
@@ -328,8 +320,7 @@ class ZkSession:
             self.server.sessions[self.session_id] = self.server.clock.now()
         else:
             reply = yield from self.server.call(
-                self.server.leader_id, "zk_session_open", None,
-                timeout=self.config.rpc_timeout_ms,
+                self.server.leader_id, "zk_session_open", None
             )
             self.session_id = reply["session_id"]
         self._heartbeat = self.sim.process(
@@ -350,7 +341,7 @@ class ZkSession:
 
     def _heartbeat_loop(self) -> Generator[Any, Any, None]:
         while True:
-            yield self.sim.timeout(self.config.heartbeat_interval_ms)
+            yield self.sim.timeout(HEARTBEAT_INTERVAL_MS)
             if self.server.is_leader:
                 if self.session_id in self.server.sessions:
                     self.server.sessions[self.session_id] = self.server.clock.now()
@@ -395,18 +386,14 @@ def build_zookeeper(
     sim: Simulator,
     network: Network,
     sites: List[str],
-    config: Optional[ZkConfig] = None,
     cores: int = 8,
 ) -> List[ZookeeperServer]:
     """A started ensemble, one server per given site; first is leader."""
-    config = config or ZkConfig()
     ensemble = [f"zk-{index}" for index in range(len(sites))]
-    servers = []
-    for index, site in enumerate(sites):
-        server = ZookeeperServer(
-            sim, network, ensemble[index], site, ensemble, config=config, cores=cores
-        )
-        servers.append(server)
+    servers = [
+        ZookeeperServer(sim, network, ensemble[index], site, ensemble, cores=cores)
+        for index, site in enumerate(sites)
+    ]
     for server in servers:
         server.start()
     return servers

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 __all__ = ["MusicConfig"]
 
 
 @dataclass
 class MusicConfig:
-    """Tunables for MUSIC replicas and clients.
+    """Tunables for MUSIC replicas and clients (its ``ClassVar`` client
+    timings are set by no deployment, so they are not fields).
 
     ``period_ms`` is the paper's T: the maximum time a lockholder may
     spend in one critical section, which both bounds the v2s time
@@ -29,9 +31,9 @@ class MusicConfig:
     delta: float = 1e-6
 
     # Client-side behaviour.
-    acquire_poll_interval_ms: float = 10.0  # backoff between acquireLock polls
-    acquire_poll_max_ms: float = 500.0
-    op_retry_delay_ms: float = 100.0
+    acquire_poll_interval_ms: ClassVar[float] = 10.0  # backoff between acquireLock polls
+    acquire_poll_max_ms: ClassVar[float] = 500.0
+    op_retry_delay_ms: ClassVar[float] = 100.0
 
     # Failure detection: how long a granted lock may sit idle before any
     # MUSIC replica may preempt it, and how long an enqueued-but-never-

@@ -163,7 +163,6 @@ def build_music(
     obs=None,
     audit: bool = False,
     elastic: bool = False,
-    topo_config=None,
     read_leases: Optional[bool] = None,
     profile: bool = False,
 ) -> MusicDeployment:
@@ -256,11 +255,10 @@ def build_music(
 
     topology = None
     if elastic:
-        from ..topo import TopoConfig, TopologyManager
+        from ..topo import TopologyManager
 
         topology = TopologyManager(
-            sim, network, store, latency_profile.site_names[0], streams,
-            config=topo_config or TopoConfig(),
+            sim, network, store, latency_profile.site_names[0], streams
         )
         topology.start()
 

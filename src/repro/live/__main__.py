@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from .config import load_cluster, localhost_spec, toml_skeleton
-from .harness import _drive_subprocess_workload, run_localcluster
+from .harness import run_clients, run_localcluster
 from .node import run_node
 
 
@@ -51,10 +51,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
     spec = load_cluster(args.config)
     keys = args.keys.split(",") if args.keys else ["live-key-0"]
     result, failures = asyncio.run(
-        _drive_subprocess_workload(
-            spec, keys, rounds=args.ops, n_clients=args.clients,
-            timeout_s=args.timeout,
-        )
+        run_clients(spec, keys, rounds=args.ops, n_clients=args.clients, timeout_s=args.timeout)
     )
     print(
         json.dumps(

@@ -19,11 +19,12 @@ from both modes.
 
 from __future__ import annotations
 
+import asyncio
 import itertools
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..bench.report import summarize
 from ..bench.workers import counter_increments, read_counter
@@ -32,7 +33,7 @@ from ..net import Node
 from ..sim import RandomStreams
 from .config import ClusterSpec
 
-__all__ = ["build_remote_client", "cs_workload", "WorkloadResult"]
+__all__ = ["build_remote_client", "cs_workload", "drive_workload", "WorkloadResult"]
 
 _client_seq = itertools.count()
 
@@ -152,3 +153,22 @@ def cs_workload(
         )
     result.finished_ms = clock.now
     return result
+
+
+async def drive_workload(
+    clock: Any,
+    new_client: Callable[[str], MusicClient],
+    sites: List[str],
+    keys: List[str],
+    rounds: int,
+    n_clients: int,
+    timeout_s: float,
+) -> WorkloadResult:
+    """Run ``cs_workload`` live: ``n_clients`` clients, client ``i``
+    built by ``new_client(sites[i % len(sites)])``, on ``clock`` under a
+    wall-clock deadline of ``timeout_s`` (``asyncio.TimeoutError``)."""
+    clients = [new_client(sites[index % len(sites)]) for index in range(n_clients)]
+    return await asyncio.wait_for(
+        clock.run_process(cs_workload(clock, clients, keys, rounds), name="workload"),
+        timeout=timeout_s,
+    )

@@ -260,7 +260,7 @@ run_dir = "{run_dir}"
 
 [music]
 # MusicConfig overrides, e.g.:
-# acquire_poll_interval_ms = 5.0
+# fast_locks = true
 
 [store]
 # StoreConfig overrides, e.g.:

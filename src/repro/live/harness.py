@@ -24,6 +24,7 @@ Exclusivity, Latest-State and FIFO verified on a *real* execution.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import os
 import signal
 import subprocess
@@ -33,7 +34,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs import AuditStream, ECFAuditor, merge_audit_events, replay_audit
-from .client import WorkloadResult, build_remote_client, cs_workload, workload_metrics
+from .client import WorkloadResult, build_remote_client, drive_workload, workload_metrics
 from .clock import LiveClock
 from .config import ClusterSpec, localhost_spec
 from .node import LiveProcess
@@ -44,6 +45,7 @@ __all__ = [
     "ProcessCluster",
     "free_port_block",
     "replay_merged",
+    "run_clients",
     "run_localcluster",
 ]
 
@@ -89,17 +91,10 @@ class LocalCluster:
         n_clients: int,
         timeout_s: float = 120.0,
     ) -> WorkloadResult:
-        clients = [
-            self.build_client(site=self.spec.site_names[i % len(self.spec.site_names)])
-            for i in range(n_clients)
-        ]
-        result = await asyncio.wait_for(
-            self.clock.run_process(
-                cs_workload(self.clock, clients, keys, rounds), name="workload"
-            ),
-            timeout=timeout_s,
+        return await drive_workload(
+            self.clock, self.build_client, self.spec.site_names,
+            keys, rounds, n_clients, timeout_s,
         )
-        return result
 
     def drain_failures(self) -> List[str]:
         # One shared clock, so one drain covers every node in-process.
@@ -207,31 +202,26 @@ class ProcessCluster:
         self.stop()
 
 
-async def _drive_subprocess_workload(
+async def run_clients(
     spec: ClusterSpec,
     keys: List[str],
     rounds: int,
     n_clients: int,
     timeout_s: float,
 ) -> Tuple[WorkloadResult, List[str]]:
-    """The client half of a subprocess-cluster run (in this process):
-    the workload's result and the client clock's unhandled failures."""
+    """The client side of a subprocess-cluster run, in this process on
+    a clock and transport of its own: the workload's result and that
+    clock's unhandled failures."""
     clock = LiveClock(epoch=spec.epoch)
     transport = TcpTransport(clock, spec, listen=None)
+    salts = itertools.count(1)
+
+    def new_client(site: str) -> Any:
+        return build_remote_client(spec, clock, transport, site=site, seed_salt=next(salts))
+
     try:
-        clients = [
-            build_remote_client(
-                spec, clock, transport,
-                site=spec.site_names[i % len(spec.site_names)],
-                seed_salt=i + 1,
-            )
-            for i in range(n_clients)
-        ]
-        result = await asyncio.wait_for(
-            clock.run_process(
-                cs_workload(clock, clients, keys, rounds), name="workload"
-            ),
-            timeout=timeout_s,
+        result = await drive_workload(
+            clock, new_client, spec.site_names, keys, rounds, n_clients, timeout_s
         )
         return result, clock.drain_failures()
     finally:
@@ -293,7 +283,7 @@ def run_localcluster(
     cluster.start()
     try:
         result, client_failures = asyncio.run(
-            _drive_subprocess_workload(spec, keys, rounds, n_clients, timeout_s)
+            run_clients(spec, keys, rounds, n_clients, timeout_s)
         )
     finally:
         exit_codes = cluster.stop()

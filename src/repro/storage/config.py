@@ -21,6 +21,7 @@ to *measure* durability trade-offs turn the knobs:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 __all__ = ["StorageEngineConfig", "WAL_SYNC_MODES"]
 
@@ -29,7 +30,9 @@ WAL_SYNC_MODES = ("always", "periodic", "off")
 
 @dataclass
 class StorageEngineConfig:
-    """Tunables for one replica's commit log / memtable / segment stack."""
+    """Tunables for one replica's commit log / memtable / segment stack
+    (its ``ClassVar`` sizes and rates are set by no deployment, so they
+    are not fields)."""
 
     # Commit-log sync mode: "always" | "periodic" | "off".
     wal_sync: str = "always"
@@ -50,20 +53,20 @@ class StorageEngineConfig:
     # Memtable flush threshold: when the (modelled) memtable size crosses
     # this, it is swapped into an immutable segment and the commit log is
     # checkpointed.  Large by default so short runs never flush.
-    memtable_flush_bytes: int = 4 * 1024 * 1024
+    memtable_flush_bytes: ClassVar[int] = 4 * 1024 * 1024
 
     # Size-tiered compaction (Cassandra STCS): merge a size tier once it
     # holds this many segments; tiers are log_{tier_factor}(size) buckets.
-    compaction_min_segments: int = 4
-    compaction_tier_factor: float = 4.0
+    compaction_min_segments: ClassVar[int] = 4
+    compaction_tier_factor: ClassVar[float] = 4.0
     # Background merge throughput; the merge occupies this much simulated
     # time but no node CPU (Cassandra throttles compaction off the
     # request path).
-    compaction_bytes_per_ms: float = 64.0 * 1024.0
+    compaction_bytes_per_ms: ClassVar[float] = 64.0 * 1024.0
 
     # Recovery replay throughput: bytes of durable commit log replayed
     # per simulated millisecond (~128 MB/s of sequential log reads).
-    replay_bytes_per_ms: float = 128.0 * 1024.0
+    replay_bytes_per_ms: ClassVar[float] = 128.0 * 1024.0
 
     def validate(self) -> None:
         if self.wal_sync not in WAL_SYNC_MODES:

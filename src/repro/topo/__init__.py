@@ -15,7 +15,6 @@ Enable with ``build_music(..., elastic=True)``; the default deployment
 constructs none of this, keeping baseline timings untouched.
 """
 
-from .config import TopoConfig
 from .gossip import STATUS_LEAVING, STATUS_NORMAL
 from .merkle import MerkleTree, leaf_index, partition_hash
 from .elastic import TopologyManager
@@ -24,7 +23,6 @@ __all__ = [
     "MerkleTree",
     "STATUS_LEAVING",
     "STATUS_NORMAL",
-    "TopoConfig",
     "TopologyManager",
     "leaf_index",
     "partition_hash",

@@ -46,7 +46,7 @@ rows, and a receiving engine stores copies of what it merges.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Tuple
 
 from ..errors import QuorumUnavailable, ReproError
 from ..net import Message, Network, Node, quorum_of, quorum_size
@@ -54,7 +54,6 @@ from ..sim import RandomStreams, Simulator
 from ..storage import PaxosState, merge_into
 from ..store import StoreCluster
 from ..store.replica import Bundle, StorageReplica, bundle_bytes
-from .config import TopoConfig
 from .gossip import (
     STATUS_JOINING,
     STATUS_LEAVING,
@@ -90,12 +89,10 @@ class TopologyManager:
         cluster: StoreCluster,
         site: str,
         streams: RandomStreams,
-        config: Optional[TopoConfig] = None,
     ) -> None:
         self.sim = sim
         self.network = network
         self.cluster = cluster
-        self.config = config or TopoConfig()
         self.streams = streams
         self.node = Node(sim, network, "topo-0", site)
         self.obs = self.node.obs
@@ -120,9 +117,7 @@ class TopologyManager:
             for other in self.cluster.replicas
             if other.node_id != replica.node_id
         }
-        gossiper = Gossiper(
-            replica, self.config, self.streams, members, status=status
-        )
+        gossiper = Gossiper(replica, self.streams, members, status=status)
         self.gossipers[replica.node_id] = gossiper
         replica.on(
             "topo_collect", lambda msg: self._handle_collect(replica, msg)
@@ -314,7 +309,6 @@ class TopologyManager:
             old,
             "topo_collect",
             {"partition": key},
-            timeout=self.config.rpc_timeout_ms,
         )
         replies = yield quorum_of(self.sim, handles, quorum_size(len(old)))
         entries, paxos = self._merge_collected([reply for _dst, reply in replies])
@@ -327,7 +321,6 @@ class TopologyManager:
             "topo_handover",
             {"partition": key, "entries": bundle, "paxos": paxos},
             size_bytes=size,
-            timeout=self.config.rpc_timeout_ms,
         )
         # Every gainer must hold the partition before the flip.
         yield quorum_of(self.sim, handover, len(gainers))
@@ -355,7 +348,6 @@ class TopologyManager:
                     loser,
                     "topo_cleanup",
                     {"partition": key},
-                    timeout=self.config.rpc_timeout_ms,
                 )
                 if self.obs.enabled:
                     self.obs.metrics.counter(
@@ -377,13 +369,11 @@ class TopologyManager:
                 node_a,
                 "topo_merkle_tree",
                 {"depth": REPAIR_DEPTH, "peer": node_b},
-                timeout=self.config.rpc_timeout_ms,
             )
             tree_b = yield from self.node.call(
                 node_b,
                 "topo_merkle_tree",
                 {"depth": REPAIR_DEPTH, "peer": node_a},
-                timeout=self.config.rpc_timeout_ms,
             )
             differing = MerkleTree.from_payload(tree_a["tree"]).diff(
                 MerkleTree.from_payload(tree_b["tree"])
@@ -402,7 +392,6 @@ class TopologyManager:
                     "topo_repair_sync",
                     {"peer": node_b, "leaves": differing, "depth": REPAIR_DEPTH},
                     size_bytes=8 * len(differing) + 32,
-                    timeout=self.config.rpc_timeout_ms,
                 )
             self._audit(
                 "topo_repair", nodes=f"{node_a},{node_b}", leaves=len(differing)
@@ -486,7 +475,6 @@ class TopologyManager:
             "topo_repair_exchange",
             {"entries": batch, "leaves": body["leaves"], "depth": depth},
             size_bytes=bundle_bytes(batch) + 64,
-            timeout=self.config.rpc_timeout_ms,
         )
         yield from replica.merge_bundle(reply["entries"])
         replica.reply(msg, {"ok": True})

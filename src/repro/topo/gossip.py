@@ -30,7 +30,6 @@ from typing import Any, Dict, Generator, List, Tuple
 from ..errors import ReproError
 from ..net import Message, Node
 from ..sim import RandomStreams
-from .config import TopoConfig
 
 __all__ = [
     "EndpointState",
@@ -60,6 +59,8 @@ GOSSIP_INTERVAL_MS = 1_000.0
 GOSSIP_FANOUT = 1
 # Recent heartbeat inter-arrival intervals kept per peer for phi.
 PHI_WINDOW = 8
+# A peer whose phi exceeds this is a suspect (Cassandra's default).
+PHI_THRESHOLD = 8.0
 
 
 @dataclass(frozen=True)
@@ -83,13 +84,11 @@ class Gossiper:
     def __init__(
         self,
         node: Node,
-        config: TopoConfig,
         streams: RandomStreams,
         members: Dict[str, str],
         status: str = STATUS_NORMAL,
     ) -> None:
         self.node = node
-        self.config = config
         self.obs = node.obs
         self._rng = streams.stream(f"topo-gossip:{node.node_id}")
         self.states: Dict[str, EndpointState] = {
@@ -152,13 +151,13 @@ class Gossiper:
 
     @property
     def suspects(self) -> List[str]:
-        """Active peers whose phi exceeds the configured threshold."""
+        """Active peers whose phi exceeds ``PHI_THRESHOLD``."""
         return sorted(
             node_id
             for node_id, state in self.states.items()
             if node_id != self.node.node_id
             and state.status in _ACTIVE
-            and self.phi(node_id) > self.config.phi_threshold
+            and self.phi(node_id) > PHI_THRESHOLD
         )
 
     def _record_heartbeat(self, peer: str) -> None:
@@ -228,7 +227,6 @@ class Gossiper:
                 "topo_gossip",
                 {"digest": digest},
                 size_bytes=24 * len(digest) + 32,
-                timeout=self.config.rpc_timeout_ms,
             )
         except ReproError:
             return  # silent peer; phi keeps accruing

@@ -12,6 +12,7 @@ from repro.baselines.zookeeper import (
     ZNodeTree,
     build_zookeeper,
 )
+from repro.baselines.zookeeper import server as zk_server
 from repro.errors import NoLeader
 from repro.net import PROFILE_LUS, Network
 from repro.sim import RandomStreams, Simulator
@@ -80,10 +81,10 @@ class TestZNodeTree:
         assert tree.ephemerals_of(7) == ["/locks/e1"]
 
 
-def make_ensemble(**kwargs):
+def make_ensemble():
     sim = Simulator()
     network = Network(sim, PROFILE_LUS, streams=RandomStreams(3))
-    servers = build_zookeeper(sim, network, list(PROFILE_LUS.site_names), **kwargs)
+    servers = build_zookeeper(sim, network, list(PROFILE_LUS.site_names))
     return sim, network, servers
 
 
@@ -224,17 +225,16 @@ def test_zk_lock_mutual_exclusion():
     assert holding["max"] == 1
 
 
-def test_zk_lock_released_by_session_expiry_on_crash():
+def test_zk_lock_released_by_session_expiry_on_crash(monkeypatch):
     """A crashed holder's ephemeral lock znode is cleaned up, letting the
     next contender in — the ZK analogue of MUSIC's forcedRelease."""
-    from repro.baselines.zookeeper import ZkConfig
-
-    config = ZkConfig(session_timeout_ms=3_000.0, session_sweep_interval_ms=500.0,
-                      heartbeat_interval_ms=500.0)
-    sim, _net, servers = make_ensemble(config=config)
+    monkeypatch.setattr(zk_server, "SESSION_TIMEOUT_MS", 3_000.0)
+    monkeypatch.setattr(zk_server, "SESSION_SWEEP_INTERVAL_MS", 500.0)
+    monkeypatch.setattr(zk_server, "HEARTBEAT_INTERVAL_MS", 500.0)
+    sim, _net, servers = make_ensemble()
 
     def holder():
-        session = ZkSession(servers[1], config=config)
+        session = ZkSession(servers[1])
         yield from session.open()
         lock = ZkLock(session, "mutex")
         yield from lock.acquire()
@@ -243,7 +243,7 @@ def test_zk_lock_released_by_session_expiry_on_crash():
     run(sim, holder())
 
     def waiter():
-        session = ZkSession(servers[2], config=config)
+        session = ZkSession(servers[2])
         yield from session.open()
         lock = ZkLock(session, "mutex")
         acquired = yield from lock.acquire(timeout_ms=60_000.0)

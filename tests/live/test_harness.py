@@ -8,6 +8,7 @@ merged and replayed.  Plus the config-file round trips behind
 """
 
 import json
+import re
 import sys
 
 import pytest
@@ -72,8 +73,11 @@ def test_config_rejects_unknown_tunable(tmp_path):
     # Only fields are tunables: a name the config merely *has* (a
     # derived property, a method, a calibration constant) is rejected
     # the same way.
-    cases = [("music", name) for name in ("no_such_knob", "push_grants", "__eq__")]
-    cases.append(("store", "read_service_ms"))
+    cases = [
+        ("music", name)
+        for name in ("no_such_knob", "push_grants", "__eq__", "acquire_poll_interval_ms")
+    ]
+    cases += [("store", "read_service_ms"), ("store", "hint_ttl_ms")]
     for section, name in cases:
         spec = make_spec(n_nodes=2, tmp_path=tmp_path)
         getattr(spec, section)[name] = 1
@@ -87,3 +91,18 @@ def test_toml_skeleton_reflects_spec():
     assert 'name = "skeltest"' in text
     assert "seed = 42" in text
     assert text.count("[[node]]") == 2
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="TOML needs stdlib tomllib")
+def test_toml_skeleton_examples_are_tunables(tmp_path):
+    """Every commented example line of the skeleton, un-commented,
+    loads and builds both configs: the examples name real fields."""
+    example = re.compile(r"^# (\w+ = .+)$", re.MULTILINE)
+    text = toml_skeleton(make_spec(n_nodes=2, tmp_path=tmp_path))
+    assert len(example.findall(text)) == 2
+    path = tmp_path / "cluster.toml"
+    path.write_text(example.sub(r"\1", text))
+    spec = load_cluster(path)
+    assert spec.music == {"fast_locks": True} and spec.store == {"replication_factor": 3}
+    assert spec.music_config().fast_locks
+    assert spec.store_config().replication_factor == 3

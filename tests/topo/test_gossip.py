@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import build_music
-from repro.topo import STATUS_LEAVING, STATUS_NORMAL, TopoConfig
+from repro.topo import STATUS_LEAVING, STATUS_NORMAL, gossip
 from tests.helpers import broken_rpc
 
 
@@ -33,8 +33,9 @@ def test_status_change_propagates():
         assert gossiper.states["store-2-0"].status == STATUS_LEAVING
 
 
-def test_phi_accrues_on_silent_peer_and_resets_on_recovery():
-    music = make_elastic(topo_config=TopoConfig(phi_threshold=4.0))
+def test_phi_accrues_on_silent_peer_and_resets_on_recovery(monkeypatch):
+    monkeypatch.setattr(gossip, "PHI_THRESHOLD", 4.0)
+    music = make_elastic()
     sim = music.sim
     sim.run(until=20_000.0)  # learn the normal heartbeat cadence
     observer = music.topology.gossipers["store-0-0"]
