@@ -5,6 +5,7 @@ import pytest
 from repro.core import MusicConfig, build_music
 from repro.core.failure_detector import FailureDetector
 from repro.errors import QuorumUnavailable
+from repro.store import StoreConfig
 
 
 def run(music, generator, limit=1e9):
@@ -33,10 +34,10 @@ def test_client_skips_failed_replicas_in_rotation():
     assert run(music, task()) == "v"
 
 
-def test_client_exhausts_retries_with_typed_error():
+def test_client_exhausts_retries_with_typed_error(monkeypatch):
     music = build_music()
-    music.store.config.rpc_timeout_ms = 200.0
-    music.config.op_retry_delay_ms = 50.0
+    monkeypatch.setattr(StoreConfig, "rpc_timeout_ms", 200.0)
+    monkeypatch.setattr(MusicConfig, "op_retry_delay_ms", 50.0)
     client = music.client("Ohio")
     for site in music.profile.site_names:
         music.network.isolate_site(site)

@@ -33,6 +33,7 @@ from repro.core.client import OP_RETRY_LIMIT
 from repro.core.service import PUSH_WAIT_MS
 from repro.errors import NotLockHolder, QuorumUnavailable, ReproError
 from repro.net import Node
+from repro.store import StoreConfig
 
 MODES = ("library", "service")
 
@@ -53,7 +54,7 @@ def run(music, generator, limit=1e9):
 # -- failover attempt accounting ---------------------------------------------
 
 
-def test_failover_attempts_all_land_on_the_live_replica(mode):
+def test_failover_attempts_all_land_on_the_live_replica(mode, monkeypatch):
     """With two replicas pre-failed, every one of the OP_RETRY_LIMIT
     attempts must still contact the remaining live replica (the seed
     bug burned attempts skipping the failed ones)."""
@@ -61,7 +62,7 @@ def test_failover_attempts_all_land_on_the_live_replica(mode):
     client = client_of(music, mode)
     music.replica_at("Ohio").crash()
     music.replica_at("Oregon").crash()
-    music.config.op_retry_delay_ms = 1.0
+    monkeypatch.setattr(MusicConfig, "op_retry_delay_ms", 1.0)
     calls = []
 
     def nacking_op(replica):
@@ -150,10 +151,10 @@ def test_client_fails_over_across_replicas(mode):
     assert run(music, task()) == "via-failover"
 
 
-def test_nacks_without_backend_quorum(mode):
+def test_nacks_without_backend_quorum(mode, monkeypatch):
     music = build_music()
     client = client_of(music, mode)
-    music.store.config.rpc_timeout_ms = 300.0
+    monkeypatch.setattr(StoreConfig, "rpc_timeout_ms", 300.0)
     music.network.isolate_site("N.California")
     music.network.isolate_site("Oregon")
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import MusicConfig, build_music
 from repro.errors import LeaseExpired, NotLockHolder, QuorumUnavailable
+from repro.store import StoreConfig
 
 
 def failure_music(**overrides):
@@ -239,10 +240,10 @@ def test_client_fails_over_to_another_music_replica():
     assert run(music, task()) == "via-remote-replica"
 
 
-def test_operations_nack_without_backend_quorum():
+def test_operations_nack_without_backend_quorum(monkeypatch):
     """With two sites of store replicas down, ops nack rather than lie."""
     music = build_music()
-    music.store.config.rpc_timeout_ms = 300.0
+    monkeypatch.setattr(StoreConfig, "rpc_timeout_ms", 300.0)
     client = music.client("Ohio")
     music.network.isolate_site("N.California")
     music.network.isolate_site("Oregon")
@@ -257,9 +258,9 @@ def test_operations_nack_without_backend_quorum():
     assert run(music, task()) == "nack"
 
 
-def test_service_resumes_after_quorum_restored():
+def test_service_resumes_after_quorum_restored(monkeypatch):
     music = build_music()
-    music.store.config.rpc_timeout_ms = 300.0
+    monkeypatch.setattr(StoreConfig, "rpc_timeout_ms", 300.0)
     client = music.client("Ohio")
     music.network.isolate_site("N.California")
     music.network.isolate_site("Oregon")

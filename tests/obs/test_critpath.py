@@ -27,6 +27,7 @@ from repro.obs import (
 )
 from repro.obs.critpath import ROOT_SPAN, CritPath
 from repro.obs.trace import SpanRecord
+from repro.store import StoreConfig
 
 
 def _span(span_id, parent_id, name, start, end, trace_id=1, attrs=None, **kw):
@@ -181,13 +182,13 @@ def test_contention_acceptance_every_cs_explained():
     assert totals.get("mint.lwt", 0.0) > 0.0
 
 
-def test_a_cas_that_raised_under_a_partition_is_still_attributed():
+def test_a_cas_that_raised_under_a_partition_is_still_attributed(monkeypatch):
     """Regression: a ``store.cas`` span that ends by raising
     (QuorumUnavailable: no Paxos quorum across a partition) never sets
     ``attempts``; classifying its self time used to raise KeyError."""
     deployment = build_music(obs=True, seed=5)
     sim, obs = deployment.sim, deployment.obs
-    deployment.store.config.rpc_timeout_ms = 300.0
+    monkeypatch.setattr(StoreConfig, "rpc_timeout_ms", 300.0)
     client = deployment.client("Ohio")
     deployment.network.isolate_site("Ohio")
 

@@ -13,6 +13,7 @@ from repro.services import (
     PortalFrontend,
     VnfSpec,
 )
+from repro.store import StoreConfig
 
 
 def detecting_music(**kwargs):
@@ -111,10 +112,10 @@ def test_portal_survives_rolling_backend_failures():
     assert role == "final-role"
 
 
-def test_homing_worker_respects_partitioned_backend_with_nacks():
+def test_homing_worker_respects_partitioned_backend_with_nacks(monkeypatch):
     """A worker on an isolated site nacks (no split-brain homing)."""
     music = detecting_music(seed=303)
-    music.store.config.rpc_timeout_ms = 400.0
+    monkeypatch.setattr(StoreConfig, "rpc_timeout_ms", 400.0)
     sim = music.sim
     api = ClientApi(music.client("N.California"))
     isolated_worker = HomingWorker(music.client("Ohio"),

@@ -1,7 +1,7 @@
 """Integration tests for quorum reads/writes through the coordinator."""
 
 from repro.errors import QuorumUnavailable
-from repro.store import Consistency
+from repro.store import Consistency, StoreConfig
 
 from tests.helpers import make_store, run
 
@@ -85,13 +85,12 @@ def test_quorum_read_sees_quorum_write_despite_straggler():
     assert rows[None].visible_values()["value"] == "v2"
 
 
-def test_write_quorum_unavailable_when_two_sites_down():
+def test_write_quorum_unavailable_when_two_sites_down(monkeypatch):
+    monkeypatch.setattr(StoreConfig, "rpc_timeout_ms", 300.0)
     sim, net, cluster, (host,) = make_store()
     coord = cluster.coordinator_for(host)
     net.isolate_site("Oregon")
     net.isolate_site("N.California")
-    config = cluster.config
-    config.rpc_timeout_ms = 300.0
 
     def client():
         try:
@@ -192,11 +191,9 @@ def test_scan_keys_lists_live_partitions():
     assert run(sim, client()) == ["job-b"]
 
 
-def test_read_repair_enabled_globally_via_config():
-    from repro.store import StoreConfig
-
-    config = StoreConfig(replication_factor=3, read_repair_enabled=True)
-    sim, net, cluster, (host,) = make_store(config=config)
+def test_read_repair_enabled_globally_via_config(monkeypatch):
+    monkeypatch.setattr(StoreConfig, "read_repair_enabled", True)
+    sim, net, cluster, (host,) = make_store()
     coord = cluster.coordinator_for(host)
     oregon_replica = cluster.replicas_in_site("Oregon")[0]
 
@@ -214,12 +211,11 @@ def test_read_repair_enabled_globally_via_config():
     assert run(sim, client())["value"] == "new"
 
 
-def test_read_repair_pushes_merged_state():
-    from repro.store import StoreConfig
+def test_read_repair_pushes_merged_state(monkeypatch):
     from repro.store.types import Update
 
-    config = StoreConfig(replication_factor=3, read_repair_enabled=True)
-    sim, net, cluster, (host,) = make_store(config=config)
+    monkeypatch.setattr(StoreConfig, "read_repair_enabled", True)
+    sim, net, cluster, (host,) = make_store()
     coord = cluster.coordinator_for(host)
     (ohio,) = cluster.replicas_in_site("Ohio")
     (california,) = cluster.replicas_in_site("N.California")

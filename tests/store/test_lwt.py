@@ -1,7 +1,7 @@
 """Integration tests for light-weight transactions (per-partition Paxos)."""
 
 from repro.errors import QuorumUnavailable
-from repro.store import Condition, Consistency
+from repro.store import Condition, Consistency, StoreConfig
 from repro.store.types import DeleteRow, Update
 
 from tests.helpers import make_store, run
@@ -190,9 +190,9 @@ def test_cas_with_delete_in_mutation():
     assert rows == {}
 
 
-def test_cas_unavailable_without_quorum():
+def test_cas_unavailable_without_quorum(monkeypatch):
+    monkeypatch.setattr(StoreConfig, "rpc_timeout_ms", 300.0)
     sim, net, cluster, (host,) = make_store()
-    cluster.config.rpc_timeout_ms = 300.0
     coord = cluster.coordinator_for(host)
     net.isolate_site("N.California")
     net.isolate_site("Oregon")
@@ -210,11 +210,11 @@ def test_cas_unavailable_without_quorum():
     assert run(sim, client()) == "nack"
 
 
-def test_cas_succeeds_with_one_site_down():
+def test_cas_succeeds_with_one_site_down(monkeypatch):
+    monkeypatch.setattr(StoreConfig, "rpc_timeout_ms", 500.0)
     sim, net, cluster, (host,) = make_store()
     coord = cluster.coordinator_for(host)
     net.isolate_site("Oregon")
-    cluster.config.rpc_timeout_ms = 500.0
 
     def client():
         result = yield from coord.cas(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.store import Consistency
+from repro.store import Consistency, StoreConfig
 from repro.store.types import Update
 
 from tests.helpers import broken_rpc, make_store, run
@@ -88,13 +88,10 @@ def test_anti_entropy_rides_out_a_silent_peer_but_not_a_bug():
         sim.run(until=sim.now + 20_000.0)
 
 
-def test_anti_entropy_disabled_leaves_replica_stale():
+def test_anti_entropy_disabled_leaves_replica_stale(monkeypatch):
     """With both repair mechanisms off, a missed write stays missed."""
-    from repro.store import StoreConfig
-
-    config = StoreConfig(replication_factor=3, anti_entropy_enabled=False,
-                         hinted_handoff_enabled=False)
-    sim, net, cluster, (host,) = make_store(anti_entropy=False, config=config)
+    monkeypatch.setattr(StoreConfig, "hinted_handoff_enabled", False)
+    sim, net, cluster, (host,) = make_store(anti_entropy=False)
     coord = cluster.coordinator_for(host)
     oregon = cluster.replicas_in_site("Oregon")[0]
 
@@ -108,10 +105,10 @@ def test_anti_entropy_disabled_leaves_replica_stale():
     assert run(sim, client()) is None
 
 
-def test_hinted_handoff_repairs_even_without_anti_entropy():
+def test_hinted_handoff_repairs_even_without_anti_entropy(monkeypatch):
+    monkeypatch.setattr(StoreConfig, "rpc_timeout_ms", 500.0)
+    monkeypatch.setattr(StoreConfig, "hint_replay_interval_ms", 1_000.0)
     sim, net, cluster, (host,) = make_store(anti_entropy=False)
-    cluster.config.rpc_timeout_ms = 500.0
-    cluster.config.hint_replay_interval_ms = 1_000.0
     coord = cluster.coordinator_for(host)
     oregon = cluster.replicas_in_site("Oregon")[0]
 

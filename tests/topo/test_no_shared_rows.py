@@ -66,8 +66,8 @@ def test_a_handover_bundle_is_not_shared_by_its_gainers():
     assert_no_shared_rows([replica.engine for replica in music.store.replicas])
 
 
-def test_a_repair_exchange_leaves_both_sides_their_own_rows():
-    music = setup_diverged()
+def test_a_repair_exchange_leaves_both_sides_their_own_rows(monkeypatch):
+    music = setup_diverged(monkeypatch)
     music.sim.run_until_complete(
         music.topology.repair_pair("store-0-0", "store-2-0"), limit=600_000.0
     )

@@ -1,14 +1,14 @@
 """Merkle anti-entropy repair over diverged replicas (real engines)."""
 
 from repro.net import Node
-from repro.store import Consistency
+from repro.store import Consistency, StoreConfig
 from repro.topo import MerkleTree
 from repro.topo.elastic import REPAIR_DEPTH
 
 from tests.topo.test_elastic import make_elastic, run
 
 
-def setup_diverged():
+def setup_diverged(monkeypatch):
     """Quorum writes during a partition: Oregon misses an overwrite and
     a delete; meanwhile Oregon takes a ONE-consistency write the other
     two sites miss.  Both directions must converge through one repair.
@@ -16,13 +16,8 @@ def setup_diverged():
     Hinted handoff is disabled so the divergence survives the heal —
     this is exactly the down-longer-than-the-hint-window case repair
     exists for."""
-    from repro.store import StoreConfig
-
-    music = make_elastic(
-        store_config=StoreConfig(
-            replication_factor=3, hinted_handoff_enabled=False
-        )
-    )
+    monkeypatch.setattr(StoreConfig, "hinted_handoff_enabled", False)
+    music = make_elastic()
     sim = music.sim
     topo = music.topology
     coord = music.store.coordinator_for(topo.node)  # topo-0 lives in Ohio
@@ -58,8 +53,8 @@ def engine_of(music, node_id):
     return music.store.by_id[node_id].engine
 
 
-def test_repair_converges_both_directions():
-    music = setup_diverged()
+def test_repair_converges_both_directions(monkeypatch):
+    music = setup_diverged(monkeypatch)
     a = engine_of(music, "store-0-0")
     b = engine_of(music, "store-2-0")
 
@@ -95,8 +90,8 @@ def test_repair_converges_both_directions():
     assert music.auditor.clean, music.auditor.render_report()
 
 
-def test_repair_is_idempotent():
-    music = setup_diverged()
+def test_repair_is_idempotent(monkeypatch):
+    music = setup_diverged(monkeypatch)
     run_pair = lambda: music.sim.run_until_complete(  # noqa: E731
         music.topology.repair_pair("store-0-0", "store-2-0"), limit=600_000.0
     )
@@ -106,8 +101,8 @@ def test_repair_is_idempotent():
     assert second == 0  # trees agree: nothing to stream
 
 
-def test_converged_engines_hash_identically():
-    music = setup_diverged()
+def test_converged_engines_hash_identically(monkeypatch):
+    music = setup_diverged(monkeypatch)
     music.sim.run_until_complete(
         music.topology.repair_pair("store-0-0", "store-2-0"), limit=600_000.0
     )
