@@ -95,8 +95,8 @@ class MusicClient:
 
     # -- retry plumbing ---------------------------------------------------------
 
-    def _with_failover(self, op_name: str, make_op) -> Generator[Any, Any, Any]:
-        """Run ``make_op(replica)`` with retries across replicas on nacks.
+    def _with_failover(self, op_name: str, op, *args: Any) -> Generator[Any, Any, Any]:
+        """Run ``op(replica, *args)`` with retries across replicas on nacks.
 
         Every attempt contacts a live replica: known-failed replicas are
         skipped by advancing the rotation cursor, not by burning one of
@@ -119,7 +119,7 @@ class MusicClient:
                         f"{op_name}: every replica is failed"
                     )
                 try:
-                    result = yield from make_op(replica)
+                    result = yield from op(replica, *args)
                     return result
                 except _RETRYABLE as error:
                     last_error = error
@@ -206,62 +206,50 @@ class MusicClient:
             if waiter is not None:
                 channel.unsubscribe(key, waiter)
 
-    def _put_attempt(self, key: str, lock_ref: int, value: Any, delete: bool = False):
+    def _put_once(
+        self, replica, key: str, lock_ref: int, value: Any, delete: bool
+    ) -> Generator[Any, Any, Stamp]:
         """One criticalPut (or criticalDelete) attempt at a replica,
         returning the stamp that attempt was acknowledged under."""
+        if delete:
+            stamp = yield from replica.critical_delete(key, lock_ref)
+        else:
+            stamp = yield from replica.critical_put(key, lock_ref, value)
+        if stamp is None:
+            # Guard said "not first yet": the local lock store lags;
+            # surface as retryable.
+            raise QuorumUnavailable("local lock store behind; retry")
+        if self.read_leases:
+            # This session's floor for lease-served reads, so a failover
+            # to a stale-mirror replica cannot serve a value older than
+            # our own last write.
+            self._critical_watermarks[(key, lock_ref)] = stamp
+        return stamp
 
-        def attempt(replica) -> Generator[Any, Any, Stamp]:
-            if delete:
-                stamp = yield from replica.critical_delete(key, lock_ref)
-            else:
-                stamp = yield from replica.critical_put(key, lock_ref, value)
-            if stamp is None:
-                # Guard said "not first yet": the local lock store lags;
-                # surface as retryable.
-                raise QuorumUnavailable("local lock store behind; retry")
-            if self.read_leases:
-                # This session's floor for lease-served reads, so a
-                # failover to a stale-mirror replica cannot serve a
-                # value older than our own last write.
-                self._critical_watermarks[(key, lock_ref)] = stamp
-            return stamp
-
-        return attempt
-
-    def _get_attempt(self, key: str, lock_ref: int):
+    def _get_once(
+        self, replica, key: str, lock_ref: int
+    ) -> Generator[Any, Any, Tuple[Any, Optional[Stamp]]]:
         """One criticalGet attempt at a replica, returning ``(value,
         stamp)`` of what it served."""
         # None unless read_leases recorded a write of this section.
         min_stamp = self._critical_watermarks.get((key, lock_ref))
-
-        def attempt(replica) -> Generator[Any, Any, Tuple[Any, Optional[Stamp]]]:
-            ok, value, stamp = yield from replica.critical_get(
-                key, lock_ref, min_stamp=min_stamp
-            )
-            if not ok:
-                raise QuorumUnavailable("local lock store behind; retry")
-            return (value, stamp)
-
-        return attempt
+        ok, value, stamp = yield from replica.critical_get(key, lock_ref, min_stamp)
+        if not ok:
+            raise QuorumUnavailable("local lock store behind; retry")
+        return (value, stamp)
 
     def critical_put(self, key: str, lock_ref: int, value: Any) -> Generator[Any, Any, Stamp]:
         """criticalPut, retried until acknowledged (the client obligation
         behind the 'true value' definition of Section III-A); returns
         the acknowledged write's stamp."""
-        return self._with_failover(
-            "criticalPut", self._put_attempt(key, lock_ref, value)
-        )
+        return self._with_failover("criticalPut", self._put_once, key, lock_ref, value, False)
 
     def critical_delete(self, key: str, lock_ref: int) -> Generator[Any, Any, Stamp]:
         """Delete the value of ``key`` as the lockholder (Section VI)."""
-        return self._with_failover(
-            "criticalDelete", self._put_attempt(key, lock_ref, None, delete=True)
-        )
+        return self._with_failover("criticalDelete", self._put_once, key, lock_ref, None, True)
 
     def critical_get(self, key: str, lock_ref: int) -> Generator[Any, Any, Any]:
-        value, _ = yield from self._with_failover(
-            "criticalGet", self._get_attempt(key, lock_ref)
-        )
+        value, _ = yield from self._with_failover("criticalGet", self._get_once, key, lock_ref)
         return value
 
     def critical_get_stamped(
@@ -270,7 +258,7 @@ class MusicClient:
         """criticalGet returning ``(value, stamp)`` — the version token
         the transaction layer records in read sets (None = never
         written)."""
-        return self._with_failover("criticalGet", self._get_attempt(key, lock_ref))
+        return self._with_failover("criticalGet", self._get_once, key, lock_ref)
 
     def txn_read(
         self, key: str

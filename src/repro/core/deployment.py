@@ -173,7 +173,8 @@ def build_music(
 
     ``obs=True`` (or an :class:`~repro.obs.Observability` instance)
     records spans and metrics across every node of the deployment;
-    the default is the near-free no-op recorder.
+    the default is the no-op recorder, under which an operation runs
+    its bare body and opens no span (see :mod:`repro.obs.trace`).
 
     ``audit=True`` attaches an audit stream with the ECF checker
     subscribed (:class:`~repro.obs.ECFAuditor`), returned as

@@ -158,26 +158,24 @@ class MusicReplica(Node):
         # epoch under which this replica last established flag=False at
         # quorum.  Key absent = no fast-path evidence.
         self._flag_epoch: Dict[str, Any] = {}
-        self.counters = {
-            "forced_releases": 0,
-            "syncs": 0,
-            "lease_hits": 0,
-            "lease_misses": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "cache_invalidations": 0,
-        }
+        self.counters = dict.fromkeys((
+            "forced_releases", "syncs", "lease_hits", "lease_misses",
+            "cache_hits", "cache_misses", "cache_invalidations",
+        ), 0)
         self._metric_counters: Dict[str, Any] = {}
 
     # -- helpers ------------------------------------------------------------
 
-    def _span(self, name: str, key: str) -> Any:
-        return self.obs.tracer.span(name, node=self.node_id, site=self.site, key=key)
+    def _traced(self, op: Generator[Any, Any, Any], name: str, key: str) -> Any:
+        """``op`` inside its ``music.*`` span: asked for only when tracing."""
+        return self.obs.tracer.around(op, name, node=self.node_id, site=self.site, key=key)
 
     def _count(self, metric: str, counter: Optional[str] = None) -> None:
-        """Bump a ``music.*`` metric and, if named, its ``counters`` twin."""
+        """Bump the ``counters`` twin, if named, and the metric if obs is on."""
         if counter is not None:
             self.counters[counter] += 1
+        if not self.obs.enabled:
+            return
         instrument = self._metric_counters.get(metric)
         if instrument is None:
             instrument = self._metric_counters[metric] = self.obs.metrics.counter(
@@ -200,8 +198,10 @@ class MusicReplica(Node):
 
     def create_lock_ref(self, key: str) -> Generator[Any, Any, int]:
         """Mint and enqueue a lockRef, good for one critical section."""
-        with self._span("music.createLockRef", key):
-            lock_ref = yield from self.lock_store.generate_and_enqueue(key)
+        mint = self.lock_store.generate_and_enqueue(key)
+        if self.obs.tracer.enabled:
+            mint = self._traced(mint, "music.createLockRef", key)
+        lock_ref = yield from mint
         check_overflow(lock_ref, self.config.period_ms)
         return lock_ref
 
@@ -210,67 +210,79 @@ class MusicReplica(Node):
     def acquire_lock(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
         """True once ``lock_ref`` is first in the queue and the data store
         is synchronized; False to poll again; NotLockHolder if preempted."""
-        with self._span("music.acquireLock", key) as span:
-            head, epoch, _ = yield from self.lock_store.head(key, self._peek_at)
-            order = _queue_order(lock_ref, head)
-            if order:
-                if order < 0:
-                    raise self._not_holder(key, lock_ref)
-                span.set(granted=False)
-                return False
+        op = self._acquire(key, lock_ref)
+        return self._traced(op, "music.acquireLock", key) if self.obs.tracer.enabled else op
 
-            grant_started = self.sim.now
-            fast = self._flag_fast_path and self._fast_path_valid(key, epoch)
-            flag = False
-            anchor_clock = None
-            flag_stamp = None
-            with self._span("music.grant", key) as grant_span:
-                if fast:
-                    # The cached epoch matches the marker seen by the
-                    # peek that proved us queue head: no forcedRelease
-                    # applied since this replica last saw flag=False at
-                    # quorum, so the flag cannot have been set (only
-                    # forcedRelease sets it) and the store is defined.
-                    grant_span.set(fast=True)
-                    self._count("music.fastpath.hits")
-                else:
-                    # A read lease anchors at the local-clock time this
-                    # quorum flag read *started* (DESIGN.md §10).
-                    anchor_clock = self.lease_manager.anchor_start(self.clock)
-                    flag_rows = yield from self.coordinator.get(
-                        DATA_TABLE, key, clustering=SYNCH_ROW,
-                        consistency=Consistency.QUORUM,
-                    )
-                    flag, flag_stamp = _cell_of(flag_rows, SYNCH_ROW, "flag")
-                    flag = bool(flag)
-                    audit = self.obs.audit
-                    if audit.enabled:
-                        audit.emit(
-                            "flag_read", key=key, node=self.node_id,
-                            lock_ref=lock_ref, flag=flag, started_ms=grant_started,
-                        )
-                    if flag or self._always_sync:
-                        yield from self._synchronize(key, lock_ref)
-                    if self._flag_fast_path:
-                        # flag=False now holds at quorum (read clean or
-                        # just re-established by the sync); remember the
-                        # peek-time epoch as the evidence horizon.
-                        self._flag_epoch[key] = epoch
-                        self._count("music.fastpath.misses")
+    def _acquire(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
+        tracer = self.obs.tracer
+        head, epoch, _ = yield from self.lock_store.head(key, self._peek_at)
+        order = _queue_order(lock_ref, head)
+        if order:
+            if order < 0:
+                raise self._not_holder(key, lock_ref)
+            if tracer.enabled:
+                tracer.current_span().set(granted=False)
+            return False
 
-                start_time = self.clock.now()
-                yield from self.lock_store.set_start_time(key, lock_ref, start_time)
-            self._leases[(key, lock_ref)] = start_time
-            if anchor_clock is not None:
-                self.lease_manager.anchor(key, lock_ref, anchor_clock, flag_stamp)
-            span.set(granted=True)
+        fast = self._flag_fast_path and self._fast_path_valid(key, epoch)
+        grant = self._grant(key, lock_ref, epoch, fast)
+        if tracer.enabled:
+            grant = self._traced(grant, "music.grant", key)
+        flag = yield from grant
+        if tracer.enabled:
+            tracer.current_span().set(granted=True)
+        audit = self.obs.audit
+        if audit.enabled:
+            audit.emit("grant", key=key, node=self.node_id, lock_ref=lock_ref, flag=flag, fast=fast)
+        return True
+
+    def _grant(
+        self, key: str, lock_ref: int, epoch: Any, fast: bool
+    ) -> Generator[Any, Any, bool]:
+        """The grant of a lockRef found at the queue head: the synchFlag
+        read (and sync) unless ``fast``, then the lease start; returns
+        the flag read."""
+        grant_started = self.sim.now
+        flag, anchor_clock, flag_stamp = False, None, None
+        if fast:
+            # The cached epoch matches the marker seen by the peek that
+            # proved us queue head: no forcedRelease applied since this
+            # replica last saw flag=False at quorum, so the flag cannot
+            # have been set (only forcedRelease sets it) and the store
+            # is defined.
+            tracer = self.obs.tracer
+            if tracer.enabled:
+                tracer.current_span().set(fast=True)
+            self._count("music.fastpath.hits")
+        else:
+            # A read lease anchors at the local-clock time this quorum
+            # flag read *started* (DESIGN.md §10).
+            anchor_clock = self.lease_manager.anchor_start(self.clock)
+            flag_rows = yield from self.coordinator.get(
+                DATA_TABLE, key, clustering=SYNCH_ROW,
+                consistency=Consistency.QUORUM,
+            )
+            flag, flag_stamp = _cell_of(flag_rows, SYNCH_ROW, "flag")
+            flag = bool(flag)
             audit = self.obs.audit
             if audit.enabled:
-                audit.emit(
-                    "grant", key=key, node=self.node_id,
-                    lock_ref=lock_ref, flag=flag, fast=fast,
-                )
-            return True
+                audit.emit("flag_read", key=key, node=self.node_id, lock_ref=lock_ref,
+                           flag=flag, started_ms=grant_started)
+            if flag or self._always_sync:
+                yield from self._synchronize(key, lock_ref)
+            if self._flag_fast_path:
+                # flag=False now holds at quorum (read clean or just
+                # re-established by the sync); remember the peek-time
+                # epoch as the evidence horizon.
+                self._flag_epoch[key] = epoch
+                self._count("music.fastpath.misses")
+
+        start_time = self.clock.now()
+        yield from self.lock_store.set_start_time(key, lock_ref, start_time)
+        self._leases[(key, lock_ref)] = start_time
+        if anchor_clock is not None:
+            self.lease_manager.anchor(key, lock_ref, anchor_clock, flag_stamp)
+        return flag
 
     def _fast_path_valid(self, key: str, epoch: Any) -> bool:
         """True when the cached flag epoch proves the grant-time quorum
@@ -290,30 +302,29 @@ class MusicReplica(Node):
         propagating writes from the preempted lockholder.
         """
         self._count("music.syncs", "syncs")
+        op = self._synchronized(key, lock_ref)
+        return self._traced(op, "music.synchronize", key) if self.obs.tracer.enabled else op
+
+    def _synchronized(self, key: str, lock_ref: int) -> Generator[Any, Any, None]:
         audit = self.obs.audit
-        with self._span("music.synchronize", key):
-            rows = yield from self.coordinator.get(
-                DATA_TABLE, key, clustering=VALUE_ROW,
-                consistency=Consistency.QUORUM,
-            )
-            current, _ = _cell_of(rows)
-            value_stamp = self._stamp(lock_ref, 0.0)
-            yield from self.quorum_put(key, current, value_stamp)
-            if audit.enabled:
-                audit.emit(
-                    "sync", key=key, node=self.node_id, lock_ref=lock_ref,
-                    stamp=value_stamp, value=current,
-                )
-            flag_stamp = self._stamp(lock_ref, _TICK)
-            yield from self.coordinator.put(
-                DATA_TABLE, key, SYNCH_ROW, {"flag": False},
-                flag_stamp, consistency=Consistency.QUORUM,
-            )
-            if audit.enabled:
-                audit.emit(
-                    "flag_write", key=key, node=self.node_id, lock_ref=lock_ref,
-                    stamp=flag_stamp, flag=False, reason="sync",
-                )
+        rows = yield from self.coordinator.get(
+            DATA_TABLE, key, clustering=VALUE_ROW,
+            consistency=Consistency.QUORUM,
+        )
+        current, _ = _cell_of(rows)
+        value_stamp = self._stamp(lock_ref, 0.0)
+        yield from self.quorum_put(key, current, value_stamp)
+        if audit.enabled:
+            audit.emit("sync", key=key, node=self.node_id, lock_ref=lock_ref,
+                       stamp=value_stamp, value=current)
+        flag_stamp = self._stamp(lock_ref, _TICK)
+        yield from self.coordinator.put(
+            DATA_TABLE, key, SYNCH_ROW, {"flag": False},
+            flag_stamp, consistency=Consistency.QUORUM,
+        )
+        if audit.enabled:
+            audit.emit("flag_write", key=key, node=self.node_id, lock_ref=lock_ref,
+                       stamp=flag_stamp, flag=False, reason="sync")
 
     # -- criticalPut (cost: value quorum write) ----------------------------------
 
@@ -326,7 +337,8 @@ class MusicReplica(Node):
         session watermark for lease serves, the transaction layer's
         version token); ``None`` when the guard says retry.
         """
-        return self._critical_write("criticalPut", key, lock_ref, value, self._put_value)
+        op = self._critical_write(key, lock_ref, value, self._put_value)
+        return self._traced(op, "music.criticalPut", key) if self.obs.tracer.enabled else op
 
     def _put_value(self, key: str, value: Any, stamp: Stamp) -> Generator[Any, Any, Stamp]:
         """criticalPut's store write — the one step of the operation a
@@ -334,26 +346,25 @@ class MusicReplica(Node):
         return self.quorum_put(key, value, stamp)
 
     def _critical_write(
-        self, op: str, key: str, lock_ref: int, value: Any, write: Callable
+        self, key: str, lock_ref: int, value: Any, write: Callable
     ) -> Generator[Any, Any, Optional[Stamp]]:
-        with self._span("music." + op, key) as span:
-            proceed = yield from self._guard(key, lock_ref)
-            if not proceed:
-                span.set(guarded=True)
-                return None
-            offset = yield from self._lease_offset(key, lock_ref)
-            stamp = self._stamp(lock_ref, offset)
-            yield from write(key, value, stamp)
-            audit = self.obs.audit
-            if audit.enabled:
-                audit.emit(
-                    "critical_put", key=key, node=self.node_id,
-                    lock_ref=lock_ref, stamp=stamp, value=value,
-                )
-            # Write-through into the lease mirror and the
-            # bounded-staleness cache.
-            self.lease_manager.fill(key, lock_ref, value, stamp)
-            self.read_cache.fill(key, value, stamp, self.sim.now)
+        proceed = yield from self._guard(key, lock_ref)
+        if not proceed:
+            tracer = self.obs.tracer
+            if tracer.enabled:
+                tracer.current_span().set(guarded=True)
+            return None
+        offset = yield from self._lease_offset(key, lock_ref)
+        stamp = self._stamp(lock_ref, offset)
+        yield from write(key, value, stamp)
+        audit = self.obs.audit
+        if audit.enabled:
+            audit.emit("critical_put", key=key, node=self.node_id, lock_ref=lock_ref,
+                       stamp=stamp, value=value)
+        # Write-through into the lease mirror and the bounded-staleness
+        # cache.
+        self.lease_manager.fill(key, lock_ref, value, stamp)
+        self.read_cache.fill(key, value, stamp, self.sim.now)
         return stamp
 
     def critical_delete(
@@ -363,7 +374,8 @@ class MusicReplica(Node):
         companion of criticalPut is a criticalPut of ``None`` under its
         own op name — and always the plain quorum write, whatever a
         subclass makes of ``_put_value``."""
-        return self._critical_write("criticalDelete", key, lock_ref, None, self.quorum_put)
+        op = self._critical_write(key, lock_ref, None, self.quorum_put)
+        return self._traced(op, "music.criticalDelete", key) if self.obs.tracer.enabled else op
 
     # -- criticalGet (cost: value quorum read) -----------------------------------
 
@@ -384,41 +396,44 @@ class MusicReplica(Node):
         lease serve must be at least that fresh, so a failover to a
         replica with a stale mirror falls through to the quorum.
         """
+        op = self._critical_get(key, lock_ref, min_stamp)
+        return self._traced(op, "music.criticalGet", key) if self.obs.tracer.enabled else op
+
+    def _critical_get(
+        self, key: str, lock_ref: int, min_stamp: Optional[Stamp]
+    ) -> Generator[Any, Any, Tuple[bool, Any, Optional[Stamp]]]:
+        proceed = yield from self._guard(key, lock_ref)
+        tracer = self.obs.tracer
+        if not proceed:
+            if tracer.enabled:
+                tracer.current_span().set(guarded=True)
+            return (False, None, None)
+        audit = self.obs.audit
         leases = self.lease_manager
-        with self._span("music.criticalGet", key) as span:
-            proceed = yield from self._guard(key, lock_ref)
-            if not proceed:
-                span.set(guarded=True)
-                return (False, None, None)
-            audit = self.obs.audit
-            view = leases.serve(key, lock_ref, min_stamp, self.clock)
-            if view is not None:
-                value, stamp = view.value, view.value_stamp
-                self._count("music.lease.hits", "lease_hits")
-                if audit.enabled:
-                    audit.emit(
-                        "lease_read", key=key, node=self.node_id,
-                        lock_ref=lock_ref, stamp=stamp, value=value,
-                    )
-                span.set(lease=True)
-            else:
-                anchor_clock = leases.anchor_start(self.clock)
-                if anchor_clock is not None:
-                    self._count("music.lease.misses", "lease_misses")
-                rows = yield from self.coordinator.get(
-                    DATA_TABLE, key, clustering=self._get_rows,
-                    consistency=Consistency.QUORUM,
-                )
-                value, stamp = _cell_of(rows)
-                if audit.enabled:
-                    audit.emit(
-                        "critical_get", key=key, node=self.node_id,
-                        lock_ref=lock_ref, value=value,
-                    )
-                if anchor_clock is not None:
-                    _, flag_stamp = _cell_of(rows, SYNCH_ROW, "flag")
-                    if leases.anchor(key, lock_ref, anchor_clock, flag_stamp):
-                        leases.fill(key, lock_ref, value, stamp)
+        view = leases.serve(key, lock_ref, min_stamp, self.clock)
+        if view is not None:
+            value, stamp = view.value, view.value_stamp
+            self._count("music.lease.hits", "lease_hits")
+            if audit.enabled:
+                audit.emit("lease_read", key=key, node=self.node_id, lock_ref=lock_ref,
+                           stamp=stamp, value=value)
+            if tracer.enabled:
+                tracer.current_span().set(lease=True)
+            return (True, value, stamp)
+        anchor_clock = leases.anchor_start(self.clock)
+        if anchor_clock is not None:
+            self._count("music.lease.misses", "lease_misses")
+        rows = yield from self.coordinator.get(
+            DATA_TABLE, key, clustering=self._get_rows,
+            consistency=Consistency.QUORUM,
+        )
+        value, stamp = _cell_of(rows)
+        if audit.enabled:
+            audit.emit("critical_get", key=key, node=self.node_id, lock_ref=lock_ref, value=value)
+        if anchor_clock is not None:
+            _, flag_stamp = _cell_of(rows, SYNCH_ROW, "flag")
+            if leases.anchor(key, lock_ref, anchor_clock, flag_stamp):
+                leases.fill(key, lock_ref, value, stamp)
         return (True, value, stamp)
 
     def _guard(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
@@ -505,16 +520,17 @@ class MusicReplica(Node):
         return decided
 
     def release_lock(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
-        with self._span("music.releaseLock", key):
-            head, _, _ = yield from self.lock_store.head(key)
-            # A lockRef the queue has moved past was already forcibly
-            # released: nothing to dequeue, only bookkeeping to drop.
-            if _queue_order(lock_ref, head) >= 0:
-                decided = self._decided_hook("release", key, lock_ref)
-                yield from self.lock_store.dequeue(
-                    key, lock_ref, on_committing=decided
-                )
-                decided(late=True)
+        op = self._release(key, lock_ref)
+        return self._traced(op, "music.releaseLock", key) if self.obs.tracer.enabled else op
+
+    def _release(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
+        head, _, _ = yield from self.lock_store.head(key)
+        # A lockRef the queue has moved past was already forcibly
+        # released: nothing to dequeue, only bookkeeping to drop.
+        if _queue_order(lock_ref, head) >= 0:
+            decided = self._decided_hook("release", key, lock_ref)
+            yield from self.lock_store.dequeue(key, lock_ref, on_committing=decided)
+            decided(late=True)
         self.lease_manager.revoke(key)
         self._leases.pop((key, lock_ref), None)
         return True
@@ -533,36 +549,38 @@ class MusicReplica(Node):
         if _queue_order(lock_ref, head) < 0:
             return True  # previously released
         self._count("music.forced_releases", "forced_releases")
-        with self._span("music.forcedRelease", key):
-            forced_stamp = self._stamp(lock_ref + self.config.delta, 0.0)
-            yield from self.coordinator.put(
-                DATA_TABLE, key, SYNCH_ROW, {"flag": True},
-                forced_stamp, consistency=Consistency.QUORUM,
-            )
-            audit = self.obs.audit
-            if audit.enabled:
-                audit.emit(
-                    "flag_write", key=key, node=self.node_id,
-                    lock_ref=lock_ref, stamp=forced_stamp, flag=True,
-                    reason="forced",
-                )
-            # Under the fast path the dequeue also bumps the key's
-            # forced-release epoch marker (atomically, same LWT) so
-            # cached flag epochs elsewhere go stale.  Our own cache is
-            # dropped regardless: this replica just wrote flag=True.
-            self._flag_epoch.pop(key, None)
-            # The flag write above has acknowledged at quorum: drop our
-            # own lease on the key and wait out every window anchored
-            # before the ack (see LeaseManager.wait_out_ms).
-            self.lease_manager.revoke(key)
-            if self.lease_manager.wait_out_ms:
-                yield self.sim.timeout(self.lease_manager.wait_out_ms)
-            decided = self._decided_hook("forced_release", key, lock_ref, forced_stamp)
-            yield from self.lock_store.dequeue(
-                key, lock_ref, forced=self._forced_markers, on_committing=decided
-            )
-            decided(late=True)
+        preempt = self._preempt(key, lock_ref)
+        if self.obs.tracer.enabled:
+            preempt = self._traced(preempt, "music.forcedRelease", key)
+        yield from preempt
         return True
+
+    def _preempt(self, key: str, lock_ref: int) -> Generator[Any, Any, None]:
+        forced_stamp = self._stamp(lock_ref + self.config.delta, 0.0)
+        yield from self.coordinator.put(
+            DATA_TABLE, key, SYNCH_ROW, {"flag": True},
+            forced_stamp, consistency=Consistency.QUORUM,
+        )
+        audit = self.obs.audit
+        if audit.enabled:
+            audit.emit("flag_write", key=key, node=self.node_id, lock_ref=lock_ref,
+                       stamp=forced_stamp, flag=True, reason="forced")
+        # Under the fast path the dequeue also bumps the key's
+        # forced-release epoch marker (atomically, same LWT) so cached
+        # flag epochs elsewhere go stale.  Our own cache is dropped
+        # regardless: this replica just wrote flag=True.
+        self._flag_epoch.pop(key, None)
+        # The flag write above has acknowledged at quorum: drop our own
+        # lease on the key and wait out every window anchored before the
+        # ack (see LeaseManager.wait_out_ms).
+        self.lease_manager.revoke(key)
+        if self.lease_manager.wait_out_ms:
+            yield self.sim.timeout(self.lease_manager.wait_out_ms)
+        decided = self._decided_hook("forced_release", key, lock_ref, forced_stamp)
+        yield from self.lock_store.dequeue(
+            key, lock_ref, forced=self._forced_markers, on_committing=decided
+        )
+        decided(late=True)
 
     # -- lease invalidation on the release channel (DESIGN.md §10) ---------------
 

@@ -152,10 +152,11 @@ class LockStore:
                 return ref
             self._busy[key] = True
         try:
-            with self.obs.tracer.span(
-                "lockstore.enqueue", node=self._writer, key=key
-            ) as span:
-                refs = yield from self._mint(key, span, 1)
+            mint = self._mint(key, 1)
+            tracer = self.obs.tracer
+            if tracer.enabled:
+                mint = tracer.around(mint, "lockstore.enqueue", node=self._writer, key=key)
+            refs = yield from mint
         finally:
             if self.batched:
                 self._handoff(key)
@@ -172,7 +173,7 @@ class LockStore:
         return base + enqueues
 
     def _mint(
-        self, key: str, span: Any, count: int, dequeues: Sequence[_BatchOp] = ()
+        self, key: str, count: int, dequeues: Sequence[_BatchOp] = ()
     ) -> Generator[Any, Any, List[int]]:
         """Mint ``count`` consecutive lockRefs (and apply ``dequeues``)
         in one LWT: read the guard with an eventual read, then
@@ -240,7 +241,9 @@ class LockStore:
                 backoff_scale=self._mint_backoff_scale,
             )
             if result.applied:
-                span.set(attempts=attempt + 1)
+                tracer = self.obs.tracer
+                if tracer.enabled:
+                    tracer.current_span().set(attempts=attempt + 1)
                 if not emitted:
                     # A rival coordinator's recovery completed our
                     # partially-accepted proposal: the mint took effect
@@ -281,10 +284,11 @@ class LockStore:
         none).  Both ride the read the peek performs anyway, so a guard
         that consults them costs exactly what the plain guard costs.
         """
-        with self.obs.tracer.span("lockstore.peek", node=self._writer, key=key):
-            rows = yield from self.coordinator.get(
-                LOCK_TABLE, key, consistency=consistency
-            )
+        read = self.coordinator.get(LOCK_TABLE, key, consistency=consistency)
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            read = tracer.around(read, "lockstore.peek", node=self._writer, key=key)
+        rows = yield from read
         memo = self._heads.get(key)
         if memo is not None and memo[0] is rows:
             return memo[1]
@@ -392,38 +396,37 @@ class LockStore:
         """The one exists-conditioned dequeue LWT; a forced dequeue is
         the plain one plus the marker mutations.  An unapplied CAS means
         the row was already gone: still a success."""
-        with self.obs.tracer.span(
-            "lockstore.dequeue", node=self._writer, key=key
-        ) as span:
-            stamp = self._stamp()
-            mutations: List[Any] = [DeleteRow(LOCK_TABLE, key, lock_ref, stamp)]
-            if forced:
-                span.set(forced=True)
+        stamp = self._stamp()
+        mutations: List[Any] = [DeleteRow(LOCK_TABLE, key, lock_ref, stamp)]
+        if forced:
+            mutations.append(Update(LOCK_TABLE, key, FORCED_ROW, {"ref": lock_ref}, stamp))
+            if self.lease_rows:
+                # Lease revocation fused into the preemption LWT: a
+                # replica whose local partition still shows the old
+                # queue row cannot see it without also seeing this.
                 mutations.append(
-                    Update(LOCK_TABLE, key, FORCED_ROW, {"ref": lock_ref}, stamp)
-                )
-                if self.lease_rows:
-                    # Lease revocation fused into the preemption LWT: a
-                    # replica whose local partition still shows the old
-                    # queue row cannot see it without also seeing this.
-                    mutations.append(
-                        Update(
-                            LOCK_TABLE, key, LEASE_ROW,
-                            {"revoked": lock_ref, "by": self._writer}, stamp,
-                        )
+                    Update(
+                        LOCK_TABLE, key, LEASE_ROW,
+                        {"revoked": lock_ref, "by": self._writer}, stamp,
                     )
-            yield from self.coordinator.cas(
-                LOCK_TABLE,
-                key,
-                Condition("exists", clustering=lock_ref),
-                mutations,
-                stamp_with_ballot=True,  # the tombstone must beat the insert
-                on_committing=on_committing,
-                # In batch mode the dequeue is the lock handover: on a
-                # ballot loss re-contest quickly instead of ceding the
-                # partition to off-chain mints (which back off longer).
-                backoff_scale=self._dequeue_backoff_scale,
-            )
+                )
+        lwt = self.coordinator.cas(
+            LOCK_TABLE,
+            key,
+            Condition("exists", clustering=lock_ref),
+            mutations,
+            stamp_with_ballot=True,  # the tombstone must beat the insert
+            on_committing=on_committing,
+            # In batch mode the dequeue is the lock handover: on a ballot
+            # loss re-contest quickly instead of ceding the partition to
+            # off-chain mints (which back off longer).
+            backoff_scale=self._dequeue_backoff_scale,
+        )
+        tracer = self.obs.tracer
+        if not tracer.enabled:
+            return lwt
+        attrs = {"forced": True} if forced else {}
+        return tracer.around(lwt, "lockstore.dequeue", node=self._writer, key=key, **attrs)
 
     # -- LWT group commit (DESIGN.md §9) ----------------------------------------
 
@@ -477,20 +480,19 @@ class LockStore:
                 )
                 op.event.succeed(True)
             return
-        with self.obs.tracer.span(
-            "lockstore.batchFlush", node=self._writer, key=key, size=len(ops)
-        ) as span:
-            refs = yield from self._mint(key, span, len(enqueues), dequeues)
-            self.obs.metrics.histogram(
-                "lockstore.batch.size", node=self._writer
-            ).observe(len(ops))
-            self.obs.metrics.counter(
-                "lockstore.batch.flushes", node=self._writer
-            ).inc()
-            for op, ref in zip(enqueues, refs):
-                op.event.succeed(ref)
-            for op in dequeues:
-                op.event.succeed(True)
+        mint = self._mint(key, len(enqueues), dequeues)
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            mint = tracer.around(
+                mint, "lockstore.batchFlush", node=self._writer, key=key, size=len(ops)
+            )
+        refs = yield from mint
+        self.obs.metrics.histogram("lockstore.batch.size", node=self._writer).observe(len(ops))
+        self.obs.metrics.counter("lockstore.batch.flushes", node=self._writer).inc()
+        for op, ref in zip(enqueues, refs):
+            op.event.succeed(ref)
+        for op in dequeues:
+            op.event.succeed(True)
 
     # -- lease bookkeeping -----------------------------------------------------------
 

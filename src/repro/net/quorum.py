@@ -14,7 +14,7 @@ that a served continuation fills in for it (``repro.store.coordinator``).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import QuorumUnavailable
 from ..sim import Event, Simulator
@@ -34,14 +34,21 @@ class _Collector:
     last of them has triggered.
     """
 
-    __slots__ = ("outcome", "needed", "total", "destinations", "successes", "failed")
+    __slots__ = (
+        "outcome", "needed", "total", "destinations", "successes", "failed", "on_failure",
+    )
 
     def __init__(
-        self, outcome: Event, handles: List[Tuple[str, Event]], needed: int
+        self,
+        outcome: Event,
+        handles: List[Tuple[str, Event]],
+        needed: int,
+        on_failure: Optional[Callable[[str], None]],
     ) -> None:
         self.total = len(handles)
         self.outcome = outcome
         self.needed = needed
+        self.on_failure = on_failure
         self.destinations = {event: dst for dst, event in handles}
         self.successes: List[Tuple[str, Any]] = []
         self.failed = 0
@@ -51,6 +58,9 @@ class _Collector:
             reply.add_callback(collect)
 
     def collect(self, event: Event) -> None:
+        if not event._ok and self.on_failure is not None:
+            # Every failed reply, before and after the outcome.
+            self.on_failure(self.destinations[event])
         outcome = self.outcome
         if outcome._triggered:
             return
@@ -76,6 +86,7 @@ def quorum_of(
     handles: List[Tuple[str, Event]],
     needed: int,
     outcome: Optional[Event] = None,
+    on_failure: Optional[Callable[[str], None]] = None,
 ) -> Event:
     """An event (``outcome`` if given) that succeeds with the
     ``(destination, reply)`` pairs of the first ``needed`` successful
@@ -85,10 +96,12 @@ def quorum_of(
     :class:`QuorumUnavailable` at once, in the caller's step, if
     ``needed`` exceeds the requests sent.  Stragglers are left running;
     their eventual completion is harmless (and mirrors replicas applying
-    a write after the coordinator has already acknowledged it)."""
+    a write after the coordinator has already acknowledged it).
+    ``on_failure(destination)`` runs for every request that fails,
+    whether or not the outcome has triggered (hinted handoff)."""
     if needed > len(handles):
         raise QuorumUnavailable(f"need {needed} replies but only {len(handles)} requests sent")
     if outcome is None:
         outcome = sim.event(name="quorum")
-    _Collector(outcome, handles, needed)
+    _Collector(outcome, handles, needed, on_failure)
     return outcome

@@ -26,16 +26,22 @@ Context propagation uses two mechanisms:
   passes it as the explicit ``parent`` of its span, so replica-side
   spans join the caller's trace.
 
-The :data:`NULL_TRACER` makes the disabled path near-free: ``span()``
-returns a shared inert object whose enter/exit do nothing, no state is
-written, and nothing is ever retained.
+An operation is traced by one mechanism, :meth:`Tracer.around`: the
+operation builds its body generator and returns it bare when
+``tracer.enabled`` is false, or ``tracer.around(body, name, **attrs)``
+otherwise, and sets in-body attributes on :meth:`Tracer.current_span`
+behind the same check.  An untraced RPC therefore opens no span, enters
+nothing and builds no attribute dict: it pays one ``enabled`` test per
+operation.  The :data:`NULL_TRACER` is what such a run installs; its
+``span()`` (an inert shared object whose enter/exit do nothing) is left
+for cold paths, and it records nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # the scheduler seam; see repro.runtime
     from ..runtime import Clock
@@ -205,6 +211,15 @@ class Tracer:
         if profiler is not None:
             profiler.obs_spans += 1
         return Span(self, trace_id, next(self._ids), parent_id, name, node, site, attrs)
+
+    def around(
+        self, op: Generator[Any, Any, Any], name: str, **attrs: Any
+    ) -> Generator[Any, Any, Any]:
+        """Run the generator ``op`` inside ``self.span(name, **attrs)``
+        and return its result: a traced operation (see the module
+        docstring)."""
+        with self.span(name, **attrs):
+            return (yield from op)
 
     def current_span(self) -> Optional[Span]:
         process = self.sim.active_process

@@ -226,7 +226,13 @@ def _end_hold(held: _Hold) -> None:
     previous = sim.active_process
     sim.active_process = owner
     try:
-        resource.release()
+        if resource._waiters:
+            resource.release()
+        else:  # what release does with no hold queued, inline
+            in_use = resource._in_use = resource._in_use - 1
+            if in_use == 0 and resource._busy_since is not None:
+                resource.total_busy_time += sim.now - resource._busy_since
+                resource._busy_since = None
         then(arg)
     finally:
         sim.active_process = previous

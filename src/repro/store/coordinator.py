@@ -40,8 +40,9 @@ from .types import (
 
 __all__ = ["StoreCoordinator", "CasResult"]
 
-# The levels answered by one replica.
+# The levels answered by one replica, and every level there is.
 _SINGLE = (Consistency.ONE, Consistency.LOCAL_ONE)
+_LEVELS = (*_SINGLE, Consistency.QUORUM, Consistency.ALL)
 
 
 @dataclass
@@ -60,7 +61,7 @@ class CasResult:
 class _Prepare:
     """One LWT attempt's prepare round: what its served continuation
     chose (replicas, quorum, ballot target, stamped mutation) and the
-    ``paxos.prepare`` span it opened, which ``with prepare:`` closes."""
+    ``paxos.prepare`` span it opened if traced, which ``with prepare:`` closes."""
 
     __slots__ = (
         "table", "partition", "mutation", "stamp_with_ballot",
@@ -105,9 +106,10 @@ class StoreCoordinator:
         self._op_ids = itertools.count(1)
         self._hints: List[Tuple[str, List[Any]]] = []
         self._hint_replayer = None
-        # node id -> its rank as a replica to read from: -1 in our site,
-        # else the RTT to its site (see _nearest).
-        self._ranks: Dict[str, float] = {}
+        # placement -> (its nearest replica, whether that one is in our
+        # site): RTT ranks never change, so a single-replica read works
+        # its target out once per placement (see _nearest).
+        self._targets: Dict[Tuple[str, ...], Tuple[str, bool]] = {}
 
     # -- replica selection ---------------------------------------------------
 
@@ -115,36 +117,36 @@ class StoreCoordinator:
         """The partition's placement: the ring's cached tuple, not a copy."""
         return self.ring.replicas_for(partition, self.config.replication_factor)
 
-    def _nearest(self, replicas: Sequence[str], local_only: bool) -> str:
-        """The first replica in our site, else the first lowest-RTT one."""
-        ranks = self._ranks
-        for replica in replicas:
-            if replica not in ranks:
-                network, site = self.node.network, self.node.site
-                other = network.site_of(replica)
-                ranks[replica] = -1.0 if other == site else network.profile.rtt(site, other)
-        nearest = min(replicas, key=ranks.__getitem__)
-        if local_only and ranks[nearest] >= 0.0:
-            raise QuorumUnavailable(f"no replica of partition in site {self.node.site}")
-        return nearest
+    def _nearest(self, replicas: Sequence[str]) -> Tuple[str, bool]:
+        """The first replica in our site, else the first lowest-RTT one;
+        and whether it is in our site."""
+        network, site = self.node.network, self.node.site
+
+        def rank(replica: str) -> float:
+            other = network.site_of(replica)
+            return -1.0 if other == site else network.profile.rtt(site, other)
+
+        nearest = min(replicas, key=rank)
+        return nearest, rank(nearest) < 0.0
 
     @staticmethod
     def _needed(consistency: str, replica_count: int) -> int:
-        """Acks to wait for; raises ``ValueError`` for an unknown level
-        (each op asks first, in the caller's step)."""
+        """Acks to wait for at a level the op has checked."""
         if consistency in _SINGLE:
             return 1
         if consistency == Consistency.QUORUM:
             return quorum_size(replica_count)
-        if consistency == Consistency.ALL:
-            return replica_count
-        raise ValueError(f"unknown consistency {consistency!r}")
+        return replica_count
+
+    def _traced(self, op: Generator[Any, Any, Any], name: str, **attrs: Any) -> Any:
+        """``op`` inside its span: asked for only when tracing."""
+        return self.obs.tracer.around(op, name, node=self.node.node_id, **attrs)
 
     def _serve(self, then: Callable[[Tuple[Any, ...]], None], *args: Any) -> Event:
         """Serve ``coordinator_service_ms``, then ``then((done, *args))``;
         return ``done``, the one event the op yields (and never names: a
         failed one's traceback holds the op's frame)."""
-        done = self.sim.event()
+        done = Event(self.sim)
         self.node.serve(self.config.coordinator_service_ms, then, (done,) + args, done)
         return done
 
@@ -165,33 +167,39 @@ class StoreCoordinator:
         acknowledged at the same consistency; with
         ``StoreConfig.read_repair_enabled`` the merge is pushed back.
         """
-        self._needed(consistency, 1)
-        with self.obs.tracer.span(
-            "store.get", node=self.node.node_id, site=self.node.site,
-            consistency=consistency, table=table,
-        ):
-            replies = yield self._serve(
-                self._get_served, table, partition, clustering, consistency
-            )
-            if consistency in _SINGLE:
-                return replies["rows"]
-            merged = self._merge_replies([reply for _dst, reply in replies])
-            if self.config.read_repair_enabled:
-                self.obs.metrics.counter("store.read_repairs", node=self.node.node_id).inc()
-                self._issue_read_repair(table, partition, merged, [dst for dst, _ in replies])
-            return merged
+        if consistency not in _LEVELS:
+            raise ValueError(f"unknown consistency {consistency!r}")
+        op = self._get(table, partition, clustering, consistency)
+        if not self.obs.tracer.enabled:
+            return op
+        return self._traced(
+            op, "store.get", site=self.node.site, consistency=consistency, table=table
+        )
+
+    def _get(
+        self, table: str, partition: str, clustering: Any, consistency: str
+    ) -> Generator[Any, Any, Dict[Any, Row]]:
+        replies = yield self._serve(self._get_served, table, partition, clustering, consistency)
+        if consistency in _SINGLE:
+            return replies["rows"]
+        merged = self._merge_replies([reply for _dst, reply in replies])
+        if self.config.read_repair_enabled:
+            self.obs.metrics.counter("store.read_repairs", node=self.node.node_id).inc()
+            self._issue_read_repair(table, partition, merged, [dst for dst, _ in replies])
+        return merged
 
     def _get_served(self, op: Tuple[Any, ...]) -> None:
         done, table, partition, clustering, consistency = op
-        replicas = self.replicas(partition)
+        replicas = self.ring.replicas_for(partition, self.config.replication_factor)
         body = {"table": table, "partition": partition, "clustering": clustering}
         timeout = self.config.rpc_timeout_ms
         if consistency in _SINGLE:
-            try:
-                target = self._nearest(replicas, consistency == Consistency.LOCAL_ONE)
-            except QuorumUnavailable as error:
-                # Without the traceback: it holds this frame, which names done.
-                done.fail(error.with_traceback(None))
+            nearest = self._targets.get(replicas)
+            if nearest is None:
+                nearest = self._targets[replicas] = self._nearest(replicas)
+            target, local = nearest
+            if not local and consistency == Consistency.LOCAL_ONE:
+                done.fail(QuorumUnavailable(f"no replica of partition in site {self.node.site}"))
                 return
             self.node.call_async(
                 target, "store_read", body, timeout=timeout, reply_event=done
@@ -214,7 +222,7 @@ class StoreCoordinator:
     def _scan_served(self, op: Tuple[Any, ...]) -> None:
         done, table = op
         self.node.call_async(
-            self._nearest(self.ring.nodes, local_only=False), "store_scan",
+            self._nearest(self.ring.nodes)[0], "store_scan",
             {"table": table}, timeout=self.config.rpc_timeout_ms, reply_event=done,
         )
 
@@ -292,17 +300,22 @@ class StoreCoordinator:
         table = updates[0].table
         if any(u.partition != partition or u.table != table for u in updates):
             raise ValueError("a write batch must target a single (table, partition)")
-        self._needed(consistency, 1)
-        with self.obs.tracer.span(
-            "store.put", node=self.node.node_id, site=self.node.site,
-            consistency=consistency, table=table,
-        ):
-            yield self._serve(self._write_served, updates, consistency)
+        if consistency not in _LEVELS:
+            raise ValueError(f"unknown consistency {consistency!r}")
+        op = self._written(updates, consistency)
+        if not self.obs.tracer.enabled:
+            return op
+        return self._traced(
+            op, "store.put", site=self.node.site, consistency=consistency, table=table
+        )
+
+    def _written(self, updates: List[Any], consistency: str) -> Generator[Any, Any, None]:
+        yield self._serve(self._write_served, updates, consistency)
 
     def _write_served(self, op: Tuple[Any, ...]) -> None:
         done, updates, consistency = op
         partition = updates[0].partition
-        replicas = self.replicas(partition)
+        replicas = self.ring.replicas_for(partition, self.config.replication_factor)
         needed = self._needed(consistency, len(replicas))
         # During a ring transition, nodes gaining this partition are
         # dual-written and their acks are *required* (Cassandra's
@@ -320,20 +333,13 @@ class StoreCoordinator:
             size_bytes=size,
             timeout=self.config.rpc_timeout_ms,
         )
-        if self.config.hinted_handoff_enabled:
-            for dst, handle in handles:
-                handle.add_callback(self._hint_on_failure(dst, updates))
-        quorum_of(self.sim, handles, needed, done)
+        hint = None
+        if self.config.hinted_handoff_enabled:  # a failed replica's copy waits as a hint
+            def hint(dst: str) -> None:
+                self._store_hint(dst, updates, self.sim.now)
+        quorum_of(self.sim, handles, needed, done, on_failure=hint)
 
     # -- hinted handoff ---------------------------------------------------------
-
-    def _hint_on_failure(self, replica: str, updates: List[Any]):
-        def on_outcome(event) -> None:
-            if event.ok:
-                return
-            self._store_hint(replica, updates, self.sim.now)
-
-        return on_outcome
 
     def _store_hint(
         self, replica: str, updates: List[Any], hinted_at: float,
@@ -429,6 +435,18 @@ class StoreCoordinator:
         while deferrable work (a mint batch) passes > 1 to yield the
         partition.  The default leaves the schedule untouched.
         """
+        op = self._cas(
+            table, partition, condition, mutation, stamp_with_ballot, on_committing, backoff_scale
+        )
+        if not self.obs.tracer.enabled:
+            return op
+        return self._traced(op, "store.cas", site=self.node.site, table=table)
+
+    def _cas(
+        self, table: str, partition: str, condition: Condition, mutation: Mutation,
+        stamp_with_ballot: bool, on_committing: Optional[Callable[[], None]],
+        backoff_scale: float,
+    ) -> Generator[Any, Any, CasResult]:
         attempts = self.config.cas_max_attempts
         # One identity for the whole logical operation: re-stamped retry
         # attempts must still be recognisable as *this* CAS (for the
@@ -436,54 +454,47 @@ class StoreCoordinator:
         # competing coordinator).
         op_id = f"{self.node.node_id}#{next(self._op_ids)}"
         mutation = [update.restamped(update.stamp, op_id) for update in mutation]
-        with self.obs.tracer.span(
-            "store.cas", node=self.node.node_id, site=self.node.site, table=table
-        ) as span:
-            for attempt in range(attempts):
-                outcome = yield from self._cas_once(
-                    table, partition, condition, mutation, stamp_with_ballot,
-                    on_committing,
-                )
-                if outcome is not None:
-                    span.set(attempts=attempt + 1, applied=outcome.applied)
-                    audit = self.obs.audit
-                    if audit.enabled:
-                        audit.emit(
-                            "lwt", node=self.node.node_id, table=table,
-                            partition=partition, applied=outcome.applied,
-                            attempts=attempt + 1,
-                        )
-                    return outcome
-                self.obs.metrics.counter(
-                    "store.cas.ballot_losses", node=self.node.node_id
-                ).inc()
-                # Exponential backoff (capped): under heavy contention a
-                # partition admits roughly one winner per LWT duration, so
-                # losers must spread out across many such rounds.
-                backoff = min(
-                    self.config.cas_backoff_base_ms * backoff_scale
-                    * (2 ** min(attempt, 7)),
-                    2_000.0,
-                )
-                backoff += self._rng.uniform(0.0, self.config.cas_backoff_jitter_ms)
-                yield backoff  # a bare delay: nobody else waits on it
+        for attempt in range(attempts):
+            outcome = yield from self._cas_once(
+                table, partition, condition, mutation, stamp_with_ballot, on_committing,
+            )
+            if outcome is not None:
+                tracer = self.obs.tracer
+                if tracer.enabled:
+                    tracer.current_span().set(attempts=attempt + 1, applied=outcome.applied)
+                audit = self.obs.audit
+                if audit.enabled:
+                    audit.emit(
+                        "lwt", node=self.node.node_id, table=table,
+                        partition=partition, applied=outcome.applied,
+                        attempts=attempt + 1,
+                    )
+                return outcome
+            self.obs.metrics.counter("store.cas.ballot_losses", node=self.node.node_id).inc()
+            # Exponential backoff (capped): under heavy contention a
+            # partition admits roughly one winner per LWT duration, so
+            # losers must spread out across many such rounds.
+            backoff = min(
+                self.config.cas_backoff_base_ms * backoff_scale * (2 ** min(attempt, 7)),
+                2_000.0,
+            )
+            backoff += self._rng.uniform(0.0, self.config.cas_backoff_jitter_ms)
+            yield backoff  # a bare delay: nobody else waits on it
         raise LockContention(
             f"cas on {table}/{partition} lost {attempts} ballot races"
         )
 
     def _cas_once(
-        self,
-        table: str,
-        partition: str,
-        condition: Condition,
-        mutation: Mutation,
-        stamp_with_ballot: bool = False,
-        on_committing: Optional[Callable[[], None]] = None,
+        self, table: str, partition: str, condition: Condition, mutation: Mutation,
+        stamp_with_ballot: bool = False, on_committing: Optional[Callable[[], None]] = None,
     ) -> Generator[Any, Any, Optional[CasResult]]:
         """One Paxos attempt; returns None to signal retry-with-backoff."""
         # Round 1: prepare/promise, sent by the served continuation.
         prepare = _Prepare(table, partition, mutation, stamp_with_ballot)
-        with prepare:
+        if self.obs.tracer.enabled:
+            with prepare:
+                replies = yield self._serve(self._prepare_served, prepare)
+        else:
             replies = yield self._serve(self._prepare_served, prepare)
         replicas, needed, target = prepare.replicas, prepare.needed, prepare.target
         mutation = prepare.mutation
@@ -529,12 +540,10 @@ class StoreCoordinator:
             return None
 
         # Round 2: read phase — evaluate the condition on merged quorum state.
-        with self.obs.tracer.span("paxos.read", node=self.node.node_id):
-            read_body = {"table": table, "partition": partition, "clustering": "__all_rows__"}
-            read_handles = self.node.call_many(
-                replicas, "store_read", read_body, timeout=self.config.rpc_timeout_ms
-            )
-            read_replies = yield quorum_of(self.sim, read_handles, needed)
+        read_body = {"table": table, "partition": partition, "clustering": "__all_rows__"}
+        read_replies = yield from self._round(
+            "paxos.read", replicas, "store_read", read_body, needed
+        )
         current = self._merge_replies([reply for _dst, reply in read_replies])
         if self._mutation_visible(current, mutation):
             # A competing coordinator completed our partially-accepted
@@ -571,9 +580,9 @@ class StoreCoordinator:
             prepare.mutation = [
                 update.restamped(stamp, update.op_id) for update in prepare.mutation
             ]
-        # The caller's current span while the prepares go out.
-        prepare.span = self.obs.tracer.span("paxos.prepare", node=self.node.node_id)
-        prepare.span.__enter__()
+        tracer = self.obs.tracer
+        if tracer.enabled:  # the caller's current span while the prepares go out
+            prepare.span = tracer.span("paxos.prepare", node=self.node.node_id).__enter__()
         handles = self.node.call_many(
             replicas, "paxos_prepare", target, timeout=self.config.rpc_timeout_ms
         )
@@ -588,15 +597,9 @@ class StoreCoordinator:
     ) -> Generator[Any, Any, bool]:
         size = sum(update.size_bytes() for update in mutation)
         body = dict(target, mutation=mutation)
-        with self.obs.tracer.span("paxos.propose", node=self.node.node_id):
-            handles = self.node.call_many(
-                replicas,
-                "paxos_propose",
-                body,
-                size_bytes=size,
-                timeout=self.config.rpc_timeout_ms,
-            )
-            replies = yield quorum_of(self.sim, handles, needed)
+        replies = yield from self._round(
+            "paxos.propose", replicas, "paxos_propose", body, needed, size
+        )
         rejections = [reply for _dst, reply in replies if not reply["accepted"]]
         if rejections:
             self._observe_ballots(rejections)
@@ -632,11 +635,22 @@ class StoreCoordinator:
         ]
         needed += len(pending)
         targets = [*replicas, *pending, *flipped]
-        with self.obs.tracer.span("paxos.commit", node=self.node.node_id):
-            handles = self.node.call_many(
-                targets, "paxos_commit", body, timeout=self.config.rpc_timeout_ms
-            )
-            yield quorum_of(self.sim, handles, needed)
+        yield from self._round("paxos.commit", targets, "paxos_commit", body, needed)
+
+    def _round(
+        self, name: str, targets: Sequence[str], kind: str, body: Any, needed: int,
+        size_bytes: int = 64,
+    ) -> Generator[Any, Any, List[Tuple[str, Any]]]:
+        """One Paxos round: ``kind`` to every target, done at ``needed`` replies."""
+        op = self._asked(targets, kind, body, needed, size_bytes)
+        return self._traced(op, name) if self.obs.tracer.enabled else op
+
+    def _asked(
+        self, targets: Sequence[str], kind: str, body: Any, needed: int, size_bytes: int
+    ) -> Generator[Any, Any, List[Tuple[str, Any]]]:
+        timeout = self.config.rpc_timeout_ms
+        handles = self.node.call_many(targets, kind, body, size_bytes=size_bytes, timeout=timeout)
+        return (yield quorum_of(self.sim, handles, needed))
 
     @staticmethod
     def _same_mutation(left: Mutation, right: Mutation) -> bool:

@@ -174,9 +174,8 @@ class StorageReplica(Node):
         return self.engine.live_rows(table, partition_key).get(clustering)
 
     def _count(self, name: str) -> None:
-        self.counters[name] += 1
-        if not self.obs.enabled:
-            return
+        """Bump ``store.replica.<name>``; a handler calls it only when
+        obs is on, after bumping ``counters[name]`` itself."""
         # One cached handle per name.
         counter = self._instruments.get(name)
         if counter is None:
@@ -207,8 +206,8 @@ class StorageReplica(Node):
                 span = tracer.span(span_name, node=self.node_id, site=self.site, parent=msg.trace)
             config = self.config
             service_ms = getattr(config, service)
-            if priced:
-                service_ms += config.value_service_ms(msg.size_bytes)
+            if priced:  # StoreConfig.value_service_ms, inline
+                service_ms += config.per_byte_service_ms * msg.size_bytes
             self.serve(service_ms, body, (msg, msg.body, span))
 
         return handle
@@ -222,7 +221,9 @@ class StorageReplica(Node):
 
     def _read(self, served: Served) -> None:
         _msg, body, _span = served
-        self._count("reads")
+        self.counters["reads"] += 1
+        if self.obs.enabled:
+            self._count("reads")
         rows = self.engine.live_rows(body["table"], body["partition"])
         clustering = body.get("clustering", ALL_ROWS)
         if clustering == ALL_ROWS:
@@ -234,7 +235,9 @@ class StorageReplica(Node):
         self._answer((served, {"rows": rows}, size))
 
     def _write(self, served: Served) -> None:
-        self._count("writes")
+        self.counters["writes"] += 1
+        if self.obs.enabled:
+            self._count("writes")
         self.engine.commit(served[1]["updates"], None, self._answer, (served, _OK, 64))
 
     def _scan(self, served: Served) -> None:
@@ -254,7 +257,9 @@ class StorageReplica(Node):
 
     def _prepare(self, served: Served) -> None:
         _msg, body, span = served
-        self._count("paxos_prepares")
+        self.counters["paxos_prepares"] += 1
+        if self.obs.enabled:
+            self._count("paxos_prepares")
         key = (body["table"], body["partition"])
         state = self._paxos_state(*key)
         ballot: Ballot = body["ballot"]
@@ -279,7 +284,9 @@ class StorageReplica(Node):
 
     def _propose(self, served: Served) -> None:
         _msg, body, span = served
-        self._count("paxos_proposes")
+        self.counters["paxos_proposes"] += 1
+        if self.obs.enabled:
+            self._count("paxos_proposes")
         key = (body["table"], body["partition"])
         state = self._paxos_state(*key)
         ballot: Ballot = body["ballot"]
@@ -298,7 +305,9 @@ class StorageReplica(Node):
 
     def _commit(self, served: Served) -> None:
         _msg, body, _span = served
-        self._count("paxos_commits")
+        self.counters["paxos_commits"] += 1
+        if self.obs.enabled:
+            self._count("paxos_commits")
         key = (body["table"], body["partition"])
         state = self._paxos_state(*key)
         ballot: Ballot = body["ballot"]

@@ -7,13 +7,17 @@ for observability that is off, no placement or price worked out again.
 These tests count the Python function calls one warmed-up store
 operation makes (``cProfile`` without builtins: exact for a seed, no
 clock involved), so they hold on any machine.  Python 3.12 inlines
-comprehensions, which saves the QUORUM paths a few calls.  Two MUSIC
+comprehensions, which saves the QUORUM paths a few calls.  Four MUSIC
 operations are counted the same way: the lock peek of acquireLock
 (``LockStore.head`` at LOCAL_ONE, which reuses its decode while the
-partition is unchanged) and one uncontended guarded CAS.
+partition is unchanged), one uncontended guarded CAS, and — through a
+``MusicClient`` with read leases on — a lease-served criticalGet (one
+LOCAL_ONE lock peek is all it models) and a criticalPut.  Tracing is
+off, so none of them opens a span.
 """
 
 import cProfile
+import gc
 import sys
 
 import pytest
@@ -23,24 +27,30 @@ from repro.net import REPLY_KIND
 from repro.store import Condition, Consistency, Update
 
 # Python calls per op: LOCAL_ONE get, QUORUM get, QUORUM put, lock
-# peek, guarded CAS.  The peek and CAS limits are this test's counts on
-# 3.11; for 3.12 the CAS limit is that count less the 19 calls an
-# ad-hoc count of the same CAS saves on 3.12 (628 -> 609), not a run
-# of this test there.
-KINDS = ("get_one", "get", "put", "head", "cas")
+# peek, guarded CAS, lease-served criticalGet, criticalPut.  Every limit
+# is this test's own count, run under CPython 3.11.7 and 3.12.1 (3.10
+# counts like 3.11, 3.13 like 3.12).
+KINDS = ("get_one", "get", "put", "head", "cas", "lease_get", "critical_put")
 LIMITS = (
-    (49, 123, 196, 54, 610) if sys.version_info >= (3, 12) else (49, 127, 198, 54, 629)
+    (40, 108, 167, 42, 573, 60, 232)
+    if sys.version_info >= (3, 12)
+    else (40, 112, 169, 42, 592, 60, 234)
 )
 
 
 def python_calls(thunk):
-    """Python-level function calls made while ``thunk()`` runs."""
+    """Python-level function calls made while ``thunk()`` runs, with the
+    cyclic collector held off: a collection would also count the
+    finalizers of whatever earlier tests left behind."""
+    gc.collect()
+    gc.disable()
     profile = cProfile.Profile(builtins=False)
     profile.enable()
     try:
         thunk()
     finally:
         profile.disable()
+        gc.enable()
     return sum(entry.callcount for entry in profile.getstats())
 
 
@@ -94,11 +104,48 @@ def op_runner(deployment, coordinator, kind):
     return run
 
 
+def client_runner(deployment, kind):
+    """``run(key)`` runs one criticalGet (``lease_get``) or criticalPut
+    through a ``MusicClient`` in its own process, inside a critical
+    section on ``key`` that has written once, so a read lease serves
+    every get."""
+    sim = deployment.sim
+    client = deployment.client(deployment.profile.site_names[0])
+    values = iter(range(1, 10**6))
+    sections = {}
+
+    def enter(key):
+        section = sections[key] = yield from client.critical_section(key)
+        yield from section.put(0)
+
+    def body(key):
+        section = sections[key]
+        if kind == "lease_get":
+            yield from client.critical_get(key, section.lock_ref)
+        else:
+            yield from client.critical_put(key, section.lock_ref, next(values))
+
+    def nothing():
+        return
+        yield
+
+    def run(key=None):
+        if key is not None and key not in sections:
+            sim.run_until_complete(sim.process(enter(key)), limit=1e12)
+        generator = nothing() if key is None else body(key)
+        return sim.run_until_complete(sim.process(generator), limit=1e12)
+
+    return run
+
+
 def calls_per_op(deployment, coordinator, kind):
     """The calls one op adds to running an empty process, averaged over
     eight ops on four keys after eight warm-up ops (placements, sizes
     and handler stand-ins are cached by then)."""
-    run = op_runner(deployment, coordinator, kind)
+    if kind in ("lease_get", "critical_put"):
+        run = client_runner(deployment, kind)
+    else:
+        run = op_runner(deployment, coordinator, kind)
     keys = [f"k{index % 4}" for index in range(8)]
     for key in keys:
         run(key)
@@ -107,9 +154,29 @@ def calls_per_op(deployment, coordinator, kind):
 
 
 @pytest.mark.parametrize("kind, limit", zip(KINDS, LIMITS))
-def test_a_store_op_costs_a_bounded_number_of_calls(store, kind, limit):
-    deployment, coordinator = store
+def test_a_store_op_costs_a_bounded_number_of_calls(kind, limit):
+    deployment = build_music(seed=0, read_leases=kind in ("lease_get", "critical_put"))
+    coordinator = deployment.replicas[0].coordinator
     assert calls_per_op(deployment, coordinator, kind) <= limit
+
+
+def test_every_counted_get_is_lease_served():
+    """The eight gets ``calls_per_op`` counts, after its eight warm-up
+    gets, are all served by the read lease (no quorum read)."""
+    deployment = build_music(seed=0, read_leases=True)
+    run = client_runner(deployment, "lease_get")
+
+    def served():
+        counters = [replica.counters for replica in deployment.replicas]
+        return [sum(c["lease_hits"] for c in counters), sum(c["lease_misses"] for c in counters)]
+
+    keys = [f"k{index % 4}" for index in range(8)]
+    for key in keys:
+        run(key)
+    hits, misses = served()
+    for key in keys:
+        run(key)
+    assert served() == [hits + 8, misses]
 
 
 def test_a_request_and_its_reply_carry_the_bodies_themselves(store):

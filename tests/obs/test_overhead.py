@@ -1,11 +1,14 @@
-"""The disabled path must be near-free and must not perturb the sim.
+"""The disabled path must cost nothing it does not model and must not
+perturb the sim.
 
-Two guarantees:
+Three guarantees:
 
 1. **Determinism**: enabling observability never yields, sleeps, or
    consumes randomness, so simulated timings are bit-identical with it
    on or off.
-2. **Wall-clock**: with the default :data:`NULL_OBS` installed, the
+2. **No span untraced**: with the tracer off, no operation asks for a
+   span or enters one — each runs its bare body — counted exactly.
+3. **Wall-clock**: with the default :data:`NULL_OBS` installed, the
    per-call cost of the no-op instruments is a couple of attribute
    lookups — a tight loop over them stays within a generous per-op
    budget, and an instrumented batch-write workload stays within a few
@@ -16,6 +19,7 @@ import time
 
 from repro.core import build_music
 from repro.obs import NULL_AUDIT, NULL_OBS
+from repro.obs.trace import NullTracer, _NullSpan
 from tests.helpers import assert_replay_equivalent, audit_history, run
 
 
@@ -39,6 +43,50 @@ def test_observability_does_not_change_simulated_time():
     baseline = _workload(build_music(seed=5))
     observed = _workload(build_music(seed=5, obs=True))
     assert observed == baseline
+
+
+def _lease_served_gets(deployment, gets=4):
+    """A critical section that writes once, then reads ``gets`` times;
+    returns how many of the reads the lease tier served."""
+    client = deployment.client(deployment.profile.site_names[0])
+
+    def body():
+        section = yield from client.critical_section("key-0")
+        yield from section.put({"v": 0})
+        for _ in range(gets):
+            yield from section.get()
+        yield from section.exit()
+
+    run(deployment.sim, body())
+    return sum(replica.counters["lease_hits"] for replica in deployment.replicas)
+
+
+def test_an_untraced_run_opens_no_span(monkeypatch):
+    """An exact count: with the tracer off, no operation on the path
+    from client to replica to lock store to coordinator asks the null
+    tracer for a span or enters the null span — lease-served reads
+    included; each runs its bare body.  Traced, the same run records
+    every span it always did."""
+    calls = {"span": 0, "enter": 0}
+    span, enter = NullTracer.span, _NullSpan.__enter__
+
+    def counting_span(self, *args, **kwargs):
+        calls["span"] += 1
+        return span(self, *args, **kwargs)
+
+    def counting_enter(self):
+        calls["enter"] += 1
+        return enter(self)
+
+    monkeypatch.setattr(NullTracer, "span", counting_span)
+    monkeypatch.setattr(_NullSpan, "__enter__", counting_enter)
+    _workload(build_music(seed=5))
+    assert _lease_served_gets(build_music(seed=5, read_leases=True)) == 4
+    assert calls == {"span": 0, "enter": 0}
+
+    traced = build_music(seed=5, obs=True)
+    _workload(traced)
+    assert len(traced.obs.tracer.spans) == 320
 
 
 def test_auditor_does_not_change_simulated_time():

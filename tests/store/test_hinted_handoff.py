@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import QuorumUnavailable
 from repro.store import Consistency, StoreConfig
 
 from tests.helpers import make_store, run
@@ -40,6 +41,32 @@ def test_hint_stored_for_unreachable_replica_and_replayed():
         return coord.pending_hints
 
     assert run(sim, after()) == 0
+
+
+def test_a_failed_quorum_write_still_hints_every_unreachable_replica():
+    """With both other sites cut off a QUORUM put fails, and the failed
+    replies that decided it still become hints: the quorum wait reports
+    every failed reply to hinted handoff, the last one included, so both
+    replicas get the row once the sites heal."""
+    sim, net, cluster, (host,) = make_store()
+    coord = cluster.coordinator_for(host)
+    others = [cluster.replicas_in_site(site)[0] for site in ("N.California", "Oregon")]
+
+    def scenario():
+        net.isolate_site("N.California")
+        net.isolate_site("Oregon")
+        with pytest.raises(QuorumUnavailable):
+            yield from coord.put("t", "k", None, {"v": "hinted"}, (1.0, "w"),
+                                 consistency=Consistency.QUORUM)
+        hinted = coord.pending_hints
+        net.heal_all()
+        yield sim.timeout(5_000.0)  # a few replay rounds
+        return hinted, [replica.local_row("t", "k", None) for replica in others]
+
+    hinted, rows = run(sim, scenario())
+    assert hinted == 2
+    assert [row.visible_values()["v"] for row in rows] == ["hinted", "hinted"]
+    assert coord.pending_hints == 0
 
 
 def test_hints_disabled_leaves_replica_stale(monkeypatch):

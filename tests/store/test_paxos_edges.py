@@ -127,7 +127,8 @@ def test_commit_clears_matching_accepted_state():
 
 
 def test_local_one_read_requires_local_replica():
-    """LOCAL_ONE from a site with no replica is an explicit error."""
+    """LOCAL_ONE from a site with no replica is an explicit error, on
+    every read: the second one finds the placement's target cached."""
     from repro.store import HashRing, StoreConfig, StoreCoordinator
 
     sim, net, cluster, (host,) = make_store()
@@ -139,13 +140,17 @@ def test_local_one_read_requires_local_replica():
     coordinator = StoreCoordinator(host, ring, config)
 
     def scenario():
-        try:
-            yield from coordinator.get("t", "k", consistency=Consistency.LOCAL_ONE)
-        except QuorumUnavailable:
-            return "no-local"
-        return "ok"
+        outcomes = []
+        for _ in range(2):
+            try:
+                yield from coordinator.get("t", "k", consistency=Consistency.LOCAL_ONE)
+            except QuorumUnavailable:
+                outcomes.append("no-local")
+            else:
+                outcomes.append("ok")
+        return outcomes
 
-    assert run(sim, scenario()) == "no-local"
+    assert run(sim, scenario()) == ["no-local", "no-local"]
 
 
 def test_write_batch_must_share_partition():
