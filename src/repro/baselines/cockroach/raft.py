@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Generator, List, Optional, Tuple
 
 from ...errors import NoLeader, RpcTimeout, TransactionAborted
-from ...net import DEFAULT_RPC_TIMEOUT_MS, Network, Node, quorum_of, quorum_size
+from ...net import DEFAULT_RPC_TIMEOUT_MS, Network, Node, quorum_size
 from ...sim import Condition as SimCondition
 from ...sim import RandomStreams, Simulator
 from ...store.types import payload_size
@@ -269,7 +269,8 @@ class CockroachNode(Node):
         index = state.last_index()
         state.match_index[self.node_id] = index
         self.counters["proposals"] += 1
-        self.obs.metrics.counter("crdb.proposals", node=self.node_id).inc()
+        if self.obs.enabled:
+            self.obs.metrics.counter("crdb.proposals", node=self.node_id).inc()
 
         followers = [peer for peer in self.peers if peer != self.node_id]
         needed = quorum_size(len(self.peers)) - 1
@@ -284,8 +285,9 @@ class CockroachNode(Node):
                 "leader_commit": state.commit_index,
             }
             with self.obs.tracer.span("raft.replicate", node=self.node_id):
-                handles = self.call_many(followers, "raft_append", body, size_bytes=size)
-                replies = yield quorum_of(self.sim, handles, needed)
+                replies = yield self.call_quorum(
+                    followers, "raft_append", body, needed, size_bytes=size
+                )
             for dst, reply in replies:
                 if reply.get("term", 0) > state.term:
                     self._step_down(range_id, reply["term"])
@@ -478,8 +480,8 @@ class CockroachNode(Node):
             "entries": [],
             "leader_commit": state.commit_index,
         }
-        handles = self.call_many(followers, "raft_append", body)
-        for dst, handle in handles:
+        for dst in followers:
+            handle = self.call_async(dst, "raft_append", body)
             handle.add_callback(self._heartbeat_reply_callback(range_id, dst))
 
     def _heartbeat_reply_callback(self, range_id: int, peer: str):
@@ -530,12 +532,12 @@ class CockroachNode(Node):
             "last_log_term": state.last_term(),
         }
         followers = [peer for peer in self.peers if peer != self.node_id]
-        handles = self.call_many(followers, "raft_vote", body,
-                                 timeout=DEFAULT_RPC_TIMEOUT_MS / 2)
         votes = 1  # self-vote
         needed = quorum_size(len(self.peers))
         try:
-            replies = yield quorum_of(self.sim, handles, needed - 1)
+            replies = yield self.call_quorum(
+                followers, "raft_vote", body, needed - 1, timeout=DEFAULT_RPC_TIMEOUT_MS / 2
+            )
         except Exception:
             state.role = "follower"
             return

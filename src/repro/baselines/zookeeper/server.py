@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ...errors import NoLeader, RpcTimeout
-from ...net import Network, Node, quorum_of, quorum_size
+from ...net import Network, Node, quorum_size
 from ...sim import Condition as SimCondition
 from ...sim import Resource, Simulator
 from ...store.types import payload_size
@@ -173,16 +173,16 @@ class ZookeeperServer(Node):
             yield from self.pipeline.use(PIPELINE_BASE_MS + PIPELINE_PER_BYTE_MS * op.size_bytes())
         zxid = next(self._zxid)
         self.counters["proposals"] += 1
-        self.obs.metrics.counter("zk.proposals", node=self.node_id).inc()
+        if self.obs.enabled:
+            self.obs.metrics.counter("zk.proposals", node=self.node_id).inc()
         followers = [peer for peer in self.ensemble if peer != self.node_id]
         needed = quorum_size(len(self.ensemble)) - 1  # the leader acks itself
         if needed > 0:
             with self.obs.tracer.span("zab.replicate", node=self.node_id):
-                handles = self.call_many(
-                    followers, "zab_replicate", {"zxid": zxid, "op": op},
+                yield self.call_quorum(
+                    followers, "zab_replicate", {"zxid": zxid, "op": op}, needed,
                     size_bytes=op.size_bytes(),
                 )
-                yield quorum_of(self.sim, handles, needed)
         # Commit: apply locally in strict zxid order, then tell followers.
         # A failed apply (e.g. NodeExists) is still a committed log entry
         # — it must reach followers or their ordered apply would stall.

@@ -40,6 +40,16 @@ ACQUIRE_POLL_BACKOFF = 1.5
 OP_RETRY_LIMIT = 5
 
 
+# The two lock ops as ``op(replica, *args)`` for _with_failover: module
+# functions, so a call (acquireLock polls) builds no closure.
+def _create_lock_ref(replica: MusicReplica, key: str) -> Generator[Any, Any, int]:
+    return replica.create_lock_ref(key)
+
+
+def _acquire_lock(replica: MusicReplica, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
+    return replica.acquire_lock(key, lock_ref)
+
+
 class MusicClient:
     """A client of the MUSIC service."""
 
@@ -134,14 +144,10 @@ class MusicClient:
     # -- MUSIC operations -------------------------------------------------------
 
     def create_lock_ref(self, key: str) -> Generator[Any, Any, int]:
-        return self._with_failover(
-            "createLockRef", lambda replica: replica.create_lock_ref(key)
-        )
+        return self._with_failover("createLockRef", _create_lock_ref, key)
 
     def acquire_lock(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
-        return self._with_failover(
-            "acquireLock", lambda replica: replica.acquire_lock(key, lock_ref)
-        )
+        return self._with_failover("acquireLock", _acquire_lock, key, lock_ref)
 
     def acquire_lock_blocking(
         self, key: str, lock_ref: int, timeout_ms: Optional[float] = None

@@ -354,8 +354,16 @@ class MusicReplica(Node):
             if tracer.enabled:
                 tracer.current_span().set(guarded=True)
             return None
-        offset = yield from self._lease_offset(key, lock_ref)
-        stamp = self._stamp(lock_ref, offset)
+        start_time = self._leases.get((key, lock_ref))
+        if start_time is None:
+            start_time = yield from self._lease_start(key, lock_ref)
+        offset = self.clock.now() - start_time
+        if offset >= self.config.period_ms:
+            raise LeaseExpired(
+                f"critical section for lockRef {lock_ref} on {key!r} exceeded "
+                f"T={self.config.period_ms}ms"
+            )
+        stamp = self._stamp(lock_ref, max(offset, _TICK))
         yield from write(key, value, stamp)
         audit = self.obs.audit
         if audit.enabled:
@@ -454,33 +462,26 @@ class MusicReplica(Node):
             raise self._not_holder(key, lock_ref)
         return order == 0
 
-    def _lease_offset(self, key: str, lock_ref: int) -> Generator[Any, Any, float]:
-        """Time since this lockRef's grant; raises once the lease T expires."""
-        start_time = self._leases.get((key, lock_ref))
-        if start_time is None:
-            entry = yield from self.lock_store.get_entry(key, lock_ref)
-            if entry is None or entry.start_time is None:
-                entry = yield from self.lock_store.get_entry(
-                    key, lock_ref, consistency=Consistency.QUORUM
-                )
-            if entry is not None and entry.start_time is not None:
-                start_time = entry.start_time
-            else:
-                # No recorded grant reachable (e.g. the startTime write
-                # lost a stamp race under heavy clock skew, a hazard the
-                # production system shares by mixing LWT and non-LWT
-                # writes in the lock table).  Lease enforcement is
-                # advisory: start the lease now rather than failing the
-                # lockholder; the queue-head guard still gates access.
-                start_time = self.clock.now()
-            self._leases[(key, lock_ref)] = start_time
-        offset = self.clock.now() - start_time
-        if offset >= self.config.period_ms:
-            raise LeaseExpired(
-                f"critical section for lockRef {lock_ref} on {key!r} exceeded "
-                f"T={self.config.period_ms}ms"
+    def _lease_start(self, key: str, lock_ref: int) -> Generator[Any, Any, float]:
+        """This lockRef's grant time, read from the lock store and kept
+        in ``_leases`` (a critical write reads it there first)."""
+        entry = yield from self.lock_store.get_entry(key, lock_ref)
+        if entry is None or entry.start_time is None:
+            entry = yield from self.lock_store.get_entry(
+                key, lock_ref, consistency=Consistency.QUORUM
             )
-        return max(offset, _TICK)
+        if entry is not None and entry.start_time is not None:
+            start_time = entry.start_time
+        else:
+            # No recorded grant reachable (e.g. the startTime write
+            # lost a stamp race under heavy clock skew, a hazard the
+            # production system shares by mixing LWT and non-LWT
+            # writes in the lock table).  Lease enforcement is
+            # advisory: start the lease now rather than failing the
+            # lockholder; the queue-head guard still gates access.
+            start_time = self.clock.now()
+        self._leases[(key, lock_ref)] = start_time
+        return start_time
 
     # -- releaseLock (cost: lockRef consensus write) --------------------------------
 

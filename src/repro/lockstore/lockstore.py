@@ -255,7 +255,8 @@ class LockStore:
             # Someone else advanced the guard first; re-read and retry.
             # Guard contention is the LWT contention rate of the
             # motivation: another client won this key's lockRef race.
-            self.obs.metrics.counter("lockstore.enqueue.conflicts", key=key).inc()
+            if self.obs.enabled:
+                self.obs.metrics.counter("lockstore.enqueue.conflicts", key=key).inc()
         raise LockContention(
             f"could not mint {count} lockRef(s) for {key!r} after "
             f"{MAX_ENQUEUE_ATTEMPTS} attempts"
@@ -487,8 +488,10 @@ class LockStore:
                 mint, "lockstore.batchFlush", node=self._writer, key=key, size=len(ops)
             )
         refs = yield from mint
-        self.obs.metrics.histogram("lockstore.batch.size", node=self._writer).observe(len(ops))
-        self.obs.metrics.counter("lockstore.batch.flushes", node=self._writer).inc()
+        if self.obs.enabled:
+            metrics = self.obs.metrics
+            metrics.histogram("lockstore.batch.size", node=self._writer).observe(len(ops))
+            metrics.counter("lockstore.batch.flushes", node=self._writer).inc()
         for op, ref in zip(enqueues, refs):
             op.event.succeed(ref)
         for op in dequeues:

@@ -2,7 +2,7 @@
 
 from .network import Message, Network, NetworkStats
 from .node import DEFAULT_RPC_TIMEOUT_MS, REPLY_KIND, Node
-from .quorum import quorum_of, quorum_size
+from .quorum import quorum_size
 from .topology import (
     LOCAL_RTT_MS,
     PAPER_PROFILES,
@@ -25,6 +25,5 @@ __all__ = [
     "PROFILE_LUS",
     "PROFILE_LUSEU",
     "REPLY_KIND",
-    "quorum_of",
     "quorum_size",
 ]

@@ -5,10 +5,13 @@ server, Raft peer, client host) subclasses :class:`Node`.  The inbox a
 node registers with the :class:`~repro.net.network.Network` is a sink,
 not a queue: the transport's ``put(message)`` completes a pending RPC
 or runs the registered handler inside the delivery itself, with no
-mailbox and no serve loop in between.  A node also owns a local clock
-and a CPU resource with a configurable core count (the paper's testbed
-machines have eight 2.5 GHz cores; CPU contention is what caps
-CassaEV-style local operations at finite throughput).
+mailbox and no serve loop in between.  A reply goes straight to what
+waits for it: a single call's reply event, or the
+:class:`~repro.net.quorum.QuorumWait` of a :meth:`Node.call_quorum`,
+registered under every request id of the round.  A node also owns a
+local clock and a CPU resource with a configurable core count (the
+paper's testbed machines have eight 2.5 GHz cores; CPU contention is
+what caps CassaEV-style local operations at finite throughput).
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Generator, List, Optional
 from typing import Sequence, Tuple
 
-from ..errors import RpcTimeout
-from ..sim import NodeClock, Process, Resource
+from ..errors import QuorumUnavailable, RpcTimeout
+from ..sim import Event, NodeClock, Process, Resource
 from .network import Message
+from .quorum import QuorumWait
 
 if TYPE_CHECKING:  # the environment seams; see repro.runtime
     from ..runtime import Clock, Transport
@@ -71,7 +75,7 @@ class _ExpiryQueue:
     were answered meanwhile, fails the ones that are due and re-arms
     for the next unanswered deadline.  An answered RPC therefore costs
     no kernel event and parks nothing in the clock's heap — nor here: an
-    entry is four scalars, never the reply event, and ``add`` drops
+    entry is four scalars, never what waits for the reply, and ``add`` drops
     answered heads as well, so the queue is as long as the calls in
     flight (plus whatever was answered behind an unanswered head).
     """
@@ -83,8 +87,8 @@ class _ExpiryQueue:
 
     def __init__(self, sim: "Clock", pending: Dict[int, Any], timeout: float) -> None:
         self.sim = sim
-        # The node's request_id -> reply event map; a call is unanswered
-        # exactly while its id is in it.
+        # The node's request_id -> reply event (or QuorumWait) map; a
+        # call is unanswered exactly while its id is in it.
         self.pending = pending
         self.timeout = timeout
         # (deadline, request_id, kind, dst), oldest first.
@@ -110,13 +114,13 @@ class _ExpiryQueue:
         entries = self.entries
         pending = self.pending
         now = self.sim.now
-        due: List[Tuple[Any, str, str]] = []
+        due: List[Tuple[Any, int, str, str]] = []
         while entries:
             deadline, request_id, kind, dst = entries[0]
             if request_id in pending:
                 if deadline > now:
                     break
-                due.append((pending.pop(request_id), kind, dst))
+                due.append((pending.pop(request_id), request_id, kind, dst))
             entries.popleft()
         # Re-arm before failing anything: a waiter woken below may well
         # call again, and must find the timer state settled.
@@ -124,8 +128,11 @@ class _ExpiryQueue:
             self.sim.schedule_at(entries[0][0], self._fire, None)
         else:
             self.armed = False
-        for reply_event, kind, dst in due:
-            reply_event.fail(RpcTimeout(f"{kind} to {dst} after {self.timeout}ms"))
+        for waiter, request_id, kind, dst in due:
+            if type(waiter) is QuorumWait:
+                waiter.timed_out(request_id)
+            else:
+                waiter.fail(RpcTimeout(f"{kind} to {dst} after {self.timeout}ms"))
 
 
 class Node:
@@ -290,6 +297,60 @@ class Node:
         expiry.add(request_id, kind, dst)
         return reply_event
 
+    def call_quorum(
+        self,
+        destinations: Sequence[str],
+        kind: str,
+        body: Any,
+        needed: int,
+        outcome: Optional[Event] = None,
+        size_bytes: int = 64,
+        timeout: float = DEFAULT_RPC_TIMEOUT_MS,
+        on_failure: Optional[Callable[[str], None]] = None,
+    ) -> Event:
+        """Send one request per destination, in order, and return an
+        event (``outcome`` if given) that succeeds with the
+        ``(destination, reply)`` pairs of the first ``needed`` replies,
+        in arrival order, or fails with :class:`QuorumUnavailable` once
+        a quorum can no longer be formed.  A process waits with
+        ``replies = yield node.call_quorum(...)``.
+
+        Refuses with :class:`QuorumUnavailable` in the caller's step,
+        before anything is sent, if ``needed`` exceeds the destinations;
+        ``needed == 0`` succeeds at once with ``[]``.  Stragglers are
+        left running; their eventual completion is harmless (and mirrors
+        replicas applying a write after the coordinator has already
+        acknowledged it).  ``on_failure(destination)`` runs for every
+        request that times out, whether or not the outcome has
+        triggered (hinted handoff)."""
+        total = len(destinations)
+        if needed > total:
+            raise QuorumUnavailable(f"need {needed} replies but only {total} requests sent")
+        sim = self.sim
+        if outcome is None:
+            outcome = Event(sim, "quorum")
+        wait = QuorumWait(outcome, needed, on_failure)
+        if needed <= 0:
+            outcome._trigger(True, [])
+        profiler = sim.profiler
+        if profiler is not None:
+            profiler.rpc_envelopes += total
+        tracer = self.obs.tracer
+        trace = tracer.rpc_context() if tracer.enabled else None
+        expiry = self._expiry.get(timeout)
+        if expiry is None:
+            expiry = self._expiry[timeout] = _ExpiryQueue(sim, self._pending_replies, timeout)
+        pending, by_request = self._pending_replies, wait.destinations
+        send, node_id = self.network.send, self.node_id
+        for dst in destinations:
+            request_id = self._next_request_id
+            self._next_request_id = request_id + 1
+            pending[request_id] = wait
+            by_request[request_id] = dst
+            send(node_id, dst, kind, body, size_bytes, request_id, trace)
+            expiry.add(request_id, kind, dst)
+        return outcome
+
     def call(
         self,
         dst: str,
@@ -344,7 +405,8 @@ class Node:
     def _dispatch(self, message: Message) -> None:
         """The inbox's ``put``: handle ``message`` now, in the delivery.
 
-        A reply completes its pending RPC; anything else runs its
+        A reply completes its pending RPC (a call's reply event, or the
+        round's :class:`QuorumWait`); anything else runs its
         handler, and a generator handler takes its first step here, in
         the delivery, before becoming a process of its own.
         """
@@ -353,9 +415,14 @@ class Node:
             return
         kind = message.kind
         if kind == REPLY_KIND:
-            event = self._pending_replies.pop(message.request_id, None)
-            if event is not None and not event._triggered:
-                event._trigger(True, message.body)
+            request_id = message.request_id
+            waiter = self._pending_replies.pop(request_id, None)
+            if waiter is None:
+                return
+            if type(waiter) is QuorumWait:
+                waiter.reply(request_id, message.body)
+            elif not waiter._triggered:
+                waiter._trigger(True, message.body)
             return
         entry = self._handlers.get(kind)
         if entry is None:
@@ -373,24 +440,3 @@ class Node:
                 # replica-side work nests under the RPC's span.
                 self.obs.tracer.adopt(process, message.trace)
             process.start()
-
-    # -- broadcast helper ------------------------------------------------------
-
-    def call_many(
-        self,
-        destinations: Sequence[str],
-        kind: str,
-        body: Any,
-        size_bytes: int = 64,
-        timeout: float = DEFAULT_RPC_TIMEOUT_MS,
-    ) -> list[Tuple[str, Any]]:
-        """Start one RPC per destination; returns [(dst, Event)] handles.
-
-        Each handle triggers with the reply, or fails with
-        :class:`RpcTimeout`.  Callers combine them with quorum logic
-        (see :mod:`repro.store.coordinator`).
-        """
-        return [
-            (dst, self.call_async(dst, kind, body, size_bytes, timeout))
-            for dst in destinations
-        ]

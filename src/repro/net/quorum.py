@@ -7,19 +7,23 @@ N-K have failed.  This returns early on success — a write to a quorum
 does *not* wait for the slowest replica, which is precisely why a quorum
 operation costs ~1 RTT to the nearest majority in the latency figures.
 
-There is one quorum wait, :func:`quorum_of`: an event that a process
-yields, or, handed the ``outcome`` event a caller already waits on, one
-that a served continuation fills in for it (``repro.store.coordinator``).
+There is one quorum wait, :meth:`repro.net.Node.call_quorum`: it sends
+the requests and registers one :class:`QuorumWait` as every request's
+pending entry, so a reply (or a timeout) is handed straight to the
+collector that counts it — no per-request event.  Its outcome is an
+event that a process yields, or the ``outcome`` event a caller already
+waits on, which a served continuation fills in for it
+(``repro.store.coordinator``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import QuorumUnavailable
-from ..sim import Event, Simulator
+from ..sim import Event
 
-__all__ = ["quorum_of", "quorum_size"]
+__all__ = ["QuorumWait", "quorum_size"]
 
 
 def quorum_size(replica_count: int) -> int:
@@ -27,81 +31,52 @@ def quorum_size(replica_count: int) -> int:
     return replica_count // 2 + 1
 
 
-class _Collector:
+class QuorumWait:
     """Counts the replies of one quorum wait into its ``outcome`` event.
 
-    Held only by the reply events it listens to, so it goes when the
-    last of them has triggered.
+    The node's pending-reply map holds it under each of its requests'
+    ids (``destinations`` maps them back to the replicas), so it goes
+    when the last of them has been answered or has timed out.
     """
 
-    __slots__ = (
-        "outcome", "needed", "total", "destinations", "successes", "failed", "on_failure",
-    )
+    __slots__ = ("outcome", "needed", "destinations", "successes", "failed", "on_failure")
 
     def __init__(
-        self,
-        outcome: Event,
-        handles: List[Tuple[str, Event]],
-        needed: int,
-        on_failure: Optional[Callable[[str], None]],
+        self, outcome: Event, needed: int, on_failure: Optional[Callable[[str], None]]
     ) -> None:
-        self.total = len(handles)
         self.outcome = outcome
         self.needed = needed
         self.on_failure = on_failure
-        self.destinations = {event: dst for dst, event in handles}
+        # request id -> destination, one per request sent.
+        self.destinations: Dict[int, str] = {}
         self.successes: List[Tuple[str, Any]] = []
         self.failed = 0
-        # One collector for the whole wait, not a closure per destination.
-        collect = self.collect
-        for _dst, reply in handles:
-            reply.add_callback(collect)
 
-    def collect(self, event: Event) -> None:
-        if not event._ok and self.on_failure is not None:
-            # Every failed reply, before and after the outcome.
-            self.on_failure(self.destinations[event])
+    def reply(self, request_id: int, body: Any) -> None:
+        """The reply to request ``request_id`` arrived."""
         outcome = self.outcome
         if outcome._triggered:
             return
-        if event._ok:
-            successes = self.successes
-            successes.append((self.destinations[event], event._value))
-            if len(successes) >= self.needed:
-                outcome.succeed(list(successes))
-        else:
-            self.failed += 1
-            reachable = self.total - self.failed
-            if reachable < self.needed:
-                outcome.fail(
-                    QuorumUnavailable(
-                        f"only {reachable} of {self.total} replicas "
-                        f"reachable, needed {self.needed}"
-                    )
+        successes = self.successes
+        successes.append((self.destinations[request_id], body))
+        if len(successes) >= self.needed:
+            # Later replies return above, so the list is the outcome's.
+            outcome._trigger(True, successes)
+
+    def timed_out(self, request_id: int) -> None:
+        """Request ``request_id`` got no reply in time."""
+        if self.on_failure is not None:
+            # Every failed request, before and after the outcome.
+            self.on_failure(self.destinations[request_id])
+        outcome = self.outcome
+        if outcome._triggered:
+            return
+        self.failed += 1
+        total = len(self.destinations)
+        reachable = total - self.failed
+        if reachable < self.needed:
+            outcome.fail(
+                QuorumUnavailable(
+                    f"only {reachable} of {total} replicas reachable, needed {self.needed}"
                 )
-
-
-def quorum_of(
-    sim: Simulator,
-    handles: List[Tuple[str, Event]],
-    needed: int,
-    outcome: Optional[Event] = None,
-    on_failure: Optional[Callable[[str], None]] = None,
-) -> Event:
-    """An event (``outcome`` if given) that succeeds with the
-    ``(destination, reply)`` pairs of the first ``needed`` successful
-    replies, in completion order, or fails with
-    :class:`QuorumUnavailable` once a quorum can no longer be formed.
-    A process waits with ``replies = yield quorum_of(...)``.  Raises
-    :class:`QuorumUnavailable` at once, in the caller's step, if
-    ``needed`` exceeds the requests sent.  Stragglers are left running;
-    their eventual completion is harmless (and mirrors replicas applying
-    a write after the coordinator has already acknowledged it).
-    ``on_failure(destination)`` runs for every request that fails,
-    whether or not the outcome has triggered (hinted handoff)."""
-    if needed > len(handles):
-        raise QuorumUnavailable(f"need {needed} replies but only {len(handles)} requests sent")
-    if outcome is None:
-        outcome = sim.event(name="quorum")
-    _Collector(outcome, handles, needed, on_failure)
-    return outcome
+            )

@@ -7,6 +7,8 @@ NIC serialization, and condition variables for state-change waits.
 A resource has one way to hold a unit: :meth:`Resource.hold`, a
 continuation with one queueing rule (FIFO) and one abandon rule.
 :meth:`Resource.use` is its generator face, not a second implementation.
+A queued hold waits as itself, with no grant event: a release hands the
+unit to the oldest one and starts it by the kernel's trigger rule.
 
 Each primitive registers an *abandon hook* (``Event._abandon``) on the
 event a waiter blocks on: a mailbox get, a condition wait, the event a
@@ -99,7 +101,7 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Deque[_Hold] = deque()
         # Statistics for utilisation reporting.
         self.total_busy_time = 0.0
         self._busy_since: Optional[float] = None
@@ -117,9 +119,17 @@ class Resource:
         if self._in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
         if self._waiters:
-            # The unit passes straight on; the grant wakes its hold by
-            # the kernel's trigger rule (deferred inside a step).
-            self._waiters.popleft().succeed(self)
+            # The unit passes straight on, and the oldest hold starts by
+            # the kernel's trigger rule: in place when the dispatch loop
+            # released it, else as one ready-queue entry for this instant.
+            held = self._waiters.popleft()
+            sim = self.sim
+            if sim.dispatching and sim.active_process is None:
+                held.state = _RUNNING
+                sim.schedule(held.hold_time, _end_hold, held)
+            else:
+                held.state = _GRANTED
+                sim.schedule(0.0, _start_hold, held)
             return
         self._in_use -= 1
         if self._in_use == 0 and self._busy_since is not None:
@@ -160,9 +170,8 @@ class Resource:
             self._in_use = in_use + 1
             self.sim.schedule(hold_time, _end_hold, held)
         else:
-            grant = held.grant = Event(self.sim, name=self.name)
-            self._waiters.append(grant)
-            grant.add_callback(held.start)
+            held.state = _QUEUED
+            self._waiters.append(held)
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` time the resource was non-idle."""
@@ -172,11 +181,16 @@ class Resource:
         return busy / elapsed if elapsed > 0 else 0.0
 
 
-class _Hold:
-    """One :meth:`Resource.hold`: queued (``grant`` set), running, or
-    ended or abandoned (``then`` cleared, with what it referenced)."""
+# What a live hold is doing (``_Hold.state``): waiting in its resource's
+# queue, granted a unit with its start still queued, or holding the unit.
+_QUEUED, _GRANTED, _RUNNING = 0, 1, 2
 
-    __slots__ = ("resource", "hold_time", "then", "arg", "owner", "grant", "name")
+
+class _Hold:
+    """One :meth:`Resource.hold`: queued, granted, running (``state``),
+    or ended or abandoned (``then`` cleared, with what it referenced)."""
+
+    __slots__ = ("resource", "hold_time", "then", "arg", "owner", "state", "name")
 
     def __init__(
         self, resource: Resource, hold_time: float, then: Any, arg: Any, owner: Any
@@ -186,21 +200,16 @@ class _Hold:
         self.then = then
         self.arg = arg
         self.owner = owner
-        self.grant: Optional[Event] = None
+        self.state = _RUNNING
         self.name = resource.name if owner is None else owner.name  # for the profiler
-
-    def start(self, _grant: Event) -> None:
-        if self.then is not None:  # granted after queueing
-            self.grant = None
-            self.resource.sim.schedule(self.hold_time, _end_hold, self)
 
     def abandon(self, _event: Any = None) -> None:
         """Cancel the hold (a no-op once it has ended)."""
         if self.then is None:
             return
-        resource, grant, owner = self.resource, self.grant, self.owner
-        self.then = self.arg = self.owner = self.grant = None
-        if grant is None:  # running: released as the owner
+        resource, owner, state = self.resource, self.owner, self.state
+        self.then = self.arg = self.owner = None
+        if state == _RUNNING:  # released as the owner
             sim = resource.sim
             previous = sim.active_process
             sim.active_process = owner
@@ -208,10 +217,17 @@ class _Hold:
                 resource.release()
             finally:
                 sim.active_process = previous
-        elif grant._triggered:
-            resource.release()  # granted; the start was still queued
+        elif state == _GRANTED:
+            resource.release()  # its start, still queued, will find it gone
         else:
-            resource._waiters.remove(grant)
+            resource._waiters.remove(self)
+
+
+def _start_hold(held: _Hold) -> None:
+    """A granted hold's queued start: hold the unit, unless abandoned."""
+    if held.then is not None:
+        held.state = _RUNNING
+        held.resource.sim.schedule(held.hold_time, _end_hold, held)
 
 
 def _end_hold(held: _Hold) -> None:

@@ -53,23 +53,12 @@ Ballot = Tuple[int, str]
 # The live rows of a partition that has none (one shared, read-only view).
 _NO_ROWS: Mapping[Any, Any] = MappingProxyType({})
 
-_STORE_TYPES = None
-
-
-def _store_types():
-    """Lazy ``(Row, payload_size)`` import, resolved once:
-    repro.store.replica imports this module, so the reverse edge must
-    not exist at import time."""
-    global _STORE_TYPES
-    if _STORE_TYPES is None:
-        from ..store.types import Row, payload_size
-
-        _STORE_TYPES = (Row, payload_size)
-    return _STORE_TYPES
+# repro.store.types.Row, bound by the first engine (repro.store imports this module).
+_Row: Any = None
 
 
 def _rows_size_bytes(rows: Dict[Any, Any]) -> int:
-    payload_size = _store_types()[1]
+    from ..store.types import payload_size  # see _Row
     total = 32
     for row in rows.values():
         total += 16
@@ -142,6 +131,9 @@ class StorageEngine:
         self.config.validate()
         self.node_id = node_id
         self.obs = obs
+        global _Row
+        if _Row is None:
+            from ..store.types import Row as _Row
         self.wal = CommitLog()
         # memtable[table][partition_key][clustering] -> Row.  Stored rows
         # are frozen: a write puts a modified copy in the old row's place
@@ -204,37 +196,44 @@ class StorageEngine:
         piggybacks an acceptor-state snapshot on the same fsync.  The
         memtable apply happens only after the batch is durable per the
         sync mode, so an acknowledged write is never lost under
-        ``wal_sync="always"`` — see :meth:`_durably` for when that is.
-        A crashed engine journals nothing and continues at once.
-        """
+        ``wal_sync="always"``.  Under the default sync point (``"always"``,
+        no fsync latency) the batch is synced and applied in this call;
+        any other goes through :meth:`_durably`.  A crashed engine
+        journals nothing and continues at once."""
         if self.crashed:
-            if then is not None:
-                then(arg)
-            return ()
-        lsn = None
+            updates, paxos = (), None
+        wal, config = self.wal, self.config
+        # Each update is sized once: its record carries the size to the apply.
+        records = []
         for update in updates:
-            kind = "update" if hasattr(update, "columns") else "delete"
-            record = self.wal.append(kind, update, update.size_bytes())
-            if lsn is None:
-                lsn = record.lsn
-        if paxos is not None and self.config.journal_paxos:
+            records.append(wal.append(update.wal_kind, update, update.size_bytes()))
+        lsn = records[0].lsn if records else None
+        if paxos is not None and config.journal_paxos:
             key, state = paxos
             size = 48
             if state.accepted is not None:
-                size += sum(u.size_bytes() for u in state.accepted[1])
-            record = self.wal.append(
-                "paxos", (key, state.promised, state.accepted, state.latest_commit), size
-            )
-            if lsn is None:
-                lsn = record.lsn
-        return self._durably(lsn, self._applied, (updates, then, arg))
+                for update in state.accepted[1]:
+                    size += update.size_bytes()
+            image = (key, state.promised, state.accepted, state.latest_commit)
+            record = wal.append("paxos", image, size)
+            lsn = lsn or record.lsn  # LSNs start at 1
+        if lsn is not None:
+            if config.wal_sync != "always" or config.fsync_latency_ms > 0.0:
+                return self._durably(lsn, self._applied, (records, then, arg))
+            self.stats["synced_bytes"] += wal.sync()  # _fsync, inline
+            self.stats["fsyncs"] += 1
+            if self.obs.enabled:
+                self.obs.metrics.counter("storage.wal.fsyncs", node=self.node_id).inc()
+        self._applied((records, then, arg))
+        return ()
 
     def _applied(self, batch: Tuple[List[Any], Any, Any]) -> None:
-        updates, then, arg = batch
-        for update in updates:
-            self._apply(update)
-        if updates:
-            self._maybe_flush()
+        """Apply a journaled batch's update records, then run ``then(arg)``."""
+        records, then, arg = batch
+        for record in records:
+            self._apply(record.payload, record.size_bytes)
+        if records and self.memtable_bytes >= self.config.memtable_flush_bytes:
+            self.flush()
         if then is not None:
             then(arg)
 
@@ -250,7 +249,8 @@ class StorageEngine:
 
     def _merged(self, merge: Tuple[str, str, Dict[Any, Any], int]) -> None:
         self._merge(*merge)
-        self._maybe_flush()
+        if self.memtable_bytes >= self.config.memtable_flush_bytes:
+            self.flush()
 
     def drop_partition(
         self, partition_key: str, tables: Optional[List[str]] = None
@@ -286,20 +286,24 @@ class StorageEngine:
                 del self.paxos[key]
 
     def paxos_state(self, table: str, partition_key: str) -> PaxosState:
-        return self.paxos.setdefault((table, partition_key), PaxosState())
+        key = (table, partition_key)
+        return self.paxos.get(key) or self.paxos.setdefault(key, PaxosState())
 
-    def _apply(self, update: Any) -> None:
+    def _apply(self, update: Any, size: int) -> None:
+        """Apply one Update or DeleteRow of ``size`` bytes to the memtable."""
         table, partition_key = update.table, update.partition
-        partition = self.memtable.setdefault(table, {}).setdefault(partition_key, {})
+        # No throwaway dict: `or` builds one only when none (or an emptied one) is stored.
+        partitions = self.memtable.get(table) or self.memtable.setdefault(table, {})
+        partition = partitions.get(partition_key) or partitions.setdefault(partition_key, {})
         old = partition.get(update.clustering)
-        row = _store_types()[0]() if old is None else old.copy()
-        if hasattr(update, "columns"):
+        row = _Row() if old is None else old.copy()
+        if update.wal_kind == "update":
             for column, value in update.columns.items():
                 row.apply_cell(column, value, update.stamp, update.op_id)
         else:
             row.delete(update.stamp)
         self._store(table, partition_key, partition, update.clustering, old, row)
-        self.memtable_bytes += update.size_bytes()
+        self.memtable_bytes += size
 
     def _merge(
         self, table: str, partition_key: str, rows: Dict[Any, Any], size: int
@@ -323,7 +327,8 @@ class StorageEngine:
     ) -> None:
         """Put ``row`` where ``old`` was (None: append) and publish the
         partition's next live-row index version."""
-        partition[clustering] = row.freeze()
+        row._frozen = True  # Row.freeze, inline
+        partition[clustering] = row
         key = (table, partition_key)
         # Dropped even when the index stays: a segment's live row may
         # have died under this one.
@@ -351,8 +356,8 @@ class StorageEngine:
         """Run ``apply(arg)`` once the records from ``lsn`` on are durable
         per ``wal_sync``: now, returning ``()``, unless ``"always"`` has an
         fsync latency to wait out — then when it ends (not at all if the
-        engine crashed meanwhile), returning ``(event,)`` for that end.
-        Either way it is what a process caller yields from."""
+        engine crashed meanwhile), returning ``(event,)``: what a process
+        caller yields from."""
         if lsn is not None:
             mode = self.config.wal_sync
             if mode == "always":
@@ -379,9 +384,8 @@ class StorageEngine:
         synced.succeed()
 
     def _fsync(self) -> None:
-        newly_synced = self.wal.sync()
+        self.stats["synced_bytes"] += self.wal.sync()
         self.stats["fsyncs"] += 1
-        self.stats["synced_bytes"] += newly_synced
         if self.obs.enabled:
             self.obs.metrics.counter("storage.wal.fsyncs", node=self.node_id).inc()
 
@@ -408,10 +412,6 @@ class StorageEngine:
             self._sync_looping = False
 
     # -- flush & compaction --------------------------------------------------
-
-    def _maybe_flush(self) -> None:
-        if self.memtable_bytes >= self.config.memtable_flush_bytes:
-            self.flush()
 
     def flush(self) -> Optional[Segment]:
         """Swap the memtable into an immutable segment; checkpoint the log.
@@ -647,7 +647,7 @@ class StorageEngine:
 
     def _replay(self, record: Any) -> None:
         if record.kind in ("update", "delete"):
-            self._apply(record.payload)
+            self._apply(record.payload, record.size_bytes)
         elif record.kind == "rows":
             table, partition_key, rows = record.payload
             self._merge(table, partition_key, rows, record.size_bytes)

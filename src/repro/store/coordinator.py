@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..errors import LockContention, QuorumUnavailable, ReproError
-from ..net import Node, quorum_of, quorum_size
+from ..net import Node, quorum_size
 from ..sim import Event, RandomStreams
 from ..storage import merge_into
 from .config import StoreConfig
@@ -184,7 +184,8 @@ class StoreCoordinator:
             return replies["rows"]
         merged = self._merge_replies([reply for _dst, reply in replies])
         if self.config.read_repair_enabled:
-            self.obs.metrics.counter("store.read_repairs", node=self.node.node_id).inc()
+            if self.obs.enabled:
+                self.obs.metrics.counter("store.read_repairs", node=self.node.node_id).inc()
             self._issue_read_repair(table, partition, merged, [dst for dst, _ in replies])
         return merged
 
@@ -205,8 +206,8 @@ class StoreCoordinator:
                 target, "store_read", body, timeout=timeout, reply_event=done
             )
             return
-        handles = self.node.call_many(replicas, "store_read", body, timeout=timeout)
-        quorum_of(self.sim, handles, self._needed(consistency, len(replicas)), done)
+        needed = self._needed(consistency, len(replicas))
+        self.node.call_quorum(replicas, "store_read", body, needed, done, timeout=timeout)
 
     def scan_keys(
         self, table: str, consistency: str = Consistency.LOCAL_ONE
@@ -253,17 +254,12 @@ class StoreCoordinator:
         if not updates:
             return
         size = sum(update.size_bytes() for update in updates)
-        handles = self.node.call_many(
-            replicas,
-            "store_write",
-            {"updates": updates},
-            size_bytes=size,
-            timeout=self.config.rpc_timeout_ms,
+        # Fire-and-forget: waiting for no reply, it cannot fail, so a
+        # timeout on a dead replica is no unhandled failure.
+        self.node.call_quorum(
+            replicas, "store_write", {"updates": updates}, 0,
+            size_bytes=size, timeout=self.config.rpc_timeout_ms,
         )
-        for _dst, process in handles:
-            # Fire-and-forget: observe the outcome so a timeout on a dead
-            # replica is not treated as an unhandled failure.
-            process.add_callback(lambda _event: None)
 
     # -- writes ------------------------------------------------------------
 
@@ -298,7 +294,7 @@ class StoreCoordinator:
     def _write(self, updates: List[Any], consistency: str) -> Generator[Any, Any, None]:
         partition = updates[0].partition
         table = updates[0].table
-        if any(u.partition != partition or u.table != table for u in updates):
+        if len(updates) > 1 and any(u.partition != partition or u.table != table for u in updates):
             raise ValueError("a write batch must target a single (table, partition)")
         if consistency not in _LEVELS:
             raise ValueError(f"unknown consistency {consistency!r}")
@@ -325,19 +321,18 @@ class StoreCoordinator:
         pending = self.ring.pending_owners(partition, self.config.replication_factor)
         targets = [*replicas, *pending] if pending else replicas
         needed += len(pending)
-        size = sum(update.size_bytes() for update in updates)
-        handles = self.node.call_many(
-            targets,
-            "store_write",
-            {"updates": updates},
-            size_bytes=size,
-            timeout=self.config.rpc_timeout_ms,
-        )
+        if len(updates) == 1:
+            size = updates[0].size_bytes()
+        else:
+            size = sum(update.size_bytes() for update in updates)
         hint = None
         if self.config.hinted_handoff_enabled:  # a failed replica's copy waits as a hint
             def hint(dst: str) -> None:
                 self._store_hint(dst, updates, self.sim.now)
-        quorum_of(self.sim, handles, needed, done, on_failure=hint)
+        self.node.call_quorum(
+            targets, "store_write", {"updates": updates}, needed, done,
+            size, self.config.rpc_timeout_ms, hint,
+        )
 
     # -- hinted handoff ---------------------------------------------------------
 
@@ -345,17 +340,17 @@ class StoreCoordinator:
         self, replica: str, updates: List[Any], hinted_at: float,
         requeue: bool = False,
     ) -> None:
+        obs = self.obs
         if len(self._hints) >= self.config.max_hints_per_coordinator:
             # Shed hints under sustained failure (Cassandra does too).
-            self.obs.metrics.counter(
-                "store.hints_dropped", node=self.node.node_id, reason="overflow"
-            ).inc()
+            if obs.enabled:
+                obs.metrics.counter(
+                    "store.hints_dropped", node=self.node.node_id, reason="overflow"
+                ).inc()
             return
         self._hints.append((replica, updates, hinted_at))
-        if not requeue:
-            self.obs.metrics.counter(
-                "store.hints_queued", node=self.node.node_id
-            ).inc()
+        if not requeue and obs.enabled:
+            obs.metrics.counter("store.hints_queued", node=self.node.node_id).inc()
         self._ensure_hint_replayer()
 
     def _ensure_hint_replayer(self) -> None:
@@ -374,10 +369,10 @@ class StoreCoordinator:
                 if self.sim.now - hinted_at > self.config.hint_ttl_ms:
                     # Older than the hint window: the target must catch
                     # up via anti-entropy repair instead.
-                    self.obs.metrics.counter(
-                        "store.hints_dropped", node=self.node.node_id,
-                        reason="expired",
-                    ).inc()
+                    if self.obs.enabled:
+                        self.obs.metrics.counter(
+                            "store.hints_dropped", node=self.node.node_id, reason="expired"
+                        ).inc()
                     continue
                 try:
                     yield from self.node.call(
@@ -385,9 +380,10 @@ class StoreCoordinator:
                         size_bytes=sum(u.size_bytes() for u in updates),
                         timeout=self.config.rpc_timeout_ms,
                     )
-                    self.obs.metrics.counter(
-                        "store.hints_replayed", node=self.node.node_id
-                    ).inc()
+                    if self.obs.enabled:
+                        self.obs.metrics.counter(
+                            "store.hints_replayed", node=self.node.node_id
+                        ).inc()
                 except ReproError:
                     self._store_hint(replica, updates, hinted_at, requeue=True)
 
@@ -470,7 +466,8 @@ class StoreCoordinator:
                         attempts=attempt + 1,
                     )
                 return outcome
-            self.obs.metrics.counter("store.cas.ballot_losses", node=self.node.node_id).inc()
+            if self.obs.enabled:
+                self.obs.metrics.counter("store.cas.ballot_losses", node=self.node.node_id).inc()
             # Exponential backoff (capped): under heavy contention a
             # partition admits roughly one winner per LWT duration, so
             # losers must spread out across many such rounds.
@@ -583,10 +580,9 @@ class StoreCoordinator:
         tracer = self.obs.tracer
         if tracer.enabled:  # the caller's current span while the prepares go out
             prepare.span = tracer.span("paxos.prepare", node=self.node.node_id).__enter__()
-        handles = self.node.call_many(
-            replicas, "paxos_prepare", target, timeout=self.config.rpc_timeout_ms
+        self.node.call_quorum(
+            replicas, "paxos_prepare", target, needed, done, timeout=self.config.rpc_timeout_ms
         )
-        quorum_of(self.sim, handles, needed, done)
 
     def _propose(
         self,
@@ -648,9 +644,9 @@ class StoreCoordinator:
     def _asked(
         self, targets: Sequence[str], kind: str, body: Any, needed: int, size_bytes: int
     ) -> Generator[Any, Any, List[Tuple[str, Any]]]:
-        timeout = self.config.rpc_timeout_ms
-        handles = self.node.call_many(targets, kind, body, size_bytes=size_bytes, timeout=timeout)
-        return (yield quorum_of(self.sim, handles, needed))
+        return (yield self.node.call_quorum(
+            targets, kind, body, needed, None, size_bytes, self.config.rpc_timeout_ms
+        ))
 
     @staticmethod
     def _same_mutation(left: Mutation, right: Mutation) -> bool:

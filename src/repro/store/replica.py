@@ -157,7 +157,7 @@ class StorageReplica(Node):
         bypassing the journal and the network: a test seam for making
         replicas diverge.  Nothing in the protocol calls it (hinted
         handoff re-sends ``store_write``)."""
-        self.engine._apply(update)
+        self.engine._apply(update, update.size_bytes())
 
     def local_rows(self, table: str, partition_key: str) -> Mapping[Any, Row]:
         """The live rows of a partition: the engine's read-only view
@@ -194,11 +194,14 @@ class StorageReplica(Node):
         body: Callable[[Served], None],
     ) -> Callable[[Message], None]:
         """The one shape of a store handler: open the op's ``replica.*``
-        span under the RPC's trace (when spans are recorded), serve the
-        op's CPU time, then run ``body((msg, msg.body, span))``, which
-        ends in :meth:`_answer`."""
+        span under the RPC's trace (when spans are recorded), hold a core
+        for the op's CPU time, then run ``body((msg, msg.body, span))``,
+        which ends in :meth:`_answer`.  A delivery runs no process, so
+        the hold's owner is the kind's stand-in (what ``Node.serve``
+        would pick)."""
         tracer = self.obs.tracer
         traced = span_name is not None and tracer.enabled
+        hold = self.cpu.hold
 
         def handle(msg: Message) -> None:
             span = None
@@ -208,7 +211,7 @@ class StorageReplica(Node):
             service_ms = getattr(config, service)
             if priced:  # StoreConfig.value_service_ms, inline
                 service_ms += config.per_byte_service_ms * msg.size_bytes
-            self.serve(service_ms, body, (msg, msg.body, span))
+            hold(service_ms, body, (msg, msg.body, span), self._serving)
 
         return handle
 
@@ -252,16 +255,13 @@ class StorageReplica(Node):
 
     # -- Paxos acceptor handlers ----------------------------------------------
 
-    def _paxos_state(self, table: str, partition_key: str) -> PaxosState:
-        return self.engine.paxos_state(table, partition_key)
-
     def _prepare(self, served: Served) -> None:
         _msg, body, span = served
         self.counters["paxos_prepares"] += 1
         if self.obs.enabled:
             self._count("paxos_prepares")
         key = (body["table"], body["partition"])
-        state = self._paxos_state(*key)
+        state = self.engine.paxos_state(*key)
         ballot: Ballot = body["ballot"]
         if state.promised is not None and ballot <= state.promised:
             if span is not None:
@@ -288,7 +288,7 @@ class StorageReplica(Node):
         if self.obs.enabled:
             self._count("paxos_proposes")
         key = (body["table"], body["partition"])
-        state = self._paxos_state(*key)
+        state = self.engine.paxos_state(*key)
         ballot: Ballot = body["ballot"]
         if state.promised is not None and ballot < state.promised:
             if span is not None:
@@ -309,7 +309,7 @@ class StorageReplica(Node):
         if self.obs.enabled:
             self._count("paxos_commits")
         key = (body["table"], body["partition"])
-        state = self._paxos_state(*key)
+        state = self.engine.paxos_state(*key)
         ballot: Ballot = body["ballot"]
         # Apply the decided mutation (idempotent thanks to LWW stamps).
         apply_needed = ballot not in state.committed_ballots

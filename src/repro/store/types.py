@@ -19,7 +19,7 @@ breaks timestamp ties by value comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 __all__ = [
     "Stamp",
@@ -229,6 +229,9 @@ Partition = Dict[Any, Row]
 class Update:
     """Upsert of some cells in one row."""
 
+    # Its commit-log record kind (repro.storage.wal).
+    wal_kind: ClassVar[str] = "update"
+
     table: str
     partition: str
     clustering: Any
@@ -243,9 +246,10 @@ class Update:
     def size_bytes(self) -> int:
         size = self._size
         if size < 0:
-            size = self._size = (
-                sum(payload_size(value) for value in self.columns.values()) + 32
-            )
+            size = 32
+            for value in self.columns.values():
+                size += payload_size(value)
+            self._size = size
         return size
 
     def restamped(self, stamp: Stamp, op_id: str) -> "Update":
@@ -259,6 +263,8 @@ class Update:
 @dataclass(slots=True)
 class DeleteRow:
     """Row-level delete (tombstone)."""
+
+    wal_kind: ClassVar[str] = "delete"
 
     table: str
     partition: str

@@ -49,7 +49,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Tuple
 
 from ..errors import QuorumUnavailable, ReproError
-from ..net import Message, Network, Node, quorum_of, quorum_size
+from ..net import Message, Network, Node, quorum_size
 from ..sim import RandomStreams, Simulator
 from ..storage import PaxosState, merge_into
 from ..store import StoreCluster
@@ -305,25 +305,19 @@ class TopologyManager:
         self, key: str, old: List[str], gainers: List[str]
     ) -> Generator[Any, Any, int]:
         """One collect+handover attempt; returns streamed byte count."""
-        handles = self.node.call_many(
-            old,
-            "topo_collect",
-            {"partition": key},
+        replies = yield self.node.call_quorum(
+            old, "topo_collect", {"partition": key}, quorum_size(len(old))
         )
-        replies = yield quorum_of(self.sim, handles, quorum_size(len(old)))
         entries, paxos = self._merge_collected([reply for _dst, reply in replies])
         bundle = [(table, key, rows) for table, rows in entries.items()]
         size = bundle_bytes(bundle) + 48 * len(paxos) + 64
         if not gainers:
             return size
-        handover = self.node.call_many(
-            gainers,
-            "topo_handover",
-            {"partition": key, "entries": bundle, "paxos": paxos},
-            size_bytes=size,
-        )
         # Every gainer must hold the partition before the flip.
-        yield quorum_of(self.sim, handover, len(gainers))
+        yield self.node.call_quorum(
+            gainers, "topo_handover", {"partition": key, "entries": bundle, "paxos": paxos},
+            len(gainers), size_bytes=size,
+        )
         return size * len(gainers)
 
     @staticmethod

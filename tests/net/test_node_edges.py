@@ -125,6 +125,6 @@ def test_start_is_idempotent():
     assert sim.run_until_complete(sim.process(client())) == "pong"
 
 
-def test_call_many_empty_destinations():
+def test_call_quorum_empty_destinations():
     sim, _net, a, _b = build_pair()
-    assert a.call_many([], "echo", None) == []
+    assert a.call_quorum([], "echo", None, needed=0).value == []

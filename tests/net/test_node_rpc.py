@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import QuorumUnavailable, RpcTimeout
-from repro.net import PROFILE_LUS, Network, Node, quorum_of, quorum_size
+from repro.net import PROFILE_LUS, REPLY_KIND, Network, Node, quorum_size
 from repro.sim import RandomStreams, Simulator
 
 
@@ -109,14 +109,13 @@ def test_quorum_size():
     assert quorum_size(4) == 3
 
 
-def test_quorum_of_returns_at_kth_fastest():
+def test_call_quorum_returns_at_kth_fastest():
     """Quorum of 2-of-3 completes at the second-nearest replica's RTT."""
     sim, _, nodes = build()
     results = []
 
     def client():
-        handles = nodes["n1"].call_many(["n1", "n2", "n3"], "echo", "q")
-        replies = yield quorum_of(sim, handles, needed=2)
+        replies = yield nodes["n1"].call_quorum(["n1", "n2", "n3"], "echo", "q", needed=2)
         results.append((len(replies), sim.now))
 
     sim.process(client())
@@ -129,16 +128,15 @@ def test_quorum_of_returns_at_kth_fastest():
     assert elapsed < 70.0
 
 
-def test_quorum_of_fails_when_unreachable():
+def test_call_quorum_fails_when_unreachable():
     sim, net, nodes = build()
     net.fail_node("n2")
     net.fail_node("n3")
     outcomes = []
 
     def client():
-        handles = nodes["n1"].call_many(["n1", "n2", "n3"], "echo", "q", timeout=300.0)
         try:
-            yield quorum_of(sim, handles, needed=2)
+            yield nodes["n1"].call_quorum(["n1", "n2", "n3"], "echo", "q", needed=2, timeout=300.0)
         except QuorumUnavailable:
             outcomes.append("nack")
 
@@ -147,34 +145,53 @@ def test_quorum_of_fails_when_unreachable():
     assert outcomes == ["nack"]
 
 
-def test_quorum_of_needed_exceeds_total_raises_in_the_callers_step():
+def test_call_quorum_needed_exceeds_total_raises_in_the_callers_step():
     """Asking for more replies than requests sent raises at once, where
     the caller asks (it used to return an event that never triggers, so
     the caller hung); asking for all of them still succeeds, and only
     with the last reply."""
     sim, _, nodes = build()
     seen = []
+    # No per-reply handle to watch: tap n1's inbox for the replies' arrivals.
+    arrivals = []
+    sink = nodes["n1"].inbox
+    deliver = sink.put
+
+    def tap(message):
+        if message.kind == REPLY_KIND:
+            arrivals.append(sim.now)
+        deliver(message)
+
+    sink.put = tap
 
     def too_many():
-        handles = nodes["n1"].call_many(["n2"], "echo", "q")
         try:
-            quorum_of(sim, handles, needed=2)
+            nodes["n1"].call_quorum(["n2"], "echo", "q", needed=2)
         except QuorumUnavailable:
             seen.append(("refused", sim.now))
         yield sim.timeout(0.0)
 
     def every_one():
-        handles = nodes["n1"].call_many(["n1", "n2", "n3"], "echo", "q")
-        arrivals = []
-        for _dst, reply in handles:
-            reply.add_callback(lambda _reply: arrivals.append(sim.now))
-        replies = yield quorum_of(sim, handles, needed=3)
+        replies = yield nodes["n1"].call_quorum(["n1", "n2", "n3"], "echo", "q", needed=3)
         seen.append(("all", len(replies), len(arrivals), sim.now == max(arrivals)))
 
     sim.process(too_many())
     sim.process(every_one())
     sim.run(until=1_000.0)  # well inside the RPC timeout: a hang shows as a missing entry
     assert seen == [("refused", 0.0), ("all", 3, 3, True)]
+
+
+def test_a_refused_quorum_wait_sends_nothing():
+    """The refusal comes before any request goes out, so no request is
+    left to time out as an unhandled ``RpcTimeout`` afterwards."""
+    sim, net, nodes = build()
+    net.fail_node("n2")
+    sent = net.stats.sent
+    with pytest.raises(QuorumUnavailable):
+        nodes["n1"].call_quorum(["n2"], "echo", "q", needed=2)
+    assert net.stats.sent == sent
+    assert nodes["n1"]._pending_replies == {}
+    sim.run(until=10_000.0)  # returns: nothing is pending to fail
 
 
 def test_crash_and_recover_roundtrip():

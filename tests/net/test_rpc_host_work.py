@@ -12,8 +12,10 @@ operations are counted the same way: the lock peek of acquireLock
 (``LockStore.head`` at LOCAL_ONE, which reuses its decode while the
 partition is unchanged), one uncontended guarded CAS, and — through a
 ``MusicClient`` with read leases on — a lease-served criticalGet (one
-LOCAL_ONE lock peek is all it models) and a criticalPut.  Tracing is
-off, so none of them opens a span.
+LOCAL_ONE lock peek is all it models) and a criticalPut; and, through a
+client queued behind a holder, an acquireLock poll that is not granted.
+Tracing is off, so none of them opens a span.  A quorum round makes no
+event per request: its replies go straight to the quorum wait.
 """
 
 import cProfile
@@ -24,17 +26,19 @@ import pytest
 
 from repro.core import build_music
 from repro.net import REPLY_KIND
+from repro.sim import Event
 from repro.store import Condition, Consistency, Update
 
 # Python calls per op: LOCAL_ONE get, QUORUM get, QUORUM put, lock
-# peek, guarded CAS, lease-served criticalGet, criticalPut.  Every limit
-# is this test's own count, run under CPython 3.11.7 and 3.12.1 (3.10
-# counts like 3.11, 3.13 like 3.12).
-KINDS = ("get_one", "get", "put", "head", "cas", "lease_get", "critical_put")
+# peek, guarded CAS, lease-served criticalGet, criticalPut, acquireLock
+# poll not granted.  Every limit is this test's own count, run under
+# CPython 3.11.7 and 3.12.1 (3.10 counts like 3.11, 3.13 like 3.12).
+KINDS = ("get_one", "get", "put", "head", "cas", "lease_get", "critical_put", "acquire_poll")
+CLIENT_KINDS = ("lease_get", "critical_put", "acquire_poll")
 LIMITS = (
-    (40, 108, 167, 42, 573, 60, 232)
+    (39, 88, 126, 41, 437, 59, 189, 51)
     if sys.version_info >= (3, 12)
-    else (40, 112, 169, 42, 592, 60, 234)
+    else (39, 90, 126, 41, 448, 59, 189, 51)
 )
 
 
@@ -108,22 +112,29 @@ def client_runner(deployment, kind):
     """``run(key)`` runs one criticalGet (``lease_get``) or criticalPut
     through a ``MusicClient`` in its own process, inside a critical
     section on ``key`` that has written once, so a read lease serves
-    every get."""
+    every get; or (``acquire_poll``) one acquireLock poll of a second
+    client's lockRef, queued behind that section, which is not granted."""
     sim = deployment.sim
-    client = deployment.client(deployment.profile.site_names[0])
+    site = deployment.profile.site_names[0]
+    client, waiter = deployment.client(site), deployment.client(site)
     values = iter(range(1, 10**6))
-    sections = {}
+    sections, queued = {}, {}
 
     def enter(key):
         section = sections[key] = yield from client.critical_section(key)
         yield from section.put(0)
+        if kind == "acquire_poll":
+            queued[key] = yield from waiter.create_lock_ref(key)
 
     def body(key):
         section = sections[key]
         if kind == "lease_get":
             yield from client.critical_get(key, section.lock_ref)
-        else:
+        elif kind == "critical_put":
             yield from client.critical_put(key, section.lock_ref, next(values))
+        else:
+            granted = yield from waiter.acquire_lock(key, queued[key])
+            assert not granted
 
     def nothing():
         return
@@ -142,7 +153,7 @@ def calls_per_op(deployment, coordinator, kind):
     """The calls one op adds to running an empty process, averaged over
     eight ops on four keys after eight warm-up ops (placements, sizes
     and handler stand-ins are cached by then)."""
-    if kind in ("lease_get", "critical_put"):
+    if kind in CLIENT_KINDS:
         run = client_runner(deployment, kind)
     else:
         run = op_runner(deployment, coordinator, kind)
@@ -158,6 +169,27 @@ def test_a_store_op_costs_a_bounded_number_of_calls(kind, limit):
     deployment = build_music(seed=0, read_leases=kind in ("lease_get", "critical_put"))
     coordinator = deployment.replicas[0].coordinator
     assert calls_per_op(deployment, coordinator, kind) <= limit
+
+
+@pytest.mark.parametrize("kind", ["get", "put"])
+def test_a_quorum_op_constructs_one_event(kind, monkeypatch):
+    """A warmed QUORUM get or put makes one ``Event``, the ``done`` its
+    process waits on: no request of its round gets a reply event."""
+    deployment = build_music(seed=0)
+    run = op_runner(deployment, deployment.replicas[0].coordinator, kind)
+    for index in range(8):
+        run(f"k{index % 4}")
+    made = []
+    init = Event.__init__
+
+    def counting(self, *args, **kwargs):
+        if type(self) is Event:  # not the Process that runs the op
+            made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Event, "__init__", counting)
+    run("k0")
+    assert len(made) == 1
 
 
 def test_every_counted_get_is_lease_served():

@@ -19,6 +19,7 @@ import time
 
 from repro.core import build_music
 from repro.obs import NULL_AUDIT, NULL_OBS
+from repro.obs.recorder import _NullMetrics
 from repro.obs.trace import NullTracer, _NullSpan
 from tests.helpers import assert_replay_equivalent, audit_history, run
 
@@ -87,6 +88,52 @@ def test_an_untraced_run_opens_no_span(monkeypatch):
     traced = build_music(seed=5, obs=True)
     _workload(traced)
     assert len(traced.obs.tracer.spans) == 320
+
+
+def _contended(deployment, clients=16):
+    """``clients`` critical sections on one key from every site at once:
+    their lockRef mints race on the key's guard, so LWT coordinators
+    lose ballots and lock stores retry."""
+    sim, sites = deployment.sim, deployment.profile.site_names
+
+    def section(client):
+        handle = yield from client.critical_section("hot")
+        yield from handle.put(1)
+        yield from handle.exit()
+
+    sections = [
+        sim.process(section(deployment.client(sites[index % len(sites)])))
+        for index in range(clients)
+    ]
+    sim.run()
+    assert all(process.ok for process in sections)
+
+
+def test_an_unobserved_protocol_path_asks_for_no_instrument(monkeypatch):
+    """An exact count: with obs off, no counter or histogram is asked
+    of the null registry on the protocol path — not per ballot loss,
+    lock-store retry or batch flush either.  Observed, the same
+    contended run counts its ballot losses."""
+    asked = []
+    counter, histogram = _NullMetrics.counter, _NullMetrics.histogram
+
+    def counting_counter(self, name, **labels):
+        asked.append(name)
+        return counter(self, name, **labels)
+
+    def counting_histogram(self, name, buckets=None, **labels):
+        asked.append(name)
+        return histogram(self, name, buckets, **labels)
+
+    monkeypatch.setattr(_NullMetrics, "counter", counting_counter)
+    monkeypatch.setattr(_NullMetrics, "histogram", counting_histogram)
+    _workload(build_music(seed=5))
+    _contended(build_music(seed=5))
+    assert asked == []
+
+    observed = build_music(seed=5, obs=True)
+    _contended(observed)
+    assert observed.obs.metrics.total("store.cas.ballot_losses") > 0
 
 
 def test_auditor_does_not_change_simulated_time():

@@ -10,7 +10,7 @@ from tests.helpers import make_store, run
 
 
 def get_paxos_state(replica, table="locks", partition="k"):
-    return replica._paxos_state(table, partition)
+    return replica.engine.paxos_state(table, partition)
 
 
 def test_prepare_rejects_stale_ballot():
