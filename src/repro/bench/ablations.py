@@ -19,7 +19,8 @@ def ablation_peek(run: Run) -> ExperimentResult:
     hold_ms = 3_000.0
 
     def measure(variant: str, peek_quorum: bool) -> Dict[str, Any]:
-        config = MusicConfig(peek_quorum=peek_quorum)
+        # The paper's polling protocol (PAPER_MUSIC) with the knob ablated.
+        config = MusicConfig(fast_locks=False, peek_quorum=peek_quorum)
         deployment = run.build_music(profile_name="lUs", music_config=config, seed=52)
         sim = deployment.sim
         network = deployment.network
@@ -78,7 +79,7 @@ def ablation_sync(run: Run) -> ExperimentResult:
     """Ablation: lazy (synchFlag-gated) vs always-sync on lock acquisition."""
     latencies = {}
     for variant, always in (("lazy sync (MUSIC)", False), ("always sync", True)):
-        config = MusicConfig(always_sync=always)
+        config = MusicConfig(fast_locks=False, always_sync=always)  # PAPER_MUSIC, ablated
         latencies[variant] = cs_latency(
             run, "MUSIC", profile_name="lUs", music_config=config, seed=53, samples=10
         ).mean

@@ -18,11 +18,11 @@ from ..sim import RandomStreams, Simulator
 from ..workloads import PAPER_DATA_SIZES, PAPER_YCSB_WORKLOADS, SizedValue, ZipfianGenerator
 from .harness import measure_throughput
 from .report import summarize
-from .scenario import ExperimentResult, Run, scenario
+from .scenario import ExperimentResult, Run, paper_scenario
 from .workers import cs_latency, saturated_throughput
 
 
-@scenario("table2", "Latency profiles")
+@paper_scenario("table2", "Latency profiles")
 def table2(run: Run) -> ExperimentResult:
     """Table II: the modelled WAN RTTs, verified by simulated pings."""
     rows = []
@@ -86,7 +86,7 @@ def _saturation_threads(profile_name: str, base_threads: int) -> int:
     return base_threads
 
 
-@scenario(
+@paper_scenario(
     "fig4a", "Throughput across profiles",
     quick={**SATURATION_QUICK, "threads": 240,
            "cassa_threads": 24, "cassa_warmup_ms": 200.0, "cassa_window_ms": 500.0},
@@ -127,7 +127,7 @@ def fig4a(run: Run) -> ExperimentResult:
     )
 
 
-@scenario(
+@paper_scenario(
     "fig4b", "Throughput scaling 3->9 nodes",
     # Fig 4b needs a CPU-saturated regime to show scaling; with the
     # quick preset we shrink the per-node core count instead of
@@ -170,7 +170,7 @@ def fig4b(run: Run) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-@scenario("fig5a", "Latency across profiles", quick={"samples": 12}, full={"samples": 40})
+@paper_scenario("fig5a", "Latency across profiles", quick={"samples": 12}, full={"samples": 40})
 def fig5a(run: Run) -> ExperimentResult:
     """Fig 5(a): single-thread mean write latency per profile."""
     profiles = list(PAPER_PROFILES)
@@ -197,7 +197,7 @@ def fig5a(run: Run) -> ExperimentResult:
     )
 
 
-@scenario("fig5b", "Operation breakdown", quick={"samples": 12}, full={"samples": 40})
+@paper_scenario("fig5b", "Operation breakdown", quick={"samples": 12}, full={"samples": 40})
 def fig5b(run: Run) -> ExperimentResult:
     """Fig 5(b): per-operation latency breakdown on lUs."""
 
@@ -270,7 +270,7 @@ def fig5b(run: Run) -> ExperimentResult:
 FIG6_SYSTEMS = ("MUSIC", "MSCP", "Zookeeper")
 
 
-@scenario(
+@paper_scenario(
     "fig6a", "Throughput vs batch size",
     quick={**SATURATION_QUICK, "threads": 600, "batches": [10, 100]},
     full={**SATURATION_FULL, "batches": [1, 10, 100, 1000]},
@@ -314,7 +314,7 @@ def fig6a(run: Run) -> ExperimentResult:
     )
 
 
-@scenario(
+@paper_scenario(
     "fig6b", "Throughput vs data size",
     quick={**SATURATION_QUICK, "threads": 600, "sizes": ["10B", "16KB", "256KB"]},
     full={**SATURATION_FULL, "sizes": list(PAPER_DATA_SIZES)},
@@ -355,7 +355,7 @@ def fig6b(run: Run) -> ExperimentResult:
 FIG7_SYSTEMS = ("MUSIC", "CockroachDB")
 
 
-@scenario(
+@paper_scenario(
     "fig7a", "CS latency vs batch (Cdb)",
     quick={"batches": [10, 100], "samples": 3},
     full={"batches": [10, 100, 1000], "samples": 5},
@@ -382,7 +382,7 @@ def fig7a(run: Run) -> ExperimentResult:
     )
 
 
-@scenario(
+@paper_scenario(
     "fig7b", "CS latency vs data size (Cdb)",
     quick={"sizes": ["10B", "16KB", "64KB"]}, full={"sizes": ["10B", "1KB", "16KB", "64KB"]},
 )
@@ -413,7 +413,7 @@ def fig7b(run: Run) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-@scenario("fig8", "Latency CDFs", quick={"samples": 60}, full={"samples": 200})
+@paper_scenario("fig8", "Latency CDFs", quick={"samples": 60}, full={"samples": 200})
 def fig8(run: Run) -> ExperimentResult:
     """Fig 8: latency CDFs of MUSIC vs MSCP on l1 and lUs.
 
@@ -502,7 +502,7 @@ def _ycsb_run(run: Run, system: str, workload: Any, seed: int) -> Dict[str, floa
     }
 
 
-@scenario(
+@paper_scenario(
     "fig9", "YCSB workloads",
     # Chosen to land near the paper's ~5.5% lock-collision regime: more
     # threads per key pile onto the Zipfian head and queueing (identical
@@ -608,7 +608,7 @@ class CostModel:
         return cls(consensus=cost, quorum=cost)
 
 
-@scenario("xb4", "Cost model")
+@paper_scenario("xb4", "Cost model")
 def cost_model_xb4(run: Run) -> ExperimentResult:
     """X-B4: 2xC vs 2C+(x+1)Q, plus our measured per-op costs."""
     generous = CostModel.generous()

@@ -24,22 +24,29 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..baselines.mscp import MscpReplica
-from ..core import build_music
+from ..core import MusicConfig, build_music
 from ..core.deployment import MusicDeployment
 from .report import cdf_points, render_cdf, render_series, render_table
 from .results import write_bench_json
 
 __all__ = [
     "EXPERIMENTS",
+    "PAPER_MUSIC",
     "ExperimentResult",
     "Run",
     "Scenario",
+    "paper_scenario",
     "run_experiment",
     "scale_name",
     "scenario",
 ]
 
 Check = Tuple[str, bool]
+
+# The paper's own protocol — the polling acquire, one Paxos round per
+# lock op, a synchFlag read on every grant — which the paper's tables
+# reproduce, with timings bit-identical to the seed.
+PAPER_MUSIC = MusicConfig(fast_locks=False)
 
 
 @dataclass
@@ -74,7 +81,8 @@ def scale_name() -> str:
 class Scenario:
     """One declared experiment.  ``full`` holds what differs from
     ``quick``; ``bench`` names its ``BENCH_<bench>.json`` and ``seed``
-    is recorded there."""
+    is recorded there; ``music`` is the config its deployments build
+    with unless they pass their own."""
 
     id: str
     title: str
@@ -83,6 +91,7 @@ class Scenario:
     full: Mapping[str, Any] = field(default_factory=dict)
     bench: Optional[str] = None
     seed: Optional[int] = None
+    music: Optional[MusicConfig] = None
 
     @property
     def doc(self) -> str:
@@ -95,7 +104,7 @@ EXPERIMENTS: Dict[str, Scenario] = {}
 
 def scenario(exp_id: str, title: str, **declared: Any) -> Callable[[Callable], Scenario]:
     """Declare the decorated body as scenario ``exp_id`` (keywords:
-    ``quick``, ``full``, ``bench``, ``seed``) and register it."""
+    ``quick``, ``full``, ``bench``, ``seed``, ``music``) and register it."""
 
     def register(body: Callable[["Run"], ExperimentResult]) -> Scenario:
         if exp_id in EXPERIMENTS:
@@ -104,6 +113,12 @@ def scenario(exp_id: str, title: str, **declared: Any) -> Callable[[Callable], S
         return EXPERIMENTS[exp_id]
 
     return register
+
+
+def paper_scenario(exp_id: str, title: str, **declared: Any) -> Callable[[Callable], Scenario]:
+    """:func:`scenario` for a table or figure of the paper: its
+    deployments build with :data:`PAPER_MUSIC`."""
+    return scenario(exp_id, title, music=PAPER_MUSIC, **declared)
 
 
 class Run:
@@ -127,6 +142,8 @@ class Run:
         ``--audit``.  Audit emission never yields or consumes
         randomness, so the measured numbers are those of an un-audited
         run."""
+        if self.scenario.music is not None:
+            kwargs.setdefault("music_config", self.scenario.music)
         if not self.audit:
             return build_music(**kwargs)
         kwargs.setdefault("audit", True)

@@ -159,8 +159,9 @@ class MusicClient:
         and the deadline is re-checked before the next quorum attempt,
         so the wait never overshoots ``timeout_ms``.  Raises
         :class:`NotLockHolder` if the lockRef was preempted while
-        waiting.  The sleep also wakes early on a release pushed for
-        ``key`` by the preferred replica's release channel.
+        waiting.  The sleep also wakes early when the preferred
+        replica's release channel pushes a release of ``key`` that names
+        ``lock_ref`` its successor.
         """
         deadline = None if timeout_ms is None else self.sim.now + timeout_ms
         interval = self.config.acquire_poll_interval_ms
@@ -170,7 +171,7 @@ class MusicClient:
         # would back off toward acquire_poll_max_ms with the lock free.
         # Push grants off, the waiter is None: one lookup per acquire.
         channel = self.replica.push
-        waiter = channel.subscribe(key)
+        waiter = channel.subscribe(key, lock_ref)
         try:
             while True:
                 granted = yield from self.acquire_lock(key, lock_ref)
@@ -207,10 +208,10 @@ class MusicClient:
                     return False
                 if pushed:  # renew, at the replica preferred now
                     channel = self.replica.push
-                    waiter = channel.subscribe(key)
+                    waiter = channel.subscribe(key, lock_ref)
         finally:
             if waiter is not None:
-                channel.unsubscribe(key, waiter)
+                channel.unsubscribe(key, lock_ref, waiter)
 
     def _put_once(
         self, replica, key: str, lock_ref: int, value: Any, delete: bool

@@ -50,15 +50,16 @@ class MusicConfig:
     # synchFlag is set.
     always_sync: bool = False
 
-    # Contention hot path (DESIGN.md §9): one switch, default off with
-    # bit-identical timings.  On, three things move together — LWT group
-    # commit (concurrent createLockRef/releaseLock operations on a key
-    # at one coordinator share one Paxos round), the synchFlag fast path
-    # (the grant-time quorum flag read is skipped when the local
+    # Contention hot path (DESIGN.md §9): one switch, on by default;
+    # off, it is the paper's polling protocol with timings bit-identical
+    # to the seed.  On, three things move together — LWT group commit
+    # (concurrent createLockRef/releaseLock operations on a key at one
+    # coordinator share one Paxos round), the synchFlag fast path (the
+    # grant-time quorum flag read is skipped when the local
     # forced-release epoch proves no forcedRelease has applied since
-    # this replica last established flag=False at quorum) and push
-    # grants (see ``push_grants`` below).
-    fast_locks: bool = False
+    # this replica last established flag=False at quorum; never under
+    # ``always_sync``) and push grants (see ``push_grants`` below).
+    fast_locks: bool = True
 
     # Read scale-out leases (DESIGN.md §10).  Default off with
     # bit-identical timings.
@@ -76,8 +77,9 @@ class MusicConfig:
 
     @property
     def push_grants(self) -> bool:
-        """Whether releaseLock/forcedRelease notify waiting clients, so
-        acquire_lock_blocking wakes immediately instead of backing off.
+        """Whether releaseLock/forcedRelease notify the waiting client
+        they hand the lock to, so its acquire_lock_blocking wakes
+        immediately instead of backing off.
         Part of ``fast_locks``; ``read_leases`` needs it too — the cache
         invalidation stream rides the push channel, so leases without it
         would serve cached reads up to their staleness bound instead of

@@ -191,10 +191,11 @@ def build_music(
     timings are bit-identical to earlier versions.
 
     Protocol features are fields of ``music_config``: the contention
-    hot path of DESIGN.md §9 is ``MusicConfig(fast_locks=True)``,
-    failure detection ``MusicConfig(failure_detection_enabled=True)``;
-    commit-log durability is ``StoreConfig(storage=StorageEngineConfig(
-    wal_sync=…))``.  All default off with bit-identical timings.
+    hot path of DESIGN.md §9 is on unless ``MusicConfig(fast_locks=False)``
+    asks for the paper's polling protocol (seed-identical timings);
+    failure detection ``MusicConfig(failure_detection_enabled=True)`` and
+    commit-log durability ``StoreConfig(storage=StorageEngineConfig(
+    wal_sync=…))`` default off with bit-identical timings.
 
     ``read_leases=True`` sets ``MusicConfig.read_leases``: the read
     scale-out tier of DESIGN.md §10 — leaseholder local critical reads

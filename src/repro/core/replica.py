@@ -124,8 +124,9 @@ class MusicReplica(Node):
         )
         # The synchFlag fast path trusts the forced-release epoch of the
         # read that proved us queue head; the quorum-peek ablation
-        # bypasses it (its peek has no single local source).
-        self._flag_fast_path = config.fast_locks and not config.peek_quorum
+        # bypasses it (its peek has no single local source), and
+        # always_sync asks for the flag read's sync on every grant.
+        self._flag_fast_path = config.fast_locks and not (config.peek_quorum or config.always_sync)
         # A forced dequeue also writes the marker rows: the epoch the
         # fast path compares against, the revocation leases die by.
         self._forced_markers = config.fast_locks or leases_on
@@ -490,13 +491,14 @@ class MusicReplica(Node):
     ) -> Callable[..., None]:
         """The decided-hook of a release/forcedRelease dequeue.
 
-        The release channel (``self.push``) is told the moment the
-        dequeue is *decided* (proposal accepted), overlapping the
-        wake-up with the commit round's WAN acks — the push is advisory,
-        so a waiter that polls too early just polls again.  The audit
-        event must fire at the same decide point: a push-woken successor
-        can be granted during the commit round, and the auditor
-        linearizes by event order.
+        The lock store calls it the moment the dequeue is *decided*
+        (proposal accepted) with the successor the dequeue hands the
+        lock to, and the release channel (``self.push``) wakes that
+        lockRef's waiter, overlapping the wake-up with the commit round's
+        WAN acks — the push is advisory, so a waiter that polls too early
+        just polls again.  The audit event must fire at the same decide
+        point: a push-woken successor can be granted during the commit
+        round, and the auditor linearizes by event order.
 
         The caller invokes the hook once more with ``late=True`` after
         the dequeue returns: if the LWT never announced a decision (the
@@ -506,7 +508,7 @@ class MusicReplica(Node):
         audit = self.obs.audit
         fired = []
 
-        def decided(late: bool = False) -> None:
+        def decided(successor: Optional[int] = None, late: bool = False) -> None:
             if late and fired:
                 return
             fired.append(True)
@@ -516,7 +518,7 @@ class MusicReplica(Node):
                     event, key=key, node=self.node_id, lock_ref=lock_ref, **fields
                 )
             if not late:
-                self.push.push(key)
+                self.push.push(key, successor)
 
         return decided
 

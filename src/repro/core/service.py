@@ -102,16 +102,18 @@ def install_service(replica: MusicReplica) -> None:
         replica.reply(msg, reply, size_bytes=size_bytes)
 
     def wait_release(msg) -> Generator[Any, Any, None]:
-        # The stub's subscribe: hold the request until the key's next
-        # observed dequeue, or the client-supplied bound elapses.
+        # The stub's subscribe: hold the request until a release of the
+        # key names the client's lockRef its successor, or the
+        # client-supplied bound elapses.
         body = replica.payload(msg)
-        waiter = replica.push.subscribe(body["key"])
+        key, lock_ref = body["key"], body["lock_ref"]
+        waiter = replica.push.subscribe(key, lock_ref)
         try:
             yield replica.sim.any_of(
                 [waiter, replica.sim.timeout(body["wait_ms"])]
             )
         finally:
-            replica.push.unsubscribe(body["key"], waiter)
+            replica.push.unsubscribe(key, lock_ref, waiter)
         replica.reply(msg, {"ok": True, "result": None})
 
     for kind in _OPERATIONS:
@@ -163,22 +165,22 @@ class ReplicaStub:
             raise _ERROR_KINDS.get(reply["error_kind"], ReproError)(reply["error"])
         return reply["result"]
 
-    def subscribe(self, key: str) -> Any:
-        """An Event firing at the key's next dequeue observed by the
-        replica — or when the subscription lapses or the replica proves
-        unreachable: the push is advisory, a woken client just polls."""
+    def subscribe(self, key: str, lock_ref: int) -> Any:
+        """An Event firing when a release of ``key`` observed by the
+        replica names ``lock_ref`` its successor — or when the
+        subscription lapses or the replica proves unreachable: the push
+        is advisory, a woken client just polls."""
         waiter = self.sim.event(name=f"grantPush:{key}")
         self.host.call_async(
             self.node_id, "music.waitRelease",
-            {"key": key, "wait_ms": PUSH_WAIT_MS},
+            {"key": key, "lock_ref": lock_ref, "wait_ms": PUSH_WAIT_MS},
             timeout=PUSH_WAIT_MS + DEFAULT_RPC_TIMEOUT_MS,
         ).add_callback(lambda _reply: waiter.triggered or waiter.succeed(True))
         return waiter
 
-    def unsubscribe(self, key: str, waiter: Any) -> None:
-        """Nothing to send: the replica-side subscription ends at the
-        key's next dequeue or its bound, and the late reply finds no
-        one waiting."""
+    def unsubscribe(self, key: str, lock_ref: int, waiter: Any) -> None:
+        """Nothing to send: the replica-side subscription ends at its
+        push or its bound, and the late reply finds no one waiting."""
 
 
 def _stub_method(kind: str, arg_names):

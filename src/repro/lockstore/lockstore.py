@@ -27,7 +27,7 @@ Operations map to the paper's primitives:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Collection, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..errors import LockContention, ReproError
 from ..sim import NodeClock
@@ -87,6 +87,21 @@ class LockEntry:
 
 # What a head read decodes to: (first entry, forced epoch, revoked ref).
 Head = Tuple[Optional[LockEntry], Any, Optional[int]]
+
+
+def _successor(
+    rows: Any, lock_ref: int, gone: Collection[int], minted: Sequence[int] = ()
+) -> Optional[int]:
+    """The lockRef a dequeue of ``lock_ref`` hands the lock to: the queue
+    head once its LWT has removed ``gone`` and added ``minted``, read
+    from the ``rows`` the LWT's condition was evaluated on.  None if
+    ``lock_ref`` did not head those rows, or there were none."""
+    if rows is None:
+        return None
+    queued = LockStore._lock_refs(rows)
+    if not queued or min(queued) != lock_ref:
+        return None
+    return min([ref for ref in queued if ref not in gone] + list(minted), default=None)
 
 
 class LockStore:
@@ -212,11 +227,12 @@ class LockStore:
             # round, and the auditor linearizes by event order.  So the
             # enqueue audit events (ascending — the FIFO checker
             # requires mint order == linearization order) and the
-            # dequeues' decided-hooks all fire there.
+            # dequeues' decided-hooks all fire there, each told its
+            # successor: the queue head after the whole batch.
             audit = self.obs.audit
             emitted = []
 
-            def committing(refs=refs, attempt=attempt, recovered=False) -> None:
+            def committing(rows=None, refs=refs, attempt=attempt, recovered=False) -> None:
                 emitted.append(True)
                 if audit.enabled:
                     for ref in refs:
@@ -225,9 +241,10 @@ class LockStore:
                             lock_ref=ref, attempts=attempt + 1,
                             recovered=recovered,
                         )
+                gone = {op.lock_ref for op in dequeues}
                 for op in dequeues:
                     if op.on_committing is not None:
-                        op.on_committing()
+                        op.on_committing(_successor(rows, op.lock_ref, gone, refs))
 
             result = yield from self.coordinator.cas(
                 LOCK_TABLE,
@@ -239,6 +256,7 @@ class LockStore:
                 stamp_with_ballot=True,
                 on_committing=committing,
                 backoff_scale=self._mint_backoff_scale,
+                on_recovered=self._recovered,
             )
             if result.applied:
                 tracer = self.obs.tracer
@@ -365,8 +383,11 @@ class LockStore:
         race to a clean release preempted nobody and must not invalidate
         fast-path caches.
 
-        ``on_committing`` is forwarded to the LWT (advisory decided-hook;
-        see :meth:`StoreCoordinator.cas`).
+        ``on_committing`` (advisory decided-hook; see
+        :meth:`StoreCoordinator.cas`) is called with the successor: the
+        lockRef this dequeue hands the lock to, or None if ``lock_ref``
+        was not the head of the queue the LWT read (a waiter leaving from
+        the middle hands nobody the lock) or there was no such read.
         """
         # Group commit covers clean releases only: take the busy token
         # so concurrent mints queue behind this dequeue instead of
@@ -411,13 +432,17 @@ class LockStore:
                         {"revoked": lock_ref, "by": self._writer}, stamp,
                     )
                 )
+        hook = None if on_committing is None else (
+            lambda rows: on_committing(_successor(rows, lock_ref, (lock_ref,)))
+        )
         lwt = self.coordinator.cas(
             LOCK_TABLE,
             key,
             Condition("exists", clustering=lock_ref),
             mutations,
             stamp_with_ballot=True,  # the tombstone must beat the insert
-            on_committing=on_committing,
+            on_committing=hook,
+            on_recovered=self._recovered,
             # In batch mode the dequeue is the lock handover: on a ballot
             # loss re-contest quickly instead of ceding the partition to
             # off-chain mints (which back off longer).
@@ -428,6 +453,22 @@ class LockStore:
             return lwt
         attrs = {"forced": True} if forced else {}
         return tracer.around(lwt, "lockstore.dequeue", node=self._writer, key=key, **attrs)
+
+    def _recovered(self, mutation: Sequence[Any]) -> None:
+        """Report the dequeues of a rival's LWT that this coordinator
+        decided by completing its in-progress proposal.  That decide is
+        where they take effect, and their own proposer may learn of it
+        only after a successor was granted."""
+        audit = self.obs.audit
+        if not audit.enabled:
+            return
+        forced = any(update.clustering == FORCED_ROW for update in mutation)
+        for update in mutation:
+            if isinstance(update, DeleteRow):
+                audit.emit(
+                    "forced_release" if forced else "release", key=update.partition,
+                    node=self._writer, lock_ref=update.clustering, recovered=True,
+                )
 
     # -- LWT group commit (DESIGN.md §9) ----------------------------------------
 

@@ -400,8 +400,9 @@ class StoreCoordinator:
         condition: Condition,
         mutation: Mutation,
         stamp_with_ballot: bool = False,
-        on_committing: Optional[Callable[[], None]] = None,
+        on_committing: Optional[Callable[[Optional[Dict[Any, Row]]], None]] = None,
         backoff_scale: float = 1.0,
+        on_recovered: Optional[Callable[[Mutation], None]] = None,
     ) -> Generator[Any, Any, CasResult]:
         """Compare-and-set: apply ``mutation`` iff ``condition`` holds.
 
@@ -420,11 +421,12 @@ class StoreCoordinator:
 
         ``on_committing`` (if given) fires exactly once, after this
         operation's proposal is accepted by a quorum — i.e. the outcome
-        is decided — but before the commit round's acks return.  Callers
-        use it for advisory side-channels (e.g. push-based grant
-        notification) that may overlap the commit round; anything
-        correctness-bearing must wait for the returned
-        :class:`CasResult`.
+        is decided — but before the commit round's acks return, with the
+        rows its condition held on.  Callers use it for advisory
+        side-channels (e.g. push grants) that may overlap the commit
+        round; anything correctness-bearing must wait for the returned
+        :class:`CasResult`.  ``on_recovered`` gets a rival's mutation
+        this call decides by completing its in-progress proposal.
 
         ``backoff_scale`` scales the ballot-loss backoff: latency-
         critical CAS (a lock handover) passes < 1 to re-contest quickly,
@@ -432,7 +434,8 @@ class StoreCoordinator:
         partition.  The default leaves the schedule untouched.
         """
         op = self._cas(
-            table, partition, condition, mutation, stamp_with_ballot, on_committing, backoff_scale
+            table, partition, condition, mutation, stamp_with_ballot, on_committing,
+            backoff_scale, on_recovered,
         )
         if not self.obs.tracer.enabled:
             return op
@@ -440,8 +443,8 @@ class StoreCoordinator:
 
     def _cas(
         self, table: str, partition: str, condition: Condition, mutation: Mutation,
-        stamp_with_ballot: bool, on_committing: Optional[Callable[[], None]],
-        backoff_scale: float,
+        stamp_with_ballot: bool, on_committing: Optional[Callable],
+        backoff_scale: float, on_recovered: Optional[Callable],
     ) -> Generator[Any, Any, CasResult]:
         attempts = self.config.cas_max_attempts
         # One identity for the whole logical operation: re-stamped retry
@@ -450,9 +453,13 @@ class StoreCoordinator:
         # competing coordinator).
         op_id = f"{self.node.node_id}#{next(self._op_ids)}"
         mutation = [update.restamped(update.stamp, op_id) for update in mutation]
+        # The rows the last read phase evaluated the condition on: an
+        # attempt that completes our own earlier proposal decides it on them.
+        view: List[Any] = [None]
         for attempt in range(attempts):
             outcome = yield from self._cas_once(
                 table, partition, condition, mutation, stamp_with_ballot, on_committing,
+                on_recovered, view,
             )
             if outcome is not None:
                 tracer = self.obs.tracer
@@ -461,9 +468,8 @@ class StoreCoordinator:
                 audit = self.obs.audit
                 if audit.enabled:
                     audit.emit(
-                        "lwt", node=self.node.node_id, table=table,
-                        partition=partition, applied=outcome.applied,
-                        attempts=attempt + 1,
+                        "lwt", node=self.node.node_id, table=table, partition=partition,
+                        applied=outcome.applied, attempts=attempt + 1,
                     )
                 return outcome
             if self.obs.enabled:
@@ -483,7 +489,8 @@ class StoreCoordinator:
 
     def _cas_once(
         self, table: str, partition: str, condition: Condition, mutation: Mutation,
-        stamp_with_ballot: bool = False, on_committing: Optional[Callable[[], None]] = None,
+        stamp_with_ballot: bool, on_committing: Optional[Callable],
+        on_recovered: Optional[Callable], view: List[Any],
     ) -> Generator[Any, Any, Optional[CasResult]]:
         """One Paxos attempt; returns None to signal retry-with-backoff."""
         # Round 1: prepare/promise, sent by the served continuation.
@@ -530,7 +537,9 @@ class StoreCoordinator:
             if accepted:
                 ours = self._same_mutation(stale_mutation, mutation)
                 if ours and on_committing is not None:
-                    on_committing()
+                    on_committing(view[0])
+                elif not ours and on_recovered is not None:
+                    on_recovered(stale_mutation)
                 yield from self._commit(replicas, needed, target, stale_mutation)
                 if ours:
                     return CasResult(applied=True)
@@ -541,7 +550,7 @@ class StoreCoordinator:
         read_replies = yield from self._round(
             "paxos.read", replicas, "store_read", read_body, needed
         )
-        current = self._merge_replies([reply for _dst, reply in read_replies])
+        current = view[0] = self._merge_replies([reply for _dst, reply in read_replies])
         if self._mutation_visible(current, mutation):
             # A competing coordinator completed our partially-accepted
             # proposal from an earlier attempt: we already took effect.
@@ -558,7 +567,7 @@ class StoreCoordinator:
         # accepted the proposal, so advisory hooks fire here, overlapping
         # the commit round's WAN acks.
         if on_committing is not None:
-            on_committing()
+            on_committing(current)
         yield from self._commit(replicas, needed, target, mutation)
         return CasResult(applied=True, current=current)
 
@@ -585,11 +594,7 @@ class StoreCoordinator:
         )
 
     def _propose(
-        self,
-        replicas: Sequence[str],
-        needed: int,
-        target: Dict[str, Any],
-        mutation: Mutation,
+        self, replicas: Sequence[str], needed: int, target: Dict[str, Any], mutation: Mutation,
     ) -> Generator[Any, Any, bool]:
         size = sum(update.size_bytes() for update in mutation)
         body = dict(target, mutation=mutation)
@@ -603,11 +608,7 @@ class StoreCoordinator:
         return True
 
     def _commit(
-        self,
-        replicas: Sequence[str],
-        needed: int,
-        target: Dict[str, Any],
-        mutation: Mutation,
+        self, replicas: Sequence[str], needed: int, target: Dict[str, Any], mutation: Mutation,
     ) -> Generator[Any, Any, None]:
         body = dict(target, mutation=mutation)
         partition = target["partition"]
@@ -650,10 +651,8 @@ class StoreCoordinator:
 
     @staticmethod
     def _same_mutation(left: Mutation, right: Mutation) -> bool:
-        """Whether two mutations are the same logical operation.
-
-        Compared by op_id (stable across re-stamped retry attempts).
-        """
+        """Whether two mutations are the same logical operation: their
+        op_ids, which re-stamped retry attempts keep, match."""
         if len(left) != len(right):
             return False
         return all(

@@ -1,5 +1,7 @@
 """Tests for the ablation configuration knobs (DESIGN.md §5)."""
 
+import pytest
+
 from repro.core import MusicConfig, build_music
 
 
@@ -49,8 +51,10 @@ def test_always_sync_variant_still_correct():
     assert run(music, check()) == 1
 
 
-def test_always_sync_preserves_value_across_many_sections():
-    music = build_music(music_config=MusicConfig(always_sync=True))
+@pytest.mark.parametrize("fast_locks", [False, True])
+def test_always_sync_preserves_value_across_many_sections(fast_locks):
+    # The synchFlag fast path must not skip the sync always_sync asks for.
+    music = build_music(music_config=MusicConfig(always_sync=True, fast_locks=fast_locks))
     client = music.client("Ohio")
 
     def task():

@@ -159,10 +159,11 @@ def test_a_client_that_never_retries_or_polls_makes_no_stream():
 def test_lazy_jitter_draws_equal_eager_ones():
     """``RandomStreams.stream`` depends only on (seed, name), so making
     a client's stream at its first draw instead of at construction
-    changes no draw: a contended run (polls and backoffs) is identical."""
+    changes no draw: a contended run (polls and backoffs) is identical.
+    The polling protocol, so every client draws."""
 
     def contended(eager):
-        music = build_music(seed=6)
+        music = build_music(seed=6, music_config=MusicConfig(fast_locks=False))
         clients = [music.client(site) for site in ("Ohio", "Ohio", "Oregon", "Oregon")]
         if eager:
             for client in clients:

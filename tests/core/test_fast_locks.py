@@ -1,14 +1,19 @@
 """The DESIGN §9 contention hot path: feature behavior with
-``fast_locks`` on, and the bit-identical guarantee with it off.
+``fast_locks`` on (the default), and the bit-identical guarantee with it
+off.
 
-The features-off timings are pinned against golden stamps recorded from
-the seed tree: any code on the default path that moves an event, draws
-extra randomness, or reorders a quorum round trips these exact floats.
+The features-off timings — the paper's polling protocol,
+:data:`POLLING` — are pinned against golden stamps recorded from the
+seed tree: any code on that path that moves an event, draws extra
+randomness, or reorders a quorum round trips these exact floats.
 """
 
 from repro import MusicConfig, build_music
 from repro.lockstore import lockstore
 from tests.helpers import run
+
+# The paper's polling protocol: every feature switch off.
+POLLING = MusicConfig(fast_locks=False)
 
 # Completion times (sim ms) of 5 sequential critical sections from one
 # Ohio client, alternating two keys — identical for any seed because a
@@ -34,7 +39,7 @@ GOLDEN_CONTENDED_SEED3 = [
 
 
 def _single_client_stamps(seed):
-    music = build_music(seed=seed)
+    music = build_music(seed=seed, music_config=POLLING)
     sim = music.sim
     client = music.client("Ohio")
     stamps = []
@@ -53,7 +58,7 @@ def _single_client_stamps(seed):
 
 
 def _contended_stamps(seed):
-    music = build_music(seed=seed)
+    music = build_music(seed=seed, music_config=POLLING)
     sim = music.sim
     clients = [music.client("Ohio"), music.client("Oregon")]
     stamps = []
@@ -73,8 +78,8 @@ def _contended_stamps(seed):
 
 
 def test_features_off_timings_are_bit_identical_to_the_seed():
-    """The hot path defaults off and must leave every simulated event
-    exactly where the seed tree put it."""
+    """With the hot path off, every simulated event stays exactly where
+    the seed tree put it."""
     assert _single_client_stamps(3) == GOLDEN_SINGLE
     assert _single_client_stamps(7) == GOLDEN_SINGLE
     assert _contended_stamps(3) == GOLDEN_CONTENDED_SEED3
@@ -200,13 +205,17 @@ def test_release_push_wakes_the_waiter_before_the_poll_backoff(monkeypatch):
     holder = music.client("Ohio")
     waiter = music.client("Oregon")
     granted_at = []
+    entered = sim.event()
 
     def hold_then_release():
         cs = yield from holder.critical_section("k")
+        entered.succeed()
         yield sim.timeout(1_000.0)
         yield from cs.exit()
 
     def wait():
+        # Queued behind the holder, so the release names it successor.
+        yield entered
         cs = yield from waiter.critical_section("k", timeout_ms=20_000.0)
         granted_at.append(sim.now)
         yield from cs.exit()

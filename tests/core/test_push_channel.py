@@ -1,12 +1,17 @@
 """The release channel (``core/push.py``): a replica's ``push`` is the
 one owner of push grants.  Off, it is ``NO_PUSH`` — no handler, and a
-blocking acquire looks it up once however often it polls.  On, one
-release wakes every kind of waiter exactly once: a library waiter at
-another site's replica (over ``music.grantPush``), a service client's
-long-poll (``music.waitRelease``) and a release listener."""
+blocking acquire looks it up once however often it polls.  On, a
+release wakes the waiter of its successor — a library waiter at another
+site's replica (over ``music.grantPush``) or a service client's
+long-poll (``music.waitRelease``) — and nobody queued behind it, while
+every release listener hears every release.  On a contended run, no
+release wakes two waiters, and the hot path peeks no more per grant than
+the polling protocol."""
+
+from collections import Counter
 
 from repro import MusicConfig, build_music
-from repro.core.push import NO_PUSH
+from repro.core.push import NO_PUSH, ReleasePush
 from repro.core.replica import MusicReplica
 from repro.core.service import PUSH_WAIT_MS
 from tests.helpers import run
@@ -32,7 +37,9 @@ class CountingReplica(MusicReplica):
 
 
 def test_push_off_is_no_push_looked_up_once_per_acquire():
-    music = build_music(replica_class=CountingReplica)
+    music = build_music(
+        replica_class=CountingReplica, music_config=MusicConfig(fast_locks=False)
+    )
     for replica in music.replicas:
         assert replica.push is NO_PUSH
         assert "music.grantPush" not in replica._handlers
@@ -55,7 +62,7 @@ def test_push_off_is_no_push_looked_up_once_per_acquire():
     assert oregon.lookups == 1
 
 
-def test_one_release_wakes_every_kind_of_waiter_once():
+def test_a_release_wakes_its_successor_and_every_listener():
     music = build_music(music_config=MusicConfig(fast_locks=True))
     sim = music.sim
     layout = [replica.node_id for replica in music.replicas]
@@ -63,26 +70,112 @@ def test_one_release_wakes_every_kind_of_waiter_once():
         assert replica.push.peer_ids == [n for n in layout if n != replica.node_id]
     oregon = music.replica_at("Oregon")
     holder = music.client("Ohio")
+    library = music.client("Oregon")
     service = music.service_client("Oregon")
     wakes = []
 
     def woken(kind):
         return lambda _event: wakes.append((kind, sim.now))
 
-    oregon.push.subscribe("k").add_callback(woken("library"))
-    service.replica.push.subscribe("k").add_callback(woken("service"))
     oregon.push.add_listener(lambda key: wakes.append((f"listener:{key}", sim.now)))
 
     def task():
         cs = yield from holder.critical_section("k")
-        assert wakes == []
-        released_at = sim.now
-        yield from cs.exit()
-        yield sim.timeout(PUSH_WAIT_MS)
-        return released_at
+        second = yield from library.create_lock_ref("k")
+        third = yield from service.create_lock_ref("k")
+        oregon.push.subscribe("k", second).add_callback(woken("library"))
+        service.replica.push.subscribe("k", third).add_callback(woken("service"))
+        released = [sim.now]
+        yield from cs.exit()                     # hands the lock to `second`
+        yield sim.timeout(500.0)
+        assert sorted(kind for kind, _ in wakes) == ["library", "listener:k"]
+        released.append(sim.now)
+        yield from library.release_lock("k", second)   # ... which hands it to `third`
+        yield sim.timeout(500.0)
+        return released
 
-    released_at = run(sim, task())
-    assert sorted(kind for kind, _ in wakes) == ["library", "listener:k", "service"]
-    # Woken by the push, not by the long-poll's bound lapsing.
-    assert all(released_at < at < PUSH_WAIT_MS for _, at in wakes), wakes
+    released = run(sim, task())
+    assert [kind for kind, _ in wakes] == ["listener:k", "library", "listener:k", "service"]
+    # Each woken by its push, not by the long-poll's bound lapsing.
+    first, second = released
+    assert all(first < at < second for _, at in wakes[:2]), wakes
+    assert all(second < at < second + PUSH_WAIT_MS for _, at in wakes[2:]), wakes
     assert oregon.push._waiters == {}
+
+
+def _hot_key(fast_locks, clients=9, rounds=2):
+    """``clients`` at three sites, ``rounds`` critical sections each on
+    one key; returns the deployment and its acquire polls per grant.
+    Three waiters per replica: enough for a herd to show."""
+    music = build_music(
+        seed=2, replica_class=CountingReplica,
+        music_config=MusicConfig(fast_locks=fast_locks),
+    )
+    sites = music.profile.site_names
+    everyone = [music.client(sites[index % len(sites)]) for index in range(clients)]
+
+    def worker(client):
+        for _ in range(rounds):
+            cs = yield from client.critical_section("hot")
+            value = yield from cs.get()
+            yield from cs.put((value or 0) + 1)
+            yield from cs.exit()
+
+    processes = [music.sim.process(worker(client)) for client in everyone]
+    for process in processes:
+        music.sim.run_until_complete(process, limit=1e9)
+    polls = sum(replica.polls for replica in music.replicas)
+    return music, polls / (clients * rounds)
+
+
+def test_no_release_wakes_a_herd(monkeypatch):
+    """The herd gate: on a contended hot-path run every release wakes at
+    most one waiter across all replicas, and a grant costs no more
+    acquire polls than on the polling protocol."""
+    woken = Counter()
+    notify = ReleasePush._notify
+
+    def waiting(channel):
+        return sum(len(events) for events in channel._waiters.values())
+
+    def counting_notify(self, key, successor):
+        before = waiting(self)
+        notify(self, key, successor)
+        woken[(key, successor)] += before - waiting(self)
+
+    monkeypatch.setattr(ReleasePush, "_notify", counting_notify)
+    _music, fast_polls = _hot_key(fast_locks=True)
+    assert woken and max(woken.values()) == 1, woken
+    assert sum(woken.values()) >= 6          # the pushes did hand locks over
+    _music, polling_polls = _hot_key(fast_locks=False)
+    assert fast_polls <= polling_polls, (fast_polls, polling_polls)
+
+
+def test_after_a_waiter_leaves_mid_queue_the_release_wakes_the_next_one(monkeypatch):
+    """The successor is read from the queue the release's LWT saw, not
+    guessed as ``lockRef + 1``: a waiter that gave up and left from the
+    middle hands nobody the lock, and the holder's release then wakes
+    the waiter behind the gap."""
+    # Polling alone would leave the last waiter asleep for 30 s.
+    monkeypatch.setattr(MusicConfig, "acquire_poll_interval_ms", 30_000.0)
+    monkeypatch.setattr(MusicConfig, "acquire_poll_max_ms", 30_000.0)
+    music = build_music(replica_class=CountingReplica, music_config=MusicConfig(fast_locks=True))
+    sim = music.sim
+    holder, leaver, waiter = (music.client(site) for site in ("Ohio", "Oregon", "N.California"))
+    home = music.replica_at("N.California")        # the waiter's replica
+
+    def task():
+        cs = yield from holder.critical_section("k")
+        left = yield from leaver.create_lock_ref("k")
+        ref = yield from waiter.create_lock_ref("k")
+        assert (left, ref) == (cs.lock_ref + 1, cs.lock_ref + 2)
+        acquiring = sim.process(waiter.acquire_lock_blocking("k", ref))
+        yield from leaver.release_lock("k", left)
+        yield sim.timeout(500.0)
+        assert home.polls == 1 and not acquiring.triggered    # nobody was woken
+        released = sim.now
+        yield from cs.exit()
+        assert (yield acquiring)
+        return sim.now - released
+
+    assert run(sim, task()) < 1_000.0

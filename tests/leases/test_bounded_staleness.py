@@ -147,18 +147,21 @@ def test_read_leases_bring_the_invalidation_channel_on_every_construction_path()
     from repro import MusicConfig
     from repro.live import ClusterSpec, localhost_spec
 
-    assert MusicConfig(read_leases=True).push_grants
-    assert replace(MusicConfig(), read_leases=True).push_grants
-    spec = localhost_spec(music={"read_leases": True})
+    # fast_locks (on by default) brings the channel too: switch it off
+    # so only read_leases can.
+    polling = MusicConfig(fast_locks=False)
+    assert not polling.push_grants
+    assert MusicConfig(fast_locks=False, read_leases=True).push_grants
+    assert replace(polling, read_leases=True).push_grants
+    spec = localhost_spec(music={"read_leases": True, "fast_locks": False})
     assert spec.music_config().push_grants
     assert ClusterSpec.from_dict(spec.to_dict()).music_config().push_grants  # the TOML/JSON path
-    assert not MusicConfig().push_grants
-    sugar = build_music(read_leases=True).config
-    assert sugar == build_music(music_config=MusicConfig(read_leases=True)).config
+    sugar = build_music(read_leases=True, music_config=polling).config
+    assert sugar == build_music(music_config=replace(polling, read_leases=True)).config
 
     # And the channel works: the scenario of the test above, with the
     # tier switched on through the config alone.
-    music = build_music(music_config=MusicConfig(read_leases=True), audit=True)
+    music = build_music(music_config=replace(polling, read_leases=True), audit=True)
     sim = music.sim
     writer, reader = music.client("Ohio"), music.client("Oregon")
 

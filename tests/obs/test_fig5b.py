@@ -7,13 +7,14 @@ critical-path partition of the recorded spans, and the phases must
 account for each critical section's latency to within 5%.
 """
 
-from repro.core import build_music
+from repro.core import MusicConfig, build_music
 from repro.obs import extract_critpaths, phase_summary, render_phase_summary
 from tests.helpers import run
 
 
 def _traced_run(ops=6):
-    deployment = build_music(obs=True)
+    # Fig. 5(b) is the paper's protocol: a synchFlag read on every grant.
+    deployment = build_music(obs=True, music_config=MusicConfig(fast_locks=False))
     obs = deployment.obs
     client = deployment.client(deployment.profile.site_names[0])
 

@@ -17,7 +17,7 @@ Three guarantees:
 
 import time
 
-from repro.core import build_music
+from repro.core import MusicConfig, build_music
 from repro.obs import NULL_AUDIT, NULL_OBS
 from repro.obs.recorder import _NullMetrics
 from repro.obs.trace import NullTracer, _NullSpan
@@ -87,7 +87,13 @@ def test_an_untraced_run_opens_no_span(monkeypatch):
 
     traced = build_music(seed=5, obs=True)
     _workload(traced)
-    assert len(traced.obs.tracer.spans) == 320
+    # The three repeat sections on a key take the synchFlag fast path:
+    # each skips the flag read's four spans (coordinator + 3 replicas)
+    # of the polling protocol's 320.
+    assert len(traced.obs.tracer.spans) == 308
+    polling = build_music(seed=5, obs=True, music_config=MusicConfig(fast_locks=False))
+    _workload(polling)
+    assert len(polling.obs.tracer.spans) == 320
 
 
 def _contended(deployment, clients=16):
