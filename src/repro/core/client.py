@@ -36,6 +36,8 @@ _RETRYABLE = (QuorumUnavailable, RpcTimeout, LockContention)
 
 # Multiplicative backoff between unsuccessful acquireLock polls.
 ACQUIRE_POLL_BACKOFF = 1.5
+# A pushed waiter's first sleep: the grant is a local store apply away.
+APPLY_FUSE_MS = 3.0
 # Attempts at a nacked operation before the client gives up on it.
 OP_RETRY_LIMIT = 5
 
@@ -152,26 +154,32 @@ class MusicClient:
     def acquire_lock_blocking(
         self, key: str, lock_ref: int, timeout_ms: Optional[float] = None
     ) -> Generator[Any, Any, bool]:
-        """Poll acquire_lock with backoff until granted.
+        """Poll acquire_lock until granted.
 
         Returns True when granted; False if ``timeout_ms`` elapsed first
-        — the sleep between polls is clamped to the remaining deadline
-        and the deadline is re-checked before the next quorum attempt,
-        so the wait never overshoots ``timeout_ms``.  Raises
+        — every sleep is clamped to the remaining deadline and the
+        deadline is re-checked before the next quorum attempt, so the
+        wait never overshoots ``timeout_ms``.  Raises
         :class:`NotLockHolder` if the lockRef was preempted while
-        waiting.  The sleep also wakes early when the preferred
-        replica's release channel pushes a release of ``key`` that names
-        ``lock_ref`` its successor.
+        waiting.
+
+        Without a release channel the polls back off from
+        ``acquire_poll_interval_ms`` to ``acquire_poll_max_ms``.  With
+        one, the push naming ``lock_ref`` the successor is the grant
+        signal, and the timer a liveness fuse: ``acquire_poll_max_ms``
+        per place the last denied poll found ``lock_ref`` behind the
+        queue head.  A pushed waiter polls after the apply fuse, then
+        backs off from it.
         """
+        config = self.config
         deadline = None if timeout_ms is None else self.sim.now + timeout_ms
-        interval = self.config.acquire_poll_interval_ms
-        # The release subscription outlives individual polls: a push
-        # arriving *while* a poll RPC is in flight would otherwise fall
-        # into an unsubscribed window, silently lost, and the waiter
-        # would back off toward acquire_poll_max_ms with the lock free.
-        # Push grants off, the waiter is None: one lookup per acquire.
+        interval = config.acquire_poll_interval_ms
+        # The release subscription outlives individual polls, so a push
+        # arriving *while* a poll is in flight is not lost.  Push grants
+        # off, the waiter is None: one lookup per acquire.
         channel = self.replica.push
         waiter = channel.subscribe(key, lock_ref)
+        fuse = waiter is not None
         try:
             while True:
                 granted = yield from self.acquire_lock(key, lock_ref)
@@ -179,39 +187,40 @@ class MusicClient:
                     return True
                 if deadline is not None and self.sim.now >= deadline:
                     return False
-                # A release that landed during the poll round trip is
-                # re-polled eagerly instead of slept on.
+                # A release that landed during the poll round trip counts
+                # as a push received now.
                 pushed = waiter is not None and waiter.triggered
                 if not pushed:
-                    sleep = interval * (1 + 0.2 * self.rng.random())
-                    if deadline is not None:
-                        sleep = min(sleep, deadline - self.sim.now)
-                    if waiter is not None:
+                    if fuse:
+                        interval = config.acquire_poll_max_ms * channel.distance(key, lock_ref)
+                    sleep = self._poll_sleep(interval, deadline)
+                    if waiter is None:
+                        yield sleep  # a bare delay: nobody else waits on it
+                    else:
                         which, _ = yield self.sim.any_of(
                             [waiter, self.sim.timeout(sleep)]
                         )
                         pushed = which == 0
-                    else:
-                        yield sleep  # a bare delay: nobody else waits on it
                 if pushed:
-                    waiter = None  # consumed by the notify
-                    # The grant is at most a local store apply away, so
-                    # re-poll on a short fuse (the push races the commit
-                    # round's replica writes by design).
-                    interval = min(self.config.acquire_poll_interval_ms, 3.0)
-                else:
-                    interval = min(
-                        interval * ACQUIRE_POLL_BACKOFF,
-                        self.config.acquire_poll_max_ms,
-                    )
-                if deadline is not None and self.sim.now >= deadline:
-                    return False
-                if pushed:  # renew, at the replica preferred now
+                    # Renew (the notify consumed the waiter) at the
+                    # replica preferred now.  The grant is a local store
+                    # apply away (the push races the commit round).
                     channel = self.replica.push
                     waiter = channel.subscribe(key, lock_ref)
+                    fuse = False
+                    interval = APPLY_FUSE_MS
+                    yield self._poll_sleep(interval, deadline)
+                interval = min(interval * ACQUIRE_POLL_BACKOFF, config.acquire_poll_max_ms)
+                if deadline is not None and self.sim.now >= deadline:
+                    return False
         finally:
             if waiter is not None:
                 channel.unsubscribe(key, lock_ref, waiter)
+
+    def _poll_sleep(self, interval: float, deadline: Optional[float]) -> float:
+        """``interval`` plus up to 20 % jitter, clamped to ``deadline``."""
+        sleep = interval * (1 + 0.2 * self.rng.random())
+        return sleep if deadline is None else min(sleep, deadline - self.sim.now)
 
     def _put_once(
         self, replica, key: str, lock_ref: int, value: Any, delete: bool

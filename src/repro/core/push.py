@@ -6,7 +6,8 @@ of the layers above, and the one-way ``music.grantPush`` fan-out to the
 other MUSIC replicas.  A push names the key and the successor the
 release handed the lock to, and wakes that lockRef's waiter only;
 listeners hear every release.  A push is advisory — a lost one only
-leaves a waiter to its poll timer.  :data:`NO_PUSH` is the channel off.
+leaves a waiter to its poll fuse (:meth:`distance`).  :data:`NO_PUSH` is
+the channel off.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ __all__ = ["NO_PUSH", "ReleasePush"]
 
 
 class ReleasePush:
-    """The release channel of ``node``, pushing to ``peer_ids``."""
+    """The release channel of ``node`` and its ``lock_store``, pushing to ``peer_ids``."""
 
-    def __init__(self, node: Node, peer_ids: Iterable[str]) -> None:
+    def __init__(self, node: Node, peer_ids: Iterable[str], lock_store: Any) -> None:
         self.node = node
         self.peer_ids = list(peer_ids)
+        self.lock_store = lock_store
         self._waiters: Dict[Tuple[str, int], list] = {}
         self._listeners: List[Callable[[str], None]] = []
         self._notifies: Any = None
@@ -46,6 +48,11 @@ class ReleasePush:
     def add_listener(self, callback: Callable[[str], None]) -> None:
         """Call ``callback`` with the key of every release observed here."""
         self._listeners.append(callback)
+
+    def distance(self, key: str, lock_ref: int) -> int:
+        """How far behind its queue head the last lock peek here found
+        ``lock_ref``, at least 1: the waiter's poll fuse scales by it."""
+        return self.lock_store.places_behind(key, lock_ref)
 
     def push(self, key: str, successor: Optional[int]) -> None:
         """Wake ``successor``'s waiter on ``key``, here and at every peer;

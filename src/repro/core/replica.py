@@ -135,7 +135,9 @@ class MusicReplica(Node):
         self._leases: Dict[Tuple[str, int], float] = {}
         # Push grants (DESIGN.md §9): the release channel to this
         # replica's waiters and to ``peer_ids``, or NO_PUSH.
-        self.push: Any = ReleasePush(self, peer_ids) if config.push_grants else NO_PUSH
+        self.push: Any = (
+            ReleasePush(self, peer_ids, self.lock_store) if config.push_grants else NO_PUSH
+        )
         # Read scale-out leases (DESIGN.md §10).  The one path below
         # calls both tiers unconditionally; with the feature off they
         # are the null object, which holds no state and reads no clock.
@@ -498,27 +500,18 @@ class MusicReplica(Node):
         WAN acks — the push is advisory, so a waiter that polls too early
         just polls again.  The audit event must fire at the same decide
         point: a push-woken successor can be granted during the commit
-        round, and the auditor linearizes by event order.
-
-        The caller invokes the hook once more with ``late=True`` after
-        the dequeue returns: if the LWT never announced a decision (the
-        row was already gone, or a rival's recovery finished it) the
-        event is emitted then, without a push.
+        round, and the auditor linearizes by event order.  A dequeue
+        decided by a rival's recovery calls it when its proposer learns.
         """
         audit = self.obs.audit
-        fired = []
 
-        def decided(successor: Optional[int] = None, late: bool = False) -> None:
-            if late and fired:
-                return
-            fired.append(True)
+        def decided(successor: Optional[int]) -> None:
             if audit.enabled:
                 fields = {} if stamp is None else {"stamp": stamp}
                 audit.emit(
                     event, key=key, node=self.node_id, lock_ref=lock_ref, **fields
                 )
-            if not late:
-                self.push.push(key, successor)
+            self.push.push(key, successor)
 
         return decided
 
@@ -533,7 +526,6 @@ class MusicReplica(Node):
         if _queue_order(lock_ref, head) >= 0:
             decided = self._decided_hook("release", key, lock_ref)
             yield from self.lock_store.dequeue(key, lock_ref, on_committing=decided)
-            decided(late=True)
         self.lease_manager.revoke(key)
         self._leases.pop((key, lock_ref), None)
         return True
@@ -583,7 +575,6 @@ class MusicReplica(Node):
         yield from self.lock_store.dequeue(
             key, lock_ref, forced=self._forced_markers, on_committing=decided
         )
-        decided(late=True)
 
     # -- lease invalidation on the release channel (DESIGN.md §10) ---------------
 

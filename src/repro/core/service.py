@@ -38,7 +38,7 @@ from .replica import MusicReplica
 __all__ = ["install_service", "ReplicaStub", "service_client"]
 
 # Lifetime of one ``music.waitRelease`` subscription at the replica; the
-# stub's waiter fires when it lapses, so the client re-polls and renews.
+# stub renews one that lapses unpushed.
 PUSH_WAIT_MS = 2_000.0
 
 _ERROR_KINDS = {
@@ -86,10 +86,12 @@ def install_service(replica: MusicReplica) -> None:
     def handler(msg) -> Generator[Any, Any, None]:
         method_name, arg_names = _OPERATIONS[msg.kind]
         body = replica.payload(msg)
+        args = [body.get(name) for name in arg_names]
         try:
-            result = yield from getattr(replica, method_name)(
-                *[body.get(name) for name in arg_names]
-            )
+            result = yield from getattr(replica, method_name)(*args)
+            if result is False and msg.kind == "music.acquireLock" and replica.push is not NO_PUSH:
+                # A denied poll answers the client's fuse (push.py).
+                result = replica.push.distance(*args)
             reply = {"ok": True, "result": result}
             size_bytes = _reply_size(msg.kind, result)
         except ReproError as error:
@@ -104,17 +106,17 @@ def install_service(replica: MusicReplica) -> None:
     def wait_release(msg) -> Generator[Any, Any, None]:
         # The stub's subscribe: hold the request until a release of the
         # key names the client's lockRef its successor, or the
-        # client-supplied bound elapses.
+        # client-supplied bound elapses; the reply says which.
         body = replica.payload(msg)
         key, lock_ref = body["key"], body["lock_ref"]
         waiter = replica.push.subscribe(key, lock_ref)
         try:
-            yield replica.sim.any_of(
+            which, _ = yield replica.sim.any_of(
                 [waiter, replica.sim.timeout(body["wait_ms"])]
             )
         finally:
             replica.push.unsubscribe(key, lock_ref, waiter)
-        replica.reply(msg, {"ok": True, "result": None})
+        replica.reply(msg, {"ok": True, "result": which == 0})
 
     for kind in _OPERATIONS:
         replica.on(kind, handler)
@@ -141,6 +143,7 @@ class ReplicaStub:
         self.network = host.network
         self.obs = host.obs
         self._long_poll = config.push_grants
+        self._polled: Tuple[Any, Any, Any] = (None, None, 1)
 
     @property
     def failed(self) -> bool:
@@ -165,22 +168,45 @@ class ReplicaStub:
             raise _ERROR_KINDS.get(reply["error_kind"], ReproError)(reply["error"])
         return reply["result"]
 
-    def subscribe(self, key: str, lock_ref: int) -> Any:
-        """An Event firing when a release of ``key`` observed by the
-        replica names ``lock_ref`` its successor — or when the
-        subscription lapses or the replica proves unreachable: the push
-        is advisory, a woken client just polls."""
-        waiter = self.sim.event(name=f"grantPush:{key}")
+    def acquire_lock(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
+        """acquireLock over RPC; with push grants on, a denied poll is
+        answered with how far back ``lock_ref`` stands (:meth:`distance`)."""
+        result = yield from self._call("music.acquireLock", {"key": key, "lock_ref": lock_ref})
+        self._polled = (key, lock_ref, result)
+        return result is True
+
+    def distance(self, key: str, lock_ref: int) -> int:
+        """How far back the last poll found ``lock_ref`` (1 if it polled another)."""
+        polled_key, polled_ref, distance = self._polled
+        return distance if (polled_key, polled_ref) == (key, lock_ref) else 1
+
+    def subscribe(self, key: str, lock_ref: int, waiter: Any = None) -> Any:
+        """An Event (``waiter``, when renewing) firing when a release of
+        ``key`` observed by the replica names ``lock_ref`` its successor,
+        or when the replica proves unreachable (the push is advisory: a
+        woken client just polls).  One that lapses unpushed is renewed."""
+        waiter = waiter or self.sim.event(name=f"grantPush:{key}")
+
+        def answered(reply: Any) -> None:
+            if waiter.triggered:  # unsubscribed
+                return
+            if reply.ok and not reply.value["result"]:
+                self.subscribe(key, lock_ref, waiter)
+            else:
+                waiter.succeed(True)
+
         self.host.call_async(
             self.node_id, "music.waitRelease",
             {"key": key, "lock_ref": lock_ref, "wait_ms": PUSH_WAIT_MS},
             timeout=PUSH_WAIT_MS + DEFAULT_RPC_TIMEOUT_MS,
-        ).add_callback(lambda _reply: waiter.triggered or waiter.succeed(True))
+        ).add_callback(answered)
         return waiter
 
     def unsubscribe(self, key: str, lock_ref: int, waiter: Any) -> None:
-        """Nothing to send: the replica-side subscription ends at its
-        push or its bound, and the late reply finds no one waiting."""
+        """Stop renewing: the replica-side subscription ends at its push
+        or its bound, and the late reply finds no one waiting."""
+        if not waiter.triggered:
+            waiter.succeed(False)
 
 
 def _stub_method(kind: str, arg_names):
@@ -191,7 +217,8 @@ def _stub_method(kind: str, arg_names):
 
 
 for _kind, (_method_name, _arg_names) in _OPERATIONS.items():
-    setattr(ReplicaStub, _method_name, _stub_method(_kind, _arg_names))
+    if _method_name not in vars(ReplicaStub):
+        setattr(ReplicaStub, _method_name, _stub_method(_kind, _arg_names))
 
 
 def service_client(

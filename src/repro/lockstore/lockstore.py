@@ -90,15 +90,19 @@ Head = Tuple[Optional[LockEntry], Any, Optional[int]]
 
 
 def _successor(
-    rows: Any, lock_ref: int, gone: Collection[int], minted: Sequence[int] = ()
+    rows: Any, lock_ref: int, gone: Collection[int], minted: Sequence[int] = (),
+    decided: bool = False,
 ) -> Optional[int]:
     """The lockRef a dequeue of ``lock_ref`` hands the lock to: the queue
     head once its LWT has removed ``gone`` and added ``minted``, read
-    from the ``rows`` the LWT's condition was evaluated on.  None if
-    ``lock_ref`` did not head those rows, or there were none."""
+    from the ``rows`` the LWT's condition was evaluated on (or, if
+    ``decided``, read after the LWT applied).  None if ``lock_ref`` did
+    not head those rows, or there were none."""
     if rows is None:
         return None
     queued = LockStore._lock_refs(rows)
+    if decided:
+        queued += gone
     if not queued or min(queued) != lock_ref:
         return None
     return min([ref for ref in queued if ref not in gone] + list(minted), default=None)
@@ -232,7 +236,7 @@ class LockStore:
             audit = self.obs.audit
             emitted = []
 
-            def committing(rows=None, refs=refs, attempt=attempt, recovered=False) -> None:
+            def committing(rows, refs=refs, attempt=attempt, recovered=False) -> None:
                 emitted.append(True)
                 if audit.enabled:
                     for ref in refs:
@@ -244,7 +248,9 @@ class LockStore:
                 gone = {op.lock_ref for op in dequeues}
                 for op in dequeues:
                     if op.on_committing is not None:
-                        op.on_committing(_successor(rows, op.lock_ref, gone, refs))
+                        op.on_committing(
+                            _successor(rows, op.lock_ref, gone, refs, decided=recovered)
+                        )
 
             result = yield from self.coordinator.cas(
                 LOCK_TABLE,
@@ -268,7 +274,7 @@ class LockStore:
                     # earlier than now, so the events carry
                     # recovered=True (their emission time is not their
                     # linearization time).
-                    committing(recovered=True)
+                    committing(result.current, recovered=True)
                 return refs
             # Someone else advanced the guard first; re-read and retry.
             # Guard contention is the LWT contention rate of the
@@ -327,6 +333,15 @@ class LockStore:
         self._heads[key] = rows, head
         return head
 
+    def places_behind(self, key: str, lock_ref: int) -> int:
+        """How many places behind the queue head the last head read of
+        ``key`` here found ``lock_ref``, at least 1 (no I/O)."""
+        memo = self._heads.get(key)
+        entry = None if memo is None else memo[1][0]
+        if entry is None or entry.lock_ref >= lock_ref:
+            return 1
+        return lock_ref - entry.lock_ref
+
     def peek(self, key: str) -> Generator[Any, Any, Optional[LockEntry]]:
         """lsPeek: the first lockRef in the *local* replica's queue."""
         entry, _, _ = yield from self.head(key)
@@ -384,10 +399,11 @@ class LockStore:
         fast-path caches.
 
         ``on_committing`` (advisory decided-hook; see
-        :meth:`StoreCoordinator.cas`) is called with the successor: the
-        lockRef this dequeue hands the lock to, or None if ``lock_ref``
-        was not the head of the queue the LWT read (a waiter leaving from
-        the middle hands nobody the lock) or there was no such read.
+        :meth:`StoreCoordinator.cas`) is called once with the successor:
+        the lockRef this dequeue hands the lock to, or None if
+        ``lock_ref`` was not the head of the queue the LWT read (a waiter
+        leaving from the middle hands nobody the lock).  One a rival's LWT
+        recovery decided is called on return, from the rows that showed it.
         """
         # Group commit covers clean releases only: take the busy token
         # so concurrent mints queue behind this dequeue instead of
@@ -432,16 +448,19 @@ class LockStore:
                         {"revoked": lock_ref, "by": self._writer}, stamp,
                     )
                 )
-        hook = None if on_committing is None else (
-            lambda rows: on_committing(_successor(rows, lock_ref, (lock_ref,)))
-        )
+        gone, fired = (lock_ref,), []
+
+        def hook(rows: Any) -> None:
+            fired.append(True)
+            on_committing(_successor(rows, lock_ref, gone))
+
         lwt = self.coordinator.cas(
             LOCK_TABLE,
             key,
             Condition("exists", clustering=lock_ref),
             mutations,
             stamp_with_ballot=True,  # the tombstone must beat the insert
-            on_committing=hook,
+            on_committing=None if on_committing is None else hook,
             on_recovered=self._recovered,
             # In batch mode the dequeue is the lock handover: on a ballot
             # loss re-contest quickly instead of ceding the partition to
@@ -449,10 +468,14 @@ class LockStore:
             backoff_scale=self._dequeue_backoff_scale,
         )
         tracer = self.obs.tracer
-        if not tracer.enabled:
-            return lwt
-        attrs = {"forced": True} if forced else {}
-        return tracer.around(lwt, "lockstore.dequeue", node=self._writer, key=key, **attrs)
+        if tracer.enabled:
+            attrs = {"forced": True} if forced else {}
+            lwt = tracer.around(lwt, "lockstore.dequeue", node=self._writer, key=key, **attrs)
+        result = yield from lwt
+        if on_committing is not None and not fired:
+            # Decided before this proposer saw it: its read phase found
+            # the queue as the dequeue left it.
+            on_committing(_successor(result.current, lock_ref, gone, decided=True))
 
     def _recovered(self, mutation: Sequence[Any]) -> None:
         """Report the dequeues of a rival's LWT that this coordinator

@@ -29,6 +29,7 @@ client had (watermark not sent, release push lost during the poll).
 import pytest
 
 from repro.core import MusicConfig, build_music, service_client
+from repro.core import client as client_module
 from repro.core.client import OP_RETRY_LIMIT
 from repro.core.service import PUSH_WAIT_MS
 from repro.errors import NotLockHolder, QuorumUnavailable, ReproError
@@ -212,6 +213,103 @@ def test_acquire_blocking_deadline_holds_with_push_grants(mode):
     )
     assert granted is False
     assert waited <= 800.0 + OVERSHOOT_MS[mode], waited
+
+
+def _counting_polls(client):
+    """Count ``client``'s acquireLock polls in the list returned."""
+    polls, acquire = [], client.acquire_lock
+
+    def counted(key, lock_ref):
+        polls.append(client.sim.now)
+        return acquire(key, lock_ref)
+
+    client.acquire_lock = counted
+    return polls
+
+
+def test_the_fuse_never_overshoots_the_deadline(mode):
+    """A waiter three places back sleeps a fuse of three
+    ``acquire_poll_max_ms``, clamped: with ``timeout_ms=700`` it polls
+    once and returns False at exactly t0 + 700 ms."""
+    music = build_music()
+    holder = music.client("Ohio")
+    queued = [music.client(site) for site in ("N.California", "Ohio")]
+    waiter = client_of(music, mode, "Oregon")
+    polls = _counting_polls(waiter)
+
+    def task():
+        cs = yield from holder.critical_section("k")
+        for client in queued:
+            yield from client.create_lock_ref("k")
+        ref = yield from waiter.create_lock_ref("k")
+        assert ref == cs.lock_ref + 3
+        started = music.sim.now
+        granted = yield from waiter.acquire_lock_blocking("k", ref, timeout_ms=700.0)
+        return granted, started
+
+    granted, started = run(music, task())
+    assert granted is False
+    assert music.sim.now == pytest.approx(started + 700.0, abs=1e-9)
+    assert polls == [started]
+
+
+def test_the_sleep_after_a_push_is_clamped_to_the_deadline(mode, monkeypatch):
+    """A push that lands before the deadline cannot carry the wait past
+    it: with the apply fuse stretched to 10 s, the pushed waiter still
+    returns at exactly t0 + 700 ms."""
+    monkeypatch.setattr(client_module, "APPLY_FUSE_MS", 10_000.0)
+    music = build_music()
+    holder = music.client("Ohio")
+    waiter = client_of(music, mode, "Oregon")
+    polls = _counting_polls(waiter)
+
+    def release_soon(cs):
+        yield music.sim.timeout(200.0)
+        yield from cs.exit()
+
+    def task():
+        cs = yield from holder.critical_section("k")
+        ref = yield from waiter.create_lock_ref("k")
+        started = music.sim.now
+        music.sim.process(release_soon(cs))
+        granted = yield from waiter.acquire_lock_blocking("k", ref, timeout_ms=700.0)
+        return granted, started
+
+    granted, started = run(music, task())
+    assert granted is False
+    assert music.sim.now == pytest.approx(started + 700.0, abs=1e-9)
+    assert polls == [started]
+
+
+def test_a_wait_polls_as_often_in_both_modes():
+    """A lapsed ``music.waitRelease`` is no push: the stub renews the
+    subscription and the waiter keeps its fuse.  Over one 6 s wait a
+    service client polls exactly as often as a library client drawing
+    the same jitter (the stub once woke its waiter at every 2 s lapse,
+    restarting the 3 ms ramp: 53 polls against 21)."""
+    counts = {}
+    for mode in MODES:
+        music = build_music()
+        holder = music.client("Ohio")
+        if mode == "library":
+            waiter = music.client("Oregon", client_id="waiter")
+        else:
+            waiter = music.service_client("Oregon", client_id="waiter")
+        polls = _counting_polls(waiter)
+
+        def task():
+            cs = yield from holder.critical_section("k")
+            ref = yield from waiter.create_lock_ref("k")
+            acquiring = music.sim.process(waiter.acquire_lock_blocking("k", ref))
+            yield music.sim.timeout(6_000.0)
+            yield from cs.exit()
+            granted = yield acquiring
+            return granted
+
+        assert run(music, task()) is True
+        counts[mode] = len(polls)
+    assert counts["library"] == counts["service"], counts
+    assert counts["library"] < 6_000.0 / MusicConfig.acquire_poll_max_ms + 3, counts
 
 
 def test_critical_section_times_out_and_gives_the_ref_back(mode):

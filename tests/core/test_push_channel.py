@@ -5,8 +5,9 @@ release wakes the waiter of its successor — a library waiter at another
 site's replica (over ``music.grantPush``) or a service client's
 long-poll (``music.waitRelease``) — and nobody queued behind it, while
 every release listener hears every release.  On a contended run, no
-release wakes two waiters, and the hot path peeks no more per grant than
-the polling protocol."""
+release wakes two waiters, a grant costs at most two polls and none is
+found by a waiter's liveness fuse, and the hot path polls no more per
+grant than the polling protocol."""
 
 from collections import Counter
 
@@ -18,7 +19,8 @@ from tests.helpers import run
 
 
 class CountingReplica(MusicReplica):
-    """Counts reads of its release channel and its acquire polls."""
+    """Counts reads of its release channel and its acquire polls (also
+    per lockRef, in ``polled``)."""
 
     lookups = polls = 0
 
@@ -33,6 +35,7 @@ class CountingReplica(MusicReplica):
 
     def acquire_lock(self, key, lock_ref):
         self.polls += 1
+        self.__dict__.setdefault("polled", Counter())[lock_ref] += 1
         return super().acquire_lock(key, lock_ref)
 
 
@@ -130,23 +133,32 @@ def _hot_key(fast_locks, clients=9, rounds=2):
 
 def test_no_release_wakes_a_herd(monkeypatch):
     """The herd gate: on a contended hot-path run every release wakes at
-    most one waiter across all replicas, and a grant costs no more
-    acquire polls than on the polling protocol."""
+    most one waiter across all replicas, and the push is what grants: a
+    grant costs at most two acquire polls (the first, and the one after
+    the push), and no lockRef that polled more than once was granted
+    without a push — none was found by its liveness fuse."""
     woken = Counter()
     notify = ReleasePush._notify
 
-    def waiting(channel):
-        return sum(len(events) for events in channel._waiters.values())
-
     def counting_notify(self, key, successor):
-        before = waiting(self)
+        # A woken waiter may re-subscribe inside the notify, so count the
+        # parked events it triggered, not how many are left parked.
+        parked = [
+            event for events in self._waiters.values() for event in events
+            if not event.triggered
+        ]
         notify(self, key, successor)
-        woken[(key, successor)] += before - waiting(self)
+        woken[(key, successor)] += sum(event.triggered for event in parked)
 
     monkeypatch.setattr(ReleasePush, "_notify", counting_notify)
-    _music, fast_polls = _hot_key(fast_locks=True)
+    music, fast_polls = _hot_key(fast_locks=True)
     assert woken and max(woken.values()) == 1, woken
     assert sum(woken.values()) >= 6          # the pushes did hand locks over
+    assert fast_polls <= 2, fast_polls
+    polled = sum((replica.polled for replica in music.replicas), Counter())
+    pushed = {ref for (_key, ref), count in woken.items() if count}
+    fused = [ref for ref, polls in polled.items() if polls > 1 and ref not in pushed]
+    assert fused == [], (fused, polled)
     _music, polling_polls = _hot_key(fast_locks=False)
     assert fast_polls <= polling_polls, (fast_polls, polling_polls)
 

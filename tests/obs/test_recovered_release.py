@@ -9,7 +9,8 @@ own coordinator learns of that only on its next attempt, after the
 successor may already hold the lock.  Reported then, the release reads
 to the checker as a lockholder still queued when the next one was
 granted (a ``LockQueueFIFO`` and an ``Exclusivity`` flag on a history
-with neither).  The coordinator that decides the dequeue reports it.
+with neither).  The coordinator that decides the dequeue reports it,
+and the one that learns of it late pushes the successor it left.
 """
 
 import pytest
@@ -19,7 +20,7 @@ from repro.core import MusicConfig, build_music
 SITES = ("N.California", "Ohio", "Oregon")
 
 
-def _audited_run(seed, fast_locks, clients=6, rounds=10):
+def _audited_run(seed, fast_locks, clients=6, rounds=10, until=600_000):
     music = build_music(
         seed=seed, audit=True, music_config=MusicConfig(fast_locks=fast_locks)
     )
@@ -36,7 +37,7 @@ def _audited_run(seed, fast_locks, clients=6, rounds=10):
 
     for index in range(clients):
         sim.process(worker(music.client(SITES[index % len(SITES)])))
-    sim.run(until=600_000, strict=False)
+    sim.run(until=until, strict=False)
     return music, len(done)
 
 
@@ -44,5 +45,19 @@ def _audited_run(seed, fast_locks, clients=6, rounds=10):
 @pytest.mark.parametrize("seed", [1, 4, 5, 7, 9, 10])
 def test_a_release_completed_by_a_rival_audits_clean(seed, fast_locks):
     music, finished = _audited_run(seed, fast_locks)
+    assert finished == 6
+    assert music.auditor.clean, music.auditor.render_report()
+
+
+@pytest.mark.parametrize("seed", [1, 3, 5, 7, 9, 10])
+def test_a_release_completed_by_a_rival_wakes_its_successor(seed, monkeypatch):
+    """The release's own coordinator, finding its dequeue already
+    decided, pushes the head of the queue the dequeue left.  With the
+    poll timer stretched to 30 s, a hand-off left to the timer stalls
+    the run for 30 s; every one of the 60 sections finishes inside 30
+    simulated seconds only if every hand-off is pushed."""
+    monkeypatch.setattr(MusicConfig, "acquire_poll_interval_ms", 30_000.0)
+    monkeypatch.setattr(MusicConfig, "acquire_poll_max_ms", 30_000.0)
+    music, finished = _audited_run(seed, fast_locks=True, until=30_000)
     assert finished == 6
     assert music.auditor.clean, music.auditor.render_report()
