@@ -143,6 +143,7 @@ class CockroachNode(Node):
         self.intents: Dict[str, _Intent] = {}
         self.txn_status: Dict[int, str] = {}  # txn id -> COMMITTED | ABORTED
         self.counters = {"proposals": 0, "applied": 0, "elections_won": 0}
+        self.obs.tally("crdb", self, node=node_id)
         self.on("crdb_propose", self._handle_propose)
         self.on("raft_append", self._handle_append)
         self.on("raft_vote", self._handle_vote)
@@ -269,8 +270,6 @@ class CockroachNode(Node):
         index = state.last_index()
         state.match_index[self.node_id] = index
         self.counters["proposals"] += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("crdb.proposals", node=self.node_id).inc()
 
         followers = [peer for peer in self.peers if peer != self.node_id]
         needed = quorum_size(len(self.peers)) - 1

@@ -115,6 +115,7 @@ class ZookeeperServer(Node):
         self._data_watches: Dict[str, list] = {}
         self._child_watches: Dict[str, list] = {}
         self.counters = {"proposals": 0, "applied": 0, "expired_sessions": 0}
+        self.obs.tally("zk", self, node=node_id)
         self.on("zab_submit", self._handle_submit)
         self.on("zab_replicate", self._handle_replicate)
         self.on("zab_commit", self._handle_commit)
@@ -173,8 +174,6 @@ class ZookeeperServer(Node):
             yield from self.pipeline.use(PIPELINE_BASE_MS + PIPELINE_PER_BYTE_MS * op.size_bytes())
         zxid = next(self._zxid)
         self.counters["proposals"] += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("zk.proposals", node=self.node_id).inc()
         followers = [peer for peer in self.ensemble if peer != self.node_id]
         needed = quorum_size(len(self.ensemble)) - 1  # the leader acks itself
         if needed > 0:

@@ -172,7 +172,9 @@ def build_music(
     MSCP) while keeping the identical deployment shape.
 
     ``obs=True`` (or an :class:`~repro.obs.Observability` instance)
-    records spans and metrics across every node of the deployment;
+    records spans and metrics across every node of the deployment — a
+    ``network`` passed in carrying a recorder of its own takes only that
+    one (or ``obs=True``);
     the default is the no-op recorder, under which an operation runs
     its bare body and opens no span (see :mod:`repro.obs.trace`).
 
@@ -222,11 +224,17 @@ def build_music(
     if network is None:
         network = Network(sim, latency_profile, streams=streams)
     if obs is None and audit and network.obs is NULL_OBS:
-        # Audit alone: the tracer and the metrics stay the null objects.
-        obs = Observability(sim, metrics=NULL_OBS.metrics, tracer=NULL_OBS.tracer)
-    if obs is not None and not network.obs.enabled:
-        network.obs = Observability(sim) if obs is True else obs
-        network.obs.observe_network(network)
+        # Audit alone: the tracer stays the null object, and so the
+        # metrics stay empty.
+        obs = Observability(sim, tracer=NULL_OBS.tracer)
+    if obs is True:
+        obs = network.obs if network.obs.tracer.enabled else Observability(sim)
+    if obs is not None and obs is not network.obs:
+        if network.obs is not NULL_OBS:
+            raise ValueError(
+                "the network already carries a recorder: pass that one as obs, or none"
+            )
+        network.obs = obs
     # The two keywords that re-spell a config field resolve onto copies:
     # the caller's config objects are read, never written, so one
     # MusicConfig / StoreConfig can seed any number of deployments.

@@ -28,7 +28,6 @@ class ReleasePush:
         self.lock_store = lock_store
         self._waiters: Dict[Tuple[str, int], list] = {}
         self._listeners: List[Callable[[str], None]] = []
-        self._notifies: Any = None
         node.on("music.grantPush", lambda msg: self._notify(msg.body["key"], msg.body["next"]))
 
     def subscribe(self, key: str, lock_ref: int) -> Any:
@@ -59,12 +58,7 @@ class ReleasePush:
         with neither a successor nor a listener there is nothing to send."""
         if successor is None and not self._listeners:
             return
-        if self.node.obs.enabled:
-            if self._notifies is None:
-                self._notifies = self.node.obs.metrics.counter(
-                    "music.push.notifies", node=self.node.node_id
-                )
-            self._notifies.inc()
+        self.node.counters["push_notifies"] += 1
         self._notify(key, successor)
         body = {"key": key, "next": successor}
         for peer in self.peer_ids:

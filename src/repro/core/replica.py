@@ -161,30 +161,20 @@ class MusicReplica(Node):
         # epoch under which this replica last established flag=False at
         # quorum.  Key absent = no fast-path evidence.
         self._flag_epoch: Dict[str, Any] = {}
+        # This replica's tally (its push's too): the metrics of
+        # TALLY_NAMES["music"].
         self.counters = dict.fromkeys((
             "forced_releases", "syncs", "lease_hits", "lease_misses",
             "cache_hits", "cache_misses", "cache_invalidations",
+            "fastpath_hits", "fastpath_misses", "push_notifies",
         ), 0)
-        self._metric_counters: Dict[str, Any] = {}
+        self.obs.tally("music", self, node=node_id)
 
     # -- helpers ------------------------------------------------------------
 
     def _traced(self, op: Generator[Any, Any, Any], name: str, key: str) -> Any:
         """``op`` inside its ``music.*`` span: asked for only when tracing."""
         return self.obs.tracer.around(op, name, node=self.node_id, site=self.site, key=key)
-
-    def _count(self, metric: str, counter: Optional[str] = None) -> None:
-        """Bump the ``counters`` twin, if named, and the metric if obs is on."""
-        if counter is not None:
-            self.counters[counter] += 1
-        if not self.obs.enabled:
-            return
-        instrument = self._metric_counters.get(metric)
-        if instrument is None:
-            instrument = self._metric_counters[metric] = self.obs.metrics.counter(
-                metric, node=self.node_id
-            )
-        instrument.inc()
 
     def _stamp(self, lock_ref: float, offset: float) -> Stamp:
         """A store stamp carrying v2s((lockRef, offset))."""
@@ -256,7 +246,7 @@ class MusicReplica(Node):
             tracer = self.obs.tracer
             if tracer.enabled:
                 tracer.current_span().set(fast=True)
-            self._count("music.fastpath.hits")
+            self.counters["fastpath_hits"] += 1
         else:
             # A read lease anchors at the local-clock time this quorum
             # flag read *started* (DESIGN.md §10).
@@ -278,7 +268,7 @@ class MusicReplica(Node):
                 # re-established by the sync); remember the peek-time
                 # epoch as the evidence horizon.
                 self._flag_epoch[key] = epoch
-                self._count("music.fastpath.misses")
+                self.counters["fastpath_misses"] += 1
 
         start_time = self.clock.now()
         yield from self.lock_store.set_start_time(key, lock_ref, start_time)
@@ -304,7 +294,7 @@ class MusicReplica(Node):
         of the true value (Section III-A) and overriding any still-
         propagating writes from the preempted lockholder.
         """
-        self._count("music.syncs", "syncs")
+        self.counters["syncs"] += 1
         op = self._synchronized(key, lock_ref)
         return self._traced(op, "music.synchronize", key) if self.obs.tracer.enabled else op
 
@@ -424,7 +414,7 @@ class MusicReplica(Node):
         view = leases.serve(key, lock_ref, min_stamp, self.clock)
         if view is not None:
             value, stamp = view.value, view.value_stamp
-            self._count("music.lease.hits", "lease_hits")
+            self.counters["lease_hits"] += 1
             if audit.enabled:
                 audit.emit("lease_read", key=key, node=self.node_id, lock_ref=lock_ref,
                            stamp=stamp, value=value)
@@ -433,7 +423,7 @@ class MusicReplica(Node):
             return (True, value, stamp)
         anchor_clock = leases.anchor_start(self.clock)
         if anchor_clock is not None:
-            self._count("music.lease.misses", "lease_misses")
+            self.counters["lease_misses"] += 1
         rows = yield from self.coordinator.get(
             DATA_TABLE, key, clustering=self._get_rows,
             consistency=Consistency.QUORUM,
@@ -543,7 +533,7 @@ class MusicReplica(Node):
         head, _, _ = yield from self.lock_store.head(key)
         if _queue_order(lock_ref, head) < 0:
             return True  # previously released
-        self._count("music.forced_releases", "forced_releases")
+        self.counters["forced_releases"] += 1
         preempt = self._preempt(key, lock_ref)
         if self.obs.tracer.enabled:
             preempt = self._traced(preempt, "music.forcedRelease", key)
@@ -593,7 +583,7 @@ class MusicReplica(Node):
         # Kept separate from the audit receipt above so mutation tests
         # can no-op exactly the cache drop.
         if self.read_cache.invalidate(key):
-            self._count("music.cache.invalidations", "cache_invalidations")
+            self.counters["cache_invalidations"] += 1
 
     # -- unlocked convenience ops (Section VI, "Additional Functions") ---------------
 
@@ -664,10 +654,10 @@ class MusicReplica(Node):
         """
         entry = self.read_cache.lookup(key, self.sim.now, staleness_ms)
         if entry is not None:
-            self._count("music.cache.hits", "cache_hits")
+            self.counters["cache_hits"] += 1
             return CachedRead(entry.value, entry.stamp, entry.fetched_ms,
                               hit=True, node=self.node_id)
-        self._count("music.cache.misses", "cache_misses")
+        self.counters["cache_misses"] += 1
         rows = yield from self.coordinator.get(
             DATA_TABLE, key, clustering=VALUE_ROW, consistency=Consistency.ONE
         )

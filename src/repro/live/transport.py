@@ -196,7 +196,6 @@ class TcpTransport:
         self._listen = listen
         self._server: Optional[asyncio.AbstractServer] = None
         self.obs = obs or NULL_OBS
-        self.obs.observe_network(self)
 
     # -- lifecycle ---------------------------------------------------------
 

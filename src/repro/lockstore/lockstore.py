@@ -26,6 +26,7 @@ Operations map to the paper's primitives:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Collection, Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -142,6 +143,12 @@ class LockStore:
         self._heads: Dict[str, Tuple[Any, Head]] = {}
         self._writer = coordinator.node.node_id
         self.obs = coordinator.node.obs
+        # Guard conflicts per key, batch flushes per writer: the tally
+        # names its own labels (TALLY_NAMES["lockstore"]).
+        self.counters = {
+            "enqueue_conflicts": defaultdict(int), "batch_flushes": defaultdict(int),
+        }
+        self.obs.tally("lockstore", self)
         # Ballot-loss priority (batch mode only; 1.0 = seed schedule):
         # dequeues sit on the serial lock-handover chain, so they
         # re-contest a lost ballot quickly, while mint batches — whose
@@ -279,8 +286,7 @@ class LockStore:
             # Someone else advanced the guard first; re-read and retry.
             # Guard contention is the LWT contention rate of the
             # motivation: another client won this key's lockRef race.
-            if self.obs.enabled:
-                self.obs.metrics.counter("lockstore.enqueue.conflicts", key=key).inc()
+            self.counters["enqueue_conflicts"][key] += 1
         raise LockContention(
             f"could not mint {count} lockRef(s) for {key!r} after "
             f"{MAX_ENQUEUE_ATTEMPTS} attempts"
@@ -552,10 +558,7 @@ class LockStore:
                 mint, "lockstore.batchFlush", node=self._writer, key=key, size=len(ops)
             )
         refs = yield from mint
-        if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.histogram("lockstore.batch.size", node=self._writer).observe(len(ops))
-            metrics.counter("lockstore.batch.flushes", node=self._writer).inc()
+        self.counters["batch_flushes"][self._writer] += 1
         for op, ref in zip(enqueues, refs):
             op.event.succeed(ref)
         for op in dequeues:

@@ -113,7 +113,6 @@ class Network:
         # Observability facade inherited by every node registered here
         # (NULL_OBS unless a real one is installed).
         self.obs = obs or NULL_OBS
-        self.obs.observe_network(self)
 
     # -- membership ----------------------------------------------------------
 

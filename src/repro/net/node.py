@@ -160,8 +160,11 @@ class Node:
         self.node_id = node_id
         self.site = site
         # Shared observability facade (a no-op unless installed on the
-        # network); protocol code opens spans / bumps counters through it.
+        # network); protocol code opens spans and emits audit events
+        # through it.  Its metrics count this node's traffic from the
+        # network's own stats.
         self.obs = network.obs
+        self.obs.tally("net", network)
         self.cpu = Resource(sim, capacity=cores, name=f"cpu:{node_id}")
         self.clock = clock or NodeClock(sim)
         # Messages delivered before start(), in arrival order; None once

@@ -1,8 +1,11 @@
-"""Always-on metrics: named counters, gauges and fixed-bucket histograms.
+"""Metrics: named counters, gauges and fixed-bucket histograms.
 
 The registry is the first leg of :mod:`repro.obs` (the second is
-tracing): cheap scalar instruments that protocol code updates on every
-operation and reports/benchmarks read afterwards.  Design constraints:
+tracing): scalar instruments that reports and benchmarks read.  No
+protocol code touches one.  Each layer counts its own events in a plain
+dict it keeps anyway, and :func:`fold` builds a registry from those
+tallies, the recorded spans and the current state when it is read —
+so each thing is counted once.  Design constraints:
 
 - **Label-scoped**: every instrument carries a small label set (``node``,
   ``site``, ``op``, ...) so one registry serves a whole deployment and
@@ -13,15 +16,14 @@ operation and reports/benchmarks read afterwards.  Design constraints:
   same trade Prometheus makes.  Percentiles interpolate linearly inside
   the winning bucket and are clamped to the observed min/max, so small
   samples stay sane.
-- **Cheap enough to stay on**: an observation is a bisect plus three
-  adds; instruments are cached by (kind, name, labels) so the hot path
-  never reallocates.
+- **Counters never come from spans**: a span limit bounds the
+  histograms folded from span attributes, never a count.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
@@ -29,7 +31,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "derived_ratios",
+    "TALLY_NAMES",
+    "fold",
     "render_derived_ratios",
 ]
 
@@ -58,7 +61,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (queue depth, pending hints...)."""
+    """A value read off the current state (segments, phi...)."""
 
     __slots__ = ("name", "labels", "value")
 
@@ -69,9 +72,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
 
 
 class Histogram:
@@ -139,18 +139,6 @@ class Histogram:
             cumulative += bucket_count
         return self.max  # pragma: no cover - unreachable when count > 0
 
-    @property
-    def p50(self) -> float:
-        return self.quantile(0.50)
-
-    @property
-    def p95(self) -> float:
-        return self.quantile(0.95)
-
-    @property
-    def p99(self) -> float:
-        return self.quantile(0.99)
-
 
 _Key = Tuple[str, str, Tuple[Tuple[str, str], ...]]
 
@@ -159,97 +147,69 @@ class MetricsRegistry:
     """Get-or-create home for every instrument of one deployment."""
 
     def __init__(self) -> None:
-        self._instruments: Dict[_Key, object] = {}
+        self._instruments: Dict[_Key, Any] = {}
 
-    @staticmethod
-    def _key(kind: str, name: str, labels: Dict[str, str]) -> _Key:
-        return (kind, name, tuple(sorted(labels.items())))
+    def _get(self, kind: type, name: str, labels: Dict[str, str]) -> Any:
+        key = (kind.__name__.lower(), name, tuple(sorted(labels.items())))
+        instrument = self._instruments.get(key)
+        if instrument is None:
+            instrument = self._instruments[key] = kind(name, labels)
+        return instrument
 
     def counter(self, name: str, **labels: str) -> Counter:
-        key = self._key("counter", name, labels)
-        instrument = self._instruments.get(key)
-        if instrument is None:
-            instrument = self._instruments[key] = Counter(name, labels)
-        return instrument  # type: ignore[return-value]
+        return self._get(Counter, name, labels)
 
     def gauge(self, name: str, **labels: str) -> Gauge:
-        key = self._key("gauge", name, labels)
-        instrument = self._instruments.get(key)
-        if instrument is None:
-            instrument = self._instruments[key] = Gauge(name, labels)
-        return instrument  # type: ignore[return-value]
+        return self._get(Gauge, name, labels)
 
-    def histogram(
-        self, name: str, buckets: Optional[Sequence[float]] = None, **labels: str
-    ) -> Histogram:
-        key = self._key("histogram", name, labels)
-        instrument = self._instruments.get(key)
-        if instrument is None:
-            instrument = self._instruments[key] = Histogram(
-                name, labels, buckets or DEFAULT_LATENCY_BUCKETS_MS
-            )
-        return instrument  # type: ignore[return-value]
+    def histogram(self, name: str, **labels: str) -> Histogram:
+        return self._get(Histogram, name, labels)
 
     # -- inspection --------------------------------------------------------
 
-    def instruments(self, kind: Optional[str] = None) -> Iterable[object]:
-        for (instrument_kind, _name, _labels), instrument in sorted(
-            self._instruments.items(), key=lambda item: item[0]
-        ):
+    def instruments(self, kind: Optional[str] = None) -> Iterable[Any]:
+        for (instrument_kind, _name, _labels), instrument in sorted(self._instruments.items()):
             if kind is None or instrument_kind == kind:
                 yield instrument
 
-    def find(self, name: str, **labels: str) -> List[object]:
+    def find(self, name: str, **labels: str) -> List[Any]:
         """All instruments with ``name`` whose labels include ``labels``."""
-        wanted = labels.items()
         return [
-            instrument
-            for (_kind, instrument_name, _labels), instrument in sorted(
-                self._instruments.items(), key=lambda item: item[0]
-            )
-            if instrument_name == name
-            and all(item in instrument.labels.items() for item in wanted)  # type: ignore[attr-defined]
+            instrument for instrument in self.instruments()
+            if instrument.name == name and labels.items() <= instrument.labels.items()
         ]
 
     def total(self, name: str, **labels: str) -> float:
         """Sum of matching counter/gauge values (cross-node aggregation)."""
         return sum(
-            instrument.value  # type: ignore[attr-defined]
-            for instrument in self.find(name, **labels)
+            instrument.value for instrument in self.find(name, **labels)
             if isinstance(instrument, (Counter, Gauge))
         )
 
-    def snapshot(self) -> Dict[str, List[Dict[str, object]]]:
+    def snapshot(self) -> Dict[str, List[Dict[str, Any]]]:
         """A JSON-friendly dump of every instrument."""
-        out: Dict[str, List[Dict[str, object]]] = {
-            "counters": [], "gauges": [], "histograms": []
-        }
-        for instrument in self.instruments("counter"):
-            counter: Counter = instrument  # type: ignore[assignment]
-            out["counters"].append(
-                {"name": counter.name, "labels": counter.labels, "value": counter.value}
-            )
-        for instrument in self.instruments("gauge"):
-            gauge: Gauge = instrument  # type: ignore[assignment]
-            out["gauges"].append(
-                {"name": gauge.name, "labels": gauge.labels, "value": gauge.value}
-            )
-        for instrument in self.instruments("histogram"):
-            histogram: Histogram = instrument  # type: ignore[assignment]
-            out["histograms"].append(
+
+        def scalar(instrument: Any) -> Dict[str, Any]:
+            return {"name": instrument.name, "labels": instrument.labels, "value": instrument.value}
+
+        return {
+            "counters": [scalar(counter) for counter in self.instruments("counter")],
+            "gauges": [scalar(gauge) for gauge in self.instruments("gauge")],
+            "histograms": [
                 {
                     "name": histogram.name,
                     "labels": histogram.labels,
                     "count": histogram.count,
                     "mean": histogram.mean,
-                    "p50": histogram.p50,
-                    "p95": histogram.p95,
-                    "p99": histogram.p99,
+                    "p50": histogram.quantile(0.50),
+                    "p95": histogram.quantile(0.95),
+                    "p99": histogram.quantile(0.99),
                     "min": histogram.min if histogram.count else None,
                     "max": histogram.max if histogram.count else None,
                 }
-            )
-        return out
+                for histogram in self.instruments("histogram")
+            ],
+        }
 
     def render(self) -> str:
         """An ASCII report of all instruments (counters, gauges, histograms)."""
@@ -258,16 +218,14 @@ class MetricsRegistry:
         def label_text(labels: Dict[str, str]) -> str:
             return ",".join(f"{k}={v}" for k, v in sorted(labels.items())) or "-"
 
-        scalars = [i for i in self.instruments("counter")] + [
-            i for i in self.instruments("gauge")
-        ]
+        scalars = [*self.instruments("counter"), *self.instruments("gauge")]
         if scalars:
             lines.append(f"{'metric':<34} {'labels':<38} {'value':>12}")
             lines.append("-" * 86)
             for instrument in scalars:
                 lines.append(
-                    f"{instrument.name:<34} {label_text(instrument.labels):<38} "  # type: ignore[attr-defined]
-                    f"{instrument.value:>12g}"  # type: ignore[attr-defined]
+                    f"{instrument.name:<34} {label_text(instrument.labels):<38} "
+                    f"{instrument.value:>12g}"
                 )
         histograms = list(self.instruments("histogram"))
         if histograms:
@@ -278,56 +236,129 @@ class MetricsRegistry:
                 f"{'p50':>9} {'p95':>9} {'p99':>9}"
             )
             lines.append("-" * 108)
-            for instrument in histograms:
-                histogram: Histogram = instrument  # type: ignore[assignment]
+            for histogram in histograms:
+                p50, p95, p99 = (histogram.quantile(q) for q in (0.50, 0.95, 0.99))
                 lines.append(
                     f"{histogram.name:<28} {label_text(histogram.labels):<32} "
                     f"{histogram.count:>7} {histogram.mean:>9.3f} "
-                    f"{histogram.p50:>9.3f} {histogram.p95:>9.3f} {histogram.p99:>9.3f}"
+                    f"{p50:>9.3f} {p95:>9.3f} {p99:>9.3f}"
                 )
         return "\n".join(lines)
+
+
+# -- the fold ---------------------------------------------------------------
+
+# The name table: for each kind of tally owner, the metric each key of
+# its count dict is reported as.  A ``(name, label)`` entry's count is
+# itself a dict, one counter per ``label`` value.  A key absent here is
+# no metric.  An owner's counts are its ``counters``; a storage
+# engine's are its ``stats``, and a network's (kind ``net``) its
+# ``NetworkStats``, folded into ``net.messages{kind}`` and ``net.bytes``.
+TALLY_NAMES: Dict[str, Dict[str, Any]] = {
+    "music": {  # MusicReplica; its release push counts here too
+        "syncs": "music.syncs", "forced_releases": "music.forced_releases",
+        "fastpath_hits": "music.fastpath.hits", "fastpath_misses": "music.fastpath.misses",
+        "lease_hits": "music.lease.hits", "lease_misses": "music.lease.misses",
+        "cache_hits": "music.cache.hits", "cache_misses": "music.cache.misses",
+        "cache_invalidations": "music.cache.invalidations",
+        "push_notifies": "music.push.notifies",
+    },
+    "lockstore": {  # registered unlabelled: each entry names its label
+        "enqueue_conflicts": ("lockstore.enqueue.conflicts", "key"),
+        "batch_flushes": ("lockstore.batch.flushes", "node"),
+    },
+    "store": {  # StoreCoordinator
+        "read_repairs": "store.read_repairs", "hints_queued": "store.hints_queued",
+        "hints_replayed": "store.hints_replayed",
+        "hints_dropped": ("store.hints_dropped", "reason"),
+        "ballot_losses": "store.cas.ballot_losses",
+    },
+    "store.replica": {
+        name: f"store.replica.{name}"
+        for name in ("reads", "writes", "paxos_prepares", "paxos_proposes", "paxos_commits")
+    },
+    "storage": {
+        "fsyncs": "storage.wal.fsyncs", "flushes": "storage.flushes",
+        "compactions": "storage.compactions", "replays": "storage.recover.replays",
+        "replayed_bytes": "storage.recover.replayed_bytes",
+    },
+    "gossip": {"rounds": "topo.gossip.rounds"},
+    "topo": {  # TopologyManager
+        "streams": "topo.streams", "stream_bytes": "topo.stream.bytes",
+        "stream_retries": "topo.stream.retries", "cleanups": "topo.cleanups",
+        "repair_rounds": "topo.repair.rounds", "repair_leaves": "topo.repair.leaves",
+    },
+    "crdb": {"proposals": "crdb.proposals"},
+    "zk": {"proposals": "zk.proposals"},
+}
+
+# Span name -> (attribute, histogram): each recorded span of that name
+# that carries the attribute and did not fail is one observation,
+# labelled by the span's node.
+SPAN_HISTOGRAMS = {
+    "storage.recover": ("replay_ms", "storage.recover.replay_ms"),
+    "lockstore.batchFlush": ("size", "lockstore.batch.size"),
+}
+
+
+def fold(
+    tallies: Iterable[Tuple[str, Any, Dict[str, str]]], spans: Iterable[Any]
+) -> MetricsRegistry:
+    """A registry of the run so far: a counter per non-zero tally key,
+    the gauges read off the owners' current state, and the histograms
+    of :data:`SPAN_HISTOGRAMS`."""
+    registry = MetricsRegistry()
+    networks = {}
+    for kind, owner, labels in tallies:
+        if kind == "net":  # every node registers its network
+            networks[id(owner)] = owner.stats
+            continue
+        counts = owner.stats if kind == "storage" else owner.counters
+        for key, name in TALLY_NAMES[kind].items():
+            if isinstance(name, tuple):
+                name, label = name
+                for value, count in counts[key].items():
+                    registry.counter(name, **labels, **{label: value}).inc(count)
+            elif counts[key]:
+                registry.counter(name, **labels).inc(counts[key])
+        if kind == "storage" and owner.segments:
+            registry.gauge("storage.segments", **labels).set(len(owner.segments))
+        elif kind == "gossip":
+            for peer in owner.targets():
+                registry.gauge("topo.gossip.phi", peer=peer, **labels).set(owner.phi(peer))
+            registry.gauge("topo.gossip.suspects", **labels).set(len(owner.suspects))
+    for stats in networks.values():
+        for message_kind, count in stats.per_kind.items():
+            registry.counter("net.messages", kind=message_kind).inc(count)
+        if stats.sent:
+            registry.counter("net.bytes").inc(stats.bytes_sent)
+    for span in spans:
+        observed = SPAN_HISTOGRAMS.get(span.name)
+        if observed is not None and observed[0] in span.attrs and "error" not in span.attrs:
+            registry.histogram(observed[1], node=span.node).observe(span.attrs[observed[0]])
+    return registry
 
 
 # -- derived ratios ---------------------------------------------------------
 
 
-def derived_ratios(registry: MetricsRegistry) -> List[Tuple[str, int, int, float]]:
-    """Hit-rates computed from every ``*.hits`` / ``*.misses`` counter pair.
-
-    Returns ``[(base_name, hits, misses, hit_fraction)]`` aggregated
-    across labels, sorted by name.  Covers ``music.fastpath`` (synchFlag
-    fast-path %), ``music.lease`` (leaseholder local-read %) and
-    ``music.cache`` (bounded-staleness cache %) plus any future pair
-    that follows the naming convention — raw counters render as-is, this
-    adds the ratio readers actually want from a bench log.
-    """
-    names = set()
-    for instrument in registry.instruments("counter"):
-        name = instrument.name  # type: ignore[attr-defined]
-        if name.endswith(".hits") or name.endswith(".misses"):
-            names.add(name.rsplit(".", 1)[0])
-    ratios: List[Tuple[str, int, int, float]] = []
-    for base in sorted(names):
-        hits = int(registry.total(f"{base}.hits"))
-        misses = int(registry.total(f"{base}.misses"))
-        total = hits + misses
-        if total == 0:
-            continue
-        ratios.append((base, hits, misses, hits / total))
-    return ratios
-
-
 def render_derived_ratios(registry: MetricsRegistry) -> str:
-    """The computed-ratios section for reports ("" when no pairs exist)."""
-    ratios = derived_ratios(registry)
-    if not ratios:
+    """The report section of hit-rates: one per ``*.hits`` / ``*.misses``
+    counter pair, summed across labels — ``music.fastpath`` (synchFlag
+    fast-path grants), ``music.lease`` (leaseholder local reads),
+    ``music.cache`` (bounded-staleness cache) and any later pair named
+    so.  "" when no pair has a count."""
+    bases = sorted({
+        counter.name.rsplit(".", 1)[0] for counter in registry.instruments("counter")
+        if counter.name.endswith((".hits", ".misses"))
+    })
+    lines = []
+    for base in bases:
+        hits, misses = int(registry.total(f"{base}.hits")), int(registry.total(f"{base}.misses"))
+        if hits + misses:
+            rate = 100.0 * hits / (hits + misses)
+            lines.append(f"{base + '.hit_rate':<34} {hits:>9} {misses:>9} {rate:>7.1f}%")
+    if not lines:
         return ""
-    lines = [
-        f"{'derived ratio':<34} {'hits':>9} {'misses':>9} {'hit %':>8}",
-        "-" * 64,
-    ]
-    for base, hits, misses, fraction in ratios:
-        lines.append(
-            f"{base + '.hit_rate':<34} {hits:>9} {misses:>9} {100.0 * fraction:>7.1f}%"
-        )
-    return "\n".join(lines)
+    header = [f"{'derived ratio':<34} {'hits':>9} {'misses':>9} {'hit %':>8}", "-" * 64]
+    return "\n".join(header + lines)

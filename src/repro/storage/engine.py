@@ -20,8 +20,9 @@ Write path (one journaled batch = one group commit)::
 
 ``crash()`` discards the volatile column; ``recover()`` replays the
 durable commit log in LSN order, charging ``bytes / replay_bytes_per_ms``
-on the simulated clock and reporting replay time/bytes through
-``repro.obs`` metrics and a ``storage.recover`` span.  Replay is
+on the simulated clock and reporting replay time/bytes in ``stats``
+(which ``repro.obs`` folds into its metrics) and a ``storage.recover``
+span.  Replay is
 deterministic: the same durable prefix always rebuilds bit-identical
 state, and paxos snapshots are last-writer-wins so replaying a prefix
 twice is a no-op.
@@ -175,10 +176,12 @@ class StorageEngine:
             "lost_records": 0,
             "lost_bytes": 0,
             "replays": 0,
+            "replayed_bytes": 0,
             "last_replay_ms": 0.0,
             "last_replay_bytes": 0,
             "last_replay_records": 0,
         }
+        obs.tally("storage", self, node=node_id)
 
     # -- write path ----------------------------------------------------------
 
@@ -222,8 +225,6 @@ class StorageEngine:
                 return self._durably(lsn, self._applied, (records, then, arg))
             self.stats["synced_bytes"] += wal.sync()  # _fsync, inline
             self.stats["fsyncs"] += 1
-            if self.obs.enabled:
-                self.obs.metrics.counter("storage.wal.fsyncs", node=self.node_id).inc()
         self._applied((records, then, arg))
         return ()
 
@@ -386,8 +387,6 @@ class StorageEngine:
     def _fsync(self) -> None:
         self.stats["synced_bytes"] += self.wal.sync()
         self.stats["fsyncs"] += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("storage.wal.fsyncs", node=self.node_id).inc()
 
     def _ensure_sync_loop(self) -> None:
         if self._sync_looping or self.crashed:
@@ -442,11 +441,6 @@ class StorageEngine:
         self.memtable_bytes = 0
         self.wal.truncate_through(segment.max_lsn)
         self.stats["flushes"] += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("storage.flushes", node=self.node_id).inc()
-            self.obs.metrics.gauge("storage.segments", node=self.node_id).set(
-                len(self.segments)
-            )
         self._ensure_compaction()
         return segment
 
@@ -511,11 +505,6 @@ class StorageEngine:
         self.segments.append(merged)
         self.stats["compactions"] += 1
         self.stats["segments_merged"] += len(group)
-        if self.obs.enabled:
-            self.obs.metrics.counter("storage.compactions", node=self.node_id).inc()
-            self.obs.metrics.gauge("storage.segments", node=self.node_id).set(
-                len(self.segments)
-            )
 
     # -- read path -----------------------------------------------------------
 
@@ -613,8 +602,8 @@ class StorageEngine:
         Charges ``replayed_bytes / replay_bytes_per_ms`` on the sim
         clock before any record is applied (the node stays unreachable
         throughout — Node.recover rejoins the network only after this
-        generator finishes), and reports the replay through metrics and
-        a ``storage.recover`` span.
+        generator finishes), and reports the replay in ``stats`` and a
+        ``storage.recover`` span.
         """
         records = list(self.wal.records)
         replay_bytes = sum(record.size_bytes for record in records)
@@ -632,18 +621,10 @@ class StorageEngine:
                 replay_ms=replay_ms,
             )
         self.stats["replays"] += 1
+        self.stats["replayed_bytes"] += replay_bytes
         self.stats["last_replay_ms"] = replay_ms
         self.stats["last_replay_bytes"] = replay_bytes
         self.stats["last_replay_records"] = len(records)
-        if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.counter("storage.recover.replays", node=self.node_id).inc()
-            metrics.counter(
-                "storage.recover.replayed_bytes", node=self.node_id
-            ).inc(replay_bytes)
-            metrics.histogram(
-                "storage.recover.replay_ms", node=self.node_id
-            ).observe(replay_ms)
 
     def _replay(self, record: Any) -> None:
         if record.kind in ("update", "delete"):

@@ -19,6 +19,7 @@ LWT costs ~4 (Fig. 5b).
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -110,6 +111,13 @@ class StoreCoordinator:
         # site): RTT ranks never change, so a single-replica read works
         # its target out once per placement (see _nearest).
         self._targets: Dict[Tuple[str, ...], Tuple[str, bool]] = {}
+        # This coordinator's tally: the metrics of TALLY_NAMES["store"].
+        self.counters = {
+            "read_repairs": 0, "hints_queued": 0, "hints_replayed": 0,
+            "hints_dropped": defaultdict(int),  # per reason
+            "ballot_losses": 0,
+        }
+        self.obs.tally("store", self, node=node.node_id)
 
     # -- replica selection ---------------------------------------------------
 
@@ -184,8 +192,7 @@ class StoreCoordinator:
             return replies["rows"]
         merged = self._merge_replies([reply for _dst, reply in replies])
         if self.config.read_repair_enabled:
-            if self.obs.enabled:
-                self.obs.metrics.counter("store.read_repairs", node=self.node.node_id).inc()
+            self.counters["read_repairs"] += 1
             self._issue_read_repair(table, partition, merged, [dst for dst, _ in replies])
         return merged
 
@@ -340,17 +347,13 @@ class StoreCoordinator:
         self, replica: str, updates: List[Any], hinted_at: float,
         requeue: bool = False,
     ) -> None:
-        obs = self.obs
         if len(self._hints) >= self.config.max_hints_per_coordinator:
             # Shed hints under sustained failure (Cassandra does too).
-            if obs.enabled:
-                obs.metrics.counter(
-                    "store.hints_dropped", node=self.node.node_id, reason="overflow"
-                ).inc()
+            self.counters["hints_dropped"]["overflow"] += 1
             return
         self._hints.append((replica, updates, hinted_at))
-        if not requeue and obs.enabled:
-            obs.metrics.counter("store.hints_queued", node=self.node.node_id).inc()
+        if not requeue:
+            self.counters["hints_queued"] += 1
         self._ensure_hint_replayer()
 
     def _ensure_hint_replayer(self) -> None:
@@ -369,10 +372,7 @@ class StoreCoordinator:
                 if self.sim.now - hinted_at > self.config.hint_ttl_ms:
                     # Older than the hint window: the target must catch
                     # up via anti-entropy repair instead.
-                    if self.obs.enabled:
-                        self.obs.metrics.counter(
-                            "store.hints_dropped", node=self.node.node_id, reason="expired"
-                        ).inc()
+                    self.counters["hints_dropped"]["expired"] += 1
                     continue
                 try:
                     yield from self.node.call(
@@ -380,10 +380,7 @@ class StoreCoordinator:
                         size_bytes=sum(u.size_bytes() for u in updates),
                         timeout=self.config.rpc_timeout_ms,
                     )
-                    if self.obs.enabled:
-                        self.obs.metrics.counter(
-                            "store.hints_replayed", node=self.node.node_id
-                        ).inc()
+                    self.counters["hints_replayed"] += 1
                 except ReproError:
                     self._store_hint(replica, updates, hinted_at, requeue=True)
 
@@ -472,8 +469,7 @@ class StoreCoordinator:
                         applied=outcome.applied, attempts=attempt + 1,
                     )
                 return outcome
-            if self.obs.enabled:
-                self.obs.metrics.counter("store.cas.ballot_losses", node=self.node.node_id).inc()
+            self.counters["ballot_losses"] += 1
             # Exponential backoff (capped): under heavy contention a
             # partition admits roughly one winner per LWT duration, so
             # losers must spread out across many such rounds.

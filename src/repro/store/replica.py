@@ -113,7 +113,7 @@ class StorageReplica(Node):
             "paxos_proposes": 0,
             "paxos_commits": 0,
         }
-        self._instruments: Dict[str, Any] = {}
+        self.obs.tally("store.replica", self, node=node_id)
         # kind: (its replica.* span or None, the StoreConfig field of its
         # service time, whether the message's bytes are priced too, body).
         # A priced request's size_bytes is its batch's byte sum.
@@ -173,17 +173,6 @@ class StorageReplica(Node):
     def local_row(self, table: str, partition_key: str, clustering: Any) -> Optional[Row]:
         return self.engine.live_rows(table, partition_key).get(clustering)
 
-    def _count(self, name: str) -> None:
-        """Bump ``store.replica.<name>``; a handler calls it only when
-        obs is on, after bumping ``counters[name]`` itself."""
-        # One cached handle per name.
-        counter = self._instruments.get(name)
-        if counter is None:
-            counter = self._instruments[name] = self.obs.metrics.counter(
-                f"store.replica.{name}", node=self.node_id
-            )
-        counter.inc()
-
     # -- handlers (each serves its CPU time; see the docstring) -------------
 
     def _served(
@@ -225,8 +214,6 @@ class StorageReplica(Node):
     def _read(self, served: Served) -> None:
         _msg, body, _span = served
         self.counters["reads"] += 1
-        if self.obs.enabled:
-            self._count("reads")
         rows = self.engine.live_rows(body["table"], body["partition"])
         clustering = body.get("clustering", ALL_ROWS)
         if clustering == ALL_ROWS:
@@ -239,8 +226,6 @@ class StorageReplica(Node):
 
     def _write(self, served: Served) -> None:
         self.counters["writes"] += 1
-        if self.obs.enabled:
-            self._count("writes")
         self.engine.commit(served[1]["updates"], None, self._answer, (served, _OK, 64))
 
     def _scan(self, served: Served) -> None:
@@ -258,8 +243,6 @@ class StorageReplica(Node):
     def _prepare(self, served: Served) -> None:
         _msg, body, span = served
         self.counters["paxos_prepares"] += 1
-        if self.obs.enabled:
-            self._count("paxos_prepares")
         key = (body["table"], body["partition"])
         state = self.engine.paxos_state(*key)
         ballot: Ballot = body["ballot"]
@@ -285,8 +268,6 @@ class StorageReplica(Node):
     def _propose(self, served: Served) -> None:
         _msg, body, span = served
         self.counters["paxos_proposes"] += 1
-        if self.obs.enabled:
-            self._count("paxos_proposes")
         key = (body["table"], body["partition"])
         state = self.engine.paxos_state(*key)
         ballot: Ballot = body["ballot"]
@@ -306,8 +287,6 @@ class StorageReplica(Node):
     def _commit(self, served: Served) -> None:
         _msg, body, _span = served
         self.counters["paxos_commits"] += 1
-        if self.obs.enabled:
-            self._count("paxos_commits")
         key = (body["table"], body["partition"])
         state = self.engine.paxos_state(*key)
         ballot: Ballot = body["ballot"]

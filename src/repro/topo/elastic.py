@@ -96,6 +96,12 @@ class TopologyManager:
         self.streams = streams
         self.node = Node(sim, network, "topo-0", site)
         self.obs = self.node.obs
+        # This manager's tally: the metrics of TALLY_NAMES["topo"].
+        self.counters = dict.fromkeys((
+            "streams", "stream_bytes", "stream_retries", "cleanups",
+            "repair_rounds", "repair_leaves",
+        ), 0)
+        self.obs.tally("topo", self, node=self.node.node_id)
         self.gossipers: Dict[str, Gossiper] = {}
         self._stream_listeners: List[StreamListener] = []
         self._started = False
@@ -269,10 +275,7 @@ class TopologyManager:
                     streamed = yield from self._stream_once(key, old, gainers)
                     break
                 except ReproError:
-                    if self.obs.enabled:
-                        self.obs.metrics.counter(
-                            "topo.stream.retries", node=self.node.node_id
-                        ).inc()
+                    self.counters["stream_retries"] += 1
                     yield self.sim.timeout(HANDOVER_RETRY_MS)
             else:
                 raise QuorumUnavailable(
@@ -290,13 +293,8 @@ class TopologyManager:
                 losers=",".join(losers),
                 bytes=streamed,
             )
-            if self.obs.enabled:
-                self.obs.metrics.counter(
-                    "topo.streams", node=self.node.node_id
-                ).inc()
-                self.obs.metrics.counter(
-                    "topo.stream.bytes", node=self.node.node_id
-                ).inc(streamed)
+            self.counters["streams"] += 1
+            self.counters["stream_bytes"] += streamed
         # The sources drop their copy once the new owners hold it
         # (Cassandra's ``nodetool cleanup``).
         yield from self._cleanup(key, losers)
@@ -343,10 +341,7 @@ class TopologyManager:
                     "topo_cleanup",
                     {"partition": key},
                 )
-                if self.obs.enabled:
-                    self.obs.metrics.counter(
-                        "topo.cleanups", node=self.node.node_id
-                    ).inc()
+                self.counters["cleanups"] += 1
             except ReproError:
                 # Best-effort, like nodetool cleanup: a dead ex-owner
                 # keeps a stale copy, but ``owns`` checks stop it from
@@ -373,13 +368,8 @@ class TopologyManager:
                 MerkleTree.from_payload(tree_b["tree"])
             )
             span.set(leaves=len(differing))
-            if self.obs.enabled:
-                self.obs.metrics.counter(
-                    "topo.repair.rounds", node=self.node.node_id
-                ).inc()
-                self.obs.metrics.counter(
-                    "topo.repair.leaves", node=self.node.node_id
-                ).inc(len(differing))
+            self.counters["repair_rounds"] += 1
+            self.counters["repair_leaves"] += len(differing)
             if differing:
                 yield from self.node.call(
                     node_a,

@@ -89,7 +89,6 @@ class Gossiper:
         status: str = STATUS_NORMAL,
     ) -> None:
         self.node = node
-        self.obs = node.obs
         self._rng = streams.stream(f"topo-gossip:{node.node_id}")
         self.states: Dict[str, EndpointState] = {
             node_id: EndpointState(node_id, site)
@@ -104,6 +103,9 @@ class Gossiper:
         self._intervals: Dict[str, deque] = {}
         self._loop = None
         self._stopped = False
+        # Rounds gossiped; with the phi of each peer, this agent's metrics.
+        self.counters = {"rounds": 0}
+        node.obs.tally("gossip", self, node=node.node_id)
         node.on("topo_gossip", self._handle_syn)
         node.on("topo_gossip_push", self._handle_push)
 
@@ -152,13 +154,7 @@ class Gossiper:
     @property
     def suspects(self) -> List[str]:
         """Active peers whose phi exceeds ``PHI_THRESHOLD``."""
-        return sorted(
-            node_id
-            for node_id, state in self.states.items()
-            if node_id != self.node.node_id
-            and state.status in _ACTIVE
-            and self.phi(node_id) > PHI_THRESHOLD
-        )
+        return [peer for peer in self.targets() if self.phi(peer) > PHI_THRESHOLD]
 
     def _record_heartbeat(self, peer: str) -> None:
         now = self.node.sim.now
@@ -193,7 +189,8 @@ class Gossiper:
 
     # -- the round loop --------------------------------------------------------
 
-    def _targets(self) -> List[str]:
+    def targets(self) -> List[str]:
+        """The active peers, in id order: who a round may gossip with."""
         return sorted(
             node_id
             for node_id, state in self.states.items()
@@ -210,14 +207,14 @@ class Gossiper:
             if self.node.failed:
                 continue
             self._beat()
-            targets = self._targets()
+            targets = self.targets()
             if not targets:
                 continue
             fanout = min(GOSSIP_FANOUT, len(targets))
             peers = self._rng.sample(targets, fanout)
             for peer in peers:
                 yield from self._gossip_once(peer)
-            self._publish_metrics()
+            self.counters["rounds"] += 1
 
     def _gossip_once(self, peer: str) -> Generator[Any, Any, None]:
         digest = self.digest()
@@ -239,20 +236,6 @@ class Gossiper:
                 {"states": wanted},
                 size_bytes=48 * len(wanted) + 32,
             )
-
-    def _publish_metrics(self) -> None:
-        if not self.obs.enabled:
-            return
-        metrics = self.obs.metrics
-        metrics.counter("topo.gossip.rounds", node=self.node.node_id).inc()
-        for peer in self._targets():
-            metrics.gauge(
-                "topo.gossip.phi", node=self.node.node_id, peer=peer
-            ).set(self.phi(peer))
-        suspects = self.suspects
-        metrics.gauge("topo.gossip.suspects", node=self.node.node_id).set(
-            len(suspects)
-        )
 
     # -- handlers ----------------------------------------------------------------
 

@@ -130,7 +130,7 @@ def test_audit_alone_on_a_passed_in_network_reaches_every_node():
     sim, network = _callers_network()
     music = build_music(sim=sim, network=network, audit=True)
     assert network.obs is music.obs is not NULL_OBS
-    assert not music.obs.enabled and music.obs.audit is music.auditor
+    assert not music.obs.tracer.enabled and music.obs.audit is music.auditor
     nodes = music.store.replicas + music.replicas
     assert all(node.obs is music.obs for node in nodes)
     _one_critical_section(music)
@@ -150,7 +150,17 @@ def test_audit_on_an_already_observed_network_joins_its_recorder(obs):
     music = build_music(sim=sim, network=network, obs=obs, audit=True)
     assert network.obs is music.obs is theirs
     assert theirs.audit is music.auditor
-    assert len(network._taps) == 1  # observed once, by its builder
     _one_critical_section(music)
+    # Every node registered the one network: its sends count once.
+    assert music.obs.metrics.total("net.messages") == network.stats.sent
     assert music.auditor.events and music.auditor.clean
     assert all(event.span_id is not None for event in music.auditor.events)
+
+
+def test_a_second_recorder_for_an_observed_network_is_refused():
+    """The network's nodes read the recorder it carries, so a different
+    one passed beside it could never record: it is refused, not ignored."""
+    sim, network = _callers_network(observed=True)
+    with pytest.raises(ValueError):
+        build_music(sim=sim, network=network, obs=Observability(sim))
+    assert build_music(sim=sim, network=network, obs=network.obs).obs is network.obs

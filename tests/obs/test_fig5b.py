@@ -81,8 +81,8 @@ def test_network_counters_populated():
 
 
 def test_network_counters_agree_with_the_networks_own_tally():
-    """One tap call per accepted send: the counters miss and double
-    nothing the network itself counted."""
+    """The counters are the network's own tally, folded once although
+    every node registered it: they miss and double nothing."""
     deployment, obs = _traced_run(ops=2)
     stats = deployment.network.stats
     assert obs.metrics.total("net.messages") == stats.sent

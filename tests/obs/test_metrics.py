@@ -16,12 +16,12 @@ def test_counter_labels_are_distinct_instruments():
     assert registry.total("rpc") == 4
 
 
-def test_gauge_set_and_add():
+def test_gauge_holds_the_last_value_set():
     registry = MetricsRegistry()
-    gauge = registry.gauge("queue_depth", node="a")
-    gauge.set(5)
-    gauge.add(-2)
-    assert gauge.value == 3
+    registry.gauge("queue_depth", node="a").set(5)
+    registry.gauge("queue_depth", node="a").set(3)
+    assert registry.gauge("queue_depth", node="a").value == 3
+    assert registry.total("queue_depth") == 3
 
 
 def test_histogram_quantiles_against_sorted_sample_oracle():

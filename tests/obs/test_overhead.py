@@ -9,17 +9,18 @@ Three guarantees:
 2. **No span untraced**: with the tracer off, no operation asks for a
    span or enters one — each runs its bare body — counted exactly.
 3. **Wall-clock**: with the default :data:`NULL_OBS` installed, the
-   per-call cost of the no-op instruments is a couple of attribute
-   lookups — a tight loop over them stays within a generous per-op
-   budget, and an instrumented batch-write workload stays within a few
-   percent of its historical runtime.
+   per-call cost of the no-op span and audit stream is a couple of
+   attribute lookups — a tight loop over them stays within a generous
+   per-op budget, and an instrumented batch-write workload stays within
+   a few percent of its historical runtime.  Counts cost a dict
+   increment either way: the layers keep them, and the metrics are
+   folded from them only when read.
 """
 
 import time
 
 from repro.core import MusicConfig, build_music
 from repro.obs import NULL_AUDIT, NULL_OBS
-from repro.obs.recorder import _NullMetrics
 from repro.obs.trace import NullTracer, _NullSpan
 from tests.helpers import assert_replay_equivalent, audit_history, run
 
@@ -115,31 +116,16 @@ def _contended(deployment, clients=16):
     assert all(process.ok for process in sections)
 
 
-def test_an_unobserved_protocol_path_asks_for_no_instrument(monkeypatch):
-    """An exact count: with obs off, no counter or histogram is asked
-    of the null registry on the protocol path — not per ballot loss,
-    lock-store retry or batch flush either.  Observed, the same
-    contended run counts its ballot losses."""
-    asked = []
-    counter, histogram = _NullMetrics.counter, _NullMetrics.histogram
-
-    def counting_counter(self, name, **labels):
-        asked.append(name)
-        return counter(self, name, **labels)
-
-    def counting_histogram(self, name, buckets=None, **labels):
-        asked.append(name)
-        return histogram(self, name, buckets, **labels)
-
-    monkeypatch.setattr(_NullMetrics, "counter", counting_counter)
-    monkeypatch.setattr(_NullMetrics, "histogram", counting_histogram)
-    _workload(build_music(seed=5))
-    _contended(build_music(seed=5))
-    assert asked == []
-
+def test_an_observed_contended_run_counts_its_ballot_losses():
+    """The coordinators' own tallies reach the folded registry.  (That
+    no protocol path calls an instrument at all is a rule of
+    ``tests/test_repo_shape.py``.)"""
     observed = build_music(seed=5, obs=True)
     _contended(observed)
-    assert observed.obs.metrics.total("store.cas.ballot_losses") > 0
+    losses = sum(
+        replica.coordinator.counters["ballot_losses"] for replica in observed.replicas
+    )
+    assert observed.obs.metrics.total("store.cas.ballot_losses") == losses > 0
 
 
 def test_auditor_does_not_change_simulated_time():
@@ -161,14 +147,13 @@ def test_auditor_does_not_change_simulated_time():
 
 def test_an_audited_run_records_the_audit_and_nothing_else():
     """A count guard that repeats exactly: ``audit=True`` alone opens no
-    span, creates no instrument and taps no message; adding ``obs=True``
-    lights all three up and stamps every audit event with its span."""
+    span and folds to no instrument; adding ``obs=True`` lights both up
+    and stamps every audit event with its span."""
     audit_only = build_music(seed=5, profile=True, audit=True)
     _workload(audit_only)
     assert audit_only.profiler.obs_spans == 0
     assert audit_only.obs.tracer.spans == []
     assert not any(audit_only.obs.metrics.snapshot().values())
-    assert not audit_only.obs.enabled
     assert audit_only.auditor.events and audit_only.auditor.clean
     assert all(event.span_id is None for event in audit_only.auditor.events)
 
@@ -198,21 +183,23 @@ def test_null_audit_emission_site_is_near_free():
 
 
 def test_disabled_recorder_is_near_free():
-    """A micro-benchmark: 200k no-op span+counter rounds in well under a
-    second (~µs/op budget, two orders of magnitude above the real cost,
-    so the assertion stays robust on slow CI machines)."""
+    """A micro-benchmark: 200k no-op span rounds in well under a second
+    (~µs/op budget, two orders of magnitude above the real cost, so the
+    assertion stays robust on slow CI machines)."""
     tracer = NULL_OBS.tracer
-    metrics = NULL_OBS.metrics
     rounds = 200_000
     started = time.perf_counter()
     for _ in range(rounds):
         with tracer.span("op", node="n"):
-            metrics.counter("c", kind="x").inc()
+            pass
     elapsed = time.perf_counter() - started
     assert elapsed < rounds * 5e-6, f"null obs too slow: {elapsed:.3f}s for {rounds}"
 
 
 def test_disabled_recorder_records_nothing():
+    """Not a span, and not a tally: an unobserved run leaves the shared
+    default holding nothing, so its metrics fold to nothing."""
+    _contended(build_music(seed=5))
     assert NULL_OBS.tracer.spans == []
     assert NULL_OBS.metrics.snapshot() == {
         "counters": [], "gauges": [], "histograms": []

@@ -1,5 +1,6 @@
 """Tracing: local nesting, RPC-hop propagation, bounded recording."""
 
+from repro.core import build_music
 from repro.net import PAPER_PROFILES, Network, Node
 from repro.obs import Observability
 from repro.sim import RandomStreams, Simulator
@@ -111,6 +112,36 @@ def test_span_limit_drops_not_grows():
     sim.run_until_complete(sim.process(work()))
     assert len(obs.tracer.spans) == 2
     assert obs.tracer.dropped == 3
+
+
+def _contended_counters(span_limit):
+    """Counters of one seeded run: eight critical sections on one key
+    from every site at once, recorded under ``span_limit``."""
+    sim = Simulator()
+    music = build_music(seed=7, sim=sim, obs=Observability(sim, span_limit=span_limit))
+    sites = music.profile.site_names
+
+    def section(client):
+        handle = yield from client.critical_section("hot")
+        yield from handle.put(1)
+        yield from handle.exit()
+
+    for index in range(8):
+        sim.process(section(music.client(sites[index % len(sites)])))
+    sim.run()
+    return music.obs.tracer.dropped, music.obs.metrics.snapshot()["counters"]
+
+
+def test_span_limit_does_not_undercount_a_counter():
+    """Counters are folded from the layers' tallies, never from spans:
+    a run that drops most of its spans counts exactly what an
+    unlimited one does."""
+    dropped, limited = _contended_counters(span_limit=50)
+    none_dropped, unlimited = _contended_counters(span_limit=500_000)
+    assert dropped > 0 and none_dropped == 0
+    assert limited == unlimited
+    names = {counter["name"] for counter in unlimited}
+    assert {"lockstore.enqueue.conflicts", "store.cas.ballot_losses", "net.messages"} <= names
 
 
 def test_tracer_queries():

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import build_music
 from repro.faults import FaultSchedule
+from repro.obs.metrics import TALLY_NAMES
 from repro.storage import StorageEngineConfig
 from repro.store import Condition, StoreConfig
 from repro.store.types import Update
@@ -173,10 +174,17 @@ class TestCounterSurfacing:
             replica.counters["paxos_proposes"] for replica in music.store.replicas
         )
         assert proposes >= 2  # accept quorum of 3
-        # Satellite: every replica counter is mirrored into obs metrics.
-        for name in ("paxos_proposes", "paxos_prepares", "paxos_commits",
-                     "reads", "writes"):
-            total = music.obs.metrics.total(f"store.replica.{name}")
-            expected = sum(r.counters[name] for r in music.store.replicas)
-            assert total == expected, name
-            assert total > 0, name
+        # The metrics are folded from the owners' own tallies: every
+        # count of every owner is its metric, node for node.
+        metrics = music.obs.metrics
+        owners = [("music", r, r.counters) for r in music.replicas]
+        for r in music.store.replicas:
+            owners += [("store.replica", r, r.counters), ("storage", r.engine, r.engine.stats)]
+        for kind, owner, counts in owners:
+            for key, name in TALLY_NAMES[kind].items():
+                assert metrics.total(name, node=owner.node_id) == counts[key], name
+        for name in TALLY_NAMES["store.replica"].values():
+            assert metrics.total(name) > 0, name
+        stats = music.network.stats
+        assert metrics.total("net.messages") == stats.sent > 0
+        assert metrics.total("net.bytes") == stats.bytes_sent

@@ -63,6 +63,27 @@ def test_obs_imports_no_layer_above_it():
         assert not above, f"repro/obs/{path.name} imports {sorted(above)}"
 
 
+INSTRUMENTS = ("counter", "gauge", "histogram")
+
+
+def test_only_obs_touches_an_instrument():
+    """Every count is its layer's own tally, folded into the metrics by
+    ``repro.obs`` when they are read: no module outside obs/ calls an
+    instrument, or asks whether observability is on."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        if module.startswith("obs/"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and last_name(node.func) in INSTRUMENTS:
+                found.append((module, node.lineno, last_name(node.func)))
+            elif isinstance(node, ast.Attribute) and node.attr == "enabled":
+                if last_name(node.value) == "obs":
+                    found.append((module, node.lineno, "obs.enabled"))
+    assert found == []
+
+
 def test_obs_exports_only_what_it_defines():
     obs = importlib.import_module("repro.obs")
     defined = {}
