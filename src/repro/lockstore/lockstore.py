@@ -126,8 +126,9 @@ class LockStore:
         # mutation would not change timings, but the schema stays
         # byte-identical to the seed unless the feature is on.
         self.lease_rows = lease_rows
-        # LWT group commit (DESIGN.md §9): off keeps the one-round-per-op
-        # seed path bit-identical.  The commit is self-clocking: an op
+        # The hot path (DESIGN.md §9): LWT group commit and three-round
+        # LWTs (the read rides the promise); off keeps the seed's path
+        # bit-identical.  The commit is self-clocking: an op
         # finding the key idle runs the plain one-op LWT immediately
         # (holding the key's busy token); ops arriving while an LWT is
         # in flight queue up and are flushed as one guarded batch when
@@ -270,6 +271,7 @@ class LockStore:
                 on_committing=committing,
                 backoff_scale=self._mint_backoff_scale,
                 on_recovered=self._recovered,
+                read_in_promise=self.batched,
             )
             if result.applied:
                 tracer = self.obs.tracer
@@ -472,6 +474,7 @@ class LockStore:
             # loss re-contest quickly instead of ceding the partition to
             # off-chain mints (which back off longer).
             backoff_scale=self._dequeue_backoff_scale,
+            read_in_promise=self.batched,
         )
         tracer = self.obs.tracer
         if tracer.enabled:

@@ -272,6 +272,8 @@ TALLY_NAMES: Dict[str, Dict[str, Any]] = {
         "hints_replayed": "store.hints_replayed",
         "hints_dropped": ("store.hints_dropped", "reason"),
         "ballot_losses": "store.cas.ballot_losses",
+        "commit_repairs": "store.cas.commit_repairs",
+        "tombstone_repairs": "store.tombstone_repairs",
     },
     "store.replica": {
         name: f"store.replica.{name}"

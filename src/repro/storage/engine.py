@@ -96,12 +96,16 @@ class PaxosState:
     promised: Optional[Ballot] = None
     accepted: Optional[Tuple[Ballot, list]] = None
     committed_ballots: set = field(default_factory=set)
-    # The newest ballot this replica has committed; reported in prepare
-    # replies so coordinators can discard obsolete in-progress proposals
-    # (mirrors Cassandra's most-recent-commit tracking).
+    # The newest ballot this replica has committed, and its mutation;
+    # reported in prepare replies so coordinators can discard obsolete
+    # in-progress proposals and repair a promiser that missed the commit
+    # (Cassandra's most-recent-commit).
     latest_commit: Optional[Ballot] = None
+    latest_mutation: Optional[list] = None
 
-    def join(self, promised: Any, accepted: Any, latest_commit: Any) -> "PaxosState":
+    def join(
+        self, promised: Any, accepted: Any, latest_commit: Any, latest_mutation: Any = None,
+    ) -> "PaxosState":
         """Fold another acceptor's image of this partition in: keep the
         newest of each field, ours on a tie.  Returns ``self``."""
         if promised is not None and (self.promised is None or promised > self.promised):
@@ -110,7 +114,7 @@ class PaxosState:
             self.accepted = accepted
         latest = self.latest_commit
         if latest_commit is not None and (latest is None or latest_commit > latest):
-            self.latest_commit = latest_commit
+            self.latest_commit, self.latest_mutation = latest_commit, latest_mutation
         return self
 
 
@@ -152,8 +156,11 @@ class StorageEngine:
         # stands for one version of the partition.
         self._live: Dict[Tuple[str, str], Mapping[Any, Any]] = {}
         # Beside it, each partition's live_bytes(), dropped wherever the
-        # index changes.
+        # index changes, and its {clustering: tombstone} of every deleted
+        # row, published the same way (a merged read drops a row another
+        # replica deleted: see read()).
         self._live_bytes: Dict[Tuple[str, str], int] = {}
+        self._tombstones: Dict[Tuple[str, str], Mapping[Any, Any]] = {}
         self.segments: List[Segment] = []
         self.paxos: Dict[Tuple[str, str], PaxosState] = {}
         self.crashed = False
@@ -167,19 +174,10 @@ class StorageEngine:
         # fsync); a flush may not checkpoint past the oldest of these.
         self._pending_lsns: set = set()
         self.stats: Dict[str, Any] = {
-            "fsyncs": 0,
-            "synced_bytes": 0,
-            "flushes": 0,
-            "compactions": 0,
-            "segments_merged": 0,
-            "crashes": 0,
-            "lost_records": 0,
-            "lost_bytes": 0,
-            "replays": 0,
-            "replayed_bytes": 0,
-            "last_replay_ms": 0.0,
-            "last_replay_bytes": 0,
-            "last_replay_records": 0,
+            "fsyncs": 0, "synced_bytes": 0, "flushes": 0, "compactions": 0,
+            "segments_merged": 0, "crashes": 0, "lost_records": 0, "lost_bytes": 0,
+            "replays": 0, "replayed_bytes": 0, "last_replay_ms": 0.0,
+            "last_replay_bytes": 0, "last_replay_records": 0,
         }
         obs.tally("storage", self, node=node_id)
 
@@ -217,7 +215,9 @@ class StorageEngine:
             if state.accepted is not None:
                 for update in state.accepted[1]:
                     size += update.size_bytes()
-            image = (key, state.promised, state.accepted, state.latest_commit)
+            # The committed mutation rides unpriced: its data records are
+            # this batch's (or an earlier one's) update records.
+            image = (key, state.promised, state.accepted, state.latest_commit, state.latest_mutation)
             record = wal.append("paxos", image, size)
             lsn = lsn or record.lsn  # LSNs start at 1
         if lsn is not None:
@@ -276,6 +276,7 @@ class StorageEngine:
             if tables is None or table in tables:
                 partitions.pop(partition_key, None)
                 self._live.pop((table, partition_key), None)
+                self._tombstones.pop((table, partition_key), None)
         self._live_bytes.clear()
         for segment in self.segments:
             for table, partitions in segment.tables.items():
@@ -331,6 +332,11 @@ class StorageEngine:
         row._frozen = True  # Row.freeze, inline
         partition[clustering] = row
         key = (table, partition_key)
+        tombstone = row.tombstone
+        if tombstone is not None and (old is None or old.tombstone != tombstone):
+            dead = self._tombstones.get(key, _NO_ROWS).copy()
+            dead[clustering] = tombstone
+            self._tombstones[key] = MappingProxyType(dead)
         # Dropped even when the index stays: a segment's live row may
         # have died under this one.
         self._live_bytes.pop(key, None)
@@ -436,8 +442,7 @@ class StorageEngine:
         self._next_segment_id += 1
         self.segments.append(segment)
         self.memtable = {}
-        self._live = {}
-        self._live_bytes = {}
+        self._live, self._live_bytes, self._tombstones = {}, {}, {}
         self.memtable_bytes = 0
         self.wal.truncate_through(segment.max_lsn)
         self.stats["flushes"] += 1
@@ -529,19 +534,29 @@ class StorageEngine:
 
     def live_rows(self, table: str, partition_key: str) -> Mapping[Any, Any]:
         """The rows of one partition for which ``row.live`` holds, in
-        ``partition_view`` order, without visiting the dead ones.
+        ``partition_view`` order, without visiting the dead ones."""
+        return self.read(table, partition_key)[0]
 
-        A read-only view, like the rows in it, that no later write
-        changes: anyone may hold it.  Served from the index — the same
-        object until the partition's live rows change — unless a segment
+    def read(self, table: str, partition_key: str) -> Tuple[Mapping[Any, Any], Mapping[Any, Any]]:
+        """What a read reply carries: the partition's live rows and the
+        ``{clustering: tombstone}`` of its deleted ones.
+
+        Read-only views, like the rows in them, that no later write
+        changes: anyone may hold them.  Served from the indexes — the
+        same objects until the partition changes — unless a segment
         holds part of the partition, whose merged view then has to be
         built and filtered.
         """
         for segment in self.segments:
             if partition_key in segment.tables.get(table, ()):
                 view = self.partition_view(table, partition_key)
-                return MappingProxyType({c: row for c, row in view.items() if row.live})
-        return self._live.get((table, partition_key), _NO_ROWS)
+                return MappingProxyType({c: row for c, row in view.items() if row.live}), (
+                    MappingProxyType({
+                        c: row.tombstone for c, row in view.items() if row.tombstone is not None
+                    })
+                )
+        key = (table, partition_key)
+        return self._live.get(key, _NO_ROWS), self._tombstones.get(key, _NO_ROWS)
 
     def live_bytes(self, table: str, partition_key: str) -> int:
         """``sum(row.payload_bytes() for row in live_rows(...).values())``,
@@ -550,7 +565,7 @@ class StorageEngine:
         total = self._live_bytes.get(key)
         if total is None:
             total = 0
-            for row in self.live_rows(table, partition_key).values():
+            for row in self.read(table, partition_key)[0].values():
                 total += row.payload_bytes()
             self._live_bytes[key] = total
         return total
@@ -587,8 +602,7 @@ class StorageEngine:
         self._pending_lsns.clear()
         lost = self.wal.drop_unsynced()
         self.memtable = {}
-        self._live = {}
-        self._live_bytes = {}
+        self._live, self._live_bytes, self._tombstones = {}, {}, {}
         self.memtable_bytes = 0
         self.paxos = {}
         self.crashed = True

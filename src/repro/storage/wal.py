@@ -18,7 +18,7 @@ Record kinds:
   half of a committed LWT);
 - ``rows``   — an anti-entropy merge batch ``(table, partition, rows)``;
 - ``paxos``  — a full acceptor-state snapshot
-  ``(key, promised, accepted, latest_commit)``; snapshots are
+  ``(key, promised, accepted, latest_commit, latest_mutation)``; snapshots are
   last-writer-wins on replay, which makes the log trivially idempotent
   and order-preserving for acceptor state.
 """

@@ -3,13 +3,15 @@ Paxos, anti-entropy.
 
 Each replica is a :class:`~repro.net.node.Node` that serves:
 
-- ``store_read``   — return the live rows of a partition;
+- ``store_read``   — return the live rows of a partition (and, for a
+  read whose replies are merged, the stamps of its deleted ones);
 - ``store_write``  — journal + apply a batch of LWW cell updates / row
   deletes;
 - ``paxos_prepare``, ``paxos_propose``, ``paxos_commit`` — the per-
   partition single-decree Paxos that backs light-weight transactions,
   mirroring Cassandra's LWT implementation (Appendix X-A1: 4 round
-  trips, of which the read phase reuses ``store_read``);
+  trips, of which the read phase reuses ``store_read``; a prepare that
+  asks for the read gets it with its promise, and the LWT takes 3);
 - ``ae_exchange``  — anti-entropy: merge a peer's rows and reply with
   our own, so writes eventually propagate to all replicas even across
   healed partitions (Section III-B's "a write ... eventually propagates
@@ -49,6 +51,7 @@ real commit log introduces — and the reply is one more continuation
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Tuple
 
 from ..errors import ReproError
@@ -106,6 +109,10 @@ class StorageReplica(Node):
         # anti-entropy to partitions both endpoints actually replicate.
         self.ring = None
         self._ae_cursor = 0
+        # (table, partition) -> (ballot, since, until): the promise given
+        # to a three-round prepare, held against younger requests (see
+        # _prepare).  Volatile: a restart only ends holds early.
+        self._holds: Dict[Tuple[str, str], Tuple[Ballot, float, float]] = {}
         self.counters = {
             "reads": 0,
             "writes": 0,
@@ -140,6 +147,7 @@ class StorageReplica(Node):
         # Memtable, Paxos acceptor dict and the unsynced commit-log tail
         # are gone; the synced log prefix and flushed segments survive.
         self.engine.crash()
+        self._holds.clear()
 
     def _replay_durable(self) -> Optional[Generator[Any, Any, None]]:
         if self.engine.crashed:
@@ -214,7 +222,7 @@ class StorageReplica(Node):
     def _read(self, served: Served) -> None:
         _msg, body, _span = served
         self.counters["reads"] += 1
-        rows = self.engine.live_rows(body["table"], body["partition"])
+        rows, tombstones = self.engine.read(body["table"], body["partition"])
         clustering = body.get("clustering", ALL_ROWS)
         if clustering == ALL_ROWS:
             size = 32 + self.engine.live_bytes(body["table"], body["partition"])
@@ -222,7 +230,13 @@ class StorageReplica(Node):
             row = rows.get(clustering)
             rows = {clustering: row} if row is not None else {}
             size = 32 if row is None else 32 + row.payload_bytes()
-        self._answer((served, {"rows": rows}, size))
+        answer = {"rows": rows}
+        if body.get("merged"):
+            # A reply merged with others carries the partition's deletes,
+            # unpriced (DESIGN.md §9): the merge drops a row another
+            # replica has deleted.  A single-replica read needs none.
+            answer["tombstones"] = tombstones
+        self._answer((served, answer, size))
 
     def _write(self, served: Served) -> None:
         self.counters["writes"] += 1
@@ -246,24 +260,60 @@ class StorageReplica(Node):
         key = (body["table"], body["partition"])
         state = self.engine.paxos_state(*key)
         ballot: Ballot = body["ballot"]
-        if state.promised is not None and ballot <= state.promised:
+        # Wound-wait on the three-round path: a prepare also loses to a
+        # held promise of an older request, so a coordinator far from the
+        # quorum gets its proposal in between a nearer one's rounds.
+        if state.promised is not None and (
+            ballot <= state.promised or ("read" in body and self._waits(key, state, body))
+        ):
             if span is not None:
                 span.set(promised=False)
             rejection = {"promised": False, "promised_ballot": state.promised}
             self._answer((served, rejection, 64))
             return
         state.promised = ballot
+        if "since" in body:
+            self._holds[key] = (ballot, body["since"], self.sim.now + body["hold"])
         # The promise must be durable before it is given: a promise
         # forgotten across a restart would let an older ballot slip in.
         self.engine.commit([], (key, state), self._promised, (served, state, state.accepted))
 
+    def _waits(self, key: Tuple[str, str], state: PaxosState, body: Dict[str, Any]) -> bool:
+        """Whether a three-round prepare must wait for the promise held
+        on ``key``: another coordinator's, for an older request, whose
+        proposal this acceptor does not hold as accepted (a rival would
+        now finish it, not undo it) and whose hold has not run out.  A
+        prepare without an age (its coordinator's first) counts as the
+        youngest."""
+        held = self._holds.get(key)
+        if held is None:
+            return False
+        ballot, since, until = held
+        if (
+            ballot != state.promised or self.sim.now >= until
+            or (state.accepted is not None and state.accepted[0] == ballot)
+        ):
+            del self._holds[key]
+            return False
+        return ballot[1] != body["ballot"][1] and body.get("since", math.inf) > since
+
     def _promised(self, promise: Tuple[Served, PaxosState, Any]) -> None:
         served, state, in_progress = promise
-        self._answer((served, {
+        body = served[1]
+        answer = {
             "promised": True,
             "in_progress": in_progress,
             "latest_commit": state.latest_commit,
-        }, 64))
+            "latest_mutation": state.latest_mutation,
+        }
+        size = 64  # the flat promise: its mutations ride unpriced
+        if body.get("read"):
+            # The LWT's read, as of the promise: the rows are priced as
+            # a read reply's, the tombstones are not.
+            table, partition = body["table"], body["partition"]
+            answer["rows"], answer["tombstones"] = self.engine.read(table, partition)
+            size += self.engine.live_bytes(table, partition)
+        self._answer((served, answer, size))
 
     def _propose(self, served: Served) -> None:
         _msg, body, span = served
@@ -295,7 +345,7 @@ class StorageReplica(Node):
         if apply_needed:
             state.committed_ballots.add(ballot)
         if state.latest_commit is None or ballot > state.latest_commit:
-            state.latest_commit = ballot
+            state.latest_commit, state.latest_mutation = ballot, body["mutation"]
         if state.accepted is not None and state.accepted[0] <= ballot:
             state.accepted = None
         # One group commit covers the data mutation and the acceptor

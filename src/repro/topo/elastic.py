@@ -393,7 +393,7 @@ class TopologyManager:
             [(table, pk) for table, pk in replica.engine.partition_keys() if pk == key]
         )
         paxos = {
-            table: (state.promised, state.accepted, state.latest_commit)
+            table: (state.promised, state.accepted, state.latest_commit, state.latest_mutation)
             for (table, pk), state in replica.engine.paxos.items()
             if pk == key
         }
@@ -412,7 +412,7 @@ class TopologyManager:
         yield from replica.merge_bundle(body["entries"])
         for table, theirs in body["paxos"].items():
             state = replica.engine.paxos_state(table, key).join(
-                theirs.promised, theirs.accepted, theirs.latest_commit
+                theirs.promised, theirs.accepted, theirs.latest_commit, theirs.latest_mutation
             )
             yield from replica.engine.commit([], paxos=((table, key), state))
         replica.reply(msg, {"ok": True})

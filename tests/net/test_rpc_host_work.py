@@ -32,15 +32,13 @@ from repro.store import Condition, Consistency, Update
 # Python calls per op: LOCAL_ONE get, QUORUM get, QUORUM put, lock
 # peek, guarded CAS, lease-served criticalGet, criticalPut, acquireLock
 # poll not granted.  Every limit is this test's own count, run under
-# CPython 3.11.7 and 3.12.1 (3.10 counts like 3.11, 3.13 like 3.12);
-# the lease-served criticalGet's 3.12 limit is the count from before it
-# stopped calling a metrics helper, an upper bound until re-measured.
+# CPython 3.11.7 and 3.12.1 (3.10 counts like 3.11, 3.13 like 3.12).
 KINDS = ("get_one", "get", "put", "head", "cas", "lease_get", "critical_put", "acquire_poll")
 CLIENT_KINDS = ("lease_get", "critical_put", "acquire_poll")
 LIMITS = (
-    (39, 88, 126, 41, 437, 59, 189, 51)
+    (39, 88, 126, 41, 437, 58, 189, 51)
     if sys.version_info >= (3, 12)
-    else (39, 90, 126, 41, 448, 58, 189, 51)
+    else (39, 89, 126, 41, 447, 58, 189, 51)
 )
 
 

@@ -21,7 +21,7 @@ import pytest
 
 from repro.lockstore import LockStore
 from repro.lockstore.lockstore import LOCK_TABLE
-from repro.store import Consistency, StoreCoordinator
+from repro.store import Consistency
 from repro.store.types import Row, Update
 
 from tests.helpers import make_store, run
@@ -130,24 +130,31 @@ def test_merging_diverged_replies_copies_instead_of_touching_them():
     california.apply_update(Update("t", "p", 1, {"value": "newer"}, (5.0, "w")))
     oregon.apply_update(Update("t", "p", 3, {"extra": True}, (6.0, "w")))
     before = stored_state(cluster)
-    replies = [{"rows": replica.local_rows("t", "p")} for replica in cluster.replicas]
-    images = [content(reply["rows"]) for reply in replies]
+    replies = [
+        (replica.node_id, {"rows": replica.local_rows("t", "p"), "tombstones": {}})
+        for replica in cluster.replicas
+    ]
+    images = [content(reply["rows"]) for _dst, reply in replies]
 
-    merged = StoreCoordinator._merge_replies(replies)
+    merged = coord._merge_replies(replies, "t", "p")
     assert list(merged) == [1, 3]
     assert merged[1].visible_values() == {"value": "newer"}
     assert merged[3].visible_values() == {"value": 3, "extra": True}
-    assert [content(reply["rows"]) for reply in replies] == images
+    assert [content(reply["rows"]) for _dst, reply in replies] == images
     assert stored_state(cluster) == before
 
     # The merged rows belong to the caller or are frozen; either way a
     # change stays out of the replicas and out of the replies.
     for row in merged.values():
         try_to_change(row)
-    assert [content(reply["rows"]) for reply in replies] == images
+    assert [content(reply["rows"]) for _dst, reply in replies] == images
     assert stored_state(cluster) == before
-    second = StoreCoordinator._merge_replies(
-        [{"rows": replica.local_rows("t", "p")} for replica in cluster.replicas]
+    second = coord._merge_replies(
+        [
+            (replica.node_id, {"rows": replica.local_rows("t", "p"), "tombstones": {}})
+            for replica in cluster.replicas
+        ],
+        "t", "p",
     )
     assert second[1].visible_values() == {"value": "newer"}
     assert second[3].visible_values() == {"value": 3, "extra": True}

@@ -1,0 +1,234 @@
+"""Three-round LWTs: the promise carries the read.
+
+With ``read_in_promise`` (the lock store's hot path) each promise
+carries its acceptor's rows and tombstones, their merge is the LWT's
+read, and no read round is sent.  The promise quorum is a linearizable
+read only if its promisers agree on the newest commit, so a promiser
+that missed it is sent the commit, and acknowledges it, before the
+proposal goes out.
+
+Three-round LWTs are also wound-wait: an acceptor holds a promise for
+an older request against a younger one's prepare until its proposal
+lands, and a proposer that finished a rival's round prepares again at
+once.  Without both, a coordinator far from the quorum loses every
+ballot to a nearer one whose LWTs follow each other without a gap.
+"""
+
+import pytest
+
+from repro.core import MusicConfig, build_music
+from repro.net import REPLY_KIND
+from repro.store import Condition
+from repro.store.types import Update
+
+from tests.helpers import make_store, run
+from tests.obs.test_recovered_release import _audited_run
+
+
+def _kinds_sent(read_in_promise):
+    sim, net, cluster, (host,) = make_store()
+    coordinator = cluster.coordinator_for(host)
+    sent = []
+    net.add_tap(lambda message: sent.append(message.kind))
+    update = Update("t", "p", "g", {"v": 1}, (0.0, host.node_id))
+    result = run(sim, coordinator.cas(
+        "t", "p", Condition("not_exists", "g"), [update],
+        stamp_with_ballot=True, read_in_promise=read_in_promise,
+    ))
+    assert result.applied
+    sim.run(until=sim.now + 1_000.0)
+    return sorted(kind for kind in sent if kind != REPLY_KIND)
+
+
+def test_an_uncontended_three_round_lwt_sends_no_read_round():
+    rounds = ["paxos_commit"] * 3 + ["paxos_prepare"] * 3 + ["paxos_propose"] * 3
+    assert _kinds_sent(read_in_promise=True) == rounds
+    assert _kinds_sent(read_in_promise=False) == sorted(rounds + ["store_read"] * 3)
+
+
+@pytest.mark.parametrize("fast_locks", [False, True])
+def test_only_the_polling_path_traces_a_paxos_read(fast_locks):
+    music = build_music(seed=3, obs=True, music_config=MusicConfig(fast_locks=fast_locks))
+    client = music.client("Ohio")
+
+    def section():
+        section = yield from client.critical_section("k")
+        yield from section.put(1)
+        yield from section.exit()
+
+    run(music.sim, section())
+    spans = music.obs.tracer.spans
+    lwts = [span for span in spans if span.name == "store.cas"]
+    reads = [span for span in spans if span.name == "paxos.read"]
+    assert len(lwts) == 2  # the mint and the release
+    assert len(reads) == (0 if fast_locks else 2)
+
+
+def test_a_promiser_that_missed_the_newest_commit_is_repaired_before_the_proposal():
+    """``M1`` is accepted by N.California and Ohio but committed only to
+    Ohio.  With Oregon cut off, an LWT's promise quorum is those two; it
+    must commit ``M1`` to N.California before proposing, or N.California
+    loses ``M1`` to the LWT's commit (which clears its accepted
+    proposal) and a later promise quorum without Ohio reads a row
+    without it."""
+    sim, net, cluster, (ohio_host, oregon_host) = make_store(host_sites=("Ohio", "Oregon"))
+    by_site = {replica.site: replica for replica in cluster.replicas}
+    ohio, california = by_site["Ohio"], by_site["N.California"]
+    m1 = [Update("t", "p", "x", {"v": 1}, (1.0, "m1"), op_id="m1#1")]
+    target = {"table": "t", "partition": "p", "ballot": (1, "m1")}
+    to_california = []
+    net.add_tap(
+        lambda message: to_california.append(message.kind)
+        if message.dst == california.node_id else None
+    )
+
+    def first_lwt_half_committed():
+        for replica in (ohio, california):
+            yield from ohio_host.call(replica.node_id, "paxos_prepare", target)
+            yield from ohio_host.call(replica.node_id, "paxos_propose", dict(target, mutation=m1))
+        yield from ohio_host.call(ohio.node_id, "paxos_commit", dict(target, mutation=m1))
+
+    run(sim, first_lwt_half_committed())
+    assert california.local_row("t", "p", "x") is None
+    del to_california[:]
+
+    def cas(coordinator, condition, columns):
+        update = Update("t", "p", "x", columns, (0.0, "w"))
+        return (yield from coordinator.cas(
+            "t", "p", condition, [update], stamp_with_ballot=True, read_in_promise=True,
+        ))
+
+    net.isolate_site("Oregon")
+    ohio_coordinator = cluster.coordinator_for(ohio_host)
+    second = run(sim, cas(ohio_coordinator, Condition("exists", "x"), {"w": 2}))
+    assert second.applied
+    assert ohio_coordinator.counters["commit_repairs"] == 1
+    # The repair commit reached N.California before the proposal did.
+    assert to_california == ["paxos_prepare", "paxos_commit", "paxos_propose", "paxos_commit"]
+    assert california.local_row("t", "p", "x").visible_values() == {"v": 1, "w": 2}
+
+    # A read on the three-round path from a quorum without Ohio sees M1.
+    net.heal_all()
+    net.isolate_site("Ohio")
+    third = run(sim, cas(
+        cluster.coordinator_for(oregon_host), Condition("col_eq", "x", "v", 1), {"w": 3},
+    ))
+    assert third.applied, third.current
+
+
+@pytest.mark.parametrize("fast_locks", [False, True])
+def test_a_contended_run_audits_clean_on_either_lwt(fast_locks):
+    music, finished = _audited_run(seed=2, fast_locks=fast_locks)
+    assert finished == 6
+    assert music.auditor.clean, music.auditor.render_report()
+    repairs = sum(replica.coordinator.counters["commit_repairs"] for replica in music.replicas)
+    # Under contention the three-round path repairs lagging promisers;
+    # the four-round path never does.
+    assert (repairs > 0) == fast_locks
+
+
+def _cas(coordinator, row, read_in_promise=True, on_recovered=None):
+    update = Update("t", "p", row, {"v": 1}, (0.0, row), op_id=f"{row}#1")
+    return coordinator.cas(
+        "t", "p", Condition("not_exists", row), [update], stamp_with_ballot=True,
+        on_recovered=on_recovered, read_in_promise=read_in_promise,
+    )
+
+
+def test_an_acceptor_holds_an_older_requests_promise_against_younger_ones():
+    sim, net, cluster, (host,) = make_store()
+    acceptor = cluster.replicas[0]
+    target = {"table": "t", "partition": "p"}
+
+    def prepare(ballot, **body):
+        body = dict(target, ballot=ballot, **body)
+        return (yield from host.call(acceptor.node_id, "paxos_prepare", body))["promised"]
+
+    def scenario():
+        promised = [(yield from prepare((10, "a"), read=True, since=5.0, hold=500.0))]
+        promised.append((yield from prepare((20, "b"), read=True, since=6.0, hold=500.0)))
+        promised.append((yield from prepare((21, "c"), read=True)))  # no age: the youngest
+        promised.append((yield from prepare((30, "d"), read=True, since=4.0, hold=500.0)))
+        # Once the held proposal is accepted here, the younger may go.
+        body = dict(target, ballot=(30, "d"), mutation=[])
+        yield from host.call(acceptor.node_id, "paxos_propose", body)
+        promised.append((yield from prepare((40, "b"), read=True, since=6.0, hold=500.0)))
+        # A hold that runs out ends too.
+        promised.append((yield from prepare((50, "e"), read=True, since=3.0, hold=100.0)))
+        promised.append((yield from prepare((60, "f"), read=True, since=8.0, hold=100.0)))
+        yield 150.0
+        promised.append((yield from prepare((61, "f"), read=True, since=8.0, hold=100.0)))
+        # The four-round path's prepares neither hold nor wait.
+        promised.append((yield from prepare((70, "g"))))
+        return promised
+
+    assert run(sim, scenario()) == [True, False, False, True, True, True, False, True, True]
+
+
+def test_a_far_coordinator_is_not_shut_out_by_a_nearer_ones_back_to_back_lwts():
+    """N.California's LWTs follow each other without a gap, each decided
+    by N.California and Oregon one short round trip apart; Ohio's needs
+    one of them for a longer one.  The nearer coordinator's younger
+    prepares wait for Ohio's held promise, so Ohio's LWT is decided
+    while the chain runs instead of after it stops."""
+    sim, net, cluster, (ohio_host, california_host) = make_store(
+        host_sites=("Ohio", "N.California")
+    )
+    near, far = cluster.coordinator_for(california_host), cluster.coordinator_for(ohio_host)
+    chain = []
+
+    def back_to_back():
+        while len(chain) < 100 and not far_done:
+            chain.append((yield from _cas(near, f"near-{len(chain)}")).applied)
+
+    def far_one():
+        yield 100.0
+        result = yield from _cas(far, "far")
+        far_done.append(sim.now)
+        return result.applied
+
+    far_done = []
+    sim.process(back_to_back())
+    assert run(sim, far_one())
+    assert all(chain) and len(chain) < 20, len(chain)
+    assert far.counters["ballot_losses"] <= 3
+
+
+def _rival_accepted_everywhere(sim, host, cluster, commit_first):
+    """Every acceptor accepted the rival mutation ``r`` at ballot (20, r);
+    with ``commit_first`` it was committed at (10, r) before that (a
+    recoverer's re-proposal of the newest commit, landing after it)."""
+    rival = [Update("t", "p", "r", {"v": 1}, (10.0, "r"), op_id="r#1")]
+
+    def rounds():
+        for replica in cluster.replicas:
+            steps = [((10, "r"), "paxos_commit")] if commit_first else []
+            steps += [((20, "r"), "paxos_prepare"), ((20, "r"), "paxos_propose")]
+            for ballot, kind in steps:
+                body = {"table": "t", "partition": "p", "ballot": ballot, "mutation": rival}
+                yield from host.call(replica.node_id, kind, body)
+
+    run(sim, rounds())
+
+
+@pytest.mark.parametrize("read_in_promise", [False, True])
+def test_finishing_a_rivals_round_is_no_ballot_loss_on_the_three_round_path(read_in_promise):
+    sim, net, cluster, (host,) = make_store()
+    _rival_accepted_everywhere(sim, host, cluster, commit_first=False)
+    coordinator = cluster.coordinator_for(host)
+    recovered = []
+    result = run(sim, _cas(coordinator, "x", read_in_promise, recovered.append))
+    assert result.applied and len(recovered) == 1
+    # The four-round path keeps the seed's back-off after a recovery.
+    assert coordinator.counters["ballot_losses"] == (0 if read_in_promise else 1)
+
+
+def test_a_re_proposal_of_the_newest_commit_is_not_finished_again():
+    sim, net, cluster, (host,) = make_store()
+    _rival_accepted_everywhere(sim, host, cluster, commit_first=True)
+    coordinator = cluster.coordinator_for(host)
+    recovered, proposes = [], []
+    net.add_tap(lambda message: proposes.append(1) if message.kind == "paxos_propose" else None)
+    result = run(sim, _cas(coordinator, "x", True, recovered.append))
+    assert result.applied
+    assert recovered == [] and len(proposes) == 3  # one round: our own proposal
