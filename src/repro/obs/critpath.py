@@ -11,8 +11,9 @@ instant inside the root span exactly one thing is "blocking" it: the
 deepest recorded descendant span active at that instant, or — where no
 descendant is active — a *gap* owned by the innermost enclosing span.
 Gaps are where the interesting waits live (poll backoff between acquire
-attempts, the LWT group-commit batch window, ballot-loss backoff sleeps
-inside a CAS), because sleeps deliberately open no spans of their own.
+attempts, a mint queued behind its key's LWT in flight, ballot-loss
+backoff sleeps inside a CAS), because waits deliberately open no spans
+of their own.
 Each slice of the timeline is classified by the chain of span names from
 the root down to its owner (plus the neighbouring siblings for gaps),
 yielding a partition of the root's wall time — phase times sum to the
@@ -28,9 +29,10 @@ phase                     what the time is
                           propose/commit and replica work under
                           ``lockstore.enqueue`` / ``lockstore.batchFlush``)
 ``mint.ballot_backoff``   ballot-loss retry sleeps inside the mint CAS
-``mint.batch_wait``       LWT group-commit waits: the self-clocking batch
-                          window plus a shared flush executing in a sibling
-                          trace (self-gap of ``music.createLockRef``)
+``mint.batch_wait``       LWT group-commit waits: a mint queued behind its
+                          key's LWT in flight at this coordinator, then the
+                          flush executing in a sibling trace (self-gap of
+                          ``music.createLockRef``)
 ``acquire.peek``          local queue peeks (``lockstore.peek``)
 ``acquire.queue_wait``    waiting for the queue head: poll backoff sleeps
                           between acquire attempts — with push grants this is

@@ -58,6 +58,7 @@ class StoreCluster:
             self.sim, self.network, node_id, site, self.config,
             cores=self.cores, clock=NodeClock(self.sim),
             peers=[r.node_id for r in self.replicas] + [node_id],
+            streams=self.streams,
         )
         replica.ring = self.ring
         for other in self.replicas:
@@ -142,6 +143,7 @@ def build_cluster(
                 cores=cores,
                 clock=NodeClock(sim, offset=offset),
                 peers=node_ids,
+                streams=streams,
             )
             replica.ring = ring
             replicas.append(replica)

@@ -94,7 +94,6 @@ class LwtProposer:
         mutation: Mutation,
         stamp_with_ballot: bool = False,
         on_committing: Optional[Callable[[Optional[Dict[Any, Row]]], None]] = None,
-        backoff_scale: float = 1.0,
         on_recovered: Optional[Callable[[Mutation], None]] = None,
         read_in_promise: bool = False,
     ) -> Generator[Any, Any, CasResult]:
@@ -123,17 +122,12 @@ class LwtProposer:
         :class:`CasResult`.  ``on_recovered`` gets a rival's mutation
         this call decides by completing its in-progress proposal.
 
-        ``backoff_scale`` scales the ballot-loss backoff: latency-
-        critical CAS (a lock handover) passes < 1 to re-contest quickly,
-        while deferrable work (a mint batch) passes > 1 to yield the
-        partition.  The default leaves the schedule untouched.
-
         ``read_in_promise`` folds the read round into the prepare round
         and makes the LWT wound-wait (see the module docstring).
         """
         op = self._cas(
             table, partition, condition, mutation, stamp_with_ballot, on_committing,
-            backoff_scale, on_recovered, read_in_promise,
+            on_recovered, read_in_promise,
         )
         if not self.obs.tracer.enabled:
             return op
@@ -142,7 +136,7 @@ class LwtProposer:
     def _cas(
         self, table: str, partition: str, condition: Condition, mutation: Mutation,
         stamp_with_ballot: bool, on_committing: Optional[Callable],
-        backoff_scale: float, on_recovered: Optional[Callable], read_in_promise: bool,
+        on_recovered: Optional[Callable], read_in_promise: bool,
     ) -> Generator[Any, Any, CasResult]:
         attempts = self.config.cas_max_attempts
         # One identity for the whole logical operation: re-stamped retry
@@ -179,7 +173,7 @@ class LwtProposer:
             # partition admits roughly one winner per LWT duration, so
             # losers must spread out across many such rounds.
             backoff = min(
-                self.config.cas_backoff_base_ms * backoff_scale * (2 ** min(attempt, 7)),
+                self.config.cas_backoff_base_ms * (2 ** min(attempt, 7)),
                 2_000.0,
             )
             backoff += self._rng.uniform(0.0, self.config.cas_backoff_jitter_ms)

@@ -55,7 +55,7 @@ import math
 from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Tuple
 
 from ..errors import ReproError
-from ..sim import NodeClock, Process, Simulator
+from ..sim import NodeClock, Process, RandomStreams, Simulator
 from ..net import REPLY_KIND, Message, Network, Node
 from ..storage import PaxosState, StorageEngine
 from .config import StoreConfig
@@ -98,9 +98,12 @@ class StorageReplica(Node):
         cores: int = 8,
         clock: Optional[NodeClock] = None,
         peers: Optional[List[str]] = None,
+        *,
+        streams: RandomStreams,
     ) -> None:
         super().__init__(sim, network, node_id, site, cores=cores, clock=clock)
         self.config = config
+        self.streams = streams
         self.engine = StorageEngine(
             sim, config.storage, node_id=node_id, obs=self.obs
         )
@@ -356,13 +359,11 @@ class StorageReplica(Node):
     # -- anti-entropy -----------------------------------------------------------
 
     def _anti_entropy_loop(self) -> Generator[Any, Any, None]:
-        rng = None
+        # Interval jitter and peer choice: a named stream of the
+        # deployment's seed, so a run reproduces whatever PYTHONHASHSEED is.
+        rng = self.streams.stream(f"ae:{self.node_id}")
         interval = self.config.anti_entropy_interval_ms
         while True:
-            if rng is None:
-                import random
-
-                rng = random.Random(hash(self.node_id) & 0xFFFF)
             yield self.sim.timeout(interval * (0.75 + 0.5 * rng.random()))
             if self.failed or not self.peers:
                 continue

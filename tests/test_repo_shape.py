@@ -14,7 +14,7 @@ from pathlib import Path
 from repro.baselines import CockroachConfig
 from repro.core import MusicConfig, build_music
 from repro.storage import StorageEngineConfig
-from repro.store import StoreConfig
+from repro.store import StoreConfig, StoreCoordinator
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -156,6 +156,9 @@ def test_option_counts_only_go_down():
     assert len(dataclasses.fields(StorageEngineConfig)) <= 4
     assert len(dataclasses.fields(StoreConfig)) <= 3
     assert len(dataclasses.fields(CockroachConfig)) <= 1
+    # self, table, partition, condition, mutation, the stamp rule, two
+    # hooks and the round shape: no backoff knob.
+    assert len(inspect.signature(StoreCoordinator.cas).parameters) <= 9
 
 
 # Each config and the module that defines it.
