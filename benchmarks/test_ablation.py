@@ -1,4 +1,4 @@
-"""Ablations of MUSIC's design choices (DESIGN.md section 5)."""
+"""Ablations of MUSIC's design choices (DESIGN.md section 14)."""
 
 
 def test_ablation_local_vs_quorum_peek(regenerate):

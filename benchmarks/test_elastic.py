@@ -1,4 +1,4 @@
-"""Elastic scaling: one live 3->9 growth under CS traffic (DESIGN.md §8)."""
+"""Elastic scaling: one live 3->9 growth under CS traffic (DESIGN.md §10)."""
 
 import pytest
 

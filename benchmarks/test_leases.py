@@ -1,4 +1,4 @@
-"""Regenerate the read scale-out axis (DESIGN.md §10).
+"""Regenerate the read scale-out axis (DESIGN.md §8).
 
 Leaseholder local reads vs the quorum baseline under a read-heavy
 ownership workload; shape checks assert the >=3x read throughput,

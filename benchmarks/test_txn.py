@@ -1,4 +1,4 @@
-"""Regenerate the transaction-regime axis (DESIGN.md §13, BENCH_txn.json).
+"""Regenerate the transaction-regime axis (DESIGN.md §9, BENCH_txn.json).
 
 MUSIC locks vs epoch OCC vs SSI at three Zipfian contention levels;
 the shape checks require every cell's committed history to pass the

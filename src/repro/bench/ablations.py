@@ -1,4 +1,4 @@
-"""Ablations of MUSIC's design choices (DESIGN.md §5) and the
+"""Ablations of MUSIC's design choices (DESIGN.md §14) and the
 hierarchical extension (the paper's future work): one row per variant.
 """
 

@@ -256,10 +256,11 @@ def elastic_scaling(run: Run) -> ExperimentResult:
     quick={"clients": 16, "rounds": 3}, full={"rounds": 8},
 )
 def lock_contention(run: Run) -> ExperimentResult:
-    """Contention axis: 16 clients on one hot key, the DESIGN §9 hot path off vs on.
+    """Contention axis: 16 clients on one hot key, the contention hot path off vs on.
 
-    The hot path is LWT group commit + the synchFlag fast path + push
-    grants.  Measures end-to-end critical sections per second and per-CS
+    The hot path is LWT group commit + three-round LWTs (the Paxos
+    promise carries the read) + the synchFlag fast path + push grants.
+    Measures end-to-end critical sections per second and per-CS
     latency (createLockRef through releaseLock).  Both runs must agree
     on the final counter value — every critical section increments the
     hot key exactly once — so the speedup cannot come from dropped
@@ -334,7 +335,7 @@ def lock_contention(run: Run) -> ExperimentResult:
     full={"workers": 12, "window_ms": 10_000.0},
 )
 def read_scaleout(run: Run) -> ExperimentResult:
-    """Read scale-out axis (DESIGN.md §10): leaseholder local reads off vs on, 9 store nodes.
+    """Read scale-out axis (DESIGN.md §8): leaseholder local reads off vs on, 9 store nodes.
 
     One long-lived lockholder per key (the portal ownership pattern)
     runs a YCSB-B read-heavy mix inside its critical section; reads go
@@ -516,7 +517,7 @@ def live_localcluster(run: Run) -> ExperimentResult:
     full={"clients": 16, "per_client": 10},
 )
 def txn_regimes(run: Run) -> ExperimentResult:
-    """Txn-regime axis (DESIGN.md §13): MUSIC locks vs epoch OCC vs SSI under Zipfian contention.
+    """Txn-regime axis (DESIGN.md §9): MUSIC locks vs epoch OCC vs SSI under Zipfian contention.
 
     Each engine x contention cell runs the *same* seeded ``txn_mix``
     workload (2-4 keys per transaction, half read-only keys, integer

@@ -43,25 +43,28 @@ class MusicConfig:
     orphan_timeout_ms: float = 60_000.0
     failure_detection_enabled: bool = False
 
-    # Ablation knobs (not part of MUSIC proper; see DESIGN.md §5):
+    # Ablation knobs (not part of MUSIC proper; see DESIGN.md §14):
     # poll acquireLock against a quorum instead of the local replica,
     peek_quorum: bool = False
     # and synchronize the data store on every acquire, not just when the
     # synchFlag is set.
     always_sync: bool = False
 
-    # Contention hot path (DESIGN.md §9): one switch, on by default;
+    # Contention hot path (DESIGN.md §7–§8): one switch, on by default;
     # off, it is the paper's polling protocol with timings bit-identical
-    # to the seed.  On, three things move together — LWT group commit
-    # (concurrent createLockRef/releaseLock operations on a key at one
-    # coordinator share one Paxos round), the synchFlag fast path (the
-    # grant-time quorum flag read is skipped when the local
-    # forced-release epoch proves no forcedRelease has applied since
-    # this replica last established flag=False at quorum; never under
-    # ``always_sync``) and push grants (see ``push_grants`` below).
+    # to the seed.  On, four things move together — LWT group commit
+    # (createLockRef ops on a key queued at one coordinator share one
+    # guard CAS; a queued releaseLock waits its turn and runs its own
+    # dequeue LWT), three-round LWTs (the Paxos promise carries the read,
+    # and an older request's promise is held against younger prepares),
+    # the synchFlag fast path (the grant-time quorum flag read is skipped
+    # when the local forced-release epoch proves no forcedRelease has
+    # applied since this replica last established flag=False at quorum;
+    # never under ``always_sync``) and push grants (see ``push_grants``
+    # below).
     fast_locks: bool = True
 
-    # Read scale-out leases (DESIGN.md §10).  Default off with
+    # Read scale-out leases (DESIGN.md §8).  Default off with
     # bit-identical timings.
     #
     # Leaseholder local reads: the current lockholder's replica serves

@@ -48,7 +48,7 @@ class MusicDeployment:
 
     @property
     def txn(self) -> "TxnRuntime":  # noqa: F821 - lazy import
-        """The transaction layer of DESIGN.md §13, a
+        """The transaction layer of DESIGN.md §9, a
         :class:`~repro.txn.TxnRuntime`: engine/executor factories for the
         three concurrency-control regimes (MUSIC locks, epoch OCC, SSI).
         Built on first access; building it allocates nothing on the
@@ -193,20 +193,20 @@ def build_music(
     timings are bit-identical to earlier versions.
 
     Protocol features are fields of ``music_config``: the contention
-    hot path of DESIGN.md §9 is on unless ``MusicConfig(fast_locks=False)``
+    hot path of DESIGN.md §8 is on unless ``MusicConfig(fast_locks=False)``
     asks for the paper's polling protocol (seed-identical timings);
     failure detection ``MusicConfig(failure_detection_enabled=True)`` and
     commit-log durability ``StoreConfig(storage=StorageEngineConfig(
     wal_sync=…))`` default off with bit-identical timings.
 
     ``read_leases=True`` sets ``MusicConfig.read_leases``: the read
-    scale-out tier of DESIGN.md §10 — leaseholder local critical reads
+    scale-out tier of DESIGN.md §8 — leaseholder local critical reads
     audited against the ECF window, plus the bounded-staleness
     ``client.get(key, staleness_ms=…)`` cache, invalidated over the
     push-grant channel.  The default leaves the tier entirely unbuilt
     with bit-identical timings.
 
-    The transaction layer of DESIGN.md §13 is ``deployment.txn``,
+    The transaction layer of DESIGN.md §9 is ``deployment.txn``,
     built on first access.
 
     ``profile=True`` installs a :class:`~repro.obs.SimProfiler` on the

@@ -1,4 +1,4 @@
-"""Push grants (DESIGN.md §9): a release wakes the next lockholder.
+"""Push grants (DESIGN.md §8): a release wakes the next lockholder.
 
 :class:`ReleasePush` owns a replica's channel: the waiter events a
 blocking acquire parks on, one per (key, lockRef), the release listeners

@@ -133,12 +133,12 @@ class MusicReplica(Node):
         self._always_sync = config.always_sync
         # Lease starts cached per (key, lockRef) once granted here.
         self._leases: Dict[Tuple[str, int], float] = {}
-        # Push grants (DESIGN.md §9): the release channel to this
+        # Push grants (DESIGN.md §8): the release channel to this
         # replica's waiters and to ``peer_ids``, or NO_PUSH.
         self.push: Any = (
             ReleasePush(self, peer_ids, self.lock_store) if config.push_grants else NO_PUSH
         )
-        # Read scale-out leases (DESIGN.md §10).  The one path below
+        # Read scale-out leases (DESIGN.md §8).  The one path below
         # calls both tiers unconditionally; with the feature off they
         # are the null object, which holds no state and reads no clock.
         self.lease_manager: Any = NULL_LEASES
@@ -157,7 +157,7 @@ class MusicReplica(Node):
             self._get_rows = ALL_ROWS
             # Invalidation piggybacks on the release-push stream.
             self.push.add_listener(self._lease_invalidate)
-        # synchFlag fast path (DESIGN.md §9): per-key forced-release
+        # synchFlag fast path (DESIGN.md §8): per-key forced-release
         # epoch under which this replica last established flag=False at
         # quorum.  Key absent = no fast-path evidence.
         self._flag_epoch: Dict[str, Any] = {}
@@ -249,7 +249,7 @@ class MusicReplica(Node):
             self.counters["fastpath_hits"] += 1
         else:
             # A read lease anchors at the local-clock time this quorum
-            # flag read *started* (DESIGN.md §10).
+            # flag read *started* (DESIGN.md §8).
             anchor_clock = self.lease_manager.anchor_start(self.clock)
             flag_rows = yield from self.coordinator.get(
                 DATA_TABLE, key, clustering=SYNCH_ROW,
@@ -279,7 +279,7 @@ class MusicReplica(Node):
 
     def _fast_path_valid(self, key: str, epoch: Any) -> bool:
         """True when the cached flag epoch proves the grant-time quorum
-        flag read can be skipped (see DESIGN.md §9 for the argument)."""
+        flag read can be skipped (see DESIGN.md §8 for the argument)."""
         cached = self._flag_epoch.get(key, _NO_EPOCH)
         return cached is not _NO_EPOCH and cached == epoch
 
@@ -444,7 +444,7 @@ class MusicReplica(Node):
         yet updated" — retry) and an earlier one raises NotLockHolder.
 
         The same read carries the lease-revocation marker a forced
-        dequeue wrote (DESIGN.md §10), so a revoked lease can never
+        dequeue wrote (DESIGN.md §8), so a revoked lease can never
         satisfy a serve that follows this guard.
         """
         head, _, revoked = yield from self.lock_store.head(key, self._peek_at)
@@ -566,7 +566,7 @@ class MusicReplica(Node):
             key, lock_ref, forced=self._forced_markers, on_committing=decided
         )
 
-    # -- lease invalidation on the release channel (DESIGN.md §10) ---------------
+    # -- lease invalidation on the release channel (DESIGN.md §8) ---------------
 
     def _lease_invalidate(self, key: str) -> None:
         """Invalidate lease + cached reads for a key whose critical

@@ -1,4 +1,4 @@
-"""Read scale-out leases (DESIGN.md §10).
+"""Read scale-out leases (DESIGN.md §8).
 
 Two read paths layered under the MUSIC client/replica stack, both
 default-off and bit-identical when disabled:

@@ -1,4 +1,4 @@
-"""The per-replica bounded-staleness read cache (DESIGN.md §10).
+"""The per-replica bounded-staleness read cache (DESIGN.md §8).
 
 Entries are v2s-stamped ``(value, stamp, fetched_ms)`` triples filled by
 read-through misses and critical-write write-throughs.  A hit is legal

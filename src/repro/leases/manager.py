@@ -59,7 +59,7 @@ class LeaseManager:
         self.read_lease_ms = read_lease_ms
         self.period_ms = period_ms
         self.delta = delta
-        # The ECF-window wait-out (DESIGN.md §10): how long forcedRelease
+        # The ECF-window wait-out (DESIGN.md §8): how long forcedRelease
         # sleeps between its quorum flag write acking and the dequeue.
         # From the ack on no read can anchor a fresh lease for the
         # preempted era (quorum intersection shows it the revocation

@@ -17,7 +17,7 @@ config, so timestamps — ballot numbers, v2s stamps, audit ``t_ms`` —
 are mutually comparable across processes, which is what lets the ECF
 auditor replay a merged multi-process event stream.
 
-Determinism contract (DESIGN.md §12): none.  The DES stays the oracle;
+Determinism contract (DESIGN.md §11): none.  The DES stays the oracle;
 the live clock trades reproducible timings for real concurrency.  What
 survives the trade is *safety*: the auditor checks the same invariants
 on the nondeterministic schedule.

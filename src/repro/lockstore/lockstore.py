@@ -39,7 +39,7 @@ __all__ = ["FORCED_ROW", "LEASE_ROW", "LOCK_TABLE", "LockEntry", "LockStore"]
 
 LOCK_TABLE = "music_locks"
 GUARD_ROW = "guard"
-# The read-lease revocation row (DESIGN.md §10): written atomically with
+# The read-lease revocation row (DESIGN.md §8): written atomically with
 # a forced dequeue when the lock store runs with ``lease_rows=True``,
 # carrying the highest forcibly-revoked lockRef.  A leaseholder's local
 # guard read returns it from the same partition read, so a revoked
@@ -47,7 +47,7 @@ GUARD_ROW = "guard"
 # fused into the same LWT as the dequeue, there is no window where the
 # queue row is gone but the revocation is invisible.
 LEASE_ROW = "__lease__"
-# The forced-release epoch marker (DESIGN.md §9): written atomically
+# The forced-release epoch marker (DESIGN.md §7): written atomically
 # with a *forced* dequeue (same LWT mutation batch), never by a clean
 # release.  Its cell stamp is the per-key forced-release epoch the
 # synchFlag fast path compares against; like the guard it is a string
@@ -110,12 +110,12 @@ class LockStore:
     ) -> None:
         self.coordinator = coordinator
         self.clock = clock
-        # Read leases (DESIGN.md §10): forced dequeues also write the
+        # Read leases (DESIGN.md §8): forced dequeues also write the
         # LEASE_ROW revocation marker.  Off by default — the extra
         # mutation would not change timings, but the schema stays
         # byte-identical to the seed unless the feature is on.
         self.lease_rows = lease_rows
-        # The hot path (DESIGN.md §9): LWT group commit and three-round
+        # The hot path (DESIGN.md §7): LWT group commit and three-round
         # LWTs (the read rides the promise); off keeps the seed's path
         # bit-identical.  At most one LWT per key of this coordinator is
         # in flight: an op finding the key idle runs its plain LWT at
@@ -460,7 +460,7 @@ class LockStore:
                     node=self._writer, lock_ref=update.clustering, recovered=True,
                 )
 
-    # -- LWT group commit (DESIGN.md §9) ----------------------------------------
+    # -- LWT group commit (DESIGN.md §7) ----------------------------------------
 
     def _wait_turn(
         self, key: str, kind: str, lock_ref: Optional[int] = None, on_committing=None

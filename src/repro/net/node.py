@@ -394,7 +394,7 @@ class Node:
         waiter: Any = None,
     ) -> None:
         """Hold a CPU core ``service_time_ms`` (FIFO), then run
-        ``then(arg)`` — a continuation (DESIGN.md §14) run as the calling
+        ``then(arg)`` — a continuation (DESIGN.md §4) run as the calling
         process, so trace context, spans and the trigger rule see what
         the rest of its step saw; from a handler inside its delivery, as
         a stand-in ``"<node>:<kind>"``.  ``waiter``: see ``Resource.hold``."""

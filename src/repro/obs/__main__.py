@@ -160,7 +160,7 @@ def _contention_spans(args: argparse.Namespace) -> List[SpanRecord]:
     from ..bench.workers import counter_increments, run_all, site_clients
     from ..core import MusicConfig, build_music
 
-    config = MusicConfig(fast_locks=args.fast_locks)
+    config = MusicConfig(fast_locks=not args.polling)
     deployment = build_music(
         profile_name=args.profile, obs=True, seed=args.seed, music_config=config
     )
@@ -178,7 +178,7 @@ def _contention_spans(args: argparse.Namespace) -> List[SpanRecord]:
     print(
         f"ran {args.clients} clients x {args.rounds} rounds on 1 hot key "
         f"({args.profile}, seed {args.seed}, "
-        f"fast_locks={'on' if args.fast_locks else 'off'})"
+        f"fast_locks={'off' if args.polling else 'on'})"
     )
     return tracer.spans
 
@@ -334,9 +334,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     explain.add_argument("--profile", default="lUs", help="latency profile (default lUs)")
     explain.add_argument("--seed", type=int, default=606, help="workload seed (default 606)")
     explain.add_argument(
-        "--fast-locks", action="store_true",
-        help="run the workload with MusicConfig(fast_locks=True), "
-             "the contention hot path",
+        "--polling", action="store_true",
+        help="run the paper's polling protocol, MusicConfig(fast_locks=False), "
+             "instead of the default contention hot path",
     )
     explain.add_argument(
         "--histograms", action="store_true",

@@ -20,7 +20,7 @@ yielding a partition of the root's wall time — phase times sum to the
 measured CS latency *by construction*, so the explainer's books always
 balance.
 
-Phase taxonomy (DESIGN.md §11 documents the blocking model):
+Phase taxonomy (DESIGN.md §12 documents the blocking model):
 
 ========================  ====================================================
 phase                     what the time is

@@ -26,7 +26,7 @@ handler per event kind checks, online or on replay:
 - **LeaseBound** — critical writes carry stamps inside their lockRef's
   lease window ``[lockRef·T, (lockRef+1)·T)``;
 - **LeaseSafety** — a leaseholder *local* read (``read_leases`` tier,
-  DESIGN.md §10) must be served under a granted lockRef whose
+  DESIGN.md §8) must be served under a granted lockRef whose
   forcedRelease has not completed — the lease never outlives the ECF
   window — and, while that ref is the live holder, must observe the
   true pair;
@@ -365,7 +365,7 @@ class ECFChecker:
         state.forced_refs.add(ref)
         self._dequeue(ref, state)
 
-    # -- read-lease checkers (DESIGN.md §10) ------------------------------
+    # -- read-lease checkers (DESIGN.md §8) ------------------------------
 
     def _on_lease_read(self, event: AuditEvent, state: _KeyState) -> None:
         ref = event.lock_ref

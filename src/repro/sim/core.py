@@ -38,7 +38,7 @@ Example::
     sim.process(main())
     sim.run()
 
-Simulation kernel (DESIGN.md §14)
+Simulation kernel (DESIGN.md §4)
 ---------------------------------
 
 The scheduler keeps two structures:

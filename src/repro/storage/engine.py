@@ -18,38 +18,27 @@ Write path (one journaled batch = one group commit)::
                                                    →  flush at threshold
                                                    →  size-tiered compaction
 
-``crash()`` discards the volatile column; ``recover()`` replays the
-durable commit log in LSN order, charging ``bytes / replay_bytes_per_ms``
-on the simulated clock and reporting replay time/bytes in ``stats``
-(which ``repro.obs`` folds into its metrics) and a ``storage.recover``
-span.  Replay is
-deterministic: the same durable prefix always rebuilds bit-identical
-state, and paxos snapshots are last-writer-wins so replaying a prefix
-twice is a no-op.
-
-The engine deliberately spawns **no perpetual processes**: the periodic
-WAL sync and the compactor are demand-driven daemons that exit once
-their queue drains, so simulations that run the event heap dry still
-terminate.
+This module is the commit/apply step and the read views over memtable
+and segments; the engine's other three seams are mixins beside it:
+:mod:`.durability` (fsync and the periodic sync), :mod:`.lsm` (flush
+and compaction) and :mod:`.recovery` (crash, recover, replay).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from types import MappingProxyType
 from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Tuple
 
 from ..obs import NULL_OBS
 from .config import StorageEngineConfig
-from .segment import Segment, size_tier
-from .wal import CommitLog
+from .durability import Durability
+from .lsm import Lsm
+from .recovery import Recovery
+from .segment import Segment, merge_into
+from .wal import CommitLog, PaxosState
 
 __all__ = ["StorageEngine", "PaxosState", "merge_into"]
-
-# Ballot / Mutation are structural (tuples / lists of Update objects);
-# importing them from repro.store here would be circular, since
-# repro.store.replica builds on this module.
-Ballot = Tuple[int, str]
 
 # The live rows of a partition that has none (one shared, read-only view).
 _NO_ROWS: Mapping[Any, Any] = MappingProxyType({})
@@ -68,57 +57,7 @@ def _rows_size_bytes(rows: Dict[Any, Any]) -> int:
     return total
 
 
-def _row_count(tables: Dict[str, Dict[str, Dict[Any, Any]]]) -> int:
-    return sum(
-        len(rows) for partitions in tables.values() for rows in partitions.values()
-    )
-
-
-def merge_into(target: Dict[Any, Any], rows: Mapping[Any, Any]) -> None:
-    """Fold ``rows`` into ``target`` (clustering -> Row) by last-write-wins,
-    the one rule that combines copies of a partition.  No row changes: a
-    row only one side has is taken as it is, one both have is
-    :meth:`Row.merged` (``target``'s own when ``rows`` adds nothing)."""
-    for clustering, row in rows.items():
-        known = target.get(clustering)
-        target[clustering] = row if known is None else known.merged(row).freeze()
-
-
-@dataclass
-class PaxosState:
-    """Single-decree Paxos acceptor state for one (table, partition).
-
-    This is the state Cassandra persists in its ``system.paxos`` table;
-    journaling it through the commit log (``journal_paxos=True``) is
-    what makes LWT promises and accepted proposals survive a restart.
-    """
-
-    promised: Optional[Ballot] = None
-    accepted: Optional[Tuple[Ballot, list]] = None
-    committed_ballots: set = field(default_factory=set)
-    # The newest ballot this replica has committed, and its mutation;
-    # reported in prepare replies so coordinators can discard obsolete
-    # in-progress proposals and repair a promiser that missed the commit
-    # (Cassandra's most-recent-commit).
-    latest_commit: Optional[Ballot] = None
-    latest_mutation: Optional[list] = None
-
-    def join(
-        self, promised: Any, accepted: Any, latest_commit: Any, latest_mutation: Any = None,
-    ) -> "PaxosState":
-        """Fold another acceptor's image of this partition in: keep the
-        newest of each field, ours on a tie.  Returns ``self``."""
-        if promised is not None and (self.promised is None or promised > self.promised):
-            self.promised = promised
-        if accepted is not None and (self.accepted is None or accepted[0] > self.accepted[0]):
-            self.accepted = accepted
-        latest = self.latest_commit
-        if latest_commit is not None and (latest is None or latest_commit > latest):
-            self.latest_commit, self.latest_mutation = latest_commit, latest_mutation
-        return self
-
-
-class StorageEngine:
+class StorageEngine(Durability, Lsm, Recovery):
     """Commit log + memtable + immutable segments for one replica."""
 
     def __init__(
@@ -355,162 +294,6 @@ class StorageEngine:
             live = {c: r for c, r in partition.items() if r.live}
         self._live[key] = MappingProxyType(live)
 
-    # -- fsync ---------------------------------------------------------------
-
-    def _durably(
-        self, lsn: Optional[int], apply: Callable[[Any], None], arg: Any
-    ) -> Tuple[Any, ...]:
-        """Run ``apply(arg)`` once the records from ``lsn`` on are durable
-        per ``wal_sync``: now, returning ``()``, unless ``"always"`` has an
-        fsync latency to wait out — then when it ends (not at all if the
-        engine crashed meanwhile), returning ``(event,)``: what a process
-        caller yields from."""
-        if lsn is not None:
-            mode = self.config.wal_sync
-            if mode == "always":
-                latency = self.config.fsync_latency_ms
-                if latency > 0.0:
-                    synced = self.sim.event()
-                    self._pending_lsns.add(lsn)
-                    self.sim.schedule(latency, self._fsynced, (lsn, apply, arg, synced))
-                    return (synced,)
-                self._fsync()
-            elif mode == "periodic":
-                self._ensure_sync_loop()
-            elif mode != "off":
-                raise ValueError(f"unknown wal_sync mode {mode!r}")
-        apply(arg)
-        return ()
-
-    def _fsynced(self, pending: Tuple[int, Callable[[Any], None], Any, Any]) -> None:
-        lsn, apply, arg, synced = pending
-        self._pending_lsns.discard(lsn)
-        if not self.crashed:  # else lost with the unsynced tail
-            self._fsync()
-            apply(arg)
-        synced.succeed()
-
-    def _fsync(self) -> None:
-        self.stats["synced_bytes"] += self.wal.sync()
-        self.stats["fsyncs"] += 1
-
-    def _ensure_sync_loop(self) -> None:
-        if self._sync_looping or self.crashed:
-            return
-        self._sync_looping = True
-        self.sim.process(
-            self._sync_loop(self._epoch), name=f"walsync:{self.node_id}"
-        )
-
-    def _sync_loop(self, epoch: int) -> Generator[Any, Any, None]:
-        # Demand-driven daemon: syncs every interval while there is an
-        # unsynced tail, then exits (so idle sims drain their heaps).
-        while not self.crashed and self._epoch == epoch:
-            yield self.sim.timeout(self.config.wal_sync_interval_ms)
-            if self.crashed or self._epoch != epoch:
-                return
-            if self.wal.unsynced_count:
-                self._fsync()
-            if not self.wal.unsynced_count:
-                break
-        if self._epoch == epoch:
-            self._sync_looping = False
-
-    # -- flush & compaction --------------------------------------------------
-
-    def flush(self) -> Optional[Segment]:
-        """Swap the memtable into an immutable segment; checkpoint the log.
-
-        The swap is atomic with respect to the event loop (a real flush
-        streams asynchronously; readers keep seeing the union either
-        way).  The commit log is truncated through the highest LSN the
-        segment covers, except batches still waiting out their fsync.
-        """
-        if not self.memtable:
-            return None
-        barrier = self.wal.last_lsn
-        if self._pending_lsns:
-            barrier = min(barrier, min(self._pending_lsns) - 1)
-        segment = Segment(
-            segment_id=self._next_segment_id,
-            tables=self.memtable,
-            size_bytes=max(self.memtable_bytes, 1),
-            row_count=_row_count(self.memtable),
-            created_at=self.sim.now,
-            max_lsn=barrier,
-        )
-        self._next_segment_id += 1
-        self.segments.append(segment)
-        self.memtable = {}
-        self._live, self._live_bytes, self._tombstones = {}, {}, {}
-        self.memtable_bytes = 0
-        self.wal.truncate_through(segment.max_lsn)
-        self.stats["flushes"] += 1
-        self._ensure_compaction()
-        return segment
-
-    def _pick_tier(self) -> Optional[List[Segment]]:
-        if len(self.segments) < self.config.compaction_min_segments:
-            return None
-        tiers: Dict[int, List[Segment]] = {}
-        for segment in self.segments:
-            tier = size_tier(segment.size_bytes, self.config.compaction_tier_factor)
-            tiers.setdefault(tier, []).append(segment)
-        for tier in sorted(tiers):
-            group = tiers[tier]
-            if len(group) >= self.config.compaction_min_segments:
-                return sorted(group, key=lambda s: s.segment_id)
-        return None
-
-    def _ensure_compaction(self) -> None:
-        if self._compacting or self.crashed or self._pick_tier() is None:
-            return
-        self._compacting = True
-        self.sim.process(
-            self._compaction_loop(self._epoch), name=f"compact:{self.node_id}"
-        )
-
-    def _compaction_loop(self, epoch: int) -> Generator[Any, Any, None]:
-        while not self.crashed and self._epoch == epoch:
-            group = self._pick_tier()
-            if group is None:
-                break
-            rate = self.config.compaction_bytes_per_ms
-            duration = sum(s.size_bytes for s in group) / rate if rate > 0 else 0.0
-            if duration > 0:
-                yield self.sim.timeout(duration)
-            if self.crashed or self._epoch != epoch:
-                return  # the half-written output of a crashed merge is garbage
-            self._merge_segments(group)
-        if self._epoch == epoch:
-            self._compacting = False
-
-    def _merge_segments(self, group: List[Segment]) -> None:
-        merged_tables: Dict[str, Dict[str, Dict[Any, Any]]] = {}
-        for segment in group:
-            for table, partitions in segment.tables.items():
-                for partition_key, rows in partitions.items():
-                    merge_into(
-                        merged_tables.setdefault(table, {}).setdefault(
-                            partition_key, {}
-                        ),
-                        rows,
-                    )
-        merged = Segment(
-            segment_id=self._next_segment_id,
-            tables=merged_tables,
-            size_bytes=sum(s.size_bytes for s in group),
-            row_count=_row_count(merged_tables),
-            created_at=self.sim.now,
-            max_lsn=max(s.max_lsn for s in group),
-        )
-        self._next_segment_id += 1
-        group_ids = {id(segment) for segment in group}
-        self.segments = [s for s in self.segments if id(s) not in group_ids]
-        self.segments.append(merged)
-        self.stats["compactions"] += 1
-        self.stats["segments_merged"] += len(group)
-
     # -- read path -----------------------------------------------------------
 
     def partition_view(self, table: str, partition_key: str) -> Dict[Any, Any]:
@@ -590,73 +373,6 @@ class StorageEngine:
 
     def table_partition_keys(self, table: str) -> List[str]:
         return [pk for t, pk in self.partition_keys() if t == table]
-
-    # -- crash / recovery ----------------------------------------------------
-
-    def crash(self) -> None:
-        """Lose the volatile column: memtable, acceptor state, unsynced
-        WAL tail, and any in-flight background sync/compaction work."""
-        self._epoch += 1
-        self._sync_looping = False
-        self._compacting = False
-        self._pending_lsns.clear()
-        lost = self.wal.drop_unsynced()
-        self.memtable = {}
-        self._live, self._live_bytes, self._tombstones = {}, {}, {}
-        self.memtable_bytes = 0
-        self.paxos = {}
-        self.crashed = True
-        self.stats["crashes"] += 1
-        self.stats["lost_records"] += len(lost)
-        self.stats["lost_bytes"] += sum(record.size_bytes for record in lost)
-
-    def recover(self) -> Generator[Any, Any, None]:
-        """Replay the durable commit log in LSN order.
-
-        Charges ``replayed_bytes / replay_bytes_per_ms`` on the sim
-        clock before any record is applied (the node stays unreachable
-        throughout — Node.recover rejoins the network only after this
-        generator finishes), and reports the replay in ``stats`` and a
-        ``storage.recover`` span.
-        """
-        records = list(self.wal.records)
-        replay_bytes = sum(record.size_bytes for record in records)
-        rate = self.config.replay_bytes_per_ms
-        replay_ms = replay_bytes / rate if rate > 0 else 0.0
-        with self.obs.tracer.span("storage.recover", node=self.node_id) as span:
-            if replay_ms > 0:
-                yield self.sim.timeout(replay_ms)
-            self.crashed = False
-            for record in records:
-                self._replay(record)
-            span.set(
-                replayed_records=len(records),
-                replayed_bytes=replay_bytes,
-                replay_ms=replay_ms,
-            )
-        self.stats["replays"] += 1
-        self.stats["replayed_bytes"] += replay_bytes
-        self.stats["last_replay_ms"] = replay_ms
-        self.stats["last_replay_bytes"] = replay_bytes
-        self.stats["last_replay_records"] = len(records)
-
-    def _replay(self, record: Any) -> None:
-        if record.kind in ("update", "delete"):
-            self._apply(record.payload, record.size_bytes)
-        elif record.kind == "rows":
-            table, partition_key, rows = record.payload
-            self._merge(table, partition_key, rows, record.size_bytes)
-        elif record.kind == "drop":
-            self._drop(record.payload)
-        elif record.kind == "paxos":
-            key, *image = record.payload
-            state = self.paxos[key] = PaxosState().join(*image)
-            if state.latest_commit is not None:
-                # The full committed-ballot set is a dedup cache, not
-                # state; re-delivered commits re-apply idempotently (LWW).
-                state.committed_ballots = {state.latest_commit}
-        else:  # pragma: no cover - appends validate kinds
-            raise ValueError(f"unknown WAL record kind {record.kind!r}")
 
     # -- introspection -------------------------------------------------------
 

@@ -13,9 +13,9 @@ under ``wal_sync="off"`` once it has been flushed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Mapping
 
-__all__ = ["Segment", "size_tier"]
+__all__ = ["Segment", "merge_into", "size_tier"]
 
 
 @dataclass
@@ -44,3 +44,13 @@ def size_tier(size_bytes: int, tier_factor: float) -> int:
         size /= tier_factor
         tier += 1
     return tier
+
+
+def merge_into(target: Dict[Any, Any], rows: Mapping[Any, Any]) -> None:
+    """Fold ``rows`` into ``target`` (clustering -> Row) by last-write-wins,
+    the one rule that combines copies of a partition.  No row changes: a
+    row only one side has is taken as it is, one both have is
+    :meth:`Row.merged` (``target``'s own when ``rows`` adds nothing)."""
+    for clustering, row in rows.items():
+        known = target.get(clustering)
+        target[clustering] = row if known is None else known.merged(row).freeze()

@@ -17,7 +17,7 @@ Record kinds:
   :class:`~repro.store.types.DeleteRow` (a replicated write or the data
   half of a committed LWT);
 - ``rows``   — an anti-entropy merge batch ``(table, partition, rows)``;
-- ``paxos``  — a full acceptor-state snapshot
+- ``paxos``  — a full :class:`PaxosState` snapshot
   ``(key, promised, accepted, latest_commit, latest_mutation)``; snapshots are
   last-writer-wins on replay, which makes the log trivially idempotent
   and order-preserving for acceptor state.
@@ -26,10 +26,15 @@ Record kinds:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, List
+from dataclasses import dataclass, field
+from typing import Any, List, Optional, Tuple
 
-__all__ = ["WalRecord", "CommitLog", "dump_wal_jsonl"]
+__all__ = ["WalRecord", "CommitLog", "PaxosState", "dump_wal_jsonl"]
+
+# Ballot / Mutation are structural (tuples / lists of Update objects);
+# importing them from repro.store here would be circular, since
+# repro.store.replica builds on this package.
+Ballot = Tuple[int, str]
 
 
 @dataclass(slots=True)
@@ -135,6 +140,40 @@ class CommitLog:
         self._unsynced_bytes = sum(record.size_bytes for record in self._unsynced)
         self.checkpoint_lsn = max(self.checkpoint_lsn, lsn)
         return dropped
+
+
+@dataclass
+class PaxosState:
+    """Single-decree Paxos acceptor state for one (table, partition).
+
+    This is the state Cassandra persists in its ``system.paxos`` table;
+    journaling it through the commit log (``journal_paxos=True``) is
+    what makes LWT promises and accepted proposals survive a restart.
+    """
+
+    promised: Optional[Ballot] = None
+    accepted: Optional[Tuple[Ballot, list]] = None
+    committed_ballots: set = field(default_factory=set)
+    # The newest ballot this replica has committed, and its mutation;
+    # reported in prepare replies so coordinators can discard obsolete
+    # in-progress proposals and repair a promiser that missed the commit
+    # (Cassandra's most-recent-commit).
+    latest_commit: Optional[Ballot] = None
+    latest_mutation: Optional[list] = None
+
+    def join(
+        self, promised: Any, accepted: Any, latest_commit: Any, latest_mutation: Any = None,
+    ) -> "PaxosState":
+        """Fold another acceptor's image of this partition in: keep the
+        newest of each field, ours on a tie.  Returns ``self``."""
+        if promised is not None and (self.promised is None or promised > self.promised):
+            self.promised = promised
+        if accepted is not None and (self.accepted is None or accepted[0] > self.accepted[0]):
+            self.accepted = accepted
+        latest = self.latest_commit
+        if latest_commit is not None and (latest is None or latest_commit > latest):
+            self.latest_commit, self.latest_mutation = latest_commit, latest_mutation
+        return self
 
 
 def dump_wal_jsonl(engine: Any, path_or_file: Any) -> int:

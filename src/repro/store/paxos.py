@@ -314,7 +314,9 @@ class LwtProposer:
             ]
         tracer = self.obs.tracer
         if tracer.enabled:  # the caller's current span while the prepares go out
-            prepare.span = tracer.span("paxos.prepare", node=self.node.node_id).__enter__()
+            prepare.span = tracer.span(
+                "paxos.prepare", node=self.node.node_id, site=self.node.site
+            ).__enter__()
         body = target
         if prepare.read:
             body = dict(target, read=True)
@@ -387,7 +389,7 @@ class LwtProposer:
     ) -> Generator[Any, Any, List[Tuple[str, Any]]]:
         """One Paxos round: ``kind`` to every target, done at ``needed`` replies."""
         op = self._asked(targets, kind, body, needed, size_bytes)
-        return self._traced(op, name) if self.obs.tracer.enabled else op
+        return self._traced(op, name, site=self.node.site) if self.obs.tracer.enabled else op
 
     def _asked(
         self, targets: Sequence[str], kind: str, body: Any, needed: int, size_bytes: int

@@ -236,7 +236,7 @@ class StorageReplica(Node):
         answer = {"rows": rows}
         if body.get("merged"):
             # A reply merged with others carries the partition's deletes,
-            # unpriced (DESIGN.md §9): the merge drops a row another
+            # unpriced (DESIGN.md §6): the merge drops a row another
             # replica has deleted.  A single-replica read needs none.
             answer["tombstones"] = tombstones
         self._answer((served, answer, size))

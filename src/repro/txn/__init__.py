@@ -1,6 +1,6 @@
 """repro.txn — a transactional layer over the MUSIC deployment.
 
-Three concurrency-control regimes behind one interface (DESIGN.md §13):
+Three concurrency-control regimes behind one interface (DESIGN.md §9):
 
 * ``locking`` — :class:`LockingEngine`: MUSIC multi-key critical
   sections (strict 2PL, lexicographic acquisition), waits-for-graph

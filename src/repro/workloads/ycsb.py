@@ -170,7 +170,7 @@ PAPER_YCSB_WORKLOADS: List[YcsbWorkload] = [
 ]
 
 # Standard YCSB read-heavy mixes (B: 95/5, C: read-only) — the mixes the
-# read scale-out tier (DESIGN.md §10) targets.
+# read scale-out tier (DESIGN.md §8) targets.
 READ_HEAVY_YCSB_WORKLOADS: List[YcsbWorkload] = [
     YcsbWorkload("B", read_fraction=0.95),
     YcsbWorkload("C", read_fraction=1.0),

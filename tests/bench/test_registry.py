@@ -26,15 +26,15 @@ def test_scenario_is_regenerated_and_guarded(exp_id):
 
 def _design_index() -> str:
     design = (REPO / "DESIGN.md").read_text()
-    start = design.index("\n## 4. Per-experiment index")
-    return design[start:design.index("\n## 5.", start)]
+    start = design.index("\n### Per-experiment index")
+    return design[start:design.index("\n#", start + 1)]
 
 
 @pytest.mark.parametrize("exp_id", IDS)
 def test_scenario_is_documented_by_id(exp_id):
     named = re.compile(rf"`{exp_id}`")
     assert named.search((REPO / "EXPERIMENTS.md").read_text()), "EXPERIMENTS.md"
-    assert named.search(_design_index()), "DESIGN.md §4"
+    assert named.search(_design_index()), "DESIGN.md, Per-experiment index"
 
 
 def test_every_bench_file_is_named_by_exactly_one_scenario():

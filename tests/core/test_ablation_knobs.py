@@ -1,4 +1,4 @@
-"""Tests for the ablation configuration knobs (DESIGN.md §5)."""
+"""Tests for the ablation configuration knobs (DESIGN.md §14)."""
 
 import pytest
 

@@ -1,4 +1,4 @@
-"""The DESIGN §9 contention hot path: feature behavior with
+"""The DESIGN §8 contention hot path: feature behavior with
 ``fast_locks`` on (the default), and the bit-identical guarantee with it
 off.
 

@@ -1,4 +1,4 @@
-"""One code path per ECF operation (DESIGN.md §9/§10).
+"""One code path per ECF operation (DESIGN.md §8).
 
 Every optional behaviour is data on the same path: one lock-partition
 head read, one queue-head check, one criticalPut (a delete is a put of

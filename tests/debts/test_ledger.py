@@ -1,0 +1,87 @@
+"""The debt ledger: one reproducer per open correctness debt of ROADMAP
+item 1, each a strict ``xfail``.  Each asserts what the protocol owes,
+so it fails today; strict means a change that pays a debt by accident
+fails the suite too, and its fix deletes the marker, leaving the
+reproducer as the regression test.  Together they run in a few seconds.
+"""
+
+import pytest
+
+from repro.bench.scenario import PAPER_MUSIC
+from repro.core import MusicConfig, build_music
+from repro.errors import ReproError
+from repro.lockstore.lockstore import MAX_ENQUEUE_ATTEMPTS
+
+from benchmarks.e2e.workloads import SIM_LIMIT_MS, _build_fault_takeover, final_counter
+
+
+def _sections_finished(seed):
+    """The polling protocol, three service clients at three sites, ten
+    sections each on one key: how many of the 30 finish."""
+    music = build_music(profile_name="lUs", seed=seed, music_config=PAPER_MUSIC)
+    sim, done = music.sim, []
+
+    def contender(site):
+        client = music.service_client(site)
+        for _ in range(10):
+            try:
+                section = yield from client.critical_section("k", timeout_ms=600_000.0)
+            except ReproError:
+                return
+            value = yield from section.get()
+            yield from section.put((value or 0) + 1)
+            yield from section.exit()
+            done.append(site)
+
+    for site in music.profile.site_names[:3]:
+        sim.process(contender(site))
+    sim.run(until=1_200_000.0)
+    return len(done)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP 1(f)")
+def test_a_timed_out_mint_leaves_no_orphan_lockref():
+    # One test over ten seeds, not ten cases: some seeds finish anyway,
+    # and a strict xfail case that passed would fail the suite.
+    finished = {seed: _sections_finished(seed) for seed in range(10)}
+    assert finished == {seed: 30 for seed in range(10)}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP 1(a)")
+@pytest.mark.parametrize("fast_locks", [True, False])
+def test_a_healed_site_mints_its_own_lockrefs(fast_locks):
+    music = build_music(seed=0, music_config=MusicConfig(fast_locks=fast_locks))
+    sim, network = music.sim, music.network
+    sites = music.profile.site_names
+    network.isolate_site(sites[0])
+
+    def away():
+        client = music.client(sites[-1])
+        for _ in range(3):
+            section = yield from client.critical_section("k", timeout_ms=600_000.0)
+            yield from section.exit()
+
+    sim.run_until_complete(sim.process(away()), limit=SIM_LIMIT_MS)
+    network.heal_all()
+    sim.run(until=sim.now + 1_000.0)
+
+    def home():
+        section = yield from music.client(sites[0]).critical_section(
+            "k", timeout_ms=600_000.0
+        )
+        yield from section.exit()
+
+    sim.run_until_complete(sim.process(home()), limit=SIM_LIMIT_MS)
+    lock_store = music.replica_at(sites[0]).lock_store
+    assert lock_store.counters["enqueue_conflicts"]["k"] < MAX_ENQUEUE_ATTEMPTS
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP 1(c)")
+def test_every_applied_increment_is_in_the_final_counters():
+    run = _build_fault_takeover(1, "full", False)
+    sim = run.deployment.sim
+    for process in run.processes:
+        sim.run_until_complete(process, limit=SIM_LIMIT_MS)
+    run.verify()
+    total = sum(final_counter(run.deployment, f"ctr-{index}") or 0 for index in range(6))
+    assert total == len(run.latencies)

@@ -123,7 +123,7 @@ def test_seeded_fault_run_audits_clean():
 
 
 def test_seeded_fault_run_audits_clean_with_fast_locks():
-    """The same fault gauntlet with the DESIGN §9 contention hot path on
+    """The same fault gauntlet with the DESIGN §8 contention hot path on
     (LWT group commit + synchFlag fast path + push grants) must stay
     just as clean: the optimizations change latencies, not safety."""
     music, applied = _audited_fault_run(fast_locks=True)

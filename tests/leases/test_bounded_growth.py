@@ -4,7 +4,7 @@ A lockholder re-reading its key off the read lease changes no state at
 all, so what the process retains must not depend on how many reads it
 has served.  Measured with the cyclic collector *off*: whatever a
 finished read leaves behind has to go by reference count, the moment
-the read finishes (DESIGN.md §14, "Object lifetime").
+the read finishes (DESIGN.md §4, "Object lifetime").
 """
 
 import gc

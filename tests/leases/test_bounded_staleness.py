@@ -1,4 +1,4 @@
-"""Non-critical bounded-staleness reads (DESIGN.md §10).
+"""Non-critical bounded-staleness reads (DESIGN.md §8).
 
 ``client.get(key, staleness_ms=...)`` serves from the replica's read
 cache while the entry is younger than the caller's bound, fills through

@@ -1,4 +1,4 @@
-"""Leaseholder local critical reads (DESIGN.md §10).
+"""Leaseholder local critical reads (DESIGN.md §8).
 
 The holder's replica serves ``critical_get`` from its write-through
 mirror while its lease is provably inside the ECF window; everything

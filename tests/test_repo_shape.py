@@ -3,12 +3,15 @@ module grows past 700 lines, ``repro.obs`` stays the bottom layer (it
 observes the protocol layers, it does not know them), what it exports
 it defines, the option counts only go down, every config field has a
 caller, and an ECF operation reports through its return value and its
-span alone."""
+span alone.  Beside ``src/``, the two documents that describe it stay
+legible: DESIGN.md's layer map names every module once, and neither it
+nor a CHANGES.md entry grows past its cap."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 from repro.baselines import CockroachConfig
@@ -16,7 +19,8 @@ from repro.core import MusicConfig, build_music
 from repro.storage import StorageEngineConfig
 from repro.store import StoreConfig, StoreCoordinator
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "repro"
 
 MAX_LINES = 700
 # Over the limit today.  It grows only with the reason next to the entry.
@@ -35,6 +39,60 @@ def test_no_module_over_the_line_limit():
     oversize = {name for name, lines in sizes.items() if lines > MAX_LINES}
     assert oversize <= OVERSIZE, {name: sizes[name] for name in oversize - OVERSIZE}
     assert OVERSIZE <= oversize, f"now under the limit, drop from OVERSIZE: {OVERSIZE - oversize}"
+
+
+# -- the documents ----------------------------------------------------------
+
+DESIGN_MAX_LINES = 900
+# CHANGES.md entries are capped from the first entry written under the cap.
+ENTRY_MAX_WORDS, FIRST_CAPPED_PR = 250, 41
+
+
+def test_design_stays_within_its_line_cap():
+    lines = len((REPO / "DESIGN.md").read_text().splitlines())
+    assert lines <= DESIGN_MAX_LINES, f"DESIGN.md is {lines} lines"
+
+
+def layer_map():
+    """The modules DESIGN.md's layer map names, in table order."""
+    design = (REPO / "DESIGN.md").read_text()
+    start = design.index("\n## 3. The layer map")
+    section = design[start:design.index("\n## ", start + 1)]
+    return re.findall(r"^\|[^|\n]*\| `([\w/]+\.py)` \|", section, re.MULTILINE)
+
+
+def test_the_layer_map_names_every_module_once():
+    named = layer_map()
+    modules = {
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py") if path.name != "__init__.py"
+    }
+    assert sorted(name for name in set(named) if named.count(name) > 1) == []
+    assert sorted(modules - set(named)) == [], "modules the layer map leaves out"
+    assert sorted(set(named) - modules) == [], "the layer map names modules that do not exist"
+
+
+def changes_entries():
+    """``(pr, text)`` per CHANGES.md entry: a top-level ``- `` item and
+    its continuation lines, numbered by the PR it opens with."""
+    entries = []
+    for line in (REPO / "CHANGES.md").read_text().splitlines():
+        if line.startswith("- "):
+            number = re.match(r"- (?:\*\*)?PR (\d+)", line)
+            entries.append([int(number.group(1)) if number else None, line])
+        elif entries and not line.startswith(("FOUND:", "MENDED:")):
+            entries[-1][1] += "\n" + line
+    return entries
+
+
+def test_changes_entries_stay_within_their_word_cap():
+    entries = changes_entries()
+    assert any(pr == FIRST_CAPPED_PR for pr, _ in entries)
+    long = {
+        pr: len(text.split()) for pr, text in entries
+        if pr is not None and pr >= FIRST_CAPPED_PR and len(text.split()) > ENTRY_MAX_WORDS
+    }
+    assert long == {}, f"CHANGES.md entries over {ENTRY_MAX_WORDS} words (PR: words)"
 
 
 def imported_repro_packages(path):

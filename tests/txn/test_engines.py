@@ -1,5 +1,5 @@
 """Every engine commits a contended Zipfian workload and the committed
-history passes the serializability checker (DESIGN.md §13)."""
+history passes the serializability checker (DESIGN.md §9)."""
 
 import pytest
 
