@@ -117,8 +117,8 @@ def build_replicas(
 ) -> Tuple[List[MusicReplica], List[FailureDetector]]:
     """Build, wire and start the MUSIC replicas hosted here.
 
-    The one MUSIC-tier assembly, for any :mod:`repro.runtime` ``(Clock,
-    Transport)`` pair: ``layout`` maps *every* MUSIC replica of the
+    The one MUSIC-tier assembly, for any ``(Clock, Transport)`` pair of
+    seams (:class:`repro.sim.Clock`, :class:`repro.net.Transport`): ``layout`` maps *every* MUSIC replica of the
     deployment to its site (it fixes the push-grant peer lists);
     ``local`` names the ones instantiated here (default: all).  Every
     replica serves its operations over RPC as well, so which deployment

@@ -1,13 +1,14 @@
 """repro.live: the MUSIC stack on real asyncio sockets and wall clocks.
 
 The protocol classes (:mod:`repro.core`, :mod:`repro.lockstore`,
-:mod:`repro.store`, :mod:`repro.leases`) are written against two seams
-(:mod:`repro.runtime`): a :class:`~repro.runtime.Clock` and a
-:class:`~repro.runtime.Transport`.  Under the DES those are
+:mod:`repro.store`, :mod:`repro.leases`) are written against two seams,
+each a base class: a :class:`~repro.sim.Clock` and a
+:class:`~repro.net.Transport`.  Under the DES their subclasses are
 :class:`~repro.sim.Simulator` and :class:`~repro.net.Network`; here
 they are :class:`LiveClock` (asyncio wall time) and
 :class:`TcpTransport` (length-prefixed JSON over TCP, per-peer
-connection pooling, reconnect with backoff).  The same unmodified
+connection pooling, reconnect with backoff), which inherit all but the
+scheduling hooks and ``send`` from the same bases.  The same unmodified
 protocol code runs in both worlds; the DES stays bit-identical and the
 live mode gives real executions for the ECF auditor to verify.
 

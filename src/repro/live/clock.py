@@ -1,11 +1,11 @@
-"""A wall-clock :class:`repro.runtime.Clock` over asyncio.
+"""A wall-clock :class:`repro.sim.Clock` over asyncio.
 
-This is the live counterpart of :class:`repro.sim.Simulator`.  It
-implements the identical scheduler surface the DES kernel exposes —
-``now``/``event``/``timeout``/``process``/``all_of``/``any_of``/``call_at``
-plus the three kernel hooks ``schedule``/``schedule_at``/``defuse`` —
-but backs it with an asyncio event loop instead of a heap of virtual
-timestamps.  The existing :class:`~repro.sim.core.Event`,
+This is the live sibling of :class:`repro.sim.Simulator`: both inherit
+the scheduler surface — ``event``/``timeout``/``process``/``all_of``/
+``any_of``/``call_at``/``defuse`` — from :class:`~repro.sim.core.Clock`,
+and this class backs the two kernel hooks ``schedule``/``schedule_at``
+with an asyncio event loop instead of a heap of virtual timestamps.
+The existing :class:`~repro.sim.core.Event`,
 :class:`~repro.sim.core.Process`, :class:`~repro.sim.primitives.Mailbox`
 and friends run on it **unmodified**: a protocol generator that yields
 ``sim.timeout(5.0)`` sleeps five virtual milliseconds under the DES and
@@ -28,20 +28,19 @@ from __future__ import annotations
 import asyncio
 import time
 import traceback
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..errors import RpcTimeout
-from ..sim.core import AllOf, AnyOf, Event, Process, Timeout, call_action
+from ..sim.core import Clock, Event
 
 __all__ = ["LiveClock"]
 
 
-class LiveClock:
+class LiveClock(Clock):
     """Drives DES events and processes on an asyncio loop in wall time."""
 
-    profiler: Optional[Any] = None
-
     def __init__(self, epoch: Optional[float] = None) -> None:
+        super().__init__()
         try:
             self.loop = asyncio.get_running_loop()
         except RuntimeError:
@@ -51,11 +50,6 @@ class LiveClock:
             asyncio.set_event_loop(self.loop)
         # Unix-seconds anchor shared by every process of a cluster.
         self.epoch = time.time() if epoch is None else float(epoch)
-        self.active_process: Optional[Process] = None
-        # True inside a scheduled action: a wakeup raised there by no
-        # process runs its waiters in place, as under the DES loop.
-        self.dispatching = False
-        self._unhandled: List[Event] = []
         # Pending loop handles by schedule order, for close() to cancel.
         self._handles: Dict[int, asyncio.Handle] = {}
         self._scheduled = 0
@@ -67,35 +61,11 @@ class LiveClock:
         # RPC timeout nobody was left waiting on (peers leaving during a
         # shutdown drain produce those).  Process exit codes read this.
         self.fatal_failures = 0
-        # Child failures defused by AllOf/AnyOf after the combinator
-        # already triggered (same counter the DES kernel keeps).
-        self.swallowed_failures = 0
-
-    # -- time --------------------------------------------------------------
 
     @property
     def now(self) -> float:
         """Wall milliseconds since the cluster epoch."""
         return (time.time() - self.epoch) * 1000.0
-
-    # -- construction helpers (identical shape to Simulator) ---------------
-
-    def event(self, name: str = "") -> Event:
-        return Event(self, name=name)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
-
-    def process(self, generator: Generator[Any, Any, Any], name: str = "") -> Process:
-        process = Process(self, generator, name=name)
-        self.schedule(0.0, Process.start, process)
-        return process
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling --------------------------------------------------------
 
@@ -130,14 +100,6 @@ class LiveClock:
     def schedule_at(self, when: float, fn: Callable[[Any], None], arg: Any) -> None:
         """Run ``fn(arg)`` at absolute clock time ``when`` (ms)."""
         self.schedule(when - self.now, fn, arg)
-
-    def call_at(self, when: float, action: Callable[[], None]) -> None:
-        """Run ``action`` at absolute clock time ``when`` (ms)."""
-        self.schedule_at(when, call_action, action)
-
-    def defuse(self, event: Event) -> None:
-        """Account a child failure that lost an AllOf/AnyOf race."""
-        self.swallowed_failures += 1
 
     # -- asyncio bridge ----------------------------------------------------
 

@@ -1,10 +1,10 @@
-"""Asyncio TCP implementation of :class:`repro.runtime.Transport`.
+"""Asyncio TCP subclass of the fabric seam, :class:`repro.net.Transport`.
 
-Mirrors the public surface of the simulated :class:`repro.net.Network`
-so that :class:`repro.net.Node` (and everything above it) runs
-unmodified: ``register``/``send``/``site_of``/``is_failed``/``obs``/
-``profile``/``stats``/``add_tap`` all exist with the same meanings.
-What changes underneath:
+It inherits from the simulated :class:`repro.net.Network`'s base what
+a node sees of a fabric — registration, ``fail_node``/``recover_node``/
+``is_failed``, the partition methods, ``add_tap``, ``stats``, ``obs``,
+``profile`` — so :class:`repro.net.Node` (and everything above it) runs
+unmodified.  What changes underneath is ``send``:
 
 - **Latency is real.**  ``send`` frames the message (tagged JSON behind
   a 4-byte length prefix, :mod:`repro.live.codec`; the frame carries
@@ -27,15 +27,16 @@ What changes underneath:
 ``fail_node``/``partition_sites`` keep their meanings for *local*
 endpoints (drop at send/delivery), which is enough for in-process fault
 tests; cross-process fault injection is a matter of killing processes.
+A remote node id is known by its site alone: ``site_of``/``node_ids``
+include it, and ``is_failed`` says False for it.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..net.network import Message, NetworkStats
-from ..obs import NULL_OBS
+from ..net.network import Message, Transport
 from .clock import LiveClock
 from .codec import FrameReader, encode_frame
 from .config import ClusterSpec
@@ -48,16 +49,6 @@ MAX_QUEUED_FRAMES = 8192
 
 RECONNECT_INITIAL_S = 0.05
 RECONNECT_MAX_S = 2.0
-
-
-class _LocalEndpoint:
-    __slots__ = ("node_id", "site", "inbox", "failed")
-
-    def __init__(self, node_id: str, site: str, inbox: Any) -> None:
-        self.node_id = node_id
-        self.site = site
-        self.inbox = inbox
-        self.failed = False
 
 
 class _Link:
@@ -167,8 +158,8 @@ class _OutboundLink(_Link):
                 return
 
 
-class TcpTransport:
-    """Real sockets behind the simulated Network's interface."""
+class TcpTransport(Transport):
+    """Real sockets behind the fabric seam the simulated Network shares."""
 
     def __init__(
         self,
@@ -177,11 +168,8 @@ class TcpTransport:
         obs: Any = None,
         listen: Optional[Tuple[str, int]] = None,
     ) -> None:
-        self.sim = clock
+        super().__init__(clock, spec.latency_profile(), obs)
         self.spec = spec
-        self.profile = spec.latency_profile()
-        self.stats = NetworkStats()
-        self._endpoints: Dict[str, _LocalEndpoint] = {}
         self._addresses: Dict[str, Tuple[str, int]] = spec.addresses()
         self._remote_sites: Dict[str, str] = {
             node_id: spec.site_of(node_id) for node_id in self._addresses
@@ -191,11 +179,8 @@ class TcpTransport:
         # Return routes for peers without configured addresses (clients):
         # node id -> the link its traffic last arrived on.
         self._return_links: Dict[str, _Link] = {}
-        self._taps: List[Callable[[Message], None]] = []
-        self._partitions: Set[frozenset] = set()
         self._listen = listen
         self._server: Optional[asyncio.AbstractServer] = None
-        self.obs = obs or NULL_OBS
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -227,14 +212,7 @@ class TcpTransport:
         for link in links:
             await link.close()
 
-    # -- membership (Network-compatible) -----------------------------------
-
-    def register(self, node_id: str, site: str, inbox: Any) -> None:
-        if node_id in self._endpoints:
-            raise ValueError(f"node id {node_id!r} already registered")
-        if site not in self.profile.site_names:
-            raise ValueError(f"site {site!r} not in profile {self.profile.name!r}")
-        self._endpoints[node_id] = _LocalEndpoint(node_id, site, inbox)
+    # -- remote node ids ---------------------------------------------------
 
     def site_of(self, node_id: str) -> str:
         endpoint = self._endpoints.get(node_id)
@@ -247,34 +225,9 @@ class TcpTransport:
         ids.extend(n for n in self._addresses if n not in self._endpoints)
         return ids
 
-    # -- failures and partitions (local semantics) -------------------------
-
-    def fail_node(self, node_id: str) -> None:
-        self._endpoints[node_id].failed = True
-
-    def recover_node(self, node_id: str) -> None:
-        self._endpoints[node_id].failed = False
-
     def is_failed(self, node_id: str) -> bool:
         endpoint = self._endpoints.get(node_id)
         return endpoint.failed if endpoint is not None else False
-
-    def partition_sites(self, site_a: str, site_b: str) -> None:
-        self._partitions.add(frozenset((site_a, site_b)))
-
-    def heal_sites(self, site_a: str, site_b: str) -> None:
-        self._partitions.discard(frozenset((site_a, site_b)))
-
-    def heal_all(self) -> None:
-        self._partitions.clear()
-
-    def partitioned(self, site_a: str, site_b: str) -> bool:
-        return frozenset((site_a, site_b)) in self._partitions
-
-    # -- observation -------------------------------------------------------
-
-    def add_tap(self, tap: Callable[[Message], None]) -> None:
-        self._taps.append(tap)
 
     # -- transport ---------------------------------------------------------
 

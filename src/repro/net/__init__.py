@@ -1,6 +1,6 @@
 """WAN model: topology/latency profiles, transport, nodes, RPC, quorums."""
 
-from .network import Message, Network, NetworkStats
+from .network import Message, Network, Transport
 from .node import DEFAULT_RPC_TIMEOUT_MS, REPLY_KIND, Node
 from .quorum import quorum_size
 from .topology import (
@@ -18,12 +18,12 @@ __all__ = [
     "LatencyProfile",
     "Message",
     "Network",
-    "NetworkStats",
     "Node",
     "PAPER_PROFILES",
     "PROFILE_L1",
     "PROFILE_LUS",
     "PROFILE_LUSEU",
     "REPLY_KIND",
+    "Transport",
     "quorum_size",
 ]

@@ -1,6 +1,8 @@
-"""The simulated WAN.
+"""The message fabric: the :class:`Transport` seam, and the simulated WAN.
 
-Models the mechanisms that drive the paper's performance results:
+:class:`Transport` holds what every fabric shares (registration,
+failures, partitions, taps, counters); :class:`Network` models the
+mechanisms that drive the paper's performance results:
 
 - **Propagation delay**: one-way latency = RTT/2 from the active
   :class:`~repro.net.topology.LatencyProfile` (Table II), plus optional
@@ -27,10 +29,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from ..obs import NULL_OBS
-from ..sim import RandomStreams, Simulator
+from ..sim import Clock, RandomStreams, Simulator
 from .topology import LatencyProfile
 
-__all__ = ["Message", "NetworkStats", "Network", "DEFAULT_BANDWIDTH_BYTES_PER_MS"]
+__all__ = [
+    "Message", "NetworkStats", "Transport", "Network", "DEFAULT_BANDWIDTH_BYTES_PER_MS",
+]
 
 # 10 Gbps in bytes per millisecond.  The paper's testbed emulates WAN
 # *latency* with NetEm but keeps datacenter-grade link speed; bandwidth
@@ -71,7 +75,7 @@ class NetworkStats:
 
 
 class _Endpoint:
-    """Internal record for one registered node."""
+    """Internal record for one node registered on this process's fabric."""
 
     __slots__ = ("node_id", "site", "inbox", "egress_free_at", "failed", "one_way")
 
@@ -85,31 +89,37 @@ class _Endpoint:
         self.one_way: Dict[str, float] = {}
 
 
-class Network:
-    """Message transport between registered nodes over a latency profile."""
+class Transport:
+    """The message-fabric seam every :class:`~repro.net.Node` runs
+    against, as ``network``.
 
-    def __init__(
-        self,
-        sim: Simulator,
-        profile: LatencyProfile,
-        streams: Optional[RandomStreams] = None,
-        bandwidth_bytes_per_ms: float = DEFAULT_BANDWIDTH_BYTES_PER_MS,
-        loss_probability: float = 0.0,
-        jitter_fraction: float = 0.0,
-        obs: Any = None,
-    ) -> None:
+    A fabric registers node inboxes, moves :class:`Message` objects,
+    answers failure and locality queries, and carries the shared
+    :class:`~repro.obs.Observability` facade (``obs``) and the sites'
+    latency ``profile`` (advisory on a live fabric: clients and
+    coordinators sort replicas by it).  Two subclasses fill in ``send``:
+    :class:`Network` (modelled WAN latency, NIC egress, seeded loss) and
+    :class:`repro.live.TcpTransport` (length-prefixed frames over asyncio
+    TCP).  Everything here is shared, so a node cannot tell them apart.
+
+    The contract: ``send(src, dst, kind, body, size_bytes, request_id,
+    trace)`` is fire-and-forget over a fair-loss link — the caller never
+    learns of a drop, and an RPC's reply goes to the request's ``src``
+    under the same ``request_id`` (−1: one-way).  Delivery is
+    ``inbox.put(message)``.  A failed node neither sends nor receives
+    (judged at send and again at delivery), and a partition between two
+    sites drops what arrives while it stands, so one healed mid-flight
+    lets late packets through.  A tap sees every message accepted for
+    sending, dropped or not, and ``stats`` counts it.
+    """
+
+    def __init__(self, sim: Clock, profile: LatencyProfile, obs: Any = None) -> None:
         self.sim = sim
         self.profile = profile
-        self.streams = streams or RandomStreams(0)
-        self.bandwidth = bandwidth_bytes_per_ms
-        self.loss_probability = loss_probability
-        self.jitter_fraction = jitter_fraction
         self.stats = NetworkStats()
-        self._rng = self.streams.stream("network")
         self._endpoints: Dict[str, _Endpoint] = {}
         self._partitions: Set[frozenset] = set()
         self._taps: list[Callable[[Message], None]] = []
-        self._deliver_cb = self._deliver
         # Observability facade inherited by every node registered here
         # (NULL_OBS unless a real one is installed).
         self.obs = obs or NULL_OBS
@@ -188,6 +198,34 @@ class Network:
     def add_tap(self, tap: Callable[[Message], None]) -> None:
         """Invoke ``tap(message)`` for every message accepted for sending."""
         self._taps.append(tap)
+
+    def send(
+        self, src: str, dst: str, kind: str, body: Any, size_bytes: int = 64,
+        request_id: int = -1, trace: Optional[Tuple[int, int]] = None,
+    ) -> None:
+        raise NotImplementedError
+
+
+class Network(Transport):
+    """Message transport between registered nodes over a latency profile."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        profile: LatencyProfile,
+        streams: Optional[RandomStreams] = None,
+        bandwidth_bytes_per_ms: float = DEFAULT_BANDWIDTH_BYTES_PER_MS,
+        loss_probability: float = 0.0,
+        jitter_fraction: float = 0.0,
+        obs: Any = None,
+    ) -> None:
+        super().__init__(sim, profile, obs)
+        self.streams = streams or RandomStreams(0)
+        self.bandwidth = bandwidth_bytes_per_ms
+        self.loss_probability = loss_probability
+        self.jitter_fraction = jitter_fraction
+        self._rng = self.streams.stream("network")
+        self._deliver_cb = self._deliver
 
     # -- transport --------------------------------------------------------
 

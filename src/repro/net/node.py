@@ -18,16 +18,13 @@ from __future__ import annotations
 
 from collections import deque
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Generator, List, Optional
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional
 from typing import Sequence, Tuple
 
 from ..errors import QuorumUnavailable, RpcTimeout
-from ..sim import Event, NodeClock, Process, Resource
-from .network import Message
+from ..sim import Clock, Event, NodeClock, Process, Resource
+from .network import Message, Transport
 from .quorum import QuorumWait
-
-if TYPE_CHECKING:  # the environment seams; see repro.runtime
-    from ..runtime import Clock, Transport
 
 __all__ = ["Node", "DEFAULT_RPC_TIMEOUT_MS", "REPLY_KIND"]
 
@@ -138,12 +135,11 @@ class _ExpiryQueue:
 class Node:
     """A host participating in the protocols.
 
-    Written purely against the two environment seams of
-    :mod:`repro.runtime`: ``sim`` is any :class:`~repro.runtime.Clock`
-    (the DES simulator, or a ``repro.live`` wall clock) and ``network``
-    is any :class:`~repro.runtime.Transport` (the simulated network, or
-    asyncio TCP).  That is what lets every Node subclass run unmodified
-    in both modes.
+    Written purely against the two environment seams: ``sim`` is any
+    :class:`~repro.sim.Clock` (the DES simulator, or a ``repro.live``
+    wall clock) and ``network`` is any :class:`~repro.net.Transport`
+    (the simulated network, or asyncio TCP).  That is what lets every
+    Node subclass run unmodified in both modes.
     """
 
     def __init__(

@@ -184,13 +184,25 @@ class CritPath:
         phase = max(totals, key=lambda name: (totals[name], name))
         return (phase, totals[phase])
 
-    def guilty_spans(self, phase: Optional[str] = None, limit: int = 3) -> List[PhaseSlice]:
-        """The longest slices of ``phase`` (default: the dominant phase)."""
+    def guilty_spans(
+        self, phase: Optional[str] = None, limit: int = 3
+    ) -> List[Tuple[PhaseSlice, float]]:
+        """The spans that held ``phase`` (default: the dominant phase)
+        longest, as ``(first slice, summed ms)``, longest first.
+
+        A span a child cuts in two owns two slices: they are summed, so
+        the span is listed once and the runner-up keeps its place.
+        """
         if phase is None:
             phase, _total = self.dominant_phase()
-        matching = [piece for piece in self.slices if piece.phase == phase]
-        matching.sort(key=lambda piece: -piece.duration_ms)
-        return matching[:limit]
+        first: Dict[int, PhaseSlice] = {}
+        held: Dict[int, float] = {}
+        for piece in self.slices:
+            if piece.phase == phase:
+                first.setdefault(piece.span_id, piece)
+                held[piece.span_id] = held.get(piece.span_id, 0.0) + piece.duration_ms
+        ranked = sorted(held, key=lambda span_id: -held[span_id])
+        return [(first[span_id], held[span_id]) for span_id in ranked[:limit]]
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -539,8 +551,8 @@ def explain_table(
         guilty = path.guilty_spans(dom_phase, limit=2)
         where = ", ".join(
             f"#{piece.span_id} {piece.span_name}"
-            f" ({piece.node or '?'}@{piece.site or '?'}, {piece.duration_ms:.1f}ms)"
-            for piece in guilty
+            f" ({piece.node or '?'}@{piece.site or '?'}, {held_ms:.1f}ms)"
+            for piece, held_ms in guilty
         )
         lines.append(
             f"{rank:>2} {path.trace_id:>6} {str(path.key or '-'):<10} "

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-if TYPE_CHECKING:  # the scheduler seam; see repro.runtime
-    from ..runtime import Clock
+if TYPE_CHECKING:  # the scheduler seam
+    from ..sim.core import Clock
 from .audit import NULL_AUDIT, AuditStream
 from .metrics import MetricsRegistry, fold
 from .trace import NULL_TRACER, Tracer
@@ -37,7 +37,7 @@ class Observability:
         span_limit: int = 500_000,
         span_id_base: int = 0,
     ) -> None:
-        # ``sim`` is any repro.runtime.Clock: the DES simulator or a
+        # ``sim`` is any repro.sim.Clock: the DES simulator or a
         # live wall clock — spans and audit events stamp time from it.
         self.sim = sim
         # Pass ``NULL_TRACER`` to leave tracing (and so metrics) off;

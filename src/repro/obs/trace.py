@@ -1,6 +1,6 @@
 """Clock-aware distributed tracing.
 
-Spans are stamped from the active :class:`repro.runtime.Clock` — the
+Spans are stamped from the active :class:`repro.sim.Clock` — the
 DES :class:`~repro.sim.Simulator` or the wall-clock
 :class:`repro.live.LiveClock` — so the same tracer serves both modes.
 Under the DES a trace of a criticalPut is the paper's own cost
@@ -43,8 +43,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
-if TYPE_CHECKING:  # the scheduler seam; see repro.runtime
-    from ..runtime import Clock
+if TYPE_CHECKING:  # the scheduler seam
+    from ..sim.core import Clock
 
 __all__ = ["SpanRecord", "Span", "Tracer", "NullTracer", "NULL_TRACER"]
 

@@ -2,21 +2,20 @@
 
 from .clock import NodeClock
 from .core import (
-    AllOf,
     AnyOf,
+    Clock,
     Event,
     Interrupt,
     Process,
     SimulationError,
     Simulator,
-    Timeout,
 )
 from .primitives import Condition, Mailbox, Resource
 from .rng import RandomStreams
 
 __all__ = [
-    "AllOf",
     "AnyOf",
+    "Clock",
     "Condition",
     "Event",
     "Interrupt",
@@ -27,5 +26,4 @@ __all__ = [
     "Resource",
     "SimulationError",
     "Simulator",
-    "Timeout",
 ]

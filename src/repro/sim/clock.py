@@ -10,10 +10,7 @@ clock agreement.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # any scheduler satisfying the Clock seam works here
-    from ..runtime import Clock
+from .core import Clock
 
 __all__ = ["NodeClock"]
 

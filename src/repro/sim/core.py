@@ -65,13 +65,10 @@ Only work that advances simulated time, or that a running process
 raised, is an entry of its own.  Two rules keep same-instant hand-offs
 out of the queues:
 
-- **Who wakes in place.**  An event triggered *by the loop itself* — a
-  dispatched action (timer fire, message delivery) with no process
-  executing — calls its callbacks on the spot, in registration order,
-  so the waiting process runs inside that dispatch.  An event triggered
-  *by a running process* (or by code outside the loop) queues its
-  callbacks on ``_ready`` for the same instant: process code keeps
-  run-to-completion and no generator is ever re-entered.
+- **Who wakes in place** (the :class:`Clock` contract).  An event the
+  loop itself triggers, with no process executing, calls its callbacks
+  on the spot, so the waiting process runs inside that dispatch; one a
+  running process triggers queues them on ``_ready`` for this instant.
 - **What a bare delay is.**  ``yield 2.5`` is one
   ``schedule(2.5, process._wake, token)`` and nothing else — no
   ``Timeout``, no callback list, no second hop to resume.  An interrupt
@@ -104,6 +101,7 @@ __all__ = [
     "SimulationError",
     "AllOf",
     "AnyOf",
+    "Clock",
     "Simulator",
     "call_action",
 ]
@@ -151,7 +149,7 @@ class Event:
 
     __slots__ = ("sim", "_callbacks", "_triggered", "_ok", "_value", "_abandon", "name")
 
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
+    def __init__(self, sim: "Clock", name: str = "") -> None:
         self.sim = sim
         self.name = name
         # Lazily materialized: most events get exactly zero or one
@@ -254,7 +252,7 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
+    def __init__(self, sim: "Clock", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
         # Constant name: cheap, and enough for subsystem attribution
@@ -275,7 +273,7 @@ class Process(Event):
     __slots__ = ("generator", "context", "_waiting_on", "_interrupts", "_resume_cb", "_sleep")
 
     def __init__(
-        self, sim: "Simulator", generator: Generator[Any, Any, Any], name: str = ""
+        self, sim: "Clock", generator: Generator[Any, Any, Any], name: str = ""
     ) -> None:
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -430,7 +428,7 @@ class AllOf(Event):
 
     __slots__ = ("_pending", "_results")
 
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
+    def __init__(self, sim: "Clock", events: Iterable[Event]) -> None:
         super().__init__(sim, name="AllOf")
         children = list(events)
         self._results: list[Any] = [None] * len(children)
@@ -472,7 +470,7 @@ class AnyOf(Event):
 
     __slots__ = ()
 
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
+    def __init__(self, sim: "Clock", events: Iterable[Event]) -> None:
         super().__init__(sim, name="AnyOf")
         children = list(events)
         if not children:
@@ -494,35 +492,51 @@ class AnyOf(Event):
         return collect
 
 
-class Simulator:
-    """The event loop: a FIFO ready queue plus a priority heap.
+class Clock:
+    """The scheduler seam every protocol class runs against, as ``sim``.
 
-    Same-time continuations live in ``_ready`` (FIFO), future work in
-    ``_heap`` ordered by ``(time, seq)``; see the module docstring for
-    the determinism argument.
+    A clock owns time (``now``, in milliseconds since its epoch), makes
+    the waitables of this module (``event`` / ``timeout`` / ``all_of`` /
+    ``any_of``) and drives generator processes (``process``).  Two
+    subclasses supply ``now`` (an attribute or a property of their own)
+    and the two kernel hooks: :class:`Simulator` (virtual time, a heap,
+    deterministic) and :class:`repro.live.LiveClock` (wall time on an
+    asyncio loop).  Everything here runs unchanged on either, which is
+    why protocol code has no ``if live:``.
+
+    The scheduling contract both hooks keep:
+
+    - ``schedule(delay, fn, arg)`` runs ``fn(arg)`` after ``delay`` ms
+      with no closure.  A non-positive delay means this instant, FIFO
+      behind what is already queued for it, and never synchronously
+      inside the call; positive delays run in (time, insertion) order.
+    - ``schedule_at(when, fn, arg)`` is the same at an absolute clock
+      time, met exactly: a deadline computed earlier is hit, where
+      ``when - now`` through ``schedule`` could land one ulp off.  A
+      time at or before ``now`` is clamped to this instant.
+    - **Who wakes in place.**  ``dispatching`` is True while the clock
+      runs a scheduled action.  An event triggered then with no process
+      executing (``active_process`` is None: a timer fire, a message
+      delivery) runs its waiters on the spot, inside that action; one
+      triggered by a running process, or by code outside the clock,
+      queues them for this instant, so no generator is re-entered.
     """
 
     # Self-profiler slot (see repro.obs.prof.SimProfiler).  A class
-    # attribute, not instance state: unprofiled simulators carry no
-    # extra per-instance data.  SimProfiler.install() sets the instance
-    # attribute; the dispatch loop reads it once per run and hands each
-    # popped action to it.
+    # attribute, not instance state: unprofiled clocks carry no extra
+    # per-instance data.  SimProfiler.install() sets the instance
+    # attribute; the DES dispatch loop reads it once per run and hands
+    # each popped action to it.
     profiler: Optional[Any] = None
 
     def __init__(self) -> None:
-        self.now: float = 0.0
         # The process currently being stepped, if any (used to inherit
-        # per-process context into spawned children).
+        # per-process context into spawned children and trace spans).
         self.active_process: Optional[Process] = None
-        self._heap: list[tuple] = []
-        self._ready: deque = deque()
-        # Heap pushes ever — also the FIFO tie-break sequence for
-        # same-time heap entries.
-        self.heap_pushes = 0
-        # True while the dispatch loop runs: a wakeup the loop itself
-        # raises runs in place (Event._trigger); also the re-entrancy
-        # guard of _drain.
+        # True while the clock runs a scheduled action: a wakeup raised
+        # there by no process runs in place (Event._trigger).
         self.dispatching = False
+        # Failures nobody waited on, for the clock's owner to surface.
         self._unhandled: list[Event] = []
         # Child failures that lost an AllOf/AnyOf race after the
         # combinator already triggered: defused, not silently dropped.
@@ -549,6 +563,38 @@ class Simulator:
         return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------------
+
+    def schedule(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
+        raise NotImplementedError
+
+    def schedule_at(self, when: float, fn: Callable[[Any], None], arg: Any) -> None:
+        raise NotImplementedError
+
+    def call_at(self, when: float, action: Callable[[], None]) -> None:
+        """Run a plain callable at absolute clock time ``when``."""
+        self.schedule_at(when, call_action, action)
+
+    def defuse(self, event: Event) -> None:
+        """Account a child failure that lost an AllOf/AnyOf race."""
+        self.swallowed_failures += 1
+
+
+class Simulator(Clock):
+    """The event loop: a FIFO ready queue plus a priority heap.
+
+    Same-time continuations live in ``_ready`` (FIFO), future work in
+    ``_heap`` ordered by ``(time, seq)``; see the module docstring for
+    the determinism argument.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.now: float = 0.0
+        self._heap: list[tuple] = []
+        self._ready: deque = deque()
+        # Heap pushes ever — also the FIFO tie-break sequence for
+        # same-time heap entries.
+        self.heap_pushes = 0
 
     def schedule(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
         """Run ``fn(arg)`` after ``delay`` ms — the one scheduling hook.
@@ -578,14 +624,6 @@ class Simulator:
             seq = self.heap_pushes
             self.heap_pushes = seq + 1
             heapq.heappush(self._heap, (when, seq, fn, arg))
-
-    def call_at(self, when: float, action: Callable[[], None]) -> None:
-        """Run a plain callable at absolute simulated time ``when``."""
-        self.schedule_at(when, call_action, action)
-
-    def defuse(self, event: Event) -> None:
-        """Account a child failure that lost an AllOf/AnyOf race."""
-        self.swallowed_failures += 1
 
     # -- execution ---------------------------------------------------------
 

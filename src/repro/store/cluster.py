@@ -110,8 +110,8 @@ def build_cluster(
 ) -> StoreCluster:
     """Build and return a (not yet started) store cluster.
 
-    The one store assembly, for any :mod:`repro.runtime` ``(Clock,
-    Transport)`` pair: ``layout`` maps *every* storage node of the
+    The one store assembly, for any ``(Clock, Transport)`` pair of
+    seams (:class:`repro.sim.Clock`, :class:`repro.net.Transport`): ``layout`` maps *every* storage node of the
     cluster to its site (default: ``nodes_per_site`` per profile site)
     and fixes the placement ring and the peer list; ``local`` names the
     nodes instantiated here (default: all of them — the simulated

@@ -87,7 +87,22 @@ def test_dominant_phase_and_guilty_spans():
     assert abs(total - 45.0) < 1e-9
     guilty = path.guilty_spans("op.quorum_straggler")
     assert guilty  # names the span (and node) that held the CS up
-    assert any(piece.span_id == 8 for piece in guilty)
+    assert any(piece.span_id == 8 for piece, _held_ms in guilty)
+
+
+def test_guilty_spans_sum_a_span_a_child_cut_in_two():
+    """A span split by a child owns two slices of its phase: it is one
+    guilty span, its slices summed, and the shorter runner-up still
+    gets the second place."""
+    path = extract_critpaths([
+        _span(1, None, ROOT_SPAN, 0, 100),
+        _span(2, 1, "music.acquireLock", 0, 50),
+        _span(3, 2, "music.grant", 20, 25),   # cuts span 2: 20 + 25 ms
+        _span(4, 1, "music.acquireLock", 55, 70),
+    ])[0]
+    guilty = path.guilty_spans("acquire.queue_wait", limit=2)
+    assert [(piece.span_id, held_ms) for piece, held_ms in guilty] == [(2, 45.0), (4, 15.0)]
+    assert "#2 music.acquireLock" in explain_table([path], slowest=1)
 
 
 def test_min_slice_filter_preserves_exactness_reporting():

@@ -2,20 +2,25 @@
 module grows past 700 lines, ``repro.obs`` stays the bottom layer (it
 observes the protocol layers, it does not know them), what it exports
 it defines, the option counts only go down, every config field has a
-caller, and an ECF operation reports through its return value and its
-span alone.  Beside ``src/``, the two documents that describe it stay
+caller, an ECF operation reports through its return value and its
+span alone, and the runtime seam is stated once, as two base classes.
+Beside ``src/``, the two documents that describe it stay
 legible: DESIGN.md's layer map names every module once, and neither it
 nor a CHANGES.md entry grows past its cap."""
 
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import re
 from pathlib import Path
 
 from repro.baselines import CockroachConfig
 from repro.core import MusicConfig, build_music
+from repro.live import LiveClock, TcpTransport
+from repro.net import Network
+from repro.sim import Simulator
 from repro.storage import StorageEngineConfig
 from repro.store import StoreConfig, StoreCoordinator
 
@@ -119,6 +124,34 @@ def test_obs_imports_no_layer_above_it():
             continue
         above = imported_repro_packages(path) & ABOVE_OBS
         assert not above, f"repro/obs/{path.name} imports {sorted(above)}"
+
+
+# -- the runtime seam -------------------------------------------------------
+
+# What each seam's base holds, so that no world restates it.
+CLOCK_SURFACE = {"event", "timeout", "process", "all_of", "any_of", "call_at", "defuse"}
+FABRIC_SURFACE = {
+    "register", "fail_node", "recover_node", "partition_sites", "heal_sites",
+    "heal_all", "partitioned", "add_tap",
+}
+
+
+def test_the_runtime_seam_is_stated_once():
+    """The DES and the live world share one clock base and one fabric
+    base, which hold the shared code; neither world's class restates
+    it, and no second statement of the seam (``repro.runtime``) is left."""
+    for (des, live), surface in (
+        ((Simulator, LiveClock), CLOCK_SURFACE),
+        ((Network, TcpTransport), FABRIC_SURFACE),
+    ):
+        shared = (set(des.__mro__) & set(live.__mro__)) - {object}
+        assert len(shared) == 1, f"{des.__name__} and {live.__name__} share {shared}"
+        (base,) = shared
+        assert surface <= set(vars(base)), surface - set(vars(base))
+        for cls in (des, live):
+            restated = sorted(surface & set(vars(cls)))
+            assert restated == [], f"{cls.__name__} restates {restated} of {base.__name__}"
+    assert importlib.util.find_spec("repro.runtime") is None
 
 
 INSTRUMENTS = ("counter", "gauge", "histogram")
