@@ -117,7 +117,7 @@ def main() -> None:
     assert replayed.counters == music.auditor.counters
     print(f"\noffline replay of the {len(replayed.events)}-event JSONL "
           "history agrees: clean.")
-    print("(dump a real run with: python -m repro.obs fig5b --audit "
+    print("(dump a real run with: python -m repro.obs explain "
           "--audit-jsonl events.jsonl)")
 
 

@@ -12,8 +12,9 @@ Usage::
     from repro.obs import extract_critpaths, render_phase_summary
     print(render_phase_summary(extract_critpaths(obs.tracer.spans)))
 
-``python -m repro.obs`` regenerates the paper's Fig. 5(b) per-phase
-latency decomposition directly from recorded spans.
+``python -m repro.obs explain`` runs a traced, audited workload (or
+reads a span dump back) and prints its critical-path phase table, the
+paper's Fig. 5(b) per-phase latency decomposition, from the spans alone.
 """
 
 from .audit import (
@@ -25,15 +26,11 @@ from .audit import (
     write_audit_jsonl,
 )
 from .critpath import (
-    CritPath,
-    critpath_speedscope_samples,
     explain_table,
     extract_critpaths,
-    load_critpath_jsonl,
     observe_phases,
     phase_summary,
     render_phase_summary,
-    write_critpath_jsonl,
 )
 from .ecf import ECFAuditor, replay_audit
 from .export import (
@@ -51,7 +48,6 @@ from .trace import SpanRecord
 __all__ = [
     "AuditEvent",
     "AuditStream",
-    "CritPath",
     "ECFAuditor",
     "Histogram",
     "MetricsRegistry",
@@ -61,11 +57,9 @@ __all__ = [
     "SimProfiler",
     "SpanRecord",
     "chrome_trace_events",
-    "critpath_speedscope_samples",
     "explain_table",
     "extract_critpaths",
     "load_audit_jsonl",
-    "load_critpath_jsonl",
     "load_jsonl",
     "merge_audit_events",
     "observe_phases",
@@ -76,6 +70,5 @@ __all__ = [
     "subsystem_of",
     "write_audit_jsonl",
     "write_chrome_trace",
-    "write_critpath_jsonl",
     "write_jsonl",
 ]

@@ -76,7 +76,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .export import PathOrFile, read_records, write_records
 from .trace import SpanRecord
 
 __all__ = [
@@ -88,9 +87,6 @@ __all__ = [
     "phase_summary",
     "render_phase_summary",
     "explain_table",
-    "write_critpath_jsonl",
-    "load_critpath_jsonl",
-    "critpath_speedscope_samples",
 ]
 
 ROOT_SPAN = "music.cs"
@@ -131,17 +127,6 @@ class PhaseSlice:
     @property
     def duration_ms(self) -> float:
         return self.end_ms - self.start_ms
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "phase": self.phase,
-            "start_ms": self.start_ms,
-            "end_ms": self.end_ms,
-            "span_id": self.span_id,
-            "span_name": self.span_name,
-            "node": self.node,
-            "site": self.site,
-        }
 
 
 @dataclass
@@ -203,47 +188,6 @@ class CritPath:
                 held[piece.span_id] = held.get(piece.span_id, 0.0) + piece.duration_ms
         ranked = sorted(held, key=lambda span_id: -held[span_id])
         return [(first[span_id], held[span_id]) for span_id in ranked[:limit]]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "trace_id": self.trace_id,
-            "root_span_id": self.root_span_id,
-            "root_name": self.root_name,
-            "start_ms": self.start_ms,
-            "end_ms": self.end_ms,
-            "node": self.node,
-            "site": self.site,
-            "key": self.key,
-            "straggler_offpath_ms": self.straggler_offpath_ms,
-            "slices": [piece.to_dict() for piece in self.slices],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CritPath":
-        path = cls(
-            trace_id=data["trace_id"],
-            root_span_id=data["root_span_id"],
-            root_name=data.get("root_name", ROOT_SPAN),
-            start_ms=data["start_ms"],
-            end_ms=data["end_ms"],
-            node=data.get("node"),
-            site=data.get("site"),
-            key=data.get("key"),
-            straggler_offpath_ms=data.get("straggler_offpath_ms", 0.0),
-        )
-        path.slices = [
-            PhaseSlice(
-                phase=piece["phase"],
-                start_ms=piece["start_ms"],
-                end_ms=piece["end_ms"],
-                span_id=piece["span_id"],
-                span_name=piece["span_name"],
-                node=piece.get("node"),
-                site=piece.get("site"),
-            )
-            for piece in data.get("slices", [])
-        ]
-        return path
 
 
 # -- classification ----------------------------------------------------------
@@ -561,36 +505,3 @@ def explain_table(
     if not ranked:
         lines.append("(no critical sections matched)")
     return "\n".join(lines)
-
-
-# -- persistence -------------------------------------------------------------
-
-
-def write_critpath_jsonl(paths: Iterable[CritPath], destination: PathOrFile) -> None:
-    """One CritPath per line (the span JSONL convention)."""
-    write_records(paths, destination)
-
-
-def load_critpath_jsonl(source: PathOrFile) -> List[CritPath]:
-    return [CritPath.from_dict(data) for data in read_records(source)]
-
-
-def critpath_speedscope_samples(
-    paths: Sequence[CritPath],
-) -> List[Tuple[Tuple[str, ...], float]]:
-    """Weighted stacks for a speedscope "sampled" profile.
-
-    Each slice becomes one sample whose stack is ``root > phase >
-    span``, weighted by the slice duration — a flamegraph of where CS
-    wall time went, loadable at https://www.speedscope.app.
-    """
-    samples: List[Tuple[Tuple[str, ...], float]] = []
-    for path in paths:
-        for piece in path.slices:
-            stack = (
-                path.root_name,
-                piece.phase,
-                f"{piece.span_name} ({piece.node or '?'})",
-            )
-            samples.append((stack, piece.duration_ms))
-    return samples

@@ -1,9 +1,8 @@
-"""Trace exporters: JSONL, Chrome trace-event JSON, speedscope, guilty
-span trees.
+"""Trace exporters: JSONL, Chrome trace-event JSON, guilty span trees.
 
 - :func:`write_records` / :func:`read_records` — the one JSONL codec:
   a ``to_dict()`` object per line out, a dict per non-blank line in.
-  Spans, critical paths and audit events all dump through it.
+  Spans and audit events both dump through it.
 - :func:`write_jsonl` / :func:`load_jsonl` — a line-per-span dump that
   round-trips losslessly, for archival and offline analysis
   (``python -m repro.obs explain --spans spans.jsonl``).
@@ -12,8 +11,6 @@ span trees.
   Sites map to processes and nodes to threads, so a criticalPut renders
   as a coordinator slice with replica slices under the remote sites,
   offset by the WAN latencies that produced them.
-- :func:`speedscope_document` / :func:`write_speedscope` — a sampled
-  speedscope profile from weighted stacks.
 - :func:`render_span_tree` — one trace as an indented tree with the
   spans an audit violation implicates marked ``▶``.
 """
@@ -32,8 +29,6 @@ __all__ = [
     "load_jsonl",
     "chrome_trace_events",
     "write_chrome_trace",
-    "speedscope_document",
-    "write_speedscope",
     "render_span_tree",
 ]
 
@@ -137,75 +132,6 @@ def chrome_trace_events(spans: Sequence[SpanRecord]) -> List[dict]:
 
 def write_chrome_trace(spans: Sequence[SpanRecord], destination: PathOrFile) -> None:
     document = {"traceEvents": chrome_trace_events(spans), "displayTimeUnit": "ms"}
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-        return
-    json.dump(document, destination)
-
-
-# -- speedscope ------------------------------------------------------------
-
-SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
-
-WeightedStack = Sequence  # (stack: Sequence[str], weight: float) pairs
-
-
-def speedscope_document(
-    name: str,
-    samples: Sequence,
-    unit: str = "milliseconds",
-) -> dict:
-    """A speedscope "sampled" profile from weighted stacks.
-
-    ``samples`` is a sequence of ``(stack, weight)`` pairs where each
-    stack is a sequence of frame names, outermost first.  The sampled
-    format (stacks + weights, no open/close events) tolerates the
-    overlapping sibling intervals that span trees and profiler buckets
-    produce, which the "evented" format rejects.  Load the output at
-    https://www.speedscope.app or via ``speedscope file.json``.
-    """
-    frame_ids: Dict[str, int] = {}
-    frames: List[dict] = []
-    out_samples: List[List[int]] = []
-    weights: List[float] = []
-    for stack, weight in samples:
-        if weight <= 0:
-            continue
-        indices = []
-        for frame in stack:
-            if frame not in frame_ids:
-                frame_ids[frame] = len(frames)
-                frames.append({"name": frame})
-            indices.append(frame_ids[frame])
-        out_samples.append(indices)
-        weights.append(weight)
-    return {
-        "$schema": SPEEDSCOPE_SCHEMA,
-        "shared": {"frames": frames},
-        "profiles": [
-            {
-                "type": "sampled",
-                "name": name,
-                "unit": unit,
-                "startValue": 0,
-                "endValue": sum(weights),
-                "samples": out_samples,
-                "weights": weights,
-            }
-        ],
-        "name": name,
-        "exporter": "repro.obs",
-    }
-
-
-def write_speedscope(
-    name: str,
-    samples: Sequence,
-    destination: PathOrFile,
-    unit: str = "milliseconds",
-) -> None:
-    document = speedscope_document(name, samples, unit=unit)
     if isinstance(destination, str):
         with open(destination, "w", encoding="utf-8") as handle:
             json.dump(document, handle)

@@ -41,9 +41,6 @@ timings are untouched, so profiled runs stay bit-identical in sim time):
 - RPC request, obs-span and heap-push allocation counts (heap pushes
   read the kernel's ``heap_pushes`` counter, so the ready queue's heap
   bypass is directly visible as fewer pushes per event).
-
-``speedscope_samples()`` exports the buckets as weighted stacks for a
-flamegraph (:func:`repro.obs.export.write_speedscope`).
 """
 
 from __future__ import annotations
@@ -83,7 +80,6 @@ _SUBSYSTEM_RULES: Tuple[Tuple[str, str], ...] = (
     ("lock", "music"),
     ("lease", "music"),
     ("client", "client"),
-    ("fig5b", "client"),
     ("worker", "client"),
     ("bench", "client"),
     ("Timeout", "timer"),
@@ -276,44 +272,3 @@ class SimProfiler:
             },
             "subsystem_shares": self.subsystem_shares(),
         }
-
-    def render(self) -> str:
-        """An ASCII report of where the simulator's wall-clock went."""
-        lines = [
-            f"DES profile: {self.events} events in {self.wall_s:.3f}s wall "
-            f"({self.events_per_sec:,.0f} events/sec), "
-            f"heap high-water {self.heap_high_water}",
-            f"allocations: {self.rpc_envelopes} RPC requests, "
-            f"{self.obs_spans} obs spans, {self.heap_pushes} heap pushes",
-            "",
-            f"{'event type':<44} {'events':>9} {'wall ms':>10} {'share':>7}",
-            "-" * 74,
-        ]
-        wall = self.wall_s or 1.0
-        for kind, (count, elapsed) in sorted(
-            self.by_event_type.items(), key=lambda item: -item[1][1]
-        ):
-            lines.append(
-                f"{kind:<44} {count:>9} {1e3 * elapsed:>10.2f} "
-                f"{100.0 * elapsed / wall:>6.1f}%"
-            )
-        shares = self.subsystem_shares()
-        if shares:
-            lines.append("")
-            lines.append(
-                f"subsystem shares (sampled 1/{self.sample_every} events):"
-            )
-            for subsystem, share in sorted(shares.items(), key=lambda kv: -kv[1]):
-                lines.append(f"  {subsystem:<12} {100.0 * share:>6.1f}%")
-        return "\n".join(lines)
-
-    def speedscope_samples(self) -> List[Tuple[Tuple[str, ...], float]]:
-        """Weighted stacks (``sim > subsystem`` and ``sim > event type``)
-        for :func:`repro.obs.export.write_speedscope` — a flamegraph of
-        the simulator's own wall-clock."""
-        samples: List[Tuple[Tuple[str, ...], float]] = []
-        for subsystem, (_count, wall) in sorted(self.by_subsystem.items()):
-            samples.append((("sim", f"subsystem:{subsystem}"), wall * 1e3))
-        for kind, (_count, wall) in sorted(self.by_event_type.items()):
-            samples.append((("sim", "events", kind), wall * 1e3))
-        return samples

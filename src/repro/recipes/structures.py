@@ -120,10 +120,6 @@ class AtomicQueue:
         yield from cs.exit()
         return (True, head)
 
-    def size_eventual(self) -> Generator[Any, Any, int]:
-        items = yield from self.client.get(self.key)
-        return len(items or [])
-
 
 class LeaderElection:
     """Coarse-grained leader election — the classic locking-service use

@@ -304,10 +304,6 @@ class Process(Event):
         if not self._triggered:
             self._advance(False, None)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self._triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its wait point.
 

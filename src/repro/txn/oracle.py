@@ -215,11 +215,6 @@ class SerializabilityChecker:
     def clean(self) -> bool:
         return not self.violations
 
-    def assert_serializable(self, txns: Sequence[CommittedTxn]) -> None:
-        self.check(txns)
-        if not self.clean:
-            raise AssertionError(self.render_report())
-
     def render_report(self) -> str:
         lines = [
             f"serializability check: {len(self.violations)} violation(s)"

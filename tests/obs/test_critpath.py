@@ -1,4 +1,4 @@
-"""Critical-path attribution: exact partition, phase naming, round-trip.
+"""Critical-path attribution: exact partition and phase naming.
 
 The core invariant is structural: the sweep partitions every ``music.cs``
 root span into named phase slices with **zero** unattributed or
@@ -10,22 +10,17 @@ checks the ISSUE criterion — a dominant phase for every CS with phase
 sums within 5% of each CS's latency.
 """
 
-import io
-
 from repro.core import build_music
 from repro.errors import ReproError
 from repro.obs import (
     MetricsRegistry,
-    critpath_speedscope_samples,
     explain_table,
     extract_critpaths,
-    load_critpath_jsonl,
     observe_phases,
     phase_summary,
     render_phase_summary,
-    write_critpath_jsonl,
 )
-from repro.obs.critpath import ROOT_SPAN, CritPath
+from repro.obs.critpath import ROOT_SPAN
 from repro.obs.trace import SpanRecord
 from repro.store import StoreConfig
 
@@ -114,17 +109,6 @@ def test_min_slice_filter_preserves_exactness_reporting():
     assert path.attributed_ms <= 100.0
 
 
-def test_jsonl_round_trip():
-    paths = extract_critpaths(_synthetic_tree())
-    buffer = io.StringIO()
-    write_critpath_jsonl(paths, buffer)
-    buffer.seek(0)
-    loaded = load_critpath_jsonl(buffer)
-    assert len(loaded) == 1
-    assert loaded[0].to_dict() == paths[0].to_dict()
-    assert isinstance(loaded[0], CritPath)
-
-
 def test_observe_phases_and_summary_render():
     paths = extract_critpaths(_synthetic_tree())
     metrics = MetricsRegistry()
@@ -140,13 +124,6 @@ def test_observe_phases_and_summary_render():
     assert "acquire.queue_wait" in rendered
     table = explain_table(paths, slowest=5)
     assert "acquire.queue_wait" in table
-
-
-def test_speedscope_samples_cover_full_latency():
-    paths = extract_critpaths(_synthetic_tree())
-    samples = critpath_speedscope_samples(paths)
-    assert abs(sum(weight for _, weight in samples) - 100.0) < 1e-9
-    assert all(stack[0] == ROOT_SPAN for stack, _ in samples)
 
 
 def _contention_paths(clients=16, rounds=2, seed=606):

@@ -138,16 +138,6 @@ def test_a_hold_is_billed_to_whoever_it_runs_as():
     assert billed["client"] > 1
 
 
-def test_speedscope_samples_shape():
-    deployment = build_music(seed=5, profile=True)
-    _workload(deployment)
-    samples = deployment.profiler.speedscope_samples()
-    assert samples
-    for stack, weight in samples:
-        assert stack[0] == "sim"
-        assert weight >= 0.0
-
-
 def test_off_path_guard_is_near_free():
     """The enabled=False residue is one attribute load + an `is not
     None` branch per call site; 200k rounds stay ~ns per op."""
