@@ -9,7 +9,7 @@ children are the lock-store/data-store operations, and their children
 are the Paxos phases and replica-side handlers — a tree whose leaf
 durations are quorum RTTs and service times.  Under ``repro.live`` the
 same tree carries wall milliseconds since the cluster epoch, and the
-JSONL/Chrome/speedscope exporters render it unchanged.
+JSONL and Chrome exporters render it unchanged.
 
 Context propagation uses two mechanisms:
 
