@@ -3,8 +3,9 @@
 MUSIC on a site-local burst.
 
 Twelve clients at the same site each run a critical section on the same
-key.  Flat MUSIC pays two WAN consensus operations (createLockRef +
-releaseLock, ~8 quorum round trips) per client; the hierarchical proxy
+key.  Flat MUSIC pays a WAN mint (an LWT, shared by the mints queued at
+its coordinator) and a WAN release (a quorum row delete on the default
+hot path) per client; the hierarchical proxy
 acquires the global lock once and multiplexes it locally, then releases
 it when the burst drains so other sites can enter.
 

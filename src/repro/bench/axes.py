@@ -258,8 +258,9 @@ def elastic_scaling(run: Run) -> ExperimentResult:
 def lock_contention(run: Run) -> ExperimentResult:
     """Contention axis: 16 clients on one hot key, the contention hot path off vs on.
 
-    The hot path is LWT group commit + three-round LWTs (the Paxos
-    promise carries the read) + the synchFlag fast path + push grants.
+    The hot path is mint group commit + three-round LWTs (the Paxos
+    promise carries the read) + releaseLock as a quorum row delete + the
+    synchFlag fast path + push grants.
     Measures end-to-end critical sections per second and per-CS
     latency (createLockRef through releaseLock).  Both runs must agree
     on the final counter value — every critical section increments the

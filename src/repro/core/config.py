@@ -52,10 +52,10 @@ class MusicConfig:
 
     # Contention hot path (DESIGN.md §7–§8): one switch, on by default;
     # off, it is the paper's polling protocol with timings bit-identical
-    # to the seed.  On, four things move together — LWT group commit
+    # to the seed.  On, five things move together — mint group commit
     # (createLockRef ops on a key queued at one coordinator share one
-    # guard CAS; a queued releaseLock waits its turn and runs its own
-    # dequeue LWT), three-round LWTs (the Paxos promise carries the read,
+    # guard CAS), releaseLock as one quorum row delete instead of a
+    # dequeue LWT, three-round LWTs (the Paxos promise carries the read,
     # and an older request's promise is held against younger prepares),
     # the synchFlag fast path (the grant-time quorum flag read is skipped
     # when the local forced-release epoch proves no forcedRelease has

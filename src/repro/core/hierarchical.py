@@ -5,8 +5,9 @@ scale better across the WAN".  This module prototypes the natural
 two-level design: a per-(site, key) **lock proxy** acquires the *global*
 MUSIC lock once and then multiplexes it across colocated clients with
 purely intra-site coordination.  While local demand continues, the
-WAN-consensus cost of createLockRef/releaseLock (~2 LWTs ≈ 8 quorum
-round trips) is paid once per *burst* instead of once per *client
+WAN cost of createLockRef/releaseLock (two LWTs ≈ 8 quorum round trips
+on the paper's protocol; one three-round LWT and one quorum delete on
+the hot path) is paid once per *burst* instead of once per *client
 critical section*; the ordinary MUSIC critical ops still run under the
 proxy's global lockRef, so cross-site Exclusivity and Latest-State are
 inherited unchanged — if the proxy is preempted (declared failed), every

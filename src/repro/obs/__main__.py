@@ -307,9 +307,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     audit.set_defaults(run=_run_audit)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in ("explain", "audit", "-h", "--help"):
+        argv = ["explain", *argv]  # bare `python -m repro.obs [options]`
     args = parser.parse_args(argv)
-    if not hasattr(args, "run"):  # bare `python -m repro.obs`
-        args = parser.parse_args(["explain", *(argv or [])])
     return args.run(args)
 
 

@@ -46,7 +46,8 @@ phase                     what the time is
 ``op.quorum_straggler``   additional wait for the quorum-completing replies
 ``op.local_read``         lease-served local criticalGets
 ``op.lwt``                guard/LWT work under a critical op
-``release.lwt``           dequeue-LWT consensus rounds
+``release.lwt``           the dequeue: LWT consensus rounds, or the hot
+                          path's quorum row delete
 ``release.ballot_backoff``  ballot-loss retry sleeps inside the dequeue CAS
 ``lease.revoke_wait``     forcedRelease's ECF-window wait-out sleep
 ``client.backoff``        client-side failover/retry sleeps (root self-gaps

@@ -108,12 +108,13 @@ def test_concurrent_mints_batch_into_distinct_sequential_refs():
     assert flushes >= 1  # the accumulated ops really rode a group commit
 
 
-def test_a_release_queued_behind_a_mint_runs_its_own_dequeue(monkeypatch):
+def test_a_release_beside_a_mint_in_flight_goes_out_at_once(monkeypatch):
     """A release that arrives while a same-key mint of its coordinator
-    is in flight waits for that mint, then runs as its own dequeue LWT;
-    a mint queued beside it flushes alone after it.  The release still
-    pushes its successor (with the poll timer stretched to 30 s, only a
-    push grants within it) and the history audits clean."""
+    is in flight does not wait for it: its quorum row delete goes out at
+    once, and no LWT of its own follows.  A mint queued meanwhile still
+    flushes alone after the mint in flight.  The release pushes its
+    successor (with the poll timer stretched to 30 s, only a push
+    grants within it) and the history audits clean."""
     monkeypatch.setattr(MusicConfig, "acquire_poll_interval_ms", 30_000.0)
     monkeypatch.setattr(MusicConfig, "acquire_poll_max_ms", 30_000.0)
     music = build_music(music_config=MusicConfig(fast_locks=True), obs=True, audit=True)
@@ -152,15 +153,17 @@ def test_a_release_queued_behind_a_mint_runs_its_own_dequeue(monkeypatch):
     dequeues = [span for span in spans if span.name == "lockstore.dequeue"]
     flushes = [span for span in spans if span.name == "lockstore.batchFlush"]
     assert len(release) == 1
-    # The release queued behind the mint in flight and ran once it ended.
     (mint,) = [
         span for span in spans
         if span.name == "lockstore.enqueue" and span.start_ms < release[0].start_ms < span.end_ms
     ]
+    # The release's delete went out while the mint was still in flight,
+    # as one quorum write.
     first = min(dequeues, key=lambda span: span.start_ms)
-    assert mint.end_ms <= first.start_ms < release[0].end_ms
+    assert release[0].start_ms <= first.start_ms < mint.end_ms
+    assert [span.name for span in spans if span.parent_id == first.span_id] == ["store.put"]
     assert len(flushes) == 1 and flushes[0].attrs["size"] == 1
-    assert first.end_ms <= flushes[0].start_ms
+    assert mint.end_ms <= flushes[0].start_ms
     assert sorted(granted) == [2, 3]
     assert granted[2] < 30_000.0  # pushed, not polled
     assert music.auditor.clean, music.auditor.render_report()

@@ -47,8 +47,14 @@ def test_a_timed_out_mint_leaves_no_orphan_lockref():
     assert finished == {seed: 30 for seed in range(10)}
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP 1(a)")
-@pytest.mark.parametrize("fast_locks", [True, False])
+# Paid on the hot path: its releases are quorum deletes, not Paxos
+# commits, so the newest commit a promiser can lack is a mint, and the
+# promise repair brings the healed replica the guard with it.
+@pytest.mark.parametrize("fast_locks", [
+    True,
+    pytest.param(False, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="ROADMAP 1(a)")),
+])
 def test_a_healed_site_mints_its_own_lockrefs(fast_locks):
     music = build_music(seed=0, music_config=MusicConfig(fast_locks=fast_locks))
     sim, network = music.sim, music.network
@@ -78,7 +84,8 @@ def test_a_healed_site_mints_its_own_lockrefs(fast_locks):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP 1(c)")
 def test_every_applied_increment_is_in_the_final_counters():
-    run = _build_fault_takeover(1, "full", False)
+    # Seed 3: 312 sections applied, the counters end at 309.
+    run = _build_fault_takeover(3, "full", False)
     sim = run.deployment.sim
     for process in run.processes:
         sim.run_until_complete(process, limit=SIM_LIMIT_MS)

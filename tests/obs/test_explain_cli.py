@@ -20,6 +20,12 @@ def test_explain_runs_the_default_protocol_and_every_paxos_span_has_a_site(
     assert not unsited, f"paxos spans without a site: {unsited}"
 
 
+def test_bare_options_run_explain(capsys):
+    assert main(["--clients", "1", "--rounds", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "fast_locks=on" in out and "clean audit" in out
+
+
 def test_explain_polling_runs_the_papers_protocol(capsys):
     assert main(["explain", "--clients", "2", "--rounds", "1", "--polling"]) == 0
     assert "fast_locks=off" in capsys.readouterr().out

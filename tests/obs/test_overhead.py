@@ -90,9 +90,11 @@ def test_an_untraced_run_opens_no_span(monkeypatch):
     _workload(traced)
     # The three repeat sections on a key take the synchFlag fast path:
     # each skips the flag read's four spans (coordinator + 3 replicas)
-    # of the polling protocol's 320; and each of the ten LWTs, whose
-    # promises carry its read, skips the read round's four.
-    assert len(traced.obs.tracer.spans) == 268
+    # of the polling protocol's 320; each of the five mint LWTs, whose
+    # promises carry its read, skips the read round's four; and each of
+    # the five releases is a quorum delete — a store.put and its three
+    # replica writes, not a three-round LWT's thirteen.
+    assert len(traced.obs.tracer.spans) == 223
     polling = build_music(seed=5, obs=True, music_config=MusicConfig(fast_locks=False))
     _workload(polling)
     assert len(polling.obs.tracer.spans) == 320
