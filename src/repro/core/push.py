@@ -28,7 +28,10 @@ class ReleasePush:
         self.lock_store = lock_store
         self._waiters: Dict[Tuple[str, int], list] = {}
         self._listeners: List[Callable[[str], None]] = []
-        node.on("music.grantPush", lambda msg: self._notify(msg.body["key"], msg.body["next"]))
+        node.on(
+            "music.grantPush",
+            lambda msg: self._notify(msg.body["key"], msg.body["next"], msg.body.get("after")),
+        )
 
     def subscribe(self, key: str, lock_ref: int) -> Any:
         """An Event succeeding when a release of ``key`` observed here
@@ -53,23 +56,39 @@ class ReleasePush:
         ``lock_ref``, at least 1: the waiter's poll fuse scales by it."""
         return self.lock_store.places_behind(key, lock_ref)
 
-    def push(self, key: str, successor: Optional[int]) -> None:
-        """Wake ``successor``'s waiter on ``key``, here and at every peer;
-        with neither a successor nor a listener there is nothing to send."""
-        if successor is None and not self._listeners:
+    def push(self, key: str, successor: Optional[int], after: Optional[int] = None) -> None:
+        """Wake ``successor``'s waiter on ``key``, here and at every peer,
+        and with ``after`` (the released lockRef, when the successor came
+        from a read that may lag the mints) also each replica's first
+        waiter above ``after`` and below ``successor``; with neither a
+        waiter to name nor a listener there is nothing to send."""
+        if successor is None and after is None and not self._listeners:
             return
         self.node.counters["push_notifies"] += 1
-        self._notify(key, successor)
-        body = {"key": key, "next": successor}
+        self._notify(key, successor, after)
+        body = {"key": key, "next": successor, "after": after}
         for peer in self.peer_ids:
             self.node.send(peer, "music.grantPush", body)
 
-    def _notify(self, key: str, successor: Optional[int]) -> None:
+    def _notify(self, key: str, successor: Optional[int], after: Optional[int] = None) -> None:
         for listener in self._listeners:
             listener(key)
-        for event in self._waiters.pop((key, successor), ()):
-            if not event.triggered:
-                event.succeed(True)
+        woken = [successor]
+        if after is not None:
+            # A waiter here the releaser's read did not show yet: the
+            # first queued above the released ref is the lock's next
+            # holder (one woken early polls once and sleeps again).
+            first = min(
+                (ref for k, ref in self._waiters
+                 if k == key and after < ref and (successor is None or ref < successor)),
+                default=None,
+            )
+            if first is not None:
+                woken.append(first)
+        for ref in woken:
+            for event in self._waiters.pop((key, ref), ()):
+                if not event.triggered:
+                    event.succeed(True)
 
 
 class _NoPush:
@@ -84,7 +103,7 @@ class _NoPush:
     def add_listener(self, callback: Callable[[str], None]) -> None:
         pass
 
-    def push(self, key: str, successor: Optional[int]) -> None:
+    def push(self, key: str, successor: Optional[int], after: Optional[int] = None) -> None:
         pass
 
 

@@ -171,6 +171,11 @@ class ECFChecker:
         if handler is not None:
             handler(event, state)
 
+    def queued(self, key: str) -> Set[int]:
+        """The lockRefs the history so far leaves queued on ``key``."""
+        state = self._keys.get(key)
+        return set() if state is None else set(state.queue)
+
     # -- checkers ---------------------------------------------------------
 
     def _on_enqueue(self, event: AuditEvent, state: _KeyState) -> None:

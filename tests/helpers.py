@@ -90,6 +90,28 @@ def assert_replay_equivalent(auditor, subscribe=None):
     return replayed
 
 
+def assert_queue_model_matches_store(music, keys):
+    """The auditor's lock-queue model ends where the store ends: the
+    run's history leaves queued on each of ``keys`` exactly the lockRefs
+    a QUORUM read of its lock partition returns.  A hot-path release is
+    reported as its delete is sent, so the model drops the lockRef even
+    if the delete never takes effect; only this check would see that."""
+    from repro.lockstore import LOCK_TABLE, LockStore
+    from repro.obs import AuditStream
+    from repro.obs.ecf import ECFChecker
+    from repro.store import Consistency
+
+    assert music.auditor.dropped == 0, "a truncated history has no end state"
+    checker = ECFChecker(AuditStream(music.auditor.period_ms))
+    for event in music.auditor.events:
+        checker.on_event(event)
+    replica = next(r for r in music.replicas if not music.network.is_failed(r.node_id))
+    for key in keys:
+        read = replica.lock_store.coordinator.get(LOCK_TABLE, key, consistency=Consistency.QUORUM)
+        stored = sorted(LockStore._lock_refs(run(music.sim, read)))
+        assert stored == sorted(checker.queued(key)), (key, stored)
+
+
 def audit_history(auditor):
     """What the stream recorded, minus the span ids only a traced run has."""
     return [

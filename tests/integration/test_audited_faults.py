@@ -16,7 +16,7 @@ from repro import MusicConfig, build_music
 from repro.errors import ReproError
 from repro.faults import FaultSchedule, flaky_link_profile
 from repro.obs import replay_audit, write_audit_jsonl
-from tests.helpers import assert_replay_equivalent
+from tests.helpers import assert_queue_model_matches_store, assert_replay_equivalent
 
 # CI sets this to a directory; each run's audit history is dumped there
 # so a red build's artifacts can be re-checked offline with
@@ -120,6 +120,7 @@ def test_seeded_fault_run_audits_clean():
     assert auditor.clean, auditor.render_report()
     auditor.assert_clean()
     assert_replay_equivalent(music.auditor)
+    assert_queue_model_matches_store(music, ("shared", "ctr-a", "ctr-b"))
 
 
 def test_seeded_fault_run_audits_clean_with_fast_locks():
@@ -136,6 +137,7 @@ def test_seeded_fault_run_audits_clean_with_fast_locks():
     assert auditor.clean, auditor.render_report()
     auditor.assert_clean()
     assert_replay_equivalent(music.auditor)
+    assert_queue_model_matches_store(music, ("shared", "ctr-a", "ctr-b"))
 
 
 def test_fault_run_history_replays_identically_offline():
