@@ -81,11 +81,18 @@ class MusicClient:
         self._streams = streams or RandomStreams(0)
         self._rng: Optional[random.Random] = None
         self.sim = replicas[0].sim
-        # Read-lease session state (only populated when read_leases is
-        # on): per-key monotonic-prefix watermark for bounded reads, and
-        # per-(key, lockRef) critical-write watermark gating lease hits.
+        # Session state: the per-key monotonic-prefix watermark for
+        # bounded reads (read_leases only), and the per-(key, lockRef)
+        # critical-write watermark gating lease and hand-off serves.
         self._session_reads: Dict[str, Tuple[Any, Any]] = {}
         self._critical_watermarks: Dict[Tuple[str, int], Stamp] = {}
+        # The hand-off (DESIGN.md §7), on the hot path with leases off:
+        # per (key, lockRef), what its release hands on — the (value,
+        # stamp) of the section's last acknowledged op, () "unknown" once
+        # an op needed a second attempt; absent while it did no op.  An
+        # unknown release, like one that did no op, writes no row.
+        self._hands_off = self.config.fast_locks and not self.read_leases
+        self._handoffs: Dict[Tuple[str, int], Tuple[Any, ...]] = {}
 
     @property
     def replica(self) -> MusicReplica:
@@ -222,11 +229,22 @@ class MusicClient:
         sleep = interval * (1 + 0.2 * self.rng.random())
         return sleep if deadline is None else min(sleep, deadline - self.sim.now)
 
+    def _first_attempt(self, key: str, lock_ref: int) -> bool:
+        """Start an op attempt of the section: what it hands on is
+        unknown until the attempt is acknowledged.  True unless an
+        earlier attempt left it unknown (this op, or one before it, was
+        retried), which it stays."""
+        section = (key, lock_ref)
+        prior = self._handoffs.get(section)
+        self._handoffs[section] = ()  # unknown until acknowledged
+        return prior != ()
+
     def _put_once(
         self, replica, key: str, lock_ref: int, value: Any, delete: bool
     ) -> Generator[Any, Any, Stamp]:
         """One criticalPut (or criticalDelete) attempt at a replica,
         returning the stamp that attempt was acknowledged under."""
+        first = self._hands_off and self._first_attempt(key, lock_ref)
         if delete:
             stamp = yield from replica.critical_delete(key, lock_ref)
         else:
@@ -235,11 +253,13 @@ class MusicClient:
             # Guard said "not first yet": the local lock store lags;
             # surface as retryable.
             raise QuorumUnavailable("local lock store behind; retry")
-        if self.read_leases:
-            # This session's floor for lease-served reads, so a failover
-            # to a stale-mirror replica cannot serve a value older than
-            # our own last write.
-            self._critical_watermarks[(key, lock_ref)] = stamp
+        # This session's floor for lease-served reads, so a failover to a
+        # stale-mirror replica cannot serve a value older than our own
+        # last write; and, once set, no get of the section is served by
+        # the hand-off.
+        self._critical_watermarks[(key, lock_ref)] = stamp
+        if first:
+            self._handoffs[(key, lock_ref)] = (value, stamp)
         return stamp
 
     def _get_once(
@@ -247,11 +267,14 @@ class MusicClient:
     ) -> Generator[Any, Any, Tuple[Any, Optional[Stamp]]]:
         """One criticalGet attempt at a replica, returning ``(value,
         stamp)`` of what it served."""
-        # None unless read_leases recorded a write of this section.
+        first = self._hands_off and self._first_attempt(key, lock_ref)
+        # None unless this section has written.
         min_stamp = self._critical_watermarks.get((key, lock_ref))
         ok, value, stamp = yield from replica.critical_get(key, lock_ref, min_stamp)
         if not ok:
             raise QuorumUnavailable("local lock store behind; retry")
+        if first:
+            self._handoffs[(key, lock_ref)] = (value, stamp)
         return (value, stamp)
 
     def critical_put(self, key: str, lock_ref: int, value: Any) -> Generator[Any, Any, Stamp]:
@@ -295,9 +318,10 @@ class MusicClient:
 
     def release_lock(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
         self._critical_watermarks.pop((key, lock_ref), None)
+        handoff = self._handoffs.pop((key, lock_ref), None) or None  # () is unknown
         try:
             done = yield from self._with_failover(
-                "releaseLock", lambda replica: replica.release_lock(key, lock_ref)
+                "releaseLock", lambda replica: replica.release_lock(key, lock_ref, handoff)
             )
             return done
         except NotLockHolder:

@@ -55,9 +55,12 @@ class MultiKeyCriticalSection:
             yield from self.put(key, values[key])
 
     def exit(self) -> Generator[Any, Any, None]:
-        """Release every lock (reverse order, harmless but tidy)."""
-        for key in reversed(self.keys):
-            yield from self.client.release_lock(key, self.lock_refs[key])
+        """Release every lock, all at once: nothing orders releases."""
+        sim = self.client.sim
+        yield sim.all_of([
+            sim.process(self.client.release_lock(key, self.lock_refs[key]))
+            for key in self.keys
+        ])
 
     def _ref(self, key: str) -> int:
         if key not in self.lock_refs:
@@ -212,8 +215,14 @@ def _verify_held(client: MusicClient, held: Dict[str, int]) -> Generator[Any, An
 
 
 def _release_all(client: MusicClient, held: Dict[str, int]) -> Generator[Any, Any, None]:
-    for key, lock_ref in held.items():
-        try:
-            yield from client.release_lock(key, lock_ref)
-        except ReproError:
-            pass  # best effort: orphan cleanup will reap leftovers
+    """Release every held lock at once, best effort: orphan cleanup
+    reaps what a failed release leaves."""
+    sim = client.sim
+    yield sim.all_of([sim.process(_release_quietly(client, key, ref)) for key, ref in held.items()])
+
+
+def _release_quietly(client: MusicClient, key: str, lock_ref: int) -> Generator[Any, Any, None]:
+    try:
+        yield from client.release_lock(key, lock_ref)
+    except ReproError:
+        pass

@@ -11,9 +11,9 @@ This is a direct implementation of the algorithms of Section IV:
   new lockholder enters;
 - ``critical_put`` / ``critical_get`` — guarded quorum writes/reads of
   the data store, stamped with v2s(lockRef, time) vector timestamps and
-  bounded by the lease T;
+  bounded by the lease T (a hot-path get may serve a hand-off, §7);
 - ``release_lock``     — consensus dequeue (on the hot path, one
-  quorum row delete);
+  quorum row delete, batched with the hand-off row);
 - ``forced_release``   — preemption of a (presumed) failed lockholder:
   sets the synchFlag with a (lockRef + δ) stamp *before* dequeuing, so
   the flag write can never race with the next holder's flag read;
@@ -32,7 +32,7 @@ false failure detection (Section IV-B).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Iterable, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, Mapping, Optional, Set, Tuple
 
 from ..errors import LeaseExpired, NotLockHolder
 from ..leases import NULL_LEASES, CachedRead, LeaseManager, ReadCache
@@ -162,12 +162,17 @@ class MusicReplica(Node):
         # epoch under which this replica last established flag=False at
         # quorum.  Key absent = no fast-path evidence.
         self._flag_epoch: Dict[str, Any] = {}
+        # The hand-off (DESIGN.md §7), hot path with leases off: the (key,
+        # lockRef)s granted here unsynchronized, whose gets may serve it.
+        self._hands_off = config.fast_locks and not leases_on
+        self._handed: Set[Tuple[str, int]] = set()
         # This replica's tally (its push's too): the metrics of
         # TALLY_NAMES["music"].
         self.counters = dict.fromkeys((
             "forced_releases", "syncs", "lease_hits", "lease_misses",
             "cache_hits", "cache_misses", "cache_invalidations",
             "fastpath_hits", "fastpath_misses", "push_notifies",
+            "handoff_hits", "handoff_misses",
         ), 0)
         self.obs.tally("music", self, node=node_id)
 
@@ -186,6 +191,7 @@ class MusicReplica(Node):
         """The paper's "youAreNoLongerLockHolder" for a lockRef the queue
         has moved past; whoever learns that drops its bookkeeping."""
         self._leases.pop((key, lock_ref), None)
+        self._handed.discard((key, lock_ref))
         return NotLockHolder(f"lockRef {lock_ref} on {key!r} was forcibly released")
 
     # -- createLockRef (cost: lockRef consensus write) -----------------------------
@@ -209,7 +215,7 @@ class MusicReplica(Node):
 
     def _acquire(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
         tracer = self.obs.tracer
-        head, epoch, _ = yield from self.lock_store.head(key, self._peek_at)
+        head, epoch, _, _ = yield from self.lock_store.head(key, self._peek_at)
         order = _queue_order(lock_ref, head)
         if order:
             if order < 0:
@@ -274,15 +280,18 @@ class MusicReplica(Node):
         start_time = self.clock.now()
         yield from self.lock_store.set_start_time(key, lock_ref, start_time)
         self._leases[(key, lock_ref)] = start_time
+        if self._hands_off and not (flag or self._always_sync):
+            self._handed.add((key, lock_ref))
+        else:  # a re-grant that synchronized
+            self._handed.discard((key, lock_ref))
         if anchor_clock is not None:
             self.lease_manager.anchor(key, lock_ref, anchor_clock, flag_stamp)
         return flag
 
     def _fast_path_valid(self, key: str, epoch: Any) -> bool:
-        """True when the cached flag epoch proves the grant-time quorum
-        flag read can be skipped (see DESIGN.md §8 for the argument)."""
-        cached = self._flag_epoch.get(key, _NO_EPOCH)
-        return cached is not _NO_EPOCH and cached == epoch
+        """Whether the cached flag epoch lets the grant skip its quorum
+        flag read (DESIGN.md §8 has the argument)."""
+        return self._flag_epoch.get(key, _NO_EPOCH) == epoch
 
     def _synchronize(self, key: str, lock_ref: int) -> Generator[Any, Any, None]:
         """Re-establish 'the data store is defined as the true value'.
@@ -342,8 +351,8 @@ class MusicReplica(Node):
     def _critical_write(
         self, key: str, lock_ref: int, value: Any, write: Callable
     ) -> Generator[Any, Any, Optional[Stamp]]:
-        proceed = yield from self._guard(key, lock_ref)
-        if not proceed:
+        head = yield from self._guard(key, lock_ref)
+        if not head:
             tracer = self.obs.tracer
             if tracer.enabled:
                 tracer.current_span().set(guarded=True)
@@ -389,7 +398,8 @@ class MusicReplica(Node):
         Returns ``(True, value, stamp)`` on success — the stamp is the
         version token of what was served, ``None`` for a never-written
         key — and ``(False, None, None)`` when the caller should retry
-        (local queue not caught up yet).
+        (local queue not caught up yet).  On the hot path the guard's read
+        may carry a hand-off the get serves (:meth:`_handed_value`).
 
         With ``read_leases`` on, the read is served from the local lease
         mirror while the holder's lease window is provably inside the
@@ -404,9 +414,9 @@ class MusicReplica(Node):
     def _critical_get(
         self, key: str, lock_ref: int, min_stamp: Optional[Stamp]
     ) -> Generator[Any, Any, Tuple[bool, Any, Optional[Stamp]]]:
-        proceed = yield from self._guard(key, lock_ref)
+        head = yield from self._guard(key, lock_ref)
         tracer = self.obs.tracer
-        if not proceed:
+        if not head:
             if tracer.enabled:
                 tracer.current_span().set(guarded=True)
             return (False, None, None)
@@ -422,6 +432,18 @@ class MusicReplica(Node):
             if tracer.enabled:
                 tracer.current_span().set(lease=True)
             return (True, value, stamp)
+        if self._hands_off:
+            handed = self._handed_value(key, lock_ref, min_stamp, head[3])
+            if handed is not None:
+                value, stamp = handed
+                self.counters["handoff_hits"] += 1
+                if audit.enabled:
+                    audit.emit("critical_get", key=key, node=self.node_id, lock_ref=lock_ref,
+                               value=value, handoff=True)
+                if tracer.enabled:
+                    tracer.current_span().set(handoff=True)
+                return (True, value, stamp)
+            self.counters["handoff_misses"] += 1
         anchor_clock = leases.anchor_start(self.clock)
         if anchor_clock is not None:
             self.counters["lease_misses"] += 1
@@ -438,23 +460,43 @@ class MusicReplica(Node):
                 leases.fill(key, lock_ref, value, stamp)
         return (True, value, stamp)
 
-    def _guard(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
+    def _handed_value(
+        self, key: str, lock_ref: int, min_stamp: Optional[Stamp], handoff: Any
+    ) -> Optional[Tuple[Any, Stamp]]:
+        """The ``(value, stamp)`` a get of ``lock_ref`` may serve from the
+        hand-off its guard read found (the read showed ``lock_ref`` at the
+        head), or None for the quorum read.  DESIGN.md §7 argues the rules:
+        the section wrote nothing (no ``min_stamp``), this replica granted
+        it unsynchronized, the row names ``lock_ref - 1``, and no forced
+        dequeue at or above that ref shows."""
+        if handoff is None or min_stamp is not None or (key, lock_ref) not in self._handed:
+            return None
+        released, handed, forced = handoff
+        if released != lock_ref - 1:
+            return None
+        if forced is not None and forced >= released:
+            return None
+        return handed
+
+    def _guard(self, key: str, lock_ref: int) -> Generator[Any, Any, Any]:
         """The critical ops' guard: one lock-partition head read, then
         the shared queue-head check.  Per the paper, a lockRef later
-        than the head returns False ("not first yet, or local store not
-        yet updated" — retry) and an earlier one raises NotLockHolder.
+        than the head returns None ("not first yet, or local store not
+        yet updated" — retry), an earlier one raises NotLockHolder, and
+        the head gets the read's decode (:meth:`LockStore.head`).
 
         The same read carries the lease-revocation marker a forced
         dequeue wrote (DESIGN.md §8), so a revoked lease can never
         satisfy a serve that follows this guard.
         """
-        head, _, revoked = yield from self.lock_store.head(key, self._peek_at)
+        decoded = yield from self.lock_store.head(key, self._peek_at)
+        head, _, revoked, _ = decoded
         if revoked is not None:
             self.lease_manager.revoke_up_to(key, revoked)
         order = _queue_order(lock_ref, head)
         if order < 0:
             raise self._not_holder(key, lock_ref)
-        return order == 0
+        return decoded if order == 0 else None
 
     def _lease_start(self, key: str, lock_ref: int) -> Generator[Any, Any, float]:
         """This lockRef's grant time, read from the lock store and kept
@@ -467,12 +509,9 @@ class MusicReplica(Node):
         if entry is not None and entry.start_time is not None:
             start_time = entry.start_time
         else:
-            # No recorded grant reachable (e.g. the startTime write
-            # lost a stamp race under heavy clock skew, a hazard the
-            # production system shares by mixing LWT and non-LWT
-            # writes in the lock table).  Lease enforcement is
-            # advisory: start the lease now rather than failing the
-            # lockholder; the queue-head guard still gates access.
+            # No recorded grant reachable (a startTime write can lose a
+            # stamp race under clock skew).  Lease enforcement is
+            # advisory: start the lease now; the guard still gates.
             start_time = self.clock.now()
         self._leases[(key, lock_ref)] = start_time
         return start_time
@@ -482,19 +521,14 @@ class MusicReplica(Node):
     def _decided_hook(
         self, event: str, key: str, lock_ref: int, stamp: Optional[Stamp] = None
     ) -> Callable[..., None]:
-        """The decided-hook of a release/forcedRelease dequeue.
-
-        The lock store calls it with the successor the dequeue hands the
-        lock to the moment the dequeue can take effect anywhere: when an
-        LWT is *decided* (proposal accepted), or when the hot path's
-        quorum delete is *sent*.  The release channel (``self.push``)
-        wakes that lockRef's waiter, overlapping the wake-up with the
-        write's WAN acks — the push is advisory, so a waiter that polls
-        too early just polls again.  The audit event must fire at the
-        same point: a push-woken successor can be granted as soon as its
-        own replica applies the delete, and the auditor linearizes by
-        event order.  A dequeue decided by a rival's recovery calls it
-        when its proposer learns.
+        """The decided-hook of a release/forcedRelease dequeue, called
+        with the successor the moment the dequeue can take effect
+        anywhere: when an LWT is *decided*, or the hot path's quorum
+        delete *sent* (a rival's recovery: when its proposer learns).
+        The push (advisory: a waiter too early polls again) overlaps the
+        wake-up with the write's WAN acks; the audit event fires at the
+        same point, since a pushed successor can be granted as soon as
+        its replica applies the delete and the auditor orders by event.
         """
         audit = self.obs.audit
 
@@ -508,19 +542,24 @@ class MusicReplica(Node):
 
         return decided
 
-    def release_lock(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
-        op = self._release(key, lock_ref)
+    def release_lock(self, key: str, lock_ref: int, handoff: Any = None) -> Generator[Any, Any, bool]:
+        """Release ``lock_ref``, on the hot path handing on ``handoff``: the
+        holder's last acknowledged ``(value, stamp)``, None if unknown."""
+        op = self._release(key, lock_ref, handoff)
         return self._traced(op, "music.releaseLock", key) if self.obs.tracer.enabled else op
 
-    def _release(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
-        head, _, _ = yield from self.lock_store.head(key)
+    def _release(self, key: str, lock_ref: int, handoff: Any) -> Generator[Any, Any, bool]:
+        head, _, _, _ = yield from self.lock_store.head(key)
         # A lockRef the queue has moved past was already forcibly
         # released: nothing to dequeue, only bookkeeping to drop.
         if _queue_order(lock_ref, head) >= 0:
             decided = self._decided_hook("release", key, lock_ref)
-            yield from self.lock_store.dequeue(key, lock_ref, on_committing=decided)
+            yield from self.lock_store.dequeue(
+                key, lock_ref, on_committing=decided, handoff=handoff
+            )
         self.lease_manager.revoke(key)
         self._leases.pop((key, lock_ref), None)
+        self._handed.discard((key, lock_ref))
         return True
 
     # -- forcedRelease (internal; cost: flag quorum write + consensus write) ---------
@@ -533,7 +572,7 @@ class MusicReplica(Node):
         lockholder's flag read is guaranteed to see it; δ < 1 ensures
         the next lockholder's own flag reset still wins (Section IV-B).
         """
-        head, _, _ = yield from self.lock_store.head(key)
+        head, _, _, _ = yield from self.lock_store.head(key)
         if _queue_order(lock_ref, head) < 0:
             return True  # previously released
         self.counters["forced_releases"] += 1
@@ -614,13 +653,9 @@ class MusicReplica(Node):
     def quorum_get(
         self, key: str
     ) -> Generator[Any, Any, Tuple[Any, Optional[Stamp]]]:
-        """Quorum read of ``(value, stamp)`` with no lock guard.
-
-        The optimistic transaction engines (``repro.txn``) use this for
-        snapshot/read-set reads: they need the version *stamp* of what
-        they saw (to validate against at commit) but hold no lock, so
-        the criticalGet guard does not apply.
-        """
+        """Quorum read of ``(value, stamp)`` with no lock guard: the
+        optimistic transaction engines' read, which needs the version
+        stamp to validate against at commit but holds no lock."""
         rows = yield from self.coordinator.get(
             DATA_TABLE, key, clustering=VALUE_ROW, consistency=Consistency.QUORUM
         )
@@ -630,13 +665,8 @@ class MusicReplica(Node):
         self, key: str, value: Any, stamp: Stamp
     ) -> Generator[Any, Any, Stamp]:
         """Quorum write under a caller-supplied stamp, no lock guard;
-        returns the stamp once acknowledged.
-
-        The transaction engines mint their own monotonic stamps (from a
-        commit sequence, or from the epoch sealer's CS lockRef space)
-        and install validated writes through this path — same store
-        machinery as criticalPut, different fencing discipline.
-        """
+        returns the stamp once acknowledged.  The transaction engines
+        install validated writes under the stamps they mint through it."""
         yield from self.coordinator.put(
             DATA_TABLE, key, VALUE_ROW, {"value": value}, stamp,
             consistency=Consistency.QUORUM,
@@ -646,15 +676,11 @@ class MusicReplica(Node):
     def get_bounded(
         self, key: str, staleness_ms: float
     ) -> Generator[Any, Any, CachedRead]:
-        """Bounded-staleness read (``read_leases`` tier, Section VI++).
-
-        A cache hit within the caller's staleness bound is served
-        instantly from this replica's read cache (no store RPC at all);
-        a miss does a nearest-replica read-through and fills the cache.
-        Invalidation piggybacks on push grants (:meth:`_lease_invalidate`),
-        so cached values survive at most the push latency past the
-        critical section that overwrote them — and never the bound.
-        """
+        """Bounded-staleness read (``read_leases`` tier, Section VI++): a
+        hit within the bound is served from this replica's read cache, a
+        miss reads through the nearest replica and fills it.  Push grants
+        invalidate it (:meth:`_lease_invalidate`), so a cached value lives
+        at most the push latency past the section that overwrote it."""
         entry = self.read_cache.lookup(key, self.sim.now, staleness_ms)
         if entry is not None:
             self.counters["cache_hits"] += 1

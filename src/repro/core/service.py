@@ -55,7 +55,7 @@ _OPERATIONS = {
     "music.criticalPut": ("critical_put", ("key", "lock_ref", "value")),
     "music.criticalGet": ("critical_get", ("key", "lock_ref", "min_stamp")),
     "music.criticalDelete": ("critical_delete", ("key", "lock_ref")),
-    "music.releaseLock": ("release_lock", ("key", "lock_ref")),
+    "music.releaseLock": ("release_lock", ("key", "lock_ref", "handoff")),
     "music.put": ("put", ("key", "value")),
     "music.get": ("get", ("key",)),
     "music.getBounded": ("get_bounded", ("key", "staleness_ms")),
@@ -155,11 +155,11 @@ class ReplicaStub:
         return self if self._long_poll else NO_PUSH
 
     def _call(self, kind: str, body: dict) -> Generator[Any, Any, Any]:
+        size = payload_size(body.get("value")) + 48
+        if body.get("handoff") is not None:  # a release carries the value it hands on
+            size += payload_size(body["handoff"])
         try:
-            reply = yield from self.host.call(
-                self.node_id, kind, body,
-                size_bytes=payload_size(body.get("value")) + 48,
-            )
+            reply = yield from self.host.call(self.node_id, kind, body, size_bytes=size)
         except RpcTimeout as error:
             # An unreachable replica is the Section III-A nack, not a
             # transport detail: the client retries it elsewhere.

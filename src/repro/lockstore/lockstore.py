@@ -16,11 +16,12 @@ Operations map to the paper's primitives:
 - ``head`` / ``peek``       = lsPeek: an eventual read of the *local*
   replica (cheap; may briefly lag the consensus order) — ``head`` is
   the one partition read every caller shares, returning the first
-  queued lockRef plus the two marker rows below; ``peek`` and
+  queued lockRef plus the three marker rows below; ``peek`` and
   ``peek_quorum`` are its entry-only forms;
 - ``dequeue``               = lsDequeue: an LWT row delete (no-op if
   the lockRef is no longer queued); on the hot path a clean release is
-  one quorum row delete instead (DESIGN.md §7);
+  one quorum row delete instead, batched with the hand-off row
+  (DESIGN.md §7);
 - ``set_start_time``        — records the lease start when a lock is
   granted, used for the T-bound on critical sections (Section VI).
 """
@@ -37,7 +38,7 @@ from ..sim import NodeClock
 from ..store import Condition, Consistency, StoreCoordinator
 from ..store.types import DeleteRow, Update
 
-__all__ = ["FORCED_ROW", "LEASE_ROW", "LOCK_TABLE", "LockEntry", "LockStore"]
+__all__ = ["FORCED_ROW", "HANDOFF_ROW", "LEASE_ROW", "LOCK_TABLE", "LockEntry", "LockStore"]
 
 LOCK_TABLE = "music_locks"
 GUARD_ROW = "guard"
@@ -56,6 +57,14 @@ LEASE_ROW = "__lease__"
 # clustering, so queue reads (which keep only int clusterings) never
 # see it.
 FORCED_ROW = "__forced__"
+# The hand-off row (DESIGN.md §7): written by a hot-path clean release in
+# the same quorum batch as its row delete, its one cell the (value,
+# stamp) the holder last acknowledged.  The cell is stamped by the
+# released lockRef, so the newest release a replica applied wins, and
+# its stamp is where the ref is read from: every read of the partition
+# carries the row, so it holds nothing more.  The successor's guard read
+# returns it.
+HANDOFF_ROW = "__handoff__"
 # Guard-read + CAS rounds a mint tries before raising LockContention.
 MAX_ENQUEUE_ATTEMPTS = 20
 
@@ -70,8 +79,11 @@ class LockEntry:
     start_time: Optional[float]
 
 
-# What a head read decodes to: (first entry, forced epoch, revoked ref).
-Head = Tuple[Optional[LockEntry], Any, Optional[int]]
+# What a head read decodes to: (first entry, forced epoch, revoked ref,
+# hand-off) — the hand-off is (released ref, (value, stamp), forced
+# ref), or None when no release here handed one on.
+HandOff = Tuple[int, Tuple[Any, Any], Optional[int]]
+Head = Tuple[Optional[LockEntry], Any, Optional[int], Optional[HandOff]]
 
 
 def _successor(rows: Any, lock_ref: int, decided: bool = False) -> Optional[int]:
@@ -259,8 +271,8 @@ class LockStore:
         self, key: str, consistency: str = Consistency.LOCAL_ONE
     ) -> Generator[Any, Any, Head]:
         """The one lock-partition head read: ``(entry, forced_epoch,
-        revoked_ref)``, all decoded from a single partition read, once
-        per version of the partition a replica publishes.
+        revoked_ref, handoff)``, all decoded from a single partition
+        read, once per version of the partition a replica publishes.
 
         ``entry`` is the first queued lockRef (None on an empty queue).
         At the default ``LOCAL_ONE`` this is the cheap polling primitive
@@ -273,8 +285,11 @@ class LockStore:
         stamps grow strictly per partition, so every applied forced
         dequeue changes it.  ``revoked_ref`` is the highest lockRef a
         forced dequeue has revoked as written to ``LEASE_ROW`` (None if
-        none).  Both ride the read the peek performs anyway, so a guard
-        that consults them costs exactly what the plain guard costs.
+        none).  ``handoff`` is the ``HANDOFF_ROW`` as ``(released ref,
+        (value, stamp), forced ref)``, where the forced ref is the
+        lockRef the ``FORCED_ROW`` marker names (None without one).  All
+        three ride the read the peek performs anyway, so a guard that
+        consults them costs exactly what the plain guard costs.
         """
         read = self.coordinator.get(LOCK_TABLE, key, consistency=consistency)
         tracer = self.obs.tracer
@@ -284,19 +299,23 @@ class LockStore:
         memo = self._heads.get(key)
         if memo is not None and memo[0] is rows:
             return memo[1]
-        epoch = revoked = None
+        epoch = revoked = forced = handoff = None
         marker = rows.get(FORCED_ROW)
         if marker is not None:
             epoch = marker.cell_stamp("ref")
+            forced = marker.visible_values().get("ref")
         marker = rows.get(LEASE_ROW)
         if marker is not None:
             revoked = marker.visible_values().get("revoked")
+        marker = rows.get(HANDOFF_ROW)
+        if marker is not None:
+            handoff = int(marker.cell_stamp("value")[0]), marker.visible_values().get("value"), forced
         refs = self._lock_refs(rows)
         entry = None
         if refs:
             first_ref = min(refs)
             entry = self._entry(first_ref, rows[first_ref])
-        head = entry, epoch, revoked
+        head = entry, epoch, revoked, handoff
         self._heads[key] = rows, head
         return head
 
@@ -311,13 +330,13 @@ class LockStore:
 
     def peek(self, key: str) -> Generator[Any, Any, Optional[LockEntry]]:
         """lsPeek: the first lockRef in the *local* replica's queue."""
-        entry, _, _ = yield from self.head(key)
+        entry, _, _, _ = yield from self.head(key)
         return entry
 
     def peek_quorum(self, key: str) -> Generator[Any, Any, Optional[LockEntry]]:
         """A quorum peek (used by failure detection to avoid acting on
         an arbitrarily stale local view)."""
-        entry, _, _ = yield from self.head(key, Consistency.QUORUM)
+        entry, _, _, _ = yield from self.head(key, Consistency.QUORUM)
         return entry
 
     def queue(self, key: str) -> Generator[Any, Any, list]:
@@ -350,6 +369,7 @@ class LockStore:
         lock_ref: int,
         forced: bool = False,
         on_committing=None,
+        handoff: Optional[Tuple[Any, Any]] = None,
     ) -> Generator[Any, Any, bool]:
         """Remove ``lock_ref`` from the queue.
 
@@ -374,9 +394,13 @@ class LockStore:
         point (see :meth:`StoreCoordinator.cas`), or on return when a
         rival's recovery decided it; a quorum delete calls it as the
         delete is sent.
+
+        ``handoff``, the ``(value, stamp)`` the holder hands on, is
+        written to ``HANDOFF_ROW`` by the quorum delete's batch (only
+        there: every other dequeue hands nothing on).
         """
         if self.batched and not forced:
-            yield from self._release_row(key, lock_ref, on_committing)
+            yield from self._release_row(key, lock_ref, on_committing, handoff)
         else:
             yield from self._dequeue_cas(key, lock_ref, forced, on_committing)
         return True
@@ -390,11 +414,13 @@ class LockStore:
         return (math.inf, self._writer)
 
     def _release_row(
-        self, key: str, lock_ref: int, on_sent=None
+        self, key: str, lock_ref: int, on_sent=None, handoff=None
     ) -> Generator[Any, Any, None]:
         """The hot path's clean release: one quorum write of an
         unconditioned row delete, which commutes with every concurrent
-        mint and forced dequeue (DESIGN.md §7).  ``on_sent`` is called as
+        mint and forced dequeue (DESIGN.md §7), and of the hand-off row
+        when ``handoff`` is given: one batch, so a replica that applies
+        the release applies both.  ``on_sent`` is called as
         the delete is sent, since a successor's replica may apply it
         before a quorum acks.  It gets the successor the last head read
         of ``key`` here shows and, unless ``lock_ref`` leaves from behind
@@ -408,9 +434,11 @@ class LockStore:
                 on_sent(None)  # leaving from mid-queue hands nobody the lock
             else:
                 on_sent(min((ref for ref in queued if ref > lock_ref), default=None), lock_ref)
-        delete = self.coordinator.delete_row(
-            LOCK_TABLE, key, lock_ref, self._release_stamp(), Consistency.QUORUM
-        )
+        batch: List[Any] = [DeleteRow(LOCK_TABLE, key, lock_ref, self._release_stamp())]
+        if handoff is not None:
+            stamp = (float(lock_ref), self._writer)
+            batch.append(Update(LOCK_TABLE, key, HANDOFF_ROW, {"value": handoff}, stamp))
+        delete = self.coordinator.write(batch, Consistency.QUORUM)
         tracer = self.obs.tracer
         if tracer.enabled:
             delete = tracer.around(delete, "lockstore.dequeue", node=self._writer, key=key)

@@ -181,8 +181,8 @@ def _span_hit_ratios(spans: List[SpanRecord]) -> List[str]:
 
     Works on offline JSONL dumps, where no metrics registry exists:
     ``music.grant`` spans carry ``fast=True`` on synchFlag fast-path
-    grants, ``music.criticalGet`` spans carry ``lease=True`` on
-    leaseholder-local reads.
+    grants, ``music.criticalGet`` spans ``lease=True`` on
+    leaseholder-local reads and ``handoff=True`` on hand-off serves.
     """
     lines: List[str] = []
     grants = [span for span in spans if span.name == "music.grant"]
@@ -193,12 +193,13 @@ def _span_hit_ratios(spans: List[SpanRecord]) -> List[str]:
             f"({100.0 * fast / len(grants):.1f}%)"
         )
     reads = [span for span in spans if span.name == "music.criticalGet"]
-    local = sum(1 for span in reads if span.attrs.get("lease"))
-    if reads and (local or any("lease" in span.attrs for span in reads)):
-        lines.append(
-            f"leaseholder local criticalGets: {local}/{len(reads)} "
-            f"({100.0 * local / len(reads):.1f}%)"
-        )
+    for attr, served in (("lease", "leaseholder local"), ("handoff", "hand-off served")):
+        local = sum(1 for span in reads if span.attrs.get(attr))
+        if local:
+            lines.append(
+                f"{served} criticalGets: {local}/{len(reads)} "
+                f"({100.0 * local / len(reads):.1f}%)"
+            )
     return lines
 
 

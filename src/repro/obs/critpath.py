@@ -44,7 +44,8 @@ phase                     what the time is
 ``op.quorum_fastest``     criticalGet/Put quorum wait until the *first*
                           replica reply
 ``op.quorum_straggler``   additional wait for the quorum-completing replies
-``op.local_read``         lease-served local criticalGets
+``op.local_read``         lease- or hand-off-served criticalGets, guard
+                          peek included
 ``op.lwt``                guard/LWT work under a critical op
 ``release.lwt``           the dequeue: LWT consensus rounds, or the hot
                           path's quorum row delete
@@ -207,6 +208,14 @@ def _region(names: frozenset) -> str:
     return "client"
 
 
+def _served_locally(chain: Sequence[SpanRecord]) -> bool:
+    """Whether the critical op in ``chain`` is a get served locally (by a
+    lease or a hand-off): all of it, its guard's peek included, is one
+    local read."""
+    op = next(span for span in reversed(chain) if span.name in _OP_NAMES)
+    return bool(op.attrs.get("lease") or op.attrs.get("handoff"))
+
+
 def _classify_leaf(chain: Sequence[SpanRecord]) -> str:
     """Phase of an interval whose deepest active span is ``chain[-1]``."""
     owner = chain[-1]
@@ -218,13 +227,13 @@ def _classify_leaf(chain: Sequence[SpanRecord]) -> str:
     names = frozenset(span.name for span in chain)
     region = _region(names)
     name = owner.name
+    if region == "op" and _served_locally(chain):
+        return "op.local_read"
 
     if name == "music.synchronize":
         return "acquire.sync"
     if name == "lockstore.peek":
         return "acquire.peek" if region in ("acquire", "client") else f"{region}.peek"
-    if name == "music.criticalGet" and owner.attrs.get("lease"):
-        return "op.local_read"
     if name == "store.cas":
         # Self time of the CAS span between Paxos rounds: with a retried
         # ballot that is the exponential backoff sleep; a single-attempt
@@ -354,7 +363,7 @@ def _sweep(
     ]
     if span.name in _QUORUM_OPS and _region(
         frozenset(s.name for s in chain)
-    ) == "op" and kids:
+    ) == "op" and kids and not _served_locally(chain):
         # The fastest-vs-straggler split of a criticalGet/Put quorum op:
         # replica-side spans are the per-replica work; the first one to
         # finish is the fastest reply, the span's own end is the quorum

@@ -262,6 +262,7 @@ TALLY_NAMES: Dict[str, Dict[str, Any]] = {
         "cache_hits": "music.cache.hits", "cache_misses": "music.cache.misses",
         "cache_invalidations": "music.cache.invalidations",
         "push_notifies": "music.push.notifies",
+        "handoff_hits": "music.handoff.hits", "handoff_misses": "music.handoff.misses",
     },
     "lockstore": {  # registered unlabelled: each entry names its label
         "enqueue_conflicts": ("lockstore.enqueue.conflicts", "key"),
@@ -347,7 +348,8 @@ def fold(
 def render_derived_ratios(registry: MetricsRegistry) -> str:
     """The report section of hit-rates: one per ``*.hits`` / ``*.misses``
     counter pair, summed across labels — ``music.fastpath`` (synchFlag
-    fast-path grants), ``music.lease`` (leaseholder local reads),
+    fast-path grants), ``music.handoff`` (gets served by a hand-off),
+    ``music.lease`` (leaseholder local reads),
     ``music.cache`` (bounded-staleness cache) and any later pair named
     so.  "" when no pair has a count."""
     bases = sorted({

@@ -274,7 +274,7 @@ class StoreCoordinator(LwtProposer):
         paper's ``dsPutQuorum``.
         """
         update = Update(table, partition, clustering, dict(columns), stamp)
-        return self._write([update], consistency)
+        return self.write([update], consistency)
 
     def delete_row(
         self,
@@ -284,9 +284,11 @@ class StoreCoordinator(LwtProposer):
         stamp: Stamp,
         consistency: str = Consistency.QUORUM,
     ) -> Generator[Any, Any, None]:
-        return self._write([DeleteRow(table, partition, clustering, stamp)], consistency)
+        return self.write([DeleteRow(table, partition, clustering, stamp)], consistency)
 
-    def _write(self, updates: List[Any], consistency: str) -> Generator[Any, Any, None]:
+    def write(self, updates: List[Any], consistency: str) -> Generator[Any, Any, None]:
+        """Write a batch of cell updates and row deletes of one
+        partition: every replica applies the batch at once."""
         partition = updates[0].partition
         table = updates[0].table
         if len(updates) > 1 and any(u.partition != partition or u.table != table for u in updates):

@@ -9,7 +9,7 @@ granularity:
 1. **Pending ranges.**  A change opens a :class:`~repro.store.ring.
    RingTransition`; coordinators keep routing unmoved partitions to the
    old owners while *dual-writing* to pending owners with required acks
-   (see ``StoreCoordinator._write``), so every write acknowledged during
+   (see ``StoreCoordinator.write``), so every write acknowledged during
    the move is on the new owner before the flip.
 
 2. **Range streaming.**  For each affected partition the manager quorum-

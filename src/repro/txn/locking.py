@@ -196,10 +196,15 @@ class LockingTxn(Transaction):
     def commit(self) -> Generator[Any, Any, CommittedTxn]:
         assert self.section is not None
         engine: LockingEngine = self.engine  # type: ignore[assignment]
-        writes: Dict[str, Stamp] = {}
+        sim = self.client.sim
         with engine.obs.tracer.span("txn.commit_cs", txn=self.txn_id):
-            for key in sorted(self._pending):
-                writes[key] = yield from self._write(key, self._pending[key])
+            # The section holds every key's lock: its writes go out at
+            # once, as the optimistic engines' do.
+            keys = sorted(self._pending)
+            stamps = yield sim.all_of(
+                [sim.process(self._write(key, self._pending[key])) for key in keys]
+            )
+            writes: Dict[str, Stamp] = dict(zip(keys, stamps))
             record = engine.record_commit(
                 self.txn_id, self.reads, writes
             )

@@ -1,0 +1,265 @@
+"""The hand-off (DESIGN.md §7): on the hot path a clean release writes
+the value its holder last acknowledged to the lock partition, in the
+same quorum batch as its row delete, and the successor's first
+criticalGet serves it from its guard's local read instead of a quorum
+read.  Past the serve itself and where it is written, each test sets up
+one hazard the serve rules (DESIGN.md §8) exist for and checks that the
+get falls back to the quorum read there and still reads the true value,
+with a clean audit; the last checks how a serve is observed.
+"""
+
+import pytest
+
+from repro import MusicConfig, build_music
+from repro.errors import QuorumUnavailable
+from repro.lockstore.lockstore import HANDOFF_ROW, LOCK_TABLE
+from repro.obs import extract_critpaths
+from repro.obs.__main__ import _span_hit_ratios
+from repro.obs.critpath import ROOT_SPAN
+from repro.store import Consistency
+from repro.store.types import Update
+
+from tests.helpers import run
+
+
+def hits(music):
+    return sum(replica.counters["handoff_hits"] for replica in music.replicas)
+
+
+def handoff_row(music, key="k"):
+    """``(released ref, handed)`` of the hand-off row, read at quorum."""
+    coordinator = music.replicas[0].coordinator
+
+    def read():
+        rows = yield from coordinator.get(LOCK_TABLE, key, HANDOFF_ROW, Consistency.QUORUM)
+        cell = rows[HANDOFF_ROW].visible_cells()["value"]
+        return int(cell.stamp[0]), cell.value
+
+    return run(music.sim, read())
+
+
+def section(client, *ops, key="k"):
+    """One critical section on ``key`` running ``ops`` in order: "get",
+    or a value to put.  Returns what the gets read."""
+    reads = []
+    cs = yield from client.critical_section(key)
+    for op in ops:
+        if op == "get":
+            reads.append((yield from cs.get()))
+        else:
+            yield from cs.put(op)
+    yield from cs.exit()
+    return reads
+
+
+def assert_clean(music):
+    assert music.auditor.clean, music.auditor.render_report()
+
+
+def test_a_successor_serves_its_predecessors_value():
+    """The hot path: the second section's get is served by the first
+    section's hand-off, at no quorum read."""
+    music = build_music(audit=True)
+    client = music.client("Ohio")
+    run(music.sim, section(client, "get", "A"))
+    assert handoff_row(music)[1][0] == "A"
+    before = hits(music)
+    assert run(music.sim, section(client, "get", "B")) == ["A"]
+    assert hits(music) == before + 1
+    assert_clean(music)
+
+
+@pytest.mark.parametrize("config", [
+    MusicConfig(), MusicConfig(read_leases=True), MusicConfig(fast_locks=False),
+], ids=["hot-path", "read-leases", "polling"])
+def test_only_the_hot_path_without_leases_writes_the_row(config):
+    """Leases own the local reads when they are on; the paper's polling
+    protocol never writes the row."""
+    music = build_music(music_config=config, audit=True)
+    client = music.client("Ohio")
+    for value in ("A", "B"):
+        run(music.sim, section(client, "get", value))
+    written = config.fast_locks and not config.read_leases
+    rows = run(music.sim, music.replicas[0].coordinator.get(
+        LOCK_TABLE, "k", HANDOFF_ROW, Consistency.QUORUM
+    ))
+    assert (HANDOFF_ROW in rows) == written
+    assert hits(music) == (1 if written else 0)
+    assert_clean(music)
+
+
+def test_a_get_after_the_sections_own_put_reads_the_quorum():
+    """Rule (e): once the section has written, the hand-off is older
+    than the true value."""
+    music = build_music(audit=True)
+    client = music.client("Ohio")
+    run(music.sim, section(client, "get", "A"))
+    before = hits(music)
+    assert run(music.sim, section(client, "B", "get")) == ["B"]
+    assert hits(music) == before
+    assert_clean(music)
+
+
+def test_a_predecessor_with_a_retried_op_writes_no_row():
+    """An op that needed a second attempt may have landed twice, or
+    late: what its section holds is unknown, so its release writes no
+    row, and the successor reads the quorum."""
+    music = build_music(audit=True)
+    client = music.client("Ohio")
+    run(music.sim, section(client, "get", "A"))
+    named = handoff_row(music)
+    home = client.replicas[0]
+    critical_get = home.critical_get
+    failed = []
+
+    def flaky_get(key, lock_ref, min_stamp=None):
+        if not failed:
+            failed.append(lock_ref)
+            raise QuorumUnavailable("injected: the first attempt is lost")
+        return critical_get(key, lock_ref, min_stamp)
+
+    home.critical_get = flaky_get
+    run(music.sim, section(client, "get", "B"))
+    assert failed
+    assert handoff_row(music) == named
+    before = hits(music)
+    assert run(music.sim, section(client, "get", "C")) == ["B"]
+    assert hits(music) == before
+    assert_clean(music)
+
+
+def test_a_forced_predecessor_hands_nothing_on():
+    """A preempted holder's successor synchronizes at its grant, so its
+    replica does not serve the hand-off (rule (d)), which names an older
+    section than the synchronized value."""
+    music = build_music(audit=True)
+    client = music.client("Ohio")
+    replica = music.replica_at("Ohio")
+    run(music.sim, section(client, "get", "A"))
+
+    def preempted():
+        ref = yield from client.create_lock_ref("k")
+        assert (yield from client.acquire_lock_blocking("k", ref))
+        yield from client.critical_put("k", ref, "B")
+        yield from replica.forced_release("k", ref)  # ...and never releases
+
+    run(music.sim, preempted())
+    before = hits(music), replica.counters["syncs"]
+    assert run(music.sim, section(client, "get", "C")) == ["B"]
+    assert hits(music) == before[0]
+    assert replica.counters["syncs"] == before[1] + 1
+    assert_clean(music)
+
+
+def test_a_mid_queue_leaver_writes_no_row():
+    """A waiter that leaves before its grant writes no row, so the next
+    holder finds the row naming a ref below its predecessor (rule (b))."""
+    music = build_music(audit=True)
+    sim = music.sim
+    holder, leaver, waiter = (music.client("Ohio") for _ in range(3))
+    run(sim, section(holder, "get", "A"))
+
+    def scenario():
+        cs = yield from holder.critical_section("k")
+        value = yield from cs.get()
+        yield from cs.put(value + "B")
+        left = yield from leaver.create_lock_ref("k")
+        last = yield from waiter.create_lock_ref("k")
+        yield from leaver.release_lock("k", left)
+        yield from cs.exit()
+        assert (yield from waiter.acquire_lock_blocking("k", last))
+        return cs.lock_ref, left, last
+
+    before = hits(music)
+    held, left, last = run(sim, scenario())
+    assert held < left < last
+    assert handoff_row(music)[0] == held
+    read = run(sim, waiter.critical_get("k", last))
+    run(sim, waiter.release_lock("k", last))
+    assert read == "AB"
+    assert hits(music) == before + 1  # the holder's own get, not the waiter's
+    assert_clean(music)
+
+
+def test_a_holder_that_did_no_op_writes_no_row():
+    """A section without an op leaves the row naming the section before
+    it, so its successor reads the quorum."""
+    music = build_music(audit=True)
+    client = music.client("Ohio")
+    run(music.sim, section(client, "get", "A"))
+    named = handoff_row(music)
+    run(music.sim, section(client))
+    assert handoff_row(music) == named
+    before = hits(music)
+    assert run(music.sim, section(client, "get", "B")) == ["A"]
+    assert hits(music) == before
+    assert_clean(music)
+
+
+def stale_row_scenario(music):
+    """A store replica misses a whole section — its mint, its write, its
+    release — and the next mint, whose commit then reaches it late: it
+    shows that ref at the head beside the hand-off row of the section
+    before the one it missed (the shape the elastic crash test found)."""
+    sim, network = music.sim, music.network
+    ohio, oregon = music.client("Ohio"), music.client("Oregon")
+    local = music.replica_at("Ohio")
+    ohio_store = next(
+        node for node in local.coordinator.replicas("k") if network.site_of(node) == "Ohio"
+    )
+    run(sim, section(ohio, "get", "OLD"))
+    network.fail_node(ohio_store)
+    run(sim, section(oregon, "get", "NEW"))
+    ref = run(sim, music.replica_at("Oregon").create_lock_ref("k"))
+    network.recover_node(ohio_store)
+    # The mint's commit, delivered late: its rows as a peer holds them.
+    peer = music.replica_at("Oregon").coordinator.replicas("k")[0]
+    rows = music.store.by_id[peer].local_rows(LOCK_TABLE, "k")
+    for clustering in ("guard", ref):
+        for column, cell in rows[clustering].visible_cells().items():
+            music.store.by_id[ohio_store].apply_update(
+                Update(LOCK_TABLE, "k", clustering, {column: cell.value}, cell.stamp)
+            )
+
+    def successor():
+        head = yield from local.lock_store.head("k")
+        assert head[0].lock_ref == ref and head[3][0] == ref - 2, head
+        assert (yield from ohio.acquire_lock_blocking("k", ref))
+        before = hits(music)
+        value = yield from ohio.critical_get("k", ref)
+        yield from ohio.release_lock("k", ref)
+        return value, hits(music) - before
+
+    return run(sim, successor())
+
+
+def test_a_stale_row_naming_a_lower_ref_is_not_served():
+    """Rule (b): the row must name exactly the ref below the head.  A
+    replica that missed a release in between shows an older one."""
+    music = build_music(audit=True)
+    assert stale_row_scenario(music) == ("NEW", 0)
+    assert_clean(music)
+
+
+def test_a_served_get_is_a_local_read_span_in_the_critical_path():
+    """A served get is a ``music.criticalGet`` span marked ``handoff``,
+    which the critical path attributes to ``op.local_read``; the music
+    tally counts it, and so does ``explain``'s span-derived hit rate."""
+    music = build_music(obs=True)
+    client = music.client("Ohio")
+    tracer = music.obs.tracer
+
+    def traced():
+        for value in ("A", "B"):
+            with tracer.span(ROOT_SPAN, node=client.client_id, site=client.site):
+                yield from section(client, "get", value)
+
+    run(music.sim, traced())
+    gets = [span for span in tracer.spans if span.name == "music.criticalGet"]
+    assert [bool(span.attrs.get("handoff")) for span in gets] == [False, True]
+    second = extract_critpaths(tracer.spans)[1].phase_totals()
+    assert second.get("op.local_read", 0.0) > 0.0
+    registry = music.obs.metrics
+    assert registry.total("music.handoff.hits") == 1
+    assert registry.total("music.handoff.misses") == 1
+    assert "hand-off served criticalGets: 1/2 (50.0%)" in _span_hit_ratios(tracer.spans)

@@ -156,7 +156,9 @@ def test_no_release_wakes_a_herd(monkeypatch):
     monkeypatch.setattr(ReleasePush, "_notify", counting_notify)
     music, fast_polls = _hot_key(fast_locks=True)
     assert woken and max(woken.values()) == 1, woken
-    assert sum(woken.values()) >= 6          # the pushes did hand locks over
+    # The pushes did hand locks over: 5 or more, since a get the
+    # hand-off serves shortens each section and fewer waiters park.
+    assert sum(woken.values()) >= 5
     assert fast_polls <= 2, fast_polls
     polled = sum((replica.polled for replica in music.replicas), Counter())
     fused = [ref for ref, polls in polled.items() if polls > 1 and ref not in pushed]

@@ -82,6 +82,41 @@ def test_a_healed_site_mints_its_own_lockrefs(fast_locks):
     assert lock_store.counters["enqueue_conflicts"]["k"] < MAX_ENQUEUE_ATTEMPTS
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP 1(a)")
+def test_a_healed_site_mints_after_missing_a_forced_dequeue():
+    # The hot path's remaining hole: the newest commit the healed replica
+    # lacks is a forced dequeue, which carries no guard, so the promise
+    # repair leaves its guard stale and every mint attempt there misses
+    # (seed 0: all 20, and the section enters 2.2 s later, by failover).
+    music = build_music(seed=0)
+    sim, network = music.sim, music.network
+    sites = music.profile.site_names
+    network.isolate_site(sites[0])
+    client = music.client(sites[-1])
+
+    def away():
+        for _ in range(2):
+            section = yield from client.critical_section("k", timeout_ms=600_000.0)
+            yield from section.exit()
+        ref = yield from client.create_lock_ref("k")
+        assert (yield from client.acquire_lock_blocking("k", ref))
+        yield from music.replica_at(sites[-1]).forced_release("k", ref)
+
+    sim.run_until_complete(sim.process(away()), limit=SIM_LIMIT_MS)
+    network.heal_all()
+    sim.run(until=sim.now + 1_000.0)
+
+    def home():
+        section = yield from music.client(sites[0]).critical_section(
+            "k", timeout_ms=600_000.0
+        )
+        yield from section.exit()
+
+    sim.run_until_complete(sim.process(home()), limit=SIM_LIMIT_MS)
+    lock_store = music.replica_at(sites[0]).lock_store
+    assert lock_store.counters["enqueue_conflicts"]["k"] < MAX_ENQUEUE_ATTEMPTS
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP 1(c)")
 def test_every_applied_increment_is_in_the_final_counters():
     # Seed 3: 312 sections applied, the counters end at 309.

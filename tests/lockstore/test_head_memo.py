@@ -68,13 +68,13 @@ def test_every_change_of_the_partition_reaches_the_next_head():
 
     run(sim, scenario())
     heads = dict(seen)
-    assert heads["empty"] == (None, None, None)
+    assert heads["empty"] == (None, None, None, None)
     assert heads["mint"][0].lock_ref == 1 and heads["mint"][0].start_time is None
     assert heads["startTime"][0].lock_ref == 1 and heads["startTime"][0].start_time is not None
     assert heads["release"][0].lock_ref == 2 and heads["release"][1] is None
-    entry, epoch, revoked = heads["forced release"]
+    entry, epoch, revoked, _ = heads["forced release"]
     assert entry is None and epoch is not None and revoked is None
-    entry, lease_epoch, revoked = heads["lease revoke"]
+    entry, lease_epoch, revoked, _ = heads["lease revoke"]
     assert entry is None and lease_epoch > epoch and revoked == 3
 
 

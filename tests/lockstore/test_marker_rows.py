@@ -40,7 +40,7 @@ def test_markers_appear_in_the_read_in_which_the_row_disappears():
 
     def watch():
         while not seen or seen[-1][0] == 1:
-            entry, epoch, revoked = yield from watcher.head("k")
+            entry, epoch, revoked, _ = yield from watcher.head("k")
             seen.append((entry.lock_ref, epoch, revoked))
             yield sim.timeout(1.0)
 
@@ -74,7 +74,7 @@ def test_forced_dequeue_that_finds_the_row_gone_writes_no_marker():
         head = yield from store.head("k")
         return done, head
 
-    done, (entry, epoch, revoked) = run(sim, scenario())
+    done, (entry, epoch, revoked, _) = run(sim, scenario())
     assert done is True  # "no-op if lockRef not in queue"
     assert entry.lock_ref == 2 and epoch is None and revoked is None
     assert marker_rows(sim, store, "k") == {"guard"}
@@ -91,7 +91,7 @@ def test_lease_row_is_written_only_with_lease_rows_on(lease_rows):
         head = yield from store.head("k")
         return head
 
-    entry, epoch, revoked = run(sim, scenario())
+    entry, epoch, revoked, _ = run(sim, scenario())
     assert entry is None and epoch is not None
     assert revoked == (1 if lease_rows else None)
     expected = {"guard", FORCED_ROW} | ({LEASE_ROW} if lease_rows else set())

@@ -220,7 +220,7 @@ def test_argument_errors_raise_in_the_callers_step_before_the_hold():
     attempts = [
         lambda: coordinator.get("t", "k", consistency="FANCY"),
         lambda: coordinator.put("t", "k", "c", {"v": 1}, stamp, consistency="FANCY"),
-        lambda: coordinator._write(
+        lambda: coordinator.write(
             [Update("t", "k", "c", {"v": 1}, stamp), Update("t", "j", "c", {"v": 1}, stamp)],
             Consistency.QUORUM,
         ),

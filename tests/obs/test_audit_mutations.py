@@ -4,8 +4,9 @@ A clean audit only means something if a broken implementation fails it.
 Each test here re-introduces one of the paper's Section IV-B hazards —
 δ=0 forcedRelease stamps, a skipped acquire-time synchronization, a
 forcedRelease that dequeues without the quorum flag write, and a
-bypassed queue-head guard — and asserts the auditor flags it with a
-violation naming the invariant, in both audited modes: ``audit=True``
+bypassed queue-head guard — or breaks one of the hand-off's serve
+rules, and asserts the auditor flags it with a violation naming the
+invariant, in both audited modes: ``audit=True``
 alone (the checker and nothing else) and ``obs=True, audit=True``, which
 files the same violations and also names the guilty trace spans.
 """
@@ -13,7 +14,10 @@ files the same violations and also names the guilty trace spans.
 from repro import MusicConfig, build_music
 from repro.core.replica import DATA_TABLE, VALUE_ROW, MusicReplica
 from repro.lockstore import LockStore
+from repro.lockstore.lockstore import FORCED_ROW, LOCK_TABLE
 from repro.store import Consistency
+from repro.store.types import Update
+from tests.core.test_handoff import section, stale_row_scenario
 from tests.helpers import assert_replay_equivalent, in_both_audit_modes, run
 
 
@@ -128,7 +132,9 @@ def test_release_without_quorum_flag_write_is_caught():
 def test_bypassed_queue_head_guard_is_caught():
     class UnguardedReplica(MusicReplica):
         def _guard(self, key, lock_ref):
-            return True  # skip the lockRef-vs-queue-head check
+            # Skip the lockRef-vs-queue-head check: proceed on an empty
+            # head decode.
+            return (None, None, None, None)
             yield
 
     def intrusion(obs):
@@ -285,3 +291,100 @@ def test_mutant_violations_render_with_span_trees():
     assert "span tree of trace" in report
     assert "▶" in report
     assert_replay_equivalent(music.auditor)
+
+
+# -- the hand-off's serve rules (DESIGN.md §7) ------------------------------
+
+
+def _serving(*skipped):
+    """A replica whose hand-off serve skips the named rules: "b" (the row
+    names the ref below), "c" (no forced dequeue at or above it) or "e"
+    (the section wrote nothing)."""
+
+    class Mutant(MusicReplica):
+        def _handed_value(self, key, lock_ref, min_stamp, handoff):
+            if handoff is None or (key, lock_ref) not in self._handed:
+                return None
+            if min_stamp is not None and "e" not in skipped:
+                return None
+            released, handed, forced = handoff
+            if released != lock_ref - 1 and "b" not in skipped:
+                return None
+            if forced is not None and forced >= released and "c" not in skipped:
+                return None
+            return handed
+
+    return Mutant
+
+
+def _own_put_scenario(replica_class=MusicReplica, obs=None):
+    """A section that puts, then gets: the hand-off is older than its
+    own write."""
+    music = build_music(audit=True, obs=obs, replica_class=replica_class)
+    client = music.client("Ohio")
+    run(music.sim, section(client, "get", "A"))
+    run(music.sim, section(client, "B", "get"))
+    return music
+
+
+def _stale_row_scenario(replica_class=MusicReplica, obs=None):
+    music = build_music(audit=True, obs=obs, replica_class=replica_class)
+    stale_row_scenario(music)
+    return music
+
+
+def _late_marker_scenario(replica_class=MusicReplica, obs=None):
+    """A ref granted here unsynchronized, then synchronized by another
+    replica after a forced dequeue of its predecessor, whose marker
+    reaches this replica only after the grant: the store moved past the
+    value the hand-off row carries (a write the audit never saw, as in
+    ``_fast_path_scenario``, is what the synchronization fixes)."""
+    music = build_music(audit=True, obs=obs, replica_class=replica_class)
+    client = music.client("Ohio")
+    here, there = music.replica_at("Ohio"), music.replica_at("Oregon")
+    run(music.sim, section(client, "get", "A"))
+
+    def scenario():
+        ref = yield from client.create_lock_ref("k")
+        assert (yield from client.acquire_lock_blocking("k", ref))
+        yield from there.coordinator.put(
+            DATA_TABLE, "k", VALUE_ROW, {"value": "DIVERGED"},
+            there._stamp(ref - 1, there.config.period_ms / 2), consistency=Consistency.QUORUM,
+        )
+        yield from there._synchronize("k", ref)
+        marker = Update(LOCK_TABLE, "k", FORCED_ROW, {"ref": ref - 1}, (1e18, there.node_id))
+        for node in here.coordinator.replicas("k"):
+            music.store.by_id[node].apply_update(marker)
+        yield from client.critical_get("k", ref)
+        yield from client.release_lock("k", ref)
+
+    run(music.sim, scenario())
+    return music
+
+
+def test_the_hand_off_scenarios_are_clean_without_a_mutant():
+    for scenario in (_own_put_scenario, _stale_row_scenario, _late_marker_scenario):
+        for music in in_both_audit_modes(scenario):
+            assert music.auditor.clean, music.auditor.render_report()
+            assert_replay_equivalent(music.auditor)
+
+
+def test_a_hand_off_served_over_the_sections_own_write_is_caught():
+    for music in in_both_audit_modes(_own_put_scenario, replica_class=_serving("e")):
+        violation = assert_caught(music.auditor, "LatestState")
+        assert "observed 'A'" in violation.detail
+        assert_replay_equivalent(music.auditor)
+
+
+def test_a_hand_off_row_naming_a_lower_ref_served_is_caught():
+    for music in in_both_audit_modes(_stale_row_scenario, replica_class=_serving("b")):
+        violation = assert_caught(music.auditor, "LatestState")
+        assert "observed 'OLD'" in violation.detail
+        assert_replay_equivalent(music.auditor)
+
+
+def test_a_hand_off_served_beside_a_forced_marker_is_caught():
+    for music in in_both_audit_modes(_late_marker_scenario, replica_class=_serving("c")):
+        violation = assert_caught(music.auditor, "LatestState")
+        assert "DIVERGED" in violation.detail
+        assert_replay_equivalent(music.auditor)

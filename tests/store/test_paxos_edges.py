@@ -159,7 +159,7 @@ def test_write_batch_must_share_partition():
 
     def scenario():
         with pytest.raises(ValueError):
-            yield from coord._write(
+            yield from coord.write(
                 [Update("t", "p1", None, {"v": 1}, (1.0, "w")),
                  Update("t", "p2", None, {"v": 2}, (1.0, "w"))],
                 Consistency.QUORUM,
