@@ -1,16 +1,13 @@
-"""Ablations of MUSIC's design choices (DESIGN.md §14) and the
-hierarchical extension (the paper's future work): one row per variant.
-"""
+"""Ablations of MUSIC's design choices (DESIGN.md §14): one row per
+variant."""
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Dict
 
 from ..core import MusicConfig
-from ..core.hierarchical import HierarchicalClient
 from .scenario import ExperimentResult, Run, scenario
-from .workers import counter_increments, cs_latency, read_counter, run_all
+from .workers import cs_latency
 
 
 @scenario("ablation_peek", "Peek ablation")
@@ -91,64 +88,4 @@ def ablation_sync(run: Run) -> ExperimentResult:
         "Ablation — synchFlag laziness (batch-1 CS latency, lUs)",
         ["variant", "mean CS latency (ms)"],
         [[variant, mean] for variant, mean in latencies.items()], checks,
-    )
-
-
-@scenario("ext_hierarchical", "Hierarchical MUSIC")
-def ext_hierarchical(run: Run) -> ExperimentResult:
-    """Extension: hierarchical vs flat MUSIC under site-local bursts on one hot key."""
-    burst = 12  # colocated critical sections per site
-
-    def measure(variant: str) -> Dict[str, Any]:
-        deployment = run.build_music(profile_name="lUs", seed=54)
-        sim = deployment.sim
-        sites = deployment.profile.site_names
-        lwt_count = {"n": 0}
-
-        def tap(msg):
-            if msg.kind == "paxos_prepare":
-                lwt_count["n"] += 1
-
-        deployment.network.add_tap(tap)
-        if variant == "hierarchical":
-            # One proxy-holding client per site, shared by its burst.
-            hclients = {
-                site: HierarchicalClient(deployment.replica_at(site), idle_release_ms=100.0)
-                for site in sites
-            }
-            enters = [partial(hclients[site].critical_section, "hot")
-                      for site in sites for _ in range(burst)]
-        else:
-            enters = [
-                partial(deployment.client(site, f"flat-{site}-{index}").critical_section,
-                        "hot", timeout_ms=1e8)
-                for site in sites for index in range(burst)
-            ]
-        run_all(sim, [counter_increments(sim, enter, rounds=1) for enter in enters], limit=1e9)
-        makespan_ms = sim.now
-        final = sim.run_until_complete(
-            sim.process(read_counter(deployment.client("Ohio"), "hot", timeout_ms=1e8)),
-            limit=1e9,
-        )
-        return {"variant": variant, "makespan_ms": makespan_ms,
-                "lwt_prepares": lwt_count["n"], "final": final}
-
-    flat, tiered = measure("flat MUSIC"), measure("hierarchical")
-    total = burst * 3
-    checks = [
-        ("both variants apply every increment (no lost updates)",
-         flat["final"] == total and tiered["final"] == total),
-        # Since a hot-path get serves its predecessor's hand-off, the
-        # flat hand-off is cheaper than the proxy's local burst.
-        ("flat MUSIC completes the bursts faster than hierarchical",
-         flat["makespan_ms"] < tiered["makespan_ms"]),
-        ("hierarchical issues fewer WAN consensus operations",
-         tiered["lwt_prepares"] < 0.6 * flat["lwt_prepares"]),
-    ]
-    return run.rows(
-        f"Extension — hierarchical MUSIC: {burst} colocated CSs per site on one key",
-        {"variant": "variant", "makespan (ms)": "makespan_ms",
-         "paxos prepares": "lwt_prepares", "final counter": "final"},
-        [flat, tiered], checks,
-        data={"flat": flat, "hierarchical": tiered},
     )

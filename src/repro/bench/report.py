@@ -12,7 +12,6 @@ __all__ = [
     "Summary",
     "cdf_points",
     "percentile",
-    "render_bars",
     "render_cdf",
     "render_series",
     "render_table",
@@ -134,32 +133,6 @@ def render_cdf(title: str, cdfs: dict, points: int = 10) -> str:
             row.append(_value_at(cdfs[name], fraction))
         rows.append(row)
     return render_table(title, headers, rows)
-
-
-def render_bars(title: str, values: dict, width: int = 46, unit: str = "") -> str:
-    """A horizontal ASCII bar chart, one bar per named value.
-
-    Bars are scaled to the maximum; labels and values are aligned, so
-    figure-style results read at a glance in a terminal::
-
-        MUSIC      ################################  17,237 w/s
-        Zookeeper  ####                                2,497 w/s
-    """
-    if not values:
-        raise ValueError("nothing to chart")
-    label_width = max(len(str(label)) for label in values)
-    peak = max(values.values())
-    lines = [title, "=" * len(title)]
-    for label, value in values.items():
-        filled = 0 if peak <= 0 else max(
-            1 if value > 0 else 0, round(width * value / peak)
-        )
-        bar = "#" * filled
-        lines.append(
-            f"{str(label).ljust(label_width)}  {bar.ljust(width)}  "
-            f"{_fmt(float(value))}{(' ' + unit) if unit else ''}"
-        )
-    return "\n".join(lines)
 
 
 def _value_at(cdf: List[Tuple[float, float]], fraction: float) -> float:

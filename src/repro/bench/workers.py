@@ -18,8 +18,8 @@ On top of them sit the two system-sweep entry points a figure's
 ``measure(cell)`` calls with a system *label* —
 :func:`saturated_throughput` and :func:`cs_latency` — and the one
 hot-key counter driver (:func:`counter_increments`) behind the
-contention and hierarchical axes, ``python -m repro.obs explain`` and
-the live ``cs_workload``.
+contention axis, ``python -m repro.obs explain`` and the live
+``cs_workload``.
 """
 
 from __future__ import annotations
@@ -278,10 +278,9 @@ def counter_increments(
     read -> increment -> write.
 
     Each adds exactly one, so the final value says whether exclusivity
-    held whatever the schedule was.  ``enter()`` yields the held section
-    (``get`` / ``put`` / ``exit``: a ``CriticalSection`` or a
-    hierarchical ``LocalSection``), or None when the caller gave up on
-    the lock and accounted for it itself.  ``record(started, entered,
+    held whatever the schedule was.  ``enter()`` yields the held
+    ``CriticalSection``, or None when the caller gave up on the lock
+    and accounted for it itself.  ``record(started, entered,
     finished)`` receives each one's clock readings; ``span()`` wraps
     each one (tracing).
     """

@@ -4,7 +4,6 @@ from .client import CriticalSection, MusicClient
 from .config import MusicConfig
 from .deployment import MusicDeployment, build_music, build_replicas
 from .failure_detector import FailureDetector
-from .hierarchical import HierarchicalClient
 from .multikey import MultiKeyCriticalSection, ReadOnlyMultiKeySection, enter_multi
 from .replica import VALUE_ROW, MusicReplica
 from .service import service_client
@@ -13,7 +12,6 @@ from .timestamps import MAX_SCALAR, VectorTimestamp, check_overflow, v2s
 __all__ = [
     "CriticalSection",
     "FailureDetector",
-    "HierarchicalClient",
     "MAX_SCALAR",
     "MultiKeyCriticalSection",
     "ReadOnlyMultiKeySection",

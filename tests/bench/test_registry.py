@@ -49,6 +49,13 @@ def test_every_bench_file_is_named_by_exactly_one_scenario():
     assert declared == committed
 
 
+def test_every_committed_table_is_named_by_a_scenario():
+    orphans = [
+        path.name for path in results_dir().glob("*.txt") if path.stem not in EXPERIMENTS
+    ]
+    assert orphans == []
+
+
 def test_full_presets_only_override_quick_ones():
     """A scenario reads its own preset and nothing else, so every
     parameter must exist at the default scale."""

@@ -5,10 +5,9 @@ against ``MusicClient`` alone; handed service-mode clients (RPC stubs
 under the same client, each on its own host) they must behave as they
 do in library mode — with the runtime ECF auditor attached and clean.
 
-Layers that reach *through* the client to replica-only hooks stay
-library-only and are not exercised here: ``PortalFrontend``
-(``replica.push.add_listener``) and the hierarchical proxies
-(``forced_release``).
+The one layer that reaches *through* the client to a replica-only hook
+stays library-only and is not exercised here: ``PortalFrontend``
+(``replica.push.add_listener``).
 """
 
 import pytest

@@ -12,6 +12,9 @@ Each of the four points the change rests on is pinned here:
   applied the delete;
 - (iv) forcedRelease stays an LWT.
 
+The audit's blind spot, a delete reported as sent but never written, is
+seen by the queue cross-check alone (the lost-delete mutation).
+
 And the liveness of a delete that reached one replica only: it spreads
 by hinted handoff once the isolated releaser heals, or by the tombstone
 repair of a merged read when the releaser crashed.
@@ -129,6 +132,31 @@ def test_a_tombstone_stamped_below_a_cell_leaves_the_queue_stalled(monkeypatch):
     assert "granted_at" not in record
     for site in music.profile.site_names:
         assert _lock_row(music, site, record["holder"]) is not None
+
+
+def test_a_lost_delete_is_seen_by_the_queue_cross_check_alone(monkeypatch):
+    """The audit's blind spot (DESIGN.md §7): a release is reported as
+    its delete is sent, so a delete that is never written leaves the
+    audit clean while the lockRef stays queued in the store.  Only
+    ``assert_queue_model_matches_store`` compares the two."""
+
+    def lose_the_delete(self, key, lock_ref, on_sent=None, handoff=None):
+        on_sent(None, lock_ref)
+        yield from ()
+
+    monkeypatch.setattr(LockStore, "_release_row", lose_the_delete)
+    music = build_music(seed=1, audit=True)
+
+    def section():
+        held = yield from music.client("Ohio").critical_section("k")
+        yield from held.exit()
+        return held.lock_ref
+
+    lock_ref = run(music.sim, section())
+    assert music.auditor.clean, music.auditor.render_report()
+    with pytest.raises(AssertionError) as failure:
+        assert_queue_model_matches_store(music, ("k",))
+    assert failure.value.args == (("k", [lock_ref]),)
 
 
 def test_the_release_event_and_push_go_out_with_the_delete():
