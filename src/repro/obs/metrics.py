@@ -278,7 +278,10 @@ TALLY_NAMES: Dict[str, Dict[str, Any]] = {
     },
     "store.replica": {
         name: f"store.replica.{name}"
-        for name in ("reads", "writes", "paxos_prepares", "paxos_proposes", "paxos_commits")
+        for name in (
+            "reads", "writes", "paxos_prepares", "paxos_proposes", "paxos_commits",
+            "ae_rounds", "ae_leaves",
+        )
     },
     "storage": {
         "fsyncs": "storage.wal.fsyncs", "flushes": "storage.flushes",
@@ -289,7 +292,6 @@ TALLY_NAMES: Dict[str, Dict[str, Any]] = {
     "topo": {  # TopologyManager
         "streams": "topo.streams", "stream_bytes": "topo.stream.bytes",
         "stream_retries": "topo.stream.retries", "cleanups": "topo.cleanups",
-        "repair_rounds": "topo.repair.rounds", "repair_leaves": "topo.repair.leaves",
     },
     "crdb": {"proposals": "crdb.proposals"},
     "zk": {"proposals": "zk.proposals"},

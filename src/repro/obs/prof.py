@@ -62,7 +62,6 @@ _SUBSYSTEM_RULES: Tuple[Tuple[str, str], ...] = (
     ("gossip", "topo"),
     ("topo", "topo"),
     ("bootstrap-stream", "topo"),
-    ("merkle", "topo"),
     ("hint", "topo"),
     ("detector", "topo"),
     ("rpc:", "net"),

@@ -354,9 +354,8 @@ class StorageEngine(Durability, Lsm, Recovery):
         return total
 
     def partition_keys(self) -> List[Tuple[str, str]]:
-        """All (table, partition) pairs, memtable insertion order first
-        (so the anti-entropy cursor walks the same sequence it did when
-        the memtable was the only storage), then segment-only ones."""
+        """All (table, partition) pairs, each once: memtable insertion
+        order first, then segment-only ones."""
         seen = set()
         out: List[Tuple[str, str]] = []
         for table, partitions in self.memtable.items():

@@ -12,13 +12,19 @@ Each replica is a :class:`~repro.net.node.Node` that serves:
   mirroring Cassandra's LWT implementation (Appendix X-A1: 4 round
   trips, of which the read phase reuses ``store_read``; a prepare that
   asks for the read gets it with its promise, and the LWT takes 3);
-- ``ae_exchange``  — anti-entropy: merge a peer's rows and reply with
-  our own, so writes eventually propagate to all replicas even across
-  healed partitions (Section III-B's "a write ... eventually propagates
-  to all other replicas").
+- ``ae_tree``, ``ae_rows`` — anti-entropy, the one replica-repair
+  exchange (:meth:`StorageReplica.repair`): a peer's Merkle tree of the
+  partitions both replicate, answered with our rows under the leaves
+  that differ, and then its rows under those leaves, merged; so writes
+  eventually propagate to all replicas even across healed partitions
+  (Section III-B's "a write ... eventually propagates to all other
+  replicas").  The background loop runs a round with a random peer
+  every ``anti_entropy_interval_ms``; :meth:`TopologyManager.repair_pair
+  <repro.topo.TopologyManager.repair_pair>` runs the same round on
+  demand.
 
 Every exchange of rows between replicas — anti-entropy here, range
-handover and Merkle repair in :mod:`repro.topo` — moves a *bundle*
+handover in :mod:`repro.topo` — moves a *bundle*
 (:meth:`StorageReplica.bundle`): full partition views of stored, frozen
 rows, merged on arrival by :meth:`StorageReplica.merge_bundle` and sized
 by :func:`bundle_bytes`.
@@ -59,6 +65,7 @@ from ..sim import NodeClock, Process, RandomStreams, Simulator
 from ..net import REPLY_KIND, Message, Network, Node
 from ..storage import PaxosState, StorageEngine
 from .config import StoreConfig
+from .merkle import MerkleTree, leaf_index
 from .types import Ballot, Mutation, Row
 
 __all__ = ["StorageReplica", "PaxosState", "bundle_bytes"]
@@ -111,7 +118,6 @@ class StorageReplica(Node):
         # Placement ring, set by the cluster builder; used to restrict
         # anti-entropy to partitions both endpoints actually replicate.
         self.ring = None
-        self._ae_cursor = 0
         # (table, partition) -> (ballot, since, until): the promise given
         # to a three-round prepare, held against younger requests (see
         # _prepare).  Volatile: a restart only ends holds early.
@@ -122,6 +128,8 @@ class StorageReplica(Node):
             "paxos_prepares": 0,
             "paxos_proposes": 0,
             "paxos_commits": 0,
+            "ae_rounds": 0,
+            "ae_leaves": 0,
         }
         self.obs.tally("store.replica", self, node=node_id)
         # kind: (its replica.* span or None, the StoreConfig field of its
@@ -135,7 +143,8 @@ class StorageReplica(Node):
             "paxos_prepare": ("replica.paxos_prepare", paxos, False, self._prepare),
             "paxos_propose": ("replica.paxos_propose", paxos, True, self._propose),
             "paxos_commit": ("replica.paxos_commit", paxos, False, self._commit),
-            "ae_exchange": (None, read, False, self._ae_exchange),
+            "ae_tree": (None, read, False, self._ae_tree),
+            "ae_rows": (None, read, False, self._ae_rows),
         }.items():
             self.on(kind, self._served(*served))
 
@@ -370,20 +379,39 @@ class StorageReplica(Node):
             peer = rng.choice(self.peers)
             if peer == self.node_id:
                 continue
-            batch = self._next_ae_batch(limit=32, peer=peer)
-            if not batch:
-                continue
             try:
-                reply = yield from self.call(
-                    peer,
-                    "ae_exchange",
-                    {"entries": batch},
-                    size_bytes=bundle_bytes(batch) + 64,
-                    timeout=self.config.rpc_timeout_ms,
-                )
+                yield from self.repair(peer)
             except ReproError:
                 continue  # unreachable peer; try again next round
+
+    def repair(self, peer: str) -> Generator[Any, Any, int]:
+        """One anti-entropy round with ``peer``; returns the number of
+        differing leaves.
+
+        Send a Merkle tree of the partitions both replicate; the peer
+        answers with the leaves that differ and its rows under them.
+        Ours under those leaves, as they were before its rows are merged,
+        go back to it, so both sides end the round converged there.
+        Agreeing replicas exchange the tree and an empty answer only.
+        """
+        owns = self._co_owned(peer)
+        tree = MerkleTree.build(self.engine, owns)
+        timeout = self.config.rpc_timeout_ms
+        reply = yield from self.call(
+            peer, "ae_tree", {"tree": tree.payload()},
+            size_bytes=tree.size_bytes() + 64, timeout=timeout,
+        )
+        leaves = reply["leaves"]
+        self.counters["ae_rounds"] += 1
+        self.counters["ae_leaves"] += len(leaves)
+        if leaves:
+            ours = self._leaf_bundle(leaves, owns)
             yield from self.merge_bundle(reply["entries"])
+            yield from self.call(
+                peer, "ae_rows", {"entries": ours},
+                size_bytes=bundle_bytes(ours) + 64, timeout=timeout,
+            )
+        return len(leaves)
 
     def owns(self, node_id: str, partition_key: str) -> bool:
         """Whether ``node_id`` replicates the partition (without a ring,
@@ -391,6 +419,19 @@ class StorageReplica(Node):
         if self.ring is None:
             return True
         return node_id in self.ring.replicas_for(partition_key, self.config.replication_factor)
+
+    def _co_owned(self, peer: str) -> Callable[[str], bool]:
+        """Whether a partition is replicated both here and at ``peer``."""
+        return lambda key: self.owns(self.node_id, key) and self.owns(peer, key)
+
+    def _leaf_bundle(self, leaves: List[int], owns: Callable[[str], bool]) -> Bundle:
+        """The bundle of the ``owns`` partitions under ``leaves``."""
+        wanted = set(leaves)
+        return self.bundle([
+            (table, partition_key)
+            for table, partition_key in self.engine.partition_keys()
+            if leaf_index(partition_key) in wanted and owns(partition_key)
+        ])
 
     def bundle(self, pairs: List[Tuple[str, str]]) -> Bundle:
         """The full views of the given ``(table, partition)`` pairs, to
@@ -408,30 +449,22 @@ class StorageReplica(Node):
         for table, partition, rows in bundle:
             yield from self.engine.merge_rows(table, partition, rows)
 
-    def _next_ae_batch(self, limit: int, peer: str) -> Bundle:
-        """A rotating window of the partitions ``peer`` also replicates."""
-        everything: List[Tuple[str, str]] = [
-            (table, partition_key)
-            for table, partition_key in self.engine.partition_keys()
-            if self.owns(peer, partition_key)
-        ]
-        if not everything:
-            return []
-        start = self._ae_cursor % len(everything)
-        self._ae_cursor += limit
-        window = [everything[(start + i) % len(everything)] for i in range(min(limit, len(everything)))]
-        return self.bundle(window)
+    def _ae_tree(self, served: Served) -> None:
+        """Diff a peer's tree against ours; answer with the differing
+        leaves and our rows under them."""
+        msg, body, _span = served
+        owns = self._co_owned(msg.src)
+        leaves = MerkleTree.build(self.engine, owns).diff(MerkleTree.from_payload(body["tree"]))
+        ours = self._leaf_bundle(leaves, owns)
+        size = bundle_bytes(ours) + 8 * len(leaves) + 64
+        self._answer((served, {"leaves": leaves, "entries": ours}, size))
 
-    def _ae_exchange(self, served: Served) -> None:
+    def _ae_rows(self, served: Served) -> None:
         # Each merge is the engine's generator path (it may wait out an
-        # fsync), so the rest of the exchange is a process, started in
+        # fsync), so the rest of the round is a process, started in
         # place: with nothing to wait for it ends inside this dispatch.
-        Process(self.sim, self._ae_merge(served), f"{self.node_id}:ae_exchange").start()
+        Process(self.sim, self._ae_merge(served), f"{self.node_id}:ae_rows").start()
 
     def _ae_merge(self, served: Served) -> Generator[Any, Any, None]:
-        # Answer with our copy of every partition we replicate, as it was
-        # when the peer's arrived.
-        theirs = [entry for entry in served[1]["entries"] if self.owns(self.node_id, entry[1])]
-        ours = self.bundle([(table, partition) for table, partition, _rows in theirs])
-        yield from self.merge_bundle(theirs)
-        self._answer((served, {"entries": ours}, bundle_bytes(ours) + 64))
+        yield from self.merge_bundle(served[1]["entries"])
+        self._answer((served, _OK, 64))

@@ -18,6 +18,7 @@ breaks timestamp ties by value comparison.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
@@ -32,6 +33,7 @@ __all__ = [
     "Condition",
     "Ballot",
     "Consistency",
+    "digest64",
     "payload_size",
 ]
 
@@ -80,6 +82,9 @@ class Row:
     # read reply and streaming batch, but mutated only through apply_cell
     # and delete, which invalidate the cache.
     _pb: int = field(default=-1, init=False, repr=False, compare=False)
+    # A frozen row's (clustering, digest()), computed on the first
+    # anti-entropy round that hashes it: the row can no longer change.
+    _digest: Optional[Tuple[Any, int]] = field(default=None, init=False, repr=False, compare=False)
     _frozen: bool = field(default=False, init=False, repr=False, compare=False)
 
     def freeze(self) -> "Row":
@@ -171,6 +176,23 @@ class Row:
                 total += payload_size(name) + payload_size(cell.value)
         self._pb = total
         return total
+
+    def digest(self, clustering: Any) -> int:
+        """A 64-bit digest of the row's full LWW state under its
+        clustering key — every cell with its value, stamp and op id, and
+        the tombstone — equal in every process, and cached once the row
+        is frozen (a stored row sits under one key)."""
+        cached = self._digest
+        if cached is not None and cached[0] == clustering:
+            return cached[1]
+        cells = tuple(
+            (column, repr(cell.value), cell.stamp, cell.op_id)
+            for column, cell in sorted(self.cells.items())
+        )
+        digest = digest64(repr((clustering, self.tombstone, cells)))
+        if self._frozen:
+            self._digest = (clustering, digest)
+        return digest
 
     def merge_from(self, other: "Row") -> None:
         """Fold another replica's view of this row into ours (anti-entropy)."""
@@ -331,6 +353,12 @@ class Consistency:
     LOCAL_ONE = "LOCAL_ONE"  # nearest replica in the caller's site
     QUORUM = "QUORUM"
     ALL = "ALL"
+
+
+def digest64(text: str) -> int:
+    """The first 8 bytes of ``text``'s MD5: a 64-bit digest that, unlike
+    the built-in ``hash()`` of a string, no ``PYTHONHASHSEED`` salts."""
+    return int.from_bytes(hashlib.md5(text.encode()).digest()[:8], "big")
 
 
 def payload_size(value: Any) -> int:

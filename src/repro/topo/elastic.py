@@ -34,11 +34,13 @@ granularity:
    ``drop`` record, so the cleanup survives crash replay), mirroring
    ``nodetool cleanup``.
 
-Repair is Merkle-tree anti-entropy (:mod:`repro.topo.merkle`): trees
-over the partitions a replica pair co-owns are exchanged, and only the
-token leaves that differ are synchronised — a symmetric bundle exchange
-with LWW merge on both sides, so tombstones win over stale live rows
-and v2s stamps are preserved byte-for-byte.
+Repair is the store's own anti-entropy round
+(:meth:`~repro.store.replica.StorageReplica.repair`), run on demand:
+``repair_pair(a, b)`` has ``a`` send ``b`` a Merkle tree of the
+partitions they co-own, and only the token leaves that differ are
+synchronised — a symmetric bundle exchange with LWW merge on both
+sides, so tombstones win over stale live rows and v2s stamps are
+preserved byte-for-byte.
 
 No row is copied on the way: bundles carry the sources' stored, frozen
 rows, and a receiving engine stores copies of what it merges.
@@ -53,7 +55,7 @@ from ..net import Message, Network, Node, quorum_size
 from ..sim import RandomStreams, Simulator
 from ..storage import PaxosState, merge_into
 from ..store import StoreCluster
-from ..store.replica import Bundle, StorageReplica, bundle_bytes
+from ..store.replica import StorageReplica, bundle_bytes
 from .gossip import (
     STATUS_JOINING,
     STATUS_LEAVING,
@@ -61,7 +63,6 @@ from .gossip import (
     STATUS_NORMAL,
     Gossiper,
 )
-from .merkle import MerkleTree, leaf_index
 
 __all__ = ["TopologyManager"]
 
@@ -71,8 +72,6 @@ __all__ = ["TopologyManager"]
 # rather than aborting the topology change.
 HANDOVER_RETRY_MS = 1_000.0
 HANDOVER_MAX_RETRIES = 120
-# Merkle anti-entropy tree depth (2**depth leaves per tree).
-REPAIR_DEPTH = 6
 
 # StreamListener(partition_key, old_owners, new_owners) — called when a
 # partition's move starts; FaultSchedule.crash_mid_bootstrap hooks this.
@@ -99,7 +98,6 @@ class TopologyManager:
         # This manager's tally: the metrics of TALLY_NAMES["topo"].
         self.counters = dict.fromkeys((
             "streams", "stream_bytes", "stream_retries", "cleanups",
-            "repair_rounds", "repair_leaves",
         ), 0)
         self.obs.tally("topo", self, node=self.node.node_id)
         self.gossipers: Dict[str, Gossiper] = {}
@@ -130,16 +128,6 @@ class TopologyManager:
         )
         replica.on(
             "topo_handover", lambda msg: self._handle_handover(replica, msg)
-        )
-        replica.on(
-            "topo_merkle_tree", lambda msg: self._handle_merkle_tree(replica, msg)
-        )
-        replica.on(
-            "topo_repair_sync", lambda msg: self._handle_repair_sync(replica, msg)
-        )
-        replica.on(
-            "topo_repair_exchange",
-            lambda msg: self._handle_repair_exchange(replica, msg),
         )
         replica.on(
             "topo_cleanup", lambda msg: self._handle_cleanup(replica, msg)
@@ -173,7 +161,8 @@ class TopologyManager:
         )
 
     def repair_pair(self, node_a: str, node_b: str):
-        """Merkle anti-entropy between two replicas; returns the process."""
+        """One anti-entropy round from ``node_a`` to ``node_b``; returns
+        the process, whose value is the number of differing leaves."""
         return self.sim.process(
             self._repair_pair(node_a, node_b), name=f"repair:{node_a}:{node_b}"
         )
@@ -351,36 +340,11 @@ class TopologyManager:
     # -- repair ------------------------------------------------------------------
 
     def _repair_pair(self, node_a: str, node_b: str) -> Generator[Any, Any, int]:
-        with self.obs.tracer.span(
-            "topo.repair", nodes=f"{node_a},{node_b}"
-        ) as span:
-            tree_a = yield from self.node.call(
-                node_a,
-                "topo_merkle_tree",
-                {"depth": REPAIR_DEPTH, "peer": node_b},
-            )
-            tree_b = yield from self.node.call(
-                node_b,
-                "topo_merkle_tree",
-                {"depth": REPAIR_DEPTH, "peer": node_a},
-            )
-            differing = MerkleTree.from_payload(tree_a["tree"]).diff(
-                MerkleTree.from_payload(tree_b["tree"])
-            )
-            span.set(leaves=len(differing))
-            self.counters["repair_rounds"] += 1
-            self.counters["repair_leaves"] += len(differing)
-            if differing:
-                yield from self.node.call(
-                    node_a,
-                    "topo_repair_sync",
-                    {"peer": node_b, "leaves": differing, "depth": REPAIR_DEPTH},
-                    size_bytes=8 * len(differing) + 32,
-                )
-            self._audit(
-                "topo_repair", nodes=f"{node_a},{node_b}", leaves=len(differing)
-            )
-            return len(differing)
+        with self.obs.tracer.span("topo.repair", nodes=f"{node_a},{node_b}") as span:
+            leaves = yield from self.cluster.by_id[node_a].repair(node_b)
+            span.set(leaves=leaves)
+            self._audit("topo_repair", nodes=f"{node_a},{node_b}", leaves=leaves)
+            return leaves
 
     # -- replica-side handlers ------------------------------------------------------
 
@@ -416,64 +380,6 @@ class TopologyManager:
             )
             yield from replica.engine.commit([], paxos=((table, key), state))
         replica.reply(msg, {"ok": True})
-
-    @staticmethod
-    def _merkle_filter(replica: StorageReplica, peer: str) -> Callable[[str], bool]:
-        """The partitions both ``replica`` and ``peer`` replicate."""
-        return lambda key: replica.owns(replica.node_id, key) and replica.owns(peer, key)
-
-    def _handle_merkle_tree(
-        self, replica: StorageReplica, msg: Message
-    ) -> Generator[Any, Any, None]:
-        body = replica.payload(msg)
-        yield from replica.compute(replica.config.read_service_ms)
-        tree = MerkleTree.build(
-            replica.engine,
-            body["depth"],
-            owns=self._merkle_filter(replica, body["peer"]),
-        )
-        replica.reply(msg, {"tree": tree.payload()}, size_bytes=tree.size_bytes())
-
-    def _rows_in_leaves(
-        self, replica: StorageReplica, peer: str, leaves: set, depth: int
-    ) -> Bundle:
-        owns = self._merkle_filter(replica, peer)
-        return replica.bundle([
-            (table, partition_key)
-            for table, partition_key in replica.engine.partition_keys()
-            if leaf_index(partition_key, depth) in leaves and owns(partition_key)
-        ])
-
-    def _handle_repair_sync(
-        self, replica: StorageReplica, msg: Message
-    ) -> Generator[Any, Any, None]:
-        """Initiator side: push our rows in the differing leaves, merge
-        back whatever the peer holds there (symmetric convergence)."""
-        body = replica.payload(msg)
-        peer = body["peer"]
-        depth = body["depth"]
-        yield from replica.compute(replica.config.read_service_ms)
-        batch = self._rows_in_leaves(replica, peer, set(body["leaves"]), depth)
-        reply = yield from replica.call(
-            peer,
-            "topo_repair_exchange",
-            {"entries": batch, "leaves": body["leaves"], "depth": depth},
-            size_bytes=bundle_bytes(batch) + 64,
-        )
-        yield from replica.merge_bundle(reply["entries"])
-        replica.reply(msg, {"ok": True})
-
-    def _handle_repair_exchange(
-        self, replica: StorageReplica, msg: Message
-    ) -> Generator[Any, Any, None]:
-        """Peer side: merge the initiator's rows, answer with *all* of
-        ours in the same leaves — not just the keys it sent, or a row
-        present only here would never reach the initiator."""
-        body = replica.payload(msg)
-        yield from replica.compute(replica.config.read_service_ms)
-        ours = self._rows_in_leaves(replica, msg.src, set(body["leaves"]), body["depth"])
-        yield from replica.merge_bundle(body["entries"])
-        replica.reply(msg, {"entries": ours}, size_bytes=bundle_bytes(ours) + 64)
 
     def _handle_cleanup(
         self, replica: StorageReplica, msg: Message

@@ -8,6 +8,7 @@ import pytest
 from repro.leases.cache import CachedRead
 from repro.live import CodecError, FrameReader, decode, encode, encode_frame
 from repro.live.codec import MAX_FRAME_BYTES, dumps, loads
+from repro.store.merkle import MerkleTree
 from repro.store.types import Cell, Condition, DeleteRow, Row, Update
 
 
@@ -71,6 +72,19 @@ def test_registered_dataclasses_round_trip():
         back = round_trip(obj)
         assert type(back) is type(obj)
         assert back == obj
+
+
+def test_an_anti_entropy_round_survives_the_wire():
+    """A tree's 64-bit leaves arrive exact, and a row that crossed the
+    wire digests as its sender's did (the cache is not sent)."""
+    stored = Row(cells={"value": Cell("v", (1.0, "c"), "op")}, tombstone=(0.5, "c")).freeze()
+    tree = MerkleTree()
+    tree.add("music_kv", "k", {None: stored})
+    request = round_trip({"tree": tree.payload()})
+    assert MerkleTree.from_payload(request["tree"]).diff(tree) == []
+    reply = round_trip({"leaves": tree.diff(MerkleTree()), "entries": [("music_kv", "k", {None: stored})]})
+    (_table, _key, rows), = reply["entries"]
+    assert rows[None].digest(None) == stored.digest(None)
 
 
 def test_unencodable_objects_raise_codec_error():

@@ -159,7 +159,7 @@ class TestFaultScheduleRestarts:
 
 class TestCounterSurfacing:
     def test_cas_bumps_paxos_proposes_and_the_obs_counter(self):
-        music = build_music(seed=5, obs=True)
+        music = build_music(seed=5, obs=True, anti_entropy=True)
         coord = music.store.coordinator_for(music.replicas[0])
 
         def client():
@@ -170,6 +170,9 @@ class TestCounterSurfacing:
             )
 
         run(music.sim, client())
+        # A write one replica alone holds, for anti-entropy rounds to find.
+        music.store.replicas[0].apply_update(Update("t", "q", None, {"v": 1}, (2.0, "w")))
+        music.sim.run(until=music.sim.now + 3_000.0)
         proposes = sum(
             replica.counters["paxos_proposes"] for replica in music.store.replicas
         )

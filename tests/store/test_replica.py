@@ -3,6 +3,7 @@
 import pytest
 
 from repro.store import Consistency, StoreConfig
+from repro.store.replica import bundle_bytes
 from repro.store.types import Update
 
 from tests.helpers import broken_rpc, make_store, run
@@ -53,6 +54,33 @@ def test_anti_entropy_heals_partitioned_replica():
     row = run(sim, client())
     assert row is not None
     assert row.visible_values()["v"] == "update"
+
+
+def test_anti_entropy_between_agreeing_replicas_moves_no_rows():
+    """Replicas that hold the same rows exchange digests only: a round
+    sends its tree and gets back an empty answer, never a row."""
+    sim, net, cluster, (host,) = make_store(anti_entropy=True)
+    coord = cluster.coordinator_for(host)
+
+    def client():
+        for index in range(8):
+            yield from coord.put("t", f"k{index}", None, {"v": index}, (1.0, "w"),
+                                 consistency=Consistency.ALL)
+        yield from coord.delete_row("t", "k0", None, (2.0, "w"), consistency=Consistency.ALL)
+
+    run(sim, client())
+    rounds, row_bytes = [0], [0]
+
+    def tap(msg):
+        if msg.kind.startswith("ae_"):
+            rounds[0] += 1
+        if isinstance(msg.body, dict) and "entries" in msg.body:
+            row_bytes[0] += bundle_bytes(msg.body["entries"])
+
+    net.add_tap(tap)
+    sim.run(until=sim.now + 20_000.0)
+    assert rounds[0] >= 3 * 10  # three replicas, a round a second each
+    assert row_bytes[0] == 0
 
 
 def test_anti_entropy_spreads_tombstones():

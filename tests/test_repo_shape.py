@@ -3,7 +3,8 @@ module grows past 700 lines, ``repro.obs`` stays the bottom layer (it
 observes the protocol layers, it does not know them), what it exports
 it defines, the option counts only go down, every config field has a
 caller, an ECF operation reports through its return value and its
-span alone, and the runtime seam is stated once, as two base classes.
+span alone, the runtime seam is stated once, as two base classes, and
+replicas repair by one exchange.
 Beside ``src/``, the two documents that describe it stay
 legible: DESIGN.md's layer map names every module once, and neither it
 nor a CHANGES.md entry grows past its cap."""
@@ -152,6 +153,27 @@ def test_the_runtime_seam_is_stated_once():
             restated = sorted(surface & set(vars(cls)))
             assert restated == [], f"{cls.__name__} restates {restated} of {base.__name__}"
     assert importlib.util.find_spec("repro.runtime") is None
+
+
+def test_replicas_repair_by_one_exchange():
+    """Anti-entropy is one protocol, the store's digest exchange
+    (``StorageReplica.repair``): no module outside ``repro.store`` names
+    a ``MerkleTree``, and an elastic deployment, whose control plane
+    triggers that exchange, registers no second repair path's kinds."""
+    named = [
+        (path.relative_to(SRC).as_posix(), node.lineno)
+        for path in sorted(SRC.rglob("*.py"))
+        if not path.relative_to(SRC).as_posix().startswith("store/")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "MerkleTree" in (getattr(node, "id", None), getattr(node, "attr", None))
+        or (isinstance(node, ast.alias) and node.name == "MerkleTree")
+    ]
+    assert named == []
+    kinds = set().union(*(
+        replica._handlers for replica in build_music(elastic=True).store.replicas
+    ))
+    assert {"ae_tree", "ae_rows", "topo_handover"} <= kinds
+    assert [kind for kind in kinds if kind.startswith(("topo_repair", "topo_merkle"))] == []
 
 
 INSTRUMENTS = ("counter", "gauge", "histogram")

@@ -1,12 +1,12 @@
 """No storage engine stores a row object that another engine stores.
 
-Rows move between replicas uncopied: a bundle (anti-entropy, range
-handover, Merkle repair) carries the sender's stored, frozen rows, and
-one handover bundle goes to every gaining node.  What keeps engines
-apart is ``StorageEngine._merge``, which stores a copy of any row it was
+Rows move between replicas uncopied: a bundle (the anti-entropy round,
+range handover) carries the sender's stored, frozen rows, and one
+handover bundle goes to every gaining node.  What keeps engines apart
+is ``StorageEngine._merge``, which stores a copy of any row it was
 handed and never the row itself.  These tests hold that invariant after
 each path that moves rows: a direct ``merge_rows``, a partition
-handover and a Merkle repair."""
+handover and an anti-entropy round (run by ``repair_pair``)."""
 
 from repro.sim import Simulator
 from repro.storage import StorageEngine

@@ -1,14 +1,15 @@
 """Merkle anti-entropy repair over diverged replicas (real engines)."""
 
+import pytest
+
 from repro.net import Node
 from repro.store import Consistency, StoreConfig
-from repro.topo import MerkleTree
-from repro.topo.elastic import REPAIR_DEPTH
+from repro.store.merkle import MerkleTree
 
 from tests.topo.test_elastic import make_elastic, run
 
 
-def setup_diverged(monkeypatch):
+def setup_diverged(monkeypatch, anti_entropy=False):
     """Quorum writes during a partition: Oregon misses an overwrite and
     a delete; meanwhile Oregon takes a ONE-consistency write the other
     two sites miss.  Both directions must converge through one repair.
@@ -17,7 +18,7 @@ def setup_diverged(monkeypatch):
     this is exactly the down-longer-than-the-hint-window case repair
     exists for."""
     monkeypatch.setattr(StoreConfig, "hinted_handoff_enabled", False)
-    music = make_elastic()
+    music = make_elastic(anti_entropy=anti_entropy)
     sim = music.sim
     topo = music.topology
     coord = music.store.coordinator_for(topo.node)  # topo-0 lives in Ohio
@@ -53,8 +54,27 @@ def engine_of(music, node_id):
     return music.store.by_id[node_id].engine
 
 
-def test_repair_converges_both_directions(monkeypatch):
-    music = setup_diverged(monkeypatch)
+def by_repair_pair(music):
+    leaves = music.sim.run_until_complete(
+        music.topology.repair_pair("store-0-0", "store-2-0"), limit=600_000.0
+    )
+    assert leaves > 0
+    # Untouched pair member: repair is pairwise, store-1-0 still lacks k3.
+    assert not engine_of(music, "store-1-0").partition_view("t", "k3")
+
+
+def by_background_rounds(music):
+    music.sim.run(until=music.sim.now + 30_000.0)
+    # Every pair ran rounds: the third replica has the lonely write too.
+    row = engine_of(music, "store-1-0").partition_view("t", "k3")["r"]
+    assert row.cells["v"].stamp == (2.5, "x")
+
+
+@pytest.mark.parametrize("anti_entropy, repair", [
+    (False, by_repair_pair), (True, by_background_rounds),
+], ids=["repair_pair", "background"])
+def test_repair_converges_both_directions(monkeypatch, anti_entropy, repair):
+    music = setup_diverged(monkeypatch, anti_entropy)
     a = engine_of(music, "store-0-0")
     b = engine_of(music, "store-2-0")
 
@@ -63,10 +83,7 @@ def test_repair_converges_both_directions(monkeypatch):
     assert b.partition_view("t", "k2")["r"].live
     assert not a.partition_view("t", "k3")
 
-    leaves = music.sim.run_until_complete(
-        music.topology.repair_pair("store-0-0", "store-2-0"), limit=600_000.0
-    )
-    assert leaves > 0
+    repair(music)
 
     # Overwrite propagated with its exact stamp (v2s semantics ride on
     # stamps, so byte-for-byte equality matters, not just the value).
@@ -83,9 +100,6 @@ def test_repair_converges_both_directions(monkeypatch):
     # The lonely Oregon write flowed the other way in the same round.
     assert a.partition_view("t", "k3")["r"].visible_values()["v"] == "lonely"
     assert a.partition_view("t", "k3")["r"].cells["v"].stamp == (2.5, "x")
-
-    # Untouched pair member: repair is pairwise, store-1-0 still lacks k3.
-    assert not engine_of(music, "store-1-0").partition_view("t", "k3")
 
     assert music.auditor.clean, music.auditor.render_report()
 
@@ -106,13 +120,12 @@ def test_converged_engines_hash_identically(monkeypatch):
     music.sim.run_until_complete(
         music.topology.repair_pair("store-0-0", "store-2-0"), limit=600_000.0
     )
-    depth = REPAIR_DEPTH
     ring = music.store.ring
 
     def owns_both(pk):
         owners = ring.replicas_for(pk, 3)
         return "store-0-0" in owners and "store-2-0" in owners
 
-    tree_a = MerkleTree.build(engine_of(music, "store-0-0"), depth, owns=owns_both)
-    tree_b = MerkleTree.build(engine_of(music, "store-2-0"), depth, owns=owns_both)
+    tree_a = MerkleTree.build(engine_of(music, "store-0-0"), owns_both)
+    tree_b = MerkleTree.build(engine_of(music, "store-2-0"), owns_both)
     assert tree_a.diff(tree_b) == []
