@@ -22,10 +22,16 @@ __all__ = ["NO_PUSH", "ReleasePush"]
 class ReleasePush:
     """The release channel of ``node`` and its ``lock_store``, pushing to ``peer_ids``."""
 
-    def __init__(self, node: Node, peer_ids: Iterable[str], lock_store: Any) -> None:
+    def __init__(
+        self, node: Node, peer_ids: Iterable[str], lock_store: Any,
+        on_release: Optional[Callable[[str, Optional[int]], None]] = None,
+    ) -> None:
         self.node = node
         self.peer_ids = list(peer_ids)
         self.lock_store = lock_store
+        # Called with the key and the highest lockRef each release
+        # observed here put out of the queue (None if it names none).
+        self._on_release = on_release
         self._waiters: Dict[Tuple[str, int], list] = {}
         self._listeners: List[Callable[[str], None]] = []
         node.on(
@@ -73,6 +79,11 @@ class ReleasePush:
     def _notify(self, key: str, successor: Optional[int], after: Optional[int] = None) -> None:
         for listener in self._listeners:
             listener(key)
+        if self._on_release is not None:
+            # A released ref, or below a dequeue LWT's successor, which
+            # its decided rows show at the head.
+            gone = after if after is not None or successor is None else successor - 1
+            self._on_release(key, gone)
         woken = [successor]
         if after is not None:
             # A waiter here the releaser's read did not show yet: the

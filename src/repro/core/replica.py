@@ -17,8 +17,8 @@ This is a direct implementation of the algorithms of Section IV:
 - ``forced_release``   — preemption of a (presumed) failed lockholder:
   sets the synchFlag with a (lockRef + δ) stamp *before* dequeuing, so
   the flag write can never race with the next holder's flag read;
-- ``put`` / ``get``    — the unlocked eventual-consistency convenience
-  operations of Section VI (no ECF guarantees).
+- ``put`` / ``get``    — Section VI's unlocked operations, no ECF
+  guarantees (mixed in from :mod:`repro.core.unlocked`).
 
 Guards follow the paper exactly: a request whose lockRef is later than
 the local queue head returns False ("not first yet, or local store not
@@ -32,10 +32,11 @@ false failure detection (Section IV-B).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Iterable, Mapping, Optional, Set, Tuple
+from collections import defaultdict
+from typing import Any, Callable, Dict, Generator, Iterable, Optional, Tuple
 
-from ..errors import LeaseExpired, NotLockHolder
-from ..leases import NULL_LEASES, CachedRead, LeaseManager, ReadCache
+from ..errors import LeaseExpired, NotLockHolder, ReproError
+from ..leases import NULL_LEASES, LeaseManager, ReadCache
 from ..lockstore import LockEntry, LockStore
 from ..net import Network, Node
 from ..sim import NodeClock, Simulator
@@ -43,25 +44,22 @@ from ..store import Consistency, Stamp, StoreCluster, StoreCoordinator
 from ..store.replica import ALL_ROWS
 from .config import MusicConfig
 from .push import NO_PUSH, ReleasePush
-from .timestamps import UNLOCKED_LOCK_REF, VectorTimestamp, check_overflow, v2s
+from .timestamps import check_overflow
+from .unlocked import DATA_TABLE, SYNCH_ROW, VALUE_ROW, UnlockedOps, cell_of
 
 __all__ = ["MusicReplica", "DATA_TABLE", "VALUE_ROW", "SYNCH_ROW"]
 
-# Sentinel distinguishing "no cached flag epoch" from a cached epoch of
-# None (no forcedRelease ever applied to the key).
+# No cached flag epoch (a cached one is None if no forced dequeue shows).
 _NO_EPOCH = object()
-
-DATA_TABLE = "music_data"
-# Clustering keys inside a key's data-table partition: the value row and
-# the synchFlag row are separate rows so the flag's quorum read stays
-# small regardless of the value size (the paper stores them as separate
-# columns; separate rows give the same cost split in our store model).
-VALUE_ROW = None
-SYNCH_ROW = "__synch__"
 
 # Tiny time offset (well under any realistic T) used to order the two
 # writes of a synchronization within one acquire.
 _TICK = 1e-6
+
+
+def _wait(event: Any) -> Generator[Any, Any, None]:
+    """Wait for ``event``: a body for a span around the wait."""
+    yield event
 
 
 def _queue_order(lock_ref: int, head: Optional[LockEntry]) -> int:
@@ -77,20 +75,7 @@ def _queue_order(lock_ref: int, head: Optional[LockEntry]) -> int:
     return lock_ref - head.lock_ref
 
 
-def _cell_of(
-    rows: Mapping, clustering: Any = VALUE_ROW, column: str = "value"
-) -> Tuple[Any, Optional[Stamp]]:
-    """``(value, stamp)`` of one cell of a data-partition read — by
-    default the key's value; ``(None, None)`` if never written or
-    deleted."""
-    row = rows.get(clustering)
-    cell = None if row is None else row.visible_cell(column)
-    if cell is None:
-        return None, None
-    return cell.value, cell.stamp
-
-
-class MusicReplica(Node):
+class MusicReplica(UnlockedOps, Node):
     """One MUSIC replica, serving ECF operations for colocated clients."""
 
     def __init__(
@@ -114,9 +99,22 @@ class MusicReplica(Node):
         # the attributes the one path below reads; no method consults
         # ``config.<feature>`` again.
         leases_on = config.read_leases
+        # The hand-off (DESIGN.md §8), hot path with leases off.  Per key,
+        # the lockRef granted here unsynchronized and what its gets may
+        # serve: its grant read's (value, stamp), or None for the
+        # hand-off row its guard reads.
+        self._hands_off = config.fast_locks and not leases_on
+        self._handed: Dict[str, Tuple[int, Any]] = {}
+        # Per key, the grant read a mint started at its decide point:
+        # (lockRef, forced epoch, start time, read process).
+        self._early_reads: Dict[str, Tuple[int, Any, float, Any]] = {}
+        # The grant's quorum read: the synchFlag row, and with the
+        # hand-off the value row beside it.
+        self._grant_rows: Any = ALL_ROWS if self._hands_off else SYNCH_ROW
         self.lock_store = LockStore(
             self.coordinator, self.clock,
             batched=config.fast_locks, lease_rows=leases_on,
+            on_head=self._read_early if self._hands_off else None,
         )
         # lsPeek consistency of acquire and the guards: local by
         # default, quorum under the ablation knob.
@@ -137,7 +135,10 @@ class MusicReplica(Node):
         # Push grants (DESIGN.md §8): the release channel to this
         # replica's waiters and to ``peer_ids``, or NO_PUSH.
         self.push: Any = (
-            ReleasePush(self, peer_ids, self.lock_store) if config.push_grants else NO_PUSH
+            ReleasePush(
+                self, peer_ids, self.lock_store,
+                on_release=self._forget if self._hands_off else None,
+            ) if config.push_grants else NO_PUSH
         )
         # Read scale-out leases (DESIGN.md §8).  The one path below
         # calls both tiers unconditionally; with the feature off they
@@ -162,18 +163,16 @@ class MusicReplica(Node):
         # epoch under which this replica last established flag=False at
         # quorum.  Key absent = no fast-path evidence.
         self._flag_epoch: Dict[str, Any] = {}
-        # The hand-off (DESIGN.md §7), hot path with leases off: the (key,
-        # lockRef)s granted here unsynchronized, whose gets may serve it.
-        self._hands_off = config.fast_locks and not leases_on
-        self._handed: Set[Tuple[str, int]] = set()
         # This replica's tally (its push's too): the metrics of
         # TALLY_NAMES["music"].
         self.counters = dict.fromkeys((
             "forced_releases", "syncs", "lease_hits", "lease_misses",
             "cache_hits", "cache_misses", "cache_invalidations",
             "fastpath_hits", "fastpath_misses", "push_notifies",
-            "handoff_hits", "handoff_misses",
+            "handoff_misses",
         ), 0)
+        # Gets the hand-off served, per source: "grant" or "row".
+        self.counters["handoff_hits"] = defaultdict(int)
         self.obs.tally("music", self, node=node_id)
 
     # -- helpers ------------------------------------------------------------
@@ -191,8 +190,18 @@ class MusicReplica(Node):
         """The paper's "youAreNoLongerLockHolder" for a lockRef the queue
         has moved past; whoever learns that drops its bookkeeping."""
         self._leases.pop((key, lock_ref), None)
-        self._handed.discard((key, lock_ref))
+        self._forget(key, lock_ref)
         return NotLockHolder(f"lockRef {lock_ref} on {key!r} was forcibly released")
+
+    def _forget(self, key: str, lock_ref: Optional[int]) -> None:
+        """Drop the early read and hand-off source of ``key``'s sections
+        up to ``lock_ref``; the release channel's hook (DESIGN.md §8)."""
+        if lock_ref is None:
+            return
+        for kept in (self._early_reads, self._handed):
+            entry = kept.get(key)
+            if entry is not None and entry[0] <= lock_ref:
+                del kept[key]
 
     # -- createLockRef (cost: lockRef consensus write) -----------------------------
 
@@ -242,8 +251,7 @@ class MusicReplica(Node):
         """The grant of a lockRef found at the queue head: the synchFlag
         read (and sync) unless ``fast``, then the lease start; returns
         the flag read."""
-        grant_started = self.sim.now
-        flag, anchor_clock, flag_stamp = False, None, None
+        flag, anchor_clock, flag_stamp, rows = False, None, None, None
         if fast:
             # The cached epoch matches the marker seen by the peek that
             # proved us queue head: no forcedRelease applied since this
@@ -258,16 +266,13 @@ class MusicReplica(Node):
             # A read lease anchors at the local-clock time this quorum
             # flag read *started* (DESIGN.md §8).
             anchor_clock = self.lease_manager.anchor_start(self.clock)
-            flag_rows = yield from self.coordinator.get(
-                DATA_TABLE, key, clustering=SYNCH_ROW,
-                consistency=Consistency.QUORUM,
-            )
-            flag, flag_stamp = _cell_of(flag_rows, SYNCH_ROW, "flag")
+            rows, started = yield from self._grant_read(key, lock_ref, epoch)
+            flag, flag_stamp = cell_of(rows, SYNCH_ROW, "flag")
             flag = bool(flag)
             audit = self.obs.audit
             if audit.enabled:
                 audit.emit("flag_read", key=key, node=self.node_id, lock_ref=lock_ref,
-                           flag=flag, started_ms=grant_started)
+                           flag=flag, started_ms=started)
             if flag or self._always_sync:
                 yield from self._synchronize(key, lock_ref)
             if self._flag_fast_path:
@@ -280,10 +285,8 @@ class MusicReplica(Node):
         start_time = self.clock.now()
         yield from self.lock_store.set_start_time(key, lock_ref, start_time)
         self._leases[(key, lock_ref)] = start_time
-        if self._hands_off and not (flag or self._always_sync):
-            self._handed.add((key, lock_ref))
-        else:  # a re-grant that synchronized
-            self._handed.discard((key, lock_ref))
+        if self._hands_off:
+            self._hand_over(key, lock_ref, rows, flag or self._always_sync)
         if anchor_clock is not None:
             self.lease_manager.anchor(key, lock_ref, anchor_clock, flag_stamp)
         return flag
@@ -292,6 +295,64 @@ class MusicReplica(Node):
         """Whether the cached flag epoch lets the grant skip its quorum
         flag read (DESIGN.md §8 has the argument)."""
         return self._flag_epoch.get(key, _NO_EPOCH) == epoch
+
+    def _read_early(self, key: str, lock_ref: int, epoch: Any) -> None:
+        """The lock store's mint hook: ``lock_ref`` heads the queue its
+        mint decided on, under forced ``epoch``, so its grant read starts
+        now, beside the commit round — unless this replica has fast-path
+        evidence for ``key``.  DESIGN.md §8 argues the read is sound."""
+        if key in self._flag_epoch:
+            return
+        read = self._early_rows(key)
+        if self.obs.tracer.enabled:
+            read = self._traced(read, "music.grantRead", key)
+        self._early_reads[key] = (
+            lock_ref, epoch, self.sim.now, self.sim.process(read, name="music.grantRead")
+        )
+
+    def _data_rows(self, key: str) -> Generator[Any, Any, Any]:
+        """The grant's quorum read of ``key``'s data partition."""
+        return self.coordinator.get(
+            DATA_TABLE, key, clustering=self._grant_rows, consistency=Consistency.QUORUM,
+        )
+
+    def _early_rows(self, key: str) -> Generator[Any, Any, Any]:
+        """The early grant read: the rows, or None if the quorum failed
+        (the grant then reads again)."""
+        try:
+            return (yield from self._data_rows(key))
+        except ReproError:
+            return None
+
+    def _take_early(self, key: str, lock_ref: int, epoch: Any) -> Optional[Tuple]:
+        """Take ``key``'s early read off; it stands for ``lock_ref``'s
+        grant read if started for this ref under the forced epoch the
+        grant's proving head read shows."""
+        early = self._early_reads.pop(key, None)
+        return early if early is not None and early[:2] == (lock_ref, epoch) else None
+
+    def _grant_read(self, key: str, lock_ref: int, epoch: Any) -> Generator[Any, Any, Tuple]:
+        """The grant's data read and when it started: the early read,
+        waited out if still in flight, or a read now."""
+        early = self._take_early(key, lock_ref, epoch)
+        if early is not None:
+            _, _, started, read = early
+            if not read.triggered:
+                wait = _wait(read)
+                yield from self._traced(wait, "music.grantWait", key) if self.obs.tracer.enabled else wait
+            if read.ok and read.value is not None:
+                return read.value, started
+        started = self.sim.now
+        return (yield from self._data_rows(key)), started
+
+    def _hand_over(self, key: str, lock_ref: int, rows: Any, synced: bool) -> None:
+        """Keep what a get of ``lock_ref`` may serve: the value its grant
+        read (``rows``), or after a fast grant (no ``rows``) the hand-off
+        row; nothing once synchronized, which rewrote the value."""
+        if synced:
+            self._handed.pop(key, None)
+        else:
+            self._handed[key] = (lock_ref, None if rows is None else cell_of(rows))
 
     def _synchronize(self, key: str, lock_ref: int) -> Generator[Any, Any, None]:
         """Re-establish 'the data store is defined as the true value'.
@@ -314,7 +375,7 @@ class MusicReplica(Node):
             DATA_TABLE, key, clustering=VALUE_ROW,
             consistency=Consistency.QUORUM,
         )
-        current, _ = _cell_of(rows)
+        current, _ = cell_of(rows)
         value_stamp = self._stamp(lock_ref, 0.0)
         yield from self.quorum_put(key, current, value_stamp)
         if audit.enabled:
@@ -435,13 +496,13 @@ class MusicReplica(Node):
         if self._hands_off:
             handed = self._handed_value(key, lock_ref, min_stamp, head[3])
             if handed is not None:
-                value, stamp = handed
-                self.counters["handoff_hits"] += 1
+                (value, stamp), source = handed
+                self.counters["handoff_hits"][source] += 1
                 if audit.enabled:
                     audit.emit("critical_get", key=key, node=self.node_id, lock_ref=lock_ref,
-                               value=value, handoff=True)
+                               value=value, handoff=True, source=source)
                 if tracer.enabled:
-                    tracer.current_span().set(handoff=True)
+                    tracer.current_span().set(handoff=True, source=source)
                 return (True, value, stamp)
             self.counters["handoff_misses"] += 1
         anchor_clock = leases.anchor_start(self.clock)
@@ -451,32 +512,38 @@ class MusicReplica(Node):
             DATA_TABLE, key, clustering=self._get_rows,
             consistency=Consistency.QUORUM,
         )
-        value, stamp = _cell_of(rows)
+        value, stamp = cell_of(rows)
         if audit.enabled:
             audit.emit("critical_get", key=key, node=self.node_id, lock_ref=lock_ref, value=value)
         if anchor_clock is not None:
-            _, flag_stamp = _cell_of(rows, SYNCH_ROW, "flag")
+            _, flag_stamp = cell_of(rows, SYNCH_ROW, "flag")
             if leases.anchor(key, lock_ref, anchor_clock, flag_stamp):
                 leases.fill(key, lock_ref, value, stamp)
         return (True, value, stamp)
 
     def _handed_value(
         self, key: str, lock_ref: int, min_stamp: Optional[Stamp], handoff: Any
-    ) -> Optional[Tuple[Any, Stamp]]:
-        """The ``(value, stamp)`` a get of ``lock_ref`` may serve from the
+    ) -> Optional[Tuple[Tuple[Any, Stamp], str]]:
+        """The ``(value, stamp)`` a get of ``lock_ref`` may serve, and its
+        source: ``"grant"``, the grant's own read, or ``"row"``, the
         hand-off its guard read found (the read showed ``lock_ref`` at the
-        head), or None for the quorum read.  DESIGN.md §7 argues the rules:
+        head); None for the quorum read.  DESIGN.md §8 argues the rules:
         the section wrote nothing (no ``min_stamp``), this replica granted
-        it unsynchronized, the row names ``lock_ref - 1``, and no forced
-        dequeue at or above that ref shows."""
-        if handoff is None or min_stamp is not None or (key, lock_ref) not in self._handed:
+        it unsynchronized, and for the row, the row names ``lock_ref - 1``
+        and no forced dequeue at or above that ref shows."""
+        kept = self._handed.get(key)
+        if kept is None or kept[0] != lock_ref or min_stamp is not None:
+            return None
+        if kept[1] is not None:
+            return kept[1], "grant"
+        if handoff is None:
             return None
         released, handed, forced = handoff
         if released != lock_ref - 1:
             return None
         if forced is not None and forced >= released:
             return None
-        return handed
+        return handed, "row"
 
     def _guard(self, key: str, lock_ref: int) -> Generator[Any, Any, Any]:
         """The critical ops' guard: one lock-partition head read, then
@@ -559,7 +626,7 @@ class MusicReplica(Node):
             )
         self.lease_manager.revoke(key)
         self._leases.pop((key, lock_ref), None)
-        self._handed.discard((key, lock_ref))
+        self._forget(key, lock_ref)
         return True
 
     # -- forcedRelease (internal; cost: flag quorum write + consensus write) ---------
@@ -597,6 +664,7 @@ class MusicReplica(Node):
         # flag epochs elsewhere go stale.  Our own cache is dropped
         # regardless: this replica just wrote flag=True.
         self._flag_epoch.pop(key, None)
+        self._forget(key, lock_ref)
         # The flag write above has acknowledged at quorum: drop our own
         # lease on the key and wait out every window anchored before the
         # ack (see LeaseManager.wait_out_ms).
@@ -626,75 +694,3 @@ class MusicReplica(Node):
         # can no-op exactly the cache drop.
         if self.read_cache.invalidate(key):
             self.counters["cache_invalidations"] += 1
-
-    # -- unlocked convenience ops (Section VI, "Additional Functions") ---------------
-
-    def put(self, key: str, value: Any) -> Generator[Any, Any, None]:
-        """Eventual write with no ECF guarantees (stamped below any CS write)."""
-        now = self.clock.now()
-        if now >= self.config.period_ms:
-            raise OverflowError(
-                "unlocked put past T would break v2s ordering; raise period_ms"
-            )
-        stamp = (v2s(VectorTimestamp(UNLOCKED_LOCK_REF, now), self.config.period_ms),
-                 self.node_id)
-        yield from self.coordinator.put(
-            DATA_TABLE, key, VALUE_ROW, {"value": value}, stamp,
-            consistency=Consistency.ONE,
-        )
-
-    def get(self, key: str) -> Generator[Any, Any, Any]:
-        """Eventual read (possibly stale) with no ECF guarantees."""
-        rows = yield from self.coordinator.get(
-            DATA_TABLE, key, clustering=VALUE_ROW, consistency=Consistency.ONE
-        )
-        return _cell_of(rows)[0]
-
-    def quorum_get(
-        self, key: str
-    ) -> Generator[Any, Any, Tuple[Any, Optional[Stamp]]]:
-        """Quorum read of ``(value, stamp)`` with no lock guard: the
-        optimistic transaction engines' read, which needs the version
-        stamp to validate against at commit but holds no lock."""
-        rows = yield from self.coordinator.get(
-            DATA_TABLE, key, clustering=VALUE_ROW, consistency=Consistency.QUORUM
-        )
-        return _cell_of(rows)
-
-    def quorum_put(
-        self, key: str, value: Any, stamp: Stamp
-    ) -> Generator[Any, Any, Stamp]:
-        """Quorum write under a caller-supplied stamp, no lock guard;
-        returns the stamp once acknowledged.  The transaction engines
-        install validated writes under the stamps they mint through it."""
-        yield from self.coordinator.put(
-            DATA_TABLE, key, VALUE_ROW, {"value": value}, stamp,
-            consistency=Consistency.QUORUM,
-        )
-        return stamp
-
-    def get_bounded(
-        self, key: str, staleness_ms: float
-    ) -> Generator[Any, Any, CachedRead]:
-        """Bounded-staleness read (``read_leases`` tier, Section VI++): a
-        hit within the bound is served from this replica's read cache, a
-        miss reads through the nearest replica and fills it.  Push grants
-        invalidate it (:meth:`_lease_invalidate`), so a cached value lives
-        at most the push latency past the section that overwrote it."""
-        entry = self.read_cache.lookup(key, self.sim.now, staleness_ms)
-        if entry is not None:
-            self.counters["cache_hits"] += 1
-            return CachedRead(entry.value, entry.stamp, entry.fetched_ms,
-                              hit=True, node=self.node_id)
-        self.counters["cache_misses"] += 1
-        rows = yield from self.coordinator.get(
-            DATA_TABLE, key, clustering=VALUE_ROW, consistency=Consistency.ONE
-        )
-        value, stamp = _cell_of(rows)
-        fetched = self.sim.now
-        self.read_cache.fill(key, value, stamp, fetched)
-        return CachedRead(value, stamp, fetched, hit=False, node=self.node_id)
-
-    def get_all_keys(self, table: Optional[str] = None) -> Generator[Any, Any, list]:
-        """All keys of the data table (eventual; used by job schedulers)."""
-        return self.coordinator.scan_keys(table or DATA_TABLE)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..errors import LockContention, ReproError
 from ..sim import NodeClock
@@ -110,6 +110,7 @@ class LockStore:
         clock: NodeClock,
         batched: bool = False,
         lease_rows: bool = False,
+        on_head: Optional[Callable[[str, int, Any], None]] = None,
     ) -> None:
         self.coordinator = coordinator
         self.clock = clock
@@ -125,6 +126,10 @@ class LockStore:
         # arriving meanwhile wait in the key's list, and the hand-off
         # mints for them in one batch (:meth:`_flush`).
         self.batched = batched
+        # Called with (key, lockRef, forced epoch) at the decide point of
+        # a three-round mint whose promise rows show no queued lockRef:
+        # the ref it mints first already heads the linearized queue.
+        self.on_head = on_head
         self.sim = coordinator.sim
         # key -> the events of the mints waiting (absent: idle).
         self._queued: Dict[str, List[Any]] = {}
@@ -175,6 +180,13 @@ class LockStore:
         return refs[0]
 
     @staticmethod
+    def _queue_empty(rows: Any) -> bool:
+        """Whether a mint's promise rows show no queued lockRef.  Kept as
+        a hook point so a mutation test can start the early grant read
+        whatever the decided queue shows."""
+        return not any(isinstance(clustering, int) for clustering in rows)
+
+    @staticmethod
     def _batch_guard_target(base: int, enqueues: int) -> int:
         """The guard value after minting ``enqueues`` refs above ``base``.
 
@@ -222,8 +234,15 @@ class LockStore:
             audit = self.obs.audit
             emitted = []
 
-            def committing(_rows, refs=refs, attempt=attempt, recovered=False) -> None:
+            def committing(rows, refs=refs, attempt=attempt, recovered=False) -> None:
                 emitted.append(True)
+                # The promise rows are a quorum read repaired to the
+                # newest commit, so an empty queue there is the queue our
+                # mint decided on (a recovered mint's decide has passed).
+                if (self.on_head is not None and not recovered and rows is not None
+                        and self._queue_empty(rows)):
+                    marker = rows.get(FORCED_ROW)
+                    self.on_head(key, refs[0], None if marker is None else marker.cell_stamp("ref"))
                 if audit.enabled:
                     for ref in refs:
                         audit.emit(

@@ -182,7 +182,9 @@ def _span_hit_ratios(spans: List[SpanRecord]) -> List[str]:
     Works on offline JSONL dumps, where no metrics registry exists:
     ``music.grant`` spans carry ``fast=True`` on synchFlag fast-path
     grants, ``music.criticalGet`` spans ``lease=True`` on
-    leaseholder-local reads and ``handoff=True`` on hand-off serves.
+    leaseholder-local reads and ``handoff=True`` on hand-off serves,
+    whose ``source`` (the grant's read or the hand-off row) is counted
+    apart.
     """
     lines: List[str] = []
     grants = [span for span in spans if span.name == "music.grant"]
@@ -193,8 +195,12 @@ def _span_hit_ratios(spans: List[SpanRecord]) -> List[str]:
             f"({100.0 * fast / len(grants):.1f}%)"
         )
     reads = [span for span in spans if span.name == "music.criticalGet"]
-    for attr, served in (("lease", "leaseholder local"), ("handoff", "hand-off served")):
-        local = sum(1 for span in reads if span.attrs.get(attr))
+    for served, test in (
+        ("leaseholder local", lambda attrs: attrs.get("lease")),
+        ("hand-off served (grant read)", lambda attrs: attrs.get("source") == "grant"),
+        ("hand-off served (row)", lambda attrs: attrs.get("source") == "row"),
+    ):
+        local = sum(1 for span in reads if test(span.attrs))
         if local:
             lines.append(
                 f"{served} criticalGets: {local}/{len(reads)} "

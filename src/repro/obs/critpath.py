@@ -37,7 +37,10 @@ phase                     what the time is
 ``acquire.queue_wait``    waiting for the queue head: poll backoff sleeps
                           between acquire attempts — with push grants this is
                           the push-vs-poll grant delivery gap
-``acquire.flag_read``     the grant-time synchFlag quorum read
+``acquire.flag_read``     the grant-time synchFlag quorum read, or the wait
+                          for its early start (``music.grantWait``; the
+                          early read itself, ``music.grantRead``, runs
+                          beside the mint's commit round)
 ``acquire.sync``          ``music.synchronize`` (flag was set: quorum
                           read-back + rewrite + flag reset)
 ``acquire.grant``         remaining grant bookkeeping (startTime write, ...)
@@ -257,6 +260,8 @@ def _classify_leaf(chain: Sequence[SpanRecord]) -> str:
         if region == "acquire":
             return "acquire.flag_read"
         return f"{region}.lwt"
+    if name in ("music.grantRead", "music.grantWait"):
+        return "acquire.flag_read" if region == "acquire" else f"{region}.lwt"
     if name == "music.grant":
         return "acquire.grant"
     if name == "music.acquireLock":

@@ -262,7 +262,8 @@ TALLY_NAMES: Dict[str, Dict[str, Any]] = {
         "cache_hits": "music.cache.hits", "cache_misses": "music.cache.misses",
         "cache_invalidations": "music.cache.invalidations",
         "push_notifies": "music.push.notifies",
-        "handoff_hits": "music.handoff.hits", "handoff_misses": "music.handoff.misses",
+        "handoff_hits": ("music.handoff.hits", "source"),
+        "handoff_misses": "music.handoff.misses",
     },
     "lockstore": {  # registered unlabelled: each entry names its label
         "enqueue_conflicts": ("lockstore.enqueue.conflicts", "key"),

@@ -37,7 +37,8 @@ timings are untouched, so profiled runs stay bit-identical in sim time):
   client / topo / timer); a delivery is billed to its destination's
   handler, ``"<dst>:<kind>"``, since that is whose work it carries,
   and a hold's end to whoever its continuation runs as (the handler's
-  ``"<node>:<kind>"`` or the calling process);
+  ``"<node>:<kind>"`` or the calling process), a fired event (a
+  ``Timeout``) to the process it resumes;
 - RPC request, obs-span and heap-push allocation counts (heap pushes
   read the kernel's ``heap_pushes`` counter, so the ready queue's heap
   bypass is directly visible as fewer pushes per event).
@@ -49,7 +50,7 @@ from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim import Simulator
-from ..sim.core import call_action
+from ..sim.core import _fire_event, call_action
 
 __all__ = ["SimProfiler", "subsystem_of"]
 
@@ -106,14 +107,20 @@ def _entry_owner_name(fn: Callable[..., None], arg: Any) -> str:
     ``arg``, a bound ``Network._deliver`` with the message as ``arg``,
     a bound ``_ExpiryQueue._fire``, or a ``call_at`` action (``arg`` is
     None; see :meth:`SimProfiler.dispatch`).  A message is billed to
-    the handler it is delivered to; otherwise we look at the bound
-    object first, then the argument.
+    the handler it is delivered to, an event (a fired ``Timeout``) to
+    the process its first waiter is — the entry runs that process's next
+    step — so this is asked before the entry runs; otherwise we look at
+    the bound object first, then the argument.
     """
     dst = getattr(arg, "dst", None)
     if dst is not None:
         # A delivery runs the destination's handler (or, for a reply,
         # the caller waiting on that node) inside itself.
         return f"{dst}:{arg.kind}"
+    if fn is _fire_event and arg._callbacks:
+        name = getattr(getattr(arg._callbacks[0], "__self__", None), "name", None)
+        if isinstance(name, str) and name:
+            return name
     owner = getattr(fn, "__self__", None)
     if owner is not None:
         name = getattr(owner, "name", None)
@@ -208,25 +215,28 @@ class SimProfiler:
         """
         if depth > self.heap_high_water:
             self.heap_high_water = depth
+        # A call_at action arrives as the thunk's arg: key and attribute
+        # it by the action, not the thunk.
+        action, action_arg = (arg, None) if fn is call_action else (fn, arg)
+        self._tick += 1
+        owner = None
+        if self._tick >= self.sample_every:
+            # Named before the entry runs: a fired event drops its waiters.
+            self._tick = 0
+            owner = _entry_owner_name(action, action_arg)
         began = perf_counter()
         fn(arg)
         elapsed = perf_counter() - began
         self.events += 1
         self.wall_s += elapsed
-        if fn is call_action:
-            # A call_at action arrives as the thunk's arg: key and
-            # attribute it by the action, not the thunk.
-            fn, arg = arg, None
-        kind = getattr(fn, "__qualname__", None) or type(fn).__name__
+        kind = getattr(action, "__qualname__", None) or type(action).__name__
         bucket = self.by_event_type.get(kind)
         if bucket is None:
             bucket = self.by_event_type[kind] = [0, 0.0]
         bucket[0] += 1
         bucket[1] += elapsed
-        self._tick += 1
-        if self._tick >= self.sample_every:
-            self._tick = 0
-            subsystem = subsystem_of(_entry_owner_name(fn, arg))
+        if owner is not None:
+            subsystem = subsystem_of(owner)
             sub = self.by_subsystem.get(subsystem)
             if sub is None:
                 sub = self.by_subsystem[subsystem] = [0, 0.0]

@@ -17,15 +17,19 @@ startTime write (one round, ``Q`` messages).  The section below also
 reads once (one more ``Q``).  On the hot path the release also pushes
 to the other two MUSIC replicas (``P``, one one-way message each), even
 with no successor in its head read, which may lack a mint not yet at its
-replica.  A repeated section on a key skips the synchFlag read, and its
-read is served by the hand-off its predecessor's release wrote beside the
-row delete (same batch, no extra message): two ``Q`` less.
+replica.  On the hot path the section's read costs nothing more: the
+grant's synchFlag read fetches the value row beside the flag, and the
+get serves it (one ``Q`` less, ``C + (x+1)Q`` in all).  A repeated
+section on a key skips the synchFlag read, and its read is served by the
+hand-off its predecessor's release wrote beside the row delete (same
+batch, no extra message): two ``Q`` less than the paper's count.
 """
 
 import pytest
 
 from repro.bench.paper import CostModel
 from repro.core import MusicConfig, build_music
+from repro.store import StoreConfig
 from tests.helpers import run
 
 RF = 3
@@ -70,8 +74,66 @@ def _section_messages(fast_locks, sections):
 @pytest.mark.parametrize("fast_locks", [False, True])
 def test_an_uncontended_section_costs_the_closed_form(fast_locks):
     first, repeated = _section_messages(fast_locks, sections=2)
-    assert first == _budget(updates=1, reads=1, hot=fast_locks) == (60 if fast_locks else 82)
+    assert first == _budget(
+        updates=1, reads=1, hot=fast_locks, handed=1 if fast_locks else 0,
+    ) == (54 if fast_locks else 82)
     assert repeated == _budget(
         updates=1, reads=1, flag_read=not fast_locks, hot=fast_locks,
         handed=1 if fast_locks else 0,
     ) == (48 if fast_locks else 82)
+
+
+def test_an_uncontended_first_section_is_five_wan_rounds():
+    """X-B4 in time: from Oregon on lUs, where a quorum is Oregon's own
+    replica and N.California's (RTT ``R``), a first section on a key
+    waits out the mint's three rounds, its put and its release: five
+    WAN rounds.  The grant's flag read starts at the mint's decide point
+    and ends inside its commit round, and the get serves its value, so
+    neither adds one.  Around them: each Paxos phase's service time
+    ``P``, a quorum write's coordinator and replica service ``c + w``,
+    five single-replica reads (the mint's guard read, the acquire's peek
+    and three guards, ``c + r + l`` each, ``l`` the in-site RTT), the
+    startTime write (``c + w + l``) and the coordinator's service ahead
+    of the prepare."""
+    music = build_music()
+    client = music.client("Oregon")
+    rtt, local = music.profile.rtt("Oregon", "N.California"), music.profile.rtt("Oregon", "Oregon")
+    c, r, w = (StoreConfig.coordinator_service_ms, StoreConfig.read_service_ms,
+               StoreConfig.write_service_ms)
+    paxos = StoreConfig.paxos_phase_service_ms
+
+    def body():
+        started = music.sim.now
+        section = yield from client.critical_section("k")
+        value = yield from section.get()
+        yield from section.put((value or 0) + 1)
+        yield from section.exit()
+        return music.sim.now - started
+
+    closed_form = (
+        3 * (rtt + paxos) + 2 * (rtt + c + w) + 5 * (c + r + local) + (c + w + local) + c
+    )
+    assert run(music.sim, body()) == pytest.approx(closed_form, abs=0.05)
+    assert closed_form == pytest.approx(127.45)
+
+
+def test_an_uncontended_first_section_dispatches_92_events():
+    """The kernel events of the benchmark's core drive (a first section
+    on a fresh key from Ohio, traced and profiled, 60 ms drained): the
+    early flag read saves the grant's read round and the get's."""
+    music = build_music(seed=4242, obs=True, profile=True)
+    client = music.client("Ohio")
+    counts = []
+
+    def body():
+        for index in range(4):
+            before = music.profiler.events
+            section = yield from client.critical_section(f"key-{index}", timeout_ms=1e9)
+            value = yield from section.get()
+            yield from section.put((value or 0) + 1)
+            yield from section.exit()
+            yield music.sim.timeout(60.0)
+            counts.append(music.profiler.events - before)
+
+    run(music.sim, body())
+    assert counts == [92] * 4

@@ -2,10 +2,12 @@
 the value its holder last acknowledged to the lock partition, in the
 same quorum batch as its row delete, and the successor's first
 criticalGet serves it from its guard's local read instead of a quorum
-read.  Past the serve itself and where it is written, each test sets up
-one hazard the serve rules (DESIGN.md §8) exist for and checks that the
-get falls back to the quorum read there and still reads the true value,
-with a clean audit; the last checks how a serve is observed.
+read.  A section granted by a quorum read serves that read's value
+instead: the hand-off's second source.  Past the serve itself and where
+it is written, each test sets up one hazard the serve rules (DESIGN.md
+§8) exist for and checks that the get falls back to the quorum read
+there and still reads the true value, with a clean audit; the last
+checks how a serve is observed.
 """
 
 import pytest
@@ -22,8 +24,12 @@ from repro.store.types import Update
 from tests.helpers import run
 
 
-def hits(music):
-    return sum(replica.counters["handoff_hits"] for replica in music.replicas)
+def hits(music, *sources):
+    """Gets the hand-off served, from ``sources`` ("grant", "row"; default both)."""
+    return sum(
+        replica.counters["handoff_hits"][source]
+        for replica in music.replicas for source in sources or ("grant", "row")
+    )
 
 
 def handoff_row(music, key="k"):
@@ -65,7 +71,7 @@ def test_a_successor_serves_its_predecessors_value():
     assert handoff_row(music)[1][0] == "A"
     before = hits(music)
     assert run(music.sim, section(client, "get", "B")) == ["A"]
-    assert hits(music) == before + 1
+    assert hits(music) == before + 1 == hits(music, "row") + 1
     assert_clean(music)
 
 
@@ -74,7 +80,8 @@ def test_a_successor_serves_its_predecessors_value():
 ], ids=["hot-path", "read-leases", "polling"])
 def test_only_the_hot_path_without_leases_writes_the_row(config):
     """Leases own the local reads when they are on; the paper's polling
-    protocol never writes the row."""
+    protocol never writes the row.  On the hot path the first section's
+    get serves its grant's read, the second's the row."""
     music = build_music(music_config=config, audit=True)
     client = music.client("Ohio")
     for value in ("A", "B"):
@@ -84,7 +91,7 @@ def test_only_the_hot_path_without_leases_writes_the_row(config):
         LOCK_TABLE, "k", HANDOFF_ROW, Consistency.QUORUM
     ))
     assert (HANDOFF_ROW in rows) == written
-    assert hits(music) == (1 if written else 0)
+    assert hits(music, "grant") == hits(music, "row") == (1 if written else 0)
     assert_clean(music)
 
 
@@ -242,9 +249,10 @@ def test_a_stale_row_naming_a_lower_ref_is_not_served():
 
 
 def test_a_served_get_is_a_local_read_span_in_the_critical_path():
-    """A served get is a ``music.criticalGet`` span marked ``handoff``,
-    which the critical path attributes to ``op.local_read``; the music
-    tally counts it, and so does ``explain``'s span-derived hit rate."""
+    """A served get is a ``music.criticalGet`` span marked ``handoff`` and
+    its ``source``, which the critical path attributes to
+    ``op.local_read``; the music tally counts it per source, and so does
+    ``explain``'s span-derived hit rate."""
     music = build_music(obs=True)
     client = music.client("Ohio")
     tracer = music.obs.tracer
@@ -256,10 +264,14 @@ def test_a_served_get_is_a_local_read_span_in_the_critical_path():
 
     run(music.sim, traced())
     gets = [span for span in tracer.spans if span.name == "music.criticalGet"]
-    assert [bool(span.attrs.get("handoff")) for span in gets] == [False, True]
-    second = extract_critpaths(tracer.spans)[1].phase_totals()
-    assert second.get("op.local_read", 0.0) > 0.0
+    assert [span.attrs.get("handoff") for span in gets] == [True, True]
+    assert [span.attrs.get("source") for span in gets] == ["grant", "row"]
+    for path in extract_critpaths(tracer.spans):
+        assert path.phase_totals().get("op.local_read", 0.0) > 0.0
     registry = music.obs.metrics
-    assert registry.total("music.handoff.hits") == 1
-    assert registry.total("music.handoff.misses") == 1
-    assert "hand-off served criticalGets: 1/2 (50.0%)" in _span_hit_ratios(tracer.spans)
+    assert registry.total("music.handoff.hits", source="grant") == 1
+    assert registry.total("music.handoff.hits", source="row") == 1
+    assert registry.total("music.handoff.misses") == 0
+    ratios = _span_hit_ratios(tracer.spans)
+    assert "hand-off served (grant read) criticalGets: 1/2 (50.0%)" in ratios
+    assert "hand-off served (row) criticalGets: 1/2 (50.0%)" in ratios

@@ -139,20 +139,31 @@ def test_sequential_counter_with_contention():
 
 
 def test_non_holder_critical_put_rejected_after_release():
-    """A lockRef that was dequeued gets youAreNoLongerLockHolder."""
+    """A lockRef that was dequeued gets youAreNoLongerLockHolder once the
+    replica's queue shows its successor.  B's grant can come before
+    Ohio's replica applies B's mint; until then the guard says retry
+    ("local store not yet updated") and writes nothing."""
     music = build_music()
     client_a = music.client("Ohio")
     client_b = music.client("Oregon")
+    replica = music.replica_at("Ohio")
 
     def task():
         ref_a = yield from client_a.create_lock_ref("k")
         yield from client_a.acquire_lock_blocking("k", ref_a)
+        yield from client_a.critical_put("k", ref_a, "A")
         yield from client_a.release_lock("k", ref_a)
         # B takes the lock next.
         ref_b = yield from client_b.create_lock_ref("k")
         yield from client_b.acquire_lock_blocking("k", ref_b)
-        # A's stale ref must now be rejected at the replica.
-        replica = music.replica_at("Ohio")
+        # A's stale ref, before Ohio shows B's ref: retry, nothing written.
+        assert (yield from replica.lock_store.peek("k")) is None
+        assert (yield from replica.critical_put("k", ref_a, "stale write")) is None
+        assert (yield from replica.quorum_get("k"))[0] == "A"
+        while (yield from replica.lock_store.peek("k")) is None:
+            yield music.sim.timeout(10.0)
+        assert (yield from replica.lock_store.peek("k")).lock_ref == ref_b
+        # Now it must be rejected at the replica.
         try:
             yield from replica.critical_put("k", ref_a, "stale write")
         except NotLockHolder:

@@ -5,7 +5,7 @@ Each test here re-introduces one of the paper's Section IV-B hazards —
 δ=0 forcedRelease stamps, a skipped acquire-time synchronization, a
 forcedRelease that dequeues without the quorum flag write, and a
 bypassed queue-head guard — or breaks one of the hand-off's serve
-rules, and asserts the auditor flags it with a violation naming the
+rules or the early grant read's, and asserts the auditor flags it with a violation naming the
 invariant, in both audited modes: ``audit=True``
 alone (the checker and nothing else) and ``obs=True, audit=True``, which
 files the same violations and also names the guilty trace spans.
@@ -303,16 +303,21 @@ def _serving(*skipped):
 
     class Mutant(MusicReplica):
         def _handed_value(self, key, lock_ref, min_stamp, handoff):
-            if handoff is None or (key, lock_ref) not in self._handed:
+            kept = self._handed.get(key)
+            if kept is None or kept[0] != lock_ref:
                 return None
             if min_stamp is not None and "e" not in skipped:
+                return None
+            if kept[1] is not None:
+                return kept[1], "grant"
+            if handoff is None:
                 return None
             released, handed, forced = handoff
             if released != lock_ref - 1 and "b" not in skipped:
                 return None
             if forced is not None and forced >= released and "c" not in skipped:
                 return None
-            return handed
+            return handed, "row"
 
     return Mutant
 
@@ -387,4 +392,143 @@ def test_a_hand_off_served_beside_a_forced_marker_is_caught():
     for music in in_both_audit_modes(_late_marker_scenario, replica_class=_serving("c")):
         violation = assert_caught(music.auditor, "LatestState")
         assert "DIVERGED" in violation.detail
+        assert_replay_equivalent(music.auditor)
+
+
+# -- the early grant read (DESIGN.md §8) ------------------------------------
+
+
+def _queued_mint_scenario(replica_class=MusicReplica, obs=None):
+    """Oregon mints while Ohio holds the lock and has written once, so
+    the queue its mint decides on shows Ohio's ref; Ohio writes again
+    before it releases."""
+    music = build_music(audit=True, obs=obs, replica_class=replica_class)
+    ohio, oregon = music.client("Ohio"), music.client("Oregon")
+
+    def scenario():
+        cs = yield from ohio.critical_section("k")
+        yield from cs.put("A")
+        ref = yield from oregon.create_lock_ref("k")
+        yield from cs.put("B")
+        yield from cs.exit()
+        assert (yield from oregon.acquire_lock_blocking("k", ref))
+        value = yield from oregon.critical_get("k", ref)
+        yield from oregon.release_lock("k", ref)
+        return value
+
+    return music, run(music.sim, scenario())
+
+
+def _missed_forced_scenario(replica_class=MusicReplica, obs=None):
+    """Oregon's mint decides at the head and starts its grant read; then,
+    before the grant, a forced dequeue of the ref below, which the
+    decided queue did not show, takes effect with a synchronization
+    elsewhere: the store moved past what the early read saw, and only
+    the forced epoch shows it (injected, as in ``_late_marker_scenario``)."""
+    music = build_music(audit=True, obs=obs, replica_class=replica_class)
+    ohio, oregon = music.client("Ohio"), music.client("Oregon")
+    here, there = music.replica_at("Oregon"), music.replica_at("Ohio")
+    run(music.sim, section(ohio, "get", "A"))
+
+    def scenario():
+        ref = yield from oregon.create_lock_ref("k")
+        assert here._early_reads["k"][0] == ref
+        yield from there.coordinator.put(
+            DATA_TABLE, "k", VALUE_ROW, {"value": "DIVERGED"},
+            there._stamp(ref - 1, there.config.period_ms / 2), consistency=Consistency.QUORUM,
+        )
+        yield from there._synchronize("k", ref)
+        marker = Update(LOCK_TABLE, "k", FORCED_ROW, {"ref": ref - 1}, (1e18, there.node_id))
+        for node in here.coordinator.replicas("k"):
+            music.store.by_id[node].apply_update(marker)
+        assert (yield from oregon.acquire_lock_blocking("k", ref))
+        value = yield from oregon.critical_get("k", ref)
+        yield from oregon.release_lock("k", ref)
+        return value
+
+    return music, run(music.sim, scenario())
+
+
+def _late_write_scenario(replica_class=MusicReplica, obs=None):
+    """A preempted holder's write lands between its successor's grant
+    read, which finds the flag set, and the synchronization's own read:
+    the sync rewrites that write's value, not the grant read's."""
+    music = build_music(audit=True, obs=obs, replica_class=replica_class)
+    client = music.client("Ohio")
+    replica = music.replica_at("Ohio")
+    synchronize = replica._synchronize
+
+    def late_write_then_sync(key, lock_ref):
+        yield from replica.coordinator.put(
+            DATA_TABLE, key, VALUE_ROW, {"value": "LATE"},
+            replica._stamp(lock_ref - 1, 2.0), consistency=Consistency.QUORUM,
+        )
+        yield from synchronize(key, lock_ref)
+
+    replica._synchronize = late_write_then_sync
+
+    def scenario():
+        cs = yield from client.critical_section("k")
+        yield from cs.put("A")
+        yield from cs.exit()
+        preempted = yield from client.create_lock_ref("k")
+        assert (yield from client.acquire_lock_blocking("k", preempted))
+        yield from replica.forced_release("k", preempted)
+        ref = yield from client.create_lock_ref("k")
+        assert replica._early_reads["k"][0] == ref
+        assert (yield from client.acquire_lock_blocking("k", ref))
+        value = yield from client.critical_get("k", ref)
+        yield from client.release_lock("k", ref)
+        return value
+
+    return music, run(music.sim, scenario())
+
+
+def test_the_early_read_scenarios_are_clean_without_a_mutant():
+    for scenario, value in (
+        (_queued_mint_scenario, "B"), (_missed_forced_scenario, "DIVERGED"),
+        (_late_write_scenario, "LATE"),
+    ):
+        for music, read in in_both_audit_modes(scenario):
+            assert read == value
+            assert music.auditor.clean, music.auditor.render_report()
+            assert_replay_equivalent(music.auditor)
+
+
+def test_an_early_read_started_behind_a_queued_ref_is_caught():
+    original = LockStore.__dict__["_queue_empty"]
+    LockStore._queue_empty = staticmethod(lambda rows: True)
+    try:
+        runs = in_both_audit_modes(_queued_mint_scenario)
+    finally:
+        LockStore._queue_empty = original
+    for music, read in runs:
+        assert read == "A"
+        violation = assert_caught(music.auditor, "LatestState")
+        assert "observed 'A'" in violation.detail
+        assert_replay_equivalent(music.auditor)
+
+
+def test_an_early_read_taken_across_a_changed_forced_epoch_is_caught():
+    class IgnoresEpoch(MusicReplica):
+        def _take_early(self, key, lock_ref, epoch):
+            early = self._early_reads.pop(key, None)
+            return early if early is not None and early[0] == lock_ref else None
+
+    for music, read in in_both_audit_modes(_missed_forced_scenario, replica_class=IgnoresEpoch):
+        assert read == "A"
+        violation = assert_caught(music.auditor, "LatestState")
+        assert "observed 'A'" in violation.detail
+        assert_replay_equivalent(music.auditor)
+
+
+def test_a_grant_read_served_after_a_sync_is_caught():
+    class ServesAfterSync(MusicReplica):
+        def _hand_over(self, key, lock_ref, rows, synced):
+            super()._hand_over(key, lock_ref, rows, False)
+
+    for music, read in in_both_audit_modes(_late_write_scenario, replica_class=ServesAfterSync):
+        assert read == "A"
+        violation = assert_caught(music.auditor, "LatestState")
+        assert "observed 'A'" in violation.detail
         assert_replay_equivalent(music.auditor)

@@ -93,8 +93,10 @@ def test_an_untraced_run_opens_no_span(monkeypatch):
     # of the polling protocol's 320; each of the five mint LWTs, whose
     # promises carry its read, skips the read round's four; and each of
     # the five releases is a quorum delete — a store.put and its three
-    # replica writes, not a three-round LWT's thirteen.
-    assert len(traced.obs.tracer.spans) == 223
+    # replica writes, not a three-round LWT's thirteen.  The first
+    # section on each key starts its flag read at its mint's decide
+    # point, inside a music.grantRead span: two spans more.
+    assert len(traced.obs.tracer.spans) == 225
     polling = build_music(seed=5, obs=True, music_config=MusicConfig(fast_locks=False))
     _workload(polling)
     assert len(polling.obs.tracer.spans) == 320

@@ -152,3 +152,17 @@ def test_off_path_guard_is_near_free():
     elapsed = time.perf_counter() - started
     assert counter == 0
     assert elapsed < rounds * 5e-6, f"off-path guard too slow: {elapsed:.3f}s"
+
+
+def test_a_timer_fire_is_billed_to_the_process_it_resumes():
+    """A fired ``Timeout`` runs the next step of the process waiting on
+    it, so its time belongs to that process: an idle store's
+    anti-entropy rounds (tree build included) are store work, and
+    nothing is billed to the timer."""
+    deployment = build_music(seed=5, profile=True, anti_entropy=True)
+    deployment.profiler.sample_every = 1
+    deployment.sim.run(until=3_000.0)
+    profiler = deployment.profiler
+    billed = {name: count for name, (count, _wall) in profiler.by_subsystem.items()}
+    assert profiler.by_event_type["_fire_event"][0] > 0
+    assert billed == {"store": profiler.events}
