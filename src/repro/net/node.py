@@ -306,6 +306,7 @@ class Node:
         size_bytes: int = 64,
         timeout: float = DEFAULT_RPC_TIMEOUT_MS,
         on_failure: Optional[Callable[[str], None]] = None,
+        first: Optional[Tuple[str, Event]] = None,
     ) -> Event:
         """Send one request per destination, in order, and return an
         event (``outcome`` if given) that succeeds with the
@@ -321,14 +322,18 @@ class Node:
         replicas applying a write after the coordinator has already
         acknowledged it).  ``on_failure(destination)`` runs for every
         request that times out, whether or not the outcome has
-        triggered (hinted handoff)."""
+        triggered (hinted handoff).  ``first = (destination, event)``
+        also succeeds ``event`` with that destination's reply, if it
+        arrives before the outcome triggers: a caller that may go on at
+        one replica's ack waits on it, and the outcome, which it must
+        still observe, settles the quorum behind it."""
         total = len(destinations)
         if needed > total:
             raise QuorumUnavailable(f"need {needed} replies but only {total} requests sent")
         sim = self.sim
         if outcome is None:
             outcome = Event(sim, "quorum")
-        wait = QuorumWait(outcome, needed, on_failure)
+        wait = QuorumWait(outcome, needed, on_failure, first)
         if needed <= 0:
             outcome._trigger(True, [])
         profiler = sim.profiler

@@ -39,14 +39,20 @@ class QuorumWait:
     when the last of them has been answered or has timed out.
     """
 
-    __slots__ = ("outcome", "needed", "destinations", "successes", "failed", "on_failure")
+    __slots__ = (
+        "outcome", "needed", "destinations", "successes", "failed", "on_failure", "first",
+    )
 
     def __init__(
-        self, outcome: Event, needed: int, on_failure: Optional[Callable[[str], None]]
+        self, outcome: Event, needed: int, on_failure: Optional[Callable[[str], None]],
+        first: Optional[Tuple[str, Event]] = None,
     ) -> None:
         self.outcome = outcome
         self.needed = needed
         self.on_failure = on_failure
+        # (destination, event): the event succeeds at that destination's
+        # reply if it comes before the outcome triggers.
+        self.first = first
         # request id -> destination, one per request sent.
         self.destinations: Dict[int, str] = {}
         self.successes: List[Tuple[str, Any]] = []
@@ -58,7 +64,11 @@ class QuorumWait:
         if outcome._triggered:
             return
         successes = self.successes
-        successes.append((self.destinations[request_id], body))
+        pair = (self.destinations[request_id], body)
+        successes.append(pair)
+        first = self.first
+        if first is not None and first[0] == pair[0] and not first[1]._triggered:
+            first[1]._trigger(True, [pair])
         if len(successes) >= self.needed:
             # Later replies return above, so the list is the outcome's.
             outcome._trigger(True, successes)

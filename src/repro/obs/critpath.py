@@ -33,17 +33,16 @@ phase                     what the time is
                           key's LWT in flight at this coordinator, then the
                           flush executing in a sibling trace (self-gap of
                           ``music.createLockRef``)
-``acquire.peek``          local queue peeks (``lockstore.peek``)
+``acquire.peek``          local queue peeks (``lockstore.peek``, its read
+                          included)
 ``acquire.queue_wait``    waiting for the queue head: poll backoff sleeps
                           between acquire attempts — with push grants this is
                           the push-vs-poll grant delivery gap
-``acquire.flag_read``     the grant-time synchFlag quorum read, or the wait
-                          for its early start (``music.grantWait``; the
-                          early read itself, ``music.grantRead``, runs
-                          beside the mint's commit round)
+``acquire.flag_read``     the grant-time synchFlag quorum read (none when
+                          the mint's accept round carried it)
 ``acquire.sync``          ``music.synchronize`` (flag was set: quorum
                           read-back + rewrite + flag reset)
-``acquire.grant``         remaining grant bookkeeping (startTime write, ...)
+``acquire.grant``         remaining grant bookkeeping: the startTime write
 ``op.quorum_fastest``     criticalGet/Put quorum wait until the *first*
                           replica reply
 ``op.quorum_straggler``   additional wait for the quorum-completing replies
@@ -232,9 +231,16 @@ def _classify_leaf(chain: Sequence[SpanRecord]) -> str:
     name = owner.name
     if region == "op" and _served_locally(chain):
         return "op.local_read"
+    if region == "acquire":
+        # An acquire's store work is billed by what it runs under: the
+        # sync, the local peek, or the grant's startTime write.
+        if "music.synchronize" in names:
+            return "acquire.sync"
+        if "lockstore.peek" in names:
+            return "acquire.peek"
+        if "store.put" in names:
+            return "acquire.grant"
 
-    if name == "music.synchronize":
-        return "acquire.sync"
     if name == "lockstore.peek":
         return "acquire.peek" if region in ("acquire", "client") else f"{region}.peek"
     if name == "store.cas":
@@ -260,8 +266,6 @@ def _classify_leaf(chain: Sequence[SpanRecord]) -> str:
         if region == "acquire":
             return "acquire.flag_read"
         return f"{region}.lwt"
-    if name in ("music.grantRead", "music.grantWait"):
-        return "acquire.flag_read" if region == "acquire" else f"{region}.lwt"
     if name == "music.grant":
         return "acquire.grant"
     if name == "music.acquireLock":

@@ -69,6 +69,7 @@ class StoreCoordinator(LwtProposer):
             "read_repairs": 0, "hints_queued": 0, "hints_replayed": 0,
             "hints_dropped": defaultdict(int),  # per reason
             "ballot_losses": 0, "commit_repairs": 0, "tombstone_repairs": 0,
+            "commits_unacked": 0,
         }
         self.obs.tally("store", self, node=node.node_id)
 

@@ -11,7 +11,9 @@ Each replica is a :class:`~repro.net.node.Node` that serves:
   partition single-decree Paxos that backs light-weight transactions,
   mirroring Cassandra's LWT implementation (Appendix X-A1: 4 round
   trips, of which the read phase reuses ``store_read``; a prepare that
-  asks for the read gets it with its promise, and the LWT takes 3);
+  asks for the read gets it with its promise, and the LWT takes 3; a
+  propose may ask for a read of another table's partition of the same
+  key, returned with the accept);
 - ``ae_tree``, ``ae_rows`` — anti-entropy, the one replica-repair
   exchange (:meth:`StorageReplica.repair`): a peer's Merkle tree of the
   partitions both replicate, answered with our rows under the leaves
@@ -344,7 +346,20 @@ class StorageReplica(Node):
         # Cassandra journals the accepted proposal in system.paxos
         # before acknowledging; a volatile acceptance is the classic
         # Paxos durability bug (see tests/integration).
-        self.engine.commit([], (key, state), self._answer, (served, _ACCEPTED, 64))
+        if "read" in body:
+            self.engine.commit([], (key, state), self._accepted, served)
+        else:
+            self.engine.commit([], (key, state), self._answer, (served, _ACCEPTED, 64))
+
+    def _accepted(self, served: Served) -> None:
+        """An accept that carries the proposer's read: this replica's
+        rows of the asked table's partition as it accepts, priced and
+        merged like a read reply's (DESIGN.md §6)."""
+        body = served[1]
+        table, partition = body["read"], body["partition"]
+        rows, tombstones = self.engine.read(table, partition)
+        answer = {"accepted": True, "rows": rows, "tombstones": tombstones}
+        self._answer((served, answer, 64 + self.engine.live_bytes(table, partition)))
 
     def _commit(self, served: Served) -> None:
         _msg, body, _span = served

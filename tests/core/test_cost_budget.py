@@ -17,18 +17,23 @@ startTime write (one round, ``Q`` messages).  The section below also
 reads once (one more ``Q``).  On the hot path the release also pushes
 to the other two MUSIC replicas (``P``, one one-way message each), even
 with no successor in its head read, which may lack a mint not yet at its
-replica.  On the hot path the section's read costs nothing more: the
-grant's synchFlag read fetches the value row beside the flag, and the
-get serves it (one ``Q`` less, ``C + (x+1)Q`` in all).  A repeated
-section on a key skips the synchFlag read, and its read is served by the
-hand-off its predecessor's release wrote beside the row delete (same
-batch, no extra message): two ``Q`` less than the paper's count.
+replica.  On the hot path neither the grant's synchFlag read nor the
+section's read costs a message: a mint whose promises show an empty
+queue reads the data partition in its accept round, and the get serves
+the value row that read fetched beside the flag (``C + (x+1)Q`` in all:
+the updates and the release).  A repeated section on a key skips the
+synchFlag read, and its read is served by the hand-off its predecessor's
+release wrote beside the row delete (same batch, no extra message): the
+same count.
 """
 
 import pytest
 
 from repro.bench.paper import CostModel
 from repro.core import MusicConfig, build_music
+from repro.net.topology import PROFILE_LUS
+from repro.obs import extract_critpaths
+from repro.obs.critpath import ROOT_SPAN
 from repro.store import StoreConfig
 from tests.helpers import run
 
@@ -43,6 +48,7 @@ P = 2
 def _budget(updates, reads, flag_read=True, hot=False, handed=0):
     if hot:
         paper = C_HOT + (updates + 2) * Q + P      # C + (x+2)Q, and the push
+        flag_read = False                          # read in the accept round
     else:
         paper = CostModel(consensus=C, quorum=Q).music_critical_section(updates)
     guards = 3 + updates + reads                  # mint, peek, release; each op
@@ -76,51 +82,108 @@ def test_an_uncontended_section_costs_the_closed_form(fast_locks):
     first, repeated = _section_messages(fast_locks, sections=2)
     assert first == _budget(
         updates=1, reads=1, hot=fast_locks, handed=1 if fast_locks else 0,
-    ) == (54 if fast_locks else 82)
+    ) == (48 if fast_locks else 82)
     assert repeated == _budget(
         updates=1, reads=1, flag_read=not fast_locks, hot=fast_locks,
         handed=1 if fast_locks else 0,
     ) == (48 if fast_locks else 82)
 
 
-def test_an_uncontended_first_section_is_five_wan_rounds():
-    """X-B4 in time: from Oregon on lUs, where a quorum is Oregon's own
-    replica and N.California's (RTT ``R``), a first section on a key
-    waits out the mint's three rounds, its put and its release: five
-    WAN rounds.  The grant's flag read starts at the mint's decide point
-    and ends inside its commit round, and the get serves its value, so
-    neither adds one.  Around them: each Paxos phase's service time
-    ``P``, a quorum write's coordinator and replica service ``c + w``,
-    five single-replica reads (the mint's guard read, the acquire's peek
-    and three guards, ``c + r + l`` each, ``l`` the in-site RTT), the
-    startTime write (``c + w + l``) and the coordinator's service ahead
-    of the prepare."""
-    music = build_music()
-    client = music.client("Oregon")
-    rtt, local = music.profile.rtt("Oregon", "N.California"), music.profile.rtt("Oregon", "Oregon")
-    c, r, w = (StoreConfig.coordinator_service_ms, StoreConfig.read_service_ms,
-               StoreConfig.write_service_ms)
-    paxos = StoreConfig.paxos_phase_service_ms
+# From Oregon on lUs a quorum is Oregon's own replica and N.California's
+# (RTT ``R``); ``LOCAL`` is the in-site RTT, ``SVC_P`` a Paxos phase's
+# service at a replica, ``SVC_C``, ``SVC_R`` and ``SVC_W`` the
+# coordinator's, a read's and a write's service time.
+R, LOCAL = PROFILE_LUS.rtt("Oregon", "N.California"), PROFILE_LUS.rtt("Oregon", "Oregon")
+SVC_C, SVC_R, SVC_W = (
+    StoreConfig.coordinator_service_ms, StoreConfig.read_service_ms, StoreConfig.write_service_ms,
+)
+SVC_P = StoreConfig.paxos_phase_service_ms
+LOCAL_READ = SVC_C + SVC_R + LOCAL          # a single-replica read at our site
+# The phases of an uncontended hot-path section from Oregon, in closed
+# form.  The mint is its guard read, the coordinator's service, two WAN
+# rounds (prepare, propose) and its commit's local ack; the acquire its
+# peek and the startTime write, and no flag read (the accept round
+# carried it); the get serves that read behind its guard; the put is its
+# guard and a quorum write, split at the local replica's reply; the
+# release its head read and a quorum row delete.
+PHASES = {
+    "mint.lwt": LOCAL_READ + SVC_C + 2 * (R + SVC_P) + (LOCAL + SVC_P),
+    "acquire.peek": LOCAL_READ,
+    "acquire.grant": SVC_C + SVC_W + LOCAL,
+    "op.local_read": LOCAL_READ,
+    "op.quorum_fastest": LOCAL_READ + SVC_C + SVC_W,
+    "op.quorum_straggler": R,
+    "release.lwt": LOCAL_READ + SVC_C + SVC_W + R,
+}
 
-    def body():
+
+def _oregon_sections(sections, obs=False):
+    """Sections on one key from Oregon on lUs, a second apart: the
+    deployment and each section's latency (with ``obs``, each traced
+    under a ``music.cs`` root)."""
+    music = build_music(obs=obs or None)
+    client = music.client("Oregon")
+    tracer = music.obs.tracer
+
+    def section():
         started = music.sim.now
-        section = yield from client.critical_section("k")
-        value = yield from section.get()
-        yield from section.put((value or 0) + 1)
-        yield from section.exit()
+        cs = yield from client.critical_section("k")
+        value = yield from cs.get()
+        yield from cs.put((value or 0) + 1)
+        yield from cs.exit()
         return music.sim.now - started
 
+    def body():
+        latencies = []
+        for _ in range(sections):
+            if obs:
+                with tracer.span(ROOT_SPAN, node=client.client_id, site=client.site):
+                    latencies.append((yield from section()))
+            else:
+                latencies.append((yield from section()))
+            yield music.sim.timeout(1_000.0)
+        return latencies
+
+    return music, run(music.sim, body())
+
+
+def test_an_uncontended_section_is_four_wan_rounds():
+    """X-B4 in time: a section on a key waits out the mint's prepare and
+    propose rounds, its put and its release: four WAN rounds, first
+    section or repeat.  The mint returns at its commit's local ack, the
+    grant's flag read rode the accept round, and the get serves its
+    value (a repeat: the hand-off row), so none adds one.  Around them:
+    each Paxos phase's service time, the local commit round, a quorum
+    write's ``c + w``, five single-replica reads (the mint's guard read,
+    the acquire's peek and three guards), the startTime write and the
+    coordinator's service ahead of the prepare."""
+    _, latencies = _oregon_sections(2)
     closed_form = (
-        3 * (rtt + paxos) + 2 * (rtt + c + w) + 5 * (c + r + local) + (c + w + local) + c
+        2 * (R + SVC_P) + (LOCAL + SVC_P) + 2 * (R + SVC_C + SVC_W) + 5 * LOCAL_READ
+        + (SVC_C + SVC_W + LOCAL) + SVC_C
     )
-    assert run(music.sim, body()) == pytest.approx(closed_form, abs=0.05)
-    assert closed_form == pytest.approx(127.45)
+    assert latencies == [pytest.approx(closed_form, abs=0.05)] * 2
+    # The five-round form less one WAN round, plus the local one.
+    assert closed_form == pytest.approx(127.45 - (R + SVC_P) + (LOCAL + SVC_P)) == 103.45
+    assert closed_form == pytest.approx(sum(PHASES.values()))
 
 
-def test_an_uncontended_first_section_dispatches_92_events():
+def test_an_uncontended_first_sections_phase_table():
+    """The critical-path partition of the traced first section is the
+    closed form, phase by phase: no flag read is billed."""
+    music, _ = _oregon_sections(1, obs=True)
+    (path,) = extract_critpaths(music.obs.tracer.spans)
+    totals = path.phase_totals()
+    assert set(totals) == set(PHASES)
+    for phase, closed_form in PHASES.items():
+        assert totals[phase] == pytest.approx(closed_form, abs=0.01), phase
+
+
+def test_an_uncontended_first_section_dispatches_81_events():
     """The kernel events of the benchmark's core drive (a first section
     on a fresh key from Ohio, traced and profiled, 60 ms drained): the
-    early flag read saves the grant's read round and the get's."""
+    flag read in the mint's accept round saves the grant's read round
+    and the get's."""
     music = build_music(seed=4242, obs=True, profile=True)
     client = music.client("Ohio")
     counts = []
@@ -136,4 +199,4 @@ def test_an_uncontended_first_section_dispatches_92_events():
             counts.append(music.profiler.events - before)
 
     run(music.sim, body())
-    assert counts == [92] * 4
+    assert counts == [81] * 4

@@ -95,3 +95,30 @@ def test_a_write_elsewhere_keeps_the_decode():
     before, after = run(sim, scenario())
     assert before[0].lock_ref == 1
     assert after is before
+
+
+def test_a_run_with_no_section_open_leaves_no_memo():
+    """The memo is bounded by the live queues, not by the keys ever read:
+    a release that leaves its memo no queued ref drops it.  A tiny
+    ``bigscale``-shaped run (two store nodes per site, a dozen clients,
+    one section each on a fresh key, then eventual ops) ends with every
+    replica holding no memo."""
+    from repro.core import build_music
+
+    music = build_music(seed=3, nodes_per_site=2, audit=True)
+    sites = music.profile.site_names
+
+    def worker(index):
+        client = music.client(sites[index % len(sites)])
+        cs = yield from client.critical_section(f"key-{index}")
+        value = yield from cs.get()
+        yield from cs.put((value or 0) + 1)
+        yield from cs.exit()
+        yield from client.put(f"other-{index}", index)
+        yield from client.get(f"key-{index}")
+
+    processes = [music.sim.process(worker(index)) for index in range(12)]
+    music.sim.run(until=music.sim.now + 5_000.0)
+    assert all(process.ok for process in processes)
+    assert music.auditor.clean, music.auditor.render_report()
+    assert [replica.lock_store._heads for replica in music.replicas] == [{}] * len(music.replicas)

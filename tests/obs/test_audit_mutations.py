@@ -16,6 +16,7 @@ from repro.core.replica import DATA_TABLE, VALUE_ROW, MusicReplica
 from repro.lockstore import LockStore
 from repro.lockstore.lockstore import FORCED_ROW, LOCK_TABLE
 from repro.store import Consistency
+from repro.store.paxos import LwtProposer
 from repro.store.types import Update
 from tests.core.test_handoff import section, stale_row_scenario
 from tests.helpers import assert_replay_equivalent, in_both_audit_modes, run
@@ -484,10 +485,53 @@ def _late_write_scenario(replica_class=MusicReplica, obs=None):
     return music, run(music.sim, scenario())
 
 
+def _stale_local_acceptor_scenario(obs=None):
+    """Ohio writes "B" while Ohio and Oregon are partitioned, so Oregon's
+    store replica misses it (the put's quorum is Ohio's and
+    N.California's).  Healed, Oregon's first section gets: its mint's
+    accept quorum is Oregon's replica and N.California's, and only the
+    latter holds "B"."""
+    music = build_music(audit=True, obs=obs)
+    ohio, oregon = music.client("Ohio"), music.client("Oregon")
+
+    def scenario():
+        yield from section(ohio, "A")
+        music.network.partition_sites("Ohio", "Oregon")
+        yield from section(ohio, "B")
+        music.network.heal_all()
+        (read,) = yield from section(oregon, "get")
+        return read
+
+    return music, run(music.sim, scenario())
+
+
+def _accepting(mutant):
+    """A ``LwtProposer._propose`` that hands a read's accept round to
+    ``mutant(original, self, *args)``; every other round is the real one."""
+    original = LwtProposer._propose
+
+    def propose(self, replicas, needed, target, mutation, read_table=None):
+        if read_table is None:
+            return original(self, replicas, needed, target, mutation)
+        return mutant(original, self, replicas, needed, target, mutation, read_table)
+
+    return propose
+
+
+def _local_accept_only(original, self, replicas, needed, target, mutation, read_table):
+    replies = yield from original(self, replicas, needed, target, mutation, read_table)
+    site = self.node.site
+    return [(dst, reply) for dst, reply in replies if self.node.network.site_of(dst) == site]
+
+
+def _one_accept(original, self, replicas, needed, target, mutation, read_table):
+    return (yield from original(self, replicas, 1, target, mutation, read_table))
+
+
 def test_the_early_read_scenarios_are_clean_without_a_mutant():
     for scenario, value in (
         (_queued_mint_scenario, "B"), (_missed_forced_scenario, "DIVERGED"),
-        (_late_write_scenario, "LATE"),
+        (_late_write_scenario, "LATE"), (_stale_local_acceptor_scenario, "B"),
     ):
         for music, read in in_both_audit_modes(scenario):
             assert read == value
@@ -495,7 +539,7 @@ def test_the_early_read_scenarios_are_clean_without_a_mutant():
             assert_replay_equivalent(music.auditor)
 
 
-def test_an_early_read_started_behind_a_queued_ref_is_caught():
+def test_an_accept_round_read_taken_behind_a_queued_ref_is_caught():
     original = LockStore.__dict__["_queue_empty"]
     LockStore._queue_empty = staticmethod(lambda rows: True)
     try:
@@ -528,6 +572,24 @@ def test_a_grant_read_served_after_a_sync_is_caught():
             super()._hand_over(key, lock_ref, rows, False)
 
     for music, read in in_both_audit_modes(_late_write_scenario, replica_class=ServesAfterSync):
+        assert read == "A"
+        violation = assert_caught(music.auditor, "LatestState")
+        assert "observed 'A'" in violation.detail
+        assert_replay_equivalent(music.auditor)
+
+
+def test_an_accept_round_read_merging_only_the_local_acceptor_is_caught(monkeypatch):
+    monkeypatch.setattr(LwtProposer, "_propose", _accepting(_local_accept_only))
+    for music, read in in_both_audit_modes(_stale_local_acceptor_scenario):
+        assert read == "A"
+        violation = assert_caught(music.auditor, "LatestState")
+        assert "observed 'A'" in violation.detail
+        assert_replay_equivalent(music.auditor)
+
+
+def test_a_mint_returning_before_its_accept_quorum_is_caught(monkeypatch):
+    monkeypatch.setattr(LwtProposer, "_propose", _accepting(_one_accept))
+    for music, read in in_both_audit_modes(_stale_local_acceptor_scenario):
         assert read == "A"
         violation = assert_caught(music.auditor, "LatestState")
         assert "observed 'A'" in violation.detail

@@ -10,6 +10,8 @@ checks the ISSUE criterion — a dominant phase for every CS with phase
 sums within 5% of each CS's latency.
 """
 
+from pytest import approx
+
 from repro.core import build_music
 from repro.errors import ReproError
 from repro.obs import (
@@ -204,3 +206,29 @@ def test_a_cas_that_raised_under_a_partition_is_still_attributed(monkeypatch):
     assert latency > 0 and abs(path.attributed_ms - latency) < 1e-6
     assert "mint.lwt" in path.phase_totals()
     assert "mint.ballot_backoff" not in path.phase_totals()
+
+
+def test_an_uncontended_first_section_bills_its_acquire_by_what_it_runs():
+    """A traced first section on a fresh key: the acquire's local peek
+    is ``acquire.peek`` and the grant's startTime write ``acquire.grant``,
+    each one single-replica round trip at our site; the mint's accept
+    round carried the grant's flag read, so no ``acquire.flag_read``
+    time remains on the path."""
+    music = build_music(obs=True)
+    client = music.client("Ohio")
+    tracer = music.obs.tracer
+
+    def section():
+        with tracer.span(ROOT_SPAN, node=client.client_id, site=client.site):
+            cs = yield from client.critical_section("fresh")
+            yield from cs.get()
+            yield from cs.put(1)
+            yield from cs.exit()
+
+    music.sim.run_until_complete(music.sim.process(section()))
+    (path,) = extract_critpaths(tracer.spans)
+    totals = path.phase_totals()
+    assert "acquire.flag_read" not in totals
+    local = music.profile.rtt("Ohio", "Ohio") + StoreConfig.coordinator_service_ms
+    assert totals["acquire.peek"] == approx(local + StoreConfig.read_service_ms, abs=0.01)
+    assert totals["acquire.grant"] == approx(local + StoreConfig.write_service_ms, abs=0.01)

@@ -94,9 +94,9 @@ def test_an_untraced_run_opens_no_span(monkeypatch):
     # promises carry its read, skips the read round's four; and each of
     # the five releases is a quorum delete — a store.put and its three
     # replica writes, not a three-round LWT's thirteen.  The first
-    # section on each key starts its flag read at its mint's decide
-    # point, inside a music.grantRead span: two spans more.
-    assert len(traced.obs.tracer.spans) == 225
+    # section on each key takes its flag read from its mint's accept
+    # round: no span more.
+    assert len(traced.obs.tracer.spans) == 215
     polling = build_music(seed=5, obs=True, music_config=MusicConfig(fast_locks=False))
     _workload(polling)
     assert len(polling.obs.tracer.spans) == 320
