@@ -86,12 +86,12 @@ class MusicClient:
         # critical-write watermark gating lease and hand-off serves.
         self._session_reads: Dict[str, Tuple[Any, Any]] = {}
         self._critical_watermarks: Dict[Tuple[str, int], Stamp] = {}
-        # The hand-off (DESIGN.md §7), on the hot path with leases off:
-        # per (key, lockRef), what its release hands on — the (value,
-        # stamp) of the section's last acknowledged op, () "unknown" once
-        # an op needed a second attempt; absent while it did no op.  An
-        # unknown release, like one that did no op, writes no row.
-        self._hands_off = self.config.fast_locks and not self.read_leases
+        # The hand-off (DESIGN.md §7): per (key, lockRef), what its
+        # release hands on, on the hot path — the (value, stamp) of the
+        # section's last acknowledged op, () "unknown" once an op needed
+        # a second attempt; absent while it did no op.  An unknown
+        # release, like one that did no op, writes no row.
+        self._hot_path = self.config.fast_locks
         self._handoffs: Dict[Tuple[str, int], Tuple[Any, ...]] = {}
 
     @property
@@ -229,22 +229,17 @@ class MusicClient:
         sleep = interval * (1 + 0.2 * self.rng.random())
         return sleep if deadline is None else min(sleep, deadline - self.sim.now)
 
-    def _first_attempt(self, key: str, lock_ref: int) -> bool:
-        """Start an op attempt of the section: what it hands on is
-        unknown until the attempt is acknowledged.  True unless an
-        earlier attempt left it unknown (this op, or one before it, was
-        retried), which it stays."""
-        section = (key, lock_ref)
-        prior = self._handoffs.get(section)
-        self._handoffs[section] = ()  # unknown until acknowledged
-        return prior != ()
-
     def _put_once(
         self, replica, key: str, lock_ref: int, value: Any, delete: bool
     ) -> Generator[Any, Any, Stamp]:
         """One criticalPut (or criticalDelete) attempt at a replica,
         returning the stamp that attempt was acknowledged under."""
-        first = self._hands_off and self._first_attempt(key, lock_ref)
+        # What the section hands on is unknown until this attempt is
+        # acknowledged, and stays so once an earlier attempt left it
+        # unknown (this op, or one before it, was retried).
+        section = (key, lock_ref)
+        first = self._handoffs.get(section) != ()
+        self._handoffs[section] = ()
         if delete:
             stamp = yield from replica.critical_delete(key, lock_ref)
         else:
@@ -259,7 +254,7 @@ class MusicClient:
         # the hand-off.
         self._critical_watermarks[(key, lock_ref)] = stamp
         if first:
-            self._handoffs[(key, lock_ref)] = (value, stamp)
+            self._handoffs[section] = (value, stamp)
         return stamp
 
     def _get_once(
@@ -267,14 +262,16 @@ class MusicClient:
     ) -> Generator[Any, Any, Tuple[Any, Optional[Stamp]]]:
         """One criticalGet attempt at a replica, returning ``(value,
         stamp)`` of what it served."""
-        first = self._hands_off and self._first_attempt(key, lock_ref)
+        section = (key, lock_ref)
+        first = self._handoffs.get(section) != ()  # as in _put_once
+        self._handoffs[section] = ()
         # None unless this section has written.
-        min_stamp = self._critical_watermarks.get((key, lock_ref))
+        min_stamp = self._critical_watermarks.get(section)
         ok, value, stamp = yield from replica.critical_get(key, lock_ref, min_stamp)
         if not ok:
             raise QuorumUnavailable("local lock store behind; retry")
         if first:
-            self._handoffs[(key, lock_ref)] = (value, stamp)
+            self._handoffs[section] = (value, stamp)
         return (value, stamp)
 
     def critical_put(self, key: str, lock_ref: int, value: Any) -> Generator[Any, Any, Stamp]:
@@ -319,6 +316,8 @@ class MusicClient:
     def release_lock(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
         self._critical_watermarks.pop((key, lock_ref), None)
         handoff = self._handoffs.pop((key, lock_ref), None) or None  # () is unknown
+        if not self._hot_path:
+            handoff = None  # the paper's release hands nothing on
         try:
             done = yield from self._with_failover(
                 "releaseLock", lambda replica: replica.release_lock(key, lock_ref, handoff)

@@ -2,12 +2,13 @@
 
 :class:`ReleasePush` owns a replica's channel: the waiter events a
 blocking acquire parks on, one per (key, lockRef), the release listeners
-of the layers above, and the one-way ``music.grantPush`` fan-out to the
-other MUSIC replicas.  A push names the key and the successor the
-release handed the lock to, and wakes that lockRef's waiter only;
-listeners hear every release.  A push is advisory — a lost one only
-leaves a waiter to its poll fuse (:meth:`distance`).  :data:`NO_PUSH` is
-the channel off.
+(the replica's own and the layers above), and the one-way
+``music.grantPush`` fan-out to the other MUSIC replicas.  A push names
+the key and the successor the release handed the lock to, or the
+released ref, and wakes that lockRef's waiter only; listeners hear
+every release pushed.  A push is advisory — a lost one only leaves a
+waiter to its poll fuse (:meth:`distance`).  :data:`NO_PUSH` is the
+channel off.
 """
 
 from __future__ import annotations
@@ -22,18 +23,12 @@ __all__ = ["NO_PUSH", "ReleasePush"]
 class ReleasePush:
     """The release channel of ``node`` and its ``lock_store``, pushing to ``peer_ids``."""
 
-    def __init__(
-        self, node: Node, peer_ids: Iterable[str], lock_store: Any,
-        on_release: Optional[Callable[[str, Optional[int]], None]] = None,
-    ) -> None:
+    def __init__(self, node: Node, peer_ids: Iterable[str], lock_store: Any) -> None:
         self.node = node
         self.peer_ids = list(peer_ids)
         self.lock_store = lock_store
-        # Called with the key and the highest lockRef each release
-        # observed here put out of the queue (None if it names none).
-        self._on_release = on_release
         self._waiters: Dict[Tuple[str, int], list] = {}
-        self._listeners: List[Callable[[str], None]] = []
+        self._listeners: List[Callable[[str, int], None]] = []
         node.on(
             "music.grantPush",
             lambda msg: self._notify(msg.body["key"], msg.body["next"], msg.body.get("after")),
@@ -53,8 +48,9 @@ class ReleasePush:
             if not waiters:
                 del self._waiters[(key, lock_ref)]
 
-    def add_listener(self, callback: Callable[[str], None]) -> None:
-        """Call ``callback`` with the key of every release observed here."""
+    def add_listener(self, callback: Callable[[str, int], None]) -> None:
+        """Call ``callback`` with the key of every release pushed here and
+        the highest lockRef it put out of the queue."""
         self._listeners.append(callback)
 
     def distance(self, key: str, lock_ref: int) -> int:
@@ -66,9 +62,10 @@ class ReleasePush:
         """Wake ``successor``'s waiter on ``key``, here and at every peer,
         and with ``after`` (the released lockRef, when the successor came
         from a read that may lag the mints) also each replica's first
-        waiter above ``after`` and below ``successor``; with neither a
-        waiter to name nor a listener there is nothing to send."""
-        if successor is None and after is None and not self._listeners:
+        waiter above ``after`` and below ``successor``.  A push naming
+        neither is not sent: a lockRef leaving from behind the head
+        ended no critical section."""
+        if successor is None and after is None:
             return
         self.node.counters["push_notifies"] += 1
         self._notify(key, successor, after)
@@ -77,13 +74,11 @@ class ReleasePush:
             self.node.send(peer, "music.grantPush", body)
 
     def _notify(self, key: str, successor: Optional[int], after: Optional[int] = None) -> None:
+        # A released ref, or below a dequeue LWT's successor, which its
+        # decided rows show at the head.
+        gone = after if after is not None else successor - 1
         for listener in self._listeners:
-            listener(key)
-        if self._on_release is not None:
-            # A released ref, or below a dequeue LWT's successor, which
-            # its decided rows show at the head.
-            gone = after if after is not None or successor is None else successor - 1
-            self._on_release(key, gone)
+            listener(key, gone)
         woken = [successor]
         if after is not None:
             # A waiter here the releaser's read did not show yet: the
@@ -111,7 +106,7 @@ class _NoPush:
     def unsubscribe(self, key: str, lock_ref: int, event: Any) -> None:
         pass
 
-    def add_listener(self, callback: Callable[[str], None]) -> None:
+    def add_listener(self, callback: Callable[[str, int], None]) -> None:
         pass
 
     def push(self, key: str, successor: Optional[int], after: Optional[int] = None) -> None:

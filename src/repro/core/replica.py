@@ -11,7 +11,7 @@ This is a direct implementation of the algorithms of Section IV:
   new lockholder enters;
 - ``critical_put`` / ``critical_get`` — guarded quorum writes/reads of
   the data store, stamped with v2s(lockRef, time) vector timestamps and
-  bounded by the lease T (a hot-path get may serve a hand-off, §7);
+  bounded by the lease T (a get may be served by the local mirror, §8);
 - ``release_lock``     — consensus dequeue (on the hot path, one
   quorum row delete, batched with the hand-off row);
 - ``forced_release``   — preemption of a (presumed) failed lockholder:
@@ -36,7 +36,7 @@ from collections import defaultdict
 from typing import Any, Callable, Dict, Generator, Iterable, Optional, Tuple
 
 from ..errors import LeaseExpired, NotLockHolder
-from ..leases import NULL_LEASES, LeaseManager, ReadCache
+from ..leases import NULL_LEASES, LeaseManager, Mirror, ReadCache
 from ..lockstore import LockEntry, LockStore
 from ..net import Network, Node
 from ..sim import NodeClock, Simulator
@@ -94,22 +94,17 @@ class MusicReplica(UnlockedOps, Node):
         # the attributes the one path below reads; no method consults
         # ``config.<feature>`` again.
         leases_on = config.read_leases
-        # The hand-off (DESIGN.md §8), hot path with leases off.  Per key,
-        # the lockRef granted here unsynchronized and what its gets may
-        # serve: its grant read's (value, stamp), or None for the
-        # hand-off row its guard reads.
-        self._hands_off = config.fast_locks and not leases_on
-        self._handed: Dict[str, Tuple[int, Any]] = {}
+        # The hot path hands a section's value on (DESIGN.md §8): a
+        # grant's read fetches the value row beside the synchFlag, an
+        # uncontended mint takes that read in its accept round, and the
+        # value fills the mirror until the section's first write.
+        self._hot_path = config.fast_locks
         # Per key, the grant read a mint took in its accept round:
         # (lockRef, forced epoch, rows, start time).
         self._early_reads: Dict[str, Tuple[int, Any, Any, float]] = {}
-        # The grant's quorum read: the synchFlag row, and with the
-        # hand-off the value row beside it.
-        self._grant_rows: Any = ALL_ROWS if self._hands_off else SYNCH_ROW
         self.lock_store = LockStore(
-            self.coordinator, self.clock,
-            batched=config.fast_locks, lease_rows=leases_on,
-            on_head=(DATA_TABLE, self._keep_early) if self._hands_off else None,
+            self.coordinator, self.clock, batched=config.fast_locks,
+            on_head=(DATA_TABLE, self._keep_early) if config.fast_locks else None,
         )
         # lsPeek consistency of acquire and the guards: local by
         # default, quorum under the ablation knob.
@@ -121,8 +116,8 @@ class MusicReplica(UnlockedOps, Node):
         # bypasses it (its peek has no single local source), and
         # always_sync asks for the flag read's sync on every grant.
         self._flag_fast_path = config.fast_locks and not (config.peek_quorum or config.always_sync)
-        # A forced dequeue also writes the marker rows: the epoch the
-        # fast path compares against, the revocation leases die by.
+        # A forced dequeue also writes the marker row: the epoch the
+        # fast path compares against, the revocation mirror entries die by.
         self._forced_markers = config.fast_locks or leases_on
         self._always_sync = config.always_sync
         # Lease starts cached per (key, lockRef) once granted here.
@@ -130,10 +125,7 @@ class MusicReplica(UnlockedOps, Node):
         # Push grants (DESIGN.md §8): the release channel to this
         # replica's waiters and to ``peer_ids``, or NO_PUSH.
         self.push: Any = (
-            ReleasePush(
-                self, peer_ids, self.lock_store,
-                on_release=self._forget if self._hands_off else None,
-            ) if config.push_grants else NO_PUSH
+            ReleasePush(self, peer_ids, self.lock_store) if config.push_grants else NO_PUSH
         )
         # Read scale-out leases (DESIGN.md §8).  The one path below
         # calls both tiers unconditionally; with the feature off they
@@ -153,7 +145,12 @@ class MusicReplica(UnlockedOps, Node):
             self.read_cache = ReadCache()
             self._get_rows = ALL_ROWS
             # Invalidation piggybacks on the release-push stream.
-            self.push.add_listener(self._lease_invalidate)
+            self.push.add_listener(self._invalidate_reads)
+        # The local-serve mirror (DESIGN.md §8): per key, what a get may
+        # answer without a quorum read, under a lease window or the
+        # hand-off.  A release observed here drops what it ended.
+        self.mirror = Mirror(self.lease_manager)
+        self.push.add_listener(self._forget)
         # synchFlag fast path (DESIGN.md §8): per-key forced-release
         # epoch under which this replica last established flag=False at
         # quorum.  Key absent = no fast-path evidence.
@@ -188,15 +185,13 @@ class MusicReplica(UnlockedOps, Node):
         self._forget(key, lock_ref)
         return NotLockHolder(f"lockRef {lock_ref} on {key!r} was forcibly released")
 
-    def _forget(self, key: str, lock_ref: Optional[int]) -> None:
-        """Drop the early read and hand-off source of ``key``'s sections
-        up to ``lock_ref``; the release channel's hook (DESIGN.md §8)."""
-        if lock_ref is None:
-            return
-        for kept in (self._early_reads, self._handed):
-            entry = kept.get(key)
-            if entry is not None and entry[0] <= lock_ref:
-                del kept[key]
+    def _forget(self, key: str, lock_ref: int) -> None:
+        """Drop the early read and mirror entry of ``key``'s sections up
+        to ``lock_ref``; a release listener (DESIGN.md §8)."""
+        early = self._early_reads.get(key)
+        if early is not None and early[0] <= lock_ref:
+            del self._early_reads[key]
+        self.mirror.drop(key, lock_ref)
 
     # -- createLockRef (cost: lockRef consensus write) -----------------------------
 
@@ -244,9 +239,9 @@ class MusicReplica(UnlockedOps, Node):
         self, key: str, lock_ref: int, epoch: Any, fast: bool
     ) -> Generator[Any, Any, bool]:
         """The grant of a lockRef found at the queue head: the synchFlag
-        read (and sync) unless ``fast``, then the lease start; returns
-        the flag read."""
-        flag, anchor_clock, flag_stamp, rows = False, None, None, None
+        read (and sync) unless ``fast``, then the lease start and, on the
+        hot path, the hand-off; returns the flag read."""
+        flag, rows = False, None
         if fast:
             # The cached epoch matches the marker seen by the peek that
             # proved us queue head: no forcedRelease applied since this
@@ -258,9 +253,6 @@ class MusicReplica(UnlockedOps, Node):
                 tracer.current_span().set(fast=True)
             self.counters["fastpath_hits"] += 1
         else:
-            # A read lease anchors at the local-clock time this quorum
-            # flag read *started* (DESIGN.md §8).
-            anchor_clock = self.lease_manager.anchor_start(self.clock)
             rows, started = yield from self._grant_read(key, lock_ref, epoch)
             flag, flag_stamp = cell_of(rows, SYNCH_ROW, "flag")
             flag = bool(flag)
@@ -276,14 +268,17 @@ class MusicReplica(UnlockedOps, Node):
                 # epoch as the evidence horizon.
                 self._flag_epoch[key] = epoch
                 self.counters["fastpath_misses"] += 1
+            # A read lease anchors at the local-clock time this quorum
+            # read *started* (DESIGN.md §8).
+            anchor_ms = self.lease_manager.anchor_at(self.clock, started)
+            self.mirror.anchor(key, lock_ref, anchor_ms, flag_stamp)
 
         start_time = self.clock.now()
         yield from self.lock_store.set_start_time(key, lock_ref, start_time)
         self._leases[(key, lock_ref)] = start_time
-        if self._hands_off:
-            self._hand_over(key, lock_ref, rows, flag or self._always_sync)
-        if anchor_clock is not None:
-            self.lease_manager.anchor(key, lock_ref, anchor_clock, flag_stamp)
+        if self._hot_path:
+            kept = None if rows is None else cell_of(rows)
+            self.mirror.granted(key, lock_ref, kept, flag or self._always_sync)
         return flag
 
     def _fast_path_valid(self, key: str, epoch: Any) -> bool:
@@ -315,18 +310,10 @@ class MusicReplica(UnlockedOps, Node):
             return early[2:]
         started = self.sim.now
         rows = yield from self.coordinator.get(
-            DATA_TABLE, key, clustering=self._grant_rows, consistency=Consistency.QUORUM,
+            DATA_TABLE, key, clustering=ALL_ROWS if self._hot_path else SYNCH_ROW,
+            consistency=Consistency.QUORUM,
         )
         return rows, started
-
-    def _hand_over(self, key: str, lock_ref: int, rows: Any, synced: bool) -> None:
-        """Keep what a get of ``lock_ref`` may serve: the value its grant
-        read (``rows``), or after a fast grant (no ``rows``) the hand-off
-        row; nothing once synchronized, which rewrote the value."""
-        if synced:
-            self._handed.pop(key, None)
-        else:
-            self._handed[key] = (lock_ref, None if rows is None else cell_of(rows))
 
     def _synchronize(self, key: str, lock_ref: int) -> Generator[Any, Any, None]:
         """Re-establish 'the data store is defined as the true value'.
@@ -407,9 +394,9 @@ class MusicReplica(UnlockedOps, Node):
         if audit.enabled:
             audit.emit("critical_put", key=key, node=self.node_id, lock_ref=lock_ref,
                        stamp=stamp, value=value)
-        # Write-through into the lease mirror and the bounded-staleness
-        # cache.
-        self.lease_manager.fill(key, lock_ref, value, stamp)
+        # Write-through into the mirror (ending its hand-off) and the
+        # bounded-staleness cache.
+        self.mirror.fill(key, lock_ref, value, stamp)
         self.read_cache.fill(key, value, stamp, self.sim.now)
         return stamp
 
@@ -433,15 +420,16 @@ class MusicReplica(UnlockedOps, Node):
         Returns ``(True, value, stamp)`` on success — the stamp is the
         version token of what was served, ``None`` for a never-written
         key — and ``(False, None, None)`` when the caller should retry
-        (local queue not caught up yet).  On the hot path the guard's read
-        may carry a hand-off the get serves (:meth:`_handed_value`).
+        (local queue not caught up yet).
 
-        With ``read_leases`` on, the read is served from the local lease
-        mirror while the holder's lease window is provably inside the
-        ECF window; ``min_stamp`` is the client's session watermark (the
+        The read is served from the local mirror while its entry's
+        evidence holds (:meth:`Mirror.serve`): with ``read_leases`` on, a
+        lease window provably inside the ECF window; on the hot path, the
+        hand-off.  ``min_stamp`` is the client's session watermark (the
         stamp of its last acknowledged critical write to this key) — a
         lease serve must be at least that fresh, so a failover to a
-        replica with a stale mirror falls through to the quorum.
+        replica with a stale mirror falls through to the quorum, and
+        the hand-off serves only a section that wrote nothing.
         """
         op = self._critical_get(key, lock_ref, min_stamp)
         return self._traced(op, "music.criticalGet", key) if self.obs.tracer.enabled else op
@@ -456,32 +444,25 @@ class MusicReplica(UnlockedOps, Node):
                 tracer.current_span().set(guarded=True)
             return (False, None, None)
         audit = self.obs.audit
-        leases = self.lease_manager
-        view = leases.serve(key, lock_ref, min_stamp, self.clock)
-        if view is not None:
-            value, stamp = view.value, view.value_stamp
-            self.counters["lease_hits"] += 1
-            if audit.enabled:
-                audit.emit("lease_read", key=key, node=self.node_id, lock_ref=lock_ref,
-                           stamp=stamp, value=value)
-            if tracer.enabled:
-                tracer.current_span().set(lease=True)
-            return (True, value, stamp)
-        if self._hands_off:
-            handed = self._handed_value(key, lock_ref, min_stamp, head[3])
-            if handed is not None:
-                (value, stamp), source = handed
-                self.counters["handoff_hits"][source] += 1
+        served = self.mirror.serve(key, lock_ref, min_stamp, self.clock, head[2], head[3])
+        if served is not None:
+            evidence, value, stamp = served
+            if evidence == "lease":
+                self.counters["lease_hits"] += 1
+                if audit.enabled:
+                    audit.emit("lease_read", key=key, node=self.node_id, lock_ref=lock_ref,
+                               stamp=stamp, value=value)
+                if tracer.enabled:
+                    tracer.current_span().set(lease=True)
+            else:
+                self.counters["handoff_hits"][evidence] += 1
                 if audit.enabled:
                     audit.emit("critical_get", key=key, node=self.node_id, lock_ref=lock_ref,
-                               value=value, handoff=True, source=source)
+                               value=value, handoff=True, source=evidence)
                 if tracer.enabled:
-                    tracer.current_span().set(handoff=True, source=source)
-                return (True, value, stamp)
-            self.counters["handoff_misses"] += 1
-        anchor_clock = leases.anchor_start(self.clock)
-        if anchor_clock is not None:
-            self.counters["lease_misses"] += 1
+                    tracer.current_span().set(handoff=True, source=evidence)
+            return (True, value, stamp)
+        started = self.sim.now
         rows = yield from self.coordinator.get(
             DATA_TABLE, key, clustering=self._get_rows,
             consistency=Consistency.QUORUM,
@@ -489,35 +470,15 @@ class MusicReplica(UnlockedOps, Node):
         value, stamp = cell_of(rows)
         if audit.enabled:
             audit.emit("critical_get", key=key, node=self.node_id, lock_ref=lock_ref, value=value)
-        if anchor_clock is not None:
+        anchor_ms = self.lease_manager.anchor_at(self.clock, started)
+        if anchor_ms is not None:
+            self.counters["lease_misses"] += 1
             _, flag_stamp = cell_of(rows, SYNCH_ROW, "flag")
-            if leases.anchor(key, lock_ref, anchor_clock, flag_stamp):
-                leases.fill(key, lock_ref, value, stamp)
+            if self.mirror.anchor(key, lock_ref, anchor_ms, flag_stamp):
+                self.mirror.fill(key, lock_ref, value, stamp)
+        elif self._hot_path:
+            self.counters["handoff_misses"] += 1
         return (True, value, stamp)
-
-    def _handed_value(
-        self, key: str, lock_ref: int, min_stamp: Optional[Stamp], handoff: Any
-    ) -> Optional[Tuple[Tuple[Any, Stamp], str]]:
-        """The ``(value, stamp)`` a get of ``lock_ref`` may serve, and its
-        source: ``"grant"``, the grant's own read, or ``"row"``, the
-        hand-off its guard read found (the read showed ``lock_ref`` at the
-        head); None for the quorum read.  DESIGN.md §8 argues the rules:
-        the section wrote nothing (no ``min_stamp``), this replica granted
-        it unsynchronized, and for the row, the row names ``lock_ref - 1``
-        and no forced dequeue at or above that ref shows."""
-        kept = self._handed.get(key)
-        if kept is None or kept[0] != lock_ref or min_stamp is not None:
-            return None
-        if kept[1] is not None:
-            return kept[1], "grant"
-        if handoff is None:
-            return None
-        released, handed, forced = handoff
-        if released != lock_ref - 1:
-            return None
-        if forced is not None and forced >= released:
-            return None
-        return handed, "row"
 
     def _guard(self, key: str, lock_ref: int) -> Generator[Any, Any, Any]:
         """The critical ops' guard: one lock-partition head read, then
@@ -526,14 +487,14 @@ class MusicReplica(UnlockedOps, Node):
         yet updated" — retry), an earlier one raises NotLockHolder, and
         the head gets the read's decode (:meth:`LockStore.head`).
 
-        The same read carries the lease-revocation marker a forced
-        dequeue wrote (DESIGN.md §8), so a revoked lease can never
+        The same read carries the ref the last forced dequeue here
+        removed (DESIGN.md §7), so a revoked mirror entry can never
         satisfy a serve that follows this guard.
         """
         decoded = yield from self.lock_store.head(key, self._peek_at)
-        head, _, revoked, _ = decoded
-        if revoked is not None:
-            self.lease_manager.revoke_up_to(key, revoked)
+        head, _, forced, _ = decoded
+        if forced is not None:
+            self.mirror.drop(key, forced)
         order = _queue_order(lock_ref, head)
         if order < 0:
             raise self._not_holder(key, lock_ref)
@@ -560,7 +521,8 @@ class MusicReplica(UnlockedOps, Node):
     # -- releaseLock (cost: lockRef consensus write; hot path: quorum delete) -------
 
     def _decided_hook(
-        self, event: str, key: str, lock_ref: int, stamp: Optional[Stamp] = None
+        self, event: str, key: str, lock_ref: int, stamp: Optional[Stamp] = None,
+        gone: Optional[int] = None,
     ) -> Callable[..., None]:
         """The decided-hook of a release/forcedRelease dequeue, called
         with the successor the moment the dequeue can take effect
@@ -570,6 +532,10 @@ class MusicReplica(UnlockedOps, Node):
         wake-up with the write's WAN acks; the audit event fires at the
         same point, since a pushed successor can be granted as soon as
         its replica applies the delete and the auditor orders by event.
+        A push that names no successor names ``gone``, the preempted
+        ref or a released one that headed the queue here, so its
+        section's replicas drop what they kept for it (None: it left
+        from behind the head).
         """
         audit = self.obs.audit
 
@@ -579,7 +545,7 @@ class MusicReplica(UnlockedOps, Node):
                 audit.emit(
                     event, key=key, node=self.node_id, lock_ref=lock_ref, **fields
                 )
-            self.push.push(key, successor, after)
+            self.push.push(key, successor, gone if successor is None and after is None else after)
 
         return decided
 
@@ -593,12 +559,14 @@ class MusicReplica(UnlockedOps, Node):
         head, _, _, _ = yield from self.lock_store.head(key)
         # A lockRef the queue has moved past was already forcibly
         # released: nothing to dequeue, only bookkeeping to drop.
-        if _queue_order(lock_ref, head) >= 0:
-            decided = self._decided_hook("release", key, lock_ref)
+        order = _queue_order(lock_ref, head)
+        if order >= 0:
+            decided = self._decided_hook(
+                "release", key, lock_ref, gone=None if order else lock_ref
+            )
             yield from self.lock_store.dequeue(
                 key, lock_ref, on_committing=decided, handoff=handoff
             )
-        self.lease_manager.revoke(key)
         self._leases.pop((key, lock_ref), None)
         self._forget(key, lock_ref)
         return True
@@ -638,29 +606,27 @@ class MusicReplica(UnlockedOps, Node):
         # flag epochs elsewhere go stale.  Our own cache is dropped
         # regardless: this replica just wrote flag=True.
         self._flag_epoch.pop(key, None)
-        self._forget(key, lock_ref)
         # The flag write above has acknowledged at quorum: drop our own
-        # lease on the key and wait out every window anchored before the
-        # ack (see LeaseManager.wait_out_ms).
-        self.lease_manager.revoke(key)
+        # entry for the section and wait out every lease window anchored
+        # before the ack (see LeaseManager.wait_out_ms).
+        self._forget(key, lock_ref)
         if self.lease_manager.wait_out_ms:
             yield self.sim.timeout(self.lease_manager.wait_out_ms)
-        decided = self._decided_hook("forced_release", key, lock_ref, forced_stamp)
+        decided = self._decided_hook("forced_release", key, lock_ref, forced_stamp, lock_ref)
         yield from self.lock_store.dequeue(
             key, lock_ref, forced=self._forced_markers, on_committing=decided
         )
 
-    # -- lease invalidation on the release channel (DESIGN.md §8) ---------------
+    # -- read-cache invalidation on the release channel (DESIGN.md §8) ----------
 
-    def _lease_invalidate(self, key: str) -> None:
-        """Invalidate lease + cached reads for a key whose critical
-        section just ended (push grant observed).  The audit receipt is
-        emitted *before* the drop, so an implementation that loses the
-        drop still leaves the evidence MonotonicReads checks against."""
+    def _invalidate_reads(self, key: str, gone: int) -> None:
+        """Invalidate the cached reads of a key whose critical section
+        just ended (push grant observed).  The audit receipt is emitted
+        *before* the drop, so an implementation that loses the drop
+        still leaves the evidence MonotonicReads checks against."""
         audit = self.obs.audit
         if audit.enabled:
             audit.emit("lease_invalidate", key=key, node=self.node_id)
-        self.lease_manager.revoke(key)
         self._drop_cached_reads(key)
 
     def _drop_cached_reads(self, key: str) -> None:

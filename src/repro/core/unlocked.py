@@ -92,7 +92,7 @@ class UnlockedOps:
         """Bounded-staleness read (``read_leases`` tier, Section VI++): a
         hit within the bound is served from this replica's read cache, a
         miss reads through the nearest replica and fills it.  Push grants
-        invalidate it (``MusicReplica._lease_invalidate``), so a cached
+        invalidate it (``MusicReplica._invalidate_reads``), so a cached
         value lives at most the push latency past the section that
         overwrote it."""
         entry = self.read_cache.lookup(key, self.sim.now, staleness_ms)

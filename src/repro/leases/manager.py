@@ -1,30 +1,28 @@
-"""Leaseholder read leases: local critical reads inside the ECF window.
+"""The local-serve mirror and the lease windows it may serve under.
 
-A lease is evidence that this replica's lockholder view is still the
-consensus view.  It is *anchored* at the local-clock time a quorum read
-started when that read (a) intersected the key's synchFlag row and
-(b) observed no revocation stamp at or above the holder's own lockRef —
-i.e. no ``forcedRelease`` of this era had yet acknowledged.  For
-``read_lease_ms`` after the anchor the replica may answer
-``critical_get`` from a local write-through mirror without touching the
-quorum.
+A replica answers a ``critical_get`` without a quorum read only from its
+:class:`Mirror`: per key, the section it may answer for, the value, and
+the evidence that the value is still the true one (DESIGN.md §8) — a
+**lease window** anchored at the local-clock time a quorum read started
+that saw no revocation of the holder's era (the synchFlag stamp below
+``(lockRef + δ)·T``), or the **hand-off**, until the section's first
+write.
 
-Safety rests on quorum intersection plus the forcedRelease wait-out
-(see ``MusicReplica.forced_release``): the preemptor's quorum flag write
-acknowledges *before* it sleeps ``read_lease_ms + 2·skew`` and only then
-dequeues the holder.  Any anchoring read that started after the ack must
-observe the revocation stamp (R+W > N) and refuses to anchor; any read
-that started before the ack anchored a window that expires before the
-dequeue — so no lease window ever overlaps the next holder's grant.
-Clock offsets cancel out of durations on the offset-skew model; the
-``2·skew`` margin absorbs drift.
+Window safety rests on quorum intersection plus the forcedRelease
+wait-out (see ``MusicReplica.forced_release``): the preemptor's quorum
+flag write acknowledges *before* it sleeps ``read_lease_ms + 2·skew``
+and only then dequeues the holder.  A read that started after the ack
+sees the revocation stamp (R+W > N) and does not anchor; one that
+started before anchored a window that expires before the dequeue.
+Clock offsets cancel out of durations; the ``2·skew`` margin absorbs
+drift.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-__all__ = ["NULL_LEASES", "LeaseManager", "LeaseView"]
+__all__ = ["NULL_LEASES", "LeaseManager", "Mirror"]
 
 Stamp = Tuple[float, str]
 
@@ -32,145 +30,171 @@ Stamp = Tuple[float, str]
 # offsets cancel out of durations; drift does not).
 CLOCK_SKEW_BOUND_MS = 5.0
 
+# The expiry of an entry without a lease window, and its value while
+# it has none.
+NO_WINDOW = float("-inf")
+NO_VALUE = object()
 
-class LeaseView:
-    """One key's lease at one replica: window plus write-through mirror."""
 
-    __slots__ = ("lock_ref", "anchor_ms", "expires_ms", "value", "value_stamp",
-                 "has_value")
+class MirrorEntry:
+    """A key's entry: the section's lockRef, its value, and the evidence —
+    a lease window (``expires_ms``) and the hand-off's ``source``:
+    ``"grant"`` (the value is the grant's read), ``"row"`` (the guard
+    read's hand-off row) or None."""
+
+    __slots__ = ("lock_ref", "expires_ms", "source", "value", "value_stamp")
 
     def __init__(self, lock_ref: int) -> None:
         self.lock_ref = lock_ref
-        self.anchor_ms = float("-inf")
-        self.expires_ms = float("-inf")
-        self.value: Any = None
+        self.expires_ms = NO_WINDOW
+        self.source: Optional[str] = None
+        self.value: Any = NO_VALUE
         self.value_stamp: Optional[Stamp] = None
-        self.has_value = False
+
+
+class Mirror:
+    """A replica's entries, one per key: a new lockRef's replaces the old
+    one whole.  ``leases`` opens and checks the windows (or is
+    :data:`NULL_LEASES`)."""
+
+    def __init__(self, leases: Any) -> None:
+        self.leases = leases
+        self._entries: Dict[str, MirrorEntry] = {}
+
+    def _entry(self, key: str, lock_ref: int) -> MirrorEntry:
+        entry = self._entries.get(key)
+        if entry is None or entry.lock_ref != lock_ref:
+            entry = self._entries[key] = MirrorEntry(lock_ref)
+        return entry
+
+    def granted(self, key: str, lock_ref: int, kept: Optional[Tuple[Any, Any]],
+                synced: bool) -> None:
+        """``lock_ref`` was granted here: unless synchronized, its gets may
+        serve the hand-off — ``kept``, its grant read's ``(value,
+        stamp)``, or with no read (a fast grant) the hand-off row."""
+        if synced:
+            return
+        entry = self._entry(key, lock_ref)
+        entry.source = "row" if kept is None else "grant"
+        if kept is not None:
+            entry.value, entry.value_stamp = kept
+
+    def anchor(self, key: str, lock_ref: int, anchor_ms: Optional[float],
+               flag_stamp: Optional[Stamp]) -> bool:
+        """Open or extend ``lock_ref``'s window at a quorum read that
+        started at local time ``anchor_ms`` and saw ``flag_stamp``;
+        whether it did."""
+        if anchor_ms is None:
+            return False
+        expires = self.leases.window(lock_ref, anchor_ms, flag_stamp)
+        if expires is None:
+            return False
+        entry = self._entry(key, lock_ref)
+        if expires > entry.expires_ms:
+            entry.expires_ms = expires
+        return True
+
+    def fill(self, key: str, lock_ref: int, value: Any, stamp: Optional[Stamp]) -> None:
+        """Write-through of the section's write or anchoring read: the
+        newest value is mirrored, and the hand-off ends."""
+        entry = self._entries.get(key)
+        if entry is None or entry.lock_ref != lock_ref:
+            return
+        entry.source = None
+        if entry.value_stamp is None or stamp is None or stamp > entry.value_stamp:
+            entry.value, entry.value_stamp = value, stamp
+
+    def drop(self, key: str, lock_ref: int) -> None:
+        """Revoke ``key``'s entry if its section is at or below ``lock_ref``
+        (released, forcibly released or dead)."""
+        entry = self._entries.get(key)
+        if entry is not None and entry.lock_ref <= lock_ref:
+            del self._entries[key]
+
+    def serve(self, key: str, lock_ref: int, min_stamp: Optional[Stamp], clock: Any,
+              forced: Optional[int], handoff: Any) -> Optional[Tuple[str, Any, Any]]:
+        """``(evidence, value, stamp)`` answering ``lock_ref``'s criticalGet,
+        or None.  ``min_stamp`` is the session watermark (None: the
+        section wrote nothing); ``forced`` and ``handoff`` are what its
+        guard read showed.  Under an open window (``"lease"``) the value
+        must be no older than the watermark; the hand-off (``"grant"``
+        or ``"row"``) serves a section that wrote nothing.  Reads
+        ``clock`` (stateful) only for a windowed entry with such a value."""
+        entry = self._entries.get(key)
+        if entry is None or entry.lock_ref != lock_ref:
+            return None
+        if entry.value is not NO_VALUE and entry.expires_ms > NO_WINDOW and (
+            min_stamp is None or (entry.value_stamp is not None and entry.value_stamp >= min_stamp)
+        ) and self.leases.window_open(entry, clock.now()):
+            return "lease", entry.value, entry.value_stamp
+        if entry.source is None or min_stamp is not None:
+            return None
+        if entry.source == "grant":
+            return "grant", entry.value, entry.value_stamp
+        kept = self._handed_row(lock_ref, forced, handoff)
+        return None if kept is None else ("row", *kept)
+
+    @staticmethod
+    def _handed_row(lock_ref: int, forced: Optional[int], handoff: Any) -> Optional[Tuple]:
+        """The ``(value, stamp)`` of a hand-off row ``lock_ref`` may serve:
+        it names ``lock_ref - 1`` and no forced dequeue at or above that
+        ref shows (DESIGN.md §8, rules (b) and (c))."""
+        if handoff is None:
+            return None
+        released, kept = handoff
+        if released != lock_ref - 1 or (forced is not None and forced >= released):
+            return None
+        return kept
 
 
 class LeaseManager:
-    """Per-replica lease state for leaseholder local reads.
-
-    One lease per key (the holder this replica granted or last anchored
-    for); a new lockRef anchoring the key replaces the old lease whole.
-    """
+    """The lease tier: when a window opens, how long it lasts, and the
+    forcedRelease wait-out that bounds it."""
 
     def __init__(self, read_lease_ms: float, period_ms: float, delta: float) -> None:
         self.read_lease_ms = read_lease_ms
         self.period_ms = period_ms
         self.delta = delta
         # The ECF-window wait-out (DESIGN.md §8): how long forcedRelease
-        # sleeps between its quorum flag write acking and the dequeue.
-        # From the ack on no read can anchor a fresh lease for the
-        # preempted era (quorum intersection shows it the revocation
-        # stamp), so sleeping the full window plus the drift margin
-        # guarantees every lease anchored *before* the ack has expired
-        # by the time a successor can be granted — local lease reads
-        # never outlive the ECF window even under false failure
-        # detection.
+        # sleeps between its quorum flag write acking and the dequeue,
+        # so every window anchored before the ack has expired by the
+        # time a successor can be granted.
         self.wait_out_ms = read_lease_ms + 2.0 * CLOCK_SKEW_BOUND_MS
-        self._leases: Dict[str, LeaseView] = {}
 
-    # -- anchoring --------------------------------------------------------
+    def anchor_at(self, clock: Any, started: float) -> float:
+        """Where a window opens for a quorum read that started at
+        simulated time ``started``: its local time then, never later."""
+        return clock.at(started)
 
-    def anchor_start(self, clock: Any) -> float:
-        """The local-clock time an anchoring quorum read *starts*: a
-        lease window opens there, not when the read returns."""
-        return clock.now()
-
-    def anchor(self, key: str, lock_ref: int, anchor_clock_ms: float,
-               flag_stamp: Optional[Stamp]) -> bool:
-        """(Re-)anchor the key's lease at a read-start local-clock time
-        if the read's synchFlag stamp proves no revocation of
-        ``lock_ref``'s era has acknowledged (every forcedRelease of it
-        or a successor stamps the flag at >= ``(lock_ref + δ)·T``).
-        Returns whether it anchored."""
+    def window(self, lock_ref: int, anchor_ms: float,
+               flag_stamp: Optional[Stamp]) -> Optional[float]:
+        """The expiry of a window anchored at ``anchor_ms``, or None if the
+        read's synchFlag stamp shows ``lock_ref``'s era revoked (every
+        forcedRelease of it or a successor stamps ``(lock_ref + δ)·T``
+        or above)."""
         revoked_from = (lock_ref + self.delta) * self.period_ms
         if flag_stamp is not None and flag_stamp[0] >= revoked_from:
-            return False
-        view = self._leases.get(key)
-        if view is None or view.lock_ref != lock_ref:
-            view = self._leases[key] = LeaseView(lock_ref)
-        if anchor_clock_ms > view.anchor_ms:
-            view.anchor_ms = anchor_clock_ms
-            view.expires_ms = anchor_clock_ms + self.read_lease_ms
-        return True
-
-    def fill(self, key: str, lock_ref: int, value: Any,
-             stamp: Optional[Stamp]) -> None:
-        """Write-through: update the holder's local mirror (never extends
-        the window — only anchoring quorum reads do that)."""
-        view = self._leases.get(key)
-        if view is None or view.lock_ref != lock_ref:
-            return
-        if view.value_stamp is None or stamp is None or stamp > view.value_stamp:
-            view.value = value
-            view.value_stamp = stamp
-            view.has_value = True
-
-    # -- serving ----------------------------------------------------------
-
-    def serve(self, key: str, lock_ref: int, min_stamp: Optional[Stamp],
-              clock: Any) -> Optional[LeaseView]:
-        """The view that may answer ``lock_ref``'s criticalGet locally,
-        or None: a mirrored value no older than the session watermark
-        ``min_stamp``, in a window that outlasts now plus clock skew.
-        Reads ``clock`` (stateful) only for a view with such a value."""
-        view = self._leases.get(key)
-        if view is None or view.lock_ref != lock_ref or not view.has_value:
             return None
-        if min_stamp is not None and (
-            view.value_stamp is None or view.value_stamp < min_stamp
-        ):
-            return None
-        return view if self.window_open(view, clock.now()) else None
+        return anchor_ms + self.read_lease_ms
 
-    def window_open(self, view: LeaseView, now_clock_ms: float) -> bool:
+    def window_open(self, entry: MirrorEntry, now_clock_ms: float) -> bool:
         """Conservative expiry check: the window must outlast ``now``
         plus the drift margin for a local serve to be safe."""
-        return now_clock_ms + CLOCK_SKEW_BOUND_MS < view.expires_ms
-
-    # -- revocation -------------------------------------------------------
-
-    def revoke(self, key: str) -> bool:
-        """Drop the key's lease (forced flag write seen, revocation row
-        observed, push-grant invalidation, or clean release)."""
-        return self._leases.pop(key, None) is not None
-
-    def revoke_up_to(self, key: str, revoked_ref: int) -> bool:
-        """Drop the lease if its holder was revoked (``lock_ref`` at or
-        below the lock store's revocation marker)."""
-        view = self._leases.get(key)
-        if view is not None and view.lock_ref <= revoked_ref:
-            del self._leases[key]
-            return True
-        return False
+        return now_clock_ms + CLOCK_SKEW_BOUND_MS < entry.expires_ms
 
 
 class _LeasesOff:
-    """The read-lease tier switched off: stands in for the lease manager
-    *and* the read cache (the ``NULL_AUDIT`` pattern), so the replica's
-    one path calls both unconditionally.  It never anchors, serves or
-    holds anything — and ``anchor_start`` does not read the clock
-    (``NodeClock.now`` is stateful), which keeps the features-off clock
-    reads, hence stamps, bit-identical."""
+    """The read-lease tier off: stands in for the lease manager *and* the
+    read cache (the ``NULL_AUDIT`` pattern).  It opens no window and
+    holds nothing, and reads no clock (``NodeClock.now`` is stateful)."""
 
     wait_out_ms = 0.0
 
-    def anchor_start(self, clock: Any) -> None:
-        return None
-
-    def anchor(self, *args: Any) -> bool:
-        return False
-
-    def serve(self, *args: Any) -> None:
+    def anchor_at(self, clock: Any, started: float) -> None:
         return None
 
     def fill(self, *args: Any) -> None:
         return None
-
-    def revoke(self, key: str) -> bool:
-        return False
 
 
 NULL_LEASES = _LeasesOff()

@@ -16,7 +16,7 @@ Operations map to the paper's primitives:
 - ``head`` / ``peek``       = lsPeek: an eventual read of the *local*
   replica (cheap; may briefly lag the consensus order) — ``head`` is
   the one partition read every caller shares, returning the first
-  queued lockRef plus the three marker rows below; ``peek`` and
+  queued lockRef plus the two marker rows below; ``peek`` and
   ``peek_quorum`` are its entry-only forms;
 - ``dequeue``               = lsDequeue: an LWT row delete (no-op if
   the lockRef is no longer queued); on the hot path a clean release is
@@ -39,22 +39,16 @@ from ..store import Condition, Consistency, StoreCoordinator
 from ..store.paxos import no_accept_read
 from ..store.types import DeleteRow, Update
 
-__all__ = ["FORCED_ROW", "HANDOFF_ROW", "LEASE_ROW", "LOCK_TABLE", "LockEntry", "LockStore"]
+__all__ = ["FORCED_ROW", "HANDOFF_ROW", "LOCK_TABLE", "LockEntry", "LockStore"]
 
 LOCK_TABLE = "music_locks"
 GUARD_ROW = "guard"
-# The read-lease revocation row (DESIGN.md §8): written atomically with
-# a forced dequeue when the lock store runs with ``lease_rows=True``,
-# carrying the highest forcibly-revoked lockRef.  A leaseholder's local
-# guard read returns it from the same partition read, so a revoked
-# holder's lease dies the moment the preemption reaches its replica —
-# fused into the same LWT as the dequeue, there is no window where the
-# queue row is gone but the revocation is invisible.
-LEASE_ROW = "__lease__"
-# The forced-release epoch marker (DESIGN.md §7): written atomically
-# with a *forced* dequeue (same LWT mutation batch), never by a clean
-# release.  Its cell stamp is the per-key forced-release epoch the
-# synchFlag fast path compares against; like the guard it is a string
+# The forced-release marker (DESIGN.md §7): written atomically with a
+# *forced* dequeue (same LWT mutation batch), never by a clean release.
+# Its cell stamp is the per-key forced-release epoch the synchFlag fast
+# path compares against, and its value the forcibly released lockRef,
+# the revocation a replica's mirror entries die by (§8): a local read
+# cannot show the row gone without it.  Like the guard it is a string
 # clustering, so queue reads (which keep only int clusterings) never
 # see it.
 FORCED_ROW = "__forced__"
@@ -80,10 +74,10 @@ class LockEntry:
     start_time: Optional[float]
 
 
-# What a head read decodes to: (first entry, forced epoch, revoked ref,
-# hand-off) — the hand-off is (released ref, (value, stamp), forced
-# ref), or None when no release here handed one on.
-HandOff = Tuple[int, Tuple[Any, Any], Optional[int]]
+# What a head read decodes to: (first entry, forced epoch, forced ref,
+# hand-off) — the hand-off is (released ref, (value, stamp)), or None
+# when no release here handed one on.
+HandOff = Tuple[int, Tuple[Any, Any]]
 Head = Tuple[Optional[LockEntry], Any, Optional[int], Optional[HandOff]]
 
 
@@ -110,16 +104,10 @@ class LockStore:
         coordinator: StoreCoordinator,
         clock: NodeClock,
         batched: bool = False,
-        lease_rows: bool = False,
         on_head: Optional[Tuple[str, Callable[[str, int, Any, Any, float], None]]] = None,
     ) -> None:
         self.coordinator = coordinator
         self.clock = clock
-        # Read leases (DESIGN.md §8): forced dequeues also write the
-        # LEASE_ROW revocation marker.  Off by default — the extra
-        # mutation would not change timings, but the schema stays
-        # byte-identical to the seed unless the feature is on.
-        self.lease_rows = lease_rows
         # The hot path (DESIGN.md §7): mint group commit, three-round
         # LWTs (the read rides the promise) and a clean release as one
         # quorum row delete; off keeps the seed's path bit-identical.  At
@@ -307,7 +295,7 @@ class LockStore:
         self, key: str, consistency: str = Consistency.LOCAL_ONE
     ) -> Generator[Any, Any, Head]:
         """The one lock-partition head read: ``(entry, forced_epoch,
-        revoked_ref, handoff)``, all decoded from a single partition
+        forced_ref, handoff)``, all decoded from a single partition
         read, once per version of the partition a replica publishes.
 
         ``entry`` is the first queued lockRef (None on an empty queue).
@@ -317,15 +305,14 @@ class LockStore:
         "retry later", which is safe.
 
         ``forced_epoch`` is the LWW stamp of the ``FORCED_ROW`` marker
-        cell (None if no forcedRelease ever applied here).  CAS ballot
-        stamps grow strictly per partition, so every applied forced
-        dequeue changes it.  ``revoked_ref`` is the highest lockRef a
-        forced dequeue has revoked as written to ``LEASE_ROW`` (None if
-        none).  ``handoff`` is the ``HANDOFF_ROW`` as ``(released ref,
-        (value, stamp), forced ref)``, where the forced ref is the
-        lockRef the ``FORCED_ROW`` marker names (None without one).  All
-        three ride the read the peek performs anyway, so a guard that
-        consults them costs exactly what the plain guard costs.
+        cell and ``forced_ref`` the lockRef it names, the last one a
+        forced dequeue applied here removed (both None if no
+        forcedRelease ever applied here).  CAS ballot stamps grow
+        strictly per partition, so every applied forced dequeue changes
+        the epoch.  ``handoff`` is the ``HANDOFF_ROW`` as ``(released
+        ref, (value, stamp))``.  All three ride the read the peek
+        performs anyway, so a guard that consults them costs exactly
+        what the plain guard costs.
         """
         read = self.coordinator.get(LOCK_TABLE, key, consistency=consistency)
         tracer = self.obs.tracer
@@ -335,23 +322,20 @@ class LockStore:
         memo = self._heads.get(key)
         if memo is not None and memo[0] is rows:
             return memo[1]
-        epoch = revoked = forced = handoff = None
+        epoch = forced = handoff = None
         marker = rows.get(FORCED_ROW)
         if marker is not None:
             epoch = marker.cell_stamp("ref")
             forced = marker.visible_values().get("ref")
-        marker = rows.get(LEASE_ROW)
-        if marker is not None:
-            revoked = marker.visible_values().get("revoked")
         marker = rows.get(HANDOFF_ROW)
         if marker is not None:
-            handoff = int(marker.cell_stamp("value")[0]), marker.visible_values().get("value"), forced
+            handoff = int(marker.cell_stamp("value")[0]), marker.visible_values().get("value")
         refs = self._lock_refs(rows)
         entry = None
         if refs:
             first_ref = min(refs)
             entry = self._entry(first_ref, rows[first_ref])
-        head = entry, epoch, revoked, handoff
+        head = entry, epoch, forced, handoff
         self._heads[key] = rows, head
         return head
 
@@ -488,22 +472,12 @@ class LockStore:
         self, key: str, lock_ref: int, forced: bool = False, on_committing=None
     ) -> Generator[Any, Any, None]:
         """The exists-conditioned dequeue LWT; a forced dequeue is the
-        plain one plus the marker mutations.  An unapplied CAS means the
+        plain one plus the marker mutation.  An unapplied CAS means the
         row was already gone: still a success."""
         stamp = self._stamp()
         mutations: List[Any] = [DeleteRow(LOCK_TABLE, key, lock_ref, stamp)]
         if forced:
             mutations.append(Update(LOCK_TABLE, key, FORCED_ROW, {"ref": lock_ref}, stamp))
-            if self.lease_rows:
-                # Lease revocation fused into the preemption LWT: a
-                # replica whose local partition still shows the old
-                # queue row cannot see it without also seeing this.
-                mutations.append(
-                    Update(
-                        LOCK_TABLE, key, LEASE_ROW,
-                        {"revoked": lock_ref, "by": self._writer}, stamp,
-                    )
-                )
         fired = []
 
         def hook(rows: Any) -> None:

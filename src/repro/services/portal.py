@@ -125,7 +125,7 @@ class PortalFrontend:
         self.owner_read_staleness_ms = owner_read_staleness_ms
         client.replica.push.add_listener(self._on_release_push)
 
-    def _on_release_push(self, key: str) -> None:
+    def _on_release_push(self, key: str, gone: int) -> None:
         # A release/forcedRelease of ``key`` ended some critical section;
         # if it was a user's ownership lock, our routing entry for that
         # user may now point at the loser.

@@ -24,7 +24,8 @@ the value row that read fetched beside the flag (``C + (x+1)Q`` in all:
 the updates and the release).  A repeated section on a key skips the
 synchFlag read, and its read is served by the hand-off its predecessor's
 release wrote beside the row delete (same batch, no extra message): the
-same count.
+same count.  With read leases on the hot path costs the same: the accept
+round's read anchors the lease window its get is served under.
 """
 
 import pytest
@@ -56,8 +57,8 @@ def _budget(updates, reads, flag_read=True, hot=False, handed=0):
     return paper + extra - (0 if flag_read else Q)
 
 
-def _section_messages(fast_locks, sections):
-    music = build_music(music_config=MusicConfig(fast_locks=fast_locks))
+def _section_messages(config, sections):
+    music = build_music(music_config=config)
     sent = []
     music.network.add_tap(lambda message: sent.append(message.kind))
     client = music.client("Ohio")
@@ -77,9 +78,12 @@ def _section_messages(fast_locks, sections):
     return counts
 
 
-@pytest.mark.parametrize("fast_locks", [False, True])
-def test_an_uncontended_section_costs_the_closed_form(fast_locks):
-    first, repeated = _section_messages(fast_locks, sections=2)
+@pytest.mark.parametrize("config", [
+    MusicConfig(fast_locks=False), MusicConfig(), MusicConfig(read_leases=True),
+], ids=["polling", "hot-path", "hot-path-leases"])
+def test_an_uncontended_section_costs_the_closed_form(config):
+    fast_locks = config.fast_locks
+    first, repeated = _section_messages(config, sections=2)
     assert first == _budget(
         updates=1, reads=1, hot=fast_locks, handed=1 if fast_locks else 0,
     ) == (48 if fast_locks else 82)
@@ -117,11 +121,11 @@ PHASES = {
 }
 
 
-def _oregon_sections(sections, obs=False):
+def _oregon_sections(sections, obs=False, read_leases=False):
     """Sections on one key from Oregon on lUs, a second apart: the
     deployment and each section's latency (with ``obs``, each traced
     under a ``music.cs`` root)."""
-    music = build_music(obs=obs or None)
+    music = build_music(obs=obs or None, read_leases=read_leases)
     client = music.client("Oregon")
     tracer = music.obs.tracer
 
@@ -147,17 +151,20 @@ def _oregon_sections(sections, obs=False):
     return music, run(music.sim, body())
 
 
-def test_an_uncontended_section_is_four_wan_rounds():
+@pytest.mark.parametrize("read_leases", [False, True], ids=["hot-path", "hot-path-leases"])
+def test_an_uncontended_section_is_four_wan_rounds(read_leases):
     """X-B4 in time: a section on a key waits out the mint's prepare and
     propose rounds, its put and its release: four WAN rounds, first
-    section or repeat.  The mint returns at its commit's local ack, the
-    grant's flag read rode the accept round, and the get serves its
-    value (a repeat: the hand-off row), so none adds one.  Around them:
+    section or repeat, with read leases on or off.  The mint returns at
+    its commit's local ack, the grant's flag read rode the accept round,
+    and the get serves its value (under the lease window that read
+    anchored, with leases on; a repeat: the hand-off row), so none adds
+    one.  Around them:
     each Paxos phase's service time, the local commit round, a quorum
     write's ``c + w``, five single-replica reads (the mint's guard read,
     the acquire's peek and three guards), the startTime write and the
     coordinator's service ahead of the prepare."""
-    _, latencies = _oregon_sections(2)
+    _, latencies = _oregon_sections(2, read_leases=read_leases)
     closed_form = (
         2 * (R + SVC_P) + (LOCAL + SVC_P) + 2 * (R + SVC_C + SVC_W) + 5 * LOCAL_READ
         + (SVC_C + SVC_W + LOCAL) + SVC_C

@@ -1,5 +1,4 @@
-"""The early grant read (DESIGN.md §8): on the hot path with leases off,
-a mint whose promise rows show no queued ref below its own reads the
+"""The early grant read (DESIGN.md §8): on the hot path, a mint whose promise rows show no queued ref below its own reads the
 data partition in its accept round (the key's lock and data partitions
 share their replicas), and returns at its commit's local ack.  The grant
 takes that read if its proving head read shows the same forced epoch;
@@ -8,6 +7,8 @@ check where the read sits in a trace, when it is not taken, why it rides
 the accept round and not the promise, and that nothing a replica keeps
 for it, or for the serve, outlives the section.
 """
+
+import pytest
 
 from repro import MusicConfig, build_music
 from repro.core.unlocked import DATA_TABLE
@@ -20,10 +21,10 @@ from tests.helpers import run
 
 
 def kept(music, key="k"):
-    """The replicas that still keep an early read or a serve source for ``key``."""
+    """The replicas that still keep an early read or a mirror entry for ``key``."""
     return [
         replica.node_id for replica in music.replicas
-        if key in replica._early_reads or key in replica._handed
+        if key in replica._early_reads or key in replica.mirror._entries
     ]
 
 
@@ -56,11 +57,13 @@ def test_the_flag_read_rides_the_accept_round_and_serves_the_get():
     assert_clean(music)
 
 
-def test_no_read_is_taken_behind_a_queued_ref_or_beside_fast_path_evidence():
+@pytest.mark.parametrize("read_leases", [False, True], ids=["leases-off", "leases-on"])
+def test_no_read_is_taken_behind_a_queued_ref_or_beside_fast_path_evidence(read_leases):
     """A mint queued behind a holder reads nothing in its accept round,
     and a repeat mint at a replica that holds fast-path evidence keeps
-    nothing; the polling protocol and read leases never ask."""
-    music = build_music(audit=True)
+    nothing, whether or not read leases are on; the polling protocol
+    never asks."""
+    music = build_music(audit=True, read_leases=read_leases)
     ohio, oregon = music.client("Ohio"), music.client("Oregon")
     started = []
     for replica in music.replicas:
@@ -83,9 +86,8 @@ def test_no_read_is_taken_behind_a_queued_ref_or_beside_fast_path_evidence():
     ref = run(music.sim, ohio.create_lock_ref("k"))
     assert started == [first, ref] and kept(music) == []
     run(music.sim, ohio.release_lock("k", ref))
-    for config in (MusicConfig(fast_locks=False), MusicConfig(read_leases=True)):
-        other = build_music(music_config=config)
-        assert all(replica.lock_store.on_head is None for replica in other.replicas)
+    other = build_music(music_config=MusicConfig(fast_locks=False, read_leases=read_leases))
+    assert all(replica.lock_store.on_head is None for replica in other.replicas)
     assert_clean(music)
 
 
@@ -130,6 +132,28 @@ def test_nothing_kept_outlives_the_sections_preemption():
 
     run(music.sim, elsewhere())
     run(music.sim, here())
+    assert kept(music) == []
+    assert_clean(music)
+
+
+@pytest.mark.parametrize("read_leases", [False, True], ids=["leases-off", "leases-on"])
+def test_nothing_kept_outlives_a_preemption_elsewhere_with_nobody_waiting(read_leases):
+    """Preempted by another replica with no waiter behind it, the section
+    names no successor: the forced dequeue's push names the preempted
+    ref, so the replica that granted it drops its entry."""
+    music = build_music(audit=True, read_leases=read_leases)
+    ohio = music.client("Ohio")
+    there = music.replica_at("Oregon")
+
+    def scenario():
+        cs = yield from ohio.critical_section("k")
+        yield from cs.get()
+        assert kept(music) == [music.replica_at("Ohio").node_id]
+        yield music.sim.timeout(200.0)
+        yield from there.forced_release("k", cs.lock_ref)
+        yield music.sim.timeout(200.0)
+
+    run(music.sim, scenario())
     assert kept(music) == []
     assert_clean(music)
 

@@ -78,20 +78,24 @@ def test_a_successor_serves_its_predecessors_value():
 @pytest.mark.parametrize("config", [
     MusicConfig(), MusicConfig(read_leases=True), MusicConfig(fast_locks=False),
 ], ids=["hot-path", "read-leases", "polling"])
-def test_only_the_hot_path_without_leases_writes_the_row(config):
-    """Leases own the local reads when they are on; the paper's polling
-    protocol never writes the row.  On the hot path the first section's
-    get serves its grant's read, the second's the row."""
+def test_only_the_hot_path_writes_the_row(config):
+    """The hot path writes the row with leases on or off; the paper's
+    polling protocol never does.  On the hot path the first section's
+    get serves its grant's read — under the lease window that read
+    anchored, with leases on — and the second's the row."""
     music = build_music(music_config=config, audit=True)
     client = music.client("Ohio")
     for value in ("A", "B"):
         run(music.sim, section(client, "get", value))
-    written = config.fast_locks and not config.read_leases
     rows = run(music.sim, music.replicas[0].coordinator.get(
         LOCK_TABLE, "k", HANDOFF_ROW, Consistency.QUORUM
     ))
-    assert (HANDOFF_ROW in rows) == written
-    assert hits(music, "grant") == hits(music, "row") == (1 if written else 0)
+    assert (HANDOFF_ROW in rows) == config.fast_locks
+    leased = sum(replica.counters["lease_hits"] for replica in music.replicas)
+    assert (hits(music, "grant"), leased) == (
+        (0, 1) if config.read_leases else (int(config.fast_locks), 0)
+    )
+    assert hits(music, "row") == int(config.fast_locks)
     assert_clean(music)
 
 

@@ -14,7 +14,7 @@ import pytest
 from repro.core import MusicConfig, build_music
 from repro.errors import NotLockHolder
 from repro.lockstore import LockEntry
-from repro.lockstore.lockstore import FORCED_ROW, HANDOFF_ROW, LEASE_ROW, LOCK_TABLE
+from repro.lockstore.lockstore import FORCED_ROW, HANDOFF_ROW, LOCK_TABLE
 
 from tests.helpers import run
 
@@ -24,24 +24,21 @@ from tests.helpers import run
 
 def reference_head(rows):
     """The head read spelled out per row, independently of LockStore:
-    the first int clustering, the FORCED_ROW cell stamp, the LEASE_ROW
-    value, the HANDOFF_ROW cell (its stamp names the released ref) beside
-    the FORCED_ROW ref."""
+    the first int clustering, the FORCED_ROW cell stamp and ref, the
+    HANDOFF_ROW cell (its stamp names the released ref)."""
     refs = sorted(c for c in rows if isinstance(c, int))
     entry = None
     if refs:
         values = rows[refs[0]].visible_values()
         entry = LockEntry(refs[0], values.get("enqueued_at"), values.get("startTime"))
-    epoch = revoked = forced = handoff = None
+    epoch = forced = handoff = None
     if FORCED_ROW in rows:
         epoch = rows[FORCED_ROW].visible_cells()["ref"].stamp
         forced = rows[FORCED_ROW].visible_values()["ref"]
-    if LEASE_ROW in rows:
-        revoked = rows[LEASE_ROW].visible_values()["revoked"]
     if HANDOFF_ROW in rows:
         cell = rows[HANDOFF_ROW].visible_cells()["value"]
-        handoff = int(cell.stamp[0]), cell.value, forced
-    return entry, epoch, revoked, handoff
+        handoff = int(cell.stamp[0]), cell.value
+    return entry, epoch, forced, handoff
 
 
 def spy_on_head_reads(replica, log):
@@ -111,11 +108,12 @@ def test_head_read_decodes_the_same_entry_under_every_feature_mix(
     assert len(log) > 10
     for rows, decoded in log:
         assert decoded == reference_head(rows)
-    # The run crossed a forced release, so the markers were really there
-    # to decode — under exactly the flags that write them.
+    # The run crossed a forced release, so the marker was really there
+    # to decode — under exactly the flags that write it, its epoch and
+    # its ref together.
     forced_on = fast_locks or read_leases
     assert any(epoch is not None for _, (_, epoch, _, _) in log) == forced_on
-    assert any(revoked is not None for _, (_, _, revoked, _) in log) == read_leases
+    assert all((epoch is None) == (forced is None) for _, (_, epoch, forced, _) in log)
 
 
 # -- criticalDelete is criticalPut of None ----------------------------------

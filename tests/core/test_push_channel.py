@@ -4,7 +4,7 @@ blocking acquire looks it up once however often it polls.  On, a
 release wakes the waiter of its successor — a library waiter at another
 site's replica (over ``music.grantPush``) or a service client's
 long-poll (``music.waitRelease``) — and nobody queued behind it, while
-every release listener hears every release.  On a contended run, no
+every release listener hears every release that ends a section.  On a contended run, no
 release wakes two waiters, a grant costs at most two polls and none is
 found by a waiter's liveness fuse, and the hot path polls no more per
 grant than the polling protocol."""
@@ -80,7 +80,7 @@ def test_a_release_wakes_its_successor_and_every_listener():
     def woken(kind):
         return lambda _event: wakes.append((kind, sim.now))
 
-    oregon.push.add_listener(lambda key: wakes.append((f"listener:{key}", sim.now)))
+    oregon.push.add_listener(lambda key, gone: wakes.append((f"listener:{key}", sim.now)))
 
     def task():
         cs = yield from holder.critical_section("k")

@@ -9,8 +9,9 @@ off from a quorum fails.  Every seed must audit clean, leave no failure
 of a background commit unobserved, and leave the auditor's lock-queue
 model equal to the store's queues.
 
+Each seed runs with read leases off and on (one mirror serves both).
 Seeds 0-59 are slow-marked (CI's scheduled ``figures-slow`` workflow
-runs them); one seed runs with the tier-1 suite.
+runs them); one seed per mode runs with the tier-1 suite.
 """
 
 import pytest
@@ -22,12 +23,16 @@ from tests.helpers import assert_queue_model_matches_store
 CLIENTS, SECTIONS, KEYS = 12, 6, 24
 
 
-def _fault_sweep_run(seed):
+LEASE_MODES = pytest.mark.parametrize("read_leases", [False, True], ids=["leases-off", "leases-on"])
+
+
+def _fault_sweep_run(seed, read_leases):
     config = MusicConfig(
         failure_detection_enabled=True,
         detector_scan_interval_ms=1_000.0,
         lease_timeout_ms=3_000.0,
         orphan_timeout_ms=3_000.0,
+        read_leases=read_leases,
     )
     music = build_music(music_config=config, seed=seed, audit=True)
     sim, sites = music.sim, music.profile.site_names
@@ -63,21 +68,28 @@ def _fault_sweep_run(seed):
     return music, applied, sorted({key for row in keys for key in row})
 
 
-def _assert_clean(seed):
-    music, applied, keys = _fault_sweep_run(seed)
+def _assert_clean(seed, read_leases):
+    music, applied, keys = _fault_sweep_run(seed, read_leases)
     assert len(applied) == CLIENTS * SECTIONS
     assert music.sim.swallowed_failures == 0
     assert music.auditor.clean, music.auditor.render_report()
     assert_queue_model_matches_store(music, keys)
-    heads = sum(replica.counters["handoff_hits"]["grant"] for replica in music.replicas)
-    assert heads > 0  # the path under test ran
+    # The path under test ran: gets served the grant's read, by the
+    # hand-off or under the lease window it anchored.
+    heads = sum(
+        replica.counters["handoff_hits"]["grant"] + replica.counters["lease_hits"]
+        for replica in music.replicas
+    )
+    assert heads > 0
 
 
-def test_one_seed_of_the_fault_sweep_audits_clean():
-    _assert_clean(0)
+@LEASE_MODES
+def test_one_seed_of_the_fault_sweep_audits_clean(read_leases):
+    _assert_clean(0, read_leases)
 
 
 @pytest.mark.slow
+@LEASE_MODES
 @pytest.mark.parametrize("seed", range(60))
-def test_the_fault_sweep_audits_clean(seed):
-    _assert_clean(seed)
+def test_the_fault_sweep_audits_clean(seed, read_leases):
+    _assert_clean(seed, read_leases)

@@ -4,9 +4,9 @@ A local (LOCAL_ONE) head read hands back the replica's published live-row
 view, the same object until the partition changes, so ``head`` keeps one
 ``(rows, decode)`` slot per key and reuses the decode while the view is
 the same object.  That is sound only if every change of the partition
-the head depends on — a mint, a ``startTime`` write, a release, a forced
-release (the ``FORCED_ROW`` epoch) and a lease revocation (``LEASE_ROW``)
-— publishes a new view.  Each step below checks that the next head read
+the head depends on — a mint, a ``startTime`` write, a release and a
+forced release (the ``FORCED_ROW`` epoch and ref), each after another —
+publishes a new view.  Each step below checks that the next head read
 shows the change, against a decode by a lock store that has never read
 the key; a memo keyed on the key alone returns the first picture forever
 and fails at the first change.
@@ -34,7 +34,6 @@ def test_every_change_of_the_partition_reaches_the_next_head():
     sim, host, lockstore = make_lockstores()
     watcher = lockstore()
     writer = lockstore()
-    revoker = lockstore(lease_rows=True)
     seen = []
 
     def check(step):
@@ -63,8 +62,8 @@ def test_every_change_of_the_partition_reaches_the_next_head():
         yield from writer.dequeue("k", second, forced=True)
         yield from check("forced release")
         third = yield from writer.generate_and_enqueue("k")
-        yield from revoker.dequeue("k", third, forced=True)
-        yield from check("lease revoke")
+        yield from writer.dequeue("k", third, forced=True)
+        yield from check("second forced release")
 
     run(sim, scenario())
     heads = dict(seen)
@@ -72,10 +71,10 @@ def test_every_change_of_the_partition_reaches_the_next_head():
     assert heads["mint"][0].lock_ref == 1 and heads["mint"][0].start_time is None
     assert heads["startTime"][0].lock_ref == 1 and heads["startTime"][0].start_time is not None
     assert heads["release"][0].lock_ref == 2 and heads["release"][1] is None
-    entry, epoch, revoked, _ = heads["forced release"]
-    assert entry is None and epoch is not None and revoked is None
-    entry, lease_epoch, revoked, _ = heads["lease revoke"]
-    assert entry is None and lease_epoch > epoch and revoked == 3
+    entry, epoch, forced, _ = heads["forced release"]
+    assert entry is None and epoch is not None and forced == 2
+    entry, later_epoch, forced, _ = heads["second forced release"]
+    assert entry is None and later_epoch > epoch and forced == 3
 
 
 def test_a_write_elsewhere_keeps_the_decode():

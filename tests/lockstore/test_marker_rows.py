@@ -1,16 +1,16 @@
-"""The forced-dequeue marker rows (``FORCED_ROW`` / ``LEASE_ROW``).
+"""The forced-dequeue marker row (``FORCED_ROW``).
 
 ``LockStore.dequeue(forced=True)`` promises two things the synchFlag
-fast path and the read leases rest on: the markers ride the *same* LWT
-as the row delete, so no local read can show the row gone with the
-markers still invisible (or the reverse); and a forced dequeue that
-finds the row already gone writes no marker at all.
+fast path and the mirror's revocation rest on: the marker rides the
+*same* LWT as the row delete, so no local read can show the row gone
+with the marker still invisible (or the reverse); and a forced dequeue
+that finds the row already gone writes no marker at all.
 """
 
 import pytest
 
 from repro.lockstore import LockStore
-from repro.lockstore.lockstore import FORCED_ROW, LEASE_ROW, LOCK_TABLE
+from repro.lockstore.lockstore import FORCED_ROW, LOCK_TABLE
 from repro.store import Consistency
 
 from tests.helpers import make_store, run
@@ -32,16 +32,14 @@ def marker_rows(sim, store, key):
     return {clustering for clustering in rows if isinstance(clustering, str)}
 
 
-def test_markers_appear_in_the_read_in_which_the_row_disappears():
-    sim, (preemptor, watcher) = make_lockstores(
-        ("Ohio", "Oregon"), lease_rows=True
-    )
+def test_the_marker_appears_in_the_read_in_which_the_row_disappears():
+    sim, (preemptor, watcher) = make_lockstores(("Ohio", "Oregon"))
     seen = []
 
     def watch():
         while not seen or seen[-1][0] == 1:
-            entry, epoch, revoked, _ = yield from watcher.head("k")
-            seen.append((entry.lock_ref, epoch, revoked))
+            entry, epoch, forced, _ = yield from watcher.head("k")
+            seen.append((entry.lock_ref, epoch, forced))
             yield sim.timeout(1.0)
 
     def scenario():
@@ -63,7 +61,7 @@ def test_markers_appear_in_the_read_in_which_the_row_disappears():
 
 
 def test_forced_dequeue_that_finds_the_row_gone_writes_no_marker():
-    sim, (store,) = make_lockstores(("Ohio",), lease_rows=True)
+    sim, (store,) = make_lockstores(("Ohio",))
 
     def scenario():
         ref = yield from store.generate_and_enqueue("k")
@@ -74,15 +72,15 @@ def test_forced_dequeue_that_finds_the_row_gone_writes_no_marker():
         head = yield from store.head("k")
         return done, head
 
-    done, (entry, epoch, revoked, _) = run(sim, scenario())
+    done, (entry, epoch, forced, _) = run(sim, scenario())
     assert done is True  # "no-op if lockRef not in queue"
-    assert entry.lock_ref == 2 and epoch is None and revoked is None
+    assert entry.lock_ref == 2 and epoch is None and forced is None
     assert marker_rows(sim, store, "k") == {"guard"}
 
 
-@pytest.mark.parametrize("lease_rows", [False, True])
-def test_lease_row_is_written_only_with_lease_rows_on(lease_rows):
-    sim, (store,) = make_lockstores(("Ohio",), lease_rows=lease_rows)
+@pytest.mark.parametrize("batched", [False, True])
+def test_a_forced_dequeue_writes_one_marker_naming_its_ref(batched):
+    sim, (store,) = make_lockstores(("Ohio",), batched=batched)
 
     def scenario():
         ref = yield from store.generate_and_enqueue("k")
@@ -91,8 +89,6 @@ def test_lease_row_is_written_only_with_lease_rows_on(lease_rows):
         head = yield from store.head("k")
         return head
 
-    entry, epoch, revoked, _ = run(sim, scenario())
-    assert entry is None and epoch is not None
-    assert revoked == (1 if lease_rows else None)
-    expected = {"guard", FORCED_ROW} | ({LEASE_ROW} if lease_rows else set())
-    assert marker_rows(sim, store, "k") == expected
+    entry, epoch, forced, _ = run(sim, scenario())
+    assert entry is None and epoch is not None and forced == 1
+    assert marker_rows(sim, store, "k") == {"guard", FORCED_ROW}

@@ -11,8 +11,11 @@ alone (the checker and nothing else) and ``obs=True, audit=True``, which
 files the same violations and also names the guilty trace spans.
 """
 
+import pytest
+
 from repro import MusicConfig, build_music
 from repro.core.replica import DATA_TABLE, VALUE_ROW, MusicReplica
+from repro.leases import Mirror
 from repro.lockstore import LockStore
 from repro.lockstore.lockstore import FORCED_ROW, LOCK_TABLE
 from repro.store import Consistency
@@ -294,7 +297,26 @@ def test_mutant_violations_render_with_span_trees():
     assert_replay_equivalent(music.auditor)
 
 
-# -- the hand-off's serve rules (DESIGN.md §7) ------------------------------
+# -- the hand-off's serve rules (DESIGN.md §8) ------------------------------
+#
+# Each hand-off and early-read scenario runs with read leases off and on:
+# one mirror serves both.  With leases on, a stale value an open window
+# serves is a lease read, so LeaseSafety names it; the hand-off's own
+# serves, and every serve with leases off, are criticalGets LatestState
+# checks.
+
+LEASE_MODES = pytest.mark.parametrize("read_leases", [False, True], ids=["leases-off", "leases-on"])
+
+
+def _mirrored(mirror_class):
+    """A replica whose mirror is a ``mirror_class``."""
+
+    class Mutant(MusicReplica):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.mirror = mirror_class(self.lease_manager)
+
+    return Mutant
 
 
 def _serving(*skipped):
@@ -302,50 +324,56 @@ def _serving(*skipped):
     names the ref below), "c" (no forced dequeue at or above it) or "e"
     (the section wrote nothing)."""
 
-    class Mutant(MusicReplica):
-        def _handed_value(self, key, lock_ref, min_stamp, handoff):
-            kept = self._handed.get(key)
-            if kept is None or kept[0] != lock_ref:
-                return None
-            if min_stamp is not None and "e" not in skipped:
-                return None
-            if kept[1] is not None:
-                return kept[1], "grant"
+    class Skipping(Mirror):
+        @staticmethod
+        def _handed_row(lock_ref, forced, handoff):
             if handoff is None:
                 return None
-            released, handed, forced = handoff
+            released, kept = handoff
             if released != lock_ref - 1 and "b" not in skipped:
                 return None
             if forced is not None and forced >= released and "c" not in skipped:
                 return None
-            return handed, "row"
+            return kept
 
-    return Mutant
+        def fill(self, key, lock_ref, value, stamp):
+            entry = self._entries.get(key)
+            source = None if entry is None else entry.source
+            super().fill(key, lock_ref, value, stamp)
+            if entry is not None and "e" in skipped:
+                entry.source = source
+
+        def serve(self, key, lock_ref, min_stamp, *args):
+            if "e" in skipped:
+                min_stamp = None
+            return super().serve(key, lock_ref, min_stamp, *args)
+
+    return _mirrored(Skipping)
 
 
-def _own_put_scenario(replica_class=MusicReplica, obs=None):
+def _own_put_scenario(replica_class=MusicReplica, obs=None, read_leases=False):
     """A section that puts, then gets: the hand-off is older than its
     own write."""
-    music = build_music(audit=True, obs=obs, replica_class=replica_class)
+    music = build_music(audit=True, obs=obs, replica_class=replica_class, read_leases=read_leases)
     client = music.client("Ohio")
     run(music.sim, section(client, "get", "A"))
     run(music.sim, section(client, "B", "get"))
     return music
 
 
-def _stale_row_scenario(replica_class=MusicReplica, obs=None):
-    music = build_music(audit=True, obs=obs, replica_class=replica_class)
+def _stale_row_scenario(replica_class=MusicReplica, obs=None, read_leases=False):
+    music = build_music(audit=True, obs=obs, replica_class=replica_class, read_leases=read_leases)
     stale_row_scenario(music)
     return music
 
 
-def _late_marker_scenario(replica_class=MusicReplica, obs=None):
+def _late_marker_scenario(replica_class=MusicReplica, obs=None, read_leases=False):
     """A ref granted here unsynchronized, then synchronized by another
     replica after a forced dequeue of its predecessor, whose marker
     reaches this replica only after the grant: the store moved past the
     value the hand-off row carries (a write the audit never saw, as in
     ``_fast_path_scenario``, is what the synchronization fixes)."""
-    music = build_music(audit=True, obs=obs, replica_class=replica_class)
+    music = build_music(audit=True, obs=obs, replica_class=replica_class, read_leases=read_leases)
     client = music.client("Ohio")
     here, there = music.replica_at("Ohio"), music.replica_at("Oregon")
     run(music.sim, section(client, "get", "A"))
@@ -368,29 +396,39 @@ def _late_marker_scenario(replica_class=MusicReplica, obs=None):
     return music
 
 
-def test_the_hand_off_scenarios_are_clean_without_a_mutant():
+@LEASE_MODES
+def test_the_hand_off_scenarios_are_clean_without_a_mutant(read_leases):
     for scenario in (_own_put_scenario, _stale_row_scenario, _late_marker_scenario):
-        for music in in_both_audit_modes(scenario):
+        for music in in_both_audit_modes(scenario, read_leases=read_leases):
             assert music.auditor.clean, music.auditor.render_report()
             assert_replay_equivalent(music.auditor)
 
 
-def test_a_hand_off_served_over_the_sections_own_write_is_caught():
-    for music in in_both_audit_modes(_own_put_scenario, replica_class=_serving("e")):
+@LEASE_MODES
+def test_a_hand_off_served_over_the_sections_own_write_is_caught(read_leases):
+    for music in in_both_audit_modes(
+        _own_put_scenario, replica_class=_serving("e"), read_leases=read_leases
+    ):
         violation = assert_caught(music.auditor, "LatestState")
         assert "observed 'A'" in violation.detail
         assert_replay_equivalent(music.auditor)
 
 
-def test_a_hand_off_row_naming_a_lower_ref_served_is_caught():
-    for music in in_both_audit_modes(_stale_row_scenario, replica_class=_serving("b")):
+@LEASE_MODES
+def test_a_hand_off_row_naming_a_lower_ref_served_is_caught(read_leases):
+    for music in in_both_audit_modes(
+        _stale_row_scenario, replica_class=_serving("b"), read_leases=read_leases
+    ):
         violation = assert_caught(music.auditor, "LatestState")
         assert "observed 'OLD'" in violation.detail
         assert_replay_equivalent(music.auditor)
 
 
-def test_a_hand_off_served_beside_a_forced_marker_is_caught():
-    for music in in_both_audit_modes(_late_marker_scenario, replica_class=_serving("c")):
+@LEASE_MODES
+def test_a_hand_off_served_beside_a_forced_marker_is_caught(read_leases):
+    for music in in_both_audit_modes(
+        _late_marker_scenario, replica_class=_serving("c"), read_leases=read_leases
+    ):
         violation = assert_caught(music.auditor, "LatestState")
         assert "DIVERGED" in violation.detail
         assert_replay_equivalent(music.auditor)
@@ -399,11 +437,11 @@ def test_a_hand_off_served_beside_a_forced_marker_is_caught():
 # -- the early grant read (DESIGN.md §8) ------------------------------------
 
 
-def _queued_mint_scenario(replica_class=MusicReplica, obs=None):
+def _queued_mint_scenario(replica_class=MusicReplica, obs=None, read_leases=False):
     """Oregon mints while Ohio holds the lock and has written once, so
     the queue its mint decides on shows Ohio's ref; Ohio writes again
     before it releases."""
-    music = build_music(audit=True, obs=obs, replica_class=replica_class)
+    music = build_music(audit=True, obs=obs, replica_class=replica_class, read_leases=read_leases)
     ohio, oregon = music.client("Ohio"), music.client("Oregon")
 
     def scenario():
@@ -420,13 +458,13 @@ def _queued_mint_scenario(replica_class=MusicReplica, obs=None):
     return music, run(music.sim, scenario())
 
 
-def _missed_forced_scenario(replica_class=MusicReplica, obs=None):
+def _missed_forced_scenario(replica_class=MusicReplica, obs=None, read_leases=False):
     """Oregon's mint decides at the head and starts its grant read; then,
     before the grant, a forced dequeue of the ref below, which the
     decided queue did not show, takes effect with a synchronization
     elsewhere: the store moved past what the early read saw, and only
     the forced epoch shows it (injected, as in ``_late_marker_scenario``)."""
-    music = build_music(audit=True, obs=obs, replica_class=replica_class)
+    music = build_music(audit=True, obs=obs, replica_class=replica_class, read_leases=read_leases)
     ohio, oregon = music.client("Ohio"), music.client("Oregon")
     here, there = music.replica_at("Oregon"), music.replica_at("Ohio")
     run(music.sim, section(ohio, "get", "A"))
@@ -450,11 +488,11 @@ def _missed_forced_scenario(replica_class=MusicReplica, obs=None):
     return music, run(music.sim, scenario())
 
 
-def _late_write_scenario(replica_class=MusicReplica, obs=None):
+def _late_write_scenario(replica_class=MusicReplica, obs=None, read_leases=False):
     """A preempted holder's write lands between its successor's grant
     read, which finds the flag set, and the synchronization's own read:
     the sync rewrites that write's value, not the grant read's."""
-    music = build_music(audit=True, obs=obs, replica_class=replica_class)
+    music = build_music(audit=True, obs=obs, replica_class=replica_class, read_leases=read_leases)
     client = music.client("Ohio")
     replica = music.replica_at("Ohio")
     synchronize = replica._synchronize
@@ -485,13 +523,13 @@ def _late_write_scenario(replica_class=MusicReplica, obs=None):
     return music, run(music.sim, scenario())
 
 
-def _stale_local_acceptor_scenario(obs=None):
+def _stale_local_acceptor_scenario(obs=None, read_leases=False):
     """Ohio writes "B" while Ohio and Oregon are partitioned, so Oregon's
     store replica misses it (the put's quorum is Ohio's and
     N.California's).  Healed, Oregon's first section gets: its mint's
     accept quorum is Oregon's replica and N.California's, and only the
     latter holds "B"."""
-    music = build_music(audit=True, obs=obs)
+    music = build_music(audit=True, obs=obs, read_leases=read_leases)
     ohio, oregon = music.client("Ohio"), music.client("Oregon")
 
     def scenario():
@@ -528,69 +566,81 @@ def _one_accept(original, self, replicas, needed, target, mutation, read_table):
     return (yield from original(self, replicas, 1, target, mutation, read_table))
 
 
-def test_the_early_read_scenarios_are_clean_without_a_mutant():
+def assert_stale(music, read_leases, value="A"):
+    """The mutant served the stale ``value`` and the audit caught it:
+    under an open window with leases on, else as a criticalGet."""
+    violation = assert_caught(music.auditor, "LeaseSafety" if read_leases else "LatestState")
+    assert f"observed {value!r}" in violation.detail
+    assert_replay_equivalent(music.auditor)
+
+
+@LEASE_MODES
+def test_the_early_read_scenarios_are_clean_without_a_mutant(read_leases):
     for scenario, value in (
         (_queued_mint_scenario, "B"), (_missed_forced_scenario, "DIVERGED"),
         (_late_write_scenario, "LATE"), (_stale_local_acceptor_scenario, "B"),
     ):
-        for music, read in in_both_audit_modes(scenario):
+        for music, read in in_both_audit_modes(scenario, read_leases=read_leases):
             assert read == value
             assert music.auditor.clean, music.auditor.render_report()
             assert_replay_equivalent(music.auditor)
 
 
-def test_an_accept_round_read_taken_behind_a_queued_ref_is_caught():
+@LEASE_MODES
+def test_an_accept_round_read_taken_behind_a_queued_ref_is_caught(read_leases):
     original = LockStore.__dict__["_queue_empty"]
     LockStore._queue_empty = staticmethod(lambda rows: True)
     try:
-        runs = in_both_audit_modes(_queued_mint_scenario)
+        runs = in_both_audit_modes(_queued_mint_scenario, read_leases=read_leases)
     finally:
         LockStore._queue_empty = original
     for music, read in runs:
         assert read == "A"
-        violation = assert_caught(music.auditor, "LatestState")
-        assert "observed 'A'" in violation.detail
-        assert_replay_equivalent(music.auditor)
+        assert_stale(music, read_leases)
 
 
-def test_an_early_read_taken_across_a_changed_forced_epoch_is_caught():
+@LEASE_MODES
+def test_an_early_read_taken_across_a_changed_forced_epoch_is_caught(read_leases):
     class IgnoresEpoch(MusicReplica):
         def _take_early(self, key, lock_ref, epoch):
             early = self._early_reads.pop(key, None)
             return early if early is not None and early[0] == lock_ref else None
 
-    for music, read in in_both_audit_modes(_missed_forced_scenario, replica_class=IgnoresEpoch):
+    for music, read in in_both_audit_modes(
+        _missed_forced_scenario, replica_class=IgnoresEpoch, read_leases=read_leases
+    ):
         assert read == "A"
-        violation = assert_caught(music.auditor, "LatestState")
-        assert "observed 'A'" in violation.detail
-        assert_replay_equivalent(music.auditor)
+        assert_stale(music, read_leases)
 
 
-def test_a_grant_read_served_after_a_sync_is_caught():
-    class ServesAfterSync(MusicReplica):
-        def _hand_over(self, key, lock_ref, rows, synced):
-            super()._hand_over(key, lock_ref, rows, False)
+class ServesAfterSync(Mirror):
+    """A mirror that keeps a grant's read for the hand-off even after
+    the grant's synchronization rewrote the value."""
 
-    for music, read in in_both_audit_modes(_late_write_scenario, replica_class=ServesAfterSync):
+    def granted(self, key, lock_ref, kept, synced):
+        super().granted(key, lock_ref, kept, False)
+
+
+@LEASE_MODES
+def test_a_grant_read_served_after_a_sync_is_caught(read_leases):
+    for music, read in in_both_audit_modes(
+        _late_write_scenario, replica_class=_mirrored(ServesAfterSync), read_leases=read_leases
+    ):
         assert read == "A"
-        violation = assert_caught(music.auditor, "LatestState")
-        assert "observed 'A'" in violation.detail
-        assert_replay_equivalent(music.auditor)
+        assert_stale(music, read_leases)
 
 
-def test_an_accept_round_read_merging_only_the_local_acceptor_is_caught(monkeypatch):
+@LEASE_MODES
+def test_an_accept_round_read_merging_only_the_local_acceptor_is_caught(monkeypatch, read_leases):
     monkeypatch.setattr(LwtProposer, "_propose", _accepting(_local_accept_only))
-    for music, read in in_both_audit_modes(_stale_local_acceptor_scenario):
+    for music, read in in_both_audit_modes(_stale_local_acceptor_scenario, read_leases=read_leases):
         assert read == "A"
-        violation = assert_caught(music.auditor, "LatestState")
-        assert "observed 'A'" in violation.detail
-        assert_replay_equivalent(music.auditor)
+        assert_stale(music, read_leases)
 
 
-def test_a_mint_returning_before_its_accept_quorum_is_caught(monkeypatch):
+@LEASE_MODES
+def test_a_mint_returning_before_its_accept_quorum_is_caught(monkeypatch, read_leases):
     monkeypatch.setattr(LwtProposer, "_propose", _accepting(_one_accept))
-    for music, read in in_both_audit_modes(_stale_local_acceptor_scenario):
+    for music, read in in_both_audit_modes(_stale_local_acceptor_scenario, read_leases=read_leases):
         assert read == "A"
-        violation = assert_caught(music.auditor, "LatestState")
-        assert "observed 'A'" in violation.detail
-        assert_replay_equivalent(music.auditor)
+        assert_stale(music, read_leases)

@@ -508,3 +508,22 @@ def test_an_operation_leaves_nothing_parked_on_the_replica():
         and (target.attr.startswith("last_") or target.attr.endswith("_recorder"))
     ]
     assert parked == []
+
+
+def test_a_critical_get_makes_one_local_serve_call():
+    """criticalGet is one guarded read (DESIGN.md §8): ``_critical_get``
+    asks the mirror once, whatever evidence its entry holds, and calls
+    no other method of the replica than its guard."""
+    tree = ast.parse((SRC / "core/replica.py").read_text())
+    (function,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_critical_get"
+    ]
+    calls = [node.func for node in ast.walk(function) if isinstance(node, ast.Call)]
+    serves = [ast.unparse(func) for func in calls if last_name(func) == "serve"]
+    assert serves == ["self.mirror.serve"]
+    own = [
+        func.attr for func in calls
+        if isinstance(func, ast.Attribute) and getattr(func.value, "id", "") == "self"
+    ]
+    assert own == ["_guard"]
