@@ -185,13 +185,14 @@ class MusicReplica(UnlockedOps, Node):
         self._forget(key, lock_ref)
         return NotLockHolder(f"lockRef {lock_ref} on {key!r} was forcibly released")
 
-    def _forget(self, key: str, lock_ref: int) -> None:
+    def _forget(self, key: str, lock_ref: int, only: bool = False) -> None:
         """Drop the early read and mirror entry of ``key``'s sections up
-        to ``lock_ref``; a release listener (DESIGN.md §8)."""
+        to ``lock_ref`` (``only``: of that section alone); a release
+        listener (DESIGN.md §8)."""
         early = self._early_reads.get(key)
-        if early is not None and early[0] <= lock_ref:
+        if early is not None and (early[0] == lock_ref if only else early[0] <= lock_ref):
             del self._early_reads[key]
-        self.mirror.drop(key, lock_ref)
+        self.mirror.drop(key, lock_ref, only)
 
     # -- createLockRef (cost: lockRef consensus write) -----------------------------
 
@@ -568,7 +569,8 @@ class MusicReplica(UnlockedOps, Node):
                 key, lock_ref, on_committing=decided, handoff=handoff
             )
         self._leases.pop((key, lock_ref), None)
-        self._forget(key, lock_ref)
+        # A waiter leaving from behind the head ends its own section only.
+        self._forget(key, lock_ref, order > 0)
         return True
 
     # -- forcedRelease (internal; cost: flag quorum write + consensus write) ---------

@@ -104,11 +104,14 @@ class Mirror:
         if entry.value_stamp is None or stamp is None or stamp > entry.value_stamp:
             entry.value, entry.value_stamp = value, stamp
 
-    def drop(self, key: str, lock_ref: int) -> None:
+    def drop(self, key: str, lock_ref: int, only: bool = False) -> None:
         """Revoke ``key``'s entry if its section is at or below ``lock_ref``
-        (released, forcibly released or dead)."""
+        (released, forcibly released or dead), or with ``only`` if it is
+        ``lock_ref``'s."""
         entry = self._entries.get(key)
-        if entry is not None and entry.lock_ref <= lock_ref:
+        if entry is not None and (
+            entry.lock_ref == lock_ref or not only and entry.lock_ref < lock_ref
+        ):
             del self._entries[key]
 
     def serve(self, key: str, lock_ref: int, min_stamp: Optional[Stamp], clock: Any,

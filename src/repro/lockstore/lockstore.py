@@ -313,12 +313,17 @@ class LockStore:
         ref, (value, stamp))``.  All three ride the read the peek
         performs anyway, so a guard that consults them costs exactly
         what the plain guard costs.
+
+        On the hot path a local read is trusted only without a gap below
+        its head (:meth:`_gap`); one with a gap is read again at QUORUM.
         """
-        read = self.coordinator.get(LOCK_TABLE, key, consistency=consistency)
+        local = self.batched and consistency != Consistency.QUORUM
+        read = self.coordinator.get(LOCK_TABLE, key, consistency=consistency, tombstones=local)
         tracer = self.obs.tracer
         if tracer.enabled:
             read = tracer.around(read, "lockstore.peek", node=self._writer, key=key)
-        rows = yield from read
+        reply = yield from read
+        rows, dead = reply if local else (reply, None)
         memo = self._heads.get(key)
         if memo is not None and memo[0] is rows:
             return memo[1]
@@ -334,10 +339,23 @@ class LockStore:
         entry = None
         if refs:
             first_ref = min(refs)
+            if dead is not None and self._gap(first_ref, forced, handoff, dead):
+                return (yield from self.head(key, Consistency.QUORUM))
             entry = self._entry(first_ref, rows[first_ref])
         head = entry, epoch, forced, handoff
         self._heads[key] = rows, head
         return head
+
+    @staticmethod
+    def _gap(first_ref: int, forced: Optional[int], handoff: Optional[HandOff], dead: Any) -> bool:
+        """Whether a local read whose first queued ref is ``first_ref`` may
+        lack a lower one that is still queued: a replica that missed a
+        mint's commit can apply a later one (DESIGN.md §7).  Each marker
+        row names a ref that headed the queue, so every ref at or below
+        the newest it names is dead; each ref above that and below
+        ``first_ref`` must show its tombstone in ``dead``."""
+        floor = max(forced or 0, handoff[0] if handoff is not None else 0)
+        return any(ref not in dead for ref in range(floor + 1, first_ref))
 
     def places_behind(self, key: str, lock_ref: int) -> int:
         """How many places behind the queue head the last head read of

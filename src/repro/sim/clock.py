@@ -49,7 +49,3 @@ class NodeClock:
         """The local time at simulated time ``when``, never later than
         what a read at ``when`` returned (and reading nothing now)."""
         return when * (1.0 + self.drift) + self.offset
-
-    def peek(self) -> float:
-        """Current local time without advancing the monotonic guard."""
-        return max(self.sim.now * (1.0 + self.drift) + self.offset, self._last_read)

@@ -59,9 +59,6 @@ class StoreConfig:
     cas_max_attempts: ClassVar[int] = 20
     cas_backoff_base_ms: ClassVar[float] = 10.0
     cas_backoff_jitter_ms: ClassVar[float] = 40.0
-    # A three-round LWT's promise is held against younger requests for
-    # this many of its coordinator's prepare rounds (wound-wait; DESIGN §6).
-    cas_hold_rounds: ClassVar[float] = 3.0
 
     # Anti-entropy: period between digest exchanges per replica (the
     # loop jitters each period to avoid lockstep).

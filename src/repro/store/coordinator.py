@@ -54,9 +54,6 @@ class StoreCoordinator(LwtProposer):
         self.obs = node.obs
         self._rng = (streams or RandomStreams(0)).stream(f"cas:{node.node_id}")
         self._ballot_round = 0
-        # The last three-round prepare's duration: what its promisers
-        # hold a promise for is measured in it (LwtProposer).
-        self._prepare_ms = 0.0
         self._op_ids = itertools.count(1)
         self._hints: List[Tuple[str, List[Any]]] = []
         self._hint_replayer = None
@@ -120,18 +117,21 @@ class StoreCoordinator(LwtProposer):
         partition: str,
         clustering: Any = "__all_rows__",
         consistency: str = Consistency.QUORUM,
-    ) -> Generator[Any, Any, Dict[Any, Row]]:
+        tombstones: bool = False,
+    ) -> Generator[Any, Any, Any]:
         """Read rows of a partition; returns merged {clustering: Row}.
 
         At ONE/LOCAL_ONE only one replica is consulted (an *eventual*
-        read: possibly stale).  At QUORUM/ALL, replies are merged cell-
-        wise by stamp, so the result is at least as new as any value
-        acknowledged at the same consistency; with
-        ``StoreConfig.read_repair_enabled`` the merge is pushed back.
+        read: possibly stale); with ``tombstones`` it returns ``(rows,
+        tombstones)``, the replica's ``{clustering: tombstone}`` too.
+        At QUORUM/ALL, replies are merged cell-wise by stamp, so the
+        result is at least as new as any value acknowledged at the same
+        consistency; with ``StoreConfig.read_repair_enabled`` the merge
+        is pushed back.
         """
         if consistency not in _LEVELS:
             raise ValueError(f"unknown consistency {consistency!r}")
-        op = self._get(table, partition, clustering, consistency)
+        op = self._get(table, partition, clustering, consistency, tombstones)
         if not self.obs.tracer.enabled:
             return op
         return self._traced(
@@ -139,11 +139,13 @@ class StoreCoordinator(LwtProposer):
         )
 
     def _get(
-        self, table: str, partition: str, clustering: Any, consistency: str
-    ) -> Generator[Any, Any, Dict[Any, Row]]:
-        replies = yield self._serve(self._get_served, table, partition, clustering, consistency)
+        self, table: str, partition: str, clustering: Any, consistency: str, tombstones: bool,
+    ) -> Generator[Any, Any, Any]:
+        replies = yield self._serve(
+            self._get_served, table, partition, clustering, consistency, tombstones
+        )
         if consistency in _SINGLE:
-            return replies["rows"]
+            return (replies["rows"], replies["tombstones"]) if tombstones else replies["rows"]
         merged = self._merge_replies(replies, table, partition)
         if self.config.read_repair_enabled:
             self.counters["read_repairs"] += 1
@@ -151,11 +153,13 @@ class StoreCoordinator(LwtProposer):
         return merged
 
     def _get_served(self, op: Tuple[Any, ...]) -> None:
-        done, table, partition, clustering, consistency = op
+        done, table, partition, clustering, consistency, tombstones = op
         replicas = self.ring.replicas_for(partition, self.config.replication_factor)
         body = {"table": table, "partition": partition, "clustering": clustering}
         timeout = self.config.rpc_timeout_ms
         if consistency in _SINGLE:
+            if tombstones:
+                body["tombstones"] = True
             nearest = self._targets.get(replicas)
             if nearest is None:
                 nearest = self._targets[replicas] = self._nearest(replicas)
@@ -168,7 +172,7 @@ class StoreCoordinator(LwtProposer):
             )
             return
         needed = self._needed(consistency, len(replicas))
-        body["merged"] = True  # the replies are merged: each carries its deletes
+        body["tombstones"] = True  # the replies are merged: each carries its deletes
         self.node.call_quorum(replicas, "store_read", body, needed, done, timeout=timeout)
 
     def scan_keys(

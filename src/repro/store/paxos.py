@@ -24,11 +24,9 @@ chosen at the accept quorum; a rival's prepare finishes by recovery a
 commit that never spread.  During a ring transition the commit still
 waits for the pending owners' acks.
 
-A three-round LWT is also starvation-free (wound-wait): its prepare
-carries the age of its request, and an acceptor holds a promise for one
-against a younger request's prepare until the proposal lands, so a
-coordinator far from the quorum is not shut out by a nearer one whose
-rounds follow each other without a gap.
+Every LWT, of three rounds or four, retries by one rule: an attempt
+that lost a ballot, or finished a rival's round instead of its own,
+backs off before it prepares again.
 """
 
 from __future__ import annotations
@@ -55,10 +53,6 @@ def no_accept_read(partition: str, rows: Dict[Any, Row]) -> None:
     commit quorum."""
     return None
 
-# What an attempt returns when it finished a rival's round and should
-# prepare again at once: no ballot was lost, so nothing backs off.
-_AGAIN = object()
-
 
 @dataclass
 class CasResult:
@@ -82,20 +76,19 @@ class _Prepare:
     ``paxos.prepare`` span it opened if traced, which ``with prepare:`` closes."""
 
     __slots__ = (
-        "table", "partition", "mutation", "stamp_with_ballot", "read", "since",
-        "replicas", "needed", "target", "span", "sent",
+        "table", "partition", "mutation", "stamp_with_ballot", "read",
+        "replicas", "needed", "target", "span",
     )
 
     def __init__(
         self, table: str, partition: str, mutation: Mutation, stamp_with_ballot: bool,
-        read: Optional[AcceptRead], since: float,
+        read: Optional[AcceptRead],
     ) -> None:
         self.table = table
         self.partition = partition
         self.mutation = mutation
         self.stamp_with_ballot = stamp_with_ballot
         self.read = read  # the caller's read_in_promise
-        self.since = since  # when the CAS began, on the coordinator's clock
         self.span: Any = None
 
     def __enter__(self) -> "_Prepare":
@@ -149,12 +142,11 @@ class LwtProposer:
         this call decides by completing its in-progress proposal.
 
         ``read_in_promise``, if given, folds the read round into the
-        prepare round and makes the LWT wound-wait.  It is called with
-        ``partition`` and the rows the condition held on, and returns a
-        table for the accept round to read too, or None
-        (:func:`no_accept_read` always does).  A named table's read lands
-        in :attr:`CasResult.read`, and the CAS then returns at the local
-        commit.  The module docstring has both.
+        prepare round.  It is called with ``partition`` and the rows the
+        condition held on, and returns a table for the accept round to
+        read too, or None (:func:`no_accept_read` always does).  A named
+        table's read lands in :attr:`CasResult.read`, and the CAS then
+        returns at the local commit.  The module docstring has both.
         """
         op = self._cas(
             table, partition, condition, mutation, stamp_with_ballot, on_committing,
@@ -179,15 +171,11 @@ class LwtProposer:
         # The rows the last read phase evaluated the condition on: an
         # attempt that completes our own earlier proposal decides it on them.
         view: List[Any] = [None]
-        # When this request began, by a clock read that moves no stamp.
-        since = self.node.clock.peek() if read_in_promise else 0.0
         for attempt in range(attempts):
             outcome = yield from self._cas_once(
-                _Prepare(table, partition, mutation, stamp_with_ballot, read_in_promise, since),
+                _Prepare(table, partition, mutation, stamp_with_ballot, read_in_promise),
                 condition, on_committing, on_recovered, view,
             )
-            if outcome is _AGAIN:
-                continue
             if outcome is not None:
                 tracer = self.obs.tracer
                 if tracer.enabled:
@@ -217,16 +205,13 @@ class LwtProposer:
         self, prepare: _Prepare, condition: Condition,
         on_committing: Optional[Callable], on_recovered: Optional[Callable], view: List[Any],
     ) -> Generator[Any, Any, Optional[CasResult]]:
-        """One Paxos attempt; returns None to signal retry-with-backoff,
-        ``_AGAIN`` to retry at once."""
+        """One Paxos attempt; returns None to signal retry-with-backoff."""
         # Round 1: prepare/promise, sent by the served continuation.
         if self.obs.tracer.enabled:
             with prepare:
                 replies = yield self._serve(self._prepare_served, prepare)
         else:
             replies = yield self._serve(self._prepare_served, prepare)
-        if prepare.read:
-            self._prepare_ms = self.sim.now - prepare.sent
         replicas, needed, target = prepare.replicas, prepare.needed, prepare.target
         mutation = prepare.mutation
         promises = [reply for _dst, reply in replies]
@@ -255,17 +240,6 @@ class LwtProposer:
         if commits:
             newest_commit = max(commits)
             in_progress = [pair for pair in in_progress if pair[0] > newest_commit]
-            if in_progress and prepare.read:
-                # A recoverer's re-proposal of the newest commit can be
-                # accepted after that commit landed; it is decided, and
-                # completing it again would send two recoverers round it
-                # for ever now that a recovery retries at once.
-                decided = next(
-                    p["latest_mutation"] for p in promises if p["latest_commit"] == newest_commit
-                )
-                in_progress = [
-                    pair for pair in in_progress if not self._same_mutation(pair[1], decided)
-                ]
         if in_progress:
             # Finish the most recent incomplete proposal before our own
             # (Cassandra's LWT recovery path).  If the orphan is our own
@@ -282,11 +256,6 @@ class LwtProposer:
                 yield from self._commit(replicas, needed, target, stale_mutation)
                 if ours:
                     return CasResult(applied=True)
-                if prepare.read:
-                    # Cassandra prepares again at once after finishing a
-                    # rival's round; a back-off here would hand the
-                    # partition to the coordinators nearest the quorum.
-                    return _AGAIN
             return None
 
         table, partition = prepare.table, prepare.partition
@@ -302,7 +271,7 @@ class LwtProposer:
             # Round 2: read phase — evaluate the condition on merged quorum state.
             read_body = {
                 "table": table, "partition": partition, "clustering": "__all_rows__",
-                "merged": True,
+                "tombstones": True,
             }
             read_replies = yield from self._round(
                 "paxos.read", replicas, "store_read", read_body, needed
@@ -354,16 +323,7 @@ class LwtProposer:
             prepare.span = tracer.span(
                 "paxos.prepare", node=self.node.node_id, site=self.node.site
             ).__enter__()
-        body = target
-        if prepare.read:
-            body = dict(target, read=True)
-            if self._prepare_ms:
-                # Wound-wait: the promisers hold our promise against
-                # younger requests for a few of our own prepare rounds
-                # (StorageReplica._prepare), long enough for a repair
-                # round and our proposal to reach them.
-                body.update(since=prepare.since, hold=self.config.cas_hold_rounds * self._prepare_ms)
-            prepare.sent = self.sim.now
+        body = dict(target, read=True) if prepare.read else target
         self.node.call_quorum(
             replicas, "paxos_prepare", body, needed, done, timeout=self.config.rpc_timeout_ms,
         )

@@ -3,8 +3,8 @@ Paxos, anti-entropy.
 
 Each replica is a :class:`~repro.net.node.Node` that serves:
 
-- ``store_read``   — return the live rows of a partition (and, for a
-  read whose replies are merged, the stamps of its deleted ones);
+- ``store_read``   — return the live rows of a partition (and, when
+  asked, the stamps of its deleted ones);
 - ``store_write``  — journal + apply a batch of LWW cell updates / row
   deletes;
 - ``paxos_prepare``, ``paxos_propose``, ``paxos_commit`` — the per-
@@ -59,7 +59,6 @@ real commit log introduces — and the reply is one more continuation
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Tuple
 
 from ..errors import ReproError
@@ -120,10 +119,6 @@ class StorageReplica(Node):
         # Placement ring, set by the cluster builder; used to restrict
         # anti-entropy to partitions both endpoints actually replicate.
         self.ring = None
-        # (table, partition) -> (ballot, since, until): the promise given
-        # to a three-round prepare, held against younger requests (see
-        # _prepare).  Volatile: a restart only ends holds early.
-        self._holds: Dict[Tuple[str, str], Tuple[Ballot, float, float]] = {}
         self.counters = {
             "reads": 0,
             "writes": 0,
@@ -161,7 +156,6 @@ class StorageReplica(Node):
         # Memtable, Paxos acceptor dict and the unsynced commit-log tail
         # are gone; the synced log prefix and flushed segments survive.
         self.engine.crash()
-        self._holds.clear()
 
     def _replay_durable(self) -> Optional[Generator[Any, Any, None]]:
         if self.engine.crashed:
@@ -245,10 +239,11 @@ class StorageReplica(Node):
             rows = {clustering: row} if row is not None else {}
             size = 32 if row is None else 32 + row.payload_bytes()
         answer = {"rows": rows}
-        if body.get("merged"):
+        if body.get("tombstones"):
             # A reply merged with others carries the partition's deletes,
             # unpriced (DESIGN.md §6): the merge drops a row another
-            # replica has deleted.  A single-replica read needs none.
+            # replica has deleted.  So does a lock-queue head read, which
+            # checks them for a gap below the head (DESIGN.md §7).
             answer["tombstones"] = tombstones
         self._answer((served, answer, size))
 
@@ -274,42 +269,16 @@ class StorageReplica(Node):
         key = (body["table"], body["partition"])
         state = self.engine.paxos_state(*key)
         ballot: Ballot = body["ballot"]
-        # Wound-wait on the three-round path: a prepare also loses to a
-        # held promise of an older request, so a coordinator far from the
-        # quorum gets its proposal in between a nearer one's rounds.
-        if state.promised is not None and (
-            ballot <= state.promised or ("read" in body and self._waits(key, state, body))
-        ):
+        if state.promised is not None and ballot <= state.promised:
             if span is not None:
                 span.set(promised=False)
             rejection = {"promised": False, "promised_ballot": state.promised}
             self._answer((served, rejection, 64))
             return
         state.promised = ballot
-        if "since" in body:
-            self._holds[key] = (ballot, body["since"], self.sim.now + body["hold"])
         # The promise must be durable before it is given: a promise
         # forgotten across a restart would let an older ballot slip in.
         self.engine.commit([], (key, state), self._promised, (served, state, state.accepted))
-
-    def _waits(self, key: Tuple[str, str], state: PaxosState, body: Dict[str, Any]) -> bool:
-        """Whether a three-round prepare must wait for the promise held
-        on ``key``: another coordinator's, for an older request, whose
-        proposal this acceptor does not hold as accepted (a rival would
-        now finish it, not undo it) and whose hold has not run out.  A
-        prepare without an age (its coordinator's first) counts as the
-        youngest."""
-        held = self._holds.get(key)
-        if held is None:
-            return False
-        ballot, since, until = held
-        if (
-            ballot != state.promised or self.sim.now >= until
-            or (state.accepted is not None and state.accepted[0] == ballot)
-        ):
-            del self._holds[key]
-            return False
-        return ballot[1] != body["ballot"][1] and body.get("since", math.inf) > since
 
     def _promised(self, promise: Tuple[Served, PaxosState, Any]) -> None:
         served, state, in_progress = promise

@@ -226,7 +226,10 @@ def _put_missed_by_the_promises():
     def scenario():
         yield from section(ncal, "OLD")
         cs = yield from ncal.critical_section("k")
-        yield sim.timeout(300.0)  # past the wound-wait hold of H's mint
+        # H's mint returned at its local commit: let that commit reach r,
+        # or the contender's guard read there misses it and the mint's
+        # retry prepares after the put has landed.
+        yield sim.timeout(300.0)
         armed.append(True)
         yield from cs.put("NEW")
         yield from cs.exit()

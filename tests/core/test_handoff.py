@@ -111,11 +111,10 @@ def test_a_get_after_the_sections_own_put_reads_the_quorum():
     assert_clean(music)
 
 
-def test_a_predecessor_with_a_retried_op_writes_no_row():
-    """An op that needed a second attempt may have landed twice, or
-    late: what its section holds is unknown, so its release writes no
-    row, and the successor reads the quorum."""
-    music = build_music(audit=True)
+def retried_op_scenario(music):
+    """A section whose get needed a second attempt, then put "B", and
+    its successor's get: returns what that get read and how many gets
+    the hand-off served meanwhile."""
     client = music.client("Ohio")
     run(music.sim, section(client, "get", "A"))
     named = handoff_row(music)
@@ -134,8 +133,17 @@ def test_a_predecessor_with_a_retried_op_writes_no_row():
     assert failed
     assert handoff_row(music) == named
     before = hits(music)
-    assert run(music.sim, section(client, "get", "C")) == ["B"]
-    assert hits(music) == before
+    (read,) = run(music.sim, section(client, "get", "C"))
+    return read, hits(music) - before
+
+
+def test_a_predecessor_with_a_retried_op_writes_no_row():
+    """An op that needed a second attempt may have landed twice, or
+    late: what its section holds is unknown, so its release writes no
+    row, and the successor, whose row names a lower ref (rule (b)),
+    reads the quorum."""
+    music = build_music(audit=True)
+    assert retried_op_scenario(music) == ("B", 0)
     assert_clean(music)
 
 
@@ -192,6 +200,32 @@ def test_a_mid_queue_leaver_writes_no_row():
     assert_clean(music)
 
 
+@pytest.mark.parametrize("read_leases", [False, True], ids=["leases-off", "leases-on"])
+def test_a_mid_queue_leaver_leaves_the_holders_entry(read_leases):
+    """A waiter at the holder's replica that leaves from behind the head
+    drops its own mirror entry only: the holder's get is still served
+    locally, by the hand-off or under its lease window."""
+    music = build_music(audit=True, music_config=MusicConfig(read_leases=read_leases))
+    sim = music.sim
+    holder, leaver = music.client("Ohio"), music.client("Ohio")
+    run(sim, section(holder, "get", "A"))
+
+    def served():
+        return hits(music) + sum(replica.counters["lease_hits"] for replica in music.replicas)
+
+    def scenario():
+        cs = yield from holder.critical_section("k")
+        left = yield from leaver.create_lock_ref("k")
+        yield from leaver.release_lock("k", left)
+        before = served()
+        value = yield from cs.get()
+        yield from cs.exit()
+        return value, served() - before
+
+    assert run(sim, scenario()) == ("A", 1)
+    assert_clean(music)
+
+
 def test_a_holder_that_did_no_op_writes_no_row():
     """A section without an op leaves the row naming the section before
     it, so its successor reads the quorum."""
@@ -207,11 +241,14 @@ def test_a_holder_that_did_no_op_writes_no_row():
     assert_clean(music)
 
 
-def stale_row_scenario(music):
-    """A store replica misses a whole section — its mint, its write, its
-    release — and the next mint, whose commit then reaches it late: it
-    shows that ref at the head beside the hand-off row of the section
-    before the one it missed (the shape the elastic crash test found)."""
+def missed_mints_scenario(music, held):
+    """A store replica misses the mints of two lockRefs — unless
+    ``held``, the whole section of the first too: its write and its
+    release — and the second mint's commit reaches it late: its local
+    queue shows the second ref at the head and nothing of the first (the
+    gap the fault sweep found; with the first section over, the shape
+    the elastic crash test found).  Returns the second ref and the
+    Oregon client that minted the first."""
     sim, network = music.sim, music.network
     ohio, oregon = music.client("Ohio"), music.client("Oregon")
     local = music.replica_at("Ohio")
@@ -220,7 +257,11 @@ def stale_row_scenario(music):
     )
     run(sim, section(ohio, "get", "OLD"))
     network.fail_node(ohio_store)
-    run(sim, section(oregon, "get", "NEW"))
+    if held:
+        first = run(sim, oregon.create_lock_ref("k"))
+        assert run(sim, oregon.acquire_lock_blocking("k", first))
+    else:
+        run(sim, section(oregon, "get", "NEW"))
     ref = run(sim, music.replica_at("Oregon").create_lock_ref("k"))
     network.recover_node(ohio_store)
     # The mint's commit, delivered late: its rows as a peer holds them.
@@ -231,24 +272,51 @@ def stale_row_scenario(music):
             music.store.by_id[ohio_store].apply_update(
                 Update(LOCK_TABLE, "k", clustering, {column: cell.value}, cell.stamp)
             )
+    here = music.store.by_id[ohio_store].engine.read(LOCK_TABLE, "k")
+    assert min(r for r in here[0] if isinstance(r, int)) == ref and ref - 1 not in here[1]
+    return ref, oregon
+
+
+def test_a_replica_that_missed_a_section_reads_the_head_at_quorum():
+    """The local read shows no tombstone for the section it missed,
+    between the ref its hand-off row names and its head: a gap (DESIGN.md
+    §7), so the head is read at quorum, whose row names the ref below
+    the head (rule (b)) and serves the get."""
+    music = build_music(audit=True)
+    ref, _oregon = missed_mints_scenario(music, held=False)
+    ohio, local = music.client("Ohio"), music.replica_at("Ohio")
 
     def successor():
         head = yield from local.lock_store.head("k")
-        assert head[0].lock_ref == ref and head[3][0] == ref - 2, head
+        assert head[0].lock_ref == ref and head[3][0] == ref - 1, head
         assert (yield from ohio.acquire_lock_blocking("k", ref))
         before = hits(music)
         value = yield from ohio.critical_get("k", ref)
         yield from ohio.release_lock("k", ref)
         return value, hits(music) - before
 
-    return run(sim, successor())
+    assert run(music.sim, successor()) == ("NEW", 1)
+    assert_clean(music)
 
 
-def test_a_stale_row_naming_a_lower_ref_is_not_served():
-    """Rule (b): the row must name exactly the ref below the head.  A
-    replica that missed a release in between shows an older one."""
-    music = build_music(audit=True)
-    assert stale_row_scenario(music) == ("NEW", 0)
+@pytest.mark.parametrize("read_leases", [False, True], ids=["leases-off", "leases-on"])
+def test_a_replica_that_missed_a_queued_mint_grants_nothing_past_it(read_leases):
+    """The first ref is still held at Oregon: the replica's local head
+    is the second, and granting it would make two holders.  The gap
+    sends the acquire's head read to the quorum, which shows the first."""
+    music = build_music(audit=True, music_config=MusicConfig(read_leases=read_leases))
+    ref, oregon = missed_mints_scenario(music, held=True)
+    ohio, local = music.client("Ohio"), music.replica_at("Ohio")
+
+    def successor():
+        assert not (yield from local.acquire_lock("k", ref))
+        yield from oregon.release_lock("k", ref - 1)
+        assert (yield from ohio.acquire_lock_blocking("k", ref))
+        value = yield from ohio.critical_get("k", ref)
+        yield from ohio.release_lock("k", ref)
+        return value
+
+    assert run(music.sim, successor()) == "OLD"
     assert_clean(music)
 
 

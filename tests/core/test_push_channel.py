@@ -106,10 +106,10 @@ def test_a_release_wakes_its_successor_and_every_listener():
     assert oregon.push._waiters == {}
 
 
-def _hot_key(fast_locks, clients=9, rounds=2):
+def _hot_key(fast_locks, clients=12, rounds=2):
     """``clients`` at three sites, ``rounds`` critical sections each on
     one key; returns the deployment and its acquire polls per grant.
-    Three waiters per replica: enough for a herd to show."""
+    Four clients per replica: enough waiters park for a herd to show."""
     music = build_music(
         seed=2, replica_class=CountingReplica,
         music_config=MusicConfig(fast_locks=fast_locks),

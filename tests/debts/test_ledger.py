@@ -13,6 +13,7 @@ from repro.errors import ReproError
 from repro.lockstore.lockstore import MAX_ENQUEUE_ATTEMPTS
 
 from benchmarks.e2e.workloads import SIM_LIMIT_MS, _build_fault_takeover, final_counter
+from tests.core.test_handoff import missed_mints_scenario
 
 
 def _sections_finished(seed):
@@ -127,3 +128,16 @@ def test_every_applied_increment_is_in_the_final_counters():
     run.verify()
     total = sum(final_counter(run.deployment, f"ctr-{index}") or 0 for index in range(6))
     assert total == len(run.latencies)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP 1(g)")
+def test_a_polling_replica_that_missed_a_queued_mint_grants_nothing_past_it():
+    # The hot path's head read checks for a gap below the head and reads
+    # the quorum when it finds one; the polling protocol's trusts the
+    # local replica, which shows the second ref at the head and grants
+    # it while the first is held: two holders.
+    music = build_music(audit=True, music_config=PAPER_MUSIC)
+    ref, _holder = missed_mints_scenario(music, held=True)
+    acquire = music.replica_at("Ohio").acquire_lock("k", ref)
+    granted = music.sim.run_until_complete(music.sim.process(acquire))
+    assert not granted and music.auditor.clean

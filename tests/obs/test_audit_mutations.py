@@ -21,7 +21,7 @@ from repro.lockstore.lockstore import FORCED_ROW, LOCK_TABLE
 from repro.store import Consistency
 from repro.store.paxos import LwtProposer
 from repro.store.types import Update
-from tests.core.test_handoff import section, stale_row_scenario
+from tests.core.test_handoff import retried_op_scenario, section
 from tests.helpers import assert_replay_equivalent, in_both_audit_modes, run
 
 
@@ -361,9 +361,9 @@ def _own_put_scenario(replica_class=MusicReplica, obs=None, read_leases=False):
     return music
 
 
-def _stale_row_scenario(replica_class=MusicReplica, obs=None, read_leases=False):
+def _retried_op_scenario(replica_class=MusicReplica, obs=None, read_leases=False):
     music = build_music(audit=True, obs=obs, replica_class=replica_class, read_leases=read_leases)
-    stale_row_scenario(music)
+    retried_op_scenario(music)
     return music
 
 
@@ -398,7 +398,7 @@ def _late_marker_scenario(replica_class=MusicReplica, obs=None, read_leases=Fals
 
 @LEASE_MODES
 def test_the_hand_off_scenarios_are_clean_without_a_mutant(read_leases):
-    for scenario in (_own_put_scenario, _stale_row_scenario, _late_marker_scenario):
+    for scenario in (_own_put_scenario, _retried_op_scenario, _late_marker_scenario):
         for music in in_both_audit_modes(scenario, read_leases=read_leases):
             assert music.auditor.clean, music.auditor.render_report()
             assert_replay_equivalent(music.auditor)
@@ -417,10 +417,10 @@ def test_a_hand_off_served_over_the_sections_own_write_is_caught(read_leases):
 @LEASE_MODES
 def test_a_hand_off_row_naming_a_lower_ref_served_is_caught(read_leases):
     for music in in_both_audit_modes(
-        _stale_row_scenario, replica_class=_serving("b"), read_leases=read_leases
+        _retried_op_scenario, replica_class=_serving("b"), read_leases=read_leases
     ):
         violation = assert_caught(music.auditor, "LatestState")
-        assert "observed 'OLD'" in violation.detail
+        assert "observed 'A'" in violation.detail
         assert_replay_equivalent(music.auditor)
 
 
