@@ -260,7 +260,8 @@ def lock_contention(run: Run) -> ExperimentResult:
 
     The hot path is mint group commit + three-round LWTs (the Paxos
     promise carries the read) + releaseLock as a quorum row delete + the
-    synchFlag fast path + push grants.
+    hand-off (a grant skips its synchFlag read on the hand-off row) + push
+    grants.
     Measures end-to-end critical sections per second and per-CS
     latency (createLockRef through releaseLock).  Both runs must agree
     on the final counter value — every critical section increments the

@@ -54,14 +54,14 @@ class MusicConfig:
     # off, it is the paper's polling protocol with timings bit-identical
     # to the seed.  On, five things move together — mint group commit
     # (createLockRef ops on a key queued at one coordinator share one
-    # guard CAS), releaseLock as one quorum row delete instead of a
-    # dequeue LWT, three-round LWTs (the Paxos promise carries the read,
-    # and an older request's promise is held against younger prepares),
-    # the synchFlag fast path (the grant-time quorum flag read is skipped
-    # when the local forced-release epoch proves no forcedRelease has
-    # applied since this replica last established flag=False at quorum;
-    # never under ``always_sync``) and push grants (see ``push_grants``
-    # below).
+    # guard CAS), releaseLock as one quorum row delete that also writes
+    # the hand-off row, three-round LWTs (the Paxos promise carries the
+    # read; an uncontended mint also reads the data in its accept round
+    # and returns at its local commit), the hand-off (a grant whose head
+    # read shows the row naming the ref below and no forced dequeue at
+    # or above it skips its quorum flag read, and a get may serve the
+    # row or the grant's read; never under ``always_sync``) and push
+    # grants (see ``push_grants`` below).
     fast_locks: bool = True
 
     # Read scale-out leases (DESIGN.md §8).  Default off with

@@ -49,9 +49,6 @@ from .unlocked import DATA_TABLE, SYNCH_ROW, VALUE_ROW, UnlockedOps, cell_of
 
 __all__ = ["MusicReplica", "DATA_TABLE", "VALUE_ROW", "SYNCH_ROW"]
 
-# No cached flag epoch (a cached one is None if no forced dequeue shows).
-_NO_EPOCH = object()
-
 # Tiny time offset (well under any realistic T) used to order the two
 # writes of a synchronization within one acquire.
 _TICK = 1e-6
@@ -111,13 +108,13 @@ class MusicReplica(UnlockedOps, Node):
         self._peek_at = (
             Consistency.QUORUM if config.peek_quorum else Consistency.LOCAL_ONE
         )
-        # The synchFlag fast path trusts the forced-release epoch of the
-        # read that proved us queue head; the quorum-peek ablation
-        # bypasses it (its peek has no single local source), and
+        # The synchFlag fast path trusts the hand-off row of the read that
+        # proved us queue head; the quorum-peek ablation bypasses it, and
         # always_sync asks for the flag read's sync on every grant.
         self._flag_fast_path = config.fast_locks and not (config.peek_quorum or config.always_sync)
-        # A forced dequeue also writes the marker row: the epoch the
-        # fast path compares against, the revocation mirror entries die by.
+        # A forced dequeue also writes the marker row: the epoch an early
+        # read is taken under, the revocation hand-offs and mirror
+        # entries die by.
         self._forced_markers = config.fast_locks or leases_on
         self._always_sync = config.always_sync
         # Lease starts cached per (key, lockRef) once granted here.
@@ -151,10 +148,6 @@ class MusicReplica(UnlockedOps, Node):
         # hand-off.  A release observed here drops what it ended.
         self.mirror = Mirror(self.lease_manager)
         self.push.add_listener(self._forget)
-        # synchFlag fast path (DESIGN.md §8): per-key forced-release
-        # epoch under which this replica last established flag=False at
-        # quorum.  Key absent = no fast-path evidence.
-        self._flag_epoch: Dict[str, Any] = {}
         # This replica's tally (its push's too): the metrics of
         # TALLY_NAMES["music"].
         self.counters = dict.fromkeys((
@@ -215,7 +208,7 @@ class MusicReplica(UnlockedOps, Node):
 
     def _acquire(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
         tracer = self.obs.tracer
-        head, epoch, _, _ = yield from self.lock_store.head(key, self._peek_at)
+        head, epoch, forced, handoff = yield from self.lock_store.head(key, self._peek_at)
         order = _queue_order(lock_ref, head)
         if order:
             if order < 0:
@@ -224,7 +217,7 @@ class MusicReplica(UnlockedOps, Node):
                 tracer.current_span().set(granted=False)
             return False
 
-        fast = self._flag_fast_path and self._fast_path_valid(key, epoch)
+        fast = self._flag_fast_path and self._handed_on(lock_ref, forced, handoff)
         grant = self._grant(key, lock_ref, epoch, fast)
         if tracer.enabled:
             grant = self._traced(grant, "music.grant", key)
@@ -244,11 +237,9 @@ class MusicReplica(UnlockedOps, Node):
         hot path, the hand-off; returns the flag read."""
         flag, rows = False, None
         if fast:
-            # The cached epoch matches the marker seen by the peek that
-            # proved us queue head: no forcedRelease applied since this
-            # replica last saw flag=False at quorum, so the flag cannot
-            # have been set (only forcedRelease sets it) and the store
-            # is defined.
+            # The predecessor released cleanly, every op acknowledged at
+            # first attempt, and no forcedRelease shows since: the store
+            # is defined at its last op (only forcedRelease sets the flag).
             tracer = self.obs.tracer
             if tracer.enabled:
                 tracer.current_span().set(fast=True)
@@ -264,10 +255,6 @@ class MusicReplica(UnlockedOps, Node):
             if flag or self._always_sync:
                 yield from self._synchronize(key, lock_ref)
             if self._flag_fast_path:
-                # flag=False now holds at quorum (read clean or just
-                # re-established by the sync); remember the peek-time
-                # epoch as the evidence horizon.
-                self._flag_epoch[key] = epoch
                 self.counters["fastpath_misses"] += 1
             # A read lease anchors at the local-clock time this quorum
             # read *started* (DESIGN.md §8).
@@ -282,19 +269,19 @@ class MusicReplica(UnlockedOps, Node):
             self.mirror.granted(key, lock_ref, kept, flag or self._always_sync)
         return flag
 
-    def _fast_path_valid(self, key: str, epoch: Any) -> bool:
-        """Whether the cached flag epoch lets the grant skip its quorum
-        flag read (DESIGN.md §8 has the argument)."""
-        return self._flag_epoch.get(key, _NO_EPOCH) == epoch
+    def _handed_on(self, lock_ref: int, forced: Optional[int], handoff: Any) -> bool:
+        """Whether the head read proving ``lock_ref`` queue head shows the
+        store handed on defined, so the grant skips its quorum flag read:
+        a hand-off row the mirror may serve (DESIGN.md §8)."""
+        return self.mirror.handed_row(lock_ref, forced, handoff) is not None
 
     def _keep_early(self, key: str, lock_ref: int, epoch: Any, rows: Any, started: float) -> None:
         """The lock store's mint hook: ``lock_ref`` heads the queue its
         mint decided on, under forced ``epoch``, and ``rows`` are the
         data partition as its accept quorum held it (read from
-        ``started``): they stand for its grant read — unless this replica
-        has fast-path evidence for ``key``.  DESIGN.md §8 argues why."""
-        if key not in self._flag_epoch:
-            self._early_reads[key] = (lock_ref, epoch, rows, started)
+        ``started``): they stand for its grant read.  DESIGN.md §8
+        argues why."""
+        self._early_reads[key] = (lock_ref, epoch, rows, started)
 
     def _take_early(self, key: str, lock_ref: int, epoch: Any) -> Optional[Tuple]:
         """Take ``key``'s early read off; it stands for ``lock_ref``'s
@@ -603,11 +590,6 @@ class MusicReplica(UnlockedOps, Node):
         if audit.enabled:
             audit.emit("flag_write", key=key, node=self.node_id, lock_ref=lock_ref,
                        stamp=forced_stamp, flag=True, reason="forced")
-        # Under the fast path the dequeue also bumps the key's
-        # forced-release epoch marker (atomically, same LWT) so cached
-        # flag epochs elsewhere go stale.  Our own cache is dropped
-        # regardless: this replica just wrote flag=True.
-        self._flag_epoch.pop(key, None)
         # The flag write above has acknowledged at quorum: drop our own
         # entry for the section and wait out every lease window anchored
         # before the ack (see LeaseManager.wait_out_ms).

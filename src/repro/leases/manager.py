@@ -134,14 +134,15 @@ class Mirror:
             return None
         if entry.source == "grant":
             return "grant", entry.value, entry.value_stamp
-        kept = self._handed_row(lock_ref, forced, handoff)
+        kept = self.handed_row(lock_ref, forced, handoff)
         return None if kept is None else ("row", *kept)
 
     @staticmethod
-    def _handed_row(lock_ref: int, forced: Optional[int], handoff: Any) -> Optional[Tuple]:
-        """The ``(value, stamp)`` of a hand-off row ``lock_ref`` may serve:
-        it names ``lock_ref - 1`` and no forced dequeue at or above that
-        ref shows (DESIGN.md §8, rules (b) and (c))."""
+    def handed_row(lock_ref: int, forced: Optional[int], handoff: Any) -> Optional[Tuple]:
+        """The ``(value, stamp)`` of a hand-off row ``lock_ref`` may serve,
+        and that lets its grant skip the flag read: it names ``lock_ref -
+        1`` and no forced dequeue at or above that ref shows (DESIGN.md
+        §8, rules (b) and (c))."""
         if handoff is None:
             return None
         released, kept = handoff

@@ -45,12 +45,12 @@ LOCK_TABLE = "music_locks"
 GUARD_ROW = "guard"
 # The forced-release marker (DESIGN.md §7): written atomically with a
 # *forced* dequeue (same LWT mutation batch), never by a clean release.
-# Its cell stamp is the per-key forced-release epoch the synchFlag fast
-# path compares against, and its value the forcibly released lockRef,
-# the revocation a replica's mirror entries die by (§8): a local read
-# cannot show the row gone without it.  Like the guard it is a string
-# clustering, so queue reads (which keep only int clusterings) never
-# see it.
+# Its cell stamp is the per-key forced-release epoch an early grant read
+# is taken under, and its value the forcibly released lockRef, the
+# revocation a hand-off and a replica's mirror entries die by (§8): a
+# local read cannot show the row gone without it.  Like the guard it is
+# a string clustering, so queue reads (which keep only int clusterings)
+# never see it.
 FORCED_ROW = "__forced__"
 # The hand-off row (DESIGN.md §7): written by a hot-path clean release in
 # the same quorum batch as its row delete, its one cell the (value,
@@ -417,13 +417,13 @@ class LockStore:
         A clean release on the hot path is one quorum row delete
         (:meth:`_release_row`); anything else is the exists-conditioned
         LWT delete.  ``forced=True`` marks a forcedRelease preemption:
-        the delete also bumps the key's forced-release epoch row in the
-        *same* LWT, so a fast-path replica whose cached epoch predates
-        the preemption is guaranteed to see a changed marker stamp and
-        fall back to the quorum synchFlag read.  The marker is written
-        only when the delete actually applies — a forced dequeue that
-        loses the exists race to a clean release preempted nobody and
-        must not invalidate fast-path caches.
+        the delete also writes the key's forced-release marker row in
+        the *same* LWT, so a replica that applies the preemption sees the
+        forced ref beside a hand-off row it revokes, and a new epoch that
+        an early grant read taken before it does not match: either way
+        the grant falls back to the quorum synchFlag read.  The marker is
+        written only when the delete actually applies — a forced dequeue
+        that loses the exists race to a clean release preempted nobody.
 
         ``on_committing`` is called once with the successor: the lockRef
         this dequeue hands the lock to, or None if ``lock_ref`` was not

@@ -180,11 +180,11 @@ def _span_hit_ratios(spans: List[SpanRecord]) -> List[str]:
     """Hit-rate lines derivable from span attributes alone.
 
     Works on offline JSONL dumps, where no metrics registry exists:
-    ``music.grant`` spans carry ``fast=True`` on synchFlag fast-path
-    grants, ``music.criticalGet`` spans ``lease=True`` on
-    leaseholder-local reads and ``handoff=True`` on hand-off serves,
-    whose ``source`` (the grant's read or the hand-off row) is counted
-    apart.
+    ``music.grant`` spans carry ``fast=True`` on grants that skipped
+    the synchFlag read on the hand-off row, ``music.criticalGet`` spans
+    ``lease=True`` on leaseholder-local reads and ``handoff=True`` on
+    hand-off serves, whose ``source`` (the grant's read or the hand-off
+    row) is counted apart.
     """
     lines: List[str] = []
     grants = [span for span in spans if span.name == "music.grant"]

@@ -351,9 +351,9 @@ def fold(
 
 def render_derived_ratios(registry: MetricsRegistry) -> str:
     """The report section of hit-rates: one per ``*.hits`` / ``*.misses``
-    counter pair, summed across labels — ``music.fastpath`` (synchFlag
-    fast-path grants), ``music.handoff`` (gets served by a hand-off),
-    ``music.lease`` (leaseholder local reads),
+    counter pair, summed across labels — ``music.fastpath`` (grants that
+    skipped the synchFlag read on the hand-off row), ``music.handoff``
+    (gets served by a hand-off), ``music.lease`` (leaseholder local reads),
     ``music.cache`` (bounded-staleness cache) and any later pair named
     so.  "" when no pair has a count."""
     bases = sorted({

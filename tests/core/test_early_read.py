@@ -1,11 +1,12 @@
 """The early grant read (DESIGN.md §8): on the hot path, a mint whose promise rows show no queued ref below its own reads the
 data partition in its accept round (the key's lock and data partitions
 share their replicas), and returns at its commit's local ack.  The grant
-takes that read if its proving head read shows the same forced epoch;
-the read's value is what the section's first get serves.  These tests
-check where the read sits in a trace, when it is not taken, why it rides
-the accept round and not the promise, and that nothing a replica keeps
-for it, or for the serve, outlives the section.
+takes that read if its proving head read shows the same forced epoch
+and no hand-off row that lets it skip the flag read; the read's value
+is what the section's first get serves.  These tests check where the
+read sits in a trace, when it is not taken, why it rides the accept
+round and not the promise, and that nothing a replica keeps for it, or
+for the serve, outlives the section.
 """
 
 import pytest
@@ -58,11 +59,12 @@ def test_the_flag_read_rides_the_accept_round_and_serves_the_get():
 
 
 @pytest.mark.parametrize("read_leases", [False, True], ids=["leases-off", "leases-on"])
-def test_no_read_is_taken_behind_a_queued_ref_or_beside_fast_path_evidence(read_leases):
+def test_no_read_is_taken_behind_a_queued_ref_and_one_taken_is_kept_until_the_release(read_leases):
     """A mint queued behind a holder reads nothing in its accept round,
-    and a repeat mint at a replica that holds fast-path evidence keeps
-    nothing, whether or not read leases are on; the polling protocol
-    never asks."""
+    and an uncontended mint keeps its read until its release — even at a
+    replica whose grant will find the hand-off row and not take it —
+    whether or not read leases are on; the polling protocol never
+    asks."""
     music = build_music(audit=True, read_leases=read_leases)
     ohio, oregon = music.client("Ohio"), music.client("Oregon")
     started = []
@@ -82,10 +84,12 @@ def test_no_read_is_taken_behind_a_queued_ref_or_beside_fast_path_evidence(read_
 
     first = run(music.sim, scenario())
     assert started == [first]
-    # Ohio's mint heads its decided queue, but Ohio holds evidence.
+    # Ohio's mint heads its decided queue: its read is kept until the
+    # release, though the hand-off row names the ref below it.
     ref = run(music.sim, ohio.create_lock_ref("k"))
-    assert started == [first, ref] and kept(music) == []
+    assert started == [first, ref] and kept(music) == [music.replica_at("Ohio").node_id]
     run(music.sim, ohio.release_lock("k", ref))
+    assert kept(music) == []
     other = build_music(music_config=MusicConfig(fast_locks=False, read_leases=read_leases))
     assert all(replica.lock_store.on_head is None for replica in other.replicas)
     assert_clean(music)
@@ -103,6 +107,42 @@ def test_nothing_kept_outlives_the_sections_release():
 
     run(music.sim, scenario())
     assert kept(music) == []
+    assert_clean(music)
+
+
+def holders(music, key):
+    """``(replica, owner, attribute)`` of every dict attribute of a
+    replica, its lock store, its mirror or its push channel holding
+    ``key``, alone or in a tuple."""
+    return [
+        (replica.node_id, type(owner).__name__, name)
+        for replica in music.replicas
+        for owner in (replica, replica.lock_store, replica.mirror, replica.push)
+        for name, value in vars(owner).items()
+        if isinstance(value, dict)
+        and any(held == key or isinstance(held, tuple) and key in held for held in value)
+    ]
+
+
+@pytest.mark.parametrize("read_leases", [False, True], ids=["leases-off", "leases-on"])
+def test_nothing_kept_outlives_every_section_on_a_key(read_leases):
+    """Three sites' clients each run a section on each of 30 fresh keys,
+    in rotated orders, so most keys see their sections contended: once
+    they have all ended, no replica keeps anything per key."""
+    music = build_music(audit=True, read_leases=read_leases)
+    keys = [f"fresh-{index}" for index in range(30)]
+    done = []
+
+    def worker(client, offset):
+        for key in keys[offset:] + keys[:offset]:
+            yield from section(client, "get", client.client_id, "get", key=key)
+            done.append(key)
+
+    for offset, site in enumerate(music.profile.site_names[:3]):
+        music.sim.process(worker(music.client(site), 10 * offset))
+    music.sim.run(until=music.sim.now + 600_000.0)
+    assert len(done) == 3 * len(keys)
+    assert {key: holders(music, key) for key in keys if holders(music, key)} == {}
     assert_clean(music)
 
 
@@ -187,9 +227,11 @@ def _put_missed_by_the_promises():
     promises, built with two faults.  Holder H at N.California puts
     "NEW": its own store replica p is unreachable for the instant the
     put arrives (so the put's quorum is Ohio's r and Oregon's), and the
-    mint of Ohio's client prepares just before the put reaches r.  H
-    releases; the link from Ohio's MUSIC replica to p is slowed, so p
-    answers the prepare only after H's release tombstone reached it.
+    mint of Ohio's client prepares just before the put reaches r.  H's
+    replica releases it handing nothing on, so the grant takes the
+    mint's read, not the hand-off row.  The link from Ohio's MUSIC
+    replica to p is slowed, so p answers the prepare only after H's
+    release tombstone reached it.
     The promises {r, p} show no queued ref, and neither holds the put;
     the accepts, which follow every promise, come after the put was
     applied at r.  Returns the deployment and what the mint's first get
@@ -232,7 +274,7 @@ def _put_missed_by_the_promises():
         yield sim.timeout(300.0)
         armed.append(True)
         yield from cs.put("NEW")
-        yield from cs.exit()
+        yield from holder.release_lock("k", cs.lock_ref)
         yield sim.timeout(2_000.0)
 
     run(sim, scenario())

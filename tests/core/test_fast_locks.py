@@ -169,7 +169,7 @@ def test_a_release_beside_a_mint_in_flight_goes_out_at_once(monkeypatch):
     assert music.auditor.clean, music.auditor.render_report()
 
 
-# -- synchFlag fast path -----------------------------------------------------
+# -- the grant's skipped flag read (the hand-off, DESIGN.md §8) -------------
 
 
 def _grant_counters(music, site="Ohio"):
@@ -194,8 +194,9 @@ def test_fast_path_skips_the_flag_read_after_a_clean_grant():
 
     run(music.sim, sections())
     hits, misses = _grant_counters(music)
-    # First grant pays the quorum flag read and caches the epoch; later
-    # grants on the same replica prove it unchanged and skip the read.
+    # The first grant has no hand-off row and pays the quorum flag read;
+    # each later grant's head read shows the row its predecessor's clean
+    # release wrote, naming the ref below, and skips the read.
     assert misses == 1
     assert hits == 2
 
@@ -223,8 +224,9 @@ def test_forced_release_invalidates_the_fast_path():
 
     assert run(music.sim, scenario()) == "A"
     hits, misses = _grant_counters(music)
-    # grant1 misses (cold cache), grant2 hits, grant3 must miss again:
-    # its peek sees the forcedRelease epoch bump.
+    # grant1 misses (no row), grant2 hits (the row names ref 1), grant3
+    # must miss again: its peek shows no row naming ref 2, and the
+    # forcedRelease marker names ref 2.
     assert misses == 2
     assert hits == 1
 

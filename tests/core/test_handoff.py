@@ -114,7 +114,7 @@ def test_a_get_after_the_sections_own_put_reads_the_quorum():
 def retried_op_scenario(music):
     """A section whose get needed a second attempt, then put "B", and
     its successor's get: returns what that get read and how many gets
-    the hand-off served meanwhile."""
+    the hand-off row served meanwhile."""
     client = music.client("Ohio")
     run(music.sim, section(client, "get", "A"))
     named = handoff_row(music)
@@ -132,16 +132,16 @@ def retried_op_scenario(music):
     run(music.sim, section(client, "get", "B"))
     assert failed
     assert handoff_row(music) == named
-    before = hits(music)
+    before = hits(music, "row")
     (read,) = run(music.sim, section(client, "get", "C"))
-    return read, hits(music) - before
+    return read, hits(music, "row") - before
 
 
 def test_a_predecessor_with_a_retried_op_writes_no_row():
     """An op that needed a second attempt may have landed twice, or
     late: what its section holds is unknown, so its release writes no
     row, and the successor, whose row names a lower ref (rule (b)),
-    reads the quorum."""
+    takes the flag read at its grant and serves that, not the row."""
     music = build_music(audit=True)
     assert retried_op_scenario(music) == ("B", 0)
     assert_clean(music)
@@ -189,14 +189,14 @@ def test_a_mid_queue_leaver_writes_no_row():
         assert (yield from waiter.acquire_lock_blocking("k", last))
         return cs.lock_ref, left, last
 
-    before = hits(music)
+    before = hits(music, "row")
     held, left, last = run(sim, scenario())
     assert held < left < last
     assert handoff_row(music)[0] == held
     read = run(sim, waiter.critical_get("k", last))
     run(sim, waiter.release_lock("k", last))
     assert read == "AB"
-    assert hits(music) == before + 1  # the holder's own get, not the waiter's
+    assert hits(music, "row") == before + 1  # the holder's own get, not the waiter's
     assert_clean(music)
 
 
@@ -228,16 +228,17 @@ def test_a_mid_queue_leaver_leaves_the_holders_entry(read_leases):
 
 def test_a_holder_that_did_no_op_writes_no_row():
     """A section without an op leaves the row naming the section before
-    it, so its successor reads the quorum."""
+    it, so its successor takes the flag read at its grant and serves
+    that, not the row."""
     music = build_music(audit=True)
     client = music.client("Ohio")
     run(music.sim, section(client, "get", "A"))
     named = handoff_row(music)
     run(music.sim, section(client))
     assert handoff_row(music) == named
-    before = hits(music)
+    before = hits(music, "row")
     assert run(music.sim, section(client, "get", "B")) == ["A"]
-    assert hits(music) == before
+    assert hits(music, "row") == before
     assert_clean(music)
 
 

@@ -198,11 +198,15 @@ def test_lease_expiry_rejects_overlong_critical_section():
     assert run(music, task()) == "done"
 
 
-def test_forced_release_of_released_lock_only_causes_extra_sync():
+@pytest.mark.parametrize("fast_locks, syncs", [(False, 1), (True, 0)], ids=["polling", "hot-path"])
+def test_forced_release_of_released_lock_only_causes_extra_sync(fast_locks, syncs):
     """Section IV-B: a late forcedRelease on an already-released lockRef
     leaves the synchFlag erroneously true; the only consequence is an
-    unnecessary synchronization on the next acquire."""
-    music = build_music()
+    unnecessary synchronization on the next acquire.  On the hot path
+    the next grant finds the released ref's hand-off row and no marker
+    (the forced dequeue lost to the release), so it reads no flag and
+    syncs nothing: the store is defined."""
+    music = build_music(music_config=MusicConfig(fast_locks=fast_locks))
     client = music.client("Ohio")
     replica = music.replica_at("Ohio")
 
@@ -221,7 +225,7 @@ def test_forced_release_of_released_lock_only_causes_extra_sync():
 
     value, extra_syncs = run(music, task())
     assert value == "value-1"  # data unharmed
-    assert extra_syncs == 1  # exactly one unnecessary sync
+    assert extra_syncs == syncs  # at most one unnecessary sync
 
 
 def test_client_fails_over_to_another_music_replica():

@@ -239,7 +239,7 @@ def _fast_path_scenario(replica_class=MusicReplica, obs=None):
             replica._stamp(ref2, 1.0), consistency=Consistency.QUORUM,
         )
         # The detector path preempts the stalled holder (quorum flag
-        # write, then dequeue) — this is what invalidates the epoch.
+        # write, then dequeue): no release of it hands the store on.
         yield from replica.forced_release("k", ref2)
         # The next holder must re-synchronize before reading.
         ref3 = yield from client.create_lock_ref("k")
@@ -253,9 +253,9 @@ def _fast_path_scenario(replica_class=MusicReplica, obs=None):
 
 
 def test_fast_path_scenario_is_clean_without_mutant():
-    """Baseline: the real epoch check sees the forcedRelease marker,
-    misses the fast path, reads flag=True and synchronizes — the
-    post-preemption read audits clean."""
+    """Baseline: the real hand-off check finds no row naming the
+    preempted ref, misses the fast path, reads flag=True and
+    synchronizes — the post-preemption read audits clean."""
     for music in in_both_audit_modes(_fast_path_scenario):
         assert music.auditor.clean, music.auditor.render_report()
         # The scenario exercised the machinery it claims to: a forced
@@ -266,15 +266,15 @@ def test_fast_path_scenario_is_clean_without_mutant():
         assert_replay_equivalent(music.auditor)
 
 
-def test_broken_fast_path_epoch_check_is_caught():
-    """A fast path that ignores the forced-release epoch skips the
-    grant-time flag read *and* the synchronization, so the new holder
-    reads whatever the preempted holder left behind — the auditor must
-    flag the stale read against the true value."""
+def test_broken_fast_path_hand_off_check_is_caught():
+    """A fast path that ignores the hand-off rules skips the grant-time
+    flag read *and* the synchronization, so the new holder reads
+    whatever the preempted holder left behind — the auditor must flag
+    the stale read against the true value."""
 
     class AlwaysFastReplica(MusicReplica):
-        def _fast_path_valid(self, key, epoch):
-            return True  # "the cache is always valid"
+        def _handed_on(self, lock_ref, forced, handoff):
+            return True  # "the store was always handed on defined"
 
     for music in in_both_audit_modes(
         _fast_path_scenario, replica_class=AlwaysFastReplica
@@ -326,7 +326,7 @@ def _serving(*skipped):
 
     class Skipping(Mirror):
         @staticmethod
-        def _handed_row(lock_ref, forced, handoff):
+        def handed_row(lock_ref, forced, handoff):
             if handoff is None:
                 return None
             released, kept = handoff
@@ -440,16 +440,18 @@ def test_a_hand_off_served_beside_a_forced_marker_is_caught(read_leases):
 def _queued_mint_scenario(replica_class=MusicReplica, obs=None, read_leases=False):
     """Oregon mints while Ohio holds the lock and has written once, so
     the queue its mint decides on shows Ohio's ref; Ohio writes again
-    before it releases."""
+    before its replica releases it handing nothing on, so Oregon's grant
+    reads."""
     music = build_music(audit=True, obs=obs, replica_class=replica_class, read_leases=read_leases)
     ohio, oregon = music.client("Ohio"), music.client("Oregon")
+    holder = music.replica_at("Ohio")
 
     def scenario():
         cs = yield from ohio.critical_section("k")
         yield from cs.put("A")
         ref = yield from oregon.create_lock_ref("k")
         yield from cs.put("B")
-        yield from cs.exit()
+        yield from holder.release_lock("k", cs.lock_ref)
         assert (yield from oregon.acquire_lock_blocking("k", ref))
         value = yield from oregon.critical_get("k", ref)
         yield from oregon.release_lock("k", ref)
