@@ -90,9 +90,14 @@ def main() -> None:
         print(f"  [{sim.now:8.1f} ms] {rescuer.worker_id} (Oregon) starts its pass")
         yield from rescuer.run_once()
 
+        # poll_done is an eventual read at Ohio: poll until the rescuer's
+        # last put, acknowledged at a quorum elsewhere, lands here.
         results = {}
         for index in range(1, 4):
             value = yield from api.poll_done(f"job-{index}")
+            while value is None:
+                yield sim.timeout(50.0)
+                value = yield from api.poll_done(f"job-{index}")
             results[f"job-{index}"] = value
         return results
 

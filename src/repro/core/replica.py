@@ -216,6 +216,12 @@ class MusicReplica(UnlockedOps, Node):
             if tracer.enabled:
                 tracer.current_span().set(granted=False)
             return False
+        if (key, lock_ref) in self._leases:
+            # Granted here already (a multi-key section's re-check): the
+            # head check is the whole answer, no flag read, no startTime.
+            if tracer.enabled:
+                tracer.current_span().set(granted=True)
+            return True
 
         fast = self._flag_fast_path and self._handed_on(lock_ref, forced, handoff)
         grant = self._grant(key, lock_ref, epoch, fast)
@@ -544,7 +550,14 @@ class MusicReplica(UnlockedOps, Node):
         return self._traced(op, "music.releaseLock", key) if self.obs.tracer.enabled else op
 
     def _release(self, key: str, lock_ref: int, handoff: Any) -> Generator[Any, Any, bool]:
-        head, _, _, _ = yield from self.lock_store.head(key)
+        # On the hot path the last head read here (the section's last
+        # guard) stands for the release's own when it shows ``lock_ref``
+        # at the head: a local read is no more atomic with the delete
+        # (DESIGN.md §7).
+        decoded = self.lock_store.last_head(key) if self._hot_path else None
+        if decoded is None or _queue_order(lock_ref, decoded[0]):
+            decoded = yield from self.lock_store.head(key)
+        head = decoded[0]
         # A lockRef the queue has moved past was already forcibly
         # released: nothing to dequeue, only bookkeeping to drop.
         order = _queue_order(lock_ref, head)

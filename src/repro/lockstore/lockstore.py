@@ -20,8 +20,8 @@ Operations map to the paper's primitives:
   ``peek_quorum`` are its entry-only forms;
 - ``dequeue``               = lsDequeue: an LWT row delete (no-op if
   the lockRef is no longer queued); on the hot path a clean release is
-  one quorum row delete instead, batched with the hand-off row
-  (DESIGN.md §7);
+  one quorum row delete instead, batched with the hand-off row and
+  returning at the local replica's ack (DESIGN.md §7);
 - ``set_start_time``        — records the lease start when a lock is
   granted, used for the T-bound on critical sections (Section VI).
 """
@@ -357,6 +357,12 @@ class LockStore:
         floor = max(forced or 0, handoff[0] if handoff is not None else 0)
         return any(ref not in dead for ref in range(floor + 1, first_ref))
 
+    def last_head(self, key: str) -> Optional[Head]:
+        """The decode of the last head read of ``key`` here, None if the
+        memo holds none (no I/O)."""
+        memo = self._heads.get(key)
+        return None if memo is None else memo[1]
+
     def places_behind(self, key: str, lock_ref: int) -> int:
         """How many places behind the queue head the last head read of
         ``key`` here found ``lock_ref``, at least 1 (no I/O)."""
@@ -464,7 +470,9 @@ class LockStore:
         of ``key`` here shows and, unless ``lock_ref`` leaves from behind
         a queued ref, ``lock_ref`` itself: that read may lack a mint that
         has not reached this replica yet, so the push also wakes the
-        first waiter above ``lock_ref`` at each replica."""
+        first waiter above ``lock_ref`` at each replica.  The release
+        returns at the local replica's ack, and the quorum settles
+        behind it: nothing waits on it (DESIGN.md §7)."""
         memo = self._heads.get(key)
         queued = [] if memo is None else self._lock_refs(memo[0])
         if on_sent is not None:
@@ -480,7 +488,7 @@ class LockStore:
         if handoff is not None:
             stamp = (float(lock_ref), self._writer)
             batch.append(Update(LOCK_TABLE, key, HANDOFF_ROW, {"value": handoff}, stamp))
-        delete = self.coordinator.write(batch, Consistency.QUORUM)
+        delete = self.coordinator.write(batch, Consistency.QUORUM, local=True)
         tracer = self.obs.tracer
         if tracer.enabled:
             delete = tracer.around(delete, "lockstore.dequeue", node=self._writer, key=key)

@@ -276,7 +276,7 @@ TALLY_NAMES: Dict[str, Dict[str, Any]] = {
         "ballot_losses": "store.cas.ballot_losses",
         "commit_repairs": "store.cas.commit_repairs",
         "tombstone_repairs": "store.tombstone_repairs",
-        "commits_unacked": "store.cas.commits_unacked",
+        "unacked_returns": "store.unacked_returns",
     },
     "store.replica": {
         name: f"store.replica.{name}"

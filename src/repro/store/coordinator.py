@@ -12,7 +12,9 @@ and provides the operations of Section III-B:
 
 Quorum operations return as soon as the nearest majority has replied,
 which is why a quorum op costs ~1 RTT to the closest peer site while an
-LWT costs ~4 (Fig. 5b), or ~3 with its read in the promise.
+LWT costs ~4 (Fig. 5b), or ~3 with its read in the promise.  The hot
+path's release write and uncontended mint commit return at the local
+replica's ack instead (``_ack_here``).
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class StoreCoordinator(LwtProposer):
             "read_repairs": 0, "hints_queued": 0, "hints_replayed": 0,
             "hints_dropped": defaultdict(int),  # per reason
             "ballot_losses": 0, "commit_repairs": 0, "tombstone_repairs": 0,
-            "commits_unacked": 0,
+            "unacked_returns": 0,
         }
         self.obs.tally("store", self, node=node.node_id)
 
@@ -96,6 +98,36 @@ class StoreCoordinator(LwtProposer):
         if consistency == Consistency.QUORUM:
             return quorum_size(replica_count)
         return replica_count
+
+    def _ack_here(
+        self, replicas: Sequence[str], kind: str, body: Any, needed: int, ack: Event,
+        size_bytes: int = 64, on_failure: Optional[Callable[[str], None]] = None,
+    ) -> None:
+        """Send ``kind`` to ``replicas`` and trigger ``ack`` at the ack of
+        the replica in our site, or at the quorum's outcome if that comes
+        first (a crashed or partitioned local replica).  The quorum's
+        outcome is observed when it settles: a failure after ``ack`` is
+        counted (``store.unacked_returns``).  The one local-ack return:
+        an uncontended mint's commit and the hot path's release."""
+        here = self._targets.get(replicas)
+        if here is None:
+            here = self._targets[replicas] = self._nearest(replicas)
+        quorum = Event(self.sim)
+
+        def settled(quorum: Event) -> None:
+            if not ack.triggered:
+                if quorum.ok:
+                    ack.succeed(quorum.value)
+                else:
+                    ack.fail(quorum.value)
+            elif not quorum.ok:
+                self.counters["unacked_returns"] += 1
+
+        quorum.add_callback(settled)
+        self.node.call_quorum(
+            replicas, kind, body, needed, quorum, size_bytes, self.config.rpc_timeout_ms,
+            on_failure, first=(here[0], ack) if here[1] else None,
+        )
 
     def _traced(self, op: Generator[Any, Any, Any], name: str, **attrs: Any) -> Any:
         """``op`` inside its span: asked for only when tracing."""
@@ -291,27 +323,34 @@ class StoreCoordinator(LwtProposer):
     ) -> Generator[Any, Any, None]:
         return self.write([DeleteRow(table, partition, clustering, stamp)], consistency)
 
-    def write(self, updates: List[Any], consistency: str) -> Generator[Any, Any, None]:
+    def write(
+        self, updates: List[Any], consistency: str, local: bool = False,
+    ) -> Generator[Any, Any, None]:
         """Write a batch of cell updates and row deletes of one
-        partition: every replica applies the batch at once."""
+        partition: every replica applies the batch at once.  With
+        ``local``, a QUORUM write returns at the ack of the replica in
+        our site and the quorum settles behind it (:meth:`_ack_here`),
+        except during a ring transition, when pending owners must ack."""
         partition = updates[0].partition
         table = updates[0].table
         if len(updates) > 1 and any(u.partition != partition or u.table != table for u in updates):
             raise ValueError("a write batch must target a single (table, partition)")
         if consistency not in _LEVELS:
             raise ValueError(f"unknown consistency {consistency!r}")
-        op = self._written(updates, consistency)
+        op = self._written(updates, consistency, local)
         if not self.obs.tracer.enabled:
             return op
         return self._traced(
             op, "store.put", site=self.node.site, consistency=consistency, table=table
         )
 
-    def _written(self, updates: List[Any], consistency: str) -> Generator[Any, Any, None]:
-        yield self._serve(self._write_served, updates, consistency)
+    def _written(
+        self, updates: List[Any], consistency: str, local: bool
+    ) -> Generator[Any, Any, None]:
+        yield self._serve(self._write_served, updates, consistency, local)
 
     def _write_served(self, op: Tuple[Any, ...]) -> None:
-        done, updates, consistency = op
+        done, updates, consistency, local = op
         partition = updates[0].partition
         replicas = self.ring.replicas_for(partition, self.config.replication_factor)
         needed = self._needed(consistency, len(replicas))
@@ -331,6 +370,9 @@ class StoreCoordinator(LwtProposer):
         if self.config.hinted_handoff_enabled:  # a failed replica's copy waits as a hint
             def hint(dst: str) -> None:
                 self._store_hint(dst, updates, self.sim.now)
+        if local and not pending:
+            self._ack_here(targets, "store_write", {"updates": updates}, needed, done, size, hint)
+            return
         self.node.call_quorum(
             targets, "store_write", {"updates": updates}, needed, done,
             size, self.config.rpc_timeout_ms, hint,

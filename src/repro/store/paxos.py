@@ -400,29 +400,9 @@ class LwtProposer:
         self, replicas: Sequence[str], body: Dict[str, Any], needed: int,
     ) -> Generator[Any, Any, None]:
         """Wait for the local replica's commit ack, or the quorum's if it
-        comes first (a crashed or partitioned local replica).  The
-        quorum's outcome is observed when it settles: a failure after
-        the return is counted (``store.cas.commits_unacked``)."""
-        here = self._targets.get(replicas)
-        if here is None:
-            here = self._targets[replicas] = self._nearest(replicas)
+        comes first (``StoreCoordinator._ack_here``)."""
         ack = Event(self.sim)
-        quorum = Event(self.sim)
-
-        def settled(quorum: Event) -> None:
-            if not ack.triggered:
-                if quorum.ok:
-                    ack.succeed(quorum.value)
-                else:
-                    ack.fail(quorum.value)
-            elif not quorum.ok:
-                self.counters["commits_unacked"] += 1
-
-        quorum.add_callback(settled)
-        self.node.call_quorum(
-            replicas, "paxos_commit", body, needed, quorum, 64, self.config.rpc_timeout_ms,
-            first=(here[0], ack) if here[1] else None,
-        )
+        self._ack_here(replicas, "paxos_commit", body, needed, ack)
         yield ack
 
     def _round(

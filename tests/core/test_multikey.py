@@ -4,6 +4,8 @@ import pytest
 
 from repro.core import build_music
 from repro.core.multikey import enter_multi
+from repro.core.replica import DATA_TABLE
+from repro.store.types import Update
 
 
 def run(music, generator, limit=1e9):
@@ -24,6 +26,39 @@ def test_multi_key_read_write_round_trip():
         return values
 
     assert run(music, task()) == {"acct-a": 100, "acct-b": 200}
+
+
+def test_a_held_refs_recheck_is_the_head_check_alone():
+    """Each key's grant is re-checked as later keys are taken (six
+    re-checks for three keys).  A re-check at the replica that granted
+    the ref is its head read alone: no quorum read of the data
+    partition, no startTime rewrite.  The three first grants take the
+    reads their uncontended mints' accept rounds carried."""
+    music = build_music()
+    client = music.client("Ohio")
+    kinds, entering = [], [True]
+
+    def tap(message):
+        body = message.body
+        if not entering:
+            return
+        if message.kind == "store_read" and body["table"] == DATA_TABLE:
+            kinds.append("data read")
+        elif message.kind == "store_write" and any(
+            "startTime" in update.columns for update in body["updates"]
+            if isinstance(update, Update)
+        ):
+            kinds.append("startTime write")
+
+    music.network.add_tap(tap)
+
+    def task():
+        cs = yield from enter_multi(client, ["a", "b", "c"])
+        entering.clear()
+        yield from cs.exit()
+
+    run(music, task())
+    assert kinds == ["startTime write"] * 3 * 3   # one per grant, to each replica
 
 
 def test_locks_acquired_in_lexicographic_order():

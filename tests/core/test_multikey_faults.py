@@ -82,8 +82,11 @@ def test_partition_and_false_detection_mid_section():
     # The false detection actually fired.
     assert sum(d.preemptions for d in music.detectors) >= 1
 
-    # No orphan lockRefs: both queues are empty at quorum.
+    # No orphan lockRefs: both queues are empty at quorum.  A release
+    # returns at its local ack, so the peek first lets the retry's
+    # deletes, still on the wire, land.
     def queues_empty():
+        yield sim.timeout(1_000.0)
         replica = music.replica_at("Oregon")
         heads = []
         for key in ("mk-a", "mk-b"):

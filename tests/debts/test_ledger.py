@@ -120,9 +120,9 @@ def test_a_healed_site_mints_after_missing_a_forced_dequeue():
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP 1(c)")
 def test_every_applied_increment_is_in_the_final_counters():
-    # Seed 5: 324 sections applied, the counters end at 323 (seeds 10
-    # and 11 show it too: 331 / 329, 334 / 333).
-    run = _build_fault_takeover(5, "full", False)
+    # Seed 10: 334 sections applied, the counters end at 333 (seed 11
+    # shows it too: 328 / 326; seed 5, 343 / 343, does not).
+    run = _build_fault_takeover(10, "full", False)
     sim = run.deployment.sim
     for process in run.processes:
         sim.run_until_complete(process, limit=SIM_LIMIT_MS)

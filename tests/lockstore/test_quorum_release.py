@@ -7,7 +7,8 @@ Each of the four points the change rests on is pinned here:
   a forced dequeue; a tombstone stamped below a cell leaves the row
   visible and the queue stalls (the seeded mutation);
 - (ii) the release's audit event and its push go out with the delete,
-  before a quorum acknowledges it;
+  before a quorum acknowledges it, and the release returns at its local
+  replica's ack: nothing waits on the quorum;
 - (iii) a pushed successor is granted only once its own replica has
   applied the delete;
 - (iv) forcedRelease stays an LWT.
@@ -80,6 +81,7 @@ def _holder_and_waiter(music, holder_site="Ohio", waiter_site="Oregon"):
         record["released_at"] = sim.now
         try:
             yield from section.exit()
+            record["returned_at"] = sim.now
         except ReproError:
             pass  # the releaser was cut off: what it sent is all there is
 
@@ -234,9 +236,9 @@ def test_forced_release_stays_an_lwt():
 
 def test_an_isolated_releasers_delete_reaches_the_successor_by_hinted_handoff():
     """Only the releaser's own store replica applies the delete before
-    its site is cut off; the release fails.  Once the site heals, the
-    releaser's hints carry the tombstone to the other replicas, and the
-    successor's fuse poll finds it granted."""
+    its site is cut off (the release has returned at its ack).  Once the
+    site heals, the releaser's hints carry the tombstone to the other
+    replicas, and the successor's fuse poll finds it granted."""
     music = build_music(seed=1, audit=True)
     network, sim = music.network, music.sim
     sent = _deletes_sent(music, "music-0-0")
@@ -257,6 +259,39 @@ def test_an_isolated_releasers_delete_reaches_the_successor_by_hinted_handoff():
     waited = record["granted_at"] - sent[0]
     assert StoreConfig.rpc_timeout_ms < waited < bound, waited
     assert music.replica_at("Ohio").coordinator.counters["hints_replayed"] >= 1
+    assert music.auditor.clean, music.auditor.render_report()
+    assert_queue_model_matches_store(music, ("k",))
+
+
+def test_a_release_cut_off_from_its_remote_replicas_returns_at_its_local_ack():
+    """Ohio is cut off as the release's delete is sent: the delete
+    reaches Ohio's store replica only, and the release returns at its
+    ack, well inside a millisecond.  The quorum's failure a timeout
+    later is counted, and once the site heals the delete's hints reach
+    the other replicas and the waiter is granted."""
+    music = build_music(seed=1, audit=True)
+    network, sim = music.network, music.sim
+    sent, cut = _deletes_sent(music, "music-0-0"), []
+
+    def cut_off(message):
+        if sent and not cut:  # the delete's first message is on the wire
+            cut.append(sim.now)
+            network.isolate_site("Ohio")
+            sim.call_at(sim.now + 2_000.0, network.heal_all)
+
+    network.add_tap(cut_off)
+    record, processes = _holder_and_waiter(music)
+    _finish(music, processes)
+    coordinator = music.replica_at("Ohio").coordinator
+    assert record["returned_at"] - sent[0] < 1.0
+    assert coordinator.counters["unacked_returns"] == 1
+    assert coordinator.counters["hints_replayed"] == 2
+    waited = record["granted_at"] - sent[0]
+    bound = (
+        StoreConfig.rpc_timeout_ms + StoreConfig.hint_replay_interval_ms
+        + 2 * MusicConfig.acquire_poll_max_ms
+    )
+    assert StoreConfig.rpc_timeout_ms < waited < bound, waited
     assert music.auditor.clean, music.auditor.render_report()
     assert_queue_model_matches_store(music, ("k",))
 

@@ -17,7 +17,7 @@ from repro import MusicConfig, build_music
 from repro.core.replica import DATA_TABLE, VALUE_ROW, MusicReplica
 from repro.leases import Mirror
 from repro.lockstore import LockStore
-from repro.lockstore.lockstore import FORCED_ROW, LOCK_TABLE
+from repro.lockstore.lockstore import FORCED_ROW, HANDOFF_ROW, LOCK_TABLE
 from repro.store import Consistency
 from repro.store.paxos import LwtProposer
 from repro.store.types import Update
@@ -396,6 +396,64 @@ def _late_marker_scenario(replica_class=MusicReplica, obs=None, read_leases=Fals
     return music
 
 
+def _forced_before_release_scenario(replica_class=MusicReplica, obs=None, read_leases=False):
+    """A forced dequeue lands between the holder's last guard and its
+    release, which reads no head of its own on the hot path: the
+    release writes a hand-off row naming the forced ref.  The successor
+    was granted at Oregon before it, with the sync the forced flag asks
+    for (of a write of the holder's the audit never saw), and its acquire
+    reaches Ohio again afterwards: Ohio's grant sees that row and the
+    marker beside it.  Returns what the successor's get at Ohio read."""
+    music = build_music(audit=True, obs=obs, replica_class=replica_class, read_leases=read_leases)
+    ohio, oregon = music.client("Ohio"), music.client("Oregon")
+    there = music.replica_at("Oregon")
+
+    def scenario():
+        held = yield from ohio.critical_section("k")
+        yield from held.put("A")
+        yield from there.coordinator.put(
+            DATA_TABLE, "k", VALUE_ROW, {"value": "DIVERGED"},
+            there._stamp(held.lock_ref, there.config.period_ms / 2),
+            consistency=Consistency.QUORUM,
+        )
+        yield from there.forced_release("k", held.lock_ref)
+        ref = yield from oregon.create_lock_ref("k")
+        assert (yield from oregon.acquire_lock_blocking("k", ref))
+        yield from held.exit()
+        yield music.sim.timeout(1_000.0)  # the delete and its row land everywhere
+        rows = yield from there.coordinator.get(
+            LOCK_TABLE, "k", HANDOFF_ROW, Consistency.QUORUM
+        )
+        assert rows[HANDOFF_ROW].cell_stamp("value")[0] == held.lock_ref
+        assert (yield from ohio.acquire_lock("k", ref))
+        value = yield from ohio.critical_get("k", ref)
+        yield from ohio.release_lock("k", ref)
+        return value
+
+    return music, run(music.sim, scenario())
+
+
+@LEASE_MODES
+def test_a_forced_dequeue_before_a_release_that_reads_no_head_is_clean(read_leases):
+    for music, read in in_both_audit_modes(
+        _forced_before_release_scenario, read_leases=read_leases
+    ):
+        assert read == "DIVERGED"
+        assert music.auditor.clean, music.auditor.render_report()
+        assert_replay_equivalent(music.auditor)
+
+
+@LEASE_MODES
+def test_a_hand_off_row_written_after_a_forced_dequeue_served_is_caught(read_leases):
+    for music, read in in_both_audit_modes(
+        _forced_before_release_scenario, replica_class=_serving("c"), read_leases=read_leases
+    ):
+        assert read == "A"
+        violation = assert_caught(music.auditor, "LatestState")
+        assert "DIVERGED" in violation.detail
+        assert_replay_equivalent(music.auditor)
+
+
 @LEASE_MODES
 def test_the_hand_off_scenarios_are_clean_without_a_mutant(read_leases):
     for scenario in (_own_put_scenario, _retried_op_scenario, _late_marker_scenario):
@@ -465,11 +523,15 @@ def _missed_forced_scenario(replica_class=MusicReplica, obs=None, read_leases=Fa
     before the grant, a forced dequeue of the ref below, which the
     decided queue did not show, takes effect with a synchronization
     elsewhere: the store moved past what the early read saw, and only
-    the forced epoch shows it (injected, as in ``_late_marker_scenario``)."""
+    the forced epoch shows it (injected, as in ``_late_marker_scenario``).
+    Ohio's release returns at its local ack: its delete lands at every
+    replica before Oregon mints, so the mint's promises show the queue
+    empty."""
     music = build_music(audit=True, obs=obs, replica_class=replica_class, read_leases=read_leases)
     ohio, oregon = music.client("Ohio"), music.client("Oregon")
     here, there = music.replica_at("Oregon"), music.replica_at("Ohio")
     run(music.sim, section(ohio, "get", "A"))
+    music.sim.run(until=music.sim.now + 1_000.0)
 
     def scenario():
         ref = yield from oregon.create_lock_ref("k")
@@ -530,7 +592,9 @@ def _stale_local_acceptor_scenario(obs=None, read_leases=False):
     store replica misses it (the put's quorum is Ohio's and
     N.California's).  Healed, Oregon's first section gets: its mint's
     accept quorum is Oregon's replica and N.California's, and only the
-    latter holds "B"."""
+    latter holds "B".  Ohio's release returns at its local ack: the heal
+    waits for its delete to reach N.California, so Oregon's mint finds
+    the queue empty."""
     music = build_music(audit=True, obs=obs, read_leases=read_leases)
     ohio, oregon = music.client("Ohio"), music.client("Oregon")
 
@@ -538,6 +602,7 @@ def _stale_local_acceptor_scenario(obs=None, read_leases=False):
         yield from section(ohio, "A")
         music.network.partition_sites("Ohio", "Oregon")
         yield from section(ohio, "B")
+        yield music.sim.timeout(100.0)
         music.network.heal_all()
         (read,) = yield from section(oregon, "get")
         return read

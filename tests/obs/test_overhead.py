@@ -93,10 +93,13 @@ def test_an_untraced_run_opens_no_span(monkeypatch):
     # of the polling protocol's 320; each of the five mint LWTs, whose
     # promises carry its read, skips the read round's four; and each of
     # the five releases is a quorum delete — a store.put and its three
-    # replica writes, not a three-round LWT's thirteen.  The first
-    # section on each key takes its flag read from its mint's accept
-    # round: no span more.
-    assert len(traced.obs.tracer.spans) == 215
+    # replica writes, not a three-round LWT's thirteen, with no head read
+    # of its own (the put's guard read shows its ref at the head: three
+    # spans fewer each).  The first section on each key takes its flag
+    # read from its mint's accept round: no span more.  A release returns
+    # at its local ack, so the last one's two remote writes land after
+    # the run returns.
+    assert len(traced.obs.tracer.spans) == 198
     polling = build_music(seed=5, obs=True, music_config=MusicConfig(fast_locks=False))
     _workload(polling)
     assert len(polling.obs.tracer.spans) == 320

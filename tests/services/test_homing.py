@@ -185,7 +185,12 @@ def test_failed_worker_job_resumed_from_latest_state():
         # Wait for the detector to preempt the dead worker's lock.
         yield music.sim.timeout(15_000.0)
         yield from rescuer.run_once()
+        # An eventual read at Ohio: poll until the rescuer's last put,
+        # acknowledged by Oregon's and N.California's replicas, lands.
         result = yield from api.poll_done("job-1")
+        while result is None:
+            yield music.sim.timeout(50.0)
+            result = yield from api.poll_done("job-1")
         return result
 
     result = run(music, rescue())

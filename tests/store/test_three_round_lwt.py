@@ -210,7 +210,7 @@ def test_an_accept_round_read_returns_the_rows_at_the_local_commit():
     rows, _sent = result.read
     assert rows["row"].visible_values() == {"v": "x"}
     assert 2 * 53.79 < took < 3 * 53.79
-    assert coordinator.counters["commits_unacked"] == 0
+    assert coordinator.counters["unacked_returns"] == 0
 
 
 def test_a_commit_no_quorum_acknowledges_after_the_return_is_counted():
@@ -219,7 +219,7 @@ def test_a_commit_no_quorum_acknowledges_after_the_return_is_counted():
     later, is observed and counted, not left unhandled."""
     result, _took, coordinator, sim = _read_at_accept(fail_remote=True)
     assert result.applied and result.read is not None
-    assert coordinator.counters["commits_unacked"] == 1
+    assert coordinator.counters["unacked_returns"] == 1
     assert sim.swallowed_failures == 0
 
 
